@@ -50,6 +50,7 @@ type HotpathDoc struct {
 	GOOS        string          `json:"goos"`
 	GOARCH      string          `json:"goarch"`
 	NumCPU      int             `json:"num_cpu"`
+	GOMAXPROCS  int             `json:"gomaxprocs"`
 	Seed        uint64          `json:"seed"`
 	Quick       bool            `json:"quick"`
 	Results     []HotpathResult `json:"results"`
@@ -146,6 +147,7 @@ func RunHotpath(cfg Config) (*HotpathDoc, *Report, error) {
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Seed:        cfg.Seed,
 		Quick:       cfg.Quick,
 	}

@@ -14,16 +14,15 @@
 package core
 
 import (
-	"sync"
-
 	"probpred/internal/blob"
 	"probpred/internal/dimred"
+	"probpred/internal/mathx"
 )
 
 // BatchScorer is the optional batch fast path of Scorer: score many reduced
 // vectors held row-major in one flat buffer. The built-in families implement
-// it (svm: one flat dot-product sweep; dnn: blocked forward pass; kde:
-// batched KNN over reusable scratch). Results must be bit-identical to
+// it (svm: one flat dot-product sweep; dnn and kde: the scalar kernel per row
+// over one scratch held for the batch). Results must be bit-identical to
 // calling Score on each row — implementations that cannot guarantee that
 // must not implement the interface.
 type BatchScorer interface {
@@ -41,16 +40,7 @@ type BatchScorer interface {
 const scoreTile = 256
 
 // flatPool recycles the row-major reduction buffers ScoreBatch fills.
-var flatPool sync.Pool
-
-func getFlat(n int) []float64 {
-	if p, ok := flatPool.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func putFlat(buf []float64) { flatPool.Put(&buf) }
+var flatPool mathx.BufPool
 
 // ScoreBatch scores every blob into dst (len(dst) must equal len(blobs)),
 // bit-identical to calling Score per blob. When both the reducer and the
@@ -67,13 +57,14 @@ func (p *PP) ScoreBatch(blobs []blob.Blob, dst []float64) {
 		return
 	}
 	d := p.reducer.OutDim()
-	flat := getFlat(min(len(blobs), scoreTile) * d)
+	buf := flatPool.Get(min(len(blobs), scoreTile) * d)
+	flat := buf.V
 	for lo := 0; lo < len(blobs); lo += scoreTile {
 		hi := min(lo+scoreTile, len(blobs))
 		br.ReduceBatch(blobs[lo:hi], flat[:(hi-lo)*d])
 		bs.ScoreBatch(flat[:(hi-lo)*d], d, dst[lo:hi])
 	}
-	putFlat(flat)
+	flatPool.Put(buf)
 	if p.negated {
 		for i := range dst[:len(blobs)] {
 			dst[i] = -dst[i]
@@ -85,12 +76,12 @@ func (p *PP) ScoreBatch(blobs []blob.Blob, dst []float64) {
 // (len(dst) must equal len(blobs)), through the batch scoring path.
 func (p *PP) PassBatch(blobs []blob.Blob, a float64, dst []bool) {
 	th := p.curve.Threshold(a)
-	scores := getFlat(len(blobs))
-	p.ScoreBatch(blobs, scores)
-	for i, s := range scores {
+	scores := flatPool.Get(len(blobs))
+	p.ScoreBatch(blobs, scores.V)
+	for i, s := range scores.V {
 		dst[i] = s >= th
 	}
-	putFlat(scores)
+	flatPool.Put(scores)
 }
 
 // scoreAll scores a raw reducer+scorer pair over blobs into a fresh slice,
@@ -107,12 +98,13 @@ func scoreAll(reducer dimred.Reducer, scorer Scorer, blobs []blob.Blob) []float6
 		return scores
 	}
 	d := reducer.OutDim()
-	flat := getFlat(min(len(blobs), scoreTile) * d)
+	buf := flatPool.Get(min(len(blobs), scoreTile) * d)
+	flat := buf.V
 	for lo := 0; lo < len(blobs); lo += scoreTile {
 		hi := min(lo+scoreTile, len(blobs))
 		br.ReduceBatch(blobs[lo:hi], flat[:(hi-lo)*d])
 		bs.ScoreBatch(flat[:(hi-lo)*d], d, scores[lo:hi])
 	}
-	putFlat(flat)
+	flatPool.Put(buf)
 	return scores
 }

@@ -174,3 +174,23 @@ func BenchmarkScoreBatchRawSVM(b *testing.B) {
 	}
 	_ = fmt.Sprint(out[0])
 }
+
+// TestScoreBatchDoesNotAllocate pins the steady state the paper's "cheap
+// enough for every blob" premise needs: once the pools are warm, scoring a
+// batch allocates nothing — no per-call buffer, no boxed pool holder.
+func TestScoreBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, approach := range []string{"FH+SVM", "PCA+KDE", "Raw+SVM", "DNN"} {
+		pp, blobs := trainBatchPP(t, approach, 61)
+		scores := make([]float64, len(blobs))
+		pass := make([]bool, len(blobs))
+		if n := testing.AllocsPerRun(20, func() {
+			pp.ScoreBatch(blobs, scores)
+			pp.PassBatch(blobs, 0.95, pass)
+		}); n != 0 {
+			t.Errorf("%s: ScoreBatch+PassBatch allocate %v times per call, want 0", approach, n)
+		}
+	}
+}

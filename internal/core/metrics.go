@@ -31,7 +31,8 @@ type Metrics struct {
 // loop.
 func Evaluate(p *PP, test blob.Set, a float64) Metrics {
 	th := p.Threshold(a)
-	scores := getFlat(test.Len())
+	buf := flatPool.Get(test.Len())
+	scores := buf.V
 	p.ScoreBatch(test.Blobs, scores)
 	var pass, posPass, pos, negPass int
 	for i := range test.Blobs {
@@ -48,7 +49,7 @@ func Evaluate(p *PP, test blob.Set, a float64) Metrics {
 			negPass++
 		}
 	}
-	putFlat(scores)
+	flatPool.Put(buf)
 	m := Metrics{TargetAccuracy: a, N: test.Len()}
 	if test.Len() == 0 {
 		return m

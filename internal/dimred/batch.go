@@ -33,16 +33,7 @@ type BatchReducer interface {
 const reduceBlock = 64
 
 // centerPool recycles the PCA kernel's centered-input blocks.
-var centerPool sync.Pool
-
-func getCenterBlock(n int) []float64 {
-	if p, ok := centerPool.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func putCenterBlock(buf []float64) { centerPool.Put(&buf) }
+var centerPool mathx.BufPool
 
 // ReduceBatch implements BatchReducer: blobs are copied (sparse ones
 // scattered) row-major into dst. Bit-identical to per-blob Reduce by
@@ -70,8 +61,9 @@ func (id Identity) ReduceBatch(blobs []blob.Blob, dst []float64) {
 func (p *PCA) ReduceBatch(blobs []blob.Blob, dst []float64) {
 	k := p.basis.Rows
 	d := p.basis.Cols
-	cent := getCenterBlock(reduceBlock * d)
-	defer putCenterBlock(cent)
+	block := centerPool.Get(reduceBlock * d)
+	defer centerPool.Put(block)
+	cent := block.V
 	for start := 0; start < len(blobs); start += reduceBlock {
 		nb := min(reduceBlock, len(blobs)-start)
 		for r := 0; r < nb; r++ {

@@ -97,29 +97,38 @@ func (l *layer) forward(in mathx.Vec) mathx.Vec {
 	return out
 }
 
-// forwardInto computes out = W·in + b into the caller's buffer.
+// forwardInto computes out = W·in + b into the caller's buffer. It is the
+// network's one forward kernel: training, Score and ScoreBatch all call it
+// once per input row. Output neurons are taken four at a time, so each input
+// value is loaded once for four multiply-adds and the four accumulators'
+// add chains overlap instead of serializing on one. Every accumulator still
+// sums its neuron's products in index order, as mathx.Dot does, so the
+// result does not depend on the blocking.
 func (l *layer) forwardInto(in, out mathx.Vec) {
-	for o := 0; o < l.out; o++ {
-		row := l.w[o*l.in : (o+1)*l.in]
-		out[o] = mathx.Dot(row, in) + l.b[o]
+	n := l.in
+	if len(in) != n {
+		panic(fmt.Sprintf("dnn: layer takes %d inputs, got %d", n, len(in)))
 	}
-}
-
-// forwardBlock applies the layer to nb inputs held row-major in `in` (row r
-// at in[r*inStride:...+l.in]) writing row-major outputs at stride l.out.
-// Rows go outermost: the input row stays register/L1-hot across every neuron,
-// output writes are contiguous, and PP-sized weight matrices are small enough
-// to stay cache-resident across rows (an o-outer ordering that re-streams the
-// whole input block per neuron measures slower here). Each (row, neuron) dot
-// product accumulates in the same index order as forwardInto, so blocked and
-// scalar outputs are bit-identical.
-func (l *layer) forwardBlock(nb int, in []float64, inStride int, out []float64) {
-	for r := 0; r < nb; r++ {
-		inRow := in[r*inStride : r*inStride+l.in]
-		outRow := out[r*l.out : (r+1)*l.out]
-		for o := 0; o < l.out; o++ {
-			outRow[o] = mathx.Dot(l.w[o*l.in:(o+1)*l.in], inRow) + l.b[o]
+	o := 0
+	for ; o+4 <= l.out; o += 4 {
+		w0 := l.w[o*n : (o+1)*n : (o+1)*n]
+		w1 := l.w[(o+1)*n : (o+2)*n : (o+2)*n]
+		w2 := l.w[(o+2)*n : (o+3)*n : (o+3)*n]
+		w3 := l.w[(o+3)*n : (o+4)*n : (o+4)*n]
+		var s0, s1, s2, s3 float64
+		for j, x := range in {
+			s0 += w0[j] * x
+			s1 += w1[j] * x
+			s2 += w2[j] * x
+			s3 += w3[j] * x
 		}
+		out[o] = s0 + l.b[o]
+		out[o+1] = s1 + l.b[o+1]
+		out[o+2] = s2 + l.b[o+2]
+		out[o+3] = s3 + l.b[o+3]
+	}
+	for ; o < l.out; o++ {
+		out[o] = mathx.Dot(l.w[o*n:(o+1)*n], in) + l.b[o]
 	}
 }
 
@@ -135,12 +144,8 @@ type Model struct {
 	scratch sync.Pool
 }
 
-// scoreBlock is how many batch rows flow through the layers together in
-// ScoreBatch: large enough to amortize each layer-weight traversal over many
-// rows, small enough that a block of activations stays cache-resident.
-const scoreBlock = 64
-
-// fwdScratch holds two ping-pong activation blocks of scoreBlock×maxWidth.
+// fwdScratch holds two ping-pong activation buffers, each as wide as the
+// widest layer.
 type fwdScratch struct{ a, b []float64 }
 
 // getScratch returns reusable activation buffers, allocating only on pool
@@ -155,7 +160,7 @@ func (m *Model) getScratch() *fwdScratch {
 			w = l.out
 		}
 	}
-	return &fwdScratch{a: make([]float64, scoreBlock*w), b: make([]float64, scoreBlock*w)}
+	return &fwdScratch{a: make([]float64, w), b: make([]float64, w)}
 }
 
 // Train fits a network to feature vectors xs and binary labels ys.
@@ -298,9 +303,7 @@ func (m *Model) Score(x mathx.Vec) float64 {
 	return v
 }
 
-// score runs one forward pass through pooled ping-pong activation buffers;
-// the arithmetic (per-neuron dot products, ReLU clamping) is unchanged from
-// the historical allocate-per-layer pass.
+// score runs one forward pass through ping-pong activation buffers.
 func (m *Model) score(x mathx.Vec, s *fwdScratch) float64 {
 	in := x
 	cur, alt := s.a, s.b
@@ -322,36 +325,15 @@ func (m *Model) score(x mathx.Vec, s *fwdScratch) float64 {
 }
 
 // ScoreBatch scores the len(out) vectors stored row-major in xs (row i is
-// xs[i*d:(i+1)*d]) into out. Rows flow through the network in blocks of
-// scoreBlock with the layer loop outermost, so each layer's weights are
-// traversed once per block rather than once per row, over reused activation
-// buffers. Per-row arithmetic is exactly Score's, so batch and scalar logits
-// are bit-identical (the invariant core.PP's batch fast path relies on). It
-// implements core.BatchScorer.
+// xs[i*d:(i+1)*d]) into out: score per row over one scratch held for the
+// whole batch, so batch and scalar logits are bit-identical (the invariant
+// core.PP's batch fast path relies on). Rows are not blocked through the
+// layers: a PP network's weights stay cache-resident from one row to the
+// next as it is. It implements core.BatchScorer.
 func (m *Model) ScoreBatch(xs []float64, d int, out []float64) {
 	s := m.getScratch()
-	n := len(out)
-	last := len(m.layers) - 1
-	for start := 0; start < n; start += scoreBlock {
-		nb := min(scoreBlock, n-start)
-		in, inStride := xs[start*d:], d
-		cur, alt := s.a, s.b
-		for li, l := range m.layers {
-			l.forwardBlock(nb, in, inStride, cur)
-			if li == last {
-				// The output layer is a single logit: row r sits at cur[r].
-				copy(out[start:start+nb], cur[:nb])
-				break
-			}
-			z := cur[:nb*l.out]
-			for j, v := range z {
-				if v < 0 {
-					z[j] = 0
-				}
-			}
-			in, inStride = cur, l.out
-			cur, alt = alt, cur
-		}
+	for i := range out {
+		out[i] = m.score(xs[i*d:(i+1)*d], s)
 	}
 	m.scratch.Put(s)
 }

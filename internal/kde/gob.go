@@ -43,7 +43,7 @@ func (m *Model) GobDecode(data []byte) error {
 	m.h = g.H
 	m.neighbors = g.Neighbors
 	m.dim = g.Dim
-	m.pos = kdtree.Build(g.Pos, nil)
-	m.neg = kdtree.Build(g.Neg, nil)
+	m.pos = kdtree.Build(g.Pos)
+	m.neg = kdtree.Build(g.Neg)
 	return nil
 }

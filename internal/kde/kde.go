@@ -82,23 +82,21 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	m := &Model{neighbors: cfg.Neighbors, dim: dim}
 	if cfg.Bandwidth > 0 {
 		m.h = cfg.Bandwidth
-		m.pos = kdtree.Build(posPts, nil)
-		m.neg = kdtree.Build(negPts, nil)
+		m.pos = kdtree.Build(posPts)
+		m.neg = kdtree.Build(negPts)
 		return m, nil
 	}
 	h0 := silverman(xs)
 	// Cross-validate h over a small multiplicative grid: hold out 20% of
 	// each class, fit on the rest, pick the h with best held-out accuracy.
+	// The trees index points, not bandwidths, so one pair serves the sweep.
 	rng := mathx.NewRNG(cfg.Seed)
 	trPos, vaPos := holdout(posPts, rng)
 	trNeg, vaNeg := holdout(negPts, rng)
+	cand := &Model{pos: kdtree.Build(trPos), neg: kdtree.Build(trNeg), neighbors: cfg.Neighbors, dim: dim}
 	bestH, bestAcc := h0, -1.0
 	for _, mult := range []float64{0.5, 1, 2, 4} {
-		h := h0 * mult
-		cand := &Model{
-			pos: kdtree.Build(trPos, nil), neg: kdtree.Build(trNeg, nil),
-			h: h, neighbors: cfg.Neighbors, dim: dim,
-		}
+		cand.h = h0 * mult
 		correct := 0
 		for _, x := range vaPos {
 			if cand.Score(x) > 0 {
@@ -112,12 +110,12 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 		}
 		acc := float64(correct) / float64(len(vaPos)+len(vaNeg))
 		if acc > bestAcc {
-			bestAcc, bestH = acc, h
+			bestAcc, bestH = acc, cand.h
 		}
 	}
 	m.h = bestH
-	m.pos = kdtree.Build(posPts, nil)
-	m.neg = kdtree.Build(negPts, nil)
+	m.pos = kdtree.Build(posPts)
+	m.neg = kdtree.Build(negPts)
 	return m, nil
 }
 
@@ -200,11 +198,13 @@ func (m *Model) score(x mathx.Vec, s *kdtree.Scratch) float64 {
 }
 
 // ScoreBatch scores the len(out) vectors stored row-major in xs (row i is
-// xs[i*d:(i+1)*d]) into out, holding one KNN scratch across the whole batch
-// instead of hitting the pool per row. Per-row arithmetic — neighbour
-// retrieval order, kernel summation, smoothing — is exactly Score's, so the
-// batch path is bit-identical to the scalar one (the invariant core.PP's
-// batch fast path relies on). It implements core.BatchScorer.
+// xs[i*d:(i+1)*d]) into out. It is a loop over score holding one KNN scratch
+// for the whole batch instead of hitting the pool per row, not a kernel of
+// its own; rows share nothing. Each row's score is a function of the exact
+// k-NN distance list alone (full index-order SqDist per neighbour, summed in
+// ascending order), so batch and scalar scores are bit-identical — the
+// invariant core.PP's batch fast path relies on. It implements
+// core.BatchScorer.
 func (m *Model) ScoreBatch(xs []float64, d int, out []float64) {
 	s := m.getScratch()
 	for i := range out {

@@ -2,6 +2,7 @@ package kde
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"probpred/internal/mathx"
@@ -151,5 +152,80 @@ func TestCostGrowsWithNeighbors(t *testing.T) {
 	}
 	if small.Name() != "KDE" {
 		t.Fatal("bad name")
+	}
+}
+
+// bruteScore is Score without the tree: every training point's SqDist, the
+// n′ smallest per class summed in ascending order.
+func bruteScore(xs []mathx.Vec, ys []bool, x mathx.Vec, h float64, neighbors int) float64 {
+	density := func(class bool) float64 {
+		var d2 []float64
+		for i, p := range xs {
+			if ys[i] == class {
+				d2 = append(d2, mathx.SqDist(x, p))
+			}
+		}
+		sort.Float64s(d2)
+		sum := 0.0
+		for _, d := range d2[:min(neighbors, len(d2))] {
+			sum += math.Exp(-d / (2 * h * h))
+		}
+		return sum / float64(len(d2))
+	}
+	const eps = 1e-12
+	return math.Log(density(true)+eps) - math.Log(density(false)+eps)
+}
+
+// TestScoreEqualsBruteForceDensity pins the argument for the tree's
+// bit-identicality: a score depends on the exact k-NN distance list only, so
+// any exact index — this tree, the one before it, or none — gives the same
+// bits. Training points are duplicated and the queries include training
+// points, so distances tie at zero and at the n′-th neighbour.
+func TestScoreEqualsBruteForceDensity(t *testing.T) {
+	rng := mathx.NewRNG(31)
+	for _, dim := range []int{2, 8, 16} {
+		var xs []mathx.Vec
+		var ys []bool
+		for i := 0; i < 900; i++ {
+			x := make(mathx.Vec, dim)
+			if i%3 == 2 {
+				copy(x, xs[rng.Intn(len(xs))]) // a duplicate, possibly of the other class
+			} else {
+				for j := range x {
+					x[j] = rng.NormFloat64() + float64(i%2)
+				}
+			}
+			xs = append(xs, x)
+			ys = append(ys, i%2 == 0)
+		}
+		for _, cfg := range []Config{{Seed: 32}, {Bandwidth: 0.7, Neighbors: 5}, {Bandwidth: 2, Neighbors: 2000}} {
+			m, err := Train(xs, ys, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rows = 120
+			flat := make([]float64, 0, rows*dim)
+			for i := 0; i < rows; i++ {
+				if i%2 == 0 {
+					flat = append(flat, xs[rng.Intn(len(xs))]...)
+					continue
+				}
+				for j := 0; j < dim; j++ {
+					flat = append(flat, rng.NormFloat64()*2)
+				}
+			}
+			batch := make([]float64, rows)
+			m.ScoreBatch(flat, dim, batch)
+			for i := range batch {
+				x := flat[i*dim : (i+1)*dim]
+				want := bruteScore(xs, ys, x, m.h, m.neighbors)
+				if got := m.Score(x); got != want {
+					t.Fatalf("dim %d cfg %+v row %d: Score = %v, brute force %v", dim, cfg, i, got, want)
+				}
+				if batch[i] != want {
+					t.Fatalf("dim %d cfg %+v row %d: ScoreBatch = %v, brute force %v", dim, cfg, i, batch[i], want)
+				}
+			}
+		}
 	}
 }

@@ -36,7 +36,7 @@ func bruteKNN(pts []mathx.Vec, q mathx.Vec, k int) []Result {
 
 func TestKNNMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(300, 3, 1)
-	tree := Build(pts, nil)
+	tree := Build(pts)
 	rng := mathx.NewRNG(2)
 	for trial := 0; trial < 50; trial++ {
 		q := mathx.Vec{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
@@ -54,47 +54,19 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRangeMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(300, 2, 3)
-	tree := Build(pts, nil)
-	rng := mathx.NewRNG(4)
-	for trial := 0; trial < 50; trial++ {
-		q := mathx.Vec{rng.Float64() * 10, rng.Float64() * 10}
-		radius := rng.Float64() * 3
-		got := tree.Range(q, radius)
-		want := 0
-		for _, p := range pts {
-			if mathx.SqDist(q, p) <= radius*radius {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("Range found %d, want %d", len(got), want)
-		}
-		for _, r := range got {
-			if r.SqDist > radius*radius {
-				t.Fatalf("Range returned point outside radius: %v > %v", r.SqDist, radius*radius)
-			}
-		}
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
-	tree := Build(nil, nil)
+	tree := Build(nil)
 	if tree.Len() != 0 {
 		t.Fatal("empty tree has nonzero length")
 	}
 	if tree.KNN(mathx.Vec{0}, 3) != nil {
 		t.Fatal("KNN on empty tree should be nil")
 	}
-	if tree.Range(mathx.Vec{0}, 1) != nil {
-		t.Fatal("Range on empty tree should be nil")
-	}
 }
 
 func TestKNNFewerPointsThanK(t *testing.T) {
 	pts := randomPoints(5, 2, 5)
-	tree := Build(pts, nil)
+	tree := Build(pts)
 	got := tree.KNN(mathx.Vec{0, 0}, 10)
 	if len(got) != 5 {
 		t.Fatalf("KNN = %d results, want all 5", len(got))
@@ -102,28 +74,15 @@ func TestKNNFewerPointsThanK(t *testing.T) {
 }
 
 func TestKNNZeroK(t *testing.T) {
-	tree := Build(randomPoints(10, 2, 6), nil)
+	tree := Build(randomPoints(10, 2, 6))
 	if got := tree.KNN(mathx.Vec{0, 0}, 0); got != nil {
 		t.Fatalf("KNN(k=0) = %v, want nil", got)
 	}
 }
 
-func TestPayload(t *testing.T) {
-	pts := []mathx.Vec{{0, 0}, {1, 1}, {2, 2}}
-	tree := Build(pts, []int{10, 20, 30})
-	res := tree.KNN(mathx.Vec{1.1, 1.1}, 1)
-	if tree.Payload(res[0].Index) != 20 {
-		t.Fatalf("payload = %d, want 20", tree.Payload(res[0].Index))
-	}
-	noPayload := Build(pts, nil)
-	if noPayload.Payload(0) != 0 {
-		t.Fatal("nil payload should return 0")
-	}
-}
-
 func TestPointAccess(t *testing.T) {
 	pts := []mathx.Vec{{5, 6}}
-	tree := Build(pts, nil)
+	tree := Build(pts)
 	if p := tree.Point(0); p[0] != 5 || p[1] != 6 {
 		t.Fatalf("Point(0) = %v", p)
 	}
@@ -131,7 +90,7 @@ func TestPointAccess(t *testing.T) {
 
 func TestDuplicatePoints(t *testing.T) {
 	pts := []mathx.Vec{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
-	tree := Build(pts, nil)
+	tree := Build(pts)
 	got := tree.KNN(mathx.Vec{1, 1}, 3)
 	if len(got) != 3 {
 		t.Fatalf("KNN over duplicates = %d results", len(got))
@@ -150,7 +109,7 @@ func TestKNNQuick(t *testing.T) {
 		n := 1 + rng.Intn(100)
 		dim := 1 + rng.Intn(5)
 		pts := randomPoints(n, dim, seed^0xabc)
-		tree := Build(pts, nil)
+		tree := Build(pts)
 		q := make(mathx.Vec, dim)
 		for j := range q {
 			q[j] = rng.Float64() * 10

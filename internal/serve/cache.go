@@ -2,8 +2,11 @@ package serve
 
 import (
 	"container/list"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"probpred/internal/core"
 	"probpred/internal/optimizer"
@@ -173,24 +176,164 @@ func (c *planCache) len() int {
 	return len(c.items)
 }
 
-// scoreKey identifies one memoized score: PP identity (pointer — negation-
+// scoreEntry is one slab slot: a memoized score, its key, and its links in
+// the shard's recency list. The key is PP identity (pointer — negation-
 // derived PPs cache independently of their base) plus the blob's corpus-
-// unique ID.
-type scoreKey struct {
-	pp *core.PP
-	id int
-}
-
+// unique ID. The struct is 32 bytes on 64-bit platforms, two per cache line.
 type scoreEntry struct {
-	key   scoreKey
-	score float64
+	pp         *core.PP
+	id         int
+	score      float64
+	prev, next int32 // slab slots; towards more / less recently used
 }
 
+// scoreShard is one lock's worth of the score cache: a bounded exact-LRU map
+// with no per-entry allocation. Entries live in slab, which grows
+// geometrically up to cap+1 slots and is then recycled in place; slot 0 is
+// the sentinel of a circular recency list threaded through the entries'
+// int32 links (slab[0].next is the most, slab[0].prev the least recently
+// used). index is an open-addressed table of slab slots (0 = empty) with
+// linear probing at load ≤ 1/2, and backward-shift deletion so eviction
+// leaves no tombstones. At capacity one cached score costs 32 B of slab plus
+// 8 B of index.
 type scoreShard struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used; values are *scoreEntry
-	items map[scoreKey]*list.Element
+	slab  []scoreEntry
+	index []int32 // len is a power of two
+	shift uint    // 64 - log2(len(index)): a hash's top bits pick the home slot
+	// hits and misses are guarded by mu, which every lookup takes anyway.
+	hits, misses uint64
+}
+
+// scoreIndexMin is the index size a shard starts with.
+const scoreIndexMin = 64
+
+func newScoreShard(capacity int) *scoreShard {
+	sh := &scoreShard{cap: capacity, slab: make([]scoreEntry, 1, min(capacity+1, scoreIndexMin/2))}
+	sh.resetIndex(scoreIndexMin)
+	return sh
+}
+
+// scoreHash mixes a key into 64 bits whose top bits are used. Go's collector
+// does not move heap objects, so a PP's address is a stable identity for as
+// long as the entry's own pointer keeps the PP alive.
+func scoreHash(pp *core.PP, id int) uint64 {
+	h := uint64(id)*0x9E3779B97F4A7C15 + uint64(uintptr(unsafe.Pointer(pp)))*0xC2B2AE3D27D4EB4F
+	return (h ^ h>>32) * 0x9E3779B97F4A7C15
+}
+
+// resetIndex replaces the index with an empty one of n buckets and re-enters
+// every live slot.
+func (sh *scoreShard) resetIndex(n int) {
+	sh.index = make([]int32, n)
+	sh.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for slot := 1; slot < len(sh.slab); slot++ {
+		sh.place(int32(slot))
+	}
+}
+
+// place enters slot, whose key is not indexed, into the first free bucket of
+// its probe run.
+func (sh *scoreShard) place(slot int32) {
+	mask := uint64(len(sh.index) - 1)
+	e := &sh.slab[slot]
+	i := scoreHash(e.pp, e.id) >> sh.shift
+	for sh.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	sh.index[i] = slot
+}
+
+// find returns the slab slot caching (pp, id), or 0.
+func (sh *scoreShard) find(pp *core.PP, id int) int32 {
+	mask := uint64(len(sh.index) - 1)
+	for i := scoreHash(pp, id) >> sh.shift; ; i = (i + 1) & mask {
+		slot := sh.index[i]
+		if slot == 0 {
+			return 0
+		}
+		if e := &sh.slab[slot]; e.id == id && e.pp == pp {
+			return slot
+		}
+	}
+}
+
+// touch makes slot the most recently used.
+func (sh *scoreShard) touch(slot int32) {
+	slab := sh.slab
+	if slab[0].next == slot {
+		return
+	}
+	e := &slab[slot]
+	slab[e.prev].next = e.next
+	slab[e.next].prev = e.prev
+	sh.pushFront(slot)
+}
+
+// pushFront links an unlinked slot in as the most recently used.
+func (sh *scoreShard) pushFront(slot int32) {
+	slab := sh.slab
+	first := slab[0].next
+	slab[slot].prev, slab[slot].next = 0, first
+	slab[first].prev = slot
+	slab[0].next = slot
+}
+
+// unindex removes slot's bucket from the index, shifting back the entries of
+// its probe run that the hole would otherwise cut off from their home bucket.
+func (sh *scoreShard) unindex(slot int32) {
+	mask := uint64(len(sh.index) - 1)
+	e := &sh.slab[slot]
+	i := scoreHash(e.pp, e.id) >> sh.shift
+	for sh.index[i] != slot {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
+		m := &sh.slab[sh.index[j]]
+		home := scoreHash(m.pp, m.id) >> sh.shift
+		// The entry at j may fill the hole at i unless its home bucket lies
+		// cyclically in (i, j]: then the hole is not on its probe path.
+		if (j-home)&mask >= (j-i)&mask {
+			sh.index[i] = sh.index[j]
+			i = j
+		}
+	}
+	sh.index[i] = 0
+}
+
+// insert caches a key known to be absent as the most recently used entry,
+// recycling the least recently used slot when the shard is full.
+func (sh *scoreShard) insert(pp *core.PP, id int, score float64) {
+	var slot int32
+	if len(sh.slab) > sh.cap {
+		slot = sh.slab[0].prev
+		sh.unindex(slot)
+		e := &sh.slab[slot]
+		sh.slab[e.prev].next = 0
+		sh.slab[0].prev = e.prev
+	} else {
+		if len(sh.slab) == cap(sh.slab) {
+			// Grow by half, straight to the final size once that is within reach.
+			n := cap(sh.slab) + cap(sh.slab)/2
+			if n >= sh.cap {
+				n = sh.cap + 1
+			}
+			grown := make([]scoreEntry, len(sh.slab), n)
+			copy(grown, sh.slab)
+			sh.slab = grown
+		}
+		slot = int32(len(sh.slab))
+		sh.slab = append(sh.slab, scoreEntry{})
+	}
+	e := &sh.slab[slot]
+	e.pp, e.id, e.score = pp, id, score
+	sh.pushFront(slot)
+	if 2*(len(sh.slab)-1) > len(sh.index) { // the sentinel is not indexed
+		sh.resetIndex(2 * len(sh.index))
+	} else {
+		sh.place(slot)
+	}
 }
 
 // scoreCache implements optimizer.ScoreCache as a sharded bounded LRU.
@@ -201,8 +344,6 @@ type scoreShard struct {
 type scoreCache struct {
 	shards   []*scoreShard
 	disabled bool
-
-	hits, misses atomic.Uint64
 }
 
 func newScoreCache(size, shards int, disabled bool) *scoreCache {
@@ -212,10 +353,11 @@ func newScoreCache(size, shards int, disabled bool) *scoreCache {
 	if shards > size {
 		shards = size
 	}
-	perShard := (size + shards - 1) / shards
+	// Slab links are int32 and slot 0 is taken.
+	perShard := min((size+shards-1)/shards, math.MaxInt32-1)
 	c := &scoreCache{shards: make([]*scoreShard, shards), disabled: disabled}
 	for i := range c.shards {
-		c.shards[i] = &scoreShard{cap: perShard, ll: list.New(), items: map[scoreKey]*list.Element{}}
+		c.shards[i] = newScoreShard(perShard)
 	}
 	return c
 }
@@ -228,24 +370,21 @@ func (c *scoreCache) shard(blobID int) *scoreShard {
 
 // Get implements optimizer.ScoreCache.
 func (c *scoreCache) Get(pp *core.PP, blobID int) (float64, bool) {
-	if c.disabled {
-		c.misses.Add(1)
-		return 0, false
-	}
 	sh := c.shard(blobID)
-	k := scoreKey{pp: pp, id: blobID}
 	sh.mu.Lock()
-	el, ok := sh.items[k]
-	if !ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
+	defer sh.mu.Unlock()
+	if c.disabled {
+		sh.misses++
 		return 0, false
 	}
-	sh.ll.MoveToFront(el)
-	v := el.Value.(*scoreEntry).score
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	slot := sh.find(pp, blobID)
+	if slot == 0 {
+		sh.misses++
+		return 0, false
+	}
+	sh.hits++
+	sh.touch(slot)
+	return sh.slab[slot].score, true
 }
 
 // Put implements optimizer.ScoreCache.
@@ -254,30 +393,31 @@ func (c *scoreCache) Put(pp *core.PP, blobID int, score float64) {
 		return
 	}
 	sh := c.shard(blobID)
-	k := scoreKey{pp: pp, id: blobID}
 	sh.mu.Lock()
-	if el, ok := sh.items[k]; ok {
-		el.Value.(*scoreEntry).score = score
-		sh.ll.MoveToFront(el)
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if slot := sh.find(pp, blobID); slot != 0 {
+		sh.slab[slot].score = score
+		sh.touch(slot)
 		return
 	}
-	sh.items[k] = sh.ll.PushFront(&scoreEntry{key: k, score: score})
-	for sh.ll.Len() > sh.cap {
-		last := sh.ll.Back()
-		sh.ll.Remove(last)
-		delete(sh.items, last.Value.(*scoreEntry).key)
-	}
-	sh.mu.Unlock()
+	sh.insert(pp, blobID, score)
 }
 
 // Len returns the number of cached scores across all shards.
 func (c *scoreCache) Len() int {
-	n := 0
+	n, _, _ := c.stats()
+	return n
+}
+
+// stats returns the number of cached scores and the cumulative hit and miss
+// counts, summed over the shards.
+func (c *scoreCache) stats() (entries int, hits, misses uint64) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += len(sh.items)
+		entries += len(sh.slab) - 1
+		hits += sh.hits
+		misses += sh.misses
 		sh.mu.Unlock()
 	}
-	return n
+	return entries, hits, misses
 }

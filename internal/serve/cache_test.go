@@ -109,8 +109,8 @@ func TestScoreCacheDisabledCountsMisses(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("disabled cache stored entries")
 	}
-	if c.misses.Load() != 1 || c.hits.Load() != 0 {
-		t.Fatalf("disabled cache counted %d hits / %d misses, want 0/1", c.hits.Load(), c.misses.Load())
+	if _, hits, misses := c.stats(); misses != 1 || hits != 0 {
+		t.Fatalf("disabled cache counted %d hits / %d misses, want 0/1", hits, misses)
 	}
 }
 

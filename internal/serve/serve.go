@@ -113,8 +113,8 @@ type Config struct {
 	// PlanCacheSize bounds cached plans (LRU). Zero selects 128.
 	PlanCacheSize int
 	// ScoreCacheSize bounds memoized (PP, blob) scores across all shards
-	// (LRU per shard). Zero selects 1<<20 entries (~48 MB upper bound at 48
-	// bytes/entry of key+score+list overhead).
+	// (LRU per shard). Zero selects 1<<20 entries: 40 MB when full, at 32
+	// bytes of slab plus 8 of index per entry, allocated as the cache fills.
 	ScoreCacheSize int
 	// ScoreCacheShards is the score cache's lock-striping factor. Zero
 	// selects 16.
@@ -649,6 +649,7 @@ func (s *Server) SyncCorpus(fn func()) {
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
+	scoreEntries, scoreHits, scoreMisses := s.scores.stats()
 	return Stats{
 		Sessions:          s.sessions.Load(),
 		PlanHits:          s.planHits.Load(),
@@ -656,9 +657,9 @@ func (s *Server) Stats() Stats {
 		PlanInvalidations: s.plans.invalidations.Load(),
 		PlanRevalidations: s.plans.revalidations.Load(),
 		PlanEntries:       s.plans.len(),
-		ScoreHits:         s.scores.hits.Load(),
-		ScoreMisses:       s.scores.misses.Load(),
-		ScoreEntries:      s.scores.Len(),
+		ScoreHits:         scoreHits,
+		ScoreMisses:       scoreMisses,
+		ScoreEntries:      scoreEntries,
 		PlanDemotions:     s.plans.demotions.Load(),
 		PlanPromotions:    s.plans.promotions.Load(),
 	}
@@ -686,9 +687,10 @@ func (s *Server) emitSessionMetrics(resp *Response, err error) {
 	reg.Gauge("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed.").Set(float64(s.plans.revalidations.Load()))
 	reg.Gauge("serve_plan_cache_demotions", "Cached plans demoted by mid-query adaptation.").Set(float64(s.plans.demotions.Load()))
 	reg.Gauge("serve_plan_cache_promotions", "Re-ordered plans promoted into the cache by mid-query adaptation.").Set(float64(s.plans.promotions.Load()))
-	reg.Gauge("serve_score_cache_entries", "PP scores currently cached.").Set(float64(s.scores.Len()))
-	reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions.").Set(float64(s.scores.hits.Load()))
-	reg.Gauge("serve_score_cache_misses", "Cumulative score-cache misses across sessions.").Set(float64(s.scores.misses.Load()))
+	scoreEntries, scoreHits, scoreMisses := s.scores.stats()
+	reg.Gauge("serve_score_cache_entries", "PP scores currently cached.").Set(float64(scoreEntries))
+	reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions.").Set(float64(scoreHits))
+	reg.Gauge("serve_score_cache_misses", "Cumulative score-cache misses across sessions.").Set(float64(scoreMisses))
 }
 
 // WorkloadQuery is one query of a replayed workload.
