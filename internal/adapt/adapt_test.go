@@ -418,8 +418,12 @@ func TestReplanBudgetBoundsAttempts(t *testing.T) {
 // plainFilter is a BlobFilter the controller cannot re-order.
 type plainFilter struct{}
 
-func (plainFilter) Name() string                   { return "plain" }
-func (plainFilter) Test(blob.Blob) (bool, float64) { return true, 0.5 }
+func (plainFilter) Name() string { return "plain" }
+func (plainFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, _ *engine.CacheTally) {
+	for i := range blobs {
+		pass[i], cost[i] = true, 0.5
+	}
+}
 
 // Plans without a compiled PP expression (or without a re-optimizer) run
 // unadapted, untouched.

@@ -181,24 +181,21 @@ func RunHotpath(cfg Config) (*HotpathDoc, *Report, error) {
 		rep.metric(spec.approach+".batch_rows_per_sec", batch.RowsPerSec)
 		rep.metric(spec.approach+".alloc_ratio", res.AllocRatio)
 	}
-	// Engine-level rows: the full PPFilter operator (gather + TestBatch +
-	// compaction + cost accounting) under parallel execution, then the same
-	// batch path with a live metrics registry to expose instrumentation cost.
-	filterRes, err := hotpathFilterResults(cfg, scoreN, minDur)
+	// Engine-level row: the full PPFilter operator (gather + TestBatch +
+	// compaction + cost accounting) under parallel execution, without and
+	// with a live metrics registry, to expose instrumentation cost.
+	res, err := hotpathFilterResult(cfg, scoreN, minDur)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, res := range filterRes {
-		doc.Results = append(doc.Results, res)
-		tb.add(res.Approach, fmt.Sprintf("%d", res.Dim), "scalar",
-			f1(res.Scalar.NSPerRow), fk(res.Scalar.RowsPerSec), f2(res.Scalar.AllocsPerRow), "", "")
-		tb.add(res.Approach, fmt.Sprintf("%d", res.Dim), "batch",
-			f1(res.Batch.NSPerRow), fk(res.Batch.RowsPerSec), f2(res.Batch.AllocsPerRow),
-			f2(res.Speedup)+"x", f3(res.AllocRatio))
-	}
-	rep.metric("filter.speedup", filterRes[0].Speedup)
-	// >1 means the registry made the batch path faster (noise); ~1 is the goal.
-	rep.metric("filter.metrics_overhead", 1/filterRes[1].Speedup)
+	doc.Results = append(doc.Results, res)
+	tb.add(res.Approach, fmt.Sprintf("%d", res.Dim), "no registry",
+		f1(res.Scalar.NSPerRow), fk(res.Scalar.RowsPerSec), f2(res.Scalar.AllocsPerRow), "", "")
+	tb.add(res.Approach, fmt.Sprintf("%d", res.Dim), "registry",
+		f1(res.Batch.NSPerRow), fk(res.Batch.RowsPerSec), f2(res.Batch.AllocsPerRow),
+		f2(res.Speedup)+"x", f3(res.AllocRatio))
+	// >1 means the registry made the operator faster (noise); ~1 is the goal.
+	rep.metric("filter.metrics_overhead", 1/res.Speedup)
 	rep.Lines = tb.render()
 	return doc, rep, nil
 }
@@ -228,16 +225,8 @@ func hotpathPP(spec hotpathSpec, trainN, scoreN int, seed uint64) (*core.PP, []b
 	return pp, score.Blobs, nil
 }
 
-// scalarOnlyFilter wraps a BlobFilter, hiding any TestBatch method so the
-// engine takes the per-row path — the baseline the batch operator is
-// measured against.
-type scalarOnlyFilter struct{ f engine.BlobFilter }
-
-func (s scalarOnlyFilter) Name() string                     { return s.f.Name() }
-func (s scalarOnlyFilter) Test(b blob.Blob) (bool, float64) { return s.f.Test(b) }
-
-// hotpathFilter adapts a PP at a fixed accuracy to engine.BlobFilter and
-// BatchBlobFilter, like optimizer.Compiled's single-leaf case.
+// hotpathFilter adapts a PP at a fixed accuracy to engine.BlobFilter, like
+// optimizer.Compiled's single-leaf case.
 type hotpathFilter struct {
 	pp   *core.PP
 	th   float64
@@ -246,11 +235,7 @@ type hotpathFilter struct {
 
 func (f *hotpathFilter) Name() string { return f.pp.Clause }
 
-func (f *hotpathFilter) Test(b blob.Blob) (bool, float64) {
-	return f.pp.Score(b) >= f.th, f.cost
-}
-
-func (f *hotpathFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64) {
+func (f *hotpathFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, _ *engine.CacheTally) {
 	scores := make([]float64, len(blobs))
 	f.pp.ScoreBatch(blobs, scores)
 	for i, s := range scores {
@@ -259,51 +244,39 @@ func (f *hotpathFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64
 	}
 }
 
-// hotpathFilterResults measures the PPFilter operator end to end (Scan +
-// PPFilter under engine.Run, Workers=4). The first result compares batch
-// chunks against the per-row fallback; the second re-runs the batch path
-// under a live metrics registry, with the registryless batch numbers in the
-// Scalar column, so the per-row cost of instrumentation is a visible delta.
-func hotpathFilterResults(cfg Config, scoreN int, minDur time.Duration) ([]HotpathResult, error) {
+// hotpathFilterResult measures the PPFilter operator end to end (Scan +
+// PPFilter under engine.Run, Workers=4), first without and then with a live
+// metrics registry: the registryless numbers sit in the Scalar column and
+// the with-registry numbers in Batch, so the per-row cost of instrumentation
+// is a visible delta.
+func hotpathFilterResult(cfg Config, scoreN int, minDur time.Duration) (HotpathResult, error) {
 	spec := hotpathSpecs()[0] // FH+SVM
 	pp, blobs, err := hotpathPP(spec, cfg.scale(1200, 600), scoreN, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return HotpathResult{}, err
 	}
-	filter := &hotpathFilter{pp: pp, th: pp.Threshold(0.95), cost: pp.Cost()}
-	run := func(f engine.BlobFilter, ecfg engine.Config) func() {
-		plan := engine.Plan{Ops: []engine.Operator{
-			&engine.Scan{Blobs: blobs},
-			&engine.PPFilter{F: f},
-		}}
+	plan := engine.Plan{Ops: []engine.Operator{
+		&engine.Scan{Blobs: blobs},
+		&engine.PPFilter{F: &hotpathFilter{pp: pp, th: pp.Threshold(0.95), cost: pp.Cost()}},
+	}}
+	run := func(ecfg engine.Config) func() {
 		return func() {
 			if _, err := engine.Run(plan, ecfg); err != nil {
 				panic(err) // plan has no failing operators
 			}
 		}
 	}
-	base := engine.Config{Workers: 4}
-	scalar := measureScoring(len(blobs), minDur, run(scalarOnlyFilter{filter}, base))
-	batch := measureScoring(len(blobs), minDur, run(filter, base))
+	bare := measureScoring(len(blobs), minDur, run(engine.Config{Workers: 4}))
+	withReg := measureScoring(len(blobs), minDur, run(engine.Config{Workers: 4, Metrics: metrics.New()}))
 	res := HotpathResult{
-		Approach: "PPFilter(FH+SVM,workers=4)", Rows: len(blobs), Dim: spec.dim,
-		Scalar: scalar, Batch: batch,
-		Speedup: scalar.NSPerRow / batch.NSPerRow,
-	}
-	if scalar.AllocsPerRow > 0 {
-		res.AllocRatio = batch.AllocsPerRow / scalar.AllocsPerRow
-	}
-	withReg := measureScoring(len(blobs), minDur,
-		run(filter, engine.Config{Workers: 4, Metrics: metrics.New()}))
-	mres := HotpathResult{
 		Approach: "PPFilter(FH+SVM,workers=4,metrics)", Rows: len(blobs), Dim: spec.dim,
-		Scalar: batch, Batch: withReg,
-		Speedup: batch.NSPerRow / withReg.NSPerRow,
+		Scalar: bare, Batch: withReg,
+		Speedup: bare.NSPerRow / withReg.NSPerRow,
 	}
-	if batch.AllocsPerRow > 0 {
-		mres.AllocRatio = withReg.AllocsPerRow / batch.AllocsPerRow
+	if bare.AllocsPerRow > 0 {
+		res.AllocRatio = withReg.AllocsPerRow / bare.AllocsPerRow
 	}
-	return []HotpathResult{res, mres}, nil
+	return res, nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -38,25 +38,20 @@ func BenchmarkPPScorePCAKDE(b *testing.B) { benchmarkScore(b, hotpathSpec{"PCA+K
 func BenchmarkPPScoreDNN(b *testing.B)    { benchmarkScore(b, hotpathSpec{"DNN", 64}) }
 
 // BenchmarkPPFilterParallel times the PPFilter operator end to end under
-// Workers=4, with the batch path (TestBatch per chunk) and with it hidden.
+// Workers=4 (one TestBatch per worker chunk).
 func BenchmarkPPFilterParallel(b *testing.B) {
 	pp, blobs, err := hotpathPP(hotpathSpec{"FH+SVM", 2000}, 600, 2048, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	filter := &hotpathFilter{pp: pp, th: pp.Threshold(0.95), cost: pp.Cost()}
-	run := func(b *testing.B, f engine.BlobFilter) {
-		plan := engine.Plan{Ops: []engine.Operator{
-			&engine.Scan{Blobs: blobs},
-			&engine.PPFilter{F: f},
-		}}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(plan, engine.Config{Workers: 4}); err != nil {
-				b.Fatal(err)
-			}
+	plan := engine.Plan{Ops: []engine.Operator{
+		&engine.Scan{Blobs: blobs},
+		&engine.PPFilter{F: &hotpathFilter{pp: pp, th: pp.Threshold(0.95), cost: pp.Cost()}},
+	}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Run(plan, engine.Config{Workers: 4}); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("scalar", func(b *testing.B) { run(b, scalarOnlyFilter{filter}) })
-	b.Run("batch", func(b *testing.B) { run(b, filter) })
 }

@@ -32,31 +32,48 @@ type BatchScorer interface {
 	ScoreBatch(xs []float64, d int, out []float64)
 }
 
-// scoreTile bounds how many rows ScoreBatch reduces before scoring them.
+// scoreTile bounds how many rows scoreInto reduces before scoring them.
 // Tiling keeps the flat reduction buffer cache-resident: the scorer sweeps
 // rows the reducer just wrote instead of re-streaming a batch-sized buffer
 // from memory. Per-row results are independent of the tile boundary, so the
 // bit-identicality contract is unaffected.
 const scoreTile = 256
 
-// flatPool recycles the row-major reduction buffers ScoreBatch fills.
+// flatPool recycles the row-major reduction buffers scoreInto fills.
 var flatPool mathx.BufPool
 
 // ScoreBatch scores every blob into dst (len(dst) must equal len(blobs)),
-// bit-identical to calling Score per blob. When both the reducer and the
-// scorer support batching, all reductions are written into one recycled
-// row-major buffer and scored in a single sweep; otherwise each blob takes
-// the scalar path.
+// bit-identical to calling Score per blob.
 func (p *PP) ScoreBatch(blobs []blob.Blob, dst []float64) {
-	br, rok := p.reducer.(dimred.BatchReducer)
-	bs, sok := p.scorer.(BatchScorer)
+	scoreInto(p.reducer, p.scorer, blobs, dst)
+	if p.negated {
+		for i := range dst[:len(blobs)] {
+			dst[i] = -dst[i]
+		}
+	}
+}
+
+// scoreAll scores a raw reducer+scorer pair over blobs into a fresh slice —
+// the kernel behind curve construction, model selection and recalibration.
+func scoreAll(reducer dimred.Reducer, scorer Scorer, blobs []blob.Blob) []float64 {
+	scores := make([]float64, len(blobs))
+	scoreInto(reducer, scorer, blobs, scores)
+	return scores
+}
+
+// scoreInto is the one reduce→score loop. When both halves support batching,
+// reductions are written tile by tile into one recycled row-major buffer and
+// scored in a sweep; otherwise each blob takes the scalar path.
+func scoreInto(reducer dimred.Reducer, scorer Scorer, blobs []blob.Blob, dst []float64) {
+	br, rok := reducer.(dimred.BatchReducer)
+	bs, sok := scorer.(BatchScorer)
 	if !rok || !sok {
 		for i, b := range blobs {
-			dst[i] = p.Score(b)
+			dst[i] = scorer.Score(reducer.Reduce(b))
 		}
 		return
 	}
-	d := p.reducer.OutDim()
+	d := reducer.OutDim()
 	buf := flatPool.Get(min(len(blobs), scoreTile) * d)
 	flat := buf.V
 	for lo := 0; lo < len(blobs); lo += scoreTile {
@@ -65,46 +82,4 @@ func (p *PP) ScoreBatch(blobs []blob.Blob, dst []float64) {
 		bs.ScoreBatch(flat[:(hi-lo)*d], d, dst[lo:hi])
 	}
 	flatPool.Put(buf)
-	if p.negated {
-		for i := range dst[:len(blobs)] {
-			dst[i] = -dst[i]
-		}
-	}
-}
-
-// PassBatch evaluates Pass for every blob at target accuracy a into dst
-// (len(dst) must equal len(blobs)), through the batch scoring path.
-func (p *PP) PassBatch(blobs []blob.Blob, a float64, dst []bool) {
-	th := p.curve.Threshold(a)
-	scores := flatPool.Get(len(blobs))
-	p.ScoreBatch(blobs, scores.V)
-	for i, s := range scores.V {
-		dst[i] = s >= th
-	}
-	flatPool.Put(scores)
-}
-
-// scoreAll scores a raw reducer+scorer pair over blobs into a fresh slice,
-// batching when both halves support it — the shared kernel behind curve
-// construction, model selection and recalibration.
-func scoreAll(reducer dimred.Reducer, scorer Scorer, blobs []blob.Blob) []float64 {
-	scores := make([]float64, len(blobs))
-	br, rok := reducer.(dimred.BatchReducer)
-	bs, sok := scorer.(BatchScorer)
-	if !rok || !sok {
-		for i, b := range blobs {
-			scores[i] = scorer.Score(reducer.Reduce(b))
-		}
-		return scores
-	}
-	d := reducer.OutDim()
-	buf := flatPool.Get(min(len(blobs), scoreTile) * d)
-	flat := buf.V
-	for lo := 0; lo < len(blobs); lo += scoreTile {
-		hi := min(lo+scoreTile, len(blobs))
-		br.ReduceBatch(blobs[lo:hi], flat[:(hi-lo)*d])
-		bs.ScoreBatch(flat[:(hi-lo)*d], d, scores[lo:hi])
-	}
-	flatPool.Put(buf)
-	return scores
 }

@@ -73,8 +73,8 @@ func trainBatchPP(t *testing.T, approach string, seed uint64) (*PP, []blob.Blob)
 }
 
 // TestScoreBatchMatchesScalar is the bit-identicality contract: for every
-// built-in approach, ScoreBatch/PassBatch must equal per-row Score/Pass
-// exactly (==, not within epsilon), on the plain and the negated PP.
+// built-in approach, ScoreBatch must equal per-row Score exactly (==, not
+// within epsilon), on the plain and the negated PP.
 func TestScoreBatchMatchesScalar(t *testing.T) {
 	for _, approach := range []string{"FH+SVM", "PCA+KDE", "Raw+SVM", "DNN"} {
 		t.Run(approach, func(t *testing.T) {
@@ -86,17 +86,11 @@ func TestScoreBatchMatchesScalar(t *testing.T) {
 			for _, p := range []*PP{pp, neg} {
 				got := make([]float64, len(blobs))
 				p.ScoreBatch(blobs, got)
-				pass := make([]bool, len(blobs))
-				p.PassBatch(blobs, 0.95, pass)
 				for i, b := range blobs {
 					want := p.Score(b)
 					if got[i] != want {
 						t.Fatalf("%s negated=%v row %d: ScoreBatch=%v Score=%v",
 							approach, p.Negated(), i, got[i], want)
-					}
-					if wantPass := p.Pass(b, 0.95); pass[i] != wantPass {
-						t.Fatalf("%s negated=%v row %d: PassBatch=%v Pass=%v",
-							approach, p.Negated(), i, pass[i], wantPass)
 					}
 				}
 			}
@@ -185,12 +179,10 @@ func TestScoreBatchDoesNotAllocate(t *testing.T) {
 	for _, approach := range []string{"FH+SVM", "PCA+KDE", "Raw+SVM", "DNN"} {
 		pp, blobs := trainBatchPP(t, approach, 61)
 		scores := make([]float64, len(blobs))
-		pass := make([]bool, len(blobs))
 		if n := testing.AllocsPerRun(20, func() {
 			pp.ScoreBatch(blobs, scores)
-			pp.PassBatch(blobs, 0.95, pass)
 		}); n != 0 {
-			t.Errorf("%s: ScoreBatch+PassBatch allocate %v times per call, want 0", approach, n)
+			t.Errorf("%s: ScoreBatch allocates %v times per call, want 0", approach, n)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"probpred/internal/obs"
 )
 
-// Adaptive execution: RunAdaptive is Run with chunk-boundary plan-swap
-// points. The row-local prefix of the plan (source, PP filters, processors,
+// Adaptive execution: chunk-boundary plan-swap points in the engine's one
+// run loop. The row-local prefix of the plan (source, PP filters, processors,
 // selects, projections — everything before the first stage boundary) is
 // executed chunk by chunk, and after each chunk a SwapDecider may replace
 // the plan's PP filter for the remaining chunks; the suffix (reducers,
@@ -47,7 +47,7 @@ type SwapDecider func(cs ChunkStats) (BlobFilter, error)
 // AdaptiveConfig configures RunAdaptive.
 type AdaptiveConfig struct {
 	// ChunkRows is the number of source rows per adaptive chunk. Zero (or a
-	// nil Decide) degrades RunAdaptive to plain Run.
+	// nil Decide) runs the prefix as a single chunk with no swap points.
 	ChunkRows int
 	// Decide is the chunk-boundary swap hook.
 	Decide SwapDecider
@@ -65,79 +65,98 @@ type PlanSwap struct {
 
 // opAcc accumulates one plan position's accounting across chunks.
 type opAcc struct {
+	// ran marks positions that executed at least once; only those are
+	// emitted and reported when a run fails part-way.
+	ran             bool
 	rowsIn, rowsOut int
 	cost            float64
 	wallNS          int64
 	tally           retryTally
-	ctally          cacheTally
+	ctally          CacheTally
+	// span is the position's operator span, opened at its first execution so
+	// that worker-chunk spans of every execution parent under it. It stays
+	// the zero Span when tracing is off.
+	span obs.Span
 }
 
-// RunAdaptive executes the plan like Run, with chunk-boundary swap points in
-// the row-local prefix. Results are identical to Run for any
+// RunAdaptive is the engine's one executor. It runs the source, sends its
+// output through the row-local prefix chunk by chunk — consulting
+// acfg.Decide between chunks — and then runs the stage-boundary suffix once
+// over the concatenated rows. Results are identical to Run for any
 // outcome-equivalent decider; cost accounting differs only by attribution of
-// the swapped operator's chunks to its old vs new name.
+// the swapped operator's chunks to its old vs new name. With no chunk size,
+// no decider, or no PP filter in the prefix there is nothing to adapt: the
+// prefix runs as one chunk, Result.Chunks stays 0 and the root span is named
+// "plan" rather than "plan[adaptive]".
 func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
-	if acfg.ChunkRows <= 0 || acfg.Decide == nil {
-		return Run(p, cfg)
-	}
 	cfg.fill()
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
 	}
 	// The prefix is the source plus every following non-boundary operator;
-	// a swappable PP filter must be inside it. Plans with nothing to adapt
-	// run the plain path.
+	// a swappable PP filter must be inside it.
 	split := 1
 	for split < len(p.Ops) && !p.Ops[split].StageBoundary() {
 		split++
 	}
 	swapIdx := -1
-	for i := 1; i < split; i++ {
-		if _, ok := p.Ops[i].(*PPFilter); ok {
-			swapIdx = i
-			break
+	if acfg.ChunkRows > 0 && acfg.Decide != nil && !p.Ops[0].StageBoundary() {
+		for i := 1; i < split; i++ {
+			if _, ok := p.Ops[i].(*PPFilter); ok {
+				swapIdx = i
+				break
+			}
 		}
 	}
-	if p.Ops[0].StageBoundary() || swapIdx == -1 {
-		return Run(p, cfg)
+	adaptive := swapIdx >= 0
+	ops := p.Ops
+	spanName := "plan"
+	if adaptive {
+		ops = append([]Operator(nil), p.Ops...) // swaps must not mutate the caller's plan
+		spanName = "plan[adaptive]"
 	}
-
-	ops := append([]Operator(nil), p.Ops...) // swaps must not mutate the caller's plan
-	runSpan := cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, "plan[adaptive]")
+	runSpan := cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, spanName)
 	runStart := time.Now()
 	st := newStats()
 	accs := make([]opAcc, len(ops))
+	// stageCosts[i] accumulates the virtual cost of stage i.
 	stageCosts := []float64{0}
 	var swaps []PlanSwap
 	swapErrors := 0
 
-	fail := func(opIdx int, err error) (*Result, error) {
-		// Mirror Run's charge-then-fail contract: everything executed so far
-		// is charged, spans carry the error, metrics count the failed run.
-		emitAccSpans(cfg, &runSpan, ops, accs, opIdx)
-		runSpan.CostVMS = st.Cluster
-		runSpan.SetAttr("error", err.Error())
-		cfg.Obs.End(&runSpan)
-		emitAccMetrics(cfg, ops, accs, opIdx)
-		emitRunMetrics(cfg.Metrics, nil, time.Since(runStart).Nanoseconds(), true, cfg.Trace.TraceID)
-		return nil, &OpError{Stage: len(stageCosts) - 1, Op: ops[opIdx].Name(), Err: err}
-	}
-
-	// runOne executes ops[i] over in, accumulating into accs[i].
+	// runOne executes ops[i] over in, accumulating into accs[i]. A failure
+	// ends the run: everything executed so far is charged, the failing
+	// operator's span and the run span carry the error, and metrics count
+	// the failed run.
 	runOne := func(i int, in []Row) ([]Row, error) {
 		op := ops[i]
 		acc := &accs[i]
+		if op.StageBoundary() {
+			stageCosts = append(stageCosts, 0)
+		}
+		if !acc.ran {
+			acc.ran = true
+			acc.span = cfg.Obs.BeginChild(&runSpan, obs.KindOperator, op.Name())
+		}
 		st.RowsIn[op.Name()] += len(in)
+		// The name-keyed delta is exact even for repeated names because
+		// operators execute one at a time.
 		before := st.OpCost[op.Name()]
 		opStart := time.Now()
-		out, err := runOp(op, in, st, cfg, &runSpan, &acc.tally, &acc.ctally)
+		out, err := runOp(op, in, st, cfg, acc)
 		acc.wallNS += time.Since(opStart).Nanoseconds()
 		cost := st.OpCost[op.Name()] - before
 		acc.cost += cost
 		acc.rowsIn += len(in)
 		stageCosts[len(stageCosts)-1] += cost
 		if err != nil {
-			return nil, err
+			acc.span.SetAttr("error", err.Error())
+			emitOps(cfg, ops, accs)
+			runSpan.CostVMS = st.Cluster
+			runSpan.SetAttr("error", err.Error())
+			cfg.Obs.End(&runSpan)
+			emitRunMetrics(cfg.Metrics, nil, time.Since(runStart).Nanoseconds(), cfg.Trace.TraceID)
+			return nil, &OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
 		}
 		acc.rowsOut += len(out)
 		st.RowsOut[op.Name()] += len(out)
@@ -148,17 +167,23 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	// then processed chunk by chunk through the rest of the prefix.
 	rows, err := runOne(0, nil)
 	if err != nil {
-		return fail(0, err)
+		return nil, err
 	}
-	bounds := fixedChunkBounds(len(rows), acfg.ChunkRows)
+	bounds := [][2]int{{0, len(rows)}}
+	if adaptive {
+		bounds = chunkBounds(len(rows), acfg.ChunkRows)
+	}
 	var prefixOut []Row
 	for ci, b := range bounds {
 		chunk := rows[b[0]:b[1]]
 		for i := 1; i < split; i++ {
-			chunk, err = runOne(i, chunk)
-			if err != nil {
-				return fail(i, err)
+			if chunk, err = runOne(i, chunk); err != nil {
+				return nil, err
 			}
+		}
+		if len(bounds) == 1 {
+			prefixOut = chunk
+			break
 		}
 		prefixOut = append(prefixOut, chunk...)
 		if ci == len(bounds)-1 {
@@ -186,16 +211,11 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 		})
 	}
 
-	// Suffix: stage-boundary operators run once over the concatenated rows,
-	// exactly as in Run.
+	// Suffix: stage-boundary operators see every row at once.
 	rows = prefixOut
 	for i := split; i < len(ops); i++ {
-		if ops[i].StageBoundary() {
-			stageCosts = append(stageCosts, 0)
-		}
-		rows, err = runOne(i, rows)
-		if err != nil {
-			return fail(i, err)
+		if rows, err = runOne(i, rows); err != nil {
+			return nil, err
 		}
 	}
 
@@ -203,45 +223,47 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	for _, c := range stageCosts {
 		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
 	}
-	emitAccSpans(cfg, &runSpan, ops, accs, len(ops))
+	emitOps(cfg, ops, accs)
 	runSpan.CostVMS = st.Cluster
 	runSpan.RowsOut = len(rows)
 	runSpan.SetAttr("stages", strconv.Itoa(len(stageCosts)))
 	runSpan.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
-	runSpan.SetAttr("chunks", strconv.Itoa(len(bounds)))
-	runSpan.SetAttr("swaps", strconv.Itoa(len(swaps)))
-	cfg.Obs.End(&runSpan)
-	perOp := make([]OpStats, len(ops))
-	for i, op := range ops {
-		_, isPP := op.(*PPFilter)
-		perOp[i] = OpStats{
-			Name: op.Name(), RowsIn: accs[i].rowsIn, RowsOut: accs[i].rowsOut,
-			Cost: accs[i].cost, WallNS: accs[i].wallNS,
-			StageBoundary: op.StageBoundary(), PPFilter: isPP,
-			Retries: accs[i].tally.retries, Timeouts: accs[i].tally.timeouts,
-			CacheHits: accs[i].ctally.hits.Load(), CacheMisses: accs[i].ctally.misses.Load(),
-		}
-	}
 	res := &Result{
 		Rows:        rows,
 		ClusterTime: st.Cluster,
 		Latency:     latency,
 		Stages:      len(stageCosts),
 		Stats:       st,
-		PerOp:       perOp,
+		PerOp:       make([]OpStats, len(ops)),
 		Swaps:       swaps,
-		Chunks:      len(bounds),
 		SwapErrors:  swapErrors,
 	}
-	emitAccMetrics(cfg, ops, accs, len(ops))
-	emitRunMetrics(cfg.Metrics, res, time.Since(runStart).Nanoseconds(), false, cfg.Trace.TraceID)
+	if adaptive {
+		res.Chunks = len(bounds)
+		runSpan.SetAttr("chunks", strconv.Itoa(len(bounds)))
+		runSpan.SetAttr("swaps", strconv.Itoa(len(swaps)))
+	}
+	cfg.Obs.End(&runSpan)
+	for i, op := range ops {
+		acc := &accs[i]
+		_, isPP := op.(*PPFilter)
+		hits, misses := acc.ctally.Counts()
+		res.PerOp[i] = OpStats{
+			Name: op.Name(), RowsIn: acc.rowsIn, RowsOut: acc.rowsOut,
+			Cost: acc.cost, WallNS: acc.wallNS,
+			StageBoundary: op.StageBoundary(), PPFilter: isPP,
+			Retries: acc.tally.retries, Timeouts: acc.tally.timeouts,
+			CacheHits: hits, CacheMisses: misses,
+		}
+	}
+	emitRunMetrics(cfg.Metrics, res, time.Since(runStart).Nanoseconds(), cfg.Trace.TraceID)
 	return res, nil
 }
 
-// fixedChunkBounds splits n rows into ceil(n/size) contiguous chunks of at
-// most size rows (at least one chunk, possibly empty, so the prefix always
-// executes).
-func fixedChunkBounds(n, size int) [][2]int {
+// chunkBounds splits n rows into ceil(n/size) contiguous chunks of at most
+// size rows (at least one chunk, possibly empty, so the prefix always
+// executes). Adaptive chunks and worker chunks are both cut with it.
+func chunkBounds(n, size int) [][2]int {
 	var out [][2]int
 	for start := 0; ; start += size {
 		end := start + size
@@ -255,42 +277,23 @@ func fixedChunkBounds(n, size int) [][2]int {
 	}
 }
 
-// emitAccSpans publishes the accumulated per-operator spans in plan order,
-// up to and including position last (exclusive bound lim = last+1 callers
-// pass lim directly). Chunked operators appear as one span whose cost and
-// cardinalities sum their chunks.
-func emitAccSpans(cfg Config, runSpan *obs.Span, ops []Operator, accs []opAcc, lim int) {
-	if !cfg.Obs.Enabled() {
-		return
-	}
-	if lim > len(ops) {
-		lim = len(ops)
-	} else if lim < len(ops) {
-		lim++ // include the failing operator's partial accounting
-	}
-	for i := 0; i < lim; i++ {
-		sp := cfg.Obs.BeginChild(runSpan, obs.KindOperator, ops[i].Name())
-		sp.WallNS = accs[i].wallNS
-		sp.CostVMS = accs[i].cost
-		sp.RowsIn = accs[i].rowsIn
-		sp.RowsOut = accs[i].rowsOut
+// emitOps publishes, in plan order, one operator span and one set of operator
+// metrics for every position that executed. A position the prefix ran once
+// per chunk appears as one span whose wall time, cost and cardinalities sum
+// its executions; a swapped position carries its final name.
+func emitOps(cfg Config, ops []Operator, accs []opAcc) {
+	for i := range accs {
+		acc := &accs[i]
+		if !acc.ran {
+			continue
+		}
+		sp := acc.span
+		sp.Name = ops[i].Name()
+		sp.WallNS = acc.wallNS
+		sp.CostVMS = acc.cost
+		sp.RowsIn = acc.rowsIn
+		sp.RowsOut = acc.rowsOut
 		cfg.Obs.EmitSpan(sp)
-	}
-}
-
-// emitAccMetrics publishes the accumulated per-operator metrics (same lim
-// contract as emitAccSpans).
-func emitAccMetrics(cfg Config, ops []Operator, accs []opAcc, lim int) {
-	if cfg.Metrics == nil {
-		return
-	}
-	if lim > len(ops) {
-		lim = len(ops)
-	} else if lim < len(ops) {
-		lim++
-	}
-	for i := 0; i < lim; i++ {
-		emitOpMetrics(cfg.Metrics, ops[i], accs[i].rowsIn, accs[i].rowsOut,
-			accs[i].cost, accs[i].wallNS, accs[i].tally, &accs[i].ctally)
+		emitOpMetrics(cfg.Metrics, ops[i], acc)
 	}
 }

@@ -36,9 +36,11 @@ type thresholdFilter struct {
 }
 
 func (f thresholdFilter) Name() string { return "thresh" }
-func (f thresholdFilter) Test(b blob.Blob) (bool, float64) {
-	v, _ := b.TruthVal(f.col)
-	return v > f.t, f.cost
+func (f thresholdFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, _ *CacheTally) {
+	for i, b := range blobs {
+		v, _ := b.TruthVal(f.col)
+		pass[i], cost[i] = v > f.t, f.cost
+	}
 }
 
 func makeBlobs(n int) []blob.Blob {

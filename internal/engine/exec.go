@@ -1,10 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"strconv"
-	"time"
-
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 )
@@ -63,9 +59,9 @@ type Config struct {
 	// retries and timeouts.
 	Retry RetryPolicy
 	// Obs receives execution spans: one root span per Run, one span per
-	// operator (wall-clock, virtual cost, cardinalities), and per-chunk
-	// child spans on the row-parallel path. Nil disables tracing at
-	// near-zero overhead.
+	// operator (wall-clock, virtual cost, cardinalities) emitted in plan
+	// order when the run ends, and per-chunk child spans on the row-parallel
+	// path. Nil disables tracing at near-zero overhead.
 	Obs *obs.Tracer
 	// Trace is the session trace context the run belongs to: the run span
 	// carries its TraceID (inherited by operator and chunk spans) and is
@@ -141,7 +137,8 @@ type Result struct {
 	// Swaps lists the mid-run plan hot-swaps an adaptive run performed
 	// (RunAdaptive; empty for plain runs).
 	Swaps []PlanSwap
-	// Chunks is how many adaptive chunks executed (zero for plain runs).
+	// Chunks is how many adaptive chunks executed (zero for plain runs and
+	// for plans with nothing to adapt).
 	Chunks int
 	// SwapErrors counts swap-decider errors the run absorbed by continuing
 	// on its current plan.
@@ -152,77 +149,8 @@ type Result struct {
 // operator must be a source (it receives a nil input batch). When the run
 // fails, work performed before the failure is still charged to the
 // operator's stats and visible on the emitted spans (the trace is how a
-// failed run's cost is inspected; the Result itself is nil).
+// failed run's cost is inspected; the Result itself is nil). It is
+// RunAdaptive with nothing to adapt: one chunk and no swap decider.
 func Run(p Plan, cfg Config) (*Result, error) {
-	cfg.fill()
-	if len(p.Ops) == 0 {
-		return nil, fmt.Errorf("engine: empty plan")
-	}
-	runSpan := cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, "plan")
-	runStart := time.Now()
-	st := newStats()
-	var rows []Row
-	perOp := make([]OpStats, 0, len(p.Ops))
-	// stageCosts[i] accumulates the virtual cost of stage i.
-	stageCosts := []float64{0}
-	for _, op := range p.Ops {
-		if op.StageBoundary() {
-			stageCosts = append(stageCosts, 0)
-		}
-		st.RowsIn[op.Name()] += len(rows)
-		// The name-keyed delta is exact even for repeated names because
-		// operators execute one at a time.
-		before := st.OpCost[op.Name()]
-		opSpan := cfg.Obs.BeginChild(&runSpan, obs.KindOperator, op.Name())
-		var tally retryTally
-		var ctally cacheTally
-		opStart := time.Now()
-		out, err := runOp(op, rows, st, cfg, &opSpan, &tally, &ctally)
-		wallNS := time.Since(opStart).Nanoseconds()
-		cost := st.OpCost[op.Name()] - before
-		opSpan.CostVMS = cost
-		opSpan.RowsIn = len(rows)
-		opSpan.RowsOut = len(out)
-		if err != nil {
-			opSpan.SetAttr("error", err.Error())
-			cfg.Obs.End(&opSpan)
-			runSpan.CostVMS = st.Cluster
-			runSpan.SetAttr("error", err.Error())
-			cfg.Obs.End(&runSpan)
-			emitOpMetrics(cfg.Metrics, op, len(rows), 0, cost, wallNS, tally, &ctally)
-			emitRunMetrics(cfg.Metrics, nil, time.Since(runStart).Nanoseconds(), true, cfg.Trace.TraceID)
-			return nil, &OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
-		}
-		cfg.Obs.End(&opSpan)
-		emitOpMetrics(cfg.Metrics, op, len(rows), len(out), cost, wallNS, tally, &ctally)
-		_, isPP := op.(*PPFilter)
-		perOp = append(perOp, OpStats{
-			Name: op.Name(), RowsIn: len(rows), RowsOut: len(out), Cost: cost,
-			WallNS: wallNS, StageBoundary: op.StageBoundary(), PPFilter: isPP,
-			Retries: tally.retries, Timeouts: tally.timeouts,
-			CacheHits: ctally.hits.Load(), CacheMisses: ctally.misses.Load(),
-		})
-		stageCosts[len(stageCosts)-1] += cost
-		st.RowsOut[op.Name()] += len(out)
-		rows = out
-	}
-	latency := 0.0
-	for _, c := range stageCosts {
-		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
-	}
-	runSpan.CostVMS = st.Cluster
-	runSpan.RowsOut = len(rows)
-	runSpan.SetAttr("stages", strconv.Itoa(len(stageCosts)))
-	runSpan.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
-	cfg.Obs.End(&runSpan)
-	res := &Result{
-		Rows:        rows,
-		ClusterTime: st.Cluster,
-		Latency:     latency,
-		Stages:      len(stageCosts),
-		Stats:       st,
-		PerOp:       perOp,
-	}
-	emitRunMetrics(cfg.Metrics, res, time.Since(runStart).Nanoseconds(), false, cfg.Trace.TraceID)
-	return res, nil
+	return RunAdaptive(p, cfg, AdaptiveConfig{})
 }

@@ -5,9 +5,10 @@ import (
 )
 
 // Numeric telemetry for the execution engine (Config.Metrics). Instruments
-// are resolved once per operator per run — never inside row loops — so a live
-// registry adds no per-row allocations to the batch hot path; a nil registry
-// costs one pointer check per run (the same contract as the nil obs.Tracer).
+// are resolved once per plan position per run — never inside row loops — so
+// a live registry adds no per-row allocations to the batch hot path; a nil
+// registry costs one pointer check per run (the same contract as the nil
+// obs.Tracer).
 
 // retryTally accumulates one operator execution's retry activity. It is
 // plumbed through the per-row retry loop as plain ints (per-chunk on the
@@ -25,15 +26,15 @@ func (t *retryTally) add(o retryTally) {
 	t.timeouts += o.timeouts
 }
 
-// emitRunMetrics records one completed (or failed) Run. traceID, when
-// non-empty, becomes the exemplar on the run histograms' buckets so a tail
-// bucket resolves back to its session.
-func emitRunMetrics(reg *metrics.Registry, res *Result, wallNS int64, failed bool, traceID string) {
+// emitRunMetrics records one completed Run, or a failed one when res is nil.
+// traceID, when non-empty, becomes the exemplar on the run histograms'
+// buckets so a tail bucket resolves back to its session.
+func emitRunMetrics(reg *metrics.Registry, res *Result, wallNS int64, traceID string) {
 	if reg == nil {
 		return
 	}
 	reg.Counter("engine_runs_total", "Engine plan executions started.").Inc()
-	if failed {
+	if res == nil {
 		reg.Counter("engine_run_errors_total", "Engine plan executions that failed.").Inc()
 		return
 	}
@@ -42,31 +43,32 @@ func emitRunMetrics(reg *metrics.Registry, res *Result, wallNS int64, failed boo
 	reg.Histogram("engine_run_wall_ns", "Real wall-clock duration per run, nanoseconds.").ObserveExemplar(float64(wallNS), traceID)
 }
 
-// emitOpMetrics records one operator execution within a run.
-func emitOpMetrics(reg *metrics.Registry, op Operator, rowsIn, rowsOut int, cost float64, wallNS int64, tally retryTally, ctally *cacheTally) {
+// emitOpMetrics records one plan position's accumulated work within a run.
+func emitOpMetrics(reg *metrics.Registry, op Operator, acc *opAcc) {
 	if reg == nil {
 		return
 	}
 	name := op.Name()
 	opLabel := metrics.L("op", name)
-	reg.Counter("engine_op_rows_in_total", "Rows entering each operator.", opLabel).Add(float64(rowsIn))
-	reg.Counter("engine_op_rows_out_total", "Rows leaving each operator.", opLabel).Add(float64(rowsOut))
-	reg.Histogram("engine_op_cost_vms", "Virtual cost charged per operator execution, virtual ms.", opLabel).Observe(cost)
-	reg.Histogram("engine_op_wall_ns", "Real wall-clock duration per operator execution, nanoseconds.", opLabel).Observe(float64(wallNS))
-	if tally.retries > 0 {
-		reg.Counter("engine_retries_total", "Transient row failures retried by the engine.", opLabel).Add(float64(tally.retries))
+	reg.Counter("engine_op_rows_in_total", "Rows entering each operator.", opLabel).Add(float64(acc.rowsIn))
+	reg.Counter("engine_op_rows_out_total", "Rows leaving each operator.", opLabel).Add(float64(acc.rowsOut))
+	reg.Histogram("engine_op_cost_vms", "Virtual cost charged per operator execution, virtual ms.", opLabel).Observe(acc.cost)
+	reg.Histogram("engine_op_wall_ns", "Real wall-clock duration per operator execution, nanoseconds.", opLabel).Observe(float64(acc.wallNS))
+	if acc.tally.retries > 0 {
+		reg.Counter("engine_retries_total", "Transient row failures retried by the engine.", opLabel).Add(float64(acc.tally.retries))
 	}
-	if tally.timeouts > 0 {
-		reg.Counter("engine_row_timeouts_total", "Row attempts killed at the per-row virtual timeout.", opLabel).Add(float64(tally.timeouts))
+	if acc.tally.timeouts > 0 {
+		reg.Counter("engine_row_timeouts_total", "Row attempts killed at the per-row virtual timeout.", opLabel).Add(float64(acc.tally.timeouts))
 	}
 	if _, ok := op.(*PPFilter); ok {
 		fLabel := metrics.L("filter", name)
-		reg.Counter("engine_ppfilter_tested_total", "Blobs tested by injected PP filters.", fLabel).Add(float64(rowsIn))
-		reg.Counter("engine_ppfilter_passed_total", "Blobs passing injected PP filters.", fLabel).Add(float64(rowsOut))
-		if hits := ctally.hits.Load(); hits > 0 {
+		reg.Counter("engine_ppfilter_tested_total", "Blobs tested by injected PP filters.", fLabel).Add(float64(acc.rowsIn))
+		reg.Counter("engine_ppfilter_passed_total", "Blobs passing injected PP filters.", fLabel).Add(float64(acc.rowsOut))
+		hits, misses := acc.ctally.Counts()
+		if hits > 0 {
 			reg.Counter("engine_ppfilter_cache_hits_total", "PP score lookups served from the score cache.", fLabel).Add(float64(hits))
 		}
-		if misses := ctally.misses.Load(); misses > 0 {
+		if misses > 0 {
 			reg.Counter("engine_ppfilter_cache_misses_total", "PP score lookups that missed the score cache.", fLabel).Add(float64(misses))
 		}
 	}

@@ -23,23 +23,19 @@ func failTailBlobs(n int) []blob.Blob {
 // (failure last), so the charged totals must match exactly.
 func TestParallelErrorChargesPartialWork(t *testing.T) {
 	const n, cost = 40, 7.0
-	mkRows := func() []Row {
+	p := &Process{P: fakeUDF{name: "U", cost: cost, col: "x"}}
+	charged := func(workers int) *Stats {
 		rows := make([]Row, n)
 		for i, b := range failTailBlobs(n) {
 			rows[i] = NewRow(b)
 		}
-		return rows
+		st := newStats()
+		if _, err := runOp(p, rows, st, Config{Workers: workers}, &opAcc{}); err == nil {
+			t.Fatalf("workers=%d: expected failure", workers)
+		}
+		return st
 	}
-	p := &Process{P: fakeUDF{name: "U", cost: cost, col: "x"}}
-
-	seqSt := newStats()
-	if _, err := p.exec(mkRows(), seqSt, RetryPolicy{}, nil); err == nil {
-		t.Fatal("sequential path should fail")
-	}
-	parSt := newStats()
-	if _, err := p.execParallel(mkRows(), parSt, 4, RetryPolicy{}, nil, nil, nil); err == nil {
-		t.Fatal("parallel path should fail")
-	}
+	seqSt, parSt := charged(1), charged(4)
 
 	want := float64(n) * cost // every row attempted once, failing one included
 	if seqSt.OpCost["U"] != want {
@@ -70,7 +66,7 @@ func TestPPFilterParallelChargesAllChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	parSt := newStats()
-	if _, err := f.execParallel(mkRows(), parSt, 4, nil, nil, nil); err != nil {
+	if _, err := runOp(f, mkRows(), parSt, Config{Workers: 4}, &opAcc{}); err != nil {
 		t.Fatal(err)
 	}
 	if seqSt.Cluster != parSt.Cluster || seqSt.Cluster != 100 {
@@ -78,62 +74,76 @@ func TestPPFilterParallelChargesAllChunks(t *testing.T) {
 	}
 }
 
-// TestRunEmitsSpans: a traced run emits one root span, one span per
-// operator parented under it, and per-chunk child spans on the parallel
-// path — with virtual costs that reconcile exactly at every level.
-func TestRunEmitsSpans(t *testing.T) {
-	col := obs.NewCollector()
-	plan := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(100)},
-		&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
-		&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-		&Select{Pred: query.MustParse("x>60")},
-	}}
-	res, err := Run(plan, Config{Workers: 4, Obs: obs.New(col)})
-	if err != nil {
-		t.Fatal(err)
-	}
+// runModes are the two ways into the engine's one loop: a plain Run, and an
+// adaptive run whose decider never swaps (a pure re-chunking of the prefix).
+// Span structure and failure accounting must not depend on which is used.
+// The tests below size their inputs so that, at Workers 4, every execution
+// that charges cost has at least 2×workers rows: an execution with fewer
+// runs inline without a chunk span, and chunk costs would then sum to less
+// than the operator's.
+var runModes = []struct {
+	name string
+	run  func(Plan, Config) (*Result, error)
+}{
+	{"plain", Run},
+	{"adaptive", func(p Plan, cfg Config) (*Result, error) {
+		return RunAdaptive(p, cfg, AdaptiveConfig{
+			ChunkRows: 20,
+			Decide:    func(ChunkStats) (BlobFilter, error) { return nil, nil },
+		})
+	}},
+}
+
+// spanTree indexes one traced run's spans by kind.
+type spanTree struct {
+	run    *obs.Span
+	ops    map[int64]obs.Span
+	chunks []obs.Span
+}
+
+func collectSpans(t *testing.T, col *obs.Collector) spanTree {
+	t.Helper()
+	tree := spanTree{ops: map[int64]obs.Span{}}
 	spans := col.Spans()
-	var run *obs.Span
-	ops := map[int64]obs.Span{}
-	var chunks []obs.Span
 	for i := range spans {
 		switch spans[i].Kind {
 		case obs.KindRun:
-			run = &spans[i]
+			tree.run = &spans[i]
 		case obs.KindOperator:
-			ops[spans[i].ID] = spans[i]
+			tree.ops[spans[i].ID] = spans[i]
 		case obs.KindChunk:
-			chunks = append(chunks, spans[i])
+			tree.chunks = append(tree.chunks, spans[i])
 		}
 	}
-	if run == nil {
+	if tree.run == nil {
 		t.Fatal("no run span")
 	}
-	if run.CostVMS != res.ClusterTime {
-		t.Fatalf("run span cost %v, ClusterTime %v", run.CostVMS, res.ClusterTime)
+	return tree
+}
+
+func hasAttr(sp obs.Span, key string) bool {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return true
+		}
 	}
-	if len(ops) != len(plan.Ops) {
-		t.Fatalf("operator spans = %d, want %d", len(ops), len(plan.Ops))
-	}
+	return false
+}
+
+// checkSpanTree asserts chunk → operator → run parentage and that chunk
+// costs sum to their operator's, returning the operators' total cost.
+func checkSpanTree(t *testing.T, tree spanTree) float64 {
+	t.Helper()
 	opTotal := 0.0
-	for _, sp := range ops {
-		if sp.Parent != run.ID {
-			t.Fatalf("operator span %q parented under %d, want run %d", sp.Name, sp.Parent, run.ID)
+	for _, sp := range tree.ops {
+		if sp.Parent != tree.run.ID {
+			t.Fatalf("operator span %q parented under %d, want run %d", sp.Name, sp.Parent, tree.run.ID)
 		}
 		opTotal += sp.CostVMS
 	}
-	if opTotal != res.ClusterTime {
-		t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
-	}
-	// Both row-parallel operators (100 and 50 input rows, 4 workers) must
-	// have emitted chunk spans whose costs reconcile with their operator.
-	if len(chunks) == 0 {
-		t.Fatal("no chunk spans from the parallel path")
-	}
 	chunkTotal := map[int64]float64{}
-	for _, c := range chunks {
-		parent, ok := ops[c.Parent]
+	for _, c := range tree.chunks {
+		parent, ok := tree.ops[c.Parent]
 		if !ok {
 			t.Fatalf("chunk %q parented under unknown span %d", c.Name, c.Parent)
 		}
@@ -143,57 +153,105 @@ func TestRunEmitsSpans(t *testing.T) {
 		chunkTotal[c.Parent] += c.CostVMS
 	}
 	for id, total := range chunkTotal {
-		if total != ops[id].CostVMS {
-			t.Fatalf("chunks of %q sum to %v, operator charged %v", ops[id].Name, total, ops[id].CostVMS)
+		if total != tree.ops[id].CostVMS {
+			t.Fatalf("chunks of %q sum to %v, operator charged %v", tree.ops[id].Name, total, tree.ops[id].CostVMS)
 		}
+	}
+	return opTotal
+}
+
+// TestRunEmitsSpans: a traced run emits one root span, one span per
+// operator parented under it, and per-chunk child spans on the parallel
+// path — with virtual costs that reconcile exactly at every level.
+func TestRunEmitsSpans(t *testing.T) {
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			col := obs.NewCollector()
+			plan := Plan{Ops: []Operator{
+				&Scan{Blobs: makeBlobs(100)},
+				&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
+				&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+				&Select{Pred: query.MustParse("x>60")},
+			}}
+			res, err := mode.run(plan, Config{Workers: 4, Obs: obs.New(col)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := collectSpans(t, col)
+			if tree.run.CostVMS != res.ClusterTime {
+				t.Fatalf("run span cost %v, ClusterTime %v", tree.run.CostVMS, res.ClusterTime)
+			}
+			if len(tree.ops) != len(plan.Ops) {
+				t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
+			}
+			// Both row-parallel operators (4 workers; 100 and 50 input rows
+			// plain, 20-row chunks adaptive) must have emitted chunk spans
+			// whose costs reconcile with their operator.
+			if len(tree.chunks) == 0 {
+				t.Fatal("no chunk spans from the parallel path")
+			}
+			if opTotal := checkSpanTree(t, tree); opTotal != res.ClusterTime {
+				t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
+			}
+		})
 	}
 }
 
 // TestFailedRunSpansCarryCost: when a run fails, the Result is nil — the
 // emitted spans are how the charged cost is observed. Parallel and
 // sequential failures must report identical virtual cost on the run span,
-// and the failing chunk must be marked.
+// and the failing operator and chunk must be marked.
 func TestFailedRunSpansCarryCost(t *testing.T) {
 	const n = 40
-	runCost := func(workers int) (float64, []obs.Span) {
-		col := obs.NewCollector()
-		plan := Plan{Ops: []Operator{
-			&Scan{Blobs: failTailBlobs(n)},
-			&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-		}}
-		if _, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)}); err == nil {
-			t.Fatal("expected run failure")
-		}
-		for _, sp := range col.Spans() {
-			if sp.Kind == obs.KindRun {
-				return sp.CostVMS, col.Spans()
+	for _, mode := range runModes {
+		t.Run(mode.name, func(t *testing.T) {
+			failedRun := func(workers int) spanTree {
+				col := obs.NewCollector()
+				plan := Plan{Ops: []Operator{
+					&Scan{Blobs: failTailBlobs(n)},
+					&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
+					&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+				}}
+				if _, err := mode.run(plan, Config{Workers: workers, Obs: obs.New(col)}); err == nil {
+					t.Fatal("expected run failure")
+				}
+				return collectSpans(t, col)
 			}
-		}
-		t.Fatal("no run span on the failed run")
-		return 0, nil
-	}
-	seq, _ := runCost(1)
-	par, spans := runCost(4)
-	if seq != par {
-		t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq, par)
-	}
-	if want := n*scanCost + n*7; seq != want {
-		t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq, want)
-	}
-	// The chunk that hit the error is annotated.
-	marked := false
-	for _, sp := range spans {
-		if sp.Kind != obs.KindChunk {
-			continue
-		}
-		for _, a := range sp.Attrs {
-			if a.Key == "error" {
-				marked = true
+			seq, par := failedRun(1), failedRun(4)
+			if seq.run.CostVMS != par.run.CostVMS {
+				t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq.run.CostVMS, par.run.CostVMS)
 			}
-		}
-	}
-	if !marked {
-		t.Fatal("no chunk span carries the error attribute")
+			if want := n*scanCost + n*7; seq.run.CostVMS != want {
+				t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq.run.CostVMS, want)
+			}
+			if !hasAttr(*par.run, "error") {
+				t.Fatal("run span does not carry the error attribute")
+			}
+			if opTotal := checkSpanTree(t, par); opTotal != par.run.CostVMS {
+				t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, par.run.CostVMS)
+			}
+			for _, tree := range []spanTree{seq, par} {
+				marked := 0
+				for _, sp := range tree.ops {
+					if hasAttr(sp, "error") {
+						if sp.Name != "U" {
+							t.Fatalf("operator %q carries an error, want only U", sp.Name)
+						}
+						marked++
+					}
+				}
+				if marked != 1 {
+					t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
+				}
+			}
+			marked := false
+			for _, sp := range par.chunks {
+				marked = marked || hasAttr(sp, "error")
+			}
+			if !marked {
+				t.Fatal("no chunk span carries the error attribute")
+			}
+		})
 	}
 }
 

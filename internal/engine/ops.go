@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"probpred/internal/blob"
 	"probpred/internal/query"
@@ -54,30 +56,32 @@ func (p *Process) Name() string { return p.P.Name() }
 // StageBoundary implements Operator.
 func (p *Process) StageBoundary() bool { return false }
 
-// Exec implements Operator.
+// Exec implements Operator: one inline chunk with no retry policy.
 func (p *Process) Exec(in []Row, st *Stats) ([]Row, error) {
-	return p.exec(in, st, RetryPolicy{}, nil)
+	return runChunk(p, in, st, Config{}, nil, nil)
 }
 
-// exec is Exec under a retry policy: each row's attempts, backoffs and
-// timeouts are charged to the operator's virtual cost. A failing row still
-// charges the work performed before and during the failure (all attempts and
-// backoffs) — a cluster bills for a task's work whether or not it succeeds.
-// tally (optional) accumulates retry/timeout counts for the metrics layer.
-func (p *Process) exec(in []Row, st *Stats, pol RetryPolicy, tally *retryTally) ([]Row, error) {
-	var out []Row
+// chunk implements rowParallel: the processor applied row by row under
+// cfg.Retry. Each row's attempts, backoffs and timeouts are charged to the
+// returned virtual cost. A failing row still charges the work performed
+// before and during the failure (all attempts and backoffs) — a cluster
+// bills for a task's work whether or not it succeeds. rt (optional)
+// accumulates retry/timeout counts for the metrics layer.
+func (p *Process) chunk(in []Row, cfg Config, rt *retryTally, _ *CacheTally) ([]Row, float64, error) {
+	// Preallocate at chunk size: processors usually emit one row per input,
+	// which avoids the append-growth reallocations that otherwise dominate
+	// allocation churn.
+	out := make([]Row, 0, len(in))
 	total := 0.0
 	for _, r := range in {
-		rows, cost, err := applyWithRetry(p.P, r, pol, tally)
+		rows, cost, err := applyWithRetry(p.P, r, cfg.Retry, rt)
 		total += cost
 		if err != nil {
-			st.charge(p.Name(), total)
-			return nil, fmt.Errorf("processor %s: %w", p.P.Name(), err)
+			return nil, total, fmt.Errorf("processor %s: %w", p.P.Name(), err)
 		}
 		out = append(out, rows...)
 	}
-	st.charge(p.Name(), total)
-	return out, nil
+	return out, total, nil
 }
 
 // selectCost is the virtual per-row cost of evaluating a relational
@@ -110,14 +114,46 @@ func (s *Select) Exec(in []Row, st *Stats) ([]Row, error) {
 	return out, nil
 }
 
-// BlobFilter is the hook through which injected probabilistic predicates
-// run inside a plan: it tests a raw blob and reports the virtual cost it
-// incurred (which depends on short-circuit evaluation order inside a PP
-// expression, §6.2).
+// BlobFilter is the one contract through which injected probabilistic
+// predicates run inside a plan: it tests raw blobs a batch at a time and
+// reports the virtual cost each one incurred (which depends on short-circuit
+// evaluation order inside a PP expression, §6.2). A scalar test is a batch
+// of one. optimizer.Compiled is the production implementation.
 type BlobFilter interface {
 	Name() string
-	// Test reports whether the blob passes and the virtual cost spent.
-	Test(b blob.Blob) (bool, float64)
+	// TestBatch fills pass[i] and cost[i] for each blob; all three slices
+	// share one length. ct receives one Hit or Miss per score lookup the
+	// filter resolves through a cross-query score cache; a nil ct disables
+	// counting, and a filter without a cache leaves it untouched. The tally
+	// belongs to ONE run, never to the filter: the same filter object is
+	// shared by concurrent sessions, so counts kept on it (or diffed around
+	// an operator) would interleave other runs' lookups into this run's
+	// Result.
+	TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct *CacheTally)
+}
+
+// CacheTally is one PPFilter position's score-cache activity during one run.
+// The run's parallel chunks share it, hence atomics — the filter counts from
+// whichever worker goroutine is scoring. A nil tally drops the counts.
+type CacheTally struct{ hits, misses atomic.Uint64 }
+
+// Hit counts n score lookups served from the cache.
+func (t *CacheTally) Hit(n uint64) {
+	if t != nil {
+		t.hits.Add(n)
+	}
+}
+
+// Miss counts n score lookups that missed the cache.
+func (t *CacheTally) Miss(n uint64) {
+	if t != nil {
+		t.misses.Add(n)
+	}
+}
+
+// Counts returns the hits and misses tallied so far.
+func (t *CacheTally) Counts() (hits, misses uint64) {
+	return t.hits.Load(), t.misses.Load()
 }
 
 // PPFilter applies a PP expression directly on each row's raw blob, before
@@ -130,14 +166,61 @@ func (p *PPFilter) Name() string { return "PP[" + p.F.Name() + "]" }
 // StageBoundary implements Operator.
 func (p *PPFilter) StageBoundary() bool { return false }
 
-// Exec implements Operator. The whole input is tested as one batch when the
-// filter implements BatchBlobFilter (see run); results, row order and cost
-// accounting are identical to the per-row path.
+// Exec implements Operator: one inline chunk, score-cache counts dropped
+// (a standalone Exec has no run to attribute them to).
 func (p *PPFilter) Exec(in []Row, st *Stats) ([]Row, error) {
-	var ct cacheTally // standalone Exec has no run-level tally; counts are dropped
-	out, total := p.run(in, &ct)
-	st.charge(p.Name(), total)
-	return out, nil
+	return runChunk(p, in, st, Config{}, nil, nil)
+}
+
+// filterBatch is the recycled buffer set of one PPFilter chunk: the gathered
+// blobs plus the per-blob verdict and cost outputs.
+type filterBatch struct {
+	blobs []blob.Blob
+	pass  []bool
+	cost  []float64
+}
+
+var filterBatchPool sync.Pool
+
+func getFilterBatch(n int) *filterBatch {
+	fb, ok := filterBatchPool.Get().(*filterBatch)
+	if !ok {
+		fb = &filterBatch{}
+	}
+	if cap(fb.blobs) < n {
+		fb.blobs = make([]blob.Blob, n)
+		fb.pass = make([]bool, n)
+		fb.cost = make([]float64, n)
+	}
+	fb.blobs, fb.pass, fb.cost = fb.blobs[:n], fb.pass[:n], fb.cost[:n]
+	return fb
+}
+
+func putFilterBatch(fb *filterBatch) {
+	clear(fb.blobs[:cap(fb.blobs)]) // drop blob references so pooled buffers don't pin data
+	filterBatchPool.Put(fb)
+}
+
+// chunk implements rowParallel: the rows' blobs are gathered into
+// pool-recycled buffers and tested in one TestBatch call; costs are then
+// summed per row in input order and the survivors gathered into an output
+// preallocated at input capacity — filters only drop rows.
+func (p *PPFilter) chunk(in []Row, _ Config, _ *retryTally, ct *CacheTally) ([]Row, float64, error) {
+	fb := getFilterBatch(len(in))
+	for i, r := range in {
+		fb.blobs[i] = r.Blob
+	}
+	p.F.TestBatch(fb.blobs, fb.pass, fb.cost, ct)
+	out := make([]Row, 0, len(in))
+	total := 0.0
+	for i, r := range in {
+		total += fb.cost[i]
+		if fb.pass[i] {
+			out = append(out, r)
+		}
+	}
+	putFilterBatch(fb)
+	return out, total, nil
 }
 
 // ComputedCol defines a projection-created column (π_{f(D)=d} in A.4).

@@ -18,51 +18,80 @@ import (
 // Processors run under Workers > 1 must be safe for concurrent Apply calls
 // (the built-in UDFs are; see udf package notes).
 
-// runOp executes one operator, using the parallel path for row-parallel
-// operators when cfg.Workers > 1 and threading the retry policy into
-// processor execution. parent is the operator's span, under which the
-// parallel path emits per-chunk child spans; tally accumulates the
-// operator's retry/timeout counts and ctally the operator's score-cache
-// hits/misses for the metrics layer. Both tallies belong to this single
-// operator execution — PPFilter instances (and the compiled filters behind
-// them) may be shared by concurrent Runs, so per-run accounting must never
-// live on the operator itself.
-func runOp(op Operator, in []Row, st *Stats, cfg Config, parent *obs.Span, tally *retryTally, ctally *cacheTally) ([]Row, error) {
-	workers := cfg.Workers
-	if workers > 1 && len(in) >= 2*workers {
-		switch o := op.(type) {
-		case *Process:
-			return o.execParallel(in, st, workers, cfg.Retry, cfg.Obs, parent, tally)
-		case *PPFilter:
-			return o.execParallel(in, st, workers, cfg.Obs, parent, ctally)
-		}
-	}
-	switch o := op.(type) {
-	case *Process:
-		return o.exec(in, st, cfg.Retry, tally)
-	case *PPFilter:
-		out, total := o.run(in, ctally)
-		st.charge(o.Name(), total)
-		return out, nil
-	}
-	return op.Exec(in, st)
+// rowParallel is a row-local operator the engine may split across worker
+// goroutines: chunk processes a contiguous slice of the input on its own and
+// returns its output rows and the virtual cost incurred, which on failure is
+// the cost of the work performed up to and including the failing row. rt is
+// the chunk's own retry tally; ct is shared by every chunk of the run.
+type rowParallel interface {
+	Operator
+	chunk(in []Row, cfg Config, rt *retryTally, ct *CacheTally) ([]Row, float64, error)
 }
 
-// chunkBounds splits n items into at most workers contiguous chunks.
-func chunkBounds(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
+// runChunk runs the whole input as one inline chunk and charges its cost.
+func runChunk(rp rowParallel, in []Row, st *Stats, cfg Config, rt *retryTally, ct *CacheTally) ([]Row, error) {
+	out, cost, err := rp.chunk(in, cfg, rt, ct)
+	st.charge(rp.Name(), cost)
+	return out, err
+}
+
+// runOp executes one operator over in, accumulating its retry and
+// score-cache tallies into acc. A row-parallel operator runs as N chunks:
+// up to cfg.Workers of them on goroutines when the input has at least two
+// rows per worker, each emitting a chunk span under acc.span; otherwise one
+// chunk, inline, with no chunk span. Per-chunk virtual costs are summed in
+// chunk order and charged once, so accounting is deterministic for a given
+// worker count; when a chunk fails, the work every chunk performed up to that point
+// — completed chunks, the failing chunk's rows before the failure, and all
+// retry attempts — is still charged. The tallies live on the run's
+// accumulator because PPFilter instances (and the compiled filters behind
+// them) may be shared by concurrent runs: per-run accounting must never live
+// on the operator itself.
+func runOp(op Operator, in []Row, st *Stats, cfg Config, acc *opAcc) ([]Row, error) {
+	rp, ok := op.(rowParallel)
+	if !ok {
+		return op.Exec(in, st)
 	}
-	size := (n + workers - 1) / workers
-	var out [][2]int
-	for start := 0; start < n; start += size {
-		end := start + size
-		if end > n {
-			end = n
+	workers := cfg.Workers
+	if workers <= 1 || len(in) < 2*workers {
+		return runChunk(rp, in, st, cfg, &acc.tally, &acc.ctally)
+	}
+	bounds := chunkBounds(len(in), (len(in)+workers-1)/workers)
+	results := make([][]Row, len(bounds))
+	costs := make([]float64, len(bounds))
+	errs := make([]error, len(bounds))
+	tallies := make([]retryTally, len(bounds))
+	ct := newChunkTrace(cfg.Obs, &acc.span, len(bounds))
+	var wg sync.WaitGroup
+	for ci, b := range bounds {
+		wg.Add(1)
+		go func(ci int, lo, hi int) {
+			defer wg.Done()
+			ct.begin(ci)
+			defer ct.end(ci)
+			results[ci], costs[ci], errs[ci] = rp.chunk(in[lo:hi], cfg, &tallies[ci], &acc.ctally)
+		}(ci, b[0], b[1])
+	}
+	wg.Wait()
+	total := 0.0
+	n := 0
+	for ci := range bounds {
+		total += costs[ci]
+		n += len(results[ci])
+		acc.tally.add(tallies[ci])
+	}
+	st.charge(op.Name(), total)
+	ct.emit(op.Name(), bounds, costs, results, errs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, [2]int{start, end})
 	}
-	return out
+	out := make([]Row, 0, n)
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	return out, nil
 }
 
 // chunkTrace records one chunk's span timing from inside its goroutine;
@@ -106,112 +135,9 @@ func (ct *chunkTrace) emit(opName string, bounds [][2]int, costs []float64, resu
 		sp.CostVMS = costs[ci]
 		sp.RowsIn = b[1] - b[0]
 		sp.RowsOut = len(results[ci])
-		if errs != nil && errs[ci] != nil {
+		if errs[ci] != nil {
 			sp.SetAttr("error", errs[ci].Error())
 		}
 		ct.tr.EmitSpan(sp)
 	}
-}
-
-// execParallel applies the processor across chunks concurrently, retrying
-// transient row failures under the policy. Per-chunk virtual costs are summed
-// in chunk order so accounting stays deterministic for a given worker count.
-// When a chunk fails, the work every chunk performed up to that point —
-// completed chunks, the failing chunk's rows before the failure, and all
-// retry attempts — is still charged, matching the sequential path's
-// charge-then-fail accounting.
-func (p *Process) execParallel(in []Row, st *Stats, workers int, pol RetryPolicy, tr *obs.Tracer, parent *obs.Span, tally *retryTally) ([]Row, error) {
-	bounds := chunkBounds(len(in), workers)
-	results := make([][]Row, len(bounds))
-	costs := make([]float64, len(bounds))
-	errs := make([]error, len(bounds))
-	tallies := make([]retryTally, len(bounds))
-	ct := newChunkTrace(tr, parent, len(bounds))
-	var wg sync.WaitGroup
-	for ci, b := range bounds {
-		wg.Add(1)
-		go func(ci int, lo, hi int) {
-			defer wg.Done()
-			ct.begin(ci)
-			defer ct.end(ci)
-			// Preallocate at chunk size: processors usually emit one row per
-			// input, so this avoids the append-growth reallocations that used
-			// to dominate worker allocation churn.
-			out := make([]Row, 0, hi-lo)
-			total := 0.0
-			for _, r := range in[lo:hi] {
-				rows, cost, err := applyWithRetry(p.P, r, pol, &tallies[ci])
-				total += cost
-				if err != nil {
-					errs[ci] = fmt.Errorf("processor %s: %w", p.P.Name(), err)
-					costs[ci] = total
-					return
-				}
-				out = append(out, rows...)
-			}
-			results[ci] = out
-			costs[ci] = total
-		}(ci, b[0], b[1])
-	}
-	wg.Wait()
-	// Charge every chunk's accumulated work — including partial work in
-	// chunks that failed — before deciding the outcome.
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	st.charge(p.Name(), total)
-	if tally != nil {
-		for _, t := range tallies {
-			tally.add(t)
-		}
-	}
-	ct.emit(p.Name(), bounds, costs, results, errs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []Row
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, nil
-}
-
-// execParallel tests the blob filter across chunks concurrently. Each chunk
-// runs through the same batch fast path as the sequential Exec (one TestBatch
-// call per chunk over sync.Pool-recycled buffers, with a per-row fallback for
-// plain BlobFilters), so per-row results and per-chunk cost sums are
-// identical across worker counts.
-func (p *PPFilter) execParallel(in []Row, st *Stats, workers int, tr *obs.Tracer, parent *obs.Span, ctally *cacheTally) ([]Row, error) {
-	bounds := chunkBounds(len(in), workers)
-	results := make([][]Row, len(bounds))
-	costs := make([]float64, len(bounds))
-	ct := newChunkTrace(tr, parent, len(bounds))
-	var wg sync.WaitGroup
-	for ci, b := range bounds {
-		wg.Add(1)
-		go func(ci int, lo, hi int) {
-			defer wg.Done()
-			ct.begin(ci)
-			defer ct.end(ci)
-			// ctally's counters are atomic, so chunks share it directly.
-			results[ci], costs[ci] = p.run(in[lo:hi], ctally)
-		}(ci, b[0], b[1])
-	}
-	wg.Wait()
-	total := 0.0
-	n := 0
-	for i, r := range results {
-		n += len(r)
-		total += costs[i]
-	}
-	out := make([]Row, 0, n)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	st.charge(p.Name(), total)
-	ct.emit(p.Name(), bounds, costs, results, nil)
-	return out, nil
 }

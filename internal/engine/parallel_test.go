@@ -159,28 +159,29 @@ func TestParallelPermanentErrorMidBatch(t *testing.T) {
 
 func TestChunkBounds(t *testing.T) {
 	cases := []struct {
-		n, workers int
+		n, size    int
 		wantChunks int
 	}{
-		{10, 2, 2}, {10, 3, 3}, {3, 8, 3}, {1, 4, 1}, {100, 7, 7},
+		{10, 5, 2}, {10, 4, 3}, {3, 1, 3}, {1, 4, 1}, {100, 15, 7},
+		{0, 4, 1}, // an empty input is one empty chunk: the prefix still executes
 	}
 	for _, c := range cases {
-		bounds := chunkBounds(c.n, c.workers)
+		bounds := chunkBounds(c.n, c.size)
 		if len(bounds) != c.wantChunks {
 			t.Errorf("chunkBounds(%d,%d) = %d chunks, want %d",
-				c.n, c.workers, len(bounds), c.wantChunks)
+				c.n, c.size, len(bounds), c.wantChunks)
 		}
 		covered := 0
 		prevEnd := 0
 		for _, b := range bounds {
 			if b[0] != prevEnd {
-				t.Errorf("chunkBounds(%d,%d): gap at %v", c.n, c.workers, b)
+				t.Errorf("chunkBounds(%d,%d): gap at %v", c.n, c.size, b)
 			}
 			covered += b[1] - b[0]
 			prevEnd = b[1]
 		}
 		if covered != c.n {
-			t.Errorf("chunkBounds(%d,%d) covers %d", c.n, c.workers, covered)
+			t.Errorf("chunkBounds(%d,%d) covers %d", c.n, c.size, covered)
 		}
 	}
 }

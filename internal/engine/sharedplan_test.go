@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"probpred/internal/blob"
@@ -38,43 +38,24 @@ func (s *sharedScores) put(id int, v float64) {
 	s.mu.Unlock()
 }
 
-// cachedThresh is a scalar CachedBlobFilter over the x>t predicate.
+// cachedThresh is the x>t filter resolving its scores through a shared memo,
+// counting each lookup on the caller's per-run tally.
 type cachedThresh struct {
 	thresholdFilter
 	c *sharedScores
 }
 
-func (f cachedThresh) score(b blob.Blob, hits, misses *atomic.Uint64) float64 {
-	if v, ok := f.c.get(b.ID); ok {
-		hits.Add(1)
-		return v
-	}
-	v, _ := b.TruthVal(f.col)
-	f.c.put(b.ID, v)
-	misses.Add(1)
-	return v
-}
-
-func (f cachedThresh) TestCached(b blob.Blob, hits, misses *atomic.Uint64) (bool, float64) {
-	return f.score(b, hits, misses) > f.t, f.cost
-}
-
-// cachedBatchThresh adds the batch interfaces on top of cachedThresh so the
-// batch fast path is exercised too.
-type cachedBatchThresh struct{ cachedThresh }
-
-func (f cachedBatchThresh) TestBatch(blobs []blob.Blob, pass []bool, cost []float64) {
+func (f cachedThresh) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct *CacheTally) {
 	for i, b := range blobs {
-		v, _ := b.TruthVal(f.col)
-		pass[i] = v > f.t
-		cost[i] = f.cost
-	}
-}
-
-func (f cachedBatchThresh) TestBatchCached(blobs []blob.Blob, pass []bool, cost []float64, hits, misses *atomic.Uint64) {
-	for i, b := range blobs {
-		pass[i] = f.score(b, hits, misses) > f.t
-		cost[i] = f.cost
+		v, ok := f.c.get(b.ID)
+		if ok {
+			ct.Hit(1)
+		} else {
+			v, _ = b.TruthVal(f.col)
+			f.c.put(b.ID, v)
+			ct.Miss(1)
+		}
+		pass[i], cost[i] = v > f.t, f.cost
 	}
 }
 
@@ -153,14 +134,16 @@ func runSharedPlanTest(t *testing.T, filter BlobFilter, workers int) {
 	}
 }
 
-func TestSharedPlanCacheCountersScalar(t *testing.T) {
-	base := cachedThresh{thresholdFilter: thresholdFilter{col: "x", t: 49, cost: 1}, c: newSharedScores()}
-	runSharedPlanTest(t, base, 1)
-}
-
+// TestSharedPlanCacheCountersBatchParallel runs the shared-plan check with
+// the filter's chunks inline (Workers 1: one tally writer per run) and on
+// worker goroutines (Workers 4: every chunk of a run shares the run's tally).
 func TestSharedPlanCacheCountersBatchParallel(t *testing.T) {
-	base := cachedThresh{thresholdFilter: thresholdFilter{col: "x", t: 49, cost: 1}, c: newSharedScores()}
-	runSharedPlanTest(t, cachedBatchThresh{base}, 4)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			f := cachedThresh{thresholdFilter: thresholdFilter{col: "x", t: 49, cost: 1}, c: newSharedScores()}
+			runSharedPlanTest(t, f, workers)
+		})
+	}
 }
 
 // TestUncachedFilterReportsZeroCounters pins the quiet-default contract:

@@ -4,15 +4,16 @@ import (
 	"sync"
 
 	"probpred/internal/blob"
+	"probpred/internal/engine"
 )
 
-// Batch evaluation of compiled PP expressions (engine.BatchBlobFilter).
+// Batch evaluation of compiled PP expressions (engine.BlobFilter).
 //
-// The scalar Test walks the expression tree once per blob, short-circuiting
-// conjunctions on the first failing kid and disjunctions on the first passing
-// kid; the virtual cost charged to a blob therefore depends on which leaves
-// actually ran. TestBatch preserves that exactly while still scoring each
-// leaf over many rows at once: every node receives the list of row indices
+// The scalar reference Test walks the expression tree once per blob,
+// short-circuiting conjunctions on the first failing kid and disjunctions on
+// the first passing kid; the virtual cost charged to a blob therefore depends
+// on which leaves actually ran. TestBatch preserves that exactly while scoring
+// each leaf over many rows at once: every node receives the list of row indices
 // still "active" at that point of the walk, a leaf gathers just those rows
 // and scores them through core.PP.ScoreBatch (the allocation-free batch
 // kernel), and conjunction/disjunction nodes compact the active list between
@@ -61,14 +62,11 @@ func (s *batchScratch) getIdx(n int) []int {
 
 func (s *batchScratch) putIdx(sl []int) { s.idxFree = append(s.idxFree, sl) }
 
-// TestBatch implements engine.BatchBlobFilter: pass[i] and cost[i] are
-// exactly what Test(blobs[i]) would return, including short-circuit cost.
-func (c *Compiled) TestBatch(blobs []blob.Blob, pass []bool, cost []float64) {
-	c.testBatchTally(blobs, pass, cost, nil)
-}
-
-// testBatchTally is TestBatch with optional per-run cache accounting.
-func (c *Compiled) testBatchTally(blobs []blob.Blob, pass []bool, cost []float64, ct *cacheTally) {
+// TestBatch implements engine.BlobFilter: pass[i] and cost[i] are exactly
+// what Test(blobs[i]) would return, including short-circuit cost. ct is
+// incremented once per PP-leaf score lookup that goes through an attached
+// score cache; on a filter with no cache it does not move.
+func (c *Compiled) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct *engine.CacheTally) {
 	n := len(blobs)
 	clear(cost[:n])
 	s := getBatchScratch()
@@ -81,7 +79,7 @@ func (c *Compiled) testBatchTally(blobs []blob.Blob, pass []bool, cost []float64
 	putBatchScratch(s)
 }
 
-func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *cacheTally) {
+func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *engine.CacheTally) {
 	n := len(active)
 	if cap(s.blobs) < n {
 		s.blobs = make([]blob.Blob, n)
@@ -113,8 +111,8 @@ func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, c
 				l.cache.Put(l.pp, blobs[active[j]].ID, ms[k])
 			}
 		}
-		ct.hit(uint64(n - len(missIdx)))
-		ct.miss(uint64(len(missIdx)))
+		ct.Hit(uint64(n - len(missIdx)))
+		ct.Miss(uint64(len(missIdx)))
 		s.putIdx(missIdx)
 	} else {
 		for j, i := range active {
@@ -148,21 +146,32 @@ func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, c
 	}
 }
 
-func (c *compiledConj) testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *cacheTally) {
-	if len(c.kids) == 0 {
+func (c *compiledConj) testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *engine.CacheTally) {
+	shortCircuitBatch(c.kids, false, blobs, active, pass, cost, s, ct)
+}
+
+func (d *compiledDisj) testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *engine.CacheTally) {
+	shortCircuitBatch(d.kids, true, blobs, active, pass, cost, s, ct)
+}
+
+// shortCircuitBatch evaluates kids in order, mirroring the scalar
+// short-circuit: a kid's verdict equal to decides settles a row (a failing
+// kid settles a conjunction's row, a passing kid a disjunction's) and
+// pass[i] keeps it; only the unsettled rows go on to the next kid. With no
+// kids every row gets the verdict nothing could overturn.
+func shortCircuitBatch(kids []compiledNode, decides bool, blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *engine.CacheTally) {
+	if len(kids) == 0 {
 		for _, i := range active {
-			pass[i] = true
+			pass[i] = !decides
 		}
 		return
 	}
 	act := append(s.getIdx(len(active)), active...)
-	for _, k := range c.kids {
+	for _, k := range kids {
 		k.testBatch(blobs, act, pass, cost, s, ct)
-		// Rows the kid failed are decided (pass[i] = false stays); the rest
-		// continue to the next kid, mirroring the scalar short-circuit.
 		keep := act[:0]
 		for _, i := range act {
-			if pass[i] {
+			if pass[i] != decides {
 				keep = append(keep, i)
 			}
 		}
@@ -174,33 +183,7 @@ func (c *compiledConj) testBatch(blobs []blob.Blob, active []int, pass []bool, c
 	s.putIdx(act)
 }
 
-func (d *compiledDisj) testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *cacheTally) {
-	if len(d.kids) == 0 {
-		for _, i := range active {
-			pass[i] = false
-		}
-		return
-	}
-	act := append(s.getIdx(len(active)), active...)
-	for _, k := range d.kids {
-		k.testBatch(blobs, act, pass, cost, s, ct)
-		// Rows the kid passed are decided (pass[i] = true stays); only the
-		// still-failing rows try the next branch.
-		keep := act[:0]
-		for _, i := range act {
-			if !pass[i] {
-				keep = append(keep, i)
-			}
-		}
-		act = keep
-		if len(act) == 0 {
-			break
-		}
-	}
-	s.putIdx(act)
-}
-
-func (dropAllNode) testBatch(_ []blob.Blob, active []int, pass []bool, _ []float64, _ *batchScratch, _ *cacheTally) {
+func (dropAllNode) testBatch(_ []blob.Blob, active []int, pass []bool, _ []float64, _ *batchScratch, _ *engine.CacheTally) {
 	for _, i := range active {
 		pass[i] = false
 	}

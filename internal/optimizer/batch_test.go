@@ -28,7 +28,7 @@ func compileMini(t *testing.T, pred string, blobs []blob.Blob) *Compiled {
 	return dec.Filter
 }
 
-// TestCompiledTestBatchMatchesTest checks the BatchBlobFilter contract on
+// TestCompiledTestBatchMatchesTest checks the BlobFilter contract on
 // real optimizer output: per-row pass verdicts and short-circuit-dependent
 // costs must equal the scalar walk exactly.
 func TestCompiledTestBatchMatchesTest(t *testing.T) {
@@ -45,7 +45,7 @@ func TestCompiledTestBatchMatchesTest(t *testing.T) {
 			cost := make([]float64, len(blobs))
 			// Two passes so the second runs over recycled pool scratch.
 			for i := 0; i < 2; i++ {
-				f.TestBatch(blobs, pass, cost)
+				f.TestBatch(blobs, pass, cost, nil)
 			}
 			for i, b := range blobs {
 				wantPass, wantCost := f.Test(b)
@@ -58,14 +58,35 @@ func TestCompiledTestBatchMatchesTest(t *testing.T) {
 	}
 }
 
-// scalarOnly hides Compiled's TestBatch so the engine takes the per-row path.
-type scalarOnly struct{ f engine.BlobFilter }
+// scalarOnly answers TestBatch from the scalar reference walk, one blob at a
+// time, so the engine runs the reference where it would run the batch walk.
+type scalarOnly struct{ f *Compiled }
 
-func (s scalarOnly) Name() string                     { return s.f.Name() }
-func (s scalarOnly) Test(b blob.Blob) (bool, float64) { return s.f.Test(b) }
+func (s scalarOnly) Name() string { return s.f.Name() }
+func (s scalarOnly) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, _ *engine.CacheTally) {
+	for i, b := range blobs {
+		pass[i], cost[i] = s.f.Test(b)
+	}
+}
 
-// TestPPFilterBatchEquivalence runs the same plan with the batch path on and
-// off, sequentially and with Workers=4 (under -race this also proves the
+// testAll drives f over blobs in one TestBatch call, uncounted.
+func testAll(f *Compiled, blobs []blob.Blob) (pass []bool, cost []float64) {
+	pass = make([]bool, len(blobs))
+	cost = make([]float64, len(blobs))
+	f.TestBatch(blobs, pass, cost, nil)
+	return pass, cost
+}
+
+// testEach drives f over blobs one at a time — a scalar test is a batch of
+// one.
+func testEach(f *Compiled, blobs []blob.Blob) {
+	for i := range blobs {
+		testAll(f, blobs[i:i+1])
+	}
+}
+
+// TestPPFilterBatchEquivalence runs the same plan through the batch walk and
+// through the scalar reference, sequentially and with Workers=4 (under -race this also proves the
 // pooled buffers are race-free): output rows, row order and the full Stats
 // accounting must be identical.
 func TestPPFilterBatchEquivalence(t *testing.T) {
@@ -129,9 +150,7 @@ func TestPPFilterBatchEquivalenceTrainedPPs(t *testing.T) {
 		t.Fatalf("expected injection: %+v", dec)
 	}
 	blobs := rest.Blobs
-	pass := make([]bool, len(blobs))
-	cost := make([]float64, len(blobs))
-	dec.Filter.TestBatch(blobs, pass, cost)
+	pass, cost := testAll(dec.Filter, blobs)
 	for i, b := range blobs {
 		wantPass, wantCost := dec.Filter.Test(b)
 		if pass[i] != wantPass || cost[i] != wantCost {

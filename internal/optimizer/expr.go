@@ -6,6 +6,7 @@ import (
 
 	"probpred/internal/blob"
 	"probpred/internal/core"
+	"probpred/internal/engine"
 	"probpred/internal/metrics"
 )
 
@@ -84,15 +85,18 @@ type Compiled struct {
 }
 
 type compiledNode interface {
-	// test returns pass/fail and the virtual cost actually incurred, which
-	// depends on short-circuiting. ct (optional) tallies score-cache hits
-	// and misses for the caller's per-run accounting.
-	test(b blob.Blob, ct *cacheTally) (bool, float64)
+	// test is the scalar reference walk: pass/fail and the virtual cost
+	// actually incurred, which depends on short-circuiting. It is pure — no
+	// score cache, probes or instruments — and exists so tests can hold
+	// testBatch to it.
+	test(b blob.Blob) (bool, float64)
 	// testBatch evaluates the node over the rows listed in active (indices
 	// into blobs), setting pass[i] for every active i and accumulating into
 	// cost[i] exactly the virtual cost test(blobs[i]) would have charged.
-	// It may read but must not mutate active. See batch.go.
-	testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *cacheTally)
+	// It may read but must not mutate active. ct (optional) tallies
+	// score-cache hits and misses for the caller's per-run accounting. See
+	// batch.go.
+	testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *engine.CacheTally)
 }
 
 type compiledLeaf struct {
@@ -106,61 +110,26 @@ type compiledLeaf struct {
 	// for mid-query re-optimization. Nil on unobserved filters.
 	probe *leafProbe
 	// cache (optional, WithScoreCache) memoizes this PP's per-blob scores
-	// across queries. Nil on standalone filters: both scoring paths guard on
-	// cache alone, so the uncached hot path pays one nil check per leaf.
+	// across queries. Nil on standalone filters: testBatch guards on cache
+	// alone, so the uncached hot path pays one nil check per leaf.
 	cache ScoreCache
 	// Opt-in per-clause instrumentation, resolved once by Compiled.Instrument
-	// (see metrics.go). Nil on uninstrumented filters: both scoring paths
-	// guard on scoreHist alone, so the hot path pays one nil check per leaf.
+	// (see metrics.go). Nil on uninstrumented filters: testBatch guards on
+	// scoreHist alone, so the hot path pays one nil check per leaf.
 	scoreHist      *metrics.Histogram
 	tested, passed *metrics.Counter
 }
 
-// score resolves the PP's score for one blob, through the score cache when
-// one is attached. Cached and fresh scores are bit-identical (the cache only
-// ever stores values this same PP produced), so caching never changes
-// pass/fail outcomes. Virtual cost is charged by the caller regardless of
-// cache hits: the cache saves real CPU, not modeled cluster work, keeping
-// cost accounting identical with and without caching.
-func (l *compiledLeaf) score(b blob.Blob, ct *cacheTally) float64 {
-	if l.cache == nil {
-		return l.pp.Score(b)
-	}
-	if s, ok := l.cache.Get(l.pp, b.ID); ok {
-		ct.hit(1)
-		return s
-	}
-	s := l.pp.Score(b)
-	l.cache.Put(l.pp, b.ID, s)
-	ct.miss(1)
-	return s
-}
-
-func (l *compiledLeaf) test(b blob.Blob, ct *cacheTally) (bool, float64) {
-	score := l.score(b, ct)
-	ok := score >= l.threshold
-	if l.probe != nil {
-		l.probe.tested.Add(1)
-		if ok {
-			l.probe.passed.Add(1)
-		}
-	}
-	if l.scoreHist != nil {
-		l.scoreHist.Observe(score)
-		l.tested.Inc()
-		if ok {
-			l.passed.Inc()
-		}
-	}
-	return ok, l.cost
+func (l *compiledLeaf) test(b blob.Blob) (bool, float64) {
+	return l.pp.Score(b) >= l.threshold, l.cost
 }
 
 type compiledConj struct{ kids []compiledNode }
 
-func (c *compiledConj) test(b blob.Blob, ct *cacheTally) (bool, float64) {
+func (c *compiledConj) test(b blob.Blob) (bool, float64) {
 	total := 0.0
 	for _, k := range c.kids {
-		ok, cost := k.test(b, ct)
+		ok, cost := k.test(b)
 		total += cost
 		if !ok {
 			return false, total
@@ -171,10 +140,10 @@ func (c *compiledConj) test(b blob.Blob, ct *cacheTally) (bool, float64) {
 
 type compiledDisj struct{ kids []compiledNode }
 
-func (d *compiledDisj) test(b blob.Blob, ct *cacheTally) (bool, float64) {
+func (d *compiledDisj) test(b blob.Blob) (bool, float64) {
 	total := 0.0
 	for _, k := range d.kids {
-		ok, cost := k.test(b, ct)
+		ok, cost := k.test(b)
 		total += cost
 		if ok {
 			return true, total
@@ -186,8 +155,10 @@ func (d *compiledDisj) test(b blob.Blob, ct *cacheTally) (bool, float64) {
 // Name implements engine.BlobFilter.
 func (c *Compiled) Name() string { return c.name }
 
-// Test implements engine.BlobFilter.
-func (c *Compiled) Test(b blob.Blob) (bool, float64) { return c.node.test(b, nil) }
+// Test is the scalar reference for TestBatch: the verdict and short-circuit
+// cost of one blob, scored fresh. It bypasses the score cache and feeds
+// neither runtime probes nor instruments; execution goes through TestBatch.
+func (c *Compiled) Test(b blob.Blob) (bool, float64) { return c.node.test(b) }
 
 // dropAllFilter rejects every blob at zero cost — the compiled form of an
 // unsatisfiable predicate.
@@ -197,7 +168,7 @@ func dropAllFilter() *Compiled {
 
 type dropAllNode struct{}
 
-func (dropAllNode) test(blob.Blob, *cacheTally) (bool, float64) { return false, 0 }
+func (dropAllNode) test(blob.Blob) (bool, float64) { return false, 0 }
 
 // describePlan renders a compiled plan with per-leaf accuracies for reports
 // (Table 10's "picked plan" column).

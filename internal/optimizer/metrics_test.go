@@ -100,14 +100,9 @@ func TestCompiledInstrumentScalarAndBatch(t *testing.T) {
 	dec.Filter.Instrument(reg)
 
 	blobs := miniBlobs(500, 64)
-	// Scalar path.
-	for _, b := range blobs[:100] {
-		dec.Filter.Test(b)
-	}
-	// Batch path.
-	pass := make([]bool, 400)
-	cost := make([]float64, 400)
-	dec.Filter.TestBatch(blobs[100:], pass, cost)
+	// Batches of one, then one batch of many.
+	testEach(dec.Filter, blobs[:100])
+	testAll(dec.Filter, blobs[100:])
 
 	var tested, passed float64
 	for _, clause := range dec.LeafClauses() {
@@ -132,7 +127,7 @@ func TestCompiledInstrumentScalarAndBatch(t *testing.T) {
 	var nilFilter *Compiled
 	nilFilter.Instrument(reg) // nil receiver is a no-op
 	dec.Filter.Instrument(nil)
-	dec.Filter.Test(blobs[0])
+	testAll(dec.Filter, blobs[:1])
 	var after float64
 	for _, clause := range dec.LeafClauses() {
 		after += reg.Counter("pp_clause_tested_total", "", metrics.L("clause", clause)).Value()

@@ -112,30 +112,12 @@ func (c *Compiled) WithRuntimeObserver() (*Compiled, *RuntimeObserver) {
 	if c == nil {
 		return c, ro
 	}
-	return &Compiled{name: c.name, node: cloneWithProbes(c.node, ro)}, ro
-}
-
-func cloneWithProbes(n compiledNode, ro *RuntimeObserver) compiledNode {
-	switch v := n.(type) {
-	case *compiledLeaf:
-		cp := *v
-		cp.probe = &leafProbe{clause: v.pp.Clause, cost: v.cost, planned: v.planned}
+	return &Compiled{name: c.name, node: mapLeaves(c.node, func(l *compiledLeaf) *compiledLeaf {
+		cp := *l
+		cp.probe = &leafProbe{clause: l.pp.Clause, cost: l.cost, planned: l.planned}
 		ro.probes = append(ro.probes, cp.probe)
 		return &cp
-	case *compiledConj:
-		kids := make([]compiledNode, len(v.kids))
-		for i, k := range v.kids {
-			kids[i] = cloneWithProbes(k, ro)
-		}
-		return &compiledConj{kids: kids}
-	case *compiledDisj:
-		kids := make([]compiledNode, len(v.kids))
-		for i, k := range v.kids {
-			kids[i] = cloneWithProbes(k, ro)
-		}
-		return &compiledDisj{kids: kids}
-	}
-	return n // dropAllNode carries no PPs
+	})}, ro
 }
 
 // Reoptimized is the result of one mid-query re-entry.

@@ -47,12 +47,12 @@ func TestRuntimeObserverCountsShortCircuit(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
 	blobs := miniBlobs(500, 12)
-	for _, b := range blobs {
+	gotPass, gotCost := testAll(obsF, blobs)
+	for i, b := range blobs {
 		wantPass, wantCost := dec.Filter.Test(b)
-		gotPass, gotCost := obsF.Test(b)
-		if wantPass != gotPass || wantCost != gotCost {
+		if wantPass != gotPass[i] || wantCost != gotCost[i] {
 			t.Fatalf("blob %d: observed filter diverged (%v %v vs %v %v)",
-				b.ID, gotPass, gotCost, wantPass, wantCost)
+				b.ID, gotPass[i], gotCost[i], wantPass, wantCost)
 		}
 	}
 	stats := ro.Stats()
@@ -71,19 +71,15 @@ func TestRuntimeObserverCountsShortCircuit(t *testing.T) {
 	}
 }
 
-// The batch path feeds the same probes as the scalar path.
+// One batch of many feeds the probes exactly as batches of one do.
 func TestRuntimeObserverBatchMatchesScalar(t *testing.T) {
 	_, dec := reoptDecision(t)
 	blobs := miniBlobs(300, 13)
 
 	scalarF, scalarRO := dec.Filter.WithRuntimeObserver()
-	for _, b := range blobs {
-		scalarF.Test(b)
-	}
+	testEach(scalarF, blobs)
 	batchF, batchRO := dec.Filter.WithRuntimeObserver()
-	pass := make([]bool, len(blobs))
-	cost := make([]float64, len(blobs))
-	batchF.TestBatch(blobs, pass, cost)
+	testAll(batchF, blobs)
 
 	ss, bs := scalarRO.Stats(), batchRO.Stats()
 	for i := range ss {
@@ -100,9 +96,7 @@ func TestReoptimizeFlipsOrderUnderDrift(t *testing.T) {
 	o, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
 	stream := driftBlobs(400)
-	for _, b := range stream {
-		obsF.Test(b)
-	}
+	testAll(obsF, stream)
 	if d := ro.MaxDivergence(50); d < 0.3 {
 		t.Fatalf("drift stream divergence = %v, want substantial", d)
 	}
@@ -131,7 +125,7 @@ func TestReoptimizeFlipsOrderUnderDrift(t *testing.T) {
 	}
 	// The reordered filter shares probes: further observation accumulates.
 	before := ro.Stats()[0].Tested
-	re.Filter.Test(check[0])
+	testAll(re.Filter, check[:1])
 	var after uint64
 	for _, st := range ro.Stats() {
 		after += st.Tested
@@ -146,9 +140,7 @@ func TestReoptimizeFlipsOrderUnderDrift(t *testing.T) {
 func TestReoptimizeStableWithoutDrift(t *testing.T) {
 	o, dec := reoptDecision(t)
 	obsF, _ := dec.Filter.WithRuntimeObserver()
-	for _, b := range miniBlobs(600, 11) {
-		obsF.Test(b)
-	}
+	testAll(obsF, miniBlobs(600, 11))
 	re, err := o.Reoptimize(obsF, 50, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +154,7 @@ func TestReoptimizeStableWithoutDrift(t *testing.T) {
 func TestMaxDivergenceMinRows(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
-	for _, b := range driftBlobs(10) {
-		obsF.Test(b)
-	}
+	testAll(obsF, driftBlobs(10))
 	if d := ro.MaxDivergence(1000); d != 0 {
 		t.Fatalf("divergence with unmet minRows = %v, want 0", d)
 	}
@@ -194,9 +184,7 @@ func TestObserverComposesWithScoreCache(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
 	cached := obsF.WithScoreCache(mapScoreCache{})
-	for _, b := range miniBlobs(100, 15) {
-		cached.Test(b)
-	}
+	testAll(cached, miniBlobs(100, 15))
 	if ro.Stats()[0].Tested != 100 {
 		t.Fatalf("probe lost through WithScoreCache: tested = %d", ro.Stats()[0].Tested)
 	}

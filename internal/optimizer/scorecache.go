@@ -1,11 +1,6 @@
 package optimizer
 
-import (
-	"sync/atomic"
-
-	"probpred/internal/blob"
-	"probpred/internal/core"
-)
+import "probpred/internal/core"
 
 // Cross-query PP-score caching (§6 / §2's reuse economy): PPs are trained
 // once per simple clause and shared by every query whose predicate implies
@@ -26,24 +21,6 @@ type ScoreCache interface {
 	// Put stores pp's score for the blob. Implementations may drop entries
 	// (bounded caches): Put is a hint, not a guarantee.
 	Put(pp *core.PP, blobID int, score float64)
-}
-
-// cacheTally carries a caller's per-run hit/miss counters through one filter
-// evaluation. The pointers are shared with the engine's per-operator
-// accounting (atomic: parallel chunks of one run tally concurrently). A nil
-// tally — or a tally with nil counters — disables counting but not caching.
-type cacheTally struct{ hits, misses *atomic.Uint64 }
-
-func (t *cacheTally) hit(n uint64) {
-	if t != nil && t.hits != nil {
-		t.hits.Add(n)
-	}
-}
-
-func (t *cacheTally) miss(n uint64) {
-	if t != nil && t.misses != nil {
-		t.misses.Add(n)
-	}
 }
 
 // WithScoreCache returns a copy of the compiled filter whose leaves consult
@@ -68,43 +45,35 @@ func (c *Compiled) WithScoreCacheMin(cache ScoreCache, minCost float64) *Compile
 	if c == nil || cache == nil {
 		return c
 	}
-	return &Compiled{name: c.name, node: cloneWithCache(c.node, cache, minCost)}
-}
-
-func cloneWithCache(n compiledNode, cache ScoreCache, minCost float64) compiledNode {
-	switch v := n.(type) {
-	case *compiledLeaf:
-		if v.pp.Cost() < minCost {
-			return v // bypass: recomputing is cheaper than cache traffic
+	return &Compiled{name: c.name, node: mapLeaves(c.node, func(l *compiledLeaf) *compiledLeaf {
+		if l.pp.Cost() < minCost {
+			return l // bypass: recomputing is cheaper than cache traffic
 		}
-		cp := *v
+		cp := *l
 		cp.cache = cache
 		return &cp
-	case *compiledConj:
-		kids := make([]compiledNode, len(v.kids))
-		for i, k := range v.kids {
-			kids[i] = cloneWithCache(k, cache, minCost)
+	})}
+}
+
+// mapLeaves returns a copy of the expression tree with every leaf replaced by
+// leaf(l), in walk order; conjunctions and disjunctions are rebuilt around
+// the new kids and nodes that carry no PPs (dropAllNode) are shared. It is
+// how a shared compiled filter gains a cache or probes without being mutated.
+func mapLeaves(n compiledNode, leaf func(*compiledLeaf) *compiledLeaf) compiledNode {
+	mapKids := func(kids []compiledNode) []compiledNode {
+		out := make([]compiledNode, len(kids))
+		for i, k := range kids {
+			out[i] = mapLeaves(k, leaf)
 		}
-		return &compiledConj{kids: kids}
-	case *compiledDisj:
-		kids := make([]compiledNode, len(v.kids))
-		for i, k := range v.kids {
-			kids[i] = cloneWithCache(k, cache, minCost)
-		}
-		return &compiledDisj{kids: kids}
+		return out
 	}
-	return n // dropAllNode and friends carry no PPs
-}
-
-// TestCached implements engine.CachedBlobFilter: Test with per-run score-
-// cache accounting. hits/misses are incremented once per PP-leaf score
-// lookup; on a filter with no attached cache neither counter moves.
-func (c *Compiled) TestCached(b blob.Blob, hits, misses *atomic.Uint64) (bool, float64) {
-	return c.node.test(b, &cacheTally{hits: hits, misses: misses})
-}
-
-// TestBatchCached implements engine.CachedBatchBlobFilter: TestBatch with
-// per-run score-cache accounting.
-func (c *Compiled) TestBatchCached(blobs []blob.Blob, pass []bool, cost []float64, hits, misses *atomic.Uint64) {
-	c.testBatchTally(blobs, pass, cost, &cacheTally{hits: hits, misses: misses})
+	switch v := n.(type) {
+	case *compiledLeaf:
+		return leaf(v)
+	case *compiledConj:
+		return &compiledConj{kids: mapKids(v.kids)}
+	case *compiledDisj:
+		return &compiledDisj{kids: mapKids(v.kids)}
+	}
+	return n
 }

@@ -1,22 +1,22 @@
 package optimizer
 
 import (
-	"sync/atomic"
 	"testing"
 
+	"probpred/internal/engine"
 	"probpred/internal/query"
 )
 
-// countingTally evaluates a filter over blobs and returns the score-cache
-// lookup counters (hits+misses) plus a pass/cost transcript.
-func cacheLookups(t *testing.T, f *Compiled, n int) (lookups uint64, transcript []bool) {
-	t.Helper()
-	var hits, misses atomic.Uint64
-	for _, b := range miniBlobs(n, 19) {
-		pass, _ := f.TestCached(b, &hits, &misses)
-		transcript = append(transcript, pass)
-	}
-	return hits.Load() + misses.Load(), transcript
+// cacheLookups evaluates a filter over blobs through TestBatch with a
+// per-run tally and returns the score-cache lookups it counted (hits+misses)
+// plus the pass transcript.
+func cacheLookups(f *Compiled, n int) (lookups uint64, transcript []bool) {
+	blobs := miniBlobs(n, 19)
+	transcript = make([]bool, n)
+	var ct engine.CacheTally
+	f.TestBatch(blobs, transcript, make([]float64, n), &ct)
+	hits, misses := ct.Counts()
+	return hits + misses, transcript
 }
 
 // TestWithScoreCacheMinBypass: leaves cheaper than minCost bypass the cache —
@@ -35,14 +35,14 @@ func TestWithScoreCacheMinBypass(t *testing.T) {
 	}
 	const n = 200
 
-	baseLookups, baseTranscript := cacheLookups(t, dec.Filter.WithScoreCache(mapScoreCache{}), n)
+	baseLookups, baseTranscript := cacheLookups(dec.Filter.WithScoreCache(mapScoreCache{}), n)
 	if baseLookups == 0 {
 		t.Fatal("fully cached filter drove no lookups; test is vacuous")
 	}
 
 	// Threshold above both leaves: the clone caches nothing and counts
 	// nothing.
-	allBypass, transcript := cacheLookups(t, dec.Filter.WithScoreCacheMin(mapScoreCache{}, 10), n)
+	allBypass, transcript := cacheLookups(dec.Filter.WithScoreCacheMin(mapScoreCache{}, 10), n)
 	if allBypass != 0 {
 		t.Errorf("minCost=10 still drove %d cache lookups", allBypass)
 	}
@@ -53,7 +53,7 @@ func TestWithScoreCacheMinBypass(t *testing.T) {
 	}
 
 	// Threshold between the leaf costs: only the 1.2-vms speed leaf counts.
-	mixed, transcript := cacheLookups(t, dec.Filter.WithScoreCacheMin(mapScoreCache{}, 1.1), n)
+	mixed, transcript := cacheLookups(dec.Filter.WithScoreCacheMin(mapScoreCache{}, 1.1), n)
 	if mixed == 0 || mixed >= baseLookups {
 		t.Errorf("minCost=1.1 lookups = %d, want in (0, %d)", mixed, baseLookups)
 	}
@@ -64,14 +64,14 @@ func TestWithScoreCacheMinBypass(t *testing.T) {
 	}
 
 	// minCost <= 0 is exactly WithScoreCache.
-	zero, _ := cacheLookups(t, dec.Filter.WithScoreCacheMin(mapScoreCache{}, 0), n)
+	zero, _ := cacheLookups(dec.Filter.WithScoreCacheMin(mapScoreCache{}, 0), n)
 	if zero != baseLookups {
 		t.Errorf("minCost=0 lookups = %d, want %d (cache everything)", zero, baseLookups)
 	}
 
 	// The receiver is never mutated: the original decision filter still has
 	// no cache attached.
-	bare, _ := cacheLookups(t, dec.Filter, n)
+	bare, _ := cacheLookups(dec.Filter, n)
 	if bare != 0 {
 		t.Errorf("original filter gained cache counters: %d lookups", bare)
 	}

@@ -330,6 +330,45 @@ type Server struct {
 
 	sessions             atomic.Uint64
 	planHits, planMisses atomic.Uint64
+
+	m serveMetrics
+}
+
+// serveMetrics holds a server's metric handles, resolved once at New so each
+// name and help string is written once and a session pays no registry
+// lookups. With a nil registry every handle is nil, and nil handles no-op.
+type serveMetrics struct {
+	queueDepth, active     *metrics.Gauge
+	admissionWait, service *metrics.Histogram
+
+	sessions, sessionErrors              *metrics.Counter
+	planCacheHits, planCacheMisses       *metrics.Counter
+	planEntries, planInvalidations       *metrics.Gauge
+	planRevalidations                    *metrics.Gauge
+	planDemotions, planPromotions        *metrics.Gauge
+	scoreEntries, scoreHits, scoreMisses *metrics.Gauge
+}
+
+func newServeMetrics(reg *metrics.Registry) serveMetrics {
+	return serveMetrics{
+		queueDepth:    reg.Gauge("serve_admission_queue_depth", "Sessions waiting for an execution slot."),
+		active:        reg.Gauge("serve_active_sessions", "Sessions currently executing."),
+		admissionWait: reg.Histogram("serve_admission_wait_ns", "Wall nanoseconds a session waited for an execution slot (enqueue to admit)."),
+		service:       reg.Histogram("serve_service_ns", "Wall nanoseconds a session spent executing (admit to done)."),
+
+		sessions:          reg.Counter("serve_sessions_total", "Query sessions served."),
+		sessionErrors:     reg.Counter("serve_session_errors_total", "Query sessions that failed."),
+		planCacheHits:     reg.Counter("serve_plan_cache_hits_total", "Sessions served from the plan cache."),
+		planCacheMisses:   reg.Counter("serve_plan_cache_misses_total", "Sessions that ran a fresh plan search."),
+		planEntries:       reg.Gauge("serve_plan_cache_entries", "Plans currently cached."),
+		planInvalidations: reg.Gauge("serve_plan_cache_invalidations", "Cached plans dropped as stale or flushed."),
+		planRevalidations: reg.Gauge("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed."),
+		planDemotions:     reg.Gauge("serve_plan_cache_demotions", "Cached plans demoted by mid-query adaptation."),
+		planPromotions:    reg.Gauge("serve_plan_cache_promotions", "Re-ordered plans promoted into the cache by mid-query adaptation."),
+		scoreEntries:      reg.Gauge("serve_score_cache_entries", "PP scores currently cached."),
+		scoreHits:         reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions."),
+		scoreMisses:       reg.Gauge("serve_score_cache_misses", "Cumulative score-cache misses across sessions."),
+	}
 }
 
 // New validates the config and returns a ready server.
@@ -343,7 +382,75 @@ func New(cfg Config) (*Server, error) {
 		scores: newScoreCache(cfg.ScoreCacheSize, cfg.ScoreCacheShards, cfg.DisableScoreCache),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 		optMu:  &sync.Mutex{},
+		m:      newServeMetrics(cfg.Metrics),
 	}, nil
+}
+
+// identify resolves a session's trace ID — the caller's, else freshly minted
+// — and its span name: the request ID, else the predicate's text. The trace
+// ID exists independently of the tracer: exemplars, the query log and
+// Response.TraceID key on it even when span collection is off.
+func identify(req Request) (trace, name string) {
+	trace, name = req.Trace, req.ID
+	if trace == "" {
+		trace = obs.NewTraceID()
+	}
+	if name == "" && req.Pred != nil {
+		name = req.Pred.String()
+	}
+	return trace, name
+}
+
+// validate is the session prologue shared by Server and Coordinator: it
+// rejects a request with no predicate or an out-of-range accuracy and
+// resolves the accuracy target (zero selects defaultAcc). The range check
+// runs before the value reaches the optimizer or the plan-cache key: a bad
+// accuracy would otherwise be baked into a cached plan and served to every
+// later request with the same spelling.
+func validate(req Request, defaultAcc float64) (accuracy float64, err error) {
+	if req.Pred == nil {
+		return 0, fmt.Errorf("serve: request %q has no predicate", req.ID)
+	}
+	if req.Accuracy < 0 || req.Accuracy > 1 {
+		return 0, fmt.Errorf("serve: request %q accuracy %v outside [0,1] (zero selects the server default)", req.ID, req.Accuracy)
+	}
+	if req.Accuracy == 0 {
+		return defaultAcc, nil
+	}
+	return req.Accuracy, nil
+}
+
+// fillRecord completes a session's query-log record from its outcome: the
+// error, or the plan resolution, admission wait, estimated and observed PP
+// reduction, output rows and virtual cost. Server sessions and merged
+// scatter sessions log the same facts through it.
+func fillRecord(rec *pplog.Record, resp *Response, err error) {
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	if resp == nil {
+		return
+	}
+	rec.PlanKey = resp.PlanKey
+	rec.PlanCached = resp.PlanCached
+	rec.QueueWaitNS = resp.QueueWait.Nanoseconds()
+	if resp.Decision.Inject {
+		rec.EstReduction = resp.Decision.Reduction
+	}
+	if resp.Result == nil {
+		return
+	}
+	rec.Rows = len(resp.Result.Rows)
+	rec.ClusterVMS = resp.Result.ClusterTime
+	for _, op := range resp.Result.PerOp {
+		if op.PPFilter {
+			rec.PPTested += op.RowsIn
+			rec.PPPassed += op.RowsOut
+		}
+	}
+	if rec.PPTested > 0 {
+		rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
+	}
 }
 
 // Load reports the server's live admission state: sessions waiting for a
@@ -360,42 +467,26 @@ func (s *Server) Load() (queued, active int64) {
 // Response, so callers and /metrics see the same queue-wait vs service-time
 // split.
 func (s *Server) Do(req Request) (*Response, error) {
-	reg := s.cfg.Metrics
 	// The trace ID is minted before admission so the queue-wait exemplar can
-	// carry it. It exists independently of the tracer: exemplars, the query
-	// log and Response.TraceID key on it even when span collection is off.
-	trace := req.Trace
-	if trace == "" {
-		trace = obs.NewTraceID()
-	}
+	// carry it.
+	trace, name := identify(req)
 	enqueued := time.Now()
 	s.queued.Add(1)
-	if reg != nil {
-		reg.Gauge("serve_admission_queue_depth", "Sessions waiting for an execution slot.").Add(1)
-	}
+	s.m.queueDepth.Add(1)
 	s.sem <- struct{}{}
 	admitted := time.Now()
 	s.queued.Add(-1)
 	s.active.Add(1)
-	if reg != nil {
-		reg.Gauge("serve_admission_queue_depth", "Sessions waiting for an execution slot.").Add(-1)
-		reg.Gauge("serve_active_sessions", "Sessions currently executing.").Add(1)
-		reg.Histogram("serve_admission_wait_ns", "Wall nanoseconds a session waited for an execution slot (enqueue to admit).").
-			ObserveExemplar(float64(admitted.Sub(enqueued)), trace)
-	}
+	s.m.queueDepth.Add(-1)
+	s.m.active.Add(1)
+	s.m.admissionWait.ObserveExemplar(float64(admitted.Sub(enqueued)), trace)
 	defer func() {
 		<-s.sem
 		s.active.Add(-1)
-		if reg != nil {
-			reg.Gauge("serve_active_sessions", "Sessions currently executing.").Add(-1)
-		}
+		s.m.active.Add(-1)
 	}()
 	s.sessions.Add(1)
 
-	name := req.ID
-	if name == "" {
-		name = req.Pred.String()
-	}
 	// A shard leg's session span parents under the coordinator's span;
 	// direct sessions root a fresh trace.
 	parent := obs.TraceContext{TraceID: trace}
@@ -415,10 +506,7 @@ func (s *Server) Do(req Request) (*Response, error) {
 	}
 	s.cfg.Obs.End(&span)
 	service := time.Since(admitted)
-	if reg != nil {
-		reg.Histogram("serve_service_ns", "Wall nanoseconds a session spent executing (admit to done).").
-			ObserveExemplar(float64(service), trace)
-	}
+	s.m.service.ObserveExemplar(float64(service), trace)
 	if resp != nil {
 		resp.TraceID = trace
 		resp.QueueWait = admitted.Sub(enqueued)
@@ -452,48 +540,17 @@ func (s *Server) logSession(req Request, resp *Response, trace string, wait, ser
 		rec.Leg = &pplog.LegInfo{Shard: req.leg.shard, Replica: req.leg.replica, Policy: req.leg.policy}
 	}
 	rec.Seg = req.Segment
-	if err != nil {
-		rec.Error = err.Error()
+	if resp != nil && resp.Adapt != nil {
+		rec.AdaptSwaps = len(resp.Adapt.Swaps)
 	}
-	if resp != nil {
-		rec.PlanKey = resp.PlanKey
-		rec.PlanCached = resp.PlanCached
-		if resp.Decision.Inject {
-			rec.EstReduction = resp.Decision.Reduction
-		}
-		if resp.Adapt != nil {
-			rec.AdaptSwaps = len(resp.Adapt.Swaps)
-		}
-		if resp.Result != nil {
-			rec.Rows = len(resp.Result.Rows)
-			rec.ClusterVMS = resp.Result.ClusterTime
-			for _, op := range resp.Result.PerOp {
-				if op.PPFilter {
-					rec.PPTested += op.RowsIn
-					rec.PPPassed += op.RowsOut
-				}
-			}
-			if rec.PPTested > 0 {
-				rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
-			}
-		}
-	}
+	fillRecord(&rec, resp, err)
 	s.cfg.QueryLog.Log(rec)
 }
 
 func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Response, error) {
-	if req.Pred == nil {
-		return nil, fmt.Errorf("serve: request %q has no predicate", req.ID)
-	}
-	accuracy := req.Accuracy
-	if accuracy < 0 || accuracy > 1 {
-		// Reject before the value reaches the optimizer or the plan-cache
-		// key: a bad accuracy would otherwise be baked into a cached plan and
-		// served to every later request with the same spelling.
-		return nil, fmt.Errorf("serve: request %q accuracy %v outside [0,1] (zero selects the server default)", req.ID, accuracy)
-	}
-	if accuracy == 0 {
-		accuracy = s.cfg.Accuracy
+	accuracy, err := validate(req, s.cfg.Accuracy)
+	if err != nil {
+		return nil, err
 	}
 	key := optimizer.PlanKey(req.Pred, accuracy)
 	entry, cached, err := s.resolvePlan(req.Pred, accuracy, key, ctx)
@@ -668,29 +725,29 @@ func (s *Server) Stats() Stats {
 // emitSessionMetrics records one completed session. Cache totals are
 // republished as gauges so /metrics always reflects the latest snapshot.
 func (s *Server) emitSessionMetrics(resp *Response, err error) {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		return
+	if s.cfg.Metrics == nil {
+		return // skip the cache snapshots, which take the caches' locks
 	}
-	reg.Counter("serve_sessions_total", "Query sessions served.").Inc()
+	m := &s.m
+	m.sessions.Inc()
 	if err != nil {
-		reg.Counter("serve_session_errors_total", "Query sessions that failed.").Inc()
+		m.sessionErrors.Inc()
 		return
 	}
 	if resp.PlanCached {
-		reg.Counter("serve_plan_cache_hits_total", "Sessions served from the plan cache.").Inc()
+		m.planCacheHits.Inc()
 	} else {
-		reg.Counter("serve_plan_cache_misses_total", "Sessions that ran a fresh plan search.").Inc()
+		m.planCacheMisses.Inc()
 	}
-	reg.Gauge("serve_plan_cache_entries", "Plans currently cached.").Set(float64(s.plans.len()))
-	reg.Gauge("serve_plan_cache_invalidations", "Cached plans dropped as stale or flushed.").Set(float64(s.plans.invalidations.Load()))
-	reg.Gauge("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed.").Set(float64(s.plans.revalidations.Load()))
-	reg.Gauge("serve_plan_cache_demotions", "Cached plans demoted by mid-query adaptation.").Set(float64(s.plans.demotions.Load()))
-	reg.Gauge("serve_plan_cache_promotions", "Re-ordered plans promoted into the cache by mid-query adaptation.").Set(float64(s.plans.promotions.Load()))
+	m.planEntries.Set(float64(s.plans.len()))
+	m.planInvalidations.Set(float64(s.plans.invalidations.Load()))
+	m.planRevalidations.Set(float64(s.plans.revalidations.Load()))
+	m.planDemotions.Set(float64(s.plans.demotions.Load()))
+	m.planPromotions.Set(float64(s.plans.promotions.Load()))
 	scoreEntries, scoreHits, scoreMisses := s.scores.stats()
-	reg.Gauge("serve_score_cache_entries", "PP scores currently cached.").Set(float64(scoreEntries))
-	reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions.").Set(float64(scoreHits))
-	reg.Gauge("serve_score_cache_misses", "Cumulative score-cache misses across sessions.").Set(float64(scoreMisses))
+	m.scoreEntries.Set(float64(scoreEntries))
+	m.scoreHits.Set(float64(scoreHits))
+	m.scoreMisses.Set(float64(scoreMisses))
 }
 
 // WorkloadQuery is one query of a replayed workload.

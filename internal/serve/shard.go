@@ -78,6 +78,9 @@ type shard struct {
 	index    int
 	blobs    []blob.Blob
 	replicas []*Server
+	// queueDepth / active are the shard's load gauges, resolved once at
+	// NewSharded (nil, and no-ops, without a registry).
+	queueDepth, active *metrics.Gauge
 }
 
 // Coordinator serves sessions scatter-gather over sharded replicas. Safe for
@@ -89,6 +92,10 @@ type Coordinator struct {
 	accuracy float64 // resolved default accuracy (Base.Accuracy, 0 → 1)
 
 	sessions, failures atomic.Uint64
+
+	// routeDecisions counts routed scatter legs under the coordinator's one
+	// policy (nil without a registry).
+	routeDecisions *metrics.Counter
 }
 
 // NewSharded validates the config, partitions the corpus and builds
@@ -118,7 +125,11 @@ func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
 	sharedOptMu := &sync.Mutex{}
 	slices := SplitBlobs(cfg.Corpus, cfg.Shards)
 	for i, slice := range slices {
-		sh := &shard{index: i, blobs: slice}
+		sh := &shard{
+			index: i, blobs: slice,
+			queueDepth: cfg.Base.Metrics.Gauge("serve_shard_queue_depth", "Sessions waiting for a slot on this shard (all replicas).", shardLabel(i)),
+			active:     cfg.Base.Metrics.Gauge("serve_shard_active", "Sessions executing on this shard (all replicas).", shardLabel(i)),
+		}
 		for r := 0; r < cfg.Replicas; r++ {
 			rcfg := cfg.Base
 			rcfg.Builder = BindCorpus(cfg.Builder, slice)
@@ -134,6 +145,8 @@ func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
 	// fill() validated Routing on the first replica; read the defaulted
 	// value back off it so an empty policy resolves to round-robin here too.
 	c.router = newRouter(c.shards[0].replicas[0].cfg.Routing, cfg.Shards)
+	c.routeDecisions = cfg.Base.Metrics.Counter("serve_route_decisions_total", "Scatter legs routed, by policy.",
+		metrics.L("policy", c.router.Name()))
 	return c, nil
 }
 
@@ -161,15 +174,9 @@ type leg struct {
 // FlightRecorder auto-dump), and completed legs are discarded — graceful
 // degradation is "the query errors out attributed", never a hang.
 func (c *Coordinator) Do(req Request) (*Response, error) {
-	if req.Pred == nil {
-		return nil, fmt.Errorf("serve: request %q has no predicate", req.ID)
-	}
-	accuracy := req.Accuracy
-	if accuracy < 0 || accuracy > 1 {
-		return nil, fmt.Errorf("serve: request %q accuracy %v outside [0,1] (zero selects the server default)", req.ID, accuracy)
-	}
-	if accuracy == 0 {
-		accuracy = c.accuracy
+	accuracy, err := validate(req, c.accuracy)
+	if err != nil {
+		return nil, err
 	}
 	key := optimizer.PlanKey(req.Pred, accuracy)
 	c.sessions.Add(1)
@@ -178,14 +185,7 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 	// the caller's), every leg serves under it, and the coordinator span is
 	// the parent every leg session span hangs off.
 	tr := c.cfg.Base.Obs
-	trace := req.Trace
-	if trace == "" {
-		trace = obs.NewTraceID()
-	}
-	name := req.ID
-	if name == "" {
-		name = req.Pred.String()
-	}
+	trace, name := identify(req)
 	policy := c.router.Name()
 	span := tr.BeginCtx(obs.TraceContext{TraceID: trace}, obs.KindSession, name)
 	span.SetAttr("scatter", strconv.Itoa(len(c.shards)))
@@ -202,7 +202,8 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 			pick = 0
 		}
 		legs[i] = leg{shard: i, replica: pick}
-		c.recordRoute(sh, pick)
+		c.routeDecisions.Inc()
+		sh.publishLoad()
 		wg.Add(1)
 		go func(l *leg, srv *Server) {
 			defer wg.Done()
@@ -213,8 +214,8 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 		}(&legs[i], sh.replicas[pick])
 	}
 	wg.Wait()
-	for i := range c.shards {
-		c.publishShardLoad(i)
+	for _, sh := range c.shards {
+		sh.publishLoad()
 	}
 
 	var failed []error
@@ -229,7 +230,7 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 		err := fmt.Errorf("serve: scatter %q: %w", req.ID, errors.Join(failed...))
 		span.SetAttr("error", err.Error())
 		tr.End(&span)
-		c.logScatter(req, nil, legs, trace, key, time.Since(start), err)
+		c.logScatter(req, nil, legs, trace, key, accuracy, time.Since(start), err)
 		return nil, err
 	}
 	resp := mergeLegs(legs)
@@ -238,21 +239,17 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 	span.RowsOut = len(resp.Result.Rows)
 	span.CostVMS = resp.Result.ClusterTime
 	tr.End(&span)
-	c.logScatter(req, resp, legs, trace, key, resp.Service, nil)
+	c.logScatter(req, resp, legs, trace, key, accuracy, resp.Service, nil)
 	return resp, nil
 }
 
 // logScatter writes the coordinator's merged query-log record: the session
 // view (Leg nil) with per-leg timings attached. Each leg's replica server has
 // already written its own leg record under the same TraceID.
-func (c *Coordinator) logScatter(req Request, resp *Response, legs []leg, trace, key string, service time.Duration, err error) {
+func (c *Coordinator) logScatter(req Request, resp *Response, legs []leg, trace, key string, acc float64, service time.Duration, err error) {
 	qlog := c.cfg.Base.QueryLog
 	if qlog == nil {
 		return
-	}
-	acc := req.Accuracy
-	if acc == 0 {
-		acc = c.accuracy
 	}
 	rec := pplog.Record{
 		TimeUnixNS: time.Now().UnixNano(),
@@ -277,29 +274,7 @@ func (c *Coordinator) logScatter(req Request, resp *Response, legs []leg, trace,
 		}
 		rec.Legs = append(rec.Legs, l)
 	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if resp != nil {
-		rec.PlanCached = resp.PlanCached
-		rec.QueueWaitNS = resp.QueueWait.Nanoseconds()
-		if resp.Result != nil {
-			rec.Rows = len(resp.Result.Rows)
-			rec.ClusterVMS = resp.Result.ClusterTime
-			for _, op := range resp.Result.PerOp {
-				if op.PPFilter {
-					rec.PPTested += op.RowsIn
-					rec.PPPassed += op.RowsOut
-				}
-			}
-			if rec.PPTested > 0 {
-				rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
-			}
-		}
-		if resp.Decision.Inject {
-			rec.EstReduction = resp.Decision.Reduction
-		}
-	}
+	fillRecord(&rec, resp, err)
 	qlog.Log(rec)
 }
 
@@ -387,32 +362,20 @@ func mergeLegs(legs []leg) *Response {
 	return merged
 }
 
-// recordRoute counts one routing decision and refreshes the shard's load
-// gauges at pick time.
-func (c *Coordinator) recordRoute(sh *shard, replica int) {
-	if reg := c.cfg.Base.Metrics; reg != nil {
-		reg.Counter("serve_route_decisions_total", "Scatter legs routed, by policy, shard and replica.",
-			routeLabels(c.router.Name(), sh.index, replica)...).Inc()
-	}
-	c.publishShardLoad(sh.index)
-}
-
-// publishShardLoad republishes one shard's live queue-depth and active
-// session counts (summed over its replicas) as shard-labeled gauges.
-func (c *Coordinator) publishShardLoad(shardIdx int) {
-	reg := c.cfg.Base.Metrics
-	if reg == nil {
+// publishLoad republishes the shard's live queue-depth and active session
+// counts (summed over its replicas) on its gauges.
+func (sh *shard) publishLoad() {
+	if sh.queueDepth == nil {
 		return
 	}
 	var queued, active int64
-	for _, r := range c.shards[shardIdx].replicas {
+	for _, r := range sh.replicas {
 		q, a := r.Load()
 		queued += q
 		active += a
 	}
-	lbl := shardLabel(shardIdx)
-	reg.Gauge("serve_shard_queue_depth", "Sessions waiting for a slot on this shard (all replicas).", lbl).Set(float64(queued))
-	reg.Gauge("serve_shard_active", "Sessions executing on this shard (all replicas).", lbl).Set(float64(active))
+	sh.queueDepth.Set(float64(queued))
+	sh.active.Set(float64(active))
 }
 
 // recordShardFailure counts a failed leg and emits the shard.fail event that
@@ -439,6 +402,7 @@ func (c *Coordinator) Stats() Stats {
 			out.PlanHits += st.PlanHits
 			out.PlanMisses += st.PlanMisses
 			out.PlanInvalidations += st.PlanInvalidations
+			out.PlanRevalidations += st.PlanRevalidations
 			out.PlanEntries += st.PlanEntries
 			out.ScoreHits += st.ScoreHits
 			out.ScoreMisses += st.ScoreMisses
@@ -478,14 +442,6 @@ func (c *Coordinator) Invalidate() {
 }
 
 func shardLabel(i int) metrics.Label { return metrics.L("shard", strconv.Itoa(i)) }
-
-func routeLabels(policy string, shard, replica int) []metrics.Label {
-	return []metrics.Label{
-		metrics.L("policy", policy),
-		shardLabel(shard),
-		metrics.L("replica", strconv.Itoa(replica)),
-	}
-}
 
 // Replay mirrors Server.Replay over the coordinator: it parses and serves a
 // workload at the given concurrency, responses in workload order, failures

@@ -198,24 +198,34 @@ func TestShardedMergeAccounting(t *testing.T) {
 // TestShardedPlanAffinityWarmth asserts the point of plan-affinity routing:
 // repeats of one predicate hit a single warm replica per shard (one plan
 // search each), while round-robin spreads them over every replica and
-// re-pays the search per replica.
+// re-pays the search per replica. Half-way through, a clause the predicate
+// never consulted is retrained: the warm plans must survive by revalidation
+// (no extra searches), and the coordinator must report those revalidations.
 func TestShardedPlanAffinityWarmth(t *testing.T) {
 	const repeats = 4
 	run := func(routing RoutingPolicy) (misses uint64, warmReplicas int) {
 		c := newMiniCoordinator(t, 60, 2, 2, routing, nil)
 		pred := query.MustParse("t=SUV & c=red")
 		for i := 0; i < repeats; i++ {
+			if i == repeats/2 {
+				c.cfg.Base.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60", 1))
+			}
 			if _, err := c.Do(Request{ID: fmt.Sprintf("Q%d", i), Pred: pred}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		var revalidations uint64
 		for _, perShard := range c.ReplicaStats() {
 			for _, st := range perShard {
 				misses += st.PlanMisses
+				revalidations += st.PlanRevalidations
 				if st.PlanHits > 0 {
 					warmReplicas++
 				}
 			}
+		}
+		if got := c.Stats().PlanRevalidations; got == 0 || got != revalidations {
+			t.Errorf("%s: Stats().PlanRevalidations = %d, want the replicas' sum %d (non-zero)", routing, got, revalidations)
 		}
 		return misses, warmReplicas
 	}

@@ -35,6 +35,11 @@ func TestRequestAccuracyValidation(t *testing.T) {
 			t.Errorf("accuracy %v returned a response alongside the error", acc)
 		}
 	}
+	// A request with no predicate (and no ID to name its span by) is
+	// rejected, not dereferenced.
+	if _, err := st.srv.Do(Request{}); err == nil || !strings.Contains(err.Error(), "no predicate") {
+		t.Errorf("predicate-less request: err = %v, want a no-predicate rejection", err)
+	}
 	stats := st.srv.Stats()
 	if stats.PlanEntries != 0 || stats.PlanMisses != 0 {
 		t.Fatalf("rejected requests reached the plan cache: entries=%d misses=%d",

@@ -188,7 +188,9 @@ func TestWatchdogTripAndRetrainRaceClean(t *testing.T) {
 					return
 				}
 				_ = st.srv.Stats()
-				_ = sys.Breaker("s>40")
+				// Watchdog state is only safe to read where Ingest writes
+				// it: under the server's corpus lock.
+				st.srv.SyncCorpus(func() { _ = sys.Breaker("s>40") })
 			}
 		}()
 	}
