@@ -3,16 +3,14 @@
 //
 // Usage:
 //
-//	ppbench [-exp all|fig9,table4,...] [-seed N] [-quick]
-//	        [-json BENCH_pp.json] [-hotpath BENCH_hotpath.json]
-//	        [-serve BENCH_serve.json] [-adaptive BENCH_adaptive.json]
-//	        [-stream BENCH_stream.json]
-//	        [-latency BENCH_latency.json] [-shard BENCH_shard.json]
-//	        [-obs BENCH_obs.json] [-querylog querylog.jsonl]
+//	ppbench [-exp all|fig9,table4,...] [-seed N] [-quick] [-list]
+//	        [-json BENCH_pp.json]
 //	        [-pprof localhost:6060] [-metrics localhost:9090] [-hold]
 //
 // The experiment ids match DESIGN.md's per-experiment index. Output of a
-// full run is recorded in EXPERIMENTS.md next to the paper's numbers.
+// full run is recorded in EXPERIMENTS.md next to the paper's numbers. Every
+// number here is virtual cluster cost, seeded and exact; wall clock is
+// measured by `bash benchmark/run.sh`.
 //
 // With -json, every experiment additionally runs under a trace collector and
 // a machine-readable report (per-experiment metrics, trace summaries, Go
@@ -45,21 +43,13 @@ func main() {
 	quick := flag.Bool("quick", false, "use the reduced dataset sizes")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	jsonPath := flag.String("json", "", "also write a machine-readable report (BENCH_pp.json) to this path")
-	hotpathPath := flag.String("hotpath", "", "measure the scalar-vs-batch scoring hot path and write BENCH_hotpath.json to this path")
-	servePath := flag.String("serve", "", "replay the TRAF20 workload through the serving layer (score cache off vs on) and write BENCH_serve.json to this path")
-	adaptivePath := flag.String("adaptive", "", "run a drifted stream with and without mid-query re-optimization and write BENCH_adaptive.json to this path")
-	streamPath := flag.String("stream", "", "run streaming ingestion under a mid-run label inversion (watchdog trip/retrain/recovery, backfill-vs-live) and write BENCH_stream.json to this path")
-	latencyPath := flag.String("latency", "", "drive the serving layer with an open-loop load generator (rate x concurrency sweep, PP on/off variants) and write BENCH_latency.json to this path")
-	shardPath := flag.String("shard", "", "run the sharded scatter-gather determinism checks and throughput sweep and write BENCH_shard.json to this path")
-	obsPath := flag.String("obs", "", "replay the TRAF20 workload with tracing + query log on, run the pplog analyzer and write BENCH_obs.json to this path")
-	queryLogPath := flag.String("querylog", "", "with -obs: also write the raw JSONL query log to this path")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:9090) while running")
 	hold := flag.Bool("hold", false, "with -metrics or -pprof: keep serving after experiments finish, until interrupted")
 	flag.Parse()
 
 	if *list {
-		for _, id := range bench.Order {
+		for _, id := range bench.IDs() {
 			fmt.Println(id)
 		}
 		return
@@ -83,158 +73,8 @@ func main() {
 		})
 		fmt.Printf("metrics: http://%s/metrics\n\n", *metricsAddr)
 	}
-	if *hotpathPath != "" {
-		doc, rep, err := bench.RunHotpath(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*hotpathPath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote hot-path report to %s\n", *hotpathPath)
-		return
-	}
-	if *servePath != "" {
-		doc, rep, err := bench.RunServe(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*servePath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote serving report to %s\n", *servePath)
-		return
-	}
-	if *adaptivePath != "" {
-		doc, rep, err := bench.RunAdaptiveBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: adaptive: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*adaptivePath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: adaptive: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote adaptive report to %s\n", *adaptivePath)
-		return
-	}
-	if *streamPath != "" {
-		doc, rep, err := bench.RunStreamBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*streamPath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: stream: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote stream report to %s\n", *streamPath)
-		return
-	}
-	if *latencyPath != "" {
-		doc, rep, err := bench.RunLatency(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: latency: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*latencyPath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: latency: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote latency report to %s\n", *latencyPath)
-		return
-	}
-	if *shardPath != "" {
-		doc, rep, err := bench.RunShard(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: shard: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*shardPath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: shard: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote shard report to %s\n", *shardPath)
-		return
-	}
-	if *obsPath != "" {
-		doc, rep, err := bench.RunObs(cfg, *queryLogPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: obs: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		f, err := os.Create(*obsPath)
-		if err == nil {
-			err = doc.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: obs: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote observability report to %s\n", *obsPath)
-		if *queryLogPath != "" {
-			fmt.Printf("wrote query log to %s\n", *queryLogPath)
-		}
-		return
-	}
 
-	ids := bench.Order
+	ids := bench.IDs()
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"probpred/internal/core"
 	"probpred/internal/data"
@@ -202,9 +203,15 @@ func AblationModelSelection(cfg Config) (*Report, error) {
 			}
 		}
 		n := float64(len(cats))
+		// Sorted approach order: the column must not change between runs.
+		approaches := make([]string, 0, len(pickedCounts))
+		for a := range pickedCounts {
+			approaches = append(approaches, a)
+		}
+		sort.Strings(approaches)
 		picked := ""
-		for a, c := range pickedCounts {
-			picked += fmt.Sprintf("%s×%d ", a, c)
+		for _, a := range approaches {
+			picked += fmt.Sprintf("%s×%d ", a, pickedCounts[a])
 		}
 		tb.add(d.Name, f3(autoR/n), picked,
 			f3(fixed["PCA+KDE"]/n), f3(fixed["PCA+SVM"]/n), f3(fixed["Raw+SVM"]/n))

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"strings"
-	"time"
 
 	"probpred/internal/adapt"
 	"probpred/internal/blob"
@@ -25,63 +21,8 @@ import (
 // estimates — the cached short-circuit order is maximally stale. The same
 // plan runs twice: plain, and under the adapt controller, which must detect
 // the divergence mid-query, re-enter the optimizer and hot-swap the PP
-// order while keeping outputs byte-identical. CI gates on
+// order while keeping outputs byte-identical. TestScenarioGates requires
 // adaptive cluster cost <= 0.8x non-adaptive with at least one swap.
-
-// AdaptiveVariant is one run's outcome (plain or adaptive execution).
-type AdaptiveVariant struct {
-	Mode   string  `json:"mode"`
-	WallMS float64 `json:"wall_ms"`
-	// ClusterVMS is total virtual cluster cost — for the adaptive variant
-	// this includes the modeled re-planning charge.
-	ClusterVMS float64 `json:"cluster_vms"`
-	Rows       int     `json:"rows"`
-	// Swaps / Replans count mid-query plan hot-swaps and optimizer
-	// re-entries (zero for the plain variant).
-	Swaps   int `json:"swaps"`
-	Replans int `json:"replans"`
-}
-
-// AdaptiveDoc is the machine-readable report written to BENCH_adaptive.json.
-type AdaptiveDoc struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-	Seed        uint64 `json:"seed"`
-	Quick       bool   `json:"quick"`
-
-	Pred       string  `json:"pred"`
-	Accuracy   float64 `json:"accuracy"`
-	StreamRows int     `json:"stream_rows"`
-	ChunkRows  int     `json:"chunk_rows"`
-	Workers    int     `json:"workers"`
-	// PlannedExpr / FinalExpr are the PP evaluation orders before and after
-	// adaptation.
-	PlannedExpr string `json:"planned_expr"`
-	FinalExpr   string `json:"final_expr"`
-	// MaxDivergence is the largest observed-vs-planned per-leaf reduction
-	// gap the controller saw at a chunk boundary.
-	MaxDivergence float64 `json:"max_divergence"`
-
-	NonAdaptive AdaptiveVariant `json:"non_adaptive"`
-	Adaptive    AdaptiveVariant `json:"adaptive"`
-
-	// CostRatio is adaptive over non-adaptive virtual cluster cost
-	// (re-planning charge included). CI requires <= 0.8.
-	CostRatio float64 `json:"cost_ratio"`
-	// OutputsIdentical reports byte-identical rendered results (rows, row
-	// order, row contents) across the two variants. CI requires true.
-	OutputsIdentical bool `json:"outputs_identical"`
-}
-
-// Write serders the document as indented JSON.
-func (d *AdaptiveDoc) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
 
 // truthMatches evaluates a corpus clause ("t=SUV", "s>60", "i=pt211")
 // against a blob's ground truth.
@@ -138,10 +79,9 @@ func renderResult(res *engine.Result) string {
 	return sb.String()
 }
 
-// RunAdaptiveBench trains the traffic corpus, builds the inverted-statistics
-// stream, runs the plan with and without the adapt controller and returns
-// the JSON document plus a rendered report.
-func RunAdaptiveBench(cfg Config) (*AdaptiveDoc, *Report, error) {
+// Adaptive trains the traffic corpus, builds the inverted-statistics
+// stream and runs the plan with and without the adapt controller.
+func Adaptive(cfg Config) (*Report, error) {
 	const (
 		accuracy = 0.95
 		workers  = 4
@@ -151,7 +91,7 @@ func RunAdaptiveBench(cfg Config) (*AdaptiveDoc, *Report, error) {
 	chunkRows := cfg.scale(512, 256)
 	h, err := NewTrafficHarness(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Outputs are byte-identical across variants by construction, so the UDF
@@ -172,10 +112,10 @@ func RunAdaptiveBench(cfg Config) (*AdaptiveDoc, *Report, error) {
 		Obs:      cfg.Obs,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !dec.Inject || dec.NumPPs != 2 {
-		return nil, nil, fmt.Errorf("bench: adaptive needs a two-PP injection, got inject=%v pps=%d", dec.Inject, dec.NumPPs)
+		return nil, fmt.Errorf("bench: adaptive needs a two-PP injection, got inject=%v pps=%d", dec.Inject, dec.NumPPs)
 	}
 
 	// Drift against whichever order the optimizer actually chose: the
@@ -184,12 +124,12 @@ func RunAdaptiveBench(cfg Config) (*AdaptiveDoc, *Report, error) {
 	// the reversed fold is cheaper), so ask the compiled filter.
 	leaves := dec.Filter.ExecutionOrder()
 	if len(leaves) != 2 {
-		return nil, nil, fmt.Errorf("bench: adaptive expects 2 leaves, got %v", leaves)
+		return nil, fmt.Errorf("bench: adaptive expects 2 leaves, got %v", leaves)
 	}
 	first, second := leaves[0], leaves[1]
 	stream, err := driftedStream(h.TestBlobs, first, second, rows, onEvery)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan := engine.Plan{Ops: []engine.Operator{&engine.Scan{Blobs: stream}}}
 	plan.Ops = append(plan.Ops, &engine.PPFilter{F: dec.Filter})
@@ -199,15 +139,12 @@ func RunAdaptiveBench(cfg Config) (*AdaptiveDoc, *Report, error) {
 	plan.Ops = append(plan.Ops, &engine.Select{Pred: pred})
 	exec := engine.Config{Workers: workers, Obs: cfg.Obs, Metrics: cfg.Metrics}
 
-	start := time.Now()
 	plain, err := engine.Run(plan, exec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plainWall := time.Since(start)
 
 	ctl := adapt.New(adapt.Config{ChunkRows: chunkRows, Metrics: cfg.Metrics, Obs: cfg.Obs})
-	start = time.Now()
 	res, arep, err := ctl.Run(plan, exec, adapt.RunSpec{
 		Key: "bench/" + pred.String(),
 		Reopt: func(f *optimizer.Compiled, minRows uint64) (*optimizer.Reoptimized, error) {
@@ -215,68 +152,30 @@ func RunAdaptiveBench(cfg Config) (*AdaptiveDoc, *Report, error) {
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	adaptWall := time.Since(start)
 
-	doc := &AdaptiveDoc{
-		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		NumCPU:        runtime.NumCPU(),
-		Seed:          cfg.Seed,
-		Quick:         cfg.Quick,
-		Pred:          pred.String(),
-		Accuracy:      accuracy,
-		StreamRows:    rows,
-		ChunkRows:     chunkRows,
-		Workers:       workers,
-		PlannedExpr:   dec.Filter.EvalExpr(),
-		FinalExpr:     arep.FinalExpr,
-		MaxDivergence: arep.MaxDivergence,
-		NonAdaptive: AdaptiveVariant{
-			Mode:       "non-adaptive",
-			WallMS:     float64(plainWall.Microseconds()) / 1000,
-			ClusterVMS: plain.ClusterTime,
-			Rows:       len(plain.Rows),
-		},
-		Adaptive: AdaptiveVariant{
-			Mode:       "adaptive",
-			WallMS:     float64(adaptWall.Microseconds()) / 1000,
-			ClusterVMS: res.ClusterTime,
-			Rows:       len(res.Rows),
-			Swaps:      len(arep.Swaps),
-			Replans:    arep.Replans,
-		},
-		OutputsIdentical: renderResult(plain) == renderResult(res),
-	}
+	// Adaptive over non-adaptive virtual cluster cost; the adaptive total
+	// includes the modeled re-planning charge.
+	costRatio := 0.0
 	if plain.ClusterTime > 0 {
-		doc.CostRatio = res.ClusterTime / plain.ClusterTime
+		costRatio = res.ClusterTime / plain.ClusterTime
 	}
+	identical := renderResult(plain) == renderResult(res)
 
 	rep := &Report{ID: "adapt", Title: fmt.Sprintf(
-		"Mid-query re-optimization under PP drift: %s over %d inverted-statistics rows", doc.Pred, rows)}
-	tb := &table{header: []string{"mode", "cluster vms", "wall ms", "rows", "swaps", "replans"}}
-	for _, v := range []AdaptiveVariant{doc.NonAdaptive, doc.Adaptive} {
-		tb.add(v.Mode, f1(v.ClusterVMS), f1(v.WallMS), fmt.Sprintf("%d", v.Rows),
-			fmt.Sprintf("%d", v.Swaps), fmt.Sprintf("%d", v.Replans))
-	}
+		"Mid-query re-optimization under PP drift: %s over %d inverted-statistics rows", pred, rows)}
+	tb := &table{header: []string{"mode", "cluster vms", "rows", "swaps", "replans"}}
+	tb.add("non-adaptive", f1(plain.ClusterTime), fmt.Sprintf("%d", len(plain.Rows)), "0", "0")
+	tb.add("adaptive", f1(res.ClusterTime), fmt.Sprintf("%d", len(res.Rows)),
+		fmt.Sprintf("%d", len(arep.Swaps)), fmt.Sprintf("%d", arep.Replans))
 	rep.Lines = tb.render()
-	rep.Lines = append(rep.Lines, "",
-		fmt.Sprintf("order: %s -> %s (max divergence %.3f)", doc.PlannedExpr, doc.FinalExpr, doc.MaxDivergence),
-		fmt.Sprintf("cost ratio (adaptive/non-adaptive): %.3f   outputs identical: %v",
-			doc.CostRatio, doc.OutputsIdentical))
-	rep.metric("cost_ratio", doc.CostRatio)
-	rep.metric("swaps", float64(doc.Adaptive.Swaps))
-	rep.metric("outputs_identical", b2f(doc.OutputsIdentical))
-	rep.metric("max_divergence", doc.MaxDivergence)
-	return doc, rep, nil
-}
-
-// Adaptive is the registry wrapper: it runs the drift comparison and returns
-// just the report (cmd/ppbench -exp adapt also writes the JSON document).
-func Adaptive(cfg Config) (*Report, error) {
-	_, rep, err := RunAdaptiveBench(cfg)
-	return rep, err
+	rep.addf("")
+	rep.addf("order: %s -> %s (max divergence %.3f)", dec.Filter.EvalExpr(), arep.FinalExpr, arep.MaxDivergence)
+	rep.addf("cost ratio (adaptive/non-adaptive): %.3f   outputs identical: %v", costRatio, identical)
+	rep.metric("cost_ratio", costRatio)
+	rep.metric("swaps", float64(len(arep.Swaps)))
+	rep.metric("outputs_identical", b2f(identical))
+	rep.metric("max_divergence", arep.MaxDivergence)
+	return rep, nil
 }

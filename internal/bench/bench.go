@@ -27,7 +27,7 @@ type Config struct {
 	// cmd/ppbench and the benchmarks.
 	Quick bool
 	// Obs, when set, receives spans/metrics from the engine runs and
-	// optimizer searches the experiments perform (cmd/ppbench attaches a
+	// optimizer searches the experiments perform (RunTraced attaches a
 	// collector per experiment for the BENCH_pp.json trace summaries).
 	Obs *obs.Tracer
 	// Metrics, when set, receives the engine's numeric telemetry from every
@@ -177,6 +177,7 @@ func pickCategories(d *data.Categorical, n int, minPositives int) []int {
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 
 // newRNG is a local alias keeping call sites short.
 func newRNG(seed uint64) *mathx.RNG { return mathx.NewRNG(seed) }

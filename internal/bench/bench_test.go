@@ -25,8 +25,23 @@ func TestTableFormatter(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", quick); err == nil {
+	_, err := Run("nope", quick)
+	if err == nil {
 		t.Fatal("expected error")
+	}
+	// The error lists the known ids in registry order: the paper's tables
+	// and figures, then the scenario arcs. The retired wall-clock
+	// experiments (now benchmark/ workloads) error like any unknown id.
+	known := "(known: [table2 fig9 table4 table5 table6 table7 fig10 table8 table9 table10 " +
+		"table12 table13 fig15 coverage drift ablation-budget ablation-order ablation-k " +
+		"ablation-model faults serve adapt obs stream])"
+	if !strings.Contains(err.Error(), known) {
+		t.Errorf("error %q, want the id list %s", err, known)
+	}
+	for _, id := range []string{"hotpath", "latency", "shard"} {
+		if _, err := Run(id, quick); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("Run(%q) = %v, want an unknown-experiment error", id, err)
+		}
 	}
 }
 

@@ -5,18 +5,13 @@ package bench
 // histogram exemplars, structured query log — and then runs the pplog
 // analyzer over the log joined with the span dump. It is the end-to-end
 // proof that tail-latency forensics work: a serve_service_ns p99 exemplar's
-// TraceID must resolve to a logged session and a span tree. BENCH_obs.json
-// is what CI archives and gates on (all_have_trace, querylog_drops == 0,
-// p99_exemplar_resolves).
+// TraceID must resolve to a logged session and a span tree. TestScenarioGates
+// requires every session traced, zero drops, zero errors and the p99
+// exemplar join resolving on both sides.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"time"
 
 	"probpred/internal/data"
 	"probpred/internal/engine"
@@ -26,49 +21,8 @@ import (
 	"probpred/internal/serve"
 )
 
-// ObsDoc is the machine-readable report written to BENCH_obs.json.
-type ObsDoc struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-	Seed        uint64 `json:"seed"`
-	Quick       bool   `json:"quick"`
-
-	Queries     int `json:"queries"`
-	Rounds      int `json:"rounds"`
-	Concurrency int `json:"concurrency"`
-	Shards      int `json:"shards"`
-	Replicas    int `json:"replicas"`
-
-	// Records / Spans are the raw sizes of the two inputs the analyzer joins.
-	Records int `json:"records"`
-	Spans   int `json:"spans"`
-
-	// P99ExemplarTrace is the serve_service_ns p99 bucket exemplar's TraceID;
-	// P99ExemplarResolves whether it maps to a logged session record (the
-	// "histogram tail → query log → span tree" join CI gates on).
-	P99ExemplarTrace    string `json:"p99_exemplar_trace"`
-	P99ExemplarResolves bool   `json:"p99_exemplar_resolves"`
-	// P99ExemplarSpans is the number of spans sharing that TraceID (> 0 means
-	// the span tree side of the join resolved too).
-	P99ExemplarSpans int `json:"p99_exemplar_spans"`
-
-	Analysis pplog.Analysis `json:"analysis"`
-}
-
-// Write serializes the document as indented JSON.
-func (d *ObsDoc) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// RunObs runs the observability replay and analyzer, returning the JSON
-// document plus a rendered report. When queryLogPath is non-empty the raw
-// JSONL query log is also written there (the -querylog flag).
-func RunObs(cfg Config, queryLogPath string) (*ObsDoc, *Report, error) {
+// Obs runs the observability replay and the analyzer.
+func Obs(cfg Config) (*Report, error) {
 	const (
 		accuracy    = 0.95
 		concurrency = 4
@@ -79,7 +33,7 @@ func RunObs(cfg Config, queryLogPath string) (*ObsDoc, *Report, error) {
 	rounds := cfg.scale(3, 2)
 	h, err := NewTrafficHarness(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	workload := serveWorkload(rounds)
 
@@ -108,65 +62,44 @@ func RunObs(cfg Config, queryLogPath string) (*ObsDoc, *Report, error) {
 		Builder:  trafficBuilder{h},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := coord.Replay(workload, concurrency); err != nil {
-		return nil, nil, fmt.Errorf("bench: obs replay: %w", err)
+		return nil, fmt.Errorf("bench: obs replay: %w", err)
 	}
 	drops := qlog.Drops()
 	if err := qlog.Close(); err != nil {
-		return nil, nil, fmt.Errorf("bench: obs query log: %w", err)
-	}
-
-	if queryLogPath != "" {
-		if err := os.WriteFile(queryLogPath, logBuf.Bytes(), 0o644); err != nil {
-			return nil, nil, err
-		}
+		return nil, fmt.Errorf("bench: obs query log: %w", err)
 	}
 
 	records, err := pplog.Read(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: obs query log parse: %w", err)
+		return nil, fmt.Errorf("bench: obs query log parse: %w", err)
 	}
 	spans, err := pplog.ReadSpans(bytes.NewReader(spanBuf.Bytes()))
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: obs span dump parse: %w", err)
+		return nil, fmt.Errorf("bench: obs span dump parse: %w", err)
 	}
 	analysis := pplog.Analyze(records, spans, pplog.Options{Drops: drops})
 
-	doc := &ObsDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        cfg.Seed,
-		Quick:       cfg.Quick,
-		Queries:     len(TRAF20),
-		Rounds:      rounds,
-		Concurrency: concurrency,
-		Shards:      shards,
-		Replicas:    replicas,
-		Records:     len(records),
-		Spans:       len(spans),
-		Analysis:    analysis,
-	}
-
-	// The join CI gates on: p99 service-time exemplar → query-log record →
-	// span tree, all on one TraceID. The exemplar lives on the replica
+	// The join the gate checks: p99 service-time exemplar → query-log record
+	// → span tree, all on one TraceID. The exemplar lives on the replica
 	// servers' serve_service_ns histogram (legs carry the coordinator's
 	// session TraceID, so it resolves to a coordinator session record).
+	var exemplarTrace string
+	var exemplarResolves bool
+	var exemplarSpans int
 	if ex := reg.Histogram("serve_service_ns", "").QuantileExemplar(0.99); ex != nil {
-		doc.P99ExemplarTrace = ex.TraceID
+		exemplarTrace = ex.TraceID
 		for i := range records {
 			if records[i].TraceID == ex.TraceID {
-				doc.P99ExemplarResolves = true
+				exemplarResolves = true
 				break
 			}
 		}
 		for _, sp := range spans {
 			if sp.Trace == ex.TraceID {
-				doc.P99ExemplarSpans++
+				exemplarSpans++
 			}
 		}
 	}
@@ -178,22 +111,17 @@ func RunObs(cfg Config, queryLogPath string) (*ObsDoc, *Report, error) {
 		analysis.Sessions, analysis.LegRecords, analysis.Errors, analysis.Drops, analysis.AllHaveTrace)
 	rep.addf("slo: %.2fms   attainment: %.3f   plan-cache hit rate: %.3f", analysis.SLOMS, analysis.SLOAttainment, analysis.PlanCacheHitRate)
 	rep.addf("misestimate rate: %.3f   shard-skew rate: %.3f", analysis.MisestimateRate, analysis.ShardSkewRate)
-	rep.addf("p99 exemplar trace: %s   resolves: %v   spans: %d", doc.P99ExemplarTrace, doc.P99ExemplarResolves, doc.P99ExemplarSpans)
+	rep.addf("p99 exemplar trace: %s   resolves: %v   spans: %d", exemplarTrace, exemplarResolves, exemplarSpans)
 	for _, td := range analysis.TopSlowest {
 		rep.addf("slow trace %s (%s): total %.2fms = queue %.2fms + service %.2fms, %d spans",
 			td.TraceID, td.Session, td.TotalMS, td.QueueMS, td.ServiceMS, td.SpanCount)
 	}
 	rep.metric("sessions", float64(analysis.Sessions))
+	rep.metric("errors", float64(analysis.Errors))
 	rep.metric("all_have_trace", b2f(analysis.AllHaveTrace))
 	rep.metric("querylog_drops", float64(analysis.Drops))
 	rep.metric("slo_attainment", analysis.SLOAttainment)
-	rep.metric("p99_exemplar_resolves", b2f(doc.P99ExemplarResolves))
-	return doc, rep, nil
-}
-
-// Obs is the registry wrapper: it runs the observability replay and returns
-// just the report (cmd/ppbench -obs also writes the JSON document).
-func Obs(cfg Config) (*Report, error) {
-	_, rep, err := RunObs(cfg, "")
-	return rep, err
+	rep.metric("p99_exemplar_resolves", b2f(exemplarResolves))
+	rep.metric("p99_exemplar_spans", float64(exemplarSpans))
+	return rep, nil
 }

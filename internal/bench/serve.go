@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"strings"
-	"time"
 
 	"probpred/internal/blob"
 	"probpred/internal/data"
@@ -18,67 +14,13 @@ import (
 
 // Serve replays the TRAF20 workload through internal/serve twice — once with
 // the PP score cache disabled, once enabled — and compares evaluation counts
-// and outputs. It is not a paper experiment: it validates and tracks the
-// serving layer's contract (DESIGN.md "Serving & caching") and backs
-// BENCH_serve.json, which CI archives and gates on (eval_ratio >= 2,
-// outputs_identical). The disabled variant routes every lookup through the
-// same cache plumbing but stores nothing, so its miss counter is an exact
-// count of PP score evaluations an uncached server performs.
-
-// ServeVariant is one replay's counters (cached or uncached score cache).
-type ServeVariant struct {
-	Mode     string  `json:"mode"`
-	WallMS   float64 `json:"wall_ms"`
-	Sessions uint64  `json:"sessions"`
-	// PlanHits / PlanMisses count plan-cache outcomes; hits skipped the
-	// optimizer search.
-	PlanHits   uint64 `json:"plan_hits"`
-	PlanMisses uint64 `json:"plan_misses"`
-	// ScoreEvals is the number of per-(PP, blob) score computations actually
-	// performed (= score-cache misses; with the cache disabled, every lookup).
-	ScoreEvals uint64 `json:"score_evals"`
-	// ScoreHits counts evaluations avoided by the score cache.
-	ScoreHits    uint64  `json:"score_hits"`
-	ScoreHitRate float64 `json:"score_hit_rate"`
-	ScoreEntries int     `json:"score_entries"`
-}
-
-// ServeDoc is the machine-readable report written to BENCH_serve.json.
-type ServeDoc struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-	Seed        uint64 `json:"seed"`
-	Quick       bool   `json:"quick"`
-	// Queries is the distinct query count (TRAF20); Sessions = Queries×Rounds.
-	Queries     int     `json:"queries"`
-	Rounds      int     `json:"rounds"`
-	Sessions    int     `json:"sessions"`
-	Concurrency int     `json:"concurrency"`
-	Workers     int     `json:"workers"`
-	Blobs       int     `json:"blobs"`
-	Accuracy    float64 `json:"accuracy"`
-
-	Uncached ServeVariant `json:"uncached"`
-	Cached   ServeVariant `json:"cached"`
-
-	// EvalRatio is uncached score evaluations over cached ones — how many
-	// times fewer PP scores the shared cache computes on this workload. CI
-	// requires >= 2.
-	EvalRatio float64 `json:"eval_ratio"`
-	// OutputsIdentical reports byte-identical rendered results (rows, row
-	// order, virtual costs) across the two variants. CI requires true.
-	OutputsIdentical bool `json:"outputs_identical"`
-}
-
-// Write serders the document as indented JSON.
-func (d *ServeDoc) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+// and outputs. It is not a paper experiment: it validates the serving
+// layer's contract (DESIGN.md "Serving & caching"), gated by
+// TestScenarioGates (eval_ratio >= 2, outputs_identical). The disabled
+// variant routes every lookup through the same cache plumbing but stores
+// nothing, so its miss counter is an exact count of PP score evaluations an
+// uncached server performs. Wall clock for this path is benchmark/'s
+// traf20_steady workload.
 
 // trafficBuilder adapts the traffic harness to serve.QueryBuilder and
 // serve.CorpusBuilder: the UDF pipeline downstream of the PP is the detector
@@ -153,10 +95,9 @@ func renderServeResponses(resps []*serve.Response) string {
 	return sb.String()
 }
 
-// RunServe builds the traffic harness, replays the workload against an
-// uncached and a cached server, and returns the JSON document plus a rendered
-// report.
-func RunServe(cfg Config) (*ServeDoc, *Report, error) {
+// Serve builds the traffic harness and replays the workload against an
+// uncached and a cached server.
+func Serve(cfg Config) (*Report, error) {
 	const (
 		accuracy    = 0.95
 		concurrency = 4
@@ -165,11 +106,12 @@ func RunServe(cfg Config) (*ServeDoc, *Report, error) {
 	rounds := cfg.scale(3, 2)
 	h, err := NewTrafficHarness(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	workload := serveWorkload(rounds)
 
-	runVariant := func(mode string, disable bool) (ServeVariant, string, error) {
+	// replay returns one variant's counters and its rendered responses.
+	replay := func(mode string, disable bool) (serve.Stats, string, error) {
 		srv, err := serve.New(serve.Config{
 			Optimizer:         h.Opt,
 			Builder:           trafficBuilder{h},
@@ -182,88 +124,61 @@ func RunServe(cfg Config) (*ServeDoc, *Report, error) {
 			Obs:               cfg.Obs,
 		})
 		if err != nil {
-			return ServeVariant{}, "", err
+			return serve.Stats{}, "", err
 		}
-		start := time.Now()
 		resps, err := srv.Replay(workload, concurrency)
 		if err != nil {
-			return ServeVariant{}, "", fmt.Errorf("bench: serve replay (%s): %w", mode, err)
+			return serve.Stats{}, "", fmt.Errorf("bench: serve replay (%s): %w", mode, err)
 		}
-		st := srv.Stats()
-		v := ServeVariant{
-			Mode:         mode,
-			WallMS:       float64(time.Since(start).Microseconds()) / 1000,
-			Sessions:     st.Sessions,
-			PlanHits:     st.PlanHits,
-			PlanMisses:   st.PlanMisses,
-			ScoreEvals:   st.ScoreMisses,
-			ScoreHits:    st.ScoreHits,
-			ScoreEntries: st.ScoreEntries,
-		}
-		if lookups := st.ScoreHits + st.ScoreMisses; lookups > 0 {
-			v.ScoreHitRate = float64(st.ScoreHits) / float64(lookups)
-		}
-		return v, renderServeResponses(resps), nil
+		return srv.Stats(), renderServeResponses(resps), nil
 	}
 
-	uncached, renderU, err := runVariant("uncached", true)
+	uncached, renderU, err := replay("uncached", true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cached, renderC, err := runVariant("cached", false)
+	cached, renderC, err := replay("cached", false)
 	if err != nil {
-		return nil, nil, err
-	}
-
-	doc := &ServeDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        cfg.Seed,
-		Quick:       cfg.Quick,
-		Queries:     len(TRAF20),
-		Rounds:      rounds,
-		Sessions:    len(workload),
-		Concurrency: concurrency,
-		Workers:     workers,
-		Blobs:       len(h.TestBlobs),
-		Accuracy:    accuracy,
-		Uncached:    uncached,
-		Cached:      cached,
-
-		OutputsIdentical: renderU == renderC,
-	}
-	if cached.ScoreEvals > 0 {
-		doc.EvalRatio = float64(uncached.ScoreEvals) / float64(cached.ScoreEvals)
+		return nil, err
 	}
 
 	rep := &Report{ID: "serve", Title: fmt.Sprintf(
 		"Concurrent serving: %d sessions (%d queries x %d rounds), score cache off vs on", len(workload), len(TRAF20), rounds)}
-	tb := &table{header: []string{"mode", "wall ms", "sessions", "plan hit/miss", "score evals", "score hits", "hit rate"}}
-	for _, v := range []ServeVariant{uncached, cached} {
-		tb.add(v.Mode, f1(v.WallMS), fmt.Sprintf("%d", v.Sessions),
-			fmt.Sprintf("%d/%d", v.PlanHits, v.PlanMisses),
-			fmt.Sprintf("%d", v.ScoreEvals), fmt.Sprintf("%d", v.ScoreHits),
-			f3(v.ScoreHitRate))
+	// Score evals = score-cache misses: with the cache disabled, every
+	// lookup; with it on, the computations actually performed.
+	tb := &table{header: []string{"mode", "sessions", "plan hit/miss", "score evals", "score hits", "hit rate"}}
+	for _, v := range []struct {
+		mode string
+		st   serve.Stats
+	}{{"uncached", uncached}, {"cached", cached}} {
+		tb.add(v.mode, fmt.Sprintf("%d", v.st.Sessions),
+			fmt.Sprintf("%d/%d", v.st.PlanHits, v.st.PlanMisses),
+			fmt.Sprintf("%d", v.st.ScoreMisses), fmt.Sprintf("%d", v.st.ScoreHits),
+			f3(hitRate(v.st.ScoreHits, v.st.ScoreMisses)))
 	}
+	// How many times fewer PP scores the shared cache computes.
+	evalRatio := 0.0
+	if cached.ScoreMisses > 0 {
+		evalRatio = float64(uncached.ScoreMisses) / float64(cached.ScoreMisses)
+	}
+	identical := renderU == renderC
+
 	rep.Lines = tb.render()
-	rep.Lines = append(rep.Lines, "",
-		fmt.Sprintf("eval ratio (uncached/cached): %.2fx   outputs identical: %v",
-			doc.EvalRatio, doc.OutputsIdentical))
-	rep.metric("eval_ratio", doc.EvalRatio)
-	rep.metric("outputs_identical", b2f(doc.OutputsIdentical))
-	rep.metric("plan_hit_rate", float64(cached.PlanHits)/float64(cached.PlanHits+cached.PlanMisses))
-	rep.metric("score_hit_rate", cached.ScoreHitRate)
-	return doc, rep, nil
+	rep.addf("")
+	rep.addf("eval ratio (uncached/cached): %.2fx   outputs identical: %v", evalRatio, identical)
+	rep.metric("eval_ratio", evalRatio)
+	rep.metric("outputs_identical", b2f(identical))
+	rep.metric("plan_hit_rate", hitRate(cached.PlanHits, cached.PlanMisses))
+	rep.metric("score_hit_rate", hitRate(cached.ScoreHits, cached.ScoreMisses))
+	return rep, nil
 }
 
-// Serve is the registry wrapper: it runs the replay comparison and returns
-// just the report (cmd/ppbench -serve also writes the JSON document).
-func Serve(cfg Config) (*Report, error) {
-	_, rep, err := RunServe(cfg)
-	return rep, err
+// hitRate is hits over lookups, zero when nothing was looked up.
+func hitRate(hits, misses uint64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 func b2f(b bool) float64 {

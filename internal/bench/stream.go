@@ -8,17 +8,14 @@ package bench
 // fresh labels → probation → close) with the per-segment cluster cost ratio
 // against the NoP plan recovering below 0.8 once the retrained PP is live,
 // plus a frozen-corpus check that per-segment deltas concatenate
-// byte-identically to the one-shot batch query. CI gates on backfill
-// equivalence, the trip happening, the breaker closing again, post-recovery
-// accuracy >= target and post-recovery cost ratio <= 0.8.
+// byte-identically to the one-shot batch query. TestScenarioGates requires
+// backfill equivalence, the trip happening, the breaker closing again,
+// post-recovery accuracy >= the watchdog's healthy threshold and pre-drift
+// and post-recovery cost ratios in (0, 0.8].
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"strings"
-	"time"
 
 	"probpred/internal/blob"
 	"probpred/internal/core"
@@ -87,82 +84,25 @@ func (b *segStreamBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter 
 	return engine.Plan{Ops: ops}, nil
 }
 
-// StreamSegment is one ingested segment's outcome.
-type StreamSegment struct {
-	Index   int    `json:"index"`
-	Version uint64 `json:"version"`
+// streamSegment is one ingested segment's outcome.
+type streamSegment struct {
+	Index int
 	// Regime is 0 before the label inversion, 1 after.
-	Regime int `json:"regime"`
-	Blobs  int `json:"blobs"`
-	Rows   int `json:"rows"`
+	Regime int
+	Rows   int
 	// Injected reports whether the standing query ran with a PP filter.
-	Injected bool `json:"injected"`
+	Injected bool
 	// Accuracy is the audited realized accuracy (retained/expected); -1 when
 	// the segment carried no accuracy evidence.
-	Accuracy float64 `json:"accuracy"`
-	// ClusterVMS / NoPClusterVMS are the segment's virtual cluster costs
-	// with the standing query's plan and with the PP-less baseline plan.
-	ClusterVMS    float64 `json:"cluster_vms"`
-	NoPClusterVMS float64 `json:"nop_cluster_vms"`
-	// CostRatio is ClusterVMS / NoPClusterVMS.
-	CostRatio float64 `json:"cost_ratio"`
+	Accuracy float64
+	// CostRatio is the segment's virtual cluster cost with the standing
+	// query's plan over its cost with the PP-less baseline plan.
+	CostRatio float64
 	// Breaker is the watchdog circuit state after the segment landed.
-	Breaker string `json:"breaker"`
+	Breaker string
 	// Trainings / Trips are cumulative counts after the segment.
-	Trainings int `json:"trainings"`
-	Trips     int `json:"trips"`
-}
-
-// StreamDoc is the machine-readable report written to BENCH_stream.json.
-type StreamDoc struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-	Seed        uint64 `json:"seed"`
-	Quick       bool   `json:"quick"`
-
-	Clause   string  `json:"clause"`
-	Accuracy float64 `json:"accuracy"`
-	// Margin is the watchdog's accuracy slack: a segment is healthy when
-	// observed >= Accuracy - Margin, which is also the CI recovery gate.
-	Margin   float64 `json:"margin"`
-	SegSize  int     `json:"seg_size"`
-	Segments int     `json:"segments"`
-	// DriftAt is the segment index at which the label distribution inverts.
-	DriftAt int `json:"drift_at"`
-
-	Timeline []StreamSegment `json:"timeline"`
-
-	Trainings int `json:"trainings"`
-	Trips     int `json:"trips"`
-	// WatchdogTripped: the inversion tripped the clause's breaker.
-	WatchdogTripped bool `json:"watchdog_tripped"`
-	// WatchdogRecovered: a post-trip retraining ran and the breaker closed
-	// again by the end of the stream.
-	WatchdogRecovered bool `json:"watchdog_recovered"`
-	// PreDriftCostRatio / RecoveredCostRatio are mean per-segment cost
-	// ratios over the healthy pre-drift window and the final window after
-	// recovery. CI requires RecoveredCostRatio <= 0.8.
-	PreDriftCostRatio  float64 `json:"pre_drift_cost_ratio"`
-	RecoveredCostRatio float64 `json:"recovered_cost_ratio"`
-	// RecoveredAccuracy is the mean audited accuracy over the post-recovery
-	// window. CI requires >= Accuracy.
-	RecoveredAccuracy float64 `json:"recovered_accuracy"`
-
-	// BackfillSegments / BackfillEqual report the frozen-corpus equivalence
-	// pass: per-segment deltas concatenated across BackfillSegments segments
-	// versus the one-shot batch query, byte-compared. CI requires true.
-	BackfillSegments int  `json:"backfill_segments"`
-	BackfillEqual    bool `json:"backfill_equal"`
-}
-
-// Write serders the document as indented JSON.
-func (d *StreamDoc) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	Trainings int
+	Trips     int
 }
 
 // renderStreamRows flattens result rows to the byte-comparison primitive.
@@ -174,14 +114,24 @@ func renderStreamRows(resp *serve.Response) string {
 	return sb.String()
 }
 
-// RunStreamBench runs the drift scenario and the frozen-corpus backfill
-// equivalence pass, returning the JSON document plus a rendered report.
-func RunStreamBench(cfg Config) (*StreamDoc, *Report, error) {
+// Stream is the registry entry: the report of runStream.
+func Stream(cfg Config) (*Report, error) {
+	_, rep, err := runStream(cfg)
+	return rep, err
+}
+
+// runStream runs the drift scenario and the frozen-corpus backfill
+// equivalence pass, returning the per-segment timeline (whose structure
+// TestStreamBenchQuick checks) beside the rendered report.
+func runStream(cfg Config) ([]streamSegment, *Report, error) {
 	const (
 		clause   = "s>40"
 		accuracy = 0.9
-		udfCost  = 40.0
-		workers  = 4
+		// margin is the watchdog's accuracy slack: a segment is healthy when
+		// observed >= accuracy - margin, which is also the recovery gate.
+		margin  = 0.08
+		udfCost = 40.0
+		workers = 4
 	)
 	segSize := cfg.scale(400, 150)
 	nSegs := cfg.scale(30, 20)
@@ -205,7 +155,7 @@ func RunStreamBench(cfg Config) (*StreamDoc, *Report, error) {
 		Train:        core.TrainConfig{Approach: "Raw+SVM", Seed: cfg.Seed + 1},
 		WarmStart:    true,
 		Seed:         cfg.Seed + 2,
-		Watchdog:     online.WatchdogConfig{K: 3, Margin: 0.08, FreshLabels: segSize + segSize/2},
+		Watchdog:     online.WatchdogConfig{K: 3, Margin: margin, FreshLabels: segSize + segSize/2},
 		Metrics:      cfg.Metrics,
 		Obs:          cfg.Obs,
 	})
@@ -241,22 +191,7 @@ func RunStreamBench(cfg Config) (*StreamDoc, *Report, error) {
 		return nil, nil, err
 	}
 
-	doc := &StreamDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Seed:        cfg.Seed,
-		Quick:       cfg.Quick,
-		Clause:      clause,
-		Accuracy:    accuracy,
-		Margin:      0.08,
-		SegSize:     segSize,
-		Segments:    nSegs,
-		DriftAt:     driftAt,
-	}
-
+	var timeline []streamSegment
 	for i := 0; i < nSegs; i++ {
 		inverted := i >= driftAt
 		blobs := segStreamBlobs(segSize, cfg.Seed+100+uint64(i), i*segSize, inverted)
@@ -276,18 +211,14 @@ func RunStreamBench(cfg Config) (*StreamDoc, *Report, error) {
 			return nil, nil, err
 		}
 
-		seg := StreamSegment{
-			Index:         d.Segment.Index,
-			Version:       d.Segment.Version,
-			Blobs:         d.Segment.Len(),
-			Rows:          len(d.Resp.Result.Rows),
-			Injected:      d.Resp.Decision.Inject,
-			Accuracy:      -1,
-			ClusterVMS:    d.Resp.Result.ClusterTime,
-			NoPClusterVMS: nop.ClusterTime,
-			Breaker:       sys.Breaker(clause).String(),
-			Trainings:     sys.Trainings,
-			Trips:         sys.Trips,
+		seg := streamSegment{
+			Index:     d.Segment.Index,
+			Rows:      len(d.Resp.Result.Rows),
+			Injected:  d.Resp.Decision.Inject,
+			Accuracy:  -1,
+			Breaker:   sys.Breaker(clause).String(),
+			Trainings: sys.Trainings,
+			Trips:     sys.Trips,
 		}
 		if inverted {
 			seg.Regime = 1
@@ -298,92 +229,79 @@ func RunStreamBench(cfg Config) (*StreamDoc, *Report, error) {
 		if nop.ClusterTime > 0 {
 			seg.CostRatio = d.Resp.Result.ClusterTime / nop.ClusterTime
 		}
-		doc.Timeline = append(doc.Timeline, seg)
+		timeline = append(timeline, seg)
 	}
-
-	doc.Trainings = sys.Trainings
-	doc.Trips = sys.Trips
-	doc.WatchdogTripped = sys.Trips > 0
 
 	// Windows: pre-drift segments served under an injected PP; the recovered
 	// window is everything after the last breaker transition back to closed
 	// following the trip.
-	var pre []StreamSegment
-	for _, s := range doc.Timeline[:driftAt] {
+	var preRatios []float64
+	for _, s := range timeline[:driftAt] {
 		if s.Injected {
-			pre = append(pre, s)
+			preRatios = append(preRatios, s.CostRatio)
 		}
 	}
 	recoveredFrom := -1
-	for i := driftAt; i < len(doc.Timeline); i++ {
-		s := doc.Timeline[i]
-		if s.Trips > 0 && s.Breaker == "closed" && s.Trainings > doc.Timeline[driftAt-1].Trainings {
+	for i := driftAt; i < len(timeline); i++ {
+		s := timeline[i]
+		if s.Trips > 0 && s.Breaker == "closed" && s.Trainings > timeline[driftAt-1].Trainings {
 			recoveredFrom = i
 			break
 		}
 	}
-	doc.WatchdogRecovered = recoveredFrom >= 0 && doc.Timeline[len(doc.Timeline)-1].Breaker == "closed"
-	mean := func(segs []StreamSegment, f func(StreamSegment) float64) float64 {
-		if len(segs) == 0 {
-			return 0
-		}
-		var t float64
-		for _, s := range segs {
-			t += f(s)
-		}
-		return t / float64(len(segs))
-	}
-	doc.PreDriftCostRatio = mean(pre, func(s StreamSegment) float64 { return s.CostRatio })
+	// Tripped: the inversion tripped the clause's breaker. Recovered: a
+	// post-trip retraining ran and the breaker is closed again at the end.
+	tripped := sys.Trips > 0
+	recovered := recoveredFrom >= 0 && timeline[len(timeline)-1].Breaker == "closed"
+	var recRatios, recAccuracies []float64
 	if recoveredFrom >= 0 {
-		rec := doc.Timeline[recoveredFrom:]
-		doc.RecoveredCostRatio = mean(rec, func(s StreamSegment) float64 { return s.CostRatio })
-		var audited []StreamSegment
-		for _, s := range rec {
+		for _, s := range timeline[recoveredFrom:] {
+			recRatios = append(recRatios, s.CostRatio)
 			if s.Accuracy >= 0 {
-				audited = append(audited, s)
+				recAccuracies = append(recAccuracies, s.Accuracy)
 			}
 		}
-		doc.RecoveredAccuracy = mean(audited, func(s StreamSegment) float64 { return s.Accuracy })
 	}
+	preCostRatio, recCostRatio := mathx.Mean(preRatios), mathx.Mean(recRatios)
+	recAccuracy := mathx.Mean(recAccuracies)
 
 	// Frozen-corpus backfill equivalence: a fresh server over the trained
 	// corpus (no online loop, so PP state is frozen), fed segment-by-segment
 	// and compared byte-for-byte against the one-shot batch query.
-	doc.BackfillSegments = 4
-	eq, err := streamBackfillEqual(sys.Corpus(), builder, exec, accuracy, clause, cfg, doc.BackfillSegments)
+	const backfillSegments = 4
+	backfillEqual, err := streamBackfillEqual(sys.Corpus(), builder, exec, accuracy, clause, cfg, backfillSegments)
 	if err != nil {
 		return nil, nil, err
 	}
-	doc.BackfillEqual = eq
 
 	rep := &Report{ID: "stream", Title: fmt.Sprintf(
 		"Streaming ingestion under drift: %s over %d segments x %d blobs (inversion at segment %d)",
 		clause, nSegs, segSize, driftAt)}
 	tb := &table{header: []string{"seg", "regime", "rows", "acc", "cost ratio", "breaker", "trainings", "trips"}}
-	for _, s := range doc.Timeline {
+	for _, s := range timeline {
 		acc := "-"
 		if s.Accuracy >= 0 {
-			acc = fmt.Sprintf("%.3f", s.Accuracy)
+			acc = f3(s.Accuracy)
 		}
 		tb.add(fmt.Sprintf("%d", s.Index), fmt.Sprintf("%d", s.Regime), fmt.Sprintf("%d", s.Rows),
-			acc, fmt.Sprintf("%.3f", s.CostRatio), s.Breaker,
+			acc, f3(s.CostRatio), s.Breaker,
 			fmt.Sprintf("%d", s.Trainings), fmt.Sprintf("%d", s.Trips))
 	}
 	rep.Lines = tb.render()
-	rep.Lines = append(rep.Lines, "",
-		fmt.Sprintf("trip -> retrain -> recovery: tripped=%v recovered=%v trainings=%d",
-			doc.WatchdogTripped, doc.WatchdogRecovered, doc.Trainings),
-		fmt.Sprintf("cost ratio vs NoP: pre-drift %.3f, post-recovery %.3f   post-recovery accuracy %.3f (target %.2f)",
-			doc.PreDriftCostRatio, doc.RecoveredCostRatio, doc.RecoveredAccuracy, doc.Accuracy),
-		fmt.Sprintf("backfill == live over %d frozen segments: %v", doc.BackfillSegments, doc.BackfillEqual))
-	rep.metric("watchdog_tripped", b2f(doc.WatchdogTripped))
-	rep.metric("watchdog_recovered", b2f(doc.WatchdogRecovered))
-	rep.metric("pre_drift_cost_ratio", doc.PreDriftCostRatio)
-	rep.metric("recovered_cost_ratio", doc.RecoveredCostRatio)
-	rep.metric("recovered_accuracy", doc.RecoveredAccuracy)
-	rep.metric("backfill_equal", b2f(doc.BackfillEqual))
-	rep.metric("trainings", float64(doc.Trainings))
-	return doc, rep, nil
+	rep.addf("")
+	rep.addf("trip -> retrain -> recovery: tripped=%v recovered=%v trainings=%d", tripped, recovered, sys.Trainings)
+	rep.addf("cost ratio vs NoP: pre-drift %.3f, post-recovery %.3f   post-recovery accuracy %.3f (target %.2f, healthy >= %.2f)",
+		preCostRatio, recCostRatio, recAccuracy, accuracy, accuracy-margin)
+	rep.addf("backfill == live over %d frozen segments: %v", backfillSegments, backfillEqual)
+	rep.metric("watchdog_tripped", b2f(tripped))
+	rep.metric("watchdog_recovered", b2f(recovered))
+	rep.metric("pre_drift_cost_ratio", preCostRatio)
+	rep.metric("recovered_cost_ratio", recCostRatio)
+	rep.metric("recovered_accuracy", recAccuracy)
+	rep.metric("recovered_accuracy_floor", accuracy-margin)
+	rep.metric("backfill_equal", b2f(backfillEqual))
+	rep.metric("trainings", float64(sys.Trainings))
+	return timeline, rep, nil
 }
 
 // streamBackfillEqual ingests mixed-regime segments through a frozen stack
@@ -421,11 +339,4 @@ func streamBackfillEqual(corpus *optimizer.Corpus, builder serve.CorpusBuilder, 
 		return false, err
 	}
 	return live.String() == renderStreamRows(batch), nil
-}
-
-// Stream is the registry wrapper: it runs the drift scenario and returns
-// just the report (cmd/ppbench -stream also writes the JSON document).
-func Stream(cfg Config) (*Report, error) {
-	_, rep, err := RunStreamBench(cfg)
-	return rep, err
 }

@@ -3,50 +3,35 @@ package bench
 import "testing"
 
 // TestStreamBenchQuick runs the drift scenario at quick scale and asserts
-// the gated claims end-to-end: the inversion trips the watchdog, the breaker
-// recovers through retraining and probation, post-recovery accuracy is
-// healthy by the watchdog's own criterion, the recovered PP restores the
-// cost win, and frozen-corpus backfill equals live ingestion byte-for-byte.
+// the timeline's structure: one entry per segment, the NoP fallback right
+// after the breaker opens, and warm-started incremental retraining. The
+// scenario's metric claims (trip, recovery, accuracy, cost ratios, backfill
+// equivalence) are TestScenarioGates rows.
 func TestStreamBenchQuick(t *testing.T) {
-	doc, rep, err := RunStreamBench(Config{Seed: 1, Quick: true})
+	timeline, rep, err := runStream(Config{Seed: 1, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ID != "stream" || len(rep.Lines) == 0 {
 		t.Fatalf("malformed report: %+v", rep)
 	}
-	if !doc.WatchdogTripped {
-		t.Error("label inversion did not trip the watchdog")
-	}
-	if !doc.WatchdogRecovered {
-		t.Error("watchdog did not recover (retrain + probation close)")
-	}
-	if doc.RecoveredAccuracy < doc.Accuracy-doc.Margin {
-		t.Errorf("post-recovery accuracy %.3f below healthy threshold %.3f",
-			doc.RecoveredAccuracy, doc.Accuracy-doc.Margin)
-	}
-	if doc.RecoveredCostRatio <= 0 || doc.RecoveredCostRatio > 0.8 {
-		t.Errorf("post-recovery cost ratio %.3f, want (0, 0.8]", doc.RecoveredCostRatio)
-	}
-	if doc.PreDriftCostRatio <= 0 || doc.PreDriftCostRatio > 0.8 {
-		t.Errorf("pre-drift cost ratio %.3f, want (0, 0.8]", doc.PreDriftCostRatio)
-	}
-	if !doc.BackfillEqual {
-		t.Error("frozen-corpus backfill != live deltas")
-	}
-	if len(doc.Timeline) != doc.Segments {
-		t.Fatalf("timeline has %d segments, want %d", len(doc.Timeline), doc.Segments)
+	const quickSegments = 20
+	if len(timeline) != quickSegments {
+		t.Fatalf("timeline has %d segments, want %d", len(timeline), quickSegments)
 	}
 	// A segment is served under the breaker state left by the previous
 	// segment's train phase: after an "open" segment the next one must run
 	// without injection (the NoP fallback).
 	sawOpen := false
-	for i, s := range doc.Timeline {
+	for i, s := range timeline {
+		if s.Index != i {
+			t.Errorf("timeline[%d] is segment %d", i, s.Index)
+		}
 		if s.Breaker != "open" {
 			continue
 		}
 		sawOpen = true
-		if i+1 < len(doc.Timeline) && doc.Timeline[i+1].Trainings == s.Trainings && doc.Timeline[i+1].Injected {
+		if i+1 < len(timeline) && timeline[i+1].Trainings == s.Trainings && timeline[i+1].Injected {
 			t.Errorf("segment %d served with an injected PP right after the breaker opened", i+1)
 		}
 	}
@@ -55,7 +40,7 @@ func TestStreamBenchQuick(t *testing.T) {
 	}
 	// Warm-started incremental retraining: more trainings than the single
 	// cold start plus the post-trip retrain.
-	if doc.Trainings < 4 {
-		t.Errorf("Trainings = %d, want scheduled incremental retrainings", doc.Trainings)
+	if n := timeline[len(timeline)-1].Trainings; n < 4 {
+		t.Errorf("Trainings = %d, want scheduled incremental retrainings", n)
 	}
 }

@@ -87,7 +87,8 @@ type TraceDetail struct {
 	SpanCount int `json:"span_count"`
 }
 
-// Analysis is the analyzer's report — the body of BENCH_obs.json.
+// Analysis is the analyzer's report — what ppbench's `obs` experiment
+// prints and gates on.
 type Analysis struct {
 	Sessions int `json:"sessions"`
 	LegRecords int `json:"leg_records"`
