@@ -174,7 +174,7 @@ func (f *fixture) reopt() ReoptFunc {
 func renderRows(rows []engine.Row) string {
 	var sb strings.Builder
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%d:%v;", r.Blob.ID, r.Cols)
+		fmt.Fprintf(&sb, "%d:%v;", r.Blob.ID, r.Columns())
 	}
 	return sb.String()
 }

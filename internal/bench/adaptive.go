@@ -74,7 +74,7 @@ func driftedStream(src []blob.Blob, first, second string, rows, onEvery int) ([]
 func renderResult(res *engine.Result) string {
 	var sb strings.Builder
 	for _, r := range res.Rows {
-		fmt.Fprintf(&sb, "%d:%v;", r.Blob.ID, r.Cols)
+		fmt.Fprintf(&sb, "%d:%v;", r.Blob.ID, r.Columns())
 	}
 	return sb.String()
 }

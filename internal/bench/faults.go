@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"probpred/internal/core"
 	"probpred/internal/data"
@@ -186,13 +187,8 @@ func rowsIdentical(a, b []engine.Row) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Blob.ID != b[i].Blob.ID || len(a[i].Cols) != len(b[i].Cols) {
+		if a[i].Blob.ID != b[i].Blob.ID || !slices.Equal(a[i].Columns(), b[i].Columns()) {
 			return false
-		}
-		for col, v := range a[i].Cols {
-			if got, ok := b[i].Cols[col]; !ok || got != v {
-				return false
-			}
 		}
 	}
 	return true

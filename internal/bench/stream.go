@@ -109,7 +109,7 @@ type streamSegment struct {
 func renderStreamRows(resp *serve.Response) string {
 	var sb strings.Builder
 	for _, r := range resp.Result.Rows {
-		fmt.Fprintf(&sb, "%d:%v;", r.Blob.ID, r.Cols)
+		fmt.Fprintf(&sb, "%d:%v;", r.Blob.ID, r.Columns())
 	}
 	return sb.String()
 }

@@ -24,7 +24,7 @@ func adaptivePlan(n int, filterCost float64) Plan {
 func renderRows(rows []Row) string {
 	s := ""
 	for _, r := range rows {
-		s += fmt.Sprintf("%d:%v;", r.Blob.ID, r.Cols)
+		s += fmt.Sprintf("%d:%v;", r.Blob.ID, r.Columns())
 	}
 	return s
 }

@@ -165,8 +165,8 @@ func TestProjectRenameDropCompute(t *testing.T) {
 
 func TestFKJoin(t *testing.T) {
 	dim := []Row{
-		{Cols: map[string]query.Value{"cam": query.Str("c1"), "zone": query.Str("north")}},
-		{Cols: map[string]query.Value{"cam": query.Str("c2"), "zone": query.Str("south")}},
+		Row{}.With("cam", query.Str("c1")).With("zone", query.Str("north")),
+		Row{}.With("cam", query.Str("c2")).With("zone", query.Str("south")),
 	}
 	blobs := makeBlobs(4)
 	plan := Plan{Ops: []Operator{
@@ -199,8 +199,8 @@ func TestFKJoin(t *testing.T) {
 
 func TestFKJoinDuplicatePKFails(t *testing.T) {
 	dim := []Row{
-		{Cols: map[string]query.Value{"k": query.Str("a")}},
-		{Cols: map[string]query.Value{"k": query.Str("a")}},
+		Row{}.With("k", query.Str("a")),
+		Row{}.With("k", query.Str("a")),
 	}
 	plan := Plan{Ops: []Operator{
 		&Scan{Blobs: makeBlobs(1)},
@@ -228,10 +228,7 @@ func (c countReducer) Key(r Row) (string, error) {
 	return v.String(), nil
 }
 func (c countReducer) Reduce(key string, rows []Row) ([]Row, error) {
-	return []Row{{Cols: map[string]query.Value{
-		"key":   query.Str(key),
-		"count": query.Number(float64(len(rows))),
-	}}}, nil
+	return []Row{Row{}.With("key", query.Str(key)).With("count", query.Number(float64(len(rows))))}, nil
 }
 
 func TestGroupReduce(t *testing.T) {
@@ -274,7 +271,7 @@ func (pairCombiner) Combine(key string, left, right []Row) ([]Row, error) {
 	var out []Row
 	for range left {
 		for range right {
-			out = append(out, Row{Cols: map[string]query.Value{"key": query.Str(key)}})
+			out = append(out, Row{}.With("key", query.Str(key)))
 		}
 	}
 	return out, nil
@@ -282,8 +279,8 @@ func (pairCombiner) Combine(key string, left, right []Row) ([]Row, error) {
 
 func TestCombine(t *testing.T) {
 	right := []Row{
-		{Cols: map[string]query.Value{"k": query.Str("a")}},
-		{Cols: map[string]query.Value{"k": query.Str("a")}},
+		Row{}.With("k", query.Str("a")),
+		Row{}.With("k", query.Str("a")),
 	}
 	plan := Plan{Ops: []Operator{
 		&Scan{Blobs: makeBlobs(3)},

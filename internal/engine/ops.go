@@ -40,8 +40,8 @@ func (s *Scan) StageBoundary() bool { return false }
 // Exec implements Operator; it ignores its input.
 func (s *Scan) Exec(_ []Row, st *Stats) ([]Row, error) {
 	out := make([]Row, len(s.Blobs))
-	for i, b := range s.Blobs {
-		out[i] = NewRow(b)
+	for i := range s.Blobs {
+		out[i].Blob = s.Blobs[i]
 	}
 	st.charge(s.Name(), scanCost*float64(len(out)))
 	return out, nil
@@ -100,14 +100,19 @@ func (s *Select) StageBoundary() bool { return false }
 
 // Exec implements Operator.
 func (s *Select) Exec(in []Row, st *Stats) ([]Row, error) {
-	var out []Row
-	for _, r := range in {
-		ok, err := s.Pred.Eval(r.Lookup)
+	// One lookup closure per Exec, repointed at each row: binding r.Lookup
+	// inside the loop would heap-allocate a method value per row.
+	var cur *Row
+	lookup := query.Lookup(func(col string) (query.Value, bool) { return cur.Lookup(col) })
+	out := make([]Row, 0, len(in))
+	for i := range in {
+		cur = &in[i]
+		ok, err := s.Pred.Eval(lookup)
 		if err != nil {
 			return nil, fmt.Errorf("engine: select: %w", err)
 		}
 		if ok {
-			out = append(out, r)
+			out = append(out, in[i])
 		}
 	}
 	st.charge(s.Name(), selectCost*float64(len(in)))
@@ -204,19 +209,25 @@ func putFilterBatch(fb *filterBatch) {
 // chunk implements rowParallel: the rows' blobs are gathered into
 // pool-recycled buffers and tested in one TestBatch call; costs are then
 // summed per row in input order and the survivors gathered into an output
-// preallocated at input capacity — filters only drop rows.
+// sized by the pass count — a PP drops most of its input, and an output at
+// input capacity would be allocated and zeroed for rows that never arrive.
 func (p *PPFilter) chunk(in []Row, _ Config, _ *retryTally, ct *CacheTally) ([]Row, float64, error) {
 	fb := getFilterBatch(len(in))
-	for i, r := range in {
-		fb.blobs[i] = r.Blob
+	for i := range in {
+		fb.blobs[i] = in[i].Blob
 	}
 	p.F.TestBatch(fb.blobs, fb.pass, fb.cost, ct)
-	out := make([]Row, 0, len(in))
-	total := 0.0
-	for i, r := range in {
+	total, passed := 0.0, 0
+	for i, ok := range fb.pass {
 		total += fb.cost[i]
-		if fb.pass[i] {
-			out = append(out, r)
+		if ok {
+			passed++
+		}
+	}
+	out := make([]Row, 0, passed)
+	for i, ok := range fb.pass {
+		if ok {
+			out = append(out, in[i])
 		}
 	}
 	putFilterBatch(fb)
@@ -258,23 +269,22 @@ func (p *Project) Exec(in []Row, st *Stats) ([]Row, error) {
 		cost += c.Cost
 	}
 	for _, r := range in {
-		cols := make(map[string]query.Value, len(r.Cols))
-		for k, v := range r.Cols {
-			if drop[k] {
+		nr := NewRow(r.Blob)
+		for _, c := range r.Columns() {
+			if drop[c.Name] {
 				continue
 			}
-			if nk, ok := p.Rename[k]; ok {
-				k = nk
+			if nk, ok := p.Rename[c.Name]; ok {
+				c.Name = nk
 			}
-			cols[k] = v
+			nr = nr.With(c.Name, c.Val)
 		}
-		nr := Row{Blob: r.Blob, Cols: cols}
 		for _, c := range p.Compute {
 			v, err := c.Fn(nr)
 			if err != nil {
 				return nil, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
 			}
-			nr.Cols[c.Name] = v
+			nr = nr.With(c.Name, v)
 		}
 		out = append(out, nr)
 	}
@@ -305,7 +315,8 @@ func (j *FKJoin) StageBoundary() bool { return true }
 
 // Exec implements Operator.
 func (j *FKJoin) Exec(in []Row, st *Stats) ([]Row, error) {
-	build := make(map[string]Row, len(j.Table))
+	// Each dimension row's columns are listed once, at build, not per probe.
+	build := make(map[string][]Column, len(j.Table))
 	for _, r := range j.Table {
 		v, err := r.Get(j.RightKey)
 		if err != nil {
@@ -315,7 +326,7 @@ func (j *FKJoin) Exec(in []Row, st *Stats) ([]Row, error) {
 		if _, dup := build[key]; dup {
 			return nil, fmt.Errorf("engine: fk join: duplicate primary key %q in dimension table", key)
 		}
-		build[key] = r
+		build[key] = r.Columns()
 	}
 	var out []Row
 	for _, r := range in {
@@ -328,11 +339,11 @@ func (j *FKJoin) Exec(in []Row, st *Stats) ([]Row, error) {
 			continue
 		}
 		nr := r
-		for k, dv := range dim.Cols {
-			if k == j.RightKey {
+		for _, c := range dim {
+			if c.Name == j.RightKey {
 				continue
 			}
-			nr = nr.With(k, dv)
+			nr = nr.With(c.Name, c.Val)
 		}
 		out = append(out, nr)
 	}

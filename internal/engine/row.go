@@ -15,47 +15,84 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"probpred/internal/blob"
 	"probpred/internal/query"
 )
 
 // Row is one tuple: the originating raw blob plus the relational columns
-// materialized so far.
+// materialized so far. The columns are an immutable singly linked list,
+// newest first, shared structurally between a row and every row derived from
+// it: a scanned row has none (nil), so a row the PP filter drops never
+// allocates, and With prepends one node without copying. Rows hold a handful
+// of columns (one per UDF on the plan), so a linear walk beats hashing.
 type Row struct {
 	Blob blob.Blob
-	Cols map[string]query.Value
+	cols *column
+}
+
+// column is one node of a row's column list. Nodes are never modified after
+// With returns, which is what lets concurrent readers and sibling rows share
+// a tail without synchronization.
+type column struct {
+	name string
+	val  query.Value
+	next *column // older columns; a later node of the same name is shadowed
+}
+
+// Column is one visible (unshadowed) column of a row.
+type Column struct {
+	Name string
+	Val  query.Value
 }
 
 // NewRow wraps a blob with no materialized columns.
-func NewRow(b blob.Blob) Row {
-	return Row{Blob: b, Cols: map[string]query.Value{}}
-}
+func NewRow(b blob.Blob) Row { return Row{Blob: b} }
 
 // Lookup implements the predicate binding over the row's columns.
 func (r Row) Lookup(col string) (query.Value, bool) {
-	v, ok := r.Cols[col]
-	return v, ok
+	for c := r.cols; c != nil; c = c.next {
+		if c.name == col {
+			return c.val, true
+		}
+	}
+	return query.Value{}, false
 }
 
-// With returns a copy of the row with one additional column; the original is
-// not modified (operators may hold references to earlier rows).
+// With returns the row with one additional column, which shadows any earlier
+// column of the same name; the original is not modified (operators may hold
+// references to earlier rows).
 func (r Row) With(col string, v query.Value) Row {
-	cols := make(map[string]query.Value, len(r.Cols)+1)
-	for k, val := range r.Cols {
-		cols[k] = val
-	}
-	cols[col] = v
-	return Row{Blob: r.Blob, Cols: cols}
+	return Row{Blob: r.Blob, cols: &column{name: col, val: v, next: r.cols}}
 }
 
 // Get returns a column value or an error naming the missing column.
 func (r Row) Get(col string) (query.Value, error) {
-	v, ok := r.Cols[col]
+	v, ok := r.Lookup(col)
 	if !ok {
 		return query.Value{}, fmt.Errorf("engine: row has no column %q", col)
 	}
 	return v, nil
+}
+
+// Columns returns the row's visible columns sorted by name, so two rows
+// holding the same values list identically however they were built. It is
+// the one way to iterate a row; it allocates, and no per-row hot path calls
+// it.
+func (r Row) Columns() []Column {
+	var out []Column
+walk:
+	for c := r.cols; c != nil; c = c.next {
+		for _, seen := range out {
+			if seen.Name == c.name {
+				continue walk // shadowed by a newer column
+			}
+		}
+		out = append(out, Column{Name: c.name, Val: c.val})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Processor is the row-manipulator UDF template of §4: it produces zero or

@@ -24,12 +24,14 @@ import (
 
 // batchScratch holds the recycled buffers of one TestBatch call: a free-list
 // of index slices for the per-node active lists plus the gather buffers the
-// leaves score through. missScores is the cached path's scatter buffer for
+// leaves score through. ids and missScores belong to the cached path: the
+// active rows' blob IDs for the batch probe, and the scatter buffer for
 // freshly scored cache misses. One scratch is used by one goroutine at a time.
 type batchScratch struct {
 	idxFree    [][]int
 	blobs      []blob.Blob
 	scores     []float64
+	ids        []int
 	missScores []float64
 }
 
@@ -84,32 +86,32 @@ func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, c
 	if cap(s.blobs) < n {
 		s.blobs = make([]blob.Blob, n)
 		s.scores = make([]float64, n)
+		s.ids = make([]int, n)
 		s.missScores = make([]float64, n)
 	}
 	bs, sc := s.blobs[:n], s.scores[:n]
 	if l.cache != nil {
-		// Resolve what the cache already knows, then batch-score only the
-		// misses through the same ScoreBatch kernel the uncached path uses
-		// (bit-identical to per-row Score), and scatter them back so sc[j]
-		// ends up identical to the uncached fill for every active row.
-		missIdx := s.getIdx(n)
+		// Resolve what the cache already knows in one probe, then
+		// batch-score only the misses through the same ScoreBatch kernel the
+		// uncached path uses (bit-identical to per-row Score), and scatter
+		// them back so sc[j] ends up identical to the uncached fill for
+		// every active row. The misses go back to the cache in one put.
+		ids := s.ids[:n]
 		for j, i := range active {
-			if v, ok := l.cache.Get(l.pp, blobs[i].ID); ok {
-				sc[j] = v
-			} else {
-				missIdx = append(missIdx, j)
-			}
+			ids[j] = blobs[i].ID
 		}
+		missIdx := l.cache.GetBatch(l.pp, ids, sc, s.getIdx(n))
 		if nm := len(missIdx); nm > 0 {
 			mb, ms := bs[:nm], s.missScores[:nm]
 			for k, j := range missIdx {
 				mb[k] = blobs[active[j]]
+				ids[k] = ids[j] // k <= j: compacts the miss IDs in place
 			}
 			l.pp.ScoreBatch(mb, ms)
 			for k, j := range missIdx {
 				sc[j] = ms[k]
-				l.cache.Put(l.pp, blobs[active[j]].ID, ms[k])
 			}
+			l.cache.PutBatch(l.pp, ids[:nm], ms)
 		}
 		ct.Hit(uint64(n - len(missIdx)))
 		ct.Miss(uint64(len(missIdx)))

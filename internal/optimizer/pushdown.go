@@ -129,9 +129,9 @@ func pushBelow(op engine.Operator, pred query.Pred) (query.Pred, float64, string
 		// exist below the join.
 		dimCols := map[string]bool{}
 		for _, r := range n.Table {
-			for col := range r.Cols {
-				if col != n.RightKey {
-					dimCols[col] = true
+			for _, c := range r.Columns() {
+				if c.Name != n.RightKey {
+					dimCols[c.Name] = true
 				}
 			}
 		}

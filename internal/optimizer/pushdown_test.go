@@ -122,10 +122,10 @@ func TestInjectIntoPlanFKJoinRule(t *testing.T) {
 	val := miniBlobs(1500, 44)
 	opt := New(miniCorpus(t, val))
 	dim := []engine.Row{
-		{Cols: map[string]query.Value{"t": query.Str("SUV"), "class": query.Str("large")}},
-		{Cols: map[string]query.Value{"t": query.Str("sedan"), "class": query.Str("small")}},
-		{Cols: map[string]query.Value{"t": query.Str("truck"), "class": query.Str("large")}},
-		{Cols: map[string]query.Value{"t": query.Str("van"), "class": query.Str("large")}},
+		engine.Row{}.With("t", query.Str("SUV")).With("class", query.Str("large")),
+		engine.Row{}.With("t", query.Str("sedan")).With("class", query.Str("small")),
+		engine.Row{}.With("t", query.Str("truck")).With("class", query.Str("large")),
+		engine.Row{}.With("t", query.Str("van")).With("class", query.Str("large")),
 	}
 	join := &engine.FKJoin{LeftKey: "t", RightKey: "t", Table: dim}
 

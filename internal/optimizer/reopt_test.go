@@ -171,12 +171,20 @@ type scoreKey struct {
 	id int
 }
 
-func (m mapScoreCache) Get(pp *core.PP, blobID int) (float64, bool) {
-	v, ok := m[scoreKey{pp, blobID}]
-	return v, ok
+func (m mapScoreCache) GetBatch(pp *core.PP, ids []int, scores []float64, miss []int) []int {
+	for i, id := range ids {
+		if v, ok := m[scoreKey{pp, id}]; ok {
+			scores[i] = v
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	return miss
 }
-func (m mapScoreCache) Put(pp *core.PP, blobID int, score float64) {
-	m[scoreKey{pp, blobID}] = score
+func (m mapScoreCache) PutBatch(pp *core.PP, ids []int, scores []float64) {
+	for i, id := range ids {
+		m[scoreKey{pp, id}] = scores[i]
+	}
 }
 
 // WithScoreCache composed after WithRuntimeObserver keeps the probes wired.

@@ -10,17 +10,26 @@ import "probpred/internal/core"
 // bit-identical to a fresh one: caching changes neither results nor virtual
 // cost accounting, only the real CPU spent.
 
-// ScoreCache memoizes per-(PP, blob) classifier scores. Implementations must
-// be safe for concurrent use — one cache is shared by every session of a
-// serving process. Keys are PP identity (pointer) plus blob ID, so a
-// negation-derived PP caches independently of its base (their scores differ
-// in sign), and blob IDs must be unique within the corpus a cache serves.
+// ScoreCache memoizes per-(PP, blob) classifier scores, a batch at a time: a
+// leaf probes every row still active at its point of the expression walk in
+// one call, so an implementation can take its locks once per batch and
+// overlap the probes' memory misses. A scalar lookup is a batch of one.
+// Implementations must be safe for concurrent use — one cache is shared by
+// every session of a serving process. Keys are PP identity (pointer) plus
+// blob ID, so a negation-derived PP caches independently of its base (their
+// scores differ in sign), and blob IDs must be unique within the corpus a
+// cache serves.
 type ScoreCache interface {
-	// Get returns the cached score of pp on the blob with the given ID.
-	Get(pp *core.PP, blobID int) (float64, bool)
-	// Put stores pp's score for the blob. Implementations may drop entries
-	// (bounded caches): Put is a hint, not a guarantee.
-	Put(pp *core.PP, blobID int, score float64)
+	// GetBatch looks up pp's cached score for each blob ID. A hit stores the
+	// score at scores[i]; a miss leaves scores[i] alone and appends i to
+	// miss, in ascending order. It returns the extended miss slice. ids and
+	// scores share one length, and the outcome is that of looking the ids up
+	// one at a time in index order (duplicates included).
+	GetBatch(pp *core.PP, ids []int, scores []float64, miss []int) []int
+	// PutBatch stores scores[i] as pp's score for blob ids[i], in index
+	// order. Implementations may drop entries (bounded caches): a put is a
+	// hint, not a guarantee.
+	PutBatch(pp *core.PP, ids []int, scores []float64)
 }
 
 // WithScoreCache returns a copy of the compiled filter whose leaves consult
@@ -36,10 +45,9 @@ func (c *Compiled) WithScoreCache(cache ScoreCache) *Compiled {
 // WithScoreCacheMin is WithScoreCache with a cost-aware bypass: only leaves
 // whose estimated per-blob score cost (reducer + scorer virtual ms) is at
 // least minCost get the cache attached; cheaper leaves keep a nil cache and
-// recompute every score. For cheap scorers (an SVM dot product) the cache's
-// lock and map traffic costs more real CPU than scoring, while expensive
-// KDE/DNN PPs still win by caching — minCost is the cutover. Bypassed
-// leaves touch neither hit nor miss counters. minCost <= 0 caches every
+// recompute every score — for a cache whose lookup costs more real CPU than
+// the cheapest scorer, minCost is the cutover. Bypassed leaves touch neither
+// hit nor miss counters. minCost <= 0 caches every
 // leaf; results are identical either way (the cache is transparent).
 func (c *Compiled) WithScoreCacheMin(cache ScoreCache, minCost float64) *Compiled {
 	if c == nil || cache == nil {

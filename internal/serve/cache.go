@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"probpred/internal/core"
 	"probpred/internal/optimizer"
@@ -177,14 +176,16 @@ func (c *planCache) len() int {
 }
 
 // scoreEntry is one slab slot: a memoized score, its key, and its links in
-// the shard's recency list. The key is PP identity (pointer — negation-
-// derived PPs cache independently of their base) plus the blob's corpus-
-// unique ID. The struct is 32 bytes on 64-bit platforms, two per cache line.
+// the shard's recency list. The key is PP identity (negation-derived PPs
+// cache independently of their base) plus the blob's corpus-unique ID. The
+// PP is held as its interned number rather than its pointer, so the entry has
+// no pointer in it and the collector never scans a slab. The struct is 32
+// bytes on 64-bit platforms, two per cache line.
 type scoreEntry struct {
-	pp         *core.PP
+	pp         uint32 // scoreCache.intern
+	prev, next int32  // slab slots; towards more / less recently used
 	id         int
 	score      float64
-	prev, next int32 // slab slots; towards more / less recently used
 }
 
 // scoreShard is one lock's worth of the score cache: a bounded exact-LRU map
@@ -215,11 +216,9 @@ func newScoreShard(capacity int) *scoreShard {
 	return sh
 }
 
-// scoreHash mixes a key into 64 bits whose top bits are used. Go's collector
-// does not move heap objects, so a PP's address is a stable identity for as
-// long as the entry's own pointer keeps the PP alive.
-func scoreHash(pp *core.PP, id int) uint64 {
-	h := uint64(id)*0x9E3779B97F4A7C15 + uint64(uintptr(unsafe.Pointer(pp)))*0xC2B2AE3D27D4EB4F
+// scoreHash mixes a key into 64 bits whose top bits are used.
+func scoreHash(pp uint32, id int) uint64 {
+	h := uint64(id)*0x9E3779B97F4A7C15 + uint64(pp)*0xC2B2AE3D27D4EB4F
 	return (h ^ h>>32) * 0x9E3779B97F4A7C15
 }
 
@@ -238,17 +237,22 @@ func (sh *scoreShard) resetIndex(n int) {
 func (sh *scoreShard) place(slot int32) {
 	mask := uint64(len(sh.index) - 1)
 	e := &sh.slab[slot]
-	i := scoreHash(e.pp, e.id) >> sh.shift
+	i := sh.home(scoreHash(e.pp, e.id))
 	for sh.index[i] != 0 {
 		i = (i + 1) & mask
 	}
 	sh.index[i] = slot
 }
 
-// find returns the slab slot caching (pp, id), or 0.
-func (sh *scoreShard) find(pp *core.PP, id int) int32 {
+// home returns the bucket a key hashing to h probes first.
+func (sh *scoreShard) home(h uint64) uint64 { return h >> sh.shift }
+
+// find returns the slab slot caching (pp, id), or 0, walking the key's probe
+// run from bucket i: its home bucket, or a later one when the buckets before
+// it are known to hold other keys.
+func (sh *scoreShard) find(pp uint32, id int, i uint64) int32 {
 	mask := uint64(len(sh.index) - 1)
-	for i := scoreHash(pp, id) >> sh.shift; ; i = (i + 1) & mask {
+	for i &= mask; ; i = (i + 1) & mask {
 		slot := sh.index[i]
 		if slot == 0 {
 			return 0
@@ -285,13 +289,13 @@ func (sh *scoreShard) pushFront(slot int32) {
 func (sh *scoreShard) unindex(slot int32) {
 	mask := uint64(len(sh.index) - 1)
 	e := &sh.slab[slot]
-	i := scoreHash(e.pp, e.id) >> sh.shift
+	i := sh.home(scoreHash(e.pp, e.id))
 	for sh.index[i] != slot {
 		i = (i + 1) & mask
 	}
 	for j := (i + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
 		m := &sh.slab[sh.index[j]]
-		home := scoreHash(m.pp, m.id) >> sh.shift
+		home := sh.home(scoreHash(m.pp, m.id))
 		// The entry at j may fill the hole at i unless its home bucket lies
 		// cyclically in (i, j]: then the hole is not on its probe path.
 		if (j-home)&mask >= (j-i)&mask {
@@ -304,7 +308,7 @@ func (sh *scoreShard) unindex(slot int32) {
 
 // insert caches a key known to be absent as the most recently used entry,
 // recycling the least recently used slot when the shard is full.
-func (sh *scoreShard) insert(pp *core.PP, id int, score float64) {
+func (sh *scoreShard) insert(pp uint32, id int, score float64) {
 	var slot int32
 	if len(sh.slab) > sh.cap {
 		slot = sh.slab[0].prev
@@ -336,14 +340,61 @@ func (sh *scoreShard) insert(pp *core.PP, id int, score float64) {
 	}
 }
 
+// findBatch is find for every probe listed in ord (indices into ids; hash[k]
+// is the key hash of probe ord[k]), leaving each probe's slab slot, or 0, in
+// slot[ord[k]]. The lookups are staged — every home bucket is read first,
+// then every slab entry those buckets name — so the group's cache misses
+// overlap instead of each probe waiting out its own two in turn. Only a probe
+// whose home bucket holds a different key walks its run. Nothing here writes
+// to the shard, so the answers are those of calling find probe by probe.
+func (sh *scoreShard) findBatch(pp uint32, ids []int, ord []int32, hash []uint64, slot []int32) {
+	index, slab := sh.index, sh.slab
+	for k, i := range ord {
+		slot[i] = index[sh.home(hash[k])]
+	}
+	for k, i := range ord {
+		if s := slot[i]; s != 0 && (slab[s].id != ids[i] || slab[s].pp != pp) {
+			slot[i] = sh.find(pp, ids[i], sh.home(hash[k])+1)
+		}
+	}
+}
+
 // scoreCache implements optimizer.ScoreCache as a sharded bounded LRU.
 // Sharding is by blob ID so concurrent sessions scanning the same stream
-// spread their lookups across locks. In disabled mode every Get is counted
-// as a miss and Put stores nothing — that is how the benchmark measures the
-// uncached evaluation count through identical code paths.
+// spread their lookups across locks. A batch is grouped by shard and each
+// shard's lock taken once for its whole group; the grouping is stable, so a
+// shard sees its keys in the order a one-at-a-time caller would have sent
+// them, and its recency list, victims and counters come out the same. In
+// disabled mode every lookup is counted as a miss and puts store nothing —
+// that is how the benchmark measures the uncached evaluation count through
+// identical code paths.
 type scoreCache struct {
 	shards   []*scoreShard
 	disabled bool
+	// interned numbers every PP the cache has been asked about, from 1 and
+	// never reusing a number. The table keeps each PP reachable, so its
+	// address cannot be recycled for another PP and turn an old entry into a
+	// stale hit; the price is that a retired PP's model outlives its entries.
+	internMu sync.RWMutex
+	interned map[*core.PP]uint32
+}
+
+// intern returns pp's number, assigning the next one on first sight.
+func (c *scoreCache) intern(pp *core.PP) uint32 {
+	c.internMu.RLock()
+	n, ok := c.interned[pp]
+	c.internMu.RUnlock()
+	if ok {
+		return n
+	}
+	c.internMu.Lock()
+	defer c.internMu.Unlock()
+	if n, ok := c.interned[pp]; ok {
+		return n
+	}
+	n = uint32(len(c.interned) + 1)
+	c.interned[pp] = n
+	return n
 }
 
 func newScoreCache(size, shards int, disabled bool) *scoreCache {
@@ -355,52 +406,136 @@ func newScoreCache(size, shards int, disabled bool) *scoreCache {
 	}
 	// Slab links are int32 and slot 0 is taken.
 	perShard := min((size+shards-1)/shards, math.MaxInt32-1)
-	c := &scoreCache{shards: make([]*scoreShard, shards), disabled: disabled}
+	c := &scoreCache{shards: make([]*scoreShard, shards), disabled: disabled, interned: map[*core.PP]uint32{}}
 	for i := range c.shards {
 		c.shards[i] = newScoreShard(perShard)
 	}
 	return c
 }
 
-func (c *scoreCache) shard(blobID int) *scoreShard {
+// shardOf returns the index of the shard that owns a blob ID.
+func (c *scoreCache) shardOf(blobID int) int {
 	// Fibonacci hashing spreads the (often sequential) blob IDs.
 	h := uint64(blobID) * 0x9E3779B97F4A7C15
-	return c.shards[(h>>32)%uint64(len(c.shards))]
+	return int((h >> 32) % uint64(len(c.shards)))
 }
 
-// Get implements optimizer.ScoreCache.
-func (c *scoreCache) Get(pp *core.PP, blobID int) (float64, bool) {
-	sh := c.shard(blobID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c.disabled {
-		sh.misses++
-		return 0, false
-	}
-	slot := sh.find(pp, blobID)
-	if slot == 0 {
-		sh.misses++
-		return 0, false
-	}
-	sh.hits++
-	sh.touch(slot)
-	return sh.slab[slot].score, true
+// probeGroups is the recycled scratch of one GetBatch or PutBatch call: the
+// batch's probes grouped by shard.
+type probeGroups struct {
+	// start[g]:start[g+1] bounds shard g's group within order and hash; next
+	// is the grouping pass's write cursor per shard.
+	start, next []int32
+	// order lists the probe indices group by group, each group in index order.
+	order []int32
+	// hash[k] is the key hash of probe order[k].
+	hash []uint64
+	// slot is indexed by probe: its shard while grouping, then (GetBatch) the
+	// slab slot it resolved to, 0 for a miss.
+	slot []int32
 }
 
-// Put implements optimizer.ScoreCache.
-func (c *scoreCache) Put(pp *core.PP, blobID int, score float64) {
+var probeGroupsPool = sync.Pool{New: func() any { return new(probeGroups) }}
+
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// group returns the probes of ids grouped by shard with a stable counting
+// sort, and their key hashes in that order.
+func (c *scoreCache) group(pp uint32, ids []int) *probeGroups {
+	p := probeGroupsPool.Get().(*probeGroups)
+	n, ns := len(ids), len(c.shards)
+	p.start, p.next = resized(p.start, ns+1), resized(p.next, ns)
+	p.order, p.hash, p.slot = resized(p.order, n), resized(p.hash, n), resized(p.slot, n)
+	clear(p.start)
+	for i, id := range ids {
+		g := c.shardOf(id)
+		p.slot[i] = int32(g)
+		p.start[g+1]++
+	}
+	for g := 0; g < ns; g++ {
+		p.next[g] = p.start[g]
+		p.start[g+1] += p.start[g]
+	}
+	for i, id := range ids {
+		k := p.next[p.slot[i]]
+		p.next[p.slot[i]]++
+		p.order[k], p.hash[k] = int32(i), scoreHash(pp, id)
+	}
+	return p
+}
+
+// GetBatch implements optimizer.ScoreCache.
+func (c *scoreCache) GetBatch(key *core.PP, ids []int, scores []float64, miss []int) []int {
+	pp := c.intern(key)
+	p := c.group(pp, ids)
+	for g, sh := range c.shards {
+		ord := p.order[p.start[g]:p.start[g+1]]
+		if len(ord) == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		if c.disabled {
+			for _, i := range ord {
+				p.slot[i] = 0
+			}
+		} else {
+			sh.findBatch(pp, ids, ord, p.hash[p.start[g]:p.start[g+1]], p.slot)
+		}
+		// Counting and touching go probe by probe in index order: that is
+		// what keeps the recency list exact.
+		for _, i := range ord {
+			slot := p.slot[i]
+			if slot == 0 {
+				sh.misses++
+				continue
+			}
+			sh.hits++
+			sh.touch(slot)
+			scores[i] = sh.slab[slot].score
+		}
+		sh.mu.Unlock()
+	}
+	for i, slot := range p.slot {
+		if slot == 0 {
+			miss = append(miss, i)
+		}
+	}
+	probeGroupsPool.Put(p)
+	return miss
+}
+
+// PutBatch implements optimizer.ScoreCache. Unlike lookups, puts change the
+// index as they go (an insert may evict the key a later put updates), so
+// within a shard they run one by one.
+func (c *scoreCache) PutBatch(key *core.PP, ids []int, scores []float64) {
 	if c.disabled {
 		return
 	}
-	sh := c.shard(blobID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if slot := sh.find(pp, blobID); slot != 0 {
-		sh.slab[slot].score = score
-		sh.touch(slot)
-		return
+	pp := c.intern(key)
+	p := c.group(pp, ids)
+	for g, sh := range c.shards {
+		lo, hi := p.start[g], p.start[g+1]
+		if lo == hi {
+			continue
+		}
+		sh.mu.Lock()
+		for k := lo; k < hi; k++ {
+			i := p.order[k]
+			if slot := sh.find(pp, ids[i], sh.home(p.hash[k])); slot != 0 {
+				sh.slab[slot].score = scores[i]
+				sh.touch(slot)
+			} else {
+				sh.insert(pp, ids[i], scores[i])
+			}
+		}
+		sh.mu.Unlock()
 	}
-	sh.insert(pp, blobID, score)
+	probeGroupsPool.Put(p)
 }
 
 // Len returns the number of cached scores across all shards.

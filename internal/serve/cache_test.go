@@ -62,11 +62,22 @@ func TestPlanCacheReplaceSameKey(t *testing.T) {
 	}
 }
 
+// getOne and putOne are the scalar calls: a batch of one.
+func getOne(c *scoreCache, pp *core.PP, id int) (float64, bool) {
+	var score [1]float64
+	miss := c.GetBatch(pp, []int{id}, score[:], nil)
+	return score[0], len(miss) == 0
+}
+
+func putOne(c *scoreCache, pp *core.PP, id int, score float64) {
+	c.PutBatch(pp, []int{id}, []float64{score})
+}
+
 func TestScoreCacheBoundsAndEviction(t *testing.T) {
 	pp := &core.PP{}
 	c := newScoreCache(8, 2, false)
 	for i := 0; i < 100; i++ {
-		c.Put(pp, i, float64(i))
+		putOne(c, pp, i, float64(i))
 	}
 	if n := c.Len(); n > 8 {
 		t.Fatalf("cache holds %d entries, bound is 8", n)
@@ -74,7 +85,7 @@ func TestScoreCacheBoundsAndEviction(t *testing.T) {
 	// Recently inserted keys on each shard should still be resident.
 	hot := 0
 	for i := 0; i < 100; i++ {
-		if v, ok := c.Get(pp, i); ok {
+		if v, ok := getOne(c, pp, i); ok {
 			if v != float64(i) {
 				t.Fatalf("key %d returned %v, want %v", i, v, float64(i))
 			}
@@ -89,12 +100,12 @@ func TestScoreCacheBoundsAndEviction(t *testing.T) {
 func TestScoreCacheKeysByPPIdentity(t *testing.T) {
 	a, b := &core.PP{}, &core.PP{}
 	c := newScoreCache(16, 2, false)
-	c.Put(a, 1, 0.5)
-	c.Put(b, 1, -0.5) // same blob, different PP (e.g. negation-derived)
-	if v, ok := c.Get(a, 1); !ok || v != 0.5 {
+	putOne(c, a, 1, 0.5)
+	putOne(c, b, 1, -0.5) // same blob, different PP (e.g. negation-derived)
+	if v, ok := getOne(c, a, 1); !ok || v != 0.5 {
 		t.Fatalf("PP a: got %v,%v want 0.5,true", v, ok)
 	}
-	if v, ok := c.Get(b, 1); !ok || v != -0.5 {
+	if v, ok := getOne(c, b, 1); !ok || v != -0.5 {
 		t.Fatalf("PP b: got %v,%v want -0.5,true", v, ok)
 	}
 }
@@ -102,8 +113,8 @@ func TestScoreCacheKeysByPPIdentity(t *testing.T) {
 func TestScoreCacheDisabledCountsMisses(t *testing.T) {
 	pp := &core.PP{}
 	c := newScoreCache(16, 2, true)
-	c.Put(pp, 1, 0.5)
-	if _, ok := c.Get(pp, 1); ok {
+	putOne(c, pp, 1, 0.5)
+	if _, ok := getOne(c, pp, 1); ok {
 		t.Fatal("disabled cache returned a value")
 	}
 	if c.Len() != 0 {
@@ -114,8 +125,9 @@ func TestScoreCacheDisabledCountsMisses(t *testing.T) {
 	}
 }
 
-// TestScoreCacheConcurrent hammers one cache from many goroutines; run with
-// -race this checks the shard locking.
+// TestScoreCacheConcurrent hammers one cache from many goroutines, each
+// sending batches that span every shard; run with -race this checks the
+// shard locking and that the pooled probe scratch is never shared.
 func TestScoreCacheConcurrent(t *testing.T) {
 	pp := &core.PP{}
 	c := newScoreCache(256, 8, false)
@@ -124,12 +136,23 @@ func TestScoreCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				id := (w*131 + i) % 512
-				if v, ok := c.Get(pp, id); ok && v != float64(id) {
-					panic(fmt.Sprintf("key %d returned %v", id, v))
+			const batch = 40
+			ids, scores := make([]int, batch), make([]float64, batch)
+			var miss []int
+			for i := 0; i < 2000; i += batch {
+				for k := range ids {
+					ids[k] = (w*131 + i + k) % 512
 				}
-				c.Put(pp, id, float64(id))
+				miss = c.GetBatch(pp, ids, scores, miss[:0])
+				for k, m := 0, 0; k < batch; k++ {
+					if m < len(miss) && miss[m] == k {
+						m++
+					} else if scores[k] != float64(ids[k]) {
+						panic(fmt.Sprintf("key %d returned %v", ids[k], scores[k]))
+					}
+					scores[k] = float64(ids[k])
+				}
+				c.PutBatch(pp, ids, scores)
 			}
 		}(w)
 	}

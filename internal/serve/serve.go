@@ -126,11 +126,12 @@ type Config struct {
 	DisableScoreCache bool
 	// ScoreCacheMinCost gates score-cache use per PP: leaves whose estimated
 	// per-blob score cost (reducer + scorer virtual ms) is below the
-	// threshold bypass the cache entirely and recompute. The latency harness
-	// showed the cache's lock+map traffic is wall-clock slower than
-	// recomputing cheap SVM scores, while expensive KDE/DNN PPs still win by
-	// caching — this is the cost-aware cutover. Zero caches every leaf
-	// (previous behavior). Bypassed leaves move neither hit nor miss
+	// threshold bypass the cache entirely and recompute. It dates from when
+	// a hit took a shard lock per row and cost more wall time than a cheap
+	// SVM score; with batched probes a hit undercuts every scorer in the
+	// tree (DESIGN.md "Score-cache probes a batch at a time"), so no
+	// non-zero value is known to pay. Zero caches every leaf. Bypassed
+	// leaves move neither hit nor miss
 	// counters, so Stats.ScoreMisses keeps counting only cached-leaf
 	// evaluations.
 	ScoreCacheMinCost float64
@@ -678,8 +679,7 @@ func (s *Server) resolvePlan(pred query.Pred, accuracy float64, key string, ctx 
 		// One score-cache-attached filter per entry, shared by every session
 		// that hits it — sharing is what makes cross-session score reuse
 		// work; the engine keeps per-run accounting separate. Leaves cheaper
-		// than ScoreCacheMinCost skip the cache (recomputing beats the
-		// cache's lock+map traffic for cheap scorers).
+		// than ScoreCacheMinCost skip the cache.
 		e.filter = dec.Filter.WithScoreCacheMin(s.scores, s.cfg.ScoreCacheMinCost)
 	}
 	s.plans.put(e)

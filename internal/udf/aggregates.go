@@ -49,10 +49,9 @@ func (c CountReducer) Reduce(key string, rows []engine.Row) ([]engine.Row, error
 	if out == "" {
 		out = "count"
 	}
-	return []engine.Row{{Cols: map[string]query.Value{
-		c.KeyCol: query.Str(key),
-		out:      query.Number(float64(len(rows))),
-	}}}, nil
+	return []engine.Row{engine.Row{}.
+		With(c.KeyCol, query.Str(key)).
+		With(out, query.Number(float64(len(rows))))}, nil
 }
 
 // AvgReducer groups rows by KeyCol and averages the numeric ValCol.
@@ -101,10 +100,9 @@ func (a AvgReducer) Reduce(key string, rows []engine.Row) ([]engine.Row, error) 
 	if out == "" {
 		out = "avg_" + a.ValCol
 	}
-	return []engine.Row{{Cols: map[string]query.Value{
-		a.KeyCol: query.Str(key),
-		out:      query.Number(sum / float64(len(rows))),
-	}}}, nil
+	return []engine.Row{engine.Row{}.
+		With(a.KeyCol, query.Str(key)).
+		With(out, query.Number(sum/float64(len(rows))))}, nil
 }
 
 // SequenceCombiner is a Combiner implementing the Q4 pattern: for rows keyed

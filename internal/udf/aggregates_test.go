@@ -86,9 +86,7 @@ func TestCountReducer(t *testing.T) {
 }
 
 func TestAvgReducerNonNumeric(t *testing.T) {
-	rows := []engine.Row{{Cols: map[string]query.Value{
-		"k": query.Str("a"), "v": query.Str("oops"),
-	}}}
+	rows := []engine.Row{engine.Row{}.With("k", query.Str("a")).With("v", query.Str("oops"))}
 	_, err := AvgReducer{KeyCol: "k", ValCol: "v"}.Reduce("a", rows)
 	if err == nil {
 		t.Fatal("expected error for non-numeric average")
@@ -99,10 +97,7 @@ func TestAvgReducerNonNumeric(t *testing.T) {
 // then at C2, joined by vehicle identity with a time-ordered combiner.
 func TestQ4StyleSequence(t *testing.T) {
 	mkRow := func(id string, ts float64) engine.Row {
-		return engine.Row{Cols: map[string]query.Value{
-			"veh":  query.Str(id),
-			"time": query.Number(ts),
-		}}
+		return engine.Row{}.With("veh", query.Str(id)).With("time", query.Number(ts))
 	}
 	// Camera C1 observations (left) and C2 observations (right).
 	c1 := []engine.Row{mkRow("a", 1), mkRow("b", 9), mkRow("c", 4)}
@@ -147,9 +142,7 @@ func TestQ4StyleSequence(t *testing.T) {
 
 func TestSequenceCombinerViaEngine(t *testing.T) {
 	mk := func(id string, ts float64) engine.Row {
-		return engine.Row{Cols: map[string]query.Value{
-			"veh": query.Str(id), "time": query.Number(ts),
-		}}
+		return engine.Row{}.With("veh", query.Str(id)).With("time", query.Number(ts))
 	}
 	right := []engine.Row{mk("x", 10), mk("y", 1)}
 	// The engine's Combine operator needs a left input produced by a plan;

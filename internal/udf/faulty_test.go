@@ -187,9 +187,9 @@ func TestFaultyEndToEndByteIdentical(t *testing.T) {
 		if res.Rows[i].Blob.ID != ref.Rows[i].Blob.ID {
 			t.Fatalf("row %d diverged", i)
 		}
-		for col, v := range ref.Rows[i].Cols {
-			if got, err := res.Rows[i].Get(col); err != nil || got != v {
-				t.Fatalf("row %d col %s: %v vs %v", i, col, got, v)
+		for _, c := range ref.Rows[i].Columns() {
+			if got, err := res.Rows[i].Get(c.Name); err != nil || got != c.Val {
+				t.Fatalf("row %d col %s: %v vs %v", i, c.Name, got, c.Val)
 			}
 		}
 	}
