@@ -16,8 +16,9 @@ package online
 //	Probation --(failure)--> Open (backoff doubles, capped)
 //
 // Reports while Open are ignored (nothing is being risked). The breaker is
-// not safe for concurrent use; callers hold their own locks (the watchdog is
-// single-goroutine, the adapt controller serializes per-key access).
+// not safe for concurrent use; callers hold their own locks (the watchdog's
+// breakers sit under System.mu, the adapt controller serializes per-key
+// access).
 
 // BreakerConfig shapes one circuit breaker.
 type BreakerConfig struct {

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"probpred/internal/blob"
 	"probpred/internal/core"
@@ -159,15 +160,21 @@ type clauseState struct {
 	cb *Breaker
 }
 
-// System is the online PP manager.
+// System is the online PP manager. Its methods are safe for concurrent use:
+// mu guards the label buffers, breakers and counters, and the corpus and
+// optimizer guard themselves, so Decide never waits for a training.
 type System struct {
-	cfg     Config
-	corpus  *optimizer.Corpus
-	opt     *optimizer.Optimizer
+	cfg    Config
+	corpus *optimizer.Corpus
+	opt    *optimizer.Optimizer
+
+	mu      sync.Mutex
 	clauses map[string]*clauseState
 	order   []string
 	rng     *mathx.RNG
 	// Trainings counts PP (re)trainings performed, for tests and reports.
+	// Like Trips it is written under mu; read it once the calls that train
+	// and report have returned.
 	Trainings int
 	// Trips counts watchdog circuit-breaker trips.
 	Trips int
@@ -213,6 +220,8 @@ func New(cfg Config) (*System, error) {
 // clauses" arrow of Figure 3b). Clauses whose columns are absent from the
 // lookup are skipped — a query only labels the clauses it computes.
 func (s *System) Observe(b blob.Blob, l query.Lookup) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, key := range s.order {
 		st := s.clauses[key]
 		ok, err := st.pred.Eval(l)
@@ -314,9 +323,15 @@ func (s *System) maybeTrain(key string, st *clauseState) error {
 
 // TrainedClauses returns the clauses with a live PP.
 func (s *System) TrainedClauses() []string {
+	return s.clausesWhere(func(st *clauseState) bool { return st.trained })
+}
+
+func (s *System) clausesWhere(keep func(*clauseState) bool) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []string
 	for _, key := range s.order {
-		if s.clauses[key].trained {
+		if keep(s.clauses[key]) {
 			out = append(out, key)
 		}
 	}
@@ -372,6 +387,8 @@ func (s *System) ReportAccuracyCtx(dec *optimizer.Decision, observed, target flo
 	if dec == nil || !dec.Inject {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pass := observed >= target-s.cfg.Watchdog.Margin
 	for _, leaf := range dec.LeafClauses() {
 		key, st := s.resolveClause(leaf)
@@ -458,6 +475,8 @@ func (s *System) trip(ctx obs.TraceContext, key string, st *clauseState) {
 // Breaker returns a clause's watchdog state (BreakerClosed for clauses this
 // system does not manage).
 func (s *System) Breaker(clause string) BreakerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if st, ok := s.clauses[clause]; ok {
 		return st.cb.State()
 	}
@@ -466,13 +485,7 @@ func (s *System) Breaker(clause string) BreakerState {
 
 // TrippedClauses returns the clauses whose breaker is currently open.
 func (s *System) TrippedClauses() []string {
-	var out []string
-	for _, key := range s.order {
-		if s.clauses[key].cb.State() == BreakerOpen {
-			out = append(out, key)
-		}
-	}
-	return out
+	return s.clausesWhere(func(st *clauseState) bool { return st.cb.State() == BreakerOpen })
 }
 
 // Corpus exposes the live corpus (e.g. for persistence).

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"sync"
 	"testing"
 
 	"probpred/internal/core"
@@ -402,5 +403,50 @@ func TestDecideValidation(t *testing.T) {
 	}
 	if _, err := s.Decide(query.MustParse("t=SUV"), 0.9, -1); err == nil {
 		t.Fatal("expected error for negative UDF cost")
+	}
+}
+
+// TestSystemConcurrentUse: deciders and status readers run beside the label
+// stream that trains, trips and retrains — the calls a serving process makes
+// from its sessions while an ingest loop drives Observe and ReportAccuracy.
+func TestSystemConcurrentUse(t *testing.T) {
+	s, dec := warmSystem(t, watchdogConfig(), "t=SUV", "t=SUV", 900)
+	pred := query.MustParse("t=SUV & c=red")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d, err := s.Decide(pred, 0.95, 100)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.ReportRun(d, d.Reduction)
+				_ = s.Breaker("t=SUV")
+				_ = s.TrainedClauses()
+				_ = s.TrippedClauses()
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		s.ReportAccuracy(dec, 0.5, 0.95) // K breaches: trip, PP leaves the corpus
+	}
+	for _, b := range data.Traffic(data.TrafficConfig{Rows: 400, Seed: 32}) {
+		if err := s.Observe(b, data.TrafficLookup(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s.Trips != 1 || s.Breaker("t=SUV") != BreakerProbation {
+		t.Fatalf("trips = %d, breaker = %v; want one trip and a retrained PP on probation", s.Trips, s.Breaker("t=SUV"))
 	}
 }

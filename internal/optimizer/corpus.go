@@ -7,6 +7,7 @@
 package optimizer
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,45 +18,89 @@ import (
 
 // Corpus is the set of trained PPs available to the optimizer, indexed by
 // the canonical string of the simple clause each PP mimics.
+//
+// A Corpus is safe for concurrent use and guards itself: readers load one
+// immutable snapshot and never block; Add and Remove build the next snapshot
+// under a writer-only mutex and publish it in one atomic store. A plan search
+// loads a snapshot once and consults only it, so a search is a pure function
+// of (predicate, options, snapshot) however many searches, trainings and
+// watchdog trips run beside it.
 type Corpus struct {
-	pps map[string]*core.PP
-	// negCache caches PPs derived by negation reuse (§5.6) so repeated
-	// optimizations share them.
-	negCache map[string]*core.PP
-	// version counts mutations (Add/Remove). Plan caches record the version
-	// a plan was searched under and treat entries from older versions as
-	// stale: a watchdog trip (Remove) or an online retraining (Add) must not
-	// keep serving plans compiled against the previous corpus. Atomic so
-	// concurrent sessions can check staleness without taking the optimizer's
-	// serialization lock.
-	version atomic.Uint64
+	// mu orders writers. Readers never take it.
+	mu   sync.Mutex
+	snap atomic.Pointer[snapshot]
+}
 
-	// verMu guards clauseVer against concurrent readers: plan caches call
-	// UnchangedSince from sessions that do not hold the optimizer's
-	// serialization lock, while Add/Remove (which do hold it) write.
-	verMu sync.RWMutex
+// snapshot is one immutable state of the corpus. Nothing reachable from a
+// published snapshot is written again, except each entry's once-only negation
+// derivation, which is a pure function of the entry.
+type snapshot struct {
+	// version counts the mutations (Add/Remove) that led to this snapshot.
+	// Plan caches record the version a plan was searched on and treat entries
+	// from older versions as stale: a watchdog trip (Remove) or an online
+	// retraining (Add) must not keep serving plans compiled against the
+	// previous corpus.
+	version uint64
+	pps     map[string]*ppEntry
+	// clauses is the sorted key set of pps.
+	clauses []string
 	// clauseVer maps each dependency key ever mutated — a clause key, plus
 	// the "col:<column>" wildcard covering every clause on that column — to
-	// the corpus version of its latest mutation. It is what makes plan-cache
+	// the version of its latest mutation. It is what makes plan-cache
 	// invalidation partial: a plan records the keys its search consulted, and
 	// a later corpus mutation only strands plans whose keys actually moved.
 	clauseVer map[string]uint64
+}
 
-	// recording, when non-nil, collects every dependency key consulted by
-	// Lookup/Get — hits and misses alike, since a miss that later becomes a
-	// hit changes the search outcome too. Only toggled and read under the
-	// optimizer's serialization lock (searches are not concurrent).
-	recording map[string]struct{}
+// ppEntry is one directly-trained PP and, beside it, the PP derived from it
+// by negation reuse (§5.6). Snapshots carry an entry forward by pointer until
+// its clause is replaced or removed, so a derived PP keeps one identity for as
+// long as its base does — what score caches key on — and dies with it.
+type ppEntry struct {
+	pp *core.PP
+	// neg is pp.Negate under the negated clause's key, derived on first use
+	// (nil when the curve cannot be negated).
+	negOnce sync.Once
+	neg     *core.PP
+}
+
+func (e *ppEntry) negation(clause string) (*core.PP, bool) {
+	e.negOnce.Do(func() { e.neg, _ = e.pp.Negate(clause) }) // an error leaves neg nil
+	return e.neg, e.neg != nil
+}
+
+// consulted collects the dependency keys one plan search asks a snapshot
+// about — hits and misses alike, since a miss that later becomes a hit changes
+// the search outcome too. It belongs to the search, not the corpus. A nil set
+// records nothing.
+type consulted map[string]struct{}
+
+func (c consulted) note(key string) {
+	if c != nil {
+		c[key] = struct{}{}
+	}
+}
+
+func (c consulted) sorted() []string {
+	deps := make([]string, 0, len(c))
+	for k := range c {
+		deps = append(deps, k)
+	}
+	sort.Strings(deps)
+	return deps
 }
 
 // NewCorpus returns an empty corpus.
 func NewCorpus() *Corpus {
-	return &Corpus{pps: map[string]*core.PP{}, negCache: map[string]*core.PP{}, clauseVer: map[string]uint64{}}
+	c := &Corpus{}
+	c.snap.Store(&snapshot{pps: map[string]*ppEntry{}, clauseVer: map[string]uint64{}})
+	return c
 }
 
 // Version returns the corpus mutation counter. It increases on every Add and
-// successful Remove; equal versions guarantee an unchanged PP set.
-func (c *Corpus) Version() uint64 { return c.version.Load() }
+// successful Remove; equal versions guarantee an unchanged PP set. Safe for
+// concurrent use.
+func (c *Corpus) Version() uint64 { return c.snap.Load().version }
 
 // ColumnDep returns the dependency key covering every clause on a column.
 // Searches consult it implicitly whenever they touch a clause on the column
@@ -63,137 +108,104 @@ func (c *Corpus) Version() uint64 { return c.version.Load() }
 // from the corpus's key set, not from individual lookups).
 func ColumnDep(col string) string { return "col:" + col }
 
-// bump records one mutation of a clause key: it stamps the key — and its
-// column wildcard, when the key parses as a simple clause — with the
-// post-mutation version, then advances the version counter. The stamp lands
-// strictly before the new version becomes visible, so a plan cache that
-// observes the bumped version is guaranteed to also observe the stamp when
-// it revalidates (the reverse order would let a dependent plan slip through
-// revalidation in the window between bump and stamp). Mutations are
-// serialized by the optimizer lock, so Load()+1 is the post-mutation value.
-func (c *Corpus) bump(clause string) {
-	v := c.version.Load() + 1
-	c.verMu.Lock()
-	c.clauseVer[clause] = v
-	if p, err := query.Parse(clause); err == nil {
-		if cl, ok := p.(*query.Clause); ok {
-			c.clauseVer[ColumnDep(cl.Col)] = v
-		}
-	}
-	c.verMu.Unlock()
-	c.version.Add(1)
-}
-
 // UnchangedSince reports whether none of the dependency keys has been
 // mutated after corpus version since. Plan caches use it to revalidate
 // entries from older corpus versions: a mutation that left every key a plan
 // consulted untouched cannot have changed the search outcome, so the plan is
 // still exactly what a fresh search would produce. Safe for concurrent use.
 func (c *Corpus) UnchangedSince(deps []string, since uint64) bool {
-	c.verMu.RLock()
-	defer c.verMu.RUnlock()
+	ver := c.snap.Load().clauseVer
 	for _, d := range deps {
-		if c.clauseVer[d] > since {
+		if ver[d] > since {
 			return false
 		}
 	}
 	return true
 }
 
-// beginRecord starts collecting the dependency keys a plan search consults.
-// Caller must hold the optimizer's serialization lock.
-func (c *Corpus) beginRecord() {
-	c.recording = map[string]struct{}{}
-}
-
-// endRecord stops collecting and returns the consulted keys, sorted.
-func (c *Corpus) endRecord() []string {
-	deps := make([]string, 0, len(c.recording))
-	for k := range c.recording {
-		deps = append(deps, k)
-	}
-	c.recording = nil
-	sort.Strings(deps)
-	return deps
-}
-
-// record notes one consulted dependency key.
-func (c *Corpus) record(key string) {
-	if c.recording != nil {
-		c.recording[key] = struct{}{}
-	}
-}
-
-// Add registers a trained PP under its clause key, replacing any previous
-// PP for the same clause. A replacement also invalidates the negation-
-// derivation cache: derived PPs wrap the classifier they were derived from,
-// which has just changed.
-func (c *Corpus) Add(pp *core.PP) {
-	if _, replacing := c.pps[pp.Clause]; replacing {
-		c.negCache = map[string]*core.PP{}
-	}
-	c.pps[pp.Clause] = pp
-	c.bump(pp.Clause)
-}
-
-// Remove deletes the PP trained for the clause key, reporting whether one
-// was present. Negation-derived PPs share the removed classifier, so the
-// derivation cache is dropped wholesale (it repopulates lazily from the
-// remaining PPs). Used by the online watchdog to stop injecting a PP whose
-// observed accuracy has degraded.
-func (c *Corpus) Remove(clause string) bool {
-	if _, ok := c.pps[clause]; !ok {
+// set publishes the successor of the current snapshot, in which clause maps to
+// e (nil deletes it), reporting false when there was nothing to delete. The
+// mutated clause key — with its column wildcard, when the key parses as a
+// simple clause — is stamped with the new version. Version, stamps and PP set
+// become visible in one store, so no reader sees one without the others.
+func (c *Corpus) set(clause string, e *ppEntry) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.snap.Load()
+	if _, ok := old.pps[clause]; e == nil && !ok {
 		return false
 	}
-	delete(c.pps, clause)
-	c.negCache = map[string]*core.PP{}
-	c.bump(clause)
+	next := &snapshot{version: old.version + 1, pps: maps.Clone(old.pps), clauseVer: maps.Clone(old.clauseVer)}
+	if e == nil {
+		delete(next.pps, clause)
+	} else {
+		next.pps[clause] = e
+	}
+	next.clauses = make([]string, 0, len(next.pps))
+	for k := range next.pps {
+		next.clauses = append(next.clauses, k)
+	}
+	sort.Strings(next.clauses)
+	next.clauseVer[clause] = next.version
+	if cl, ok := parseClauseKey(clause); ok {
+		next.clauseVer[ColumnDep(cl.Col)] = next.version
+	}
+	c.snap.Store(next)
 	return true
 }
 
-// Size returns the number of directly-trained PPs.
-func (c *Corpus) Size() int { return len(c.pps) }
+// Add registers a trained PP under its clause key, replacing any previous
+// PP for the same clause — and with it the PP derived from the previous one
+// by negation, which wrapped the classifier that has just changed. Safe for
+// concurrent use.
+func (c *Corpus) Add(pp *core.PP) { c.set(pp.Clause, &ppEntry{pp: pp}) }
 
-// Clauses returns the sorted clause keys of the directly-trained PPs.
+// Remove deletes the PP trained for the clause key, and the negation derived
+// from it, reporting whether one was present. Used by the online watchdog to
+// stop injecting a PP whose observed accuracy has degraded. Safe for
+// concurrent use.
+func (c *Corpus) Remove(clause string) bool { return c.set(clause, nil) }
+
+// Size returns the number of directly-trained PPs. Safe for concurrent use.
+func (c *Corpus) Size() int { return len(c.snap.Load().pps) }
+
+// Clauses returns the sorted clause keys of the directly-trained PPs. Safe
+// for concurrent use.
 func (c *Corpus) Clauses() []string {
-	out := make([]string, 0, len(c.pps))
-	for k := range c.pps {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), c.snap.Load().clauses...)
 }
 
-// Get returns the PP trained directly for the clause key, if any.
-func (c *Corpus) Get(clause string) (*core.PP, bool) {
-	c.record(clause)
-	pp, ok := c.pps[clause]
-	return pp, ok
-}
+// Get returns the PP trained directly for the clause key, if any. Safe for
+// concurrent use.
+func (c *Corpus) Get(clause string) (*core.PP, bool) { return c.snap.Load().get(clause, nil) }
 
 // Lookup resolves a clause to a PP: first by direct match, then by negation
 // reuse — a PP trained for p yields the PP for ¬p by flipping the classifier
-// sign (§5.6). Derived PPs are cached.
-func (c *Corpus) Lookup(cl *query.Clause) (*core.PP, bool) {
-	key := cl.String()
-	c.record(key)
-	c.record(ColumnDep(cl.Col))
-	if pp, ok := c.pps[key]; ok {
-		return pp, true
+// sign (§5.6). The derived PP is the same object on every lookup until its
+// base is replaced or removed. Safe for concurrent use.
+func (c *Corpus) Lookup(cl *query.Clause) (*core.PP, bool) { return c.snap.Load().lookup(cl, nil) }
+
+func (s *snapshot) get(clause string, deps consulted) (*core.PP, bool) {
+	deps.note(clause)
+	if e, ok := s.pps[clause]; ok {
+		return e.pp, true
 	}
-	if pp, ok := c.negCache[key]; ok {
+	return nil, false
+}
+
+// lookup is Corpus.Lookup on this snapshot. A clause with no PP of its own
+// consults its negation base whether or not the derivation already exists, so
+// the keys noted depend on the snapshot alone.
+func (s *snapshot) lookup(cl *query.Clause, deps consulted) (*core.PP, bool) {
+	key := cl.String()
+	deps.note(ColumnDep(cl.Col))
+	if pp, ok := s.get(key, deps); ok {
 		return pp, true
 	}
 	negKey := cl.Negate().String()
-	c.record(negKey)
-	base, ok := c.pps[negKey]
-	if !ok {
-		return nil, false
+	deps.note(negKey)
+	if base, ok := s.pps[negKey]; ok {
+		return base.negation(key)
 	}
-	derived, err := base.Negate(key)
-	if err != nil {
-		return nil, false
-	}
-	c.negCache[key] = derived
-	return derived, true
+	return nil, false
 }

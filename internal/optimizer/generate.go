@@ -20,7 +20,10 @@ import (
 // applied only when the composite clause has no PP of its own or a simpler
 // clause performs better (smaller c/r(1]).
 type generator struct {
-	corpus  *Corpus
+	// snap is the one corpus snapshot the search consults, and deps the
+	// dependency keys it has asked it about.
+	snap    *snapshot
+	deps    consulted
 	domains map[string][]query.Value
 	maxPPs  int
 	// skip flags clause-pair keys known to be dependent (A.5); expressions
@@ -85,16 +88,16 @@ func (g *generator) genRaw(p query.Pred) []Expr {
 // negation-derived PP, relaxed-comparison PPs (A.2), and the ≠→∨= rewrite.
 func (g *generator) genClause(cl *query.Clause) []Expr {
 	var out []Expr
-	if pp, ok := g.corpus.Lookup(cl); ok {
+	if pp, ok := g.snap.lookup(cl, g.deps); ok {
 		out = append(out, &Leaf{PP: pp})
 	}
 	// Relaxed comparisons against the trained corpus.
-	relaxed := relaxComparison(cl, g.corpus.Clauses(), parseClauseKey)
+	relaxed := relaxComparison(cl, g.snap.clauses, parseClauseKey)
 	for _, rc := range relaxed {
 		if rc.String() == cl.String() {
 			continue // already covered by direct lookup
 		}
-		if pp, ok := g.corpus.Lookup(rc); ok {
+		if pp, ok := g.snap.lookup(rc, g.deps); ok {
 			out = append(out, &Leaf{PP: pp})
 		}
 	}
@@ -106,10 +109,11 @@ func (g *generator) genClause(cl *query.Clause) []Expr {
 }
 
 // genAnd applies R1 (each conjunct alone) and R2 (conjunctions over subsets
-// of conjuncts), plus a composite-clause PP if one was trained.
+// of conjuncts), plus a PP trained directly for the composite predicate
+// (e.g. PP_{p∧¬r} in Table 3, keyed by its canonical string) if there is one.
 func (g *generator) genAnd(n *query.And) []Expr {
 	var out []Expr
-	composite, hasComposite := g.compositePP(n)
+	composite, hasComposite := g.snap.get(CanonicalKey(n), g.deps)
 	if hasComposite {
 		out = append(out, &Leaf{PP: composite})
 	}
@@ -170,7 +174,7 @@ func (g *generator) genAnd(n *query.And) []Expr {
 // (blobs matching any uncovered disjunct would otherwise be dropped).
 func (g *generator) genOr(n *query.Or) []Expr {
 	var out []Expr
-	composite, hasComposite := g.compositePP(n)
+	composite, hasComposite := g.snap.get(CanonicalKey(n), g.deps)
 	if hasComposite {
 		out = append(out, &Leaf{PP: composite})
 	}
@@ -234,7 +238,7 @@ func (g *generator) genComplementConj(n *query.Or) []Expr {
 			continue
 		}
 		cl := &query.Clause{Col: col, Op: query.OpNe, Val: v}
-		pp, ok := g.corpus.Lookup(cl)
+		pp, ok := g.snap.lookup(cl, g.deps)
 		if !ok {
 			return nil // every complement value must be covered
 		}
@@ -267,12 +271,6 @@ func (g *generator) genTrue() []Expr {
 		out = append(out, g.genRaw(p)...)
 	}
 	return out
-}
-
-// compositePP looks up a PP trained directly for a composite predicate
-// (e.g. PP_{p∧¬r} in Table 3), keyed by the canonical clause string.
-func (g *generator) compositePP(p query.Pred) (*core.PP, bool) {
-	return g.corpus.Get(CanonicalKey(p))
 }
 
 // someKidBeats reports whether any kid candidate has a better intrinsic

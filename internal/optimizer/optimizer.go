@@ -2,9 +2,11 @@ package optimizer
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"probpred/internal/metrics"
@@ -91,12 +93,17 @@ type Decision struct {
 	NumPPs int
 	// Search profiles the plan search that produced this decision.
 	Search SearchStats
+	// CorpusVersion is the version of the corpus snapshot the search
+	// consulted — the one state the decision is a function of. Plan caches
+	// stamp entries with it, never with a separate Corpus.Version read, which
+	// could straddle a mutation.
+	CorpusVersion uint64
 	// leaves caches the chosen expression's clause keys for the A.5
 	// dependence feedback loop.
 	leaves []string
-	// consulted caches the dependency keys the plan search asked the corpus
-	// about (clause keys, negation bases and column wildcards — hits and
-	// misses alike). Plan caches use it for partial invalidation.
+	// consulted caches the dependency keys the plan search asked its corpus
+	// snapshot about (clause keys, negation bases and column wildcards — hits
+	// and misses alike). Plan caches use it for partial invalidation.
 	consulted []string
 }
 
@@ -130,7 +137,8 @@ func (d *Decision) LeafClauses() []string {
 
 // Consulted returns the dependency keys the plan search asked the corpus
 // about — every clause key it looked up (found or not, plus negation bases)
-// and a "col:<column>" wildcard per touched column, sorted. A later corpus
+// and a "col:<column>" wildcard per touched column, sorted. The set is a
+// function of predicate, options and corpus snapshot. A later corpus
 // mutation that leaves all of them untouched cannot have changed this
 // decision, which is what lets plan caches revalidate instead of evicting
 // (Corpus.UnchangedSince).
@@ -139,10 +147,14 @@ func (d *Decision) Consulted() []string {
 }
 
 // Optimizer holds the corpus and the runtime-dependence state shared across
-// queries (A.5).
+// queries (A.5). Optimize, Reoptimize, ObserveRuntime and DependentPairs are
+// safe for concurrent use, on one Optimizer or on several over one Corpus;
+// SetMetrics and SetObs are set-up calls.
 type Optimizer struct {
 	corpus *Corpus
 	// dependent flags clause pairs whose PPs proved dependent at runtime.
+	// Guarded by depMu; a search works on its own copy.
+	depMu     sync.Mutex
 	dependent map[string]bool
 	// metrics (optional, SetMetrics) records search and drift telemetry.
 	metrics *metrics.Registry
@@ -191,23 +203,16 @@ func (o *Optimizer) Optimize(pred query.Pred, opts Options) (*Decision, error) {
 		}, nil
 	}
 	start := time.Now()
-	g := &generator{
-		corpus:  o.corpus,
-		domains: opts.Domains,
-		maxPPs:  opts.MaxPPs,
-		skip:    o.dependent,
-	}
-	// The generator's corpus consultations (and their misses) are the exact
-	// dependency set of the decision; callers are already serialized, so the
-	// recording needs no lock.
-	o.corpus.beginRecord()
+	// One snapshot for the whole search: the generator's consultations of it
+	// (and their misses) are the exact dependency set of the decision.
+	g := &generator{snap: o.corpus.snap.Load(), deps: consulted{}, domains: opts.Domains, maxPPs: opts.MaxPPs, skip: o.dependentPairs()}
 	candidates := g.gen(pred)
-	consulted := o.corpus.endRecord()
 	dec := &Decision{
 		BaselineCost:  opts.UDFCost,
 		NumCandidates: len(candidates),
 		PlanCost:      opts.UDFCost,
-		consulted:     consulted,
+		CorpusVersion: g.snap.version,
+		consulted:     g.deps.sorted(),
 	}
 	memoCount := &memoCounters{}
 	copts := costOpts{
@@ -344,18 +349,28 @@ func (o *Optimizer) ObserveRuntimeCtx(dec *Decision, observedReduction float64, 
 	if len(dec.leaves) < 2 {
 		return
 	}
+	o.depMu.Lock()
 	for i := 0; i < len(dec.leaves); i++ {
 		for j := i + 1; j < len(dec.leaves); j++ {
 			o.dependent[pairKey(dec.leaves[i], dec.leaves[j])] = true
 		}
 	}
+	flagged := len(o.dependent)
+	o.depMu.Unlock()
 	if reg := o.metrics; reg != nil {
-		reg.Gauge("optimizer_dependent_pairs", "Clause pairs currently flagged as dependent.").Set(float64(len(o.dependent)))
+		reg.Gauge("optimizer_dependent_pairs", "Clause pairs currently flagged as dependent.").Set(float64(flagged))
 	}
 }
 
 // DependentPairs returns how many clause pairs are currently flagged.
-func (o *Optimizer) DependentPairs() int { return len(o.dependent) }
+func (o *Optimizer) DependentPairs() int { return len(o.dependentPairs()) }
+
+// dependentPairs returns a search's own copy of the flagged pairs.
+func (o *Optimizer) dependentPairs() map[string]bool {
+	o.depMu.Lock()
+	defer o.depMu.Unlock()
+	return maps.Clone(o.dependent)
+}
 
 // RewriteForRenames rewrites a predicate stated over post-projection column
 // names back into pre-projection names (the X_{p,Ca→Cb} pushdown of A.4's

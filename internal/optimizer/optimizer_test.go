@@ -48,11 +48,32 @@ func TestCorpusLookupNegationReuse(t *testing.T) {
 	if r := pp.Reduction(1); r < 0.2 {
 		t.Fatalf("negated PP reduction = %v, selectivity = %v", r, set.Selectivity())
 	}
+	// The derivation lives beside its base: mutating other clauses leaves its
+	// identity alone (score caches key on it) ...
+	speed, _ := c.Get("s>60")
+	c.Remove("s>60")
+	c.Add(speed)
+	other, _ := c.Get("c=red")
+	c.Add(other)
+	if pp3, _ := c.Lookup(cl); pp3 != pp {
+		t.Fatal("unrelated Add/Remove re-derived c!=white at a new pointer")
+	}
+	// ... and replacing or removing the base retires it.
+	base, _ := c.Get("c=white")
+	c.Add(base)
+	pp4, ok := c.Lookup(cl)
+	if !ok || pp4 == pp {
+		t.Fatalf("replaced base kept serving the old derivation (ok=%v)", ok)
+	}
+	c.Remove("c=white")
+	if _, ok := c.Lookup(cl); ok {
+		t.Fatal("derivation outlived its removed base")
+	}
 }
 
 func TestGenerateSingleClause(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 3))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("t=SUV"))
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a directly-covered clause")
@@ -66,7 +87,7 @@ func TestGenerateRelaxedComparison(t *testing.T) {
 	// s>55 has no direct PP; the wrangler must relax to s>50 and s>40,
 	// preferring the tighter bound.
 	c := miniCorpus(t, miniBlobs(400, 4))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("s>55"))
 	if len(cands) == 0 {
 		t.Fatal("no relaxed candidates")
@@ -85,7 +106,7 @@ func TestGenerateRelaxedComparison(t *testing.T) {
 
 func TestGenerateNotEqualWrangling(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 5))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 5}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 5}
 	cands := g.gen(query.MustParse("t!=sedan"))
 	// Both the negation-reuse leaf and the ∨-of-equals rewrite should show.
 	var hasLeaf, hasDisj bool
@@ -107,7 +128,7 @@ func TestGenerateNotEqualWrangling(t *testing.T) {
 
 func TestGenerateConjunction(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 6))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("t=SUV & c=red"))
 	found := map[string]bool{}
 	for _, e := range cands {
@@ -122,7 +143,7 @@ func TestGenerateConjunction(t *testing.T) {
 
 func TestGenerateDisjunctionNeedsFullCoverage(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 7))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 	// "x=1" has no PP and no domain; the disjunction cannot be covered.
 	cands := g.gen(query.MustParse("t=SUV | x=1"))
 	if len(cands) != 0 {
@@ -143,7 +164,7 @@ func TestGenerateDisjunctionNeedsFullCoverage(t *testing.T) {
 
 func TestGenerateRespectsMaxPPs(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 8))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 2}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 2}
 	cands := g.gen(query.MustParse("t=SUV & c=red & s>60 & s<65"))
 	for _, e := range cands {
 		if n := NumLeaves(e); n > 2 {
@@ -159,7 +180,7 @@ func TestGenerateRespectsMaxPPs(t *testing.T) {
 func TestGenerateAllImplied(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 9))
 	domains := miniDomains()
-	g := &generator{corpus: c, domains: domains, maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: domains, maxPPs: 4}
 	preds := []string{
 		"(t=SUV | t=van) & c!=white & s>60",
 		"t=SUV & c=red",
@@ -517,7 +538,7 @@ func TestGenerateComplementConjunction(t *testing.T) {
 	// conjunction PP[t!=sedan] & PP[t!=truck] (via negation reuse) and to
 	// the single best ≠ leaf.
 	c := miniCorpus(t, miniBlobs(600, 50))
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("t=SUV | t=van"))
 	found := map[string]bool{}
 	for _, e := range cands {
@@ -568,7 +589,7 @@ func TestGenerateComplementNeedsFullDomainCoverage(t *testing.T) {
 		}
 		c.Add(pp)
 	}
-	g := &generator{corpus: c, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 	for _, e := range g.gen(query.MustParse("t=SUV | t=van")) {
 		if strings.Contains(e.String(), "!=") {
 			t.Fatalf("complement plan %s should need all ≠ PPs", e)

@@ -11,9 +11,10 @@ import (
 // Save writes the corpus's directly-trained PPs to w (negation-derived PPs
 // are re-derived on demand after a reload and are not persisted).
 func (c *Corpus) Save(w io.Writer) error {
-	pps := make([]*core.PP, 0, len(c.pps))
-	for _, clause := range c.Clauses() {
-		pps = append(pps, c.pps[clause])
+	snap := c.snap.Load()
+	pps := make([]*core.PP, 0, len(snap.pps))
+	for _, clause := range snap.clauses {
+		pps = append(pps, snap.pps[clause].pp)
 	}
 	if err := gob.NewEncoder(w).Encode(pps); err != nil {
 		return fmt.Errorf("optimizer: saving corpus: %w", err)

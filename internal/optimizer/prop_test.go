@@ -112,7 +112,7 @@ func TestPropEveryPlanRespectsAccuracyBound(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		pred := query.MustParse(randPredStr(rng))
 		for _, target := range []float64{1, 0.95, 0.9, 0.8} {
-			g := &generator{corpus: corpus, domains: miniDomains(), maxPPs: 4, skip: map[string]bool{}}
+			g := &generator{snap: corpus.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
 			for _, e := range g.gen(pred) {
 				p := costExpr(e, target, 100, costOpts{})
 				if got := planAccuracy(t, p, e.String()); got < target-1e-9 {

@@ -39,24 +39,10 @@ type ScoreCache interface {
 // virtual costs are identical to the uncached filter. A nil cache returns
 // the receiver unchanged.
 func (c *Compiled) WithScoreCache(cache ScoreCache) *Compiled {
-	return c.WithScoreCacheMin(cache, 0)
-}
-
-// WithScoreCacheMin is WithScoreCache with a cost-aware bypass: only leaves
-// whose estimated per-blob score cost (reducer + scorer virtual ms) is at
-// least minCost get the cache attached; cheaper leaves keep a nil cache and
-// recompute every score — for a cache whose lookup costs more real CPU than
-// the cheapest scorer, minCost is the cutover. Bypassed leaves touch neither
-// hit nor miss counters. minCost <= 0 caches every
-// leaf; results are identical either way (the cache is transparent).
-func (c *Compiled) WithScoreCacheMin(cache ScoreCache, minCost float64) *Compiled {
 	if c == nil || cache == nil {
 		return c
 	}
 	return &Compiled{name: c.name, node: mapLeaves(c.node, func(l *compiledLeaf) *compiledLeaf {
-		if l.pp.Cost() < minCost {
-			return l // bypass: recomputing is cheaper than cache traffic
-		}
 		cp := *l
 		cp.cache = cache
 		return &cp

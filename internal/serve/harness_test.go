@@ -249,3 +249,17 @@ var miniWorkload = []WorkloadQuery{
 	{ID: "Q9", Pred: "t=SUV & c=red & s>60"},
 	{ID: "Q10", Pred: "s>60 & t=SUV"}, // Q6 respelled
 }
+
+// get and put are the cache's primitives taken one at a time under its
+// mutex, for the tests that drive a planCache directly.
+func (c *planCache) get(key string, version uint64) (*planEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.getLocked(key, version)
+}
+
+func (c *planCache) put(e *planEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(e)
+}

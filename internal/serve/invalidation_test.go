@@ -12,6 +12,8 @@ import (
 
 	"probpred/internal/core"
 	"probpred/internal/dimred"
+	"probpred/internal/obs"
+	"probpred/internal/optimizer"
 	"probpred/internal/query"
 )
 
@@ -147,5 +149,39 @@ func TestStaleEvictionExactlyOnce(t *testing.T) {
 	}
 	if want := uint64(goroutines - 1); s.PlanHits != want {
 		t.Errorf("PlanHits = %d, want %d", s.PlanHits, want)
+	}
+}
+
+// TestPlanEntryStampedWithSearchedSnapshot: a corpus mutation landing between
+// a search's snapshot load and the entry's insertion must not be papered over
+// by the stamp. The entry carries the version the search consulted, so the
+// next lookup sees the consulted clause moved and misses; stamped with a later
+// Corpus.Version read it would pass every revalidation and serve the retired
+// PP for good.
+func TestPlanEntryStampedWithSearchedSnapshot(t *testing.T) {
+	st := newMiniStack(t, 200, nil)
+	pred := query.MustParse("s>60")
+	key := optimizer.PlanKey(pred, 0.95)
+	searchedOn := st.corpus.Version()
+	e, err := st.srv.searchPlan(pred, 0.95, key, obs.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.corpus.Add(retrainSpeedPP(t, "s>60", 1))
+	st.srv.plans.put(e)
+
+	if e.version != searchedOn || e.dec.CorpusVersion != searchedOn {
+		t.Fatalf("entry stamped %d (decision %d), want the searched snapshot's %d", e.version, e.dec.CorpusVersion, searchedOn)
+	}
+	if _, ok := st.srv.plans.get(key, st.corpus.Version()); ok {
+		t.Fatal("entry searched before the retraining was served after it")
+	}
+	resp, err := st.srv.Do(Request{ID: "after", Pred: pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.PlanCached || resp.Decision.CorpusVersion != st.corpus.Version() {
+		t.Errorf("session after the retraining: cached=%v on corpus version %d, want a fresh search on %d",
+			resp.PlanCached, resp.Decision.CorpusVersion, st.corpus.Version())
 	}
 }

@@ -229,30 +229,73 @@ func TestObservabilityDoesNotChangeResults(t *testing.T) {
 }
 
 // TestErrorSessionsAreLogged: a failing session still produces a traced
-// query-log record carrying the error.
+// query-log record carrying the error — on a Server, and on a Coordinator
+// whether a shard failed or the request was rejected before any leg ran.
 func TestErrorSessionsAreLogged(t *testing.T) {
-	var logBuf bytes.Buffer
-	qlog := pplog.NewWriter(&logBuf, 8, nil)
-	st := newMiniStack(t, 20, func(cfg *Config) {
-		cfg.QueryLog = qlog
+	errorRecords := func(t *testing.T, logBuf *bytes.Buffer, qlog *pplog.Writer, want int) []pplog.Record {
+		t.Helper()
+		if err := qlog.Close(); err != nil {
+			t.Fatal(err)
+		}
+		records, err := pplog.Read(logBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(records) != want {
+			t.Fatalf("%d records logged, want %d", len(records), want)
+		}
+		for _, rec := range records {
+			if rec.TraceID == "" || rec.Error == "" || rec.Session != "bad" {
+				t.Fatalf("error record incomplete: %+v", rec)
+			}
+		}
+		return records
+	}
+	t.Run("server", func(t *testing.T) {
+		var logBuf bytes.Buffer
+		qlog := pplog.NewWriter(&logBuf, 8, nil)
+		st := newMiniStack(t, 20, func(cfg *Config) {
+			cfg.QueryLog = qlog
+		})
+		// An unknown column fails at execution time, after admission.
+		_, err := st.srv.Do(Request{ID: "bad", Pred: query.MustParse("zz=1")})
+		if err == nil {
+			t.Fatal("expected the bad query to fail")
+		}
+		errorRecords(t, &logBuf, qlog, 1)
 	})
-	// An unknown column fails at execution time, after admission.
-	_, err := st.srv.Do(Request{ID: "bad", Pred: query.MustParse("zz=1")})
-	if err == nil {
-		t.Fatal("expected the bad query to fail")
-	}
-	if err := qlog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	records, rerr := pplog.Read(&logBuf)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if len(records) != 1 {
-		t.Fatalf("%d records logged, want 1", len(records))
-	}
-	rec := records[0]
-	if rec.TraceID == "" || rec.Error == "" || rec.Session != "bad" {
-		t.Fatalf("error record incomplete: %+v", rec)
-	}
+	t.Run("sharded", func(t *testing.T) {
+		var logBuf bytes.Buffer
+		qlog := pplog.NewWriter(&logBuf, 8, nil)
+		col := obs.NewCollector()
+		c := newMiniCoordinator(t, 20, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+			cfg.Base.QueryLog = qlog
+			cfg.Base.Obs = obs.New(col)
+		})
+		// Rejected by validation: no leg runs, and the session is still
+		// counted, traced and logged.
+		if _, err := c.Do(Request{ID: "bad", Pred: query.MustParse("t=SUV"), Accuracy: 1.5}); err == nil {
+			t.Fatal("expected the out-of-range accuracy to be rejected")
+		}
+		if _, err := c.Do(Request{ID: "bad"}); err == nil {
+			t.Fatal("expected the predicate-less request to be rejected")
+		}
+		if st := c.Stats(); st.ScatterSessions != 2 || st.ScatterFailures != 2 || st.Sessions != 0 {
+			t.Errorf("scatter sessions/failures = %d/%d over %d legs, want 2/2 over 0", st.ScatterSessions, st.ScatterFailures, st.Sessions)
+		}
+		for _, r := range errorRecords(t, &logBuf, qlog, 2) {
+			if r.Leg != nil || len(r.Legs) != 0 {
+				t.Errorf("rejected request logged legs: %+v", r)
+			}
+		}
+		spans := col.Spans()
+		if len(spans) != 2 {
+			t.Fatalf("%d spans, want one session span per rejected request", len(spans))
+		}
+		for _, sp := range spans {
+			if sp.Kind != obs.KindSession || !strings.Contains(fmt.Sprint(sp.Attrs), "error") {
+				t.Errorf("span %+v is not a session span carrying the error", sp)
+			}
+		}
+	})
 }

@@ -82,10 +82,8 @@ func (b boundBuilder) Build(pred query.Pred, filter engine.BlobFilter) (engine.P
 
 // Config configures a Server.
 type Config struct {
-	// Optimizer plans predicates over the shared corpus. Required. The
-	// server serializes Optimize calls internally (the optimizer's search
-	// state is not safe for concurrent use); cached plans are served without
-	// touching it.
+	// Optimizer plans predicates over the shared corpus. Required. Cached
+	// plans are served without touching it.
 	Optimizer *optimizer.Optimizer
 	// Builder assembles executable plans. Required unless Corpus is set.
 	Builder QueryBuilder
@@ -124,17 +122,6 @@ type Config struct {
 	// benchmark uses to measure uncached evaluation counts through identical
 	// code paths.
 	DisableScoreCache bool
-	// ScoreCacheMinCost gates score-cache use per PP: leaves whose estimated
-	// per-blob score cost (reducer + scorer virtual ms) is below the
-	// threshold bypass the cache entirely and recompute. It dates from when
-	// a hit took a shard lock per row and cost more wall time than a cheap
-	// SVM score; with batched probes a hit undercuts every scorer in the
-	// tree (DESIGN.md "Score-cache probes a batch at a time"), so no
-	// non-zero value is known to pay. Zero caches every leaf. Bypassed
-	// leaves move neither hit nor miss
-	// counters, so Stats.ScoreMisses keeps counting only cached-leaf
-	// evaluations.
-	ScoreCacheMinCost float64
 	// Routing selects how a sharded Coordinator picks the replica that
 	// serves each scatter leg (see NewSharded): RouteRoundRobin,
 	// RouteLeastLoaded or RoutePlanAffinity. Empty selects round-robin.
@@ -189,9 +176,6 @@ func (c *Config) fill() error {
 	}
 	if c.ScoreCacheShards <= 0 {
 		c.ScoreCacheShards = 16
-	}
-	if c.ScoreCacheMinCost < 0 {
-		return fmt.Errorf("serve: ScoreCacheMinCost %v is negative", c.ScoreCacheMinCost)
 	}
 	if c.Routing == "" {
 		c.Routing = RouteRoundRobin
@@ -317,20 +301,13 @@ type Server struct {
 	// sem is the admission semaphore bounding concurrently executing
 	// sessions.
 	sem chan struct{}
-	// optMu serializes plan searches: optimizer.Optimize mutates shared
-	// search state (negation cache, dependence map) and is not safe for
-	// concurrent use. Cached plans bypass this lock. It is a pointer so a
-	// sharded Coordinator can point every replica sharing one optimizer at
-	// one lock; standalone servers own theirs.
-	optMu *sync.Mutex
 
 	// queued / active mirror the admission gauges as plain atomics, always
 	// maintained (metrics registry or not): they are the live load signal
 	// the least-loaded router reads.
 	queued, active atomic.Int64
 
-	sessions             atomic.Uint64
-	planHits, planMisses atomic.Uint64
+	sessions atomic.Uint64
 
 	m serveMetrics
 }
@@ -382,7 +359,6 @@ func New(cfg Config) (*Server, error) {
 		plans:  newPlanCache(cfg.PlanCacheSize, cfg.Optimizer.Corpus()),
 		scores: newScoreCache(cfg.ScoreCacheSize, cfg.ScoreCacheShards, cfg.DisableScoreCache),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
-		optMu:  &sync.Mutex{},
 		m:      newServeMetrics(cfg.Metrics),
 	}, nil
 }
@@ -554,7 +530,11 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 		return nil, err
 	}
 	key := optimizer.PlanKey(req.Pred, accuracy)
-	entry, cached, err := s.resolvePlan(req.Pred, accuracy, key, ctx)
+	// Of N sessions racing into one uncached key one searches; the others
+	// wait for its entry and count as plan hits.
+	entry, cached, err := s.plans.resolve(key, func() (*planEntry, error) {
+		return s.searchPlan(req.Pred, accuracy, key, ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -586,8 +566,10 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 	if s.cfg.Adapt != nil && filter != nil {
 		res, arep, err = s.cfg.Adapt.Run(plan, ecfg, adapt.RunSpec{
 			Key: key,
+			// The session's trace context keys the re-optimization event to
+			// the session that triggered it.
 			Reopt: func(f *optimizer.Compiled, minRows uint64) (*optimizer.Reoptimized, error) {
-				return s.reoptimize(f, minRows, ctx)
+				return s.cfg.Optimizer.ReoptimizeCtx(f, minRows, s.cfg.Obs, ctx)
 			},
 			Cache: sessionCache{s: s, entry: entry},
 		})
@@ -612,16 +594,6 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 	}, nil
 }
 
-// reoptimize is the adapt controller's optimizer re-entry. It takes the same
-// lock as plan searches: Reoptimize reads optimizer state that Optimize
-// mutates, and neither is safe for concurrent use. The session's trace
-// context keys the re-optimization event to the session that triggered it.
-func (s *Server) reoptimize(f *optimizer.Compiled, minRows uint64, ctx obs.TraceContext) (*optimizer.Reoptimized, error) {
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	return s.cfg.Optimizer.ReoptimizeCtx(f, minRows, s.cfg.Obs, ctx)
-}
-
 // sessionCache adapts the server's plan cache to adapt.PlanCache for one
 // session. The session's own entry is the donor a promotion inherits its
 // decision and corpus version from — the key may have been demoted (or
@@ -642,27 +614,12 @@ func (c sessionCache) PromotePlan(key string, re *optimizer.Reoptimized) {
 	c.s.plans.promote(c.entry, re.Filter)
 }
 
-// resolvePlan returns the cached plan entry for (pred, accuracy), or runs a
-// plan search under the optimizer lock. The lookup is double-checked: while
-// a session waits on optMu another session may have completed the identical
-// search, and the second lookup turns that into a hit instead of a duplicate
-// search.
-func (s *Server) resolvePlan(pred query.Pred, accuracy float64, key string, ctx obs.TraceContext) (*planEntry, bool, error) {
-	corpus := s.cfg.Optimizer.Corpus()
-	if e, ok := s.plans.get(key, corpus.Version()); ok {
-		s.planHits.Add(1)
-		return e, true, nil
-	}
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	version := corpus.Version()
-	if e, ok := s.plans.get(key, version); ok {
-		s.planHits.Add(1)
-		return e, true, nil
-	}
+// searchPlan runs one plan search and wraps its decision as a cache entry,
+// stamped with the version of the corpus snapshot the search consulted.
+func (s *Server) searchPlan(pred query.Pred, accuracy float64, key string, ctx obs.TraceContext) (*planEntry, error) {
 	u, err := s.cfg.Builder.UDFCost(pred)
 	if err != nil {
-		return nil, false, fmt.Errorf("serve: UDF cost for %q: %w", pred.String(), err)
+		return nil, fmt.Errorf("serve: UDF cost for %q: %w", pred.String(), err)
 	}
 	dec, err := s.cfg.Optimizer.Optimize(pred, optimizer.Options{
 		Accuracy: accuracy,
@@ -672,19 +629,16 @@ func (s *Server) resolvePlan(pred query.Pred, accuracy float64, key string, ctx 
 		Trace:    ctx,
 	})
 	if err != nil {
-		return nil, false, fmt.Errorf("serve: optimize %q: %w", pred.String(), err)
+		return nil, fmt.Errorf("serve: optimize %q: %w", pred.String(), err)
 	}
-	e := &planEntry{key: key, version: version, deps: dec.Consulted(), dec: dec}
+	e := &planEntry{key: key, version: dec.CorpusVersion, deps: dec.Consulted(), dec: dec}
 	if dec.Inject {
 		// One score-cache-attached filter per entry, shared by every session
 		// that hits it — sharing is what makes cross-session score reuse
-		// work; the engine keeps per-run accounting separate. Leaves cheaper
-		// than ScoreCacheMinCost skip the cache.
-		e.filter = dec.Filter.WithScoreCacheMin(s.scores, s.cfg.ScoreCacheMinCost)
+		// work; the engine keeps per-run accounting separate.
+		e.filter = dec.Filter.WithScoreCache(s.scores)
 	}
-	s.plans.put(e)
-	s.planMisses.Add(1)
-	return e, false, nil
+	return e, nil
 }
 
 // Invalidate drops every cached plan, forcing fresh searches. Corpus changes
@@ -692,25 +646,13 @@ func (s *Server) resolvePlan(pred query.Pred, accuracy float64, key string, ctx 
 // override for out-of-band invalidation.
 func (s *Server) Invalidate() { s.plans.flush() }
 
-// SyncCorpus runs fn under the server's optimizer lock, serializing corpus
-// mutations with plan searches. Streaming ingestion routes online training
-// and watchdog reports (which Add/Remove corpus PPs and read shared
-// optimizer state) through it so they never race an in-flight plan search;
-// cached-plan sessions are unaffected — they bypass the lock and see the
-// mutation through the corpus version.
-func (s *Server) SyncCorpus(fn func()) {
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	fn()
-}
-
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
 	scoreEntries, scoreHits, scoreMisses := s.scores.stats()
 	return Stats{
 		Sessions:          s.sessions.Load(),
-		PlanHits:          s.planHits.Load(),
-		PlanMisses:        s.planMisses.Load(),
+		PlanHits:          s.plans.hits.Load(),
+		PlanMisses:        s.plans.misses.Load(),
 		PlanInvalidations: s.plans.invalidations.Load(),
 		PlanRevalidations: s.plans.revalidations.Load(),
 		PlanEntries:       s.plans.len(),

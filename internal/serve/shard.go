@@ -100,9 +100,8 @@ type Coordinator struct {
 
 // NewSharded validates the config, partitions the corpus and builds
 // Shards × Replicas replica servers. All replicas share the coordinator's
-// optimizer (Base.Optimizer) behind one plan-search lock, and each gets its
-// own plan cache, score cache and admission semaphore over its shard's
-// corpus slice.
+// optimizer (Base.Optimizer), and each gets its own plan cache, score cache
+// and admission semaphore over its shard's corpus slice.
 func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -120,9 +119,6 @@ func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
 	if c.accuracy == 0 {
 		c.accuracy = 1
 	}
-	// One lock for every replica: they share Base.Optimizer, whose search
-	// state is not safe for concurrent use across servers either.
-	sharedOptMu := &sync.Mutex{}
 	slices := SplitBlobs(cfg.Corpus, cfg.Shards)
 	for i, slice := range slices {
 		sh := &shard{
@@ -137,7 +133,6 @@ func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serve: shard %d replica %d: %w", i, r, err)
 			}
-			srv.optMu = sharedOptMu
 			sh.replicas = append(sh.replicas, srv)
 		}
 		c.shards = append(c.shards, sh)
@@ -174,11 +169,6 @@ type leg struct {
 // FlightRecorder auto-dump), and completed legs are discarded — graceful
 // degradation is "the query errors out attributed", never a hang.
 func (c *Coordinator) Do(req Request) (*Response, error) {
-	accuracy, err := validate(req, c.accuracy)
-	if err != nil {
-		return nil, err
-	}
-	key := optimizer.PlanKey(req.Pred, accuracy)
 	c.sessions.Add(1)
 
 	// One trace for the whole scatter: the coordinator mints it (or adopts
@@ -190,9 +180,24 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 	span := tr.BeginCtx(obs.TraceContext{TraceID: trace}, obs.KindSession, name)
 	span.SetAttr("scatter", strconv.Itoa(len(c.shards)))
 	span.SetAttr("policy", policy)
-	span.SetAttr("plan_key", key)
 	ctx := obs.TraceContext{TraceID: trace, SpanID: span.ID}
 	start := time.Now()
+	// fail closes a session that produced no response: counted, traced and
+	// logged, whether a shard failed or the request was rejected — as a
+	// Server treats its failed sessions.
+	fail := func(legs []leg, key string, acc float64, err error) (*Response, error) {
+		c.failures.Add(1)
+		span.SetAttr("error", err.Error())
+		tr.End(&span)
+		c.logScatter(req, nil, legs, trace, key, acc, time.Since(start), err)
+		return nil, err
+	}
+	accuracy, err := validate(req, c.accuracy)
+	if err != nil {
+		return fail(nil, "", req.Accuracy, err)
+	}
+	key := optimizer.PlanKey(req.Pred, accuracy)
+	span.SetAttr("plan_key", key)
 
 	legs := make([]leg, len(c.shards))
 	var wg sync.WaitGroup
@@ -226,12 +231,7 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 		}
 	}
 	if len(failed) > 0 {
-		c.failures.Add(1)
-		err := fmt.Errorf("serve: scatter %q: %w", req.ID, errors.Join(failed...))
-		span.SetAttr("error", err.Error())
-		tr.End(&span)
-		c.logScatter(req, nil, legs, trace, key, accuracy, time.Since(start), err)
-		return nil, err
+		return fail(legs, key, accuracy, fmt.Errorf("serve: scatter %q: %w", req.ID, errors.Join(failed...)))
 	}
 	resp := mergeLegs(legs)
 	resp.Service = time.Since(start)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"probpred/internal/blob"
@@ -426,41 +428,47 @@ func TestRouters(t *testing.T) {
 	})
 }
 
-// TestScoreCacheCostGate exercises ScoreCacheMinCost end-to-end: a threshold
-// above every PP's cost bypasses the cache entirely (zero lookups), a mixed
-// threshold caches only the expensive leaves, and outputs stay identical in
-// all modes.
-func TestScoreCacheCostGate(t *testing.T) {
-	run := func(minCost float64) (string, Stats) {
-		st := newMiniStack(t, 60, func(cfg *Config) { cfg.ScoreCacheMinCost = minCost })
-		resps, err := st.srv.Replay(miniWorkload, 2)
+// TestShardedColdLegsSearchConcurrently: two replicas of one shard, both cold
+// for one key, plan it at the same time on the optimizer they share — nothing
+// orders the two searches. Both legs complete with the same decision, and each
+// replica's own plan cache records its one miss.
+func TestShardedColdLegsSearchConcurrently(t *testing.T) {
+	c := newMiniCoordinator(t, 120, 1, 2, RouteRoundRobin, nil)
+	pred := query.MustParse("t=SUV & c!=white & s>65")
+	resps := make([]*Response, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resps[i], errs[i] = c.Do(Request{ID: fmt.Sprintf("cold-%d", i), Pred: pred})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderResponses(resps), st.srv.Stats()
 	}
-
-	baseline, allStats := run(0)
-	lookups := func(s Stats) uint64 { return s.ScoreHits + s.ScoreMisses }
-	if lookups(allStats) == 0 {
-		t.Fatal("workload drove no score-cache lookups; the gate test is vacuous")
+	a, b := resps[0].Decision, resps[1].Decision
+	if a == b {
+		t.Fatal("both legs share one decision object: they were not planned per replica")
 	}
-
-	// Threshold above every mini PP (exact 1.0, speed 1.2): all leaves bypass.
-	renderAll, bypassStats := run(10)
-	if renderAll != baseline {
-		t.Error("full-bypass render diverged from cached baseline")
+	if a.Expr != b.Expr || a.LeafAccuracies != b.LeafAccuracies || a.PlanCost != b.PlanCost ||
+		!reflect.DeepEqual(a.Consulted(), b.Consulted()) {
+		t.Errorf("replicas planned differently:\n %s [%s] cost %v\n %s [%s] cost %v",
+			a.Expr, a.LeafAccuracies, a.PlanCost, b.Expr, b.LeafAccuracies, b.PlanCost)
 	}
-	if n := lookups(bypassStats); n != 0 {
-		t.Errorf("full bypass still drove %d cache lookups", n)
+	if got, want := renderResponses(resps[1:]), strings.Replace(renderResponses(resps[:1]), "cold-0", "cold-1", 1); got != want {
+		t.Errorf("replicas served different results:\n got: %s\nwant: %s", got, want)
 	}
-
-	// Threshold between the two PP costs: only speed PPs (1.2) stay cached.
-	renderMixed, mixedStats := run(1.1)
-	if renderMixed != baseline {
-		t.Error("mixed-gate render diverged from cached baseline")
-	}
-	if n := lookups(mixedStats); n == 0 || n >= lookups(allStats) {
-		t.Errorf("mixed gate lookups = %d, want in (0, %d)", n, lookups(allStats))
+	for r, st := range c.ReplicaStats()[0] {
+		if st.PlanMisses != 1 || st.PlanHits != 0 {
+			t.Errorf("replica %d: %d plan misses / %d hits, want 1 / 0", r, st.PlanMisses, st.PlanHits)
+		}
 	}
 }

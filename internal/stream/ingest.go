@@ -147,10 +147,10 @@ func (in *Ingestor) Register(q Query) error {
 // Ingest lands one segment and runs every standing query over exactly its
 // blobs, returning one delta per query in registration order. With an online
 // system attached it then audits each delta's realized accuracy against
-// ground truth (watchdog input) and observes a training sample — both under
-// the server's corpus lock, so training never races an in-flight plan
-// search. A failed query fails the ingest; the segment is still appended
-// (the stream's data is never lost to a planning error).
+// ground truth (watchdog input) and observes a training sample; a training or
+// a trip publishes a new PP-corpus snapshot, which plan searches already
+// running never see. A failed query fails the ingest; the segment is still
+// appended (the stream's data is never lost to a planning error).
 func (in *Ingestor) Ingest(blobs []blob.Blob) ([]Delta, error) {
 	in.ingestMu.Lock()
 	defer in.ingestMu.Unlock()
@@ -232,11 +232,11 @@ func (in *Ingestor) audit(q standing, segBlobs []blob.Blob, resp *serve.Response
 	return true, expected, float64(retained) / float64(expected)
 }
 
-// train closes the per-segment feedback loop under the server's corpus lock:
-// audited accuracies feed the watchdog (K consecutive breaches trip a
-// clause's breaker, removing its PP), then a deterministic sample of the
-// segment is labeled and observed, which is where incremental (re)training —
-// warm-started when the online system is configured for it — actually runs.
+// train closes the per-segment feedback loop: audited accuracies feed the
+// watchdog (K consecutive breaches trip a clause's breaker, removing its PP),
+// then a deterministic sample of the segment is labeled and observed, which is
+// where incremental (re)training — warm-started when the online system is
+// configured for it — actually runs.
 func (in *Ingestor) train(seg Segment, segBlobs []blob.Blob, queries []standing, deltas []Delta) {
 	sample := segBlobs
 	if n := in.cfg.TrainSample; n > 0 && n < len(segBlobs) {
@@ -247,19 +247,15 @@ func (in *Ingestor) train(seg Segment, segBlobs []blob.Blob, queries []standing,
 			sample[i] = segBlobs[perm[i]]
 		}
 	}
-	in.cfg.Server.SyncCorpus(func() {
-		for i, d := range deltas {
-			if !d.Audited {
-				continue
-			}
-			in.cfg.Online.ReportAccuracy(d.Resp.Decision, d.Observed, queries[i].accuracy)
+	for i, d := range deltas {
+		if !d.Audited {
+			continue
 		}
-		for _, b := range sample {
-			// Observe may train (corpus.Add) — that is why the whole loop
-			// holds the corpus lock.
-			_ = in.cfg.Online.Observe(b, in.cfg.Lookup(b))
-		}
-	})
+		in.cfg.Online.ReportAccuracy(d.Resp.Decision, d.Observed, queries[i].accuracy)
+	}
+	for _, b := range sample {
+		_ = in.cfg.Online.Observe(b, in.cfg.Lookup(b))
+	}
 }
 
 // BatchQuery runs one registered standing query over the entire corpus as a
