@@ -14,11 +14,50 @@ import "probpred/internal/mathx"
 // the generator's ground-truth payload (attribute values) used by simulated
 // UDFs and by experiment metrics — real systems obviously do not have it, and
 // no PP code reads it.
+//
+// A Blob is 48 bytes and is copied by value into scan slabs and filter
+// batches, so Truth is a pointer: attributes stored inline would be paid for
+// on every copy by code that never reads them.
 type Blob struct {
 	ID     int
 	Dense  mathx.Vec
 	Sparse *mathx.Sparse
-	Truth  map[string]float64
+	Truth  *Truth
+}
+
+// TruthKeys names the ground-truth attributes of a dataset, in the order
+// every one of its rows stores them. One list is shared by all the blobs.
+type TruthKeys struct{ names []string }
+
+// NewTruthKeys returns the key list of a dataset whose blobs carry the named
+// attributes.
+func NewTruthKeys(names ...string) *TruthKeys { return &TruthKeys{names: names} }
+
+// Truth is one blob's ground truth: Vals[i] is the value of the i-th key.
+type Truth struct {
+	keys *TruthKeys
+	Vals []float64
+}
+
+// Rows returns n zero-valued rows over k for a generator to fill and point
+// its blobs at, cut from two slabs: a hash map per blob cost five times the
+// bytes, and a lookup among a handful of keys is faster by comparison.
+func (k *TruthKeys) Rows(n int) []Truth {
+	w := len(k.names)
+	rows := make([]Truth, n)
+	vals := make([]float64, n*w)
+	for i := range rows {
+		rows[i] = Truth{keys: k, Vals: vals[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return rows
+}
+
+// Row returns one row over k holding vals, one per key.
+func (k *TruthKeys) Row(vals ...float64) *Truth {
+	if len(vals) != len(k.names) {
+		panic("blob: truth row does not match its keys")
+	}
+	return &Truth{keys: k, Vals: vals}
 }
 
 // FromDense wraps a dense feature vector as a Blob.
@@ -50,8 +89,15 @@ func (b Blob) DenseVec() mathx.Vec {
 // TruthVal returns the ground-truth attribute value for key, and whether it
 // exists. Only simulated UDFs and experiment metrics call this.
 func (b Blob) TruthVal(key string) (float64, bool) {
-	v, ok := b.Truth[key]
-	return v, ok
+	if b.Truth == nil {
+		return 0, false
+	}
+	for i, name := range b.Truth.keys.names {
+		if name == key {
+			return b.Truth.Vals[i], true
+		}
+	}
+	return 0, false
 }
 
 // Set is a collection of blobs with parallel binary labels (+1 = the blob

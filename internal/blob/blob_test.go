@@ -2,6 +2,7 @@ package blob
 
 import (
 	"testing"
+	"unsafe"
 
 	"probpred/internal/mathx"
 )
@@ -28,13 +29,48 @@ func TestFromSparse(t *testing.T) {
 	}
 }
 
+// TestBlobIs48Bytes: blobs are copied by value into scan slabs and filter
+// batches; anything added to the struct is paid for on every copy.
+func TestBlobIs48Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Blob{}); size != 48 {
+		t.Fatalf("Blob is %d bytes, want 48: keep payloads behind a pointer", size)
+	}
+}
+
 func TestTruthVal(t *testing.T) {
-	b := Blob{Truth: map[string]float64{"speed": 65}}
+	keys := NewTruthKeys("speed", "lane")
+	b := Blob{Truth: keys.Row(65, 2)}
 	if v, ok := b.TruthVal("speed"); !ok || v != 65 {
 		t.Fatal("TruthVal miss")
 	}
-	if _, ok := b.TruthVal("absent"); ok {
-		t.Fatal("TruthVal false positive")
+	if v, ok := b.TruthVal("absent"); ok || v != 0 {
+		t.Fatalf("TruthVal on a missing key = %v, %v", v, ok)
+	}
+	if v, ok := (Blob{ID: 1}).TruthVal("speed"); ok || v != 0 {
+		t.Fatalf("TruthVal on a blob without truth = %v, %v", v, ok)
+	}
+}
+
+// TestTruthRowsShareKeysNotValues: rows cut from one slab answer for their
+// own blob only, and a write to one does not show through its neighbour.
+func TestTruthRowsShareKeysNotValues(t *testing.T) {
+	keys := NewTruthKeys("t", "s")
+	rows := keys.Rows(3)
+	for i := range rows {
+		rows[i].Vals[0], rows[i].Vals[1] = float64(i), float64(10*i)
+	}
+	rows[1].Vals = append(rows[1].Vals, 99) // must not land in rows[2]
+	for i := range rows {
+		b := Blob{ID: i, Truth: &rows[i]}
+		if v, ok := b.TruthVal("t"); !ok || v != float64(i) {
+			t.Fatalf("blob %d: t = %v, %v", i, v, ok)
+		}
+		if v, ok := b.TruthVal("s"); !ok || v != float64(10*i) {
+			t.Fatalf("blob %d: s = %v, %v", i, v, ok)
+		}
+	}
+	if rows[0].keys != rows[2].keys {
+		t.Fatal("rows of one dataset do not share their key list")
 	}
 }
 

@@ -117,6 +117,70 @@ func TestCurveDoubleNegateRoundTrips(t *testing.T) {
 	}
 }
 
+// TestNegatedCurveReadsLikeABuiltOne: a negated curve shares its source's
+// storage and reads it backwards; every answer must carry the bits of a curve
+// built from the sign-flipped scores and inverted labels, ties and thresholds
+// exactly on a score included.
+func TestNegatedCurveReadsLikeABuiltOne(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := mathx.NewRNG(seed)
+		n := 2 + rng.Intn(300)
+		scores := make([]float64, n)
+		labels := make([]bool, n)
+		for i := range scores {
+			// A coarse grid: many ties. Adding 0 turns −0 into +0: among
+			// scores that compare equal but differ in bits, which one holds
+			// a rank is the sort's choice, in either representation.
+			scores[i] = math.Round(rng.NormFloat64()*8)/8 + 0
+			labels[i] = rng.Bernoulli(0.3)
+		}
+		labels[0], labels[1] = true, false
+		c, err := NewCurve(scores, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := c.Negate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flippedScores, flippedLabels := view.validation()
+		built, err := NewCurve(flippedScores, flippedLabels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(what string, x float64, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: negated %s(%v) = %v, built curve says %v", seed, what, x, got, want)
+			}
+		}
+		for a := 0.0; a <= 1; a += 1.0 / 256 {
+			same("Threshold", a, view.Threshold(a), built.Threshold(a))
+			same("Reduction", a, view.Reduction(a), built.Reduction(a))
+		}
+		for _, s := range flippedScores {
+			for _, th := range []float64{s, math.Nextafter(s, 9), math.Nextafter(s, -9)} {
+				same("ReductionAtThreshold", th, view.ReductionAtThreshold(th), built.ReductionAtThreshold(th))
+				same("AccuracyAtThreshold", th, view.AccuracyAtThreshold(th), built.AccuracyAtThreshold(th))
+			}
+		}
+		for _, th := range []float64{math.Inf(1), math.Inf(-1)} {
+			same("ReductionAtThreshold", th, view.ReductionAtThreshold(th), built.ReductionAtThreshold(th))
+		}
+		if view.ValidationN() != built.ValidationN() || view.ValidationSelectivity() != built.ValidationSelectivity() {
+			t.Fatalf("seed %d: negated curve reports %d blobs at selectivity %v, built curve %d at %v", seed,
+				view.ValidationN(), view.ValidationSelectivity(), built.ValidationN(), built.ValidationSelectivity())
+		}
+	}
+	allPositive, err := NewCurve([]float64{1, 2}, []bool{true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := allPositive.Negate(); err == nil {
+		t.Fatal("negating a curve without negatives must fail: its negation has no positives")
+	}
+}
+
 func TestCurveValidationAccessors(t *testing.T) {
 	c := simpleCurve(t)
 	if c.ValidationN() != 10 {

@@ -45,10 +45,11 @@ type ppGob struct {
 
 // GobEncode implements gob.GobEncoder.
 func (p *PP) GobEncode() ([]byte, error) {
+	scores, labels := p.curve.validation()
 	g := ppGob{
 		Clause: p.Clause, Approach: p.Approach,
 		Reducer: p.reducer, Scorer: p.scorer,
-		Scores: p.curve.scores, Labels: p.curve.labels,
+		Scores: scores, Labels: labels,
 		Negated: p.negated, TrainN: p.TrainN, TrainDuration: p.TrainDuration,
 	}
 	var buf bytes.Buffer

@@ -93,6 +93,9 @@ func Square(cfg CoralConfig) *VideoStream {
 	return videoStream("square", cfg)
 }
 
+// videoKeys is the ground truth of a video frame: whether the object is in it.
+var videoKeys = blob.NewTruthKeys("object")
+
 func videoStream(name string, cfg CoralConfig) *VideoStream {
 	rng := mathx.NewRNG(cfg.Seed ^ 0xc04a1)
 	w, h := cfg.Width, cfg.Height
@@ -103,6 +106,7 @@ func videoStream(name string, cfg CoralConfig) *VideoStream {
 	}
 	v := &VideoStream{Name: name, Width: w, Height: h, MaskCols: cfg.MaskCols,
 		Background: mathx.CloneVec(base)}
+	truth := videoKeys.Rows(cfg.Frames)
 	objectPresent := false
 	objX, objY := 0, 0
 	relevantW := w - cfg.MaskCols
@@ -143,7 +147,8 @@ func videoStream(name string, cfg CoralConfig) *VideoStream {
 			}
 		}
 		b := blob.FromDense(f, frame)
-		b.Truth = map[string]float64{"object": boolTo01(objectPresent)}
+		b.Truth = &truth[f]
+		b.Truth.Vals[0] = boolTo01(objectPresent)
 		v.Frames = append(v.Frames, b)
 		v.HasObject = append(v.HasObject, objectPresent)
 	}

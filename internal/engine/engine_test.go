@@ -45,9 +45,11 @@ func (f thresholdFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float6
 
 func makeBlobs(n int) []blob.Blob {
 	out := make([]blob.Blob, n)
+	truth := blob.NewTruthKeys("x").Rows(n)
 	for i := range out {
 		b := blob.FromDense(i, mathx.Vec{float64(i)})
-		b.Truth = map[string]float64{"x": float64(i)}
+		b.Truth = &truth[i]
+		b.Truth.Vals[0] = float64(i)
 		out[i] = b
 	}
 	return out

@@ -45,7 +45,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 func TestParallelProcessErrorPropagates(t *testing.T) {
 	// A blob without truth makes the UDF fail inside a worker goroutine.
 	blobs := makeBlobs(100)
-	blobs[57] = blob.Blob{ID: 57} // no Truth map
+	blobs[57] = blob.Blob{ID: 57} // no Truth
 	plan := Plan{Ops: []Operator{
 		&Scan{Blobs: blobs},
 		&Process{P: fakeUDF{name: "U", cost: 1, col: "x"}},

@@ -125,9 +125,10 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 	}
 	allocs := func(n, survivors int) float64 {
 		blobs := make([]blob.Blob, n)
+		keys := blob.NewTruthKeys("x", "y", "z")
 		for i := range blobs {
 			v := float64(i)
-			blobs[i] = blob.Blob{ID: i, Truth: map[string]float64{"x": v, "y": v, "z": v}}
+			blobs[i] = blob.Blob{ID: i, Truth: keys.Row(v, v, v)}
 		}
 		plan := Plan{Ops: []Operator{
 			&Scan{Blobs: blobs},

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"math/bits"
 
 	"probpred/internal/core"
 )
@@ -22,8 +23,13 @@ type plan struct {
 
 // budgetGrid is the discretization of the accuracy-budget split explored at
 // each conjunction/disjunction (the paper's dynamic program; the grid keeps
-// it polynomial).
-var budgetGrid = []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
+// it polynomial). Every point is a binary fraction and the grid is symmetric,
+// so 1−budgetGrid[i] is exactly budgetGrid[len−1−i]: one table of a^t serves
+// both branches of a split.
+var budgetGrid = [...]float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
+
+// uniformSplit indexes the even split t = 1/2 in budgetGrid.
+const uniformSplit = len(budgetGrid) / 2
 
 // costOpts carries the ablation switches of §6.2's two search dimensions.
 type costOpts struct {
@@ -33,38 +39,74 @@ type costOpts struct {
 	// fixedOrder disables the execution-order search: sub-expressions run
 	// in written order instead of cheapest-effective-first.
 	fixedOrder bool
-	// counters, when set, profiles the DP's memo table across costExpr
-	// calls for SearchStats.
-	counters *memoCounters
+	// profile, when set, accumulates the DP's memo counters over costExpr
+	// calls (MemoHits, MemoEntries).
+	profile *SearchStats
 }
 
-// memoCounters profiles the costing DP's memo table.
-type memoCounters struct{ hits, entries int }
-
-// costExpr computes the minimum-plan-cost instantiation of e at query
-// accuracy target a, for a query whose remaining per-blob UDF cost is u.
-// Plan cost per blob is c + (1−r)·u (§3, §6.2).
-func costExpr(e Expr, a, u float64, opts costOpts) *plan {
-	memo := map[memoKey]*plan{}
-	return evalExpr(e, a, u, opts, memo)
+// costing is the §6.2 dynamic program for one candidate expression: the
+// minimum-plan-cost instantiation at a query accuracy target, for a query
+// whose remaining per-blob UDF cost is u. Plan cost per blob is c + (1−r)·u
+// (§3, §6.2). Every candidate gets its own: nothing carries over from one
+// candidate of a search to the next.
+type costing struct {
+	u    float64
+	opts costOpts
+	// nodes memoizes Expr nodes — in practice leaves — by accuracy rounded to
+	// 1e-6. The stored plan keeps the exact accuracy of the FIRST visit to its
+	// bucket (pow(pow(a,.5),.5) and pow(a,.25) differ in the last bit and
+	// share one), so a leaf's allocation depends on the order of visits. That
+	// is kept on purpose: keyed on exact bits the memo would be a pure
+	// function, and on the benchmark's corpus no Decision of 1 596 changed
+	// with such keys — but 678 of 17 994 candidate plan trees did, by an ulp
+	// in a leaf's accuracy, and only the validation-set size keeps an ulp
+	// from crossing a threshold rank on another corpus. Bit-identical plan
+	// trees are what cost_ref_test.go can hold this DP to, so the rounding and
+	// the visit order stay (DESIGN.md "Plan search").
+	nodes map[nodeKey]*plan
+	// subs memoizes sub-problems: a fold over the kids of one Conj/Disj node
+	// that are still unplaced (a bitmask, so kid order is the written order)
+	// at one exact budget. Solving a sub-problem a second time would find
+	// every nodes entry it needs already present — the first solve put them
+	// there or found them — and return an equal plan, so answering it from
+	// the memo changes neither the result nor which visit of a leaf is first.
+	subs map[subKey]*plan
+	// hits counts lookups either memo answered, entries the distinct node
+	// and sub-problem plans solved.
+	hits, entries int
 }
 
-type memoKey struct {
+type nodeKey struct {
 	node Expr
 	acc  int64 // accuracy rounded to 1e-6
 }
 
-func evalExpr(e Expr, a, u float64, opts costOpts, memo map[memoKey]*plan) *plan {
-	key := memoKey{node: e, acc: int64(math.Round(a * 1e6))}
-	if p, ok := memo[key]; ok {
-		if opts.counters != nil {
-			opts.counters.hits++
-		}
+type subKey struct {
+	node Expr   // the Conj or Disj whose kids are being folded
+	mask uint64 // which of its kids remain, bit i = Kids[i]
+	acc  uint64 // exact budget, math.Float64bits
+}
+
+// costExpr computes the minimum-plan-cost instantiation of e at query
+// accuracy target a, for a query whose remaining per-blob UDF cost is u.
+func costExpr(e Expr, a, u float64, opts costOpts) *plan {
+	c := &costing{u: u, opts: opts, nodes: map[nodeKey]*plan{}, subs: map[subKey]*plan{}}
+	p := c.expr(e, a)
+	if opts.profile != nil {
+		opts.profile.MemoHits += c.hits
+		opts.profile.MemoEntries += c.entries
+	}
+	return p
+}
+
+// expr returns the best plan for node e at accuracy target a.
+func (c *costing) expr(e Expr, a float64) *plan {
+	key := nodeKey{node: e, acc: int64(math.Round(a * 1e6))}
+	if p, ok := c.nodes[key]; ok {
+		c.hits++
 		return p
 	}
-	if opts.counters != nil {
-		opts.counters.entries++
-	}
+	c.entries++
 	var out *plan
 	switch n := e.(type) {
 	case *Leaf:
@@ -75,105 +117,119 @@ func evalExpr(e Expr, a, u float64, opts costOpts, memo map[memoKey]*plan) *plan
 			reduction: n.PP.Reduction(a),
 		}
 	case *Conj:
-		out = evalNary(n.Kids, a, u, true, opts, memo)
+		out = c.fold(e, n.Kids, allKids(len(n.Kids)), a, true)
 	case *Disj:
-		out = evalNary(n.Kids, a, u, false, opts, memo)
+		out = c.fold(e, n.Kids, allKids(len(n.Kids)), a, false)
 	}
-	memo[key] = out
+	c.nodes[key] = out
 	return out
 }
 
-// evalNary folds an n-ary conjunction or disjunction pairwise, exploring
-// which kid joins the fold first (an ordering search: with the cost min()
-// of Eq. 9/10 also considering both operand orders at each fold, this
-// covers the orderings the paper's c/r-sorted + edit-distance heuristic
-// explores) and how the accuracy budget splits at each fold.
-func evalNary(kids []Expr, a, u float64, conj bool, opts costOpts, memo map[memoKey]*plan) *plan {
-	if len(kids) == 1 {
-		return evalExpr(kids[0], a, u, opts, memo)
+// allKids is the sub-problem mask with all n kids unplaced. A node wider
+// than the mask cannot come out of a search that terminates (a k-kid fold
+// explores k!·9^(k−1) orderings and splits), so it is a caller's bug.
+func allKids(n int) uint64 {
+	if n > 64 {
+		panic("optimizer: costing a node with more than 64 sub-expressions")
 	}
-	var best *plan
-	firsts := len(kids)
-	if opts.fixedOrder {
-		firsts = 1 // written order only
+	return 1<<uint(n) - 1 // n = 64 shifts to 0, and 0−1 is all ones
+}
+
+// fold solves one sub-problem: the n-ary conjunction or disjunction over the
+// kids in mask, folded pairwise, exploring which kid joins the fold first (an
+// ordering search: with the cost min() of Eq. 9/10 also considering both
+// operand orders at each fold, this covers the orderings the paper's
+// c/r-sorted + edit-distance heuristic explores) and how the accuracy budget
+// splits between that kid and the rest. Each candidate fold is costed in
+// registers; only the cheapest becomes a plan node.
+func (c *costing) fold(node Expr, kids []Expr, mask uint64, a float64, conj bool) *plan {
+	if mask&(mask-1) == 0 { // one kid left
+		return c.expr(kids[bits.TrailingZeros64(mask)], a)
 	}
-	for first := 0; first < firsts; first++ {
-		rest := make([]Expr, 0, len(kids)-1)
-		rest = append(rest, kids[:first]...)
-		rest = append(rest, kids[first+1:]...)
-		for _, t := range splitGrid(conj, opts) {
-			a1, a2 := splitBudget(a, t, conj)
-			p1 := evalExpr(kids[first], a1, u, opts, memo)
-			p2 := evalNary(rest, a2, u, conj, opts, memo)
-			combined := combine(p1, p2, conj, opts)
-			if best == nil || planCost(combined, u) < planCost(best, u) {
-				best = combined
-			}
+	key := subKey{node: node, mask: mask, acc: math.Float64bits(a)}
+	if p, ok := c.subs[key]; ok {
+		c.hits++
+		return p
+	}
+	c.entries++
+	// The budget splits to explore.
+	//
+	// Conjunction (Eq. 9): a = a1·a2, so a1 = a^t, a2 = a^(1−t) — a positive
+	// must pass both branches, and the budget trades off between them.
+	// pow[i] = a^budgetGrid[i] is the first branch's share at split i and
+	// pow[len−1−i] the rest's; the uniform-budget ablation pins t = 1/2.
+	//
+	// Disjunction: every branch receives the full target a, one split. This
+	// is the sound allocation: a blob satisfying the disjunction is only
+	// guaranteed to be caught by the branch whose clause it satisfies
+	// (Figure 7), so that branch alone must retain an a-fraction of its
+	// positives. (Eq. 10's a = a1+a2−a1·a2 models branches as independent
+	// chances; taking a1=a2=a satisfies it with margin while preserving the
+	// zero-false-negative guarantee at a=1.)
+	var pow [len(budgetGrid)]float64
+	lo, hi := 0, len(budgetGrid)
+	switch {
+	case !conj:
+		hi = 1 // one sound allocation, no powers needed
+	case c.opts.uniformBudget:
+		lo, hi = uniformSplit, uniformSplit+1
+		pow[uniformSplit] = math.Pow(a, budgetGrid[uniformSplit])
+	default:
+		for i, t := range budgetGrid {
+			pow[i] = math.Pow(a, t)
 		}
 	}
-	return best
-}
-
-// splitGrid returns the budget-split points to explore. Disjunctions have a
-// single sound allocation (see splitBudget), so only one point; the
-// uniform-budget ablation pins conjunctions to an even split. The uniform
-// point is 1/2 of the log-budget: a1 = a2 = a^(1/2) at every fold.
-func splitGrid(conj bool, opts costOpts) []float64 {
-	if !conj {
-		return budgetGrid[:1]
+	var (
+		best1, best2           *plan // the winning fold's operands, first kid and rest
+		bestSwap               bool  // the rest runs before the first kid
+		bestC, bestR, bestCost float64
+	)
+	for m := mask; m != 0; m &= m - 1 {
+		first := bits.TrailingZeros64(m)
+		rest := mask &^ (1 << uint(first))
+		for i := lo; i < hi; i++ {
+			a1, a2 := a, a
+			if conj {
+				a1, a2 = pow[i], pow[len(pow)-1-i]
+			}
+			p1 := c.expr(kids[first], a1)
+			p2 := c.fold(node, kids, rest, a2, conj)
+			// Eq. 9 (conjunction) / Eq. 10 (disjunction), with the cheaper-
+			// effective branch first unless the fixed-order ablation is on.
+			var r, forward, reverse float64
+			if conj {
+				r = p1.reduction + p2.reduction - p1.reduction*p2.reduction
+				forward = p1.cost + (1-p1.reduction)*p2.cost
+				reverse = p2.cost + (1-p2.reduction)*p1.cost
+			} else {
+				r = p1.reduction * p2.reduction
+				forward = p1.cost + p1.reduction*p2.cost
+				reverse = p2.cost + p2.reduction*p1.cost
+			}
+			cost, swap := forward, false
+			if reverse < forward && !c.opts.fixedOrder {
+				cost, swap = reverse, true
+			}
+			if total := cost + (1-r)*c.u; best1 == nil || total < bestCost {
+				best1, best2, bestSwap = p1, p2, swap
+				bestC, bestR, bestCost = cost, r, total
+			}
+		}
+		if c.opts.fixedOrder {
+			break // written order only
+		}
 	}
-	if opts.uniformBudget {
-		return []float64{0.5}
+	out := &plan{conj: conj, kids: []*plan{best1, best2}, cost: bestC, reduction: bestR}
+	if bestSwap {
+		out.kids[0], out.kids[1] = best2, best1
 	}
-	return budgetGrid
-}
-
-// splitBudget divides the accuracy target between two branches.
-//
-// Conjunction (Eq. 9): a = a1·a2, so a1 = a^t, a2 = a^(1−t) — a positive
-// must pass both branches, and the budget trades off between them.
-//
-// Disjunction: every branch receives the full target a. This is the sound
-// allocation: a blob satisfying the disjunction is only guaranteed to be
-// caught by the branch whose clause it satisfies (Figure 7), so that branch
-// alone must retain an a-fraction of its positives. (Eq. 10's
-// a = a1+a2−a1·a2 models branches as independent chances; taking a1=a2=a
-// satisfies it with margin while preserving the zero-false-negative
-// guarantee at a=1.)
-func splitBudget(a, t float64, conj bool) (a1, a2 float64) {
 	if conj {
-		return math.Pow(a, t), math.Pow(a, 1-t)
-	}
-	return a, a
-}
-
-// combine merges two costed sub-plans with the composition formulas,
-// ordering the kids so the cheaper-effective branch executes first (the min
-// of the two cost orders in Eq. 9/10) unless the fixed-order ablation is on.
-func combine(p1, p2 *plan, conj bool, opts costOpts) *plan {
-	var r, cForward, cReverse float64
-	if conj {
-		r = p1.reduction + p2.reduction - p1.reduction*p2.reduction
-		cForward = p1.cost + (1-p1.reduction)*p2.cost
-		cReverse = p2.cost + (1-p2.reduction)*p1.cost
+		out.accuracy = best1.accuracy * best2.accuracy
 	} else {
-		r = p1.reduction * p2.reduction
-		cForward = p1.cost + p1.reduction*p2.cost
-		cReverse = p2.cost + p2.reduction*p1.cost
+		out.accuracy = best1.accuracy + best2.accuracy - best1.accuracy*best2.accuracy
 	}
-	kids := []*plan{p1, p2}
-	cost := cForward
-	if cReverse < cForward && !opts.fixedOrder {
-		kids = []*plan{p2, p1}
-		cost = cReverse
-	}
-	var a float64
-	if conj {
-		a = p1.accuracy * p2.accuracy
-	} else {
-		a = p1.accuracy + p2.accuracy - p1.accuracy*p2.accuracy
-	}
-	return &plan{conj: conj, kids: kids, accuracy: a, cost: cost, reduction: r}
+	c.subs[key] = out
+	return out
 }
 
 // planCost is the per-blob plan cost c + (1−r)·u (§3).

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"probpred/internal/blob"
@@ -170,20 +170,21 @@ type dropAllNode struct{}
 
 func (dropAllNode) test(blob.Blob) (bool, float64) { return false, 0 }
 
-// describePlan renders a compiled plan with per-leaf accuracies for reports
-// (Table 10's "picked plan" column).
-func describeLeafAccuracies(p *plan) string {
-	var parts []string
-	var walk func(n *plan)
-	walk = func(n *plan) {
-		if n.leaf != nil {
-			parts = append(parts, fmt.Sprintf("PP[%s]@%.3f", n.leaf.Clause, n.accuracy))
-			return
+// appendLeafAccuracies renders a costed plan's per-leaf accuracy allocations
+// ("PP[t=SUV]@0.975, PP[c=red]@0.974", Table 10's "picked plan" column) onto
+// an empty dst.
+func appendLeafAccuracies(dst []byte, p *plan) []byte {
+	if p.leaf == nil {
+		for _, k := range p.kids {
+			dst = appendLeafAccuracies(dst, k)
 		}
-		for _, k := range n.kids {
-			walk(k)
-		}
+		return dst
 	}
-	walk(p)
-	return strings.Join(parts, ", ")
+	if len(dst) > 0 {
+		dst = append(dst, ", "...)
+	}
+	dst = append(dst, "PP["...)
+	dst = append(dst, p.leaf.Clause...)
+	dst = append(dst, "]@"...)
+	return strconv.AppendFloat(dst, p.accuracy, 'f', 3, 64)
 }

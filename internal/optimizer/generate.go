@@ -33,14 +33,23 @@ type generator struct {
 	// produced by the rewrite rules, and how many of them were exact
 	// duplicates of an earlier candidate.
 	generated, deduped int
+	// names holds the rendering of each candidate gen returned, index for
+	// index: gen needs it to deduplicate and to order, and the Decision
+	// reports it, so it is rendered once.
+	names []string
 }
 
 // gen returns the candidate expressions implied by p, deduplicated.
 func (g *generator) gen(p query.Pred) []Expr {
 	cands := g.genRaw(query.NNF(p))
 	g.generated = len(cands)
+	type ranked struct {
+		expr  Expr
+		name  string
+		ratio float64
+	}
 	seen := map[string]bool{}
-	var out []Expr
+	var kept []ranked
 	for _, e := range cands {
 		if NumLeaves(e) > g.maxPPs {
 			continue
@@ -48,22 +57,26 @@ func (g *generator) gen(p query.Pred) []Expr {
 		if g.hasDependentPair(e) {
 			continue
 		}
-		key := e.String()
-		if seen[key] {
+		name := e.String()
+		if seen[name] {
 			g.deduped++
 			continue
 		}
-		seen[key] = true
-		out = append(out, e)
+		seen[name] = true
+		kept = append(kept, ranked{expr: e, name: name, ratio: intrinsicRatio(e)})
 	}
 	// Deterministic order, best intrinsic cost/reduction ratio first.
-	sort.SliceStable(out, func(a, b int) bool {
-		ra, rb := intrinsicRatio(out[a]), intrinsicRatio(out[b])
-		if ra != rb {
-			return ra < rb
+	sort.SliceStable(kept, func(a, b int) bool {
+		if kept[a].ratio != kept[b].ratio {
+			return kept[a].ratio < kept[b].ratio
 		}
-		return out[a].String() < out[b].String()
+		return kept[a].name < kept[b].name
 	})
+	out := make([]Expr, len(kept))
+	g.names = make([]string, len(kept))
+	for i, k := range kept {
+		out[i], g.names[i] = k.expr, k.name
+	}
 	return out
 }
 

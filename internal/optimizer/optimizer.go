@@ -214,49 +214,48 @@ func (o *Optimizer) Optimize(pred query.Pred, opts Options) (*Decision, error) {
 		CorpusVersion: g.snap.version,
 		consulted:     g.deps.sorted(),
 	}
-	memoCount := &memoCounters{}
+	if len(candidates) > 0 {
+		dec.Alternatives = make([]Alternative, 0, len(candidates))
+	}
+	dec.Search = SearchStats{Generated: g.generated, Deduped: g.deduped, Costed: len(candidates)}
 	copts := costOpts{
 		uniformBudget: opts.DisableBudgetSearch,
 		fixedOrder:    opts.DisableOrderSearch,
-		counters:      memoCount,
+		profile:       &dec.Search,
 	}
 	var bestPlan *plan
-	var bestExpr Expr
-	for _, e := range candidates {
+	best := -1
+	var leafAcc []byte // rendering scratch, reused across candidates
+	for i, e := range candidates {
 		p := costExpr(e, opts.Accuracy, opts.UDFCost, copts)
+		leafAcc = appendLeafAccuracies(leafAcc[:0], p)
 		dec.Alternatives = append(dec.Alternatives, Alternative{
-			Expr:           e.String(),
+			Expr:           g.names[i],
 			Cost:           p.cost,
 			Reduction:      p.reduction,
 			PlanCost:       planCost(p, opts.UDFCost),
-			LeafAccuracies: describeLeafAccuracies(p),
+			LeafAccuracies: string(leafAcc),
 		})
 		if bestPlan == nil || planCost(p, opts.UDFCost) < planCost(bestPlan, opts.UDFCost) {
-			bestPlan, bestExpr = p, e
+			bestPlan, best = p, i
 		}
 	}
-	sortAlternatives(dec.Alternatives)
 	if bestPlan != nil && planCost(bestPlan, opts.UDFCost) < opts.UDFCost {
+		alt := dec.Alternatives[best] // rendered once: the decision shares its strings
 		dec.Inject = true
-		dec.Expr = bestExpr.String()
-		dec.LeafAccuracies = describeLeafAccuracies(bestPlan)
+		dec.Expr = alt.Expr
+		dec.LeafAccuracies = alt.LeafAccuracies
 		dec.Cost = bestPlan.cost
 		dec.Reduction = bestPlan.reduction
-		dec.PlanCost = planCost(bestPlan, opts.UDFCost)
-		dec.Filter = compilePlan(bestPlan, bestExpr.String())
-		for _, pp := range bestExpr.Leaves(nil) {
+		dec.PlanCost = alt.PlanCost
+		dec.Filter = compilePlan(bestPlan, alt.Expr)
+		for _, pp := range candidates[best].Leaves(nil) {
 			dec.leaves = append(dec.leaves, pp.Clause)
 		}
 		dec.NumPPs = len(dec.leaves)
 	}
-	dec.Search = SearchStats{
-		Generated:   g.generated,
-		Deduped:     g.deduped,
-		Costed:      len(candidates),
-		MemoHits:    memoCount.hits,
-		MemoEntries: memoCount.entries,
-		WallNS:      time.Since(start).Nanoseconds(),
-	}
+	sortAlternatives(dec.Alternatives)
+	dec.Search.WallNS = time.Since(start).Nanoseconds()
 	o.emitSearch(opts.Obs, opts.Trace, orig, dec)
 	o.emitSearchMetrics(dec)
 	return dec, nil
@@ -365,10 +364,14 @@ func (o *Optimizer) ObserveRuntimeCtx(dec *Decision, observedReduction float64, 
 // DependentPairs returns how many clause pairs are currently flagged.
 func (o *Optimizer) DependentPairs() int { return len(o.dependentPairs()) }
 
-// dependentPairs returns a search's own copy of the flagged pairs.
+// dependentPairs returns a search's own copy of the flagged pairs, nil when
+// there are none.
 func (o *Optimizer) dependentPairs() map[string]bool {
 	o.depMu.Lock()
 	defer o.depMu.Unlock()
+	if len(o.dependent) == 0 {
+		return nil
+	}
 	return maps.Clone(o.dependent)
 }
 
