@@ -69,8 +69,11 @@ func run() error {
 			planDesc = dec.Expr
 			// Feed the observed reduction back for dependence tracking
 			// (A.5): the fraction of frames the filter actually dropped.
-			passed := res.Stats.RowsIn[procs[0].Name()]
-			sys.ReportRun(dec, 1-float64(passed)/float64(batch))
+			for _, op := range res.PerOp {
+				if op.PPFilter {
+					sys.ReportRun(dec, 1-float64(op.RowsOut)/float64(op.RowsIn))
+				}
+			}
 		}
 		// The unmodified run labels the stream for the online trainer
 		// (in a real system this is the plan's side output, Figure 3b).

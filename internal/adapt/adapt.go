@@ -121,7 +121,7 @@ type Report struct {
 	// failed re-entries, and re-entries skipped for budget exhaustion.
 	Replans, ReplanFailures, BudgetSkips int
 	// ReplanVMS is the virtual cost charged for re-planning (also added to
-	// the Result's cluster time under the "AdaptReplan" operator).
+	// the Result's cluster time as the ReplanOp row of PerOp).
 	ReplanVMS float64
 	// Swaps lists the hot-swaps performed (mirrors Result.Swaps).
 	Swaps []engine.PlanSwap
@@ -194,6 +194,12 @@ func hashKey(s string) uint64 {
 	return h
 }
 
+// ReplanOp names the PerOp row a Controller appends to every Result it
+// returns: the run's re-planning cost, zero when nothing re-planned. The row
+// is unconditional so that shard legs of one session keep the same PerOp
+// shape (and merge positionally) whatever each leg's re-plan count.
+const ReplanOp = "AdaptReplan"
+
 // Run executes the plan adaptively. The plan's PP filter (a
 // *optimizer.Compiled behind engine.PPFilter) is cloned with runtime probes;
 // at each chunk boundary the controller checks divergence with hysteresis,
@@ -206,10 +212,19 @@ func (c *Controller) Run(p engine.Plan, ecfg engine.Config, spec RunSpec) (*engi
 	// The engine config's trace context is the session identity: every
 	// adapt span and event of this run carries its TraceID.
 	ctx := ecfg.Trace
+	// finish closes every path: re-planning is modeled work, charged to the
+	// run like any operator.
+	finish := func(res *engine.Result, err error) (*engine.Result, *Report, error) {
+		if err != nil {
+			return nil, rep, err
+		}
+		res.ClusterTime += rep.ReplanVMS
+		res.PerOp = append(res.PerOp, engine.OpStats{Name: ReplanOp, Cost: rep.ReplanVMS})
+		return res, rep, nil
+	}
 	comp, opIdx := compiledFilter(p)
 	if comp == nil || spec.Reopt == nil {
-		res, err := engine.Run(p, ecfg)
-		return res, rep, err
+		return finish(engine.Run(p, ecfg))
 	}
 
 	// One breaker tick per adaptive run of this key: open breakers pin the
@@ -232,8 +247,7 @@ func (c *Controller) Run(p engine.Plan, ecfg engine.Config, spec RunSpec) (*engi
 			rep.Pinned = true
 			rep.Breaker = online.BreakerOpen
 			c.counter("adapt_pinned_runs_total", "Adaptive runs executed on a pinned plan (open re-plan breaker).").Inc()
-			res, err := engine.Run(p, ecfg)
-			return res, rep, err
+			return finish(engine.Run(p, ecfg))
 		}
 	}
 
@@ -348,13 +362,7 @@ func (c *Controller) Run(p engine.Plan, ecfg engine.Config, spec RunSpec) (*engi
 	if br != nil {
 		rep.Breaker = br.State()
 	}
-	// Re-planning is modeled work: charge it to the run like any operator.
-	if rep.ReplanVMS > 0 {
-		res.ClusterTime += rep.ReplanVMS
-		res.Stats.Cluster += rep.ReplanVMS
-		res.Stats.OpCost["AdaptReplan"] += rep.ReplanVMS
-	}
-	return res, rep, nil
+	return finish(res, nil)
 }
 
 // reportBreaker feeds one re-plan outcome to the key's breaker under the

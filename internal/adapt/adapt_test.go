@@ -199,6 +199,39 @@ func (c *recCache) PromotePlan(key string, re *optimizer.Reoptimized) {
 	c.mu.Unlock()
 }
 
+// replanRow returns the ledger row every Controller result ends with.
+func replanRow(t *testing.T, res *engine.Result) engine.OpStats {
+	t.Helper()
+	last := res.PerOp[len(res.PerOp)-1]
+	if last.Name != ReplanOp {
+		t.Fatalf("last PerOp row is %q, want %s", last.Name, ReplanOp)
+	}
+	return last
+}
+
+// checkLedger: PerOp, re-plan row included, accounts for the whole
+// ClusterTime (chunked accumulation reorders float additions, hence the
+// relative tolerance), and cardinalities chain through the plan's operators.
+func checkLedger(t *testing.T, res *engine.Result) {
+	t.Helper()
+	sum := 0.0
+	for _, op := range res.PerOp {
+		sum += op.Cost
+	}
+	if math.Abs(sum-res.ClusterTime) > 1e-9*res.ClusterTime {
+		t.Errorf("sum(PerOp.Cost) = %v, ClusterTime = %v", sum, res.ClusterTime)
+	}
+	ops := res.PerOp[:len(res.PerOp)-1]
+	for i := 1; i < len(ops); i++ {
+		if ops[i].RowsIn != ops[i-1].RowsOut {
+			t.Errorf("PerOp[%d] %s: %d rows in, predecessor produced %d", i, ops[i].Name, ops[i].RowsIn, ops[i-1].RowsOut)
+		}
+	}
+	if ops[len(ops)-1].RowsOut != len(res.Rows) {
+		t.Errorf("last operator produced %d rows, result has %d", ops[len(ops)-1].RowsOut, len(res.Rows))
+	}
+}
+
 // The determinism golden: under drift the controller swaps mid-run, yet the
 // output rows stay byte-identical to the non-adaptive run — at one worker
 // and four — and the adaptive virtual cost (replan charge included) is
@@ -239,9 +272,10 @@ func TestAdaptiveDeterminismGoldenUnderDrift(t *testing.T) {
 		if res.ClusterTime >= plain.ClusterTime {
 			t.Fatalf("workers=%d: adaptive cost %v not below non-adaptive %v", workers, res.ClusterTime, plain.ClusterTime)
 		}
-		if rep.ReplanVMS == 0 || res.Stats.OpCost["AdaptReplan"] != rep.ReplanVMS {
-			t.Fatalf("workers=%d: replan cost not charged: rep=%v op=%v", workers, rep.ReplanVMS, res.Stats.OpCost["AdaptReplan"])
+		if rep.ReplanVMS == 0 || replanRow(t, res).Cost != rep.ReplanVMS {
+			t.Fatalf("workers=%d: replan cost not charged: rep=%v op=%+v", workers, rep.ReplanVMS, replanRow(t, res))
 		}
+		checkLedger(t, res)
 		if rep.FinalExpr == fx.dec.Filter.Name() {
 			t.Fatalf("workers=%d: final expr %q did not change", workers, rep.FinalExpr)
 		}
@@ -297,6 +331,12 @@ func TestAdaptiveStableWithoutDrift(t *testing.T) {
 	if len(rep.Swaps) != 0 || rep.Replans != 0 {
 		t.Fatalf("stable stream adapted: %+v", rep)
 	}
+	// The re-plan row is there, at zero: the PerOp shape does not depend on
+	// whether this run happened to re-plan.
+	if replanRow(t, res).Cost != 0 {
+		t.Fatalf("stable stream charged re-planning: %+v", replanRow(t, res))
+	}
+	checkLedger(t, res)
 }
 
 // Graceful degradation: a re-optimizer that always fails leaves the run on
@@ -335,18 +375,23 @@ func TestReplanFailureDegradesAndTripsBreaker(t *testing.T) {
 	}
 	// Failed re-plans are not modeled work that ran: nothing extra charged
 	// beyond the attempts' budget, and the run itself completed.
-	if res.Stats.OpCost["AdaptReplan"] != rep.ReplanVMS {
-		t.Fatalf("replan charge mismatch: %v vs %v", res.Stats.OpCost["AdaptReplan"], rep.ReplanVMS)
+	if replanRow(t, res).Cost != rep.ReplanVMS {
+		t.Fatalf("replan charge mismatch: %+v vs %v", replanRow(t, res), rep.ReplanVMS)
 	}
+	checkLedger(t, res)
 
 	// The next run is pinned: the open breaker's backoff has not elapsed.
-	_, rep2, err := ctl.Run(fx.plan, engine.Config{}, spec)
+	res2, rep2, err := ctl.Run(fx.plan, engine.Config{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep2.Pinned || rep2.Replans != 0 {
 		t.Fatalf("run after trip not pinned: %+v", rep2)
 	}
+	if len(res2.PerOp) != len(res.PerOp) || replanRow(t, res2).Cost != 0 {
+		t.Fatalf("pinned run's ledger shape differs from the adaptive run's: %+v", res2.PerOp)
+	}
+	checkLedger(t, res2)
 
 	// Backoff (2 ticks + jitter <=1) elapses within a few runs; the probation
 	// run risks re-planning again, fails, and re-trips with doubled backoff.

@@ -39,7 +39,7 @@ type JSONExperiment struct {
 	// accuracies) — the same values Lines formats for humans.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Trace aggregates the engine/optimizer spans the experiment emitted:
-	// virtual cost and wall time per operator, plan-search counters.
+	// virtual cost and wall time per operator.
 	Trace *obs.Summary `json:"trace,omitempty"`
 	Lines []string     `json:"lines"`
 }
@@ -73,7 +73,7 @@ func RunTraced(id string, cfg Config) (*Report, JSONExperiment, error) {
 		Metrics: rep.Metrics,
 		Lines:   rep.Lines,
 	}
-	if sum.Spans > 0 || sum.Events > 0 || len(sum.Metrics) > 0 {
+	if sum.Spans > 0 || sum.Events > 0 {
 		exp.Trace = &sum
 	}
 	return rep, exp, nil

@@ -163,7 +163,7 @@ func TestScenarioQ4SeenThen(t *testing.T) {
 	comb := &engine.Combine{C: udf.SequenceCombiner{TimeCol: "time"},
 		Right: right, LeftKey: "veh", RightKey: "veh"}
 	// Run the combine over the PP-filtered left side.
-	out, err := comb.Exec(left, newStatsForTest())
+	out, _, err := comb.Exec(left)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,6 @@ func TestScenarioQ4SeenThen(t *testing.T) {
 	if lcost <= 0 || rcost <= 0 {
 		t.Fatal("missing costs")
 	}
-}
-
-// newStatsForTest builds a Stats value usable outside Run.
-func newStatsForTest() *engine.Stats {
-	return &engine.Stats{OpCost: map[string]float64{},
-		RowsIn: map[string]int{}, RowsOut: map[string]int{}}
 }
 
 // TestScenarioTriggerLowSelectivity: a Q5/Q6-style alert — an extremely

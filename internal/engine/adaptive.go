@@ -117,7 +117,7 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	}
 	runSpan := cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, spanName)
 	runStart := time.Now()
-	st := newStats()
+	cluster := 0.0 // ClusterTime: every operator execution's cost, in execution order
 	accs := make([]opAcc, len(ops))
 	// stageCosts[i] accumulates the virtual cost of stage i.
 	stageCosts := []float64{0}
@@ -138,28 +138,23 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 			acc.ran = true
 			acc.span = cfg.Obs.BeginChild(&runSpan, obs.KindOperator, op.Name())
 		}
-		st.RowsIn[op.Name()] += len(in)
-		// The name-keyed delta is exact even for repeated names because
-		// operators execute one at a time.
-		before := st.OpCost[op.Name()]
 		opStart := time.Now()
-		out, err := runOp(op, in, st, cfg, acc)
+		out, cost, err := runOp(op, in, cfg, acc)
 		acc.wallNS += time.Since(opStart).Nanoseconds()
-		cost := st.OpCost[op.Name()] - before
+		cluster += cost
 		acc.cost += cost
 		acc.rowsIn += len(in)
 		stageCosts[len(stageCosts)-1] += cost
 		if err != nil {
 			acc.span.SetAttr("error", err.Error())
 			emitOps(cfg, ops, accs)
-			runSpan.CostVMS = st.Cluster
+			runSpan.CostVMS = cluster
 			runSpan.SetAttr("error", err.Error())
 			cfg.Obs.End(&runSpan)
 			emitRunMetrics(cfg.Metrics, nil, time.Since(runStart).Nanoseconds(), cfg.Trace.TraceID)
 			return nil, &OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
 		}
 		acc.rowsOut += len(out)
-		st.RowsOut[op.Name()] += len(out)
 		return out, nil
 	}
 
@@ -224,16 +219,15 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
 	}
 	emitOps(cfg, ops, accs)
-	runSpan.CostVMS = st.Cluster
+	runSpan.CostVMS = cluster
 	runSpan.RowsOut = len(rows)
 	runSpan.SetAttr("stages", strconv.Itoa(len(stageCosts)))
 	runSpan.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
 	res := &Result{
 		Rows:        rows,
-		ClusterTime: st.Cluster,
+		ClusterTime: cluster,
 		Latency:     latency,
 		Stages:      len(stageCosts),
-		Stats:       st,
 		PerOp:       make([]OpStats, len(ops)),
 		Swaps:       swaps,
 		SwapErrors:  swapErrors,

@@ -103,7 +103,7 @@ func TestRunAdaptiveSwapMidRun(t *testing.T) {
 		}
 		// Chunk 0 (20 rows) at cost 1, chunks 1-4 (80 rows) at cost 0.25.
 		wantPP := 20*1.0 + 80*0.25
-		if got := got.Stats.OpCost["PP[thresh]"] + got.Stats.OpCost["PP[thresh']"]; got != wantPP {
+		if got := got.PerOp[1].Cost; got != wantPP {
 			t.Fatalf("PP cost across swap = %v, want %v", got, wantPP)
 		}
 		if got.ClusterTime >= want.ClusterTime {

@@ -100,8 +100,8 @@ func TestPPFilterReducesUDFWork(t *testing.T) {
 		t.Fatalf("PP did not reduce cluster time: %v vs %v", withPP.ClusterTime, noPP.ClusterTime)
 	}
 	// UDF should have processed only the 50 passing rows.
-	if got := withPP.Stats.RowsIn["Expensive"]; got != 50 {
-		t.Fatalf("UDF rows in = %d, want 50", got)
+	if got := withPP.PerOp[2]; got.Name != "Expensive" || got.RowsIn != 50 {
+		t.Fatalf("UDF row = %+v, want 50 rows in", got)
 	}
 }
 
@@ -451,7 +451,7 @@ func TestExplainAndSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := res.Summary(plan)
+	sum := res.Summary()
 	if !strings.Contains(sum, "Scan") || !strings.Contains(sum, "total: cluster") {
 		t.Fatalf("Summary malformed:\n%s", sum)
 	}

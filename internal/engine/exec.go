@@ -5,30 +5,6 @@ import (
 	"probpred/internal/obs"
 )
 
-// Stats accumulates virtual cost and cardinality accounting during a run.
-type Stats struct {
-	// Cluster is the total cluster processing time in virtual milliseconds
-	// (the paper's "cluster processing time": overall resource usage).
-	Cluster float64
-	// OpCost maps operator name to its accumulated virtual cost.
-	OpCost map[string]float64
-	// RowsIn / RowsOut record per-operator cardinalities.
-	RowsIn, RowsOut map[string]int
-}
-
-func newStats() *Stats {
-	return &Stats{
-		OpCost:  map[string]float64{},
-		RowsIn:  map[string]int{},
-		RowsOut: map[string]int{},
-	}
-}
-
-func (s *Stats) charge(op string, cost float64) {
-	s.Cluster += cost
-	s.OpCost[op] += cost
-}
-
 // Plan is a linear chain of operators, source first.
 type Plan struct{ Ops []Operator }
 
@@ -88,7 +64,7 @@ func (c *Config) fill() {
 
 // OpStats is one operator's accounting, keyed by plan position rather than
 // name: two operators sharing a Name() (e.g. the same UDF applied twice)
-// stay distinct here, where the name-keyed Stats maps merge them.
+// stay distinct.
 type OpStats struct {
 	// Name is the operator's display name (not necessarily unique).
 	Name string
@@ -129,10 +105,8 @@ type Result struct {
 	Latency float64
 	// Stages is the number of pipeline stages in the plan.
 	Stages int
-	// Stats carries per-operator detail keyed by operator name; operators
-	// sharing a name are merged (see PerOp for exact accounting).
-	Stats *Stats
-	// PerOp carries per-operator detail in plan position order.
+	// PerOp is the run's one ledger: per-operator cardinalities, virtual
+	// cost and wall time in plan position order. Its costs sum to ClusterTime.
 	PerOp []OpStats
 	// Swaps lists the mid-run plan hot-swaps an adaptive run performed
 	// (RunAdaptive; empty for plain runs).
@@ -148,7 +122,7 @@ type Result struct {
 // Run executes the plan and returns rows plus cost accounting. The first
 // operator must be a source (it receives a nil input batch). When the run
 // fails, work performed before the failure is still charged to the
-// operator's stats and visible on the emitted spans (the trace is how a
+// operator and visible on the emitted spans (the trace is how a
 // failed run's cost is inspected; the Result itself is nil). It is
 // RunAdaptive with nothing to adapt: one chunk and no swap decider.
 func Run(p Plan, cfg Config) (*Result, error) {

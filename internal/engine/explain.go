@@ -25,23 +25,13 @@ func Explain(p Plan) string {
 // Summary renders a result's per-operator cardinalities and virtual costs
 // in plan order — what an operator-level profiler would show. Accounting is
 // keyed by plan position (Result.PerOp), so two operators sharing a Name()
-// each show their own rows and cost rather than the combined totals; the
-// name-keyed Stats maps are only consulted for hand-built Results that
-// predate PerOp.
-func (r *Result) Summary(p Plan) string {
+// each show their own rows and cost rather than the combined totals.
+func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-40s %10s %10s %14s\n", "operator", "rows in", "rows out", "cost (vms)")
-	if len(r.PerOp) > 0 {
-		for _, op := range r.PerOp {
-			fmt.Fprintf(&b, "%-40s %10d %10d %14.1f\n",
-				truncate(op.Name, 40), op.RowsIn, op.RowsOut, op.Cost)
-		}
-	} else {
-		for _, op := range p.Ops {
-			name := op.Name()
-			fmt.Fprintf(&b, "%-40s %10d %10d %14.1f\n",
-				truncate(name, 40), r.Stats.RowsIn[name], r.Stats.RowsOut[name], r.Stats.OpCost[name])
-		}
+	for _, op := range r.PerOp {
+		fmt.Fprintf(&b, "%-40s %10d %10d %14.1f\n",
+			truncate(op.Name, 40), op.RowsIn, op.RowsOut, op.Cost)
 	}
 	fmt.Fprintf(&b, "total: cluster %.0f vms, latency %.0f vms, %d stages",
 		r.ClusterTime, r.Latency, r.Stages)

@@ -9,8 +9,8 @@ import (
 )
 
 // TestSummaryDuplicateOperatorNames: two operators sharing a Name() (the
-// same UDF applied twice) must each report their own rows and cost. The
-// name-keyed Stats maps merge them; PerOp, keyed by plan position, must not.
+// same UDF applied twice) must each report their own rows and cost: PerOp is
+// keyed by plan position, never by name.
 func TestSummaryDuplicateOperatorNames(t *testing.T) {
 	plan := Plan{Ops: []Operator{
 		&Scan{Blobs: makeBlobs(10)},
@@ -35,10 +35,6 @@ func TestSummaryDuplicateOperatorNames(t *testing.T) {
 	if first.RowsIn != 10 || second.RowsIn != 10 {
 		t.Fatalf("per-position rows in = %d, %d; want 10, 10", first.RowsIn, second.RowsIn)
 	}
-	// The name-keyed map merges both (the historical behaviour PerOp fixes).
-	if res.Stats.OpCost["U"] != 80 {
-		t.Fatalf("merged OpCost = %v, want 80", res.Stats.OpCost["U"])
-	}
 	// Position-keyed costs must account for the whole run exactly.
 	sum := 0.0
 	for _, op := range res.PerOp {
@@ -49,7 +45,7 @@ func TestSummaryDuplicateOperatorNames(t *testing.T) {
 	}
 
 	// The rendered summary must show the individual costs, not 80 twice.
-	out := res.Summary(plan)
+	out := res.Summary()
 	if strings.Count(out, "80.0") != 0 {
 		t.Fatalf("summary double-counts duplicate names:\n%s", out)
 	}
@@ -58,20 +54,6 @@ func TestSummaryDuplicateOperatorNames(t *testing.T) {
 	}
 	if strings.Count(out, "U ") < 2 {
 		t.Fatalf("summary should list the duplicate operator twice:\n%s", out)
-	}
-}
-
-// TestSummaryFallsBackToStats: hand-built Results (no PerOp) still render
-// from the name-keyed maps.
-func TestSummaryFallsBackToStats(t *testing.T) {
-	plan := Plan{Ops: []Operator{&Scan{Blobs: makeBlobs(4)}}}
-	st := newStats()
-	st.charge("Scan", 0.2)
-	st.RowsOut["Scan"] = 4
-	res := &Result{Stats: st, ClusterTime: 0.2}
-	out := res.Summary(plan)
-	if !strings.Contains(out, "Scan") || !strings.Contains(out, "0.2") {
-		t.Fatalf("fallback summary wrong:\n%s", out)
 	}
 }
 

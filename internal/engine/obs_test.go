@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,29 +25,25 @@ func failTailBlobs(n int) []blob.Blob {
 func TestParallelErrorChargesPartialWork(t *testing.T) {
 	const n, cost = 40, 7.0
 	p := &Process{P: fakeUDF{name: "U", cost: cost, col: "x"}}
-	charged := func(workers int) *Stats {
+	charged := func(workers int) float64 {
 		rows := make([]Row, n)
 		for i, b := range failTailBlobs(n) {
 			rows[i] = NewRow(b)
 		}
-		st := newStats()
-		if _, err := runOp(p, rows, st, Config{Workers: workers}, &opAcc{}); err == nil {
+		_, c, err := runOp(p, rows, Config{Workers: workers}, &opAcc{})
+		if err == nil {
 			t.Fatalf("workers=%d: expected failure", workers)
 		}
-		return st
+		return c
 	}
-	seqSt, parSt := charged(1), charged(4)
+	seq, par := charged(1), charged(4)
 
 	want := float64(n) * cost // every row attempted once, failing one included
-	if seqSt.OpCost["U"] != want {
-		t.Fatalf("sequential charged %v, want %v", seqSt.OpCost["U"], want)
+	if seq != want {
+		t.Fatalf("sequential charged %v, want %v", seq, want)
 	}
-	if parSt.OpCost["U"] != seqSt.OpCost["U"] {
-		t.Fatalf("parallel charged %v, sequential %v — accounting diverged",
-			parSt.OpCost["U"], seqSt.OpCost["U"])
-	}
-	if parSt.Cluster != seqSt.Cluster {
-		t.Fatalf("cluster totals diverged: %v vs %v", parSt.Cluster, seqSt.Cluster)
+	if par != seq {
+		t.Fatalf("parallel charged %v, sequential %v — accounting diverged", par, seq)
 	}
 }
 
@@ -61,16 +58,16 @@ func TestPPFilterParallelChargesAllChunks(t *testing.T) {
 		return rows
 	}
 	f := &PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}}
-	seqSt := newStats()
-	if _, err := f.Exec(mkRows(), seqSt); err != nil {
+	_, seq, err := f.Exec(mkRows())
+	if err != nil {
 		t.Fatal(err)
 	}
-	parSt := newStats()
-	if _, err := runOp(f, mkRows(), parSt, Config{Workers: 4}, &opAcc{}); err != nil {
+	_, par, err := runOp(f, mkRows(), Config{Workers: 4}, &opAcc{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if seqSt.Cluster != parSt.Cluster || seqSt.Cluster != 100 {
-		t.Fatalf("filter costs diverged: seq=%v par=%v want 100", seqSt.Cluster, parSt.Cluster)
+	if seq != par || seq != 100 {
+		t.Fatalf("filter costs diverged: seq=%v par=%v want 100", seq, par)
 	}
 }
 
@@ -212,8 +209,10 @@ func TestFailedRunSpansCarryCost(t *testing.T) {
 					&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
 					&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
 				}}
-				if _, err := mode.run(plan, Config{Workers: workers, Obs: obs.New(col)}); err == nil {
-					t.Fatal("expected run failure")
+				_, err := mode.run(plan, Config{Workers: workers, Obs: obs.New(col)})
+				var opErr *OpError
+				if !errors.As(err, &opErr) || opErr.Op != "U" {
+					t.Fatalf("run error = %v, want an OpError naming U", err)
 				}
 				return collectSpans(t, col)
 			}

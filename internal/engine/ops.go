@@ -20,9 +20,10 @@ type Operator interface {
 	// (reducers, combiners, explicit barriers). Stage boundaries serialize
 	// the latency model.
 	StageBoundary() bool
-	// Exec consumes the input batch, charges virtual cost to st, and
-	// produces the output batch.
-	Exec(in []Row, st *Stats) ([]Row, error)
+	// Exec consumes the input batch and returns the output batch and the
+	// virtual cost of the work performed — on failure, the cost of whatever
+	// ran before the error. The run loop owns all accounting.
+	Exec(in []Row) (out []Row, cost float64, err error)
 }
 
 // scanCost is the virtual per-row ingestion cost of a scan.
@@ -38,13 +39,12 @@ func (s *Scan) Name() string { return "Scan" }
 func (s *Scan) StageBoundary() bool { return false }
 
 // Exec implements Operator; it ignores its input.
-func (s *Scan) Exec(_ []Row, st *Stats) ([]Row, error) {
+func (s *Scan) Exec(_ []Row) ([]Row, float64, error) {
 	out := make([]Row, len(s.Blobs))
 	for i := range s.Blobs {
 		out[i].Blob = s.Blobs[i]
 	}
-	st.charge(s.Name(), scanCost*float64(len(out)))
-	return out, nil
+	return out, scanCost * float64(len(out)), nil
 }
 
 // Process applies a Processor UDF to every row.
@@ -57,8 +57,8 @@ func (p *Process) Name() string { return p.P.Name() }
 func (p *Process) StageBoundary() bool { return false }
 
 // Exec implements Operator: one inline chunk with no retry policy.
-func (p *Process) Exec(in []Row, st *Stats) ([]Row, error) {
-	return runChunk(p, in, st, Config{}, nil, nil)
+func (p *Process) Exec(in []Row) ([]Row, float64, error) {
+	return p.chunk(in, Config{}, nil, nil)
 }
 
 // chunk implements rowParallel: the processor applied row by row under
@@ -99,7 +99,7 @@ func (s *Select) Name() string { return "σ[" + s.Pred.String() + "]" }
 func (s *Select) StageBoundary() bool { return false }
 
 // Exec implements Operator.
-func (s *Select) Exec(in []Row, st *Stats) ([]Row, error) {
+func (s *Select) Exec(in []Row) ([]Row, float64, error) {
 	// One lookup closure per Exec, repointed at each row: binding r.Lookup
 	// inside the loop would heap-allocate a method value per row.
 	var cur *Row
@@ -109,14 +109,13 @@ func (s *Select) Exec(in []Row, st *Stats) ([]Row, error) {
 		cur = &in[i]
 		ok, err := s.Pred.Eval(lookup)
 		if err != nil {
-			return nil, fmt.Errorf("engine: select: %w", err)
+			return nil, 0, fmt.Errorf("engine: select: %w", err)
 		}
 		if ok {
 			out = append(out, in[i])
 		}
 	}
-	st.charge(s.Name(), selectCost*float64(len(in)))
-	return out, nil
+	return out, selectCost * float64(len(in)), nil
 }
 
 // BlobFilter is the one contract through which injected probabilistic
@@ -173,8 +172,8 @@ func (p *PPFilter) StageBoundary() bool { return false }
 
 // Exec implements Operator: one inline chunk, score-cache counts dropped
 // (a standalone Exec has no run to attribute them to).
-func (p *PPFilter) Exec(in []Row, st *Stats) ([]Row, error) {
-	return runChunk(p, in, st, Config{}, nil, nil)
+func (p *PPFilter) Exec(in []Row) ([]Row, float64, error) {
+	return p.chunk(in, Config{}, nil, nil)
 }
 
 // filterBatch is the recycled buffer set of one PPFilter chunk: the gathered
@@ -258,7 +257,7 @@ func (p *Project) Name() string { return "π" }
 func (p *Project) StageBoundary() bool { return false }
 
 // Exec implements Operator.
-func (p *Project) Exec(in []Row, st *Stats) ([]Row, error) {
+func (p *Project) Exec(in []Row) ([]Row, float64, error) {
 	drop := map[string]bool{}
 	for _, d := range p.Drop {
 		drop[d] = true
@@ -282,14 +281,13 @@ func (p *Project) Exec(in []Row, st *Stats) ([]Row, error) {
 		for _, c := range p.Compute {
 			v, err := c.Fn(nr)
 			if err != nil {
-				return nil, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
+				return nil, 0, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
 			}
 			nr = nr.With(c.Name, v)
 		}
 		out = append(out, nr)
 	}
-	st.charge(p.Name(), cost*float64(len(in)))
-	return out, nil
+	return out, cost * float64(len(in)), nil
 }
 
 // joinCost is the virtual per-probe cost of a hash join lookup.
@@ -314,17 +312,17 @@ func (j *FKJoin) Name() string { return "⋈[" + j.LeftKey + "=" + j.RightKey + 
 func (j *FKJoin) StageBoundary() bool { return true }
 
 // Exec implements Operator.
-func (j *FKJoin) Exec(in []Row, st *Stats) ([]Row, error) {
+func (j *FKJoin) Exec(in []Row) ([]Row, float64, error) {
 	// Each dimension row's columns are listed once, at build, not per probe.
 	build := make(map[string][]Column, len(j.Table))
 	for _, r := range j.Table {
 		v, err := r.Get(j.RightKey)
 		if err != nil {
-			return nil, fmt.Errorf("engine: fk join build: %w", err)
+			return nil, 0, fmt.Errorf("engine: fk join build: %w", err)
 		}
 		key := v.String()
 		if _, dup := build[key]; dup {
-			return nil, fmt.Errorf("engine: fk join: duplicate primary key %q in dimension table", key)
+			return nil, 0, fmt.Errorf("engine: fk join: duplicate primary key %q in dimension table", key)
 		}
 		build[key] = r.Columns()
 	}
@@ -332,7 +330,7 @@ func (j *FKJoin) Exec(in []Row, st *Stats) ([]Row, error) {
 	for _, r := range in {
 		v, err := r.Get(j.LeftKey)
 		if err != nil {
-			return nil, fmt.Errorf("engine: fk join probe: %w", err)
+			return nil, 0, fmt.Errorf("engine: fk join probe: %w", err)
 		}
 		dim, ok := build[v.String()]
 		if !ok {
@@ -347,8 +345,7 @@ func (j *FKJoin) Exec(in []Row, st *Stats) ([]Row, error) {
 		}
 		out = append(out, nr)
 	}
-	st.charge(j.Name(), joinCost*float64(len(in)))
-	return out, nil
+	return out, joinCost * float64(len(in)), nil
 }
 
 // GroupReduce applies a Reducer UDF per key group (a
@@ -362,13 +359,13 @@ func (g *GroupReduce) Name() string { return g.R.Name() }
 func (g *GroupReduce) StageBoundary() bool { return true }
 
 // Exec implements Operator.
-func (g *GroupReduce) Exec(in []Row, st *Stats) ([]Row, error) {
+func (g *GroupReduce) Exec(in []Row) ([]Row, float64, error) {
 	groups := map[string][]Row{}
 	var keys []string
 	for _, r := range in {
 		k, err := g.R.Key(r)
 		if err != nil {
-			return nil, fmt.Errorf("engine: reducer %s key: %w", g.R.Name(), err)
+			return nil, 0, fmt.Errorf("engine: reducer %s key: %w", g.R.Name(), err)
 		}
 		if _, seen := groups[k]; !seen {
 			keys = append(keys, k)
@@ -380,12 +377,11 @@ func (g *GroupReduce) Exec(in []Row, st *Stats) ([]Row, error) {
 	for _, k := range keys {
 		rows, err := g.R.Reduce(k, groups[k])
 		if err != nil {
-			return nil, fmt.Errorf("engine: reducer %s: %w", g.R.Name(), err)
+			return nil, 0, fmt.Errorf("engine: reducer %s: %w", g.R.Name(), err)
 		}
 		out = append(out, rows...)
 	}
-	st.charge(g.Name(), g.R.Cost()*float64(len(in)))
-	return out, nil
+	return out, g.R.Cost() * float64(len(in)), nil
 }
 
 // Combine applies a Combiner UDF across two keyed rowsets (a custom join,
@@ -404,12 +400,12 @@ func (c *Combine) Name() string { return c.C.Name() }
 func (c *Combine) StageBoundary() bool { return true }
 
 // Exec implements Operator.
-func (c *Combine) Exec(in []Row, st *Stats) ([]Row, error) {
+func (c *Combine) Exec(in []Row) ([]Row, float64, error) {
 	rights := map[string][]Row{}
 	for _, r := range c.Right {
 		v, err := r.Get(c.RightKey)
 		if err != nil {
-			return nil, fmt.Errorf("engine: combine right: %w", err)
+			return nil, 0, fmt.Errorf("engine: combine right: %w", err)
 		}
 		rights[v.String()] = append(rights[v.String()], r)
 	}
@@ -418,7 +414,7 @@ func (c *Combine) Exec(in []Row, st *Stats) ([]Row, error) {
 	for _, r := range in {
 		v, err := r.Get(c.LeftKey)
 		if err != nil {
-			return nil, fmt.Errorf("engine: combine left: %w", err)
+			return nil, 0, fmt.Errorf("engine: combine left: %w", err)
 		}
 		k := v.String()
 		if _, seen := lefts[k]; !seen {
@@ -436,13 +432,12 @@ func (c *Combine) Exec(in []Row, st *Stats) ([]Row, error) {
 		}
 		rows, err := c.C.Combine(k, lefts[k], r)
 		if err != nil {
-			return nil, fmt.Errorf("engine: combiner %s: %w", c.C.Name(), err)
+			return nil, 0, fmt.Errorf("engine: combiner %s: %w", c.C.Name(), err)
 		}
 		pairs += len(lefts[k]) + len(r)
 		out = append(out, rows...)
 	}
-	st.charge(c.Name(), c.C.Cost()*float64(pairs))
-	return out, nil
+	return out, c.C.Cost() * float64(pairs), nil
 }
 
 // Barrier is a no-op stage boundary; plan builders insert it to model
@@ -456,7 +451,7 @@ func (b *Barrier) Name() string { return "Barrier[" + b.Label + "]" }
 func (b *Barrier) StageBoundary() bool { return true }
 
 // Exec implements Operator.
-func (b *Barrier) Exec(in []Row, _ *Stats) ([]Row, error) { return in, nil }
+func (b *Barrier) Exec(in []Row) ([]Row, float64, error) { return in, 0, nil }
 
 // topkCost is the virtual per-row cost of heap maintenance in TopK.
 const topkCost = 0.02
@@ -481,9 +476,9 @@ func (t *TopK) Name() string { return fmt.Sprintf("TopK[%s,%d]", t.By, t.K) }
 func (t *TopK) StageBoundary() bool { return true }
 
 // Exec implements Operator.
-func (t *TopK) Exec(in []Row, st *Stats) ([]Row, error) {
+func (t *TopK) Exec(in []Row) ([]Row, float64, error) {
 	if t.K <= 0 {
-		return nil, fmt.Errorf("engine: TopK requires K >= 1, got %d", t.K)
+		return nil, 0, fmt.Errorf("engine: TopK requires K >= 1, got %d", t.K)
 	}
 	type keyed struct {
 		key float64
@@ -494,10 +489,10 @@ func (t *TopK) Exec(in []Row, st *Stats) ([]Row, error) {
 	for i, r := range in {
 		v, err := r.Get(t.By)
 		if err != nil {
-			return nil, fmt.Errorf("engine: TopK: %w", err)
+			return nil, 0, fmt.Errorf("engine: TopK: %w", err)
 		}
 		if !v.IsNum {
-			return nil, fmt.Errorf("engine: TopK over non-numeric column %q", t.By)
+			return nil, 0, fmt.Errorf("engine: TopK over non-numeric column %q", t.By)
 		}
 		rows = append(rows, keyed{key: v.Num, idx: i, row: r})
 	}
@@ -517,6 +512,5 @@ func (t *TopK) Exec(in []Row, st *Stats) ([]Row, error) {
 	for i, kr := range rows {
 		out[i] = kr.row
 	}
-	st.charge(t.Name(), topkCost*float64(len(in)))
-	return out, nil
+	return out, topkCost * float64(len(in)), nil
 }

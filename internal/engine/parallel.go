@@ -28,33 +28,27 @@ type rowParallel interface {
 	chunk(in []Row, cfg Config, rt *retryTally, ct *CacheTally) ([]Row, float64, error)
 }
 
-// runChunk runs the whole input as one inline chunk and charges its cost.
-func runChunk(rp rowParallel, in []Row, st *Stats, cfg Config, rt *retryTally, ct *CacheTally) ([]Row, error) {
-	out, cost, err := rp.chunk(in, cfg, rt, ct)
-	st.charge(rp.Name(), cost)
-	return out, err
-}
-
-// runOp executes one operator over in, accumulating its retry and
-// score-cache tallies into acc. A row-parallel operator runs as N chunks:
+// runOp executes one operator over in and returns its output and virtual
+// cost, accumulating its retry and score-cache tallies into acc. A
+// row-parallel operator runs as N chunks:
 // up to cfg.Workers of them on goroutines when the input has at least two
 // rows per worker, each emitting a chunk span under acc.span; otherwise one
 // chunk, inline, with no chunk span. Per-chunk virtual costs are summed in
-// chunk order and charged once, so accounting is deterministic for a given
+// chunk order, so accounting is deterministic for a given
 // worker count; when a chunk fails, the work every chunk performed up to that point
 // — completed chunks, the failing chunk's rows before the failure, and all
-// retry attempts — is still charged. The tallies live on the run's
+// retry attempts — is still returned. The tallies live on the run's
 // accumulator because PPFilter instances (and the compiled filters behind
 // them) may be shared by concurrent runs: per-run accounting must never live
 // on the operator itself.
-func runOp(op Operator, in []Row, st *Stats, cfg Config, acc *opAcc) ([]Row, error) {
+func runOp(op Operator, in []Row, cfg Config, acc *opAcc) ([]Row, float64, error) {
 	rp, ok := op.(rowParallel)
 	if !ok {
-		return op.Exec(in, st)
+		return op.Exec(in)
 	}
 	workers := cfg.Workers
 	if workers <= 1 || len(in) < 2*workers {
-		return runChunk(rp, in, st, cfg, &acc.tally, &acc.ctally)
+		return rp.chunk(in, cfg, &acc.tally, &acc.ctally)
 	}
 	bounds := chunkBounds(len(in), (len(in)+workers-1)/workers)
 	results := make([][]Row, len(bounds))
@@ -80,18 +74,17 @@ func runOp(op Operator, in []Row, st *Stats, cfg Config, acc *opAcc) ([]Row, err
 		n += len(results[ci])
 		acc.tally.add(tallies[ci])
 	}
-	st.charge(op.Name(), total)
 	ct.emit(op.Name(), bounds, costs, results, errs)
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, total, err
 		}
 	}
 	out := make([]Row, 0, n)
 	for _, r := range results {
 		out = append(out, r...)
 	}
-	return out, nil
+	return out, total, nil
 }
 
 // chunkTrace records one chunk's span timing from inside its goroutine;

@@ -156,8 +156,8 @@ func TestRowTimeoutTurnsStragglerIntoRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.OpCost["U"] != 19*10+500 {
-		t.Fatalf("straggle cost not charged: %v", res.Stats.OpCost["U"])
+	if res.PerOp[1].Name != "U" || res.PerOp[1].Cost != 19*10+500 {
+		t.Fatalf("straggle cost not charged: %+v", res.PerOp[1])
 	}
 
 	// Below-straggle budget: the attempt is killed at 200 virtual ms and

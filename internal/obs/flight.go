@@ -40,19 +40,11 @@ func (m multiSink) Event(ev Event) {
 	}
 }
 
-// Metric implements Sink.
-func (m multiSink) Metric(mt Metric) {
-	for _, s := range m {
-		s.Metric(mt)
-	}
-}
-
-// Record is one entry of the flight recorder's ring: exactly one of Span,
-// Event or Metric is set.
+// Record is one entry of the flight recorder's ring: exactly one of Span
+// and Event is set.
 type Record struct {
-	Span   *Span
-	Event  *Event
-	Metric *Metric
+	Span  *Span
+	Event *Event
 }
 
 // writeTo renders the record as one trace line (the TextSink format).
@@ -62,8 +54,6 @@ func (r Record) writeTo(w io.Writer) {
 		writeSpanLine(w, *r.Span)
 	case r.Event != nil:
 		writeEventLine(w, *r.Event)
-	case r.Metric != nil:
-		writeMetricLine(w, *r.Metric)
 	}
 }
 
@@ -157,9 +147,6 @@ func (f *FlightRecorder) Span(sp Span) { f.record(Record{Span: &sp}) }
 // Event implements Sink.
 func (f *FlightRecorder) Event(ev Event) { f.record(Record{Event: &ev}) }
 
-// Metric implements Sink.
-func (f *FlightRecorder) Metric(m Metric) { f.record(Record{Metric: &m}) }
-
 func (f *FlightRecorder) record(r Record) {
 	f.mu.Lock()
 	f.ring[f.next] = r
@@ -217,7 +204,7 @@ func (f *FlightRecorder) Dump(w io.Writer) {
 }
 
 // DumpJSON writes the buffered records to w as JSON Lines in the JSONSink
-// format (one {"type": "span"|"event"|"metric", ...} object per record,
+// format (one {"type": "span"|"event", ...} object per record,
 // oldest first) without clearing the ring — the machine-readable dump the
 // pplog analyzer joins with the query log.
 func (f *FlightRecorder) DumpJSON(w io.Writer) {
@@ -228,8 +215,6 @@ func (f *FlightRecorder) DumpJSON(w io.Writer) {
 			sink.Span(*r.Span)
 		case r.Event != nil:
 			sink.Event(*r.Event)
-		case r.Metric != nil:
-			sink.Metric(*r.Metric)
 		}
 	}
 }

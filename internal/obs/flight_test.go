@@ -99,16 +99,20 @@ func TestFlightRecorderCustomTrigger(t *testing.T) {
 	var out strings.Builder
 	fr := NewFlightRecorder(16, &out)
 	fr.SetTrigger(func(r Record) bool {
-		return r.Metric != nil && r.Metric.Value > 100
+		return r.Span != nil && r.Span.CostVMS > 100
 	})
 	tr := New(fr)
-	tr.Metric("small", 5)
+	small := tr.Begin(KindOperator, "small")
+	small.CostVMS = 5
+	tr.End(&small)
 	if fr.Dumps() != 0 {
-		t.Fatal("small metric tripped the custom trigger")
+		t.Fatal("cheap span tripped the custom trigger")
 	}
-	tr.Metric("big", 500)
+	big := tr.Begin(KindOperator, "big")
+	big.CostVMS = 500
+	tr.End(&big)
 	if fr.Dumps() != 1 {
-		t.Fatal("big metric did not trip the custom trigger")
+		t.Fatal("expensive span did not trip the custom trigger")
 	}
 }
 
@@ -131,7 +135,6 @@ func TestMultiSink(t *testing.T) {
 	b := NewCollector()
 	tr := New(Multi(nil, a, nil, b))
 	emitN(tr, 3)
-	tr.Metric("m", 2)
 	for i, c := range []*Collector{a, b} {
 		if n := len(c.Spans()); n != 3 {
 			t.Fatalf("sink %d saw %d spans, want 3", i, n)

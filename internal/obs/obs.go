@@ -1,19 +1,19 @@
 // Package obs is the engine-wide observability layer: a zero-dependency
-// tracing and metrics substrate threaded through the execution engine, the
+// tracing substrate threaded through the execution engine, the
 // query optimizer and the online loop. The paper's claims are measurements —
 // speedup ratios, per-operator costs, accuracy under a budget — so the
 // runtime that reproduces them must be able to report, machine-readably,
 // where every virtual millisecond went.
 //
-// Three record types cover the system:
+// Two record types cover the system:
 //
 //   - Span: a completed unit of work (a plan run, one operator, one parallel
 //     chunk, an optimizer search, a PP training) carrying both real
 //     wall-clock duration and virtual cost.
 //   - Event: a point-in-time state transition (watchdog trips, retrains,
 //     probation verdicts).
-//   - Metric: a named numeric observation (plan-search counters, memo hits,
-//     chosen plan cost).
+//
+// Numbers that aggregate (counters, histograms) go to internal/metrics.
 //
 // Records flow into a pluggable Sink. The default is no sink at all: a nil
 // *Tracer is valid, and every method on it is a nil-check away from free, so
@@ -89,8 +89,8 @@ func NewTraceID() string {
 // Span is a completed unit of work. IDs are unique per tracer; Parent links
 // chunk spans to their operator span and operator spans to their run span.
 type Span struct {
-	ID     int64  `json:"id"`
-	Parent int64  `json:"parent,omitempty"`
+	ID     int64 `json:"id"`
+	Parent int64 `json:"parent,omitempty"`
 	// Trace is the session TraceID this span belongs to ("" = untraced).
 	// BeginCtx sets it from a TraceContext and BeginChild inherits it, so
 	// every span under one session root shares the ID.
@@ -137,20 +137,12 @@ type Event struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// Metric is one numeric observation. Collector sums observations per name;
-// streaming sinks emit each one.
-type Metric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
 // Sink receives completed records. Implementations must be safe for
 // concurrent use: parallel operators emit chunk spans from the merge point,
 // but independent plan runs may share a sink across goroutines.
 type Sink interface {
 	Span(sp Span)
 	Event(ev Event)
-	Metric(m Metric)
 }
 
 // Tracer hands out span IDs and forwards records to its sink. A nil *Tracer
@@ -245,12 +237,4 @@ func (t *Tracer) EventCtx(ctx TraceContext, name string, attrs ...Attr) {
 		return
 	}
 	t.sink.Event(Event{Time: time.Now(), Trace: ctx.TraceID, Name: name, Attrs: attrs})
-}
-
-// Metric emits one numeric observation.
-func (t *Tracer) Metric(name string, v float64) {
-	if !t.Enabled() {
-		return
-	}
-	t.sink.Metric(Metric{Name: name, Value: v})
 }

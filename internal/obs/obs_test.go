@@ -31,7 +31,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.End(&sp)
 	tr.EmitSpan(sp)
 	tr.Event("watchdog.trip")
-	tr.Metric("m", 1)
 }
 
 // TestNewNilSink: a nil sink yields a nil tracer, so New(nil) call sites get
@@ -81,8 +80,6 @@ func TestCollectorSummary(t *testing.T) {
 	sp.CostVMS = 100
 	tr.End(&sp)
 	tr.Event("watchdog.trip")
-	tr.Metric("optimizer.memo_hits", 2)
-	tr.Metric("optimizer.memo_hits", 3)
 
 	sum := col.Summary()
 	if sum.Spans != 4 || sum.Events != 1 {
@@ -99,13 +96,9 @@ func TestCollectorSummary(t *testing.T) {
 	if cheap.Count != 3 || cheap.CostVMS != 3 || cheap.RowsIn != 30 || cheap.RowsOut != 15 {
 		t.Fatalf("Cheap aggregate wrong: %+v", cheap)
 	}
-	// Metric observations with the same name are summed.
-	if sum.Metrics["optimizer.memo_hits"] != 5 {
-		t.Fatalf("memo_hits = %v, want 5", sum.Metrics["optimizer.memo_hits"])
-	}
 
 	col.Reset()
-	if s := col.Summary(); s.Spans != 0 || s.Events != 0 || len(s.Metrics) != 0 {
+	if s := col.Summary(); s.Spans != 0 || s.Events != 0 {
 		t.Fatalf("Reset left records: %+v", s)
 	}
 }
@@ -158,14 +151,12 @@ func TestTextSink(t *testing.T) {
 	chunk := tr.BeginChild(&sp, KindChunk, "U[0:50]")
 	tr.End(&chunk)
 	tr.Event("watchdog.trip", Attr{Key: "clause", Value: "t=SUV"})
-	tr.Metric("optimizer.searches", 1)
 
 	out := buf.String()
 	for _, want := range []string{
 		"[operator] Scan", "cost=12.5vms", "rows=0→100",
 		"\n  [chunk] U[0:50]", // chunk spans indent under their operator
 		"[event] watchdog.trip clause=t=SUV",
-		"[metric] optimizer.searches=1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
@@ -182,7 +173,6 @@ func TestJSONSink(t *testing.T) {
 	sp.CostVMS = 7
 	tr.End(&sp)
 	tr.Event("online.train")
-	tr.Metric("optimizer.injected", 1)
 
 	var types []string
 	sc := bufio.NewScanner(&buf)
@@ -202,16 +192,12 @@ func TestJSONSink(t *testing.T) {
 			if rec["name"] != "online.train" {
 				t.Fatalf("event record wrong: %v", rec)
 			}
-		case "metric":
-			if rec["name"] != "optimizer.injected" || rec["value"] != 1.0 {
-				t.Fatalf("metric record wrong: %v", rec)
-			}
 		default:
 			t.Fatalf("unknown record type %q", typ)
 		}
 	}
-	if len(types) != 3 {
-		t.Fatalf("records = %v, want span/event/metric", types)
+	if len(types) != 2 {
+		t.Fatalf("records = %v, want span/event", types)
 	}
 }
 

@@ -18,9 +18,6 @@ func (NopSink) Span(Span) {}
 // Event implements Sink.
 func (NopSink) Event(Event) {}
 
-// Metric implements Sink.
-func (NopSink) Metric(Metric) {}
-
 // TextSink renders records as human-readable lines — the sink behind
 // `ppquery -trace`. Chunk spans are indented under their operator.
 type TextSink struct {
@@ -43,13 +40,6 @@ func (s *TextSink) Event(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	writeEventLine(s.w, ev)
-}
-
-// Metric implements Sink.
-func (s *TextSink) Metric(m Metric) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	writeMetricLine(s.w, m)
 }
 
 // writeSpanLine renders one span as a trace line (shared by TextSink and the
@@ -80,10 +70,6 @@ func writeEventLine(w io.Writer, ev Event) {
 	fmt.Fprintf(w, "[event] %s%s%s\n", ev.Name, renderAttrs(ev.Attrs), trace)
 }
 
-func writeMetricLine(w io.Writer, m Metric) {
-	fmt.Fprintf(w, "[metric] %s=%g\n", m.Name, m.Value)
-}
-
 func renderAttrs(attrs []Attr) string {
 	out := ""
 	for _, a := range attrs {
@@ -93,7 +79,7 @@ func renderAttrs(attrs []Attr) string {
 }
 
 // JSONSink streams records as JSON Lines: one object per record with a
-// "type" discriminator ("span", "event", "metric").
+// "type" discriminator ("span", "event").
 type JSONSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -122,27 +108,16 @@ func (s *JSONSink) Event(ev Event) {
 	}{Type: "event", Event: ev})
 }
 
-// Metric implements Sink.
-func (s *JSONSink) Metric(m Metric) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.enc.Encode(struct {
-		Type string `json:"type"`
-		Metric
-	}{Type: "metric", Metric: m})
-}
-
 // Collector accumulates records in memory for tests, reports and the bench
 // runner's per-experiment trace summaries.
 type Collector struct {
-	mu      sync.Mutex
-	spans   []Span
-	events  []Event
-	metrics map[string]float64
+	mu     sync.Mutex
+	spans  []Span
+	events []Event
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{metrics: map[string]float64{}} }
+func NewCollector() *Collector { return &Collector{} }
 
 // Span implements Sink.
 func (c *Collector) Span(sp Span) {
@@ -156,13 +131,6 @@ func (c *Collector) Event(ev Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.events = append(c.events, ev)
-}
-
-// Metric implements Sink; observations with the same name are summed.
-func (c *Collector) Metric(m Metric) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.metrics[m.Name] += m.Value
 }
 
 // Spans returns a copy of the collected spans.
@@ -186,7 +154,6 @@ func (c *Collector) Reset() {
 	defer c.mu.Unlock()
 	c.spans = nil
 	c.events = nil
-	c.metrics = map[string]float64{}
 }
 
 // OpSummary aggregates the spans sharing a (kind, name) pair.
@@ -207,14 +174,13 @@ type OpSummary struct {
 // Summary is the aggregate view of a collector — what BENCH_pp.json embeds
 // per experiment.
 type Summary struct {
-	Spans   int                `json:"spans"`
-	Events  int                `json:"events"`
-	Ops     []OpSummary        `json:"ops,omitempty"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Spans  int         `json:"spans"`
+	Events int         `json:"events"`
+	Ops    []OpSummary `json:"ops,omitempty"`
 }
 
 // Summary aggregates the collected records: spans grouped by (kind, name)
-// sorted by descending virtual cost, metric sums, and record counts.
+// sorted by descending virtual cost, and record counts.
 func (c *Collector) Summary() Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -248,11 +214,5 @@ func (c *Collector) Summary() Summary {
 		}
 		return sum.Ops[a].Name < sum.Ops[b].Name
 	})
-	if len(c.metrics) > 0 {
-		sum.Metrics = make(map[string]float64, len(c.metrics))
-		for k, v := range c.metrics {
-			sum.Metrics[k] = v
-		}
-	}
 	return sum
 }

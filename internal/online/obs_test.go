@@ -87,9 +87,6 @@ func TestOnlineEmitsTrainingAndWatchdogRecords(t *testing.T) {
 	if evs["watchdog.trip"] != 1 {
 		t.Fatalf("trip events = %d, want 1", evs["watchdog.trip"])
 	}
-	if col.Summary().Metrics["watchdog.trips"] != 1 {
-		t.Fatalf("trips metric = %v", col.Summary().Metrics["watchdog.trips"])
-	}
 
 	// Fresh labels retrain the clause onto probation...
 	fresh := data.Traffic(data.TrafficConfig{Rows: 400, Seed: 33})

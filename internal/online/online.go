@@ -465,7 +465,6 @@ func (s *System) trip(ctx obs.TraceContext, key string, st *clauseState) {
 	s.Trips++
 	s.cfg.Obs.EventCtx(ctx, "watchdog.trip", obs.Attr{Key: "clause", Value: key},
 		obs.Attr{Key: "trips_total", Value: strconv.Itoa(s.Trips)})
-	s.cfg.Obs.Metric("watchdog.trips", 1)
 	if reg := s.cfg.Metrics; reg != nil {
 		reg.Counter("watchdog_trips_total", "Accuracy circuit-breaker trips.",
 			metrics.L("clause", key)).Inc()

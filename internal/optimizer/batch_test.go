@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"reflect"
 	"testing"
 
 	"probpred/internal/blob"
@@ -122,9 +121,11 @@ func TestPPFilterBatchEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: cluster time %v, scalar %v",
 				workers, got.ClusterTime, want.ClusterTime)
 		}
-		if !reflect.DeepEqual(got.Stats.OpCost, want.Stats.OpCost) {
-			t.Fatalf("workers=%d: op costs %v, scalar %v",
-				workers, got.Stats.OpCost, want.Stats.OpCost)
+		for i := range got.PerOp {
+			if got.PerOp[i].Cost != want.PerOp[i].Cost {
+				t.Fatalf("workers=%d: op %s cost %v, scalar %v",
+					workers, got.PerOp[i].Name, got.PerOp[i].Cost, want.PerOp[i].Cost)
+			}
 		}
 	}
 }

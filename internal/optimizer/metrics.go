@@ -20,20 +20,6 @@ func (o *Optimizer) SetMetrics(reg *metrics.Registry) { o.metrics = reg }
 // misestimation events). Optimize keeps taking its tracer via Options.Obs.
 func (o *Optimizer) SetObs(tr *obs.Tracer) { o.tr = tr }
 
-// emitSearchMetrics records one Optimize call's outcome.
-func (o *Optimizer) emitSearchMetrics(dec *Decision) {
-	reg := o.metrics
-	if reg == nil {
-		return
-	}
-	reg.Counter("optimizer_searches_total", "Plan searches performed.").Inc()
-	if dec.Inject {
-		reg.Counter("optimizer_injections_total", "Plan searches that chose to inject a PP filter.").Inc()
-	}
-	reg.Histogram("optimizer_candidates_costed", "Candidate expressions costed per search.").Observe(float64(dec.Search.Costed))
-	reg.Histogram("optimizer_search_wall_ns", "Real wall-clock duration per plan search, nanoseconds.").Observe(float64(dec.Search.WallNS))
-}
-
 // Instrument resolves per-clause score instrumentation for a compiled filter:
 // each PP leaf gets a score-distribution histogram and tested/passed counters
 // labeled by clause. Instrumentation is opt-in per filter — an uninstrumented

@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"strconv"
 	"testing"
 
+	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 )
@@ -42,12 +44,15 @@ func TestOptimizeSearchStats(t *testing.T) {
 	}
 }
 
-// TestOptimizeEmitsSpanAndMetrics: with a tracer attached, one optimize span
-// and the search counters reach the sink.
+// TestOptimizeEmitsSpanAndMetrics: with a tracer and a registry attached, one
+// optimize span carrying the search's counts reaches the sink and the
+// aggregates reach the registry.
 func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 	val := miniBlobs(2000, 62)
 	c := miniCorpus(t, val)
 	opt := New(c)
+	reg := metrics.New()
+	opt.SetMetrics(reg)
 	col := obs.NewCollector()
 	pred := query.MustParse("t=SUV & c=red")
 	dec, err := opt.Optimize(pred, Options{
@@ -70,14 +75,32 @@ func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 	if sp.WallNS != dec.Search.WallNS {
 		t.Fatalf("span wall %d, search wall %d", sp.WallNS, dec.Search.WallNS)
 	}
-	sum := col.Summary()
-	if sum.Metrics["optimizer.searches"] != 1 {
-		t.Fatalf("searches metric = %v", sum.Metrics["optimizer.searches"])
+	// Every count of the search's ledger is on the span, as an attribute.
+	attrs := map[string]string{}
+	for _, a := range sp.Attrs {
+		attrs[a.Key] = a.Value
 	}
-	if got := sum.Metrics["optimizer.candidates_costed"]; got != float64(dec.Search.Costed) {
-		t.Fatalf("candidates_costed = %v, want %d", got, dec.Search.Costed)
+	for key, want := range map[string]int{
+		"candidates":           dec.Search.Costed,
+		"candidates_generated": dec.Search.Generated,
+		"memo_hits":            dec.Search.MemoHits,
+		"memo_entries":         dec.Search.MemoEntries,
+	} {
+		if attrs[key] != strconv.Itoa(want) {
+			t.Fatalf("span attr %s = %q, want %d", key, attrs[key], want)
+		}
 	}
-	if dec.Inject && sum.Metrics["optimizer.injected"] != 1 {
-		t.Fatalf("injected metric = %v for an injecting decision", sum.Metrics["optimizer.injected"])
+	if attrs["injected"] != strconv.FormatBool(dec.Inject) {
+		t.Fatalf("span attr injected = %q for Inject=%v", attrs["injected"], dec.Inject)
+	}
+	// And the aggregates are on the registry, once per search.
+	if got := reg.Counter("optimizer_searches_total", "").Value(); got != 1 {
+		t.Fatalf("optimizer_searches_total = %v, want 1", got)
+	}
+	if got := reg.Histogram("optimizer_candidates_costed", "").Sum(); got != float64(dec.Search.Costed) {
+		t.Fatalf("optimizer_candidates_costed sum = %v, want %d", got, dec.Search.Costed)
+	}
+	if got := reg.Counter("optimizer_injections_total", "").Value(); dec.Inject && got != 1 {
+		t.Fatalf("optimizer_injections_total = %v for an injecting decision", got)
 	}
 }

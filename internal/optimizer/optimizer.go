@@ -35,9 +35,9 @@ type Options struct {
 	// DisableOrderSearch executes sub-expressions in written order instead
 	// of cheapest-effective-first — an ablation knob for §6.2's ordering.
 	DisableOrderSearch bool
-	// Obs receives one KindOptimize span per Optimize call plus
-	// plan-search counters (expressions costed, memo hits, chosen plan
-	// cost/reduction). Nil disables tracing.
+	// Obs receives one KindOptimize span per Optimize call, carrying the
+	// search's counts (candidates generated and costed, memo hits and
+	// entries) and the chosen plan's cost/reduction. Nil disables tracing.
 	Obs *obs.Tracer
 	// Trace is the session trace context the search belongs to: the
 	// KindOptimize span carries its TraceID and parents under its SpanID,
@@ -107,8 +107,9 @@ type Decision struct {
 	consulted []string
 }
 
-// SearchStats counts the work one Optimize call performed — the optimizer's
-// own profile, emitted to Options.Obs and embedded in the Decision.
+// SearchStats is the ledger of one Optimize call — the optimizer's own
+// profile, embedded in the Decision; the optimize span's attributes and the
+// optimizer_* registry instruments are derived from it (emitSearch).
 type SearchStats struct {
 	// Generated is how many candidate expressions the rewrite rules
 	// produced before deduplication and the k-leaf bound.
@@ -257,12 +258,21 @@ func (o *Optimizer) Optimize(pred query.Pred, opts Options) (*Decision, error) {
 	sortAlternatives(dec.Alternatives)
 	dec.Search.WallNS = time.Since(start).Nanoseconds()
 	o.emitSearch(opts.Obs, opts.Trace, orig, dec)
-	o.emitSearchMetrics(dec)
 	return dec, nil
 }
 
-// emitSearch publishes one optimization's span and counters.
+// emitSearch derives one optimization's telemetry from its ledger,
+// dec.Search: the registry instruments (SetMetrics) and the KindOptimize
+// span.
 func (o *Optimizer) emitSearch(tr *obs.Tracer, ctx obs.TraceContext, pred query.Pred, dec *Decision) {
+	if reg := o.metrics; reg != nil {
+		reg.Counter("optimizer_searches_total", "Plan searches performed.").Inc()
+		if dec.Inject {
+			reg.Counter("optimizer_injections_total", "Plan searches that chose to inject a PP filter.").Inc()
+		}
+		reg.Histogram("optimizer_candidates_costed", "Candidate expressions costed per search.").Observe(float64(dec.Search.Costed))
+		reg.Histogram("optimizer_search_wall_ns", "Real wall-clock duration per plan search, nanoseconds.").Observe(float64(dec.Search.WallNS))
+	}
 	if !tr.Enabled() {
 		return
 	}
@@ -275,17 +285,11 @@ func (o *Optimizer) emitSearch(tr *obs.Tracer, ctx obs.TraceContext, pred query.
 		sp.SetAttr("expr", dec.Expr)
 		sp.SetAttr("reduction", strconv.FormatFloat(dec.Reduction, 'f', 3, 64))
 	}
+	sp.SetAttr("candidates_generated", strconv.Itoa(dec.Search.Generated))
+	sp.SetAttr("memo_entries", strconv.Itoa(dec.Search.MemoEntries))
 	sp.CostVMS = dec.PlanCost
 	sp.WallNS = dec.Search.WallNS
 	tr.EmitSpan(sp)
-	tr.Metric("optimizer.searches", 1)
-	tr.Metric("optimizer.candidates_generated", float64(dec.Search.Generated))
-	tr.Metric("optimizer.candidates_costed", float64(dec.Search.Costed))
-	tr.Metric("optimizer.memo_hits", float64(dec.Search.MemoHits))
-	tr.Metric("optimizer.memo_entries", float64(dec.Search.MemoEntries))
-	if dec.Inject {
-		tr.Metric("optimizer.injected", 1)
-	}
 }
 
 // sortAlternatives orders candidates by ascending plan cost, then

@@ -104,6 +104,42 @@ func TestGenerateRelaxedComparison(t *testing.T) {
 	}
 }
 
+// TestRelaxComparisonOnlyOffersNecessaryConditions: a PP may stand in for a
+// clause only if the clause implies the PP's — at every pairing of
+// {>,>=,<,<=}, and in particular at equal bounds, where strictness decides
+// (s>=60, what !(s<60) normalizes to, must not be offered PP[s>60], trained
+// with s=60 as a negative). Cross-checked against query.Implies over a
+// domain that straddles both bounds.
+func TestRelaxComparisonOnlyOffersNecessaryConditions(t *testing.T) {
+	ops := []string{">", ">=", "<", "<="}
+	domain := map[string][]query.Value{}
+	for v := 40.0; v <= 80; v += 0.5 {
+		domain["s"] = append(domain["s"], query.Number(v))
+	}
+	for _, qop := range ops {
+		for _, pop := range ops {
+			for _, bound := range []string{"50", "60", "70"} {
+				clause := query.MustParse("s" + qop + "60").(*query.Clause)
+				ppKey := "s" + pop + bound
+				offered := len(relaxComparison(clause, []string{ppKey}, parseClauseKey)) == 1
+				implied := query.Implies(clause, query.MustParse(ppKey), domain)
+				if offered != implied {
+					t.Errorf("query %s, PP[%s]: offered=%v, but implication is %v", clause, ppKey, offered, implied)
+				}
+			}
+		}
+	}
+	// The end-to-end face of the bug: the generator must not seed s>=60
+	// with PP[s>60].
+	c := miniCorpus(t, miniBlobs(400, 4))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	for _, e := range g.gen(query.MustParse("!(s<60)")) {
+		if e.String() == "PP[s>60]" {
+			t.Fatalf("!(s<60) was offered %s, which drops s=60", e)
+		}
+	}
+}
+
 func TestGenerateNotEqualWrangling(t *testing.T) {
 	c := miniCorpus(t, miniBlobs(400, 5))
 	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 5}

@@ -61,33 +61,10 @@ func relaxComparison(cl *query.Clause, available []string, parse func(string) (*
 		if !ok || cand.Col != cl.Col || !cand.Val.IsNum {
 			continue
 		}
-		if lower {
-			// cl: s > v (or >=). Implied: s > t with t <= v, or s >= t with
-			// t <= v.
-			switch cand.Op {
-			case query.OpGt:
-				if cand.Val.Num <= cl.Val.Num {
-					out = append(out, cand)
-				}
-			case query.OpGe:
-				if cand.Val.Num <= cl.Val.Num {
-					out = append(out, cand)
-				}
-			}
-		} else {
-			// cl: s < v (or <=). Implied: s < t with t >= v (strictness:
-			// s<v ⇒ s<t for t>=v; s<=v ⇒ s<t for t>v and s<=t for t>=v; we
-			// accept t >= v for both, a safe superset check below).
-			switch cand.Op {
-			case query.OpLt:
-				if cand.Val.Num >= cl.Val.Num && impliesComparison(cl, cand) {
-					out = append(out, cand)
-				}
-			case query.OpLe:
-				if cand.Val.Num >= cl.Val.Num {
-					out = append(out, cand)
-				}
-			}
+		// Strictness matters at equal bounds: s>=60 does not imply s>60,
+		// whose PP was trained with s=60 as a negative.
+		if impliesComparison(cl, cand) {
+			out = append(out, cand)
 		}
 	}
 	// Tightest first: for lower bounds larger t is tighter; for upper

@@ -13,7 +13,7 @@ import (
 )
 
 // ReadSpans parses a span dump in the obs JSON-lines format (JSONSink output
-// or FlightRecorder.DumpJSON): one {"type": "span"|"event"|"metric"} object
+// or FlightRecorder.DumpJSON): one {"type": "span"|"event"} object
 // per line. Non-JSON lines (e.g. text-dump framing) and non-span records are
 // skipped, so a mixed stderr capture still yields its spans.
 func ReadSpans(r io.Reader) ([]obs.Span, error) {
@@ -90,9 +90,9 @@ type TraceDetail struct {
 // Analysis is the analyzer's report — what ppbench's `obs` experiment
 // prints and gates on.
 type Analysis struct {
-	Sessions int `json:"sessions"`
+	Sessions   int `json:"sessions"`
 	LegRecords int `json:"leg_records"`
-	Errors   int `json:"errors"`
+	Errors     int `json:"errors"`
 	// Drops echoes the query-log writer's drop counter.
 	Drops uint64 `json:"querylog_drops"`
 	// AllHaveTrace reports whether every record carried a TraceID.

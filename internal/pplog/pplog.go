@@ -52,8 +52,8 @@ type Record struct {
 	TraceID string `json:"trace_id"`
 	// Session is the request ID (serve.Request.ID).
 	Session string `json:"session,omitempty"`
-	// PlanKey is the canonical predicate key (plan-cache key: canonical
-	// predicate + accuracy + corpus version).
+	// PlanKey is the plan-cache key: the canonical predicate and the
+	// accuracy target (optimizer.PlanKey).
 	PlanKey string `json:"plan_key,omitempty"`
 	// Accuracy is the requested per-query accuracy target.
 	Accuracy float64 `json:"accuracy,omitempty"`

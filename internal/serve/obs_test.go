@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -298,4 +299,61 @@ func TestErrorSessionsAreLogged(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestServerAndCoordinatorLogTheSameSession: both front doors close a session
+// through the one epilogue, so for one predicate over one corpus a Server's
+// record and a Coordinator's session record state the same facts — they
+// differ only in the scatter fields (Leg / Legs / Policy) and in timings.
+func TestServerAndCoordinatorLogTheSameSession(t *testing.T) {
+	const nBlobs = 60
+	sessionRecord := func(qlog *pplog.Writer, logBuf *bytes.Buffer, d doer) pplog.Record {
+		t.Helper()
+		req := Request{
+			ID: "Q", Pred: query.MustParse("t=SUV & c!=white"), Trace: "feedfacefeedface",
+			Segment: &pplog.SegInfo{Index: 3, Version: 4},
+		}
+		for i := 0; i < 2; i++ { // the second session finds every plan cached
+			if _, err := d.Do(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := qlog.Close(); err != nil {
+			t.Fatal(err)
+		}
+		records, err := pplog.Read(logBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last pplog.Record
+		for _, rec := range records {
+			if rec.IsSession() {
+				last = rec
+			}
+		}
+		return last
+	}
+
+	var srvBuf, coordBuf bytes.Buffer
+	srvLog, coordLog := pplog.NewWriter(&srvBuf, 64, nil), pplog.NewWriter(&coordBuf, 64, nil)
+	st := newMiniStack(t, nBlobs, func(cfg *Config) { cfg.QueryLog = srvLog })
+	c := newMiniCoordinator(t, nBlobs, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) { cfg.Base.QueryLog = coordLog })
+	srvRec, coordRec := sessionRecord(srvLog, &srvBuf, st.srv), sessionRecord(coordLog, &coordBuf, c)
+
+	if srvRec.Leg != nil || len(srvRec.Legs) != 0 || srvRec.Policy != "" {
+		t.Errorf("server record carries scatter fields: %+v", srvRec)
+	}
+	if len(coordRec.Legs) != 2 || coordRec.Policy != string(RouteRoundRobin) {
+		t.Errorf("coordinator record misses its scatter fields: %+v", coordRec)
+	}
+	if srvRec.PlanKey == "" || srvRec.Rows == 0 || srvRec.PPTested == 0 || srvRec.EstReduction == 0 || srvRec.Seg == nil {
+		t.Fatalf("degenerate server record: %+v", srvRec)
+	}
+	for _, rec := range []*pplog.Record{&srvRec, &coordRec} {
+		rec.TimeUnixNS, rec.QueueWaitNS, rec.ServiceNS = 0, 0, 0
+		rec.Leg, rec.Legs, rec.Policy = nil, nil, ""
+	}
+	if !reflect.DeepEqual(srvRec, coordRec) {
+		t.Errorf("records differ beyond scatter fields and timings\n server: %+v\n  coord: %+v", srvRec, coordRec)
+	}
 }

@@ -397,37 +397,109 @@ func validate(req Request, defaultAcc float64) (accuracy float64, err error) {
 	return req.Accuracy, nil
 }
 
-// fillRecord completes a session's query-log record from its outcome: the
-// error, or the plan resolution, admission wait, estimated and observed PP
-// reduction, output rows and virtual cost. Server sessions and merged
-// scatter sessions log the same facts through it.
-func fillRecord(rec *pplog.Record, resp *Response, err error) {
+// session is one request's ledger, filled by Server.Do or Coordinator.Do and
+// closed by finish: everything its span, histograms and query-log record
+// are derived from.
+type session struct {
+	req   Request
+	trace string
+	span  obs.Span
+	// start is when service began: the admit time on a Server, the scatter
+	// on a Coordinator. wait is the admission wait before it (a merged
+	// scatter's is its slowest leg's).
+	start time.Time
+	wait  time.Duration
+	// key is the plan key of a session that failed after resolving it;
+	// successful sessions carry it on the response.
+	key string
+	// policy and legs are set on scatter-gather sessions only.
+	policy string
+	legs   []leg
+	resp   *Response
+	err    error
+}
+
+// finish is the one session epilogue: it ends the span, observes the service
+// histogram (nil on a Coordinator, whose legs observe their own), stamps the
+// response with the session's trace and timings, and writes the session's
+// single query-log record — the error, or the plan resolution, admission
+// wait, estimated and observed PP reduction, output rows and virtual cost.
+// The log write is non-blocking: a full buffer drops the record and bumps
+// the writer's drop counter rather than stalling the serve path.
+func (ss *session) finish(tr *obs.Tracer, qlog *pplog.Writer, service *metrics.Histogram, defaultAcc float64) (*Response, error) {
+	resp, err := ss.resp, ss.err
+	if err != nil {
+		ss.span.SetAttr("error", err.Error())
+	} else {
+		if resp.Adapt != nil && len(resp.Adapt.Swaps) > 0 {
+			ss.span.SetAttr("adapt_swaps", strconv.Itoa(len(resp.Adapt.Swaps)))
+		}
+		ss.span.RowsOut = len(resp.Result.Rows)
+		ss.span.CostVMS = resp.Result.ClusterTime
+	}
+	tr.End(&ss.span)
+	took := time.Since(ss.start)
+	service.ObserveExemplar(float64(took), ss.trace)
+	if resp != nil {
+		resp.TraceID, resp.QueueWait, resp.Service = ss.trace, ss.wait, took
+	}
+	if qlog == nil {
+		return resp, err
+	}
+	rec := pplog.Record{
+		TimeUnixNS:  time.Now().UnixNano(),
+		TraceID:     ss.trace,
+		Session:     ss.req.ID,
+		PlanKey:     ss.key,
+		Accuracy:    ss.req.Accuracy,
+		QueueWaitNS: ss.wait.Nanoseconds(),
+		ServiceNS:   took.Nanoseconds(),
+		Seg:         ss.req.Segment,
+		Policy:      ss.policy,
+	}
+	if rec.Accuracy == 0 {
+		rec.Accuracy = defaultAcc
+	}
+	if l := ss.req.leg; l != nil {
+		rec.Leg = &pplog.LegInfo{Shard: l.shard, Replica: l.replica, Policy: l.policy}
+	}
+	for i := range ss.legs {
+		l := pplog.Leg{Shard: ss.legs[i].shard, Replica: ss.legs[i].replica}
+		if r := ss.legs[i].resp; r != nil {
+			l.QueueWaitNS = r.QueueWait.Nanoseconds()
+			l.ServiceNS = r.Service.Nanoseconds()
+			l.Rows = len(r.Result.Rows)
+		}
+		if ss.legs[i].err != nil {
+			l.Error = ss.legs[i].err.Error()
+		}
+		rec.Legs = append(rec.Legs, l)
+	}
 	if err != nil {
 		rec.Error = err.Error()
-	}
-	if resp == nil {
-		return
-	}
-	rec.PlanKey = resp.PlanKey
-	rec.PlanCached = resp.PlanCached
-	rec.QueueWaitNS = resp.QueueWait.Nanoseconds()
-	if resp.Decision.Inject {
-		rec.EstReduction = resp.Decision.Reduction
-	}
-	if resp.Result == nil {
-		return
-	}
-	rec.Rows = len(resp.Result.Rows)
-	rec.ClusterVMS = resp.Result.ClusterTime
-	for _, op := range resp.Result.PerOp {
-		if op.PPFilter {
-			rec.PPTested += op.RowsIn
-			rec.PPPassed += op.RowsOut
+	} else {
+		rec.PlanKey = resp.PlanKey
+		rec.PlanCached = resp.PlanCached
+		if resp.Decision.Inject {
+			rec.EstReduction = resp.Decision.Reduction
+		}
+		if resp.Adapt != nil {
+			rec.AdaptSwaps = len(resp.Adapt.Swaps)
+		}
+		rec.Rows = len(resp.Result.Rows)
+		rec.ClusterVMS = resp.Result.ClusterTime
+		for _, op := range resp.Result.PerOp {
+			if op.PPFilter {
+				rec.PPTested += op.RowsIn
+				rec.PPPassed += op.RowsOut
+			}
+		}
+		if rec.PPTested > 0 {
+			rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
 		}
 	}
-	if rec.PPTested > 0 {
-		rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
-	}
+	qlog.Log(rec)
+	return resp, err
 }
 
 // Load reports the server's live admission state: sessions waiting for a
@@ -446,17 +518,20 @@ func (s *Server) Load() (queued, active int64) {
 func (s *Server) Do(req Request) (*Response, error) {
 	// The trace ID is minted before admission so the queue-wait exemplar can
 	// carry it.
-	trace, name := identify(req)
+	ss := session{req: req}
+	var name string
+	ss.trace, name = identify(req)
 	enqueued := time.Now()
 	s.queued.Add(1)
 	s.m.queueDepth.Add(1)
 	s.sem <- struct{}{}
-	admitted := time.Now()
+	ss.start = time.Now()
+	ss.wait = ss.start.Sub(enqueued)
 	s.queued.Add(-1)
 	s.active.Add(1)
 	s.m.queueDepth.Add(-1)
 	s.m.active.Add(1)
-	s.m.admissionWait.ObserveExemplar(float64(admitted.Sub(enqueued)), trace)
+	s.m.admissionWait.ObserveExemplar(float64(ss.wait), ss.trace)
 	defer func() {
 		<-s.sem
 		s.active.Add(-1)
@@ -466,62 +541,20 @@ func (s *Server) Do(req Request) (*Response, error) {
 
 	// A shard leg's session span parents under the coordinator's span;
 	// direct sessions root a fresh trace.
-	parent := obs.TraceContext{TraceID: trace}
+	parent := obs.TraceContext{TraceID: ss.trace}
 	if req.leg != nil {
 		parent = req.leg.parent
 	}
-	span := s.cfg.Obs.BeginCtx(parent, obs.KindSession, name)
+	ss.span = s.cfg.Obs.BeginCtx(parent, obs.KindSession, name)
 	if req.leg != nil {
-		span.SetAttr("shard", strconv.Itoa(req.leg.shard))
-		span.SetAttr("replica", strconv.Itoa(req.leg.replica))
-		span.SetAttr("policy", req.leg.policy)
+		ss.span.SetAttr("shard", strconv.Itoa(req.leg.shard))
+		ss.span.SetAttr("replica", strconv.Itoa(req.leg.replica))
+		ss.span.SetAttr("policy", req.leg.policy)
 	}
-	ctx := obs.TraceContext{TraceID: trace, SpanID: span.ID}
-	resp, err := s.serve(req, &span, ctx)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-	}
-	s.cfg.Obs.End(&span)
-	service := time.Since(admitted)
-	s.m.service.ObserveExemplar(float64(service), trace)
-	if resp != nil {
-		resp.TraceID = trace
-		resp.QueueWait = admitted.Sub(enqueued)
-		resp.Service = service
-	}
+	ss.resp, ss.err = s.serve(req, &ss.span, obs.TraceContext{TraceID: ss.trace, SpanID: ss.span.ID})
+	resp, err := ss.finish(s.cfg.Obs, s.cfg.QueryLog, s.m.service, s.cfg.Accuracy)
 	s.emitSessionMetrics(resp, err)
-	s.logSession(req, resp, trace, admitted.Sub(enqueued), service, err)
 	return resp, err
-}
-
-// logSession writes the session's structured query-log record. The write is
-// non-blocking: a full buffer drops the record and bumps the writer's drop
-// counter rather than stalling the serve path.
-func (s *Server) logSession(req Request, resp *Response, trace string, wait, service time.Duration, err error) {
-	if s.cfg.QueryLog == nil {
-		return
-	}
-	acc := req.Accuracy
-	if acc == 0 {
-		acc = s.cfg.Accuracy
-	}
-	rec := pplog.Record{
-		TimeUnixNS:  time.Now().UnixNano(),
-		TraceID:     trace,
-		Session:     req.ID,
-		Accuracy:    acc,
-		QueueWaitNS: wait.Nanoseconds(),
-		ServiceNS:   service.Nanoseconds(),
-	}
-	if req.leg != nil {
-		rec.Leg = &pplog.LegInfo{Shard: req.leg.shard, Replica: req.leg.replica, Policy: req.leg.policy}
-	}
-	rec.Seg = req.Segment
-	if resp != nil && resp.Adapt != nil {
-		rec.AdaptSwaps = len(resp.Adapt.Swaps)
-	}
-	fillRecord(&rec, resp, err)
-	s.cfg.QueryLog.Log(rec)
 }
 
 func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Response, error) {
@@ -579,11 +612,6 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 	if err != nil {
 		return nil, fmt.Errorf("serve: run %q: %w", req.Pred.String(), err)
 	}
-	if arep != nil && len(arep.Swaps) > 0 {
-		span.SetAttr("adapt_swaps", strconv.Itoa(len(arep.Swaps)))
-	}
-	span.RowsOut = len(res.Rows)
-	span.CostVMS = res.ClusterTime
 	return &Response{
 		ID:         req.ID,
 		Result:     res,

@@ -27,7 +27,6 @@ import (
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
-	"probpred/internal/pplog"
 )
 
 // ShardedConfig configures a Coordinator.
@@ -163,7 +162,8 @@ type leg struct {
 // (global blob order), summed cluster cost and positionally summed PerOp
 // stats; QueueWait is the slowest leg's admission wait and Service the
 // scatter-to-merge wall time. Adapt reports are per-leg and are not merged
-// (nil on the merged response when Shards > 1). When any shard fails the
+// (nil on the merged response when Shards > 1). A request's explicit Blobs
+// are split across the legs as the corpus is. When any shard fails the
 // session fails: every failing shard's error is aggregated with its shard
 // index attributed, a shard.fail event is emitted per failure (tripping
 // FlightRecorder auto-dump), and completed legs are discarded — graceful
@@ -175,48 +175,62 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 	// the caller's), every leg serves under it, and the coordinator span is
 	// the parent every leg session span hangs off.
 	tr := c.cfg.Base.Obs
-	trace, name := identify(req)
-	policy := c.router.Name()
-	span := tr.BeginCtx(obs.TraceContext{TraceID: trace}, obs.KindSession, name)
-	span.SetAttr("scatter", strconv.Itoa(len(c.shards)))
-	span.SetAttr("policy", policy)
-	ctx := obs.TraceContext{TraceID: trace, SpanID: span.ID}
-	start := time.Now()
-	// fail closes a session that produced no response: counted, traced and
-	// logged, whether a shard failed or the request was rejected — as a
-	// Server treats its failed sessions.
-	fail := func(legs []leg, key string, acc float64, err error) (*Response, error) {
+	ss := session{req: req, policy: c.router.Name()}
+	var name string
+	ss.trace, name = identify(req)
+	ss.span = tr.BeginCtx(obs.TraceContext{TraceID: ss.trace}, obs.KindSession, name)
+	ss.span.SetAttr("scatter", strconv.Itoa(len(c.shards)))
+	ss.span.SetAttr("policy", ss.policy)
+	ss.start = time.Now()
+	// A session that produced no response is counted, traced and logged,
+	// whether a shard failed or the request was rejected — as a Server
+	// treats its failed sessions.
+	if ss.resp, ss.err = c.scatter(&ss); ss.err != nil {
 		c.failures.Add(1)
-		span.SetAttr("error", err.Error())
-		tr.End(&span)
-		c.logScatter(req, nil, legs, trace, key, acc, time.Since(start), err)
-		return nil, err
 	}
+	return ss.finish(tr, c.cfg.Base.QueryLog, nil, c.accuracy)
+}
+
+// scatter validates the session's request, runs one leg per shard in
+// parallel and merges them, recording the plan key, the legs and the merged
+// admission wait on the session as they become known.
+func (c *Coordinator) scatter(ss *session) (*Response, error) {
+	req := ss.req
 	accuracy, err := validate(req, c.accuracy)
 	if err != nil {
-		return fail(nil, "", req.Accuracy, err)
+		return nil, err
 	}
-	key := optimizer.PlanKey(req.Pred, accuracy)
-	span.SetAttr("plan_key", key)
+	ss.key = optimizer.PlanKey(req.Pred, accuracy)
+	ss.span.SetAttr("plan_key", ss.key)
+	ctx := obs.TraceContext{TraceID: ss.trace, SpanID: ss.span.ID}
 
-	legs := make([]leg, len(c.shards))
+	// An explicit segment is split as the corpus is: contiguously, so the
+	// shard-index-order gather reproduces the segment's own order.
+	var segs [][]blob.Blob
+	if req.Blobs != nil {
+		segs = SplitBlobs(req.Blobs, len(c.shards))
+	}
+	ss.legs = make([]leg, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
-		pick := c.router.Pick(sh.index, key, sh.replicas)
+		pick := c.router.Pick(sh.index, ss.key, sh.replicas)
 		if pick < 0 || pick >= len(sh.replicas) {
 			pick = 0
 		}
-		legs[i] = leg{shard: i, replica: pick}
+		ss.legs[i] = leg{shard: i, replica: pick}
 		c.routeDecisions.Inc()
 		sh.publishLoad()
+		lreq := req
+		lreq.Trace = ss.trace
+		lreq.leg = &legInfo{shard: i, replica: pick, policy: ss.policy, parent: ctx}
+		if segs != nil {
+			lreq.Blobs = segs[i]
+		}
 		wg.Add(1)
 		go func(l *leg, srv *Server) {
 			defer wg.Done()
-			lreq := req
-			lreq.Trace = trace
-			lreq.leg = &legInfo{shard: l.shard, replica: l.replica, policy: policy, parent: ctx}
 			l.resp, l.err = srv.Do(lreq)
-		}(&legs[i], sh.replicas[pick])
+		}(&ss.legs[i], sh.replicas[pick])
 	}
 	wg.Wait()
 	for _, sh := range c.shards {
@@ -224,58 +238,18 @@ func (c *Coordinator) Do(req Request) (*Response, error) {
 	}
 
 	var failed []error
-	for i := range legs {
-		if legs[i].err != nil {
-			failed = append(failed, fmt.Errorf("shard %d (replica %d): %w", legs[i].shard, legs[i].replica, legs[i].err))
-			c.recordShardFailure(ctx, legs[i].shard, legs[i].err)
+	for i := range ss.legs {
+		if l := &ss.legs[i]; l.err != nil {
+			failed = append(failed, fmt.Errorf("shard %d (replica %d): %w", l.shard, l.replica, l.err))
+			c.recordShardFailure(ctx, l.shard, l.err)
 		}
 	}
 	if len(failed) > 0 {
-		return fail(legs, key, accuracy, fmt.Errorf("serve: scatter %q: %w", req.ID, errors.Join(failed...)))
+		return nil, fmt.Errorf("serve: scatter %q: %w", req.ID, errors.Join(failed...))
 	}
-	resp := mergeLegs(legs)
-	resp.Service = time.Since(start)
-	resp.TraceID = trace
-	span.RowsOut = len(resp.Result.Rows)
-	span.CostVMS = resp.Result.ClusterTime
-	tr.End(&span)
-	c.logScatter(req, resp, legs, trace, key, accuracy, resp.Service, nil)
+	resp := mergeLegs(ss.legs)
+	ss.wait = resp.QueueWait
 	return resp, nil
-}
-
-// logScatter writes the coordinator's merged query-log record: the session
-// view (Leg nil) with per-leg timings attached. Each leg's replica server has
-// already written its own leg record under the same TraceID.
-func (c *Coordinator) logScatter(req Request, resp *Response, legs []leg, trace, key string, acc float64, service time.Duration, err error) {
-	qlog := c.cfg.Base.QueryLog
-	if qlog == nil {
-		return
-	}
-	rec := pplog.Record{
-		TimeUnixNS: time.Now().UnixNano(),
-		TraceID:    trace,
-		Session:    req.ID,
-		PlanKey:    key,
-		Accuracy:   acc,
-		ServiceNS:  service.Nanoseconds(),
-		Policy:     c.router.Name(),
-	}
-	for i := range legs {
-		l := pplog.Leg{Shard: legs[i].shard, Replica: legs[i].replica}
-		if r := legs[i].resp; r != nil {
-			l.QueueWaitNS = r.QueueWait.Nanoseconds()
-			l.ServiceNS = r.Service.Nanoseconds()
-			if r.Result != nil {
-				l.Rows = len(r.Result.Rows)
-			}
-		}
-		if legs[i].err != nil {
-			l.Error = legs[i].err.Error()
-		}
-		rec.Legs = append(rec.Legs, l)
-	}
-	fillRecord(&rec, resp, err)
-	qlog.Log(rec)
 }
 
 // mergeLegs gathers successful legs (shard-index order) into one response.
@@ -290,13 +264,7 @@ func mergeLegs(legs []leg) *Response {
 		PlanKey:    first.PlanKey,
 		PlanCached: true,
 	}
-	res := &engine.Result{
-		Stats: &engine.Stats{
-			OpCost:  map[string]float64{},
-			RowsIn:  map[string]int{},
-			RowsOut: map[string]int{},
-		},
-	}
+	res := &engine.Result{}
 	total := 0
 	for i := range legs {
 		total += len(legs[i].resp.Result.Rows)
@@ -321,16 +289,6 @@ func mergeLegs(legs []leg) *Response {
 		res.Chunks += r.Chunks
 		res.SwapErrors += r.SwapErrors
 		res.Swaps = append(res.Swaps, r.Swaps...)
-		res.Stats.Cluster += r.Stats.Cluster
-		for k, v := range r.Stats.OpCost {
-			res.Stats.OpCost[k] += v
-		}
-		for k, v := range r.Stats.RowsIn {
-			res.Stats.RowsIn[k] += v
-		}
-		for k, v := range r.Stats.RowsOut {
-			res.Stats.RowsOut[k] += v
-		}
 		if len(r.PerOp) != len(legs[0].resp.Result.PerOp) {
 			samePlanShape = false
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"probpred/internal/adapt"
 	"probpred/internal/blob"
 	"probpred/internal/engine"
 	"probpred/internal/obs"
@@ -143,9 +144,41 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedMergeAccounting checks the merge invariants beyond the render:
-// per-operator stats sum positionally, latency is the max over parallel legs,
-// and PlanCached ANDs across legs.
+// checkLedger asserts the one-ledger invariant on a served Result: PerOp
+// costs sum to ClusterTime (merging and chunking regroup float additions,
+// hence the relative tolerance) and cardinalities chain through the plan's
+// operators to the result. An adapt re-plan row, which consumes no rows, is
+// excluded from the chain.
+func checkLedger(t *testing.T, res *engine.Result) {
+	t.Helper()
+	sum := 0.0
+	ops := res.PerOp
+	for _, op := range ops {
+		sum += op.Cost
+	}
+	if math.Abs(sum-res.ClusterTime) > 1e-9*res.ClusterTime {
+		t.Errorf("sum(PerOp.Cost) = %v, ClusterTime = %v", sum, res.ClusterTime)
+	}
+	if len(ops) > 0 && ops[len(ops)-1].Name == adapt.ReplanOp {
+		ops = ops[:len(ops)-1]
+	}
+	if len(ops) == 0 {
+		t.Fatal("result carries no PerOp ledger")
+	}
+	for i := 1; i < len(ops); i++ {
+		if ops[i].RowsIn != ops[i-1].RowsOut {
+			t.Errorf("PerOp[%d] %s: %d rows in, predecessor produced %d", i, ops[i].Name, ops[i].RowsIn, ops[i-1].RowsOut)
+		}
+	}
+	if ops[len(ops)-1].RowsOut != len(res.Rows) {
+		t.Errorf("last operator produced %d rows, result has %d", ops[len(ops)-1].RowsOut, len(res.Rows))
+	}
+}
+
+// TestShardedMergeAccounting checks the merge invariants beyond the render,
+// over 1, 2 and 4 shards: per-operator stats sum positionally and still
+// account for the whole merged ClusterTime, latency is the max over parallel
+// legs, and PlanCached ANDs across legs.
 func TestShardedMergeAccounting(t *testing.T) {
 	st := newMiniStack(t, 60, nil)
 	pred := query.MustParse("t=SUV & s>60")
@@ -153,26 +186,8 @@ func TestShardedMergeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, base.Result)
 
-	c := newMiniCoordinator(t, 60, 4, 1, RouteRoundRobin, nil)
-	first, err := c.Do(Request{ID: "Q", Pred: pred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.PlanCached {
-		t.Error("first scatter session reported PlanCached; every replica planned fresh")
-	}
-	again, err := c.Do(Request{ID: "Q", Pred: pred})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.PlanCached {
-		t.Error("repeat scatter session not PlanCached; all legs should hit their plan caches")
-	}
-
-	if got, want := len(first.Result.PerOp), len(base.Result.PerOp); got != want {
-		t.Fatalf("merged PerOp has %d ops, want %d (same plan shape)", got, want)
-	}
 	// Virtual costs are per-row, so shard totals sum to the unsharded total;
 	// the summation is regrouped (per-shard subtotals), so allow ulp-level
 	// float noise. The byte-identical contract is the %.6f render, checked in
@@ -180,20 +195,116 @@ func TestShardedMergeAccounting(t *testing.T) {
 	closeTo := func(a, b float64) bool {
 		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 	}
-	for i, op := range first.Result.PerOp {
-		b := base.Result.PerOp[i]
-		if op.Name != b.Name || op.RowsIn != b.RowsIn || op.RowsOut != b.RowsOut || !closeTo(op.Cost, b.Cost) {
-			t.Errorf("PerOp[%d] merged %q rows %d→%d cost %v, unsharded %q rows %d→%d cost %v",
-				i, op.Name, op.RowsIn, op.RowsOut, op.Cost, b.Name, b.RowsIn, b.RowsOut, b.Cost)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := newMiniCoordinator(t, 60, shards, 1, RouteRoundRobin, nil)
+			first, err := c.Do(Request{ID: "Q", Pred: pred})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.PlanCached {
+				t.Error("first scatter session reported PlanCached; every replica planned fresh")
+			}
+			again, err := c.Do(Request{ID: "Q", Pred: pred})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.PlanCached {
+				t.Error("repeat scatter session not PlanCached; all legs should hit their plan caches")
+			}
+
+			checkLedger(t, first.Result)
+			if got, want := len(first.Result.PerOp), len(base.Result.PerOp); got != want {
+				t.Fatalf("merged PerOp has %d ops, want %d (same plan shape)", got, want)
+			}
+			for i, op := range first.Result.PerOp {
+				b := base.Result.PerOp[i]
+				if op.Name != b.Name || op.RowsIn != b.RowsIn || op.RowsOut != b.RowsOut || !closeTo(op.Cost, b.Cost) {
+					t.Errorf("PerOp[%d] merged %q rows %d→%d cost %v, unsharded %q rows %d→%d cost %v",
+						i, op.Name, op.RowsIn, op.RowsOut, op.Cost, b.Name, b.RowsIn, b.RowsOut, b.Cost)
+				}
+			}
+			if !closeTo(first.Result.ClusterTime, base.Result.ClusterTime) {
+				t.Errorf("merged ClusterTime %v != unsharded %v", first.Result.ClusterTime, base.Result.ClusterTime)
+			}
+			// Legs run in parallel: merged modeled latency is the slowest shard's,
+			// which over a partitioned corpus cannot exceed the unsharded latency.
+			if first.Result.Latency > base.Result.Latency {
+				t.Errorf("merged Latency %.4f exceeds unsharded %.4f", first.Result.Latency, base.Result.Latency)
+			}
+		})
+	}
+}
+
+// TestMergeLegsKeepsLedgerWhenReplanCountsDiffer: an adapt controller ends
+// every leg's PerOp with a re-plan row, zero when the leg did not re-plan, so
+// legs that re-planned a different number of times still share a PerOp shape
+// and merge positionally — the merged ledger keeps accounting for the merged
+// ClusterTime. (Which leg re-plans depends on its slice's drift, so the legs
+// are hand-built.)
+func TestMergeLegsKeepsLedgerWhenReplanCountsDiffer(t *testing.T) {
+	legResp := func(rows int, replanVMS float64) *Response {
+		passed := rows / 2
+		ops := []engine.OpStats{
+			{Name: "Scan", RowsOut: rows, Cost: 0.05 * float64(rows)},
+			{Name: "PP[t=SUV]", PPFilter: true, RowsIn: rows, RowsOut: passed, Cost: 1.3 * float64(rows)},
+			{Name: "miniUDF", RowsIn: passed, RowsOut: passed, Cost: 40 * float64(passed)},
+			{Name: adapt.ReplanOp, Cost: replanVMS},
 		}
+		res := &engine.Result{Rows: make([]engine.Row, passed), PerOp: ops}
+		for _, op := range ops {
+			res.ClusterTime += op.Cost
+		}
+		return &Response{ID: "Q", Result: res, Decision: &optimizer.Decision{}, PlanCached: true}
 	}
-	if !closeTo(first.Result.ClusterTime, base.Result.ClusterTime) {
-		t.Errorf("merged ClusterTime %v != unsharded %v", first.Result.ClusterTime, base.Result.ClusterTime)
+	merged := mergeLegs([]leg{
+		{shard: 0, resp: legResp(30, 10)}, // re-planned twice
+		{shard: 1, resp: legResp(31, 0)},  // never re-planned
+		{shard: 2, resp: legResp(29, 5)},  // re-planned once
+	})
+	checkLedger(t, merged.Result)
+	last := merged.Result.PerOp[len(merged.Result.PerOp)-1]
+	if last.Name != adapt.ReplanOp || last.Cost != 15 {
+		t.Fatalf("merged re-plan row = %+v, want %s at 15 vms", last, adapt.ReplanOp)
 	}
-	// Legs run in parallel: merged modeled latency is the slowest shard's,
-	// which over a partitioned corpus cannot exceed the unsharded latency.
-	if first.Result.Latency > base.Result.Latency {
-		t.Errorf("merged Latency %.4f exceeds unsharded %.4f", first.Result.Latency, base.Result.Latency)
+}
+
+// TestShardedExplicitBlobsSplitAcrossLegs: a request carrying its own segment
+// (Request.Blobs, the streaming path) is split contiguously across the legs
+// like the corpus is, so the scatter serves each row once — byte-identical to
+// a single Server over the same segment at every shard and replica count,
+// including a segment shorter than the shard count (empty legs).
+func TestShardedExplicitBlobsSplitAcrossLegs(t *testing.T) {
+	builder := miniCorpusBuilder{udf: miniUDF{cost: 40}}
+	st := newMiniStack(t, 60, func(cfg *Config) { cfg.Corpus = builder })
+	// Blob IDs key the score cache, so the segments' IDs must be disjoint
+	// from each other and from the bound corpus (IDs 0..59).
+	fresh := miniBlobs(363, 21)
+	for _, segment := range [][]blob.Blob{fresh[60:360], fresh[360:]} {
+		serveAll := func(d doer) string {
+			var resps []*Response
+			for _, q := range miniWorkload {
+				resp, err := d.Do(Request{ID: q.ID, Pred: query.MustParse(q.Pred), Blobs: segment})
+				if err != nil {
+					t.Fatalf("%s over a %d-blob segment: %v", q.ID, len(segment), err)
+				}
+				checkLedger(t, resp.Result)
+				resps = append(resps, resp)
+			}
+			return renderResponses(resps)
+		}
+		baseline := serveAll(st.srv)
+		for shards := 1; shards <= 4; shards++ {
+			for replicas := 1; replicas <= 2; replicas++ {
+				c := newMiniCoordinator(t, 60, shards, replicas, RouteRoundRobin, func(cfg *ShardedConfig) {
+					cfg.Base.Corpus = builder
+				})
+				if got := serveAll(c); got != baseline {
+					t.Errorf("%d-blob segment through %d shards x %d replicas diverged from a single server\n got: %s\nwant: %s",
+						len(segment), shards, replicas, got, baseline)
+				}
+			}
+		}
 	}
 }
 

@@ -45,21 +45,16 @@ package probpred
 
 import (
 	"io"
-	"net/http"
 
-	"probpred/internal/adapt"
 	"probpred/internal/blob"
 	"probpred/internal/core"
 	"probpred/internal/dimred"
 	"probpred/internal/engine"
 	"probpred/internal/fault"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
-	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
 	"probpred/internal/serve"
-	"probpred/internal/stream"
 	"probpred/internal/udf"
 )
 
@@ -71,8 +66,6 @@ type (
 	Set = blob.Set
 	// Vec is a dense feature vector.
 	Vec = mathx.Vec
-	// Sparse is a sparse feature vector.
-	Sparse = mathx.Sparse
 	// RNG is the deterministic random number generator used throughout.
 	RNG = mathx.RNG
 )
@@ -88,16 +81,12 @@ type (
 	// Scorer is the pluggable classifier interface (any real-valued
 	// function with a threshold can be a PP classifier, §5.3).
 	Scorer = core.Scorer
-	// Curve is a PP's accuracy-versus-reduction profile.
-	Curve = core.Curve
 )
 
 // Predicates.
 type (
 	// Pred is a parsed predicate tree.
 	Pred = query.Pred
-	// Clause is a simple clause (column op value).
-	Clause = query.Clause
 	// Value is a column value (number or string).
 	Value = query.Value
 	// Lookup resolves a column name to a value during predicate evaluation.
@@ -126,11 +115,6 @@ type (
 	ExecResult = engine.Result
 	// Processor is the per-row UDF template of §4.
 	Processor = engine.Processor
-	// GroupReducer is the grouped UDF template of §4 (object tracking and
-	// other context-based operations over related rows).
-	GroupReducer = engine.Reducer
-	// Combiner is the custom-join UDF template of §4.
-	Combiner = engine.Combiner
 	// Row is one engine tuple: a blob plus materialized columns.
 	Row = engine.Row
 )
@@ -144,94 +128,12 @@ type (
 	// virtual ms, and the per-row timeout that turns stragglers into
 	// retries.
 	RetryPolicy = engine.RetryPolicy
-	// OpError attributes a plan failure to its operator and pipeline stage.
-	OpError = engine.OpError
 	// FaultInjector decides per-attempt fault outcomes deterministically
 	// from a seed.
 	FaultInjector = fault.Injector
 	// FaultSpec configures one operator's transient and straggler rates.
 	FaultSpec = fault.Spec
 )
-
-// Observability: the engine, optimizer, and online loop emit spans, events,
-// and metrics to a pluggable sink. A nil *Tracer (the default) disables
-// everything at near-zero cost; attach one via ExecConfig.Obs or
-// OptimizeOptions.Obs.
-type (
-	// Tracer records spans/events/metrics into a Sink; nil disables tracing.
-	Tracer = obs.Tracer
-	// TraceSink receives completed trace records.
-	TraceSink = obs.Sink
-	// Span is one timed unit of work (an engine run, an operator, a chunk,
-	// an optimizer search, a training call).
-	Span = obs.Span
-	// TraceEvent is a point-in-time occurrence (watchdog trips, retrains).
-	TraceEvent = obs.Event
-	// TraceMetric is one named numeric observation.
-	TraceMetric = obs.Metric
-	// TraceCollector is an in-memory Sink that aggregates into a TraceSummary.
-	TraceCollector = obs.Collector
-	// TraceSummary aggregates collected spans per (kind, name).
-	TraceSummary = obs.Summary
-)
-
-// NewTracer returns a tracer writing to sink; a nil sink yields a nil
-// (disabled) tracer.
-func NewTracer(sink TraceSink) *Tracer { return obs.New(sink) }
-
-// NewTextTraceSink returns a sink that renders each record as one human-
-// readable line (what ppquery --trace uses).
-func NewTextTraceSink(w io.Writer) TraceSink { return obs.NewTextSink(w) }
-
-// NewJSONTraceSink returns a sink that writes each record as one JSON line.
-func NewJSONTraceSink(w io.Writer) TraceSink { return obs.NewJSONSink(w) }
-
-// NewTraceCollector returns an in-memory collecting sink.
-func NewTraceCollector() *TraceCollector { return obs.NewCollector() }
-
-// MultiTraceSink fans every trace record out to all the given sinks (nils
-// are skipped) — e.g. a live text stream plus a flight recorder.
-func MultiTraceSink(sinks ...TraceSink) TraceSink { return obs.Multi(sinks...) }
-
-// FlightRecorder is a fixed-size ring-buffer TraceSink that keeps the most
-// recent records and dumps them automatically when a failure trigger fires
-// (by default: a run span carrying an error, or a watchdog trip event).
-type FlightRecorder = obs.FlightRecorder
-
-// NewFlightRecorder returns a flight recorder buffering the most recent
-// capacity records (0 selects 256) and auto-dumping to w on trigger.
-func NewFlightRecorder(capacity int, w io.Writer) *FlightRecorder {
-	return obs.NewFlightRecorder(capacity, w)
-}
-
-// Numeric metrics: a concurrency-safe registry of labeled counters, gauges
-// and streaming histograms, attachable to the engine (ExecConfig.Metrics),
-// the optimizer (Optimizer.SetMetrics), training (TrainConfig.Metrics), and
-// the fault injector (FaultInjector.SetMetrics). A nil registry disables
-// every instrument at one pointer check — the same contract as the nil
-// Tracer.
-type (
-	// MetricsRegistry holds all registered instruments.
-	MetricsRegistry = metrics.Registry
-	// MetricLabel is one name=value instrument label.
-	MetricLabel = metrics.Label
-	// MetricsSnapshot is one instrument family in a point-in-time snapshot.
-	MetricsSnapshot = metrics.SnapshotFamily
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
-
-// MetricsHandler serves a registry as Prometheus text exposition format.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return metrics.Handler(r) }
-
-// NewMetricsMux returns an http.ServeMux wiring /metrics, /healthz and the
-// /debug/pprof/ endpoints — the shared diagnostics mux the CLIs serve.
-func NewMetricsMux(r *MetricsRegistry) *http.ServeMux { return metrics.NewMux(r) }
-
-// AnalyzeOptions shapes EXPLAIN ANALYZE rendering (ExecResult.Analyze):
-// per-operator estimated cardinalities and the misestimation tolerance.
-type AnalyzeOptions = engine.AnalyzeOptions
 
 // NewFaultInjector returns an injector with no faults configured.
 func NewFaultInjector(seed uint64) *FaultInjector { return fault.NewInjector(seed) }
@@ -249,9 +151,6 @@ func NewRNG(seed uint64) *RNG { return mathx.NewRNG(seed) }
 
 // FromDense wraps a dense feature vector as a Blob.
 func FromDense(id int, v Vec) Blob { return blob.FromDense(id, v) }
-
-// FromSparse wraps a sparse feature vector as a Blob.
-func FromSparse(id int, s Sparse) Blob { return blob.FromSparse(id, s) }
 
 // TrainPP constructs a probabilistic predicate for a simple clause from a
 // labeled training set and a disjoint validation set. Leave
@@ -329,16 +228,6 @@ type (
 	// ServeConfig configures a Server (optimizer, plan builder, accuracy
 	// target, admission bound, cache sizes).
 	ServeConfig = serve.Config
-	// ServeRequest is one query session's input.
-	ServeRequest = serve.Request
-	// ServeResponse is one completed session: result, decision, plan key.
-	ServeResponse = serve.Response
-	// ServeStats snapshots a server's session and cache counters.
-	ServeStats = serve.Stats
-	// QueryBuilder describes the application's UDF pipeline to the server:
-	// the per-blob UDF cost a PP can short-circuit, and plan assembly with
-	// the server-chosen PP filter injected.
-	QueryBuilder = serve.QueryBuilder
 	// WorkloadQuery is one query of a replayed workload.
 	WorkloadQuery = serve.WorkloadQuery
 )
@@ -365,63 +254,6 @@ type (
 // NewServer validates the config and returns a ready server.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
-// Sharded scatter-gather serving: the corpus split into contiguous shards,
-// each owning replica servers with private plan/score caches; every session
-// fans out to all shards, a pluggable router picks the replica per shard,
-// and legs merge deterministically in shard order — outputs byte-identical
-// to an unsharded server (see DESIGN.md, "Sharded serving & routing").
-type (
-	// Coordinator scatter-gathers sessions across shards; safe for
-	// concurrent Do.
-	Coordinator = serve.Coordinator
-	// ShardedConfig configures a Coordinator: the per-replica base config,
-	// shard/replica counts, the corpus to split, and the routing policy.
-	ShardedConfig = serve.ShardedConfig
-	// CorpusBuilder is the engine/corpus split of QueryBuilder: plan
-	// assembly over an injected blob slice, so shards can share one builder
-	// over disjoint slices.
-	CorpusBuilder = serve.CorpusBuilder
-	// ShardRoutingPolicy names a built-in replica router.
-	ShardRoutingPolicy = serve.RoutingPolicy
-)
-
-// Built-in routing policies for ShardedConfig / ServeConfig Routing.
-const (
-	RouteRoundRobin   = serve.RouteRoundRobin
-	RouteLeastLoaded  = serve.RouteLeastLoaded
-	RoutePlanAffinity = serve.RoutePlanAffinity
-)
-
-// NewShardedServer validates the config, splits the corpus, and returns a
-// ready coordinator.
-func NewShardedServer(cfg ShardedConfig) (*Coordinator, error) { return serve.NewSharded(cfg) }
-
-// BindShardCorpus fixes a CorpusBuilder to one blob slice, yielding the
-// legacy single-corpus QueryBuilder.
-func BindShardCorpus(b CorpusBuilder, blobs []Blob) QueryBuilder {
-	return serve.BindCorpus(b, blobs)
-}
-
-// Adaptive mid-query re-optimization: a controller that watches observed vs
-// planned per-leaf PP reductions at chunk boundaries and hot-swaps to a
-// cheaper sibling order when they diverge, preserving byte-identical
-// outputs; failures degrade gracefully behind a per-plan circuit breaker
-// (see DESIGN.md, "Adaptive re-optimization"). Attach one via
-// ServeConfig.Adapt, or drive a single plan with (*AdaptController).Run.
-type (
-	// AdaptController re-optimizes running queries; safe for concurrent use.
-	AdaptController = adapt.Controller
-	// AdaptConfig tunes chunking, the divergence trigger, hysteresis,
-	// re-planning budget and breaker thresholds. Zero value = defaults.
-	AdaptConfig = adapt.Config
-	// AdaptReport summarizes one adaptive run: replans, swaps, failures,
-	// pinning and the final evaluation order.
-	AdaptReport = adapt.Report
-)
-
-// NewAdaptController validates the config and returns a ready controller.
-func NewAdaptController(cfg AdaptConfig) *AdaptController { return adapt.New(cfg) }
-
 // Training-set planning (the batch "outer loop" of §4 Figure 3b, with the
 // budgeted PP-selection problem of Appendix A.1).
 type (
@@ -442,32 +274,3 @@ func InferClauses(preds []Pred, domains map[string][]Value) map[string]int {
 func SelectTrainingSet(candidates []TrainingCandidate, budget float64) (*TrainingPlan, error) {
 	return optimizer.SelectTrainingSet(candidates, budget)
 }
-
-// Streaming ingestion: an append-only, segment-versioned corpus plus
-// standing queries that PP-filter each segment as it lands, with optional
-// per-segment incremental (warm-started) PP retraining through the online
-// watchdog. Concatenated deltas are byte-identical to a batch query over
-// the same corpus and PP state (see DESIGN.md, "Streaming ingestion").
-type (
-	// SegmentedCorpus is the append-only blob log segments land in.
-	SegmentedCorpus = stream.SegmentedCorpus
-	// StreamSegment records one landed segment's index, version and range.
-	StreamSegment = stream.Segment
-	// StreamIngestor runs standing queries over a segmented corpus.
-	StreamIngestor = stream.Ingestor
-	// StreamConfig wires a Server (Corpus builder required), the segmented
-	// corpus, and optionally an online system + ground-truth lookup.
-	StreamConfig = stream.Config
-	// StandingQuery declares one continuously evaluated predicate.
-	StandingQuery = stream.Query
-	// StreamDelta is one standing query's incremental result over one
-	// segment, rows in blob-ID order.
-	StreamDelta = stream.Delta
-)
-
-// NewSegmentedCorpus returns an empty append-only segmented corpus.
-func NewSegmentedCorpus() *SegmentedCorpus { return stream.NewSegmentedCorpus() }
-
-// NewStreamIngestor validates the config and returns an ingestor with no
-// standing queries.
-func NewStreamIngestor(cfg StreamConfig) (*StreamIngestor, error) { return stream.New(cfg) }
