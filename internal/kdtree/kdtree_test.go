@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,65 @@ func TestDuplicatePoints(t *testing.T) {
 		}
 	}
 }
+
+// gaussianPoints draws n points of i.i.d. standard normal coordinates — the
+// shape of whitened PCA features.
+func gaussianPoints(n, dim int, seed uint64) []mathx.Vec {
+	rng := mathx.NewRNG(seed)
+	pts := make([]mathx.Vec, n)
+	for i := range pts {
+		p := make(mathx.Vec, dim)
+		for j := range p {
+			p[j] = rng.NormFloat64()
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// sweepKNN is the brute-force baseline: every point offered to the same
+// bounded heap in storage order, four at a time, with nothing pruned. The
+// neighbours come back in heap order, not sorted.
+func sweepKNN(t *Tree, q mathx.Vec, k int, s *Scratch) []Result {
+	s.q, s.k = q, k
+	s.heap = s.heap[:0]
+	t.scanLeaf(s, 0, t.Len())
+	s.q = nil
+	return s.heap
+}
+
+// BenchmarkKNN times one query at the KDE scorer's shape — d = 8 whitened
+// features, k = 25 neighbours — against class sets the size of the
+// benchmark's positive (≈ 300) and negative (≈ 2 000) trees, tree search
+// beside the flat sweep it has to beat (DESIGN.md "KDE k-NN baseline").
+func BenchmarkKNN(b *testing.B) {
+	const d, k = 8, 25
+	queries := gaussianPoints(256, d, 2)
+	for _, n := range []int{300, 2000} {
+		tree := Build(gaussianPoints(n, d, 1))
+		var s Scratch
+		got := append([]Result(nil), sweepKNN(tree, queries[0], k, &s)...)
+		sort.Slice(got, func(i, j int) bool { return got[i].SqDist < got[j].SqDist })
+		for i, r := range tree.KNN(queries[0], k) {
+			if got[i].SqDist != r.SqDist {
+				b.Fatalf("n=%d: sweep neighbour %d at %v, tree at %v", n, i, got[i].SqDist, r.SqDist)
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d/tree", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				knnSink = tree.KNNInto(queries[i%len(queries)], k, &s)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/sweep", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				knnSink = sweepKNN(tree, queries[i%len(queries)], k, &s)
+			}
+		})
+	}
+}
+
+// knnSink keeps BenchmarkKNN's results live.
+var knnSink []Result
 
 // Property: k-d tree KNN always agrees with brute force on distances.
 func TestKNNQuick(t *testing.T) {

@@ -183,7 +183,7 @@ func (b *miniBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engin
 
 // miniStack is one fully wired streaming fixture: segmented corpus, server
 // planning over a pretrained (frozen unless Online is wired) PP corpus, and
-// an Ingestor.
+// an Ingestor. srv is nil when a Coordinator serves the stream.
 type miniStack struct {
 	ppCorpus *optimizer.Corpus
 	corpus   *SegmentedCorpus
@@ -191,20 +191,26 @@ type miniStack struct {
 	ing      *Ingestor
 }
 
-// newMiniStack wires the fixture. workers sets engine parallelism; mutateSrv
-// and mutateIng adjust the configs before construction (nil for defaults —
-// frozen PP state, no online system).
-func newMiniStack(t *testing.T, workers int, mutateSrv func(*serve.Config), mutateIng func(*Config)) *miniStack {
+// miniServeConfig is the fixture's server template over a freshly trained PP
+// corpus.
+func miniServeConfig(t *testing.T, workers int) (serve.Config, *optimizer.Corpus) {
 	t.Helper()
-	val := miniBlobs(400, 8)
-	ppc := miniCorpus(t, val)
-	scfg := serve.Config{
+	ppc := miniCorpus(t, miniBlobs(400, 8))
+	return serve.Config{
 		Optimizer: optimizer.New(ppc),
 		Corpus:    &miniBuilder{udf: miniUDF{cost: 40}},
 		Accuracy:  0.95,
 		Domains:   miniDomains(),
 		Exec:      engine.Config{NoStageOverhead: true, Workers: workers},
-	}
+	}, ppc
+}
+
+// newMiniStack wires the fixture. workers sets engine parallelism; mutateSrv
+// and mutateIng adjust the configs before construction (nil for defaults —
+// frozen PP state, no online system).
+func newMiniStack(t *testing.T, workers int, mutateSrv func(*serve.Config), mutateIng func(*Config)) *miniStack {
+	t.Helper()
+	scfg, ppc := miniServeConfig(t, workers)
 	if mutateSrv != nil {
 		mutateSrv(&scfg)
 	}
@@ -222,6 +228,29 @@ func newMiniStack(t *testing.T, workers int, mutateSrv func(*serve.Config), muta
 		t.Fatal(err)
 	}
 	return &miniStack{ppCorpus: ppc, corpus: corpus, srv: srv, ing: ing}
+}
+
+// newMiniShardedStack wires the fixture behind a Coordinator of shards ×
+// replicas servers cut from the same template, each admitting maxConcurrent
+// sessions. Every stream request carries its blobs, which the coordinator
+// splits across the shards, so its static corpus only has to fill them.
+func newMiniShardedStack(t *testing.T, workers, shards, replicas, maxConcurrent int) *miniStack {
+	t.Helper()
+	scfg, ppc := miniServeConfig(t, workers)
+	scfg.MaxConcurrent = maxConcurrent
+	coord, err := serve.NewSharded(serve.ShardedConfig{
+		Base: scfg, Shards: shards, Replicas: replicas,
+		Corpus: miniBlobs(shards, 0), Builder: scfg.Corpus,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := NewSegmentedCorpus()
+	ing, err := New(Config{Server: coord, Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &miniStack{ppCorpus: ppc, corpus: corpus, ing: ing}
 }
 
 // register installs standing queries or fails the test.

@@ -27,13 +27,21 @@ type Query struct {
 	Accuracy float64
 }
 
+// Server is the serving surface an Ingestor drives: a *serve.Server, or a
+// *serve.Coordinator that splits each segment across its shards.
+type Server interface {
+	Do(serve.Request) (*serve.Response, error)
+}
+
 // Config configures an Ingestor.
 type Config struct {
 	// Server serves each segment's standing-query sessions. Required. Its
-	// Config.Corpus must be set (segments are served via Request.Blobs) and
-	// its optimizer must plan over Online's corpus when Online is set — that
-	// is what routes per-segment retraining into the plans.
-	Server *serve.Server
+	// Config.Corpus (a Coordinator's Base.Corpus) must be set, since segments
+	// are served via Request.Blobs, and its optimizer must plan over Online's
+	// corpus when Online is set — that is what routes per-segment retraining
+	// into the plans. Its admission bound (MaxConcurrent) is the only limit on
+	// how many of one segment's sessions run at once.
+	Server Server
 	// Corpus is the segmented blob corpus segments append to. Required.
 	Corpus *SegmentedCorpus
 	// Online, when set, closes the training loop per segment: realized
@@ -45,7 +53,8 @@ type Config struct {
 	Online *online.System
 	// Lookup resolves a blob's ground-truth attributes, used to label
 	// training samples and to audit realized accuracy. Required when Online
-	// is set.
+	// is set. Audits run inside a segment's concurrent sessions, so Lookup
+	// must be safe for concurrent use.
 	Lookup func(blob.Blob) query.Lookup
 	// TrainSample bounds how many blobs per segment are labeled for
 	// training. Zero observes the whole segment.
@@ -84,8 +93,9 @@ type standing struct {
 }
 
 // Ingestor runs standing queries over a segmented corpus. Ingest calls are
-// serialized (segment order is the stream's order); Register and BatchQuery
-// may run concurrently with them.
+// serialized (segment order is the stream's order), while the sessions of
+// one segment run side by side under the server's admission bound; Register
+// and BatchQuery may run concurrently with them.
 type Ingestor struct {
 	cfg Config
 
@@ -93,7 +103,8 @@ type Ingestor struct {
 	queries []standing
 
 	// ingestMu serializes Ingest: one segment fully lands — deltas emitted,
-	// watchdog fed, training observed — before the next begins.
+	// watchdog fed, training observed — before the next begins. The
+	// segment's own sessions run concurrently inside it.
 	ingestMu sync.Mutex
 
 	// Segments counts segments ingested; Deltas counts deltas emitted.
@@ -145,12 +156,18 @@ func (in *Ingestor) Register(q Query) error {
 }
 
 // Ingest lands one segment and runs every standing query over exactly its
-// blobs, returning one delta per query in registration order. With an online
-// system attached it then audits each delta's realized accuracy against
-// ground truth (watchdog input) and observes a training sample; a training or
-// a trip publishes a new PP-corpus snapshot, which plan searches already
-// running never see. A failed query fails the ingest; the segment is still
-// appended (the stream's data is never lost to a planning error).
+// blobs, returning one delta per query in registration order. The queries'
+// sessions are issued at once, so they run side by side up to the server's
+// admission bound (MaxConcurrent = 1 runs them one after another); each
+// session's accuracy audit runs with it, and everything else — deltas,
+// counters, training — is applied in registration order once all have
+// returned. With an online system attached Ingest then feeds each delta's
+// audited accuracy to the watchdog and observes a training sample; a training
+// or a trip publishes a new PP-corpus snapshot, which plan searches already
+// running never see. A failed query fails the ingest: the first failure in
+// registration order is returned with the deltas registered before it, and
+// the segment is still appended and counted (the stream's data is never lost
+// to a planning error).
 func (in *Ingestor) Ingest(blobs []blob.Blob) ([]Delta, error) {
 	in.ingestMu.Lock()
 	defer in.ingestMu.Unlock()
@@ -163,40 +180,57 @@ func (in *Ingestor) Ingest(blobs []blob.Blob) ([]Delta, error) {
 	segBlobs := in.cfg.Corpus.Blobs(seg)
 	start := time.Now()
 
-	deltas := make([]Delta, 0, len(queries))
-	for _, q := range queries {
-		resp, err := in.cfg.Server.Do(serve.Request{
-			ID:       fmt.Sprintf("%s#seg%d", q.id, seg.Index),
-			Pred:     q.pred,
-			Accuracy: q.accuracy,
-			Blobs:    segBlobs,
-			Segment:  &pplog.SegInfo{Index: seg.Index, Version: seg.Version},
-		})
-		if err != nil {
-			return deltas, fmt.Errorf("stream: segment %d query %q: %w", seg.Index, q.id, err)
+	// Each session writes only its own slot; wg.Wait is the only join, so no
+	// session outlives the call whatever fails.
+	deltas := make([]Delta, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := in.cfg.Server.Do(serve.Request{
+				ID:       fmt.Sprintf("%s#seg%d", q.id, seg.Index),
+				Pred:     q.pred,
+				Accuracy: q.accuracy,
+				Blobs:    segBlobs,
+				Segment:  &pplog.SegInfo{Index: seg.Index, Version: seg.Version},
+			})
+			if err != nil {
+				errs[i] = fmt.Errorf("stream: segment %d query %q: %w", seg.Index, q.id, err)
+				return
+			}
+			deltas[i] = Delta{Query: q.id, Segment: seg, Resp: resp}
+			if in.cfg.Lookup != nil {
+				deltas[i].Audited, deltas[i].Expected, deltas[i].Observed = in.audit(q, segBlobs, resp)
+			}
+		}()
+	}
+	wg.Wait()
+
+	in.segments++
+	reg := in.cfg.Metrics
+	if reg != nil {
+		reg.Counter("stream_segments_total", "Segments ingested, including those whose queries failed.").Inc()
+		reg.Counter("stream_blobs_total", "Blobs ingested across all segments.").Add(float64(len(blobs)))
+		reg.Gauge("stream_corpus_version", "Segmented corpus version (segments appended).").Set(float64(seg.Version))
+	}
+	for i, q := range queries {
+		if errs[i] != nil {
+			return deltas[:i], errs[i]
 		}
-		d := Delta{Query: q.id, Segment: seg, Resp: resp}
-		if in.cfg.Lookup != nil {
-			d.Audited, d.Expected, d.Observed = in.audit(q, segBlobs, resp)
-		}
-		deltas = append(deltas, d)
 		in.deltas++
-		if reg := in.cfg.Metrics; reg != nil {
+		if reg != nil {
 			reg.Counter("stream_delta_rows_total", "Standing-query delta rows emitted per query.",
-				metrics.L("query", q.id)).Add(float64(len(resp.Result.Rows)))
+				metrics.L("query", q.id)).Add(float64(len(deltas[i].Resp.Result.Rows)))
 		}
 	}
 
 	if in.cfg.Online != nil {
 		in.train(seg, segBlobs, queries, deltas)
 	}
-
-	in.segments++
-	if reg := in.cfg.Metrics; reg != nil {
-		reg.Counter("stream_segments_total", "Segments ingested.").Inc()
-		reg.Counter("stream_blobs_total", "Blobs ingested across all segments.").Add(float64(len(blobs)))
-		reg.Gauge("stream_corpus_version", "Segmented corpus version (segments appended).").Set(float64(seg.Version))
-		reg.Histogram("stream_lag_ns", "Wall nanoseconds from segment append to all standing-query deltas emitted.").
+	if reg != nil {
+		reg.Histogram("stream_lag_ns", "Wall nanoseconds from segment append to all standing-query deltas emitted; complete ingests only.").
 			Observe(float64(time.Since(start).Nanoseconds()))
 	}
 	return deltas, nil

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -207,11 +209,14 @@ func TestIngestMetrics(t *testing.T) {
 
 func TestSegmentTagsQueryLog(t *testing.T) {
 	var logBuf bytes.Buffer
-	qlog := pplog.NewWriter(&logBuf, 8, nil)
-	st := newMiniStack(t, 1, func(c *serve.Config) { c.QueryLog = qlog }, nil)
-	st.register(t, Query{ID: "SQ1", Pred: "t=SUV"})
-	if _, err := st.ing.Ingest(miniBlobs(50, 5)); err != nil {
-		t.Fatal(err)
+	qlog := pplog.NewWriter(&logBuf, 64, nil)
+	st := newMiniStack(t, 1, func(c *serve.Config) { c.QueryLog, c.MaxConcurrent = qlog, 4 }, nil)
+	st.register(t, miniStandingQueries...)
+	const nSegs = 2
+	for _, seg := range splitSegments(miniBlobs(100, 5), []int{50}) {
+		if _, err := st.ing.Ingest(seg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if resp, err := st.ing.BatchQuery("SQ1"); err != nil || resp == nil {
 		t.Fatal(err)
@@ -223,15 +228,25 @@ func TestSegmentTagsQueryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("query log has %d records, want 2", len(recs))
+	n := len(miniStandingQueries)
+	if len(recs) != nSegs*n+1 {
+		t.Fatalf("query log has %d records, want one per session per segment plus the batch: %d", len(recs), nSegs*n+1)
 	}
-	seg := recs[0].Seg
-	if seg == nil || seg.Index != 0 || seg.Version != 1 {
-		t.Fatalf("segment record tag = %+v, want index 0 version 1", seg)
+	// Segments log one after another, but a segment's sessions log in
+	// completion order: sort each segment's records by session.
+	for s := 0; s < nSegs; s++ {
+		segRecs := recs[s*n : (s+1)*n]
+		sort.Slice(segRecs, func(i, j int) bool { return segRecs[i].Session < segRecs[j].Session })
+		for i, r := range segRecs {
+			want := fmt.Sprintf("%s#seg%d", miniStandingQueries[i].ID, s)
+			if r.Session != want || r.Seg == nil || r.Seg.Index != s || r.Seg.Version != uint64(s+1) {
+				t.Fatalf("segment %d record %d = session %q tag %+v, want session %q index %d version %d",
+					s, i, r.Session, r.Seg, want, s, s+1)
+			}
+		}
 	}
-	if recs[1].Seg != nil {
-		t.Fatalf("batch record should carry no segment tag, got %+v", recs[1].Seg)
+	if last := recs[len(recs)-1]; last.Seg != nil {
+		t.Fatalf("batch record should carry no segment tag, got %+v", last.Seg)
 	}
 }
 
