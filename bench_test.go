@@ -223,12 +223,15 @@ type fakeCostProc struct{}
 
 func (fakeCostProc) Name() string  { return "TypeClassifier" }
 func (fakeCostProc) Cost() float64 { return 40 }
-func (fakeCostProc) Apply(r Row) ([]Row, error) {
-	v, err := data.TrafficValue(r.Blob, "t")
-	if err != nil {
-		return nil, err
+func (fakeCostProc) ApplyBatch(in, out []Row) ([]Row, error) {
+	for i, r := range in {
+		v, err := data.TrafficValue(r.Blob, "t")
+		if err != nil {
+			return out, &RowError{Index: i, Err: err}
+		}
+		out = append(out, r.With("t", v))
 	}
-	return []Row{r.With("t", v)}, nil
+	return out, nil
 }
 
 // BenchmarkAblationBudget regenerates the budget-allocation ablation.

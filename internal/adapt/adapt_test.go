@@ -125,14 +125,16 @@ type miniUDF struct{}
 
 func (miniUDF) Name() string  { return "miniUDF" }
 func (miniUDF) Cost() float64 { return 50 }
-func (miniUDF) Apply(r engine.Row) ([]engine.Row, error) {
-	lk := miniLookup(r.Blob)
-	out := r
-	for _, col := range []string{"t", "c"} {
-		v, _ := lk(col)
-		out = out.With(col, v)
+func (miniUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	for _, r := range in {
+		lk := miniLookup(r.Blob)
+		for _, col := range []string{"t", "c"} {
+			v, _ := lk(col)
+			r = r.With(col, v)
+		}
+		out = append(out, r)
 	}
-	return []engine.Row{out}, nil
+	return out, nil
 }
 
 // fixture is one drifted query: an optimized two-PP conjunction whose

@@ -18,9 +18,11 @@ type fakeProc struct {
 	cost float64
 }
 
-func (f fakeProc) Name() string                             { return f.name }
-func (f fakeProc) Cost() float64                            { return f.cost }
-func (f fakeProc) Apply(r engine.Row) ([]engine.Row, error) { return []engine.Row{r}, nil }
+func (f fakeProc) Name() string  { return f.name }
+func (f fakeProc) Cost() float64 { return f.cost }
+func (f fakeProc) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	return append(out, in...), nil
+}
 
 func TestOrderByRank(t *testing.T) {
 	cheapReductive := SortPClause{Pred: query.MustParse("a=1"),

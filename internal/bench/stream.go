@@ -64,9 +64,13 @@ type segStreamUDF struct{ cost float64 }
 
 func (u segStreamUDF) Name() string  { return "speedUDF" }
 func (u segStreamUDF) Cost() float64 { return u.cost }
-func (u segStreamUDF) Apply(r engine.Row) ([]engine.Row, error) {
-	v, _ := segStreamLookup(r.Blob)("s")
-	return []engine.Row{r.With("s", v)}, nil
+func (u segStreamUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	slab := engine.NewColumnSlab(len(in))
+	for _, r := range in {
+		v, _ := segStreamLookup(r.Blob)("s")
+		out = append(out, slab.With(r, "s", v))
+	}
+	return out, nil
 }
 
 // segStreamBuilder implements serve.CorpusBuilder over any blob slice:

@@ -115,64 +115,48 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 		ops = append([]Operator(nil), p.Ops...) // swaps must not mutate the caller's plan
 		spanName = "plan[adaptive]"
 	}
-	runSpan := cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, spanName)
-	runStart := time.Now()
-	cluster := 0.0 // ClusterTime: every operator execution's cost, in execution order
-	accs := make([]opAcc, len(ops))
-	// stageCosts[i] accumulates the virtual cost of stage i.
-	stageCosts := []float64{0}
+	r := &run{cfg: cfg, ops: ops, accs: make([]opAcc, len(ops)), stageCosts: []float64{0}}
+	r.span = cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, spanName)
+	r.start = time.Now()
 	var swaps []PlanSwap
 	swapErrors := 0
 
-	// runOne executes ops[i] over in, accumulating into accs[i]. A failure
-	// ends the run: everything executed so far is charged, the failing
-	// operator's span and the run span carry the error, and metrics count
-	// the failed run.
-	runOne := func(i int, in []Row) ([]Row, error) {
-		op := ops[i]
-		acc := &accs[i]
-		if op.StageBoundary() {
-			stageCosts = append(stageCosts, 0)
+	// The source runs once (its cost does not depend on chunking); what it
+	// yields is then processed chunk by chunk through the rest of the
+	// prefix. A Scan yields its blobs, which the PP filters directly after
+	// it test in the source stage (source.go); rows start at position
+	// first. Any other source yields rows.
+	scan, isScan := ops[0].(*Scan)
+	first := 1
+	var rows []Row
+	var n int
+	var err error
+	if isScan {
+		for first < split && isPPFilter(ops[first]) {
+			first++
 		}
-		if !acc.ran {
-			acc.ran = true
-			acc.span = cfg.Obs.BeginChild(&runSpan, obs.KindOperator, op.Name())
+		n = len(scan.Blobs)
+		r.charge(r.open(0), 0, n, scanCost*float64(n), time.Now())
+	} else {
+		if rows, err = r.exec(0, nil); err != nil {
+			return nil, err
 		}
-		opStart := time.Now()
-		out, cost, err := runOp(op, in, cfg, acc)
-		acc.wallNS += time.Since(opStart).Nanoseconds()
-		cluster += cost
-		acc.cost += cost
-		acc.rowsIn += len(in)
-		stageCosts[len(stageCosts)-1] += cost
-		if err != nil {
-			acc.span.SetAttr("error", err.Error())
-			emitOps(cfg, ops, accs)
-			runSpan.CostVMS = cluster
-			runSpan.SetAttr("error", err.Error())
-			cfg.Obs.End(&runSpan)
-			emitRunMetrics(cfg.Metrics, nil, time.Since(runStart).Nanoseconds(), cfg.Trace.TraceID)
-			return nil, &OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
-		}
-		acc.rowsOut += len(out)
-		return out, nil
+		n = len(rows)
 	}
-
-	// Source runs once (its cost does not depend on chunking); its output is
-	// then processed chunk by chunk through the rest of the prefix.
-	rows, err := runOne(0, nil)
-	if err != nil {
-		return nil, err
-	}
-	bounds := [][2]int{{0, len(rows)}}
+	bounds := [][2]int{{0, n}}
 	if adaptive {
-		bounds = chunkBounds(len(rows), acfg.ChunkRows)
+		bounds = chunkBounds(n, acfg.ChunkRows)
 	}
 	var prefixOut []Row
 	for ci, b := range bounds {
-		chunk := rows[b[0]:b[1]]
-		for i := 1; i < split; i++ {
-			if chunk, err = runOne(i, chunk); err != nil {
+		var chunk []Row
+		if isScan {
+			chunk = r.source(scan.Blobs[b[0]:b[1]], first)
+		} else {
+			chunk = rows[b[0]:b[1]]
+		}
+		for i := first; i < split; i++ {
+			if chunk, err = r.exec(i, chunk); err != nil {
 				return nil, err
 			}
 		}
@@ -186,7 +170,7 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 		}
 		prefixCost := 0.0
 		for i := 0; i < split; i++ {
-			prefixCost += accs[i].cost
+			prefixCost += r.accs[i].cost
 		}
 		newF, derr := acfg.Decide(ChunkStats{
 			Chunk: ci, TotalChunks: len(bounds), Rows: b[1] - b[0], Cost: prefixCost,
@@ -209,49 +193,116 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	// Suffix: stage-boundary operators see every row at once.
 	rows = prefixOut
 	for i := split; i < len(ops); i++ {
-		if rows, err = runOne(i, rows); err != nil {
+		if rows, err = r.exec(i, rows); err != nil {
 			return nil, err
 		}
 	}
 
 	latency := 0.0
-	for _, c := range stageCosts {
+	for _, c := range r.stageCosts {
 		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
 	}
-	emitOps(cfg, ops, accs)
-	runSpan.CostVMS = cluster
-	runSpan.RowsOut = len(rows)
-	runSpan.SetAttr("stages", strconv.Itoa(len(stageCosts)))
-	runSpan.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
+	emitOps(cfg, ops, r.accs)
+	r.span.CostVMS = r.cluster
+	r.span.RowsOut = len(rows)
+	r.span.SetAttr("stages", strconv.Itoa(len(r.stageCosts)))
+	r.span.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
 	res := &Result{
 		Rows:        rows,
-		ClusterTime: cluster,
+		ClusterTime: r.cluster,
 		Latency:     latency,
-		Stages:      len(stageCosts),
+		Stages:      len(r.stageCosts),
 		PerOp:       make([]OpStats, len(ops)),
 		Swaps:       swaps,
 		SwapErrors:  swapErrors,
 	}
 	if adaptive {
 		res.Chunks = len(bounds)
-		runSpan.SetAttr("chunks", strconv.Itoa(len(bounds)))
-		runSpan.SetAttr("swaps", strconv.Itoa(len(swaps)))
+		r.span.SetAttr("chunks", strconv.Itoa(len(bounds)))
+		r.span.SetAttr("swaps", strconv.Itoa(len(swaps)))
 	}
-	cfg.Obs.End(&runSpan)
+	cfg.Obs.End(&r.span)
 	for i, op := range ops {
-		acc := &accs[i]
-		_, isPP := op.(*PPFilter)
+		acc := &r.accs[i]
 		hits, misses := acc.ctally.Counts()
 		res.PerOp[i] = OpStats{
 			Name: op.Name(), RowsIn: acc.rowsIn, RowsOut: acc.rowsOut,
 			Cost: acc.cost, WallNS: acc.wallNS,
-			StageBoundary: op.StageBoundary(), PPFilter: isPP,
+			StageBoundary: op.StageBoundary(), PPFilter: isPPFilter(op),
 			Retries: acc.tally.retries, Timeouts: acc.tally.timeouts,
 			CacheHits: hits, CacheMisses: misses,
 		}
 	}
-	emitRunMetrics(cfg.Metrics, res, time.Since(runStart).Nanoseconds(), cfg.Trace.TraceID)
+	emitRunMetrics(cfg.Metrics, res, time.Since(r.start).Nanoseconds(), cfg.Trace.TraceID)
 	return res, nil
+}
+
+func isPPFilter(op Operator) bool {
+	_, ok := op.(*PPFilter)
+	return ok
+}
+
+// run is one RunAdaptive invocation's accounting.
+type run struct {
+	cfg  Config
+	ops  []Operator
+	accs []opAcc
+	span obs.Span // the run span
+	// start is when the run began.
+	start time.Time
+	// cluster is ClusterTime: every operator execution's cost, in execution
+	// order.
+	cluster float64
+	// stageCosts[i] accumulates the virtual cost of stage i.
+	stageCosts []float64
+}
+
+// open starts one execution of ops[i]: a stage boundary opens a new stage,
+// and the position's span opens at its first execution, so that
+// worker-chunk spans of every execution parent under it.
+func (r *run) open(i int) *opAcc {
+	if r.ops[i].StageBoundary() {
+		r.stageCosts = append(r.stageCosts, 0)
+	}
+	acc := &r.accs[i]
+	if !acc.ran {
+		acc.ran = true
+		acc.span = r.cfg.Obs.BeginChild(&r.span, obs.KindOperator, r.ops[i].Name())
+	}
+	return acc
+}
+
+// charge books one execution opened at start that consumed in rows, made
+// out rows and cost cost.
+func (r *run) charge(acc *opAcc, in, out int, cost float64, start time.Time) {
+	acc.wallNS += time.Since(start).Nanoseconds()
+	r.cluster += cost
+	acc.cost += cost
+	acc.rowsIn += in
+	acc.rowsOut += out
+	r.stageCosts[len(r.stageCosts)-1] += cost
+}
+
+// exec runs ops[i] over in. A failure ends the run: everything executed so
+// far is charged, the failing operator's span and the run span carry the
+// error, and metrics count the failed run.
+func (r *run) exec(i int, in []Row) ([]Row, error) {
+	acc, start := r.open(i), time.Now()
+	out, cost, err := runOp(r.ops[i], in, r.cfg, acc)
+	if err != nil {
+		out = nil
+	}
+	r.charge(acc, len(in), len(out), cost, start)
+	if err != nil {
+		acc.span.SetAttr("error", err.Error())
+		emitOps(r.cfg, r.ops, r.accs)
+		r.span.CostVMS = r.cluster
+		r.span.SetAttr("error", err.Error())
+		r.cfg.Obs.End(&r.span)
+		emitRunMetrics(r.cfg.Metrics, nil, time.Since(r.start).Nanoseconds(), r.cfg.Trace.TraceID)
+		return nil, &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
+	}
+	return out, nil
 }
 
 // chunkBounds splits n rows into ceil(n/size) contiguous chunks of at most

@@ -11,7 +11,8 @@ import (
 	"probpred/internal/query"
 )
 
-// fakeUDF emits a column derived from the blob's truth value.
+// fakeUDF emits a column derived from the blob's truth value, a batch's
+// column nodes from one slab.
 type fakeUDF struct {
 	name string
 	cost float64
@@ -20,12 +21,16 @@ type fakeUDF struct {
 
 func (f fakeUDF) Name() string  { return f.name }
 func (f fakeUDF) Cost() float64 { return f.cost }
-func (f fakeUDF) Apply(r Row) ([]Row, error) {
-	v, ok := r.Blob.TruthVal(f.col)
-	if !ok {
-		return nil, fmt.Errorf("no truth %q", f.col)
+func (f fakeUDF) ApplyBatch(in, out []Row) ([]Row, error) {
+	slab := NewColumnSlab(len(in))
+	for i, r := range in {
+		v, ok := r.Blob.TruthVal(f.col)
+		if !ok {
+			return out, &RowError{Index: i, Err: fmt.Errorf("no truth %q", f.col)}
+		}
+		out = append(out, slab.With(r, f.col, query.Number(v)))
 	}
-	return []Row{r.With(f.col, query.Number(v))}, nil
+	return out, nil
 }
 
 // thresholdFilter is a BlobFilter passing blobs whose truth value exceeds t.

@@ -12,10 +12,11 @@ type Plan struct{ Ops []Operator }
 type Config struct {
 	// Parallelism is the number of cluster partitions. Zero selects 16.
 	Parallelism int
-	// Workers sets how many goroutines execute the row-parallel operators
-	// (Process, PPFilter). It affects only wall-clock execution of the
-	// simulator, never results or virtual costs. Processors must be safe
-	// for concurrent Apply when Workers > 1. Zero or one is sequential.
+	// Workers sets how many goroutines execute the row-parallel work: each
+	// Process, and each PP filter's TestBatch in the source stage. It
+	// affects only wall-clock execution of the simulator, never results or
+	// virtual costs. Processors must be safe for concurrent ApplyBatch calls
+	// on disjoint batches when Workers > 1. Zero or one is sequential.
 	Workers int
 	// StageOverheadMS is the fixed overhead charged to latency per stage:
 	// job-wave scheduling, shuffle/materialization setup, and stragglers.

@@ -47,27 +47,29 @@ func TestParallelErrorChargesPartialWork(t *testing.T) {
 	}
 }
 
-// TestPPFilterParallelChargesAllChunks: the filter's parallel path must
-// charge the same total as its sequential Exec.
+// TestPPFilterParallelChargesAllChunks: the source stage's filter, split
+// across workers, must charge and pass what the filter's own Exec does over
+// the scanned rows.
 func TestPPFilterParallelChargesAllChunks(t *testing.T) {
-	mkRows := func() []Row {
-		rows := make([]Row, 100)
-		for i, b := range makeBlobs(100) {
-			rows[i] = NewRow(b)
-		}
-		return rows
+	blobs := makeBlobs(100)
+	rows := make([]Row, len(blobs))
+	for i, b := range blobs {
+		rows[i] = NewRow(b)
 	}
 	f := &PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}}
-	_, seq, err := f.Exec(mkRows())
+	want, seq, err := f.Exec(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, par, err := runOp(f, mkRows(), Config{Workers: 4}, &opAcc{})
+	res, err := Run(Plan{Ops: []Operator{&Scan{Blobs: blobs}, f}}, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != par || seq != 100 {
+	if par := res.PerOp[1].Cost; seq != par || seq != 100 {
 		t.Fatalf("filter costs diverged: seq=%v par=%v want 100", seq, par)
+	}
+	if len(res.Rows) != len(want) || res.PerOp[1].RowsOut != len(want) {
+		t.Fatalf("source stage passed %d rows, Exec %d", len(res.Rows), len(want))
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"probpred/internal/blob"
@@ -29,7 +28,9 @@ type Operator interface {
 // scanCost is the virtual per-row ingestion cost of a scan.
 const scanCost = 0.05
 
-// Scan is the source operator: it turns raw blobs into rows.
+// Scan is the source operator: it turns raw blobs into rows. In a run it is
+// the head of the source stage (source.go), which makes rows only for the
+// blobs the PP filters directly after it pass.
 type Scan struct{ Blobs []blob.Blob }
 
 // Name implements Operator.
@@ -40,11 +41,7 @@ func (s *Scan) StageBoundary() bool { return false }
 
 // Exec implements Operator; it ignores its input.
 func (s *Scan) Exec(_ []Row) ([]Row, float64, error) {
-	out := make([]Row, len(s.Blobs))
-	for i := range s.Blobs {
-		out[i].Blob = s.Blobs[i]
-	}
-	return out, scanCost * float64(len(out)), nil
+	return rowsOf(s.Blobs, nil, len(s.Blobs)), scanCost * float64(len(s.Blobs)), nil
 }
 
 // Process applies a Processor UDF to every row.
@@ -58,30 +55,35 @@ func (p *Process) StageBoundary() bool { return false }
 
 // Exec implements Operator: one inline chunk with no retry policy.
 func (p *Process) Exec(in []Row) ([]Row, float64, error) {
-	return p.chunk(in, Config{}, nil, nil)
+	return apply(p.P, in, RetryPolicy{}, &retryTally{})
 }
 
-// chunk implements rowParallel: the processor applied row by row under
-// cfg.Retry. Each row's attempts, backoffs and timeouts are charged to the
-// returned virtual cost. A failing row still charges the work performed
-// before and during the failure (all attempts and backoffs) — a cluster
-// bills for a task's work whether or not it succeeds. rt (optional)
-// accumulates retry/timeout counts for the metrics layer.
-func (p *Process) chunk(in []Row, cfg Config, rt *retryTally, _ *CacheTally) ([]Row, float64, error) {
-	// Preallocate at chunk size: processors usually emit one row per input,
-	// which avoids the append-growth reallocations that otherwise dominate
-	// allocation churn.
-	out := make([]Row, 0, len(in))
-	total := 0.0
-	for _, r := range in {
-		rows, cost, err := applyWithRetry(p.P, r, cfg.Retry, rt)
-		total += cost
-		if err != nil {
-			return nil, total, fmt.Errorf("processor %s: %w", p.P.Name(), err)
-		}
-		out = append(out, rows...)
+// run executes the processor over in under cfg: split across worker
+// goroutines when the input is large enough (runChunks), each chunk driven
+// by apply under cfg.Retry, and the chunks' outputs concatenated in chunk
+// order. Retry counts land on acc.
+func (p *Process) run(in []Row, cfg Config, acc *opAcc) ([]Row, float64, error) {
+	if !parallel(len(in), cfg.Workers) {
+		return apply(p.P, in, cfg.Retry, &acc.tally)
 	}
-	return out, total, nil
+	parts := make([][]Row, cfg.Workers)
+	tallies := make([]retryTally, cfg.Workers)
+	sum := runChunks(cfg, &acc.span, p.Name(), len(in), func(ci, lo, hi int) chunkRun {
+		out, cost, err := apply(p.P, in[lo:hi], cfg.Retry, &tallies[ci])
+		parts[ci] = out
+		return chunkRun{out: len(out), cost: cost, err: err}
+	})
+	for _, t := range tallies {
+		acc.tally.add(t)
+	}
+	if sum.err != nil {
+		return nil, sum.cost, sum.err
+	}
+	out := make([]Row, 0, sum.out)
+	for _, part := range parts {
+		out = append(out, part...)
+	}
+	return out, sum.cost, nil
 }
 
 // selectCost is the virtual per-row cost of evaluating a relational
@@ -160,8 +162,9 @@ func (t *CacheTally) Counts() (hits, misses uint64) {
 	return t.hits.Load(), t.misses.Load()
 }
 
-// PPFilter applies a PP expression directly on each row's raw blob, before
-// any UDF (Figure 2).
+// PPFilter applies a PP expression directly on each raw blob, before any UDF
+// (Figure 2). Directly after the Scan it is part of the source stage and
+// reads the scan's blobs in place (source.go).
 type PPFilter struct{ F BlobFilter }
 
 // Name implements Operator.
@@ -170,67 +173,26 @@ func (p *PPFilter) Name() string { return "PP[" + p.F.Name() + "]" }
 // StageBoundary implements Operator.
 func (p *PPFilter) StageBoundary() bool { return false }
 
-// Exec implements Operator: one inline chunk, score-cache counts dropped
-// (a standalone Exec has no run to attribute them to).
+// Exec implements Operator for a filter over rows — one a plan puts after
+// another operator, which no plan builder in the tree does. It gathers the
+// rows' blobs and runs the source stage's kernel inline, score-cache counts
+// dropped (a standalone Exec has no run to attribute them to).
 func (p *PPFilter) Exec(in []Row) ([]Row, float64, error) {
-	return p.chunk(in, Config{}, nil, nil)
-}
-
-// filterBatch is the recycled buffer set of one PPFilter chunk: the gathered
-// blobs plus the per-blob verdict and cost outputs.
-type filterBatch struct {
-	blobs []blob.Blob
-	pass  []bool
-	cost  []float64
-}
-
-var filterBatchPool sync.Pool
-
-func getFilterBatch(n int) *filterBatch {
-	fb, ok := filterBatchPool.Get().(*filterBatch)
-	if !ok {
-		fb = &filterBatch{}
-	}
-	if cap(fb.blobs) < n {
-		fb.blobs = make([]blob.Blob, n)
-		fb.pass = make([]bool, n)
-		fb.cost = make([]float64, n)
-	}
-	fb.blobs, fb.pass, fb.cost = fb.blobs[:n], fb.pass[:n], fb.cost[:n]
-	return fb
-}
-
-func putFilterBatch(fb *filterBatch) {
-	clear(fb.blobs[:cap(fb.blobs)]) // drop blob references so pooled buffers don't pin data
-	filterBatchPool.Put(fb)
-}
-
-// chunk implements rowParallel: the rows' blobs are gathered into
-// pool-recycled buffers and tested in one TestBatch call; costs are then
-// summed per row in input order and the survivors gathered into an output
-// sized by the pass count — a PP drops most of its input, and an output at
-// input capacity would be allocated and zeroed for rows that never arrive.
-func (p *PPFilter) chunk(in []Row, _ Config, _ *retryTally, ct *CacheTally) ([]Row, float64, error) {
-	fb := getFilterBatch(len(in))
+	s := getFilterScratch(len(in))
+	defer putFilterScratch(s)
+	blobs := s.blobBuf(len(in))
 	for i := range in {
-		fb.blobs[i] = in[i].Blob
+		blobs[i] = in[i].Blob
 	}
-	p.F.TestBatch(fb.blobs, fb.pass, fb.cost, ct)
-	total, passed := 0.0, 0
-	for i, ok := range fb.pass {
-		total += fb.cost[i]
-		if ok {
-			passed++
-		}
-	}
-	out := make([]Row, 0, passed)
-	for i, ok := range fb.pass {
+	pass := s.pass[:len(in)]
+	r := p.test(blobs, pass, s.cost[:len(in)], Config{}, &opAcc{})
+	out := make([]Row, 0, r.out)
+	for i, ok := range pass {
 		if ok {
 			out = append(out, in[i])
 		}
 	}
-	putFilterBatch(fb)
-	return out, total, nil
+	return out, r.cost, nil
 }
 
 // ComputedCol defines a projection-created column (π_{f(D)=d} in A.4).

@@ -10,52 +10,42 @@ import (
 
 // Parallel execution: the virtual cost model already charges work as if it
 // ran on a cluster, but the simulator itself can also use real goroutines
-// for the row-parallel operators (Process, PPFilter) so that large streams
-// execute quickly on multi-core machines. Parallelism never changes
-// results, costs or row order — inputs are chunked, chunks run
+// for the row-parallel work (Process, and each PP filter's TestBatch) so
+// that large streams execute quickly on multi-core machines. Parallelism
+// never changes results, costs or row order — inputs are chunked, chunks run
 // concurrently, and outputs are concatenated in chunk order.
 //
-// Processors run under Workers > 1 must be safe for concurrent Apply calls
-// (the built-in UDFs are; see udf package notes).
+// Processors run under Workers > 1 must be safe for concurrent ApplyBatch
+// calls on disjoint batches (the built-in UDFs are; see udf package notes).
 
-// rowParallel is a row-local operator the engine may split across worker
-// goroutines: chunk processes a contiguous slice of the input on its own and
-// returns its output rows and the virtual cost incurred, which on failure is
-// the cost of the work performed up to and including the failing row. rt is
-// the chunk's own retry tally; ct is shared by every chunk of the run.
-type rowParallel interface {
-	Operator
-	chunk(in []Row, cfg Config, rt *retryTally, ct *CacheTally) ([]Row, float64, error)
+// parallel reports whether n input rows are split across worker goroutines:
+// only with more than one worker and at least two rows per worker.
+func parallel(n, workers int) bool { return workers > 1 && n >= 2*workers }
+
+// chunkRun is one worker chunk's outcome: the rows it produced, the virtual
+// cost it charged (on failure, the work performed up to and including the
+// failing row) and its error.
+type chunkRun struct {
+	out  int
+	cost float64
+	err  error
 }
 
-// runOp executes one operator over in and returns its output and virtual
-// cost, accumulating its retry and score-cache tallies into acc. A
-// row-parallel operator runs as N chunks:
-// up to cfg.Workers of them on goroutines when the input has at least two
-// rows per worker, each emitting a chunk span under acc.span; otherwise one
-// chunk, inline, with no chunk span. Per-chunk virtual costs are summed in
-// chunk order, so accounting is deterministic for a given
-// worker count; when a chunk fails, the work every chunk performed up to that point
-// — completed chunks, the failing chunk's rows before the failure, and all
-// retry attempts — is still returned. The tallies live on the run's
-// accumulator because PPFilter instances (and the compiled filters behind
-// them) may be shared by concurrent runs: per-run accounting must never live
-// on the operator itself.
-func runOp(op Operator, in []Row, cfg Config, acc *opAcc) ([]Row, float64, error) {
-	rp, ok := op.(rowParallel)
-	if !ok {
-		return op.Exec(in)
+// runChunks runs fn over the worker chunks of n input rows — inline as one
+// chunk when the input is not split (parallel), otherwise at most
+// cfg.Workers chunks on goroutines, each with a chunk span named
+// name[lo:hi] under parent — and returns their outputs summed, their costs
+// summed in chunk order, and the first error in chunk order. Per-chunk costs
+// are summed in chunk order, so accounting is deterministic for a given
+// worker count; when a chunk fails, the work every chunk performed up to
+// that point is still returned.
+func runChunks(cfg Config, parent *obs.Span, name string, n int, fn func(ci, lo, hi int) chunkRun) chunkRun {
+	if !parallel(n, cfg.Workers) {
+		return fn(0, 0, n)
 	}
-	workers := cfg.Workers
-	if workers <= 1 || len(in) < 2*workers {
-		return rp.chunk(in, cfg, &acc.tally, &acc.ctally)
-	}
-	bounds := chunkBounds(len(in), (len(in)+workers-1)/workers)
-	results := make([][]Row, len(bounds))
-	costs := make([]float64, len(bounds))
-	errs := make([]error, len(bounds))
-	tallies := make([]retryTally, len(bounds))
-	ct := newChunkTrace(cfg.Obs, &acc.span, len(bounds))
+	bounds := chunkBounds(n, (n+cfg.Workers-1)/cfg.Workers)
+	runs := make([]chunkRun, len(bounds))
+	ct := newChunkTrace(cfg.Obs, parent, len(bounds))
 	var wg sync.WaitGroup
 	for ci, b := range bounds {
 		wg.Add(1)
@@ -63,28 +53,31 @@ func runOp(op Operator, in []Row, cfg Config, acc *opAcc) ([]Row, float64, error
 			defer wg.Done()
 			ct.begin(ci)
 			defer ct.end(ci)
-			results[ci], costs[ci], errs[ci] = rp.chunk(in[lo:hi], cfg, &tallies[ci], &acc.ctally)
+			runs[ci] = fn(ci, lo, hi)
 		}(ci, b[0], b[1])
 	}
 	wg.Wait()
-	total := 0.0
-	n := 0
-	for ci := range bounds {
-		total += costs[ci]
-		n += len(results[ci])
-		acc.tally.add(tallies[ci])
-	}
-	ct.emit(op.Name(), bounds, costs, results, errs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, total, err
+	ct.emit(name, bounds, runs)
+	var sum chunkRun
+	for _, r := range runs {
+		sum.out += r.out
+		sum.cost += r.cost
+		if sum.err == nil {
+			sum.err = r.err
 		}
 	}
-	out := make([]Row, 0, n)
-	for _, r := range results {
-		out = append(out, r...)
+	return sum
+}
+
+// runOp executes one operator over rows and returns its output and virtual
+// cost, a Process split across workers with its retry tally on acc. Tallies
+// live on the run's accumulator, never on the operator: plans (and the
+// compiled filters in them) are shared by concurrent runs.
+func runOp(op Operator, in []Row, cfg Config, acc *opAcc) ([]Row, float64, error) {
+	if p, ok := op.(*Process); ok {
+		return p.run(in, cfg, acc)
 	}
-	return out, total, nil
+	return op.Exec(in)
 }
 
 // chunkTrace records one chunk's span timing from inside its goroutine;
@@ -117,7 +110,7 @@ func (ct *chunkTrace) end(ci int) {
 }
 
 // emit sends the chunk spans in chunk order.
-func (ct *chunkTrace) emit(opName string, bounds [][2]int, costs []float64, results [][]Row, errs []error) {
+func (ct *chunkTrace) emit(opName string, bounds [][2]int, runs []chunkRun) {
 	if ct == nil {
 		return
 	}
@@ -125,11 +118,11 @@ func (ct *chunkTrace) emit(opName string, bounds [][2]int, costs []float64, resu
 		sp := ct.tr.BeginChild(ct.parent, obs.KindChunk, fmt.Sprintf("%s[%d:%d]", opName, b[0], b[1]))
 		sp.Start = ct.starts[ci]
 		sp.WallNS = ct.walls[ci]
-		sp.CostVMS = costs[ci]
+		sp.CostVMS = runs[ci].cost
 		sp.RowsIn = b[1] - b[0]
-		sp.RowsOut = len(results[ci])
-		if errs[ci] != nil {
-			sp.SetAttr("error", errs[ci].Error())
+		sp.RowsOut = runs[ci].out
+		if runs[ci].err != nil {
+			sp.SetAttr("error", runs[ci].err.Error())
 		}
 		ct.tr.EmitSpan(sp)
 	}

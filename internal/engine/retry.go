@@ -52,12 +52,19 @@ func (p RetryPolicy) backoff(attempt int) float64 {
 }
 
 // TimedProcessor is an optional Processor extension for processors whose
-// per-call virtual duration varies from Cost() — e.g. fault-injected
-// stragglers. ApplyTimed reports the call's virtual duration in ms; it is
-// meaningful on failures too (a task can burn time and then die).
+// per-attempt virtual duration varies from Cost() — e.g. fault-injected
+// stragglers. ApplyTimed is ApplyBatch that also appends to elapsed one
+// virtual duration in ms per input row it ran, in input order, the failing
+// row's included (a task can burn time and then die); the engine uses it in
+// place of ApplyBatch, so straggler and row-timeout accounting stay per row.
+// An unhealthy attempt — one that fails or runs longer than Cost() — runs
+// alone: ApplyTimed returns before such a row unless it is the batch's
+// first, and right after it when it is. That lets the engine kill a
+// straggler at the row timeout, dropping its outputs, without touching the
+// rows beside it.
 type TimedProcessor interface {
 	Processor
-	ApplyTimed(r Row) ([]Row, float64, error)
+	ApplyTimed(in, out []Row, elapsed []float64) ([]Row, []float64, error)
 }
 
 // IsTransient reports whether any error in err's chain declares itself
@@ -102,46 +109,97 @@ func (e *OpError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *OpError) Unwrap() error { return e.Err }
 
-// applyOnce runs a single attempt, reporting the attempt's virtual duration
-// (Cost() for plain processors; the processor's own accounting for
-// TimedProcessors).
-func applyOnce(p Processor, r Row) ([]Row, float64, error) {
-	if tp, ok := p.(TimedProcessor); ok {
-		return tp.ApplyTimed(r)
-	}
-	rows, err := p.Apply(r)
-	return rows, p.Cost(), err
-}
-
-// applyWithRetry applies a processor to one row under the retry policy. The
-// returned cost is the total virtual ms consumed: every attempt (successful,
-// failed, or killed at the timeout deadline) plus every backoff wait. tally,
-// when non-nil, counts timeout kills and retried attempts (plain int
-// increments: the caller owns one tally per goroutine).
-func applyWithRetry(p Processor, r Row, pol RetryPolicy, tally *retryTally) ([]Row, float64, error) {
-	total := 0.0
-	for attempt := 1; ; attempt++ {
-		rows, elapsed, err := applyOnce(p, r)
-		if pol.RowTimeoutMS > 0 && elapsed > pol.RowTimeoutMS {
-			// The runtime kills the attempt at the deadline: no result, and
-			// only the budget's worth of time was spent.
-			err = &rowTimeoutError{op: p.Name(), elapsed: elapsed, budget: pol.RowTimeoutMS}
-			elapsed = pol.RowTimeoutMS
-			rows = nil
-			if tally != nil {
-				tally.timeouts++
+// apply drives a processor over one worker chunk under the retry policy, one
+// call over every row still to go. A row that fails, or whose attempt the
+// row timeout kills, ends the call: the rows before it are charged, it is
+// re-driven alone until it succeeds or the policy gives up, and the next
+// call starts after it. Each row is charged every attempt it made
+// (successful, failed, or killed at the deadline) plus every backoff wait,
+// and the chunk's cost sums rows one by one in input order — the same
+// additions, in the same order, as applying one row at a time, so virtual
+// cost keeps its bits. A failing row still charges the work performed
+// before and during the failure: a cluster bills for a task's work whether
+// or not it succeeds. rt counts timeout kills and retried attempts (plain
+// ints: the caller owns one tally per goroutine).
+func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float64, error) {
+	// Sized for the usual one output row per input: no append growth.
+	out := make([]Row, 0, len(in))
+	timed, _ := p.(TimedProcessor)
+	var elapsed []float64
+	nominal := p.Cost()
+	// When a nominal attempt already overruns the timeout, every attempt is
+	// killed: run the rows one at a time, as a killed attempt must.
+	alone := pol.RowTimeoutMS > 0 && nominal > pol.RowTimeoutMS
+	total, rowCost, attempt := 0.0, 0.0, 1
+	for len(in) > 0 {
+		batch := in
+		if alone || attempt > 1 {
+			batch = in[:1]
+		}
+		mark := len(out)
+		var err error
+		ran := len(batch) // rows the call ran, the failing one included
+		if timed != nil {
+			out, elapsed, err = timed.ApplyTimed(batch, out, elapsed[:0])
+			ran = len(elapsed)
+		} else {
+			out, err = p.ApplyBatch(batch, out)
+		}
+		cause := err
+		var re *RowError
+		if errors.As(err, &re) {
+			cause = re.Err
+		}
+		if err != nil && timed == nil {
+			if re != nil && re.Index >= 0 && re.Index < len(batch) {
+				ran = re.Index + 1
+			} else {
+				// A failure that names no row of the batch blames the
+				// first, and none of the batch's outputs stand.
+				ran = 1
+				out = out[:mark]
 			}
 		}
-		total += elapsed
-		if err == nil {
-			return rows, total, nil
+		if ran < 1 || ran > len(batch) {
+			return nil, total, fmt.Errorf("processor %s: timed %d rows of a %d-row batch", p.Name(), ran, len(batch))
 		}
-		if !IsTransient(err) || attempt >= pol.attempts() {
-			return nil, total, err
+		for j := 0; j < ran; j++ {
+			e := nominal
+			if timed != nil {
+				e = elapsed[j]
+			}
+			var rowErr error
+			if j == ran-1 {
+				rowErr = cause
+			}
+			if pol.RowTimeoutMS > 0 && e > pol.RowTimeoutMS {
+				if ran != 1 {
+					return nil, total, fmt.Errorf("processor %s: a straggling attempt did not run alone", p.Name())
+				}
+				// The runtime kills the attempt at the deadline: no result,
+				// and only the budget's worth of time was spent.
+				out = out[:mark]
+				rowErr = &rowTimeoutError{op: p.Name(), elapsed: e, budget: pol.RowTimeoutMS}
+				e = pol.RowTimeoutMS
+				rt.timeouts++
+			}
+			rowCost += e
+			if rowErr == nil {
+				total += rowCost
+				rowCost, attempt = 0, 1
+				continue
+			}
+			if !IsTransient(rowErr) || attempt >= pol.attempts() {
+				return nil, total + rowCost, fmt.Errorf("processor %s: %w", p.Name(), rowErr)
+			}
+			rt.retries++
+			rowCost += pol.backoff(attempt)
+			attempt++
 		}
-		if tally != nil {
-			tally.retries++
+		if attempt > 1 {
+			ran-- // the failed row goes again, alone
 		}
-		total += pol.backoff(attempt)
+		in = in[ran:]
 	}
+	return out, total, nil
 }

@@ -34,24 +34,43 @@ type flakyErr struct {
 func (e *flakyErr) Error() string   { return "flaky failure" }
 func (e *flakyErr) Transient() bool { return e.transient }
 
-func (f *flakyUDF) ApplyTimed(r Row) ([]Row, float64, error) {
-	f.mu.Lock()
-	if f.attempts == nil {
-		f.attempts = map[int]int{}
+// ApplyTimed runs the batch's rows in order and, as the contract asks, runs
+// a failing or straggling attempt alone: it stops before one that is not
+// the batch's first, and right after one that is.
+func (f *flakyUDF) ApplyTimed(in, out []Row, elapsed []float64) ([]Row, []float64, error) {
+	for i, r := range in {
+		id := r.Blob.ID
+		f.mu.Lock()
+		if f.attempts == nil {
+			f.attempts = map[int]int{}
+		}
+		attempt := f.attempts[id] + 1
+		fail, slow := attempt <= f.fails[id], f.slow[id] > f.cost
+		if i > 0 && (fail || slow) {
+			f.mu.Unlock()
+			return out, elapsed, nil
+		}
+		f.attempts[id] = attempt
+		f.calls++
+		f.mu.Unlock()
+		if fail {
+			return out, append(elapsed, f.cost), &RowError{Index: i, Err: &flakyErr{transient: !f.permanent}}
+		}
+		e := f.cost
+		if s := f.slow[id]; s > 0 {
+			e = s
+		}
+		var err error
+		out, err = f.fakeUDF.ApplyBatch(in[i:i+1], out)
+		elapsed = append(elapsed, e)
+		if err != nil {
+			return out, elapsed, &RowError{Index: i, Err: errors.Unwrap(err)}
+		}
+		if slow {
+			return out, elapsed, nil
+		}
 	}
-	f.attempts[r.Blob.ID]++
-	attempt := f.attempts[r.Blob.ID]
-	f.calls++
-	f.mu.Unlock()
-	if attempt <= f.fails[r.Blob.ID] {
-		return nil, f.cost, &flakyErr{transient: !f.permanent}
-	}
-	elapsed := f.cost
-	if s := f.slow[r.Blob.ID]; s > 0 {
-		elapsed = s
-	}
-	rows, err := f.fakeUDF.Apply(r)
-	return rows, elapsed, err
+	return out, elapsed, nil
 }
 
 func runFlaky(t *testing.T, f *flakyUDF, n int, cfg Config) (*Result, error) {

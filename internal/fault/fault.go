@@ -104,10 +104,27 @@ func (i *Injector) spec(op string) Spec {
 	return i.def.fill()
 }
 
+// Healthy reports whether the attempt neither fails nor straggles.
+func (o Outcome) Healthy() bool { return !o.Fail && o.SlowFactor == 1 }
+
 // Decide returns the outcome for one attempt (1-based) of applying operator
-// op to the blob with the given id. The decision is a pure function of the
-// injector's seed and the three arguments.
+// op to the blob with the given id, counting it as injected when a registry
+// is attached. The decision is a pure function of the injector's seed and
+// the three arguments.
 func (i *Injector) Decide(op string, blobID, attempt int) Outcome {
+	out := i.Peek(op, blobID, attempt)
+	if out.Fail && i.transientCtr != nil {
+		i.transientCtr.Inc()
+	}
+	if out.SlowFactor != 1 && i.stragglerCtr != nil {
+		i.stragglerCtr.Inc()
+	}
+	return out
+}
+
+// Peek returns the outcome Decide would return, without counting it: a
+// caller can look ahead at an attempt it may not make yet.
+func (i *Injector) Peek(op string, blobID, attempt int) Outcome {
 	s := i.spec(op)
 	out := Outcome{SlowFactor: 1}
 	if s.TransientRate <= 0 && s.StragglerRate <= 0 {
@@ -116,16 +133,10 @@ func (i *Injector) Decide(op string, blobID, attempt int) Outcome {
 	if s.TransientRate > 0 && attempt <= s.MaxConsecutive &&
 		hashFloat(i.seed, op, blobID, attempt, 0x7a11) < s.TransientRate {
 		out.Fail = true
-		if i.transientCtr != nil {
-			i.transientCtr.Inc()
-		}
 	}
 	if s.StragglerRate > 0 &&
 		hashFloat(i.seed, op, blobID, attempt, 0x51c0) < s.StragglerRate {
 		out.SlowFactor = s.StragglerFactor
-		if i.stragglerCtr != nil {
-			i.stragglerCtr.Inc()
-		}
 	}
 	return out
 }

@@ -33,6 +33,10 @@ type batchScratch struct {
 	scores     []float64
 	ids        []int
 	missScores []float64
+	// dirty is how much of blobs the leaves wrote since the scratch left
+	// the pool: only that prefix holds references to clear. A batch served
+	// wholly by the score cache gathers no blob at all.
+	dirty int
 }
 
 var batchScratchPool sync.Pool
@@ -45,7 +49,8 @@ func getBatchScratch() *batchScratch {
 }
 
 func putBatchScratch(s *batchScratch) {
-	clear(s.blobs[:cap(s.blobs)]) // drop blob references so the pool doesn't pin data
+	clear(s.blobs[:s.dirty]) // drop blob references so the pool doesn't pin data
+	s.dirty = 0
 	batchScratchPool.Put(s)
 }
 
@@ -103,6 +108,7 @@ func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, c
 		missIdx := l.cache.GetBatch(l.pp, ids, sc, s.getIdx(n))
 		if nm := len(missIdx); nm > 0 {
 			mb, ms := bs[:nm], s.missScores[:nm]
+			s.dirty = max(s.dirty, nm)
 			for k, j := range missIdx {
 				mb[k] = blobs[active[j]]
 				ids[k] = ids[j] // k <= j: compacts the miss IDs in place
@@ -117,6 +123,7 @@ func (l *compiledLeaf) testBatch(blobs []blob.Blob, active []int, pass []bool, c
 		ct.Miss(uint64(len(missIdx)))
 		s.putIdx(missIdx)
 	} else {
+		s.dirty = max(s.dirty, n)
 		for j, i := range active {
 			bs[j] = blobs[i]
 		}

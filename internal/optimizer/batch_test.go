@@ -160,3 +160,48 @@ func TestPPFilterBatchEquivalenceTrainedPPs(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchScratchClearsWhatLeavesWrote: a released scratch keeps no blob
+// reference (the pool must not pin data), and its clear covers only what
+// the leaves gathered — a batch the score cache serves whole gathers
+// nothing, so nothing needs clearing.
+func TestBatchScratchClearsWhatLeavesWrote(t *testing.T) {
+	blobs := miniBlobs(300, 5)
+	f := compileMini(t, "t=SUV & c=red", blobs)
+	cached := f.WithScoreCache(mapScoreCache{})
+	pass := make([]bool, len(blobs))
+	cost := make([]float64, len(blobs))
+	run := func(c *Compiled) *batchScratch {
+		s := &batchScratch{}
+		act := make([]int, len(blobs))
+		for i := range act {
+			act[i] = i
+		}
+		clear(cost)
+		c.node.testBatch(blobs, act, pass, cost, s, nil)
+		return s
+	}
+	for _, tc := range []struct {
+		name     string
+		c        *Compiled
+		gathered bool
+	}{
+		{"uncached", f, true},
+		{"cold cache", cached, true},
+		{"warm cache", cached, false},
+	} {
+		s := run(tc.c)
+		if got := s.dirty > 0; got != tc.gathered || s.dirty > len(blobs) {
+			t.Fatalf("%s: %d blobs marked written, want gathered=%v", tc.name, s.dirty, tc.gathered)
+		}
+		putBatchScratch(s)
+		if s.dirty != 0 {
+			t.Fatalf("%s: mark not reset on release", tc.name)
+		}
+		for i, b := range s.blobs[:cap(s.blobs)] {
+			if b.Dense != nil || b.Sparse != nil || b.Truth != nil {
+				t.Fatalf("%s: released scratch still holds blob %d at %d", tc.name, b.ID, i)
+			}
+		}
+	}
+}

@@ -17,12 +17,13 @@ type costProc struct {
 
 func (p costProc) Name() string  { return "UDF_" + p.col }
 func (p costProc) Cost() float64 { return p.cost }
-func (p costProc) Apply(r engine.Row) ([]engine.Row, error) {
-	v, ok := miniLookup(r.Blob)(p.col)
-	if !ok {
-		return nil, nil
+func (p costProc) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	for _, r := range in {
+		if v, ok := miniLookup(r.Blob)(p.col); ok {
+			out = append(out, r.With(p.col, v))
+		}
 	}
-	return []engine.Row{r.With(p.col, v)}, nil
+	return out, nil
 }
 
 func basePlan(blobs []blob.Blob, pred query.Pred, extra ...engine.Operator) engine.Plan {

@@ -246,7 +246,7 @@ type gateUDF struct {
 
 func (u gateUDF) Name() string  { return u.inner.Name() }
 func (u gateUDF) Cost() float64 { return u.inner.Cost() }
-func (u gateUDF) Apply(r engine.Row) ([]engine.Row, error) {
+func (u gateUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	n := u.g.active.Add(1)
 	for {
 		m := u.g.maxActive.Load()
@@ -255,7 +255,7 @@ func (u gateUDF) Apply(r engine.Row) ([]engine.Row, error) {
 		}
 	}
 	defer u.g.active.Add(-1)
-	return u.inner.Apply(r)
+	return u.inner.ApplyBatch(in, out)
 }
 
 // TestServeMetrics: the serving counters and gauges land in the registry.

@@ -145,13 +145,13 @@ type blockUDF struct {
 
 func (u blockUDF) Name() string  { return u.inner.Name() }
 func (u blockUDF) Cost() float64 { return u.inner.Cost() }
-func (u blockUDF) Apply(r engine.Row) ([]engine.Row, error) {
+func (u blockUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	select {
 	case u.b.entered <- struct{}{}:
 	default:
 	}
 	<-u.b.release
-	return u.inner.Apply(r)
+	return u.inner.ApplyBatch(in, out)
 }
 
 // TestAdmissionWaitHistogram: under a saturated server the queue wait

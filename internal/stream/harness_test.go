@@ -156,14 +156,16 @@ type miniUDF struct{ cost float64 }
 
 func (u miniUDF) Name() string  { return "miniUDF" }
 func (u miniUDF) Cost() float64 { return u.cost }
-func (u miniUDF) Apply(r engine.Row) ([]engine.Row, error) {
-	lk := miniLookup(r.Blob)
-	out := r
-	for _, col := range []string{"t", "c", "s"} {
-		v, _ := lk(col)
-		out = out.With(col, v)
+func (u miniUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	for _, r := range in {
+		lk := miniLookup(r.Blob)
+		for _, col := range []string{"t", "c", "s"} {
+			v, _ := lk(col)
+			r = r.With(col, v)
+		}
+		out = append(out, r)
 	}
-	return []engine.Row{out}, nil
+	return out, nil
 }
 
 // miniBuilder implements serve.CorpusBuilder: scan over the given blobs →

@@ -126,9 +126,12 @@ type driftUDF struct{ cost float64 }
 
 func (u driftUDF) Name() string  { return "driftUDF" }
 func (u driftUDF) Cost() float64 { return u.cost }
-func (u driftUDF) Apply(r engine.Row) ([]engine.Row, error) {
-	v, _ := driftLookup(r.Blob)("s")
-	return []engine.Row{r.With("s", v)}, nil
+func (u driftUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	for _, r := range in {
+		v, _ := driftLookup(r.Blob)("s")
+		out = append(out, r.With("s", v))
+	}
+	return out, nil
 }
 
 // newDriftStack wires the full online streaming loop: the server plans over

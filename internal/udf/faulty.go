@@ -1,6 +1,7 @@
 package udf
 
 import (
+	"errors"
 	"sync"
 
 	"probpred/internal/engine"
@@ -13,12 +14,15 @@ import (
 // inflated virtual duration, which the engine's per-row timeout budget can
 // then convert into a retry.
 //
-// Attempt numbers are tracked per blob: each Apply of the same blob (i.e.
-// each engine retry) advances the attempt, and the injector's decisions are
-// a pure function of (operator, blob, attempt) — so outcomes are identical
-// whether the engine runs sequentially or chunked across workers. A wrapper
-// instance accumulates attempt state across one engine.Run; call Reset (or
-// build fresh wrappers) before reusing it for another run.
+// Attempt numbers are tracked per blob: each time a row of the same blob is
+// run (i.e. each engine retry) the attempt advances, and the injector's
+// decisions are a pure function of (operator, blob, attempt) — so outcomes
+// are identical whether the engine runs sequentially or chunked across
+// workers, and whatever the batches. A batch runs its healthy rows through
+// the wrapped UDF in one call and ends at the first unhealthy attempt, which
+// runs alone (the engine.TimedProcessor contract). A wrapper instance
+// accumulates attempt state across one engine.Run; call Reset (or build
+// fresh wrappers) before reusing it for another run.
 type FaultyProcessor struct {
 	P   engine.Processor
 	Inj *fault.Injector
@@ -39,24 +43,69 @@ func (f *FaultyProcessor) Name() string { return f.P.Name() }
 // Cost implements engine.Processor: the nominal (healthy-attempt) cost.
 func (f *FaultyProcessor) Cost() float64 { return f.P.Cost() }
 
-// Apply implements engine.Processor.
-func (f *FaultyProcessor) Apply(r engine.Row) ([]engine.Row, error) {
-	rows, _, err := f.ApplyTimed(r)
-	return rows, err
+// ApplyBatch implements engine.Processor.
+func (f *FaultyProcessor) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	out, _, err := f.ApplyTimed(in, out, nil)
+	return out, err
 }
 
-// ApplyTimed implements engine.TimedProcessor: it consults the injector for
-// this blob's next attempt, failing transiently or inflating the reported
-// virtual duration as decided, and otherwise delegates to the wrapped UDF.
-func (f *FaultyProcessor) ApplyTimed(r engine.Row) ([]engine.Row, float64, error) {
-	attempt := f.nextAttempt(r.Blob.ID)
-	out := f.Inj.Decide(f.Name(), r.Blob.ID, attempt)
-	elapsed := f.P.Cost() * out.SlowFactor
-	if out.Fail {
-		return nil, elapsed, &fault.TransientError{Op: f.Name(), BlobID: r.Blob.ID, Attempt: attempt}
+// ApplyTimed implements engine.TimedProcessor. It consults the injector for
+// each row's next attempt in order — deciding the first row's, and only
+// peeking at a later row's so that an unhealthy one is left, undecided, to
+// start the next batch — then runs the rows through the wrapped UDF: the
+// healthy ones in one call at the nominal duration, or the unhealthy first
+// row alone, failing transiently or at its inflated duration as decided.
+func (f *FaultyProcessor) ApplyTimed(in, out []engine.Row, elapsed []float64) ([]engine.Row, []float64, error) {
+	if len(in) == 0 {
+		return out, elapsed, nil
 	}
-	rows, err := f.P.Apply(r)
-	return rows, elapsed, err
+	name, cost := f.Name(), f.P.Cost()
+	f.mu.Lock()
+	if f.attempts == nil {
+		f.attempts = map[int]int{}
+	}
+	first := in[0].Blob.ID
+	f.attempts[first]++
+	o := f.Inj.Decide(name, first, f.attempts[first])
+	n := 1
+	for o.Healthy() && n < len(in) {
+		id := in[n].Blob.ID
+		if !f.Inj.Peek(name, id, f.attempts[id]+1).Healthy() {
+			break
+		}
+		f.attempts[id]++ // a healthy outcome counts nothing, so no Decide
+		n++
+	}
+	attempt := f.attempts[first]
+	f.mu.Unlock()
+
+	if o.Fail {
+		return out, append(elapsed, cost*o.SlowFactor), &engine.RowError{
+			Index: 0, Err: &fault.TransientError{Op: name, BlobID: first, Attempt: attempt},
+		}
+	}
+	out, err := f.P.ApplyBatch(in[:n], out)
+	ran := n
+	if err != nil {
+		// The wrapped UDF failed at one row: the rows after it were not
+		// attempted after all.
+		var re *engine.RowError
+		ran = 1
+		if errors.As(err, &re) && re.Index >= 0 && re.Index < n {
+			ran = re.Index + 1
+		} else {
+			err = &engine.RowError{Index: 0, Err: err}
+		}
+		f.mu.Lock()
+		for _, r := range in[ran:n] {
+			f.attempts[r.Blob.ID]--
+		}
+		f.mu.Unlock()
+	}
+	for j := 0; j < ran; j++ {
+		elapsed = append(elapsed, cost*o.SlowFactor)
+	}
+	return out, elapsed, err
 }
 
 // Reset clears the per-blob attempt state so the wrapper replays the same
@@ -71,16 +120,6 @@ func (f *FaultyProcessor) Reset() {
 func (f *FaultyProcessor) Attempts(blobID int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.attempts[blobID]
-}
-
-func (f *FaultyProcessor) nextAttempt(blobID int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.attempts == nil {
-		f.attempts = map[int]int{}
-	}
-	f.attempts[blobID]++
 	return f.attempts[blobID]
 }
 

@@ -19,6 +19,12 @@ func trafficBlobsForTest(n int, seed uint64) []engine.Row {
 	return rows
 }
 
+// timedOne runs one attempt of f on r: a batch of one.
+func timedOne(f *FaultyProcessor, r engine.Row) ([]engine.Row, float64, error) {
+	out, elapsed, err := f.ApplyTimed([]engine.Row{r}, nil, nil)
+	return out, elapsed[0], err
+}
+
 func TestFaultyPassthrough(t *testing.T) {
 	p, err := TrafficUDFFor("t", 0, 1)
 	if err != nil {
@@ -29,11 +35,11 @@ func TestFaultyPassthrough(t *testing.T) {
 		t.Fatal("wrapper must pass name and cost through")
 	}
 	for _, r := range trafficBlobsForTest(50, 2) {
-		want, err := p.Apply(r)
+		want, err := p.ApplyBatch([]engine.Row{r}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, elapsed, err := f.ApplyTimed(r)
+		got, elapsed, err := timedOne(f, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +69,7 @@ func TestFaultyInjectsTransientsAndRecovers(t *testing.T) {
 		var lastErr error
 		ok := false
 		for attempt := 0; attempt < 5; attempt++ {
-			_, _, err := f.ApplyTimed(r)
+			_, _, err := timedOne(f, r)
 			if err == nil {
 				ok = true
 				break
@@ -94,7 +100,7 @@ func TestFaultyStragglerInflatesElapsed(t *testing.T) {
 	f := Faulty(p, inj)
 	slow := 0
 	for _, r := range trafficBlobsForTest(300, 6) {
-		_, elapsed, err := f.ApplyTimed(r)
+		_, elapsed, err := timedOne(f, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +129,7 @@ func TestFaultyResetReplaysSchedule(t *testing.T) {
 	record := func() []bool {
 		out := make([]bool, len(rows))
 		for i, r := range rows {
-			_, _, err := f.ApplyTimed(r)
+			_, _, err := timedOne(f, r)
 			out[i] = err != nil
 		}
 		return out
@@ -195,5 +201,88 @@ func TestFaultyEndToEndByteIdentical(t *testing.T) {
 	}
 	if res.ClusterTime <= ref.ClusterTime {
 		t.Fatalf("retry work must be charged: %v vs %v", res.ClusterTime, ref.ClusterTime)
+	}
+}
+
+// TestFaultyBatchRunsUnhealthyAttemptsAlone drives whole batches the way the
+// engine does — each call starts at the first row not yet run, a failed row
+// going again — and holds them to the engine.TimedProcessor contract: a
+// failing or straggling attempt is the only row of its call, and every other
+// row runs at the nominal duration. Each blob must make exactly the attempts,
+// with the same durations and outputs, that batches of one make.
+func TestFaultyBatchRunsUnhealthyAttemptsAlone(t *testing.T) {
+	p, err := TrafficUDFFor("t", 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := trafficBlobsForTest(300, 12)
+	type trace struct {
+		ids     []int
+		elapsed []float64
+		calls   int
+	}
+	drive := func(size int) (*FaultyProcessor, trace) {
+		inj := fault.NewInjector(5)
+		inj.SetDefault(fault.Spec{TransientRate: 0.2, StragglerRate: 0.1, MaxConsecutive: 2})
+		f := Faulty(p, inj)
+		var tr trace
+		in := rows
+		for len(in) > 0 {
+			batch := in
+			if len(batch) > size {
+				batch = batch[:size]
+			}
+			out, elapsed, err := f.ApplyTimed(batch, nil, nil)
+			tr.calls++
+			if len(elapsed) == 0 || len(elapsed) > len(batch) {
+				t.Fatalf("size %d: a %d-row batch timed %d rows", size, len(batch), len(elapsed))
+			}
+			for j, e := range elapsed {
+				unhealthy := e != p.Cost() || (err != nil && j == len(elapsed)-1)
+				if unhealthy && len(elapsed) != 1 {
+					t.Fatalf("size %d: an unhealthy attempt shared its call with %d rows", size, len(elapsed)-1)
+				}
+			}
+			tr.elapsed = append(tr.elapsed, elapsed...)
+			for _, r := range out {
+				tr.ids = append(tr.ids, r.Blob.ID)
+			}
+			ran := len(elapsed)
+			if err != nil {
+				var te *fault.TransientError
+				if !errors.As(err, &te) {
+					t.Fatalf("size %d: unexpected error %v", size, err)
+				}
+				ran-- // the failed row goes again
+			}
+			in = in[ran:]
+		}
+		return f, tr
+	}
+	batched, bt := drive(len(rows))
+	single, st := drive(1)
+	if bt.calls >= st.calls/2 {
+		t.Fatalf("batches took %d calls against %d rows' worth: nothing was batched", bt.calls, st.calls)
+	}
+	if len(bt.ids) != len(rows) || len(st.ids) != len(rows) {
+		t.Fatalf("outputs: batched %d, single %d, want %d", len(bt.ids), len(st.ids), len(rows))
+	}
+	for i := range bt.ids {
+		if bt.ids[i] != st.ids[i] {
+			t.Fatalf("output %d: blob %d batched, %d single", i, bt.ids[i], st.ids[i])
+		}
+	}
+	if len(bt.elapsed) != len(st.elapsed) {
+		t.Fatalf("attempts: %d batched, %d single", len(bt.elapsed), len(st.elapsed))
+	}
+	for i := range bt.elapsed {
+		if bt.elapsed[i] != st.elapsed[i] {
+			t.Fatalf("attempt %d: %v batched, %v single", i, bt.elapsed[i], st.elapsed[i])
+		}
+	}
+	for _, r := range rows {
+		if a, b := batched.Attempts(r.Blob.ID), single.Attempts(r.Blob.ID); a != b {
+			t.Fatalf("blob %d: %d attempts batched, %d single", r.Blob.ID, a, b)
+		}
 	}
 }

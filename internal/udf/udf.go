@@ -6,6 +6,10 @@
 // the paper's observation that "the UDFs can often be imperfect" (§8.1).
 //
 // Only UDFs read ground truth. PPs never do — they see raw blob features.
+//
+// Every processor here is safe for concurrent ApplyBatch calls on disjoint
+// batches (engine.Config.Workers > 1): a stateful error process is locked
+// once per batch, and FaultyProcessor's attempt counts under their own lock.
 package udf
 
 import (
@@ -44,25 +48,31 @@ func (u *TrafficAttribute) Name() string { return u.UDFName }
 // Cost implements engine.Processor.
 func (u *TrafficAttribute) Cost() float64 { return u.CostMS }
 
-// Apply implements engine.Processor.
-func (u *TrafficAttribute) Apply(r engine.Row) ([]engine.Row, error) {
-	v, err := data.TrafficValue(r.Blob, u.Col)
-	if err != nil {
-		return nil, fmt.Errorf("udf: %s: %w", u.UDFName, err)
-	}
+// ApplyBatch implements engine.Processor: one column node per row, all from
+// one slab.
+func (u *TrafficAttribute) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	if u.ErrRate > 0 {
-		// The error process is stateful; the lock keeps Apply safe under
-		// the engine's parallel execution (engine.Config.Workers > 1).
+		// The error process is stateful; holding the lock for the batch
+		// keeps ApplyBatch safe under the engine's parallel execution
+		// (engine.Config.Workers > 1) and draws in row order.
 		u.mu.Lock()
+		defer u.mu.Unlock()
 		if u.rng == nil {
 			u.rng = mathx.NewRNG(u.Seed ^ 0xe44)
 		}
-		if u.rng.Bernoulli(u.ErrRate) {
+	}
+	slab := engine.NewColumnSlab(len(in))
+	for i, r := range in {
+		v, err := data.TrafficValue(r.Blob, u.Col)
+		if err != nil {
+			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: %s: %w", u.UDFName, err)}
+		}
+		if u.ErrRate > 0 && u.rng.Bernoulli(u.ErrRate) {
 			v = u.perturb(v)
 		}
-		u.mu.Unlock()
+		out = append(out, slab.With(r, u.Col, v))
 	}
-	return []engine.Row{r.With(u.Col, v)}, nil
+	return out, nil
 }
 
 // perturb returns a wrong-but-plausible value.
@@ -109,8 +119,10 @@ func (VehDetector) Name() string { return "VehDetector" }
 // Cost implements engine.Processor.
 func (VehDetector) Cost() float64 { return VehDetectorCost }
 
-// Apply implements engine.Processor.
-func (VehDetector) Apply(r engine.Row) ([]engine.Row, error) { return []engine.Row{r}, nil }
+// ApplyBatch implements engine.Processor.
+func (VehDetector) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	return append(out, in...), nil
+}
 
 // TrafficUDFFor returns the Processor that materializes col, with the
 // repository's default cost for that attribute and the given error rate.
@@ -173,6 +185,7 @@ type CategoryClassifier struct {
 	// Seed drives the error process.
 	Seed uint64
 
+	mu  sync.Mutex
 	rng *mathx.RNG
 }
 
@@ -187,26 +200,36 @@ func (c *CategoryClassifier) Name() string {
 // Cost implements engine.Processor.
 func (c *CategoryClassifier) Cost() float64 { return c.CostMS }
 
-// Apply implements engine.Processor.
-func (c *CategoryClassifier) Apply(r engine.Row) ([]engine.Row, error) {
-	id := r.Blob.ID
-	if id < 0 || id >= len(c.Dataset.Blobs) {
-		return nil, fmt.Errorf("udf: blob %d outside dataset %s", id, c.Dataset.Name)
-	}
-	member := c.Dataset.Members[c.Cat][id]
+// ApplyBatch implements engine.Processor: one column node per row, all from
+// one slab.
+func (c *CategoryClassifier) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	if c.ErrRate > 0 {
+		// As for TrafficAttribute: the stateful error process is locked once
+		// per batch, which makes concurrent batches (Workers > 1) safe.
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		if c.rng == nil {
 			c.rng = mathx.NewRNG(c.Seed ^ 0xcc)
 		}
-		if c.rng.Bernoulli(c.ErrRate) {
+	}
+	col := ColName(c.Cat)
+	slab := engine.NewColumnSlab(len(in))
+	for i, r := range in {
+		id := r.Blob.ID
+		if id < 0 || id >= len(c.Dataset.Blobs) {
+			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: blob %d outside dataset %s", id, c.Dataset.Name)}
+		}
+		member := c.Dataset.Members[c.Cat][id]
+		if c.ErrRate > 0 && c.rng.Bernoulli(c.ErrRate) {
 			member = !member
 		}
+		v := 0.0
+		if member {
+			v = 1
+		}
+		out = append(out, slab.With(r, col, query.Number(v)))
 	}
-	out := 0.0
-	if member {
-		out = 1
-	}
-	return []engine.Row{r.With(ColName(c.Cat), query.Number(out))}, nil
+	return out, nil
 }
 
 // FrameObjectDetector is the reference DNN object detector of Appendix B:
@@ -229,11 +252,16 @@ func (d FrameObjectDetector) Cost() float64 {
 	return d.CostMS
 }
 
-// Apply implements engine.Processor.
-func (d FrameObjectDetector) Apply(r engine.Row) ([]engine.Row, error) {
-	v, ok := r.Blob.TruthVal("object")
-	if !ok {
-		return nil, fmt.Errorf("udf: frame %d has no object truth", r.Blob.ID)
+// ApplyBatch implements engine.Processor: one column node per frame, all
+// from one slab.
+func (d FrameObjectDetector) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+	slab := engine.NewColumnSlab(len(in))
+	for i, r := range in {
+		v, ok := r.Blob.TruthVal("object")
+		if !ok {
+			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: frame %d has no object truth", r.Blob.ID)}
+		}
+		out = append(out, slab.With(r, "object", query.Number(v)))
 	}
-	return []engine.Row{r.With("object", query.Number(v))}, nil
+	return out, nil
 }

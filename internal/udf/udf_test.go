@@ -1,6 +1,7 @@
 package udf
 
 import (
+	"errors"
 	"testing"
 
 	"probpred/internal/data"
@@ -24,15 +25,15 @@ func TestTrafficAttributeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		out, err := u.Apply(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 1 {
-			t.Fatalf("output rows = %d", len(out))
-		}
-		got, err := out[0].Get("t")
+	out, err := u.ApplyBatch(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(rows) {
+		t.Fatalf("output rows = %d, want %d", len(out), len(rows))
+	}
+	for i, r := range rows {
+		got, err := out[i].Get("t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,13 +50,13 @@ func TestTrafficAttributeExact(t *testing.T) {
 func TestTrafficAttributeErrorRate(t *testing.T) {
 	rows := trafficRows(t, 2000)
 	u := &TrafficAttribute{Col: "c", UDFName: "ColorClassifier", CostMS: 1, ErrRate: 0.2, Seed: 7}
+	out, err := u.ApplyBatch(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wrong := 0
-	for _, r := range rows {
-		out, err := u.Apply(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := out[0].Get("c")
+	for i, r := range rows {
+		got, _ := out[i].Get("c")
 		want, _ := data.TrafficValue(r.Blob, "c")
 		if !got.Equal(want) {
 			wrong++
@@ -70,12 +71,12 @@ func TestTrafficAttributeErrorRate(t *testing.T) {
 func TestTrafficAttributeNumericPerturbInRange(t *testing.T) {
 	rows := trafficRows(t, 500)
 	u := &TrafficAttribute{Col: "s", UDFName: "SpeedEstimator", CostMS: 1, ErrRate: 1, Seed: 9}
-	for _, r := range rows {
-		out, err := u.Apply(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := out[0].Get("s")
+	out, err := u.ApplyBatch(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		got, _ := out[i].Get("s")
 		if !got.IsNum || got.Num < 0 || got.Num > 80 {
 			t.Fatalf("perturbed speed out of range: %v", got)
 		}
@@ -136,13 +137,17 @@ func TestTrafficPipelineEndToEnd(t *testing.T) {
 func TestCategoryClassifier(t *testing.T) {
 	d := data.LSHTC(data.LSHTCConfig{Docs: 300, Seed: 3})
 	c := &CategoryClassifier{Dataset: d, Cat: 2, CostMS: 10}
-	match := 0
+	rows := make([]engine.Row, len(d.Blobs))
 	for i, b := range d.Blobs {
-		out, err := c.Apply(engine.NewRow(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, _ := out[0].Get(ColName(2))
+		rows[i] = engine.NewRow(b)
+	}
+	out, err := c.ApplyBatch(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := 0
+	for i := range d.Blobs {
+		v, _ := out[i].Get(ColName(2))
 		if (v.Num == 1) != d.Members[2][i] {
 			t.Fatalf("classifier disagrees with membership at %d", i)
 		}
@@ -160,8 +165,13 @@ func TestCategoryClassifierOutOfRange(t *testing.T) {
 	c := &CategoryClassifier{Dataset: d, Cat: 0, CostMS: 1}
 	bad := engine.NewRow(d.Blobs[0])
 	bad.Blob.ID = 999
-	if _, err := c.Apply(bad); err == nil {
-		t.Fatal("expected error for out-of-range blob")
+	out, err := c.ApplyBatch([]engine.Row{engine.NewRow(d.Blobs[1]), bad, engine.NewRow(d.Blobs[2])}, nil)
+	var re *engine.RowError
+	if !errors.As(err, &re) || re.Index != 1 {
+		t.Fatalf("err = %v, want a RowError blaming row 1", err)
+	}
+	if len(out) != 1 || out[0].Blob.ID != d.Blobs[1].ID {
+		t.Fatalf("a failed batch kept %d rows, want the one before the failure", len(out))
 	}
 }
 
@@ -171,14 +181,56 @@ func TestFrameObjectDetector(t *testing.T) {
 	if det.Cost() != 500 {
 		t.Fatalf("default cost = %v", det.Cost())
 	}
+	rows := make([]engine.Row, 100)
 	for i, f := range v.Frames[:100] {
-		out, err := det.Apply(engine.NewRow(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := out[0].Get("object")
+		rows[i] = engine.NewRow(f)
+	}
+	out, err := det.ApplyBatch(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		got, _ := out[i].Get("object")
 		if (got.Num == 1) != v.HasObject[i] {
 			t.Fatalf("detector wrong at frame %d", i)
 		}
+	}
+}
+
+// TestCategoryClassifierRaceUnderWorkers runs a classifier with a live error
+// process through the engine on four workers; under -race it is the check
+// that concurrent batches share its random stream safely. Every row draws
+// once from that stream whatever the interleaving, so the number of flipped
+// outputs must equal a one-worker run's.
+func TestCategoryClassifierRaceUnderWorkers(t *testing.T) {
+	d := data.LSHTC(data.LSHTCConfig{Docs: 2000, Seed: 11})
+	flips := func(workers int) int {
+		c := &CategoryClassifier{Dataset: d, Cat: 1, CostMS: 1, ErrRate: 0.3, Seed: 3}
+		plan := engine.Plan{Ops: []engine.Operator{&engine.Scan{Blobs: d.Blobs}, &engine.Process{P: c}}}
+		res, err := engine.Run(plan, engine.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != len(d.Blobs) {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, len(res.Rows), len(d.Blobs))
+		}
+		n := 0
+		for _, r := range res.Rows {
+			v, err := r.Get(ColName(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (v.Num == 1) != d.Members[1][r.Blob.ID] {
+				n++
+			}
+		}
+		return n
+	}
+	one, four := flips(1), flips(4)
+	if one != four {
+		t.Fatalf("flipped outputs: %d on one worker, %d on four", one, four)
+	}
+	if share := float64(four) / float64(len(d.Blobs)); share < 0.25 || share > 0.35 {
+		t.Fatalf("flip share %v, want about 0.3", share)
 	}
 }

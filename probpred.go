@@ -113,8 +113,12 @@ type (
 	ExecConfig = engine.Config
 	// ExecResult carries rows plus virtual cluster time and latency.
 	ExecResult = engine.Result
-	// Processor is the per-row UDF template of §4.
+	// Processor is the row-manipulator UDF template of §4, applied a batch
+	// of rows per call: ApplyBatch appends each input row's outputs in input
+	// order and blames a failing row with a *RowError.
 	Processor = engine.Processor
+	// RowError names the input row a Processor batch failed at.
+	RowError = engine.RowError
 	// Row is one engine tuple: a blob plus materialized columns.
 	Row = engine.Row
 )

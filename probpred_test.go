@@ -76,12 +76,15 @@ type fakeColorProc struct{}
 
 func (fakeColorProc) Name() string  { return "ColorClassifier" }
 func (fakeColorProc) Cost() float64 { return 30 }
-func (fakeColorProc) Apply(r Row) ([]Row, error) {
-	v, err := data.TrafficValue(r.Blob, "c")
-	if err != nil {
-		return nil, err
+func (fakeColorProc) ApplyBatch(in, out []Row) ([]Row, error) {
+	for i, r := range in {
+		v, err := data.TrafficValue(r.Blob, "c")
+		if err != nil {
+			return out, &RowError{Index: i, Err: err}
+		}
+		out = append(out, r.With("c", v))
 	}
-	return []Row{r.With("c", v)}, nil
+	return out, nil
 }
 
 func TestNewPPCustomScorer(t *testing.T) {
