@@ -22,11 +22,10 @@ import (
 // uncached server performs. Wall clock for this path is benchmark/'s
 // traf20_steady workload.
 
-// trafficBuilder adapts the traffic harness to serve.QueryBuilder and
-// serve.CorpusBuilder: the UDF pipeline downstream of the PP is the detector
-// plus one UDF per referenced column, exactly as PPPlan assembles it. As a
-// CorpusBuilder the scanned blob slice is injected per call — that is what
-// the sharded coordinator partitions.
+// trafficBuilder adapts the traffic harness to serve.CorpusBuilder: the UDF
+// pipeline downstream of the PP is the detector plus one UDF per referenced
+// column, exactly as PPPlan assembles it. The scanned blob slice is injected
+// per call — that is what the sharded coordinator partitions.
 type trafficBuilder struct{ h *TrafficHarness }
 
 func (b trafficBuilder) UDFCost(pred query.Pred) (float64, error) {
@@ -35,10 +34,6 @@ func (b trafficBuilder) UDFCost(pred query.Pred) (float64, error) {
 		return 0, err
 	}
 	return udf.PipelineCost(procs), nil
-}
-
-func (b trafficBuilder) Build(pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	return b.BuildOver(b.h.TestBlobs, pred, filter)
 }
 
 func (b trafficBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
@@ -114,7 +109,7 @@ func Serve(cfg Config) (*Report, error) {
 	replay := func(mode string, disable bool) (serve.Stats, string, error) {
 		srv, err := serve.New(serve.Config{
 			Optimizer:         h.Opt,
-			Builder:           trafficBuilder{h},
+			Builder:           serve.BindCorpus(trafficBuilder{h}, h.TestBlobs),
 			Accuracy:          accuracy,
 			Domains:           data.TrafficDomains(),
 			MaxConcurrent:     concurrency,

@@ -6,7 +6,9 @@ import (
 	"probpred/internal/blob"
 	"probpred/internal/core"
 	"probpred/internal/engine"
+	"probpred/internal/mathx"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // compileMini optimizes a compound predicate over the mini corpus and returns
@@ -16,7 +18,7 @@ func compileMini(t *testing.T, pred string, blobs []blob.Blob) *Compiled {
 	t.Helper()
 	c := miniCorpus(t, blobs)
 	dec, err := New(c).Optimize(query.MustParse(pred), Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(),
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +33,7 @@ func compileMini(t *testing.T, pred string, blobs []blob.Blob) *Compiled {
 // real optimizer output: per-row pass verdicts and short-circuit-dependent
 // costs must equal the scalar walk exactly.
 func TestCompiledTestBatchMatchesTest(t *testing.T) {
-	blobs := miniBlobs(1500, 21)
+	blobs := testkit.Blobs(1500, 21)
 	for _, pred := range []string{
 		"t=SUV & c=red",
 		"t=SUV | t=van",
@@ -89,7 +91,7 @@ func testEach(f *Compiled, blobs []blob.Blob) {
 // pooled buffers are race-free): output rows, row order and the full Stats
 // accounting must be identical.
 func TestPPFilterBatchEquivalence(t *testing.T) {
-	blobs := miniBlobs(2000, 33)
+	blobs := testkit.Blobs(2000, 33)
 	f := compileMini(t, "(t=SUV | t=van) & s>50", blobs)
 	run := func(filter engine.BlobFilter, workers int) *engine.Result {
 		res, err := engine.Run(engine.Plan{Ops: []engine.Operator{
@@ -131,12 +133,11 @@ func TestPPFilterBatchEquivalence(t *testing.T) {
 }
 
 // TestPPFilterBatchEquivalenceTrainedPPs repeats the engine equivalence with
-// PPs whose reducer and scorer actually implement the batch interfaces
-// (miniCorpus scorers do not), so the flat-buffer fast path itself is what
-// runs inside TestBatch.
+// a trained Raw+SVM PP, so a production batch kernel — not the kit's
+// row-by-row ScoreBatch — is what runs inside TestBatch.
 func TestPPFilterBatchEquivalenceTrainedPPs(t *testing.T) {
-	set := miniSet(t, miniBlobs(1200, 77), "s>50")
-	train, val, rest := set.Split(mathxNewRNG(5), 0.4, 0.3)
+	set := testkit.Set(t, testkit.Blobs(1200, 77), "s>50")
+	train, val, rest := set.Split(mathx.NewRNG(5), 0.4, 0.3)
 	pp, err := core.Train("s>50", train, val, core.TrainConfig{Approach: "Raw+SVM", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestPPFilterBatchEquivalenceTrainedPPs(t *testing.T) {
 // the leaves gathered — a batch the score cache serves whole gathers
 // nothing, so nothing needs clearing.
 func TestBatchScratchClearsWhatLeavesWrote(t *testing.T) {
-	blobs := miniBlobs(300, 5)
+	blobs := testkit.Blobs(300, 5)
 	f := compileMini(t, "t=SUV & c=red", blobs)
 	cached := f.WithScoreCache(mapScoreCache{})
 	pass := make([]bool, len(blobs))

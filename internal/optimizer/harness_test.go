@@ -1,158 +1,18 @@
 package optimizer
 
-// Test harness: builds small, fully-controlled PPs over "mini traffic" blobs
-// whose dense features directly encode the ground-truth attributes, so that
-// every PP's reduction curve is known and the optimizer's logic can be
-// checked precisely.
-
 import (
 	"testing"
 
 	"probpred/internal/blob"
-	"probpred/internal/core"
-	"probpred/internal/dimred"
-	"probpred/internal/mathx"
-	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
-// Feature layout of a mini traffic blob.
-const (
-	fType  = 0 // vehicle type index 0..3
-	fColor = 1 // color index 0..4
-	fSpeed = 2 // speed 0..80
-	fNoise = 3 // per-blob noise used to make speed PPs imperfect
-)
-
-var (
-	miniTypes  = []string{"sedan", "SUV", "truck", "van"}
-	miniColors = []string{"white", "black", "silver", "red", "other"}
-)
-
-// miniBlobs generates n labeled-attribute blobs.
-func miniBlobs(n int, seed uint64) []blob.Blob {
-	rng := mathx.NewRNG(seed)
-	out := make([]blob.Blob, n)
-	for i := range out {
-		t := rng.Choice([]float64{0.45, 0.25, 0.14, 0.16})
-		c := rng.Choice([]float64{0.33, 0.25, 0.20, 0.12, 0.10})
-		s := mathx.Clamp(40+rng.NormFloat64()*15, 0, 80)
-		out[i] = blob.FromDense(i, mathx.Vec{float64(t), float64(c), s, rng.NormFloat64()})
-	}
-	return out
-}
-
-// miniLookup evaluates predicates against a mini blob's encoded attributes.
-func miniLookup(b blob.Blob) query.Lookup {
-	return func(col string) (query.Value, bool) {
-		switch col {
-		case "t":
-			return query.Str(miniTypes[int(b.Dense[fType])]), true
-		case "c":
-			return query.Str(miniColors[int(b.Dense[fColor])]), true
-		case "s":
-			return query.Number(b.Dense[fSpeed]), true
-		}
-		return query.Value{}, false
-	}
-}
-
-// miniSet labels blobs against a predicate.
-func miniSet(t *testing.T, blobs []blob.Blob, pred string) blob.Set {
-	t.Helper()
-	p := query.MustParse(pred)
-	var s blob.Set
-	for _, b := range blobs {
-		ok, err := p.Eval(miniLookup(b))
-		if err != nil {
-			t.Fatalf("labeling %q: %v", pred, err)
-		}
-		s.Append(b, ok)
-	}
-	return s
-}
-
-// exactScorer scores +1/−1 on exact categorical match: a "perfect" PP.
-type exactScorer struct {
-	dim  int
-	want float64
-	cost float64
-}
-
-func (s exactScorer) Score(x mathx.Vec) float64 {
-	if x[s.dim] == s.want {
-		return 1
-	}
-	return -1
-}
-func (s exactScorer) Name() string  { return "exact" }
-func (s exactScorer) Cost() float64 { return s.cost }
-
-// speedScorer ranks blobs by (noisy) speed: an imperfect monotone PP whose
-// accuracy-reduction trade-off is non-trivial.
-type speedScorer struct {
-	sign  float64 // +1 for lower bounds (s>v), −1 for upper bounds (s<v)
-	noise float64
-	cost  float64
-}
-
-func (s speedScorer) Score(x mathx.Vec) float64 {
-	return s.sign * (x[fSpeed] + x[fNoise]*s.noise)
-}
-func (s speedScorer) Name() string  { return "speed" }
-func (s speedScorer) Cost() float64 { return s.cost }
-
-// miniCorpus builds the standard test corpus over validation blobs:
-// equality PPs for every type and color value, and comparison PPs for speed
-// boundaries (the §8.2 corpus in miniature).
+// miniCorpus is the kit's PP set over validation blobs as a corpus.
 func miniCorpus(t *testing.T, val []blob.Blob) *Corpus {
 	t.Helper()
 	c := NewCorpus()
-	id := dimred.Identity{Dim: 4}
-	addExact := func(clause string, dim int, want float64, cost float64) {
-		set := miniSet(t, val, clause)
-		pp, err := core.NewPP(clause, "test", id, exactScorer{dim: dim, want: want, cost: cost}, set)
-		if err != nil {
-			t.Fatalf("building %q: %v", clause, err)
-		}
+	for _, pp := range testkit.PPs(t, val) {
 		c.Add(pp)
-	}
-	for i, typ := range miniTypes {
-		addExact("t="+typ, fType, float64(i), 1.0)
-	}
-	for i, col := range miniColors {
-		addExact("c="+col, fColor, float64(i), 1.0)
-	}
-	addSpeed := func(clause string, sign float64) {
-		set := miniSet(t, val, clause)
-		pp, err := core.NewPP(clause, "test", id, speedScorer{sign: sign, noise: 4, cost: 1.2}, set)
-		if err != nil {
-			t.Fatalf("building %q: %v", clause, err)
-		}
-		c.Add(pp)
-	}
-	for _, v := range []string{"40", "50", "60"} {
-		addSpeed("s>"+v, 1)
-	}
-	for _, v := range []string{"65", "70"} {
-		addSpeed("s<"+v, -1)
 	}
 	return c
 }
-
-// miniDomains matches data.TrafficDomains in miniature.
-func miniDomains() map[string][]query.Value {
-	d := map[string][]query.Value{}
-	for _, t := range miniTypes {
-		d["t"] = append(d["t"], query.Str(t))
-	}
-	for _, c := range miniColors {
-		d["c"] = append(d["c"], query.Str(c))
-	}
-	for s := 0.0; s <= 80; s += 10 {
-		d["s"] = append(d["s"], query.Number(s))
-	}
-	return d
-}
-
-// identityReducer returns the 4-dim identity reducer used by test PPs.
-func identityReducer() dimred.Identity { return dimred.Identity{Dim: 4} }

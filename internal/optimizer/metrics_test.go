@@ -6,17 +6,18 @@ import (
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // optimizeWithMetrics runs one standard mini search with a registry attached.
 func optimizeWithMetrics(t *testing.T, reg *metrics.Registry, tr *obs.Tracer) (*Optimizer, *Decision) {
 	t.Helper()
-	val := miniBlobs(2000, 63)
+	val := testkit.Blobs(2000, 63)
 	opt := New(miniCorpus(t, val))
 	opt.SetMetrics(reg)
 	opt.SetObs(tr)
 	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(),
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestCompiledInstrumentScalarAndBatch(t *testing.T) {
 	_, dec := optimizeWithMetrics(t, reg, nil)
 	dec.Filter.Instrument(reg)
 
-	blobs := miniBlobs(500, 64)
+	blobs := testkit.Blobs(500, 64)
 	// Batches of one, then one batch of many.
 	testEach(dec.Filter, blobs[:100])
 	testAll(dec.Filter, blobs[100:])

@@ -7,16 +7,17 @@ import (
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // TestOptimizeSearchStats: every Optimize call must profile its own plan
 // search — candidates generated/costed, memo behaviour, wall time.
 func TestOptimizeSearchStats(t *testing.T) {
-	val := miniBlobs(2000, 61)
+	val := testkit.Blobs(2000, 61)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(),
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestOptimizeSearchStats(t *testing.T) {
 // optimize span carrying the search's counts reaches the sink and the
 // aggregates reach the registry.
 func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
-	val := miniBlobs(2000, 62)
+	val := testkit.Blobs(2000, 62)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	reg := metrics.New()
@@ -56,7 +57,7 @@ func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 	col := obs.NewCollector()
 	pred := query.MustParse("t=SUV & c=red")
 	dec, err := opt.Optimize(pred, Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(), Obs: obs.New(col),
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(), Obs: obs.New(col),
 	})
 	if err != nil {
 		t.Fatal(err)

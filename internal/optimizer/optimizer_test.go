@@ -9,13 +9,11 @@ import (
 	"probpred/internal/core"
 	"probpred/internal/mathx"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
-// mathxNewRNG keeps the persistence test call sites short.
-func mathxNewRNG(seed uint64) *mathx.RNG { return mathx.NewRNG(seed) }
-
 func TestCorpusLookupDirect(t *testing.T) {
-	val := miniBlobs(400, 1)
+	val := testkit.Blobs(400, 1)
 	c := miniCorpus(t, val)
 	if c.Size() != 14 {
 		t.Fatalf("corpus size = %d, want 14 (4 types + 5 colors + 5 speeds)", c.Size())
@@ -28,7 +26,7 @@ func TestCorpusLookupDirect(t *testing.T) {
 }
 
 func TestCorpusLookupNegationReuse(t *testing.T) {
-	val := miniBlobs(400, 2)
+	val := testkit.Blobs(400, 2)
 	c := miniCorpus(t, val)
 	cl := query.MustParse("c!=white").(*query.Clause)
 	pp, ok := c.Lookup(cl)
@@ -44,7 +42,7 @@ func TestCorpusLookupNegationReuse(t *testing.T) {
 		t.Fatal("negation cache miss")
 	}
 	// And it must actually filter: white blobs score lower.
-	set := miniSet(t, val, "c!=white")
+	set := testkit.Set(t, val, "c!=white")
 	if r := pp.Reduction(1); r < 0.2 {
 		t.Fatalf("negated PP reduction = %v, selectivity = %v", r, set.Selectivity())
 	}
@@ -72,8 +70,8 @@ func TestCorpusLookupNegationReuse(t *testing.T) {
 }
 
 func TestGenerateSingleClause(t *testing.T) {
-	c := miniCorpus(t, miniBlobs(400, 3))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	c := miniCorpus(t, testkit.Blobs(400, 3))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("t=SUV"))
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a directly-covered clause")
@@ -86,8 +84,8 @@ func TestGenerateSingleClause(t *testing.T) {
 func TestGenerateRelaxedComparison(t *testing.T) {
 	// s>55 has no direct PP; the wrangler must relax to s>50 and s>40,
 	// preferring the tighter bound.
-	c := miniCorpus(t, miniBlobs(400, 4))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	c := miniCorpus(t, testkit.Blobs(400, 4))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("s>55"))
 	if len(cands) == 0 {
 		t.Fatal("no relaxed candidates")
@@ -131,8 +129,8 @@ func TestRelaxComparisonOnlyOffersNecessaryConditions(t *testing.T) {
 	}
 	// The end-to-end face of the bug: the generator must not seed s>=60
 	// with PP[s>60].
-	c := miniCorpus(t, miniBlobs(400, 4))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	c := miniCorpus(t, testkit.Blobs(400, 4))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	for _, e := range g.gen(query.MustParse("!(s<60)")) {
 		if e.String() == "PP[s>60]" {
 			t.Fatalf("!(s<60) was offered %s, which drops s=60", e)
@@ -141,8 +139,8 @@ func TestRelaxComparisonOnlyOffersNecessaryConditions(t *testing.T) {
 }
 
 func TestGenerateNotEqualWrangling(t *testing.T) {
-	c := miniCorpus(t, miniBlobs(400, 5))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 5}
+	c := miniCorpus(t, testkit.Blobs(400, 5))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 5}
 	cands := g.gen(query.MustParse("t!=sedan"))
 	// Both the negation-reuse leaf and the ∨-of-equals rewrite should show.
 	var hasLeaf, hasDisj bool
@@ -163,8 +161,8 @@ func TestGenerateNotEqualWrangling(t *testing.T) {
 }
 
 func TestGenerateConjunction(t *testing.T) {
-	c := miniCorpus(t, miniBlobs(400, 6))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	c := miniCorpus(t, testkit.Blobs(400, 6))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("t=SUV & c=red"))
 	found := map[string]bool{}
 	for _, e := range cands {
@@ -178,8 +176,8 @@ func TestGenerateConjunction(t *testing.T) {
 }
 
 func TestGenerateDisjunctionNeedsFullCoverage(t *testing.T) {
-	c := miniCorpus(t, miniBlobs(400, 7))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	c := miniCorpus(t, testkit.Blobs(400, 7))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	// "x=1" has no PP and no domain; the disjunction cannot be covered.
 	cands := g.gen(query.MustParse("t=SUV | x=1"))
 	if len(cands) != 0 {
@@ -199,8 +197,8 @@ func TestGenerateDisjunctionNeedsFullCoverage(t *testing.T) {
 }
 
 func TestGenerateRespectsMaxPPs(t *testing.T) {
-	c := miniCorpus(t, miniBlobs(400, 8))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 2}
+	c := miniCorpus(t, testkit.Blobs(400, 8))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 2}
 	cands := g.gen(query.MustParse("t=SUV & c=red & s>60 & s<65"))
 	for _, e := range cands {
 		if n := NumLeaves(e); n > 2 {
@@ -214,8 +212,8 @@ func TestGenerateRespectsMaxPPs(t *testing.T) {
 // each PP leaf back to its clause and check implication of the clause
 // expression.
 func TestGenerateAllImplied(t *testing.T) {
-	c := miniCorpus(t, miniBlobs(400, 9))
-	domains := miniDomains()
+	c := miniCorpus(t, testkit.Blobs(400, 9))
+	domains := testkit.Domains()
 	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: domains, maxPPs: 4}
 	preds := []string{
 		"(t=SUV | t=van) & c!=white & s>60",
@@ -268,7 +266,7 @@ func exprToPred(e Expr) (query.Pred, error) {
 }
 
 func TestCostConjunctionFormula(t *testing.T) {
-	val := miniBlobs(1000, 10)
+	val := testkit.Blobs(1000, 10)
 	c := miniCorpus(t, val)
 	ppT, _ := c.Get("t=SUV")
 	ppC, _ := c.Get("c=red")
@@ -287,7 +285,7 @@ func TestCostConjunctionFormula(t *testing.T) {
 }
 
 func TestCostDisjunctionFormula(t *testing.T) {
-	val := miniBlobs(1000, 11)
+	val := testkit.Blobs(1000, 11)
 	c := miniCorpus(t, val)
 	ppA, _ := c.Get("t=SUV")
 	ppB, _ := c.Get("t=van")
@@ -305,7 +303,7 @@ func TestCostDisjunctionFormula(t *testing.T) {
 }
 
 func TestRelaxedAccuracyImprovesReduction(t *testing.T) {
-	val := miniBlobs(2000, 12)
+	val := testkit.Blobs(2000, 12)
 	c := miniCorpus(t, val)
 	pp, _ := c.Get("s>60")
 	e := &Leaf{PP: pp}
@@ -318,11 +316,11 @@ func TestRelaxedAccuracyImprovesReduction(t *testing.T) {
 }
 
 func TestOptimizeEndToEnd(t *testing.T) {
-	val := miniBlobs(2000, 13)
+	val := testkit.Blobs(2000, 13)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(),
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,18 +349,18 @@ func TestOptimizeEndToEnd(t *testing.T) {
 func TestOptimizeFilterSoundness(t *testing.T) {
 	// At a=1, no blob satisfying the predicate may be dropped on the
 	// validation distribution.
-	val := miniBlobs(2000, 14)
+	val := testkit.Blobs(2000, 14)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	pred := query.MustParse("(t=SUV | t=van) & c!=white")
-	dec, err := opt.Optimize(pred, Options{Accuracy: 1, UDFCost: 100, Domains: miniDomains()})
+	dec, err := opt.Optimize(pred, Options{Accuracy: 1, UDFCost: 100, Domains: testkit.Domains()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dec.Inject {
 		t.Skip("no injection at a=1 for this corpus")
 	}
-	set := miniSet(t, val, "(t=SUV | t=van) & c!=white")
+	set := testkit.Set(t, val, "(t=SUV | t=van) & c!=white")
 	for i, b := range set.Blobs {
 		if !set.Labels[i] {
 			continue
@@ -374,7 +372,7 @@ func TestOptimizeFilterSoundness(t *testing.T) {
 }
 
 func TestOptimizeNoInjectionWhenUDFCheap(t *testing.T) {
-	val := miniBlobs(1000, 15)
+	val := testkit.Blobs(1000, 15)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	dec, err := opt.Optimize(query.MustParse("t=SUV"), Options{
@@ -419,11 +417,11 @@ func TestOptimizeNoPredicateQueryDependenceLoop(t *testing.T) {
 	// mutually exclusive, the textbook dependent case of A.5: at runtime
 	// every blob passes its own type's PP and the observed reduction is ~0.
 	// The feedback loop must flag the pairs and stop combining them.
-	val := miniBlobs(1000, 16)
+	val := testkit.Blobs(1000, 16)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	dec, err := opt.Optimize(query.True{}, Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(), MaxPPs: 5,
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(), MaxPPs: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +451,7 @@ func TestOptimizeNoPredicateQueryDependenceLoop(t *testing.T) {
 			t.Fatal("dependence not flagged for mutually exclusive PPs")
 		}
 		dec, err = opt.Optimize(query.True{}, Options{
-			Accuracy: 0.95, UDFCost: 100, Domains: miniDomains(), MaxPPs: 5,
+			Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(), MaxPPs: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -465,7 +463,7 @@ func TestOptimizeNoPredicateQueryDependenceLoop(t *testing.T) {
 }
 
 func TestObserveRuntimeFlagsDependence(t *testing.T) {
-	val := miniBlobs(2000, 17)
+	val := testkit.Blobs(2000, 17)
 	c := miniCorpus(t, val)
 	opt := New(c)
 	pred := query.MustParse("t=SUV & c=red")
@@ -527,16 +525,9 @@ func TestCompositePPPreferred(t *testing.T) {
 	// Train a composite PP for the conjunction with a much better cost than
 	// any decomposition; the generator should include it and the optimizer
 	// should pick it.
-	val := miniBlobs(2000, 18)
+	val := testkit.Blobs(2000, 18)
 	c := miniCorpus(t, val)
-	set := miniSet(t, val, "t=SUV & c=red")
-	// Perfect composite scorer: exact on both attributes.
-	composite, err := core.NewPP("c=red & t=SUV", "test",
-		identityReducer(), conjScorer{}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(composite)
+	c.Add(testkit.ExactPP(t, "c=red & t=SUV", val, 0.8))
 	opt := New(c)
 	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
 		Accuracy: 0.95, UDFCost: 100,
@@ -558,23 +549,12 @@ func TestCompositePPPreferred(t *testing.T) {
 	}
 }
 
-type conjScorer struct{}
-
-func (conjScorer) Score(x []float64) float64 {
-	if x[fType] == 1 && x[fColor] == 3 { // SUV && red
-		return 1
-	}
-	return -1
-}
-func (conjScorer) Name() string  { return "conj" }
-func (conjScorer) Cost() float64 { return 0.8 }
-
 func TestGenerateComplementConjunction(t *testing.T) {
 	// Table 10's alternates: t=SUV ∨ t=van also rewrites to the complement
 	// conjunction PP[t!=sedan] & PP[t!=truck] (via negation reuse) and to
 	// the single best ≠ leaf.
-	c := miniCorpus(t, miniBlobs(600, 50))
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	c := miniCorpus(t, testkit.Blobs(600, 50))
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	cands := g.gen(query.MustParse("t=SUV | t=van"))
 	found := map[string]bool{}
 	for _, e := range cands {
@@ -591,7 +571,7 @@ func TestGenerateComplementConjunction(t *testing.T) {
 		t.Fatalf("missing single-≠ alternate: %v", found)
 	}
 	// Soundness of the new candidates.
-	domains := miniDomains()
+	domains := testkit.Domains()
 	p := query.MustParse("t=SUV | t=van")
 	for _, e := range cands {
 		ip, err := exprToPred(e)
@@ -607,25 +587,13 @@ func TestGenerateComplementConjunction(t *testing.T) {
 func TestGenerateComplementNeedsFullDomainCoverage(t *testing.T) {
 	// With a domain value whose = PP is missing (so ≠ cannot be derived),
 	// the complement rewrite must not appear.
-	val := miniBlobs(600, 51)
+	val := testkit.Blobs(600, 51)
 	c := NewCorpus()
 	// Only two type PPs: SUV and van — sedan/truck PPs absent.
-	id := identityReducer()
 	for _, typ := range []string{"SUV", "van"} {
-		idx := 0.0
-		for i, name := range miniTypes {
-			if name == typ {
-				idx = float64(i)
-			}
-		}
-		set := miniSet(t, val, "t="+typ)
-		pp, err := core.NewPP("t="+typ, "test", id, exactScorer{dim: fType, want: idx, cost: 1}, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Add(pp)
+		c.Add(testkit.ExactPP(t, "t="+typ, val, 1))
 	}
-	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+	g := &generator{snap: c.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 	for _, e := range g.gen(query.MustParse("t=SUV | t=van")) {
 		if strings.Contains(e.String(), "!=") {
 			t.Fatalf("complement plan %s should need all ≠ PPs", e)
@@ -634,13 +602,13 @@ func TestGenerateComplementNeedsFullDomainCoverage(t *testing.T) {
 }
 
 func TestCorpusSaveLoad(t *testing.T) {
-	val := miniBlobs(600, 52)
+	val := testkit.Blobs(600, 52)
 	// Build a corpus with real trainable PPs (test scorers are not
 	// gob-registered; use SVMs over the mini blobs).
 	c := NewCorpus()
 	for i, clause := range []string{"t=SUV", "t=van", "c=red"} {
-		set := miniSet(t, val, clause)
-		train, v, _ := set.Split(mathxNewRNG(uint64(i)+400), 0.7, 0.3)
+		set := testkit.Set(t, val, clause)
+		train, v, _ := set.Split(mathx.NewRNG(uint64(i)+400), 0.7, 0.3)
 		pp, err := core.Train(clause, train, v, core.TrainConfig{Approach: "Raw+SVM", Seed: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
@@ -695,14 +663,14 @@ func TestOptimizeUnsatisfiablePredicate(t *testing.T) {
 	if !dec.Inject || dec.Reduction != 1 {
 		t.Fatalf("unsatisfiable predicate not short-circuited: %+v", dec)
 	}
-	if pass, cost := dec.Filter.Test(miniBlobs(1, 1)[0]); pass || cost != 0 {
+	if pass, cost := dec.Filter.Test(testkit.Blobs(1, 1)[0]); pass || cost != 0 {
 		t.Fatalf("drop-all filter wrong: pass=%v cost=%v", pass, cost)
 	}
 }
 
 func TestOptimizeSimplifiesBeforeMatching(t *testing.T) {
 	// A duplicated clause and a true conjunct must not confuse matching.
-	val := miniBlobs(500, 55)
+	val := testkit.Blobs(500, 55)
 	opt := New(miniCorpus(t, val))
 	dec, err := opt.Optimize(query.MustParse("t=SUV & t=SUV & true"), Options{
 		Accuracy: 0.95, UDFCost: 100,
@@ -723,18 +691,18 @@ func TestOptimizeSimplifiesBeforeMatching(t *testing.T) {
 //  3. at a=1, no blob satisfying the predicate on the *corpus validation
 //     distribution* is dropped.
 func TestOptimizeSoundnessQuick(t *testing.T) {
-	val := miniBlobs(1500, 60)
+	val := testkit.Blobs(1500, 60)
 	opt := New(miniCorpus(t, val))
-	domains := miniDomains()
+	domains := testkit.Domains()
 	rng := mathx.NewRNG(61)
 	for trial := 0; trial < 60; trial++ {
-		pred := randomMiniPredicate(rng)
+		pred := query.MustParse(testkit.RandomPred(rng, 1+rng.Intn(3)))
 		dec, err := opt.Optimize(pred, Options{Accuracy: 1, UDFCost: 100, Domains: domains})
 		if err != nil {
 			t.Fatalf("%s: %v", pred, err)
 		}
-		if !dec.Inject {
-			continue
+		if _, unsat := Canonicalize(pred).(query.False); !dec.Inject || unsat {
+			continue // an unsatisfiable predicate drops all: TestOptimizeUnsatisfiablePredicate
 		}
 		// 1. Soundness of the chosen expression.
 		exprPred, err := query.Parse(strings.NewReplacer("PP[", "(", "]", ")").Replace(dec.Expr))
@@ -750,7 +718,7 @@ func TestOptimizeSoundnessQuick(t *testing.T) {
 			leafCostSum += 1.3 // max leaf cost in the mini corpus (speed PPs)
 		}
 		for i, b := range val {
-			ok, evalErr := pred.Eval(miniLookup(b))
+			ok, evalErr := pred.Eval(testkit.Lookup(b))
 			if evalErr != nil {
 				continue
 			}
@@ -763,47 +731,4 @@ func TestOptimizeSoundnessQuick(t *testing.T) {
 			}
 		}
 	}
-}
-
-// randomMiniPredicate draws a random 1-3 clause conjunction over the mini
-// traffic columns, mixing =, ≠, in-sets and speed comparisons.
-func randomMiniPredicate(rng *mathx.RNG) query.Pred {
-	var kids []query.Pred
-	cols := rng.Perm(3)
-	n := 1 + rng.Intn(3)
-	for _, c := range cols[:n] {
-		switch c {
-		case 0: // type
-			v := miniTypes[rng.Intn(len(miniTypes))]
-			if rng.Bernoulli(0.3) {
-				kids = append(kids, &query.Clause{Col: "t", Op: query.OpNe, Val: query.Str(v)})
-			} else if rng.Bernoulli(0.3) {
-				w := miniTypes[rng.Intn(len(miniTypes))]
-				kids = append(kids, &query.Or{Kids: []query.Pred{
-					&query.Clause{Col: "t", Op: query.OpEq, Val: query.Str(v)},
-					&query.Clause{Col: "t", Op: query.OpEq, Val: query.Str(w)},
-				}})
-			} else {
-				kids = append(kids, &query.Clause{Col: "t", Op: query.OpEq, Val: query.Str(v)})
-			}
-		case 1: // color
-			v := miniColors[rng.Intn(len(miniColors))]
-			op := query.OpEq
-			if rng.Bernoulli(0.4) {
-				op = query.OpNe
-			}
-			kids = append(kids, &query.Clause{Col: "c", Op: op, Val: query.Str(v)})
-		default: // speed
-			bound := float64(40 + 5*rng.Intn(7))
-			op := query.OpGt
-			if rng.Bernoulli(0.5) {
-				op = query.OpLt
-			}
-			kids = append(kids, &query.Clause{Col: "s", Op: op, Val: query.Number(bound)})
-		}
-	}
-	if len(kids) == 1 {
-		return kids[0]
-	}
-	return &query.And{Kids: kids}
 }

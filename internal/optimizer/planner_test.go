@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 func TestInferClauses(t *testing.T) {
@@ -12,7 +13,7 @@ func TestInferClauses(t *testing.T) {
 		query.MustParse("t=SUV | t=van"),
 		query.MustParse("!(t=SUV)"),
 	}
-	freq := InferClauses(preds, miniDomains())
+	freq := InferClauses(preds, testkit.Domains())
 	if freq["t=SUV"] != 3 { // appears in all three (the ¬ becomes t!=SUV whose twin is t=SUV)
 		t.Fatalf("freq[t=SUV] = %d, want 3 (%v)", freq["t=SUV"], freq)
 	}

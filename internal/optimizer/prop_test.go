@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // propClauses is the pool random predicates draw from: corpus-covered
@@ -107,12 +108,12 @@ func planAccuracy(t *testing.T, p *plan, expr string) float64 {
 // just the chosen one — costs out to a plan whose composed accuracy meets
 // the query-wide target.
 func TestPropEveryPlanRespectsAccuracyBound(t *testing.T) {
-	corpus := miniCorpus(t, miniBlobs(400, 11))
+	corpus := miniCorpus(t, testkit.Blobs(400, 11))
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pred := query.MustParse(randPredStr(rng))
 		for _, target := range []float64{1, 0.95, 0.9, 0.8} {
-			g := &generator{snap: corpus.snap.Load(), deps: consulted{}, domains: miniDomains(), maxPPs: 4}
+			g := &generator{snap: corpus.snap.Load(), deps: consulted{}, domains: testkit.Domains(), maxPPs: 4}
 			for _, e := range g.gen(pred) {
 				p := costExpr(e, target, 100, costOpts{})
 				if got := planAccuracy(t, p, e.String()); got < target-1e-9 {
@@ -129,13 +130,13 @@ func TestPropEveryPlanRespectsAccuracyBound(t *testing.T) {
 // respellings share the canonical key — the soundness requirement for
 // keying a plan cache on CanonicalKey.
 func TestPropCanonicalizePreservesSemantics(t *testing.T) {
-	blobs := miniBlobs(150, 13)
+	blobs := testkit.Blobs(150, 13)
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		pred := query.MustParse(randPredStr(rng))
 		canon := Canonicalize(pred)
 		for _, b := range blobs {
-			lk := miniLookup(b)
+			lk := testkit.Lookup(b)
 			want, err1 := pred.Eval(lk)
 			got, err2 := canon.Eval(lk)
 			if err1 != nil || err2 != nil {
@@ -161,14 +162,14 @@ func TestPropCanonicalizePreservesSemantics(t *testing.T) {
 // the same plan cost — so a plan cached under the canonical key is a valid
 // answer for every spelling that maps to it.
 func TestPropSearchDeterministicUnderRespelling(t *testing.T) {
-	corpus := miniCorpus(t, miniBlobs(400, 17))
+	corpus := miniCorpus(t, testkit.Blobs(400, 17))
 	opt := New(corpus)
 	const target, u = 0.9, 100.0
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		pred := query.MustParse(randPredStr(rng))
 		alt := respell(pred, rng)
-		opts := Options{Accuracy: target, UDFCost: u, Domains: miniDomains()}
+		opts := Options{Accuracy: target, UDFCost: u, Domains: testkit.Domains()}
 		d1, err := opt.Optimize(pred, opts)
 		if err != nil {
 			t.Fatal(err)

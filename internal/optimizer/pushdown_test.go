@@ -7,6 +7,7 @@ import (
 	"probpred/internal/blob"
 	"probpred/internal/engine"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // costProc materializes one attribute column from the mini-blob encoding.
@@ -19,7 +20,7 @@ func (p costProc) Name() string  { return "UDF_" + p.col }
 func (p costProc) Cost() float64 { return p.cost }
 func (p costProc) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	for _, r := range in {
-		if v, ok := miniLookup(r.Blob)(p.col); ok {
+		if v, ok := testkit.Lookup(r.Blob)(p.col); ok {
 			out = append(out, r.With(p.col, v))
 		}
 	}
@@ -38,7 +39,7 @@ func basePlan(blobs []blob.Blob, pred query.Pred, extra ...engine.Operator) engi
 }
 
 func TestInjectIntoPlanBasic(t *testing.T) {
-	val := miniBlobs(1500, 41)
+	val := testkit.Blobs(1500, 41)
 	opt := New(miniCorpus(t, val))
 	pred := query.MustParse("t=SUV & c=red")
 	plan := basePlan(val, pred)
@@ -78,7 +79,7 @@ func TestInjectIntoPlanBasic(t *testing.T) {
 func TestInjectIntoPlanRenameRule(t *testing.T) {
 	// The query predicate uses the post-projection name vehType; the
 	// pushdown must unwind the rename so PP[t=SUV] matches.
-	val := miniBlobs(1500, 42)
+	val := testkit.Blobs(1500, 42)
 	opt := New(miniCorpus(t, val))
 	pred := query.MustParse("vehType=SUV")
 	plan := basePlan(val, pred, &engine.Project{Rename: map[string]string{"t": "vehType"}})
@@ -98,7 +99,7 @@ func TestInjectIntoPlanRenameRule(t *testing.T) {
 }
 
 func TestInjectIntoPlanComputedColumnBlocks(t *testing.T) {
-	val := miniBlobs(500, 43)
+	val := testkit.Blobs(500, 43)
 	opt := New(miniCorpus(t, val))
 	pred := query.MustParse("fast=yes")
 	plan := basePlan(val, pred, &engine.Project{Compute: []engine.ComputedCol{{
@@ -120,7 +121,7 @@ func TestInjectIntoPlanComputedColumnBlocks(t *testing.T) {
 }
 
 func TestInjectIntoPlanFKJoinRule(t *testing.T) {
-	val := miniBlobs(1500, 44)
+	val := testkit.Blobs(1500, 44)
 	opt := New(miniCorpus(t, val))
 	dim := []engine.Row{
 		engine.Row{}.With("t", query.Str("SUV")).With("class", query.Str("large")),
@@ -153,7 +154,7 @@ func TestInjectIntoPlanFKJoinRule(t *testing.T) {
 }
 
 func TestInjectIntoPlanGroupingBlocks(t *testing.T) {
-	val := miniBlobs(500, 45)
+	val := testkit.Blobs(500, 45)
 	opt := New(miniCorpus(t, val))
 	plan := engine.Plan{Ops: []engine.Operator{
 		&engine.Scan{Blobs: val},
@@ -188,7 +189,7 @@ func (keyCount) Reduce(key string, rows []engine.Row) ([]engine.Row, error) {
 }
 
 func TestInjectIntoPlanNoSelect(t *testing.T) {
-	val := miniBlobs(100, 46)
+	val := testkit.Blobs(100, 46)
 	opt := New(miniCorpus(t, val))
 	plan := engine.Plan{Ops: []engine.Operator{&engine.Scan{Blobs: val}}}
 	res, err := opt.InjectIntoPlan(plan, Options{Accuracy: 0.95})
@@ -203,7 +204,7 @@ func TestInjectIntoPlanNoSelect(t *testing.T) {
 func TestInjectIntoPlanSelectBelowSelect(t *testing.T) {
 	// A second σ between the seed point and the scan: the placeholder
 	// passes below it (independence affects estimates, not soundness).
-	val := miniBlobs(1500, 47)
+	val := testkit.Blobs(1500, 47)
 	opt := New(miniCorpus(t, val))
 	plan := engine.Plan{Ops: []engine.Operator{
 		&engine.Scan{Blobs: val},

@@ -4,17 +4,16 @@ import (
 	"math"
 	"testing"
 
-	"probpred/internal/blob"
 	"probpred/internal/core"
-	"probpred/internal/mathx"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // reoptDecision optimizes t=SUV & c=red over the mini corpus — a
 // two-leaf conjunction whose short-circuit order the re-optimizer can flip.
 func reoptDecision(t *testing.T) (*Optimizer, *Decision) {
 	t.Helper()
-	val := miniBlobs(600, 11)
+	val := testkit.Blobs(600, 11)
 	o := New(miniCorpus(t, val))
 	dec, err := o.Optimize(query.MustParse("t=SUV & c=red"), Options{Accuracy: 1, UDFCost: 50})
 	if err != nil {
@@ -26,27 +25,13 @@ func reoptDecision(t *testing.T) (*Optimizer, *Decision) {
 	return o, dec
 }
 
-// driftBlobs is a stream whose statistics invert the validation set's:
-// nearly every blob is red (the rare color) and almost none is an SUV.
-func driftBlobs(n int) []blob.Blob {
-	out := make([]blob.Blob, n)
-	for i := range out {
-		typ, col := 0.0, 3.0 // sedan, red
-		if i%10 == 0 {
-			typ = 1 // the occasional SUV
-		}
-		out[i] = blob.FromDense(i, mathx.Vec{typ, col, 40, 0})
-	}
-	return out
-}
-
 // The observed filter counts per-leaf rows without changing outcomes, and
 // short-circuiting shows in the counts: the second leaf only sees rows the
 // first kept.
 func TestRuntimeObserverCountsShortCircuit(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
-	blobs := miniBlobs(500, 12)
+	blobs := testkit.Blobs(500, 12)
 	gotPass, gotCost := testAll(obsF, blobs)
 	for i, b := range blobs {
 		wantPass, wantCost := dec.Filter.Test(b)
@@ -74,7 +59,7 @@ func TestRuntimeObserverCountsShortCircuit(t *testing.T) {
 // One batch of many feeds the probes exactly as batches of one do.
 func TestRuntimeObserverBatchMatchesScalar(t *testing.T) {
 	_, dec := reoptDecision(t)
-	blobs := miniBlobs(300, 13)
+	blobs := testkit.Blobs(300, 13)
 
 	scalarF, scalarRO := dec.Filter.WithRuntimeObserver()
 	testEach(scalarF, blobs)
@@ -95,7 +80,7 @@ func TestRuntimeObserverBatchMatchesScalar(t *testing.T) {
 func TestReoptimizeFlipsOrderUnderDrift(t *testing.T) {
 	o, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
-	stream := driftBlobs(400)
+	stream := testkit.DriftBlobs(400)
 	testAll(obsF, stream)
 	if d := ro.MaxDivergence(50); d < 0.3 {
 		t.Fatalf("drift stream divergence = %v, want substantial", d)
@@ -115,7 +100,7 @@ func TestReoptimizeFlipsOrderUnderDrift(t *testing.T) {
 	}
 	// Outcome equivalence on both the drifted stream and the original
 	// distribution — only the per-blob cost attribution may differ.
-	check := append(miniBlobs(300, 14), stream...)
+	check := append(testkit.Blobs(300, 14), stream...)
 	for _, b := range check {
 		oldPass, _ := obsF.Test(b)
 		newPass, _ := re.Filter.Test(b)
@@ -140,7 +125,7 @@ func TestReoptimizeFlipsOrderUnderDrift(t *testing.T) {
 func TestReoptimizeStableWithoutDrift(t *testing.T) {
 	o, dec := reoptDecision(t)
 	obsF, _ := dec.Filter.WithRuntimeObserver()
-	testAll(obsF, miniBlobs(600, 11))
+	testAll(obsF, testkit.Blobs(600, 11))
 	re, err := o.Reoptimize(obsF, 50, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +139,7 @@ func TestReoptimizeStableWithoutDrift(t *testing.T) {
 func TestMaxDivergenceMinRows(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
-	testAll(obsF, driftBlobs(10))
+	testAll(obsF, testkit.DriftBlobs(10))
 	if d := ro.MaxDivergence(1000); d != 0 {
 		t.Fatalf("divergence with unmet minRows = %v, want 0", d)
 	}
@@ -192,7 +177,7 @@ func TestObserverComposesWithScoreCache(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
 	cached := obsF.WithScoreCache(mapScoreCache{})
-	testAll(cached, miniBlobs(100, 15))
+	testAll(cached, testkit.Blobs(100, 15))
 	if ro.Stats()[0].Tested != 100 {
 		t.Fatalf("probe lost through WithScoreCache: tested = %d", ro.Stats()[0].Tested)
 	}

@@ -5,13 +5,14 @@ import (
 
 	"probpred/internal/engine"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // cacheLookups evaluates a filter over blobs through TestBatch with a
 // per-run tally and returns the score-cache lookups it counted (hits+misses)
 // plus the pass transcript.
 func cacheLookups(f *Compiled, n int) (lookups uint64, transcript []bool) {
-	blobs := miniBlobs(n, 19)
+	blobs := testkit.Blobs(n, 19)
 	transcript = make([]bool, n)
 	var ct engine.CacheTally
 	f.TestBatch(blobs, transcript, make([]float64, n), &ct)
@@ -22,7 +23,7 @@ func cacheLookups(f *Compiled, n int) (lookups uint64, transcript []bool) {
 // TestWithScoreCacheDoesNotMutateReceiver: the clone consults the cache, the
 // decision's own filter — shared by every session — still does not.
 func TestWithScoreCacheDoesNotMutateReceiver(t *testing.T) {
-	val := miniBlobs(600, 11)
+	val := testkit.Blobs(600, 11)
 	o := New(miniCorpus(t, val))
 	dec, err := o.Optimize(query.MustParse("t=SUV & s>60"), Options{Accuracy: 1, UDFCost: 50})
 	if err != nil {

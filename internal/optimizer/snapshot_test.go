@@ -10,6 +10,7 @@ import (
 
 	"probpred/internal/core"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // searchOutcome is what a plan search must reproduce exactly given the same
@@ -41,8 +42,8 @@ var snapshotMix = []string{
 // predicate, which finds its negation already derived, reports the same keys
 // as the first, negation base included.
 func TestSnapshotConsultedIndependentOfWarmth(t *testing.T) {
-	o := New(miniCorpus(t, miniBlobs(400, 5)))
-	opts := Options{Accuracy: 0.95, UDFCost: 100, Domains: miniDomains()}
+	o := New(miniCorpus(t, testkit.Blobs(400, 5)))
+	opts := Options{Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains()}
 	for _, pred := range snapshotMix {
 		cold, err := o.Optimize(query.MustParse(pred), opts)
 		if err != nil {
@@ -66,7 +67,7 @@ func TestSnapshotConsultedIndependentOfWarmth(t *testing.T) {
 // one corpus, racing a writer that retrains and removes PPs, each return the
 // decision a serial search returns on the snapshot version they report.
 func TestConcurrentSearchMatchesSerialSnapshot(t *testing.T) {
-	val := miniBlobs(400, 23)
+	val := testkit.Blobs(400, 23)
 	corpus := miniCorpus(t, val)
 	base := make([]*core.PP, 0, corpus.Size())
 	for _, clause := range corpus.Clauses() {
@@ -74,22 +75,17 @@ func TestConcurrentSearchMatchesSerialSnapshot(t *testing.T) {
 		base = append(base, pp)
 	}
 	// The writer's script: every step is one successful mutation.
-	retrained := func(clause string, sign float64) *core.PP {
-		pp, err := core.NewPP(clause, "retrained", identityReducer(),
-			speedScorer{sign: sign, noise: 9, cost: 0.9}, miniSet(t, val, clause))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pp
+	retrained := func(clause string) *core.PP {
+		return testkit.SpeedPP(t, clause, "retrained", val, 9, 0.9)
 	}
 	white, _ := corpus.Get("c=white")
 	suv, _ := corpus.Get("t=SUV")
 	round := []func(*Corpus){
 		func(c *Corpus) { c.Remove("s>60") },
-		func(c *Corpus) { c.Add(retrained("s>60", 1)) },
+		func(c *Corpus) { c.Add(retrained("s>60")) },
 		func(c *Corpus) { c.Remove("c=white") },
 		func(c *Corpus) { c.Add(white) },
-		func(c *Corpus) { c.Add(retrained("s>50", 1)) },
+		func(c *Corpus) { c.Add(retrained("s>50")) },
 		func(c *Corpus) { c.Remove("t=SUV") },
 		func(c *Corpus) { c.Add(suv) },
 	}
@@ -101,7 +97,7 @@ func TestConcurrentSearchMatchesSerialSnapshot(t *testing.T) {
 	for i, p := range snapshotMix {
 		preds[i] = query.MustParse(p)
 	}
-	opts := Options{Accuracy: 0.95, UDFCost: 100, Domains: miniDomains()}
+	opts := Options{Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains()}
 
 	type observed struct {
 		pred    int

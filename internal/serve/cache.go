@@ -24,6 +24,15 @@ import (
 //     cached score is bit-identical to a fresh one — the cache changes real
 //     CPU spent, never results or virtual costs.
 
+// Cache sizes. The score cache holds 1<<20 (PP, blob) scores — 40 MB when
+// full, at 32 bytes of slab plus 8 of index per entry, allocated as it
+// fills — striped over 16 locks.
+const (
+	planCacheSize    = 128
+	scoreCacheSize   = 1 << 20
+	scoreCacheShards = 16
+)
+
 // planEntry is one cached optimization outcome.
 type planEntry struct {
 	key string

@@ -1,188 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
-
-	"probpred/internal/adapt"
-	"probpred/internal/blob"
-	"probpred/internal/mathx"
 )
-
-// Determinism golden test: the same workload must produce byte-identical
-// rendered outputs — row sets, row order and virtual costs — across every
-// combination of engine worker count and score-cache mode. Workers only
-// change how the simulator uses real cores; the score cache only changes
-// real CPU spent. Neither may leak into results or accounting. CI runs this
-// under -race, so the cross-worker and cross-session sharing is also checked
-// for data races.
-func TestServeDeterminismAcrossWorkersAndCache(t *testing.T) {
-	type variant struct {
-		name     string
-		workers  int
-		disabled bool
-	}
-	variants := []variant{
-		{"w1-cache", 1, false},
-		{"w4-cache", 4, false},
-		{"w1-nocache", 1, true},
-		{"w4-nocache", 4, true},
-	}
-	outputs := make(map[string]string, len(variants))
-	for _, v := range variants {
-		st := newMiniStack(t, 2000, func(c *Config) {
-			c.Exec.Workers = v.workers
-			c.DisableScoreCache = v.disabled
-			c.MaxConcurrent = 4
-		})
-		resps, err := st.srv.Replay(miniWorkload, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		outputs[v.name] = renderResponses(resps)
-	}
-	golden := outputs[variants[0].name]
-	for _, v := range variants[1:] {
-		if outputs[v.name] != golden {
-			t.Errorf("variant %s diverged from %s:\n%s\nvs\n%s",
-				v.name, variants[0].name, outputs[v.name], golden)
-		}
-	}
-}
-
-// TestReplayOrderIndependence: responses come back in workload order with
-// per-query results independent of dispatch concurrency.
-func TestReplayOrderIndependence(t *testing.T) {
-	for _, conc := range []int{1, 3, 8} {
-		st := newMiniStack(t, 1500, func(c *Config) { c.MaxConcurrent = 4 })
-		resps, err := st.srv.Replay(miniWorkload, conc)
-		if err != nil {
-			t.Fatalf("concurrency %d: %v", conc, err)
-		}
-		for i, r := range resps {
-			if r == nil {
-				t.Fatalf("concurrency %d: response %d is nil", conc, i)
-			}
-			if r.ID != miniWorkload[i].ID {
-				t.Fatalf("concurrency %d: response %d is %s, want %s", conc, i, r.ID, miniWorkload[i].ID)
-			}
-		}
-		if conc == 1 {
-			continue
-		}
-		// Rendered outputs must match the sequential replay exactly.
-		seq := newMiniStack(t, 1500, nil)
-		want, err := seq.srv.Replay(miniWorkload, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, exp := renderResponses(resps), renderResponses(want); got != exp {
-			t.Errorf("concurrency %d diverged from sequential replay:\n%s\nvs\n%s", conc, got, exp)
-		}
-	}
-}
-
-// driftStream inverts the validation statistics the mini corpus was labeled
-// under: nearly everything is red (the rare color) and only every tenth blob
-// is an SUV, so cached plans for SUV&red carry a stale short-circuit order.
-func driftStream(n int) []blob.Blob {
-	out := make([]blob.Blob, n)
-	for i := range out {
-		typ := 0.0 // sedan
-		if i%10 == 0 {
-			typ = 1 // SUV
-		}
-		out[i] = blob.FromDense(i, mathx.Vec{typ, 3 /* red */, 40, 0})
-	}
-	return out
-}
-
-// renderRowIDs renders responses as query ID plus output blob IDs only.
-// Adaptive serving keeps rows byte-identical but may lower a session's
-// virtual cost mid-run (that is its purpose), and under concurrent replay
-// which sessions start on the promoted plan is schedule-dependent — so the
-// adaptive goldens compare results, not per-session cost.
-func renderRowIDs(resps []*Response) string {
-	var sb strings.Builder
-	for _, r := range resps {
-		if r == nil {
-			sb.WriteString("<nil>\n")
-			continue
-		}
-		fmt.Fprintf(&sb, "%s ids=", r.ID)
-		for i, row := range r.Result.Rows {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", row.Blob.ID)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Adaptive serving under drift: concurrent sessions share one cached plan
-// while the adapt controller demotes it mid-run and promotes the re-ordered
-// filter, and every served row set stays byte-identical to the non-adaptive
-// server's. CI runs this under -race, so the demotion/promotion traffic
-// against concurrent cache readers is also checked for data races.
-func TestServeAdaptiveDeterminismUnderConcurrentDemotion(t *testing.T) {
-	// Q4/Q5 share a canonical key; repeating them keeps several sessions on
-	// the same entry while swaps demote and promote it.
-	workload := []WorkloadQuery{
-		{ID: "Q1", Pred: "t=SUV & c=red"},
-		{ID: "Q2", Pred: "c=red & t=SUV"},
-		{ID: "Q3", Pred: "t=SUV & c=red"},
-		{ID: "Q4", Pred: "c=red & t=SUV"},
-		{ID: "Q5", Pred: "t=SUV & c=red"},
-		{ID: "Q6", Pred: "c=red & t=SUV"},
-	}
-	stream := driftStream(2000)
-	baseline := newMiniStack(t, 100, func(c *Config) {
-		c.Builder = &miniBuilder{blobs: stream, udf: miniUDF{cost: 40}}
-	})
-	want, err := baseline.srv.Replay(workload, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := renderRowIDs(want)
-
-	for _, conc := range []int{1, 4} {
-		st := newMiniStack(t, 100, func(c *Config) {
-			c.Builder = &miniBuilder{blobs: stream, udf: miniUDF{cost: 40}}
-			c.Adapt = adapt.New(adapt.Config{ChunkRows: 256})
-			c.MaxConcurrent = 4
-		})
-		resps, err := st.srv.Replay(workload, conc)
-		if err != nil {
-			t.Fatalf("concurrency %d: %v", conc, err)
-		}
-		if got := renderRowIDs(resps); got != golden {
-			t.Errorf("concurrency %d: adaptive results diverged:\n%s\nvs\n%s", conc, got, golden)
-		}
-		var swaps int
-		for _, r := range resps {
-			if r.Adapt == nil {
-				t.Fatalf("concurrency %d: %s missing adapt report", conc, r.ID)
-			}
-			swaps += len(r.Adapt.Swaps)
-		}
-		if swaps == 0 {
-			t.Errorf("concurrency %d: drift produced no swap", conc)
-		}
-		stats := st.srv.Stats()
-		if stats.PlanDemotions == 0 || stats.PlanPromotions == 0 {
-			t.Errorf("concurrency %d: cache not maintained: demotions=%d promotions=%d",
-				conc, stats.PlanDemotions, stats.PlanPromotions)
-		}
-		// Promoted plans still resolve: the key serves from cache afterwards.
-		if _, ok := st.srv.plans.get(want[0].PlanKey, st.corpus.Version()); !ok {
-			t.Errorf("concurrency %d: promoted plan missing from cache", conc)
-		}
-	}
-}
 
 // The plan cache itself survives demote/promote/get storms: entries stay
 // immutable (readers never observe a half-written entry) and the population
@@ -239,16 +60,22 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 	if st.srv.plans.demotions.Load() == 0 || st.srv.plans.promotions.Load() == 0 {
 		t.Fatal("counters did not move")
 	}
+	// A demoted key that adapt then promotes resolves from the cache again.
+	for _, k := range keys {
+		st.srv.plans.demote(k)
+		st.srv.plans.promote(donors[k], donors[k].filter)
+		if _, ok := st.srv.plans.get(k, version); !ok {
+			t.Errorf("promoted plan %q missing from cache", k)
+		}
+	}
 }
 
 // TestScoreCacheEvictionKeepsResults: a score cache far too small for the
 // stream (constant eviction pressure) still serves identical results.
 func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	full := newMiniStack(t, 1500, nil)
-	tiny := newMiniStack(t, 1500, func(c *Config) {
-		c.ScoreCacheSize = 64
-		c.ScoreCacheShards = 4
-	})
+	tiny := newMiniStack(t, 1500, nil)
+	tiny.srv.scores = newScoreCache(64, 4, false)
 	rf, err := full.srv.Replay(miniWorkload, 2)
 	if err != nil {
 		t.Fatal(err)

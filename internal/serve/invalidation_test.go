@@ -11,23 +11,16 @@ import (
 	"testing"
 
 	"probpred/internal/core"
-	"probpred/internal/dimred"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // retrainSpeedPP builds a replacement PP for a speed clause, standing in for
 // one round of incremental retraining.
-func retrainSpeedPP(t *testing.T, clause string, sign float64) *core.PP {
-	t.Helper()
-	val := miniBlobs(400, 8)
-	set := miniSet(t, val, clause)
-	pp, err := core.NewPP(clause, "retrained", dimred.Identity{Dim: 4}, speedScorer{sign: sign, noise: 4, cost: 1.1}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pp
+func retrainSpeedPP(t *testing.T, clause string) *core.PP {
+	return testkit.SpeedPP(t, clause, "retrained", testkit.Blobs(400, 8), 4, 1.1)
 }
 
 func TestPartialInvalidationSurvivesUnrelatedRetraining(t *testing.T) {
@@ -48,7 +41,7 @@ func TestPartialInvalidationSurvivesUnrelatedRetraining(t *testing.T) {
 	}
 
 	// Retrain the s>60 PP. Only the plan that consulted column s may go.
-	st.corpus.Add(retrainSpeedPP(t, "s>60", 1))
+	st.corpus.Add(retrainSpeedPP(t, "s>60"))
 
 	do("c=red")
 	do("t=SUV")
@@ -121,7 +114,7 @@ func TestStaleEvictionExactlyOnce(t *testing.T) {
 	if _, err := st.srv.Do(Request{ID: "prime", Pred: pred}); err != nil {
 		t.Fatal(err)
 	}
-	st.corpus.Add(retrainSpeedPP(t, "s>60", 1))
+	st.corpus.Add(retrainSpeedPP(t, "s>60"))
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -167,7 +160,7 @@ func TestPlanEntryStampedWithSearchedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.corpus.Add(retrainSpeedPP(t, "s>60", 1))
+	st.corpus.Add(retrainSpeedPP(t, "s>60"))
 	st.srv.plans.put(e)
 
 	if e.version != searchedOn || e.dec.CorpusVersion != searchedOn {

@@ -34,27 +34,16 @@ import (
 	"probpred/internal/query"
 )
 
-// QueryBuilder turns a predicate into an executable plan. Implementations
-// describe the application's UDF pipeline (e.g. the traffic benchmark's
-// detector + per-column UDFs); the server supplies the PP filter to inject.
-type QueryBuilder interface {
-	// UDFCost returns u, the per-blob virtual cost of the plan downstream of
-	// a PP for this predicate — the work a PP can short-circuit (§3).
-	UDFCost(pred query.Pred) (float64, error)
-	// Build assembles the executable plan for the predicate, injecting filter
-	// right after the scan. filter is nil when the optimizer declined to
-	// inject (the plan must then run unmodified).
-	Build(pred query.Pred, filter engine.BlobFilter) (engine.Plan, error)
-}
-
-// CorpusBuilder is the engine/corpus split of QueryBuilder: plan assembly
-// with the blob corpus injected per call instead of baked into the builder.
-// It is what sharded serving composes on — the coordinator binds one builder
-// to N disjoint corpus slices, one per shard — and what later distribution
-// work (remote shards, segment-versioned corpora) reuses.
+// CorpusBuilder assembles executable plans: it describes the application's
+// UDF pipeline (e.g. the traffic benchmark's detector + per-column UDFs),
+// the server supplies the PP filter to inject, and the blob corpus to scan
+// is passed per call. That split is what sharded serving composes on — the
+// coordinator binds one builder to N disjoint corpus slices, one per shard —
+// and what streaming reuses to scan one segment per session.
 type CorpusBuilder interface {
 	// UDFCost returns u, the per-blob virtual cost of the plan downstream of
-	// a PP for this predicate (corpus-independent).
+	// a PP for this predicate — the work a PP can short-circuit (§3). It is
+	// corpus-independent.
 	UDFCost(pred query.Pred) (float64, error)
 	// BuildOver assembles the executable plan whose scan covers exactly
 	// blobs, injecting filter right after the scan (nil filter = run
@@ -64,20 +53,17 @@ type CorpusBuilder interface {
 	BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error)
 }
 
-// BindCorpus fixes a CorpusBuilder to one blob slice, yielding the
-// per-server QueryBuilder a shard replica plans with.
-func BindCorpus(b CorpusBuilder, blobs []blob.Blob) QueryBuilder {
-	return boundBuilder{b: b, blobs: blobs}
+// BoundCorpus is a CorpusBuilder fixed to one blob slice: the corpus a
+// server's requests scan when they carry no blobs of their own.
+type BoundCorpus struct {
+	CorpusBuilder
+	Blobs []blob.Blob
 }
 
-type boundBuilder struct {
-	b     CorpusBuilder
-	blobs []blob.Blob
-}
-
-func (b boundBuilder) UDFCost(pred query.Pred) (float64, error) { return b.b.UDFCost(pred) }
-func (b boundBuilder) Build(pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	return b.b.BuildOver(b.blobs, pred, filter)
+// BindCorpus fixes b to one blob slice, yielding the Config.Builder a
+// server (or a shard replica) plans with.
+func BindCorpus(b CorpusBuilder, blobs []blob.Blob) *BoundCorpus {
+	return &BoundCorpus{CorpusBuilder: b, Blobs: blobs}
 }
 
 // Config configures a Server.
@@ -85,8 +71,9 @@ type Config struct {
 	// Optimizer plans predicates over the shared corpus. Required. Cached
 	// plans are served without touching it.
 	Optimizer *optimizer.Optimizer
-	// Builder assembles executable plans. Required unless Corpus is set.
-	Builder QueryBuilder
+	// Builder assembles executable plans over its bound corpus (see
+	// BindCorpus). Required unless Corpus is set.
+	Builder *BoundCorpus
 	// Corpus optionally provides per-request plan assembly for streaming
 	// ingestion: a Request carrying an explicit Blobs slice is built with
 	// Corpus.BuildOver over exactly that slice (a segment delta), sharing the
@@ -108,15 +95,6 @@ type Config struct {
 	// Exec is the execution environment for every session's engine.Run.
 	// Its Obs/Metrics default to the server's when unset.
 	Exec engine.Config
-	// PlanCacheSize bounds cached plans (LRU). Zero selects 128.
-	PlanCacheSize int
-	// ScoreCacheSize bounds memoized (PP, blob) scores across all shards
-	// (LRU per shard). Zero selects 1<<20 entries: 40 MB when full, at 32
-	// bytes of slab plus 8 of index per entry, allocated as the cache fills.
-	ScoreCacheSize int
-	// ScoreCacheShards is the score cache's lock-striping factor. Zero
-	// selects 16.
-	ScoreCacheShards int
 	// DisableScoreCache keeps the score-cache plumbing (and its miss
 	// counters) but stores nothing, so every lookup misses — the knob the
 	// benchmark uses to measure uncached evaluation counts through identical
@@ -167,15 +145,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 128
-	}
-	if c.ScoreCacheSize <= 0 {
-		c.ScoreCacheSize = 1 << 20
-	}
-	if c.ScoreCacheShards <= 0 {
-		c.ScoreCacheShards = 16
 	}
 	if c.Routing == "" {
 		c.Routing = RouteRoundRobin
@@ -356,8 +325,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:    cfg,
-		plans:  newPlanCache(cfg.PlanCacheSize, cfg.Optimizer.Corpus()),
-		scores: newScoreCache(cfg.ScoreCacheSize, cfg.ScoreCacheShards, cfg.DisableScoreCache),
+		plans:  newPlanCache(planCacheSize, cfg.Optimizer.Corpus()),
+		scores: newScoreCache(scoreCacheSize, scoreCacheShards, cfg.DisableScoreCache),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 		m:      newServeMetrics(cfg.Metrics),
 	}, nil
@@ -585,7 +554,7 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 		}
 		plan, err = s.cfg.Corpus.BuildOver(req.Blobs, req.Pred, filter)
 	} else {
-		plan, err = s.cfg.Builder.Build(req.Pred, filter)
+		plan, err = s.cfg.Builder.BuildOver(s.cfg.Builder.Blobs, req.Pred, filter)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: build plan for %q: %w", req.Pred.String(), err)

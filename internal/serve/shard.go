@@ -33,7 +33,7 @@ import (
 type ShardedConfig struct {
 	// Base is the per-replica server template: optimizer, accuracy target,
 	// domains, per-replica MaxConcurrent (the shard's worker-pool width),
-	// exec environment, cache sizes and Routing policy. Base.Builder is
+	// exec environment, score-cache mode and Routing policy. Base.Builder is
 	// ignored — plans are assembled by Builder below, bound to each shard's
 	// corpus slice.
 	Base Config

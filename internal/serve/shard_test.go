@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,55 +15,11 @@ import (
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
-// miniCorpusBuilder is miniBuilder's engine/corpus split: the same
-// scan → [PP filter] → UDF → σ plan, but over an injected blob slice — what
-// the sharded coordinator binds to each shard.
-type miniCorpusBuilder struct{ udf engine.Processor }
-
-func (b miniCorpusBuilder) UDFCost(query.Pred) (float64, error) { return b.udf.Cost(), nil }
-
-func (b miniCorpusBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
-	if filter != nil {
-		ops = append(ops, &engine.PPFilter{F: filter})
-	}
-	ops = append(ops, &engine.Process{P: b.udf}, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, nil
-}
-
-// newMiniCoordinator wires a Coordinator over the miniStack fixtures. mutate
-// adjusts the sharded config before NewSharded (nil for defaults).
-func newMiniCoordinator(t *testing.T, nBlobs, shards, replicas int, routing RoutingPolicy, mutate func(*ShardedConfig)) *Coordinator {
-	t.Helper()
-	blobs := miniBlobs(nBlobs, 7)
-	val := miniBlobs(400, 8)
-	cfg := ShardedConfig{
-		Base: Config{
-			Optimizer: optimizer.New(miniCorpus(t, val)),
-			Accuracy:  0.95,
-			Domains:   miniDomains(),
-			Exec:      engine.Config{NoStageOverhead: true},
-			Routing:   routing,
-		},
-		Shards:   shards,
-		Replicas: replicas,
-		Corpus:   blobs,
-		Builder:  miniCorpusBuilder{udf: miniUDF{cost: 40}},
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestSplitBlobs(t *testing.T) {
-	blobs := miniBlobs(10, 1)
+	blobs := testkit.Blobs(10, 1)
 	for _, tc := range []struct {
 		n    int
 		want []int // slice lengths
@@ -96,104 +52,17 @@ func TestSplitBlobs(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminism is the golden gate: every shard count × routing
-// policy × engine worker count must serve byte-identical results to the
-// unsharded server — rows, row order and virtual cluster cost. Run under
-// -race this also exercises the scatter paths for data races.
-func TestShardedDeterminism(t *testing.T) {
-	const nBlobs = 60
-	st := newMiniStack(t, nBlobs, nil)
-	baseResps, err := st.srv.Replay(miniWorkload, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := renderResponses(baseResps)
-	if !strings.Contains(baseline, "rows=") {
-		t.Fatalf("degenerate baseline render: %q", baseline)
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		for _, routing := range []RoutingPolicy{RouteRoundRobin, RouteLeastLoaded, RoutePlanAffinity} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("shards=%d/%s/workers=%d", shards, routing, workers)
-				t.Run(name, func(t *testing.T) {
-					c := newMiniCoordinator(t, nBlobs, shards, 2, routing, func(cfg *ShardedConfig) {
-						cfg.Base.Exec.Workers = workers
-					})
-					resps, err := c.Replay(miniWorkload, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := renderResponses(resps); got != baseline {
-						t.Errorf("sharded render diverged from unsharded baseline\n got: %s\nwant: %s", got, baseline)
-					}
-					st := c.Stats()
-					if st.ScatterSessions != uint64(len(miniWorkload)) {
-						t.Errorf("ScatterSessions = %d, want %d", st.ScatterSessions, len(miniWorkload))
-					}
-					if st.ScatterFailures != 0 {
-						t.Errorf("ScatterFailures = %d, want 0", st.ScatterFailures)
-					}
-					// Every leg ran: Sessions counts per-shard legs.
-					if want := uint64(len(miniWorkload) * shards); st.Sessions != want {
-						t.Errorf("Sessions = %d, want %d (legs)", st.Sessions, want)
-					}
-				})
-			}
-		}
-	}
-}
-
-// checkLedger asserts the one-ledger invariant on a served Result: PerOp
-// costs sum to ClusterTime (merging and chunking regroup float additions,
-// hence the relative tolerance) and cardinalities chain through the plan's
-// operators to the result. An adapt re-plan row, which consumes no rows, is
-// excluded from the chain.
-func checkLedger(t *testing.T, res *engine.Result) {
-	t.Helper()
-	sum := 0.0
-	ops := res.PerOp
-	for _, op := range ops {
-		sum += op.Cost
-	}
-	if math.Abs(sum-res.ClusterTime) > 1e-9*res.ClusterTime {
-		t.Errorf("sum(PerOp.Cost) = %v, ClusterTime = %v", sum, res.ClusterTime)
-	}
-	if len(ops) > 0 && ops[len(ops)-1].Name == adapt.ReplanOp {
-		ops = ops[:len(ops)-1]
-	}
-	if len(ops) == 0 {
-		t.Fatal("result carries no PerOp ledger")
-	}
-	for i := 1; i < len(ops); i++ {
-		if ops[i].RowsIn != ops[i-1].RowsOut {
-			t.Errorf("PerOp[%d] %s: %d rows in, predecessor produced %d", i, ops[i].Name, ops[i].RowsIn, ops[i-1].RowsOut)
-		}
-	}
-	if ops[len(ops)-1].RowsOut != len(res.Rows) {
-		t.Errorf("last operator produced %d rows, result has %d", ops[len(ops)-1].RowsOut, len(res.Rows))
-	}
-}
-
-// TestShardedMergeAccounting checks the merge invariants beyond the render,
-// over 1, 2 and 4 shards: per-operator stats sum positionally and still
-// account for the whole merged ClusterTime, latency is the max over parallel
-// legs, and PlanCached ANDs across legs.
+// TestShardedMergeAccounting checks the merge invariants beyond the ones the
+// oracle holds to the reference (merged rows, PerOp and ClusterTime are
+// TestShardedDeterminism's), over 1, 2 and 4 shards: the merged ledger
+// balances, latency is the max over parallel legs, and PlanCached ANDs
+// across legs.
 func TestShardedMergeAccounting(t *testing.T) {
 	st := newMiniStack(t, 60, nil)
 	pred := query.MustParse("t=SUV & s>60")
 	base, err := st.srv.Do(Request{ID: "Q", Pred: pred})
 	if err != nil {
 		t.Fatal(err)
-	}
-	checkLedger(t, base.Result)
-
-	// Virtual costs are per-row, so shard totals sum to the unsharded total;
-	// the summation is regrouped (per-shard subtotals), so allow ulp-level
-	// float noise. The byte-identical contract is the %.6f render, checked in
-	// TestShardedDeterminism.
-	closeTo := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -212,21 +81,7 @@ func TestShardedMergeAccounting(t *testing.T) {
 			if !again.PlanCached {
 				t.Error("repeat scatter session not PlanCached; all legs should hit their plan caches")
 			}
-
-			checkLedger(t, first.Result)
-			if got, want := len(first.Result.PerOp), len(base.Result.PerOp); got != want {
-				t.Fatalf("merged PerOp has %d ops, want %d (same plan shape)", got, want)
-			}
-			for i, op := range first.Result.PerOp {
-				b := base.Result.PerOp[i]
-				if op.Name != b.Name || op.RowsIn != b.RowsIn || op.RowsOut != b.RowsOut || !closeTo(op.Cost, b.Cost) {
-					t.Errorf("PerOp[%d] merged %q rows %d→%d cost %v, unsharded %q rows %d→%d cost %v",
-						i, op.Name, op.RowsIn, op.RowsOut, op.Cost, b.Name, b.RowsIn, b.RowsOut, b.Cost)
-				}
-			}
-			if !closeTo(first.Result.ClusterTime, base.Result.ClusterTime) {
-				t.Errorf("merged ClusterTime %v != unsharded %v", first.Result.ClusterTime, base.Result.ClusterTime)
-			}
+			testkit.CheckLedger(t, "merged", first.Result, adapt.ReplanOp)
 			// Legs run in parallel: merged modeled latency is the slowest shard's,
 			// which over a partitioned corpus cannot exceed the unsharded latency.
 			if first.Result.Latency > base.Result.Latency {
@@ -262,49 +117,10 @@ func TestMergeLegsKeepsLedgerWhenReplanCountsDiffer(t *testing.T) {
 		{shard: 1, resp: legResp(31, 0)},  // never re-planned
 		{shard: 2, resp: legResp(29, 5)},  // re-planned once
 	})
-	checkLedger(t, merged.Result)
+	testkit.CheckLedger(t, "ledger", merged.Result, adapt.ReplanOp)
 	last := merged.Result.PerOp[len(merged.Result.PerOp)-1]
 	if last.Name != adapt.ReplanOp || last.Cost != 15 {
 		t.Fatalf("merged re-plan row = %+v, want %s at 15 vms", last, adapt.ReplanOp)
-	}
-}
-
-// TestShardedExplicitBlobsSplitAcrossLegs: a request carrying its own segment
-// (Request.Blobs, the streaming path) is split contiguously across the legs
-// like the corpus is, so the scatter serves each row once — byte-identical to
-// a single Server over the same segment at every shard and replica count,
-// including a segment shorter than the shard count (empty legs).
-func TestShardedExplicitBlobsSplitAcrossLegs(t *testing.T) {
-	builder := miniCorpusBuilder{udf: miniUDF{cost: 40}}
-	st := newMiniStack(t, 60, func(cfg *Config) { cfg.Corpus = builder })
-	// Blob IDs key the score cache, so the segments' IDs must be disjoint
-	// from each other and from the bound corpus (IDs 0..59).
-	fresh := miniBlobs(363, 21)
-	for _, segment := range [][]blob.Blob{fresh[60:360], fresh[360:]} {
-		serveAll := func(d doer) string {
-			var resps []*Response
-			for _, q := range miniWorkload {
-				resp, err := d.Do(Request{ID: q.ID, Pred: query.MustParse(q.Pred), Blobs: segment})
-				if err != nil {
-					t.Fatalf("%s over a %d-blob segment: %v", q.ID, len(segment), err)
-				}
-				checkLedger(t, resp.Result)
-				resps = append(resps, resp)
-			}
-			return renderResponses(resps)
-		}
-		baseline := serveAll(st.srv)
-		for shards := 1; shards <= 4; shards++ {
-			for replicas := 1; replicas <= 2; replicas++ {
-				c := newMiniCoordinator(t, 60, shards, replicas, RouteRoundRobin, func(cfg *ShardedConfig) {
-					cfg.Base.Corpus = builder
-				})
-				if got := serveAll(c); got != baseline {
-					t.Errorf("%d-blob segment through %d shards x %d replicas diverged from a single server\n got: %s\nwant: %s",
-						len(segment), shards, replicas, got, baseline)
-				}
-			}
-		}
 	}
 }
 
@@ -321,7 +137,7 @@ func TestShardedPlanAffinityWarmth(t *testing.T) {
 		pred := query.MustParse("t=SUV & c=red")
 		for i := 0; i < repeats; i++ {
 			if i == repeats/2 {
-				c.cfg.Base.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60", 1))
+				c.cfg.Base.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60"))
 			}
 			if _, err := c.Do(Request{ID: fmt.Sprintf("Q%d", i), Pred: pred}); err != nil {
 				t.Fatal(err)
@@ -364,26 +180,6 @@ func TestShardedPlanAffinityWarmth(t *testing.T) {
 	}
 }
 
-// failingCorpusBuilder fails plan assembly for any slice containing the
-// poisoned blob ID — exactly one shard of a contiguous split.
-type failingCorpusBuilder struct {
-	inner    CorpusBuilder
-	poisoned int
-}
-
-func (b failingCorpusBuilder) UDFCost(pred query.Pred) (float64, error) {
-	return b.inner.UDFCost(pred)
-}
-
-func (b failingCorpusBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	for _, bb := range blobs {
-		if bb.ID == b.poisoned {
-			return engine.Plan{}, fmt.Errorf("injected shard fault (blob %d)", b.poisoned)
-		}
-	}
-	return b.inner.BuildOver(blobs, pred, filter)
-}
-
 // TestShardedFailureAttribution: when one shard fails, the session errors out
 // promptly with the failing shard attributed — never a hang, never a partial
 // result — the failure is counted, and the flight recorder auto-dumps on the
@@ -391,9 +187,13 @@ func (b failingCorpusBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filt
 func TestShardedFailureAttribution(t *testing.T) {
 	var dump bytes.Buffer
 	fr := obs.NewFlightRecorder(64, &dump)
-	// Blob 0 lives in shard 0 of any contiguous split.
 	c := newMiniCoordinator(t, 60, 3, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
-		cfg.Builder = failingCorpusBuilder{inner: cfg.Builder, poisoned: 0}
+		cfg.Builder = testkit.Builder{Refuse: func(blobs []blob.Blob, _ query.Pred) error {
+			if len(blobs) > 0 && blobs[0].ID == 0 { // blob 0 opens shard 0 of any contiguous split
+				return errors.New("injected shard fault (blob 0)")
+			}
+			return nil
+		}}
 		cfg.Base.Obs = obs.New(fr)
 	})
 
@@ -439,34 +239,28 @@ func TestShardedFailureAttribution(t *testing.T) {
 
 // TestShardedValidation covers NewSharded's config errors.
 func TestShardedValidation(t *testing.T) {
-	blobs := miniBlobs(8, 7)
-	val := miniBlobs(400, 8)
-	base := Config{
-		Optimizer: optimizer.New(miniCorpus(t, val)),
-		Accuracy:  0.95,
-		Domains:   miniDomains(),
-		Exec:      engine.Config{NoStageOverhead: true},
-	}
+	blobs := testkit.Blobs(8, 7)
+	base, _ := miniConfig(t, nil)
 
 	if _, err := NewSharded(ShardedConfig{Base: base, Corpus: blobs}); err == nil {
 		t.Error("nil Builder accepted")
 	}
 	if _, err := NewSharded(ShardedConfig{
-		Base: base, Shards: 16, Corpus: blobs, Builder: miniCorpusBuilder{udf: miniUDF{cost: 40}},
+		Base: base, Shards: 16, Corpus: blobs, Builder: testkit.Builder{},
 	}); err == nil {
 		t.Error("more shards than corpus blobs accepted")
 	}
 	badRouting := base
 	badRouting.Routing = RoutingPolicy("random")
 	if _, err := NewSharded(ShardedConfig{
-		Base: badRouting, Corpus: blobs, Builder: miniCorpusBuilder{udf: miniUDF{cost: 40}},
+		Base: badRouting, Corpus: blobs, Builder: testkit.Builder{},
 	}); err == nil {
 		t.Error("unknown routing policy accepted")
 	}
 
 	// Defaults: zero shards/replicas select 1, empty routing round-robin.
 	c, err := NewSharded(ShardedConfig{
-		Base: base, Corpus: blobs, Builder: miniCorpusBuilder{udf: miniUDF{cost: 40}},
+		Base: base, Corpus: blobs, Builder: testkit.Builder{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 
 	"probpred/internal/engine"
 	"probpred/internal/metrics"
-	"probpred/internal/optimizer"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // TestRequestAccuracyValidation: an out-of-range per-request accuracy is
@@ -58,14 +58,10 @@ func TestRequestAccuracyValidation(t *testing.T) {
 // "default to 1", and says so — pre-fix the error text claimed the accepted
 // range was (0,1] while zero was silently remapped before the check.
 func TestConfigAccuracyValidation(t *testing.T) {
-	blobs := miniBlobs(100, 7)
-	corpus := miniCorpus(t, miniBlobs(100, 8))
+	cfg, _ := miniConfig(t, testkit.Blobs(100, 7))
 	mk := func(acc float64) error {
-		_, err := New(Config{
-			Optimizer: optimizer.New(corpus),
-			Builder:   &miniBuilder{blobs: blobs, udf: miniUDF{cost: 40}},
-			Accuracy:  acc,
-		})
+		cfg.Accuracy = acc
+		_, err := New(cfg)
 		return err
 	}
 	for _, acc := range []float64{0, 0.5, 1} {
@@ -114,44 +110,20 @@ func TestReplayAggregatesAllErrors(t *testing.T) {
 	}
 }
 
-// blockingBuilder wraps the mini builder so every session's UDF signals
-// entry and then parks until released — the instrument for pinning a session
-// inside its admission slot.
-type blockingBuilder struct {
-	inner   *miniBuilder
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (b *blockingBuilder) UDFCost(p query.Pred) (float64, error) { return b.inner.UDFCost(p) }
-
-func (b *blockingBuilder) Build(pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	plan, err := b.inner.Build(pred, filter)
-	if err != nil {
-		return plan, err
-	}
-	for i, op := range plan.Ops {
-		if p, ok := op.(*engine.Process); ok {
-			plan.Ops[i] = &engine.Process{P: blockUDF{inner: p.P, b: b}}
-		}
-	}
-	return plan, nil
-}
-
+// blockUDF is the kit's UDF, signalling entry and then parking until
+// released — the instrument for pinning a session inside its admission slot.
 type blockUDF struct {
-	inner engine.Processor
-	b     *blockingBuilder
+	testkit.UDF
+	entered, release chan struct{}
 }
 
-func (u blockUDF) Name() string  { return u.inner.Name() }
-func (u blockUDF) Cost() float64 { return u.inner.Cost() }
 func (u blockUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	select {
-	case u.b.entered <- struct{}{}:
+	case u.entered <- struct{}{}:
 	default:
 	}
-	<-u.b.release
-	return u.inner.ApplyBatch(in, out)
+	<-u.release
+	return u.UDF.ApplyBatch(in, out)
 }
 
 // TestAdmissionWaitHistogram: under a saturated server the queue wait
@@ -164,7 +136,7 @@ func TestAdmissionWaitHistogram(t *testing.T) {
 	st := newMiniStack(t, 40, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.Metrics = reg
-		c.Builder = &blockingBuilder{inner: c.Builder.(*miniBuilder), entered: entered, release: release}
+		c.Builder.CorpusBuilder = testkit.Builder{UDF: blockUDF{UDF: 40, entered: entered, release: release}}
 	})
 	pred := query.MustParse("t=SUV")
 	var wg sync.WaitGroup

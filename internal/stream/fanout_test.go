@@ -3,16 +3,16 @@ package stream
 // Satellite battery: the fan-out. Ingest issues every standing query's
 // session of a segment at once and the server's admission semaphore is the
 // only bound, so the contracts pinned here are the ones concurrency could
-// break: deltas byte-identical to one-at-a-time serving, sessions really
-// overlapping (and never past MaxConcurrent), and a deterministic failure —
-// the first failing query in registration order, its predecessors' deltas,
-// no session left running.
+// break: sessions really overlapping (and never past MaxConcurrent), and a
+// deterministic failure — the first failing query in registration order,
+// its predecessors' deltas, no session left running. That the deltas stay
+// byte-identical at every width is TestIngestFanOutByteIdentical, an
+// oracle row in golden_test.go.
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,65 +22,8 @@ import (
 	"probpred/internal/metrics"
 	"probpred/internal/query"
 	"probpred/internal/serve"
+	"probpred/internal/testkit"
 )
-
-// renderDelta writes everything a delta carries that does not depend on
-// scheduling: rows in order, the audit, and every cost bit by bit. Wall
-// times and score-cache hit counts are left out — two sessions racing on one
-// blob may both miss.
-func renderDelta(sb *strings.Builder, d Delta) {
-	r := d.Resp.Result
-	fmt.Fprintf(sb, "%s seg%d v%d %s audited=%v expected=%d observed=%x cluster=%x rows=",
-		d.Query, d.Segment.Index, d.Segment.Version, d.Resp.ID, d.Audited, d.Expected, d.Observed, r.ClusterTime)
-	for _, row := range r.Rows {
-		fmt.Fprintf(sb, "%d,", row.Blob.ID)
-	}
-	for _, op := range r.PerOp {
-		fmt.Fprintf(sb, " %s[%d>%d cost=%x]", op.Name, op.RowsIn, op.RowsOut, op.Cost)
-	}
-	sb.WriteByte('\n')
-}
-
-func TestIngestFanOutByteIdentical(t *testing.T) {
-	all := miniBlobs(300, 19)
-	cuts := []int{0, 90, 91, 200} // a heartbeat and a one-blob segment among them
-	// Workers re-associates a chunked run's per-operator sums, so each worker
-	// count has its own one-at-a-time reference.
-	ref := map[int]string{}
-	for _, mc := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 4} {
-			st := newMiniStack(t, workers,
-				func(c *serve.Config) { c.MaxConcurrent = mc },
-				func(c *Config) { c.Lookup = miniLookup })
-			st.register(t, miniStandingQueries...)
-			var sb strings.Builder
-			for _, seg := range splitSegments(all, cuts) {
-				ds, err := st.ing.Ingest(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, d := range ds {
-					renderDelta(&sb, d)
-				}
-			}
-			got := sb.String()
-			if mc == 1 {
-				ref[workers] = got
-				continue
-			}
-			if got != ref[workers] {
-				g, r := strings.Split(got, "\n"), strings.Split(ref[workers], "\n")
-				for i := range r {
-					if i >= len(g) || g[i] != r[i] {
-						t.Errorf("MaxConcurrent=%d Workers=%d: delta line %d differs from the one-at-a-time run\n got: %s\nwant: %s",
-							mc, workers, i, g[min(i, len(g)-1)], r[i])
-						break
-					}
-				}
-			}
-		}
-	}
-}
 
 // gateBuilder holds the first parties plan assemblies at a barrier until all
 // of them have arrived — which only happens if that many sessions of one
@@ -88,7 +31,7 @@ func TestIngestFanOutByteIdentical(t *testing.T) {
 // BuildOver together. Plan assembly runs after admission, so the peak can
 // never exceed MaxConcurrent.
 type gateBuilder struct {
-	miniBuilder
+	testkit.Builder
 	parties         int32
 	arrived, inside atomic.Int32
 	peak            atomic.Int32
@@ -111,17 +54,17 @@ func (g *gateBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engin
 			g.stuck.Store(true)
 		}
 	}
-	return g.miniBuilder.BuildOver(blobs, pred, filter)
+	return g.Builder.BuildOver(blobs, pred, filter)
 }
 
 func TestIngestFanOutAdmission(t *testing.T) {
 	for _, mc := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("max_concurrent=%d", mc), func(t *testing.T) {
-			parties := min(mc, len(miniStandingQueries))
-			g := &gateBuilder{miniBuilder: miniBuilder{udf: miniUDF{cost: 40}}, parties: int32(parties), all: make(chan struct{})}
+			parties := min(mc, len(testkit.Standing))
+			g := &gateBuilder{parties: int32(parties), all: make(chan struct{})}
 			st := newMiniStack(t, 1, func(c *serve.Config) { c.Corpus, c.MaxConcurrent = g, mc }, nil)
-			st.register(t, miniStandingQueries...)
-			if _, err := st.ing.Ingest(miniBlobs(60, 21)); err != nil {
+			st.register(t, testkit.Standing...)
+			if _, err := st.ing.Ingest(testkit.Blobs(60, 21)); err != nil {
 				t.Fatal(err)
 			}
 			if g.stuck.Load() {
@@ -129,32 +72,20 @@ func TestIngestFanOutAdmission(t *testing.T) {
 			}
 			if p := g.peak.Load(); p != int32(parties) {
 				t.Errorf("peak sessions in flight = %d, want %d (MaxConcurrent %d, %d standing queries)",
-					p, parties, mc, len(miniStandingQueries))
+					p, parties, mc, len(testkit.Standing))
 			}
 		})
 	}
 }
 
-// failingBuilder refuses to assemble the plans of the predicates in fail
-// (keyed by their canonical text), each with its own error.
-type failingBuilder struct {
-	miniBuilder
-	fail map[string]error
-}
-
-func (b *failingBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	if err := b.fail[pred.String()]; err != nil {
-		return engine.Plan{}, err
-	}
-	return b.miniBuilder.BuildOver(blobs, pred, filter)
-}
-
-func newFailingBuilder(fail map[string]error) *failingBuilder {
-	b := &failingBuilder{miniBuilder: miniBuilder{udf: miniUDF{cost: 40}}, fail: map[string]error{}}
+// refusing is the kit's builder refusing the plans of the predicates in
+// fail (keyed by their canonical text), each with its own error.
+func refusing(fail map[string]error) testkit.Builder {
+	canon := map[string]error{}
 	for pred, err := range fail {
-		b.fail[query.MustParse(pred).String()] = err
+		canon[query.MustParse(pred).String()] = err
 	}
-	return b
+	return testkit.Builder{Refuse: func(_ []blob.Blob, pred query.Pred) error { return canon[pred.String()] }}
 }
 
 // waitForGoroutines fails the test unless the goroutine count falls back to
@@ -176,14 +107,14 @@ func TestIngestFailureContract(t *testing.T) {
 	errSQ3, errSQ5 := errors.New("SQ3 plan refused"), errors.New("SQ5 plan refused")
 	for _, mc := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("max_concurrent=%d", mc), func(t *testing.T) {
-			b := newFailingBuilder(map[string]error{
-				miniStandingQueries[2].Pred: errSQ3,
-				miniStandingQueries[4].Pred: errSQ5,
+			b := refusing(map[string]error{
+				testkit.Standing[2].Pred: errSQ3,
+				testkit.Standing[4].Pred: errSQ5,
 			})
 			st := newMiniStack(t, 4, func(c *serve.Config) { c.Corpus, c.MaxConcurrent = b, mc }, nil)
-			st.register(t, miniStandingQueries...)
+			st.register(t, testkit.Standing...)
 			base := runtime.NumGoroutine()
-			segs := splitSegments(miniBlobs(200, 23), []int{50, 120})
+			segs := testkit.Split(testkit.Blobs(200, 23), []int{50, 120})
 			for i, seg := range segs {
 				ds, err := st.ing.Ingest(seg)
 				if !errors.Is(err, errSQ3) || errors.Is(err, errSQ5) {
@@ -209,10 +140,10 @@ func TestIngestFailureContract(t *testing.T) {
 func TestFailedIngestCountsTheSegment(t *testing.T) {
 	reg := metrics.New()
 	refused := errors.New("plan refused")
-	b := newFailingBuilder(map[string]error{"c=red": refused})
+	b := refusing(map[string]error{"c=red": refused})
 	st := newMiniStack(t, 1, func(c *serve.Config) { c.Corpus = b }, func(c *Config) { c.Metrics = reg })
-	st.register(t, Query{ID: "SQ1", Pred: "t=SUV"}, Query{ID: "SQ2", Pred: "c=red"})
-	for _, seg := range splitSegments(miniBlobs(100, 24), []int{40}) {
+	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"}, testkit.Query{ID: "SQ2", Pred: "c=red"})
+	for _, seg := range testkit.Split(testkit.Blobs(100, 24), []int{40}) {
 		if _, err := st.ing.Ingest(seg); !errors.Is(err, refused) {
 			t.Fatalf("err = %v, want the refused plan", err)
 		}

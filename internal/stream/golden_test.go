@@ -1,14 +1,19 @@
-package stream
+package stream_test
 
-// Satellite battery: backfill-vs-live equivalence. Under frozen PP state,
-// running a standing query segment-by-segment and concatenating the deltas
-// must reproduce — byte for byte, in blob-ID order — the one-shot batch query
-// over the same corpus, at every segmentation and worker count.
+// The stream goldens as fixed draws of the composition oracle
+// (internal/testkit/oracle). Under frozen PP state every segment's delta —
+// rows, order, ledger, cost and accuracy audit — equals the serial,
+// uncached, unsharded reference run over that segment; the concatenated
+// deltas equal the reference over the whole corpus; and the backfill
+// (BatchQuery) equals it too.
 
 import (
 	"fmt"
-	"math"
 	"testing"
+
+	"probpred/internal/mathx"
+	"probpred/internal/testkit"
+	"probpred/internal/testkit/oracle"
 )
 
 // goldenSplits covers the segmentation shapes that break naive streaming:
@@ -27,10 +32,6 @@ var goldenSplits = [][]int{
 var goldenFronts = []struct{ shards, replicas int }{{0, 0}, {2, 1}, {2, 2}, {4, 1}, {4, 2}}
 
 func TestBackfillVsLiveGolden(t *testing.T) {
-	// The rendered results must also agree across worker counts and front
-	// doors; collect every run's rendering per query and compare globally at
-	// the end.
-	global := map[string]map[string]string{} // query → run label → rendering
 	for _, front := range goldenFronts {
 		for _, workers := range []int{1, 4} {
 			for si, cuts := range goldenSplits {
@@ -39,57 +40,50 @@ func TestBackfillVsLiveGolden(t *testing.T) {
 					name = fmt.Sprintf("shards=%d/replicas=%d/%s", front.shards, front.replicas, name)
 				}
 				t.Run(name, func(t *testing.T) {
-					all := miniBlobs(300, 11)
-					var st *miniStack
-					if front.shards > 0 {
-						st = newMiniShardedStack(t, workers, front.shards, front.replicas, 4)
-					} else {
-						st = newMiniStack(t, workers, nil, nil)
-					}
-					st.register(t, miniStandingQueries...)
-					var deltas [][]Delta
-					for _, seg := range splitSegments(all, cuts) {
-						ds, err := st.ing.Ingest(seg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						deltas = append(deltas, ds)
-					}
-					for _, q := range miniStandingQueries {
-						batch, err := st.ing.BatchQuery(q.ID)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := renderRows(batch)
-						got := renderLive(deltas, q.ID)
-						if got != want {
-							t.Errorf("%s live != batch\n live: %s\nbatch: %s", q.ID, got, want)
-						}
-						// Virtual cluster cost is charged per row, so the split
-						// changes only float association, never the total.
-						lc, bc := liveCluster(deltas, q.ID), batch.Result.ClusterTime
-						if math.Abs(lc-bc) > 1e-6*math.Max(1, bc) {
-							t.Errorf("%s live cluster %v != batch %v", q.ID, lc, bc)
-						}
-						if global[q.ID] == nil {
-							global[q.ID] = map[string]string{}
-						}
-						global[q.ID][name] = want
-					}
+					oracle.Check(t, oracle.Draw{Blobs: 300, Seed: 11, Queries: testkit.Standing, Stream: true, Cuts: cuts,
+						Workers: workers, Shards: front.shards, Replicas: front.replicas, MaxConcurrent: 4})
 				})
 			}
 		}
 	}
-	for id, runs := range global {
-		var ref string
-		for _, r := range runs {
-			ref = r
-			break
+}
+
+// Ingest runs a segment's standing queries side by side under the server's
+// admission bound; at every width the deltas are the one-at-a-time ones.
+func TestIngestFanOutByteIdentical(t *testing.T) {
+	for _, mc := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 4} {
+			oracle.Check(t, oracle.Draw{Blobs: 300, Seed: 19, Queries: testkit.Standing, Stream: true,
+				Cuts: []int{0, 90, 91, 200}, MaxConcurrent: mc, Workers: workers})
 		}
-		for name, r := range runs {
-			if r != ref {
-				t.Errorf("%s: run %s rendered differently from other runs", id, name)
+	}
+}
+
+// Every segment emits one delta per standing query, in registration order;
+// each holds exactly the reference's rows — true matches only, in blob-ID
+// order — and the ingestor counts every segment and delta.
+func TestIngestDeltas(t *testing.T) {
+	oracle.Check(t, oracle.Draw{Blobs: 300, Seed: 3, Queries: testkit.Standing, Stream: true, Cuts: []int{120, 200}})
+}
+
+// For any segmentation of a fixed corpus — random cut points, including
+// empty segments — the live deltas equal the reference.
+func TestRandomSegmentationProperty(t *testing.T) {
+	rng := mathx.NewRNG(99)
+	for trial := 0; trial < 20; trial++ {
+		// Each boundary independently, plus an occasional duplicate (an
+		// empty segment).
+		var cuts []int
+		for i := 1; i < 240; i++ {
+			if rng.Float64() < 0.03 {
+				cuts = append(cuts, i)
+				if rng.Float64() < 0.2 {
+					cuts = append(cuts, i)
+				}
 			}
 		}
+		t.Run(fmt.Sprintf("trial=%d/segments=%d", trial, len(cuts)+1), func(t *testing.T) {
+			oracle.Check(t, oracle.Draw{Blobs: 240, Seed: 13, Queries: testkit.Standing, Stream: true, Cuts: cuts})
+		})
 	}
 }

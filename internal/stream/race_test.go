@@ -20,20 +20,21 @@ import (
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
 	"probpred/internal/serve"
+	"probpred/internal/testkit"
 )
 
 func TestAppendRacesBatchQueries(t *testing.T) {
 	st := newMiniStack(t, 4, nil, nil)
-	st.register(t, Query{ID: "SQ1", Pred: "t=SUV"})
+	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
 	const segSize, nSegs = 15, 20
-	all := miniBlobs(segSize*nSegs, 17)
+	all := testkit.Blobs(segSize*nSegs, 17)
 	// Ground-truth SUV count per corpus version (prefix of v segments); the
 	// exact PP retains every positive, so a batch at version v must return
 	// exactly truthAt[v] rows.
 	truthAt := make([]int, nSegs+1)
 	cnt := 0
 	for i, b := range all {
-		if miniTypes[int(b.Dense[fType])] == "SUV" {
+		if testkit.Types[int(b.Dense[testkit.FType])] == "SUV" {
 			cnt++
 		}
 		if (i+1)%segSize == 0 {
@@ -152,26 +153,15 @@ func newDriftStack(t *testing.T, workers int) (*miniStack, *online.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{
-		Optimizer: optimizer.New(sys.Corpus()),
-		Corpus:    &miniBuilder{udf: driftUDF{cost: 40}},
-		Accuracy:  0.9,
-		Exec:      engine.Config{NoStageOverhead: true, Workers: workers},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := NewSegmentedCorpus()
-	ing, err := New(Config{Server: srv, Corpus: corpus, Online: sys, Lookup: driftLookup, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &miniStack{corpus: corpus, srv: srv, ing: ing, ppCorpus: sys.Corpus()}, sys
+	st := newMiniStack(t, workers, func(c *serve.Config) {
+		c.Optimizer, c.Corpus, c.Accuracy, c.Domains = optimizer.New(sys.Corpus()), testkit.Builder{UDF: driftUDF{cost: 40}}, 0.9, nil
+	}, func(c *Config) { c.Online, c.Lookup, c.Seed = sys, driftLookup, 5 })
+	return st, sys
 }
 
 func TestWatchdogTripAndRetrainRaceClean(t *testing.T) {
 	st, sys := newDriftStack(t, 4)
-	st.register(t, Query{ID: "D1", Pred: "s>40", Accuracy: 0.9})
+	st.register(t, testkit.Query{ID: "D1", Pred: "s>40", Accuracy: 0.9})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -11,8 +11,8 @@ import (
 	"probpred/internal/metrics"
 	"probpred/internal/online"
 	"probpred/internal/pplog"
-	"probpred/internal/query"
 	"probpred/internal/serve"
+	"probpred/internal/testkit"
 )
 
 func TestSegmentedCorpusAppend(t *testing.T) {
@@ -20,7 +20,7 @@ func TestSegmentedCorpusAppend(t *testing.T) {
 	if v := c.Version(); v != 0 {
 		t.Fatalf("fresh corpus version = %d, want 0", v)
 	}
-	all := miniBlobs(30, 1)
+	all := testkit.Blobs(30, 1)
 	s1 := c.Append(all[:10])
 	s2 := c.Append(all[10:12])
 	s3 := c.Append(nil) // heartbeat: empty but still a version
@@ -56,7 +56,7 @@ func TestSegmentedCorpusAppend(t *testing.T) {
 
 func TestSnapshotStableUnderAppend(t *testing.T) {
 	c := NewSegmentedCorpus()
-	all := miniBlobs(20, 2)
+	all := testkit.Blobs(20, 2)
 	c.Append(all[:5])
 	snap, v := c.Snapshot()
 	if v != 1 || len(snap) != 5 {
@@ -114,78 +114,12 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestIngestDeltas(t *testing.T) {
-	st := newMiniStack(t, 1, nil, nil)
-	st.register(t, miniStandingQueries...)
-	all := miniBlobs(300, 3)
-	var deltas [][]Delta
-	for _, seg := range splitSegments(all, []int{120, 200}) {
-		ds, err := st.ing.Ingest(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ds) != len(miniStandingQueries) {
-			t.Fatalf("segment emitted %d deltas, want %d", len(ds), len(miniStandingQueries))
-		}
-		for i, d := range ds {
-			if d.Query != miniStandingQueries[i].ID {
-				t.Errorf("delta %d is %q, want registration order %q", i, d.Query, miniStandingQueries[i].ID)
-			}
-		}
-		deltas = append(deltas, ds)
-	}
-
-	// σ makes every emitted row a true match; exact-PP queries must also be
-	// complete per segment, and all rows arrive in ascending blob-ID order.
-	for _, segDeltas := range deltas {
-		for _, d := range segDeltas {
-			segBlobs := st.corpus.Blobs(d.Segment)
-			truth := map[int]bool{}
-			p := mustPred(t, d.Query)
-			for _, b := range segBlobs {
-				if ok, _ := p.Eval(miniLookup(b)); ok {
-					truth[b.ID] = true
-				}
-			}
-			last := -1
-			for _, row := range d.Resp.Result.Rows {
-				if !truth[row.Blob.ID] {
-					t.Errorf("%s seg%d emitted non-matching blob %d", d.Query, d.Segment.Index, row.Blob.ID)
-				}
-				if row.Blob.ID <= last {
-					t.Errorf("%s seg%d rows out of blob-ID order (%d after %d)", d.Query, d.Segment.Index, row.Blob.ID, last)
-				}
-				last = row.Blob.ID
-			}
-			if (d.Query == "SQ1" || d.Query == "SQ2" || d.Query == "SQ5") && len(d.Resp.Result.Rows) != len(truth) {
-				t.Errorf("%s seg%d retained %d/%d rows under exact PPs", d.Query, d.Segment.Index, len(d.Resp.Result.Rows), len(truth))
-			}
-		}
-	}
-
-	segs, emitted := st.ing.Stats()
-	if segs != 3 || emitted != uint64(3*len(miniStandingQueries)) {
-		t.Errorf("Stats() = %d segments, %d deltas; want 3, %d", segs, emitted, 3*len(miniStandingQueries))
-	}
-}
-
-func mustPred(t *testing.T, id string) query.Pred {
-	t.Helper()
-	for _, q := range miniStandingQueries {
-		if q.ID == id {
-			return query.MustParse(q.Pred)
-		}
-	}
-	t.Fatalf("no standing query %q", id)
-	return nil
-}
-
 func TestIngestMetrics(t *testing.T) {
 	reg := metrics.New()
 	st := newMiniStack(t, 1, nil, func(c *Config) { c.Metrics = reg })
-	st.register(t, Query{ID: "SQ1", Pred: "t=SUV"})
-	all := miniBlobs(100, 4)
-	for _, seg := range splitSegments(all, []int{40}) {
+	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
+	all := testkit.Blobs(100, 4)
+	for _, seg := range testkit.Split(all, []int{40}) {
 		if _, err := st.ing.Ingest(seg); err != nil {
 			t.Fatal(err)
 		}
@@ -211,9 +145,9 @@ func TestSegmentTagsQueryLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	qlog := pplog.NewWriter(&logBuf, 64, nil)
 	st := newMiniStack(t, 1, func(c *serve.Config) { c.QueryLog, c.MaxConcurrent = qlog, 4 }, nil)
-	st.register(t, miniStandingQueries...)
+	st.register(t, testkit.Standing...)
 	const nSegs = 2
-	for _, seg := range splitSegments(miniBlobs(100, 5), []int{50}) {
+	for _, seg := range testkit.Split(testkit.Blobs(100, 5), []int{50}) {
 		if _, err := st.ing.Ingest(seg); err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +162,7 @@ func TestSegmentTagsQueryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(miniStandingQueries)
+	n := len(testkit.Standing)
 	if len(recs) != nSegs*n+1 {
 		t.Fatalf("query log has %d records, want one per session per segment plus the batch: %d", len(recs), nSegs*n+1)
 	}
@@ -238,7 +172,7 @@ func TestSegmentTagsQueryLog(t *testing.T) {
 		segRecs := recs[s*n : (s+1)*n]
 		sort.Slice(segRecs, func(i, j int) bool { return segRecs[i].Session < segRecs[j].Session })
 		for i, r := range segRecs {
-			want := fmt.Sprintf("%s#seg%d", miniStandingQueries[i].ID, s)
+			want := fmt.Sprintf("%s#seg%d", testkit.Standing[i].ID, s)
 			if r.Session != want || r.Seg == nil || r.Seg.Index != s || r.Seg.Version != uint64(s+1) {
 				t.Fatalf("segment %d record %d = session %q tag %+v, want session %q index %d version %d",
 					s, i, r.Session, r.Seg, want, s, s+1)
@@ -252,8 +186,8 @@ func TestSegmentTagsQueryLog(t *testing.T) {
 
 func TestIngestCopiesCallerSlice(t *testing.T) {
 	st := newMiniStack(t, 1, nil, nil)
-	st.register(t, Query{ID: "SQ1", Pred: "t=SUV"})
-	blobs := miniBlobs(10, 6)
+	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
+	blobs := testkit.Blobs(10, 6)
 	if _, err := st.ing.Ingest(blobs); err != nil {
 		t.Fatal(err)
 	}

@@ -6,37 +6,8 @@ import (
 	"probpred/online"
 )
 
-// The facade must track internal/online: every breaker state and transition
-// the adapt controller and watchdog rely on is reachable through the public
-// package, and the re-exported constructor drives the same state machine.
-func TestFacadeBreakerAPI(t *testing.T) {
-	b := online.NewBreaker(online.BreakerConfig{K: 2, Backoff: 4})
-	if b.State() != online.BreakerClosed {
-		t.Fatalf("new breaker = %v, want BreakerClosed", b.State())
-	}
-	if tr := b.Report(false, 0); tr != online.TransitionBreach {
-		t.Fatalf("1st fail = %v, want TransitionBreach", tr)
-	}
-	if tr := b.Report(false, 1); tr != online.TransitionTrip {
-		t.Fatalf("2nd fail = %v, want TransitionTrip", tr)
-	}
-	if b.State() != online.BreakerOpen {
-		t.Fatalf("state = %v, want BreakerOpen", b.State())
-	}
-	b.Probation()
-	if b.State() != online.BreakerProbation {
-		t.Fatalf("state = %v, want BreakerProbation", b.State())
-	}
-	if tr := b.Report(true, 2); tr != online.TransitionClose {
-		t.Fatalf("probation pass = %v, want TransitionClose", tr)
-	}
-	if got := online.TransitionNone.String(); got != "none" {
-		t.Fatalf("TransitionNone.String() = %q", got)
-	}
-}
-
-// The watchdog states re-exported earlier must still round-trip through the
-// facade alongside the new breaker API (regression for facade drift).
+// The watchdog states re-exported by the facade round-trip through it
+// (regression for facade drift).
 func TestFacadeWatchdogStates(t *testing.T) {
 	sys, err := online.New(online.Config{Clauses: []string{"t=SUV"}})
 	if err != nil {

@@ -58,29 +58,3 @@ type System = online.System
 
 // New builds an online system for the given simple clauses.
 func New(cfg Config) (*System, error) { return online.New(cfg) }
-
-// Breaker is the reusable consecutive-failure circuit breaker underlying the
-// watchdog (per-clause accuracy) and the adaptive re-optimization controller
-// (per-predicate replan guard): K consecutive failures open it, probation
-// risks one retry, a probation miss re-opens with doubled, jittered backoff.
-type Breaker = online.Breaker
-
-// BreakerConfig shapes one circuit breaker: trip threshold K, initial and
-// maximum backoff (in caller-defined ticks) and the deterministic jitter
-// seed.
-type BreakerConfig = online.BreakerConfig
-
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker { return online.NewBreaker(cfg) }
-
-// Transition is what one Breaker.Report did to the breaker's state.
-type Transition = online.Transition
-
-// Transitions: none (no change), breach (a failure counted toward K), trip
-// (the breaker opened) and close (a probation success closed it).
-const (
-	TransitionNone   = online.TransitionNone
-	TransitionBreach = online.TransitionBreach
-	TransitionTrip   = online.TransitionTrip
-	TransitionClose  = online.TransitionClose
-)

@@ -230,15 +230,16 @@ type (
 	// Server admits concurrent query sessions; safe for concurrent Serve.
 	Server = serve.Server
 	// ServeConfig configures a Server (optimizer, plan builder, accuracy
-	// target, admission bound, cache sizes).
+	// target, admission bound, score-cache mode).
 	ServeConfig = serve.Config
 	// WorkloadQuery is one query of a replayed workload.
 	WorkloadQuery = serve.WorkloadQuery
 )
 
-// Plan assembly pieces for QueryBuilder implementations (BuildPlan covers
-// the standard scan → PP → UDFs → σ shape; a builder that needs joins,
-// grouping or projections assembles operators directly).
+// Plan assembly pieces for plan builders — a UDFCost and a BuildOver(blobs,
+// pred, filter) — which BindCorpus fixes to a server's corpus (BuildPlan
+// covers the standard scan → PP → UDFs → σ shape; a builder that needs
+// joins, grouping or projections assembles operators directly).
 type (
 	// PlanOperator is one physical operator in a Plan.
 	PlanOperator = engine.Operator
@@ -254,6 +255,12 @@ type (
 	// SelectOp applies the original predicate to materialized columns.
 	SelectOp = engine.Select
 )
+
+// BindCorpus fixes a plan builder to the blobs a server scans, yielding
+// ServeConfig.Builder.
+func BindCorpus(b serve.CorpusBuilder, blobs []Blob) *serve.BoundCorpus {
+	return serve.BindCorpus(b, blobs)
+}
 
 // NewServer validates the config and returns a ready server.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }

@@ -224,16 +224,16 @@ func (pcaSignScorer) Score(x Vec) float64 {
 func (pcaSignScorer) Name() string  { return "pcsign" }
 func (pcaSignScorer) Cost() float64 { return 0.1 }
 
-// facadeBuilder implements QueryBuilder over the traffic test blobs with the
-// fake classifier UDFs — the README's serving example, end to end.
-type facadeBuilder struct{ blobs []Blob }
+// facadeBuilder is a plan builder over any blob slice with the fake
+// classifier UDFs — the README's serving example, end to end.
+type facadeBuilder struct{}
 
 func (b facadeBuilder) UDFCost(pred Pred) (float64, error) {
 	return fakeCostProc{}.Cost() + fakeColorProc{}.Cost(), nil
 }
 
-func (b facadeBuilder) Build(pred Pred, filter BlobFilter) (Plan, error) {
-	ops := []PlanOperator{&ScanOp{Blobs: b.blobs}}
+func (b facadeBuilder) BuildOver(blobs []Blob, pred Pred, filter BlobFilter) (Plan, error) {
+	ops := []PlanOperator{&ScanOp{Blobs: blobs}}
 	if filter != nil {
 		ops = append(ops, &PPFilterOp{F: filter})
 	}
@@ -263,7 +263,7 @@ func TestFacadeServing(t *testing.T) {
 	}
 	srv, err := NewServer(ServeConfig{
 		Optimizer: NewOptimizer(corpus),
-		Builder:   facadeBuilder{blobs: blobs[1500:]},
+		Builder:   BindCorpus(facadeBuilder{}, blobs[1500:]),
 		Accuracy:  0.95,
 		Domains:   data.TrafficDomains(),
 	})
