@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"probpred/internal/core"
 	"probpred/internal/optimizer"
@@ -20,16 +21,18 @@ import (
 //     watchdog Remove or an online-training Add), because a plan compiled
 //     against retired or retrained PPs must not keep serving.
 //   - scoreCache memoizes per-(PP, blob) classifier scores across sessions in
-//     a sharded bounded LRU. Scores are pure functions of PP and blob, so a
-//     cached score is bit-identical to a fresh one — the cache changes real
-//     CPU spent, never results or virtual costs.
+//     a sharded bounded LRU of pages, each one PP's scores for 64 consecutive
+//     blob IDs. Scores are pure functions of PP and blob, so a cached score is
+//     bit-identical to a fresh one — the cache changes real CPU spent, never
+//     results or virtual costs.
 
-// Cache sizes. The score cache holds 1<<20 (PP, blob) scores — 40 MB when
-// full, at 32 bytes of slab plus 8 of index per entry, allocated as it
-// fills — striped over 16 locks.
+// Cache sizes. The score cache spends at most 40 MB, the budget of the 2^20
+// scores at 40 B each it held when it kept one entry per score: 75 983 pages
+// at 544 B of slab plus 8 of index each, allocated as it fills and striped
+// over 16 locks. That is 4.9 M scores when every page is full.
 const (
 	planCacheSize    = 128
-	scoreCacheSize   = 1 << 20
+	scoreCachePages  = 40 << 20 / (int(unsafe.Sizeof(scorePage{})) + 8)
 	scoreCacheShards = 16
 )
 
@@ -215,35 +218,46 @@ func (c *planCache) len() int {
 	return len(c.items)
 }
 
-// scoreEntry is one slab slot: a memoized score, its key, and its links in
-// the shard's recency list. The key is PP identity (negation-derived PPs
-// cache independently of their base) plus the blob's corpus-unique ID. The
-// PP is held as its interned number rather than its pointer, so the entry has
-// no pointer in it and the collector never scans a slab. The struct is 32
-// bytes on 64-bit platforms, two per cache line.
-type scoreEntry struct {
+// A score page holds one PP's scores for the pageSize blobs whose IDs share
+// the page number id >> pageBits.
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+)
+
+// scorePage is one slab slot: a memoized page of scores, its key, and its
+// links in the shard's recency list. Bit b of mask says scores[b] holds the
+// score of blob page<<pageBits | b. The key is PP identity (negation-derived
+// PPs cache independently of their base) plus the page number. The PP is held
+// as its interned number rather than its pointer, so the slab has no pointer
+// in it and the collector never scans it. The struct is 544 bytes on 64-bit
+// platforms, 8.5 bytes per score when the page is full.
+type scorePage struct {
 	pp         uint32 // scoreCache.intern
 	prev, next int32  // slab slots; towards more / less recently used
-	id         int
-	score      float64
+	page       int
+	mask       uint64
+	scores     [pageSize]float64
 }
 
 // scoreShard is one lock's worth of the score cache: a bounded exact-LRU map
-// with no per-entry allocation. Entries live in slab, which grows
+// of pages with no per-page allocation. Pages live in slab, which grows
 // geometrically up to cap+1 slots and is then recycled in place; slot 0 is
-// the sentinel of a circular recency list threaded through the entries'
-// int32 links (slab[0].next is the most, slab[0].prev the least recently
-// used). index is an open-addressed table of slab slots (0 = empty) with
-// linear probing at load ≤ 1/2, and backward-shift deletion so eviction
-// leaves no tombstones. At capacity one cached score costs 32 B of slab plus
-// 8 B of index.
+// the sentinel of a circular recency list threaded through the pages' int32
+// links (slab[0].next is the most, slab[0].prev the least recently used).
+// index is an open-addressed table of slab slots (0 = empty) with linear
+// probing at load ≤ 1/2, and backward-shift deletion so eviction leaves no
+// tombstones.
 type scoreShard struct {
 	mu    sync.Mutex
-	cap   int
-	slab  []scoreEntry
+	cap   int // pages
+	slab  []scorePage
 	index []int32 // len is a power of two
 	shift uint    // 64 - log2(len(index)): a hash's top bits pick the home slot
-	// hits and misses are guarded by mu, which every lookup takes anyway.
+	// scores is the number of set mask bits in the slab, hits and misses
+	// count lookups; all three are guarded by mu, which every lookup takes
+	// anyway.
+	scores       int
 	hits, misses uint64
 }
 
@@ -251,14 +265,14 @@ type scoreShard struct {
 const scoreIndexMin = 64
 
 func newScoreShard(capacity int) *scoreShard {
-	sh := &scoreShard{cap: capacity, slab: make([]scoreEntry, 1, min(capacity+1, scoreIndexMin/2))}
+	sh := &scoreShard{cap: capacity, slab: make([]scorePage, 1, min(capacity+1, 8))}
 	sh.resetIndex(scoreIndexMin)
 	return sh
 }
 
 // scoreHash mixes a key into 64 bits whose top bits are used.
-func scoreHash(pp uint32, id int) uint64 {
-	h := uint64(id)*0x9E3779B97F4A7C15 + uint64(pp)*0xC2B2AE3D27D4EB4F
+func scoreHash(pp uint32, page int) uint64 {
+	h := uint64(page)*0x9E3779B97F4A7C15 + uint64(pp)*0xC2B2AE3D27D4EB4F
 	return (h ^ h>>32) * 0x9E3779B97F4A7C15
 }
 
@@ -277,7 +291,7 @@ func (sh *scoreShard) resetIndex(n int) {
 func (sh *scoreShard) place(slot int32) {
 	mask := uint64(len(sh.index) - 1)
 	e := &sh.slab[slot]
-	i := sh.home(scoreHash(e.pp, e.id))
+	i := sh.home(scoreHash(e.pp, e.page))
 	for sh.index[i] != 0 {
 		i = (i + 1) & mask
 	}
@@ -287,17 +301,15 @@ func (sh *scoreShard) place(slot int32) {
 // home returns the bucket a key hashing to h probes first.
 func (sh *scoreShard) home(h uint64) uint64 { return h >> sh.shift }
 
-// find returns the slab slot caching (pp, id), or 0, walking the key's probe
-// run from bucket i: its home bucket, or a later one when the buckets before
-// it are known to hold other keys.
-func (sh *scoreShard) find(pp uint32, id int, i uint64) int32 {
+// find returns the slab slot caching (pp, page), or 0.
+func (sh *scoreShard) find(pp uint32, page int) int32 {
 	mask := uint64(len(sh.index) - 1)
-	for i &= mask; ; i = (i + 1) & mask {
+	for i := sh.home(scoreHash(pp, page)); ; i = (i + 1) & mask {
 		slot := sh.index[i]
 		if slot == 0 {
 			return 0
 		}
-		if e := &sh.slab[slot]; e.id == id && e.pp == pp {
+		if e := &sh.slab[slot]; e.page == page && e.pp == pp {
 			return slot
 		}
 	}
@@ -329,13 +341,13 @@ func (sh *scoreShard) pushFront(slot int32) {
 func (sh *scoreShard) unindex(slot int32) {
 	mask := uint64(len(sh.index) - 1)
 	e := &sh.slab[slot]
-	i := sh.home(scoreHash(e.pp, e.id))
+	i := sh.home(scoreHash(e.pp, e.page))
 	for sh.index[i] != slot {
 		i = (i + 1) & mask
 	}
 	for j := (i + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
 		m := &sh.slab[sh.index[j]]
-		home := sh.home(scoreHash(m.pp, m.id))
+		home := sh.home(scoreHash(m.pp, m.page))
 		// The entry at j may fill the hole at i unless its home bucket lies
 		// cyclically in (i, j]: then the hole is not on its probe path.
 		if (j-home)&mask >= (j-i)&mask {
@@ -346,9 +358,10 @@ func (sh *scoreShard) unindex(slot int32) {
 	sh.index[i] = 0
 }
 
-// insert caches a key known to be absent as the most recently used entry,
-// recycling the least recently used slot when the shard is full.
-func (sh *scoreShard) insert(pp uint32, id int, score float64) {
+// insert caches an empty page for a key known to be absent as the most
+// recently used, recycling the least recently used slot when the shard is
+// full, and returns its slot.
+func (sh *scoreShard) insert(pp uint32, page int) int32 {
 	var slot int32
 	if len(sh.slab) > sh.cap {
 		slot = sh.slab[0].prev
@@ -356,6 +369,7 @@ func (sh *scoreShard) insert(pp uint32, id int, score float64) {
 		e := &sh.slab[slot]
 		sh.slab[e.prev].next = 0
 		sh.slab[0].prev = e.prev
+		sh.scores -= bits.OnesCount64(e.mask)
 	} else {
 		if len(sh.slab) == cap(sh.slab) {
 			// Grow by half, straight to the final size once that is within reach.
@@ -363,51 +377,35 @@ func (sh *scoreShard) insert(pp uint32, id int, score float64) {
 			if n >= sh.cap {
 				n = sh.cap + 1
 			}
-			grown := make([]scoreEntry, len(sh.slab), n)
+			grown := make([]scorePage, len(sh.slab), n)
 			copy(grown, sh.slab)
 			sh.slab = grown
 		}
 		slot = int32(len(sh.slab))
-		sh.slab = append(sh.slab, scoreEntry{})
+		sh.slab = append(sh.slab, scorePage{})
 	}
 	e := &sh.slab[slot]
-	e.pp, e.id, e.score = pp, id, score
+	e.pp, e.page, e.mask = pp, page, 0
 	sh.pushFront(slot)
 	if 2*(len(sh.slab)-1) > len(sh.index) { // the sentinel is not indexed
 		sh.resetIndex(2 * len(sh.index))
 	} else {
 		sh.place(slot)
 	}
+	return slot
 }
 
-// findBatch is find for every probe listed in ord (indices into ids; hash[k]
-// is the key hash of probe ord[k]), leaving each probe's slab slot, or 0, in
-// slot[ord[k]]. The lookups are staged — every home bucket is read first,
-// then every slab entry those buckets name — so the group's cache misses
-// overlap instead of each probe waiting out its own two in turn. Only a probe
-// whose home bucket holds a different key walks its run. Nothing here writes
-// to the shard, so the answers are those of calling find probe by probe.
-func (sh *scoreShard) findBatch(pp uint32, ids []int, ord []int32, hash []uint64, slot []int32) {
-	index, slab := sh.index, sh.slab
-	for k, i := range ord {
-		slot[i] = index[sh.home(hash[k])]
-	}
-	for k, i := range ord {
-		if s := slot[i]; s != 0 && (slab[s].id != ids[i] || slab[s].pp != pp) {
-			slot[i] = sh.find(pp, ids[i], sh.home(hash[k])+1)
-		}
-	}
-}
-
-// scoreCache implements optimizer.ScoreCache as a sharded bounded LRU.
-// Sharding is by blob ID so concurrent sessions scanning the same stream
-// spread their lookups across locks. A batch is grouped by shard and each
-// shard's lock taken once for its whole group; the grouping is stable, so a
-// shard sees its keys in the order a one-at-a-time caller would have sent
-// them, and its recency list, victims and counters come out the same. In
-// disabled mode every lookup is counted as a miss and puts store nothing —
-// that is how the benchmark measures the uncached evaluation count through
-// identical code paths.
+// scoreCache implements optimizer.ScoreCache as a sharded bounded LRU of
+// score pages, sharded by page number so concurrent sessions scanning the
+// same stream spread their lookups across locks. A batch is walked in index
+// order: a page is found and touched only when the page changes, and a lock
+// taken only when the shard does. A sorted run of pageSize IDs costs one
+// probe and one touch, then a mask test and an array load per ID. That is
+// the outcome of the one-at-a-time sequence, whose later lookups in the run
+// would find the page already most recently used. In disabled mode puts
+// store nothing, so every lookup is counted as a miss — that is how the
+// benchmark measures the uncached evaluation count through identical code
+// paths.
 type scoreCache struct {
 	shards   []*scoreShard
 	disabled bool
@@ -437,15 +435,17 @@ func (c *scoreCache) intern(pp *core.PP) uint32 {
 	return n
 }
 
-func newScoreCache(size, shards int, disabled bool) *scoreCache {
+// newScoreCache returns a cache of at most pages score pages over shards
+// locks.
+func newScoreCache(pages, shards int, disabled bool) *scoreCache {
 	if shards < 1 {
 		shards = 1
 	}
-	if shards > size {
-		shards = size
+	if shards > pages {
+		shards = pages
 	}
 	// Slab links are int32 and slot 0 is taken.
-	perShard := min((size+shards-1)/shards, math.MaxInt32-1)
+	perShard := min((pages+shards-1)/shards, math.MaxInt32-1)
 	c := &scoreCache{shards: make([]*scoreShard, shards), disabled: disabled, interned: map[*core.PP]uint32{}}
 	for i := range c.shards {
 		c.shards[i] = newScoreShard(perShard)
@@ -453,129 +453,86 @@ func newScoreCache(size, shards int, disabled bool) *scoreCache {
 	return c
 }
 
-// shardOf returns the index of the shard that owns a blob ID.
-func (c *scoreCache) shardOf(blobID int) int {
-	// Fibonacci hashing spreads the (often sequential) blob IDs.
-	h := uint64(blobID) * 0x9E3779B97F4A7C15
+// shardOf returns the index of the shard that owns a page. Runs of 16
+// consecutive pages (1024 blob IDs) share a shard, so a batch in scan order
+// changes locks once per run rather than once per page; Fibonacci hashing
+// spreads the runs.
+func (c *scoreCache) shardOf(page int) int {
+	h := uint64(page>>4) * 0x9E3779B97F4A7C15
 	return int((h >> 32) % uint64(len(c.shards)))
 }
 
-// probeGroups is the recycled scratch of one GetBatch or PutBatch call: the
-// batch's probes grouped by shard.
-type probeGroups struct {
-	// start[g]:start[g+1] bounds shard g's group within order and hash; next
-	// is the grouping pass's write cursor per shard.
-	start, next []int32
-	// order lists the probe indices group by group, each group in index order.
-	order []int32
-	// hash[k] is the key hash of probe order[k].
-	hash []uint64
-	// slot is indexed by probe: its shard while grouping, then (GetBatch) the
-	// slab slot it resolved to, 0 for a miss.
-	slot []int32
-}
-
-var probeGroupsPool = sync.Pool{New: func() any { return new(probeGroups) }}
-
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// lockShard returns the shard that owns page, locked. held is the shard the
+// caller has locked, or nil; it is released first when it is another one.
+func (c *scoreCache) lockShard(page int, held *scoreShard) *scoreShard {
+	sh := c.shards[c.shardOf(page)]
+	if sh != held {
+		if held != nil {
+			held.mu.Unlock()
+		}
+		sh.mu.Lock()
 	}
-	return s[:n]
-}
-
-// group returns the probes of ids grouped by shard with a stable counting
-// sort, and their key hashes in that order.
-func (c *scoreCache) group(pp uint32, ids []int) *probeGroups {
-	p := probeGroupsPool.Get().(*probeGroups)
-	n, ns := len(ids), len(c.shards)
-	p.start, p.next = resized(p.start, ns+1), resized(p.next, ns)
-	p.order, p.hash, p.slot = resized(p.order, n), resized(p.hash, n), resized(p.slot, n)
-	clear(p.start)
-	for i, id := range ids {
-		g := c.shardOf(id)
-		p.slot[i] = int32(g)
-		p.start[g+1]++
-	}
-	for g := 0; g < ns; g++ {
-		p.next[g] = p.start[g]
-		p.start[g+1] += p.start[g]
-	}
-	for i, id := range ids {
-		k := p.next[p.slot[i]]
-		p.next[p.slot[i]]++
-		p.order[k], p.hash[k] = int32(i), scoreHash(pp, id)
-	}
-	return p
+	return sh
 }
 
 // GetBatch implements optimizer.ScoreCache.
 func (c *scoreCache) GetBatch(key *core.PP, ids []int, scores []float64, miss []int) []int {
 	pp := c.intern(key)
-	p := c.group(pp, ids)
-	for g, sh := range c.shards {
-		ord := p.order[p.start[g]:p.start[g+1]]
-		if len(ord) == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		if c.disabled {
-			for _, i := range ord {
-				p.slot[i] = 0
+	var sh *scoreShard
+	var p *scorePage // ids[i]'s page, nil when it is not cached
+	page := 0
+	for i, id := range ids {
+		if pg := id >> pageBits; sh == nil || pg != page {
+			page, p = pg, nil
+			sh = c.lockShard(page, sh)
+			if slot := sh.find(pp, page); slot != 0 {
+				sh.touch(slot)
+				p = &sh.slab[slot]
 			}
-		} else {
-			sh.findBatch(pp, ids, ord, p.hash[p.start[g]:p.start[g+1]], p.slot)
 		}
-		// Counting and touching go probe by probe in index order: that is
-		// what keeps the recency list exact.
-		for _, i := range ord {
-			slot := p.slot[i]
-			if slot == 0 {
-				sh.misses++
-				continue
-			}
+		if b := id & (pageSize - 1); p != nil && p.mask>>b&1 != 0 {
 			sh.hits++
-			sh.touch(slot)
-			scores[i] = sh.slab[slot].score
-		}
-		sh.mu.Unlock()
-	}
-	for i, slot := range p.slot {
-		if slot == 0 {
+			scores[i] = p.scores[b]
+		} else {
+			sh.misses++
 			miss = append(miss, i)
 		}
 	}
-	probeGroupsPool.Put(p)
+	if sh != nil {
+		sh.mu.Unlock()
+	}
 	return miss
 }
 
-// PutBatch implements optimizer.ScoreCache. Unlike lookups, puts change the
-// index as they go (an insert may evict the key a later put updates), so
-// within a shard they run one by one.
+// PutBatch implements optimizer.ScoreCache.
 func (c *scoreCache) PutBatch(key *core.PP, ids []int, scores []float64) {
-	if c.disabled {
+	if c.disabled || len(ids) == 0 {
 		return
 	}
 	pp := c.intern(key)
-	p := c.group(pp, ids)
-	for g, sh := range c.shards {
-		lo, hi := p.start[g], p.start[g+1]
-		if lo == hi {
-			continue
-		}
-		sh.mu.Lock()
-		for k := lo; k < hi; k++ {
-			i := p.order[k]
-			if slot := sh.find(pp, ids[i], sh.home(p.hash[k])); slot != 0 {
-				sh.slab[slot].score = scores[i]
+	var sh *scoreShard
+	var p *scorePage // ids[i]'s page
+	page := 0
+	for i, id := range ids {
+		if pg := id >> pageBits; sh == nil || pg != page {
+			page = pg
+			sh = c.lockShard(page, sh)
+			slot := sh.find(pp, page)
+			if slot != 0 {
 				sh.touch(slot)
 			} else {
-				sh.insert(pp, ids[i], scores[i])
+				slot = sh.insert(pp, page)
 			}
+			p = &sh.slab[slot]
 		}
-		sh.mu.Unlock()
+		b := id & (pageSize - 1)
+		if p.mask>>b&1 == 0 {
+			p.mask |= 1 << b
+			sh.scores++
+		}
+		p.scores[b] = scores[i]
 	}
-	probeGroupsPool.Put(p)
+	sh.mu.Unlock()
 }
 
 // Len returns the number of cached scores across all shards.
@@ -589,7 +546,7 @@ func (c *scoreCache) Len() int {
 func (c *scoreCache) stats() (entries int, hits, misses uint64) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		entries += len(sh.slab) - 1
+		entries += sh.scores
 		hits += sh.hits
 		misses += sh.misses
 		sh.mu.Unlock()

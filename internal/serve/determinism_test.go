@@ -75,7 +75,7 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	full := newMiniStack(t, 1500, nil)
 	tiny := newMiniStack(t, 1500, nil)
-	tiny.srv.scores = newScoreCache(64, 4, false)
+	tiny.srv.scores = newScoreCache(8, 4, false)
 	rf, err := full.srv.Replay(miniWorkload, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	if a, b := renderResponses(rf), renderResponses(rt); a != b {
 		t.Fatalf("tiny score cache diverged:\n%s\nvs\n%s", a, b)
 	}
-	if n := tiny.srv.Stats().ScoreEntries; n > 64 {
-		t.Fatalf("tiny cache holds %d entries, bound is 64", n)
+	if p, s := pagesOf(tiny.srv.scores), tiny.srv.Stats().ScoreEntries; p > 8 || s > 8*pageSize {
+		t.Fatalf("tiny cache holds %d pages, %d scores; bound is 8 pages", p, s)
 	}
 }

@@ -326,7 +326,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:    cfg,
 		plans:  newPlanCache(planCacheSize, cfg.Optimizer.Corpus()),
-		scores: newScoreCache(scoreCacheSize, scoreCacheShards, cfg.DisableScoreCache),
+		scores: newScoreCache(scoreCachePages, scoreCacheShards, cfg.DisableScoreCache),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 		m:      newServeMetrics(cfg.Metrics),
 	}, nil
