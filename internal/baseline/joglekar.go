@@ -142,6 +142,13 @@ func (s *CorrelationScorer) Score(x mathx.Vec) float64 {
 	return total
 }
 
+// ScoreBatch implements core.Scorer as a loop over Score.
+func (s *CorrelationScorer) ScoreBatch(xs []float64, d int, out []float64) {
+	for i := range out {
+		out[i] = s.Score(xs[i*d : (i+1)*d])
+	}
+}
+
 // Name implements core.Scorer.
 func (s *CorrelationScorer) Name() string { return "Joglekar" }
 

@@ -1,6 +1,6 @@
 package bench
 
-// Obs replays the TRAF20 workload through a sharded coordinator with the
+// Obs replays the TRAF20 workload through a sharded server with the
 // whole observability stack on — per-session tracing to a JSON span dump,
 // histogram exemplars, structured query log — and then runs the pplog
 // analyzer over the log joined with the span dump. It is the end-to-end
@@ -83,9 +83,7 @@ func Obs(cfg Config) (*Report, error) {
 	analysis := pplog.Analyze(records, spans, pplog.Options{Drops: drops})
 
 	// The join the gate checks: p99 service-time exemplar → query-log record
-	// → span tree, all on one TraceID. The exemplar lives on the replica
-	// servers' serve_service_ns histogram (legs carry the coordinator's
-	// session TraceID, so it resolves to a coordinator session record).
+	// → span tree, all on one TraceID.
 	var exemplarTrace string
 	var exemplarResolves bool
 	var exemplarSpans int
@@ -107,8 +105,8 @@ func Obs(cfg Config) (*Report, error) {
 	rep := &Report{ID: "obs", Title: fmt.Sprintf(
 		"Session tracing & query log: %d sessions over %d shards x %d replicas, full observability on",
 		len(workload), shards, replicas)}
-	rep.addf("sessions: %d (+%d leg records)   errors: %d   querylog drops: %d   all have trace: %v",
-		analysis.Sessions, analysis.LegRecords, analysis.Errors, analysis.Drops, analysis.AllHaveTrace)
+	rep.addf("sessions: %d   errors: %d   querylog drops: %d   all have trace: %v",
+		analysis.Sessions, analysis.Errors, analysis.Drops, analysis.AllHaveTrace)
 	rep.addf("slo: %.2fms   attainment: %.3f   plan-cache hit rate: %.3f", analysis.SLOMS, analysis.SLOAttainment, analysis.PlanCacheHitRate)
 	rep.addf("misestimate rate: %.3f   shard-skew rate: %.3f", analysis.MisestimateRate, analysis.ShardSkewRate)
 	rep.addf("p99 exemplar trace: %s   resolves: %v   spans: %d", exemplarTrace, exemplarResolves, exemplarSpans)

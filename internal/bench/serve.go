@@ -25,7 +25,7 @@ import (
 // trafficBuilder adapts the traffic harness to serve.CorpusBuilder: the UDF
 // pipeline downstream of the PP is the detector plus one UDF per referenced
 // column, exactly as PPPlan assembles it. The scanned blob slice is injected
-// per call — that is what the sharded coordinator partitions.
+// per call — that is what a sharded server partitions.
 type trafficBuilder struct{ h *TrafficHarness }
 
 func (b trafficBuilder) UDFCost(pred query.Pred) (float64, error) {

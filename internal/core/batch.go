@@ -1,16 +1,15 @@
-// Batch scoring fast path. The paper's premise is that PPs are cheap enough
-// to run on every input blob (§5, Table 5); this file keeps the simulator
-// itself cheap by scoring whole batches through flat, recycled buffers
-// instead of allocating a reduced vector per blob and dispatching through
-// two interfaces per row.
+// Batch scoring. The paper's premise is that PPs are cheap enough to run on
+// every input blob (§5, Table 5); this file keeps the simulator itself cheap
+// by scoring whole batches through flat, recycled buffers instead of
+// allocating a reduced vector per blob and dispatching through two
+// interfaces per row.
 //
-// The fast path engages only when both halves of the PP opt in: the reducer
-// implements dimred.BatchReducer and the scorer implements BatchScorer. Both
-// interfaces carry a bit-identicality contract — per-row accumulation order
-// must match the scalar path exactly — so ScoreBatch is a drop-in replacement
-// for a Score loop everywhere, including threshold comparisons and the
-// engine's virtual-cost accounting. Third-party reducers or scorers that
-// implement neither interface simply take the per-row fallback loop.
+// Both halves of a PP take batches: dimred.Reducer.ReduceBatch fills a
+// row-major buffer and Scorer.ScoreBatch consumes it. Both carry a
+// bit-identicality contract — per-row accumulation order must match the
+// scalar path exactly — so ScoreBatch is a drop-in replacement for a Score
+// loop everywhere, including threshold comparisons and the engine's
+// virtual-cost accounting.
 package core
 
 import (
@@ -18,19 +17,6 @@ import (
 	"probpred/internal/dimred"
 	"probpred/internal/mathx"
 )
-
-// BatchScorer is the optional batch fast path of Scorer: score many reduced
-// vectors held row-major in one flat buffer. The built-in families implement
-// it (svm: one flat dot-product sweep; dnn and kde: the scalar kernel per row
-// over one scratch held for the batch). Results must be bit-identical to
-// calling Score on each row — implementations that cannot guarantee that
-// must not implement the interface.
-type BatchScorer interface {
-	Scorer
-	// ScoreBatch scores the len(out) vectors stored row-major in xs (row i
-	// is xs[i*d:(i+1)*d]) into out.
-	ScoreBatch(xs []float64, d int, out []float64)
-}
 
 // scoreTile bounds how many rows scoreInto reduces before scoring them.
 // Tiling keeps the flat reduction buffer cache-resident: the scorer sweeps
@@ -61,25 +47,16 @@ func scoreAll(reducer dimred.Reducer, scorer Scorer, blobs []blob.Blob) []float6
 	return scores
 }
 
-// scoreInto is the one reduce→score loop. When both halves support batching,
-// reductions are written tile by tile into one recycled row-major buffer and
-// scored in a sweep; otherwise each blob takes the scalar path.
+// scoreInto is the one reduce→score loop: reductions are written tile by
+// tile into one recycled row-major buffer and scored in a sweep.
 func scoreInto(reducer dimred.Reducer, scorer Scorer, blobs []blob.Blob, dst []float64) {
-	br, rok := reducer.(dimred.BatchReducer)
-	bs, sok := scorer.(BatchScorer)
-	if !rok || !sok {
-		for i, b := range blobs {
-			dst[i] = scorer.Score(reducer.Reduce(b))
-		}
-		return
-	}
 	d := reducer.OutDim()
 	buf := flatPool.Get(min(len(blobs), scoreTile) * d)
 	flat := buf.V
 	for lo := 0; lo < len(blobs); lo += scoreTile {
 		hi := min(lo+scoreTile, len(blobs))
-		br.ReduceBatch(blobs[lo:hi], flat[:(hi-lo)*d])
-		bs.ScoreBatch(flat[:(hi-lo)*d], d, dst[lo:hi])
+		reducer.ReduceBatch(blobs[lo:hi], flat[:(hi-lo)*d])
+		scorer.ScoreBatch(flat[:(hi-lo)*d], d, dst[lo:hi])
 	}
 	flatPool.Put(buf)
 }

@@ -98,39 +98,6 @@ func TestScoreBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// plainScorer implements Scorer but not BatchScorer, forcing the per-row
-// fallback inside ScoreBatch.
-type plainScorer struct{}
-
-func (plainScorer) Score(x mathx.Vec) float64 { return x[0] - x[1] }
-func (plainScorer) Name() string              { return "plain" }
-func (plainScorer) Cost() float64             { return 1 }
-
-// plainReducer implements dimred.Reducer but not dimred.BatchReducer.
-type plainReducer struct{ dim int }
-
-func (r plainReducer) Reduce(b blob.Blob) mathx.Vec { return b.DenseVec() }
-func (r plainReducer) OutDim() int                  { return r.dim }
-func (r plainReducer) Name() string                 { return "plainred" }
-func (r plainReducer) Cost() float64                { return 0.1 }
-
-// TestScoreBatchFallback checks that third-party reducers/scorers without the
-// batch interfaces still score correctly through the per-row fallback.
-func TestScoreBatchFallback(t *testing.T) {
-	set := denseBatchSet(300, 8, 7)
-	pp, err := NewPP("fallback", "test", plainReducer{dim: 8}, plainScorer{}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, len(set.Blobs))
-	pp.ScoreBatch(set.Blobs, got)
-	for i, b := range set.Blobs {
-		if want := pp.Score(b); got[i] != want {
-			t.Fatalf("row %d: ScoreBatch=%v Score=%v", i, got[i], want)
-		}
-	}
-}
-
 // TestEvaluateUsesBatchPath pins Evaluate to the same numbers a scalar
 // reimplementation produces.
 func TestEvaluateUsesBatchPath(t *testing.T) {

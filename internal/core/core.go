@@ -29,6 +29,10 @@ import (
 // three families of §5 (svm.Model, kde.Model, dnn.Model) implement it.
 type Scorer interface {
 	Score(x mathx.Vec) float64
+	// ScoreBatch scores the len(out) vectors stored row-major in xs (row i
+	// is xs[i*d:(i+1)*d]) into out, bit-identical to Score on each row. A
+	// scorer with no kernel of its own loops Score.
+	ScoreBatch(xs []float64, d int, out []float64)
 	Name() string
 	// Cost is the virtual per-blob scoring cost in virtual milliseconds.
 	Cost() float64

@@ -7,26 +7,6 @@ import (
 	"probpred/internal/mathx"
 )
 
-// BatchReducer is the optional batch fast path of Reducer. Implementations
-// write the reductions of many blobs into one caller-provided row-major flat
-// buffer, which lets them run as blocked kernels (amortizing basis/table
-// traversals over the batch) and lets callers recycle the buffer instead of
-// allocating one vector per blob.
-//
-// The contract is strict so that the batch path can replace the scalar one
-// anywhere: blob i's reduced vector must land in dst[i*OutDim():(i+1)*OutDim()]
-// and must be bit-identical to Reduce(blobs[i]) — same per-entry accumulation
-// order, not merely numerically close. Reducers that cannot guarantee this
-// must simply not implement the interface; core.PP falls back to a per-blob
-// loop for them.
-type BatchReducer interface {
-	Reducer
-	// ReduceBatch reduces blobs into dst, which must have length
-	// len(blobs)*OutDim(). Blobs are assumed homogeneous in dimensionality
-	// (every generator in this repository produces such sets).
-	ReduceBatch(blobs []blob.Blob, dst []float64)
-}
-
 // reduceBlock is how many blobs are centered/projected together by the PCA
 // batch kernel: large enough to amortize the basis traversal, small enough
 // that a block of centered inputs stays cache-resident.
@@ -35,7 +15,7 @@ const reduceBlock = 64
 // centerPool recycles the PCA kernel's centered-input blocks.
 var centerPool mathx.BufPool
 
-// ReduceBatch implements BatchReducer: blobs are copied (sparse ones
+// ReduceBatch implements Reducer: blobs are copied (sparse ones
 // scattered) row-major into dst. Bit-identical to per-blob Reduce by
 // construction — the values are moved, never transformed.
 func (id Identity) ReduceBatch(blobs []blob.Blob, dst []float64) {
@@ -53,7 +33,7 @@ func (id Identity) ReduceBatch(blobs []blob.Blob, dst []float64) {
 	}
 }
 
-// ReduceBatch implements BatchReducer as a blocked projection kernel: a block
+// ReduceBatch implements Reducer as a blocked projection kernel: a block
 // of inputs is centered into a recycled scratch buffer, then each basis row
 // sweeps the whole block while it is hot in cache. Per blob, each output
 // component is Dot(basisRow, x−mean)·scale with the same accumulation order
@@ -122,7 +102,7 @@ func (f FeatureHash) table(dims int) *fhTable {
 	return t
 }
 
-// ReduceBatch implements BatchReducer. Dense blobs accumulate through a
+// ReduceBatch implements Reducer. Dense blobs accumulate through a
 // cached bucket/sign table (one splitmix64 hash + modulo per feature index
 // per batch, instead of per blob); sparse blobs hash their non-zeros exactly
 // like the scalar path. Accumulation visits features in index order either

@@ -17,6 +17,15 @@ import (
 type Reducer interface {
 	// Reduce projects one blob.
 	Reduce(b blob.Blob) mathx.Vec
+	// ReduceBatch reduces blobs row-major into dst, which must have length
+	// len(blobs)*OutDim(): blob i's vector lands in
+	// dst[i*OutDim():(i+1)*OutDim()], bit-identical to Reduce(blobs[i]) —
+	// same per-entry accumulation order, not merely numerically close. Blobs
+	// are assumed homogeneous in dimensionality (every generator in this
+	// repository produces such sets). Batching lets a reducer run as a
+	// blocked kernel and its callers recycle one buffer instead of
+	// allocating a vector per blob.
+	ReduceBatch(blobs []blob.Blob, dst []float64)
 	// OutDim is the dimensionality of Reduce's output.
 	OutDim() int
 	// Name is a short identifier used in approach labels ("PCA", "FH", ...).

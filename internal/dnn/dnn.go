@@ -327,9 +327,9 @@ func (m *Model) score(x mathx.Vec, s *fwdScratch) float64 {
 // ScoreBatch scores the len(out) vectors stored row-major in xs (row i is
 // xs[i*d:(i+1)*d]) into out: score per row over one scratch held for the
 // whole batch, so batch and scalar logits are bit-identical (the invariant
-// core.PP's batch fast path relies on). Rows are not blocked through the
+// core.PP's batch path relies on). Rows are not blocked through the
 // layers: a PP network's weights stay cache-resident from one row to the
-// next as it is. It implements core.BatchScorer.
+// next as it is. It implements core.Scorer.
 func (m *Model) ScoreBatch(xs []float64, d int, out []float64) {
 	s := m.getScratch()
 	for i := range out {

@@ -203,8 +203,8 @@ func (m *Model) score(x mathx.Vec, s *kdtree.Scratch) float64 {
 // its own; rows share nothing. Each row's score is a function of the exact
 // k-NN distance list alone (full index-order SqDist per neighbour, summed in
 // ascending order), so batch and scalar scores are bit-identical — the
-// invariant core.PP's batch fast path relies on. It implements
-// core.BatchScorer.
+// invariant core.PP's batch path relies on. It implements
+// core.Scorer.
 func (m *Model) ScoreBatch(xs []float64, d int, out []float64) {
 	s := m.getScratch()
 	for i := range out {

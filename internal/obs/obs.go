@@ -43,8 +43,9 @@ const (
 	// KindAdapt is one mid-query re-optimization attempt (adapt controller):
 	// divergence check, optimizer re-entry and the resulting swap decision.
 	KindAdapt = "adapt"
-	// KindSession is one served query session (serve.Server.Do): plan-cache
-	// resolution plus execution, with the run span parented under it.
+	// KindSession is one served query session (serve.Server.Do), or one leg
+	// of a sharded session parented under it: plan-cache resolution plus
+	// execution, with the run span parented under it.
 	KindSession = "session"
 )
 
@@ -61,7 +62,7 @@ type Attr struct {
 // behaviour.
 type TraceContext struct {
 	// TraceID is shared by every span and event of one served session,
-	// across coordinator, shard legs, replicas, optimizer and engine.
+	// across the server, its shard legs, optimizer and engine.
 	TraceID string
 	// SpanID is the span to parent the next child span under (0 = root).
 	SpanID int64

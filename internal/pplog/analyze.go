@@ -90,9 +90,8 @@ type TraceDetail struct {
 // Analysis is the analyzer's report — what ppbench's `obs` experiment
 // prints and gates on.
 type Analysis struct {
-	Sessions   int `json:"sessions"`
-	LegRecords int `json:"leg_records"`
-	Errors     int `json:"errors"`
+	Sessions int `json:"sessions"`
+	Errors   int `json:"errors"`
 	// Drops echoes the query-log writer's drop counter.
 	Drops uint64 `json:"querylog_drops"`
 	// AllHaveTrace reports whether every record carried a TraceID.
@@ -128,17 +127,13 @@ func Analyze(records []Record, spans []obs.Span, opts Options) Analysis {
 	}
 
 	a := Analysis{Drops: opts.Drops, AllHaveTrace: true}
-	var sessions []*Record
+	sessions := make([]*Record, len(records))
 	for i := range records {
 		rec := &records[i]
 		if rec.TraceID == "" {
 			a.AllHaveTrace = false
 		}
-		if !rec.IsSession() {
-			a.LegRecords++
-			continue
-		}
-		sessions = append(sessions, rec)
+		sessions[i] = rec
 		if rec.Error != "" {
 			a.Errors++
 		}

@@ -8,8 +8,8 @@
 // and histogram exemplars carry.
 package pplog
 
-// Leg is one shard leg's contribution to a scatter-gather session, recorded
-// on the coordinator's session record.
+// Leg is one shard leg's contribution to a sharded session, recorded on the
+// session's record.
 type Leg struct {
 	// Shard is the shard index; Replica the replica chosen by the router.
 	Shard   int `json:"shard"`
@@ -24,14 +24,6 @@ type Leg struct {
 	Error string `json:"error,omitempty"`
 }
 
-// LegInfo identifies which shard leg a per-replica record describes (nil on
-// coordinator and unsharded session records).
-type LegInfo struct {
-	Shard   int    `json:"shard"`
-	Replica int    `json:"replica"`
-	Policy  string `json:"policy,omitempty"`
-}
-
 // SegInfo identifies the stream segment a standing-query session covered
 // (nil on non-streaming records).
 type SegInfo struct {
@@ -41,9 +33,9 @@ type SegInfo struct {
 	Version uint64 `json:"version"`
 }
 
-// Record is one query-log entry. Coordinator sessions and unsharded sessions
-// write one record each (Leg nil); every shard leg additionally writes its
-// own record with Leg set — all sharing the session's TraceID.
+// Record is one query-log entry: every served session writes exactly one,
+// keyed by its TraceID. A session of a server with more than one shard ×
+// replica also lists its legs and the routing policy that placed them.
 type Record struct {
 	// TimeUnixNS is when the session completed.
 	TimeUnixNS int64 `json:"time_unix_ns"`
@@ -59,8 +51,9 @@ type Record struct {
 	Accuracy float64 `json:"accuracy,omitempty"`
 	// PlanCached reports whether the plan came from the plan cache.
 	PlanCached bool `json:"plan_cached"`
-	// QueueWaitNS (enqueue→admit) and ServiceNS (admit→done) split the
-	// session's latency at the admission semaphore.
+	// QueueWaitNS (enqueue→admit, a sharded session's slowest leg's) and
+	// ServiceNS (the rest) split the session's wall time at the admission
+	// semaphore.
 	QueueWaitNS int64 `json:"queue_wait_ns"`
 	ServiceNS   int64 `json:"service_ns"`
 	// Rows is the result cardinality; ClusterVMS the virtual cluster cost.
@@ -78,10 +71,9 @@ type Record struct {
 	AdaptSwaps int `json:"adapt_swaps,omitempty"`
 	// Seg tags standing-query records with the stream segment they covered.
 	Seg *SegInfo `json:"seg,omitempty"`
-	// Leg is set on per-shard leg records; Legs on coordinator records.
-	Leg  *LegInfo `json:"leg,omitempty"`
-	Legs []Leg    `json:"legs,omitempty"`
-	// Policy is the routing policy that placed the legs (coordinator records).
+	// Legs lists a sharded session's legs in shard order.
+	Legs []Leg `json:"legs,omitempty"`
+	// Policy is the routing policy that placed the legs.
 	Policy string `json:"policy,omitempty"`
 	// Error is the session failure, if any.
 	Error string `json:"error,omitempty"`
@@ -89,7 +81,3 @@ type Record struct {
 
 // TotalNS is the session's end-to-end latency (queue wait plus service).
 func (r *Record) TotalNS() int64 { return r.QueueWaitNS + r.ServiceNS }
-
-// IsSession reports whether the record describes a whole session (as opposed
-// to one shard leg of one).
-func (r *Record) IsSession() bool { return r.Leg == nil }

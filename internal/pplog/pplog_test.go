@@ -19,7 +19,7 @@ func TestWriterRoundtrip(t *testing.T) {
 	recs := []Record{
 		{TraceID: "t1", Session: "q1", PlanKey: "k1", PlanCached: true, ServiceNS: 100, QueueWaitNS: 5},
 		{TraceID: "t2", Session: "q2", Error: "boom"},
-		{TraceID: "t3", Session: "q3", Leg: &LegInfo{Shard: 1, Replica: 0, Policy: "round-robin"}},
+		{TraceID: "t3", Session: "q3", Policy: "round-robin", Legs: []Leg{{Shard: 0}, {Shard: 1, Replica: 1, Rows: 4}}},
 	}
 	for _, r := range recs {
 		if !w.Log(r) {
@@ -42,10 +42,10 @@ func TestWriterRoundtrip(t *testing.T) {
 	if got[0].TraceID != "t1" || !got[0].PlanCached || got[0].TotalNS() != 105 {
 		t.Fatalf("record 0 mismatch: %+v", got[0])
 	}
-	if got[2].IsSession() || got[2].Leg.Shard != 1 {
-		t.Fatalf("record 2 leg mismatch: %+v", got[2])
+	if len(got[2].Legs) != 2 || got[2].Legs[1].Replica != 1 || got[2].Legs[1].Rows != 4 || got[2].Policy != "round-robin" {
+		t.Fatalf("record 2 legs mismatch: %+v", got[2])
 	}
-	if got[1].IsSession() != true || got[1].Error != "boom" {
+	if got[1].Error != "boom" {
 		t.Fatalf("record 1 mismatch: %+v", got[1])
 	}
 	if v := reg.Counter("querylog_records_total", "").Value(); v != 3 {
@@ -159,10 +159,9 @@ func TestAnalyze(t *testing.T) {
 	}
 	records := []Record{
 		mkSession("t1", 10, true, 0.9, 0.88, nil),
-		mkSession("t2", 10, true, 0.9, 0.30, nil), // misestimated (gap 0.6)
+		mkSession("t2", 10, true, 0.9, 0.30, nil),                                                       // misestimated (gap 0.6)
 		mkSession("t3", 10, false, 0, 0, []Leg{{Shard: 0, ServiceNS: 9e6}, {Shard: 1, ServiceNS: 1e6}}), // skewed 9x
 		mkSession("t4", 500, true, 0, 0, []Leg{{Shard: 0, ServiceNS: 5e6}, {Shard: 1, ServiceNS: 4e6}}), // slow, not skewed
-		{TraceID: "t3", Session: "s-t3", Leg: &LegInfo{Shard: 0}},
 		{TraceID: "", Session: "untraced"},
 	}
 	spans := []obs.Span{
@@ -172,8 +171,8 @@ func TestAnalyze(t *testing.T) {
 		{ID: 9, Trace: "other", Kind: obs.KindRun, Name: "unrelated"},
 	}
 	a := Analyze(records, spans, Options{SLOMS: 100, TopK: 2, Drops: 7})
-	if a.Sessions != 5 || a.LegRecords != 1 {
-		t.Fatalf("sessions=%d legs=%d, want 5/1", a.Sessions, a.LegRecords)
+	if a.Sessions != 5 {
+		t.Fatalf("sessions=%d, want 5", a.Sessions)
 	}
 	if a.AllHaveTrace {
 		t.Fatal("AllHaveTrace true despite untraced record")

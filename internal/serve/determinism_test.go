@@ -21,10 +21,10 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 		}
 		keys = append(keys, resp[0].PlanKey)
 	}
-	version := st.corpus.Version()
+	version, plans := st.corpus.Version(), st.srv.only().plans
 	donors := make(map[string]*planEntry, len(keys))
 	for _, k := range keys {
-		e, ok := st.srv.plans.get(k, version)
+		e, ok := plans.get(k, version)
 		if !ok {
 			t.Fatalf("key %q not cached", k)
 		}
@@ -39,11 +39,11 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 				k := keys[(g+i)%len(keys)]
 				switch g % 3 {
 				case 0:
-					st.srv.plans.demote(k)
+					plans.demote(k)
 				case 1:
-					st.srv.plans.promote(donors[k], donors[k].filter)
+					plans.promote(donors[k], donors[k].filter)
 				default:
-					if e, ok := st.srv.plans.get(k, version); ok {
+					if e, ok := plans.get(k, version); ok {
 						if e.key != k || e.dec == nil {
 							t.Errorf("torn entry for %q", k)
 							return
@@ -54,17 +54,17 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := st.srv.plans.len(); n > len(miniWorkload) {
+	if n := plans.len(); n > len(miniWorkload) {
 		t.Fatalf("cache population %d exceeds workload plans", n)
 	}
-	if st.srv.plans.demotions.Load() == 0 || st.srv.plans.promotions.Load() == 0 {
+	if plans.demotions.Load() == 0 || plans.promotions.Load() == 0 {
 		t.Fatal("counters did not move")
 	}
 	// A demoted key that adapt then promotes resolves from the cache again.
 	for _, k := range keys {
-		st.srv.plans.demote(k)
-		st.srv.plans.promote(donors[k], donors[k].filter)
-		if _, ok := st.srv.plans.get(k, version); !ok {
+		plans.demote(k)
+		plans.promote(donors[k], donors[k].filter)
+		if _, ok := plans.get(k, version); !ok {
 			t.Errorf("promoted plan %q missing from cache", k)
 		}
 	}
@@ -75,7 +75,7 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	full := newMiniStack(t, 1500, nil)
 	tiny := newMiniStack(t, 1500, nil)
-	tiny.srv.scores = newScoreCache(8, 4, false)
+	tiny.srv.only().scores = newScoreCache(8, 4, false)
 	rf, err := full.srv.Replay(miniWorkload, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	if a, b := renderResponses(rf), renderResponses(rt); a != b {
 		t.Fatalf("tiny score cache diverged:\n%s\nvs\n%s", a, b)
 	}
-	if p, s := pagesOf(tiny.srv.scores), tiny.srv.Stats().ScoreEntries; p > 8 || s > 8*pageSize {
+	if p, s := pagesOf(tiny.srv.only().scores), tiny.srv.Stats().ScoreEntries; p > 8 || s > 8*pageSize {
 		t.Fatalf("tiny cache holds %d pages, %d scores; bound is 8 pages", p, s)
 	}
 }

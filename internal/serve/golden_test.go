@@ -104,11 +104,10 @@ func TestShardedExplicitBlobsSplitAcrossLegs(t *testing.T) {
 }
 
 // The observability acceptance gate: every session — replayed or streamed,
-// through a 2×2 coordinator with four engine workers — joins across the
-// three telemetry sinks by its trace ID (one session record plus one per
-// leg in the query log, one span tree from the coordinator session through
-// the leg sessions to run and operator spans), and the p99 service-time
-// exemplar names one of them.
+// through a 2×2 server with four engine workers — joins across the
+// three telemetry sinks by its trace ID (one record in the query log, one
+// span tree from the session span through the leg spans to run and
+// operator spans), and the p99 service-time exemplar names one of them.
 func TestTraceJoinEndToEnd(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		oracle.Check(t, oracle.Draw{Blobs: 60, Seed: 7, Queries: testkit.Workload, Stream: stream, Cuts: []int{30},

@@ -1,7 +1,7 @@
 package serve
 
 // Test harness: the mini traffic fixture of internal/testkit wired into a
-// Server (newMiniStack) or a Coordinator (newMiniCoordinator). Everything is
+// 1×1 Server (newMiniStack) or a sharded one (newMiniSharded). Everything is
 // seeded and deterministic.
 
 import (
@@ -54,9 +54,9 @@ func newMiniStack(t *testing.T, nBlobs int, mutate func(*Config)) *miniStack {
 	return &miniStack{blobs: blobs, corpus: corpus, srv: srv}
 }
 
-// newMiniCoordinator wires a Coordinator over the same fixture. mutate
+// newMiniSharded wires a sharded Server over the same fixture. mutate
 // adjusts the sharded config before NewSharded (nil for defaults).
-func newMiniCoordinator(t *testing.T, nBlobs, shards, replicas int, routing RoutingPolicy, mutate func(*ShardedConfig)) *Coordinator {
+func newMiniSharded(t *testing.T, nBlobs, shards, replicas int, routing RoutingPolicy, mutate func(*ShardedConfig)) *Server {
 	t.Helper()
 	blobs := testkit.Blobs(nBlobs, 7)
 	base, _ := miniConfig(t, nil)
@@ -71,6 +71,10 @@ func newMiniCoordinator(t *testing.T, nBlobs, shards, replicas int, routing Rout
 	}
 	return c
 }
+
+// only is a 1×1 server's one replica, for the tests that reach into its
+// caches.
+func (s *Server) only() *replica { return s.shards[0].replicas[0] }
 
 // renderResponses renders responses one testkit.RenderResult line each.
 func renderResponses(resps []*Response) string {

@@ -156,17 +156,17 @@ func TestPlanEntryStampedWithSearchedSnapshot(t *testing.T) {
 	pred := query.MustParse("s>60")
 	key := optimizer.PlanKey(pred, 0.95)
 	searchedOn := st.corpus.Version()
-	e, err := st.srv.searchPlan(pred, 0.95, key, obs.TraceContext{})
+	e, err := st.srv.searchPlan(st.srv.only(), pred, 0.95, key, obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.corpus.Add(retrainSpeedPP(t, "s>60"))
-	st.srv.plans.put(e)
+	st.srv.only().plans.put(e)
 
 	if e.version != searchedOn || e.dec.CorpusVersion != searchedOn {
 		t.Fatalf("entry stamped %d (decision %d), want the searched snapshot's %d", e.version, e.dec.CorpusVersion, searchedOn)
 	}
-	if _, ok := st.srv.plans.get(key, st.corpus.Version()); ok {
+	if _, ok := st.srv.only().plans.get(key, st.corpus.Version()); ok {
 		t.Fatal("entry searched before the retraining was served after it")
 	}
 	resp, err := st.srv.Do(Request{ID: "after", Pred: pred})

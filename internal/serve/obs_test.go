@@ -7,14 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"probpred/internal/engine"
+	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/pplog"
 	"probpred/internal/query"
+	"probpred/internal/testkit"
 )
 
 // TestErrorSessionsAreLogged: a failing session still produces a traced
-// query-log record carrying the error — on a Server, and on a Coordinator
-// whether a shard failed or the request was rejected before any leg ran.
+// query-log record carrying the error — on a 1×1 server, and on a sharded
+// one whether a shard failed or the request was rejected before any leg ran.
 func TestErrorSessionsAreLogged(t *testing.T) {
 	errorRecords := func(t *testing.T, logBuf *bytes.Buffer, qlog *pplog.Writer, want int) []pplog.Record {
 		t.Helper()
@@ -52,9 +55,11 @@ func TestErrorSessionsAreLogged(t *testing.T) {
 		var logBuf bytes.Buffer
 		qlog := pplog.NewWriter(&logBuf, 8, nil)
 		col := obs.NewCollector()
-		c := newMiniCoordinator(t, 20, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+		reg := metrics.New()
+		c := newMiniSharded(t, 20, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
 			cfg.Base.QueryLog = qlog
 			cfg.Base.Obs = obs.New(col)
+			cfg.Base.Metrics = reg
 		})
 		// Rejected by validation: no leg runs, and the session is still
 		// counted, traced and logged.
@@ -64,11 +69,17 @@ func TestErrorSessionsAreLogged(t *testing.T) {
 		if _, err := c.Do(Request{ID: "bad"}); err == nil {
 			t.Fatal("expected the predicate-less request to be rejected")
 		}
-		if st := c.Stats(); st.ScatterSessions != 2 || st.ScatterFailures != 2 || st.Sessions != 0 {
-			t.Errorf("scatter sessions/failures = %d/%d over %d legs, want 2/2 over 0", st.ScatterSessions, st.ScatterFailures, st.Sessions)
+		failures := reg.Counter("serve_session_errors_total", "").Value()
+		if st := c.Stats(); st.Sessions != 2 || failures != 2 {
+			t.Errorf("sessions/failures = %d/%v, want 2/2", st.Sessions, failures)
+		}
+		for _, rs := range c.ReplicaStats() {
+			if rs[0].Sessions != 0 {
+				t.Errorf("a rejected request ran a leg: %+v", c.ReplicaStats())
+			}
 		}
 		for _, r := range errorRecords(t, &logBuf, qlog, 2) {
-			if r.Leg != nil || len(r.Legs) != 0 {
+			if len(r.Legs) != 0 {
 				t.Errorf("rejected request logged legs: %+v", r)
 			}
 		}
@@ -84,59 +95,122 @@ func TestErrorSessionsAreLogged(t *testing.T) {
 	})
 }
 
-// TestServerAndCoordinatorLogTheSameSession: both front doors close a session
-// through the one epilogue, so for one predicate over one corpus a Server's
-// record and a Coordinator's session record state the same facts — they
-// differ only in the scatter fields (Leg / Legs / Policy) and in timings.
-func TestServerAndCoordinatorLogTheSameSession(t *testing.T) {
+// TestNewIsTheOneByOneSharded: New over a corpus and NewSharded over the
+// same corpus at one shard × one replica build the same server — for one
+// predicate they serve equal responses and log equal records, timings aside,
+// and neither routes: no Legs, no Policy, no leg span.
+func TestNewIsTheOneByOneSharded(t *testing.T) {
 	const nBlobs = 60
-	sessionRecord := func(qlog *pplog.Writer, logBuf *bytes.Buffer, d doer) pplog.Record {
+	type served struct {
+		resp  *Response
+		rec   pplog.Record
+		spans []obs.Span
+	}
+	serveTwice := func(mk func(qlog *pplog.Writer, tr *obs.Tracer) *Server) served {
 		t.Helper()
+		var logBuf bytes.Buffer
+		qlog, col := pplog.NewWriter(&logBuf, 64, nil), obs.NewCollector()
+		srv := mk(qlog, obs.New(col))
 		req := Request{
 			ID: "Q", Pred: query.MustParse("t=SUV & c!=white"), Trace: "feedfacefeedface",
 			Segment: &pplog.SegInfo{Index: 3, Version: 4},
 		}
-		for i := 0; i < 2; i++ { // the second session finds every plan cached
-			if _, err := d.Do(req); err != nil {
+		var out served
+		for i := 0; i < 2; i++ { // the second session finds its plan cached
+			resp, err := srv.Do(req)
+			if err != nil {
 				t.Fatal(err)
 			}
+			out.resp = resp
 		}
 		if err := qlog.Close(); err != nil {
 			t.Fatal(err)
 		}
-		records, err := pplog.Read(logBuf)
+		records, err := pplog.Read(&logBuf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var last pplog.Record
-		for _, rec := range records {
-			if rec.IsSession() {
-				last = rec
+		if len(records) != 2 {
+			t.Fatalf("%d records for 2 sessions, want one each", len(records))
+		}
+		out.rec, out.spans = records[1], col.Spans()
+		return out
+	}
+	one := serveTwice(func(qlog *pplog.Writer, tr *obs.Tracer) *Server {
+		return newMiniStack(t, nBlobs, func(cfg *Config) { cfg.QueryLog, cfg.Obs = qlog, tr }).srv
+	})
+	sharded := serveTwice(func(qlog *pplog.Writer, tr *obs.Tracer) *Server {
+		return newMiniSharded(t, nBlobs, 1, 1, RouteRoundRobin, func(cfg *ShardedConfig) { cfg.Base.QueryLog, cfg.Base.Obs = qlog, tr })
+	})
+
+	if r := one.rec; r.PlanKey == "" || !r.PlanCached || r.Rows == 0 || r.PPTested == 0 || r.EstReduction == 0 || r.Seg == nil {
+		t.Fatalf("degenerate record: %+v", r)
+	}
+	for _, s := range []*served{&one, &sharded} {
+		if len(s.rec.Legs) != 0 || s.rec.Policy != "" {
+			t.Errorf("a 1×1 server logged routing fields: %+v", s.rec)
+		}
+		for _, sp := range s.spans {
+			if sp.Kind == obs.KindSession && sp.Parent != 0 {
+				t.Errorf("a 1×1 server opened a leg span: %+v", sp)
 			}
 		}
-		return last
+		s.rec.TimeUnixNS, s.rec.QueueWaitNS, s.rec.ServiceNS = 0, 0, 0
 	}
+	if !reflect.DeepEqual(one.rec, sharded.rec) {
+		t.Errorf("records differ beyond timings\n     New: %+v\n sharded: %+v", one.rec, sharded.rec)
+	}
+	if a, b := renderSession(one.resp), renderSession(sharded.resp); a != b {
+		t.Errorf("responses differ beyond timings\n     New: %s\n sharded: %s", a, b)
+	}
+}
 
-	var srvBuf, coordBuf bytes.Buffer
-	srvLog, coordLog := pplog.NewWriter(&srvBuf, 64, nil), pplog.NewWriter(&coordBuf, 64, nil)
-	st := newMiniStack(t, nBlobs, func(cfg *Config) { cfg.QueryLog = srvLog })
-	c := newMiniCoordinator(t, nBlobs, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) { cfg.Base.QueryLog = coordLog })
-	srvRec, coordRec := sessionRecord(srvLog, &srvBuf, st.srv), sessionRecord(coordLog, &coordBuf, c)
+// renderSession renders everything a response states but its timings.
+func renderSession(r *Response) string {
+	ops := append([]engine.OpStats(nil), r.Result.PerOp...)
+	for i := range ops {
+		ops[i].WallNS = 0
+	}
+	d := r.Decision
+	return fmt.Sprintf("%s %s key=%s cached=%v adapt=%v plan=%v/%s/%v/%v ops=%+v %s", r.ID, r.TraceID, r.PlanKey, r.PlanCached,
+		r.Adapt != nil, d.Inject, d.Expr, d.Reduction, d.PlanCost, ops, testkit.RenderRows(r.Result.Rows))
+}
 
-	if srvRec.Leg != nil || len(srvRec.Legs) != 0 || srvRec.Policy != "" {
-		t.Errorf("server record carries scatter fields: %+v", srvRec)
-	}
-	if len(coordRec.Legs) != 2 || coordRec.Policy != string(RouteRoundRobin) {
-		t.Errorf("coordinator record misses its scatter fields: %+v", coordRec)
-	}
-	if srvRec.PlanKey == "" || srvRec.Rows == 0 || srvRec.PPTested == 0 || srvRec.EstReduction == 0 || srvRec.Seg == nil {
-		t.Fatalf("degenerate server record: %+v", srvRec)
-	}
-	for _, rec := range []*pplog.Record{&srvRec, &coordRec} {
-		rec.TimeUnixNS, rec.QueueWaitNS, rec.ServiceNS = 0, 0, 0
-		rec.Leg, rec.Legs, rec.Policy = nil, nil, ""
-	}
-	if !reflect.DeepEqual(srvRec, coordRec) {
-		t.Errorf("records differ beyond scatter fields and timings\n server: %+v\n  coord: %+v", srvRec, coordRec)
+// TestServeGaugesDescribeTheDeployment: whatever the shards × replicas, the
+// serve gauges mirror the whole server's Stats — not the last replica to
+// finish a leg — and each session is counted once.
+func TestServeGaugesDescribeTheDeployment(t *testing.T) {
+	for _, shape := range [][2]int{{2, 2}, {1, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(t *testing.T) {
+			reg := metrics.New()
+			srv := newMiniSharded(t, 200, shape[0], shape[1], RouteRoundRobin, func(cfg *ShardedConfig) { cfg.Base.Metrics = reg })
+			if _, err := srv.Replay(miniWorkload, 1); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
+			for name, want := range map[string]float64{
+				"serve_plan_cache_entries":       float64(st.PlanEntries),
+				"serve_plan_cache_invalidations": float64(st.PlanInvalidations),
+				"serve_plan_cache_revalidations": float64(st.PlanRevalidations),
+				"serve_plan_cache_demotions":     float64(st.PlanDemotions),
+				"serve_plan_cache_promotions":    float64(st.PlanPromotions),
+				"serve_score_cache_entries":      float64(st.ScoreEntries),
+				"serve_score_cache_hits":         float64(st.ScoreHits),
+				"serve_score_cache_misses":       float64(st.ScoreMisses),
+			} {
+				if got := reg.Gauge(name, "").Value(); got != want {
+					t.Errorf("%s = %v, Stats says %v", name, got, want)
+				}
+			}
+			if st.Sessions != uint64(len(miniWorkload)) {
+				t.Errorf("Stats().Sessions = %d, want %d", st.Sessions, len(miniWorkload))
+			}
+			if got := reg.Counter("serve_sessions_total", "").Value(); got != float64(st.Sessions) {
+				t.Errorf("serve_sessions_total = %v, want %d", got, st.Sessions)
+			}
+			if got := reg.Histogram("serve_service_ns", "").Count(); got != st.Sessions {
+				t.Errorf("serve_service_ns counted %d sessions, want %d", got, st.Sessions)
+			}
+		})
 	}
 }

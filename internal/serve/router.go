@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Routing decides which replica of each shard serves one scatter leg.
+// Routing decides which replica of each shard serves one leg.
 // Because PP scores are pure and both caches are transparent, every replica
 // of a shard returns byte-identical results — routing never affects outputs,
 // only wall-clock latency and cache warmth. That is what makes the policy
 // pluggable: it is a pure performance knob.
 
-// RoutingPolicy names a built-in Router.
+// RoutingPolicy names a built-in routing policy.
 type RoutingPolicy string
 
 const (
@@ -19,8 +19,7 @@ const (
 	// order — the oblivious baseline.
 	RouteRoundRobin RoutingPolicy = "round-robin"
 	// RouteLeastLoaded sends each leg to the replica with the fewest queued
-	// plus active sessions (live Server.Load counters), ties to the lowest
-	// index.
+	// plus active legs (its live load counters), ties to the lowest index.
 	RouteLeastLoaded RoutingPolicy = "least-loaded"
 	// RoutePlanAffinity hashes the session's canonical plan key, so repeat
 	// predicates land on the replica whose plan and score caches are already
@@ -36,21 +35,18 @@ func (p RoutingPolicy) valid() bool {
 	return false
 }
 
-// Router picks the replica of one shard that serves one scatter leg. Pick is
-// called concurrently by coordinator legs and must be safe for concurrent
-// use. key is the session's canonical plan key (optimizer.PlanKey), replicas
-// the shard's replica set in index order; the returned index must be in
-// [0, len(replicas)).
-type Router interface {
-	// Name identifies the policy in metrics and reports.
-	Name() string
+// router picks the replica of one shard that serves one leg. Pick is called
+// concurrently by sessions and must be safe for concurrent use. key is the
+// session's canonical plan key (optimizer.PlanKey), replicas the shard's
+// replica set in index order; the returned index is in [0, len(replicas)).
+type router interface {
 	// Pick selects the serving replica for one leg of shard.
-	Pick(shard int, key string, replicas []*Server) int
+	Pick(shard int, key string, replicas []*replica) int
 }
 
 // newRouter builds the built-in router for a policy over shards shards.
 // policy must be valid (Config.fill checked it).
-func newRouter(policy RoutingPolicy, shards int) Router {
+func newRouter(policy RoutingPolicy, shards int) router {
 	switch policy {
 	case RouteLeastLoaded:
 		return leastLoadedRouter{}
@@ -65,9 +61,7 @@ func newRouter(policy RoutingPolicy, shards int) Router {
 // replicas are cycled independently of how other shards route.
 type roundRobinRouter struct{ next []atomic.Uint64 }
 
-func (r *roundRobinRouter) Name() string { return string(RouteRoundRobin) }
-
-func (r *roundRobinRouter) Pick(shard int, _ string, replicas []*Server) int {
+func (r *roundRobinRouter) Pick(shard int, _ string, replicas []*replica) int {
 	return int((r.next[shard].Add(1) - 1) % uint64(len(replicas)))
 }
 
@@ -76,13 +70,10 @@ func (r *roundRobinRouter) Pick(shard int, _ string, replicas []*Server) int {
 // fine: a slightly stale pick only costs wall-clock, never correctness.
 type leastLoadedRouter struct{}
 
-func (leastLoadedRouter) Name() string { return string(RouteLeastLoaded) }
-
-func (leastLoadedRouter) Pick(_ int, _ string, replicas []*Server) int {
+func (leastLoadedRouter) Pick(_ int, _ string, replicas []*replica) int {
 	best, bestLoad := 0, int64(1<<62)
-	for i, s := range replicas {
-		q, a := s.Load()
-		if load := q + a; load < bestLoad {
+	for i, r := range replicas {
+		if load := r.queued.Load() + r.active.Load(); load < bestLoad {
 			best, bestLoad = i, load
 		}
 	}
@@ -95,9 +86,7 @@ func (leastLoadedRouter) Pick(_ int, _ string, replicas []*Server) int {
 // spreading — and re-paying — that work across every replica.
 type planAffinityRouter struct{}
 
-func (planAffinityRouter) Name() string { return string(RoutePlanAffinity) }
-
-func (planAffinityRouter) Pick(_ int, key string, replicas []*Server) int {
+func (planAffinityRouter) Pick(_ int, key string, replicas []*replica) int {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int(h.Sum64() % uint64(len(replicas)))

@@ -13,6 +13,9 @@
 // accounting are bit-identical to cache-free execution, because PP scores
 // are pure functions and cache hits still charge the modeled virtual cost
 // (the cache saves real CPU, not modeled cluster work).
+//
+// A Server is shards × replicas of those caches (shard.go): New builds the
+// 1×1 case, NewSharded partitions a corpus across shards.
 package serve
 
 import (
@@ -37,9 +40,9 @@ import (
 // CorpusBuilder assembles executable plans: it describes the application's
 // UDF pipeline (e.g. the traffic benchmark's detector + per-column UDFs),
 // the server supplies the PP filter to inject, and the blob corpus to scan
-// is passed per call. That split is what sharded serving composes on — the
-// coordinator binds one builder to N disjoint corpus slices, one per shard —
-// and what streaming reuses to scan one segment per session.
+// is passed per call. That split is what sharded serving composes on — one
+// builder serves N disjoint corpus slices, one per shard — and what
+// streaming reuses to scan one segment per session.
 type CorpusBuilder interface {
 	// UDFCost returns u, the per-blob virtual cost of the plan downstream of
 	// a PP for this predicate — the work a PP can short-circuit (§3). It is
@@ -61,7 +64,7 @@ type BoundCorpus struct {
 }
 
 // BindCorpus fixes b to one blob slice, yielding the Config.Builder a
-// server (or a shard replica) plans with.
+// server plans with.
 func BindCorpus(b CorpusBuilder, blobs []blob.Blob) *BoundCorpus {
 	return &BoundCorpus{CorpusBuilder: b, Blobs: blobs}
 }
@@ -89,8 +92,8 @@ type Config struct {
 	// Domains maps columns to finite value domains for the optimizer's
 	// wrangler rewrites. Optional.
 	Domains map[string][]query.Value
-	// MaxConcurrent bounds simultaneously executing sessions; excess
-	// sessions queue (admission control). Zero selects GOMAXPROCS.
+	// MaxConcurrent bounds each replica's simultaneously executing legs;
+	// excess legs queue (admission control). Zero selects GOMAXPROCS.
 	MaxConcurrent int
 	// Exec is the execution environment for every session's engine.Run.
 	// Its Obs/Metrics default to the server's when unset.
@@ -100,16 +103,16 @@ type Config struct {
 	// benchmark uses to measure uncached evaluation counts through identical
 	// code paths.
 	DisableScoreCache bool
-	// Routing selects how a sharded Coordinator picks the replica that
-	// serves each scatter leg (see NewSharded): RouteRoundRobin,
-	// RouteLeastLoaded or RoutePlanAffinity. Empty selects round-robin.
-	// Single servers ignore it.
+	// Routing selects how a server of more than one shard × replica picks
+	// the replica that serves each leg (see NewSharded): RouteRoundRobin,
+	// RouteLeastLoaded or RoutePlanAffinity. Empty selects round-robin. A
+	// 1×1 server ignores it.
 	Routing RoutingPolicy
 	// Adapt enables mid-query re-optimization: sessions whose plans inject a
 	// compiled PP expression execute under the controller, which watches
 	// observed selectivities against the plan's estimates, hot-swaps to a
 	// re-ordered (outcome-identical) filter when they diverge, and demotes/
-	// promotes this server's plan-cache entry so later sessions start on the
+	// promotes the replica's plan-cache entry so later sessions start on the
 	// corrected order. Nil disables adaptation. Controllers may be shared
 	// across servers; breaker state is per plan key.
 	Adapt *adapt.Controller
@@ -117,13 +120,13 @@ type Config struct {
 	// admission-queue and active-session gauges, score-cache totals. Nil
 	// disables.
 	Metrics *metrics.Registry
-	// Obs receives one KindSession span per request plus the optimizer's
+	// Obs receives one KindSession span per request (with one child per leg
+	// on a server of more than one shard × replica) plus the optimizer's
 	// KindOptimize spans for cache-miss searches. Nil disables.
 	Obs *obs.Tracer
-	// QueryLog receives one structured record per completed session (and,
-	// under a sharded Coordinator, one per shard leg), keyed by the
-	// session's TraceID. The writer is bounded and non-blocking: the serve
-	// path never stalls on it. Nil disables.
+	// QueryLog receives one structured record per completed session, keyed
+	// by the session's TraceID. The writer is bounded and non-blocking: the
+	// serve path never stalls on it. Nil disables.
 	QueryLog *pplog.Writer
 }
 
@@ -173,30 +176,18 @@ type Request struct {
 	// default").
 	Accuracy float64
 	// Blobs, when non-nil, overrides the session's scan: the plan is built
-	// with Config.Corpus.BuildOver over exactly this slice instead of the
-	// bound Builder corpus. Streaming ingestion uses it to run a standing
-	// query over one appended segment while sharing the plan and score
-	// caches across segments. Requires Config.Corpus.
+	// with Config.Corpus.BuildOver over exactly this slice (split across the
+	// shards as the corpus is) instead of the bound corpus. Streaming
+	// ingestion uses it to run a standing query over one appended segment
+	// while sharing the plan and score caches across segments. Requires
+	// Config.Corpus.
 	Blobs []blob.Blob
 	// Segment, when non-nil, tags the session's query-log record with the
 	// stream segment the request covers. Informational only.
 	Segment *pplog.SegInfo
 	// Trace is the session trace ID to serve under. Empty (the normal case)
-	// makes the server mint one; a sharded Coordinator sets it so every leg
-	// of one scatter-gather session shares the coordinator's TraceID.
+	// makes the server mint one.
 	Trace string
-	// leg identifies the scatter-gather leg this request is (set by the
-	// Coordinator; nil on direct requests).
-	leg *legInfo
-}
-
-// legInfo tags a shard leg: which shard and replica serve it, under which
-// routing policy, and the coordinator span to parent the leg's session span
-// under.
-type legInfo struct {
-	shard, replica int
-	policy         string
-	parent         obs.TraceContext
 }
 
 // Response is one completed session.
@@ -213,26 +204,30 @@ type Response struct {
 	// PlanKey is the canonical plan-cache key the session resolved to.
 	PlanKey string
 	// PlanCached reports whether the decision came from the plan cache
-	// (true) or a fresh plan search (false).
+	// (true) or a fresh plan search (false); on a sharded session, whether
+	// every leg's did.
 	PlanCached bool
 	// Adapt reports what mid-query re-optimization did during the session.
 	// Nil when the server has no adapt controller configured.
 	Adapt *adapt.Report
 	// QueueWait is the enqueue→admit wall time: how long the session waited
-	// for an execution slot behind the admission semaphore.
+	// for an execution slot behind the admission semaphore (on a sharded
+	// session, its slowest leg's wait).
 	QueueWait time.Duration
-	// Service is the admit→done wall time: planning (or plan-cache lookup)
-	// plus execution.
+	// Service is the rest of the session's wall time: planning (or
+	// plan-cache lookup), execution and, when sharded, the merge.
+	// QueueWait + Service is the wall time of Do.
 	Service time.Duration
 }
 
 // Stats is a point-in-time snapshot of the server's cache and session
-// counters.
+// counters, summed over every replica.
 type Stats struct {
-	// Sessions is how many requests completed (including failures).
+	// Sessions is how many requests completed (including failures). In
+	// ReplicaStats it counts the legs that replica served.
 	Sessions uint64
-	// PlanHits / PlanMisses count plan-cache outcomes per session; hits
-	// skipped the optimizer search entirely.
+	// PlanHits / PlanMisses count plan-cache outcomes per leg; hits skipped
+	// the optimizer search entirely.
 	PlanHits, PlanMisses uint64
 	// PlanInvalidations counts cached plans dropped as stale (a corpus
 	// change touched a clause the plan consulted) or flushed manually.
@@ -254,35 +249,34 @@ type Stats struct {
 	// maintenance: stale entries dropped mid-query and re-ordered filters
 	// installed in their place.
 	PlanDemotions, PlanPromotions uint64
-	// ScatterSessions / ScatterFailures count merged scatter-gather sessions
-	// and sessions failed by at least one shard. Zero on standalone servers;
-	// on a Coordinator, Sessions counts per-shard legs (≈ ScatterSessions ×
-	// Shards).
-	ScatterSessions, ScatterFailures uint64
 }
 
-// Server admits concurrent query sessions over a shared optimizer, plan
-// cache and score cache. Safe for concurrent Do calls.
+// Server admits concurrent query sessions over shards × replicas of private
+// plan caches, score caches and admission semaphores, all planning on one
+// shared optimizer. Safe for concurrent Do calls.
 type Server struct {
 	cfg    Config
-	plans  *planCache
-	scores *scoreCache
-	// sem is the admission semaphore bounding concurrently executing
-	// sessions.
-	sem chan struct{}
-
-	// queued / active mirror the admission gauges as plain atomics, always
-	// maintained (metrics registry or not): they are the live load signal
-	// the least-loaded router reads.
-	queued, active atomic.Int64
+	shards []*shard
+	// router picks each leg's replica. It is nil on a 1×1 server, whose
+	// session runs as its own single leg: no routing, no leg span, no
+	// Legs in its query-log record.
+	router router
+	// routeDecisions counts routed legs under the one policy (nil without a
+	// registry or a router).
+	routeDecisions *metrics.Counter
 
 	sessions atomic.Uint64
 
 	m serveMetrics
 }
 
-// serveMetrics holds a server's metric handles, resolved once at New so each
-// name and help string is written once and a session pays no registry
+// Coordinator is the sharded server's former name, kept only because the
+// benchmark's workloads name the type. Delete it when the benchmark's
+// narrow seam (ROADMAP item 2) lands.
+type Coordinator = Server
+
+// serveMetrics holds a server's metric handles, resolved once at build so
+// each name and help string is written once and a session pays no registry
 // lookups. With a nil registry every handle is nil, and nil handles no-op.
 type serveMetrics struct {
 	queueDepth, active     *metrics.Gauge
@@ -298,10 +292,10 @@ type serveMetrics struct {
 
 func newServeMetrics(reg *metrics.Registry) serveMetrics {
 	return serveMetrics{
-		queueDepth:    reg.Gauge("serve_admission_queue_depth", "Sessions waiting for an execution slot."),
-		active:        reg.Gauge("serve_active_sessions", "Sessions currently executing."),
-		admissionWait: reg.Histogram("serve_admission_wait_ns", "Wall nanoseconds a session waited for an execution slot (enqueue to admit)."),
-		service:       reg.Histogram("serve_service_ns", "Wall nanoseconds a session spent executing (admit to done)."),
+		queueDepth:    reg.Gauge("serve_admission_queue_depth", "Legs waiting for an execution slot."),
+		active:        reg.Gauge("serve_active_sessions", "Legs currently executing."),
+		admissionWait: reg.Histogram("serve_admission_wait_ns", "Wall nanoseconds a session waited for an execution slot (enqueue to admit; its slowest leg's when sharded)."),
+		service:       reg.Histogram("serve_service_ns", "Wall nanoseconds of a session after its admission wait."),
 
 		sessions:          reg.Counter("serve_sessions_total", "Query sessions served."),
 		sessionErrors:     reg.Counter("serve_session_errors_total", "Query sessions that failed."),
@@ -318,227 +312,170 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 	}
 }
 
-// New validates the config and returns a ready server.
+// New validates the config and returns a 1×1 server over Config.Builder's
+// corpus.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Server{
-		cfg:    cfg,
-		plans:  newPlanCache(planCacheSize, cfg.Optimizer.Corpus()),
-		scores: newScoreCache(scoreCachePages, scoreCacheShards, cfg.DisableScoreCache),
-		sem:    make(chan struct{}, cfg.MaxConcurrent),
-		m:      newServeMetrics(cfg.Metrics),
-	}, nil
+	return build(cfg, [][]blob.Blob{cfg.Builder.Blobs}, 1), nil
 }
 
-// identify resolves a session's trace ID — the caller's, else freshly minted
-// — and its span name: the request ID, else the predicate's text. The trace
-// ID exists independently of the tracer: exemplars, the query log and
-// Response.TraceID key on it even when span collection is off.
-func identify(req Request) (trace, name string) {
-	trace, name = req.Trace, req.ID
-	if trace == "" {
-		trace = obs.NewTraceID()
+// build makes one shard per corpus slice and replicas replicas per shard,
+// each with its own plan cache, score cache and admission semaphore. cfg
+// is filled.
+func build(cfg Config, slices [][]blob.Blob, replicas int) *Server {
+	s := &Server{cfg: cfg, m: newServeMetrics(cfg.Metrics)}
+	for _, slice := range slices {
+		sh := &shard{blobs: slice}
+		for r := 0; r < replicas; r++ {
+			sh.replicas = append(sh.replicas, &replica{
+				plans:  newPlanCache(planCacheSize, cfg.Optimizer.Corpus()),
+				scores: newScoreCache(scoreCachePages, scoreCacheShards, cfg.DisableScoreCache),
+				sem:    make(chan struct{}, cfg.MaxConcurrent),
+			})
+		}
+		s.shards = append(s.shards, sh)
 	}
-	if name == "" && req.Pred != nil {
-		name = req.Pred.String()
+	if len(slices)*replicas > 1 {
+		s.router = newRouter(cfg.Routing, len(slices))
+		s.routeDecisions = cfg.Metrics.Counter("serve_route_decisions_total", "Legs routed, by policy.",
+			metrics.L("policy", string(cfg.Routing)))
+		for i, sh := range s.shards {
+			sh.queueDepth = cfg.Metrics.Gauge("serve_shard_queue_depth", "Legs waiting for a slot on this shard (all replicas).", shardLabel(i))
+			sh.active = cfg.Metrics.Gauge("serve_shard_active", "Legs executing on this shard (all replicas).", shardLabel(i))
+		}
 	}
-	return trace, name
+	return s
 }
 
-// validate is the session prologue shared by Server and Coordinator: it
-// rejects a request with no predicate or an out-of-range accuracy and
-// resolves the accuracy target (zero selects defaultAcc). The range check
-// runs before the value reaches the optimizer or the plan-cache key: a bad
-// accuracy would otherwise be baked into a cached plan and served to every
-// later request with the same spelling.
-func validate(req Request, defaultAcc float64) (accuracy float64, err error) {
-	if req.Pred == nil {
+// validate rejects a request with no predicate, an out-of-range accuracy or
+// explicit blobs the server cannot build over, and resolves the accuracy
+// target (zero selects the server default). The range check runs before
+// the value reaches the optimizer or the plan-cache key: a bad accuracy
+// would otherwise be baked into a cached plan and served to every later
+// request with the same spelling.
+func (s *Server) validate(req Request) (accuracy float64, err error) {
+	switch {
+	case req.Pred == nil:
 		return 0, fmt.Errorf("serve: request %q has no predicate", req.ID)
-	}
-	if req.Accuracy < 0 || req.Accuracy > 1 {
+	case req.Accuracy < 0 || req.Accuracy > 1:
 		return 0, fmt.Errorf("serve: request %q accuracy %v outside [0,1] (zero selects the server default)", req.ID, req.Accuracy)
-	}
-	if req.Accuracy == 0 {
-		return defaultAcc, nil
+	case req.Blobs != nil && s.cfg.Corpus == nil:
+		return 0, fmt.Errorf("serve: request %q carries explicit blobs but Config.Corpus is not set", req.ID)
+	case req.Accuracy == 0:
+		return s.cfg.Accuracy, nil
 	}
 	return req.Accuracy, nil
 }
 
-// session is one request's ledger, filled by Server.Do or Coordinator.Do and
-// closed by finish: everything its span, histograms and query-log record
-// are derived from.
+// session is one request's ledger, filled by Do and closed by finish:
+// everything its span, histograms and query-log record are derived from.
 type session struct {
-	req   Request
-	trace string
-	span  obs.Span
-	// start is when service began: the admit time on a Server, the scatter
-	// on a Coordinator. wait is the admission wait before it (a merged
-	// scatter's is its slowest leg's).
+	// req is the request, its Trace resolved.
+	req  Request
+	span obs.Span
+	// start is when Do began; wait is the admission wait (a sharded
+	// session's slowest leg's). Service is the wall time after wait.
 	start time.Time
 	wait  time.Duration
-	// key is the plan key of a session that failed after resolving it;
-	// successful sessions carry it on the response.
+	// key is the plan key, set once the request validated.
 	key string
-	// policy and legs are set on scatter-gather sessions only.
-	policy string
-	legs   []leg
-	resp   *Response
-	err    error
+	// legs are set on sessions of a server with a router.
+	legs []leg
+	resp *Response
+	err  error
 }
 
-// finish is the one session epilogue: it ends the span, observes the service
-// histogram (nil on a Coordinator, whose legs observe their own), stamps the
-// response with the session's trace and timings, and writes the session's
-// single query-log record — the error, or the plan resolution, admission
-// wait, estimated and observed PP reduction, output rows and virtual cost.
-// The log write is non-blocking: a full buffer drops the record and bumps
-// the writer's drop counter rather than stalling the serve path.
-func (ss *session) finish(tr *obs.Tracer, qlog *pplog.Writer, service *metrics.Histogram, defaultAcc float64) (*Response, error) {
-	resp, err := ss.resp, ss.err
-	if err != nil {
-		ss.span.SetAttr("error", err.Error())
-	} else {
-		if resp.Adapt != nil && len(resp.Adapt.Swaps) > 0 {
-			ss.span.SetAttr("adapt_swaps", strconv.Itoa(len(resp.Adapt.Swaps)))
-		}
-		ss.span.RowsOut = len(resp.Result.Rows)
-		ss.span.CostVMS = resp.Result.ClusterTime
-	}
-	tr.End(&ss.span)
-	took := time.Since(ss.start)
-	service.ObserveExemplar(float64(took), ss.trace)
-	if resp != nil {
-		resp.TraceID, resp.QueueWait, resp.Service = ss.trace, ss.wait, took
-	}
-	if qlog == nil {
-		return resp, err
-	}
-	rec := pplog.Record{
-		TimeUnixNS:  time.Now().UnixNano(),
-		TraceID:     ss.trace,
-		Session:     ss.req.ID,
-		PlanKey:     ss.key,
-		Accuracy:    ss.req.Accuracy,
-		QueueWaitNS: ss.wait.Nanoseconds(),
-		ServiceNS:   took.Nanoseconds(),
-		Seg:         ss.req.Segment,
-		Policy:      ss.policy,
-	}
-	if rec.Accuracy == 0 {
-		rec.Accuracy = defaultAcc
-	}
-	if l := ss.req.leg; l != nil {
-		rec.Leg = &pplog.LegInfo{Shard: l.shard, Replica: l.replica, Policy: l.policy}
-	}
-	for i := range ss.legs {
-		l := pplog.Leg{Shard: ss.legs[i].shard, Replica: ss.legs[i].replica}
-		if r := ss.legs[i].resp; r != nil {
-			l.QueueWaitNS = r.QueueWait.Nanoseconds()
-			l.ServiceNS = r.Service.Nanoseconds()
-			l.Rows = len(r.Result.Rows)
-		}
-		if ss.legs[i].err != nil {
-			l.Error = ss.legs[i].err.Error()
-		}
-		rec.Legs = append(rec.Legs, l)
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	} else {
-		rec.PlanKey = resp.PlanKey
-		rec.PlanCached = resp.PlanCached
-		if resp.Decision.Inject {
-			rec.EstReduction = resp.Decision.Reduction
-		}
-		if resp.Adapt != nil {
-			rec.AdaptSwaps = len(resp.Adapt.Swaps)
-		}
-		rec.Rows = len(resp.Result.Rows)
-		rec.ClusterVMS = resp.Result.ClusterTime
-		for _, op := range resp.Result.PerOp {
-			if op.PPFilter {
-				rec.PPTested += op.RowsIn
-				rec.PPPassed += op.RowsOut
-			}
-		}
-		if rec.PPTested > 0 {
-			rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
-		}
-	}
-	qlog.Log(rec)
-	return resp, err
-}
-
-// Load reports the server's live admission state: sessions waiting for a
-// slot and sessions currently executing. It is the signal load-aware routers
-// balance on.
-func (s *Server) Load() (queued, active int64) {
-	return s.queued.Load(), s.active.Load()
-}
-
-// Do runs one query session: admission, plan-cache resolution (searching on
-// miss), execution. Blocks while the server is at MaxConcurrent. The
-// enqueue→admit (semaphore wait) and admit→done (execution) wall times land
-// in the serve_admission_wait_ns / serve_service_ns histograms and on the
-// Response, so callers and /metrics see the same queue-wait vs service-time
-// split.
+// Do runs one query session. The session-level work happens here, once:
+// trace ID, validation, plan key, the session span and the epilogue. The
+// work on a replica — admission, plan-cache resolution (searching on miss),
+// plan assembly, execution — is a leg (runLeg): a 1×1 server runs the
+// session as its single leg, any other runs one leg per shard on a routed
+// replica and merges them (scatter). A leg blocks while its replica is at
+// MaxConcurrent. The session's admission wait and the rest of its wall time
+// land in the serve_admission_wait_ns / serve_service_ns histograms and on
+// the Response, so callers and /metrics see the same split.
 func (s *Server) Do(req Request) (*Response, error) {
-	// The trace ID is minted before admission so the queue-wait exemplar can
-	// carry it.
-	ss := session{req: req}
-	var name string
-	ss.trace, name = identify(req)
+	// The trace ID — the caller's, else freshly minted — exists
+	// independently of the tracer: exemplars, the query log and
+	// Response.TraceID key on it even when span collection is off.
+	ss := session{req: req, start: time.Now()}
+	if ss.req.Trace == "" {
+		ss.req.Trace = obs.NewTraceID()
+	}
+	name := req.ID
+	if name == "" && req.Pred != nil {
+		name = req.Pred.String()
+	}
+	ss.span = s.cfg.Obs.BeginCtx(obs.TraceContext{TraceID: ss.req.Trace}, obs.KindSession, name)
+	accuracy, err := s.validate(req)
+	switch {
+	case err != nil:
+		ss.err = err
+	case s.router == nil:
+		ss.key = optimizer.PlanKey(req.Pred, accuracy)
+		sh := s.shards[0]
+		l := leg{blobs: sh.blobs}
+		if req.Blobs != nil {
+			l.blobs = req.Blobs
+		}
+		s.runLeg(&l, ss.req, ss.key, accuracy, &ss.span)
+		ss.resp, ss.wait, ss.err = l.resp, l.wait, l.err
+	default:
+		ss.key = optimizer.PlanKey(req.Pred, accuracy)
+		ss.resp, ss.err = s.scatter(&ss, accuracy, name)
+	}
+	return s.finish(&ss)
+}
+
+// leg is one shard's portion of a session, served by one replica.
+type leg struct {
+	shard, replica int
+	// blobs is what the leg scans: its shard's corpus slice, or its share
+	// of the request's explicit blobs.
+	blobs []blob.Blob
+	// wait is the leg's admission wait; resp carries it too, with the leg's
+	// admit→done wall time as Service.
+	wait time.Duration
+	resp *Response
+	err  error
+}
+
+// runLeg runs leg l of the session serving req (its Trace resolved) under
+// plan key on l's replica: admission, plan-cache resolution (searching on
+// miss), plan assembly over l.blobs, execution. span is the span the leg
+// annotates and parents its work under — the session's own on a 1×1
+// server, the leg's otherwise.
+func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span *obs.Span) {
+	r := s.shards[l.shard].replicas[l.replica]
 	enqueued := time.Now()
-	s.queued.Add(1)
+	r.queued.Add(1)
 	s.m.queueDepth.Add(1)
-	s.sem <- struct{}{}
-	ss.start = time.Now()
-	ss.wait = ss.start.Sub(enqueued)
-	s.queued.Add(-1)
-	s.active.Add(1)
+	r.sem <- struct{}{}
+	admitted := time.Now()
+	l.wait = admitted.Sub(enqueued)
+	r.queued.Add(-1)
+	r.active.Add(1)
 	s.m.queueDepth.Add(-1)
 	s.m.active.Add(1)
-	s.m.admissionWait.ObserveExemplar(float64(ss.wait), ss.trace)
 	defer func() {
-		<-s.sem
-		s.active.Add(-1)
+		<-r.sem
+		r.active.Add(-1)
 		s.m.active.Add(-1)
 	}()
-	s.sessions.Add(1)
+	r.legs.Add(1)
 
-	// A shard leg's session span parents under the coordinator's span;
-	// direct sessions root a fresh trace.
-	parent := obs.TraceContext{TraceID: ss.trace}
-	if req.leg != nil {
-		parent = req.leg.parent
-	}
-	ss.span = s.cfg.Obs.BeginCtx(parent, obs.KindSession, name)
-	if req.leg != nil {
-		ss.span.SetAttr("shard", strconv.Itoa(req.leg.shard))
-		ss.span.SetAttr("replica", strconv.Itoa(req.leg.replica))
-		ss.span.SetAttr("policy", req.leg.policy)
-	}
-	ss.resp, ss.err = s.serve(req, &ss.span, obs.TraceContext{TraceID: ss.trace, SpanID: ss.span.ID})
-	resp, err := ss.finish(s.cfg.Obs, s.cfg.QueryLog, s.m.service, s.cfg.Accuracy)
-	s.emitSessionMetrics(resp, err)
-	return resp, err
-}
-
-func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Response, error) {
-	accuracy, err := validate(req, s.cfg.Accuracy)
-	if err != nil {
-		return nil, err
-	}
-	key := optimizer.PlanKey(req.Pred, accuracy)
-	// Of N sessions racing into one uncached key one searches; the others
-	// wait for its entry and count as plan hits.
-	entry, cached, err := s.plans.resolve(key, func() (*planEntry, error) {
-		return s.searchPlan(req.Pred, accuracy, key, ctx)
+	pred := req.Pred
+	ctx := obs.TraceContext{TraceID: req.Trace, SpanID: span.ID}
+	// Of N legs racing into one uncached key on a replica one searches; the
+	// others wait for its entry and count as plan hits.
+	entry, cached, err := r.plans.resolve(key, func() (*planEntry, error) {
+		return s.searchPlan(r, pred, accuracy, key, ctx)
 	})
 	if err != nil {
-		return nil, err
+		l.err = err
+		return
 	}
 	span.SetAttr("plan_key", key)
 	span.SetAttr("plan_cached", strconv.FormatBool(cached))
@@ -547,17 +484,14 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 	if entry.dec.Inject {
 		filter = entry.filter
 	}
-	var plan engine.Plan
+	var b CorpusBuilder = s.cfg.Builder
 	if req.Blobs != nil {
-		if s.cfg.Corpus == nil {
-			return nil, fmt.Errorf("serve: request %q carries explicit blobs but Config.Corpus is not set", req.ID)
-		}
-		plan, err = s.cfg.Corpus.BuildOver(req.Blobs, req.Pred, filter)
-	} else {
-		plan, err = s.cfg.Builder.BuildOver(s.cfg.Builder.Blobs, req.Pred, filter)
+		b = s.cfg.Corpus
 	}
+	plan, err := b.BuildOver(l.blobs, pred, filter)
 	if err != nil {
-		return nil, fmt.Errorf("serve: build plan for %q: %w", req.Pred.String(), err)
+		l.err = fmt.Errorf("serve: build plan for %q: %w", pred.String(), err)
+		return
 	}
 	// Every operator and chunk span of this run inherits the session's
 	// trace through the engine config.
@@ -573,47 +507,51 @@ func (s *Server) serve(req Request, span *obs.Span, ctx obs.TraceContext) (*Resp
 			Reopt: func(f *optimizer.Compiled, minRows uint64) (*optimizer.Reoptimized, error) {
 				return s.cfg.Optimizer.ReoptimizeCtx(f, minRows, s.cfg.Obs, ctx)
 			},
-			Cache: sessionCache{s: s, entry: entry},
+			Cache: sessionCache{plans: r.plans, entry: entry},
 		})
 	} else {
 		res, err = engine.Run(plan, ecfg)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: run %q: %w", req.Pred.String(), err)
+		l.err = fmt.Errorf("serve: run %q: %w", pred.String(), err)
+		return
 	}
-	return &Response{
+	l.resp = &Response{
 		ID:         req.ID,
 		Result:     res,
 		Decision:   entry.dec,
 		PlanKey:    key,
 		PlanCached: cached,
 		Adapt:      arep,
-	}, nil
+		QueueWait:  l.wait,
+		Service:    time.Since(admitted),
+	}
 }
 
-// sessionCache adapts the server's plan cache to adapt.PlanCache for one
+// sessionCache adapts a replica's plan cache to adapt.PlanCache for one
 // session. The session's own entry is the donor a promotion inherits its
 // decision and corpus version from — the key may have been demoted (or
 // evicted) by the time the promotion lands, and the cache must still be able
 // to build a complete fresh entry.
 type sessionCache struct {
-	s     *Server
+	plans *planCache
 	entry *planEntry
 }
 
 // DemotePlan implements adapt.PlanCache.
-func (c sessionCache) DemotePlan(key string) { c.s.plans.demote(key) }
+func (c sessionCache) DemotePlan(key string) { c.plans.demote(key) }
 
 // PromotePlan implements adapt.PlanCache. The promoted filter is the
 // re-ordered compiled expression; it shares the entry filter's leaves, so the
 // score-cache attachment (and cross-session score reuse) carries over.
 func (c sessionCache) PromotePlan(key string, re *optimizer.Reoptimized) {
-	c.s.plans.promote(c.entry, re.Filter)
+	c.plans.promote(c.entry, re.Filter)
 }
 
-// searchPlan runs one plan search and wraps its decision as a cache entry,
-// stamped with the version of the corpus snapshot the search consulted.
-func (s *Server) searchPlan(pred query.Pred, accuracy float64, key string, ctx obs.TraceContext) (*planEntry, error) {
+// searchPlan runs one plan search for replica r and wraps its decision as a
+// cache entry, stamped with the version of the corpus snapshot the search
+// consulted.
+func (s *Server) searchPlan(r *replica, pred query.Pred, accuracy float64, key string, ctx obs.TraceContext) (*planEntry, error) {
 	u, err := s.cfg.Builder.UDFCost(pred)
 	if err != nil {
 		return nil, fmt.Errorf("serve: UDF cost for %q: %w", pred.String(), err)
@@ -633,36 +571,111 @@ func (s *Server) searchPlan(pred query.Pred, accuracy float64, key string, ctx o
 		// One score-cache-attached filter per entry, shared by every session
 		// that hits it — sharing is what makes cross-session score reuse
 		// work; the engine keeps per-run accounting separate.
-		e.filter = dec.Filter.WithScoreCache(s.scores)
+		e.filter = dec.Filter.WithScoreCache(r.scores)
 	}
 	return e, nil
 }
 
-// Invalidate drops every cached plan, forcing fresh searches. Corpus changes
-// invalidate automatically (entries are version-checked); this is the manual
-// override for out-of-band invalidation.
-func (s *Server) Invalidate() { s.plans.flush() }
-
-// Stats snapshots the server's counters.
-func (s *Server) Stats() Stats {
-	scoreEntries, scoreHits, scoreMisses := s.scores.stats()
-	return Stats{
-		Sessions:          s.sessions.Load(),
-		PlanHits:          s.plans.hits.Load(),
-		PlanMisses:        s.plans.misses.Load(),
-		PlanInvalidations: s.plans.invalidations.Load(),
-		PlanRevalidations: s.plans.revalidations.Load(),
-		PlanEntries:       s.plans.len(),
-		ScoreHits:         scoreHits,
-		ScoreMisses:       scoreMisses,
-		ScoreEntries:      scoreEntries,
-		PlanDemotions:     s.plans.demotions.Load(),
-		PlanPromotions:    s.plans.promotions.Load(),
+// endSpan records a session's or leg's outcome on its span — the error, or
+// the adaptive swaps, rows out and virtual cost — and ends it.
+func endSpan(tr *obs.Tracer, sp *obs.Span, resp *Response, err error) {
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+	} else {
+		if resp.Adapt != nil && len(resp.Adapt.Swaps) > 0 {
+			sp.SetAttr("adapt_swaps", strconv.Itoa(len(resp.Adapt.Swaps)))
+		}
+		sp.RowsOut = len(resp.Result.Rows)
+		sp.CostVMS = resp.Result.ClusterTime
 	}
+	tr.End(sp)
 }
 
-// emitSessionMetrics records one completed session. Cache totals are
-// republished as gauges so /metrics always reflects the latest snapshot.
+// finish is the one session epilogue: it ends the session span, counts the
+// session, observes its admission wait and service time, stamps the
+// response with the session's trace and timings, republishes the cache
+// gauges, and writes the session's single query-log record. The log write
+// is non-blocking: a full buffer drops the record and bumps the writer's
+// drop counter rather than stalling the serve path.
+func (s *Server) finish(ss *session) (*Response, error) {
+	resp, err := ss.resp, ss.err
+	endSpan(s.cfg.Obs, &ss.span, resp, err)
+	service := time.Since(ss.start) - ss.wait
+	s.sessions.Add(1)
+	s.m.admissionWait.ObserveExemplar(float64(ss.wait), ss.req.Trace)
+	s.m.service.ObserveExemplar(float64(service), ss.req.Trace)
+	if resp != nil {
+		resp.TraceID, resp.QueueWait, resp.Service = ss.req.Trace, ss.wait, service
+	}
+	s.emitSessionMetrics(resp, err)
+	if s.cfg.QueryLog != nil {
+		s.cfg.QueryLog.Log(s.record(ss, service))
+	}
+	return resp, err
+}
+
+// record builds the session's query-log record: the error, or the plan
+// resolution, admission wait, estimated and observed PP reduction, output
+// rows and virtual cost, plus the legs and routing policy when the server
+// routes.
+func (s *Server) record(ss *session, service time.Duration) pplog.Record {
+	resp := ss.resp
+	rec := pplog.Record{
+		TimeUnixNS:  time.Now().UnixNano(),
+		TraceID:     ss.req.Trace,
+		Session:     ss.req.ID,
+		PlanKey:     ss.key,
+		Accuracy:    ss.req.Accuracy,
+		QueueWaitNS: ss.wait.Nanoseconds(),
+		ServiceNS:   service.Nanoseconds(),
+		Seg:         ss.req.Segment,
+	}
+	if rec.Accuracy == 0 {
+		rec.Accuracy = s.cfg.Accuracy
+	}
+	if s.router != nil {
+		rec.Policy = string(s.cfg.Routing)
+	}
+	for i := range ss.legs {
+		l := pplog.Leg{Shard: ss.legs[i].shard, Replica: ss.legs[i].replica}
+		if r := ss.legs[i].resp; r != nil {
+			l.QueueWaitNS = r.QueueWait.Nanoseconds()
+			l.ServiceNS = r.Service.Nanoseconds()
+			l.Rows = len(r.Result.Rows)
+		}
+		if ss.legs[i].err != nil {
+			l.Error = ss.legs[i].err.Error()
+		}
+		rec.Legs = append(rec.Legs, l)
+	}
+	if ss.err != nil {
+		rec.Error = ss.err.Error()
+		return rec
+	}
+	rec.PlanCached = resp.PlanCached
+	if resp.Decision.Inject {
+		rec.EstReduction = resp.Decision.Reduction
+	}
+	if resp.Adapt != nil {
+		rec.AdaptSwaps = len(resp.Adapt.Swaps)
+	}
+	rec.Rows = len(resp.Result.Rows)
+	rec.ClusterVMS = resp.Result.ClusterTime
+	for _, op := range resp.Result.PerOp {
+		if op.PPFilter {
+			rec.PPTested += op.RowsIn
+			rec.PPPassed += op.RowsOut
+		}
+	}
+	if rec.PPTested > 0 {
+		rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
+	}
+	return rec
+}
+
+// emitSessionMetrics counts one completed session. Cache totals, summed
+// over every replica, are republished as gauges so /metrics always reflects
+// the whole server's latest snapshot.
 func (s *Server) emitSessionMetrics(resp *Response, err error) {
 	if s.cfg.Metrics == nil {
 		return // skip the cache snapshots, which take the caches' locks
@@ -678,15 +691,38 @@ func (s *Server) emitSessionMetrics(resp *Response, err error) {
 	} else {
 		m.planCacheMisses.Inc()
 	}
-	m.planEntries.Set(float64(s.plans.len()))
-	m.planInvalidations.Set(float64(s.plans.invalidations.Load()))
-	m.planRevalidations.Set(float64(s.plans.revalidations.Load()))
-	m.planDemotions.Set(float64(s.plans.demotions.Load()))
-	m.planPromotions.Set(float64(s.plans.promotions.Load()))
-	scoreEntries, scoreHits, scoreMisses := s.scores.stats()
-	m.scoreEntries.Set(float64(scoreEntries))
-	m.scoreHits.Set(float64(scoreHits))
-	m.scoreMisses.Set(float64(scoreMisses))
+	st := s.Stats()
+	m.planEntries.Set(float64(st.PlanEntries))
+	m.planInvalidations.Set(float64(st.PlanInvalidations))
+	m.planRevalidations.Set(float64(st.PlanRevalidations))
+	m.planDemotions.Set(float64(st.PlanDemotions))
+	m.planPromotions.Set(float64(st.PlanPromotions))
+	m.scoreEntries.Set(float64(st.ScoreEntries))
+	m.scoreHits.Set(float64(st.ScoreHits))
+	m.scoreMisses.Set(float64(st.ScoreMisses))
+}
+
+// Invalidate drops every replica's cached plans, forcing fresh searches.
+// Corpus changes invalidate automatically (entries are version-checked);
+// this is the manual override for out-of-band invalidation.
+func (s *Server) Invalidate() {
+	for _, sh := range s.shards {
+		for _, r := range sh.replicas {
+			r.plans.flush()
+		}
+	}
+}
+
+// Stats snapshots the server's session count and its replicas' summed cache
+// counters.
+func (s *Server) Stats() Stats {
+	st := Stats{Sessions: s.sessions.Load()}
+	for _, sh := range s.shards {
+		for _, r := range sh.replicas {
+			r.addStats(&st)
+		}
+	}
+	return st
 }
 
 // WorkloadQuery is one query of a replayed workload.
@@ -703,15 +739,6 @@ type WorkloadQuery struct {
 // remaining queries, its response slot stays nil, and every failure is
 // aggregated — per-query-labeled — into the returned error (errors.Join).
 func (s *Server) Replay(workload []WorkloadQuery, concurrency int) ([]*Response, error) {
-	return replay(s, workload, concurrency)
-}
-
-// doer is the serving surface Replay drives: a Server or a Coordinator.
-type doer interface {
-	Do(Request) (*Response, error)
-}
-
-func replay(d doer, workload []WorkloadQuery, concurrency int) ([]*Response, error) {
 	if concurrency < 1 {
 		concurrency = 1
 	}
@@ -734,7 +761,7 @@ func replay(d doer, workload []WorkloadQuery, concurrency int) ([]*Response, err
 					errs[i] = fmt.Errorf("serve: parse %s (%q): %w", q.ID, q.Pred, err)
 					continue
 				}
-				out[i], errs[i] = d.Do(Request{ID: q.ID, Pred: pred, Accuracy: q.Accuracy})
+				out[i], errs[i] = s.Do(Request{ID: q.ID, Pred: pred, Accuracy: q.Accuracy})
 			}
 		}()
 	}

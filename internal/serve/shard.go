@@ -3,16 +3,16 @@ package serve
 // Sharded scatter-gather serving: the step from "one process, one corpus" to
 // horizontally scaled inference. The blob corpus is partitioned into N
 // contiguous shards; each shard owns one or more replicas — a replica is a
-// full Server with its own worker pool (admission semaphore), plan cache and
-// PP-score cache over the shard's slice. A Coordinator fans each session out
-// to every shard (scatter), a pluggable Router picks the serving replica per
-// shard, legs PP-filter their slices in parallel, and the gather merges
-// per-shard results deterministically: rows concatenate in shard-index order
-// (the contiguous split makes that exactly global blob-ID order), virtual
-// cluster cost sums, and per-operator accounting sums positionally. Because
-// every engine cost in these plans is charged strictly per row, the merged
-// rows, row order and ClusterTime are byte-identical to unsharded execution
-// — sharding, like the caches, is a pure wall-clock optimization.
+// private worker set (admission semaphore), plan cache and PP-score cache
+// over the shard's slice. A session fans out one leg per shard (scatter), a
+// routing policy picks the serving replica per shard, legs PP-filter their
+// slices in parallel, and the gather merges per-shard results
+// deterministically: rows concatenate in shard-index order (the contiguous
+// split makes that exactly global blob-ID order), virtual cluster cost sums,
+// and per-operator accounting sums positionally. Because every engine cost
+// in these plans is charged strictly per row, the merged rows, row order and
+// ClusterTime are byte-identical to unsharded execution — sharding, like the
+// caches, is a pure wall-clock optimization.
 
 import (
 	"errors"
@@ -20,28 +20,27 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"probpred/internal/blob"
 	"probpred/internal/engine"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
-	"probpred/internal/optimizer"
 )
 
-// ShardedConfig configures a Coordinator.
+// ShardedConfig configures a sharded Server.
 type ShardedConfig struct {
-	// Base is the per-replica server template: optimizer, accuracy target,
-	// domains, per-replica MaxConcurrent (the shard's worker-pool width),
-	// exec environment, score-cache mode and Routing policy. Base.Builder is
-	// ignored — plans are assembled by Builder below, bound to each shard's
-	// corpus slice.
+	// Base is the server template: optimizer, accuracy target, domains,
+	// per-replica MaxConcurrent (each replica's worker-pool width), exec
+	// environment, score-cache mode, Routing policy and telemetry sinks.
+	// Base.Builder is ignored — plans are assembled by Builder below, bound
+	// to each shard's corpus slice.
 	Base Config
 	// Shards is the number of corpus partitions. Zero selects 1.
 	Shards int
-	// Replicas is the number of worker sets (full Servers) per shard — the
-	// replica fan-out hook that lets a hot shard be served by more than one
-	// worker set. Zero selects 1.
+	// Replicas is the number of worker sets per shard, each with its own
+	// plan cache, score cache and admission semaphore — the fan-out hook
+	// that lets a hot shard be served by more than one worker set. Zero
+	// selects 1.
 	Replicas int
 	// Corpus is the full blob stream, partitioned contiguously across
 	// shards. Required.
@@ -72,36 +71,11 @@ func SplitBlobs(blobs []blob.Blob, n int) [][]blob.Blob {
 	return out
 }
 
-// shard is one corpus partition and its replica set.
-type shard struct {
-	index    int
-	blobs    []blob.Blob
-	replicas []*Server
-	// queueDepth / active are the shard's load gauges, resolved once at
-	// NewSharded (nil, and no-ops, without a registry).
-	queueDepth, active *metrics.Gauge
-}
-
-// Coordinator serves sessions scatter-gather over sharded replicas. Safe for
-// concurrent Do calls.
-type Coordinator struct {
-	cfg      ShardedConfig
-	shards   []*shard
-	router   Router
-	accuracy float64 // resolved default accuracy (Base.Accuracy, 0 → 1)
-
-	sessions, failures atomic.Uint64
-
-	// routeDecisions counts routed scatter legs under the coordinator's one
-	// policy (nil without a registry).
-	routeDecisions *metrics.Counter
-}
-
-// NewSharded validates the config, partitions the corpus and builds
-// Shards × Replicas replica servers. All replicas share the coordinator's
-// optimizer (Base.Optimizer), and each gets its own plan cache, score cache
-// and admission semaphore over its shard's corpus slice.
-func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
+// NewSharded validates the config, partitions the corpus and builds a
+// Shards × Replicas server. Every replica plans on Base.Optimizer and owns
+// its plan cache, score cache and admission semaphore over its shard's
+// corpus slice.
+func NewSharded(cfg ShardedConfig) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -114,142 +88,130 @@ func NewSharded(cfg ShardedConfig) (*Coordinator, error) {
 	if len(cfg.Corpus) < cfg.Shards {
 		return nil, fmt.Errorf("serve: corpus of %d blobs cannot fill %d shards", len(cfg.Corpus), cfg.Shards)
 	}
-	c := &Coordinator{cfg: cfg, accuracy: cfg.Base.Accuracy}
-	if c.accuracy == 0 {
-		c.accuracy = 1
-	}
-	slices := SplitBlobs(cfg.Corpus, cfg.Shards)
-	for i, slice := range slices {
-		sh := &shard{
-			index: i, blobs: slice,
-			queueDepth: cfg.Base.Metrics.Gauge("serve_shard_queue_depth", "Sessions waiting for a slot on this shard (all replicas).", shardLabel(i)),
-			active:     cfg.Base.Metrics.Gauge("serve_shard_active", "Sessions executing on this shard (all replicas).", shardLabel(i)),
-		}
-		for r := 0; r < cfg.Replicas; r++ {
-			rcfg := cfg.Base
-			rcfg.Builder = BindCorpus(cfg.Builder, slice)
-			srv, err := New(rcfg)
-			if err != nil {
-				return nil, fmt.Errorf("serve: shard %d replica %d: %w", i, r, err)
-			}
-			sh.replicas = append(sh.replicas, srv)
-		}
-		c.shards = append(c.shards, sh)
-	}
-	// fill() validated Routing on the first replica; read the defaulted
-	// value back off it so an empty policy resolves to round-robin here too.
-	c.router = newRouter(c.shards[0].replicas[0].cfg.Routing, cfg.Shards)
-	c.routeDecisions = cfg.Base.Metrics.Counter("serve_route_decisions_total", "Scatter legs routed, by policy.",
-		metrics.L("policy", c.router.Name()))
-	return c, nil
-}
-
-// Routing reports the coordinator's effective routing policy.
-func (c *Coordinator) Routing() RoutingPolicy {
-	return c.shards[0].replicas[0].cfg.Routing
-}
-
-// leg is one shard's portion of a scattered session.
-type leg struct {
-	shard   int
-	replica int
-	resp    *Response
-	err     error
-}
-
-// Do serves one session scatter-gather: route a leg per shard, run the legs
-// in parallel, and merge. The merged Response carries the concatenated rows
-// (global blob order), summed cluster cost and positionally summed PerOp
-// stats; QueueWait is the slowest leg's admission wait and Service the
-// scatter-to-merge wall time. Adapt reports are per-leg and are not merged
-// (nil on the merged response when Shards > 1). A request's explicit Blobs
-// are split across the legs as the corpus is. When any shard fails the
-// session fails: every failing shard's error is aggregated with its shard
-// index attributed, a shard.fail event is emitted per failure (tripping
-// FlightRecorder auto-dump), and completed legs are discarded — graceful
-// degradation is "the query errors out attributed", never a hang.
-func (c *Coordinator) Do(req Request) (*Response, error) {
-	c.sessions.Add(1)
-
-	// One trace for the whole scatter: the coordinator mints it (or adopts
-	// the caller's), every leg serves under it, and the coordinator span is
-	// the parent every leg session span hangs off.
-	tr := c.cfg.Base.Obs
-	ss := session{req: req, policy: c.router.Name()}
-	var name string
-	ss.trace, name = identify(req)
-	ss.span = tr.BeginCtx(obs.TraceContext{TraceID: ss.trace}, obs.KindSession, name)
-	ss.span.SetAttr("scatter", strconv.Itoa(len(c.shards)))
-	ss.span.SetAttr("policy", ss.policy)
-	ss.start = time.Now()
-	// A session that produced no response is counted, traced and logged,
-	// whether a shard failed or the request was rejected — as a Server
-	// treats its failed sessions.
-	if ss.resp, ss.err = c.scatter(&ss); ss.err != nil {
-		c.failures.Add(1)
-	}
-	return ss.finish(tr, c.cfg.Base.QueryLog, nil, c.accuracy)
-}
-
-// scatter validates the session's request, runs one leg per shard in
-// parallel and merges them, recording the plan key, the legs and the merged
-// admission wait on the session as they become known.
-func (c *Coordinator) scatter(ss *session) (*Response, error) {
-	req := ss.req
-	accuracy, err := validate(req, c.accuracy)
-	if err != nil {
+	base := cfg.Base
+	base.Builder = BindCorpus(cfg.Builder, cfg.Corpus)
+	if err := base.fill(); err != nil {
 		return nil, err
 	}
-	ss.key = optimizer.PlanKey(req.Pred, accuracy)
-	ss.span.SetAttr("plan_key", ss.key)
-	ctx := obs.TraceContext{TraceID: ss.trace, SpanID: ss.span.ID}
+	return build(base, SplitBlobs(cfg.Corpus, cfg.Shards), cfg.Replicas), nil
+}
+
+// shard is one corpus partition and its replica set.
+type shard struct {
+	blobs    []blob.Blob
+	replicas []*replica
+	// queueDepth / active are the shard's load gauges (nil, and no-ops,
+	// without a registry or a router).
+	queueDepth, active *metrics.Gauge
+}
+
+// replica is one worker set over its shard's corpus slice.
+type replica struct {
+	plans  *planCache
+	scores *scoreCache
+	// sem is the admission semaphore bounding the replica's concurrently
+	// executing legs.
+	sem chan struct{}
+	// queued / active are the live load the least-loaded policy and the
+	// shard gauges read.
+	queued, active atomic.Int64
+	// legs counts the legs the replica served (its ReplicaStats Sessions).
+	legs atomic.Uint64
+}
+
+// addStats adds the replica's cache counters to st.
+func (r *replica) addStats(st *Stats) {
+	entries, hits, misses := r.scores.stats()
+	st.PlanHits += r.plans.hits.Load()
+	st.PlanMisses += r.plans.misses.Load()
+	st.PlanInvalidations += r.plans.invalidations.Load()
+	st.PlanRevalidations += r.plans.revalidations.Load()
+	st.PlanEntries += r.plans.len()
+	st.ScoreHits += hits
+	st.ScoreMisses += misses
+	st.ScoreEntries += entries
+	st.PlanDemotions += r.plans.demotions.Load()
+	st.PlanPromotions += r.plans.promotions.Load()
+}
+
+// scatter routes one leg per shard, runs them — inline on one shard, side
+// by side on more — and merges them. The merged Response carries the
+// concatenated rows (global blob order), summed cluster cost and
+// positionally summed PerOp stats. Adapt reports are per-leg and are not
+// merged (nil on the merged response when there is more than one shard). A
+// request's explicit Blobs are split across the legs as the corpus is.
+// Each leg gets a span under the session's, tagged shard, replica and
+// policy. When any shard fails the session fails: every failing shard's
+// error is aggregated with its shard index attributed, a shard.fail event
+// is emitted per failure (tripping FlightRecorder auto-dump), and completed
+// legs are discarded — graceful degradation is "the query errors out
+// attributed", never a hang.
+func (s *Server) scatter(ss *session, accuracy float64, name string) (*Response, error) {
+	tr, policy, req, key := s.cfg.Obs, string(s.cfg.Routing), ss.req, ss.key
+	ss.span.SetAttr("scatter", strconv.Itoa(len(s.shards)))
+	ss.span.SetAttr("policy", policy)
+	ss.span.SetAttr("plan_key", key)
+	ctx := obs.TraceContext{TraceID: req.Trace, SpanID: ss.span.ID}
 
 	// An explicit segment is split as the corpus is: contiguously, so the
 	// shard-index-order gather reproduces the segment's own order.
 	var segs [][]blob.Blob
 	if req.Blobs != nil {
-		segs = SplitBlobs(req.Blobs, len(c.shards))
+		segs = SplitBlobs(req.Blobs, len(s.shards))
 	}
-	ss.legs = make([]leg, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		pick := c.router.Pick(sh.index, ss.key, sh.replicas)
-		if pick < 0 || pick >= len(sh.replicas) {
-			pick = 0
-		}
-		ss.legs[i] = leg{shard: i, replica: pick}
-		c.routeDecisions.Inc()
-		sh.publishLoad()
-		lreq := req
-		lreq.Trace = ss.trace
-		lreq.leg = &legInfo{shard: i, replica: pick, policy: ss.policy, parent: ctx}
+	legs := make([]leg, len(s.shards))
+	ss.legs = legs
+	for i, sh := range s.shards {
+		legs[i] = leg{shard: i, replica: s.router.Pick(i, key, sh.replicas), blobs: sh.blobs}
 		if segs != nil {
-			lreq.Blobs = segs[i]
+			legs[i].blobs = segs[i]
 		}
-		wg.Add(1)
-		go func(l *leg, srv *Server) {
-			defer wg.Done()
-			l.resp, l.err = srv.Do(lreq)
-		}(&ss.legs[i], sh.replicas[pick])
-	}
-	wg.Wait()
-	for _, sh := range c.shards {
+		s.routeDecisions.Inc()
 		sh.publishLoad()
+	}
+	run := func(l *leg) {
+		sp := tr.BeginCtx(ctx, obs.KindSession, name)
+		sp.SetAttr("shard", strconv.Itoa(l.shard))
+		sp.SetAttr("replica", strconv.Itoa(l.replica))
+		sp.SetAttr("policy", policy)
+		s.runLeg(l, req, key, accuracy, &sp)
+		endSpan(tr, &sp, l.resp, l.err)
+	}
+	if len(legs) == 1 {
+		run(&legs[0])
+	} else {
+		var wg sync.WaitGroup
+		for i := range legs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(&legs[i])
+			}()
+		}
+		wg.Wait()
 	}
 
 	var failed []error
-	for i := range ss.legs {
-		if l := &ss.legs[i]; l.err != nil {
+	for i := range legs {
+		l := &legs[i]
+		s.shards[i].publishLoad()
+		ss.wait = max(ss.wait, l.wait)
+		if l.err != nil {
 			failed = append(failed, fmt.Errorf("shard %d (replica %d): %w", l.shard, l.replica, l.err))
-			c.recordShardFailure(ctx, l.shard, l.err)
+			// The shard.fail event trips FlightRecorder auto-dump, so the
+			// trace ring around the failure is preserved.
+			if reg := s.cfg.Metrics; reg != nil {
+				reg.Counter("serve_shard_failures_total", "Legs that failed, by shard.", shardLabel(l.shard)).Inc()
+			}
+			tr.EventCtx(ctx, "shard.fail",
+				obs.Attr{Key: "shard", Value: strconv.Itoa(l.shard)},
+				obs.Attr{Key: "error", Value: l.err.Error()})
 		}
 	}
 	if len(failed) > 0 {
 		return nil, fmt.Errorf("serve: scatter %q: %w", req.ID, errors.Join(failed...))
 	}
-	resp := mergeLegs(ss.legs)
-	ss.wait = resp.QueueWait
-	return resp, nil
+	return mergeLegs(legs), nil
 }
 
 // mergeLegs gathers successful legs (shard-index order) into one response.
@@ -320,7 +282,7 @@ func mergeLegs(legs []leg) *Response {
 	return merged
 }
 
-// publishLoad republishes the shard's live queue-depth and active session
+// publishLoad republishes the shard's live queue-depth and active leg
 // counts (summed over its replicas) on its gauges.
 func (sh *shard) publishLoad() {
 	if sh.queueDepth == nil {
@@ -328,82 +290,26 @@ func (sh *shard) publishLoad() {
 	}
 	var queued, active int64
 	for _, r := range sh.replicas {
-		q, a := r.Load()
-		queued += q
-		active += a
+		queued += r.queued.Load()
+		active += r.active.Load()
 	}
 	sh.queueDepth.Set(float64(queued))
 	sh.active.Set(float64(active))
 }
 
-// recordShardFailure counts a failed leg and emits the shard.fail event that
-// trips FlightRecorder auto-dump, so the trace ring around the failure is
-// preserved. The event carries the session's trace context.
-func (c *Coordinator) recordShardFailure(ctx obs.TraceContext, shardIdx int, err error) {
-	if reg := c.cfg.Base.Metrics; reg != nil {
-		reg.Counter("serve_shard_failures_total", "Scatter legs that failed, by shard.", shardLabel(shardIdx)).Inc()
-	}
-	c.cfg.Base.Obs.EventCtx(ctx, "shard.fail",
-		obs.Attr{Key: "shard", Value: strconv.Itoa(shardIdx)},
-		obs.Attr{Key: "error", Value: err.Error()})
-}
-
-// Stats sums session and cache counters across every replica and adds the
-// coordinator's own scatter counters. ScatterSessions counts merged sessions
-// (each fans out to Shards legs, so Sessions ≈ ScatterSessions × Shards).
-func (c *Coordinator) Stats() Stats {
-	var out Stats
-	for _, sh := range c.shards {
-		for _, r := range sh.replicas {
-			st := r.Stats()
-			out.Sessions += st.Sessions
-			out.PlanHits += st.PlanHits
-			out.PlanMisses += st.PlanMisses
-			out.PlanInvalidations += st.PlanInvalidations
-			out.PlanRevalidations += st.PlanRevalidations
-			out.PlanEntries += st.PlanEntries
-			out.ScoreHits += st.ScoreHits
-			out.ScoreMisses += st.ScoreMisses
-			out.ScoreEntries += st.ScoreEntries
-			out.PlanDemotions += st.PlanDemotions
-			out.PlanPromotions += st.PlanPromotions
-		}
-	}
-	out.ScatterSessions = c.sessions.Load()
-	out.ScatterFailures = c.failures.Load()
-	return out
-}
-
 // ReplicaStats snapshots every replica's counters, indexed [shard][replica]
-// — the per-shard view behind cache-warmth assertions and reports.
-func (c *Coordinator) ReplicaStats() [][]Stats {
-	out := make([][]Stats, len(c.shards))
-	for i, sh := range c.shards {
+// — the per-shard view behind cache-warmth assertions and reports. Each
+// entry's Sessions counts the legs that replica served.
+func (s *Server) ReplicaStats() [][]Stats {
+	out := make([][]Stats, len(s.shards))
+	for i, sh := range s.shards {
 		out[i] = make([]Stats, len(sh.replicas))
 		for j, r := range sh.replicas {
-			out[i][j] = r.Stats()
+			r.addStats(&out[i][j])
+			out[i][j].Sessions = r.legs.Load()
 		}
 	}
 	return out
-}
-
-// Shards reports the shard count.
-func (c *Coordinator) Shards() int { return len(c.shards) }
-
-// Invalidate drops every replica's cached plans.
-func (c *Coordinator) Invalidate() {
-	for _, sh := range c.shards {
-		for _, r := range sh.replicas {
-			r.Invalidate()
-		}
-	}
 }
 
 func shardLabel(i int) metrics.Label { return metrics.L("shard", strconv.Itoa(i)) }
-
-// Replay mirrors Server.Replay over the coordinator: it parses and serves a
-// workload at the given concurrency, responses in workload order, failures
-// aggregated per query (errors.Join), never aborting the rest.
-func (c *Coordinator) Replay(workload []WorkloadQuery, concurrency int) ([]*Response, error) {
-	return replay(c, workload, concurrency)
-}

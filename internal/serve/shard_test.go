@@ -12,6 +12,7 @@ import (
 	"probpred/internal/adapt"
 	"probpred/internal/blob"
 	"probpred/internal/engine"
+	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
@@ -66,7 +67,7 @@ func TestShardedMergeAccounting(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c := newMiniCoordinator(t, 60, shards, 1, RouteRoundRobin, nil)
+			c := newMiniSharded(t, 60, shards, 1, RouteRoundRobin, nil)
 			first, err := c.Do(Request{ID: "Q", Pred: pred})
 			if err != nil {
 				t.Fatal(err)
@@ -129,15 +130,15 @@ func TestMergeLegsKeepsLedgerWhenReplanCountsDiffer(t *testing.T) {
 // search each), while round-robin spreads them over every replica and
 // re-pays the search per replica. Half-way through, a clause the predicate
 // never consulted is retrained: the warm plans must survive by revalidation
-// (no extra searches), and the coordinator must report those revalidations.
+// (no extra searches), and the server must report those revalidations.
 func TestShardedPlanAffinityWarmth(t *testing.T) {
 	const repeats = 4
 	run := func(routing RoutingPolicy) (misses uint64, warmReplicas int) {
-		c := newMiniCoordinator(t, 60, 2, 2, routing, nil)
+		c := newMiniSharded(t, 60, 2, 2, routing, nil)
 		pred := query.MustParse("t=SUV & c=red")
 		for i := 0; i < repeats; i++ {
 			if i == repeats/2 {
-				c.cfg.Base.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60"))
+				c.cfg.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60"))
 			}
 			if _, err := c.Do(Request{ID: fmt.Sprintf("Q%d", i), Pred: pred}); err != nil {
 				t.Fatal(err)
@@ -187,7 +188,8 @@ func TestShardedPlanAffinityWarmth(t *testing.T) {
 func TestShardedFailureAttribution(t *testing.T) {
 	var dump bytes.Buffer
 	fr := obs.NewFlightRecorder(64, &dump)
-	c := newMiniCoordinator(t, 60, 3, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+	reg := metrics.New()
+	c := newMiniSharded(t, 60, 3, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
 		cfg.Builder = testkit.Builder{Refuse: func(blobs []blob.Blob, _ query.Pred) error {
 			if len(blobs) > 0 && blobs[0].ID == 0 { // blob 0 opens shard 0 of any contiguous split
 				return errors.New("injected shard fault (blob 0)")
@@ -195,6 +197,7 @@ func TestShardedFailureAttribution(t *testing.T) {
 			return nil
 		}}
 		cfg.Base.Obs = obs.New(fr)
+		cfg.Base.Metrics = reg
 	})
 
 	resp, err := c.Do(Request{ID: "QF", Pred: query.MustParse("t=SUV")})
@@ -215,12 +218,11 @@ func TestShardedFailureAttribution(t *testing.T) {
 		t.Errorf("healthy shards blamed in error: %v", err)
 	}
 
-	st := c.Stats()
-	if st.ScatterFailures != 1 {
-		t.Errorf("ScatterFailures = %d, want 1", st.ScatterFailures)
+	if failures := reg.Counter("serve_session_errors_total", "").Value(); failures != 1 {
+		t.Errorf("serve_session_errors_total = %v, want 1", failures)
 	}
-	if st.ScatterSessions != 1 {
-		t.Errorf("ScatterSessions = %d, want 1", st.ScatterSessions)
+	if st := c.Stats(); st.Sessions != 1 {
+		t.Errorf("Sessions = %d, want 1", st.Sessions)
 	}
 	if fr.Dumps() < 1 {
 		t.Error("flight recorder did not auto-dump on shard.fail")
@@ -229,8 +231,8 @@ func TestShardedFailureAttribution(t *testing.T) {
 		t.Errorf("flight dump missing the shard.fail event:\n%s", dump.String())
 	}
 
-	// The coordinator stays serviceable: a healthy predicate still fails (the
-	// poisoned shard fails every plan), but a second coordinator without the
+	// The server stays serviceable: a healthy predicate still fails (the
+	// poisoned shard fails every plan), but a second server without the
 	// fault serves fine — degradation is per-session, not sticky.
 	if _, err := c.Do(Request{ID: "QF2", Pred: query.MustParse("c=red")}); err == nil {
 		t.Error("poisoned shard unexpectedly recovered")
@@ -265,20 +267,20 @@ func TestShardedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Shards() != 1 {
-		t.Errorf("defaulted Shards() = %d, want 1", c.Shards())
+	if len(c.shards) != 1 || len(c.shards[0].replicas) != 1 {
+		t.Errorf("defaulted to %d shards × %d replicas, want 1 × 1", len(c.shards), len(c.shards[0].replicas))
 	}
-	if c.Routing() != RouteRoundRobin {
-		t.Errorf("defaulted Routing() = %q, want %q", c.Routing(), RouteRoundRobin)
+	if c.cfg.Routing != RouteRoundRobin {
+		t.Errorf("defaulted Routing = %q, want %q", c.cfg.Routing, RouteRoundRobin)
 	}
 }
 
 func TestRouters(t *testing.T) {
-	// Replica Load state is directly settable in-package.
-	mkReplicas := func(loads ...int64) []*Server {
-		out := make([]*Server, len(loads))
+	// Replica load is directly settable in-package.
+	mkReplicas := func(loads ...int64) []*replica {
+		out := make([]*replica, len(loads))
 		for i, l := range loads {
-			out[i] = &Server{}
+			out[i] = &replica{}
 			out[i].active.Store(l)
 		}
 		return out
@@ -338,7 +340,7 @@ func TestRouters(t *testing.T) {
 // orders the two searches. Both legs complete with the same decision, and each
 // replica's own plan cache records its one miss.
 func TestShardedColdLegsSearchConcurrently(t *testing.T) {
-	c := newMiniCoordinator(t, 120, 1, 2, RouteRoundRobin, nil)
+	c := newMiniSharded(t, 120, 1, 2, RouteRoundRobin, nil)
 	pred := query.MustParse("t=SUV & c!=white & s>65")
 	resps := make([]*Response, 2)
 	errs := make([]error, 2)

@@ -194,6 +194,63 @@ func TestAdmissionWaitHistogram(t *testing.T) {
 	}
 }
 
+// TestShardedQueueWaitCountedOnce: a sharded session's admission wait is its
+// slowest leg's, and it is not also inside Service — QueueWait + Service is
+// the wall time of Do, however long a leg queued.
+func TestShardedQueueWaitCountedOnce(t *testing.T) {
+	reg := metrics.New()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := newMiniSharded(t, 40, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+		cfg.Base.MaxConcurrent = 1
+		cfg.Base.Metrics = reg
+		cfg.Builder = testkit.Builder{UDF: blockUDF{UDF: 40, entered: entered, release: release}}
+	})
+	pred := query.MustParse("t=SUV")
+	var wg sync.WaitGroup
+	wg.Add(2)
+	// The first session's legs take each replica's only slot and park.
+	go func() {
+		defer wg.Done()
+		if _, err := srv.Do(Request{ID: "holder", Pred: pred}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered
+	var resp *Response
+	var wall time.Duration
+	go func() {
+		defer wg.Done()
+		start := time.Now()
+		r, err := srv.Do(Request{ID: "queued", Pred: pred})
+		wall = time.Since(start)
+		if err != nil {
+			t.Error(err)
+		}
+		resp = r
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Gauge("serve_admission_queue_depth", "").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second session never queued behind a pinned slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const hold = 100 * time.Millisecond
+	time.Sleep(hold)
+	close(release)
+	wg.Wait()
+	if resp == nil {
+		t.FailNow()
+	}
+	if resp.QueueWait < hold/2 {
+		t.Errorf("QueueWait = %v, want >= %v behind the pinned slot", resp.QueueWait, hold/2)
+	}
+	if sum := resp.QueueWait + resp.Service; sum > wall {
+		t.Errorf("QueueWait %v + Service %v = %v exceeds the measured wall time of Do, %v", resp.QueueWait, resp.Service, sum, wall)
+	}
+}
+
 // TestUncontendedQueueWait: with free slots the admission wait is noise —
 // sequential sessions never queue.
 func TestUncontendedQueueWait(t *testing.T) {

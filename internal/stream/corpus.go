@@ -12,9 +12,9 @@
 // segments land.
 //
 // The query half is Ingestor: Ingest appends one segment and runs every
-// standing query over exactly that segment through a serve.Server or a
-// sharded serve.Coordinator (Request.Blobs). A segment's sessions run side by
-// side under the server's admission bound and land in registration order;
+// standing query over exactly that segment through a serve.Server, sharded
+// or not (Request.Blobs). A segment's sessions run side by side under the
+// server's admission bound and land in registration order;
 // segments land one at a time. They share the server's plan and score caches
 // across segments — per-clause PP training on one column leaves every other
 // query's cached plan untouched (partial invalidation). With an online.System
@@ -57,8 +57,8 @@ type SegmentedCorpus struct {
 
 // NewSegmentedCorpus returns an empty corpus at version 0. The backing slice
 // starts empty but non-nil, so Blobs and Snapshot never return nil: a nil
-// Request.Blobs would make a server scan its bound corpus (a Coordinator's
-// shard slices) instead of the empty segment.
+// Request.Blobs would make a server scan its bound corpus (a sharded
+// server's shard slices) instead of the empty segment.
 func NewSegmentedCorpus() *SegmentedCorpus {
 	return &SegmentedCorpus{blobs: []blob.Blob{}}
 }

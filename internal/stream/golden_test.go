@@ -27,7 +27,7 @@ var goldenSplits = [][]int{
 }
 
 // goldenFronts are the front doors the stream is served through: the single
-// server (shards = 0), then Coordinators at 2 and 4 shards × 1–2 replicas,
+// server (shards = 0), then sharded servers at 2 and 4 shards × 1–2 replicas,
 // each replica admitting 4 of a segment's sessions at once.
 var goldenFronts = []struct{ shards, replicas int }{{0, 0}, {2, 1}, {2, 2}, {4, 1}, {4, 2}}
 

@@ -27,21 +27,16 @@ type Query struct {
 	Accuracy float64
 }
 
-// Server is the serving surface an Ingestor drives: a *serve.Server, or a
-// *serve.Coordinator that splits each segment across its shards.
-type Server interface {
-	Do(serve.Request) (*serve.Response, error)
-}
-
 // Config configures an Ingestor.
 type Config struct {
-	// Server serves each segment's standing-query sessions. Required. Its
-	// Config.Corpus (a Coordinator's Base.Corpus) must be set, since segments
-	// are served via Request.Blobs, and its optimizer must plan over Online's
-	// corpus when Online is set — that is what routes per-segment retraining
-	// into the plans. Its admission bound (MaxConcurrent) is the only limit on
-	// how many of one segment's sessions run at once.
-	Server Server
+	// Server serves each segment's standing-query sessions; a sharded one
+	// splits each segment across its shards. Required. Its Config.Corpus
+	// (ShardedConfig.Base.Corpus) must be set, since segments are served via
+	// Request.Blobs, and its optimizer must plan over Online's corpus when
+	// Online is set — that is what routes per-segment retraining into the
+	// plans. Its admission bound (MaxConcurrent) is the only limit on how
+	// many of one segment's sessions run at once.
+	Server *serve.Server
 	// Corpus is the segmented blob corpus segments append to. Required.
 	Corpus *SegmentedCorpus
 	// Online, when set, closes the training loop per segment: realized

@@ -147,8 +147,8 @@ func (m *Model) Score(x mathx.Vec) float64 {
 // from cache line to cache line instead of re-dispatching through the Scorer
 // interface per row. Each row's dot product accumulates in the same index
 // order as Score, so batch and scalar results are bit-identical (the
-// invariant core.PP's batch fast path relies on). It implements
-// core.BatchScorer.
+// invariant core.PP's batch path relies on). It implements
+// core.Scorer.
 func (m *Model) ScoreBatch(xs []float64, d int, out []float64) {
 	w := m.W
 	for i := range out {

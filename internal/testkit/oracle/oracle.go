@@ -48,9 +48,8 @@ type Draw struct {
 	Workers int
 	// NoCache turns the score cache off.
 	NoCache bool
-	// Shards > 0 serves through a Coordinator of Shards × Replicas servers
-	// (Replicas zero selects 1) under Routing; zero serves through one
-	// Server.
+	// Shards > 0 serves through NewSharded's Shards × Replicas server
+	// (Replicas zero selects 1) under Routing; zero serves through New's.
 	Shards, Replicas int
 	Routing          serve.RoutingPolicy
 	// Stream ingests the corpus through a stream.Ingestor, as segments cut
@@ -101,7 +100,7 @@ var relaxations = []struct {
 	{"adapt", func(d Draw) bool { return d.Adapt }, costSkip,
 		"a swap re-orders the PP filter mid-run (and sessions after it start on the promoted order), so other leaves are scored, and the re-plan is charged"},
 	{"shards>1", func(d Draw) bool { return d.Shards > 1 }, costClose,
-		"the coordinator adds per-shard subtotals, regrouping the per-row float sum"},
+		"the merge adds per-shard subtotals, regrouping the per-row float sum"},
 }
 
 // costLevel is the strictest cost check no relaxation loosens.
@@ -116,7 +115,7 @@ func (d Draw) costLevel() costCheck {
 }
 
 // Check serves d's workload under d's strategy, holds every result to the
-// reference and returns the front door's counters.
+// reference and returns the server's counters.
 func Check(tb testing.TB, d Draw) serve.Stats {
 	tb.Helper()
 	ppc := optimizer.NewCorpus()
@@ -153,7 +152,7 @@ func Check(tb testing.TB, d Draw) serve.Stats {
 	if d.Stream {
 		requests *= len(d.Cuts) + 2
 	}
-	f := c.front(ppc, requests*(1+d.Shards))
+	f := c.front(ppc, requests)
 	if d.Stream {
 		c.stream(f)
 	} else {
@@ -166,11 +165,14 @@ func Check(tb testing.TB, d Draw) serve.Stats {
 		c.telemetry()
 	}
 	st := f.Stats()
-	if legs := uint64(requests * max(d.Shards, 1)); st.Sessions != legs {
-		tb.Errorf("%v: %d sessions, want %d", d, st.Sessions, legs)
+	var legs uint64
+	for _, sh := range f.ReplicaStats() {
+		for _, r := range sh {
+			legs += r.Sessions
+		}
 	}
-	if d.Shards > 0 && (st.ScatterSessions != uint64(requests) || st.ScatterFailures != 0) {
-		tb.Errorf("%v: %d scatter sessions (%d failed), want %d", d, st.ScatterSessions, st.ScatterFailures, requests)
+	if st.Sessions != uint64(requests) || legs != uint64(requests*max(d.Shards, 1)) {
+		tb.Errorf("%v: %d sessions over %d legs, want %d over %d", d, st.Sessions, legs, requests, requests*max(d.Shards, 1))
 	}
 	return st
 }
@@ -207,18 +209,11 @@ func (c *checker) builder() testkit.Builder {
 	return testkit.Builder{Faults: inj}
 }
 
-// front is what Check drives: a Server or a Coordinator.
-type front interface {
-	stream.Server
-	Replay([]serve.WorkloadQuery, int) ([]*serve.Response, error)
-	Stats() serve.Stats
-}
-
 // front builds the system under test. A single server is bound to the whole
 // corpus too, so a streamed request that lost its blobs scans the wrong
 // ones instead of none. The query log buffers all the records the draw
 // writes, so none is dropped.
-func (c *checker) front(ppc *optimizer.Corpus, records int) front {
+func (c *checker) front(ppc *optimizer.Corpus, records int) *serve.Server {
 	d, b := c.d, c.builder()
 	cfg := serve.Config{
 		Optimizer:         optimizer.New(ppc),
@@ -238,7 +233,7 @@ func (c *checker) front(ppc *optimizer.Corpus, records int) front {
 		c.qlog = pplog.NewWriter(&c.log, records, c.reg)
 		cfg.Metrics, cfg.Obs, cfg.QueryLog = c.reg, obs.New(c.spans), c.qlog
 	}
-	var f front
+	var f *serve.Server
 	var err error
 	if d.Shards == 0 {
 		f, err = serve.New(cfg)
@@ -308,7 +303,7 @@ func (c *checker) compare(label string, i int, blobs []blob.Blob, resp *serve.Re
 }
 
 // replay serves the workload over the static corpus.
-func (c *checker) replay(f front) {
+func (c *checker) replay(f *serve.Server) {
 	w := make([]serve.WorkloadQuery, len(c.queries))
 	for i, q := range c.queries {
 		w[i] = serve.WorkloadQuery(q)
@@ -328,7 +323,7 @@ func (c *checker) replay(f front) {
 // stream registers the workload as standing queries, ingests the corpus
 // segment by segment and checks every delta and its accuracy audit, the
 // concatenated deltas, and the backfill.
-func (c *checker) stream(f front) {
+func (c *checker) stream(f *serve.Server) {
 	ing, err := stream.New(stream.Config{Server: f, Corpus: stream.NewSegmentedCorpus(), Lookup: testkit.Lookup})
 	for _, q := range c.queries {
 		if err == nil {
@@ -384,10 +379,10 @@ func (c *checker) stream(f front) {
 }
 
 // telemetry joins every checked session across the three sinks: a trace ID
-// of its own, under it one session record in the query log plus one per
-// shard leg, and one span tree — the session span, the leg sessions under
-// it when sharded, run and operator spans below — that every span of the
-// trace belongs to. The p99 service-time exemplar names one of them.
+// of its own, under it one record in the query log, and one span tree — the
+// session span, a leg span per shard under it when the server has more than
+// one shard × replica, run and operator spans below — that every span of
+// the trace belongs to. The p99 service-time exemplar names one of them.
 func (c *checker) telemetry() {
 	tb, d := c.tb, c.d
 	if err := c.qlog.Close(); err != nil || c.qlog.Drops() != 0 {
@@ -409,14 +404,19 @@ func (c *checker) telemetry() {
 	if policy == "" {
 		policy = serve.RouteRoundRobin
 	}
+	legs := 0
+	if d.Shards*max(d.Replicas, 1) > 1 {
+		legs = d.Shards
+	} else {
+		policy = ""
+	}
 	for _, resp := range c.served {
 		label := fmt.Sprintf("%v\n%s trace %q", d, resp.ID, resp.TraceID)
-		if rs := logged[resp.TraceID]; resp.TraceID == "" || len(rs) != 1+d.Shards {
-			tb.Errorf("%s: %d query-log records, want %d", label, len(rs), 1+d.Shards)
+		if rs := logged[resp.TraceID]; resp.TraceID == "" || len(rs) != 1 {
+			tb.Errorf("%s: %d query-log records, want 1", label, len(rs))
 		}
 		for _, r := range logged[resp.TraceID] {
-			if r.IsSession() && (r.PlanKey != resp.PlanKey || len(r.Legs) != d.Shards || d.Shards > 0 && r.Policy != string(policy)) ||
-				!r.IsSession() && (r.Leg.Shard < 0 || r.Leg.Shard >= d.Shards) {
+			if r.PlanKey != resp.PlanKey || len(r.Legs) != legs || r.Policy != string(policy) {
 				tb.Errorf("%s: query-log record %+v", label, r)
 			}
 		}
@@ -442,8 +442,8 @@ func (c *checker) telemetry() {
 				tb.Errorf("%s: span tree rooted at a %s span", label, sp.Kind)
 			}
 		}
-		if sessions := kinds[obs.KindSession]; roots != 1 || sessions != 1+d.Shards || kinds[obs.KindRun] == 0 || kinds[obs.KindOperator] == 0 {
-			tb.Errorf("%s: span kinds %v, %d roots; want one root, %d sessions, run and operator spans", label, kinds, roots, 1+d.Shards)
+		if sessions := kinds[obs.KindSession]; roots != 1 || sessions != 1+legs || kinds[obs.KindRun] == 0 || kinds[obs.KindOperator] == 0 {
+			tb.Errorf("%s: span kinds %v, %d roots; want one root, %d sessions, run and operator spans", label, kinds, roots, 1+legs)
 		}
 	}
 	if len(logged) != 0 {

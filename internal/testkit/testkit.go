@@ -151,10 +151,7 @@ func (s speedScorer) ScoreBatch(xs []float64, d int, out []float64) { scoreRows(
 func (s speedScorer) Name() string                                  { return "speed" }
 func (s speedScorer) Cost() float64                                 { return s.cost }
 
-// Both scorers implement core.BatchScorer, so the kit's PPs take the tiled
-// production kernel; scoreRows makes each row exactly Score.
-var _, _ core.BatchScorer = exactScorer{}, speedScorer{}
-
+// scoreRows is both scorers' ScoreBatch: each row exactly Score.
 func scoreRows(score func(mathx.Vec) float64, xs []float64, d int, out []float64) {
 	for i := range out {
 		out[i] = score(xs[i*d : (i+1)*d])

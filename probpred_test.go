@@ -115,6 +115,12 @@ func (firstDimScorer) Score(x Vec) float64 { return x[0] }
 func (firstDimScorer) Name() string        { return "rule" }
 func (firstDimScorer) Cost() float64       { return 0.1 }
 
+func (s firstDimScorer) ScoreBatch(xs []float64, d int, out []float64) {
+	for i := range out {
+		out[i] = s.Score(xs[i*d : (i+1)*d])
+	}
+}
+
 func TestParsePredicateErrors(t *testing.T) {
 	if _, err := ParsePredicate("t="); err == nil {
 		t.Fatal("expected parse error")
@@ -223,6 +229,12 @@ func (pcaSignScorer) Score(x Vec) float64 {
 }
 func (pcaSignScorer) Name() string  { return "pcsign" }
 func (pcaSignScorer) Cost() float64 { return 0.1 }
+
+func (s pcaSignScorer) ScoreBatch(xs []float64, d int, out []float64) {
+	for i := range out {
+		out[i] = s.Score(xs[i*d : (i+1)*d])
+	}
+}
 
 // facadeBuilder is a plan builder over any blob slice with the fake
 // classifier UDFs — the README's serving example, end to end.
