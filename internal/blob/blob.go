@@ -33,6 +33,16 @@ type TruthKeys struct{ names []string }
 // attributes.
 func NewTruthKeys(names ...string) *TruthKeys { return &TruthKeys{names: names} }
 
+// Index returns the position of key in the list's rows, or -1.
+func (k *TruthKeys) Index(key string) int {
+	for i, name := range k.names {
+		if name == key {
+			return i
+		}
+	}
+	return -1
+}
+
 // Truth is one blob's ground truth: Vals[i] is the value of the i-th key.
 type Truth struct {
 	keys *TruthKeys
@@ -87,17 +97,44 @@ func (b Blob) DenseVec() mathx.Vec {
 }
 
 // TruthVal returns the ground-truth attribute value for key, and whether it
-// exists. Only simulated UDFs and experiment metrics call this.
+// exists. Only simulated UDFs and experiment metrics call this; a UDF
+// reading one attribute across a batch uses a TruthCol.
 func (b Blob) TruthVal(key string) (float64, bool) {
 	if b.Truth == nil {
 		return 0, false
 	}
-	for i, name := range b.Truth.keys.names {
-		if name == key {
-			return b.Truth.Vals[i], true
-		}
+	if i := b.Truth.keys.Index(key); i >= 0 {
+		return b.Truth.Vals[i], true
 	}
 	return 0, false
+}
+
+// TruthCol reads one ground-truth attribute across a batch of blobs. The
+// key's position is resolved once per key list it meets — a batch's blobs
+// almost always share one — rather than by comparing key names per blob.
+type TruthCol struct {
+	key  string
+	keys *TruthKeys
+	at   int
+}
+
+// NewTruthCol returns a reader of key.
+func NewTruthCol(key string) TruthCol { return TruthCol{key: key} }
+
+// Val returns b's value for the column's key, and whether it exists:
+// b.TruthVal(key).
+func (c *TruthCol) Val(b Blob) (float64, bool) {
+	t := b.Truth
+	if t == nil {
+		return 0, false
+	}
+	if t.keys != c.keys {
+		c.keys, c.at = t.keys, t.keys.Index(c.key)
+	}
+	if c.at < 0 {
+		return 0, false
+	}
+	return t.Vals[c.at], true
 }
 
 // Set is a collection of blobs with parallel binary labels (+1 = the blob

@@ -10,7 +10,7 @@ import (
 
 // Adaptive execution: chunk-boundary plan-swap points in the engine's one
 // run loop. The row-local prefix of the plan (source, PP filters, processors,
-// selects, projections — everything before the first stage boundary) is
+// selects, projections — everything up to the first stage boundary) is
 // executed chunk by chunk, and after each chunk a SwapDecider may replace
 // the plan's PP filter for the remaining chunks; the suffix (reducers,
 // joins, top-k) then runs once over the concatenated rows.
@@ -93,10 +93,10 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
 	}
-	// The prefix is the source plus every following non-boundary operator;
-	// a swappable PP filter must be inside it.
+	// The prefix is the source plus every row-local operator after it; a
+	// swappable PP filter must be inside it.
 	split := 1
-	for split < len(p.Ops) && !p.Ops[split].StageBoundary() {
+	for split < len(p.Ops) && rowLocal(p.Ops[split]) {
 		split++
 	}
 	swapIdx := -1
@@ -124,8 +124,9 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	// The source runs once (its cost does not depend on chunking); what it
 	// yields is then processed chunk by chunk through the rest of the
 	// prefix. A Scan yields its blobs, which the PP filters directly after
-	// it test in the source stage (source.go); rows start at position
-	// first. Any other source yields rows.
+	// it test in the source stage (source.go); the row stage (rowstage.go)
+	// starts at position first and makes rows, a morsel at a time, only for
+	// their survivors. Any other source yields rows.
 	scan, isScan := ops[0].(*Scan)
 	first := 1
 	var rows []Row
@@ -136,7 +137,7 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 			first++
 		}
 		n = len(scan.Blobs)
-		r.charge(r.open(0), 0, n, scanCost*float64(n), time.Now())
+		r.charge(r.open(0), 0, n, scanCost*float64(n), 0)
 	} else {
 		if rows, err = r.exec(0, nil); err != nil {
 			return nil, err
@@ -149,22 +150,20 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	}
 	var prefixOut []Row
 	for ci, b := range bounds {
-		var chunk []Row
+		var in rowInput
+		var s *filterScratch
 		if isScan {
-			chunk = r.source(scan.Blobs[b[0]:b[1]], first)
+			in, s = r.source(scan.Blobs[b[0]:b[1]], first)
 		} else {
-			chunk = rows[b[0]:b[1]]
+			in.rows = rows[b[0]:b[1]]
 		}
-		for i := first; i < split; i++ {
-			if chunk, err = r.exec(i, chunk); err != nil {
-				return nil, err
-			}
+		prefixOut, err = r.rowStage(in, first, split, prefixOut)
+		if s != nil {
+			putFilterScratch(s)
 		}
-		if len(bounds) == 1 {
-			prefixOut = chunk
-			break
+		if err != nil {
+			return nil, err
 		}
-		prefixOut = append(prefixOut, chunk...)
 		if ci == len(bounds)-1 {
 			break // no remaining chunks to adapt for
 		}
@@ -190,7 +189,8 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 		})
 	}
 
-	// Suffix: stage-boundary operators see every row at once.
+	// Suffix: from the first operator that is not row-local on, operators
+	// see every row at once.
 	rows = prefixOut
 	for i := split; i < len(ops); i++ {
 		if rows, err = r.exec(i, rows); err != nil {
@@ -272,10 +272,10 @@ func (r *run) open(i int) *opAcc {
 	return acc
 }
 
-// charge books one execution opened at start that consumed in rows, made
-// out rows and cost cost.
-func (r *run) charge(acc *opAcc, in, out int, cost float64, start time.Time) {
-	acc.wallNS += time.Since(start).Nanoseconds()
+// charge books one execution that consumed in rows, made out rows, cost
+// cost and took wallNS.
+func (r *run) charge(acc *opAcc, in, out int, cost float64, wallNS int64) {
+	acc.wallNS += wallNS
 	r.cluster += cost
 	acc.cost += cost
 	acc.rowsIn += in
@@ -283,26 +283,32 @@ func (r *run) charge(acc *opAcc, in, out int, cost float64, start time.Time) {
 	r.stageCosts[len(r.stageCosts)-1] += cost
 }
 
-// exec runs ops[i] over in. A failure ends the run: everything executed so
-// far is charged, the failing operator's span and the run span carry the
-// error, and metrics count the failed run.
+// exec runs ops[i] over in, operator-at-a-time: the source when it is not a
+// Scan, and the stage-boundary suffix.
 func (r *run) exec(i int, in []Row) ([]Row, error) {
 	acc, start := r.open(i), time.Now()
-	out, cost, err := runOp(r.ops[i], in, r.cfg, acc)
+	out, cost, err := r.ops[i].Exec(in)
 	if err != nil {
 		out = nil
 	}
-	r.charge(acc, len(in), len(out), cost, start)
+	r.charge(acc, len(in), len(out), cost, time.Since(start).Nanoseconds())
 	if err != nil {
-		acc.span.SetAttr("error", err.Error())
-		emitOps(r.cfg, r.ops, r.accs)
-		r.span.CostVMS = r.cluster
-		r.span.SetAttr("error", err.Error())
-		r.cfg.Obs.End(&r.span)
-		emitRunMetrics(r.cfg.Metrics, nil, time.Since(r.start).Nanoseconds(), r.cfg.Trace.TraceID)
-		return nil, &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
+		return nil, r.fail(i, err)
 	}
 	return out, nil
+}
+
+// fail ends the run at a failure of ops[i], everything executed so far
+// already charged: the failing operator's span and the run span carry the
+// error, and metrics count the failed run.
+func (r *run) fail(i int, err error) error {
+	r.accs[i].span.SetAttr("error", err.Error())
+	emitOps(r.cfg, r.ops, r.accs)
+	r.span.CostVMS = r.cluster
+	r.span.SetAttr("error", err.Error())
+	r.cfg.Obs.End(&r.span)
+	emitRunMetrics(r.cfg.Metrics, nil, time.Since(r.start).Nanoseconds(), r.cfg.Trace.TraceID)
+	return &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
 }
 
 // chunkBounds splits n rows into ceil(n/size) contiguous chunks of at most

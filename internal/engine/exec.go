@@ -13,10 +13,12 @@ type Config struct {
 	// Parallelism is the number of cluster partitions. Zero selects 16.
 	Parallelism int
 	// Workers sets how many goroutines execute the row-parallel work: each
-	// Process, and each PP filter's TestBatch in the source stage. It
-	// affects only wall-clock execution of the simulator, never results or
-	// virtual costs. Processors must be safe for concurrent ApplyBatch calls
-	// on disjoint batches when Workers > 1. Zero or one is sequential.
+	// PP filter's TestBatch in the source stage, and the row stage, split
+	// once at its input into worker ranges. It affects only wall-clock
+	// execution of the simulator, never results; virtual costs are
+	// deterministic for a given worker count. Processors must be safe for
+	// concurrent ApplyBatch calls on disjoint batches when Workers > 1. Zero
+	// or one is sequential.
 	Workers int
 	// StageOverheadMS is the fixed overhead charged to latency per stage:
 	// job-wave scheduling, shuffle/materialization setup, and stragglers.

@@ -19,22 +19,25 @@ func failTailBlobs(n int) []blob.Blob {
 	return blobs
 }
 
-// TestParallelErrorChargesPartialWork: a chunk error must not discard the
-// virtual cost the workers accumulated. Both paths attempt every row once
-// (failure last), so the charged totals must match exactly.
+// TestParallelErrorChargesPartialWork: a worker range's error must not
+// discard the virtual cost the workers accumulated. Both paths attempt every
+// row once (failure last), so the failing operator's charge must match
+// exactly.
 func TestParallelErrorChargesPartialWork(t *testing.T) {
 	const n, cost = 40, 7.0
-	p := &Process{P: fakeUDF{name: "U", cost: cost, col: "x"}}
 	charged := func(workers int) float64 {
-		rows := make([]Row, n)
-		for i, b := range failTailBlobs(n) {
-			rows[i] = NewRow(b)
-		}
-		_, c, err := runOp(p, rows, Config{Workers: workers}, &opAcc{})
-		if err == nil {
+		col := obs.NewCollector()
+		plan := Plan{Ops: []Operator{&Scan{Blobs: failTailBlobs(n)}, &Process{P: fakeUDF{name: "U", cost: cost, col: "x"}}}}
+		if _, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)}); err == nil {
 			t.Fatalf("workers=%d: expected failure", workers)
 		}
-		return c
+		for _, sp := range col.Spans() {
+			if sp.Kind == obs.KindOperator && sp.Name == "U" {
+				return sp.CostVMS
+			}
+		}
+		t.Fatalf("workers=%d: no span for U", workers)
+		return 0
 	}
 	seq, par := charged(1), charged(4)
 

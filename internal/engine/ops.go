@@ -9,9 +9,10 @@ import (
 	"probpred/internal/query"
 )
 
-// Operator is one node of a linear physical plan. Execution is
-// operator-at-a-time (each operator consumes its whole input batch), which
-// keeps the virtual cost accounting exact and deterministic.
+// Operator is one node of a linear physical plan. Exec runs it
+// operator-at-a-time over a whole input batch; in a run, the row-local
+// operators after the source stage run a morsel at a time instead
+// (rowstage.go), with the same rows and the same virtual cost bits.
 type Operator interface {
 	// Name identifies the operator in plans and statistics.
 	Name() string
@@ -29,8 +30,9 @@ type Operator interface {
 const scanCost = 0.05
 
 // Scan is the source operator: it turns raw blobs into rows. In a run it is
-// the head of the source stage (source.go), which makes rows only for the
-// blobs the PP filters directly after it pass.
+// the head of the source stage (source.go), and rows are made only for the
+// blobs the PP filters directly after it pass, a morsel at a time
+// (rowstage.go).
 type Scan struct{ Blobs []blob.Blob }
 
 // Name implements Operator.
@@ -41,7 +43,8 @@ func (s *Scan) StageBoundary() bool { return false }
 
 // Exec implements Operator; it ignores its input.
 func (s *Scan) Exec(_ []Row) ([]Row, float64, error) {
-	return rowsOf(s.Blobs, nil, len(s.Blobs)), scanCost * float64(len(s.Blobs)), nil
+	in := rowInput{scan: true, blobs: s.Blobs}
+	return in.appendRows(make([]Row, 0, len(s.Blobs)), 0, len(s.Blobs)), scanCost * float64(len(s.Blobs)), nil
 }
 
 // Process applies a Processor UDF to every row.
@@ -53,37 +56,11 @@ func (p *Process) Name() string { return p.P.Name() }
 // StageBoundary implements Operator.
 func (p *Process) StageBoundary() bool { return false }
 
-// Exec implements Operator: one inline chunk with no retry policy.
+// Exec implements Operator: one batch with no retry policy.
 func (p *Process) Exec(in []Row) ([]Row, float64, error) {
-	return apply(p.P, in, RetryPolicy{}, &retryTally{})
-}
-
-// run executes the processor over in under cfg: split across worker
-// goroutines when the input is large enough (runChunks), each chunk driven
-// by apply under cfg.Retry, and the chunks' outputs concatenated in chunk
-// order. Retry counts land on acc.
-func (p *Process) run(in []Row, cfg Config, acc *opAcc) ([]Row, float64, error) {
-	if !parallel(len(in), cfg.Workers) {
-		return apply(p.P, in, cfg.Retry, &acc.tally)
-	}
-	parts := make([][]Row, cfg.Workers)
-	tallies := make([]retryTally, cfg.Workers)
-	sum := runChunks(cfg, &acc.span, p.Name(), len(in), func(ci, lo, hi int) chunkRun {
-		out, cost, err := apply(p.P, in[lo:hi], cfg.Retry, &tallies[ci])
-		parts[ci] = out
-		return chunkRun{out: len(out), cost: cost, err: err}
-	})
-	for _, t := range tallies {
-		acc.tally.add(t)
-	}
-	if sum.err != nil {
-		return nil, sum.cost, sum.err
-	}
-	out := make([]Row, 0, sum.out)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out, sum.cost, nil
+	var or opRun
+	out, err := apply(p.P, in, make([]Row, 0, len(in)), RetryPolicy{}, &or)
+	return out, or.cost, err
 }
 
 // selectCost is the virtual per-row cost of evaluating a relational
@@ -102,22 +79,27 @@ func (s *Select) StageBoundary() bool { return false }
 
 // Exec implements Operator.
 func (s *Select) Exec(in []Row) ([]Row, float64, error) {
-	// One lookup closure per Exec, repointed at each row: binding r.Lookup
-	// inside the loop would heap-allocate a method value per row.
-	var cur *Row
-	lookup := query.Lookup(func(col string) (query.Value, bool) { return cur.Lookup(col) })
-	out := make([]Row, 0, len(in))
+	out, err := s.filter(in, make([]Row, 0, len(in)), newRowLookup())
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, selectCost * float64(len(in)), nil
+}
+
+// filter appends the rows of in the predicate keeps to out, evaluating it
+// through l.
+func (s *Select) filter(in, out []Row, l *rowLookup) ([]Row, error) {
 	for i := range in {
-		cur = &in[i]
-		ok, err := s.Pred.Eval(lookup)
+		l.cur = &in[i]
+		ok, err := s.Pred.Eval(l.fn)
 		if err != nil {
-			return nil, 0, fmt.Errorf("engine: select: %w", err)
+			return nil, fmt.Errorf("engine: select: %w", err)
 		}
 		if ok {
 			out = append(out, in[i])
 		}
 	}
-	return out, selectCost * float64(len(in)), nil
+	return out, nil
 }
 
 // BlobFilter is the one contract through which injected probabilistic
@@ -173,26 +155,34 @@ func (p *PPFilter) Name() string { return "PP[" + p.F.Name() + "]" }
 // StageBoundary implements Operator.
 func (p *PPFilter) StageBoundary() bool { return false }
 
-// Exec implements Operator for a filter over rows — one a plan puts after
-// another operator, which no plan builder in the tree does. It gathers the
-// rows' blobs and runs the source stage's kernel inline, score-cache counts
-// dropped (a standalone Exec has no run to attribute them to).
+// Exec implements Operator for a filter over rows, score-cache counts
+// dropped (a standalone Exec has no run to attribute them to). In a run, a
+// filter a plan puts after another operator — which no plan builder in the
+// tree does — is a row-stage operator (filterRows).
 func (p *PPFilter) Exec(in []Row) ([]Row, float64, error) {
 	s := getFilterScratch(len(in))
 	defer putFilterScratch(s)
-	blobs := s.blobBuf(len(in))
+	cost := 0.0
+	return p.filterRows(in, make([]Row, 0, len(in)), s, &cost, nil), cost, nil
+}
+
+// filterRows gathers in's blobs into s, tests them through the filter's
+// kernel, adds each blob's cost onto *total in order and appends the rows
+// that pass to out.
+func (p *PPFilter) filterRows(in, out []Row, s *filterScratch, total *float64, ct *CacheTally) []Row {
+	s.reserve(len(in))
+	blobs, pass, cost := s.blobBuf(len(in)), s.pass[:len(in)], s.cost[:len(in)]
 	for i := range in {
 		blobs[i] = in[i].Blob
 	}
-	pass := s.pass[:len(in)]
-	r := p.test(blobs, pass, s.cost[:len(in)], Config{}, &opAcc{})
-	out := make([]Row, 0, r.out)
+	p.F.TestBatch(blobs, pass, cost, ct)
 	for i, ok := range pass {
+		*total += cost[i]
 		if ok {
 			out = append(out, in[i])
 		}
 	}
-	return out, r.cost, nil
+	return out
 }
 
 // ComputedCol defines a projection-created column (π_{f(D)=d} in A.4).
@@ -220,14 +210,27 @@ func (p *Project) StageBoundary() bool { return false }
 
 // Exec implements Operator.
 func (p *Project) Exec(in []Row) ([]Row, float64, error) {
-	drop := map[string]bool{}
-	for _, d := range p.Drop {
-		drop[d] = true
+	out, err := p.project(in, make([]Row, 0, len(in)))
+	if err != nil {
+		return nil, 0, err
 	}
-	out := make([]Row, 0, len(in))
+	return out, p.unitCost() * float64(len(in)), nil
+}
+
+// unitCost is the projection's virtual cost per input row.
+func (p *Project) unitCost() float64 {
 	cost := selectCost
 	for _, c := range p.Compute {
 		cost += c.Cost
+	}
+	return cost
+}
+
+// project appends the projection of each row of in to out.
+func (p *Project) project(in, out []Row) ([]Row, error) {
+	drop := map[string]bool{}
+	for _, d := range p.Drop {
+		drop[d] = true
 	}
 	for _, r := range in {
 		nr := NewRow(r.Blob)
@@ -243,13 +246,13 @@ func (p *Project) Exec(in []Row) ([]Row, float64, error) {
 		for _, c := range p.Compute {
 			v, err := c.Fn(nr)
 			if err != nil {
-				return nil, 0, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
+				return nil, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
 			}
 			nr = nr.With(c.Name, v)
 		}
 		out = append(out, nr)
 	}
-	return out, cost * float64(len(in)), nil
+	return out, nil
 }
 
 // joinCost is the virtual per-probe cost of a hash join lookup.

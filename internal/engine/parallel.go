@@ -10,10 +10,12 @@ import (
 
 // Parallel execution: the virtual cost model already charges work as if it
 // ran on a cluster, but the simulator itself can also use real goroutines
-// for the row-parallel work (Process, and each PP filter's TestBatch) so
-// that large streams execute quickly on multi-core machines. Parallelism
-// never changes results, costs or row order — inputs are chunked, chunks run
-// concurrently, and outputs are concatenated in chunk order.
+// for the row-parallel work (each source PP filter's TestBatch, and the row
+// stage, split once at its input: rowstage.go) so that large streams execute
+// quickly on multi-core machines. Parallelism never changes results or row
+// order, and costs are deterministic for a given worker count — inputs are
+// chunked, chunks run concurrently, and outputs and costs are joined in chunk
+// order.
 //
 // Processors run under Workers > 1 must be safe for concurrent ApplyBatch
 // calls on disjoint batches (the built-in UDFs are; see udf package notes).
@@ -22,26 +24,24 @@ import (
 // only with more than one worker and at least two rows per worker.
 func parallel(n, workers int) bool { return workers > 1 && n >= 2*workers }
 
-// chunkRun is one worker chunk's outcome: the rows it produced, the virtual
-// cost it charged (on failure, the work performed up to and including the
-// failing row) and its error.
+// chunkRun is one worker chunk's outcome, as its chunk span reports it: the
+// rows it produced, the virtual cost it charged (on failure, the work
+// performed up to and including the failing row) and its error.
 type chunkRun struct {
 	out  int
 	cost float64
 	err  error
 }
 
-// runChunks runs fn over the worker chunks of n input rows — inline as one
+// runChunks runs fn over the worker chunks of n input blobs — inline as one
 // chunk when the input is not split (parallel), otherwise at most
 // cfg.Workers chunks on goroutines, each with a chunk span named
-// name[lo:hi] under parent — and returns their outputs summed, their costs
-// summed in chunk order, and the first error in chunk order. Per-chunk costs
-// are summed in chunk order, so accounting is deterministic for a given
-// worker count; when a chunk fails, the work every chunk performed up to
-// that point is still returned.
-func runChunks(cfg Config, parent *obs.Span, name string, n int, fn func(ci, lo, hi int) chunkRun) chunkRun {
+// name[lo:hi] under parent — and returns their outputs summed and their
+// costs summed in chunk order, so accounting is deterministic for a given
+// worker count. A source filter's TestBatch runs through it.
+func runChunks(cfg Config, parent *obs.Span, name string, n int, fn func(lo, hi int) chunkRun) chunkRun {
 	if !parallel(n, cfg.Workers) {
-		return fn(0, 0, n)
+		return fn(0, n)
 	}
 	bounds := chunkBounds(n, (n+cfg.Workers-1)/cfg.Workers)
 	runs := make([]chunkRun, len(bounds))
@@ -49,12 +49,12 @@ func runChunks(cfg Config, parent *obs.Span, name string, n int, fn func(ci, lo,
 	var wg sync.WaitGroup
 	for ci, b := range bounds {
 		wg.Add(1)
-		go func(ci int, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			ct.begin(ci)
 			defer ct.end(ci)
-			runs[ci] = fn(ci, lo, hi)
-		}(ci, b[0], b[1])
+			runs[ci] = fn(b[0], b[1])
+		}()
 	}
 	wg.Wait()
 	ct.emit(name, bounds, runs)
@@ -62,22 +62,8 @@ func runChunks(cfg Config, parent *obs.Span, name string, n int, fn func(ci, lo,
 	for _, r := range runs {
 		sum.out += r.out
 		sum.cost += r.cost
-		if sum.err == nil {
-			sum.err = r.err
-		}
 	}
 	return sum
-}
-
-// runOp executes one operator over rows and returns its output and virtual
-// cost, a Process split across workers with its retry tally on acc. Tallies
-// live on the run's accumulator, never on the operator: plans (and the
-// compiled filters in them) are shared by concurrent runs.
-func runOp(op Operator, in []Row, cfg Config, acc *opAcc) ([]Row, float64, error) {
-	if p, ok := op.(*Process); ok {
-		return p.run(in, cfg, acc)
-	}
-	return op.Exec(in)
 }
 
 // chunkTrace records one chunk's span timing from inside its goroutine;
@@ -115,15 +101,24 @@ func (ct *chunkTrace) emit(opName string, bounds [][2]int, runs []chunkRun) {
 		return
 	}
 	for ci, b := range bounds {
-		sp := ct.tr.BeginChild(ct.parent, obs.KindChunk, fmt.Sprintf("%s[%d:%d]", opName, b[0], b[1]))
-		sp.Start = ct.starts[ci]
-		sp.WallNS = ct.walls[ci]
-		sp.CostVMS = runs[ci].cost
-		sp.RowsIn = b[1] - b[0]
-		sp.RowsOut = runs[ci].out
-		if runs[ci].err != nil {
-			sp.SetAttr("error", runs[ci].err.Error())
-		}
-		ct.tr.EmitSpan(sp)
+		emitChunk(ct.tr, ct.parent, opName, b[0], b[1], runs[ci], ct.starts[ci], ct.walls[ci])
 	}
+}
+
+// emitChunk sends one chunk span, name[lo:hi] under parent, for a chunk of
+// rows lo … hi-1 of an operator's input that ran cr from start for wallNS.
+func emitChunk(tr *obs.Tracer, parent *obs.Span, opName string, lo, hi int, cr chunkRun, start time.Time, wallNS int64) {
+	if !tr.Enabled() {
+		return
+	}
+	sp := tr.BeginChild(parent, obs.KindChunk, fmt.Sprintf("%s[%d:%d]", opName, lo, hi))
+	sp.Start = start
+	sp.WallNS = wallNS
+	sp.CostVMS = cr.cost
+	sp.RowsIn = hi - lo
+	sp.RowsOut = cr.out
+	if cr.err != nil {
+		sp.SetAttr("error", cr.err.Error())
+	}
+	tr.EmitSpan(sp)
 }

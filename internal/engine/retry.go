@@ -109,28 +109,34 @@ func (e *OpError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *OpError) Unwrap() error { return e.Err }
 
-// apply drives a processor over one worker chunk under the retry policy, one
-// call over every row still to go. A row that fails, or whose attempt the
-// row timeout kills, ends the call: the rows before it are charged, it is
-// re-driven alone until it succeeds or the policy gives up, and the next
-// call starts after it. Each row is charged every attempt it made
-// (successful, failed, or killed at the deadline) plus every backoff wait,
-// and the chunk's cost sums rows one by one in input order — the same
-// additions, in the same order, as applying one row at a time, so virtual
-// cost keeps its bits. A failing row still charges the work performed
-// before and during the failure: a cluster bills for a task's work whether
-// or not it succeeds. rt counts timeout kills and retried attempts (plain
-// ints: the caller owns one tally per goroutine).
-func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float64, error) {
-	// Sized for the usual one output row per input: no append growth.
-	out := make([]Row, 0, len(in))
+// rowError returns the *RowError in err's chain, or nil. It is a function of
+// its own so that a batch without a failure does not allocate the target.
+func rowError(err error) *RowError {
+	var re *RowError
+	errors.As(err, &re)
+	return re
+}
+
+// apply drives a processor over one morsel under the retry policy, one call
+// over every row still to go, appending the outputs to out. A row that fails,
+// or whose attempt the row timeout kills, ends the call: the rows before it
+// are charged, it is re-driven alone until it succeeds or the policy gives
+// up, and the next call starts after it. Each row is charged every attempt it
+// made (successful, failed, or killed at the deadline) plus every backoff
+// wait, added row by row in input order onto or.cost — the running sum the
+// row stage threads from morsel to morsel, so a range's cost is the same
+// additions, in the same order, as applying one row at a time, and virtual
+// cost keeps its bits. A failing row still charges the work performed before
+// and during the failure: a cluster bills for a task's work whether or not it
+// succeeds. or.tally counts timeout kills and retried attempts (plain ints:
+// each worker range owns its opRun).
+func apply(p Processor, in, out []Row, pol RetryPolicy, or *opRun) ([]Row, error) {
 	timed, _ := p.(TimedProcessor)
-	var elapsed []float64
 	nominal := p.Cost()
 	// When a nominal attempt already overruns the timeout, every attempt is
 	// killed: run the rows one at a time, as a killed attempt must.
 	alone := pol.RowTimeoutMS > 0 && nominal > pol.RowTimeoutMS
-	total, rowCost, attempt := 0.0, 0.0, 1
+	total, rowCost, attempt := or.cost, 0.0, 1
 	for len(in) > 0 {
 		batch := in
 		if alone || attempt > 1 {
@@ -140,15 +146,17 @@ func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float
 		var err error
 		ran := len(batch) // rows the call ran, the failing one included
 		if timed != nil {
-			out, elapsed, err = timed.ApplyTimed(batch, out, elapsed[:0])
-			ran = len(elapsed)
+			out, or.elapsed, err = timed.ApplyTimed(batch, out, or.elapsed[:0])
+			ran = len(or.elapsed)
 		} else {
 			out, err = p.ApplyBatch(batch, out)
 		}
 		cause := err
 		var re *RowError
-		if errors.As(err, &re) {
-			cause = re.Err
+		if err != nil {
+			if re = rowError(err); re != nil {
+				cause = re.Err
+			}
 		}
 		if err != nil && timed == nil {
 			if re != nil && re.Index >= 0 && re.Index < len(batch) {
@@ -161,12 +169,13 @@ func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float
 			}
 		}
 		if ran < 1 || ran > len(batch) {
-			return nil, total, fmt.Errorf("processor %s: timed %d rows of a %d-row batch", p.Name(), ran, len(batch))
+			or.cost = total
+			return nil, fmt.Errorf("processor %s: timed %d rows of a %d-row batch", p.Name(), ran, len(batch))
 		}
 		for j := 0; j < ran; j++ {
 			e := nominal
 			if timed != nil {
-				e = elapsed[j]
+				e = or.elapsed[j]
 			}
 			var rowErr error
 			if j == ran-1 {
@@ -174,14 +183,15 @@ func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float
 			}
 			if pol.RowTimeoutMS > 0 && e > pol.RowTimeoutMS {
 				if ran != 1 {
-					return nil, total, fmt.Errorf("processor %s: a straggling attempt did not run alone", p.Name())
+					or.cost = total
+					return nil, fmt.Errorf("processor %s: a straggling attempt did not run alone", p.Name())
 				}
 				// The runtime kills the attempt at the deadline: no result,
 				// and only the budget's worth of time was spent.
 				out = out[:mark]
 				rowErr = &rowTimeoutError{op: p.Name(), elapsed: e, budget: pol.RowTimeoutMS}
 				e = pol.RowTimeoutMS
-				rt.timeouts++
+				or.tally.timeouts++
 			}
 			rowCost += e
 			if rowErr == nil {
@@ -190,9 +200,10 @@ func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float
 				continue
 			}
 			if !IsTransient(rowErr) || attempt >= pol.attempts() {
-				return nil, total + rowCost, fmt.Errorf("processor %s: %w", p.Name(), rowErr)
+				or.cost = total + rowCost
+				return nil, fmt.Errorf("processor %s: %w", p.Name(), rowErr)
 			}
-			rt.retries++
+			or.tally.retries++
 			rowCost += pol.backoff(attempt)
 			attempt++
 		}
@@ -201,5 +212,6 @@ func apply(p Processor, in []Row, pol RetryPolicy, rt *retryTally) ([]Row, float
 		}
 		in = in[ran:]
 	}
-	return out, total, nil
+	or.cost = total
+	return out, nil
 }

@@ -3,10 +3,12 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"probpred/internal/blob"
 	"probpred/internal/mathx"
@@ -117,19 +119,22 @@ func TestRowSharedTailConcurrentReaders(t *testing.T) {
 // TestDroppedRowsAllocateNothing pins the paper's premise on the plumbing
 // around the filter (§6: the PP runs before every UDF and must cost next to
 // nothing beside them): through Scan → PPFilter → three UDFs → Select, a
-// run's allocation count depends on its operators alone — not on how many
-// blobs the PP drops, nor on how many survive. A dropped blob never becomes
-// a row, and a survivor costs only its share of one row slab per operator
-// and of one column slab per UDF batch. Across 4 000 and 40 000 blobs × 400
-// and 2 000 survivors a run makes 48 allocations. The row-at-a-time
-// executor this replaced (a row per blob, a one-row result slice and a
-// column node per UDF per survivor) made 2 441 and 12 041: 41 plus 6 per
-// survivor, at either blob count.
+// run's allocations do not depend on how many blobs the PP drops. A dropped
+// blob never becomes a row; a survivor costs its share of the output slab
+// and of one column slab per UDF per morsel, and the row stage's buffers are
+// pooled. At 400, 2 000 and 3 000 survivors, 4 000 and 40 000 blobs make the
+// same allocations — 38 plus one per UDF per morsel of 1 024 survivors —
+// and the bytes stay within one 56-byte row per survivor for the output and
+// one per survivor per UDF for its columns. The operator-at-a-time executor
+// this replaced made 48 allocations at every size but a row slab per
+// operator over every survivor, twice the bytes (1.38 MB against 0.69 MB at
+// 3 000 survivors); the row-at-a-time one before it made a row per blob.
 func TestDroppedRowsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	allocs := func(n, survivors int) float64 {
+	const udfs = 3
+	measure := func(n, survivors int) (allocs, bytes float64) {
 		blobs := make([]blob.Blob, n)
 		keys := blob.NewTruthKeys("x", "y", "z")
 		for i := range blobs {
@@ -150,24 +155,50 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 				t.Fatalf("n=%d survivors=%d: %d rows, err %v", n, survivors, len(res.Rows), err)
 			}
 		}
-		run() // warm the filter-buffer pool
-		return testing.AllocsPerRun(10, run)
-	}
-	const (
-		perRun    = 64 // per-operator accounting, one output slab per operator, one column slab per UDF
-		poolSlack = 8  // a GC between runs empties the filter-buffer pools
-	)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, n := range []int{4000, 40000} {
-		for _, survivors := range []int{400, 2000} {
-			got := allocs(n, survivors)
-			if got > perRun {
-				t.Errorf("%d blobs, %d survivors: %v allocations, want <= %d", n, survivors, got, perRun)
+		run() // warm the pools
+		allocs = testing.AllocsPerRun(10, run)
+		// The least of three ten-run means: a GC that empties the pools
+		// mid-batch makes a run refill them.
+		bytes = math.Inf(1)
+		for range 3 {
+			const runs = 10
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for range runs {
+				run()
 			}
-			lo, hi = min(lo, got), max(hi, got)
+			runtime.ReadMemStats(&m1)
+			bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/runs)
 		}
+		return allocs, bytes
 	}
-	if hi-lo > poolSlack {
-		t.Errorf("allocations range over %v..%v with the blob and survivor counts: dropped blobs or survivors are not free", lo, hi)
+	rowBytes := int(unsafe.Sizeof(Row{}))
+	const (
+		perRun    = 40 // per-operator accounting, the output slab
+		poolSlack = 8  // a GC between runs empties the pools
+		// The per-run accounting, and the allocator rounding each slab up to
+		// whole pages.
+		perBytes = 48 << 10
+	)
+	for _, survivors := range []int{400, 2000, 3000} {
+		morsels := (survivors + morselRows - 1) / morselRows
+		var seen [2][2]float64
+		for k, n := range []int{4000, 40000} {
+			allocs, bytes := measure(n, survivors)
+			t.Logf("%d blobs, %d survivors: %v allocations, %.0f bytes", n, survivors, allocs, bytes)
+			if limit := perRun + udfs*morsels; allocs > float64(limit) {
+				t.Errorf("%d blobs, %d survivors: %v allocations, want <= %d", n, survivors, allocs, limit)
+			}
+			if limit := survivors*rowBytes*(1+udfs) + perBytes; bytes > float64(limit) {
+				t.Errorf("%d blobs, %d survivors: %.0f bytes, want <= %d", n, survivors, bytes, limit)
+			}
+			seen[k] = [2]float64{allocs, bytes}
+		}
+		if d := seen[1][0] - seen[0][0]; d > poolSlack || d < -poolSlack {
+			t.Errorf("%d survivors: %v allocations at 4 000 blobs, %v at 40 000: dropped blobs are not free", survivors, seen[0][0], seen[1][0])
+		}
+		if d := seen[1][1] - seen[0][1]; d > perBytes || d < -perBytes {
+			t.Errorf("%d survivors: %.0f bytes at 4 000 blobs, %.0f at 40 000: dropped blobs are not free", survivors, seen[0][1], seen[1][1])
+		}
 	}
 }

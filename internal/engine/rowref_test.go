@@ -20,12 +20,19 @@ import (
 // before the source stage and the batch processor contract — Scan makes a
 // row per blob, a PP filter gathers the blobs back out of its rows, and a
 // processor is applied to one row at a time (a batch of one), each row under
-// the retry policy on its own. TestBatchExecutorMatchesRowReference holds
-// engine.RunAdaptive to it on random plans: same rows in the same order, the
-// same ClusterTime and Latency bits, the same ledger but for wall time, the
-// same failure.
+// the retry policy on its own — with the row stage's one rule of order: the
+// operators after the source filters run one morsel of refMorsel input rows
+// at a time, within worker ranges cut once at the row stage's input, so a
+// failure is the first in morsel order. TestBatchExecutorMatchesRowReference
+// holds engine.RunAdaptive to it on random plans: same rows in the same
+// order, the same ClusterTime and Latency bits, the same ledger but for wall
+// time, the same failure.
 
-const refScanCost = 0.05
+const (
+	refScanCost   = 0.05
+	refSelectCost = 0.01
+	refMorsel     = 1024
+)
 
 // refAcc is one plan position's accounting in the reference.
 type refAcc struct {
@@ -48,6 +55,13 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 	for split < len(p.Ops) && !p.Ops[split].StageBoundary() {
 		split++
 	}
+	first := 1
+	for first < split {
+		if _, ok := p.Ops[first].(*engine.PPFilter); !ok {
+			break
+		}
+		first++
+	}
 	swapIdx := -1
 	if acfg.ChunkRows > 0 && acfg.Decide != nil && !p.Ops[0].StageBoundary() {
 		for i := 1; i < split; i++ {
@@ -65,21 +79,23 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 	cluster := 0.0
 	accs := make([]refAcc, len(ops))
 	stageCosts := []float64{0}
+	charge := func(i, in, out int, cost float64) {
+		cluster += cost
+		accs[i].cost += cost
+		accs[i].rowsIn += in
+		accs[i].rowsOut += out
+		stageCosts[len(stageCosts)-1] += cost
+	}
 	runOne := func(i int, in []engine.Row) ([]engine.Row, error) {
 		op := ops[i]
-		acc := &accs[i]
 		if op.StageBoundary() {
 			stageCosts = append(stageCosts, 0)
 		}
-		out, cost, err := refOp(op, in, cfg, acc)
-		cluster += cost
-		acc.cost += cost
-		acc.rowsIn += len(in)
-		stageCosts[len(stageCosts)-1] += cost
+		out, cost, err := refOp(op, in, cfg, &accs[i])
+		charge(i, len(in), len(out), cost)
 		if err != nil {
 			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
 		}
-		acc.rowsOut += len(out)
 		return out, nil
 	}
 	rows, err := runOne(0, nil)
@@ -95,12 +111,21 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 	var prefixOut []engine.Row
 	for ci, b := range bounds {
 		chunk := rows[b[0]:b[1]]
-		for i := 1; i < split; i++ {
+		for i := 1; i < first; i++ {
 			if chunk, err = runOne(i, chunk); err != nil {
 				return nil, err
 			}
 		}
-		prefixOut = append(prefixOut, chunk...)
+		out, sums, i, err := refRowStage(ops[first:split], chunk, cfg)
+		if err != nil {
+			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[first+i].Name(), Err: err}
+		}
+		for j, sum := range sums {
+			charge(first+j, sum.in, sum.out, sum.cost)
+			accs[first+j].retries += sum.retries
+			accs[first+j].timeouts += sum.timeouts
+		}
+		prefixOut = append(prefixOut, out...)
 		if ci == len(bounds)-1 || !adaptive {
 			break
 		}
@@ -161,8 +186,16 @@ func refChunkBounds(n, size int) [][2]int {
 	}
 }
 
-// refOp runs one operator: Scan materializes every blob, filters and
-// processors split across workers, everything else is Exec.
+// refWorkerBounds cuts n input rows into the engine's worker ranges.
+func refWorkerBounds(n, workers int) [][2]int {
+	if workers > 1 && n >= 2*workers {
+		return refChunkBounds(n, (n+workers-1)/workers)
+	}
+	return [][2]int{{0, n}}
+}
+
+// refOp runs one operator outside the row stage: Scan materializes every
+// blob, a source filter splits across workers, everything else is Exec.
 func refOp(op engine.Operator, in []engine.Row, cfg engine.Config, acc *refAcc) ([]engine.Row, float64, error) {
 	switch o := op.(type) {
 	case *engine.Scan:
@@ -172,84 +205,108 @@ func refOp(op engine.Operator, in []engine.Row, cfg engine.Config, acc *refAcc) 
 		}
 		return rows, refScanCost * float64(len(rows)), nil
 	case *engine.PPFilter:
-		return refWorkers(in, cfg.Workers, func(chunk []engine.Row) ([]engine.Row, float64, int, int, error) {
-			blobs := make([]blob.Blob, len(chunk))
-			for i := range chunk {
-				blobs[i] = chunk[i].Blob
-			}
-			pass := make([]bool, len(chunk))
-			cost := make([]float64, len(chunk))
-			o.F.TestBatch(blobs, pass, cost, &acc.ct)
-			total := 0.0
-			var out []engine.Row
-			for i, ok := range pass {
-				total += cost[i]
-				if ok {
-					out = append(out, chunk[i])
-				}
-			}
-			return out, total, 0, 0, nil
-		}, acc)
-	case *engine.Process:
-		return refWorkers(in, cfg.Workers, func(chunk []engine.Row) ([]engine.Row, float64, int, int, error) {
-			var out []engine.Row
-			total, retries, timeouts := 0.0, 0, 0
-			for _, r := range chunk {
-				rows, cost, re, to, err := refApplyWithRetry(o.P, r, cfg.Retry)
-				total += cost
-				retries += re
-				timeouts += to
-				if err != nil {
-					return nil, total, retries, timeouts, fmt.Errorf("processor %s: %w", o.P.Name(), err)
-				}
-				out = append(out, rows...)
-			}
-			return out, total, retries, timeouts, nil
-		}, acc)
+		// Worker chunks' outputs and costs join in chunk order.
+		var out []engine.Row
+		total := 0.0
+		for _, b := range refWorkerBounds(len(in), cfg.Workers) {
+			kept, cost := refTest(o.F, in[b[0]:b[1]], &acc.ct)
+			out = append(out, kept...)
+			total += cost
+		}
+		return out, total, nil
 	}
 	return op.Exec(in)
 }
 
-// refWorkers splits in into worker chunks exactly as the engine does, runs
-// them concurrently, and joins outputs and costs in chunk order.
-func refWorkers(in []engine.Row, workers int, chunk func([]engine.Row) ([]engine.Row, float64, int, int, error), acc *refAcc) ([]engine.Row, float64, error) {
-	bounds := [][2]int{{0, len(in)}}
-	if workers > 1 && len(in) >= 2*workers {
-		bounds = refChunkBounds(len(in), (len(in)+workers-1)/workers)
+// refTest runs a filter's kernel over rows and returns the ones it passes
+// and their costs summed in order.
+func refTest(f engine.BlobFilter, rows []engine.Row, ct *engine.CacheTally) ([]engine.Row, float64) {
+	blobs := make([]blob.Blob, len(rows))
+	for i := range rows {
+		blobs[i] = rows[i].Blob
 	}
-	type part struct {
-		out               []engine.Row
-		cost              float64
-		retries, timeouts int
-		err               error
-	}
-	parts := make([]part, len(bounds))
-	var wg sync.WaitGroup
-	for ci, b := range bounds {
-		wg.Add(1)
-		go func(ci int, lo, hi int) {
-			defer wg.Done()
-			p := &parts[ci]
-			p.out, p.cost, p.retries, p.timeouts, p.err = chunk(in[lo:hi])
-		}(ci, b[0], b[1])
-	}
-	wg.Wait()
+	pass := make([]bool, len(rows))
+	cost := make([]float64, len(rows))
+	f.TestBatch(blobs, pass, cost, ct)
 	total := 0.0
 	var out []engine.Row
-	var err error
-	for _, p := range parts {
-		total += p.cost
-		acc.retries += p.retries
-		acc.timeouts += p.timeouts
-		out = append(out, p.out...)
-		if err == nil {
-			err = p.err
+	for i, ok := range pass {
+		total += cost[i]
+		if ok {
+			out = append(out, rows[i])
 		}
 	}
-	if err != nil {
-		return nil, total, err
+	return out, total
+}
+
+// refSum is one row-stage position's accounting over one adaptive chunk.
+type refSum struct {
+	in, out           int
+	cost              float64
+	retries, timeouts int
+}
+
+// refRowStage runs the row-stage operators over in: worker ranges in order,
+// each range's morsels in order, each morsel through every operator a row at
+// a time. A processor's cost is a running sum per range, row by row across
+// its morsels, and the ranges' sums add in range order; a select is charged
+// once, from the rows it saw. The first failure, in morsel order, stops it
+// and names the failing operator.
+func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config) ([]engine.Row, []refSum, int, error) {
+	sums := make([]refSum, len(ops))
+	var out []engine.Row
+	for _, b := range refWorkerBounds(len(in), cfg.Workers) {
+		ranged := make([]refSum, len(ops))
+		for m := b[0]; ; m += refMorsel {
+			end := min(m+refMorsel, b[1])
+			cur := in[m:end]
+			for j, op := range ops {
+				ranged[j].in += len(cur)
+				var next []engine.Row
+				var err error
+				switch o := op.(type) {
+				case *engine.Process:
+					for _, r := range cur {
+						rows, cost, re, to, rerr := refApplyWithRetry(o.P, r, cfg.Retry)
+						ranged[j].cost += cost
+						ranged[j].retries += re
+						ranged[j].timeouts += to
+						if rerr != nil {
+							err = fmt.Errorf("processor %s: %w", o.P.Name(), rerr)
+							break
+						}
+						next = append(next, rows...)
+					}
+				case *engine.Select:
+					next, _, err = o.Exec(cur)
+				default:
+					panic("reference: no row-stage rule for " + op.Name())
+				}
+				if err != nil {
+					return nil, nil, j, err
+				}
+				ranged[j].out += len(next)
+				cur = next
+			}
+			out = append(out, cur...)
+			if end >= b[1] {
+				break
+			}
+		}
+		for j, r := range ranged {
+			sums[j].in += r.in
+			sums[j].out += r.out
+			sums[j].cost += r.cost
+			sums[j].retries += r.retries
+			sums[j].timeouts += r.timeouts
+		}
 	}
-	return out, total, nil
+	for j, op := range ops {
+		if _, ok := op.(*engine.Select); ok {
+			sums[j].cost = refSelectCost * float64(sums[j].in)
+		}
+	}
+	return out, sums, 0, nil
 }
 
 // refTimeout is the engine's row-timeout failure, text included.
@@ -316,22 +373,27 @@ func refApplyWithRetry(p engine.Processor, r engine.Row, pol engine.RetryPolicy)
 
 var refCols = []string{"x", "y", "z"}
 
-// refBlobs makes n blobs with truth x, y, z; with holes, every blob whose
-// ID is 50 modulo 97 lacks z, so a processor materializing z fails on it.
+// refBlobs makes n blobs with truth x, y, z and n, the blob's index (a
+// filter on n passes an exact count); with holes, every blob whose ID is 50
+// modulo 97 lacks z, so a processor materializing z fails on it.
 func refBlobs(n int, rng *mathx.RNG, holes bool) []blob.Blob {
-	full, short := blob.NewTruthKeys("x", "y", "z"), blob.NewTruthKeys("x", "y")
+	full, short := blob.NewTruthKeys("x", "y", "z", "n"), blob.NewTruthKeys("x", "y", "n")
 	out := make([]blob.Blob, n)
 	for i := range out {
 		x, y, z := float64(rng.Intn(100)), float64(rng.Intn(100)), float64(rng.Intn(100))
 		out[i] = blob.FromDense(i, mathx.Vec{x})
 		if holes && i%97 == 50 {
-			out[i].Truth = short.Row(x, y)
+			out[i].Truth = short.Row(x, y, float64(i))
 		} else {
-			out[i].Truth = full.Row(x, y, z)
+			out[i].Truth = full.Row(x, y, z, float64(i))
 		}
 	}
 	return out
 }
+
+// refMorselEdges are survivor counts on and beside the row stage's morsel
+// edges.
+var refMorselEdges = []int{0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 3072}
 
 // refFilter passes blobs whose col exceeds t, charging cost per blob; memo
 // (optional) plays a cross-query score cache, counted on the run's tally.
@@ -359,12 +421,13 @@ func (f refFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct 
 }
 
 // colUDF materializes col from truth, failing permanently where it is
-// missing; keep (optional) drops rows and dup doubles some.
+// missing; copies (optional) says how many output rows a blob's row makes
+// (0, 1 or 2; one when nil).
 type colUDF struct {
-	name      string
-	col       string
-	cost      float64
-	keep, dup func(blob.Blob) bool
+	name   string
+	col    string
+	cost   float64
+	copies func(blob.Blob) int
 }
 
 func (u colUDF) Name() string  { return u.name }
@@ -376,12 +439,15 @@ func (u colUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 		if !ok {
 			return out, &engine.RowError{Index: i, Err: fmt.Errorf("%s: blob %d has no %s", u.name, r.Blob.ID, u.col)}
 		}
-		if u.keep != nil && !u.keep(r.Blob) {
+		copies := 1
+		if u.copies != nil {
+			copies = u.copies(r.Blob)
+		}
+		if copies == 0 {
 			continue
 		}
 		nr := slab.With(r, u.col, query.Number(v))
-		out = append(out, nr)
-		if u.dup != nil && u.dup(r.Blob) {
+		for range copies {
 			out = append(out, nr)
 		}
 	}
@@ -397,7 +463,9 @@ type refCase struct {
 	swap  bool
 }
 
-func drawRefCase(rng *mathx.RNG, blobs []blob.Blob) refCase {
+// drawRefCase draws a plan over blobs; with edge >= 0 its first filter passes
+// exactly edge blobs.
+func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 	var desc string
 	type filterSpec struct {
 		col     string
@@ -405,6 +473,11 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob) refCase {
 		cached  bool
 	}
 	var filters []filterSpec
+	if edge >= 0 {
+		f := filterSpec{col: "n", t: float64(len(blobs) - edge - 1), cost: 0.1 + float64(rng.Intn(9))/7, cached: rng.Intn(2) == 0}
+		filters = append(filters, f)
+		desc += fmt.Sprintf("PP[n>%v (%d pass) c=%.3f cached=%v] ", f.t, edge, f.cost, f.cached)
+	}
 	for n := rng.Intn(3); len(filters) < n; {
 		f := filterSpec{
 			col: refCols[rng.Intn(3)], t: float64(rng.Intn(90)),
@@ -416,19 +489,18 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob) refCase {
 	type procSpec struct {
 		col         string
 		cost        float64
-		kind        int // 0 plain, 1 dropping, 2 duplicating
+		kind        int // 0 plain, 1 dropping, 2 duplicating, 3 zero, one or two rows per input
 		faulty      bool
 		consecutive int
 	}
 	var procs []procSpec
-	dupSeen := false
 	for n := rng.Intn(4); len(procs) < n; {
-		p := procSpec{col: refCols[rng.Intn(3)], cost: 1 + float64(rng.Intn(20))/3, kind: rng.Intn(3)}
-		// A fault schedule counts attempts per blob; after a duplicating
-		// UDF two rows of one blob could race for them across workers.
-		p.faulty = !dupSeen && rng.Intn(2) == 0
+		p := procSpec{col: refCols[rng.Intn(3)], cost: 1 + float64(rng.Intn(20))/3, kind: rng.Intn(4)}
+		// A fault schedule counts attempts per blob. The rows one blob's
+		// row becomes stay adjacent in one worker range, so they take their
+		// attempts in the same order on both executors.
+		p.faulty = rng.Intn(2) == 0
 		p.consecutive = 1 + rng.Intn(3)
-		dupSeen = dupSeen || p.kind == 2
 		procs = append(procs, p)
 		desc += fmt.Sprintf("U[%s c=%.3f kind=%d faulty=%v/%d] ", p.col, p.cost, p.kind, p.faulty, p.consecutive)
 	}
@@ -462,9 +534,21 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob) refCase {
 			u := colUDF{name: fmt.Sprintf("U%d_%s", i, p.col), col: p.col, cost: p.cost}
 			switch p.kind {
 			case 1:
-				u.keep = func(b blob.Blob) bool { return b.ID%5 != 0 }
+				u.copies = func(b blob.Blob) int {
+					if b.ID%5 == 0 {
+						return 0
+					}
+					return 1
+				}
 			case 2:
-				u.dup = func(b blob.Blob) bool { return b.ID%3 == 0 }
+				u.copies = func(b blob.Blob) int {
+					if b.ID%3 == 0 {
+						return 2
+					}
+					return 1
+				}
+			case 3:
+				u.copies = func(b blob.Blob) int { return b.ID % 3 }
 			}
 			var proc engine.Processor = u
 			if p.faulty {
@@ -501,6 +585,34 @@ func swapAfterFirst(plan engine.Plan) engine.SwapDecider {
 	}
 }
 
+// sameResult compares a run with its reference bit for bit: rows and their
+// order, ClusterTime, Latency and stages, chunks and swaps, every PerOp field
+// but WallNS.
+func sameResult(got, want *engine.Result) error {
+	if err := sameRows(got.Rows, want.Rows); err != nil {
+		return err
+	}
+	if math.Float64bits(got.ClusterTime) != math.Float64bits(want.ClusterTime) ||
+		math.Float64bits(got.Latency) != math.Float64bits(want.Latency) || got.Stages != want.Stages {
+		return fmt.Errorf("cluster %v latency %v stages %d, reference %v %v %d",
+			got.ClusterTime, got.Latency, got.Stages, want.ClusterTime, want.Latency, want.Stages)
+	}
+	if got.Chunks != want.Chunks || got.SwapErrors != want.SwapErrors || !slices.Equal(got.Swaps, want.Swaps) {
+		return fmt.Errorf("chunks %d swaps %v, reference %d %v", got.Chunks, got.Swaps, want.Chunks, want.Swaps)
+	}
+	if len(got.PerOp) != len(want.PerOp) {
+		return fmt.Errorf("%d PerOp rows, reference %d", len(got.PerOp), len(want.PerOp))
+	}
+	for i := range got.PerOp {
+		g, w := got.PerOp[i], want.PerOp[i]
+		g.WallNS, w.WallNS = 0, 0
+		if g != w {
+			return fmt.Errorf("PerOp[%d] = %+v\nreference  %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
 func sameRows(a, b []engine.Row) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d rows, reference %d", len(a), len(b))
@@ -514,25 +626,40 @@ func sameRows(a, b []engine.Row) error {
 	return nil
 }
 
-// TestBatchExecutorMatchesRowReference draws random plans — Scan, zero to two
-// PP filters (some behind a score memo), zero to three processors (plain,
-// row-dropping or row-doubling, half of them behind 10 % transient faults
-// and 5 % stragglers, under a random retry policy and row timeout) and a
-// select — and runs each at Workers {1, 4} × adaptive ChunkRows {0, 7,
-// 1000}, the adaptive runs with a never-swapping decider or one that swaps a
-// filter after the first chunk. The engine must match the row-at-a-time
-// reference bit for bit: rows and their order, ClusterTime and Latency,
-// every PerOp field but WallNS, chunks and swaps; a failed run must fail
-// with the same OpError stage, operator and text.
+// TestBatchExecutorMatchesRowReference draws random plans — Scan over 150
+// to 3 500 blobs, zero to two PP filters (some behind a score memo; a third
+// of the plans have one filter passing a count on or beside a morsel edge:
+// 0, 1, 1 023, 1 024, 1 025, …), zero to three processors (plain,
+// row-dropping, row-doubling or emitting zero, one or two rows per input,
+// half of them behind 10 % transient faults and 5 % stragglers, under a
+// random retry policy and row timeout) and a select — and runs each at
+// Workers {1, 4} × adaptive ChunkRows {0, 7, 1000, 2500}, the adaptive runs
+// with a never-swapping decider or one that swaps a filter after the first
+// chunk. The engine must match the row-at-a-time reference bit for bit: rows
+// and their order, ClusterTime and Latency, every PerOp field but WallNS,
+// chunks and swaps; a failed run must fail with the same OpError stage,
+// operator and text — the first failure in morsel order.
 func TestBatchExecutorMatchesRowReference(t *testing.T) {
 	rng := mathx.NewRNG(26)
-	failures, faulted := 0, 0
+	failures, faulted, multiMorsel := 0, 0, 0
 	const plans = 70
+	chunkSizes := []int{0, 7, 1000, 2500}
 	for k := 0; k < plans; k++ {
-		blobs := refBlobs(150+rng.Intn(300), rng, rng.Intn(4) == 0)
-		c := drawRefCase(rng, blobs)
+		n := 150 + rng.Intn(300)
+		if rng.Intn(2) == 0 {
+			n = 1000 + rng.Intn(2500)
+		}
+		// Every third plan's first filter passes a count on or beside a
+		// morsel edge, the edges taken in turn.
+		edge := -1
+		if k%3 == 0 {
+			edge = refMorselEdges[k/3%len(refMorselEdges)]
+			n = max(n, edge+rng.Intn(400))
+		}
+		blobs := refBlobs(n, rng, rng.Intn(4) == 0)
+		c := drawRefCase(rng, blobs, edge)
 		for _, workers := range []int{1, 4} {
-			for _, chunkRows := range []int{0, 7, 1000} {
+			for _, chunkRows := range chunkSizes {
 				name := fmt.Sprintf("plan %d workers=%d chunk=%d: %s retry=%+v swap=%v", k, workers, chunkRows, c.desc, c.retry, c.swap)
 				cfg := engine.Config{Workers: workers, Retry: c.retry}
 				runBoth := func(run func(engine.Plan, engine.Config, engine.AdaptiveConfig) (*engine.Result, error)) (*engine.Result, error) {
@@ -563,36 +690,94 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 					}
 					continue
 				}
-				if err := sameRows(got.Rows, want.Rows); err != nil {
+				if err := sameResult(got, want); err != nil {
 					t.Fatalf("%s\n%v", name, err)
 				}
-				if math.Float64bits(got.ClusterTime) != math.Float64bits(want.ClusterTime) ||
-					math.Float64bits(got.Latency) != math.Float64bits(want.Latency) || got.Stages != want.Stages {
-					t.Fatalf("%s\ncluster %v latency %v stages %d, reference %v %v %d",
-						name, got.ClusterTime, got.Latency, got.Stages, want.ClusterTime, want.Latency, want.Stages)
-				}
-				if got.Chunks != want.Chunks || got.SwapErrors != want.SwapErrors || !slices.Equal(got.Swaps, want.Swaps) {
-					t.Fatalf("%s\nchunks %d swaps %v, reference %d %v", name, got.Chunks, got.Swaps, want.Chunks, want.Swaps)
-				}
-				if len(got.PerOp) != len(want.PerOp) {
-					t.Fatalf("%s\n%d PerOp rows, reference %d", name, len(got.PerOp), len(want.PerOp))
-				}
-				for i := range got.PerOp {
-					g := got.PerOp[i]
-					g.WallNS = 0
-					if g != want.PerOp[i] {
-						t.Fatalf("%s\nPerOp[%d] = %+v\nreference  %+v", name, i, g, want.PerOp[i])
-					}
-					if g.Retries+g.Timeouts > 0 {
+				for _, op := range got.PerOp {
+					if op.Retries+op.Timeouts > 0 {
 						faulted++
 					}
+				}
+				// The row stage starts after the Scan and its filters.
+				first := 1
+				for first < len(got.PerOp) && got.PerOp[first].PPFilter {
+					first++
+				}
+				if chunkRows == 0 && got.PerOp[first].RowsIn > refMorsel {
+					multiMorsel++
 				}
 			}
 		}
 	}
-	// The draw must have exercised what it claims to.
-	t.Logf("%d of %d runs failed; %d positions retried or timed out", failures, plans*6, faulted)
-	if failures == 0 || faulted == 0 || failures > plans*6/2 {
-		t.Fatalf("%d failed runs and %d faulted positions over %d runs: the draw does not cover both paths", failures, faulted, plans*6)
+	// The draw must have exercised what it claims to. Larger inputs meet
+	// more holes and faults, so up to three runs in four may fail.
+	runs := plans * 2 * len(chunkSizes)
+	t.Logf("%d of %d runs failed; %d positions retried or timed out; %d runs took several morsels", failures, runs, faulted, multiMorsel)
+	if failures == 0 || faulted == 0 || failures > runs*3/4 || multiMorsel == 0 {
+		t.Fatalf("%d failed runs, %d faulted positions and %d multi-morsel runs over %d runs: the draw does not cover every path", failures, faulted, multiMorsel, runs)
 	}
+}
+
+// TestRowStageBuffersConcurrent runs different plans — the reference test's
+// draw, over enough blobs for several morsels — at Workers 1 and 4 on many
+// goroutines at once, all through the row stage's shared buffer pool. Each
+// result must equal the same plan's run alone, bit for bit, and a failing
+// plan must fail alike: a buffer a run still reads must never reach another.
+func TestRowStageBuffersConcurrent(t *testing.T) {
+	type job struct {
+		name    string
+		run     func() (*engine.Result, error)
+		want    *engine.Result
+		wantErr error
+	}
+	rng := mathx.NewRNG(30)
+	var jobs []job
+	failing := 0
+	for k := 0; k < 8; k++ {
+		// Retries outlast every fault schedule, so only the plans over
+		// blobs with holes may fail.
+		blobs := refBlobs(1500+rng.Intn(2000), rng, k%4 == 3)
+		edge := -1
+		if k%2 == 0 {
+			edge = refMorselEdges[rng.Intn(len(refMorselEdges))]
+		}
+		c := drawRefCase(rng, blobs, edge)
+		retry := engine.RetryPolicy{MaxAttempts: 6, BackoffBaseMS: 0.7}
+		for _, workers := range []int{1, 4} {
+			j := job{name: fmt.Sprintf("plan %d workers=%d: %s", k, workers, c.desc)}
+			j.run = func() (*engine.Result, error) {
+				return engine.Run(c.build(), engine.Config{Workers: workers, Retry: retry})
+			}
+			j.want, j.wantErr = j.run()
+			jobs = append(jobs, j)
+			if j.wantErr != nil {
+				failing++
+			}
+		}
+	}
+	t.Logf("%d of %d plans fail", failing, len(jobs))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range len(jobs) {
+				j := jobs[(i+5*g)%len(jobs)]
+				got, err := j.run()
+				switch {
+				case (err != nil) != (j.wantErr != nil):
+					t.Errorf("%s\nerror %v, alone %v", j.name, err, j.wantErr)
+				case err != nil:
+					if err.Error() != j.wantErr.Error() {
+						t.Errorf("%s\nerror %q, alone %q", j.name, err, j.wantErr)
+					}
+				default:
+					if err := sameResult(got, j.want); err != nil {
+						t.Errorf("%s\n%v", j.name, err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -12,24 +13,27 @@ import (
 // blobs before any UDF (§4–5, Figure 2). Each filter's TestBatch reads the
 // blobs still in — the first filter the scan's own slice (one adaptive or
 // worker chunk of it), a later one the blobs its predecessor passed —
-// through pooled verdict and cost buffers, and rows are made once, in one
-// slab sized by the survivors, only for the blobs every filter passes. A
-// dropped blob costs no row, no copy and no clear.
+// through pooled verdict and cost buffers, and the last filter's survivors
+// leave as a selection vector over the blobs it read. Rows are made from
+// them a morsel at a time by the row stage (rowstage.go). A dropped blob
+// costs no row, no copy and no clear.
 //
 // The ledger keeps its shape. The Scan position charges scanCost per blob as
 // one term, before any filter's cost; each filter position keeps its
 // cardinalities, cost, score-cache counts and worker chunk spans
 // (PP[…][lo:hi], over the filter's input). Only Scan's WallNS drops to ≈ 0:
-// the work it did is now timed inside the filters' positions.
+// the work it did is now timed inside the filters' positions, making the
+// survivors' rows on the last one's.
 
 // filterScratch is the recycled buffer set of one filter execution: the
-// per-blob verdict and cost outputs, and blobs — the survivors one source
-// filter hands the next, or the blobs gathered out of rows that did not
-// come straight from a Scan.
+// per-blob verdict and cost outputs; blobs — the survivors one source filter
+// hands the next, or the blobs gathered out of rows; and sel, the last
+// source filter's survivors as positions in the blobs it read.
 type filterScratch struct {
 	pass  []bool
 	cost  []float64
 	blobs []blob.Blob
+	sel   []int32
 	// dirty is how much of blobs was written since the scratch left the
 	// pool: only that prefix holds references to clear.
 	dirty int
@@ -42,11 +46,16 @@ func getFilterScratch(n int) *filterScratch {
 	if !ok {
 		s = &filterScratch{}
 	}
+	s.reserve(n)
+	return s
+}
+
+// reserve makes room for verdicts and costs of n blobs.
+func (s *filterScratch) reserve(n int) {
 	if cap(s.pass) < n {
 		s.pass = make([]bool, n)
 		s.cost = make([]float64, n)
 	}
-	return s
 }
 
 // blobBuf returns the scratch's blob buffer at length n.
@@ -64,26 +73,12 @@ func putFilterScratch(s *filterScratch) {
 	filterScratchPool.Put(s)
 }
 
-// rowsOf makes, in one slab of n rows, a row for each blob pass marks — for
-// every blob when pass is nil.
-func rowsOf(blobs []blob.Blob, pass []bool, n int) []Row {
-	rows := make([]Row, n)
-	k := 0
-	for i := range blobs {
-		if pass == nil || pass[i] {
-			rows[k].Blob = blobs[i]
-			k++
-		}
-	}
-	return rows
-}
-
 // test runs the filter's kernel over blobs, split across workers as
 // runChunks does (chunk spans under acc.span), filling pass and cost. It
 // returns how many blobs passed and their cost, summed blob by blob within
 // a chunk and chunk by chunk in order.
 func (p *PPFilter) test(blobs []blob.Blob, pass []bool, cost []float64, cfg Config, acc *opAcc) chunkRun {
-	return runChunks(cfg, &acc.span, p.Name(), len(blobs), func(_, lo, hi int) chunkRun {
+	return runChunks(cfg, &acc.span, p.Name(), len(blobs), func(lo, hi int) chunkRun {
 		p.F.TestBatch(blobs[lo:hi], pass[lo:hi], cost[lo:hi], &acc.ctally)
 		var r chunkRun
 		for i := lo; i < hi; i++ {
@@ -98,25 +93,29 @@ func (p *PPFilter) test(blobs []blob.Blob, pass []bool, cost []float64, cfg Conf
 
 // source runs the source stage over one chunk of the scan's blobs: each PP
 // filter at positions 1 … first-1 tests the blobs still in, and the last
-// one's survivors become rows. With no filter, every blob becomes a row.
-func (r *run) source(blobs []blob.Blob, first int) []Row {
+// one's survivors are the row stage's input. With no filter, every blob is.
+// The input may point into the returned scratch, which the caller puts back
+// once the row stage is done with it.
+func (r *run) source(blobs []blob.Blob, first int) (rowInput, *filterScratch) {
 	if first == 1 {
-		start := time.Now()
-		rows := rowsOf(blobs, nil, len(blobs))
-		r.accs[0].wallNS += time.Since(start).Nanoseconds()
-		return rows
+		return rowInput{scan: true, blobs: blobs}, nil
 	}
 	s := getFilterScratch(len(blobs))
-	defer putFilterScratch(s)
 	in := blobs
 	for i := 1; ; i++ {
 		acc, start := r.open(i), time.Now()
 		pass := s.pass[:len(in)]
 		res := r.ops[i].(*PPFilter).test(in, pass, s.cost[:len(in)], r.cfg, acc)
 		if i == first-1 {
-			rows := rowsOf(in, pass, res.out)
-			r.charge(acc, len(in), res.out, res.cost, start)
-			return rows
+			sel := slices.Grow(s.sel[:0], res.out)
+			for j, ok := range pass {
+				if ok {
+					sel = append(sel, int32(j))
+				}
+			}
+			s.sel = sel
+			r.charge(acc, len(in), res.out, res.cost, time.Since(start).Nanoseconds())
+			return rowInput{scan: true, filtered: true, blobs: in, sel: sel}, s
 		}
 		// Hand the survivors to the next filter. Once they sit in the
 		// scratch buffer, a later filter's survivors are compacted within
@@ -129,7 +128,7 @@ func (r *run) source(blobs []blob.Blob, first int) []Row {
 				k++
 			}
 		}
-		r.charge(acc, len(in), res.out, res.cost, start)
+		r.charge(acc, len(in), res.out, res.cost, time.Since(start).Nanoseconds())
 		in = kept
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sync"
 
+	"probpred/internal/blob"
 	"probpred/internal/data"
 	"probpred/internal/engine"
 	"probpred/internal/mathx"
@@ -49,7 +50,7 @@ func (u *TrafficAttribute) Name() string { return u.UDFName }
 func (u *TrafficAttribute) Cost() float64 { return u.CostMS }
 
 // ApplyBatch implements engine.Processor: one column node per row, all from
-// one slab.
+// one slab, and the column's truth position resolved once per batch.
 func (u *TrafficAttribute) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	if u.ErrRate > 0 {
 		// The error process is stateful; holding the lock for the batch
@@ -62,8 +63,9 @@ func (u *TrafficAttribute) ApplyBatch(in, out []engine.Row) ([]engine.Row, error
 		}
 	}
 	slab := engine.NewColumnSlab(len(in))
+	col := data.NewTrafficColumn(u.Col)
 	for i, r := range in {
-		v, err := data.TrafficValue(r.Blob, u.Col)
+		v, err := col.Value(r.Blob)
 		if err != nil {
 			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: %s: %w", u.UDFName, err)}
 		}
@@ -253,11 +255,12 @@ func (d FrameObjectDetector) Cost() float64 {
 }
 
 // ApplyBatch implements engine.Processor: one column node per frame, all
-// from one slab.
+// from one slab, and the truth position resolved once per batch.
 func (d FrameObjectDetector) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 	slab := engine.NewColumnSlab(len(in))
+	object := blob.NewTruthCol("object")
 	for i, r := range in {
-		v, ok := r.Blob.TruthVal("object")
+		v, ok := object.Val(r.Blob)
 		if !ok {
 			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: frame %d has no object truth", r.Blob.ID)}
 		}
