@@ -30,11 +30,12 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	// The error lists the known ids in registry order: the paper's tables
-	// and figures, then the scenario arcs. The retired wall-clock
-	// experiments (now benchmark/ workloads) error like any unknown id.
+	// and figures, then the scenario arcs and the accuracy audit. The
+	// retired wall-clock experiments (now benchmark/ workloads) error like
+	// any unknown id.
 	known := "(known: [table2 fig9 table4 table5 table6 table7 fig10 table8 table9 table10 " +
 		"table12 table13 fig15 coverage drift ablation-budget ablation-order ablation-k " +
-		"ablation-model faults serve adapt obs stream])"
+		"ablation-model faults serve adapt obs stream audit])"
 	if !strings.Contains(err.Error(), known) {
 		t.Errorf("error %q, want the id list %s", err, known)
 	}
@@ -109,6 +110,12 @@ func TestFig10Shapes(t *testing.T) {
 	if speedup < 1.5 {
 		t.Fatalf("Q20 speed-up = %.2fx, want >= 1.5x for a 4-clause selective predicate", speedup)
 	}
+	// A shape check on one seed, not the accuracy contract: the audit
+	// (ppbench -exp audit, EXPERIMENTS.md) finds a 4-leaf compound's recall
+	// at a=0.95 as low as 0.78 across 20 full-size seeds, because leaf
+	// accuracies multiply as if the clauses were independent. A floor above
+	// that would fail on some seeds; the statistical statement is the
+	// audit's.
 	if acc := retained(nop, pp); acc < 0.75 {
 		t.Fatalf("Q20 accuracy = %v at a=0.95 (4 PPs compound)", acc)
 	}
@@ -116,7 +123,11 @@ func TestFig10Shapes(t *testing.T) {
 
 func TestFig10AccuracyAtA1(t *testing.T) {
 	// At a=1 the validation-set guarantee is exact; on the disjoint test
-	// stream the retained fraction must still be very high.
+	// stream the retained fraction must still be very high. The floor stays
+	// loose on purpose: the audit (ppbench -exp audit, EXPERIMENTS.md) finds
+	// a=1 met on only 3-15 % of runs, single-clause recall down to 0.95 and
+	// compound recall down to 0.83 across 20 full-size seeds, and quick size
+	// calibrates on half as many validation positives.
 	h, err := NewTrafficHarness(quick)
 	if err != nil {
 		t.Fatal(err)

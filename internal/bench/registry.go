@@ -35,6 +35,7 @@ var experiments = []struct {
 	{"adapt", Adaptive},
 	{"obs", Obs},
 	{"stream", Stream},
+	{"audit", Audit},
 }
 
 // IDs lists the experiment ids in registry order.

@@ -77,8 +77,8 @@ func atMost(s []float64, x float64) int {
 	return sort.Search(len(s), func(i int) bool { return s[i] > x })
 }
 
-// positives returns the number of +1 validation blobs.
-func (c *Curve) positives() int {
+// Positives returns the number of +1 validation blobs.
+func (c *Curve) Positives() int {
 	if c.flipped {
 		return len(c.neg)
 	}
@@ -88,7 +88,7 @@ func (c *Curve) positives() int {
 // Threshold returns th(a] for target accuracy a ∈ (0, 1]: the largest score
 // threshold under which at least ⌈a·n₊⌉ positives still pass (score ≥ th).
 func (c *Curve) Threshold(a float64) float64 {
-	nPos := c.positives()
+	nPos := c.Positives()
 	k := int(math.Ceil(a * float64(nPos)))
 	if k <= 0 {
 		return math.Inf(1) // a ≤ 0 would let everything be dropped
@@ -137,7 +137,7 @@ func (c *Curve) AccuracyAtThreshold(th float64) float64 {
 func (c *Curve) Negate() (*Curve, error) {
 	neg := *c
 	neg.flipped = !c.flipped
-	if neg.positives() == 0 {
+	if neg.Positives() == 0 {
 		return nil, fmt.Errorf("core: validation set has no positive blobs")
 	}
 	return &neg, nil
@@ -162,5 +162,5 @@ func (c *Curve) ValidationN() int { return len(c.scores) }
 
 // ValidationSelectivity returns the fraction of positive validation blobs.
 func (c *Curve) ValidationSelectivity() float64 {
-	return float64(c.positives()) / float64(len(c.scores))
+	return float64(c.Positives()) / float64(len(c.scores))
 }

@@ -107,12 +107,18 @@ func (r *run) source(blobs []blob.Blob, first int) (rowInput, *filterScratch) {
 		pass := s.pass[:len(in)]
 		res := r.ops[i].(*PPFilter).test(in, pass, s.cost[:len(in)], r.cfg, acc)
 		if i == first-1 {
-			sel := slices.Grow(s.sel[:0], res.out)
+			// Each position is written at the cursor, which only a
+			// survivor advances: the compaction does not branch on a
+			// verdict.
+			sel := slices.Grow(s.sel[:0], len(pass))[:len(pass)]
+			k := 0
 			for j, ok := range pass {
+				sel[k] = int32(j)
 				if ok {
-					sel = append(sel, int32(j))
+					k++
 				}
 			}
+			sel = sel[:k]
 			s.sel = sel
 			r.charge(acc, len(in), res.out, res.cost, time.Since(start).Nanoseconds())
 			return rowInput{scan: true, filtered: true, blobs: in, sel: sel}, s

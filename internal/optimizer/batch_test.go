@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"testing"
 
 	"probpred/internal/blob"
@@ -14,7 +15,7 @@ import (
 // compileMini optimizes a compound predicate over the mini corpus and returns
 // the injected Compiled filter — conj/disj structure with short-circuit
 // evaluation, the hardest case for batch/scalar cost equivalence.
-func compileMini(t *testing.T, pred string, blobs []blob.Blob) *Compiled {
+func compileMini(t testing.TB, pred string, blobs []blob.Blob) *Compiled {
 	t.Helper()
 	c := miniCorpus(t, blobs)
 	dec, err := New(c).Optimize(query.MustParse(pred), Options{
@@ -31,9 +32,44 @@ func compileMini(t *testing.T, pred string, blobs []blob.Blob) *Compiled {
 
 // TestCompiledTestBatchMatchesTest checks the BlobFilter contract on
 // real optimizer output: per-row pass verdicts and short-circuit-dependent
-// costs must equal the scalar walk exactly.
+// costs must equal the scalar walk exactly. Batches run on the bitmap word
+// edges (0, 1, 63, 64, 65, 1 023, 1 024, 1 025 rows), with blob IDs
+// ascending, descending, gapped, duplicated and straddling a page and a
+// directory chunk, through no score store, a cold one, the same one warm, a
+// disabled one, and one of two pages that evicts as the batch fills it and
+// then serves the batch reversed, its surviving pages first.
 func TestCompiledTestBatchMatchesTest(t *testing.T) {
-	blobs := testkit.Blobs(1500, 21)
+	// The pool's IDs run across a chunk boundary, 700 blobs in.
+	pool := testkit.Blobs(3*1025, 21)
+	for i := range pool {
+		pool[i].ID += chunkSize*pageSize - 700
+	}
+	orders := []struct {
+		name string
+		pick func(n int) []blob.Blob
+	}{
+		{"ascending", func(n int) []blob.Blob { return pool[:n] }},
+		{"descending", func(n int) []blob.Blob {
+			out := slices.Clone(pool[:n])
+			slices.Reverse(out)
+			return out
+		}},
+		{"gapped", func(n int) []blob.Blob {
+			out := make([]blob.Blob, n)
+			for i := range out {
+				out[i] = pool[3*i]
+			}
+			return out
+		}},
+		{"duplicated", func(n int) []blob.Blob {
+			out := make([]blob.Blob, n)
+			for i := range out {
+				out[i] = pool[i/2+i%2*(n/3)]
+			}
+			return out
+		}},
+		{"straddling", func(n int) []blob.Blob { return pool[700-n/2 : 700-n/2+n] }},
+	}
 	for _, pred := range []string{
 		"t=SUV & c=red",
 		"t=SUV | t=van",
@@ -41,18 +77,48 @@ func TestCompiledTestBatchMatchesTest(t *testing.T) {
 		"t=SUV & (c=red | c=white) & s<70",
 	} {
 		t.Run(pred, func(t *testing.T) {
-			f := compileMini(t, pred, blobs)
-			pass := make([]bool, len(blobs))
-			cost := make([]float64, len(blobs))
-			// Two passes so the second runs over recycled pool scratch.
-			for i := 0; i < 2; i++ {
-				f.TestBatch(blobs, pass, cost, nil)
-			}
-			for i, b := range blobs {
-				wantPass, wantCost := f.Test(b)
-				if pass[i] != wantPass || cost[i] != wantCost {
-					t.Fatalf("row %d: batch (%v, %v) scalar (%v, %v)",
-						i, pass[i], cost[i], wantPass, wantCost)
+			f := compileMini(t, pred, pool)
+			for _, n := range []int{0, 1, 63, 64, 65, 1023, 1024, 1025} {
+				for _, o := range orders {
+					blobs := o.pick(n)
+					warm, tiny := NewScoreColumns(1<<10, false), NewScoreColumns(2, false)
+					for _, st := range []struct {
+						name    string
+						store   *ScoreColumns
+						reverse bool
+					}{
+						{"uncached", nil, false},
+						{"cold", warm, false},
+						{"warm", warm, false},
+						{"disabled", NewScoreColumns(1<<10, true), false},
+						{"two pages", tiny, false},
+						// The pages the first pass left come first now.
+						{"two pages reversed", tiny, true},
+					} {
+						if st.reverse {
+							blobs = slices.Clone(blobs)
+							slices.Reverse(blobs)
+						}
+						g := f.WithScoreCache(st.store)
+						pass := make([]bool, n)
+						cost := make([]float64, n)
+						var ct engine.CacheTally
+						g.TestBatch(blobs, pass, cost, &ct)
+						for i, b := range blobs {
+							wantPass, wantCost := f.Test(b)
+							if pass[i] != wantPass || cost[i] != wantCost {
+								t.Fatalf("%d %s %s row %d: batch (%v, %v) scalar (%v, %v)",
+									n, o.name, st.name, i, pass[i], cost[i], wantPass, wantCost)
+							}
+						}
+						hits, misses := ct.Counts()
+						switch {
+						case st.store == nil && hits+misses != 0,
+							st.name == "warm" && misses != 0,
+							st.name == "disabled" && hits != 0:
+							t.Fatalf("%d %s %s: %d hits, %d misses", n, o.name, st.name, hits, misses)
+						}
+					}
 				}
 			}
 		})
@@ -164,23 +230,23 @@ func TestPPFilterBatchEquivalenceTrainedPPs(t *testing.T) {
 
 // TestBatchScratchClearsWhatLeavesWrote: a released scratch keeps no blob
 // reference (the pool must not pin data), and its clear covers only what
-// the leaves gathered — a batch the score cache serves whole gathers
+// the leaves gathered — a batch its score columns serve whole gathers
 // nothing, so nothing needs clearing.
 func TestBatchScratchClearsWhatLeavesWrote(t *testing.T) {
 	blobs := testkit.Blobs(300, 5)
 	f := compileMini(t, "t=SUV & c=red", blobs)
-	cached := f.WithScoreCache(mapScoreCache{})
-	pass := make([]bool, len(blobs))
+	cached := f.WithScoreCache(NewScoreColumns(1<<10, false))
 	cost := make([]float64, len(blobs))
-	run := func(c *Compiled) *batchScratch {
-		s := &batchScratch{}
-		act := make([]int, len(blobs))
-		for i := range act {
-			act[i] = i
+	run := func(c *Compiled) *batchRun {
+		r := &batchRun{blobs: blobs, cost: cost}
+		nw := (len(blobs) + 63) >> 6
+		act, out := r.bitmap(nw), r.bitmap(nw)
+		for i := range blobs {
+			act[i>>6] |= 1 << (i & 63)
 		}
 		clear(cost)
-		c.node.testBatch(blobs, act, pass, cost, s, nil)
-		return s
+		c.node.testBatch(r, act, out)
+		return r
 	}
 	for _, tc := range []struct {
 		name     string
@@ -188,21 +254,38 @@ func TestBatchScratchClearsWhatLeavesWrote(t *testing.T) {
 		gathered bool
 	}{
 		{"uncached", f, true},
-		{"cold cache", cached, true},
-		{"warm cache", cached, false},
+		{"cold columns", cached, true},
+		{"warm columns", cached, false},
 	} {
-		s := run(tc.c)
-		if got := s.dirty > 0; got != tc.gathered || s.dirty > len(blobs) {
-			t.Fatalf("%s: %d blobs marked written, want gathered=%v", tc.name, s.dirty, tc.gathered)
+		r := run(tc.c)
+		if got := r.dirty > 0; got != tc.gathered || r.dirty > len(blobs) {
+			t.Fatalf("%s: %d blobs marked written, want gathered=%v", tc.name, r.dirty, tc.gathered)
 		}
-		putBatchScratch(s)
-		if s.dirty != 0 {
-			t.Fatalf("%s: mark not reset on release", tc.name)
+		putBatchRun(r)
+		if r.dirty != 0 || r.top != 0 || r.blobs != nil || r.ids != nil {
+			t.Fatalf("%s: marks or references not reset on release", tc.name)
 		}
-		for i, b := range s.blobs[:cap(s.blobs)] {
+		for i, b := range r.gather[:cap(r.gather)] {
 			if b.Dense != nil || b.Sparse != nil || b.Truth != nil {
-				t.Fatalf("%s: released scratch still holds blob %d at %d", tc.name, b.ID, i)
+				t.Fatalf("%s: released run still holds blob %d at %d", tc.name, b.ID, i)
 			}
 		}
+	}
+}
+
+// BenchmarkCompiledTestBatchWarm times one TestBatch of a TRAF-shaped
+// filter, a conjunction over a disjunction, on 20 000 blobs whose scores its
+// columns already hold: the warm serving path, where every lookup hits.
+func BenchmarkCompiledTestBatchWarm(b *testing.B) {
+	blobs := testkit.Blobs(20000, 31)
+	f := compileMini(b, "t=SUV & (c=red | c=white) & s<70", blobs).WithScoreCache(NewScoreColumns(1<<12, false))
+	pass := make([]bool, len(blobs))
+	cost := make([]float64, len(blobs))
+	var ct engine.CacheTally
+	f.TestBatch(blobs, pass, cost, &ct)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.TestBatch(blobs, pass, cost, &ct)
 	}
 }

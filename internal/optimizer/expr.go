@@ -6,7 +6,6 @@ import (
 
 	"probpred/internal/blob"
 	"probpred/internal/core"
-	"probpred/internal/engine"
 	"probpred/internal/metrics"
 )
 
@@ -90,13 +89,12 @@ type compiledNode interface {
 	// score cache, probes or instruments — and exists so tests can hold
 	// testBatch to it.
 	test(b blob.Blob) (bool, float64)
-	// testBatch evaluates the node over the rows listed in active (indices
-	// into blobs), setting pass[i] for every active i and accumulating into
-	// cost[i] exactly the virtual cost test(blobs[i]) would have charged.
-	// It may read but must not mutate active. ct (optional) tallies
-	// score-cache hits and misses for the caller's per-run accounting. See
-	// batch.go.
-	testBatch(blobs []blob.Blob, active []int, pass []bool, cost []float64, s *batchScratch, ct *engine.CacheTally)
+	// testBatch evaluates the node over the rows whose bits are set in act
+	// (row i is bit i&63 of act[i>>6]), writing into out the verdict of
+	// every active row and a zero for every other, and adding to r.cost[i]
+	// exactly the virtual cost test(r.blobs[i]) would have charged. It may
+	// read but must not mutate act, and out does not alias it. See batch.go.
+	testBatch(r *batchRun, act, out []uint64)
 }
 
 type compiledLeaf struct {
@@ -109,10 +107,9 @@ type compiledLeaf struct {
 	// probe (optional, WithRuntimeObserver) accumulates observed row counts
 	// for mid-query re-optimization. Nil on unobserved filters.
 	probe *leafProbe
-	// cache (optional, WithScoreCache) memoizes this PP's per-blob scores
-	// across queries. Nil on standalone filters: testBatch guards on cache
-	// alone, so the uncached hot path pays one nil check per leaf.
-	cache ScoreCache
+	// col (optional, WithScoreCache) is this PP's score column, shared
+	// across queries. Nil on standalone filters, which score every row.
+	col *column
 	// Opt-in per-clause instrumentation, resolved once by Compiled.Instrument
 	// (see metrics.go). Nil on uninstrumented filters: testBatch guards on
 	// scoreHist alone, so the hot path pays one nil check per leaf.
@@ -159,6 +156,19 @@ func (c *Compiled) Name() string { return c.name }
 // cost of one blob, scored fresh. It bypasses the score cache and feeds
 // neither runtime probes nor instruments; execution goes through TestBatch.
 func (c *Compiled) Test(b blob.Blob) (bool, float64) { return c.node.test(b) }
+
+// WithThresholds returns a copy of the filter whose leaves, visited in walk
+// order, test their PP against th(pp, threshold) instead of threshold. The
+// receiver is not modified. It is how an audit re-runs a plan with
+// thresholds fitted elsewhere, and how it reads the leaves (returning each
+// threshold unchanged).
+func (c *Compiled) WithThresholds(th func(pp *core.PP, threshold float64) float64) *Compiled {
+	return &Compiled{name: c.name, node: mapLeaves(c.node, func(l *compiledLeaf) *compiledLeaf {
+		cp := *l
+		cp.threshold = th(l.pp, l.threshold)
+		return &cp
+	})}
+}
 
 // dropAllFilter rejects every blob at zero cost — the compiled form of an
 // unsatisfiable predicate.

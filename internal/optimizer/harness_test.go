@@ -8,7 +8,7 @@ import (
 )
 
 // miniCorpus is the kit's PP set over validation blobs as a corpus.
-func miniCorpus(t *testing.T, val []blob.Blob) *Corpus {
+func miniCorpus(t testing.TB, val []blob.Blob) *Corpus {
 	t.Helper()
 	c := NewCorpus()
 	for _, pp := range testkit.PPs(t, val) {

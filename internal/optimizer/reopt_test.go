@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"probpred/internal/core"
 	"probpred/internal/query"
 	"probpred/internal/testkit"
 )
@@ -148,35 +147,11 @@ func TestMaxDivergenceMinRows(t *testing.T) {
 	}
 }
 
-// mapScoreCache is the simplest possible ScoreCache for composition tests.
-type mapScoreCache map[scoreKey]float64
-
-type scoreKey struct {
-	pp *core.PP
-	id int
-}
-
-func (m mapScoreCache) GetBatch(pp *core.PP, ids []int, scores []float64, miss []int) []int {
-	for i, id := range ids {
-		if v, ok := m[scoreKey{pp, id}]; ok {
-			scores[i] = v
-		} else {
-			miss = append(miss, i)
-		}
-	}
-	return miss
-}
-func (m mapScoreCache) PutBatch(pp *core.PP, ids []int, scores []float64) {
-	for i, id := range ids {
-		m[scoreKey{pp, id}] = scores[i]
-	}
-}
-
 // WithScoreCache composed after WithRuntimeObserver keeps the probes wired.
 func TestObserverComposesWithScoreCache(t *testing.T) {
 	_, dec := reoptDecision(t)
 	obsF, ro := dec.Filter.WithRuntimeObserver()
-	cached := obsF.WithScoreCache(mapScoreCache{})
+	cached := obsF.WithScoreCache(NewScoreColumns(1<<10, false))
 	testAll(cached, testkit.Blobs(100, 15))
 	if ro.Stats()[0].Tested != 100 {
 		t.Fatalf("probe lost through WithScoreCache: tested = %d", ro.Stats()[0].Tested)

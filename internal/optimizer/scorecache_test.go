@@ -33,7 +33,7 @@ func TestWithScoreCacheDoesNotMutateReceiver(t *testing.T) {
 		t.Fatalf("want a two-PP injection, got inject=%v pps=%d", dec.Inject, dec.NumPPs)
 	}
 	const n = 200
-	cached, cachedTranscript := cacheLookups(dec.Filter.WithScoreCache(mapScoreCache{}), n)
+	cached, cachedTranscript := cacheLookups(dec.Filter.WithScoreCache(NewScoreColumns(1<<10, false)), n)
 	if cached == 0 {
 		t.Fatal("cached filter drove no lookups; test is vacuous")
 	}

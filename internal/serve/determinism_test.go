@@ -3,6 +3,8 @@ package serve
 import (
 	"sync"
 	"testing"
+
+	"probpred/internal/optimizer"
 )
 
 // The plan cache itself survives demote/promote/get storms: entries stay
@@ -75,7 +77,7 @@ func TestPlanCacheConcurrentDemotePromote(t *testing.T) {
 func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	full := newMiniStack(t, 1500, nil)
 	tiny := newMiniStack(t, 1500, nil)
-	tiny.srv.only().scores = newScoreCache(8, 4, false)
+	tiny.srv.only().scores = optimizer.NewScoreColumns(8, false)
 	rf, err := full.srv.Replay(miniWorkload, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +89,7 @@ func TestScoreCacheEvictionKeepsResults(t *testing.T) {
 	if a, b := renderResponses(rf), renderResponses(rt); a != b {
 		t.Fatalf("tiny score cache diverged:\n%s\nvs\n%s", a, b)
 	}
-	if p, s := pagesOf(tiny.srv.only().scores), tiny.srv.Stats().ScoreEntries; p > 8 || s > 8*pageSize {
-		t.Fatalf("tiny cache holds %d pages, %d scores; bound is 8 pages", p, s)
+	if s := tiny.srv.Stats().ScoreEntries; s > 8*64 {
+		t.Fatalf("tiny cache holds %d scores; bound is 8 pages of 64", s)
 	}
 }

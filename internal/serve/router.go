@@ -82,7 +82,7 @@ func (leastLoadedRouter) Pick(_ int, _ string, replicas []*replica) int {
 
 // planAffinityRouter consistently hashes the canonical plan key, so the
 // sessions that repeat a predicate all hit the one replica that has planned
-// it (warm plan cache) and scored its blobs (warm score cache), instead of
+// it (warm plan cache) and filled its PPs' score columns, instead of
 // spreading — and re-paying — that work across every replica.
 type planAffinityRouter struct{}
 

@@ -7,8 +7,9 @@
 // decisions under a canonical predicate key, so semantically equal queries —
 // however they are written — skip the plan search; entries are invalidated
 // when the PP corpus changes (watchdog trip, online retraining). The score
-// cache memoizes per-(PP, blob) classifier scores in a sharded bounded LRU
-// shared by all sessions, so overlapping predicates score each blob once.
+// cache memoizes per-(PP, blob) classifier scores in bounded per-PP columns
+// that sessions read without a lock, so overlapping predicates score each
+// blob once.
 // Both caches are transparent: served results, row order and virtual-cost
 // accounting are bit-identical to cache-free execution, because PP scores
 // are pure functions and cache hits still charge the modeled virtual cost
@@ -239,9 +240,9 @@ type Stats struct {
 	PlanRevalidations uint64
 	// PlanEntries is the current plan-cache population.
 	PlanEntries int
-	// ScoreHits / ScoreMisses count score-cache lookups across all sessions.
-	// With the score cache disabled every lookup is a miss, so ScoreMisses
-	// equals the number of PP score evaluations performed.
+	// ScoreHits / ScoreMisses count the score lookups of every completed
+	// leg. With the score cache disabled every lookup is a miss, so
+	// ScoreMisses equals the number of PP score evaluations performed.
 	ScoreHits, ScoreMisses uint64
 	// ScoreEntries is the current score-cache population.
 	ScoreEntries int
@@ -331,7 +332,7 @@ func build(cfg Config, slices [][]blob.Blob, replicas int) *Server {
 		for r := 0; r < replicas; r++ {
 			sh.replicas = append(sh.replicas, &replica{
 				plans:  newPlanCache(planCacheSize, cfg.Optimizer.Corpus()),
-				scores: newScoreCache(scoreCachePages, scoreCacheShards, cfg.DisableScoreCache),
+				scores: optimizer.NewScoreColumns(scoreCachePages, cfg.DisableScoreCache),
 				sem:    make(chan struct{}, cfg.MaxConcurrent),
 			})
 		}
@@ -515,6 +516,10 @@ func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span 
 	if err != nil {
 		l.err = fmt.Errorf("serve: run %q: %w", pred.String(), err)
 		return
+	}
+	for _, op := range res.PerOp {
+		r.scoreHits.Add(op.CacheHits)
+		r.scoreMisses.Add(op.CacheMisses)
 	}
 	l.resp = &Response{
 		ID:         req.ID,

@@ -25,6 +25,7 @@ import (
 	"probpred/internal/engine"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
+	"probpred/internal/optimizer"
 )
 
 // ShardedConfig configures a sharded Server.
@@ -108,7 +109,11 @@ type shard struct {
 // replica is one worker set over its shard's corpus slice.
 type replica struct {
 	plans  *planCache
-	scores *scoreCache
+	scores *optimizer.ScoreColumns
+	// scoreHits / scoreMisses total the score lookups of the legs the
+	// replica completed, added once per leg from the run's ledger, so a
+	// lookup itself writes nothing shared.
+	scoreHits, scoreMisses atomic.Uint64
 	// sem is the admission semaphore bounding the replica's concurrently
 	// executing legs.
 	sem chan struct{}
@@ -121,15 +126,14 @@ type replica struct {
 
 // addStats adds the replica's cache counters to st.
 func (r *replica) addStats(st *Stats) {
-	entries, hits, misses := r.scores.stats()
 	st.PlanHits += r.plans.hits.Load()
 	st.PlanMisses += r.plans.misses.Load()
 	st.PlanInvalidations += r.plans.invalidations.Load()
 	st.PlanRevalidations += r.plans.revalidations.Load()
 	st.PlanEntries += r.plans.len()
-	st.ScoreHits += hits
-	st.ScoreMisses += misses
-	st.ScoreEntries += entries
+	st.ScoreHits += r.scoreHits.Load()
+	st.ScoreMisses += r.scoreMisses.Load()
+	st.ScoreEntries += r.scores.Len()
 	st.PlanDemotions += r.plans.demotions.Load()
 	st.PlanPromotions += r.plans.promotions.Load()
 }
