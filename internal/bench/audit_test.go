@@ -13,10 +13,7 @@ import (
 // also met within its interval, every TRAF20 query is listed, and the
 // report is a pure function of the seed.
 func TestAuditQuick(t *testing.T) {
-	rep, err := Audit(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "audit")
 	for _, class := range []string{"single", "compound", "ad-hoc"} {
 		for _, target := range auditTargets {
 			key := fmt.Sprintf("%s@%g", class, target)

@@ -7,7 +7,9 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"strings"
+	"time"
 
 	"probpred/internal/blob"
 	"probpred/internal/core"
@@ -26,9 +28,8 @@ type Config struct {
 	// Quick shrinks datasets for fast test runs; the full scale is used by
 	// cmd/ppbench and the benchmarks.
 	Quick bool
-	// Obs, when set, receives spans/metrics from the engine runs and
-	// optimizer searches the experiments perform (RunTraced attaches a
-	// collector per experiment for the BENCH_pp.json trace summaries).
+	// Obs, when set, receives spans from the engine runs and optimizer
+	// searches the experiments perform.
 	Obs *obs.Tracer
 	// Metrics, when set, receives the engine's numeric telemetry from every
 	// experiment run (cmd/ppbench serves it on -metrics).
@@ -53,15 +54,19 @@ type Report struct {
 	ID string
 	// Title describes what the paper's counterpart shows.
 	Title string
-	// Lines is the formatted output.
+	// Lines is the formatted output: a pure function of the Config, and
+	// what testdata/quick_seed42.golden holds.
 	Lines []string
-	// Metrics carries the experiment's headline numbers machine-readably
-	// (speedups, accuracies, latencies) for BENCH_pp.json; the same values
-	// appear formatted in Lines.
+	// Wall is the output that depends on the machine or on goroutine
+	// interleaving: measured times, their ratios, counters a concurrent
+	// replay splits differently from run to run, random trace IDs.
+	Wall []string
+	// Metrics carries the headline numbers machine-readably for the tests'
+	// gates; the same values appear formatted in Lines or Wall.
 	Metrics map[string]float64
 }
 
-// String renders the report.
+// String renders the report's header and Lines.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
@@ -72,8 +77,25 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// Print writes the report as cmd/ppbench shows it: String to exact, then
+// Wall and the time the experiment took to wall, then a blank line to
+// exact. Given the Config, everything written to exact is the same on every
+// machine and every run.
+func (r *Report) Print(exact, wall io.Writer, took time.Duration) {
+	io.WriteString(exact, r.String())
+	for _, l := range r.Wall {
+		fmt.Fprintln(wall, l)
+	}
+	fmt.Fprintf(wall, "(regenerated in %s)\n", took.Round(time.Millisecond))
+	io.WriteString(exact, "\n")
+}
+
 func (r *Report) addf(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
+}
+
+func (r *Report) wallf(format string, args ...any) {
+	r.Wall = append(r.Wall, fmt.Sprintf(format, args...))
 }
 
 // metric records one machine-readable headline value.

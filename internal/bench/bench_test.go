@@ -12,6 +12,29 @@ import (
 
 var quick = Config{Seed: 42, Quick: true}
 
+// quickReports memoizes quickReport. Tests in this package do not run in
+// parallel, so the map needs no lock.
+var quickReports = map[string]struct {
+	rep *Report
+	err error
+}{}
+
+// quickReport runs experiment id at quick once per test binary and shares
+// the report: TestPaperGolden and the shape tests read the same run. The
+// report is read-only.
+func quickReport(t *testing.T, id string) *Report {
+	t.Helper()
+	r, ok := quickReports[id]
+	if !ok {
+		r.rep, r.err = Run(id, quick)
+		quickReports[id] = r
+	}
+	if r.err != nil {
+		t.Fatalf("%s: %v", id, r.err)
+	}
+	return r.rep
+}
+
 func TestTableFormatter(t *testing.T) {
 	tb := &table{header: []string{"a", "bb"}}
 	tb.add("xx", "y")
@@ -163,10 +186,7 @@ func TestFig10AccuracyAtA1(t *testing.T) {
 }
 
 func TestTable8Shape(t *testing.T) {
-	rep, err := Table8(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "table8")
 	// Last row is PP; its normalized 100% latency must beat NoP's 1.00.
 	var nopLine, ppLine string
 	for _, l := range rep.Lines {
@@ -190,76 +210,8 @@ func TestTable8Shape(t *testing.T) {
 	}
 }
 
-func TestTable9Shape(t *testing.T) {
-	rep, err := Table9(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	for _, want := range []string{"Q4", "Q8", "Q20", "Avg."} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing row %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestTable10Shape(t *testing.T) {
-	rep, err := Table10(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	if !strings.Contains(out, "full (32 PPs)") || !strings.Contains(out, "half (") {
-		t.Fatalf("missing corpora:\n%s", out)
-	}
-	if !strings.Contains(out, "#plans=") || !strings.Contains(out, "picked:") {
-		t.Fatalf("missing plan details:\n%s", out)
-	}
-}
-
-func TestTable12Shape(t *testing.T) {
-	rep, err := Table12(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	if !strings.Contains(out, "coral") || !strings.Contains(out, "square") {
-		t.Fatalf("missing streams:\n%s", out)
-	}
-}
-
-func TestMicroExperimentsRun(t *testing.T) {
-	// Smoke-run the remaining experiments at quick scale; shape assertions
-	// on their content live in the focused tests below.
-	for _, id := range []string{"table5", "fig15"} {
-		rep, err := Run(id, quick)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(rep.Lines) < 3 {
-			t.Fatalf("%s: too short:\n%s", id, rep)
-		}
-	}
-}
-
-func TestFig9Shape(t *testing.T) {
-	rep, err := Fig9(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	for _, ds := range []string{"lshtc", "sun", "ucf101", "coco", "imagenet"} {
-		if !strings.Contains(out, ds) {
-			t.Fatalf("missing dataset %s:\n%s", ds, out)
-		}
-	}
-}
-
 func TestTable4KDEBeatsSVMOnUCF(t *testing.T) {
-	rep, err := Table4(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "table4")
 	var kde, rawsvm float64
 	for _, l := range rep.Lines {
 		cells := strings.Fields(l)
@@ -282,10 +234,7 @@ func TestTable4KDEBeatsSVMOnUCF(t *testing.T) {
 }
 
 func TestTable6PPBeatsJoglekar(t *testing.T) {
-	rep, err := Table6(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "table6")
 	// On every dataset block, the PP row should dominate the Joglekar row.
 	var ppVals, jogVals []float64
 	for _, l := range rep.Lines {
@@ -318,16 +267,6 @@ func TestTable6PPBeatsJoglekar(t *testing.T) {
 	}
 }
 
-func TestTable13MoreDataHelps(t *testing.T) {
-	rep, err := Table13(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Lines) < 5 {
-		t.Fatalf("too short:\n%s", rep)
-	}
-}
-
 func atof(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(s, 64)
@@ -338,10 +277,7 @@ func atof(t *testing.T, s string) float64 {
 }
 
 func TestAblationBudgetDPHelps(t *testing.T) {
-	rep, err := AblationBudget(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "ablation-budget")
 	out := rep.String()
 	if !strings.Contains(out, "saved by the DP") {
 		t.Fatalf("missing summary:\n%s", out)
@@ -361,10 +297,7 @@ func TestAblationBudgetDPHelps(t *testing.T) {
 }
 
 func TestAblationOrderingNeverHurts(t *testing.T) {
-	rep, err := AblationOrdering(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "ablation-order")
 	for _, l := range rep.Lines {
 		cells := strings.Fields(l)
 		if len(cells) != 4 || !strings.HasPrefix(cells[0], "Q") {
@@ -378,10 +311,7 @@ func TestAblationOrderingNeverHurts(t *testing.T) {
 }
 
 func TestAblationKMonotone(t *testing.T) {
-	rep, err := AblationK(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "ablation-k")
 	for _, l := range rep.Lines {
 		cells := strings.Fields(l)
 		if len(cells) != 5 || !strings.HasPrefix(cells[0], "Q") {
@@ -402,10 +332,7 @@ func TestAblationKMonotone(t *testing.T) {
 }
 
 func TestAblationModelSelectionCompetitive(t *testing.T) {
-	rep, err := AblationModelSelection(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "ablation-model")
 	// Auto selection must come within 90% of the best fixed approach.
 	for _, l := range rep.Lines {
 		cells := strings.Fields(l)
@@ -426,10 +353,7 @@ func TestAblationModelSelectionCompetitive(t *testing.T) {
 }
 
 func TestCoverageDegradesGracefully(t *testing.T) {
-	rep, err := Coverage(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "coverage")
 	// Parse the covered counts per corpus row; full must cover the most
 	// and the full corpus must cover nearly everything (§8.2's closing
 	// claim: the per-clause corpus spans the whole predicate space).
@@ -463,17 +387,7 @@ func TestCoverageDegradesGracefully(t *testing.T) {
 }
 
 func TestTable7Shapes(t *testing.T) {
-	rep, err := Table7(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	// Every TRAF-20 query appears, with the expected shapes for a few.
-	for _, q := range TRAF20 {
-		if !strings.Contains(out, q.ID+" ") && !strings.Contains(out, q.ID+"\t") {
-			t.Fatalf("missing %s:\n%s", q.ID, out)
-		}
-	}
+	rep := quickReport(t, "table7")
 	for _, l := range rep.Lines {
 		cells := strings.Fields(l)
 		if len(cells) < 4 {
@@ -497,26 +411,20 @@ func TestTable7Shapes(t *testing.T) {
 	}
 }
 
+// TestTable2Runs: the measured ratios are Wall, so the golden does not see
+// them; every approach must still have its row.
 func TestTable2Runs(t *testing.T) {
-	rep, err := Table2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Lines) < 6 {
-		t.Fatalf("too short:\n%s", rep)
-	}
+	rep := quickReport(t, "table2")
+	wall := strings.Join(rep.Wall, "\n")
 	for _, approach := range []string{"SVM", "KDE", "DNN", "PCA+SVM"} {
-		if !strings.Contains(rep.String(), approach) {
-			t.Fatalf("missing %s:\n%s", approach, rep)
+		if !strings.Contains(wall, "\n"+approach+" ") {
+			t.Fatalf("missing %s:\n%s", approach, wall)
 		}
 	}
 }
 
 func TestDriftRecalibrationHelps(t *testing.T) {
-	rep, err := Drift(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "drift")
 	// Parse the summary line: recalibrated accuracy must beat stale by a
 	// wide margin under drift.
 	var stale, recal float64

@@ -189,17 +189,17 @@ func trainOverheadVMS(trainRows int) float64 {
 	return float64(trainRows) * 0.2 * 32
 }
 
-// Table9 regenerates Table 9: per-query PP construction time, number of
-// PPs chosen, PP inference cost per row, subsequent UDF cost per row,
-// selectivity and cluster-time reduction at a=0.95.
+// Table9 regenerates Table 9: per-query number of PPs chosen, PP inference
+// cost per row, subsequent UDF cost per row, selectivity and cluster-time
+// reduction at a=0.95, and in Wall the PP construction (training) time.
 func Table9(cfg Config) (*Report, error) {
 	h, err := NewTrafficHarness(cfg)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{ID: "table9", Title: "PP training/inference overhead per query (a=0.95)"}
-	tb := &table{header: []string{"query", "PP cons.", "#PPs", "PP inf/row", "Sub.UDF/row",
-		"selectivity", "reduction"}}
+	tb := &table{header: []string{"query", "#PPs", "PP inf/row", "Sub.UDF/row", "selectivity", "reduction"}}
+	wall := &table{header: []string{"query", "PP cons."}}
 	focus := map[string]bool{"Q4": true, "Q8": true, "Q20": true}
 	var avgCons time.Duration
 	var avgPPs, avgInf, avgUDF, avgSel, avgRed float64
@@ -242,8 +242,9 @@ func Table9(cfg Config) (*Report, error) {
 		sel := float64(len(nop.Rows)) / float64(len(h.TestBlobs))
 		red := (nop.ClusterTime - res.ClusterTime) / nop.ClusterTime
 		if focus[q.ID] {
-			tb.add(q.ID, cons.Round(time.Millisecond).String(), fmt.Sprintf("%d", nPPs),
+			tb.add(q.ID, fmt.Sprintf("%d", nPPs),
 				f2(dec.Cost)+"ms", f2(u)+"ms", f3(sel), fmt.Sprintf("%.0f%%", red*100))
+			wall.add(q.ID, cons.Round(time.Millisecond).String())
 		}
 		avgCons += cons
 		avgPPs += float64(nPPs)
@@ -253,10 +254,11 @@ func Table9(cfg Config) (*Report, error) {
 		avgRed += red
 	}
 	n := float64(len(TRAF20))
-	tb.add("Avg.", (time.Duration(float64(avgCons) / n)).Round(time.Millisecond).String(),
-		fmt.Sprintf("%.1f", avgPPs/n), f2(avgInf/n)+"ms", f2(avgUDF/n)+"ms",
+	tb.add("Avg.", fmt.Sprintf("%.1f", avgPPs/n), f2(avgInf/n)+"ms", f2(avgUDF/n)+"ms",
 		f3(avgSel/n), fmt.Sprintf("%.0f%%", avgRed/n*100))
+	wall.add("Avg.", (time.Duration(float64(avgCons) / n)).Round(time.Millisecond).String())
 	rep.Lines = tb.render()
+	rep.Wall = wall.render()
 	rep.metric("avg_num_pps", avgPPs/n)
 	rep.metric("avg_pp_cost_per_row", avgInf/n)
 	rep.metric("avg_udf_cost_per_row", avgUDF/n)

@@ -17,7 +17,8 @@ import (
 // for each approach it times training and testing at size n and 2n (and
 // dimension d and 2d) and reports the observed scaling ratios. A ratio near
 // 2 indicates linear scaling in that variable, near 1 indicates
-// insensitivity, near 4 quadratic.
+// insensitivity, near 4 quadratic. The ratios are wall clock, so the table
+// is the report's Wall.
 func Table2(cfg Config) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Empirical scaling of PP approaches (ratios when n or d doubles)"}
 	n := cfg.scale(2000, 800)
@@ -104,7 +105,7 @@ func Table2(cfg Config) (*Report, error) {
 			ratio(base.train, bigN.train), ratio(base.train, bigD.train),
 			ratio(base.test, bigN.test), ratio(base.test, bigD.test))
 	}
-	rep.Lines = tb.render()
+	rep.Wall = tb.render()
 	rep.addf("expectations from Table 2: SVM train ~linear in n and d, test independent of n;")
 	rep.addf("KDE test grows with n (neighbourhood retrieval); DNN dominated by parameter count (×d).")
 	return rep, nil

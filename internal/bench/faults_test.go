@@ -10,10 +10,7 @@ import (
 // the fault-free reference, and the watchdog trips under drift while fallback
 // windows lose zero true positives.
 func TestFaultsScenario(t *testing.T) {
-	rep, err := Faults(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "faults")
 	text := strings.Join(rep.Lines, "\n")
 	if strings.Contains(text, "DIVERGED") {
 		t.Fatalf("fault sweep diverged from fault-free output:\n%s", text)

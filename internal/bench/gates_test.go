@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // scenarioGates are the claims the scenario arcs must keep making. Each row
 // compares one Report metric against a constant bound, or — when ref is set —
@@ -51,20 +48,12 @@ func holds(v float64, op string, bound float64) bool {
 	panic("unknown gate op " + op)
 }
 
-// TestScenarioGates runs each gated scenario once at the configuration CI
-// regenerates reports at (`ppbench -quick`, default seed) and checks every
-// row against Report.Metrics.
+// TestScenarioGates reads each gated scenario at the golden's configuration
+// (`ppbench -quick`, default seed) and checks every row against
+// Report.Metrics.
 func TestScenarioGates(t *testing.T) {
-	reports := map[string]*Report{}
 	for _, g := range scenarioGates {
-		rep, ok := reports[g.exp]
-		if !ok {
-			var err error
-			if rep, err = Run(g.exp, quick); err != nil {
-				t.Fatalf("%s: %v", g.exp, err)
-			}
-			reports[g.exp] = rep
-		}
+		rep := quickReport(t, g.exp)
 		v, ok := rep.Metrics[g.metric]
 		if !ok {
 			t.Errorf("%s: report has no metric %q", g.exp, g.metric)
@@ -80,26 +69,6 @@ func TestScenarioGates(t *testing.T) {
 		}
 		if !holds(v, g.op, bound) {
 			t.Errorf("%s: %s = %v, want %s %v%s", g.exp, g.metric, v, g.op, bound, against)
-		}
-	}
-}
-
-// TestReportsDeterministicPerSeed: a report is a pure function of the seed —
-// no map-order rendering, no wall-clock columns. (serve's cached hit/miss
-// split depends on session interleaving and obs prints latencies, so they
-// are not in the list.)
-func TestReportsDeterministicPerSeed(t *testing.T) {
-	for _, id := range []string{"ablation-model", "adapt", "stream"} {
-		a, err := Run(id, quick)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		b, err := Run(id, quick)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !reflect.DeepEqual(a.Lines, b.Lines) {
-			t.Errorf("%s: two runs at seed %d differ:\n%s\n%s", id, quick.Seed, a, b)
 		}
 	}
 }

@@ -21,8 +21,7 @@ func Handler(r *Registry) http.Handler {
 // NewMux builds the shared diagnostics mux every binary serves from one
 // -metrics address: Prometheus exposition at /metrics, the same snapshot as
 // JSON at /metrics.json, a liveness probe at /healthz, and the
-// net/http/pprof handlers under /debug/pprof/ (the same profiles ppbench
-// -pprof historically served, now alongside the metrics).
+// net/http/pprof handlers under /debug/pprof/.
 func NewMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))

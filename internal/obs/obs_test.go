@@ -66,7 +66,9 @@ func TestSpanParentage(t *testing.T) {
 	}
 }
 
-func TestCollectorSummary(t *testing.T) {
+// TestCollectorKeepsSpansAndEvents: the collector hands back every span and
+// event in emission order, fields intact, as copies.
+func TestCollectorKeepsSpansAndEvents(t *testing.T) {
 	col := NewCollector()
 	tr := New(col)
 	for i := 0; i < 3; i++ {
@@ -81,25 +83,24 @@ func TestCollectorSummary(t *testing.T) {
 	tr.End(&sp)
 	tr.Event("watchdog.trip")
 
-	sum := col.Summary()
-	if sum.Spans != 4 || sum.Events != 1 {
-		t.Fatalf("spans=%d events=%d, want 4/1", sum.Spans, sum.Events)
+	spans, events := col.Spans(), col.Events()
+	if len(spans) != 4 || len(events) != 1 {
+		t.Fatalf("spans=%d events=%d, want 4/1", len(spans), len(events))
 	}
-	if len(sum.Ops) != 2 {
-		t.Fatalf("ops = %d, want 2", len(sum.Ops))
+	for i, sp := range spans[:3] {
+		if sp.Name != "Cheap" || sp.CostVMS != 1 || sp.RowsIn != 10 || sp.RowsOut != 5 {
+			t.Fatalf("span %d = %+v, want Cheap with cost 1 and rows 10→5", i, sp)
+		}
 	}
-	// Sorted by descending virtual cost.
-	if sum.Ops[0].Name != "Expensive" || sum.Ops[1].Name != "Cheap" {
-		t.Fatalf("op order = %s, %s", sum.Ops[0].Name, sum.Ops[1].Name)
+	if spans[3].Name != "Expensive" || spans[3].CostVMS != 100 {
+		t.Fatalf("span 3 = %+v, want Expensive with cost 100", spans[3])
 	}
-	cheap := sum.Ops[1]
-	if cheap.Count != 3 || cheap.CostVMS != 3 || cheap.RowsIn != 30 || cheap.RowsOut != 15 {
-		t.Fatalf("Cheap aggregate wrong: %+v", cheap)
+	if events[0].Name != "watchdog.trip" {
+		t.Fatalf("event = %+v, want watchdog.trip", events[0])
 	}
-
-	col.Reset()
-	if s := col.Summary(); s.Spans != 0 || s.Events != 0 {
-		t.Fatalf("Reset left records: %+v", s)
+	spans[0].Name = "mutated"
+	if col.Spans()[0].Name != "Cheap" {
+		t.Fatal("Spans returned the collector's own slice")
 	}
 }
 
@@ -114,22 +115,20 @@ func TestRowsPerSec(t *testing.T) {
 		}
 	}
 
-	// The summary aggregates throughput over the group's total rows and wall
-	// time, and the text sink surfaces it on spans that carry rows.
+	// A span emitted with rows and wall time reaches the collector with its
+	// throughput intact, and the text sink surfaces it.
 	col := NewCollector()
 	tr := New(col)
-	for i := 0; i < 2; i++ {
-		sp := tr.Begin(KindOperator, "PP[f]")
-		sp.RowsIn = 1000
-		sp.WallNS = int64(time.Millisecond)
-		tr.EmitSpan(sp)
+	emitted := tr.Begin(KindOperator, "PP[f]")
+	emitted.RowsIn = 1000
+	emitted.WallNS = int64(time.Millisecond)
+	tr.EmitSpan(emitted)
+	spans := col.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("spans = %d, want 1", len(spans))
 	}
-	sum := col.Summary()
-	if len(sum.Ops) != 1 {
-		t.Fatalf("ops = %d, want 1", len(sum.Ops))
-	}
-	if got := sum.Ops[0].RowsPerSec; got != 1e6 {
-		t.Fatalf("summary RowsPerSec = %v, want 1e6", got)
+	if got := spans[0].RowsPerSec(); got != 1e6 {
+		t.Fatalf("collected RowsPerSec = %v, want 1e6", got)
 	}
 
 	var buf bytes.Buffer
@@ -198,28 +197,5 @@ func TestJSONSink(t *testing.T) {
 	}
 	if len(types) != 2 {
 		t.Fatalf("records = %v, want span/event", types)
-	}
-}
-
-func TestRuntimeSnapshot(t *testing.T) {
-	snap := TakeRuntimeSnapshot()
-	if snap.GoVersion == "" || snap.GOOS == "" || snap.GOARCH == "" {
-		t.Fatalf("missing version metadata: %+v", snap)
-	}
-	if snap.NumCPU < 1 || snap.GOMAXPROCS < 1 || snap.NumGoroutine < 1 {
-		t.Fatalf("implausible CPU/goroutine counts: %+v", snap)
-	}
-	if snap.TotalAllocBytes == 0 {
-		t.Fatal("total allocation cannot be zero in a running test")
-	}
-	if snap.SchedLatencyP50NS < 0 || snap.SchedLatencyP99NS < 0 ||
-		snap.SchedLatencyP50NS > snap.SchedLatencyP99NS {
-		t.Fatalf("scheduler latency quantiles out of order: p50=%v p99=%v",
-			snap.SchedLatencyP50NS, snap.SchedLatencyP99NS)
-	}
-	// The snapshot must be JSON-encodable (it is embedded in BENCH_pp.json);
-	// ±Inf histogram bounds would make Marshal fail here.
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot does not encode: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -108,8 +107,8 @@ func (s *JSONSink) Event(ev Event) {
 	}{Type: "event", Event: ev})
 }
 
-// Collector accumulates records in memory for tests, reports and the bench
-// runner's per-experiment trace summaries.
+// Collector accumulates records in memory for tests and the composition
+// oracle.
 type Collector struct {
 	mu     sync.Mutex
 	spans  []Span
@@ -145,74 +144,4 @@ func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Event(nil), c.events...)
-}
-
-// Reset discards everything collected so far (the bench runner reuses one
-// collector across experiments).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans = nil
-	c.events = nil
-}
-
-// OpSummary aggregates the spans sharing a (kind, name) pair.
-type OpSummary struct {
-	Kind    string  `json:"kind"`
-	Name    string  `json:"name"`
-	Count   int     `json:"count"`
-	WallNS  int64   `json:"wall_ns"`
-	CostVMS float64 `json:"cost_vms"`
-	RowsIn  int     `json:"rows_in"`
-	RowsOut int     `json:"rows_out"`
-	// RowsPerSec is the aggregate wall-clock input throughput (total RowsIn
-	// over total WallNS) — how fast the simulator itself chewed through this
-	// operator's rows, across every span in the group.
-	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
-}
-
-// Summary is the aggregate view of a collector — what BENCH_pp.json embeds
-// per experiment.
-type Summary struct {
-	Spans  int         `json:"spans"`
-	Events int         `json:"events"`
-	Ops    []OpSummary `json:"ops,omitempty"`
-}
-
-// Summary aggregates the collected records: spans grouped by (kind, name)
-// sorted by descending virtual cost, and record counts.
-func (c *Collector) Summary() Summary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	byKey := map[[2]string]*OpSummary{}
-	var order [][2]string
-	for _, sp := range c.spans {
-		key := [2]string{sp.Kind, sp.Name}
-		agg, ok := byKey[key]
-		if !ok {
-			agg = &OpSummary{Kind: sp.Kind, Name: sp.Name}
-			byKey[key] = agg
-			order = append(order, key)
-		}
-		agg.Count++
-		agg.WallNS += sp.WallNS
-		agg.CostVMS += sp.CostVMS
-		agg.RowsIn += sp.RowsIn
-		agg.RowsOut += sp.RowsOut
-	}
-	sum := Summary{Spans: len(c.spans), Events: len(c.events)}
-	for _, key := range order {
-		agg := byKey[key]
-		if agg.RowsIn > 0 && agg.WallNS > 0 {
-			agg.RowsPerSec = float64(agg.RowsIn) / (float64(agg.WallNS) / 1e9)
-		}
-		sum.Ops = append(sum.Ops, *agg)
-	}
-	sort.SliceStable(sum.Ops, func(a, b int) bool {
-		if sum.Ops[a].CostVMS != sum.Ops[b].CostVMS {
-			return sum.Ops[a].CostVMS > sum.Ops[b].CostVMS
-		}
-		return sum.Ops[a].Name < sum.Ops[b].Name
-	})
-	return sum
 }

@@ -61,8 +61,6 @@ func TestTraceContextPropagation(t *testing.T) {
 	tr.End(&root)
 	tr.EventCtx(cctx, "adapt.swap", Attr{Key: "k", Value: "v"})
 
-	sum := c.Summary()
-	_ = sum
 	spans, events := c.Spans(), c.Events()
 	if len(spans) != 3 {
 		t.Fatalf("%d spans collected, want 3", len(spans))
