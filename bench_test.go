@@ -223,15 +223,16 @@ type fakeCostProc struct{}
 
 func (fakeCostProc) Name() string  { return "TypeClassifier" }
 func (fakeCostProc) Cost() float64 { return 40 }
-func (fakeCostProc) ApplyBatch(in, out []Row) ([]Row, error) {
-	for i, r := range in {
-		v, err := data.TrafficValue(r.Blob, "t")
+func (fakeCostProc) Apply(b Batch) error {
+	vals := b.Column("t")
+	for i := range vals {
+		v, err := data.TrafficValue(b.Blob(i), "t")
 		if err != nil {
-			return out, &RowError{Index: i, Err: err}
+			return &RowError{Index: i, Err: err}
 		}
-		out = append(out, r.With("t", v))
+		vals[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 // BenchmarkAblationBudget regenerates the budget-allocation ablation.

@@ -18,11 +18,9 @@ type fakeProc struct {
 	cost float64
 }
 
-func (f fakeProc) Name() string  { return f.name }
-func (f fakeProc) Cost() float64 { return f.cost }
-func (f fakeProc) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	return append(out, in...), nil
-}
+func (f fakeProc) Name() string             { return f.name }
+func (f fakeProc) Cost() float64            { return f.cost }
+func (f fakeProc) Apply(engine.Batch) error { return nil }
 
 func TestOrderByRank(t *testing.T) {
 	cheapReductive := SortPClause{Pred: query.MustParse("a=1"),

@@ -64,13 +64,12 @@ type segStreamUDF struct{ cost float64 }
 
 func (u segStreamUDF) Name() string  { return "speedUDF" }
 func (u segStreamUDF) Cost() float64 { return u.cost }
-func (u segStreamUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	slab := engine.NewColumnSlab(len(in))
-	for _, r := range in {
-		v, _ := segStreamLookup(r.Blob)("s")
-		out = append(out, slab.With(r, "s", v))
+func (u segStreamUDF) Apply(b engine.Batch) error {
+	vals := b.Column("s")
+	for i := range vals {
+		vals[i], _ = segStreamLookup(b.Blob(i))("s")
 	}
-	return out, nil
+	return nil
 }
 
 // segStreamBuilder implements serve.CorpusBuilder over any blob slice:

@@ -125,8 +125,9 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	// yields is then processed chunk by chunk through the rest of the
 	// prefix. A Scan yields its blobs, which the PP filters directly after
 	// it test in the source stage (source.go); the row stage (rowstage.go)
-	// starts at position first and makes rows, a morsel at a time, only for
-	// their survivors. Any other source yields rows.
+	// starts at position first, carries their survivors a morsel at a time
+	// as positions and column vectors, and makes rows only for what it
+	// emits. Any other source yields rows.
 	scan, isScan := ops[0].(*Scan)
 	first := 1
 	var rows []Row
@@ -190,12 +191,24 @@ func RunAdaptive(p Plan, cfg Config, acfg AdaptiveConfig) (*Result, error) {
 	}
 
 	// Suffix: from the first operator that is not row-local on, operators
-	// see every row at once.
+	// see every row at once; the row-local ones after each of them run as a
+	// row stage over its rows.
 	rows = prefixOut
-	for i := split; i < len(ops); i++ {
-		if rows, err = r.exec(i, rows); err != nil {
+	for i := split; i < len(ops); {
+		j := i
+		for j < len(ops) && rowLocal(ops[j]) {
+			j++
+		}
+		if j > i {
+			rows, err = r.rowStage(rowInput{rows: rows}, i, j, nil)
+		} else {
+			rows, err = r.exec(i, rows)
+			j++
+		}
+		if err != nil {
 			return nil, err
 		}
+		i = j
 	}
 
 	latency := 0.0

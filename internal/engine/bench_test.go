@@ -11,11 +11,9 @@ import (
 // pipeline's VehDetector does.
 type passThrough struct{}
 
-func (passThrough) Name() string  { return "Detector" }
-func (passThrough) Cost() float64 { return 1 }
-func (passThrough) ApplyBatch(in, out []Row) ([]Row, error) {
-	return append(out, in...), nil
-}
+func (passThrough) Name() string      { return "Detector" }
+func (passThrough) Cost() float64     { return 1 }
+func (passThrough) Apply(Batch) error { return nil }
 
 // BenchmarkRowStage times one run of the shape a warm traffic query takes
 // through the engine: Scan over 20 000 blobs → a PP filter passing 22 % →

@@ -11,8 +11,7 @@ import (
 	"probpred/internal/query"
 )
 
-// fakeUDF emits a column derived from the blob's truth value, a batch's
-// column nodes from one slab.
+// fakeUDF emits a column derived from the blob's truth value.
 type fakeUDF struct {
 	name string
 	cost float64
@@ -21,16 +20,16 @@ type fakeUDF struct {
 
 func (f fakeUDF) Name() string  { return f.name }
 func (f fakeUDF) Cost() float64 { return f.cost }
-func (f fakeUDF) ApplyBatch(in, out []Row) ([]Row, error) {
-	slab := NewColumnSlab(len(in))
-	for i, r := range in {
-		v, ok := r.Blob.TruthVal(f.col)
+func (f fakeUDF) Apply(b Batch) error {
+	vals := b.Column(f.col)
+	for i := range vals {
+		v, ok := b.Blob(i).TruthVal(f.col)
 		if !ok {
-			return out, &RowError{Index: i, Err: fmt.Errorf("no truth %q", f.col)}
+			return &RowError{Index: i, Err: fmt.Errorf("no truth %q", f.col)}
 		}
-		out = append(out, slab.With(r, f.col, query.Number(v)))
+		vals[i] = query.Number(v)
 	}
-	return out, nil
+	return nil
 }
 
 // thresholdFilter is a BlobFilter passing blobs whose truth value exceeds t.
@@ -510,5 +509,58 @@ func TestPlanAlgebraInvariants(t *testing.T) {
 	if res.ClusterTime != ref.ClusterTime+0.5*float64(len(blobs)) {
 		t.Fatalf("identity filter cost accounting wrong: %v vs %v",
 			res.ClusterTime, ref.ClusterTime+0.5*float64(len(blobs)))
+	}
+}
+
+// sumUDF adds s = x + y, reading both through Batch.Lookup.
+type sumUDF struct{}
+
+func (sumUDF) Name() string  { return "Sum" }
+func (sumUDF) Cost() float64 { return 1 }
+func (sumUDF) Apply(b Batch) error {
+	vals := b.Column("s")
+	for i := range vals {
+		x, okx := b.Lookup(i, "x")
+		y, oky := b.Lookup(i, "y")
+		if !okx || !oky {
+			return &RowError{Index: i, Err: fmt.Errorf("row %d: x %v, y %v", i, okx, oky)}
+		}
+		vals[i] = query.Number(x.Num + y.Num)
+	}
+	return nil
+}
+
+// TestBatchLookupSeesEarlierColumns: a processor reads, through its batch,
+// a column its row brought across a stage boundary and one an earlier
+// processor of its own stage added, and the row it emits carries all three.
+func TestBatchLookupSeesEarlierColumns(t *testing.T) {
+	blobs := makeBlobs(2500)
+	keys := blob.NewTruthKeys("x", "y")
+	for i := range blobs {
+		blobs[i].Truth = keys.Row(float64(i), float64(2*i))
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := Run(Plan{Ops: []Operator{
+			&Scan{Blobs: blobs},
+			&Process{P: fakeUDF{name: "X", cost: 1, col: "x"}},
+			&Barrier{Label: "b"},
+			&Process{P: fakeUDF{name: "Y", cost: 1, col: "y"}},
+			&Process{P: sumUDF{}},
+			&Select{Pred: query.MustParse("s>=3000")},
+		}}, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1500 {
+			t.Fatalf("workers=%d: %d rows, want 1 500", workers, len(res.Rows))
+		}
+		for _, r := range res.Rows {
+			x, _ := r.Get("x")
+			y, _ := r.Get("y")
+			s, _ := r.Get("s")
+			if x.Num != float64(r.Blob.ID) || y.Num != 2*x.Num || s.Num != 3*x.Num {
+				t.Fatalf("workers=%d: blob %d has %v", workers, r.Blob.ID, r.Columns())
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ type Config struct {
 	// once at its input into worker ranges. It affects only wall-clock
 	// execution of the simulator, never results; virtual costs are
 	// deterministic for a given worker count. Processors must be safe for
-	// concurrent ApplyBatch calls on disjoint batches when Workers > 1. Zero
+	// concurrent Apply calls on disjoint batches when Workers > 1. Zero
 	// or one is sequential.
 	Workers int
 	// StageOverheadMS is the fixed overhead charged to latency per stage:

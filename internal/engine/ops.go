@@ -11,8 +11,9 @@ import (
 
 // Operator is one node of a linear physical plan. Exec runs it
 // operator-at-a-time over a whole input batch; in a run, the row-local
-// operators after the source stage run a morsel at a time instead
-// (rowstage.go), with the same rows and the same virtual cost bits.
+// operators after the source stage and after each stage boundary run a
+// morsel at a time instead (rowstage.go), with the same rows and the same
+// virtual cost bits.
 type Operator interface {
 	// Name identifies the operator in plans and statistics.
 	Name() string
@@ -31,8 +32,7 @@ const scanCost = 0.05
 
 // Scan is the source operator: it turns raw blobs into rows. In a run it is
 // the head of the source stage (source.go), and rows are made only for the
-// blobs the PP filters directly after it pass, a morsel at a time
-// (rowstage.go).
+// blobs the row stage (rowstage.go) emits.
 type Scan struct{ Blobs []blob.Blob }
 
 // Name implements Operator.
@@ -43,8 +43,11 @@ func (s *Scan) StageBoundary() bool { return false }
 
 // Exec implements Operator; it ignores its input.
 func (s *Scan) Exec(_ []Row) ([]Row, float64, error) {
-	in := rowInput{scan: true, blobs: s.Blobs}
-	return in.appendRows(make([]Row, 0, len(s.Blobs)), 0, len(s.Blobs)), scanCost * float64(len(s.Blobs)), nil
+	out := make([]Row, len(s.Blobs))
+	for i, b := range s.Blobs {
+		out[i] = Row{Blob: b}
+	}
+	return out, scanCost * float64(len(s.Blobs)), nil
 }
 
 // Process applies a Processor UDF to every row.
@@ -56,12 +59,8 @@ func (p *Process) Name() string { return p.P.Name() }
 // StageBoundary implements Operator.
 func (p *Process) StageBoundary() bool { return false }
 
-// Exec implements Operator: one batch with no retry policy.
-func (p *Process) Exec(in []Row) ([]Row, float64, error) {
-	var or opRun
-	out, err := apply(p.P, in, make([]Row, 0, len(in)), RetryPolicy{}, &or)
-	return out, or.cost, err
-}
+// Exec implements Operator: a row stage of its own, with no retry policy.
+func (p *Process) Exec(in []Row) ([]Row, float64, error) { return execLocal(p, in) }
 
 // selectCost is the virtual per-row cost of evaluating a relational
 // predicate over already-materialized columns (cheap compared to UDFs).
@@ -77,29 +76,24 @@ func (s *Select) Name() string { return "σ[" + s.Pred.String() + "]" }
 // StageBoundary implements Operator.
 func (s *Select) StageBoundary() bool { return false }
 
-// Exec implements Operator.
-func (s *Select) Exec(in []Row) ([]Row, float64, error) {
-	out, err := s.filter(in, make([]Row, 0, len(in)), newRowLookup())
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, selectCost * float64(len(in)), nil
-}
+// Exec implements Operator: a row stage of its own.
+func (s *Select) Exec(in []Row) ([]Row, float64, error) { return execLocal(s, in) }
 
-// filter appends the rows of in the predicate keeps to out, evaluating it
-// through l.
-func (s *Select) filter(in, out []Row, l *rowLookup) ([]Row, error) {
-	for i := range in {
-		l.cur = &in[i]
+// filter appends the positions of the morsel's rows the predicate keeps to
+// keep, evaluating it through l.
+func (s *Select) filter(m *morsel, l *rowLookup, keep []int32) ([]int32, error) {
+	l.m = m
+	for i := range m.len() {
+		l.i = i
 		ok, err := s.Pred.Eval(l.fn)
 		if err != nil {
 			return nil, fmt.Errorf("engine: select: %w", err)
 		}
 		if ok {
-			out = append(out, in[i])
+			keep = append(keep, int32(i))
 		}
 	}
-	return out, nil
+	return keep, nil
 }
 
 // BlobFilter is the one contract through which injected probabilistic
@@ -158,31 +152,27 @@ func (p *PPFilter) StageBoundary() bool { return false }
 // Exec implements Operator for a filter over rows, score-cache counts
 // dropped (a standalone Exec has no run to attribute them to). In a run, a
 // filter a plan puts after another operator — which no plan builder in the
-// tree does — is a row-stage operator (filterRows).
-func (p *PPFilter) Exec(in []Row) ([]Row, float64, error) {
-	s := getFilterScratch(len(in))
-	defer putFilterScratch(s)
-	cost := 0.0
-	return p.filterRows(in, make([]Row, 0, len(in)), s, &cost, nil), cost, nil
-}
+// tree does — is a row-stage operator (filterMorsel).
+func (p *PPFilter) Exec(in []Row) ([]Row, float64, error) { return execLocal(p, in) }
 
-// filterRows gathers in's blobs into s, tests them through the filter's
-// kernel, adds each blob's cost onto *total in order and appends the rows
-// that pass to out.
-func (p *PPFilter) filterRows(in, out []Row, s *filterScratch, total *float64, ct *CacheTally) []Row {
-	s.reserve(len(in))
-	blobs, pass, cost := s.blobBuf(len(in)), s.pass[:len(in)], s.cost[:len(in)]
-	for i := range in {
-		blobs[i] = in[i].Blob
+// filterMorsel gathers the morsel's blobs into s, tests them through the
+// filter's kernel, adds each blob's cost onto *total in order and appends
+// the positions of the rows that pass to keep.
+func (p *PPFilter) filterMorsel(m *morsel, s *filterScratch, total *float64, ct *CacheTally, keep []int32) []int32 {
+	n := m.len()
+	s.reserve(n)
+	blobs, pass, cost := s.blobBuf(n), s.pass[:n], s.cost[:n]
+	for i := range blobs {
+		blobs[i] = *m.blob(i)
 	}
 	p.F.TestBatch(blobs, pass, cost, ct)
 	for i, ok := range pass {
 		*total += cost[i]
 		if ok {
-			out = append(out, in[i])
+			keep = append(keep, int32(i))
 		}
 	}
-	return out
+	return keep
 }
 
 // ComputedCol defines a projection-created column (π_{f(D)=d} in A.4).
@@ -208,14 +198,8 @@ func (p *Project) Name() string { return "π" }
 // StageBoundary implements Operator.
 func (p *Project) StageBoundary() bool { return false }
 
-// Exec implements Operator.
-func (p *Project) Exec(in []Row) ([]Row, float64, error) {
-	out, err := p.project(in, make([]Row, 0, len(in)))
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, p.unitCost() * float64(len(in)), nil
-}
+// Exec implements Operator: a row stage of its own.
+func (p *Project) Exec(in []Row) ([]Row, float64, error) { return execLocal(p, in) }
 
 // unitCost is the projection's virtual cost per input row.
 func (p *Project) unitCost() float64 {
@@ -226,13 +210,15 @@ func (p *Project) unitCost() float64 {
 	return cost
 }
 
-// project appends the projection of each row of in to out.
-func (p *Project) project(in, out []Row) ([]Row, error) {
+// project appends the projection of each of the morsel's rows to out,
+// making each row whole first.
+func (p *Project) project(m *morsel, out []Row) ([]Row, error) {
 	drop := map[string]bool{}
 	for _, d := range p.Drop {
 		drop[d] = true
 	}
-	for _, r := range in {
+	for i := range m.len() {
+		r := m.row(i)
 		nr := NewRow(r.Blob)
 		for _, c := range r.Columns() {
 			if drop[c.Name] {
@@ -246,7 +232,7 @@ func (p *Project) project(in, out []Row) ([]Row, error) {
 		for _, c := range p.Compute {
 			v, err := c.Fn(nr)
 			if err != nil {
-				return nil, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
+				return out, fmt.Errorf("engine: project computing %q: %w", c.Name, err)
 			}
 			nr = nr.With(c.Name, v)
 		}

@@ -17,8 +17,8 @@ import (
 // chunked, chunks run concurrently, and outputs and costs are joined in chunk
 // order.
 //
-// Processors run under Workers > 1 must be safe for concurrent ApplyBatch
-// calls on disjoint batches (the built-in UDFs are; see udf package notes).
+// Processors run under Workers > 1 must be safe for concurrent Apply calls
+// on disjoint batches (the built-in UDFs are; see udf package notes).
 
 // parallel reports whether n input rows are split across worker goroutines:
 // only with more than one worker and at least two rows per worker.

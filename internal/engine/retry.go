@@ -53,18 +53,17 @@ func (p RetryPolicy) backoff(attempt int) float64 {
 
 // TimedProcessor is an optional Processor extension for processors whose
 // per-attempt virtual duration varies from Cost() — e.g. fault-injected
-// stragglers. ApplyTimed is ApplyBatch that also appends to elapsed one
-// virtual duration in ms per input row it ran, in input order, the failing
-// row's included (a task can burn time and then die); the engine uses it in
-// place of ApplyBatch, so straggler and row-timeout accounting stay per row.
-// An unhealthy attempt — one that fails or runs longer than Cost() — runs
-// alone: ApplyTimed returns before such a row unless it is the batch's
-// first, and right after it when it is. That lets the engine kill a
-// straggler at the row timeout, dropping its outputs, without touching the
-// rows beside it.
+// stragglers. ApplyTimed is Apply that also appends to elapsed one virtual
+// duration in ms per row it ran, in row order, the failing row's included (a
+// task can burn time and then die); the engine uses it in place of Apply, so
+// straggler and row-timeout accounting stay per row. An unhealthy attempt —
+// one that fails or runs longer than Cost() — runs alone: ApplyTimed returns
+// before such a row unless it is the batch's first, and right after it when
+// it is. That lets the engine kill a straggler at the row timeout, dropping
+// its work, without touching the rows beside it.
 type TimedProcessor interface {
 	Processor
-	ApplyTimed(in, out []Row, elapsed []float64) ([]Row, []float64, error)
+	ApplyTimed(b Batch, elapsed []float64) ([]float64, error)
 }
 
 // IsTransient reports whether any error in err's chain declares itself
@@ -118,38 +117,44 @@ func rowError(err error) *RowError {
 }
 
 // apply drives a processor over one morsel under the retry policy, one call
-// over every row still to go, appending the outputs to out. A row that fails,
-// or whose attempt the row timeout kills, ends the call: the rows before it
-// are charged, it is re-driven alone until it succeeds or the policy gives
-// up, and the next call starts after it. Each row is charged every attempt it
-// made (successful, failed, or killed at the deadline) plus every backoff
-// wait, added row by row in input order onto or.cost — the running sum the
-// row stage threads from morsel to morsel, so a range's cost is the same
-// additions, in the same order, as applying one row at a time, and virtual
-// cost keeps its bits. A failing row still charges the work performed before
-// and during the failure: a cluster bills for a task's work whether or not it
-// succeeds. or.tally counts timeout kills and retried attempts (plain ints:
-// each worker range owns its opRun).
-func apply(p Processor, in, out []Row, pol RetryPolicy, or *opRun) ([]Row, error) {
+// over every row still to go. A row that fails, or whose attempt the row
+// timeout kills, ends the call: the rows before it are charged, it is
+// re-driven alone until it succeeds or the policy gives up, and the next call
+// starts after it. A row's work is its values at its positions and its
+// Repeat count; a later attempt writes both afresh, so a failed or killed
+// attempt leaves nothing behind. Each row is charged every attempt it made
+// (successful, failed, or killed at the deadline) plus every backoff wait,
+// added row by row in row order onto or.cost — the running sum the row stage
+// threads from morsel to morsel, so a range's cost is the same additions, in
+// the same order, as applying one row at a time, and virtual cost keeps its
+// bits. A failing row still charges the work performed before and during the
+// failure: a cluster bills for a task's work whether or not it succeeds.
+// or.tally counts timeout kills and retried attempts (plain ints: each worker
+// range owns its opRun).
+func apply(p Processor, m *morsel, pol RetryPolicy, or *opRun) error {
 	timed, _ := p.(TimedProcessor)
 	nominal := p.Cost()
 	// When a nominal attempt already overruns the timeout, every attempt is
 	// killed: run the rows one at a time, as a killed attempt must.
 	alone := pol.RowTimeoutMS > 0 && nominal > pol.RowTimeoutMS
 	total, rowCost, attempt := or.cost, 0.0, 1
-	for len(in) > 0 {
-		batch := in
+	for lo, n := 0, m.len(); lo < n; {
+		b := Batch{m: m, lo: lo, hi: n}
 		if alone || attempt > 1 {
-			batch = in[:1]
+			b.hi = lo + 1
 		}
-		mark := len(out)
+		if m.reps != nil {
+			for k := b.lo; k < b.hi; k++ {
+				m.reps[k] = 1
+			}
+		}
 		var err error
-		ran := len(batch) // rows the call ran, the failing one included
+		ran := b.Len() // rows the call ran, the failing one included
 		if timed != nil {
-			out, or.elapsed, err = timed.ApplyTimed(batch, out, or.elapsed[:0])
+			or.elapsed, err = timed.ApplyTimed(b, or.elapsed[:0])
 			ran = len(or.elapsed)
 		} else {
-			out, err = p.ApplyBatch(batch, out)
+			err = p.Apply(b)
 		}
 		cause := err
 		var re *RowError
@@ -159,18 +164,14 @@ func apply(p Processor, in, out []Row, pol RetryPolicy, or *opRun) ([]Row, error
 			}
 		}
 		if err != nil && timed == nil {
-			if re != nil && re.Index >= 0 && re.Index < len(batch) {
+			ran = 1 // a failure that names no row of the batch blames the first
+			if re != nil && re.Index >= 0 && re.Index < b.Len() {
 				ran = re.Index + 1
-			} else {
-				// A failure that names no row of the batch blames the
-				// first, and none of the batch's outputs stand.
-				ran = 1
-				out = out[:mark]
 			}
 		}
-		if ran < 1 || ran > len(batch) {
+		if ran < 1 || ran > b.Len() {
 			or.cost = total
-			return nil, fmt.Errorf("processor %s: timed %d rows of a %d-row batch", p.Name(), ran, len(batch))
+			return fmt.Errorf("processor %s: timed %d rows of a %d-row batch", p.Name(), ran, b.Len())
 		}
 		for j := 0; j < ran; j++ {
 			e := nominal
@@ -184,11 +185,10 @@ func apply(p Processor, in, out []Row, pol RetryPolicy, or *opRun) ([]Row, error
 			if pol.RowTimeoutMS > 0 && e > pol.RowTimeoutMS {
 				if ran != 1 {
 					or.cost = total
-					return nil, fmt.Errorf("processor %s: a straggling attempt did not run alone", p.Name())
+					return fmt.Errorf("processor %s: a straggling attempt did not run alone", p.Name())
 				}
 				// The runtime kills the attempt at the deadline: no result,
 				// and only the budget's worth of time was spent.
-				out = out[:mark]
 				rowErr = &rowTimeoutError{op: p.Name(), elapsed: e, budget: pol.RowTimeoutMS}
 				e = pol.RowTimeoutMS
 				or.tally.timeouts++
@@ -201,7 +201,7 @@ func apply(p Processor, in, out []Row, pol RetryPolicy, or *opRun) ([]Row, error
 			}
 			if !IsTransient(rowErr) || attempt >= pol.attempts() {
 				or.cost = total + rowCost
-				return nil, fmt.Errorf("processor %s: %w", p.Name(), rowErr)
+				return fmt.Errorf("processor %s: %w", p.Name(), rowErr)
 			}
 			or.tally.retries++
 			rowCost += pol.backoff(attempt)
@@ -210,8 +210,8 @@ func apply(p Processor, in, out []Row, pol RetryPolicy, or *opRun) ([]Row, error
 		if attempt > 1 {
 			ran-- // the failed row goes again, alone
 		}
-		in = in[ran:]
+		lo += ran
 	}
 	or.cost = total
-	return out, nil
+	return nil
 }

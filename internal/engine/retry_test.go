@@ -37,9 +37,9 @@ func (e *flakyErr) Transient() bool { return e.transient }
 // ApplyTimed runs the batch's rows in order and, as the contract asks, runs
 // a failing or straggling attempt alone: it stops before one that is not
 // the batch's first, and right after one that is.
-func (f *flakyUDF) ApplyTimed(in, out []Row, elapsed []float64) ([]Row, []float64, error) {
-	for i, r := range in {
-		id := r.Blob.ID
+func (f *flakyUDF) ApplyTimed(b Batch, elapsed []float64) ([]float64, error) {
+	for i := range b.Len() {
+		id := b.Blob(i).ID
 		f.mu.Lock()
 		if f.attempts == nil {
 			f.attempts = map[int]int{}
@@ -48,29 +48,28 @@ func (f *flakyUDF) ApplyTimed(in, out []Row, elapsed []float64) ([]Row, []float6
 		fail, slow := attempt <= f.fails[id], f.slow[id] > f.cost
 		if i > 0 && (fail || slow) {
 			f.mu.Unlock()
-			return out, elapsed, nil
+			return elapsed, nil
 		}
 		f.attempts[id] = attempt
 		f.calls++
 		f.mu.Unlock()
 		if fail {
-			return out, append(elapsed, f.cost), &RowError{Index: i, Err: &flakyErr{transient: !f.permanent}}
+			return append(elapsed, f.cost), &RowError{Index: i, Err: &flakyErr{transient: !f.permanent}}
 		}
 		e := f.cost
 		if s := f.slow[id]; s > 0 {
 			e = s
 		}
-		var err error
-		out, err = f.fakeUDF.ApplyBatch(in[i:i+1], out)
+		err := f.fakeUDF.Apply(b.Slice(i, i+1))
 		elapsed = append(elapsed, e)
 		if err != nil {
-			return out, elapsed, &RowError{Index: i, Err: errors.Unwrap(err)}
+			return elapsed, &RowError{Index: i, Err: errors.Unwrap(err)}
 		}
 		if slow {
-			return out, elapsed, nil
+			return elapsed, nil
 		}
 	}
-	return out, elapsed, nil
+	return elapsed, nil
 }
 
 func runFlaky(t *testing.T, f *flakyUDF, n int, cfg Config) (*Result, error) {

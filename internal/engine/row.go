@@ -26,8 +26,10 @@ import (
 // newest first, shared structurally between a row and every row derived from
 // it: a scanned row has none (nil), and With prepends one node without
 // copying. A blob the PP filters drop never becomes a row at all (the source
-// stage, source.go). Rows hold a handful of columns (one per UDF on the
-// plan), so a linear walk beats hashing.
+// stage, source.go), and in the row stage a survivor becomes one only if the
+// stage emits it: until then its columns are values in the stage's vectors
+// (batch.go). Rows hold a handful of columns (one per UDF on the plan), so a
+// linear walk beats hashing.
 type Row struct {
 	Blob blob.Blob
 	cols *column
@@ -96,49 +98,31 @@ walk:
 	return out
 }
 
-// ColumnSlab hands out the column nodes of one batch from a single
-// allocation, so a processor that adds a column to n rows allocates once
-// rather than n times. A slab stays reachable while any row made from it is:
-// the nodes of rows a later Select drops live as long as one survivor of
-// their batch does.
-type ColumnSlab struct{ nodes []column }
-
-// NewColumnSlab returns a slab with room for n columns.
-func NewColumnSlab(n int) ColumnSlab { return ColumnSlab{nodes: make([]column, 0, n)} }
-
-// With is Row.With with the new node taken from the slab; a full slab falls
-// back to Row.With.
-func (s *ColumnSlab) With(r Row, col string, v query.Value) Row {
-	if len(s.nodes) == cap(s.nodes) {
-		return r.With(col, v)
-	}
-	s.nodes = append(s.nodes, column{name: col, val: v, next: r.cols})
-	return Row{Blob: r.Blob, cols: &s.nodes[len(s.nodes)-1]}
-}
-
 // Processor is the row-manipulator UDF template of §4: it produces zero or
-// more output rows per input row, a batch of input rows per call. Data
+// more output rows per input row, a Batch of input rows per call. Data
 // ingestion and per-blob ML operations (detectors, feature extractors,
 // classifiers) are processors. Processors run under Config.Workers > 1 must
-// be safe for concurrent ApplyBatch calls on disjoint batches.
+// be safe for concurrent Apply calls on disjoint batches.
 type Processor interface {
 	// Name identifies the UDF in plans and stats.
 	Name() string
 	// Cost is the virtual per-input-row execution cost.
 	Cost() float64
-	// ApplyBatch appends each input row's outputs to out, in input order,
-	// and returns the extended slice. A failure ends the batch: the
-	// processor returns the outputs of the rows before the failing one and
-	// a *RowError naming it, and must not have applied any row after it.
-	// The engine charges the rows before it and re-drives that row alone
-	// under Config.Retry (an error that is not a *RowError blames the
-	// batch's first row).
-	ApplyBatch(in, out []Row) ([]Row, error)
+	// Apply runs the processor over b's rows in order. A processor that
+	// adds columns fills the vectors b.Column returns, one value per row; one
+	// that changes cardinality says, through b.Repeat, how many output rows
+	// an input row yields; a pass-through does nothing. A failure ends the
+	// call: the processor returns a *RowError naming the failing row and
+	// must not have applied any row after it. The engine keeps the rows
+	// before it, charges them, re-drives that row alone under Config.Retry
+	// and goes on after it in a new call (an error that is not a *RowError
+	// blames the batch's first row, and keeps none of its work).
+	Apply(b Batch) error
 }
 
 // RowError blames one input row of a batch for a processor failure.
 type RowError struct {
-	// Index is the failing row's position in the batch ApplyBatch received.
+	// Index is the failing row's position in the Batch Apply received.
 	Index int
 	// Err is the row's failure.
 	Err error

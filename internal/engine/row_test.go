@@ -119,22 +119,24 @@ func TestRowSharedTailConcurrentReaders(t *testing.T) {
 // TestDroppedRowsAllocateNothing pins the paper's premise on the plumbing
 // around the filter (§6: the PP runs before every UDF and must cost next to
 // nothing beside them): through Scan → PPFilter → three UDFs → Select, a
-// run's allocations do not depend on how many blobs the PP drops. A dropped
-// blob never becomes a row; a survivor costs its share of the output slab
-// and of one column slab per UDF per morsel, and the row stage's buffers are
-// pooled. At 400, 2 000 and 3 000 survivors, 4 000 and 40 000 blobs make the
-// same allocations — 38 plus one per UDF per morsel of 1 024 survivors —
-// and the bytes stay within one 56-byte row per survivor for the output and
-// one per survivor per UDF for its columns. The operator-at-a-time executor
-// this replaced made 48 allocations at every size but a row slab per
-// operator over every survivor, twice the bytes (1.38 MB against 0.69 MB at
-// 3 000 survivors); the row-at-a-time one before it made a row per blob.
+// run's allocations do not depend on how many blobs the PP drops, and the
+// rows Select drops allocate nothing either. A dropped blob never becomes a
+// row; the UDFs write their values into the row stage's pooled vectors, and
+// Rows and their column nodes are made once, for the rows Select keeps, one
+// node slab per morsel. So at 400, 2 000 and 3 000 survivors (Select keeping
+// a half or a tenth), 4 000 and 40 000 blobs make the same allocations — 38
+// plus one per morsel of 1 024 survivors, not one per UDF per morsel — and
+// the bytes stay within one 56-byte row per survivor for the output slab
+// plus one 56-byte column node per UDF per row Select keeps. The column
+// slabs this replaced were one per UDF per morsel, sized by every row the
+// UDF saw: 47 allocations and 0.69 MB against 40 and 0.44 MB at 3 000
+// survivors, half of them kept.
 func TestDroppedRowsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	const udfs = 3
-	measure := func(n, survivors int) (allocs, bytes float64) {
+	measure := func(n, survivors, kept int) (allocs, bytes float64) {
 		blobs := make([]blob.Blob, n)
 		keys := blob.NewTruthKeys("x", "y", "z")
 		for i := range blobs {
@@ -147,11 +149,11 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 			&Process{P: fakeUDF{name: "X", cost: 1, col: "x"}},
 			&Process{P: fakeUDF{name: "Y", cost: 1, col: "y"}},
 			&Process{P: fakeUDF{name: "Z", cost: 1, col: "z"}},
-			&Select{Pred: query.MustParse(fmt.Sprintf("x>=%d & z>=0", n-survivors/2))},
+			&Select{Pred: query.MustParse(fmt.Sprintf("x>=%d & z>=0", n-kept))},
 		}}
 		run := func() {
 			res, err := Run(plan, Config{Workers: 1})
-			if err != nil || len(res.Rows) != survivors/2 {
+			if err != nil || len(res.Rows) != kept {
 				t.Fatalf("n=%d survivors=%d: %d rows, err %v", n, survivors, len(res.Rows), err)
 			}
 		}
@@ -172,7 +174,7 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 		}
 		return allocs, bytes
 	}
-	rowBytes := int(unsafe.Sizeof(Row{}))
+	rowBytes, nodeBytes := int(unsafe.Sizeof(Row{})), int(unsafe.Sizeof(column{}))
 	const (
 		perRun    = 40 // per-operator accounting, the output slab
 		poolSlack = 8  // a GC between runs empties the pools
@@ -180,25 +182,25 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 		// whole pages.
 		perBytes = 48 << 10
 	)
-	for _, survivors := range []int{400, 2000, 3000} {
-		morsels := (survivors + morselRows - 1) / morselRows
+	for _, c := range []struct{ survivors, kept int }{{400, 200}, {2000, 1000}, {3000, 1500}, {3000, 300}} {
+		morsels := (c.survivors + morselRows - 1) / morselRows
 		var seen [2][2]float64
 		for k, n := range []int{4000, 40000} {
-			allocs, bytes := measure(n, survivors)
-			t.Logf("%d blobs, %d survivors: %v allocations, %.0f bytes", n, survivors, allocs, bytes)
-			if limit := perRun + udfs*morsels; allocs > float64(limit) {
-				t.Errorf("%d blobs, %d survivors: %v allocations, want <= %d", n, survivors, allocs, limit)
+			allocs, bytes := measure(n, c.survivors, c.kept)
+			t.Logf("%d blobs, %d survivors, %d kept: %v allocations, %.0f bytes", n, c.survivors, c.kept, allocs, bytes)
+			if limit := perRun + morsels; allocs > float64(limit) {
+				t.Errorf("%d blobs, %d survivors: %v allocations, want <= %d", n, c.survivors, allocs, limit)
 			}
-			if limit := survivors*rowBytes*(1+udfs) + perBytes; bytes > float64(limit) {
-				t.Errorf("%d blobs, %d survivors: %.0f bytes, want <= %d", n, survivors, bytes, limit)
+			if limit := c.survivors*rowBytes + c.kept*udfs*nodeBytes + perBytes; bytes > float64(limit) {
+				t.Errorf("%d blobs, %d survivors, %d kept: %.0f bytes, want <= %d", n, c.survivors, c.kept, bytes, limit)
 			}
 			seen[k] = [2]float64{allocs, bytes}
 		}
 		if d := seen[1][0] - seen[0][0]; d > poolSlack || d < -poolSlack {
-			t.Errorf("%d survivors: %v allocations at 4 000 blobs, %v at 40 000: dropped blobs are not free", survivors, seen[0][0], seen[1][0])
+			t.Errorf("%d survivors: %v allocations at 4 000 blobs, %v at 40 000: dropped blobs are not free", c.survivors, seen[0][0], seen[1][0])
 		}
 		if d := seen[1][1] - seen[0][1]; d > perBytes || d < -perBytes {
-			t.Errorf("%d survivors: %.0f bytes at 4 000 blobs, %.0f at 40 000: dropped blobs are not free", survivors, seen[0][1], seen[1][1])
+			t.Errorf("%d survivors: %.0f bytes at 4 000 blobs, %.0f at 40 000: dropped blobs are not free", c.survivors, seen[0][1], seen[1][1])
 		}
 	}
 }

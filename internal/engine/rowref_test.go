@@ -17,12 +17,14 @@ import (
 )
 
 // The row-at-a-time reference executor: the engine's run loop as it was
-// before the source stage and the batch processor contract — Scan makes a
-// row per blob, a PP filter gathers the blobs back out of its rows, and a
-// processor is applied to one row at a time (a batch of one), each row under
-// the retry policy on its own — with the row stage's one rule of order: the
-// operators after the source filters run one morsel of refMorsel input rows
-// at a time, within worker ranges cut once at the row stage's input, so a
+// before the source stage, the batch processor contract and columns before
+// rows — Scan makes a row per blob, a PP filter gathers the blobs back out of
+// its rows, a processor is applied to one row at a time (a batch of one),
+// each row under the retry policy on its own, its columns added to the row
+// with Row.With, and Select and Project read and make whole rows — with the
+// row stage's one rule of order: the row-local operators after the source
+// filters, and after each stage boundary, run one morsel of refMorsel input
+// rows at a time, within worker ranges cut once at that stage's input, so a
 // failure is the first in morsel order. TestBatchExecutorMatchesRowReference
 // holds engine.RunAdaptive to it on random plans: same rows in the same
 // order, the same ClusterTime and Latency bits, the same ledger but for wall
@@ -116,7 +118,7 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 				return nil, err
 			}
 		}
-		out, sums, i, err := refRowStage(ops[first:split], chunk, cfg)
+		out, sums, i, err := refRowStage(ops[first:split], chunk, cfg, accs[first:split])
 		if err != nil {
 			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[first+i].Name(), Err: err}
 		}
@@ -145,11 +147,31 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 		ops[swapIdx] = &engine.PPFilter{F: newF}
 		swaps = append(swaps, engine.PlanSwap{Chunk: ci + 1, OpIndex: swapIdx, Old: old, New: ops[swapIdx].Name()})
 	}
+	// The suffix: each stage boundary over every row at once, and the
+	// row-local operators after it as a row stage over its rows.
 	rows = prefixOut
-	for i := split; i < len(ops); i++ {
-		if rows, err = runOne(i, rows); err != nil {
-			return nil, err
+	for i := split; i < len(ops); {
+		if ops[i].StageBoundary() {
+			if rows, err = runOne(i, rows); err != nil {
+				return nil, err
+			}
+			i++
+			continue
 		}
+		j := i
+		for j < len(ops) && !ops[j].StageBoundary() {
+			j++
+		}
+		out, sums, f, err := refRowStage(ops[i:j], rows, cfg, accs[i:j])
+		if err != nil {
+			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[i+f].Name(), Err: err}
+		}
+		for k, sum := range sums {
+			charge(i+k, sum.in, sum.out, sum.cost)
+			accs[i+k].retries += sum.retries
+			accs[i+k].timeouts += sum.timeouts
+		}
+		rows, i = out, j
 	}
 	latency := 0.0
 	for _, c := range stageCosts {
@@ -248,11 +270,11 @@ type refSum struct {
 
 // refRowStage runs the row-stage operators over in: worker ranges in order,
 // each range's morsels in order, each morsel through every operator a row at
-// a time. A processor's cost is a running sum per range, row by row across
-// its morsels, and the ranges' sums add in range order; a select is charged
-// once, from the rows it saw. The first failure, in morsel order, stops it
-// and names the failing operator.
-func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config) ([]engine.Row, []refSum, int, error) {
+// a time. A processor's or a filter's cost is a running sum per range, row by
+// row across its morsels, and the ranges' sums add in range order; a select
+// or a projection is charged once, from the rows it saw. The first failure,
+// in morsel order, stops it and names the failing operator.
+func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config, accs []refAcc) ([]engine.Row, []refSum, int, error) {
 	sums := make([]refSum, len(ops))
 	var out []engine.Row
 	for _, b := range refWorkerBounds(len(in), cfg.Workers) {
@@ -278,7 +300,34 @@ func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config) ([]e
 						next = append(next, rows...)
 					}
 				case *engine.Select:
-					next, _, err = o.Exec(cur)
+					for _, r := range cur {
+						ok, eerr := o.Pred.Eval(r.Lookup)
+						if eerr != nil {
+							err = fmt.Errorf("engine: select: %w", eerr)
+							break
+						}
+						if ok {
+							next = append(next, r)
+						}
+					}
+				case *engine.Project:
+					for _, r := range cur {
+						next = append(next, refProject(o, r))
+					}
+				case *engine.PPFilter:
+					blobs := make([]blob.Blob, len(cur))
+					for i := range cur {
+						blobs[i] = cur[i].Blob
+					}
+					pass := make([]bool, len(cur))
+					cost := make([]float64, len(cur))
+					o.F.TestBatch(blobs, pass, cost, &accs[j].ct)
+					for i, ok := range pass {
+						ranged[j].cost += cost[i]
+						if ok {
+							next = append(next, cur[i])
+						}
+					}
 				default:
 					panic("reference: no row-stage rule for " + op.Name())
 				}
@@ -302,11 +351,41 @@ func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config) ([]e
 		}
 	}
 	for j, op := range ops {
-		if _, ok := op.(*engine.Select); ok {
+		switch o := op.(type) {
+		case *engine.Select:
 			sums[j].cost = refSelectCost * float64(sums[j].in)
+		case *engine.Project:
+			unit := refSelectCost
+			for _, c := range o.Compute {
+				unit += c.Cost
+			}
+			sums[j].cost = unit * float64(sums[j].in)
 		}
 	}
 	return out, sums, 0, nil
+}
+
+// refProject is a projection of one row: its visible columns, renamed or
+// dropped, then the computed ones. The draw computes nothing that fails.
+func refProject(p *engine.Project, r engine.Row) engine.Row {
+	nr := engine.NewRow(r.Blob)
+	for _, c := range r.Columns() {
+		if slices.Contains(p.Drop, c.Name) {
+			continue
+		}
+		if to, ok := p.Rename[c.Name]; ok {
+			c.Name = to
+		}
+		nr = nr.With(c.Name, c.Val)
+	}
+	for _, c := range p.Compute {
+		v, err := c.Fn(nr)
+		if err != nil {
+			panic("reference: a drawn projection failed")
+		}
+		nr = nr.With(c.Name, v)
+	}
+	return nr
 }
 
 // refTimeout is the engine's row-timeout failure, text included.
@@ -321,23 +400,25 @@ func (e *refTimeout) Error() string {
 
 func (e *refTimeout) Transient() bool { return true }
 
-// refApplyOnce runs one attempt on one row: a batch of one.
+// refApplyOnce runs one attempt on one row: a batch of one. The row's
+// outputs are made here, column by column with Row.With.
 func refApplyOnce(p engine.Processor, r engine.Row) ([]engine.Row, float64, error) {
-	var out []engine.Row
-	var err error
-	elapsed := p.Cost()
-	if tp, ok := p.(engine.TimedProcessor); ok {
-		var times []float64
-		out, times, err = tp.ApplyTimed([]engine.Row{r}, nil, nil)
-		elapsed = times[0]
-	} else {
-		out, err = p.ApplyBatch([]engine.Row{r}, nil)
-	}
+	cols, copies, elapsed, err := engine.ApplyOneRaw(p, r)
 	var re *engine.RowError
 	if errors.As(err, &re) {
 		err = re.Err
 	}
-	return out, elapsed, err
+	if err != nil {
+		return nil, elapsed, err
+	}
+	for _, c := range cols {
+		r = r.With(c.Name, c.Val)
+	}
+	out := make([]engine.Row, copies)
+	for i := range out {
+		out[i] = r
+	}
+	return out, elapsed, nil
 }
 
 func refApplyWithRetry(p engine.Processor, r engine.Row, pol engine.RetryPolicy) (rows []engine.Row, total float64, retries, timeouts int, err error) {
@@ -369,7 +450,10 @@ func refApplyWithRetry(p engine.Processor, r engine.Row, pol engine.RetryPolicy)
 	}
 }
 
-// Random plans: Scan → 0–2 PP filters → 0–3 processors → σ.
+// Random plans: Scan → 0–2 PP filters → a row stage → [GroupReduce → a row
+// stage] → σ. A row stage interleaves processors — column adders and ones
+// emitting zero, one or two rows per input — with, now and then, a
+// projection, a PP filter over rows and a select.
 
 var refCols = []string{"x", "y", "z"}
 
@@ -420,35 +504,55 @@ func (f refFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct 
 	}
 }
 
-// colUDF materializes col from truth, failing permanently where it is
-// missing; copies (optional) says how many output rows a blob's row makes
-// (0, 1 or 2; one when nil).
+// colUDF materializes col from truth, plus add (so that two processors
+// adding one column disagree, and the newer must shadow the older), failing
+// permanently where it is missing; copies (optional) says how many output
+// rows a blob's row makes (0, 1 or 2; one when nil).
 type colUDF struct {
 	name   string
 	col    string
+	add    float64
 	cost   float64
 	copies func(blob.Blob) int
 }
 
 func (u colUDF) Name() string  { return u.name }
 func (u colUDF) Cost() float64 { return u.cost }
-func (u colUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	slab := engine.NewColumnSlab(len(in))
-	for i, r := range in {
-		v, ok := r.Blob.TruthVal(u.col)
+func (u colUDF) Apply(b engine.Batch) error {
+	vals := b.Column(u.col)
+	for i := range vals {
+		bl := b.Blob(i)
+		v, ok := bl.TruthVal(u.col)
 		if !ok {
-			return out, &engine.RowError{Index: i, Err: fmt.Errorf("%s: blob %d has no %s", u.name, r.Blob.ID, u.col)}
+			return &engine.RowError{Index: i, Err: fmt.Errorf("%s: blob %d has no %s", u.name, bl.ID, u.col)}
 		}
-		copies := 1
+		vals[i] = query.Number(v + u.add)
 		if u.copies != nil {
-			copies = u.copies(r.Blob)
+			b.Repeat(i, u.copies(bl))
 		}
-		if copies == 0 {
-			continue
-		}
-		nr := slab.With(r, u.col, query.Number(v))
-		for range copies {
-			out = append(out, nr)
+	}
+	return nil
+}
+
+// refDedup is a stage boundary that keeps rows whole: it groups rows by blob
+// ID modulo 7 and keeps each blob's first row, so the rows after it carry
+// their columns from before it and no blob twice (a fault schedule counts
+// attempts per blob, and two rows of one blob in two worker ranges would take
+// them in a racy order).
+type refDedup struct{}
+
+func (refDedup) Name() string  { return "Dedup" }
+func (refDedup) Cost() float64 { return 0.3 }
+func (refDedup) Key(r engine.Row) (string, error) {
+	return fmt.Sprint(r.Blob.ID % 7), nil
+}
+func (refDedup) Reduce(_ string, rows []engine.Row) ([]engine.Row, error) {
+	var out []engine.Row
+	seen := map[int]bool{}
+	for _, r := range rows {
+		if !seen[r.Blob.ID] {
+			seen[r.Blob.ID] = true
+			out = append(out, r)
 		}
 	}
 	return out, nil
@@ -456,61 +560,124 @@ func (u colUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 
 // refCase is one drawn plan: build makes it afresh (fault attempt counts,
 // score memos), so the reference and the engine each run their own copy.
+// The flags say what it holds beyond processors and a select.
 type refCase struct {
-	desc  string
-	build func() engine.Plan
-	retry engine.RetryPolicy
-	swap  bool
+	desc                                 string
+	build                                func() engine.Plan
+	retry                                engine.RetryPolicy
+	swap                                 bool
+	project, rowFilter, boundary, shadow bool
 }
 
 // drawRefCase draws a plan over blobs; with edge >= 0 its first filter passes
 // exactly edge blobs.
 func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
-	var desc string
+	var c refCase
 	type filterSpec struct {
 		col     string
 		t, cost float64
 		cached  bool
 	}
+	drawFilter := func() filterSpec {
+		return filterSpec{
+			col: refCols[rng.Intn(3)], t: float64(rng.Intn(90)),
+			cost: 0.1 + float64(rng.Intn(9))/7, cached: rng.Intn(2) == 0,
+		}
+	}
 	var filters []filterSpec
 	if edge >= 0 {
 		f := filterSpec{col: "n", t: float64(len(blobs) - edge - 1), cost: 0.1 + float64(rng.Intn(9))/7, cached: rng.Intn(2) == 0}
 		filters = append(filters, f)
-		desc += fmt.Sprintf("PP[n>%v (%d pass) c=%.3f cached=%v] ", f.t, edge, f.cost, f.cached)
+		c.desc += fmt.Sprintf("PP[n>%v (%d pass) c=%.3f cached=%v] ", f.t, edge, f.cost, f.cached)
 	}
 	for n := rng.Intn(3); len(filters) < n; {
-		f := filterSpec{
-			col: refCols[rng.Intn(3)], t: float64(rng.Intn(90)),
-			cost: 0.1 + float64(rng.Intn(9))/7, cached: rng.Intn(2) == 0,
-		}
+		f := drawFilter()
 		filters = append(filters, f)
-		desc += fmt.Sprintf("PP[%s>%v c=%.3f cached=%v] ", f.col, f.t, f.cost, f.cached)
+		c.desc += fmt.Sprintf("PP[%s>%v c=%.3f cached=%v] ", f.col, f.t, f.cost, f.cached)
 	}
-	type procSpec struct {
+	// The row-local operators and the boundary after the source, in plan
+	// order; live is which columns every row holds so far.
+	type stepSpec struct {
+		kind        string // "proc", "project", "filter", "select", "dedup"
 		col         string
-		cost        float64
-		kind        int // 0 plain, 1 dropping, 2 duplicating, 3 zero, one or two rows per input
+		cost, add   float64
+		copies      int // a processor's rows per input: 0 one, 1 dropping, 2 duplicating, 3 zero, one or two
 		faulty      bool
 		consecutive int
+		filter      filterSpec
+		drop, from  string // a projection's dropped and renamed columns
+		sel         query.Pred
 	}
-	var procs []procSpec
-	for n := rng.Intn(4); len(procs) < n; {
-		p := procSpec{col: refCols[rng.Intn(3)], cost: 1 + float64(rng.Intn(20))/3, kind: rng.Intn(4)}
+	var steps []stepSpec
+	live := map[string]bool{}
+	pick := func() string {
+		var cols []string
+		for col := range live {
+			cols = append(cols, col)
+		}
+		if len(cols) == 0 {
+			return ""
+		}
+		slices.Sort(cols)
+		return cols[rng.Intn(len(cols))]
+	}
+	added := map[string]bool{} // columns added since the stage's base
+	procs := rng.Intn(4)
+	if rng.Intn(3) == 0 {
+		procs += 1 + rng.Intn(3) // some of them after a boundary
+	}
+	dedupAt := -1
+	if procs > 0 && rng.Intn(3) == 0 {
+		dedupAt = rng.Intn(procs)
+	}
+	for k := 0; k < procs; k++ {
+		if k == dedupAt {
+			steps = append(steps, stepSpec{kind: "dedup"})
+			c.desc += "Dedup "
+			c.boundary = true
+			clear(added)
+		}
+		p := stepSpec{kind: "proc", col: refCols[rng.Intn(3)], cost: 1 + float64(rng.Intn(20))/3, add: float64(k) / 2, copies: rng.Intn(4)}
 		// A fault schedule counts attempts per blob. The rows one blob's
 		// row becomes stay adjacent in one worker range, so they take their
 		// attempts in the same order on both executors.
 		p.faulty = rng.Intn(2) == 0
 		p.consecutive = 1 + rng.Intn(3)
-		procs = append(procs, p)
-		desc += fmt.Sprintf("U[%s c=%.3f kind=%d faulty=%v/%d] ", p.col, p.cost, p.kind, p.faulty, p.consecutive)
+		steps = append(steps, p)
+		c.desc += fmt.Sprintf("U[%s+%v c=%.3f copies=%d faulty=%v/%d] ", p.col, p.add, p.cost, p.copies, p.faulty, p.consecutive)
+		c.shadow = c.shadow || added[p.col]
+		live[p.col], added[p.col] = true, true
+		switch rng.Intn(8) {
+		case 0: // a projection: drop one column, rename another, compute p
+			pr := stepSpec{kind: "project", drop: pick(), cost: 0.37}
+			delete(live, pr.drop)
+			if pr.from = pick(); pr.from != "" {
+				delete(live, pr.from)
+				live[pr.from+"r"] = true
+			}
+			live["p"] = true
+			clear(added)
+			steps = append(steps, pr)
+			c.desc += fmt.Sprintf("π[-%s %s→%sr +p] ", pr.drop, pr.from, pr.from)
+			c.project = true
+		case 1: // a PP filter over rows
+			f := drawFilter()
+			steps = append(steps, stepSpec{kind: "filter", filter: f})
+			c.desc += fmt.Sprintf("PP~rows[%s>%v c=%.3f cached=%v] ", f.col, f.t, f.cost, f.cached)
+			c.rowFilter = true
+		case 2: // a select mid-stage
+			sel := query.MustParse(fmt.Sprintf("%s>=%d", pick(), rng.Intn(30)))
+			steps = append(steps, stepSpec{kind: "select", sel: sel})
+			c.desc += "σ[" + sel.String() + "] "
+		}
 	}
-	selCol := "x"
-	if len(procs) > 0 {
-		selCol = procs[rng.Intn(len(procs))].col
+	selCol := pick()
+	if selCol == "" {
+		selCol = "x"
 	}
 	sel := query.MustParse(fmt.Sprintf("%s>=%d", selCol, rng.Intn(60)))
-	desc += "σ[" + sel.String() + "]"
-	retry := engine.RetryPolicy{
+	c.desc += "σ[" + sel.String() + "]"
+	c.retry = engine.RetryPolicy{
 		MaxAttempts:   []int{0, 1, 3, 4, 4, 6}[rng.Intn(6)],
 		BackoffBaseMS: []float64{0, 0.7, 3.3}[rng.Intn(3)],
 		BackoffFactor: []float64{0, 1.5}[rng.Intn(2)],
@@ -518,49 +685,76 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 	if rng.Intn(2) == 0 {
 		// From below the cheapest UDF (every attempt killed) to above a
 		// straggler's tenfold duration.
-		retry.RowTimeoutMS = []float64{0.9, 12, 30, 45, 90}[rng.Intn(5)]
+		c.retry.RowTimeoutMS = []float64{0.9, 12, 30, 45, 90}[rng.Intn(5)]
 	}
 	faultSeed := rng.Uint64()
-	build := func() engine.Plan {
+	newFilter := func(name string, f filterSpec) *engine.PPFilter {
+		rf := refFilter{name: name, col: f.col, t: f.t, cost: f.cost}
+		if f.cached {
+			rf.memo = &sync.Map{}
+		}
+		return &engine.PPFilter{F: rf}
+	}
+	c.build = func() engine.Plan {
 		ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
 		for i, f := range filters {
-			rf := refFilter{name: fmt.Sprintf("f%d", i), col: f.col, t: f.t, cost: f.cost}
-			if f.cached {
-				rf.memo = &sync.Map{}
-			}
-			ops = append(ops, &engine.PPFilter{F: rf})
+			ops = append(ops, newFilter(fmt.Sprintf("f%d", i), f))
 		}
-		for i, p := range procs {
-			u := colUDF{name: fmt.Sprintf("U%d_%s", i, p.col), col: p.col, cost: p.cost}
-			switch p.kind {
-			case 1:
-				u.copies = func(b blob.Blob) int {
-					if b.ID%5 == 0 {
-						return 0
-					}
-					return 1
+		for i, st := range steps {
+			switch st.kind {
+			case "dedup":
+				ops = append(ops, &engine.GroupReduce{R: refDedup{}})
+			case "project":
+				pr := &engine.Project{Drop: []string{st.drop}, Compute: []engine.ComputedCol{{
+					Name: "p", Cost: st.cost,
+					Fn: func(r engine.Row) (query.Value, error) {
+						if v, ok := r.Lookup("x"); ok {
+							return query.Number(v.Num + 1), nil
+						}
+						return query.Number(float64(r.Blob.ID % 100)), nil
+					},
+				}}}
+				if st.from != "" {
+					pr.Rename = map[string]string{st.from: st.from + "r"}
 				}
-			case 2:
-				u.copies = func(b blob.Blob) int {
-					if b.ID%3 == 0 {
-						return 2
+				ops = append(ops, pr)
+			case "filter":
+				ops = append(ops, newFilter(fmt.Sprintf("g%d", i), st.filter))
+			case "select":
+				ops = append(ops, &engine.Select{Pred: st.sel})
+			case "proc":
+				u := colUDF{name: fmt.Sprintf("U%d_%s", i, st.col), col: st.col, add: st.add, cost: st.cost}
+				switch st.copies {
+				case 1:
+					u.copies = func(b blob.Blob) int {
+						if b.ID%5 == 0 {
+							return 0
+						}
+						return 1
 					}
-					return 1
+				case 2:
+					u.copies = func(b blob.Blob) int {
+						if b.ID%3 == 0 {
+							return 2
+						}
+						return 1
+					}
+				case 3:
+					u.copies = func(b blob.Blob) int { return b.ID % 3 }
 				}
-			case 3:
-				u.copies = func(b blob.Blob) int { return b.ID % 3 }
+				var proc engine.Processor = u
+				if st.faulty {
+					inj := fault.NewInjector(faultSeed + uint64(i))
+					inj.SetDefault(fault.Spec{TransientRate: 0.10, StragglerRate: 0.05, StragglerFactor: 10, MaxConsecutive: st.consecutive})
+					proc = udf.Faulty(u, inj)
+				}
+				ops = append(ops, &engine.Process{P: proc})
 			}
-			var proc engine.Processor = u
-			if p.faulty {
-				inj := fault.NewInjector(faultSeed + uint64(i))
-				inj.SetDefault(fault.Spec{TransientRate: 0.10, StragglerRate: 0.05, StragglerFactor: 10, MaxConsecutive: p.consecutive})
-				proc = udf.Faulty(u, inj)
-			}
-			ops = append(ops, &engine.Process{P: proc})
 		}
 		return engine.Plan{Ops: append(ops, &engine.Select{Pred: sel})}
 	}
-	return refCase{desc: desc, build: build, retry: retry, swap: len(filters) > 0 && rng.Intn(2) == 0}
+	c.swap = (len(filters) > 0 || c.rowFilter) && rng.Intn(2) == 0
+	return c
 }
 
 // swapAfterFirst swaps the plan's first filter, after chunk 0, for one that
@@ -629,19 +823,26 @@ func sameRows(a, b []engine.Row) error {
 // TestBatchExecutorMatchesRowReference draws random plans — Scan over 150
 // to 3 500 blobs, zero to two PP filters (some behind a score memo; a third
 // of the plans have one filter passing a count on or beside a morsel edge:
-// 0, 1, 1 023, 1 024, 1 025, …), zero to three processors (plain,
-// row-dropping, row-doubling or emitting zero, one or two rows per input,
-// half of them behind 10 % transient faults and 5 % stragglers, under a
-// random retry policy and row timeout) and a select — and runs each at
-// Workers {1, 4} × adaptive ChunkRows {0, 7, 1000, 2500}, the adaptive runs
-// with a never-swapping decider or one that swaps a filter after the first
-// chunk. The engine must match the row-at-a-time reference bit for bit: rows
-// and their order, ClusterTime and Latency, every PerOp field but WallNS,
-// chunks and swaps; a failed run must fail with the same OpError stage,
-// operator and text — the first failure in morsel order.
+// 0, 1, 1 023, 1 024, 1 025, …), zero to six processors (column adders that
+// keep, drop or double rows or emit zero, one or two rows per input, several
+// adding one column with different values, half of them behind 10 %
+// transient faults and 5 % stragglers, under a random retry policy and row
+// timeout) interleaved with projections, PP filters over rows and selects,
+// some of them after a stage boundary (a GroupReduce) whose rows carry their
+// columns into the next row stage, and a select — and runs each at Workers
+// {1, 4} × adaptive ChunkRows {0, 7, 1000, 2500}, the adaptive runs with a
+// never-swapping decider or one that swaps a filter after the first chunk.
+// The engine must match the row-at-a-time reference bit for bit: rows and
+// their order, their columns with the newest of a name shadowing, ClusterTime
+// and Latency, every PerOp field but WallNS, chunks and swaps; a failed run
+// must fail with the same OpError stage, operator and text — the first
+// failure in morsel order.
 func TestBatchExecutorMatchesRowReference(t *testing.T) {
 	rng := mathx.NewRNG(26)
 	failures, faulted, multiMorsel := 0, 0, 0
+	// Runs that succeeded with each of the draw's rarer shapes; a boundary
+	// counts when its row stage took several morsels.
+	covered := map[string]int{}
 	const plans = 70
 	chunkSizes := []int{0, 7, 1000, 2500}
 	for k := 0; k < plans; k++ {
@@ -706,6 +907,16 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 				if chunkRows == 0 && got.PerOp[first].RowsIn > refMorsel {
 					multiMorsel++
 				}
+				for shape, ok := range map[string]bool{"project": c.project, "row filter": c.rowFilter, "shadowed column": c.shadow} {
+					if ok {
+						covered[shape]++
+					}
+				}
+				for _, op := range got.PerOp {
+					if op.Name == "Dedup" && op.RowsOut > refMorsel {
+						covered[fmt.Sprintf("boundary at workers=%d", workers)]++
+					}
+				}
 			}
 		}
 	}
@@ -713,8 +924,14 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 	// more holes and faults, so up to three runs in four may fail.
 	runs := plans * 2 * len(chunkSizes)
 	t.Logf("%d of %d runs failed; %d positions retried or timed out; %d runs took several morsels", failures, runs, faulted, multiMorsel)
+	t.Logf("successful runs by shape: %v", covered)
 	if failures == 0 || faulted == 0 || failures > runs*3/4 || multiMorsel == 0 {
 		t.Fatalf("%d failed runs, %d faulted positions and %d multi-morsel runs over %d runs: the draw does not cover every path", failures, faulted, multiMorsel, runs)
+	}
+	for _, shape := range []string{"project", "row filter", "shadowed column", "boundary at workers=1", "boundary at workers=4"} {
+		if covered[shape] == 0 {
+			t.Fatalf("no successful run with a %s: the draw does not cover every path", shape)
+		}
 	}
 }
 

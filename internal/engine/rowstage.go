@@ -10,13 +10,18 @@ import (
 )
 
 // The row stage: the row-local operators after the source stage (Process,
-// Select, Project, a PPFilter over rows) run one morsel of survivors at a
-// time, in the style of MonetDB/X100's cache-resident vectors and morsel-driven
-// parallelism (Leis et al., SIGMOD 2014). A morsel's rows are made from the
-// source stage's survivors into one of a worker's two recycled row buffers;
-// each operator reads one buffer and writes the other, and the last writes
-// straight into the output slab, sized by the survivor count. No operator
-// allocates a slab of its own over the whole input.
+// Select, Project, a PPFilter over rows), and after each stage boundary,
+// run one morsel at a time, in the style of MonetDB/X100's cache-resident
+// vectors and morsel-driven parallelism (Leis et al., SIGMOD 2014). A morsel
+// is columns before rows (batch.go): int32 positions into the stage's base —
+// the source's blobs, or the upstream rows — plus one pooled value vector per
+// column the stage's processors add. A processor fills its columns' vectors
+// or says how many rows each input yields; Select evaluates its predicate
+// through one lookup repointed row by row over the vectors and the base, and
+// compacts positions and vectors in place. Rows and their column nodes are
+// made once, at the stage's end, only for the rows it emits, straight into
+// the output slab sized by the survivor count; a Project, which needs Rows,
+// makes its input's and its own output becomes the morsel's base.
 //
 // The ledger keeps every bit. A Process or PPFilter threads its running cost
 // sum from morsel to morsel, row by row, so its total is the same sequence of
@@ -25,14 +30,20 @@ import (
 // chunk. With Workers > 1 the stage's input is split once into worker ranges
 // (chunkBounds), each running the morsel loop on its own goroutine and
 // buffers; a position's cost is its ranges' sums added in range order.
+// Making the emitted rows is timed on the stage's last position (on the
+// source stage's last when the stage has no operator).
 //
 // A failure stops its worker at the failing morsel; operators after the
 // failing one keep the charge for the morsels they already ran, and the run
 // reports the first failure in morsel order — the lowest range's.
 
 // morselRows is how many survivors one morsel carries into the row stage:
-// 1 024 rows of 56 bytes, two buffers per worker, stay within a core's L2.
+// its positions (4 KB) and a few 32 KB value vectors stay within a core's L2.
 const morselRows = 1024
+
+// pooledVecs is how many value vectors a pooled worker keeps: enough for the
+// columns of every plan builder's row stage.
+const pooledVecs = 8
 
 // rowLocal reports whether op is a row-stage operator. The prefix RunAdaptive
 // runs per adaptive chunk is the source plus the row-local operators after it.
@@ -45,8 +56,8 @@ func rowLocal(op Operator) bool {
 }
 
 // rowInput is what the row stage consumes: the source stage's survivors —
-// every blob, or with filtered the blobs sel selects — or the rows a source
-// other than a Scan made.
+// every blob, or with filtered the blobs sel selects — or upstream rows, made
+// by a source other than a Scan or by a stage boundary.
 type rowInput struct {
 	scan, filtered bool
 	blobs          []blob.Blob
@@ -64,24 +75,6 @@ func (in rowInput) len() int {
 	return len(in.blobs)
 }
 
-// appendRows appends the rows of survivors [lo, hi) to out, making them from
-// their blobs when the input came from a Scan.
-func (in rowInput) appendRows(out []Row, lo, hi int) []Row {
-	switch {
-	case !in.scan:
-		return append(out, in.rows[lo:hi]...)
-	case in.filtered:
-		for _, i := range in.sel[lo:hi] {
-			out = append(out, Row{Blob: in.blobs[i]})
-		}
-		return out
-	}
-	for _, b := range in.blobs[lo:hi] {
-		out = append(out, Row{Blob: b})
-	}
-	return out
-}
-
 // opRun is one row-stage position's work over one worker range.
 type opRun struct {
 	ran     bool
@@ -97,19 +90,26 @@ type opRun struct {
 }
 
 // rowWorker runs the morsel loop over one worker range. It is pooled: its
-// two row buffers, its filter scratch and its predicate lookup outlive the
-// run, and are cleared when it goes back.
+// morsel's buffers — positions, value vectors, the keep list, the repeat
+// counts, a Project's two row buffers — its filter scratch and its predicate
+// lookup outlive the run, and are cleared when it goes back.
 type rowWorker struct {
-	bufs  [2][]Row
-	dirty [2]int // how much of each buffer holds references to clear
-	fs    *filterScratch
-	look  *rowLookup
-	runs  []opRun
+	m morsel
+	// free holds the value vectors the morsel is not using.
+	free           [][]query.Value
+	pos, idx, reps []int32
+	rowBufs        [2][]Row
+	// high is the most rows any buffer was written to since the worker left
+	// the pool: only that prefix of a buffer holds references to clear.
+	high int
+	fs   *filterScratch
+	look *rowLookup
+	runs []opRun
 	// failed is the position (in the stage's operators) whose error stopped
 	// the worker, or -1.
 	failed int
 	start  time.Time
-	makeNS int64 // time spent making rows from blobs
+	emitNS int64 // time spent making rows for a stage with no operator
 	out    []Row
 }
 
@@ -119,6 +119,7 @@ func getRowWorker(ops int) *rowWorker {
 	w, ok := rowWorkerPool.Get().(*rowWorker)
 	if !ok {
 		w = &rowWorker{look: newRowLookup()}
+		w.m.w = w
 	}
 	w.runs = slices.Grow(w.runs[:0], ops)[:ops]
 	w.failed = -1
@@ -126,41 +127,86 @@ func getRowWorker(ops int) *rowWorker {
 }
 
 // putRowWorker clears what the worker's run left behind — references in the
-// buffers, the run tallies — and pools it. A buffer a morsel grew past
-// morselRows (a processor emitting several rows per input) is dropped, so
-// the pool pins at most 2 × morselRows rows per worker.
+// vectors and row buffers, the run tallies — and pools it. A buffer a morsel
+// grew past morselRows (a processor emitting several rows per input) is
+// dropped, and so is a vector past pooledVecs, so the pool pins at most
+// pooledVecs value vectors, two row buffers and three position buffers of
+// morselRows each per worker.
 func putRowWorker(w *rowWorker) {
-	for k := range w.bufs {
-		clear(w.bufs[k][:w.dirty[k]])
-		w.dirty[k] = 0
-		if cap(w.bufs[k]) > morselRows {
-			w.bufs[k] = nil
+	m := &w.m
+	w.giveCols(m)
+	m.blobs, m.rows, m.pos, m.reps = nil, nil, nil, nil
+	kept := w.free[:0]
+	for _, v := range w.free {
+		if cap(v) <= morselRows && len(kept) < pooledVecs {
+			clear(v[:min(w.high, cap(v))])
+			kept = append(kept, v)
 		}
 	}
+	clear(w.free[len(kept):])
+	w.free = kept
+	for k, b := range w.rowBufs {
+		if cap(b) > morselRows {
+			w.rowBufs[k] = nil
+		} else {
+			clear(b[:min(w.high, cap(b))])
+		}
+	}
+	for _, p := range []*[]int32{&w.pos, &w.idx, &w.reps} {
+		if cap(*p) > morselRows {
+			*p = nil
+		}
+	}
+	w.high = 0
 	if w.fs != nil {
 		putFilterScratch(w.fs)
 		w.fs = nil
 	}
 	clear(w.runs)
-	w.look.cur = nil
-	w.makeNS, w.out = 0, nil
+	w.look.m = nil
+	w.emitNS, w.out = 0, nil
 	rowWorkerPool.Put(w)
 }
 
-// buf returns buffer k empty, with room for n rows.
-func (w *rowWorker) buf(k, n int) []Row {
-	if cap(w.bufs[k]) < n {
-		w.bufs[k] = make([]Row, 0, n)
-		w.dirty[k] = 0
+// takeVec returns a value vector of n rows, its contents unspecified.
+func (w *rowWorker) takeVec(n int) []query.Value {
+	w.high = max(w.high, n)
+	if k := len(w.free); k > 0 && cap(w.free[k-1]) >= n {
+		v := w.free[k-1]
+		w.free[k-1] = nil
+		w.free = w.free[:k-1]
+		return v[:n]
 	}
-	return w.bufs[k][:0]
+	return make([]query.Value, n, max(n, morselRows))
 }
 
-// keep records rows, just written into buffer k (or into a larger array
-// append moved it to), as that buffer.
-func (w *rowWorker) keep(k int, rows []Row) {
-	w.bufs[k] = rows[:0]
-	w.dirty[k] = max(w.dirty[k], len(rows))
+// giveVec takes a vector back.
+func (w *rowWorker) giveVec(v []query.Value) { w.free = append(w.free, v[:0]) }
+
+// giveCols takes back the vectors of every column the morsel holds.
+func (w *rowWorker) giveCols(m *morsel) {
+	for _, c := range m.cols {
+		w.giveVec(c.vals)
+	}
+	clear(m.cols)
+	m.cols, m.own = m.cols[:0], 0
+}
+
+// intBuf returns *p at length n, grown when it is short.
+func (w *rowWorker) intBuf(p *[]int32, n int) []int32 {
+	if cap(*p) < n {
+		*p = make([]int32, n, max(n, morselRows))
+	}
+	return (*p)[:n]
+}
+
+// rowBuf returns row buffer k empty, with room for n rows.
+func (w *rowWorker) rowBuf(k, n int) []Row {
+	w.high = max(w.high, n)
+	if cap(w.rowBufs[k]) < n {
+		w.rowBufs[k] = make([]Row, 0, max(n, morselRows))
+	}
+	return w.rowBufs[k][:0]
 }
 
 // run drives survivors [lo, hi) of src through ops a morsel at a time and
@@ -169,94 +215,110 @@ func (w *rowWorker) keep(k int, rows []Row) {
 // range: w.failed names its operator and that operator's opRun holds it.
 func (w *rowWorker) run(ops []Operator, src rowInput, lo, hi int, cfg Config, accs []opAcc, out []Row) []Row {
 	w.start = time.Now()
-	size := min(hi-lo, morselRows)
 	for m := lo; ; m += morselRows {
 		end := min(m+morselRows, hi)
-		if len(ops) == 0 {
-			start := time.Now()
-			out = src.appendRows(out, m, end)
-			w.makeNS += time.Since(start).Nanoseconds()
-		} else {
-			out = w.morsel(ops, src, m, end, size, cfg, accs, out)
-			if w.failed >= 0 {
-				return out
-			}
-		}
-		if end >= hi {
+		out = w.morsel(ops, src, m, end, cfg, accs, out)
+		if w.failed >= 0 || end >= hi {
 			return out
 		}
 	}
 }
 
-// morsel runs survivors [m, end) through ops.
-func (w *rowWorker) morsel(ops []Operator, src rowInput, m, end, size int, cfg Config, accs []opAcc, out []Row) []Row {
-	var cur []Row
-	k := 0 // the buffer the next operator writes
-	if src.scan {
+// morsel runs survivors [lo, hi) of src through ops.
+func (w *rowWorker) morsel(ops []Operator, src rowInput, lo, hi int, cfg Config, accs []opAcc, out []Row) []Row {
+	m := &w.m
+	m.reset(src, lo, hi)
+	if len(ops) == 0 {
 		start := time.Now()
-		cur = src.appendRows(w.buf(0, size), m, end)
-		w.makeNS += time.Since(start).Nanoseconds()
-		w.keep(0, cur)
-		k = 1
-	} else {
-		cur = src.rows[m:end]
+		out = m.emit(out, nil)
+		w.emitNS += time.Since(start).Nanoseconds()
+		return out
 	}
 	for j, op := range ops {
 		last := j == len(ops)-1
-		next := out
-		if !last {
-			next = w.buf(k, size)
-		}
 		or := &w.runs[j]
+		in, mark := m.len(), len(out)
 		start := time.Now()
-		res, err := w.step(op, cur, next, or, cfg, &accs[j].ctally)
+		var err error
+		out, err = w.step(op, last, out, or, cfg, &accs[j].ctally)
 		or.wallNS += time.Since(start).Nanoseconds()
 		or.ran = true
-		or.in += len(cur)
+		or.in += in
 		if err != nil {
 			or.err, w.failed = err, j
-			return out
+			return out[:mark]
 		}
 		if last {
-			or.out += len(res) - len(out)
-			return res
+			or.out += len(out) - mark
+		} else {
+			or.out += m.len()
 		}
-		or.out += len(res)
-		w.keep(k, res)
-		cur, k = res, k^1
 	}
 	return out
 }
 
-// step runs one operator over one morsel, appending its output to out.
-func (w *rowWorker) step(op Operator, in, out []Row, or *opRun, cfg Config, ct *CacheTally) ([]Row, error) {
+// step runs one operator over the morsel. The last operator appends the
+// stage's output rows to out.
+func (w *rowWorker) step(op Operator, last bool, out []Row, or *opRun, cfg Config, ct *CacheTally) ([]Row, error) {
+	m := &w.m
+	var keep []int32
 	switch o := op.(type) {
 	case *Process:
-		return apply(o.P, in, out, cfg.Retry, or)
-	case *Select:
-		return o.filter(in, out, w.look)
+		if err := apply(o.P, m, cfg.Retry, or); err != nil {
+			return out, err
+		}
+		m.settleReps()
+		if last {
+			return m.emit(out, nil), nil
+		}
+		return out, nil
 	case *Project:
-		return o.project(in, out)
+		if last {
+			return o.project(m, out)
+		}
+		k := 0
+		if m.buf == 0 {
+			k = 1 // buffer 0 is the base the projection reads
+		}
+		rows, err := o.project(m, w.rowBuf(k, m.len()))
+		if err != nil {
+			return out, err
+		}
+		m.rebase(rows)
+		m.buf = k
+		return out, nil
+	case *Select:
+		var err error
+		if keep, err = o.filter(m, w.look, w.intBuf(&w.idx, m.len())[:0]); err != nil {
+			return out, err
+		}
 	case *PPFilter:
 		if w.fs == nil {
-			w.fs = getFilterScratch(len(in))
+			w.fs = getFilterScratch(m.len())
 		}
-		return o.filterRows(in, out, w.fs, &or.cost, ct), nil
+		keep = o.filterMorsel(m, w.fs, &or.cost, ct, w.intBuf(&w.idx, m.len())[:0])
+	default:
+		panic("engine: " + op.Name() + " is not a row-stage operator")
 	}
-	panic("engine: " + op.Name() + " is not a row-stage operator")
+	if last {
+		return m.emit(out, keep), nil
+	}
+	m.keep(keep)
+	return out, nil
 }
 
-// rowLookup is a predicate lookup bound to one row at a time: one closure per
-// binding, repointed per row, where binding each row's Lookup method would
-// allocate a method value per row.
+// rowLookup is a predicate lookup bound to one morsel row at a time: one
+// closure per worker, repointed per row, where binding each row's lookup
+// would allocate a closure per row.
 type rowLookup struct {
-	cur *Row
-	fn  query.Lookup
+	m  *morsel
+	i  int
+	fn query.Lookup
 }
 
 func newRowLookup() *rowLookup {
 	l := &rowLookup{}
-	l.fn = func(col string) (query.Value, bool) { return l.cur.Lookup(col) }
+	l.fn = func(col string) (query.Value, bool) { return l.m.lookup(l.i, col) }
 	return l
 }
 
@@ -328,7 +390,7 @@ func (r *run) rowStage(src rowInput, first, split int, dst []Row) ([]Row, error)
 // order, the run ended by it.
 func (r *run) settle(first int, ops []Operator, ws []*rowWorker, bounds [][2]int) error {
 	for _, w := range ws {
-		r.accs[first-1].wallNS += w.makeNS
+		r.accs[first-1].wallNS += w.emitNS
 	}
 	for j, op := range ops {
 		var acc *opAcc
@@ -353,13 +415,7 @@ func (r *run) settle(first int, ops []Operator, ws []*rowWorker, bounds [][2]int
 		if acc == nil {
 			continue
 		}
-		switch o := op.(type) {
-		case *Select:
-			cost = selectCost * float64(in)
-		case *Project:
-			cost = o.unitCost() * float64(in)
-		}
-		r.charge(acc, in, out, cost, wallNS)
+		r.charge(acc, in, out, positionCost(op, in, cost), wallNS)
 	}
 	for _, w := range ws {
 		if w.failed >= 0 {
@@ -377,4 +433,31 @@ func threadsCost(op Operator) bool {
 		return true
 	}
 	return false
+}
+
+// positionCost is a row-stage position's cost over in rows, given its
+// running sum: the sum for a Process or PPFilter, per-row cost × rows handed
+// to it for Select and Project.
+func positionCost(op Operator, in int, sum float64) float64 {
+	switch o := op.(type) {
+	case *Select:
+		return selectCost * float64(in)
+	case *Project:
+		return o.unitCost() * float64(in)
+	}
+	return sum
+}
+
+// execLocal is Exec of a row-local operator: a row stage of its own over in,
+// a morsel at a time, with no retry policy and no workers.
+func execLocal(op Operator, in []Row) ([]Row, float64, error) {
+	w := getRowWorker(1)
+	defer putRowWorker(w)
+	var accs [1]opAcc
+	out := w.run([]Operator{op}, rowInput{rows: in}, 0, len(in), Config{}, accs[:], make([]Row, 0, len(in)))
+	or := &w.runs[0]
+	if or.err != nil {
+		out = nil
+	}
+	return out, positionCost(op, or.in, or.cost), or.err
 }

@@ -14,16 +14,16 @@ import (
 // blobs still in — the first filter the scan's own slice (one adaptive or
 // worker chunk of it), a later one the blobs its predecessor passed —
 // through pooled verdict and cost buffers, and the last filter's survivors
-// leave as a selection vector over the blobs it read. Rows are made from
-// them a morsel at a time by the row stage (rowstage.go). A dropped blob
-// costs no row, no copy and no clear.
+// leave as a selection vector over the blobs it read: the row stage
+// (rowstage.go) takes its morsels' positions from it and makes rows only for
+// what it emits. A dropped blob costs no row, no copy and no clear.
 //
 // The ledger keeps its shape. The Scan position charges scanCost per blob as
 // one term, before any filter's cost; each filter position keeps its
 // cardinalities, cost, score-cache counts and worker chunk spans
 // (PP[…][lo:hi], over the filter's input). Only Scan's WallNS drops to ≈ 0:
-// the work it did is now timed inside the filters' positions, making the
-// survivors' rows on the last one's.
+// the work it did is now timed inside the filters' positions, and making the
+// rows on the row stage's last position.
 
 // filterScratch is the recycled buffer set of one filter execution: the
 // per-blob verdict and cost outputs; blobs — the survivors one source filter

@@ -18,13 +18,16 @@ type costProc struct {
 
 func (p costProc) Name() string  { return "UDF_" + p.col }
 func (p costProc) Cost() float64 { return p.cost }
-func (p costProc) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	for _, r := range in {
-		if v, ok := testkit.Lookup(r.Blob)(p.col); ok {
-			out = append(out, r.With(p.col, v))
+func (p costProc) Apply(b engine.Batch) error {
+	vals := b.Column(p.col)
+	for i := range vals {
+		v, ok := testkit.Lookup(b.Blob(i))(p.col)
+		if !ok {
+			b.Repeat(i, 0)
 		}
+		vals[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 func basePlan(blobs []blob.Blob, pred query.Pred, extra ...engine.Operator) engine.Plan {

@@ -179,7 +179,7 @@ type gateUDF struct {
 	active, maxActive *atomic.Int64
 }
 
-func (u gateUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+func (u gateUDF) Apply(b engine.Batch) error {
 	n := u.active.Add(1)
 	for {
 		m := u.maxActive.Load()
@@ -188,7 +188,7 @@ func (u gateUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
 		}
 	}
 	defer u.active.Add(-1)
-	return u.UDF.ApplyBatch(in, out)
+	return u.UDF.Apply(b)
 }
 
 // TestServeMetrics: the serving counters and gauges land in the registry.

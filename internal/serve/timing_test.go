@@ -117,13 +117,13 @@ type blockUDF struct {
 	entered, release chan struct{}
 }
 
-func (u blockUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+func (u blockUDF) Apply(b engine.Batch) error {
 	select {
 	case u.entered <- struct{}{}:
 	default:
 	}
 	<-u.release
-	return u.UDF.ApplyBatch(in, out)
+	return u.UDF.Apply(b)
 }
 
 // TestAdmissionWaitHistogram: under a saturated server the queue wait

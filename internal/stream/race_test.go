@@ -127,12 +127,12 @@ type driftUDF struct{ cost float64 }
 
 func (u driftUDF) Name() string  { return "driftUDF" }
 func (u driftUDF) Cost() float64 { return u.cost }
-func (u driftUDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	for _, r := range in {
-		v, _ := driftLookup(r.Blob)("s")
-		out = append(out, r.With("s", v))
+func (u driftUDF) Apply(b engine.Batch) error {
+	vals := b.Column("s")
+	for i := range vals {
+		vals[i], _ = driftLookup(b.Blob(i))("s")
 	}
-	return out, nil
+	return nil
 }
 
 // newDriftStack wires the full online streaming loop: the server plans over

@@ -224,16 +224,15 @@ type UDF float64
 
 func (u UDF) Name() string  { return "miniUDF" }
 func (u UDF) Cost() float64 { return float64(u) }
-func (u UDF) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	for _, r := range in {
-		lk := Lookup(r.Blob)
-		for _, col := range []string{"t", "c", "s"} {
-			v, _ := lk(col)
-			r = r.With(col, v)
-		}
-		out = append(out, r)
+func (u UDF) Apply(b engine.Batch) error {
+	t, c, s := b.Column("t"), b.Column("c"), b.Column("s")
+	for i := range b.Len() {
+		lk := Lookup(b.Blob(i))
+		t[i], _ = lk("t")
+		c[i], _ = lk("c")
+		s[i], _ = lk("s")
 	}
-	return out, nil
+	return nil
 }
 
 // Builder assembles the mini plan scan → [PP filter] → UDF → σ over any

@@ -7,16 +7,16 @@ import (
 	"probpred/internal/engine"
 )
 
-// BenchmarkTrafficAttribute times one row-stage morsel through a traffic
-// attribute UDF: 1 024 traffic rows, no error process, for the first (t) and
-// the last (o) of the traffic truth keys. ns/row is per input row.
+// BenchmarkTrafficAttribute times one morsel-sized batch through a traffic
+// attribute UDF and back out as rows (engine.ApplyRows): 1 024 traffic rows,
+// no error process, for the first (t) and the last (o) of the traffic truth
+// keys. ns/row is per input row.
 func BenchmarkTrafficAttribute(b *testing.B) {
 	blobs := data.Traffic(data.TrafficConfig{Rows: 1024, Seed: 1})
 	rows := make([]engine.Row, len(blobs))
 	for i, bl := range blobs {
 		rows[i] = engine.NewRow(bl)
 	}
-	out := make([]engine.Row, 0, len(rows))
 	for _, col := range []string{"t", "o"} {
 		b.Run(col, func(b *testing.B) {
 			u, err := TrafficUDFFor(col, 0, 0)
@@ -25,7 +25,7 @@ func BenchmarkTrafficAttribute(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for range b.N {
-				if _, err := u.ApplyBatch(rows, out[:0]); err != nil {
+				if _, _, err := engine.ApplyRows(u, rows); err != nil {
 					b.Fatal(err)
 				}
 			}

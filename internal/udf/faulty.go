@@ -43,10 +43,10 @@ func (f *FaultyProcessor) Name() string { return f.P.Name() }
 // Cost implements engine.Processor: the nominal (healthy-attempt) cost.
 func (f *FaultyProcessor) Cost() float64 { return f.P.Cost() }
 
-// ApplyBatch implements engine.Processor.
-func (f *FaultyProcessor) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	out, _, err := f.ApplyTimed(in, out, nil)
-	return out, err
+// Apply implements engine.Processor.
+func (f *FaultyProcessor) Apply(b engine.Batch) error {
+	_, err := f.ApplyTimed(b, nil)
+	return err
 }
 
 // ApplyTimed implements engine.TimedProcessor. It consults the injector for
@@ -55,21 +55,21 @@ func (f *FaultyProcessor) ApplyBatch(in, out []engine.Row) ([]engine.Row, error)
 // start the next batch — then runs the rows through the wrapped UDF: the
 // healthy ones in one call at the nominal duration, or the unhealthy first
 // row alone, failing transiently or at its inflated duration as decided.
-func (f *FaultyProcessor) ApplyTimed(in, out []engine.Row, elapsed []float64) ([]engine.Row, []float64, error) {
-	if len(in) == 0 {
-		return out, elapsed, nil
+func (f *FaultyProcessor) ApplyTimed(b engine.Batch, elapsed []float64) ([]float64, error) {
+	if b.Len() == 0 {
+		return elapsed, nil
 	}
 	name, cost := f.Name(), f.P.Cost()
 	f.mu.Lock()
 	if f.attempts == nil {
 		f.attempts = map[int]int{}
 	}
-	first := in[0].Blob.ID
+	first := b.Blob(0).ID
 	f.attempts[first]++
 	o := f.Inj.Decide(name, first, f.attempts[first])
 	n := 1
-	for o.Healthy() && n < len(in) {
-		id := in[n].Blob.ID
+	for o.Healthy() && n < b.Len() {
+		id := b.Blob(n).ID
 		if !f.Inj.Peek(name, id, f.attempts[id]+1).Healthy() {
 			break
 		}
@@ -80,11 +80,11 @@ func (f *FaultyProcessor) ApplyTimed(in, out []engine.Row, elapsed []float64) ([
 	f.mu.Unlock()
 
 	if o.Fail {
-		return out, append(elapsed, cost*o.SlowFactor), &engine.RowError{
+		return append(elapsed, cost*o.SlowFactor), &engine.RowError{
 			Index: 0, Err: &fault.TransientError{Op: name, BlobID: first, Attempt: attempt},
 		}
 	}
-	out, err := f.P.ApplyBatch(in[:n], out)
+	err := f.P.Apply(b.Slice(0, n))
 	ran := n
 	if err != nil {
 		// The wrapped UDF failed at one row: the rows after it were not
@@ -97,15 +97,15 @@ func (f *FaultyProcessor) ApplyTimed(in, out []engine.Row, elapsed []float64) ([
 			err = &engine.RowError{Index: 0, Err: err}
 		}
 		f.mu.Lock()
-		for _, r := range in[ran:n] {
-			f.attempts[r.Blob.ID]--
+		for i := ran; i < n; i++ {
+			f.attempts[b.Blob(i).ID]--
 		}
 		f.mu.Unlock()
 	}
 	for j := 0; j < ran; j++ {
 		elapsed = append(elapsed, cost*o.SlowFactor)
 	}
-	return out, elapsed, err
+	return elapsed, err
 }
 
 // Reset clears the per-blob attempt state so the wrapper replays the same

@@ -21,7 +21,7 @@ func trafficBlobsForTest(n int, seed uint64) []engine.Row {
 
 // timedOne runs one attempt of f on r: a batch of one.
 func timedOne(f *FaultyProcessor, r engine.Row) ([]engine.Row, float64, error) {
-	out, elapsed, err := f.ApplyTimed([]engine.Row{r}, nil, nil)
+	out, elapsed, err := engine.ApplyRows(f, []engine.Row{r})
 	return out, elapsed[0], err
 }
 
@@ -35,7 +35,7 @@ func TestFaultyPassthrough(t *testing.T) {
 		t.Fatal("wrapper must pass name and cost through")
 	}
 	for _, r := range trafficBlobsForTest(50, 2) {
-		want, err := p.ApplyBatch([]engine.Row{r}, nil)
+		want, _, err := engine.ApplyRows(p, []engine.Row{r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestFaultyBatchRunsUnhealthyAttemptsAlone(t *testing.T) {
 			if len(batch) > size {
 				batch = batch[:size]
 			}
-			out, elapsed, err := f.ApplyTimed(batch, nil, nil)
+			out, elapsed, err := engine.ApplyRows(f, batch)
 			tr.calls++
 			if len(elapsed) == 0 || len(elapsed) > len(batch) {
 				t.Fatalf("size %d: a %d-row batch timed %d rows", size, len(batch), len(elapsed))

@@ -7,7 +7,7 @@
 //
 // Only UDFs read ground truth. PPs never do — they see raw blob features.
 //
-// Every processor here is safe for concurrent ApplyBatch calls on disjoint
+// Every processor here is safe for concurrent Apply calls on disjoint
 // batches (engine.Config.Workers > 1): a stateful error process is locked
 // once per batch, and FaultyProcessor's attempt counts under their own lock.
 package udf
@@ -49,12 +49,12 @@ func (u *TrafficAttribute) Name() string { return u.UDFName }
 // Cost implements engine.Processor.
 func (u *TrafficAttribute) Cost() float64 { return u.CostMS }
 
-// ApplyBatch implements engine.Processor: one column node per row, all from
-// one slab, and the column's truth position resolved once per batch.
-func (u *TrafficAttribute) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+// Apply implements engine.Processor: it fills the column's values in row
+// order, the column's truth position resolved once per batch.
+func (u *TrafficAttribute) Apply(b engine.Batch) error {
 	if u.ErrRate > 0 {
 		// The error process is stateful; holding the lock for the batch
-		// keeps ApplyBatch safe under the engine's parallel execution
+		// keeps Apply safe under the engine's parallel execution
 		// (engine.Config.Workers > 1) and draws in row order.
 		u.mu.Lock()
 		defer u.mu.Unlock()
@@ -62,19 +62,19 @@ func (u *TrafficAttribute) ApplyBatch(in, out []engine.Row) ([]engine.Row, error
 			u.rng = mathx.NewRNG(u.Seed ^ 0xe44)
 		}
 	}
-	slab := engine.NewColumnSlab(len(in))
 	col := data.NewTrafficColumn(u.Col)
-	for i, r := range in {
-		v, err := col.Value(r.Blob)
+	vals := b.Column(u.Col)
+	for i := range vals {
+		v, err := col.Value(b.Blob(i))
 		if err != nil {
-			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: %s: %w", u.UDFName, err)}
+			return &engine.RowError{Index: i, Err: fmt.Errorf("udf: %s: %w", u.UDFName, err)}
 		}
 		if u.ErrRate > 0 && u.rng.Bernoulli(u.ErrRate) {
 			v = u.perturb(v)
 		}
-		out = append(out, slab.With(r, u.Col, v))
+		vals[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 // perturb returns a wrong-but-plausible value.
@@ -121,10 +121,8 @@ func (VehDetector) Name() string { return "VehDetector" }
 // Cost implements engine.Processor.
 func (VehDetector) Cost() float64 { return VehDetectorCost }
 
-// ApplyBatch implements engine.Processor.
-func (VehDetector) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	return append(out, in...), nil
-}
+// Apply implements engine.Processor: every row passes unchanged.
+func (VehDetector) Apply(engine.Batch) error { return nil }
 
 // TrafficUDFFor returns the Processor that materializes col, with the
 // repository's default cost for that attribute and the given error rate.
@@ -202,9 +200,9 @@ func (c *CategoryClassifier) Name() string {
 // Cost implements engine.Processor.
 func (c *CategoryClassifier) Cost() float64 { return c.CostMS }
 
-// ApplyBatch implements engine.Processor: one column node per row, all from
-// one slab.
-func (c *CategoryClassifier) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
+// Apply implements engine.Processor: it fills the category's column in row
+// order.
+func (c *CategoryClassifier) Apply(b engine.Batch) error {
 	if c.ErrRate > 0 {
 		// As for TrafficAttribute: the stateful error process is locked once
 		// per batch, which makes concurrent batches (Workers > 1) safe.
@@ -214,12 +212,11 @@ func (c *CategoryClassifier) ApplyBatch(in, out []engine.Row) ([]engine.Row, err
 			c.rng = mathx.NewRNG(c.Seed ^ 0xcc)
 		}
 	}
-	col := ColName(c.Cat)
-	slab := engine.NewColumnSlab(len(in))
-	for i, r := range in {
-		id := r.Blob.ID
+	vals := b.Column(ColName(c.Cat))
+	for i := range vals {
+		id := b.Blob(i).ID
 		if id < 0 || id >= len(c.Dataset.Blobs) {
-			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: blob %d outside dataset %s", id, c.Dataset.Name)}
+			return &engine.RowError{Index: i, Err: fmt.Errorf("udf: blob %d outside dataset %s", id, c.Dataset.Name)}
 		}
 		member := c.Dataset.Members[c.Cat][id]
 		if c.ErrRate > 0 && c.rng.Bernoulli(c.ErrRate) {
@@ -229,9 +226,9 @@ func (c *CategoryClassifier) ApplyBatch(in, out []engine.Row) ([]engine.Row, err
 		if member {
 			v = 1
 		}
-		out = append(out, slab.With(r, col, query.Number(v)))
+		vals[i] = query.Number(v)
 	}
-	return out, nil
+	return nil
 }
 
 // FrameObjectDetector is the reference DNN object detector of Appendix B:
@@ -254,17 +251,18 @@ func (d FrameObjectDetector) Cost() float64 {
 	return d.CostMS
 }
 
-// ApplyBatch implements engine.Processor: one column node per frame, all
-// from one slab, and the truth position resolved once per batch.
-func (d FrameObjectDetector) ApplyBatch(in, out []engine.Row) ([]engine.Row, error) {
-	slab := engine.NewColumnSlab(len(in))
+// Apply implements engine.Processor: it fills the object column in frame
+// order, the truth position resolved once per batch.
+func (d FrameObjectDetector) Apply(b engine.Batch) error {
 	object := blob.NewTruthCol("object")
-	for i, r := range in {
-		v, ok := object.Val(r.Blob)
+	vals := b.Column("object")
+	for i := range vals {
+		f := b.Blob(i)
+		v, ok := object.Val(f)
 		if !ok {
-			return out, &engine.RowError{Index: i, Err: fmt.Errorf("udf: frame %d has no object truth", r.Blob.ID)}
+			return &engine.RowError{Index: i, Err: fmt.Errorf("udf: frame %d has no object truth", f.ID)}
 		}
-		out = append(out, slab.With(r, "object", query.Number(v)))
+		vals[i] = query.Number(v)
 	}
-	return out, nil
+	return nil
 }

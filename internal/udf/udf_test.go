@@ -25,7 +25,7 @@ func TestTrafficAttributeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := u.ApplyBatch(rows, nil)
+	out, _, err := engine.ApplyRows(u, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTrafficAttributeExact(t *testing.T) {
 func TestTrafficAttributeErrorRate(t *testing.T) {
 	rows := trafficRows(t, 2000)
 	u := &TrafficAttribute{Col: "c", UDFName: "ColorClassifier", CostMS: 1, ErrRate: 0.2, Seed: 7}
-	out, err := u.ApplyBatch(rows, nil)
+	out, _, err := engine.ApplyRows(u, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTrafficAttributeErrorRate(t *testing.T) {
 func TestTrafficAttributeNumericPerturbInRange(t *testing.T) {
 	rows := trafficRows(t, 500)
 	u := &TrafficAttribute{Col: "s", UDFName: "SpeedEstimator", CostMS: 1, ErrRate: 1, Seed: 9}
-	out, err := u.ApplyBatch(rows, nil)
+	out, _, err := engine.ApplyRows(u, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCategoryClassifier(t *testing.T) {
 	for i, b := range d.Blobs {
 		rows[i] = engine.NewRow(b)
 	}
-	out, err := c.ApplyBatch(rows, nil)
+	out, _, err := engine.ApplyRows(c, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCategoryClassifierOutOfRange(t *testing.T) {
 	c := &CategoryClassifier{Dataset: d, Cat: 0, CostMS: 1}
 	bad := engine.NewRow(d.Blobs[0])
 	bad.Blob.ID = 999
-	out, err := c.ApplyBatch([]engine.Row{engine.NewRow(d.Blobs[1]), bad, engine.NewRow(d.Blobs[2])}, nil)
+	out, _, err := engine.ApplyRows(c, []engine.Row{engine.NewRow(d.Blobs[1]), bad, engine.NewRow(d.Blobs[2])})
 	var re *engine.RowError
 	if !errors.As(err, &re) || re.Index != 1 {
 		t.Fatalf("err = %v, want a RowError blaming row 1", err)
@@ -185,7 +185,7 @@ func TestFrameObjectDetector(t *testing.T) {
 	for i, f := range v.Frames[:100] {
 		rows[i] = engine.NewRow(f)
 	}
-	out, err := det.ApplyBatch(rows, nil)
+	out, _, err := engine.ApplyRows(det, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

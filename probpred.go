@@ -113,11 +113,15 @@ type (
 	ExecConfig = engine.Config
 	// ExecResult carries rows plus virtual cluster time and latency.
 	ExecResult = engine.Result
-	// Processor is the row-manipulator UDF template of §4, applied a batch
-	// of rows per call: ApplyBatch appends each input row's outputs in input
-	// order and blames a failing row with a *RowError.
+	// Processor is the row-manipulator UDF template of §4, applied to a
+	// Batch of rows per call: Apply fills the values of the columns it adds
+	// in row order, says how many rows an input yields when it changes
+	// cardinality, and blames a failing row with a *RowError.
 	Processor = engine.Processor
-	// RowError names the input row a Processor batch failed at.
+	// Batch is the rows one Processor call runs over: blob positions plus
+	// one value vector per column the plan's processors added.
+	Batch = engine.Batch
+	// RowError names the row of a Batch a Processor failed at.
 	RowError = engine.RowError
 	// Row is one engine tuple: a blob plus materialized columns.
 	Row = engine.Row

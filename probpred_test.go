@@ -76,15 +76,16 @@ type fakeColorProc struct{}
 
 func (fakeColorProc) Name() string  { return "ColorClassifier" }
 func (fakeColorProc) Cost() float64 { return 30 }
-func (fakeColorProc) ApplyBatch(in, out []Row) ([]Row, error) {
-	for i, r := range in {
-		v, err := data.TrafficValue(r.Blob, "c")
+func (fakeColorProc) Apply(b Batch) error {
+	vals := b.Column("c")
+	for i := range vals {
+		v, err := data.TrafficValue(b.Blob(i), "c")
 		if err != nil {
-			return out, &RowError{Index: i, Err: err}
+			return &RowError{Index: i, Err: err}
 		}
-		out = append(out, r.With("c", v))
+		vals[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 func TestNewPPCustomScorer(t *testing.T) {
