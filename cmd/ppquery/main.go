@@ -28,7 +28,7 @@
 // all spans the run emits share it. -querylog appends a structured pplog
 // record for the PP run to the given JSONL file. -flight-triggers overrides
 // which records auto-dump the flight recorder: "default" keeps the built-in
-// set (failed runs, watchdog.trip, adapt.swap, shard.fail), "none" disables
+// set (failed runs, watchdog.trip, shard.fail), "none" disables
 // auto-dumping, and a comma-separated list names event triggers directly,
 // with the special token "run-errors" standing for failed run spans.
 package main

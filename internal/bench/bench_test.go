@@ -54,15 +54,15 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 	// The error lists the known ids in registry order: the paper's tables
 	// and figures, then the scenario arcs and the accuracy audit. The
-	// retired wall-clock experiments (now benchmark/ workloads) error like
-	// any unknown id.
+	// retired wall-clock experiments (now benchmark/ workloads) and the
+	// retired mid-query re-optimization arc error like any unknown id.
 	known := "(known: [table2 fig9 table4 table5 table6 table7 fig10 table8 table9 table10 " +
 		"table12 table13 fig15 coverage drift ablation-budget ablation-order ablation-k " +
-		"ablation-model faults serve adapt obs stream audit])"
+		"ablation-model faults serve obs stream audit])"
 	if !strings.Contains(err.Error(), known) {
 		t.Errorf("error %q, want the id list %s", err, known)
 	}
-	for _, id := range []string{"hotpath", "latency", "shard"} {
+	for _, id := range []string{"hotpath", "latency", "shard", "adapt"} {
 		if _, err := Run(id, quick); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("Run(%q) = %v, want an unknown-experiment error", id, err)
 		}

@@ -13,10 +13,6 @@ var scenarioGates = []struct {
 	{exp: "serve", metric: "outputs_identical", op: "==", bound: 1},
 	{exp: "serve", metric: "eval_ratio", op: ">=", bound: 2},
 
-	{exp: "adapt", metric: "outputs_identical", op: "==", bound: 1},
-	{exp: "adapt", metric: "swaps", op: ">=", bound: 1},
-	{exp: "adapt", metric: "cost_ratio", op: "<=", bound: 0.8},
-
 	{exp: "obs", metric: "sessions", op: ">", bound: 0},
 	{exp: "obs", metric: "all_have_trace", op: "==", bound: 1},
 	{exp: "obs", metric: "querylog_drops", op: "==", bound: 0},

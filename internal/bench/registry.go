@@ -32,7 +32,6 @@ var experiments = []struct {
 	{"ablation-model", AblationModelSelection},
 	{"faults", Faults},
 	{"serve", Serve},
-	{"adapt", Adaptive},
 	{"obs", Obs},
 	{"stream", Stream},
 	{"audit", Audit},

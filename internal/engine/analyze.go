@@ -49,9 +49,6 @@ func (r *Result) Analyze(opts AnalyzeOptions) string {
 	}
 	fmt.Fprintf(&b, "EXPLAIN ANALYZE  cluster=%.0f vms  latency=%.0f vms  stages=%d  wall=%s",
 		r.ClusterTime, r.Latency, r.Stages, fmtWall(opWall))
-	if r.Chunks > 0 {
-		fmt.Fprintf(&b, "  chunks=%d  swaps=%d", r.Chunks, len(r.Swaps))
-	}
 	b.WriteString("\n")
 	stage := 1
 	fmt.Fprintf(&b, "stage %d:\n", stage)
@@ -82,14 +79,6 @@ func (r *Result) Analyze(opts AnalyzeOptions) string {
 		}
 		b.WriteString(strings.TrimRight(row, " "))
 		b.WriteString("\n")
-		// Operators hot-swapped mid-run would otherwise attribute every row
-		// to the final plan; show each rendition change and its boundary.
-		for _, sw := range r.Swaps {
-			if sw.OpIndex == i {
-				fmt.Fprintf(&b, "       HOT-SWAP @chunk %d/%d: %s -> %s\n",
-					sw.Chunk, r.Chunks, sw.Old, sw.New)
-			}
-		}
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"strconv"
+	"time"
+
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 )
@@ -111,23 +115,224 @@ type Result struct {
 	// PerOp is the run's one ledger: per-operator cardinalities, virtual
 	// cost and wall time in plan position order. Its costs sum to ClusterTime.
 	PerOp []OpStats
-	// Swaps lists the mid-run plan hot-swaps an adaptive run performed
-	// (RunAdaptive; empty for plain runs).
-	Swaps []PlanSwap
-	// Chunks is how many adaptive chunks executed (zero for plain runs and
-	// for plans with nothing to adapt).
-	Chunks int
-	// SwapErrors counts swap-decider errors the run absorbed by continuing
-	// on its current plan.
-	SwapErrors int
 }
 
 // Run executes the plan and returns rows plus cost accounting. The first
 // operator must be a source (it receives a nil input batch). When the run
 // fails, work performed before the failure is still charged to the
 // operator and visible on the emitted spans (the trace is how a
-// failed run's cost is inspected; the Result itself is nil). It is
-// RunAdaptive with nothing to adapt: one chunk and no swap decider.
+// failed run's cost is inspected; the Result itself is nil).
+//
+// A Scan yields its blobs, which the PP filters directly after it test in
+// the source stage (source.go); any other source yields rows. After the
+// source stage, each maximal run of row-local operators runs as a row stage
+// (rowstage.go), which carries survivors a morsel at a time as positions and
+// column vectors and makes rows only for what it emits, and every other
+// operator sees every row at once through exec.
 func Run(p Plan, cfg Config) (*Result, error) {
-	return RunAdaptive(p, cfg, AdaptiveConfig{})
+	cfg.fill()
+	if len(p.Ops) == 0 {
+		return nil, fmt.Errorf("engine: empty plan")
+	}
+	ops := p.Ops
+	r := &run{cfg: cfg, ops: ops, accs: make([]opAcc, len(ops)), stageCosts: []float64{0}}
+	r.span = cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, "plan")
+	r.start = time.Now()
+
+	var in rowInput
+	var s *filterScratch
+	first := 1
+	if scan, ok := ops[0].(*Scan); ok {
+		for first < len(ops) && isPPFilter(ops[first]) {
+			first++
+		}
+		n := len(scan.Blobs)
+		r.charge(r.open(0), 0, n, scanCost*float64(n), 0)
+		in, s = r.source(scan.Blobs, first)
+	} else {
+		rows, err := r.exec(0, nil)
+		if err != nil {
+			return nil, err
+		}
+		in.rows = rows
+	}
+	var rows []Row
+	var err error
+	for i := first; ; {
+		j := i
+		for j < len(ops) && rowLocal(ops[j]) {
+			j++
+		}
+		// The row stage after the source stage runs even with no operator:
+		// it is what makes the source's survivors into rows.
+		if j > i || i == first {
+			rows, err = r.rowStage(in, i, j, nil)
+			if s != nil {
+				putFilterScratch(s) // the rows no longer point into it
+				s = nil
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if j == len(ops) {
+			break
+		}
+		if rows, err = r.exec(j, rows); err != nil {
+			return nil, err
+		}
+		in, i = rowInput{rows: rows}, j+1
+	}
+
+	latency := 0.0
+	for _, c := range r.stageCosts {
+		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
+	}
+	emitOps(cfg, ops, r.accs)
+	r.span.CostVMS = r.cluster
+	r.span.RowsOut = len(rows)
+	r.span.SetAttr("stages", strconv.Itoa(len(r.stageCosts)))
+	r.span.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
+	res := &Result{
+		Rows:        rows,
+		ClusterTime: r.cluster,
+		Latency:     latency,
+		Stages:      len(r.stageCosts),
+		PerOp:       make([]OpStats, len(ops)),
+	}
+	cfg.Obs.End(&r.span)
+	for i, op := range ops {
+		acc := &r.accs[i]
+		hits, misses := acc.ctally.Counts()
+		res.PerOp[i] = OpStats{
+			Name: op.Name(), RowsIn: acc.rowsIn, RowsOut: acc.rowsOut,
+			Cost: acc.cost, WallNS: acc.wallNS,
+			StageBoundary: op.StageBoundary(), PPFilter: isPPFilter(op),
+			Retries: acc.tally.retries, Timeouts: acc.tally.timeouts,
+			CacheHits: hits, CacheMisses: misses,
+		}
+	}
+	emitRunMetrics(cfg.Metrics, res, time.Since(r.start).Nanoseconds(), cfg.Trace.TraceID)
+	return res, nil
+}
+
+func isPPFilter(op Operator) bool {
+	_, ok := op.(*PPFilter)
+	return ok
+}
+
+// opAcc accumulates one plan position's accounting.
+type opAcc struct {
+	// ran marks positions that executed; only those are emitted and
+	// reported when a run fails part-way.
+	ran             bool
+	rowsIn, rowsOut int
+	cost            float64
+	wallNS          int64
+	tally           retryTally
+	ctally          CacheTally
+	// span is the position's operator span, opened when the position starts
+	// so that its worker-chunk spans parent under it. It stays the zero Span
+	// when tracing is off.
+	span obs.Span
+}
+
+// run is one Run invocation's accounting.
+type run struct {
+	cfg  Config
+	ops  []Operator
+	accs []opAcc
+	span obs.Span // the run span
+	// start is when the run began.
+	start time.Time
+	// cluster is ClusterTime: every operator execution's cost, in execution
+	// order.
+	cluster float64
+	// stageCosts[i] accumulates the virtual cost of stage i.
+	stageCosts []float64
+}
+
+// open starts ops[i]: a stage boundary opens a new stage, and the position's
+// span opens, so that its worker-chunk spans parent under it.
+func (r *run) open(i int) *opAcc {
+	if r.ops[i].StageBoundary() {
+		r.stageCosts = append(r.stageCosts, 0)
+	}
+	acc := &r.accs[i]
+	acc.ran = true
+	acc.span = r.cfg.Obs.BeginChild(&r.span, obs.KindOperator, r.ops[i].Name())
+	return acc
+}
+
+// charge books one execution that consumed in rows, made out rows, cost
+// cost and took wallNS.
+func (r *run) charge(acc *opAcc, in, out int, cost float64, wallNS int64) {
+	acc.wallNS += wallNS
+	r.cluster += cost
+	acc.cost += cost
+	acc.rowsIn += in
+	acc.rowsOut += out
+	r.stageCosts[len(r.stageCosts)-1] += cost
+}
+
+// exec runs ops[i] over in, operator-at-a-time: the source when it is not a
+// Scan, and every operator that is not row-local.
+func (r *run) exec(i int, in []Row) ([]Row, error) {
+	acc, start := r.open(i), time.Now()
+	out, cost, err := r.ops[i].Exec(in)
+	if err != nil {
+		out = nil
+	}
+	r.charge(acc, len(in), len(out), cost, time.Since(start).Nanoseconds())
+	if err != nil {
+		return nil, r.fail(i, err)
+	}
+	return out, nil
+}
+
+// fail ends the run at a failure of ops[i], everything executed so far
+// already charged: the failing operator's span and the run span carry the
+// error, and metrics count the failed run.
+func (r *run) fail(i int, err error) error {
+	r.accs[i].span.SetAttr("error", err.Error())
+	emitOps(r.cfg, r.ops, r.accs)
+	r.span.CostVMS = r.cluster
+	r.span.SetAttr("error", err.Error())
+	r.cfg.Obs.End(&r.span)
+	emitRunMetrics(r.cfg.Metrics, nil, time.Since(r.start).Nanoseconds(), r.cfg.Trace.TraceID)
+	return &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
+}
+
+// chunkBounds splits n rows into ceil(n/size) contiguous worker chunks of at
+// most size rows (at least one chunk, possibly empty).
+func chunkBounds(n, size int) [][2]int {
+	var out [][2]int
+	for start := 0; ; start += size {
+		end := start + size
+		if end > n {
+			end = n
+		}
+		out = append(out, [2]int{start, end})
+		if end >= n {
+			return out
+		}
+	}
+}
+
+// emitOps publishes, in plan order, one operator span and one set of operator
+// metrics for every position that executed.
+func emitOps(cfg Config, ops []Operator, accs []opAcc) {
+	for i := range accs {
+		acc := &accs[i]
+		if !acc.ran {
+			continue
+		}
+		sp := acc.span
+		sp.WallNS = acc.wallNS
+		sp.CostVMS = acc.cost
+		sp.RowsIn = acc.rowsIn
+		sp.RowsOut = acc.rowsOut
+		cfg.Obs.EmitSpan(sp)
+		emitOpMetrics(cfg.Metrics, ops[i], acc)
+	}
 }

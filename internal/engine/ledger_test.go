@@ -62,27 +62,14 @@ func TestLedgerInvariant(t *testing.T) {
 	modes := []struct {
 		name   string
 		relTol float64
-		// swaps and retries (per UDF position) are what the mode must have
-		// exercised for its row to mean anything.
-		swaps, retries int
-		run            func(cfg Config) (*Result, error)
+		// retries (per UDF position) is what the mode must have exercised
+		// for its row to mean anything.
+		retries int
+		run     func(cfg Config) (*Result, error)
 	}{
-		{"plain", 0, 0, 0, func(cfg Config) (*Result, error) { return Run(plan(plainUDF), cfg) }},
-		{"adaptive-swaps", 1e-9, 2, 0, func(cfg Config) (*Result, error) {
-			swaps := 0
-			return RunAdaptive(plan(plainUDF), cfg, AdaptiveConfig{
-				ChunkRows: 32,
-				Decide: func(ChunkStats) (BlobFilter, error) {
-					if swaps == 2 {
-						return nil, nil
-					}
-					swaps++
-					return cheaperFilter{thresholdFilter{col: "x", t: 19, cost: 0.3 / float64(1+swaps)}}, nil
-				},
-			})
-		}},
+		{"plain", 0, 0, func(cfg Config) (*Result, error) { return Run(plan(plainUDF), cfg) }},
 		// The filter passes blobs 20..199, 18 of them flaky.
-		{"faults-retried", 0, 0, 18, func(cfg Config) (*Result, error) {
+		{"faults-retried", 0, 18, func(cfg Config) (*Result, error) {
 			cfg.Retry = RetryPolicy{MaxAttempts: 3, BackoffBaseMS: 0.9}
 			return Run(plan(flakyUDF), cfg)
 		}},
@@ -95,9 +82,6 @@ func TestLedgerInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkLedger(t, res, mode.relTol)
-				if len(res.Swaps) != mode.swaps {
-					t.Fatalf("swaps = %d, want %d", len(res.Swaps), mode.swaps)
-				}
 				u1, u2 := res.PerOp[2], res.PerOp[3]
 				if u1.Name != "U" || u2.Name != "U" || u1.Cost == 0 || u2.Cost == 0 {
 					t.Fatalf("repeated-name positions not accounted separately: %+v, %+v", u1, u2)

@@ -76,27 +76,10 @@ func TestPPFilterParallelChargesAllChunks(t *testing.T) {
 	}
 }
 
-// runModes are the two ways into the engine's one loop: a plain Run, and an
-// adaptive run whose decider never swaps (a pure re-chunking of the prefix).
-// Span structure and failure accounting must not depend on which is used.
-// The tests below size their inputs so that, at Workers 4, every execution
-// that charges cost has at least 2×workers rows: an execution with fewer
-// runs inline without a chunk span, and chunk costs would then sum to less
-// than the operator's.
-var runModes = []struct {
-	name string
-	run  func(Plan, Config) (*Result, error)
-}{
-	{"plain", Run},
-	{"adaptive", func(p Plan, cfg Config) (*Result, error) {
-		return RunAdaptive(p, cfg, AdaptiveConfig{
-			ChunkRows: 20,
-			Decide:    func(ChunkStats) (BlobFilter, error) { return nil, nil },
-		})
-	}},
-}
-
-// spanTree indexes one traced run's spans by kind.
+// spanTree indexes one traced run's spans by kind. The span tests size their
+// inputs so that, at Workers 4, every execution that charges cost has at
+// least 2×workers rows: an execution with fewer runs inline without a chunk
+// span, and chunk costs would then sum to less than the operator's.
 type spanTree struct {
 	run    *obs.Span
 	ops    map[int64]obs.Span
@@ -166,36 +149,31 @@ func checkSpanTree(t *testing.T, tree spanTree) float64 {
 // operator parented under it, and per-chunk child spans on the parallel
 // path — with virtual costs that reconcile exactly at every level.
 func TestRunEmitsSpans(t *testing.T) {
-	for _, mode := range runModes {
-		t.Run(mode.name, func(t *testing.T) {
-			col := obs.NewCollector()
-			plan := Plan{Ops: []Operator{
-				&Scan{Blobs: makeBlobs(100)},
-				&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
-				&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-				&Select{Pred: query.MustParse("x>60")},
-			}}
-			res, err := mode.run(plan, Config{Workers: 4, Obs: obs.New(col)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree := collectSpans(t, col)
-			if tree.run.CostVMS != res.ClusterTime {
-				t.Fatalf("run span cost %v, ClusterTime %v", tree.run.CostVMS, res.ClusterTime)
-			}
-			if len(tree.ops) != len(plan.Ops) {
-				t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
-			}
-			// Both row-parallel operators (4 workers; 100 and 50 input rows
-			// plain, 20-row chunks adaptive) must have emitted chunk spans
-			// whose costs reconcile with their operator.
-			if len(tree.chunks) == 0 {
-				t.Fatal("no chunk spans from the parallel path")
-			}
-			if opTotal := checkSpanTree(t, tree); opTotal != res.ClusterTime {
-				t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
-			}
-		})
+	col := obs.NewCollector()
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: makeBlobs(100)},
+		&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
+		&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+		&Select{Pred: query.MustParse("x>60")},
+	}}
+	res, err := Run(plan, Config{Workers: 4, Obs: obs.New(col)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := collectSpans(t, col)
+	if tree.run.CostVMS != res.ClusterTime {
+		t.Fatalf("run span cost %v, ClusterTime %v", tree.run.CostVMS, res.ClusterTime)
+	}
+	if len(tree.ops) != len(plan.Ops) {
+		t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
+	}
+	// Both row-parallel operators (4 workers; 100 and 50 input rows) must
+	// have emitted chunk spans whose costs reconcile with their operator.
+	if len(tree.chunks) == 0 {
+		t.Fatal("no chunk spans from the parallel path")
+	}
+	if opTotal := checkSpanTree(t, tree); opTotal != res.ClusterTime {
+		t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
 	}
 }
 
@@ -205,57 +183,53 @@ func TestRunEmitsSpans(t *testing.T) {
 // and the failing operator and chunk must be marked.
 func TestFailedRunSpansCarryCost(t *testing.T) {
 	const n = 40
-	for _, mode := range runModes {
-		t.Run(mode.name, func(t *testing.T) {
-			failedRun := func(workers int) spanTree {
-				col := obs.NewCollector()
-				plan := Plan{Ops: []Operator{
-					&Scan{Blobs: failTailBlobs(n)},
-					&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
-					&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-				}}
-				_, err := mode.run(plan, Config{Workers: workers, Obs: obs.New(col)})
-				var opErr *OpError
-				if !errors.As(err, &opErr) || opErr.Op != "U" {
-					t.Fatalf("run error = %v, want an OpError naming U", err)
+	failedRun := func(workers int) spanTree {
+		col := obs.NewCollector()
+		plan := Plan{Ops: []Operator{
+			&Scan{Blobs: failTailBlobs(n)},
+			&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
+			&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+		}}
+		_, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)})
+		var opErr *OpError
+		if !errors.As(err, &opErr) || opErr.Op != "U" {
+			t.Fatalf("run error = %v, want an OpError naming U", err)
+		}
+		return collectSpans(t, col)
+	}
+	seq, par := failedRun(1), failedRun(4)
+	if seq.run.CostVMS != par.run.CostVMS {
+		t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq.run.CostVMS, par.run.CostVMS)
+	}
+	if want := n*scanCost + n*7; seq.run.CostVMS != want {
+		t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq.run.CostVMS, want)
+	}
+	if !hasAttr(*par.run, "error") {
+		t.Fatal("run span does not carry the error attribute")
+	}
+	if opTotal := checkSpanTree(t, par); opTotal != par.run.CostVMS {
+		t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, par.run.CostVMS)
+	}
+	for _, tree := range []spanTree{seq, par} {
+		marked := 0
+		for _, sp := range tree.ops {
+			if hasAttr(sp, "error") {
+				if sp.Name != "U" {
+					t.Fatalf("operator %q carries an error, want only U", sp.Name)
 				}
-				return collectSpans(t, col)
+				marked++
 			}
-			seq, par := failedRun(1), failedRun(4)
-			if seq.run.CostVMS != par.run.CostVMS {
-				t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq.run.CostVMS, par.run.CostVMS)
-			}
-			if want := n*scanCost + n*7; seq.run.CostVMS != want {
-				t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq.run.CostVMS, want)
-			}
-			if !hasAttr(*par.run, "error") {
-				t.Fatal("run span does not carry the error attribute")
-			}
-			if opTotal := checkSpanTree(t, par); opTotal != par.run.CostVMS {
-				t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, par.run.CostVMS)
-			}
-			for _, tree := range []spanTree{seq, par} {
-				marked := 0
-				for _, sp := range tree.ops {
-					if hasAttr(sp, "error") {
-						if sp.Name != "U" {
-							t.Fatalf("operator %q carries an error, want only U", sp.Name)
-						}
-						marked++
-					}
-				}
-				if marked != 1 {
-					t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
-				}
-			}
-			marked := false
-			for _, sp := range par.chunks {
-				marked = marked || hasAttr(sp, "error")
-			}
-			if !marked {
-				t.Fatal("no chunk span carries the error attribute")
-			}
-		})
+		}
+		if marked != 1 {
+			t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
+		}
+	}
+	marked := false
+	for _, sp := range par.chunks {
+		marked = marked || hasAttr(sp, "error")
+	}
+	if !marked {
+		t.Fatal("no chunk span carries the error attribute")
 	}
 }
 

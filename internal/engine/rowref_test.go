@@ -26,7 +26,7 @@ import (
 // filters, and after each stage boundary, run one morsel of refMorsel input
 // rows at a time, within worker ranges cut once at that stage's input, so a
 // failure is the first in morsel order. TestBatchExecutorMatchesRowReference
-// holds engine.RunAdaptive to it on random plans: same rows in the same
+// holds engine.Run to it on random plans: same rows in the same
 // order, the same ClusterTime and Latency bits, the same ledger but for wall
 // time, the same failure.
 
@@ -44,7 +44,7 @@ type refAcc struct {
 	ct                engine.CacheTally
 }
 
-func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engine.Result, error) {
+func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = 16
 	}
@@ -64,20 +64,7 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 		}
 		first++
 	}
-	swapIdx := -1
-	if acfg.ChunkRows > 0 && acfg.Decide != nil && !p.Ops[0].StageBoundary() {
-		for i := 1; i < split; i++ {
-			if _, ok := p.Ops[i].(*engine.PPFilter); ok {
-				swapIdx = i
-				break
-			}
-		}
-	}
-	adaptive := swapIdx >= 0
 	ops := p.Ops
-	if adaptive {
-		ops = append([]engine.Operator(nil), p.Ops...)
-	}
 	cluster := 0.0
 	accs := make([]refAcc, len(ops))
 	stageCosts := []float64{0}
@@ -104,52 +91,23 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 	if err != nil {
 		return nil, err
 	}
-	bounds := [][2]int{{0, len(rows)}}
-	if adaptive {
-		bounds = refChunkBounds(len(rows), acfg.ChunkRows)
+	for i := 1; i < first; i++ {
+		if rows, err = runOne(i, rows); err != nil {
+			return nil, err
+		}
 	}
-	var swaps []engine.PlanSwap
-	swapErrors := 0
-	var prefixOut []engine.Row
-	for ci, b := range bounds {
-		chunk := rows[b[0]:b[1]]
-		for i := 1; i < first; i++ {
-			if chunk, err = runOne(i, chunk); err != nil {
-				return nil, err
-			}
-		}
-		out, sums, i, err := refRowStage(ops[first:split], chunk, cfg, accs[first:split])
-		if err != nil {
-			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[first+i].Name(), Err: err}
-		}
-		for j, sum := range sums {
-			charge(first+j, sum.in, sum.out, sum.cost)
-			accs[first+j].retries += sum.retries
-			accs[first+j].timeouts += sum.timeouts
-		}
-		prefixOut = append(prefixOut, out...)
-		if ci == len(bounds)-1 || !adaptive {
-			break
-		}
-		prefixCost := 0.0
-		for i := 0; i < split; i++ {
-			prefixCost += accs[i].cost
-		}
-		newF, derr := acfg.Decide(engine.ChunkStats{Chunk: ci, TotalChunks: len(bounds), Rows: b[1] - b[0], Cost: prefixCost})
-		if derr != nil {
-			swapErrors++
-			continue
-		}
-		if newF == nil {
-			continue
-		}
-		old := ops[swapIdx].Name()
-		ops[swapIdx] = &engine.PPFilter{F: newF}
-		swaps = append(swaps, engine.PlanSwap{Chunk: ci + 1, OpIndex: swapIdx, Old: old, New: ops[swapIdx].Name()})
+	out, sums, f, err := refRowStage(ops[first:split], rows, cfg, accs[first:split])
+	if err != nil {
+		return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[first+f].Name(), Err: err}
+	}
+	for j, sum := range sums {
+		charge(first+j, sum.in, sum.out, sum.cost)
+		accs[first+j].retries += sum.retries
+		accs[first+j].timeouts += sum.timeouts
 	}
 	// The suffix: each stage boundary over every row at once, and the
 	// row-local operators after it as a row stage over its rows.
-	rows = prefixOut
+	rows = out
 	for i := split; i < len(ops); {
 		if ops[i].StageBoundary() {
 			if rows, err = runOne(i, rows); err != nil {
@@ -179,10 +137,7 @@ func refRun(p engine.Plan, cfg engine.Config, acfg engine.AdaptiveConfig) (*engi
 	}
 	res := &engine.Result{
 		Rows: rows, ClusterTime: cluster, Latency: latency, Stages: len(stageCosts),
-		PerOp: make([]engine.OpStats, len(ops)), Swaps: swaps, SwapErrors: swapErrors,
-	}
-	if adaptive {
-		res.Chunks = len(bounds)
+		PerOp: make([]engine.OpStats, len(ops)),
 	}
 	for i, op := range ops {
 		acc := &accs[i]
@@ -261,7 +216,7 @@ func refTest(f engine.BlobFilter, rows []engine.Row, ct *engine.CacheTally) ([]e
 	return out, total
 }
 
-// refSum is one row-stage position's accounting over one adaptive chunk.
+// refSum is one row-stage position's accounting over one row stage.
 type refSum struct {
 	in, out           int
 	cost              float64
@@ -565,7 +520,6 @@ type refCase struct {
 	desc                                 string
 	build                                func() engine.Plan
 	retry                                engine.RetryPolicy
-	swap                                 bool
 	project, rowFilter, boundary, shadow bool
 }
 
@@ -753,35 +707,14 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 		}
 		return engine.Plan{Ops: append(ops, &engine.Select{Pred: sel})}
 	}
-	c.swap = (len(filters) > 0 || c.rowFilter) && rng.Intn(2) == 0
+	if len(filters) > 0 || c.rowFilter {
+		rng.Intn(2) // the retired swap axis: drawn so that later plans stay the same
+	}
 	return c
 }
 
-// swapAfterFirst swaps the plan's first filter, after chunk 0, for one that
-// passes the same blobs at a different cost — what Reoptimize's reordering
-// amounts to.
-func swapAfterFirst(plan engine.Plan) engine.SwapDecider {
-	done := false
-	return func(engine.ChunkStats) (engine.BlobFilter, error) {
-		if done {
-			return nil, nil
-		}
-		done = true
-		for _, op := range plan.Ops {
-			if pf, ok := op.(*engine.PPFilter); ok {
-				f := pf.F.(refFilter)
-				f.name += "'"
-				f.cost /= 3
-				return f, nil
-			}
-		}
-		return nil, nil
-	}
-}
-
 // sameResult compares a run with its reference bit for bit: rows and their
-// order, ClusterTime, Latency and stages, chunks and swaps, every PerOp field
-// but WallNS.
+// order, ClusterTime, Latency and stages, every PerOp field but WallNS.
 func sameResult(got, want *engine.Result) error {
 	if err := sameRows(got.Rows, want.Rows); err != nil {
 		return err
@@ -790,9 +723,6 @@ func sameResult(got, want *engine.Result) error {
 		math.Float64bits(got.Latency) != math.Float64bits(want.Latency) || got.Stages != want.Stages {
 		return fmt.Errorf("cluster %v latency %v stages %d, reference %v %v %d",
 			got.ClusterTime, got.Latency, got.Stages, want.ClusterTime, want.Latency, want.Stages)
-	}
-	if got.Chunks != want.Chunks || got.SwapErrors != want.SwapErrors || !slices.Equal(got.Swaps, want.Swaps) {
-		return fmt.Errorf("chunks %d swaps %v, reference %d %v", got.Chunks, got.Swaps, want.Chunks, want.Swaps)
 	}
 	if len(got.PerOp) != len(want.PerOp) {
 		return fmt.Errorf("%d PerOp rows, reference %d", len(got.PerOp), len(want.PerOp))
@@ -830,11 +760,9 @@ func sameRows(a, b []engine.Row) error {
 // timeout) interleaved with projections, PP filters over rows and selects,
 // some of them after a stage boundary (a GroupReduce) whose rows carry their
 // columns into the next row stage, and a select — and runs each at Workers
-// {1, 4} × adaptive ChunkRows {0, 7, 1000, 2500}, the adaptive runs with a
-// never-swapping decider or one that swaps a filter after the first chunk.
-// The engine must match the row-at-a-time reference bit for bit: rows and
+// {1, 4}. The engine must match the row-at-a-time reference bit for bit: rows and
 // their order, their columns with the newest of a name shadowing, ClusterTime
-// and Latency, every PerOp field but WallNS, chunks and swaps; a failed run
+// and Latency, every PerOp field but WallNS; a failed run
 // must fail with the same OpError stage, operator and text — the first
 // failure in morsel order.
 func TestBatchExecutorMatchesRowReference(t *testing.T) {
@@ -844,7 +772,6 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 	// counts when its row stage took several morsels.
 	covered := map[string]int{}
 	const plans = 70
-	chunkSizes := []int{0, 7, 1000, 2500}
 	for k := 0; k < plans; k++ {
 		n := 150 + rng.Intn(300)
 		if rng.Intn(2) == 0 {
@@ -860,69 +787,56 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 		blobs := refBlobs(n, rng, rng.Intn(4) == 0)
 		c := drawRefCase(rng, blobs, edge)
 		for _, workers := range []int{1, 4} {
-			for _, chunkRows := range chunkSizes {
-				name := fmt.Sprintf("plan %d workers=%d chunk=%d: %s retry=%+v swap=%v", k, workers, chunkRows, c.desc, c.retry, c.swap)
-				cfg := engine.Config{Workers: workers, Retry: c.retry}
-				runBoth := func(run func(engine.Plan, engine.Config, engine.AdaptiveConfig) (*engine.Result, error)) (*engine.Result, error) {
-					plan := c.build()
-					acfg := engine.AdaptiveConfig{ChunkRows: chunkRows}
-					if chunkRows > 0 {
-						acfg.Decide = func(engine.ChunkStats) (engine.BlobFilter, error) { return nil, nil }
-						if c.swap {
-							acfg.Decide = swapAfterFirst(plan)
-						}
-					}
-					return run(plan, cfg, acfg)
+			name := fmt.Sprintf("plan %d workers=%d: %s retry=%+v", k, workers, c.desc, c.retry)
+			cfg := engine.Config{Workers: workers, Retry: c.retry}
+			want, werr := refRun(c.build(), cfg)
+			got, gerr := engine.Run(c.build(), cfg)
+			if (werr != nil) != (gerr != nil) {
+				t.Fatalf("%s\nerror %v, reference %v", name, gerr, werr)
+			}
+			if werr != nil {
+				failures++
+				var wo, go_ *engine.OpError
+				if !errors.As(werr, &wo) || !errors.As(gerr, &go_) {
+					t.Fatalf("%s\nnot OpErrors: %v / reference %v", name, gerr, werr)
 				}
-				want, werr := runBoth(refRun)
-				got, gerr := runBoth(engine.RunAdaptive)
-				if (werr != nil) != (gerr != nil) {
-					t.Fatalf("%s\nerror %v, reference %v", name, gerr, werr)
+				if go_.Stage != wo.Stage || go_.Op != wo.Op || gerr.Error() != werr.Error() {
+					t.Fatalf("%s\nerror %q (stage %d, %s)\nreference %q (stage %d, %s)",
+						name, gerr, go_.Stage, go_.Op, werr, wo.Stage, wo.Op)
 				}
-				if werr != nil {
-					failures++
-					var wo, go_ *engine.OpError
-					if !errors.As(werr, &wo) || !errors.As(gerr, &go_) {
-						t.Fatalf("%s\nnot OpErrors: %v / reference %v", name, gerr, werr)
-					}
-					if go_.Stage != wo.Stage || go_.Op != wo.Op || gerr.Error() != werr.Error() {
-						t.Fatalf("%s\nerror %q (stage %d, %s)\nreference %q (stage %d, %s)",
-							name, gerr, go_.Stage, go_.Op, werr, wo.Stage, wo.Op)
-					}
-					continue
+				continue
+			}
+			if err := sameResult(got, want); err != nil {
+				t.Fatalf("%s\n%v", name, err)
+			}
+			for _, op := range got.PerOp {
+				if op.Retries+op.Timeouts > 0 {
+					faulted++
 				}
-				if err := sameResult(got, want); err != nil {
-					t.Fatalf("%s\n%v", name, err)
+			}
+			// The row stage starts after the Scan and its filters.
+			first := 1
+			for first < len(got.PerOp) && got.PerOp[first].PPFilter {
+				first++
+			}
+			if got.PerOp[first].RowsIn > refMorsel {
+				multiMorsel++
+			}
+			for shape, ok := range map[string]bool{"project": c.project, "row filter": c.rowFilter, "shadowed column": c.shadow} {
+				if ok {
+					covered[shape]++
 				}
-				for _, op := range got.PerOp {
-					if op.Retries+op.Timeouts > 0 {
-						faulted++
-					}
-				}
-				// The row stage starts after the Scan and its filters.
-				first := 1
-				for first < len(got.PerOp) && got.PerOp[first].PPFilter {
-					first++
-				}
-				if chunkRows == 0 && got.PerOp[first].RowsIn > refMorsel {
-					multiMorsel++
-				}
-				for shape, ok := range map[string]bool{"project": c.project, "row filter": c.rowFilter, "shadowed column": c.shadow} {
-					if ok {
-						covered[shape]++
-					}
-				}
-				for _, op := range got.PerOp {
-					if op.Name == "Dedup" && op.RowsOut > refMorsel {
-						covered[fmt.Sprintf("boundary at workers=%d", workers)]++
-					}
+			}
+			for _, op := range got.PerOp {
+				if op.Name == "Dedup" && op.RowsOut > refMorsel {
+					covered[fmt.Sprintf("boundary at workers=%d", workers)]++
 				}
 			}
 		}
 	}
 	// The draw must have exercised what it claims to. Larger inputs meet
 	// more holes and faults, so up to three runs in four may fail.
-	runs := plans * 2 * len(chunkSizes)
+	runs := plans * 2
 	t.Logf("%d of %d runs failed; %d positions retried or timed out; %d runs took several morsels", failures, runs, faulted, multiMorsel)
 	t.Logf("successful runs by shape: %v", covered)
 	if failures == 0 || faulted == 0 || failures > runs*3/4 || multiMorsel == 0 {

@@ -26,8 +26,8 @@ import (
 // The ledger keeps every bit. A Process or PPFilter threads its running cost
 // sum from morsel to morsel, row by row, so its total is the same sequence of
 // additions as one pass over the whole input; Select and Project are charged
-// once, from their row counts; each position is charged once per adaptive
-// chunk. With Workers > 1 the stage's input is split once into worker ranges
+// once, from their row counts; each position is charged once per row stage.
+// With Workers > 1 the stage's input is split once into worker ranges
 // (chunkBounds), each running the morsel loop on its own goroutine and
 // buffers; a position's cost is its ranges' sums added in range order.
 // Making the emitted rows is timed on the stage's last position (on the
@@ -45,8 +45,8 @@ const morselRows = 1024
 // columns of every plan builder's row stage.
 const pooledVecs = 8
 
-// rowLocal reports whether op is a row-stage operator. The prefix RunAdaptive
-// runs per adaptive chunk is the source plus the row-local operators after it.
+// rowLocal reports whether op is a row-stage operator. Run runs each maximal
+// run of them after the source stage as one row stage.
 func rowLocal(op Operator) bool {
 	switch op.(type) {
 	case *Process, *Select, *Project, *PPFilter:

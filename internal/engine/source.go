@@ -11,8 +11,8 @@ import (
 // The source stage: a plan's Scan and the PP filters that directly follow it
 // run as one stage over the scan's blobs, the paper's placement of PPs on raw
 // blobs before any UDF (§4–5, Figure 2). Each filter's TestBatch reads the
-// blobs still in — the first filter the scan's own slice (one adaptive or
-// worker chunk of it), a later one the blobs its predecessor passed —
+// blobs still in — the first filter the scan's own slice (one worker chunk
+// of it), a later one the blobs its predecessor passed —
 // through pooled verdict and cost buffers, and the last filter's survivors
 // leave as a selection vector over the blobs it read: the row stage
 // (rowstage.go) takes its morsels' positions from it and makes rows only for
@@ -91,7 +91,7 @@ func (p *PPFilter) test(blobs []blob.Blob, pass []bool, cost []float64, cfg Conf
 	})
 }
 
-// source runs the source stage over one chunk of the scan's blobs: each PP
+// source runs the source stage over the scan's blobs: each PP
 // filter at positions 1 … first-1 tests the blobs still in, and the last
 // one's survivors are the row stage's input. With no filter, every blob is.
 // The input may point into the returned scratch, which the caller puts back

@@ -62,11 +62,10 @@ func (r Record) writeTo(w io.Writer) {
 // require a streaming sink to have been attached in advance. The trigger set
 // is configurable via TriggerSpec/SetTrigger; the default
 // (DefaultTriggerSpec) fires on a failed run span (kind "run" carrying an
-// "error" attr), on a watchdog trip event, on a mid-query plan swap
-// ("adapt.swap": the window leading up to a replan is exactly what a drift
-// post-mortem needs), and on a failed shard leg ("shard.fail"); each trigger
-// dumps the ring once to the configured writer, newest record last, then
-// clears it so consecutive failures produce disjoint dumps.
+// "error" attr), on a watchdog trip event, and on a failed shard leg
+// ("shard.fail"); each trigger dumps the ring once to the configured writer,
+// newest record last, then clears it so consecutive failures produce
+// disjoint dumps.
 type FlightRecorder struct {
 	mu      sync.Mutex
 	ring    []Record
@@ -89,12 +88,12 @@ type TriggerSpec struct {
 }
 
 // DefaultTriggerSpec is the default trigger set wired into
-// NewFlightRecorder: a failed query run, a tripped accuracy watchdog, a
-// mid-query plan swap, and a failed scatter-gather shard leg.
+// NewFlightRecorder: a failed query run, a tripped accuracy watchdog, and a
+// failed scatter-gather shard leg.
 func DefaultTriggerSpec() TriggerSpec {
 	return TriggerSpec{
 		FailedRunSpans: true,
-		Events:         []string{"watchdog.trip", "adapt.swap", "shard.fail"},
+		Events:         []string{"watchdog.trip", "shard.fail"},
 	}
 }
 

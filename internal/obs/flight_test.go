@@ -148,22 +148,3 @@ func TestMultiSink(t *testing.T) {
 		t.Fatal("single-sink Multi should return the sink itself")
 	}
 }
-
-func TestFlightRecorderDumpsOnPlanSwap(t *testing.T) {
-	var out strings.Builder
-	fr := NewFlightRecorder(16, &out)
-	tr := New(fr)
-	tr.Event("adapt.replan_failed", Attr{Key: "key", Value: "q1"})
-	if fr.Dumps() != 0 {
-		t.Fatal("non-swap adapt event tripped the auto-dump")
-	}
-	tr.Event("adapt.swap",
-		Attr{Key: "old", Value: "PP[a] & PP[b]"},
-		Attr{Key: "new", Value: "PP[b] & PP[a]"})
-	if fr.Dumps() != 1 {
-		t.Fatalf("dumps = %d, want 1 after adapt.swap", fr.Dumps())
-	}
-	if !strings.Contains(out.String(), "adapt.swap") || !strings.Contains(out.String(), "adapt.replan_failed") {
-		t.Fatalf("dump missing swap window: %q", out.String())
-	}
-}

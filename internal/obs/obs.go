@@ -40,9 +40,6 @@ const (
 	KindOptimize = "optimize"
 	// KindTrain is one PP (re)training.
 	KindTrain = "train"
-	// KindAdapt is one mid-query re-optimization attempt (adapt controller):
-	// divergence check, optimizer re-entry and the resulting swap decision.
-	KindAdapt = "adapt"
 	// KindSession is one served query session (serve.Server.Do), or one leg
 	// of a sharded session parented under it: plan-cache resolution plus
 	// execution, with the run span parented under it.
@@ -57,7 +54,7 @@ type Attr struct {
 
 // TraceContext identifies the session a unit of work belongs to: the
 // session-wide TraceID plus the SpanID to parent new spans under. It is
-// passed by value through engine/optimizer/adapt configs; the zero value
+// passed by value through engine and optimizer configs; the zero value
 // means "no session" and degrades every consumer to its pre-tracing
 // behaviour.
 type TraceContext struct {

@@ -59,7 +59,7 @@ func TestTraceContextPropagation(t *testing.T) {
 	tr.End(&grand)
 	tr.End(&child)
 	tr.End(&root)
-	tr.EventCtx(cctx, "adapt.swap", Attr{Key: "k", Value: "v"})
+	tr.EventCtx(cctx, "watchdog.trip", Attr{Key: "k", Value: "v"})
 
 	spans, events := c.Spans(), c.Events()
 	if len(spans) != 3 {
@@ -129,7 +129,7 @@ func TestTriggerSpecCompile(t *testing.T) {
 		t.Fatal("zero spec fired")
 	}
 	def := DefaultTriggerSpec().Trigger()
-	for _, ev := range []string{"watchdog.trip", "adapt.swap", "shard.fail"} {
+	for _, ev := range []string{"watchdog.trip", "shard.fail"} {
 		if !def(Record{Event: &Event{Name: ev}}) {
 			t.Fatalf("default spec ignores %s", ev)
 		}

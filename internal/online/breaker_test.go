@@ -2,23 +2,23 @@ package online
 
 import "testing"
 
-// The shared breaker's full lifecycle: breaches accumulate while closed, the
-// K-th consecutive failure trips, probation decides between closing and
-// re-tripping with doubled backoff.
+// The breaker's full lifecycle: breaches accumulate while closed, the K-th
+// consecutive failure trips, probation decides between closing and
+// re-tripping.
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{K: 3, Backoff: 4, MaxBackoff: 16})
+	b := NewBreaker(BreakerConfig{K: 3})
 	if b.State() != BreakerClosed {
 		t.Fatalf("new breaker state = %v, want closed", b.State())
 	}
 
 	// Two failures breach; a pass resets the streak.
-	if tr := b.Report(false, 0); tr != TransitionBreach {
+	if tr := b.Report(false); tr != TransitionBreach {
 		t.Fatalf("1st fail = %v, want breach", tr)
 	}
-	if tr := b.Report(false, 1); tr != TransitionBreach {
+	if tr := b.Report(false); tr != TransitionBreach {
 		t.Fatalf("2nd fail = %v, want breach", tr)
 	}
-	if tr := b.Report(true, 2); tr != TransitionNone {
+	if tr := b.Report(true); tr != TransitionNone {
 		t.Fatalf("pass = %v, want none", tr)
 	}
 	if b.Fails() != 0 {
@@ -26,81 +26,42 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Three consecutive failures trip.
-	b.Report(false, 3)
-	b.Report(false, 4)
-	if tr := b.Report(false, 5); tr != TransitionTrip {
+	b.Report(false)
+	b.Report(false)
+	if tr := b.Report(false); tr != TransitionTrip {
 		t.Fatalf("3rd consecutive fail = %v, want trip", tr)
 	}
-	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("state = %v trips = %d, want open/1", b.State(), b.Trips())
+	if b.State() != BreakerOpen {
+		t.Fatalf("state = %v, want open", b.State())
 	}
 
 	// Reports while open are ignored.
-	if tr := b.Report(false, 6); tr != TransitionNone {
+	if tr := b.Report(false); tr != TransitionNone {
 		t.Fatalf("report while open = %v, want none", tr)
 	}
-	if tr := b.Report(true, 6); tr != TransitionNone {
+	if tr := b.Report(true); tr != TransitionNone {
 		t.Fatalf("pass while open = %v, want none", tr)
 	}
 
-	// Probation miss re-trips and doubles the backoff.
+	// A probation miss re-trips.
 	b.Probation()
 	if b.State() != BreakerProbation {
 		t.Fatalf("state after Probation = %v", b.State())
 	}
-	if tr := b.Report(false, 7); tr != TransitionTrip {
+	if tr := b.Report(false); tr != TransitionTrip {
 		t.Fatalf("probation fail = %v, want trip", tr)
 	}
-	if b.backoff != 8 {
-		t.Fatalf("backoff after probation re-trip = %d, want 8", b.backoff)
+	if b.State() != BreakerOpen {
+		t.Fatalf("state after probation re-trip = %v, want open", b.State())
 	}
 
-	// Probation pass closes and resets backoff.
+	// A probation pass closes.
 	b.Probation()
-	if tr := b.Report(true, 8); tr != TransitionClose {
+	if tr := b.Report(true); tr != TransitionClose {
 		t.Fatalf("probation pass = %v, want close", tr)
 	}
-	if b.State() != BreakerClosed || b.backoff != 4 {
-		t.Fatalf("state = %v backoff = %d, want closed/4", b.State(), b.backoff)
-	}
-}
-
-// Backoff doubles on each probation re-trip but never exceeds MaxBackoff.
-func TestBreakerBackoffCap(t *testing.T) {
-	b := NewBreaker(BreakerConfig{K: 1, Backoff: 4, MaxBackoff: 16})
-	b.Report(false, 0) // trip
-	for i := 0; i < 5; i++ {
-		b.Probation()
-		b.Report(false, 10*i)
-	}
-	if b.backoff != 16 {
-		t.Fatalf("backoff = %d, want capped at 16", b.backoff)
-	}
-}
-
-// Ready holds an open breaker for at least the backoff window, with a
-// deterministic jitter of at most half the window; closed breakers are
-// always ready.
-func TestBreakerReadyWindow(t *testing.T) {
-	b := NewBreaker(BreakerConfig{K: 1, Backoff: 8, JitterSeed: 42})
-	if !b.Ready(0) {
-		t.Fatal("closed breaker must be ready")
-	}
-	b.Report(false, 100) // trip at tick 100
-	if b.Ready(100 + 7) {
-		t.Fatal("ready before the base backoff elapsed")
-	}
-	if !b.Ready(100 + 8 + 4) {
-		t.Fatal("not ready after backoff plus maximum jitter")
-	}
-	// Jitter is a pure function of seed and trip count: two breakers with the
-	// same seed open at the same tick become ready at the same tick.
-	c := NewBreaker(BreakerConfig{K: 1, Backoff: 8, JitterSeed: 42})
-	c.Report(false, 100)
-	for tick := 100; tick <= 113; tick++ {
-		if b.Ready(tick) != c.Ready(tick) {
-			t.Fatalf("same-seed breakers diverged at tick %d", tick)
-		}
+	if b.State() != BreakerClosed {
+		t.Fatalf("state = %v, want closed", b.State())
 	}
 }
 
@@ -117,15 +78,12 @@ func TestBreakerProbationOnlyFromOpen(t *testing.T) {
 func TestBreakerDefaults(t *testing.T) {
 	b := NewBreaker(BreakerConfig{})
 	for i := 0; i < 2; i++ {
-		if tr := b.Report(false, i); tr != TransitionBreach {
+		if tr := b.Report(false); tr != TransitionBreach {
 			t.Fatalf("fail %d = %v, want breach (default K=3)", i+1, tr)
 		}
 	}
-	if tr := b.Report(false, 2); tr != TransitionTrip {
+	if tr := b.Report(false); tr != TransitionTrip {
 		t.Fatalf("3rd fail = %v, want trip with default K", tr)
-	}
-	if b.backoff != 4 {
-		t.Fatalf("default backoff = %d, want 4", b.backoff)
 	}
 }
 

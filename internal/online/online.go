@@ -155,7 +155,7 @@ type clauseState struct {
 	// start of the next scheduled retraining (nil after a watchdog trip:
 	// retraining must not fine-tune the model that breached).
 	lastPP *core.PP
-	// cb is the clause's accuracy circuit (the shared Breaker state machine);
+	// cb is the clause's accuracy circuit (the Breaker state machine);
 	// the watchdog maps its transitions to corpus side effects.
 	cb *Breaker
 }
@@ -205,10 +205,7 @@ func New(cfg Config) (*System, error) {
 		if _, ok := p.(*query.Clause); !ok {
 			return nil, fmt.Errorf("online: %q is not a simple clause", c)
 		}
-		s.clauses[c] = &clauseState{pred: p, cb: NewBreaker(BreakerConfig{
-			K:          cfg.Watchdog.K,
-			JitterSeed: cfg.Seed ^ hashClause(c),
-		})}
+		s.clauses[c] = &clauseState{pred: p, cb: NewBreaker(BreakerConfig{K: cfg.Watchdog.K})}
 		s.order = append(s.order, c)
 	}
 	sort.Strings(s.order)
@@ -240,16 +237,6 @@ func (s *System) Observe(b blob.Blob, l query.Lookup) error {
 		}
 	}
 	return nil
-}
-
-// hashClause derives a per-clause jitter seed (FNV-1a).
-func hashClause(c string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(c); i++ {
-		h ^= uint64(c[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // maybeTrain (re)trains a clause's PP when enough labels accumulated. A
@@ -422,7 +409,7 @@ func (s *System) resolveClause(leaf string) (string, *clauseState) {
 }
 
 // reportClause advances one clause's breaker state machine, mapping the
-// shared Breaker's transitions to the watchdog's side effects.
+// Breaker's transitions to the watchdog's side effects.
 func (s *System) reportClause(ctx obs.TraceContext, key string, st *clauseState, pass bool) {
 	wasClosed, prevFails := st.cb.State() == BreakerClosed, st.cb.Fails()
 	breach := func() {
@@ -433,7 +420,7 @@ func (s *System) reportClause(ctx obs.TraceContext, key string, st *clauseState,
 				metrics.L("clause", key)).Inc()
 		}
 	}
-	switch st.cb.Report(pass, 0) {
+	switch st.cb.Report(pass) {
 	case TransitionBreach:
 		breach()
 	case TransitionTrip:

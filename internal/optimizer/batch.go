@@ -169,6 +169,7 @@ func (l *compiledLeaf) testBatch(r *batchRun, act, out []uint64) {
 		for _, v := range sc {
 			l.scoreHist.Observe(v)
 		}
+		l.count(n, out)
 	} else if l.col != nil {
 		r.ct.Hit(uint64(n - len(miss)))
 		r.ct.Miss(uint64(len(miss)))
@@ -179,7 +180,6 @@ func (l *compiledLeaf) testBatch(r *batchRun, act, out []uint64) {
 			l.col.put(miss, sc)
 		}
 	}
-	l.observe(n, out)
 }
 
 // readColumn is a column leaf's pass over its active rows, in ascending
@@ -215,24 +215,15 @@ func readColumn(sp *spine, act, out []uint64, ids []int, cost []float64, th, lc 
 	return miss
 }
 
-// observe feeds the leaf's runtime probe and instrument counters: n rows
-// tested, the set bits of out passed.
-func (l *compiledLeaf) observe(n int, out []uint64) {
-	if l.probe == nil && l.scoreHist == nil {
-		return
-	}
+// count feeds the leaf's instrument counters: n rows tested, the set bits
+// of out passed.
+func (l *compiledLeaf) count(n int, out []uint64) {
 	passed := 0
 	for _, w := range out {
 		passed += bits.OnesCount64(w)
 	}
-	if l.probe != nil {
-		l.probe.tested.Add(uint64(n))
-		l.probe.passed.Add(uint64(passed))
-	}
-	if l.scoreHist != nil {
-		l.tested.Add(float64(n))
-		l.passed.Add(float64(passed))
-	}
+	l.tested.Add(float64(n))
+	l.passed.Add(float64(passed))
 }
 
 // testBatch of a conjunction: out starts as the active rows and keeps, kid

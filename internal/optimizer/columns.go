@@ -286,7 +286,8 @@ func (c *Compiled) WithScoreCache(store *ScoreColumns) *Compiled {
 // mapLeaves returns a copy of the expression tree with every leaf replaced by
 // leaf(l), in walk order; conjunctions and disjunctions are rebuilt around
 // the new kids and nodes that carry no PPs (dropAllNode) are shared. It is
-// how a shared compiled filter gains a store or probes without being mutated.
+// how a shared compiled filter gains a store or thresholds without being
+// mutated.
 func mapLeaves(n compiledNode, leaf func(*compiledLeaf) *compiledLeaf) compiledNode {
 	mapKids := func(kids []compiledNode) []compiledNode {
 		out := make([]compiledNode, len(kids))

@@ -249,7 +249,6 @@ func compileNode(p *plan) compiledNode {
 			pp:        p.leaf,
 			threshold: p.leaf.Threshold(p.accuracy),
 			cost:      p.leaf.Cost(),
-			planned:   p.reduction,
 		}
 	}
 	kids := make([]compiledNode, len(p.kids))

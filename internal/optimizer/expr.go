@@ -86,7 +86,7 @@ type Compiled struct {
 type compiledNode interface {
 	// test is the scalar reference walk: pass/fail and the virtual cost
 	// actually incurred, which depends on short-circuiting. It is pure — no
-	// score cache, probes or instruments — and exists so tests can hold
+	// score cache or instruments — and exists so tests can hold
 	// testBatch to it.
 	test(b blob.Blob) (bool, float64)
 	// testBatch evaluates the node over the rows whose bits are set in act
@@ -101,12 +101,6 @@ type compiledLeaf struct {
 	pp        *core.PP
 	threshold float64
 	cost      float64
-	// planned is the reduction the plan estimated for this leaf at its
-	// allocated accuracy — the baseline runtime observations diverge from.
-	planned float64
-	// probe (optional, WithRuntimeObserver) accumulates observed row counts
-	// for mid-query re-optimization. Nil on unobserved filters.
-	probe *leafProbe
 	// col (optional, WithScoreCache) is this PP's score column, shared
 	// across queries. Nil on standalone filters, which score every row.
 	col *column
@@ -153,8 +147,8 @@ func (d *compiledDisj) test(b blob.Blob) (bool, float64) {
 func (c *Compiled) Name() string { return c.name }
 
 // Test is the scalar reference for TestBatch: the verdict and short-circuit
-// cost of one blob, scored fresh. It bypasses the score cache and feeds
-// neither runtime probes nor instruments; execution goes through TestBatch.
+// cost of one blob, scored fresh. It bypasses the score cache and feeds no
+// instruments; execution goes through TestBatch.
 func (c *Compiled) Test(b blob.Blob) (bool, float64) { return c.node.test(b) }
 
 // WithThresholds returns a copy of the filter whose leaves, visited in walk

@@ -148,7 +148,7 @@ func (d *Decision) Consulted() []string {
 }
 
 // Optimizer holds the corpus and the runtime-dependence state shared across
-// queries (A.5). Optimize, Reoptimize, ObserveRuntime and DependentPairs are
+// queries (A.5). Optimize, ObserveRuntime and DependentPairs are
 // safe for concurrent use, on one Optimizer or on several over one Corpus;
 // SetMetrics and SetObs are set-up calls.
 type Optimizer struct {

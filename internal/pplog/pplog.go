@@ -67,8 +67,6 @@ type Record struct {
 	// is the misestimate the analyzer reports.
 	EstReduction float64 `json:"est_reduction,omitempty"`
 	ObsReduction float64 `json:"obs_reduction,omitempty"`
-	// AdaptSwaps counts mid-query plan swaps taken by the adapt controller.
-	AdaptSwaps int `json:"adapt_swaps,omitempty"`
 	// Seg tags standing-query records with the stream segment they covered.
 	Seg *SegInfo `json:"seg,omitempty"`
 	// Legs lists a sharded session's legs in shard order.

@@ -149,6 +149,16 @@ func TestReadRejectsMalformedLine(t *testing.T) {
 	}
 }
 
+// A log written while records still carried adapt_swaps reads as before:
+// the retired field is ignored, not rejected.
+func TestReadIgnoresRetiredFields(t *testing.T) {
+	in := "{\"trace_id\":\"t1\",\"rows\":3,\"adapt_swaps\":2}\n"
+	recs, err := Read(strings.NewReader(in))
+	if err != nil || len(recs) != 1 || recs[0].TraceID != "t1" || recs[0].Rows != 3 {
+		t.Fatalf("Read = %+v, %v; want one record t1 with 3 rows", recs, err)
+	}
+}
+
 func TestAnalyze(t *testing.T) {
 	mkSession := func(trace string, serviceMS int64, cached bool, est, obsRed float64, legs []Leg) Record {
 		return Record{

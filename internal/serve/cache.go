@@ -77,10 +77,6 @@ type planCache struct {
 	// revalidations counts stale-version entries kept because none of their
 	// consulted clauses changed.
 	revalidations atomic.Uint64
-	// demotions / promotions count adapt-driven cache maintenance: stale
-	// entries dropped mid-query and re-ordered filters installed in their
-	// place.
-	demotions, promotions atomic.Uint64
 }
 
 func newPlanCache(capacity int, corpus *optimizer.Corpus) *planCache {
@@ -166,36 +162,6 @@ func (c *planCache) putLocked(e *planEntry) {
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*planEntry).key)
 	}
-}
-
-// demote drops the entry under key (if present), counting the demotion. The
-// adapt controller calls this when mid-query observation shows the cached
-// plan's statistics are stale; in-flight sessions keep their entry pointer
-// (entries are immutable), later sessions re-resolve.
-func (c *planCache) demote(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, key)
-	c.demotions.Add(1)
-	return true
-}
-
-// promote installs a re-ordered filter under key as a fresh entry (immutable
-// swap: a new planEntry, never mutation of one other sessions may hold),
-// counting the promotion. Decision and corpus version are inherited from the
-// entry being replaced; when the key is absent (demoted moments ago, or
-// evicted) the promotion needs a donor entry to inherit from, so the caller
-// passes the one its session ran under.
-func (c *planCache) promote(donor *planEntry, filter *optimizer.Compiled) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(&planEntry{key: donor.key, version: donor.version, deps: donor.deps, dec: donor.dec, filter: filter})
-	c.promotions.Add(1)
 }
 
 // flush drops every entry (manual invalidation), counting them.

@@ -63,25 +63,6 @@ func TestScoreCacheTransparent(t *testing.T) {
 	}
 }
 
-// Adaptive serving under drift: concurrent sessions share one cached plan
-// (one predicate, two spellings) while the adapt controller demotes it
-// mid-run and promotes the re-ordered filter, and every served row set stays
-// the reference's. Which sessions start on the promoted plan is
-// schedule-dependent, so adapt's relaxation leaves cost uncompared.
-func TestServeAdaptiveDeterminismUnderConcurrentDemotion(t *testing.T) {
-	var workload []testkit.Query
-	for i, pred := range []string{"t=SUV & c=red", "c=red & t=SUV", "t=SUV & c=red", "c=red & t=SUV", "t=SUV & c=red", "c=red & t=SUV"} {
-		workload = append(workload, testkit.Query{ID: fmt.Sprintf("Q%d", i+1), Pred: pred})
-	}
-	for _, conc := range []int{1, 4} {
-		st := oracle.Check(t, oracle.Draw{Blobs: 2000, Drift: true, Queries: workload, Adapt: true, MaxConcurrent: conc})
-		if st.PlanDemotions == 0 || st.PlanPromotions == 0 {
-			t.Errorf("concurrency %d: drift did not swap the cached plan: demotions=%d promotions=%d",
-				conc, st.PlanDemotions, st.PlanPromotions)
-		}
-	}
-}
-
 // Replay returns responses in workload order, each one the reference's,
 // whatever the dispatch concurrency.
 func TestReplayOrderIndependence(t *testing.T) {

@@ -172,8 +172,8 @@ func renderSession(r *Response) string {
 		ops[i].WallNS = 0
 	}
 	d := r.Decision
-	return fmt.Sprintf("%s %s key=%s cached=%v adapt=%v plan=%v/%s/%v/%v ops=%+v %s", r.ID, r.TraceID, r.PlanKey, r.PlanCached,
-		r.Adapt != nil, d.Inject, d.Expr, d.Reduction, d.PlanCost, ops, testkit.RenderRows(r.Result.Rows))
+	return fmt.Sprintf("%s %s key=%s cached=%v plan=%v/%s/%v/%v ops=%+v %s", r.ID, r.TraceID, r.PlanKey, r.PlanCached,
+		d.Inject, d.Expr, d.Reduction, d.PlanCost, ops, testkit.RenderRows(r.Result.Rows))
 }
 
 // TestServeGaugesDescribeTheDeployment: whatever the shards × replicas, the
@@ -192,8 +192,6 @@ func TestServeGaugesDescribeTheDeployment(t *testing.T) {
 				"serve_plan_cache_entries":       float64(st.PlanEntries),
 				"serve_plan_cache_invalidations": float64(st.PlanInvalidations),
 				"serve_plan_cache_revalidations": float64(st.PlanRevalidations),
-				"serve_plan_cache_demotions":     float64(st.PlanDemotions),
-				"serve_plan_cache_promotions":    float64(st.PlanPromotions),
 				"serve_score_cache_entries":      float64(st.ScoreEntries),
 				"serve_score_cache_hits":         float64(st.ScoreHits),
 				"serve_score_cache_misses":       float64(st.ScoreMisses),

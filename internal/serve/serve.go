@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"probpred/internal/adapt"
 	"probpred/internal/blob"
 	"probpred/internal/engine"
 	"probpred/internal/metrics"
@@ -109,14 +108,6 @@ type Config struct {
 	// RouteLeastLoaded or RoutePlanAffinity. Empty selects round-robin. A
 	// 1×1 server ignores it.
 	Routing RoutingPolicy
-	// Adapt enables mid-query re-optimization: sessions whose plans inject a
-	// compiled PP expression execute under the controller, which watches
-	// observed selectivities against the plan's estimates, hot-swaps to a
-	// re-ordered (outcome-identical) filter when they diverge, and demotes/
-	// promotes the replica's plan-cache entry so later sessions start on the
-	// corrected order. Nil disables adaptation. Controllers may be shared
-	// across servers; breaker state is per plan key.
-	Adapt *adapt.Controller
 	// Metrics receives serving telemetry: session and plan-cache counters,
 	// admission-queue and active-session gauges, score-cache totals. Nil
 	// disables.
@@ -208,9 +199,6 @@ type Response struct {
 	// (true) or a fresh plan search (false); on a sharded session, whether
 	// every leg's did.
 	PlanCached bool
-	// Adapt reports what mid-query re-optimization did during the session.
-	// Nil when the server has no adapt controller configured.
-	Adapt *adapt.Report
 	// QueueWait is the enqueue→admit wall time: how long the session waited
 	// for an execution slot behind the admission semaphore (on a sharded
 	// session, its slowest leg's wait).
@@ -246,10 +234,6 @@ type Stats struct {
 	ScoreHits, ScoreMisses uint64
 	// ScoreEntries is the current score-cache population.
 	ScoreEntries int
-	// PlanDemotions / PlanPromotions count adapt-driven plan-cache
-	// maintenance: stale entries dropped mid-query and re-ordered filters
-	// installed in their place.
-	PlanDemotions, PlanPromotions uint64
 }
 
 // Server admits concurrent query sessions over shards × replicas of private
@@ -287,7 +271,6 @@ type serveMetrics struct {
 	planCacheHits, planCacheMisses       *metrics.Counter
 	planEntries, planInvalidations       *metrics.Gauge
 	planRevalidations                    *metrics.Gauge
-	planDemotions, planPromotions        *metrics.Gauge
 	scoreEntries, scoreHits, scoreMisses *metrics.Gauge
 }
 
@@ -305,8 +288,6 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 		planEntries:       reg.Gauge("serve_plan_cache_entries", "Plans currently cached."),
 		planInvalidations: reg.Gauge("serve_plan_cache_invalidations", "Cached plans dropped as stale or flushed."),
 		planRevalidations: reg.Gauge("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed."),
-		planDemotions:     reg.Gauge("serve_plan_cache_demotions", "Cached plans demoted by mid-query adaptation."),
-		planPromotions:    reg.Gauge("serve_plan_cache_promotions", "Re-ordered plans promoted into the cache by mid-query adaptation."),
 		scoreEntries:      reg.Gauge("serve_score_cache_entries", "PP scores currently cached."),
 		scoreHits:         reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions."),
 		scoreMisses:       reg.Gauge("serve_score_cache_misses", "Cumulative score-cache misses across sessions."),
@@ -498,21 +479,7 @@ func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span 
 	// trace through the engine config.
 	ecfg := s.cfg.Exec
 	ecfg.Trace = ctx
-	var res *engine.Result
-	var arep *adapt.Report
-	if s.cfg.Adapt != nil && filter != nil {
-		res, arep, err = s.cfg.Adapt.Run(plan, ecfg, adapt.RunSpec{
-			Key: key,
-			// The session's trace context keys the re-optimization event to
-			// the session that triggered it.
-			Reopt: func(f *optimizer.Compiled, minRows uint64) (*optimizer.Reoptimized, error) {
-				return s.cfg.Optimizer.ReoptimizeCtx(f, minRows, s.cfg.Obs, ctx)
-			},
-			Cache: sessionCache{plans: r.plans, entry: entry},
-		})
-	} else {
-		res, err = engine.Run(plan, ecfg)
-	}
+	res, err := engine.Run(plan, ecfg)
 	if err != nil {
 		l.err = fmt.Errorf("serve: run %q: %w", pred.String(), err)
 		return
@@ -527,30 +494,9 @@ func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span 
 		Decision:   entry.dec,
 		PlanKey:    key,
 		PlanCached: cached,
-		Adapt:      arep,
 		QueueWait:  l.wait,
 		Service:    time.Since(admitted),
 	}
-}
-
-// sessionCache adapts a replica's plan cache to adapt.PlanCache for one
-// session. The session's own entry is the donor a promotion inherits its
-// decision and corpus version from — the key may have been demoted (or
-// evicted) by the time the promotion lands, and the cache must still be able
-// to build a complete fresh entry.
-type sessionCache struct {
-	plans *planCache
-	entry *planEntry
-}
-
-// DemotePlan implements adapt.PlanCache.
-func (c sessionCache) DemotePlan(key string) { c.plans.demote(key) }
-
-// PromotePlan implements adapt.PlanCache. The promoted filter is the
-// re-ordered compiled expression; it shares the entry filter's leaves, so the
-// score-cache attachment (and cross-session score reuse) carries over.
-func (c sessionCache) PromotePlan(key string, re *optimizer.Reoptimized) {
-	c.plans.promote(c.entry, re.Filter)
 }
 
 // searchPlan runs one plan search for replica r and wraps its decision as a
@@ -582,14 +528,11 @@ func (s *Server) searchPlan(r *replica, pred query.Pred, accuracy float64, key s
 }
 
 // endSpan records a session's or leg's outcome on its span — the error, or
-// the adaptive swaps, rows out and virtual cost — and ends it.
+// the rows out and virtual cost — and ends it.
 func endSpan(tr *obs.Tracer, sp *obs.Span, resp *Response, err error) {
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	} else {
-		if resp.Adapt != nil && len(resp.Adapt.Swaps) > 0 {
-			sp.SetAttr("adapt_swaps", strconv.Itoa(len(resp.Adapt.Swaps)))
-		}
 		sp.RowsOut = len(resp.Result.Rows)
 		sp.CostVMS = resp.Result.ClusterTime
 	}
@@ -661,9 +604,6 @@ func (s *Server) record(ss *session, service time.Duration) pplog.Record {
 	if resp.Decision.Inject {
 		rec.EstReduction = resp.Decision.Reduction
 	}
-	if resp.Adapt != nil {
-		rec.AdaptSwaps = len(resp.Adapt.Swaps)
-	}
 	rec.Rows = len(resp.Result.Rows)
 	rec.ClusterVMS = resp.Result.ClusterTime
 	for _, op := range resp.Result.PerOp {
@@ -700,8 +640,6 @@ func (s *Server) emitSessionMetrics(resp *Response, err error) {
 	m.planEntries.Set(float64(st.PlanEntries))
 	m.planInvalidations.Set(float64(st.PlanInvalidations))
 	m.planRevalidations.Set(float64(st.PlanRevalidations))
-	m.planDemotions.Set(float64(st.PlanDemotions))
-	m.planPromotions.Set(float64(st.PlanPromotions))
 	m.scoreEntries.Set(float64(st.ScoreEntries))
 	m.scoreHits.Set(float64(st.ScoreHits))
 	m.scoreMisses.Set(float64(st.ScoreMisses))

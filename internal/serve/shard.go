@@ -134,16 +134,12 @@ func (r *replica) addStats(st *Stats) {
 	st.ScoreHits += r.scoreHits.Load()
 	st.ScoreMisses += r.scoreMisses.Load()
 	st.ScoreEntries += r.scores.Len()
-	st.PlanDemotions += r.plans.demotions.Load()
-	st.PlanPromotions += r.plans.promotions.Load()
 }
 
 // scatter routes one leg per shard, runs them — inline on one shard, side
 // by side on more — and merges them. The merged Response carries the
 // concatenated rows (global blob order), summed cluster cost and
-// positionally summed PerOp stats. Adapt reports are per-leg and are not
-// merged (nil on the merged response when there is more than one shard). A
-// request's explicit Blobs are split across the legs as the corpus is.
+// positionally summed PerOp stats. A request's explicit Blobs are split across the legs as the corpus is.
 // Each leg gets a span under the session's, tagged shard, replica and
 // policy. When any shard fails the session fails: every failing shard's
 // error is aggregated with its shard index attributed, a shard.fail event
@@ -252,9 +248,6 @@ func mergeLegs(legs []leg) *Response {
 		if r.Stages > res.Stages {
 			res.Stages = r.Stages
 		}
-		res.Chunks += r.Chunks
-		res.SwapErrors += r.SwapErrors
-		res.Swaps = append(res.Swaps, r.Swaps...)
 		if len(r.PerOp) != len(legs[0].resp.Result.PerOp) {
 			samePlanShape = false
 		}

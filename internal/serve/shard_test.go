@@ -9,12 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"probpred/internal/adapt"
 	"probpred/internal/blob"
-	"probpred/internal/engine"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
-	"probpred/internal/optimizer"
 	"probpred/internal/query"
 	"probpred/internal/testkit"
 )
@@ -82,46 +79,13 @@ func TestShardedMergeAccounting(t *testing.T) {
 			if !again.PlanCached {
 				t.Error("repeat scatter session not PlanCached; all legs should hit their plan caches")
 			}
-			testkit.CheckLedger(t, "merged", first.Result, adapt.ReplanOp)
+			testkit.CheckLedger(t, "merged", first.Result)
 			// Legs run in parallel: merged modeled latency is the slowest shard's,
 			// which over a partitioned corpus cannot exceed the unsharded latency.
 			if first.Result.Latency > base.Result.Latency {
 				t.Errorf("merged Latency %.4f exceeds unsharded %.4f", first.Result.Latency, base.Result.Latency)
 			}
 		})
-	}
-}
-
-// TestMergeLegsKeepsLedgerWhenReplanCountsDiffer: an adapt controller ends
-// every leg's PerOp with a re-plan row, zero when the leg did not re-plan, so
-// legs that re-planned a different number of times still share a PerOp shape
-// and merge positionally — the merged ledger keeps accounting for the merged
-// ClusterTime. (Which leg re-plans depends on its slice's drift, so the legs
-// are hand-built.)
-func TestMergeLegsKeepsLedgerWhenReplanCountsDiffer(t *testing.T) {
-	legResp := func(rows int, replanVMS float64) *Response {
-		passed := rows / 2
-		ops := []engine.OpStats{
-			{Name: "Scan", RowsOut: rows, Cost: 0.05 * float64(rows)},
-			{Name: "PP[t=SUV]", PPFilter: true, RowsIn: rows, RowsOut: passed, Cost: 1.3 * float64(rows)},
-			{Name: "miniUDF", RowsIn: passed, RowsOut: passed, Cost: 40 * float64(passed)},
-			{Name: adapt.ReplanOp, Cost: replanVMS},
-		}
-		res := &engine.Result{Rows: make([]engine.Row, passed), PerOp: ops}
-		for _, op := range ops {
-			res.ClusterTime += op.Cost
-		}
-		return &Response{ID: "Q", Result: res, Decision: &optimizer.Decision{}, PlanCached: true}
-	}
-	merged := mergeLegs([]leg{
-		{shard: 0, resp: legResp(30, 10)}, // re-planned twice
-		{shard: 1, resp: legResp(31, 0)},  // never re-planned
-		{shard: 2, resp: legResp(29, 5)},  // re-planned once
-	})
-	testkit.CheckLedger(t, "ledger", merged.Result, adapt.ReplanOp)
-	last := merged.Result.PerOp[len(merged.Result.PerOp)-1]
-	if last.Name != adapt.ReplanOp || last.Cost != 15 {
-		t.Fatalf("merged re-plan row = %+v, want %s at 15 vms", last, adapt.ReplanOp)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestKitImports(t *testing.T) {
 	}
 	kitDir := filepath.Join(root, "internal", "testkit")
 	forbidden := map[string]bool{}
-	for _, p := range []string{"optimizer", "serve", "stream", "adapt"} {
+	for _, p := range []string{"optimizer", "serve", "stream"} {
 		forbidden["probpred/internal/"+p] = true
 	}
 	files := 0

@@ -1,8 +1,8 @@
 // Package oracle is the composition oracle: the one property every way of
 // executing a query must satisfy. A Draw picks an execution strategy —
 // engine workers, score cache on or off, shards × replicas × routing, a
-// stream segmentation, fan-out width, adaptive re-optimization, UDF faults
-// with retries, telemetry — and a workload of mini-traffic queries. Check
+// stream segmentation, fan-out width, UDF faults with retries, telemetry —
+// and a workload of mini-traffic queries. Check
 // serves the workload that way and holds every result to a reference: one serial,
 // uncached, unsharded engine.Run of the same decision over the same blobs,
 // with a fault injector built from the same seed.
@@ -19,7 +19,6 @@ import (
 	"slices"
 	"testing"
 
-	"probpred/internal/adapt"
 	"probpred/internal/blob"
 	"probpred/internal/engine"
 	"probpred/internal/fault"
@@ -61,8 +60,6 @@ type Draw struct {
 	// MaxConcurrent bounds each server's admitted sessions; it is also the
 	// replay concurrency. Zero selects 1.
 	MaxConcurrent int
-	// Adapt attaches an adaptive re-optimization controller.
-	Adapt bool
 	// Faults fails 10 % of UDF attempts transiently; the engine retries.
 	Faults bool
 	// Observe turns telemetry on — metrics registry, span collector, query
@@ -83,7 +80,6 @@ const (
 	costBits        costCheck = iota // every bit of the serial reference's, per operator and in total
 	costWorkersBits                  // every bit of a reference at the draw's worker count
 	costClose                        // within 1e-9 relative of that reference
-	costSkip                         // not compared, nor the PP filter's clause order (its name)
 )
 
 // relaxations lists every draw property that legitimately moves the served
@@ -97,8 +93,6 @@ var relaxations = []struct {
 }{
 	{"workers>1", func(d Draw) bool { return d.Workers > 1 }, costWorkersBits,
 		"worker chunks sum their own subtotals, regrouping the per-row float sum as a reference at that worker count does"},
-	{"adapt", func(d Draw) bool { return d.Adapt }, costSkip,
-		"a swap re-orders the PP filter mid-run (and sessions after it start on the promoted order), so other leaves are scored, and the re-plan is charged"},
 	{"shards>1", func(d Draw) bool { return d.Shards > 1 }, costClose,
 		"the merge adds per-shard subtotals, regrouping the per-row float sum"},
 }
@@ -225,9 +219,6 @@ func (c *checker) front(ppc *optimizer.Corpus, records int) *serve.Server {
 		DisableScoreCache: d.NoCache,
 		Routing:           d.Routing,
 	}
-	if d.Adapt {
-		cfg.Adapt = adapt.New(adapt.Config{ChunkRows: 32})
-	}
 	if d.Observe {
 		c.reg, c.spans = metrics.New(), obs.NewCollector()
 		c.qlog = pplog.NewWriter(&c.log, records, c.reg)
@@ -285,14 +276,14 @@ func (c *checker) compare(label string, i int, blobs []blob.Blob, resp *serve.Re
 			tb.Errorf("%s: blob %d is not in the NoP plan's output", label, r.Blob.ID)
 		}
 	}
-	testkit.CheckLedger(tb, label, got, adapt.ReplanOp)
+	testkit.CheckLedger(tb, label, got)
 	exact := c.level <= costWorkersBits
-	if len(got.PerOp) < len(want.PerOp) {
+	if len(got.PerOp) != len(want.PerOp) {
 		tb.Errorf("%s: %d operators, reference has %d", label, len(got.PerOp), len(want.PerOp))
 		return
 	}
 	for j, w := range want.PerOp {
-		if g := got.PerOp[j]; g.Name != w.Name && !(c.level == costSkip && w.PPFilter) || g.RowsIn != w.RowsIn || g.RowsOut != w.RowsOut || exact && g.Cost != w.Cost {
+		if g := got.PerOp[j]; g.Name != w.Name || g.RowsIn != w.RowsIn || g.RowsOut != w.RowsOut || exact && g.Cost != w.Cost {
 			tb.Errorf("%s: operator %d is %s %d→%d at %x, reference %s %d→%d at %x", label, j, g.Name, g.RowsIn, g.RowsOut, g.Cost, w.Name, w.RowsIn, w.RowsOut, w.Cost)
 		}
 	}
@@ -478,11 +469,11 @@ func Random(seed uint64) Draw {
 		Routing:       []serve.RoutingPolicy{serve.RouteRoundRobin, serve.RouteLeastLoaded, serve.RoutePlanAffinity}[rng.Intn(3)],
 		Stream:        rng.Bernoulli(0.5),
 		MaxConcurrent: pick(1, 2, 8),
-		Adapt:         rng.Bernoulli(0.3),
-		Drift:         rng.Bernoulli(0.2),
-		Faults:        rng.Bernoulli(0.5),
-		Observe:       rng.Bernoulli(0.3),
 	}
+	rng.Bernoulli(0.3) // the retired adapt axis: drawn so that every later axis draws as before
+	d.Drift = rng.Bernoulli(0.2)
+	d.Faults = rng.Bernoulli(0.5)
+	d.Observe = rng.Bernoulli(0.3)
 	if d.Stream {
 		// Cut points favour the shapes that break naive streaming: an empty
 		// first segment, 1-blob and empty segments, a cut at the end.

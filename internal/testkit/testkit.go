@@ -6,8 +6,8 @@
 // state byte-identity.
 //
 // Only _test.go files import this package, and it imports nothing above the
-// engine — not optimizer, serve, stream or adapt — so those packages'
-// internal tests can use it without an import cycle. Both rules are checked
+// engine — not optimizer, serve or stream — so those packages' internal
+// tests can use it without an import cycle. Both rules are checked
 // by TestKitImports. The composition oracle, which needs the whole stack,
 // is the oracle sub-package.
 package testkit
@@ -290,11 +290,10 @@ func Split(blobs []blob.Blob, cuts []int) [][]blob.Blob {
 }
 
 // CheckLedger asserts the one-ledger invariant on a result: PerOp costs sum
-// to ClusterTime (chunking and merging regroup float additions, hence the
-// relative tolerance) and row counts chain through the operators to the
-// result. A trailing row named tail — adapt's re-plan charge, which consumes
-// no rows — is left out of the chain. label prefixes every complaint.
-func CheckLedger(tb testing.TB, label string, res *engine.Result, tail string) {
+// to ClusterTime (worker chunks and merging regroup float additions, hence
+// the relative tolerance) and row counts chain through the operators to the
+// result. label prefixes every complaint.
+func CheckLedger(tb testing.TB, label string, res *engine.Result) {
 	tb.Helper()
 	sum := 0.0
 	for _, op := range res.PerOp {
@@ -304,9 +303,6 @@ func CheckLedger(tb testing.TB, label string, res *engine.Result, tail string) {
 		tb.Errorf("%s: Σ PerOp.Cost = %v, ClusterTime = %v", label, sum, res.ClusterTime)
 	}
 	ops := res.PerOp
-	if n := len(ops); n > 0 && ops[n-1].Name == tail {
-		ops = ops[:n-1]
-	}
 	if len(ops) == 0 {
 		tb.Fatalf("%s: result carries no PerOp ledger", label)
 	}
