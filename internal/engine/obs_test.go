@@ -149,32 +149,35 @@ func checkSpanTree(t *testing.T, tree spanTree) float64 {
 // operator parented under it, and per-chunk child spans on the parallel
 // path — with virtual costs that reconcile exactly at every level.
 func TestRunEmitsSpans(t *testing.T) {
-	col := obs.NewCollector()
-	plan := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(100)},
-		&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
-		&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-		&Select{Pred: query.MustParse("x>60")},
-	}}
-	res, err := Run(plan, Config{Workers: 4, Obs: obs.New(col)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := collectSpans(t, col)
-	if tree.run.CostVMS != res.ClusterTime {
-		t.Fatalf("run span cost %v, ClusterTime %v", tree.run.CostVMS, res.ClusterTime)
-	}
-	if len(tree.ops) != len(plan.Ops) {
-		t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
-	}
-	// Both row-parallel operators (4 workers; 100 and 50 input rows) must
-	// have emitted chunk spans whose costs reconcile with their operator.
-	if len(tree.chunks) == 0 {
-		t.Fatal("no chunk spans from the parallel path")
-	}
-	if opTotal := checkSpanTree(t, tree); opTotal != res.ClusterTime {
-		t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
-	}
+	// "plain" names the case as before the adaptive run mode was deleted.
+	t.Run("plain", func(t *testing.T) {
+		col := obs.NewCollector()
+		plan := Plan{Ops: []Operator{
+			&Scan{Blobs: makeBlobs(100)},
+			&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
+			&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+			&Select{Pred: query.MustParse("x>60")},
+		}}
+		res, err := Run(plan, Config{Workers: 4, Obs: obs.New(col)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := collectSpans(t, col)
+		if tree.run.CostVMS != res.ClusterTime {
+			t.Fatalf("run span cost %v, ClusterTime %v", tree.run.CostVMS, res.ClusterTime)
+		}
+		if len(tree.ops) != len(plan.Ops) {
+			t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
+		}
+		// Both row-parallel operators (4 workers; 100 and 50 input rows) must
+		// have emitted chunk spans whose costs reconcile with their operator.
+		if len(tree.chunks) == 0 {
+			t.Fatal("no chunk spans from the parallel path")
+		}
+		if opTotal := checkSpanTree(t, tree); opTotal != res.ClusterTime {
+			t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
+		}
+	})
 }
 
 // TestFailedRunSpansCarryCost: when a run fails, the Result is nil — the
@@ -182,55 +185,58 @@ func TestRunEmitsSpans(t *testing.T) {
 // sequential failures must report identical virtual cost on the run span,
 // and the failing operator and chunk must be marked.
 func TestFailedRunSpansCarryCost(t *testing.T) {
-	const n = 40
-	failedRun := func(workers int) spanTree {
-		col := obs.NewCollector()
-		plan := Plan{Ops: []Operator{
-			&Scan{Blobs: failTailBlobs(n)},
-			&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
-			&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-		}}
-		_, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)})
-		var opErr *OpError
-		if !errors.As(err, &opErr) || opErr.Op != "U" {
-			t.Fatalf("run error = %v, want an OpError naming U", err)
+	// "plain" names the case as before the adaptive run mode was deleted.
+	t.Run("plain", func(t *testing.T) {
+		const n = 40
+		failedRun := func(workers int) spanTree {
+			col := obs.NewCollector()
+			plan := Plan{Ops: []Operator{
+				&Scan{Blobs: failTailBlobs(n)},
+				&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
+				&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+			}}
+			_, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)})
+			var opErr *OpError
+			if !errors.As(err, &opErr) || opErr.Op != "U" {
+				t.Fatalf("run error = %v, want an OpError naming U", err)
+			}
+			return collectSpans(t, col)
 		}
-		return collectSpans(t, col)
-	}
-	seq, par := failedRun(1), failedRun(4)
-	if seq.run.CostVMS != par.run.CostVMS {
-		t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq.run.CostVMS, par.run.CostVMS)
-	}
-	if want := n*scanCost + n*7; seq.run.CostVMS != want {
-		t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq.run.CostVMS, want)
-	}
-	if !hasAttr(*par.run, "error") {
-		t.Fatal("run span does not carry the error attribute")
-	}
-	if opTotal := checkSpanTree(t, par); opTotal != par.run.CostVMS {
-		t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, par.run.CostVMS)
-	}
-	for _, tree := range []spanTree{seq, par} {
-		marked := 0
-		for _, sp := range tree.ops {
-			if hasAttr(sp, "error") {
-				if sp.Name != "U" {
-					t.Fatalf("operator %q carries an error, want only U", sp.Name)
+		seq, par := failedRun(1), failedRun(4)
+		if seq.run.CostVMS != par.run.CostVMS {
+			t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq.run.CostVMS, par.run.CostVMS)
+		}
+		if want := n*scanCost + n*7; seq.run.CostVMS != want {
+			t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq.run.CostVMS, want)
+		}
+		if !hasAttr(*par.run, "error") {
+			t.Fatal("run span does not carry the error attribute")
+		}
+		if opTotal := checkSpanTree(t, par); opTotal != par.run.CostVMS {
+			t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, par.run.CostVMS)
+		}
+		for _, tree := range []spanTree{seq, par} {
+			marked := 0
+			for _, sp := range tree.ops {
+				if hasAttr(sp, "error") {
+					if sp.Name != "U" {
+						t.Fatalf("operator %q carries an error, want only U", sp.Name)
+					}
+					marked++
 				}
-				marked++
+			}
+			if marked != 1 {
+				t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
 			}
 		}
-		if marked != 1 {
-			t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
+		marked := false
+		for _, sp := range par.chunks {
+			marked = marked || hasAttr(sp, "error")
 		}
-	}
-	marked := false
-	for _, sp := range par.chunks {
-		marked = marked || hasAttr(sp, "error")
-	}
-	if !marked {
-		t.Fatal("no chunk span carries the error attribute")
-	}
+		if !marked {
+			t.Fatal("no chunk span carries the error attribute")
+		}
+	})
 }
 
 // TestRunNilTracerUnchanged: tracing disabled (the default) must not change
