@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"probpred/internal/core"
-	"probpred/internal/data"
 	"probpred/internal/engine"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
@@ -33,11 +32,10 @@ func AblationBudget(cfg Config) (*Report, error) {
 		if len(query.Clauses(pred)) < 2 {
 			continue // single-clause queries have nothing to allocate
 		}
-		_, u, err := h.NoPPlan(pred)
+		base, err := h.options(pred, 0.95)
 		if err != nil {
 			return nil, err
 		}
-		base := optimizer.Options{Accuracy: 0.95, UDFCost: u, Domains: data.TrafficDomains()}
 		searched, err := h.Opt.Optimize(pred, base)
 		if err != nil {
 			return nil, err
@@ -83,26 +81,16 @@ func AblationOrdering(cfg Config) (*Report, error) {
 			continue
 		}
 		run := func(disable bool) (*engine.Result, *optimizer.Decision, error) {
-			procs, u, derr := trafficProcs(h, pred)
+			opts, derr := h.options(pred, 0.95)
 			if derr != nil {
 				return nil, nil, derr
 			}
-			dec, derr := h.Opt.Optimize(pred, optimizer.Options{
-				Accuracy: 0.95, UDFCost: u, Domains: data.TrafficDomains(),
-				DisableOrderSearch: disable,
-			})
+			opts.DisableOrderSearch = disable
+			plan, dec, derr := trafficBuilder{h: h}.plan(pred, opts)
 			if derr != nil {
 				return nil, nil, derr
 			}
-			ops := []engine.Operator{&engine.Scan{Blobs: h.TestBlobs}}
-			if dec.Inject {
-				ops = append(ops, &engine.PPFilter{F: dec.Filter})
-			}
-			for _, p := range procs {
-				ops = append(ops, &engine.Process{P: p})
-			}
-			ops = append(ops, &engine.Select{Pred: pred})
-			res, derr := engine.Run(engine.Plan{Ops: ops}, engine.Config{})
+			res, derr := engine.Run(plan, engine.Config{})
 			return res, dec, derr
 		}
 		ordered, decO, err := run(false)
@@ -145,15 +133,14 @@ func AblationK(cfg Config) (*Report, error) {
 		if len(query.Clauses(pred)) < 3 {
 			continue
 		}
-		_, u, err := h.NoPPlan(pred)
+		opts, err := h.options(pred, 0.95)
 		if err != nil {
 			return nil, err
 		}
 		cells := []string{q.ID}
 		for k := 1; k <= 4; k++ {
-			dec, err := h.Opt.Optimize(pred, optimizer.Options{
-				Accuracy: 0.95, UDFCost: u, MaxPPs: k, Domains: data.TrafficDomains(),
-			})
+			opts.MaxPPs = k
+			dec, err := h.Opt.Optimize(pred, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -218,20 +205,4 @@ func AblationModelSelection(cfg Config) (*Report, error) {
 	}
 	rep.Lines = tb.render()
 	return rep, nil
-}
-
-// trafficProcs builds the UDF chain and cost for a predicate on the
-// harness's stream.
-func trafficProcs(h *TrafficHarness, pred query.Pred) ([]engine.Processor, float64, error) {
-	plan, u, err := h.NoPPlan(pred)
-	if err != nil {
-		return nil, 0, err
-	}
-	var procs []engine.Processor
-	for _, op := range plan.Ops {
-		if p, ok := op.(*engine.Process); ok {
-			procs = append(procs, p.P)
-		}
-	}
-	return procs, u, nil
 }

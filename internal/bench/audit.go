@@ -12,7 +12,6 @@ import (
 	"probpred/internal/mathx"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
-	"probpred/internal/udf"
 )
 
 // Audit measures whether the accuracy target is met, as a statistical
@@ -133,14 +132,13 @@ func (a *auditor) query(id, class string, pred query.Pred, runs *[]auditRun) err
 	if err != nil {
 		return err
 	}
-	procs, err := udf.TrafficPipeline(pred, 0, a.h.seed)
+	opts, err := a.h.options(pred, 0)
 	if err != nil {
 		return err
 	}
 	for _, target := range auditTargets {
-		dec, err := a.h.Opt.Optimize(pred, optimizer.Options{
-			Accuracy: target, UDFCost: udf.PipelineCost(procs), Domains: data.TrafficDomains(),
-		})
+		opts.Accuracy = target
+		dec, err := a.h.Opt.Optimize(pred, opts)
 		if err != nil {
 			return fmt.Errorf("bench: audit %s at %v: %w", id, target, err)
 		}

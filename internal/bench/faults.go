@@ -90,6 +90,10 @@ func faultSweep(cfg Config, rep *Report) error {
 		if err != nil {
 			return err
 		}
+		opts, err := h.options(pred, 0.95)
+		if err != nil {
+			return err
+		}
 		nop, err := engine.Run(nopPlan, engine.Config{})
 		if err != nil {
 			return err
@@ -106,7 +110,7 @@ func faultSweep(cfg Config, rep *Report) error {
 					MaxConsecutive:  3,
 				})
 			}
-			plan, dec, err := faultyPPPlan(h, pred, inj)
+			plan, dec, err := trafficBuilder{h: h, inj: inj}.plan(pred, opts)
 			if err != nil {
 				return err
 			}
@@ -138,7 +142,11 @@ func faultSweep(cfg Config, rep *Report) error {
 	inj := fault.NewInjector(cfg.Seed ^ 3*0xfa17)
 	inj.SetDefault(fault.Spec{TransientRate: 0.10, MaxConsecutive: 3})
 	pred := query.MustParse("t=SUV")
-	plan, _, err := faultyPPPlan(h, pred, inj)
+	opts, err := h.options(pred, 0.95)
+	if err != nil {
+		return err
+	}
+	plan, _, err := trafficBuilder{h: h, inj: inj}.plan(pred, opts)
 	if err != nil {
 		return err
 	}
@@ -148,36 +156,6 @@ func faultSweep(cfg Config, rep *Report) error {
 		rep.addf("without retries, 10%% injection unexpectedly succeeded")
 	}
 	return nil
-}
-
-// faultyPPPlan is PPPlan with the UDF pipeline optionally wrapped in the
-// injector's fault model.
-func faultyPPPlan(h *TrafficHarness, pred query.Pred, inj *fault.Injector) (engine.Plan, *optimizer.Decision, error) {
-	procs, err := udf.TrafficPipeline(pred, 0, h.seed)
-	if err != nil {
-		return engine.Plan{}, nil, err
-	}
-	u := udf.PipelineCost(procs)
-	dec, err := h.Opt.Optimize(pred, optimizer.Options{
-		Accuracy: 0.95,
-		UDFCost:  u,
-		Domains:  data.TrafficDomains(),
-	})
-	if err != nil {
-		return engine.Plan{}, nil, err
-	}
-	if inj != nil {
-		procs = udf.FaultyPipeline(procs, inj)
-	}
-	ops := []engine.Operator{&engine.Scan{Blobs: h.TestBlobs}}
-	if dec.Inject {
-		ops = append(ops, &engine.PPFilter{F: dec.Filter})
-	}
-	for _, p := range procs {
-		ops = append(ops, &engine.Process{P: p})
-	}
-	ops = append(ops, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, dec, nil
 }
 
 // rowsIdentical reports whether two result sets match row for row: same

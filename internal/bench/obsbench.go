@@ -59,7 +59,7 @@ func Obs(cfg Config) (*Report, error) {
 		Shards:   shards,
 		Replicas: replicas,
 		Corpus:   h.TestBlobs,
-		Builder:  trafficBuilder{h},
+		Builder:  trafficBuilder{h: h},
 	})
 	if err != nil {
 		return nil, err

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"probpred/internal/blob"
 	"probpred/internal/data"
 	"probpred/internal/engine"
-	"probpred/internal/query"
 	"probpred/internal/serve"
-	"probpred/internal/udf"
 )
 
 // Serve replays the TRAF20 workload through internal/serve twice — once with
@@ -21,36 +18,6 @@ import (
 // nothing, so its miss counter is an exact count of PP score evaluations an
 // uncached server performs. Wall clock for this path is benchmark/'s
 // traf20_steady workload.
-
-// trafficBuilder adapts the traffic harness to serve.CorpusBuilder: the UDF
-// pipeline downstream of the PP is the detector plus one UDF per referenced
-// column, exactly as PPPlan assembles it. The scanned blob slice is injected
-// per call — that is what a sharded server partitions.
-type trafficBuilder struct{ h *TrafficHarness }
-
-func (b trafficBuilder) UDFCost(pred query.Pred) (float64, error) {
-	procs, err := udf.TrafficPipeline(pred, 0, b.h.seed)
-	if err != nil {
-		return 0, err
-	}
-	return udf.PipelineCost(procs), nil
-}
-
-func (b trafficBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	procs, err := udf.TrafficPipeline(pred, 0, b.h.seed)
-	if err != nil {
-		return engine.Plan{}, err
-	}
-	ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
-	if filter != nil {
-		ops = append(ops, &engine.PPFilter{F: filter})
-	}
-	for _, p := range procs {
-		ops = append(ops, &engine.Process{P: p})
-	}
-	ops = append(ops, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, nil
-}
 
 // serveWorkload repeats TRAF20 for rounds rounds with distinct session ids.
 // Repetition is the realistic part: production queries recur, and recurrence
@@ -109,7 +76,7 @@ func Serve(cfg Config) (*Report, error) {
 	replay := func(mode string, disable bool) (serve.Stats, string, error) {
 		srv, err := serve.New(serve.Config{
 			Optimizer:         h.Opt,
-			Builder:           serve.BindCorpus(trafficBuilder{h}, h.TestBlobs),
+			Builder:           serve.BindCorpus(trafficBuilder{h: h}, h.TestBlobs),
 			Accuracy:          accuracy,
 			Domains:           data.TrafficDomains(),
 			MaxConcurrent:     concurrency,

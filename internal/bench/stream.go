@@ -79,12 +79,7 @@ type segStreamBuilder struct{ udf engine.Processor }
 func (b *segStreamBuilder) UDFCost(query.Pred) (float64, error) { return b.udf.Cost(), nil }
 
 func (b *segStreamBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
-	ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
-	if filter != nil {
-		ops = append(ops, &engine.PPFilter{F: filter})
-	}
-	ops = append(ops, &engine.Process{P: b.udf}, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, nil
+	return engine.InferencePlan(blobs, filter, []engine.Processor{b.udf}, pred), nil
 }
 
 // streamSegment is one ingested segment's outcome.

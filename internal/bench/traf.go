@@ -9,6 +9,7 @@ import (
 	"probpred/internal/core"
 	"probpred/internal/data"
 	"probpred/internal/engine"
+	"probpred/internal/fault"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
@@ -169,47 +170,84 @@ func (h *TrafficHarness) Selectivity(pred query.Pred) (float64, error) {
 	return set.Selectivity(), nil
 }
 
+// trafficBuilder is the traffic harness's one plan builder, and its
+// serve.CorpusBuilder: Scan → [PP] → the detector plus one UDF per column the
+// predicate references → σ (engine.InferencePlan). The scanned blob slice is
+// injected per call — that is what a sharded server partitions. With inj
+// set, every UDF runs under the injector's fault model.
+type trafficBuilder struct {
+	h   *TrafficHarness
+	inj *fault.Injector
+}
+
+// UDFCost is the per-blob cost u of pred's UDF pipeline: the work a PP can
+// short-circuit.
+func (b trafficBuilder) UDFCost(pred query.Pred) (float64, error) {
+	procs, err := udf.TrafficPipeline(pred, 0, b.h.seed)
+	if err != nil {
+		return 0, err
+	}
+	return udf.PipelineCost(procs), nil
+}
+
+// BuildOver builds pred's plan over blobs; a nil filter runs unmodified.
+func (b trafficBuilder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.BlobFilter) (engine.Plan, error) {
+	procs, err := udf.TrafficPipeline(pred, 0, b.h.seed)
+	if err != nil {
+		return engine.Plan{}, err
+	}
+	if b.inj != nil {
+		procs = udf.FaultyPipeline(procs, b.inj)
+	}
+	return engine.InferencePlan(blobs, filter, procs, pred), nil
+}
+
+// plan optimizes pred under opts and builds its plan over the test stream,
+// the PP filter injected when the decision says so.
+func (b trafficBuilder) plan(pred query.Pred, opts optimizer.Options) (engine.Plan, *optimizer.Decision, error) {
+	dec, err := b.h.Opt.Optimize(pred, opts)
+	if err != nil {
+		return engine.Plan{}, nil, err
+	}
+	var f engine.BlobFilter
+	if dec.Inject {
+		f = dec.Filter
+	}
+	plan, err := b.BuildOver(b.h.TestBlobs, pred, f)
+	return plan, dec, err
+}
+
+// options returns the optimizer options for pred at accuracy: the UDF cost u
+// of its pipeline, the traffic domains and the harness's tracer.
+func (h *TrafficHarness) options(pred query.Pred, accuracy float64) (optimizer.Options, error) {
+	u, err := trafficBuilder{h: h}.UDFCost(pred)
+	if err != nil {
+		return optimizer.Options{}, err
+	}
+	return optimizer.Options{Accuracy: accuracy, UDFCost: u, Domains: data.TrafficDomains(), Obs: h.Obs}, nil
+}
+
 // NoPPlan builds the unmodified plan (the Optasia-like NoP baseline): scan,
-// detector, every UDF the predicate needs, then the σ.
+// detector, every UDF the predicate needs, then the σ. It also returns the
+// per-blob UDF cost u.
 func (h *TrafficHarness) NoPPlan(pred query.Pred) (engine.Plan, float64, error) {
-	procs, err := udf.TrafficPipeline(pred, 0, h.seed)
+	b := trafficBuilder{h: h}
+	u, err := b.UDFCost(pred)
 	if err != nil {
 		return engine.Plan{}, 0, err
 	}
-	ops := []engine.Operator{&engine.Scan{Blobs: h.TestBlobs}}
-	for _, p := range procs {
-		ops = append(ops, &engine.Process{P: p})
-	}
-	ops = append(ops, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, udf.PipelineCost(procs), nil
+	plan, err := b.BuildOver(h.TestBlobs, pred, nil)
+	return plan, u, err
 }
 
 // PPPlan builds the PP-injected plan at the given accuracy target, returning
-// the plan, the optimizer decision, and the per-blob UDF cost u.
+// the plan and the optimizer decision.
 func (h *TrafficHarness) PPPlan(pred query.Pred, accuracy float64) (engine.Plan, *optimizer.Decision, error) {
-	procs, err := udf.TrafficPipeline(pred, 0, h.seed)
+	opts, err := h.options(pred, accuracy)
 	if err != nil {
 		return engine.Plan{}, nil, err
 	}
-	u := udf.PipelineCost(procs)
-	dec, err := h.Opt.Optimize(pred, optimizer.Options{
-		Accuracy: accuracy,
-		UDFCost:  u,
-		Domains:  data.TrafficDomains(),
-		Obs:      h.Obs,
-	})
-	if err != nil {
-		return engine.Plan{}, nil, err
-	}
-	ops := []engine.Operator{&engine.Scan{Blobs: h.TestBlobs}}
-	if dec.Inject {
-		ops = append(ops, &engine.PPFilter{F: dec.Filter})
-	}
-	for _, p := range procs {
-		ops = append(ops, &engine.Process{P: p})
-	}
-	ops = append(ops, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, dec, nil
+	return trafficBuilder{h: h}.plan(pred, opts)
 }
 
 // SortPPlan builds the Deshpande et al. [17] baseline: predicate clauses

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"probpred/internal/blob"
 	"probpred/internal/mathx"
+	"probpred/internal/metrics"
+	"probpred/internal/obs"
 	"probpred/internal/query"
 )
 
@@ -377,63 +380,80 @@ func TestRowGetError(t *testing.T) {
 	_ = e
 }
 
-func TestTopK(t *testing.T) {
-	plan := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(20)},
-		&Process{P: fakeUDF{name: "X", cost: 1, col: "x"}},
-		&TopK{By: "x", K: 3},
-	}}
-	res, err := Run(plan, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for i, want := range []float64{19, 18, 17} {
-		v, _ := res.Rows[i].Get("x")
-		if v.Num != want {
-			t.Fatalf("row %d = %v, want %v", i, v.Num, want)
-		}
-	}
-	if res.Stages != 2 {
-		t.Fatalf("TopK should be a stage boundary: stages = %d", res.Stages)
-	}
+// countingFilter is a thresholdFilter that counts its TestBatch calls.
+type countingFilter struct {
+	thresholdFilter
+	calls *atomic.Int64
 }
 
-func TestTopKAscendingAndSmallInput(t *testing.T) {
-	plan := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(2)},
-		&Process{P: fakeUDF{name: "X", cost: 1, col: "x"}},
-		&TopK{By: "x", K: 5, Asc: true},
-	}}
-	res, err := Run(plan, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	v0, _ := res.Rows[0].Get("x")
-	if v0.Num != 0 {
-		t.Fatalf("ascending order wrong: %v", v0.Num)
-	}
+func (f countingFilter) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct *CacheTally) {
+	f.calls.Add(1)
+	f.thresholdFilter.TestBatch(blobs, pass, cost, ct)
 }
 
-func TestTopKErrors(t *testing.T) {
-	bad := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(3)},
-		&TopK{By: "missing", K: 1},
-	}}
-	if _, err := Run(bad, Config{}); err == nil {
-		t.Fatal("expected error for missing column")
+// rowsSource is a plan source that is not a Scan: it yields rows.
+type rowsSource struct{ rows []Row }
+
+func (s rowsSource) Name() string        { return "Rows" }
+func (s rowsSource) StageBoundary() bool { return false }
+func (s rowsSource) Exec([]Row) ([]Row, float64, error) {
+	return s.rows, float64(len(s.rows)), nil
+}
+
+// TestMisplacedFilterRefused: a PPFilter runs only as ops[1], directly after
+// a Scan. Run refuses every other placement with a *MisplacedFilterError
+// naming the filter's position, before any work: no filter test, no UDF
+// call, no Result (so no PerOp row), no span and no metric, the run's cost
+// included. A filter's own Exec returns the same error.
+func TestMisplacedFilterRefused(t *testing.T) {
+	blobs := makeBlobs(100)
+	rows := make([]Row, len(blobs))
+	for i, b := range blobs {
+		rows[i] = NewRow(b)
 	}
-	zero := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(3)},
-		&TopK{By: "x", K: 0},
-	}}
-	if _, err := Run(zero, Config{}); err == nil {
-		t.Fatal("expected error for K=0")
+	var calls atomic.Int64
+	filter := func() *PPFilter {
+		return &PPFilter{F: countingFilter{thresholdFilter{col: "x", t: 49, cost: 1}, &calls}}
+	}
+	udf := &Process{P: fakeUDF{name: "U", cost: 7, col: "x"}}
+	sel := &Select{Pred: query.MustParse("x>60")}
+	cases := []struct {
+		name string
+		ops  []Operator
+		pos  int
+	}{
+		{"after a Process", []Operator{&Scan{Blobs: blobs}, udf, filter(), sel}, 2},
+		{"two in a row", []Operator{&Scan{Blobs: blobs}, filter(), filter(), udf, sel}, 2},
+		{"after a source that is not a Scan", []Operator{rowsSource{rows}, filter(), udf, sel}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			calls.Store(0)
+			col := obs.NewCollector()
+			reg := metrics.New()
+			res, err := Run(Plan{Ops: c.ops}, Config{Workers: 4, Obs: obs.New(col), Metrics: reg})
+			var me *MisplacedFilterError
+			if !errors.As(err, &me) || me.Pos != c.pos || me.Op != "PP[thresh]" {
+				t.Fatalf("error %v, want a MisplacedFilterError at position %d", err, c.pos)
+			}
+			if res != nil {
+				t.Fatalf("a refused plan returned a Result with %d PerOp rows", len(res.PerOp))
+			}
+			if n := calls.Load(); n != 0 {
+				t.Fatalf("the filter tested blobs %d times", n)
+			}
+			if spans := col.Spans(); len(spans) != 0 {
+				t.Fatalf("a refused plan emitted %d spans, the first %q", len(spans), spans[0].Name)
+			}
+			if snap := reg.Snapshot(); len(snap) != 0 {
+				t.Fatalf("a refused plan recorded metrics: %+v", snap)
+			}
+		})
+	}
+	out, cost, err := filter().Exec(rows)
+	var me *MisplacedFilterError
+	if !errors.As(err, &me) || me.Pos != -1 || out != nil || cost != 0 {
+		t.Fatalf("Exec = %d rows, cost %v, error %v; want the MisplacedFilterError", len(out), cost, err)
 	}
 }
 

@@ -5,18 +5,35 @@ import (
 	"strconv"
 	"time"
 
+	"probpred/internal/blob"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
+	"probpred/internal/query"
 )
 
 // Plan is a linear chain of operators, source first.
 type Plan struct{ Ops []Operator }
 
+// InferencePlan builds the inference-query plan of Figures 1 and 2: scan the
+// blobs, test them with the PP filter f (none when f is nil), run the UDF
+// processors, then the query's predicate.
+func InferencePlan(blobs []blob.Blob, f BlobFilter, procs []Processor, pred query.Pred) Plan {
+	ops := make([]Operator, 0, len(procs)+3)
+	ops = append(ops, &Scan{Blobs: blobs})
+	if f != nil {
+		ops = append(ops, &PPFilter{F: f})
+	}
+	for _, p := range procs {
+		ops = append(ops, &Process{P: p})
+	}
+	return Plan{Ops: append(ops, &Select{Pred: pred})}
+}
+
 // Config controls the execution environment model.
 type Config struct {
 	// Parallelism is the number of cluster partitions. Zero selects 16.
 	Parallelism int
-	// Workers sets how many goroutines execute the row-parallel work: each
+	// Workers sets how many goroutines execute the row-parallel work: the
 	// PP filter's TestBatch in the source stage, and the row stage, split
 	// once at its input into worker ranges. It affects only wall-clock
 	// execution of the simulator, never results; virtual costs are
@@ -123,18 +140,30 @@ type Result struct {
 // operator and visible on the emitted spans (the trace is how a
 // failed run's cost is inspected; the Result itself is nil).
 //
-// A Scan yields its blobs, which the PP filters directly after it test in
-// the source stage (source.go); any other source yields rows. After the
-// source stage, each maximal run of row-local operators runs as a row stage
-// (rowstage.go), which carries survivors a morsel at a time as positions and
-// column vectors and makes rows only for what it emits, and every other
-// operator sees every row at once through exec.
+// A Scan yields its blobs, which the PP filter directly after it, if any,
+// tests in the source stage (source.go); any other source yields rows. A
+// PPFilter anywhere else fails the run with a *MisplacedFilterError before
+// any work, span or metric. After the source stage, each maximal run of
+// row-local operators runs as a row stage (rowstage.go), which carries
+// survivors a morsel at a time as positions and column vectors and makes
+// rows only for what it emits, and every other operator sees every row at
+// once through exec.
 func Run(p Plan, cfg Config) (*Result, error) {
 	cfg.fill()
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
 	}
 	ops := p.Ops
+	scan, scanned := ops[0].(*Scan)
+	var f *PPFilter // the source stage's filter
+	for i, op := range ops {
+		if pf, ok := op.(*PPFilter); ok {
+			if i != 1 || !scanned {
+				return nil, &MisplacedFilterError{Pos: i, Op: op.Name()}
+			}
+			f = pf
+		}
+	}
 	r := &run{cfg: cfg, ops: ops, accs: make([]opAcc, len(ops)), stageCosts: []float64{0}}
 	r.span = cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, "plan")
 	r.start = time.Now()
@@ -142,13 +171,13 @@ func Run(p Plan, cfg Config) (*Result, error) {
 	var in rowInput
 	var s *filterScratch
 	first := 1
-	if scan, ok := ops[0].(*Scan); ok {
-		for first < len(ops) && isPPFilter(ops[first]) {
-			first++
-		}
+	if f != nil {
+		first = 2
+	}
+	if scanned {
 		n := len(scan.Blobs)
 		r.charge(r.open(0), 0, n, scanCost*float64(n), 0)
-		in, s = r.source(scan.Blobs, first)
+		in, s = r.source(scan.Blobs, f)
 	} else {
 		rows, err := r.exec(0, nil)
 		if err != nil {
@@ -168,7 +197,7 @@ func Run(p Plan, cfg Config) (*Result, error) {
 		if j > i || i == first {
 			rows, err = r.rowStage(in, i, j, nil)
 			if s != nil {
-				putFilterScratch(s) // the rows no longer point into it
+				filterScratchPool.Put(s) // the rows no longer point into it
 				s = nil
 			}
 			if err != nil {

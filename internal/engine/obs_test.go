@@ -51,18 +51,19 @@ func TestParallelErrorChargesPartialWork(t *testing.T) {
 }
 
 // TestPPFilterParallelChargesAllChunks: the source stage's filter, split
-// across workers, must charge and pass what the filter's own Exec does over
-// the scanned rows.
+// across workers, must charge and pass what the filter's own TestBatch does
+// over the scanned blobs in one call.
 func TestPPFilterParallelChargesAllChunks(t *testing.T) {
 	blobs := makeBlobs(100)
-	rows := make([]Row, len(blobs))
-	for i, b := range blobs {
-		rows[i] = NewRow(b)
-	}
 	f := &PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}}
-	want, seq, err := f.Exec(rows)
-	if err != nil {
-		t.Fatal(err)
+	pass, cost := make([]bool, len(blobs)), make([]float64, len(blobs))
+	f.F.TestBatch(blobs, pass, cost, nil)
+	want, seq := 0, 0.0
+	for i, ok := range pass {
+		seq += cost[i]
+		if ok {
+			want++
+		}
 	}
 	res, err := Run(Plan{Ops: []Operator{&Scan{Blobs: blobs}, f}}, Config{Workers: 4})
 	if err != nil {
@@ -71,8 +72,8 @@ func TestPPFilterParallelChargesAllChunks(t *testing.T) {
 	if par := res.PerOp[1].Cost; seq != par || seq != 100 {
 		t.Fatalf("filter costs diverged: seq=%v par=%v want 100", seq, par)
 	}
-	if len(res.Rows) != len(want) || res.PerOp[1].RowsOut != len(want) {
-		t.Fatalf("source stage passed %d rows, Exec %d", len(res.Rows), len(want))
+	if len(res.Rows) != want || res.PerOp[1].RowsOut != want {
+		t.Fatalf("source stage passed %d rows, TestBatch %d", len(res.Rows), want)
 	}
 }
 

@@ -139,8 +139,10 @@ func (t *CacheTally) Counts() (hits, misses uint64) {
 }
 
 // PPFilter applies a PP expression directly on each raw blob, before any UDF
-// (Figure 2). Directly after the Scan it is part of the source stage and
-// reads the scan's blobs in place (source.go).
+// (Figure 2). A plan holds at most one, as ops[1] directly after a Scan,
+// where it is the source stage's filter and reads the scan's blobs in place
+// (source.go); Run refuses a plan that puts one anywhere else with a
+// *MisplacedFilterError.
 type PPFilter struct{ F BlobFilter }
 
 // Name implements Operator.
@@ -149,30 +151,29 @@ func (p *PPFilter) Name() string { return "PP[" + p.F.Name() + "]" }
 // StageBoundary implements Operator.
 func (p *PPFilter) StageBoundary() bool { return false }
 
-// Exec implements Operator for a filter over rows, score-cache counts
-// dropped (a standalone Exec has no run to attribute them to). In a run, a
-// filter a plan puts after another operator — which no plan builder in the
-// tree does — is a row-stage operator (filterMorsel).
-func (p *PPFilter) Exec(in []Row) ([]Row, float64, error) { return execLocal(p, in) }
+// Exec implements Operator. A filter over rows is the misplaced filter Run
+// refuses, so Exec returns the same error.
+func (p *PPFilter) Exec([]Row) ([]Row, float64, error) {
+	return nil, 0, &MisplacedFilterError{Pos: -1, Op: p.Name()}
+}
 
-// filterMorsel gathers the morsel's blobs into s, tests them through the
-// filter's kernel, adds each blob's cost onto *total in order and appends
-// the positions of the rows that pass to keep.
-func (p *PPFilter) filterMorsel(m *morsel, s *filterScratch, total *float64, ct *CacheTally, keep []int32) []int32 {
-	n := m.len()
-	s.reserve(n)
-	blobs, pass, cost := s.blobBuf(n), s.pass[:n], s.cost[:n]
-	for i := range blobs {
-		blobs[i] = *m.blob(i)
+// MisplacedFilterError is Run's refusal of a plan whose PPFilter is not
+// ops[1] directly after a Scan: a PP runs only on the raw blobs of the
+// source stage. Run returns it before it does any work.
+type MisplacedFilterError struct {
+	// Pos is the filter's plan position; -1 for a filter's own Exec.
+	Pos int
+	// Op is the filter's name.
+	Op string
+}
+
+// Error implements error.
+func (e *MisplacedFilterError) Error() string {
+	where := "outside a plan"
+	if e.Pos >= 0 {
+		where = fmt.Sprintf("at plan position %d", e.Pos)
 	}
-	p.F.TestBatch(blobs, pass, cost, ct)
-	for i, ok := range pass {
-		*total += cost[i]
-		if ok {
-			keep = append(keep, int32(i))
-		}
-	}
-	return keep
+	return fmt.Sprintf("engine: %s %s: a PP filter runs only directly after a Scan", e.Op, where)
 }
 
 // ComputedCol defines a projection-created column (π_{f(D)=d} in A.4).
@@ -403,65 +404,3 @@ func (b *Barrier) StageBoundary() bool { return true }
 
 // Exec implements Operator.
 func (b *Barrier) Exec(in []Row) ([]Row, float64, error) { return in, 0, nil }
-
-// topkCost is the virtual per-row cost of heap maintenance in TopK.
-const topkCost = 0.02
-
-// TopK keeps the K rows with the largest (or smallest) value of a numeric
-// column — the ORDER BY ... LIMIT tail of ranked-alert queries ("the ten
-// fastest speeding vehicles"). Output is sorted best-first. It is a stage
-// boundary: ranking requires seeing every row.
-type TopK struct {
-	// By is the numeric ranking column.
-	By string
-	// K is how many rows to keep.
-	K int
-	// Asc ranks ascending (smallest first) instead of descending.
-	Asc bool
-}
-
-// Name implements Operator.
-func (t *TopK) Name() string { return fmt.Sprintf("TopK[%s,%d]", t.By, t.K) }
-
-// StageBoundary implements Operator.
-func (t *TopK) StageBoundary() bool { return true }
-
-// Exec implements Operator.
-func (t *TopK) Exec(in []Row) ([]Row, float64, error) {
-	if t.K <= 0 {
-		return nil, 0, fmt.Errorf("engine: TopK requires K >= 1, got %d", t.K)
-	}
-	type keyed struct {
-		key float64
-		idx int // original position, for deterministic tie-breaks
-		row Row
-	}
-	rows := make([]keyed, 0, len(in))
-	for i, r := range in {
-		v, err := r.Get(t.By)
-		if err != nil {
-			return nil, 0, fmt.Errorf("engine: TopK: %w", err)
-		}
-		if !v.IsNum {
-			return nil, 0, fmt.Errorf("engine: TopK over non-numeric column %q", t.By)
-		}
-		rows = append(rows, keyed{key: v.Num, idx: i, row: r})
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		if rows[a].key != rows[b].key {
-			if t.Asc {
-				return rows[a].key < rows[b].key
-			}
-			return rows[a].key > rows[b].key
-		}
-		return rows[a].idx < rows[b].idx
-	})
-	if len(rows) > t.K {
-		rows = rows[:t.K]
-	}
-	out := make([]Row, len(rows))
-	for i, kr := range rows {
-		out[i] = kr.row
-	}
-	return out, topkCost * float64(len(in)), nil
-}

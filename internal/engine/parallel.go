@@ -10,7 +10,7 @@ import (
 
 // Parallel execution: the virtual cost model already charges work as if it
 // ran on a cluster, but the simulator itself can also use real goroutines
-// for the row-parallel work (each source PP filter's TestBatch, and the row
+// for the row-parallel work (the source PP filter's TestBatch, and the row
 // stage, split once at its input: rowstage.go) so that large streams execute
 // quickly on multi-core machines. Parallelism never changes results or row
 // order, and costs are deterministic for a given worker count — inputs are
@@ -38,7 +38,7 @@ type chunkRun struct {
 // cfg.Workers chunks on goroutines, each with a chunk span named
 // name[lo:hi] under parent — and returns their outputs summed and their
 // costs summed in chunk order, so accounting is deterministic for a given
-// worker count. A source filter's TestBatch runs through it.
+// worker count. The source filter's TestBatch runs through it.
 func runChunks(cfg Config, parent *obs.Span, name string, n int, fn func(lo, hi int) chunkRun) chunkRun {
 	if !parallel(n, cfg.Workers) {
 		return fn(0, n)

@@ -25,7 +25,7 @@ import (
 // materialized so far. The columns are an immutable singly linked list,
 // newest first, shared structurally between a row and every row derived from
 // it: a scanned row has none (nil), and With prepends one node without
-// copying. A blob the PP filters drop never becomes a row at all (the source
+// copying. A blob the PP filter drops never becomes a row at all (the source
 // stage, source.go), and in the row stage a survivor becomes one only if the
 // stage emits it: until then its columns are values in the stage's vectors
 // (batch.go). Rows hold a handful of columns (one per UDF on the plan), so a

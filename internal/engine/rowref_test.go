@@ -23,7 +23,7 @@ import (
 // each row under the retry policy on its own, its columns added to the row
 // with Row.With, and Select and Project read and make whole rows — with the
 // row stage's one rule of order: the row-local operators after the source
-// filters, and after each stage boundary, run one morsel of refMorsel input
+// filter, and after each stage boundary, run one morsel of refMorsel input
 // rows at a time, within worker ranges cut once at that stage's input, so a
 // failure is the first in morsel order. TestBatchExecutorMatchesRowReference
 // holds engine.Run to it on random plans: same rows in the same
@@ -96,7 +96,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 			return nil, err
 		}
 	}
-	out, sums, f, err := refRowStage(ops[first:split], rows, cfg, accs[first:split])
+	out, sums, f, err := refRowStage(ops[first:split], rows, cfg)
 	if err != nil {
 		return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[first+f].Name(), Err: err}
 	}
@@ -120,7 +120,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 		for j < len(ops) && !ops[j].StageBoundary() {
 			j++
 		}
-		out, sums, f, err := refRowStage(ops[i:j], rows, cfg, accs[i:j])
+		out, sums, f, err := refRowStage(ops[i:j], rows, cfg)
 		if err != nil {
 			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[i+f].Name(), Err: err}
 		}
@@ -225,11 +225,11 @@ type refSum struct {
 
 // refRowStage runs the row-stage operators over in: worker ranges in order,
 // each range's morsels in order, each morsel through every operator a row at
-// a time. A processor's or a filter's cost is a running sum per range, row by
-// row across its morsels, and the ranges' sums add in range order; a select
-// or a projection is charged once, from the rows it saw. The first failure,
-// in morsel order, stops it and names the failing operator.
-func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config, accs []refAcc) ([]engine.Row, []refSum, int, error) {
+// a time. A processor's cost is a running sum per range, row by row across
+// its morsels, and the ranges' sums add in range order; a select or a
+// projection is charged once, from the rows it saw. The first failure, in
+// morsel order, stops it and names the failing operator.
+func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config) ([]engine.Row, []refSum, int, error) {
 	sums := make([]refSum, len(ops))
 	var out []engine.Row
 	for _, b := range refWorkerBounds(len(in), cfg.Workers) {
@@ -268,20 +268,6 @@ func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config, accs
 				case *engine.Project:
 					for _, r := range cur {
 						next = append(next, refProject(o, r))
-					}
-				case *engine.PPFilter:
-					blobs := make([]blob.Blob, len(cur))
-					for i := range cur {
-						blobs[i] = cur[i].Blob
-					}
-					pass := make([]bool, len(cur))
-					cost := make([]float64, len(cur))
-					o.F.TestBatch(blobs, pass, cost, &accs[j].ct)
-					for i, ok := range pass {
-						ranged[j].cost += cost[i]
-						if ok {
-							next = append(next, cur[i])
-						}
 					}
 				default:
 					panic("reference: no row-stage rule for " + op.Name())
@@ -405,10 +391,10 @@ func refApplyWithRetry(p engine.Processor, r engine.Row, pol engine.RetryPolicy)
 	}
 }
 
-// Random plans: Scan → 0–2 PP filters → a row stage → [GroupReduce → a row
+// Random plans: Scan → [PP filter] → a row stage → [GroupReduce → a row
 // stage] → σ. A row stage interleaves processors — column adders and ones
 // emitting zero, one or two rows per input — with, now and then, a
-// projection, a PP filter over rows and a select.
+// projection and a select.
 
 var refCols = []string{"x", "y", "z"}
 
@@ -517,14 +503,16 @@ func (refDedup) Reduce(_ string, rows []engine.Row) ([]engine.Row, error) {
 // score memos), so the reference and the engine each run their own copy.
 // The flags say what it holds beyond processors and a select.
 type refCase struct {
-	desc                                 string
-	build                                func() engine.Plan
-	retry                                engine.RetryPolicy
-	project, rowFilter, boundary, shadow bool
+	desc                      string
+	build                     func() engine.Plan
+	retry                     engine.RetryPolicy
+	project, boundary, shadow bool
 }
 
-// drawRefCase draws a plan over blobs; with edge >= 0 its first filter passes
-// exactly edge blobs.
+// drawRefCase draws a plan over blobs; with edge >= 0 its filter passes
+// exactly edge blobs. Two axes are retired — a chain of source filters and a
+// filter over rows, which Run refuses — but their coins are still drawn and
+// discarded, so that every other axis draws as before.
 func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 	var c refCase
 	type filterSpec struct {
@@ -538,27 +526,30 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 			cost: 0.1 + float64(rng.Intn(9))/7, cached: rng.Intn(2) == 0,
 		}
 	}
-	var filters []filterSpec
+	var filter *filterSpec
+	drawn := 0
 	if edge >= 0 {
 		f := filterSpec{col: "n", t: float64(len(blobs) - edge - 1), cost: 0.1 + float64(rng.Intn(9))/7, cached: rng.Intn(2) == 0}
-		filters = append(filters, f)
+		filter, drawn = &f, 1
 		c.desc += fmt.Sprintf("PP[n>%v (%d pass) c=%.3f cached=%v] ", f.t, edge, f.cost, f.cached)
 	}
-	for n := rng.Intn(3); len(filters) < n; {
+	for n := rng.Intn(3); drawn < n; drawn++ {
 		f := drawFilter()
-		filters = append(filters, f)
-		c.desc += fmt.Sprintf("PP[%s>%v c=%.3f cached=%v] ", f.col, f.t, f.cost, f.cached)
+		if filter == nil {
+			filter = &f
+			c.desc += fmt.Sprintf("PP[%s>%v c=%.3f cached=%v] ", f.col, f.t, f.cost, f.cached)
+		}
 	}
+	rowFilter := false
 	// The row-local operators and the boundary after the source, in plan
 	// order; live is which columns every row holds so far.
 	type stepSpec struct {
-		kind        string // "proc", "project", "filter", "select", "dedup"
+		kind        string // "proc", "project", "select", "dedup"
 		col         string
 		cost, add   float64
 		copies      int // a processor's rows per input: 0 one, 1 dropping, 2 duplicating, 3 zero, one or two
 		faulty      bool
 		consecutive int
-		filter      filterSpec
 		drop, from  string // a projection's dropped and renamed columns
 		sel         query.Pred
 	}
@@ -614,11 +605,9 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 			steps = append(steps, pr)
 			c.desc += fmt.Sprintf("π[-%s %s→%sr +p] ", pr.drop, pr.from, pr.from)
 			c.project = true
-		case 1: // a PP filter over rows
-			f := drawFilter()
-			steps = append(steps, stepSpec{kind: "filter", filter: f})
-			c.desc += fmt.Sprintf("PP~rows[%s>%v c=%.3f cached=%v] ", f.col, f.t, f.cost, f.cached)
-			c.rowFilter = true
+		case 1: // the retired filter over rows
+			drawFilter()
+			rowFilter = true
 		case 2: // a select mid-stage
 			sel := query.MustParse(fmt.Sprintf("%s>=%d", pick(), rng.Intn(30)))
 			steps = append(steps, stepSpec{kind: "select", sel: sel})
@@ -642,17 +631,14 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 		c.retry.RowTimeoutMS = []float64{0.9, 12, 30, 45, 90}[rng.Intn(5)]
 	}
 	faultSeed := rng.Uint64()
-	newFilter := func(name string, f filterSpec) *engine.PPFilter {
-		rf := refFilter{name: name, col: f.col, t: f.t, cost: f.cost}
-		if f.cached {
-			rf.memo = &sync.Map{}
-		}
-		return &engine.PPFilter{F: rf}
-	}
 	c.build = func() engine.Plan {
 		ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
-		for i, f := range filters {
-			ops = append(ops, newFilter(fmt.Sprintf("f%d", i), f))
+		if filter != nil {
+			rf := refFilter{name: "f0", col: filter.col, t: filter.t, cost: filter.cost}
+			if filter.cached {
+				rf.memo = &sync.Map{}
+			}
+			ops = append(ops, &engine.PPFilter{F: rf})
 		}
 		for i, st := range steps {
 			switch st.kind {
@@ -672,8 +658,6 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 					pr.Rename = map[string]string{st.from: st.from + "r"}
 				}
 				ops = append(ops, pr)
-			case "filter":
-				ops = append(ops, newFilter(fmt.Sprintf("g%d", i), st.filter))
 			case "select":
 				ops = append(ops, &engine.Select{Pred: st.sel})
 			case "proc":
@@ -707,7 +691,7 @@ func drawRefCase(rng *mathx.RNG, blobs []blob.Blob, edge int) refCase {
 		}
 		return engine.Plan{Ops: append(ops, &engine.Select{Pred: sel})}
 	}
-	if len(filters) > 0 || c.rowFilter {
+	if drawn > 0 || rowFilter {
 		rng.Intn(2) // the retired swap axis: drawn so that later plans stay the same
 	}
 	return c
@@ -751,14 +735,14 @@ func sameRows(a, b []engine.Row) error {
 }
 
 // TestBatchExecutorMatchesRowReference draws random plans — Scan over 150
-// to 3 500 blobs, zero to two PP filters (some behind a score memo; a third
-// of the plans have one filter passing a count on or beside a morsel edge:
-// 0, 1, 1 023, 1 024, 1 025, …), zero to six processors (column adders that
+// to 3 500 blobs, zero or one PP filter (some behind a score memo; a third
+// of the plans have one passing a count on or beside a morsel edge: 0, 1,
+// 1 023, 1 024, 1 025, …), zero to six processors (column adders that
 // keep, drop or double rows or emit zero, one or two rows per input, several
 // adding one column with different values, half of them behind 10 %
 // transient faults and 5 % stragglers, under a random retry policy and row
-// timeout) interleaved with projections, PP filters over rows and selects,
-// some of them after a stage boundary (a GroupReduce) whose rows carry their
+// timeout) interleaved with projections and selects, some of them after a
+// stage boundary (a GroupReduce) whose rows carry their
 // columns into the next row stage, and a select — and runs each at Workers
 // {1, 4}. The engine must match the row-at-a-time reference bit for bit: rows and
 // their order, their columns with the newest of a name shadowing, ClusterTime
@@ -814,7 +798,7 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 					faulted++
 				}
 			}
-			// The row stage starts after the Scan and its filters.
+			// The row stage starts after the Scan and its filter.
 			first := 1
 			for first < len(got.PerOp) && got.PerOp[first].PPFilter {
 				first++
@@ -822,7 +806,7 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 			if got.PerOp[first].RowsIn > refMorsel {
 				multiMorsel++
 			}
-			for shape, ok := range map[string]bool{"project": c.project, "row filter": c.rowFilter, "shadowed column": c.shadow} {
+			for shape, ok := range map[string]bool{"project": c.project, "shadowed column": c.shadow} {
 				if ok {
 					covered[shape]++
 				}
@@ -842,7 +826,7 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 	if failures == 0 || faulted == 0 || failures > runs*3/4 || multiMorsel == 0 {
 		t.Fatalf("%d failed runs, %d faulted positions and %d multi-morsel runs over %d runs: the draw does not cover every path", failures, faulted, multiMorsel, runs)
 	}
-	for _, shape := range []string{"project", "row filter", "shadowed column", "boundary at workers=1", "boundary at workers=4"} {
+	for _, shape := range []string{"project", "shadowed column", "boundary at workers=1", "boundary at workers=4"} {
 		if covered[shape] == 0 {
 			t.Fatalf("no successful run with a %s: the draw does not cover every path", shape)
 		}

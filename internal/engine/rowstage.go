@@ -10,9 +10,9 @@ import (
 )
 
 // The row stage: the row-local operators after the source stage (Process,
-// Select, Project, a PPFilter over rows), and after each stage boundary,
-// run one morsel at a time, in the style of MonetDB/X100's cache-resident
-// vectors and morsel-driven parallelism (Leis et al., SIGMOD 2014). A morsel
+// Select, Project), and after each stage boundary, run one morsel at a time,
+// in the style of MonetDB/X100's cache-resident vectors and morsel-driven
+// parallelism (Leis et al., SIGMOD 2014). A morsel
 // is columns before rows (batch.go): int32 positions into the stage's base —
 // the source's blobs, or the upstream rows — plus one pooled value vector per
 // column the stage's processors add. A processor fills its columns' vectors
@@ -23,8 +23,8 @@ import (
 // the output slab sized by the survivor count; a Project, which needs Rows,
 // makes its input's and its own output becomes the morsel's base.
 //
-// The ledger keeps every bit. A Process or PPFilter threads its running cost
-// sum from morsel to morsel, row by row, so its total is the same sequence of
+// The ledger keeps every bit. A Process threads its running cost sum from
+// morsel to morsel, row by row, so its total is the same sequence of
 // additions as one pass over the whole input; Select and Project are charged
 // once, from their row counts; each position is charged once per row stage.
 // With Workers > 1 the stage's input is split once into worker ranges
@@ -49,7 +49,7 @@ const pooledVecs = 8
 // run of them after the source stage as one row stage.
 func rowLocal(op Operator) bool {
 	switch op.(type) {
-	case *Process, *Select, *Project, *PPFilter:
+	case *Process, *Select, *Project:
 		return true
 	}
 	return false
@@ -79,8 +79,8 @@ func (in rowInput) len() int {
 type opRun struct {
 	ran     bool
 	in, out int
-	// cost is a Process's or PPFilter's running sum, threaded row by row
-	// across the range's morsels.
+	// cost is a Process's running sum, threaded row by row across the
+	// range's morsels.
 	cost   float64
 	wallNS int64
 	tally  retryTally
@@ -91,8 +91,8 @@ type opRun struct {
 
 // rowWorker runs the morsel loop over one worker range. It is pooled: its
 // morsel's buffers — positions, value vectors, the keep list, the repeat
-// counts, a Project's two row buffers — its filter scratch and its predicate
-// lookup outlive the run, and are cleared when it goes back.
+// counts, a Project's two row buffers — and its predicate lookup outlive the
+// run, and are cleared when it goes back.
 type rowWorker struct {
 	m morsel
 	// free holds the value vectors the morsel is not using.
@@ -102,7 +102,6 @@ type rowWorker struct {
 	// high is the most rows any buffer was written to since the worker left
 	// the pool: only that prefix of a buffer holds references to clear.
 	high int
-	fs   *filterScratch
 	look *rowLookup
 	runs []opRun
 	// failed is the position (in the stage's operators) whose error stopped
@@ -158,10 +157,6 @@ func putRowWorker(w *rowWorker) {
 		}
 	}
 	w.high = 0
-	if w.fs != nil {
-		putFilterScratch(w.fs)
-		w.fs = nil
-	}
 	clear(w.runs)
 	w.look.m = nil
 	w.emitNS, w.out = 0, nil
@@ -213,11 +208,11 @@ func (w *rowWorker) rowBuf(k, n int) []Row {
 // appends the last operator's output to out. A range with no survivors is one
 // empty morsel, so every operator still executes. The first failure stops the
 // range: w.failed names its operator and that operator's opRun holds it.
-func (w *rowWorker) run(ops []Operator, src rowInput, lo, hi int, cfg Config, accs []opAcc, out []Row) []Row {
+func (w *rowWorker) run(ops []Operator, src rowInput, lo, hi int, cfg Config, out []Row) []Row {
 	w.start = time.Now()
 	for m := lo; ; m += morselRows {
 		end := min(m+morselRows, hi)
-		out = w.morsel(ops, src, m, end, cfg, accs, out)
+		out = w.morsel(ops, src, m, end, cfg, out)
 		if w.failed >= 0 || end >= hi {
 			return out
 		}
@@ -225,7 +220,7 @@ func (w *rowWorker) run(ops []Operator, src rowInput, lo, hi int, cfg Config, ac
 }
 
 // morsel runs survivors [lo, hi) of src through ops.
-func (w *rowWorker) morsel(ops []Operator, src rowInput, lo, hi int, cfg Config, accs []opAcc, out []Row) []Row {
+func (w *rowWorker) morsel(ops []Operator, src rowInput, lo, hi int, cfg Config, out []Row) []Row {
 	m := &w.m
 	m.reset(src, lo, hi)
 	if len(ops) == 0 {
@@ -240,7 +235,7 @@ func (w *rowWorker) morsel(ops []Operator, src rowInput, lo, hi int, cfg Config,
 		in, mark := m.len(), len(out)
 		start := time.Now()
 		var err error
-		out, err = w.step(op, last, out, or, cfg, &accs[j].ctally)
+		out, err = w.step(op, last, out, or, cfg)
 		or.wallNS += time.Since(start).Nanoseconds()
 		or.ran = true
 		or.in += in
@@ -259,9 +254,8 @@ func (w *rowWorker) morsel(ops []Operator, src rowInput, lo, hi int, cfg Config,
 
 // step runs one operator over the morsel. The last operator appends the
 // stage's output rows to out.
-func (w *rowWorker) step(op Operator, last bool, out []Row, or *opRun, cfg Config, ct *CacheTally) ([]Row, error) {
+func (w *rowWorker) step(op Operator, last bool, out []Row, or *opRun, cfg Config) ([]Row, error) {
 	m := &w.m
-	var keep []int32
 	switch o := op.(type) {
 	case *Process:
 		if err := apply(o.P, m, cfg.Retry, or); err != nil {
@@ -288,23 +282,17 @@ func (w *rowWorker) step(op Operator, last bool, out []Row, or *opRun, cfg Confi
 		m.buf = k
 		return out, nil
 	case *Select:
-		var err error
-		if keep, err = o.filter(m, w.look, w.intBuf(&w.idx, m.len())[:0]); err != nil {
+		keep, err := o.filter(m, w.look, w.intBuf(&w.idx, m.len())[:0])
+		if err != nil {
 			return out, err
 		}
-	case *PPFilter:
-		if w.fs == nil {
-			w.fs = getFilterScratch(m.len())
+		if last {
+			return m.emit(out, keep), nil
 		}
-		keep = o.filterMorsel(m, w.fs, &or.cost, ct, w.intBuf(&w.idx, m.len())[:0])
-	default:
-		panic("engine: " + op.Name() + " is not a row-stage operator")
+		m.keep(keep)
+		return out, nil
 	}
-	if last {
-		return m.emit(out, keep), nil
-	}
-	m.keep(keep)
-	return out, nil
+	panic("engine: " + op.Name() + " is not a row-stage operator")
 }
 
 // rowLookup is a predicate lookup bound to one morsel row at a time: one
@@ -328,13 +316,12 @@ func newRowLookup() *rowLookup {
 // it, and each worker's into its own part of it, joined in range order.
 func (r *run) rowStage(src rowInput, first, split int, dst []Row) ([]Row, error) {
 	ops := r.ops[first:split]
-	accs := r.accs[first:split]
 	n := src.len()
 	base := len(dst)
 	dst = slices.Grow(dst, n)
 	if !parallel(n, r.cfg.Workers) {
 		w := getRowWorker(len(ops))
-		dst = w.run(ops, src, 0, n, r.cfg, accs, dst)
+		dst = w.run(ops, src, 0, n, r.cfg, dst)
 		ws := [1]*rowWorker{w}
 		err := r.settle(first, ops, ws[:], nil)
 		putRowWorker(w)
@@ -350,7 +337,7 @@ func (r *run) rowStage(src rowInput, first, split int, dst []Row) ([]Row, error)
 		go func() {
 			defer wg.Done()
 			region := dst[base+b[0] : base+b[0] : base+b[1]]
-			w.out = w.run(ops, src, b[0], b[1], r.cfg, accs, region)
+			w.out = w.run(ops, src, b[0], b[1], r.cfg, region)
 		}()
 	}
 	wg.Wait()
@@ -426,17 +413,14 @@ func (r *run) settle(first int, ops []Operator, ws []*rowWorker, bounds [][2]int
 }
 
 // threadsCost reports whether op's cost is a running sum over its rows (and
-// so splits into worker chunk spans that add up to it).
+// so splits into worker chunk spans that add up to it): a Process's.
 func threadsCost(op Operator) bool {
-	switch op.(type) {
-	case *Process, *PPFilter:
-		return true
-	}
-	return false
+	_, ok := op.(*Process)
+	return ok
 }
 
 // positionCost is a row-stage position's cost over in rows, given its
-// running sum: the sum for a Process or PPFilter, per-row cost × rows handed
+// running sum: the sum for a Process, per-row cost × rows handed
 // to it for Select and Project.
 func positionCost(op Operator, in int, sum float64) float64 {
 	switch o := op.(type) {
@@ -453,8 +437,7 @@ func positionCost(op Operator, in int, sum float64) float64 {
 func execLocal(op Operator, in []Row) ([]Row, float64, error) {
 	w := getRowWorker(1)
 	defer putRowWorker(w)
-	var accs [1]opAcc
-	out := w.run([]Operator{op}, rowInput{rows: in}, 0, len(in), Config{}, accs[:], make([]Row, 0, len(in)))
+	out := w.run([]Operator{op}, rowInput{rows: in}, 0, len(in), Config{}, make([]Row, 0, len(in)))
 	or := &w.runs[0]
 	if or.err != nil {
 		out = nil

@@ -49,7 +49,7 @@ const pinBound = 384 << 10
 // TestRowWorkerPoolHygiene drives one pooled worker through every kind of
 // row-stage operator — column adders with string values, more columns than
 // the pool keeps, a processor doubling its morsel past morselRows, a
-// projection, a PP filter over rows and a select — over several morsels, puts
+// projection and a select — over several morsels, puts
 // it back, and then reads what the pool holds: no blob, row or string
 // reference anywhere in the capacity of a kept buffer, no buffer past
 // morselRows, at most pooledVecs vectors, and no more pinned than pinBound.
@@ -69,14 +69,13 @@ func TestRowWorkerPoolHygiene(t *testing.T) {
 	ops = append(ops,
 		&Process{P: doubler{from: 2500}},
 		&Project{Rename: map[string]string{"x": "xr"}, Drop: []string{"s0"}},
-		&PPFilter{F: thresholdFilter{col: "y", t: 20, cost: 1}},
 		&Process{P: fakeUDF{name: "Y", cost: 1, col: "y"}},
 		&Select{Pred: query.MustParse("y>=50")},
 		&Project{Compute: []ComputedCol{{Name: "p", Fn: func(r Row) (query.Value, error) { return query.Number(1), nil }}}},
 		&Select{Pred: query.MustParse("p>=1")},
 	)
 	w := getRowWorker(len(ops))
-	out := w.run(ops, rowInput{scan: true, blobs: blobs}, 0, n, Config{}, make([]opAcc, len(ops)), nil)
+	out := w.run(ops, rowInput{scan: true, blobs: blobs}, 0, n, Config{}, nil)
 	if w.failed >= 0 || len(out) != 1750 {
 		t.Fatalf("%d rows, failed at %d: %v", len(out), w.failed, w.runs[max(w.failed, 0)].err)
 	}
@@ -126,8 +125,8 @@ func TestRowWorkerPoolHygiene(t *testing.T) {
 			t.Fatalf("the morsel's column list holds %q at %d", c.name, i)
 		}
 	}
-	if w.fs != nil || w.look.m != nil || w.out != nil {
-		t.Error("the pooled worker still holds its filter scratch, lookup or output")
+	if w.look.m != nil || w.out != nil {
+		t.Error("the pooled worker still holds its lookup or output")
 	}
 	pinned += cap(m.cols)*int(unsafe.Sizeof(vec{})) + cap(w.free)*int(unsafe.Sizeof([]query.Value{})) +
 		cap(w.runs)*int(unsafe.Sizeof(opRun{}))

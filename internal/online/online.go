@@ -349,12 +349,6 @@ func (s *System) ReportRun(dec *optimizer.Decision, observedReduction float64) {
 	s.opt.ObserveRuntime(dec, observedReduction)
 }
 
-// ReportRunCtx is ReportRun with the observing session's trace context
-// (misestimation events carry the session's TraceID).
-func (s *System) ReportRunCtx(dec *optimizer.Decision, observedReduction float64, ctx obs.TraceContext) {
-	s.opt.ObserveRuntimeCtx(dec, observedReduction, ctx)
-}
-
 // ReportAccuracy feeds the realized accuracy of an executed injected
 // decision (the fraction of the reference output retained) to the watchdog.
 // Decision-level accuracy cannot be attributed to a single PP, so — like

@@ -71,6 +71,13 @@ func (o *Optimizer) InjectIntoPlan(plan engine.Plan, opts Options) (*PushdownRes
 		res.Reason = "plan does not start with a scan"
 		return res, nil
 	}
+	// A plan holds at most one PP filter (engine.Run refuses a second).
+	for _, op := range plan.Ops {
+		if _, ok := op.(*engine.PPFilter); ok {
+			res.Reason = "plan already carries a PP filter"
+			return res, nil
+		}
+	}
 
 	// Push the placeholder from just below the selection toward the scan.
 	shortcutCost := 0.0
@@ -140,9 +147,6 @@ func pushBelow(op engine.Operator, pred query.Pred) (query.Pred, float64, string
 				return nil, 0, fmt.Sprintf("predicate references dimension column %q", col)
 			}
 		}
-		return pred, 0, ""
-	case *engine.PPFilter:
-		// An already-injected filter; pass below.
 		return pred, 0, ""
 	case *engine.Barrier:
 		return pred, 0, ""

@@ -233,3 +233,28 @@ func TestInjectIntoPlanSelectBelowSelect(t *testing.T) {
 		t.Fatalf("rewritten = %v", res.RewrittenPred)
 	}
 }
+
+// TestInjectIntoPlanKeepsOneFilter: a plan that already carries a PP filter
+// gets no second one — engine.Run would refuse it — and comes back as it
+// was, still runnable.
+func TestInjectIntoPlanKeepsOneFilter(t *testing.T) {
+	val := testkit.Blobs(1500, 41)
+	opt := New(miniCorpus(t, val))
+	first, err := opt.InjectIntoPlan(basePlan(val, query.MustParse("t=SUV & c=red")), Options{Accuracy: 0.95})
+	if err != nil || !first.Injected {
+		t.Fatalf("first injection: %+v, %v", first, err)
+	}
+	again, err := opt.InjectIntoPlan(first.Plan, Options{Accuracy: 0.95})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Injected || !strings.Contains(again.Reason, "already carries a PP filter") {
+		t.Fatalf("second injection: injected %v, reason %q", again.Injected, again.Reason)
+	}
+	if len(again.Plan.Ops) != len(first.Plan.Ops) {
+		t.Fatalf("the plan grew from %d to %d operators", len(first.Plan.Ops), len(again.Plan.Ops))
+	}
+	if _, err := engine.Run(again.Plan, engine.Config{}); err != nil {
+		t.Fatalf("the returned plan does not run: %v", err)
+	}
+}

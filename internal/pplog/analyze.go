@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -40,16 +39,6 @@ func ReadSpans(r io.Reader) ([]obs.Span, error) {
 		return nil, fmt.Errorf("span dump: %w", err)
 	}
 	return out, nil
-}
-
-// ReadSpansFile reads a span dump from path.
-func ReadSpansFile(path string) ([]obs.Span, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSpans(f)
 }
 
 // Options tunes Analyze. The zero value picks the documented defaults.

@@ -2,6 +2,7 @@ package pplog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -114,6 +115,45 @@ func TestWriterNonBlockingUnderSaturation(t *testing.T) {
 	}
 	if w.Written() != uint64(accepted) {
 		t.Fatalf("written = %d, want %d after release", w.Written(), accepted)
+	}
+}
+
+// failingWriter accepts ok writes, then fails every one after.
+type failingWriter struct{ ok int }
+
+var errSinkFailed = errors.New("sink failed")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if f.ok == 0 {
+		return 0, errSinkFailed
+	}
+	f.ok--
+	return len(p), nil
+}
+
+// TestWriterCountsRecordsLostToAFailedSink: once the sink fails, the record
+// it failed on and every record after it are lost, and each is counted as a
+// drop, so Written() + Drops() is every Log call; Close returns the failure.
+func TestWriterCountsRecordsLostToAFailedSink(t *testing.T) {
+	const total, ok = 20, 5
+	reg := metrics.New()
+	w := NewWriter(&failingWriter{ok: ok}, total, reg)
+	for i := range total {
+		if !w.Log(Record{TraceID: fmt.Sprint("t", i)}) {
+			t.Fatalf("Log %d refused with room in the buffer", i)
+		}
+	}
+	if err := w.Close(); !errors.Is(err, errSinkFailed) {
+		t.Fatalf("Close = %v, want the sink's error", err)
+	}
+	if w.Written() != ok || w.Written()+w.Drops() != total {
+		t.Fatalf("written %d + drops %d, want %d + %d", w.Written(), w.Drops(), ok, total-ok)
+	}
+	if v := reg.Counter("querylog_dropped_total", "").Value(); v != total-ok {
+		t.Fatalf("querylog_dropped_total = %v, want %d", v, total-ok)
+	}
+	if v := reg.Counter("querylog_records_total", "").Value(); v != ok {
+		t.Fatalf("querylog_records_total = %v, want %d", v, ok)
 	}
 }
 

@@ -43,7 +43,7 @@ func NewWriter(out io.Writer, buffer int, reg *metrics.Registry) *Writer {
 		ch:         make(chan Record, buffer),
 		done:       make(chan struct{}),
 		recordsCtr: reg.Counter("querylog_records_total", "Query-log records written."),
-		dropsCtr:   reg.Counter("querylog_dropped_total", "Query-log records dropped because the writer's buffer was full."),
+		dropsCtr:   reg.Counter("querylog_dropped_total", "Query-log records dropped: the writer's buffer was full, it was closed, or its sink failed."),
 	}
 	go w.run(out)
 	return w
@@ -53,15 +53,16 @@ func (w *Writer) run(out io.Writer) {
 	defer close(w.done)
 	enc := json.NewEncoder(out)
 	for rec := range w.ch {
-		if w.err != nil {
-			continue // drain; the sink already failed
+		if w.err == nil {
+			if w.err = enc.Encode(rec); w.err == nil {
+				w.written.Add(1)
+				w.recordsCtr.Inc()
+				continue
+			}
 		}
-		if err := enc.Encode(rec); err != nil {
-			w.err = err
-			continue
-		}
-		w.written.Add(1)
-		w.recordsCtr.Inc()
+		// The sink failed on this record or before it: the record is lost.
+		w.drops.Add(1)
+		w.dropsCtr.Inc()
 	}
 }
 
@@ -96,7 +97,9 @@ func (w *Writer) Written() uint64 {
 	return w.written.Load()
 }
 
-// Drops returns how many records were dropped (full buffer or closed writer).
+// Drops returns how many records were dropped: full buffer, closed writer,
+// or a sink that failed. Once Close returns, Written() + Drops() is the
+// number of Log calls.
 func (w *Writer) Drops() uint64 {
 	if w == nil {
 		return 0

@@ -269,12 +269,7 @@ func (b Builder) BuildOver(blobs []blob.Blob, pred query.Pred, filter engine.Blo
 	if b.Faults != nil {
 		p = udf.Faulty(p, b.Faults)
 	}
-	ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
-	if filter != nil {
-		ops = append(ops, &engine.PPFilter{F: filter})
-	}
-	ops = append(ops, &engine.Process{P: p}, &engine.Select{Pred: pred})
-	return engine.Plan{Ops: ops}, nil
+	return engine.InferencePlan(blobs, filter, []engine.Processor{p}, pred), nil
 }
 
 // Split cuts blobs into segments at the given non-decreasing cut points; a

@@ -199,15 +199,11 @@ func NewOptimizer(c *Corpus) *Optimizer { return optimizer.New(c) }
 // processors, then the original predicate (Figure 2). A nil dec or a
 // non-injecting decision yields the unmodified NoP plan (Figure 1).
 func BuildPlan(blobs []Blob, dec *Decision, procs []Processor, pred Pred) Plan {
-	ops := []engine.Operator{&engine.Scan{Blobs: blobs}}
+	var f BlobFilter
 	if dec != nil && dec.Inject {
-		ops = append(ops, &engine.PPFilter{F: dec.Filter})
+		f = dec.Filter
 	}
-	for _, p := range procs {
-		ops = append(ops, &engine.Process{P: p})
-	}
-	ops = append(ops, &engine.Select{Pred: pred})
-	return Plan{Ops: ops}
+	return engine.InferencePlan(blobs, f, procs, pred)
 }
 
 // RunPlan executes a plan under the virtual cluster model.
