@@ -6,8 +6,7 @@
 // Usage:
 //
 //	ppquery [-pred "t=SUV & c=red"] [-accuracy 0.95] [-rows 20000] [-seed N] [-explain]
-//	        [-trace] [-metrics addr] [-metrics-dump file.json]
-//	        [-querylog file.jsonl] [-flight-triggers default|none|run-errors,event,...]
+//	        [-trace] [-metrics addr] [-querylog file.jsonl]
 //
 // -explain prints the candidate PP expressions and an EXPLAIN ANALYZE tree
 // for the executed PP plan: per-operator estimated vs actual rows, virtual
@@ -21,23 +20,17 @@
 // to stderr automatically if a run fails.
 //
 // -metrics serves Prometheus text on http://addr/metrics (plus /healthz and
-// /debug/pprof/) for the duration of the process; -metrics-dump writes a
-// one-shot JSON snapshot of every instrument when the query finishes.
+// /debug/pprof/) for the duration of the process.
 //
 // Every invocation runs under one trace ID (printed alongside the predicate);
 // all spans the run emits share it. -querylog appends a structured pplog
-// record for the PP run to the given JSONL file. -flight-triggers overrides
-// which records auto-dump the flight recorder: "default" keeps the built-in
-// set (failed runs, watchdog.trip, shard.fail), "none" disables
-// auto-dumping, and a comma-separated list names event triggers directly,
-// with the special token "run-errors" standing for failed run spans.
+// record for the PP run to the given JSONL file.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"probpred/internal/bench"
@@ -50,17 +43,15 @@ import (
 )
 
 type options struct {
-	predStr       string
-	accuracy      float64
-	rows          int
-	seed          uint64
-	explain       bool
-	corpusFile    string
-	trace         bool
-	metricsAddr   string
-	metricsDump   string
-	queryLog      string
-	flightTrigger string
+	predStr     string
+	accuracy    float64
+	rows        int
+	seed        uint64
+	explain     bool
+	corpusFile  string
+	trace       bool
+	metricsAddr string
+	queryLog    string
 }
 
 func main() {
@@ -73,9 +64,7 @@ func main() {
 	flag.StringVar(&o.corpusFile, "corpus", "", "load the PP corpus from this file if it exists; otherwise train and save it")
 	flag.BoolVar(&o.trace, "trace", false, "stream execution + optimizer spans to stderr")
 	flag.StringVar(&o.metricsAddr, "metrics", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. :9090)")
-	flag.StringVar(&o.metricsDump, "metrics-dump", "", "write a JSON metrics snapshot to this file at exit")
 	flag.StringVar(&o.queryLog, "querylog", "", "append a structured pplog record for the PP run to this JSONL file")
-	flag.StringVar(&o.flightTrigger, "flight-triggers", "default", "flight-recorder auto-dump triggers: 'default', 'none', or comma-separated event names ('run-errors' = failed run spans)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -93,15 +82,8 @@ func run(o options) error {
 	fmt.Printf("predicate: %s  (accuracy target %.2f, trace %s)\n", pred, o.accuracy, tctx.TraceID)
 
 	// The flight recorder rides along unconditionally: it buffers the most
-	// recent spans/events and dumps them to stderr when a trigger fires
-	// (-flight-triggers picks the trigger set; the default is a failed run).
-	recorder := obs.NewFlightRecorder(256, os.Stderr)
-	trigger, err := parseTriggers(o.flightTrigger)
-	if err != nil {
-		return err
-	}
-	recorder.SetTrigger(trigger)
-	sinks := []obs.Sink{recorder}
+	// recent spans/events and dumps them to stderr when a run fails.
+	sinks := []obs.Sink{obs.NewFlightRecorder(256, os.Stderr)}
 	if o.trace {
 		sinks = append(sinks, obs.NewTextSink(os.Stderr))
 	}
@@ -201,17 +183,6 @@ func run(o options) error {
 	fmt.Printf("\nspeed-up: %.2fx cluster time, %.2fx latency; accuracy: %.3f\n",
 		nop.ClusterTime/pp.ClusterTime, nop.Latency/pp.Latency, acc)
 
-	if o.metricsDump != "" {
-		f, err := os.Create(o.metricsDump)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := reg.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", o.metricsDump)
-	}
 	if o.queryLog != "" {
 		rec := pplog.Record{
 			TimeUnixNS: time.Now().UnixNano(),
@@ -257,35 +228,6 @@ func appendQueryLog(path string, rec pplog.Record, reg *metrics.Registry) error 
 		err = cerr
 	}
 	return err
-}
-
-// parseTriggers compiles the -flight-triggers flag into an auto-dump
-// predicate: "default" selects obs.DefaultTriggerSpec, "none" disables
-// auto-dumping, anything else is a comma-separated list of event names with
-// "run-errors" standing for failed run spans.
-func parseTriggers(s string) (func(obs.Record) bool, error) {
-	switch strings.TrimSpace(s) {
-	case "", "default":
-		return obs.DefaultTrigger, nil
-	case "none":
-		return nil, nil
-	}
-	var spec obs.TriggerSpec
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		switch {
-		case tok == "":
-			continue
-		case tok == "run-errors":
-			spec.FailedRunSpans = true
-		default:
-			spec.Events = append(spec.Events, tok)
-		}
-	}
-	if !spec.FailedRunSpans && len(spec.Events) == 0 {
-		return nil, fmt.Errorf("-flight-triggers %q names no triggers (use 'none' to disable)", s)
-	}
-	return spec.Trigger(), nil
 }
 
 // estimateRows builds the planner's estimated output cardinality for each

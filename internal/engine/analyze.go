@@ -21,21 +21,17 @@ type AnalyzeOptions struct {
 	// Result.PerOp[i]. Negative entries — and positions beyond the slice —
 	// mean "no estimate": they render as "-" and are never flagged.
 	EstimatedRows []float64
-	// Tolerance is the relative cardinality error |actual−est|/max(est,1)
-	// tolerated before an operator is flagged MISESTIMATE. Zero selects 0.25.
-	Tolerance float64
 }
 
-// DefaultAnalyzeTolerance is the misestimation tolerance used when
-// AnalyzeOptions.Tolerance is zero.
-const DefaultAnalyzeTolerance = 0.25
+// misestimated reports whether act misses the estimate e by more than the
+// tolerated relative cardinality error |act−e|/max(e,1) of 0.25, the rule
+// that flags an operator MISESTIMATE.
+func misestimated(act int, e float64) bool {
+	return math.Abs(float64(act)-e)/math.Max(e, 1) > 0.25
+}
 
 // Analyze renders the EXPLAIN ANALYZE tree for an executed plan.
 func (r *Result) Analyze(opts AnalyzeOptions) string {
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = DefaultAnalyzeTolerance
-	}
 	est := func(i int) float64 {
 		if i < len(opts.EstimatedRows) {
 			return opts.EstimatedRows[i]
@@ -69,10 +65,8 @@ func (r *Result) Analyze(opts AnalyzeOptions) string {
 		if op.Timeouts > 0 {
 			notes = append(notes, fmt.Sprintf("timeouts=%d", op.Timeouts))
 		}
-		if e := est(i); e >= 0 {
-			if relErr := math.Abs(float64(op.RowsOut)-e) / math.Max(e, 1); relErr > tol {
-				notes = append(notes, fmt.Sprintf("MISESTIMATE ×%.2f", misestimateFactor(float64(op.RowsOut), e)))
-			}
+		if e := est(i); e >= 0 && misestimated(op.RowsOut, e) {
+			notes = append(notes, fmt.Sprintf("MISESTIMATE ×%.2f", misestimateFactor(float64(op.RowsOut), e)))
 		}
 		if len(notes) > 0 {
 			row += " " + strings.Join(notes, " ")
@@ -84,22 +78,14 @@ func (r *Result) Analyze(opts AnalyzeOptions) string {
 }
 
 // Misestimated returns the PerOp indices flagged by Analyze under the same
-// tolerance rules — the machine-readable face of the MISESTIMATE marker.
+// tolerance rule — the machine-readable face of the MISESTIMATE marker.
 func (r *Result) Misestimated(opts AnalyzeOptions) []int {
-	tol := opts.Tolerance
-	if tol == 0 {
-		tol = DefaultAnalyzeTolerance
-	}
 	var out []int
 	for i := range r.PerOp {
 		if i >= len(opts.EstimatedRows) {
 			break
 		}
-		e := opts.EstimatedRows[i]
-		if e < 0 {
-			continue
-		}
-		if math.Abs(float64(r.PerOp[i].RowsOut)-e)/math.Max(e, 1) > tol {
+		if e := opts.EstimatedRows[i]; e >= 0 && misestimated(r.PerOp[i].RowsOut, e) {
 			out = append(out, i)
 		}
 	}

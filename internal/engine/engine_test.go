@@ -339,27 +339,6 @@ func TestLatencyModelStagesSerialize(t *testing.T) {
 	}
 }
 
-func TestLatencyScalesWithParallelism(t *testing.T) {
-	plan := Plan{Ops: []Operator{
-		&Scan{Blobs: makeBlobs(1000)},
-		&Process{P: fakeUDF{name: "A", cost: 10, col: "x"}},
-	}}
-	slow, err := Run(plan, Config{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Run(plan, Config{Parallelism: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Latency >= slow.Latency {
-		t.Fatalf("parallelism did not reduce latency: %v vs %v", fast.Latency, slow.Latency)
-	}
-	if fast.ClusterTime != slow.ClusterTime {
-		t.Fatal("parallelism should not change cluster time")
-	}
-}
-
 func TestRowWithDoesNotMutate(t *testing.T) {
 	r := NewRow(blob.Blob{ID: 1})
 	r2 := r.With("a", query.Number(1))
@@ -445,8 +424,9 @@ func TestMisplacedFilterRefused(t *testing.T) {
 			if spans := col.Spans(); len(spans) != 0 {
 				t.Fatalf("a refused plan emitted %d spans, the first %q", len(spans), spans[0].Name)
 			}
-			if snap := reg.Snapshot(); len(snap) != 0 {
-				t.Fatalf("a refused plan recorded metrics: %+v", snap)
+			var prom strings.Builder
+			if err := reg.WriteProm(&prom); err != nil || prom.Len() != 0 {
+				t.Fatalf("a refused plan recorded metrics (%v): %s", err, prom.String())
 			}
 		})
 	}

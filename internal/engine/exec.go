@@ -29,10 +29,20 @@ func InferencePlan(blobs []blob.Blob, f BlobFilter, procs []Processor, pred quer
 	return Plan{Ops: append(ops, &Select{Pred: pred})}
 }
 
+// The cluster the latency model charges: partitions is how many ways a
+// stage's work divides, and stageOverheadMS the fixed virtual ms every
+// serialized stage adds for job-wave scheduling, shuffle and
+// materialization setup, and stragglers (~15 s, typical for a Cosmos-style
+// batch stage). Data-parallel clusters pay it per stage regardless of stage
+// size, which is why SortP's serialized predicate stages lose latency even
+// while saving resources (§8.2).
+const (
+	partitions      = 16
+	stageOverheadMS = 15000
+)
+
 // Config controls the execution environment model.
 type Config struct {
-	// Parallelism is the number of cluster partitions. Zero selects 16.
-	Parallelism int
 	// Workers sets how many goroutines execute the row-parallel work: the
 	// PP filter's TestBatch in the source stage, and the row stage, split
 	// once at its input into worker ranges. It affects only wall-clock
@@ -41,17 +51,8 @@ type Config struct {
 	// concurrent Apply calls on disjoint batches when Workers > 1. Zero
 	// or one is sequential.
 	Workers int
-	// StageOverheadMS is the fixed overhead charged to latency per stage:
-	// job-wave scheduling, shuffle/materialization setup, and stragglers.
-	// Data-parallel clusters pay this per serialized stage regardless of
-	// stage size, which is why SortP's serialized predicate stages lose
-	// latency even while saving resources (§8.2). Zero selects 15000
-	// virtual ms (~15 s per stage, typical for a Cosmos-style batch stage);
-	// set NoStageOverhead to model an overhead-free substrate.
-	StageOverheadMS float64
-	// NoStageOverhead disables the per-stage latency overhead entirely.
-	// It exists because StageOverheadMS is defaulted on zero, which would
-	// otherwise make "no stage overhead" inexpressible.
+	// NoStageOverhead models an overhead-free substrate: stages add no
+	// fixed latency.
 	NoStageOverhead bool
 	// Retry governs transient row-level UDF failures: attempt budget,
 	// exponential backoff charged in virtual ms, and the per-attempt
@@ -73,17 +74,6 @@ type Config struct {
 	// never per row, so the batch hot path stays allocation-free with a live
 	// registry. Nil disables metrics at one pointer check per run.
 	Metrics *metrics.Registry
-}
-
-func (c *Config) fill() {
-	if c.Parallelism == 0 {
-		c.Parallelism = 16
-	}
-	if c.NoStageOverhead {
-		c.StageOverheadMS = 0
-	} else if c.StageOverheadMS == 0 {
-		c.StageOverheadMS = 15000
-	}
 }
 
 // OpStats is one operator's accounting, keyed by plan position rather than
@@ -149,7 +139,6 @@ type Result struct {
 // rows only for what it emits, and every other operator sees every row at
 // once through exec.
 func Run(p Plan, cfg Config) (*Result, error) {
-	cfg.fill()
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
 	}
@@ -213,9 +202,13 @@ func Run(p Plan, cfg Config) (*Result, error) {
 		in, i = rowInput{rows: rows}, j+1
 	}
 
+	overhead := float64(stageOverheadMS)
+	if cfg.NoStageOverhead {
+		overhead = 0
+	}
 	latency := 0.0
 	for _, c := range r.stageCosts {
-		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
+		latency += c/partitions + overhead
 	}
 	emitOps(cfg, ops, r.accs)
 	r.span.CostVMS = r.cluster

@@ -43,13 +43,25 @@ func emitRunMetrics(reg *metrics.Registry, res *Result, wallNS int64, traceID st
 	reg.Histogram("engine_run_wall_ns", "Real wall-clock duration per run, nanoseconds.").ObserveExemplar(float64(wallNS), traceID)
 }
 
+// opMetricName labels an operator's series. A Select's and a PP filter's
+// names spell query text, so each is labeled by its kind: one series per
+// distinct predicate would grow the registry with every ad-hoc query.
+func opMetricName(op Operator) string {
+	switch op.(type) {
+	case *Select:
+		return "σ"
+	case *PPFilter:
+		return "PP"
+	}
+	return op.Name()
+}
+
 // emitOpMetrics records one plan position's accumulated work within a run.
 func emitOpMetrics(reg *metrics.Registry, op Operator, acc *opAcc) {
 	if reg == nil {
 		return
 	}
-	name := op.Name()
-	opLabel := metrics.L("op", name)
+	opLabel := metrics.L("op", opMetricName(op))
 	reg.Counter("engine_op_rows_in_total", "Rows entering each operator.", opLabel).Add(float64(acc.rowsIn))
 	reg.Counter("engine_op_rows_out_total", "Rows leaving each operator.", opLabel).Add(float64(acc.rowsOut))
 	reg.Histogram("engine_op_cost_vms", "Virtual cost charged per operator execution, virtual ms.", opLabel).Observe(acc.cost)
@@ -61,15 +73,14 @@ func emitOpMetrics(reg *metrics.Registry, op Operator, acc *opAcc) {
 		reg.Counter("engine_row_timeouts_total", "Row attempts killed at the per-row virtual timeout.", opLabel).Add(float64(acc.tally.timeouts))
 	}
 	if _, ok := op.(*PPFilter); ok {
-		fLabel := metrics.L("filter", name)
-		reg.Counter("engine_ppfilter_tested_total", "Blobs tested by injected PP filters.", fLabel).Add(float64(acc.rowsIn))
-		reg.Counter("engine_ppfilter_passed_total", "Blobs passing injected PP filters.", fLabel).Add(float64(acc.rowsOut))
+		reg.Counter("engine_ppfilter_tested_total", "Blobs tested by injected PP filters.").Add(float64(acc.rowsIn))
+		reg.Counter("engine_ppfilter_passed_total", "Blobs passing injected PP filters.").Add(float64(acc.rowsOut))
 		hits, misses := acc.ctally.Counts()
 		if hits > 0 {
-			reg.Counter("engine_ppfilter_cache_hits_total", "PP score lookups served from the score cache.", fLabel).Add(float64(hits))
+			reg.Counter("engine_ppfilter_cache_hits_total", "PP score lookups served from the score cache.").Add(float64(hits))
 		}
 		if misses > 0 {
-			reg.Counter("engine_ppfilter_cache_misses_total", "PP score lookups that missed the score cache.", fLabel).Add(float64(misses))
+			reg.Counter("engine_ppfilter_cache_misses_total", "PP score lookups that missed the score cache.").Add(float64(misses))
 		}
 	}
 }

@@ -27,16 +27,22 @@ func TestRunEmitsMetrics(t *testing.T) {
 		t.Fatalf("engine_run_errors_total = %v, want 0", got)
 	}
 	// The PP filter tested the whole scan output and passed x>49: 50 rows.
-	f := metrics.L("filter", "PP[thresh]")
-	if got := reg.Counter("engine_ppfilter_tested_total", "", f).Value(); got != 100 {
+	if got := reg.Counter("engine_ppfilter_tested_total", "").Value(); got != 100 {
 		t.Fatalf("tested = %v, want 100", got)
 	}
-	if got := reg.Counter("engine_ppfilter_passed_total", "", f).Value(); got != 50 {
+	if got := reg.Counter("engine_ppfilter_passed_total", "").Value(); got != 50 {
 		t.Fatalf("passed = %v, want 50", got)
 	}
 	op := metrics.L("op", "XExtract")
 	if got := reg.Counter("engine_op_rows_in_total", "", op).Value(); got != 50 {
 		t.Fatalf("udf rows in = %v, want 50", got)
+	}
+	// The filter and the selection are labeled by kind, not by their text.
+	if got := reg.Counter("engine_op_rows_in_total", "", metrics.L("op", "PP")).Value(); got != 100 {
+		t.Fatalf("PP rows in = %v, want 100", got)
+	}
+	if got := reg.Counter("engine_op_rows_in_total", "", metrics.L("op", "σ")).Value(); got != 50 {
+		t.Fatalf("σ rows in = %v, want 50", got)
 	}
 	if got := reg.Histogram("engine_op_cost_vms", "", op).Count(); got != 1 {
 		t.Fatalf("udf cost observations = %v, want 1", got)

@@ -199,15 +199,15 @@ func TestNoStageOverheadSentinel(t *testing.T) {
 		&Scan{Blobs: makeBlobs(16)},
 		&Process{P: fakeUDF{name: "U", cost: 16, col: "x"}},
 	}}
-	def, err := Run(plan, Config{Parallelism: 16})
+	def, err := Run(plan, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := Run(plan, Config{Parallelism: 16, NoStageOverhead: true})
+	none, err := Run(plan, Config{NoStageOverhead: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One stage: default latency = work/16 + 15000, sentinel drops the 15000.
+	// One stage: default latency = work/16 + 15000, NoStageOverhead drops the 15000.
 	if def.Latency != none.Latency+15000 {
 		t.Fatalf("latency default %v vs none %v, want 15000 apart", def.Latency, none.Latency)
 	}

@@ -45,13 +45,9 @@ type refAcc struct {
 }
 
 func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 16
-	}
+	overhead := 15000.0
 	if cfg.NoStageOverhead {
-		cfg.StageOverheadMS = 0
-	} else if cfg.StageOverheadMS == 0 {
-		cfg.StageOverheadMS = 15000
+		overhead = 0
 	}
 	split := 1
 	for split < len(p.Ops) && !p.Ops[split].StageBoundary() {
@@ -133,7 +129,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 	}
 	latency := 0.0
 	for _, c := range stageCosts {
-		latency += c/float64(cfg.Parallelism) + cfg.StageOverheadMS
+		latency += c/16 + overhead
 	}
 	res := &engine.Result{
 		Rows: rows, ClusterTime: cluster, Latency: latency, Stages: len(stageCosts),

@@ -19,18 +19,11 @@ func Handler(r *Registry) http.Handler {
 }
 
 // NewMux builds the shared diagnostics mux every binary serves from one
-// -metrics address: Prometheus exposition at /metrics, the same snapshot as
-// JSON at /metrics.json, a liveness probe at /healthz, and the
-// net/http/pprof handlers under /debug/pprof/.
+// -metrics address: Prometheus exposition at /metrics, a liveness probe at
+// /healthz, and the net/http/pprof handlers under /debug/pprof/.
 func NewMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := r.WriteJSON(w); err != nil {
-			return
-		}
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")

@@ -11,10 +11,9 @@
 // are resolved by (name, labels) once — outside row loops — and then updated
 // with lock-free atomics, so a live registry adds no per-row allocations.
 //
-// Exposition has three forms: Prometheus text format (WriteProm, served at
-// /metrics), a one-shot JSON snapshot with extracted histogram quantiles
-// (Snapshot/WriteJSON), and direct Quantile/Value reads for in-process
-// consumers such as ppquery's EXPLAIN ANALYZE.
+// Exposition has one wire form, Prometheus text format with OpenMetrics
+// exemplars (WriteProm, served at /metrics), plus direct Quantile/Value
+// reads for in-process consumers such as ppquery's EXPLAIN ANALYZE.
 package metrics
 
 import (
@@ -444,14 +443,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return bucketUpper(overIdx)
-}
-
-// Mean returns the arithmetic mean of observed values (exact: sum/count).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.total.Load() == 0 {
-		return 0
-	}
-	return h.Sum() / float64(h.Count())
 }
 
 // bucketRow is one non-empty bucket of a snapshot: its inclusive upper

@@ -320,42 +320,6 @@ func splitLabelPairs(s string) []string {
 	return out
 }
 
-func TestSnapshotAndJSON(t *testing.T) {
-	r := New()
-	r.Counter("c_total", "h").Add(2)
-	h := r.Histogram("lat", "h")
-	for i := 0; i < 1000; i++ {
-		h.Observe(10)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot families = %d, want 2", len(snap))
-	}
-	byName := map[string]SnapshotFamily{}
-	for _, f := range snap {
-		byName[f.Name] = f
-	}
-	c := byName["c_total"]
-	if len(c.Series) != 1 || c.Series[0].Value == nil || *c.Series[0].Value != 2 {
-		t.Fatalf("counter snapshot wrong: %+v", c)
-	}
-	l := byName["lat"]
-	if len(l.Series) != 1 || l.Series[0].Count != 1000 {
-		t.Fatalf("histogram snapshot wrong: %+v", l)
-	}
-	if p50 := l.Series[0].P50; p50 < 10 || p50 > 10*math.Pow(2, 0.25) {
-		t.Fatalf("p50 = %v outside [10, 10*2^0.25]", p50)
-	}
-
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"c_total"`) {
-		t.Fatal("JSON snapshot missing counter family")
-	}
-}
-
 func TestSanitizeNameInExposition(t *testing.T) {
 	r := New()
 	r.Counter("weird-name.with spaces", "h").Inc()

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -114,104 +113,4 @@ func escapeLabelValue(v string) string {
 func escapeHelp(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// SnapshotExemplar is one bucket exemplar in a JSON snapshot. LE is the
-// bucket's inclusive upper bound rendered like the Prometheus le label
-// ("+Inf" for the overflow bucket — JSON has no infinity literal).
-type SnapshotExemplar struct {
-	LE      string  `json:"le"`
-	Value   float64 `json:"value"`
-	TraceID string  `json:"trace_id"`
-}
-
-// SnapshotSeries is one series in a JSON snapshot.
-type SnapshotSeries struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	// Value is the counter sum or gauge value (absent for histograms).
-	Value *float64 `json:"value,omitempty"`
-	// Count/Sum/Mean and the quantiles describe a histogram.
-	Count uint64  `json:"count,omitempty"`
-	Sum   float64 `json:"sum,omitempty"`
-	Mean  float64 `json:"mean,omitempty"`
-	P50   float64 `json:"p50,omitempty"`
-	P90   float64 `json:"p90,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
-	// P99TraceID resolves the p99 bucket to a session trace (QuantileExemplar).
-	P99TraceID string `json:"p99_trace_id,omitempty"`
-	// Exemplars lists every bucket's retained (value, trace) pair.
-	Exemplars []SnapshotExemplar `json:"exemplars,omitempty"`
-}
-
-// SnapshotFamily is one metric family in a JSON snapshot.
-type SnapshotFamily struct {
-	Name   string           `json:"name"`
-	Help   string           `json:"help,omitempty"`
-	Type   string           `json:"type"`
-	Series []SnapshotSeries `json:"series"`
-}
-
-// Snapshot captures every family and series with histogram quantiles
-// extracted — the one-shot JSON dump behind ppquery -metrics-dump. A nil
-// registry snapshots to nil.
-func (r *Registry) Snapshot() []SnapshotFamily {
-	if r == nil {
-		return nil
-	}
-	var out []SnapshotFamily
-	idx := map[string]int{}
-	r.visit(func(f *family, labels []Label, s *series) {
-		i, ok := idx[f.name]
-		if !ok {
-			i = len(out)
-			idx[f.name] = i
-			out = append(out, SnapshotFamily{Name: f.name, Help: f.help, Type: f.kind.String()})
-		}
-		ss := SnapshotSeries{}
-		if len(labels) > 0 {
-			ss.Labels = make(map[string]string, len(labels))
-			for _, l := range labels {
-				ss.Labels[l.Key] = l.Value
-			}
-		}
-		switch f.kind {
-		case KindCounter:
-			v := s.ctr.Value()
-			ss.Value = &v
-		case KindGauge:
-			v := s.gauge.Value()
-			ss.Value = &v
-		case KindHistogram:
-			ss.Count = s.hist.Count()
-			ss.Sum = s.hist.Sum()
-			ss.Mean = s.hist.Mean()
-			ss.P50 = s.hist.Quantile(0.50)
-			ss.P90 = s.hist.Quantile(0.90)
-			ss.P99 = s.hist.Quantile(0.99)
-			if e := s.hist.QuantileExemplar(0.99); e != nil {
-				ss.P99TraceID = e.TraceID
-			}
-			for _, row := range s.hist.snapshotBuckets() {
-				if row.ex == nil {
-					continue
-				}
-				ss.Exemplars = append(ss.Exemplars, SnapshotExemplar{
-					LE: formatValue(row.upper), Value: row.ex.Value, TraceID: row.ex.TraceID,
-				})
-			}
-		}
-		out[i].Series = append(out[i].Series, ss)
-	})
-	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	snap := r.Snapshot()
-	if snap == nil {
-		snap = []SnapshotFamily{}
-	}
-	return enc.Encode(snap)
 }

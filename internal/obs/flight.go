@@ -59,85 +59,42 @@ func (r Record) writeTo(w io.Writer) {
 
 // FlightRecorder is a Sink that keeps the last N records in a fixed-size ring
 // buffer and dumps them when something goes wrong — so post-mortems do not
-// require a streaming sink to have been attached in advance. The trigger set
-// is configurable via TriggerSpec/SetTrigger; the default
-// (DefaultTriggerSpec) fires on a failed run span (kind "run" carrying an
-// "error" attr), on a watchdog trip event, and on a failed shard leg
-// ("shard.fail"); each trigger dumps the ring once to the configured writer,
-// newest record last, then clears it so consecutive failures produce
-// disjoint dumps.
+// require a streaming sink to have been attached in advance. It fires on a
+// failed run span (kind "run" carrying an "error" attr), on a watchdog trip
+// event, and on a failed shard leg ("shard.fail"); each trigger dumps the
+// ring once to the configured writer, newest record last, then clears it so
+// consecutive failures produce disjoint dumps.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []Record
-	next    int
-	full    bool
-	w       io.Writer
-	trigger func(Record) bool
-	dumps   int
+	mu    sync.Mutex
+	ring  []Record
+	next  int
+	full  bool
+	w     io.Writer
+	dumps int
 }
 
-// TriggerSpec declares which records auto-dump the flight recorder's ring,
-// replacing the previously hard-wired predicate. The zero spec never fires;
-// DefaultTriggerSpec reproduces the historical default.
-type TriggerSpec struct {
-	// FailedRunSpans fires on a failed query run: a span of kind "run"
-	// carrying an "error" attribute.
-	FailedRunSpans bool
-	// Events lists event names that fire a dump (e.g. "watchdog.trip").
-	Events []string
-}
-
-// DefaultTriggerSpec is the default trigger set wired into
-// NewFlightRecorder: a failed query run, a tripped accuracy watchdog, and a
-// failed scatter-gather shard leg.
-func DefaultTriggerSpec() TriggerSpec {
-	return TriggerSpec{
-		FailedRunSpans: true,
-		Events:         []string{"watchdog.trip", "shard.fail"},
-	}
-}
-
-// Trigger compiles the spec into an auto-dump predicate for SetTrigger.
-func (ts TriggerSpec) Trigger() func(Record) bool {
-	events := make(map[string]bool, len(ts.Events))
-	for _, name := range ts.Events {
-		events[name] = true
-	}
-	failedRuns := ts.FailedRunSpans
-	return func(r Record) bool {
-		if failedRuns && r.Span != nil && r.Span.Kind == KindRun {
-			for _, a := range r.Span.Attrs {
-				if a.Key == "error" {
-					return true
-				}
+// triggers reports whether r auto-dumps the ring: a failed query run, a
+// tripped accuracy watchdog, or a failed scatter-gather shard leg.
+func triggers(r Record) bool {
+	if r.Span != nil && r.Span.Kind == KindRun {
+		for _, a := range r.Span.Attrs {
+			if a.Key == "error" {
+				return true
 			}
 		}
-		return r.Event != nil && events[r.Event.Name]
 	}
+	return r.Event != nil && (r.Event.Name == "watchdog.trip" || r.Event.Name == "shard.fail")
 }
 
-// DefaultTrigger is the auto-dump predicate wired into NewFlightRecorder —
-// DefaultTriggerSpec compiled.
-func DefaultTrigger(r Record) bool { return defaultTrigger(r) }
-
-var defaultTrigger = DefaultTriggerSpec().Trigger()
-
 // NewFlightRecorder returns a recorder holding the last capacity records
-// (zero or negative selects 256) that auto-dumps to w on DefaultTrigger. A
-// nil w disables auto-dumping; the ring still records for manual Dump calls.
+// (zero or negative selects 256) that auto-dumps to w when a record
+// triggers it. A nil w disables auto-dumping; the ring still records for
+// manual Dump calls.
 func NewFlightRecorder(capacity int, w io.Writer) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &FlightRecorder{ring: make([]Record, capacity), w: w, trigger: DefaultTrigger}
-}
-
-// SetTrigger replaces the auto-dump predicate. A nil predicate disables
-// auto-dumping.
-func (f *FlightRecorder) SetTrigger(fn func(Record) bool) {
-	f.mu.Lock()
-	f.trigger = fn
-	f.mu.Unlock()
+	return &FlightRecorder{ring: make([]Record, capacity), w: w}
 }
 
 // Span implements Sink.
@@ -154,8 +111,7 @@ func (f *FlightRecorder) record(r Record) {
 		f.next = 0
 		f.full = true
 	}
-	fire := f.trigger != nil && f.w != nil && f.trigger(r)
-	if fire {
+	if f.w != nil && triggers(r) {
 		f.dumpLocked(f.w, describeTriggerLocked(r))
 	}
 	f.mu.Unlock()

@@ -93,26 +93,26 @@ func TestFlightRecorderDumpsOnWatchdogTrip(t *testing.T) {
 	if !strings.Contains(out.String(), "t=SUV") {
 		t.Fatalf("dump missing trip event: %q", out.String())
 	}
-}
 
-func TestFlightRecorderCustomTrigger(t *testing.T) {
-	var out strings.Builder
-	fr := NewFlightRecorder(16, &out)
-	fr.SetTrigger(func(r Record) bool {
-		return r.Span != nil && r.Span.CostVMS > 100
-	})
-	tr := New(fr)
-	small := tr.Begin(KindOperator, "small")
-	small.CostVMS = 5
-	tr.End(&small)
-	if fr.Dumps() != 0 {
-		t.Fatal("cheap span tripped the custom trigger")
-	}
-	big := tr.Begin(KindOperator, "big")
-	big.CostVMS = 500
-	tr.End(&big)
-	if fr.Dumps() != 1 {
-		t.Fatal("expensive span did not trip the custom trigger")
+	// The one trigger set: a failed run, a watchdog trip and a failed shard
+	// leg fire; a clean run and every other event do not.
+	failed := Record{Span: &Span{Kind: KindRun, Attrs: []Attr{{Key: "error", Value: "x"}}}}
+	for _, c := range []struct {
+		name string
+		r    Record
+		want bool
+	}{
+		{"failed run", failed, true},
+		{"watchdog.trip", Record{Event: &Event{Name: "watchdog.trip"}}, true},
+		{"shard.fail", Record{Event: &Event{Name: "shard.fail"}}, true},
+		{"clean run", Record{Span: &Span{Kind: KindRun}}, false},
+		{"failed operator", Record{Span: &Span{Kind: KindOperator, Attrs: failed.Span.Attrs}}, false},
+		{"watchdog.breach", Record{Event: &Event{Name: "watchdog.breach"}}, false},
+		{"other event", Record{Event: &Event{Name: "my.event"}}, false},
+	} {
+		if got := triggers(c.r); got != c.want {
+			t.Errorf("%s: triggers = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -107,38 +107,6 @@ func TestTextSinkTraceSuffix(t *testing.T) {
 	}
 }
 
-func TestTriggerSpecCompile(t *testing.T) {
-	spec := TriggerSpec{Events: []string{"my.event"}}
-	fire := spec.Trigger()
-	if !fire(Record{Event: &Event{Name: "my.event"}}) {
-		t.Fatal("named event did not fire")
-	}
-	if fire(Record{Event: &Event{Name: "other"}}) {
-		t.Fatal("unnamed event fired")
-	}
-	failed := Record{Span: &Span{Kind: KindRun, Attrs: []Attr{{Key: "error", Value: "x"}}}}
-	if fire(failed) {
-		t.Fatal("failed run fired with FailedRunSpans unset")
-	}
-	spec.FailedRunSpans = true
-	if !spec.Trigger()(failed) {
-		t.Fatal("failed run did not fire with FailedRunSpans set")
-	}
-	// The zero spec never fires; the default spec matches the documented set.
-	if (TriggerSpec{}).Trigger()(failed) {
-		t.Fatal("zero spec fired")
-	}
-	def := DefaultTriggerSpec().Trigger()
-	for _, ev := range []string{"watchdog.trip", "shard.fail"} {
-		if !def(Record{Event: &Event{Name: ev}}) {
-			t.Fatalf("default spec ignores %s", ev)
-		}
-	}
-	if !def(failed) {
-		t.Fatal("default spec ignores failed runs")
-	}
-}
-
 func TestFlightRecorderDumpJSON(t *testing.T) {
 	f := NewFlightRecorder(8, nil)
 	tr := New(f)

@@ -41,20 +41,21 @@ func ReadSpans(r io.Reader) ([]obs.Span, error) {
 	return out, nil
 }
 
-// Options tunes Analyze. The zero value picks the documented defaults.
+// What Analyze counts: the latency objective is sloFactor times the median
+// session service time (the auto-tune harness's SLO); a session whose
+// |est − observed| PP reduction gap exceeds misestimateGap is misestimated
+// (EXPLAIN ANALYZE's MISESTIMATE threshold order); a scatter-gather session
+// whose slowest leg took more than skewRatio times its fastest is
+// shard-skewed; and the slowest topK sessions are drilled into.
+const (
+	sloFactor      = 20
+	misestimateGap = 0.25
+	skewRatio      = 2.0
+	topK           = 5
+)
+
+// Options carries what Analyze cannot read from the records themselves.
 type Options struct {
-	// SLOMS is the latency objective in wall milliseconds. Zero derives it
-	// as 20x the median session service time (the auto-tune harness's SLO).
-	SLOMS float64
-	// TopK bounds the slowest-trace drilldown (default 5).
-	TopK int
-	// MisestimateTol is the |est - observed| reduction gap that counts a
-	// session as misestimated (default 0.25, matching EXPLAIN ANALYZE's
-	// MISESTIMATE flag threshold order).
-	MisestimateTol float64
-	// SkewRatio is the max/min leg service ratio that counts a
-	// scatter-gather session as shard-skewed (default 2.0).
-	SkewRatio float64
 	// Drops is the writer's drop count at the end of the run, carried into
 	// the analysis verbatim.
 	Drops uint64
@@ -95,7 +96,7 @@ type Analysis struct {
 	// observed PP reduction diverged by more than the tolerance.
 	MisestimateRate float64 `json:"misestimate_rate"`
 	// ShardSkewRate is the fraction of scatter-gather sessions whose
-	// slowest leg took more than SkewRatio times the fastest.
+	// slowest leg took more than twice as long as its fastest.
 	ShardSkewRate float64 `json:"shard_skew_rate"`
 	// TopSlowest drills into the slowest sessions with their span trees.
 	TopSlowest []TraceDetail `json:"top_slowest,omitempty"`
@@ -105,16 +106,6 @@ type Analysis struct {
 // attainment, the slowest traces (with span trees), misestimate and
 // shard-skew rates.
 func Analyze(records []Record, spans []obs.Span, opts Options) Analysis {
-	if opts.TopK <= 0 {
-		opts.TopK = 5
-	}
-	if opts.MisestimateTol <= 0 {
-		opts.MisestimateTol = 0.25
-	}
-	if opts.SkewRatio <= 0 {
-		opts.SkewRatio = 2.0
-	}
-
 	a := Analysis{Drops: opts.Drops, AllHaveTrace: true}
 	sessions := make([]*Record, len(records))
 	for i := range records {
@@ -132,16 +123,12 @@ func Analyze(records []Record, spans []obs.Span, opts Options) Analysis {
 		return a
 	}
 
-	// SLO: given, or 20x the median service time.
-	a.SLOMS = opts.SLOMS
-	if a.SLOMS <= 0 {
-		svc := make([]float64, len(sessions))
-		for i, rec := range sessions {
-			svc[i] = float64(rec.ServiceNS) / 1e6
-		}
-		sort.Float64s(svc)
-		a.SLOMS = 20 * svc[len(svc)/2]
+	svc := make([]float64, len(sessions))
+	for i, rec := range sessions {
+		svc[i] = float64(rec.ServiceNS) / 1e6
 	}
+	sort.Float64s(svc)
+	a.SLOMS = sloFactor * svc[len(svc)/2]
 
 	var met, cached, misest, estN, skewed, scattered int
 	for _, rec := range sessions {
@@ -157,7 +144,7 @@ func Analyze(records []Record, spans []obs.Span, opts Options) Analysis {
 			if gap < 0 {
 				gap = -gap
 			}
-			if gap > opts.MisestimateTol {
+			if gap > misestimateGap {
 				misest++
 			}
 		}
@@ -172,7 +159,7 @@ func Analyze(records []Record, spans []obs.Span, opts Options) Analysis {
 					maxSvc = leg.ServiceNS
 				}
 			}
-			if minSvc > 0 && float64(maxSvc)/float64(minSvc) > opts.SkewRatio {
+			if minSvc > 0 && float64(maxSvc)/float64(minSvc) > skewRatio {
 				skewed++
 			}
 		}
@@ -190,8 +177,8 @@ func Analyze(records []Record, spans []obs.Span, opts Options) Analysis {
 	byTrace := spansByTrace(spans)
 	order := append([]*Record(nil), sessions...)
 	sort.SliceStable(order, func(i, j int) bool { return order[i].TotalNS() > order[j].TotalNS() })
-	if len(order) > opts.TopK {
-		order = order[:opts.TopK]
+	if len(order) > topK {
+		order = order[:topK]
 	}
 	for _, rec := range order {
 		tree := renderSpanTree(byTrace[rec.TraceID])

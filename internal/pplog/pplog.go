@@ -11,7 +11,7 @@ package pplog
 // Leg is one shard leg's contribution to a sharded session, recorded on the
 // session's record.
 type Leg struct {
-	// Shard is the shard index; Replica the replica chosen by the router.
+	// Shard is the shard index; Replica the replica the shard routed it to.
 	Shard   int `json:"shard"`
 	Replica int `json:"replica"`
 	// QueueWaitNS / ServiceNS split the leg's latency at its replica's
@@ -35,7 +35,7 @@ type SegInfo struct {
 
 // Record is one query-log entry: every served session writes exactly one,
 // keyed by its TraceID. A session of a server with more than one shard ×
-// replica also lists its legs and the routing policy that placed them.
+// replica also lists its legs.
 type Record struct {
 	// TimeUnixNS is when the session completed.
 	TimeUnixNS int64 `json:"time_unix_ns"`
@@ -71,8 +71,6 @@ type Record struct {
 	Seg *SegInfo `json:"seg,omitempty"`
 	// Legs lists a sharded session's legs in shard order.
 	Legs []Leg `json:"legs,omitempty"`
-	// Policy is the routing policy that placed the legs.
-	Policy string `json:"policy,omitempty"`
 	// Error is the session failure, if any.
 	Error string `json:"error,omitempty"`
 }

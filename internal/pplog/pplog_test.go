@@ -20,7 +20,7 @@ func TestWriterRoundtrip(t *testing.T) {
 	recs := []Record{
 		{TraceID: "t1", Session: "q1", PlanKey: "k1", PlanCached: true, ServiceNS: 100, QueueWaitNS: 5},
 		{TraceID: "t2", Session: "q2", Error: "boom"},
-		{TraceID: "t3", Session: "q3", Policy: "round-robin", Legs: []Leg{{Shard: 0}, {Shard: 1, Replica: 1, Rows: 4}}},
+		{TraceID: "t3", Session: "q3", Legs: []Leg{{Shard: 0}, {Shard: 1, Replica: 1, Rows: 4}}},
 	}
 	for _, r := range recs {
 		if !w.Log(r) {
@@ -43,7 +43,7 @@ func TestWriterRoundtrip(t *testing.T) {
 	if got[0].TraceID != "t1" || !got[0].PlanCached || got[0].TotalNS() != 105 {
 		t.Fatalf("record 0 mismatch: %+v", got[0])
 	}
-	if len(got[2].Legs) != 2 || got[2].Legs[1].Replica != 1 || got[2].Legs[1].Rows != 4 || got[2].Policy != "round-robin" {
+	if len(got[2].Legs) != 2 || got[2].Legs[1].Replica != 1 || got[2].Legs[1].Rows != 4 {
 		t.Fatalf("record 2 legs mismatch: %+v", got[2])
 	}
 	if got[1].Error != "boom" {
@@ -189,10 +189,10 @@ func TestReadRejectsMalformedLine(t *testing.T) {
 	}
 }
 
-// A log written while records still carried adapt_swaps reads as before:
-// the retired field is ignored, not rejected.
+// A log written while records still carried adapt_swaps or a routing
+// policy reads as before: the retired fields are ignored, not rejected.
 func TestReadIgnoresRetiredFields(t *testing.T) {
-	in := "{\"trace_id\":\"t1\",\"rows\":3,\"adapt_swaps\":2}\n"
+	in := "{\"trace_id\":\"t1\",\"rows\":3,\"adapt_swaps\":2,\"policy\":\"round-robin\"}\n"
 	recs, err := Read(strings.NewReader(in))
 	if err != nil || len(recs) != 1 || recs[0].TraceID != "t1" || recs[0].Rows != 3 {
 		t.Fatalf("Read = %+v, %v; want one record t1 with 3 rows", recs, err)
@@ -220,7 +220,7 @@ func TestAnalyze(t *testing.T) {
 		{ID: 3, Parent: 2, Trace: "t4", Kind: obs.KindOperator, Name: "Scan", WallNS: 1e8},
 		{ID: 9, Trace: "other", Kind: obs.KindRun, Name: "unrelated"},
 	}
-	a := Analyze(records, spans, Options{SLOMS: 100, TopK: 2, Drops: 7})
+	a := Analyze(records, spans, Options{Drops: 7})
 	if a.Sessions != 5 {
 		t.Fatalf("sessions=%d, want 5", a.Sessions)
 	}
@@ -230,7 +230,11 @@ func TestAnalyze(t *testing.T) {
 	if a.Drops != 7 {
 		t.Fatalf("drops = %d, want 7", a.Drops)
 	}
-	// 4 of 5 sessions meet the 100ms SLO (t4 is 500ms).
+	// The SLO is 20x the 10ms median service time; 4 of 5 sessions meet it
+	// (t4 is 500ms).
+	if a.SLOMS != 200 {
+		t.Fatalf("SLO = %v ms, want 200", a.SLOMS)
+	}
 	if a.SLOAttainment != 0.8 {
 		t.Fatalf("SLO attainment = %v, want 0.8", a.SLOAttainment)
 	}
@@ -242,8 +246,8 @@ func TestAnalyze(t *testing.T) {
 	if a.ShardSkewRate != 0.5 {
 		t.Fatalf("shard skew rate = %v, want 0.5", a.ShardSkewRate)
 	}
-	if len(a.TopSlowest) != 2 || a.TopSlowest[0].TraceID != "t4" {
-		t.Fatalf("top slowest = %+v, want t4 first", a.TopSlowest)
+	if len(a.TopSlowest) != 5 || a.TopSlowest[0].TraceID != "t4" {
+		t.Fatalf("top slowest = %+v, want all 5, t4 first", a.TopSlowest)
 	}
 	top := a.TopSlowest[0]
 	if top.SpanCount != 3 || len(top.Spans) != 3 {

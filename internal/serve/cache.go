@@ -164,15 +164,6 @@ func (c *planCache) putLocked(e *planEntry) {
 	}
 }
 
-// flush drops every entry (manual invalidation), counting them.
-func (c *planCache) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidations.Add(uint64(len(c.items)))
-	c.ll.Init()
-	c.items = map[string]*list.Element{}
-}
-
 func (c *planCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"testing"
 
-	"probpred/internal/serve"
 	"probpred/internal/testkit"
 	"probpred/internal/testkit/oracle"
 )
@@ -27,17 +26,16 @@ func TestServeDeterminismAcrossWorkersAndCache(t *testing.T) {
 	}
 }
 
-// Every shard count × routing policy × worker count serves the unsharded
-// results, and every leg of every session runs.
+// Every shard count × worker count serves the unsharded results, and every
+// leg of every session runs. The middle name segment is the routing every
+// shard's legs take.
 func TestShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		for _, routing := range []serve.RoutingPolicy{serve.RouteRoundRobin, serve.RouteLeastLoaded, serve.RoutePlanAffinity} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("shards=%d/%s/workers=%d", shards, routing, workers), func(t *testing.T) {
-					oracle.Check(t, oracle.Draw{Blobs: 60, Seed: 7, Queries: testkit.Workload,
-						Shards: shards, Replicas: 2, Routing: routing, Workers: workers, MaxConcurrent: 4})
-				})
-			}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/round-robin/workers=%d", shards, workers), func(t *testing.T) {
+				oracle.Check(t, oracle.Draw{Blobs: 60, Seed: 7, Queries: testkit.Workload,
+					Shards: shards, Replicas: 2, Workers: workers, MaxConcurrent: 4})
+			})
 		}
 	}
 }

@@ -56,11 +56,10 @@ func newMiniStack(t *testing.T, nBlobs int, mutate func(*Config)) *miniStack {
 
 // newMiniSharded wires a sharded Server over the same fixture. mutate
 // adjusts the sharded config before NewSharded (nil for defaults).
-func newMiniSharded(t *testing.T, nBlobs, shards, replicas int, routing RoutingPolicy, mutate func(*ShardedConfig)) *Server {
+func newMiniSharded(t *testing.T, nBlobs, shards, replicas int, mutate func(*ShardedConfig)) *Server {
 	t.Helper()
 	blobs := testkit.Blobs(nBlobs, 7)
 	base, _ := miniConfig(t, nil)
-	base.Routing = routing
 	cfg := ShardedConfig{Base: base, Shards: shards, Replicas: replicas, Corpus: blobs, Builder: testkit.Builder{}}
 	if mutate != nil {
 		mutate(&cfg)

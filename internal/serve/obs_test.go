@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestErrorSessionsAreLogged(t *testing.T) {
 		qlog := pplog.NewWriter(&logBuf, 8, nil)
 		col := obs.NewCollector()
 		reg := metrics.New()
-		c := newMiniSharded(t, 20, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+		c := newMiniSharded(t, 20, 2, 1, func(cfg *ShardedConfig) {
 			cfg.Base.QueryLog = qlog
 			cfg.Base.Obs = obs.New(col)
 			cfg.Base.Metrics = reg
@@ -140,15 +141,15 @@ func TestNewIsTheOneByOneSharded(t *testing.T) {
 		return newMiniStack(t, nBlobs, func(cfg *Config) { cfg.QueryLog, cfg.Obs = qlog, tr }).srv
 	})
 	sharded := serveTwice(func(qlog *pplog.Writer, tr *obs.Tracer) *Server {
-		return newMiniSharded(t, nBlobs, 1, 1, RouteRoundRobin, func(cfg *ShardedConfig) { cfg.Base.QueryLog, cfg.Base.Obs = qlog, tr })
+		return newMiniSharded(t, nBlobs, 1, 1, func(cfg *ShardedConfig) { cfg.Base.QueryLog, cfg.Base.Obs = qlog, tr })
 	})
 
 	if r := one.rec; r.PlanKey == "" || !r.PlanCached || r.Rows == 0 || r.PPTested == 0 || r.EstReduction == 0 || r.Seg == nil {
 		t.Fatalf("degenerate record: %+v", r)
 	}
 	for _, s := range []*served{&one, &sharded} {
-		if len(s.rec.Legs) != 0 || s.rec.Policy != "" {
-			t.Errorf("a 1×1 server logged routing fields: %+v", s.rec)
+		if len(s.rec.Legs) != 0 {
+			t.Errorf("a 1×1 server logged legs: %+v", s.rec)
 		}
 		for _, sp := range s.spans {
 			if sp.Kind == obs.KindSession && sp.Parent != 0 {
@@ -183,7 +184,7 @@ func TestServeGaugesDescribeTheDeployment(t *testing.T) {
 	for _, shape := range [][2]int{{2, 2}, {1, 1}} {
 		t.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(t *testing.T) {
 			reg := metrics.New()
-			srv := newMiniSharded(t, 200, shape[0], shape[1], RouteRoundRobin, func(cfg *ShardedConfig) { cfg.Base.Metrics = reg })
+			srv := newMiniSharded(t, 200, shape[0], shape[1], func(cfg *ShardedConfig) { cfg.Base.Metrics = reg })
 			if _, err := srv.Replay(miniWorkload, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -210,5 +211,49 @@ func TestServeGaugesDescribeTheDeployment(t *testing.T) {
 				t.Errorf("serve_service_ns counted %d sessions, want %d", got, st.Sessions)
 			}
 		})
+	}
+}
+
+// TestEngineSeriesIndependentOfDistinctPredicates: the engine's metric
+// series are labeled by operator kind, not by query text, so serving 20
+// distinct predicates leaves the registry with exactly the series 2 did.
+func TestEngineSeriesIndependentOfDistinctPredicates(t *testing.T) {
+	le := regexp.MustCompile(`,?le="[^"]*"`)
+	series := func(n int) map[string]bool {
+		reg := metrics.New()
+		st := newMiniStack(t, 400, func(cfg *Config) { cfg.Metrics = reg })
+		for i := 0; i < n; i++ {
+			if _, err := st.srv.Do(Request{Pred: query.MustParse(fmt.Sprintf("t=SUV & s>%d", 40+i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		if err := reg.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if !strings.HasPrefix(line, "engine_") {
+				continue
+			}
+			id, _, _ := strings.Cut(line, " # {")    // drop any exemplar,
+			id = id[:strings.LastIndexByte(id, ' ')] // then the value
+			id = strings.Replace(le.ReplaceAllString(id, ""), "{}", "", 1)
+			name, labels, _ := strings.Cut(id, "{")
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+			out[name+"{"+labels] = true
+		}
+		return out
+	}
+	two, twenty := series(2), series(20)
+	if len(two) != len(twenty) {
+		t.Errorf("%d engine series after 2 distinct predicates, %d after 20:\n%v\n%v", len(two), len(twenty), two, twenty)
+	}
+	for _, op := range []string{`engine_op_rows_in_total{op="PP"}`, `engine_op_rows_in_total{op="σ"}`} {
+		if !twenty[op] {
+			t.Errorf("no %s series: %v", op, twenty)
+		}
 	}
 }

@@ -103,11 +103,6 @@ type Config struct {
 	// benchmark uses to measure uncached evaluation counts through identical
 	// code paths.
 	DisableScoreCache bool
-	// Routing selects how a server of more than one shard × replica picks
-	// the replica that serves each leg (see NewSharded): RouteRoundRobin,
-	// RouteLeastLoaded or RoutePlanAffinity. Empty selects round-robin. A
-	// 1×1 server ignores it.
-	Routing RoutingPolicy
 	// Metrics receives serving telemetry: session and plan-cache counters,
 	// admission-queue and active-session gauges, score-cache totals. Nil
 	// disables.
@@ -140,13 +135,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.Routing == "" {
-		c.Routing = RouteRoundRobin
-	}
-	if !c.Routing.valid() {
-		return fmt.Errorf("serve: unknown routing policy %q (want %q, %q or %q)",
-			c.Routing, RouteRoundRobin, RouteLeastLoaded, RoutePlanAffinity)
 	}
 	if c.Exec.Obs == nil {
 		c.Exec.Obs = c.Obs
@@ -219,7 +207,7 @@ type Stats struct {
 	// the optimizer search entirely.
 	PlanHits, PlanMisses uint64
 	// PlanInvalidations counts cached plans dropped as stale (a corpus
-	// change touched a clause the plan consulted) or flushed manually.
+	// change touched a clause the plan consulted).
 	PlanInvalidations uint64
 	// PlanRevalidations counts cached plans from older corpus versions kept
 	// because the mutation left every clause they consulted untouched
@@ -242,13 +230,11 @@ type Stats struct {
 type Server struct {
 	cfg    Config
 	shards []*shard
-	// router picks each leg's replica. It is nil on a 1×1 server, whose
-	// session runs as its own single leg: no routing, no leg span, no
-	// Legs in its query-log record.
-	router router
-	// routeDecisions counts routed legs under the one policy (nil without a
-	// registry or a router).
-	routeDecisions *metrics.Counter
+	// scatters is set on a server of more than one shard × replica, whose
+	// sessions run one routed leg per shard. A 1×1 server runs each session
+	// as its own single leg: no routing, no leg span, no Legs in its
+	// query-log record.
+	scatters bool
 
 	sessions atomic.Uint64
 
@@ -286,7 +272,7 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 		planCacheHits:     reg.Counter("serve_plan_cache_hits_total", "Sessions served from the plan cache."),
 		planCacheMisses:   reg.Counter("serve_plan_cache_misses_total", "Sessions that ran a fresh plan search."),
 		planEntries:       reg.Gauge("serve_plan_cache_entries", "Plans currently cached."),
-		planInvalidations: reg.Gauge("serve_plan_cache_invalidations", "Cached plans dropped as stale or flushed."),
+		planInvalidations: reg.Gauge("serve_plan_cache_invalidations", "Cached plans dropped as stale."),
 		planRevalidations: reg.Gauge("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed."),
 		scoreEntries:      reg.Gauge("serve_score_cache_entries", "PP scores currently cached."),
 		scoreHits:         reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions."),
@@ -320,9 +306,7 @@ func build(cfg Config, slices [][]blob.Blob, replicas int) *Server {
 		s.shards = append(s.shards, sh)
 	}
 	if len(slices)*replicas > 1 {
-		s.router = newRouter(cfg.Routing, len(slices))
-		s.routeDecisions = cfg.Metrics.Counter("serve_route_decisions_total", "Legs routed, by policy.",
-			metrics.L("policy", string(cfg.Routing)))
+		s.scatters = true
 		for i, sh := range s.shards {
 			sh.queueDepth = cfg.Metrics.Gauge("serve_shard_queue_depth", "Legs waiting for a slot on this shard (all replicas).", shardLabel(i))
 			sh.active = cfg.Metrics.Gauge("serve_shard_active", "Legs executing on this shard (all replicas).", shardLabel(i))
@@ -363,7 +347,7 @@ type session struct {
 	wait  time.Duration
 	// key is the plan key, set once the request validated.
 	key string
-	// legs are set on sessions of a server with a router.
+	// legs are set on sessions of a server that scatters.
 	legs []leg
 	resp *Response
 	err  error
@@ -395,7 +379,7 @@ func (s *Server) Do(req Request) (*Response, error) {
 	switch {
 	case err != nil:
 		ss.err = err
-	case s.router == nil:
+	case !s.scatters:
 		ss.key = optimizer.PlanKey(req.Pred, accuracy)
 		sh := s.shards[0]
 		l := leg{blobs: sh.blobs}
@@ -564,8 +548,7 @@ func (s *Server) finish(ss *session) (*Response, error) {
 
 // record builds the session's query-log record: the error, or the plan
 // resolution, admission wait, estimated and observed PP reduction, output
-// rows and virtual cost, plus the legs and routing policy when the server
-// routes.
+// rows and virtual cost, plus the legs when the server scatters.
 func (s *Server) record(ss *session, service time.Duration) pplog.Record {
 	resp := ss.resp
 	rec := pplog.Record{
@@ -580,9 +563,6 @@ func (s *Server) record(ss *session, service time.Duration) pplog.Record {
 	}
 	if rec.Accuracy == 0 {
 		rec.Accuracy = s.cfg.Accuracy
-	}
-	if s.router != nil {
-		rec.Policy = string(s.cfg.Routing)
 	}
 	for i := range ss.legs {
 		l := pplog.Leg{Shard: ss.legs[i].shard, Replica: ss.legs[i].replica}
@@ -643,17 +623,6 @@ func (s *Server) emitSessionMetrics(resp *Response, err error) {
 	m.scoreEntries.Set(float64(st.ScoreEntries))
 	m.scoreHits.Set(float64(st.ScoreHits))
 	m.scoreMisses.Set(float64(st.ScoreMisses))
-}
-
-// Invalidate drops every replica's cached plans, forcing fresh searches.
-// Corpus changes invalidate automatically (entries are version-checked);
-// this is the manual override for out-of-band invalidation.
-func (s *Server) Invalidate() {
-	for _, sh := range s.shards {
-		for _, r := range sh.replicas {
-			r.plans.flush()
-		}
-	}
 }
 
 // Stats snapshots the server's session count and its replicas' summed cache

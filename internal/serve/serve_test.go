@@ -81,25 +81,6 @@ func TestPlanCacheInvalidatesOnCorpusChange(t *testing.T) {
 	}
 }
 
-// TestManualInvalidate: Invalidate flushes every entry.
-func TestManualInvalidate(t *testing.T) {
-	st := newMiniStack(t, 1000, nil)
-	if _, err := st.srv.Do(Request{ID: "warm", Pred: query.MustParse("t=SUV")}); err != nil {
-		t.Fatal(err)
-	}
-	st.srv.Invalidate()
-	if n := st.srv.Stats().PlanEntries; n != 0 {
-		t.Fatalf("plan cache holds %d entries after Invalidate, want 0", n)
-	}
-	resp, err := st.srv.Do(Request{ID: "again", Pred: query.MustParse("t=SUV")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PlanCached {
-		t.Fatal("session hit the plan cache after Invalidate")
-	}
-}
-
 // TestPerRunCacheCountersUnderConcurrency: concurrent sessions hitting the
 // same cached plan object each report exactly their own score-cache lookups
 // in PerOp (the shared-plan accounting fix, end to end through serve).

@@ -4,8 +4,8 @@ package serve
 // horizontally scaled inference. The blob corpus is partitioned into N
 // contiguous shards; each shard owns one or more replicas — a replica is a
 // private worker set (admission semaphore), plan cache and PP-score cache
-// over the shard's slice. A session fans out one leg per shard (scatter), a
-// routing policy picks the serving replica per shard, legs PP-filter their
+// over the shard's slice. A session fans out one leg per shard (scatter),
+// each shard rotates its legs through its replicas, legs PP-filter their
 // slices in parallel, and the gather merges per-shard results
 // deterministically: rows concatenate in shard-index order (the contiguous
 // split makes that exactly global blob-ID order), virtual cluster cost sums,
@@ -32,7 +32,7 @@ import (
 type ShardedConfig struct {
 	// Base is the server template: optimizer, accuracy target, domains,
 	// per-replica MaxConcurrent (each replica's worker-pool width), exec
-	// environment, score-cache mode, Routing policy and telemetry sinks.
+	// environment, score-cache mode and telemetry sinks.
 	// Base.Builder is ignored — plans are assembled by Builder below, bound
 	// to each shard's corpus slice.
 	Base Config
@@ -101,9 +101,19 @@ func NewSharded(cfg ShardedConfig) (*Server, error) {
 type shard struct {
 	blobs    []blob.Blob
 	replicas []*replica
+	// next is the shard's rotation counter: legs reach its replicas round
+	// robin in arrival order, independently of how other shards route.
+	// Routing never affects outputs (PP scores are pure, both caches
+	// transparent), only wall-clock latency and cache warmth.
+	next atomic.Uint64
 	// queueDepth / active are the shard's load gauges (nil, and no-ops,
-	// without a registry or a router).
+	// without a registry or on a server that does not scatter).
 	queueDepth, active *metrics.Gauge
+}
+
+// pick returns the index of the replica that serves the shard's next leg.
+func (sh *shard) pick() int {
+	return int((sh.next.Add(1) - 1) % uint64(len(sh.replicas)))
 }
 
 // replica is one worker set over its shard's corpus slice.
@@ -117,8 +127,7 @@ type replica struct {
 	// sem is the admission semaphore bounding the replica's concurrently
 	// executing legs.
 	sem chan struct{}
-	// queued / active are the live load the least-loaded policy and the
-	// shard gauges read.
+	// queued / active are the live load the shard gauges read.
 	queued, active atomic.Int64
 	// legs counts the legs the replica served (its ReplicaStats Sessions).
 	legs atomic.Uint64
@@ -140,16 +149,15 @@ func (r *replica) addStats(st *Stats) {
 // by side on more — and merges them. The merged Response carries the
 // concatenated rows (global blob order), summed cluster cost and
 // positionally summed PerOp stats. A request's explicit Blobs are split across the legs as the corpus is.
-// Each leg gets a span under the session's, tagged shard, replica and
-// policy. When any shard fails the session fails: every failing shard's
+// Each leg gets a span under the session's, tagged shard and replica.
+// When any shard fails the session fails: every failing shard's
 // error is aggregated with its shard index attributed, a shard.fail event
 // is emitted per failure (tripping FlightRecorder auto-dump), and completed
 // legs are discarded — graceful degradation is "the query errors out
 // attributed", never a hang.
 func (s *Server) scatter(ss *session, accuracy float64, name string) (*Response, error) {
-	tr, policy, req, key := s.cfg.Obs, string(s.cfg.Routing), ss.req, ss.key
+	tr, req, key := s.cfg.Obs, ss.req, ss.key
 	ss.span.SetAttr("scatter", strconv.Itoa(len(s.shards)))
-	ss.span.SetAttr("policy", policy)
 	ss.span.SetAttr("plan_key", key)
 	ctx := obs.TraceContext{TraceID: req.Trace, SpanID: ss.span.ID}
 
@@ -162,18 +170,16 @@ func (s *Server) scatter(ss *session, accuracy float64, name string) (*Response,
 	legs := make([]leg, len(s.shards))
 	ss.legs = legs
 	for i, sh := range s.shards {
-		legs[i] = leg{shard: i, replica: s.router.Pick(i, key, sh.replicas), blobs: sh.blobs}
+		legs[i] = leg{shard: i, replica: sh.pick(), blobs: sh.blobs}
 		if segs != nil {
 			legs[i].blobs = segs[i]
 		}
-		s.routeDecisions.Inc()
 		sh.publishLoad()
 	}
 	run := func(l *leg) {
 		sp := tr.BeginCtx(ctx, obs.KindSession, name)
 		sp.SetAttr("shard", strconv.Itoa(l.shard))
 		sp.SetAttr("replica", strconv.Itoa(l.replica))
-		sp.SetAttr("policy", policy)
 		s.runLeg(l, req, key, accuracy, &sp)
 		endSpan(tr, &sp, l.resp, l.err)
 	}

@@ -64,7 +64,7 @@ func TestShardedMergeAccounting(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c := newMiniSharded(t, 60, shards, 1, RouteRoundRobin, nil)
+			c := newMiniSharded(t, 60, shards, 1, nil)
 			first, err := c.Do(Request{ID: "Q", Pred: pred})
 			if err != nil {
 				t.Fatal(err)
@@ -89,62 +89,6 @@ func TestShardedMergeAccounting(t *testing.T) {
 	}
 }
 
-// TestShardedPlanAffinityWarmth asserts the point of plan-affinity routing:
-// repeats of one predicate hit a single warm replica per shard (one plan
-// search each), while round-robin spreads them over every replica and
-// re-pays the search per replica. Half-way through, a clause the predicate
-// never consulted is retrained: the warm plans must survive by revalidation
-// (no extra searches), and the server must report those revalidations.
-func TestShardedPlanAffinityWarmth(t *testing.T) {
-	const repeats = 4
-	run := func(routing RoutingPolicy) (misses uint64, warmReplicas int) {
-		c := newMiniSharded(t, 60, 2, 2, routing, nil)
-		pred := query.MustParse("t=SUV & c=red")
-		for i := 0; i < repeats; i++ {
-			if i == repeats/2 {
-				c.cfg.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60"))
-			}
-			if _, err := c.Do(Request{ID: fmt.Sprintf("Q%d", i), Pred: pred}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var revalidations uint64
-		for _, perShard := range c.ReplicaStats() {
-			for _, st := range perShard {
-				misses += st.PlanMisses
-				revalidations += st.PlanRevalidations
-				if st.PlanHits > 0 {
-					warmReplicas++
-				}
-			}
-		}
-		if got := c.Stats().PlanRevalidations; got == 0 || got != revalidations {
-			t.Errorf("%s: Stats().PlanRevalidations = %d, want the replicas' sum %d (non-zero)", routing, got, revalidations)
-		}
-		return misses, warmReplicas
-	}
-
-	affMisses, affWarm := run(RoutePlanAffinity)
-	rrMisses, _ := run(RouteRoundRobin)
-
-	// Affinity: the repeat predicate sticks to one replica per shard — one
-	// search per shard, and that replica alone accumulates hits.
-	if affMisses != 2 {
-		t.Errorf("plan-affinity plan misses = %d, want 2 (one per shard)", affMisses)
-	}
-	if affWarm != 2 {
-		t.Errorf("plan-affinity warm replicas = %d, want 2 (one per shard)", affWarm)
-	}
-	// Round-robin alternates replicas, so every replica of every shard pays
-	// its own search: 2 shards × 2 replicas.
-	if rrMisses != 4 {
-		t.Errorf("round-robin plan misses = %d, want 4 (every replica)", rrMisses)
-	}
-	if affMisses >= rrMisses {
-		t.Errorf("affinity (%d misses) should plan strictly less than round-robin (%d)", affMisses, rrMisses)
-	}
-}
-
 // TestShardedFailureAttribution: when one shard fails, the session errors out
 // promptly with the failing shard attributed — never a hang, never a partial
 // result — the failure is counted, and the flight recorder auto-dumps on the
@@ -153,7 +97,7 @@ func TestShardedFailureAttribution(t *testing.T) {
 	var dump bytes.Buffer
 	fr := obs.NewFlightRecorder(64, &dump)
 	reg := metrics.New()
-	c := newMiniSharded(t, 60, 3, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+	c := newMiniSharded(t, 60, 3, 1, func(cfg *ShardedConfig) {
 		cfg.Builder = testkit.Builder{Refuse: func(blobs []blob.Blob, _ query.Pred) error {
 			if len(blobs) > 0 && blobs[0].ID == 0 { // blob 0 opens shard 0 of any contiguous split
 				return errors.New("injected shard fault (blob 0)")
@@ -216,15 +160,8 @@ func TestShardedValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("more shards than corpus blobs accepted")
 	}
-	badRouting := base
-	badRouting.Routing = RoutingPolicy("random")
-	if _, err := NewSharded(ShardedConfig{
-		Base: badRouting, Corpus: blobs, Builder: testkit.Builder{},
-	}); err == nil {
-		t.Error("unknown routing policy accepted")
-	}
 
-	// Defaults: zero shards/replicas select 1, empty routing round-robin.
+	// Defaults: zero shards/replicas select 1.
 	c, err := NewSharded(ShardedConfig{
 		Base: base, Corpus: blobs, Builder: testkit.Builder{},
 	})
@@ -234,67 +171,44 @@ func TestShardedValidation(t *testing.T) {
 	if len(c.shards) != 1 || len(c.shards[0].replicas) != 1 {
 		t.Errorf("defaulted to %d shards × %d replicas, want 1 × 1", len(c.shards), len(c.shards[0].replicas))
 	}
-	if c.cfg.Routing != RouteRoundRobin {
-		t.Errorf("defaulted Routing = %q, want %q", c.cfg.Routing, RouteRoundRobin)
-	}
 }
 
 func TestRouters(t *testing.T) {
-	// Replica load is directly settable in-package.
-	mkReplicas := func(loads ...int64) []*replica {
-		out := make([]*replica, len(loads))
-		for i, l := range loads {
-			out[i] = &replica{}
-			out[i].active.Store(l)
-		}
-		return out
-	}
-
 	t.Run("round-robin cycles per shard", func(t *testing.T) {
-		r := newRouter(RouteRoundRobin, 2)
-		reps := mkReplicas(0, 0, 0)
-		for shard := 0; shard < 2; shard++ {
+		shards := []*shard{{replicas: make([]*replica, 3)}, {replicas: make([]*replica, 3)}}
+		for i, sh := range shards {
 			for want := 0; want < 6; want++ {
-				if got := r.Pick(shard, "k", reps); got != want%3 {
-					t.Fatalf("shard %d pick %d = %d, want %d", shard, want, got, want%3)
+				if got := sh.pick(); got != want%3 {
+					t.Fatalf("shard %d pick %d = %d, want %d", i, want, got, want%3)
 				}
 			}
 		}
-	})
 
-	t.Run("least-loaded picks min, ties low", func(t *testing.T) {
-		r := newRouter(RouteLeastLoaded, 1)
-		if got := r.Pick(0, "k", mkReplicas(3, 1, 2)); got != 1 {
-			t.Errorf("pick = %d, want 1 (lowest load)", got)
-		}
-		if got := r.Pick(0, "k", mkReplicas(2, 1, 1)); got != 1 {
-			t.Errorf("tie pick = %d, want 1 (lowest index among ties)", got)
-		}
-		reps := mkReplicas(5, 0)
-		reps[1].queued.Store(7) // queued counts toward load too
-		if got := r.Pick(0, "k", reps); got != 0 {
-			t.Errorf("queued-aware pick = %d, want 0", got)
-		}
-	})
-
-	t.Run("plan-affinity is sticky per key and in range", func(t *testing.T) {
-		r := newRouter(RoutePlanAffinity, 1)
-		reps := mkReplicas(0, 0, 0)
-		seen := map[int]bool{}
-		for _, key := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-			first := r.Pick(0, key, reps)
-			if first < 0 || first >= len(reps) {
-				t.Fatalf("key %q picked out-of-range replica %d", key, first)
+		// End to end: a predicate repeated on 2 shards × 2 replicas reaches
+		// both replicas of every shard, so each plans it once. A clause the
+		// predicate never consulted is retrained half-way: the warm plans
+		// survive by revalidation, and Stats sums every replica's.
+		c := newMiniSharded(t, 60, 2, 2, nil)
+		pred := query.MustParse("t=SUV & c=red")
+		for i := 0; i < 4; i++ {
+			if i == 2 {
+				c.cfg.Optimizer.Corpus().Add(retrainSpeedPP(t, "s>60"))
 			}
-			for i := 0; i < 3; i++ {
-				if got := r.Pick(0, key, reps); got != first {
-					t.Fatalf("key %q not sticky: %d then %d", key, first, got)
+			if _, err := c.Do(Request{ID: fmt.Sprintf("Q%d", i), Pred: pred}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var revalidations uint64
+		for i, perShard := range c.ReplicaStats() {
+			for r, st := range perShard {
+				if st.Sessions != 2 || st.PlanMisses != 1 {
+					t.Errorf("shard %d replica %d: %d legs, %d plan misses; want 2 legs, 1 miss", i, r, st.Sessions, st.PlanMisses)
 				}
+				revalidations += st.PlanRevalidations
 			}
-			seen[first] = true
 		}
-		if len(seen) < 2 {
-			t.Error("eight distinct keys all hashed to one replica; expected spread")
+		if got := c.Stats().PlanRevalidations; got == 0 || got != revalidations {
+			t.Errorf("Stats().PlanRevalidations = %d, want the replicas' sum %d (non-zero)", got, revalidations)
 		}
 	})
 }
@@ -304,7 +218,7 @@ func TestRouters(t *testing.T) {
 // orders the two searches. Both legs complete with the same decision, and each
 // replica's own plan cache records its one miss.
 func TestShardedColdLegsSearchConcurrently(t *testing.T) {
-	c := newMiniSharded(t, 120, 1, 2, RouteRoundRobin, nil)
+	c := newMiniSharded(t, 120, 1, 2, nil)
 	pred := query.MustParse("t=SUV & c!=white & s>65")
 	resps := make([]*Response, 2)
 	errs := make([]error, 2)

@@ -201,7 +201,7 @@ func TestShardedQueueWaitCountedOnce(t *testing.T) {
 	reg := metrics.New()
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv := newMiniSharded(t, 40, 2, 1, RouteRoundRobin, func(cfg *ShardedConfig) {
+	srv := newMiniSharded(t, 40, 2, 1, func(cfg *ShardedConfig) {
 		cfg.Base.MaxConcurrent = 1
 		cfg.Base.Metrics = reg
 		cfg.Builder = testkit.Builder{UDF: blockUDF{UDF: 40, entered: entered, release: release}}

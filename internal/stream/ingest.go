@@ -8,6 +8,7 @@ import (
 	"probpred/internal/blob"
 	"probpred/internal/mathx"
 	"probpred/internal/metrics"
+	"probpred/internal/obs"
 	"probpred/internal/online"
 	"probpred/internal/pplog"
 	"probpred/internal/query"
@@ -280,7 +281,9 @@ func (in *Ingestor) train(seg Segment, segBlobs []blob.Blob, queries []standing,
 		if !d.Audited {
 			continue
 		}
-		in.cfg.Online.ReportAccuracy(d.Resp.Decision, d.Observed, queries[i].accuracy)
+		// Watchdog events carry the delta's trace, so a breach or trip joins
+		// the session that observed it.
+		in.cfg.Online.ReportAccuracyCtx(d.Resp.Decision, d.Observed, queries[i].accuracy, obs.TraceContext{TraceID: d.Resp.TraceID})
 	}
 	for _, b := range sample {
 		_ = in.cfg.Online.Observe(b, in.cfg.Lookup(b))

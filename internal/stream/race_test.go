@@ -16,6 +16,7 @@ import (
 	"probpred/internal/core"
 	"probpred/internal/engine"
 	"probpred/internal/mathx"
+	"probpred/internal/obs"
 	"probpred/internal/online"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
@@ -137,8 +138,9 @@ func (u driftUDF) Apply(b engine.Batch) error {
 
 // newDriftStack wires the full online streaming loop: the server plans over
 // the online system's corpus (empty until the stream trains it), and the
-// ingestor audits accuracy and feeds labels back per segment.
-func newDriftStack(t *testing.T, workers int) (*miniStack, *online.System) {
+// ingestor audits accuracy and feeds labels back per segment. tr receives
+// the online system's spans and events (nil disables).
+func newDriftStack(t *testing.T, workers int, tr *obs.Tracer) (*miniStack, *online.System) {
 	t.Helper()
 	sys, err := online.New(online.Config{
 		Clauses:      []string{"s>40"},
@@ -149,6 +151,7 @@ func newDriftStack(t *testing.T, workers int) (*miniStack, *online.System) {
 		WarmStart:    true,
 		Seed:         7,
 		Watchdog:     online.WatchdogConfig{K: 3, Margin: 0.15, FreshLabels: 150},
+		Obs:          tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +163,7 @@ func newDriftStack(t *testing.T, workers int) (*miniStack, *online.System) {
 }
 
 func TestWatchdogTripAndRetrainRaceClean(t *testing.T) {
-	st, sys := newDriftStack(t, 4)
+	st, sys := newDriftStack(t, 4, nil)
 	st.register(t, testkit.Query{ID: "D1", Pred: "s>40", Accuracy: 0.9})
 
 	var wg sync.WaitGroup
@@ -211,5 +214,41 @@ func TestWatchdogTripAndRetrainRaceClean(t *testing.T) {
 	}
 	if sys.Trips < 1 {
 		t.Errorf("Trips = %d, want at least 1 (anti-correlated drift must trip the watchdog)", sys.Trips)
+	}
+}
+
+// TestWatchdogEventsCarryDeltaTrace: the watchdog's breach, trip and close
+// events from a standing query's accuracy audit carry the trace ID of the
+// delta whose session observed the accuracy, so each joins its session.
+func TestWatchdogEventsCarryDeltaTrace(t *testing.T) {
+	col := obs.NewCollector()
+	st, sys := newDriftStack(t, 1, obs.New(col))
+	st.register(t, testkit.Query{ID: "D1", Pred: "s>40", Accuracy: 0.9})
+	const segSize = 40
+	traces := map[string]bool{}
+	for seg := 0; seg < 35; seg++ {
+		deltas, err := st.ing.Ingest(driftBlobs(segSize, uint64(1000+seg), seg*segSize, seg >= 15))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range deltas {
+			traces[d.Resp.TraceID] = true
+		}
+	}
+	if sys.Trips < 1 {
+		t.Fatalf("Trips = %d, want at least 1 (anti-correlated drift must trip the watchdog)", sys.Trips)
+	}
+	seen := map[string]int{}
+	for _, ev := range col.Events() {
+		switch ev.Name {
+		case "watchdog.breach", "watchdog.trip", "watchdog.close":
+			seen[ev.Name]++
+			if ev.Trace == "" || !traces[ev.Trace] {
+				t.Errorf("%s event carries trace %q, no delta's", ev.Name, ev.Trace)
+			}
+		}
+	}
+	if seen["watchdog.breach"] == 0 || seen["watchdog.trip"] == 0 {
+		t.Fatalf("watchdog events %v, want breaches and a trip", seen)
 	}
 }

@@ -1,6 +1,6 @@
 // Package oracle is the composition oracle: the one property every way of
 // executing a query must satisfy. A Draw picks an execution strategy —
-// engine workers, score cache on or off, shards × replicas × routing, a
+// engine workers, score cache on or off, shards × replicas, a
 // stream segmentation, fan-out width, UDF faults with retries, telemetry —
 // and a workload of mini-traffic queries. Check
 // serves the workload that way and holds every result to a reference: one serial,
@@ -48,9 +48,8 @@ type Draw struct {
 	// NoCache turns the score cache off.
 	NoCache bool
 	// Shards > 0 serves through NewSharded's Shards × Replicas server
-	// (Replicas zero selects 1) under Routing; zero serves through New's.
+	// (Replicas zero selects 1); zero serves through New's.
 	Shards, Replicas int
-	Routing          serve.RoutingPolicy
 	// Stream ingests the corpus through a stream.Ingestor, as segments cut
 	// at Cuts (non-decreasing indices into the corpus; a repeated cut is an
 	// empty segment), each query registered as a standing query. Otherwise
@@ -217,7 +216,6 @@ func (c *checker) front(ppc *optimizer.Corpus, records int) *serve.Server {
 		MaxConcurrent:     max(d.MaxConcurrent, 1),
 		Exec:              engine.Config{NoStageOverhead: true, Workers: d.Workers, Retry: c.retry},
 		DisableScoreCache: d.NoCache,
-		Routing:           d.Routing,
 	}
 	if d.Observe {
 		c.reg, c.spans = metrics.New(), obs.NewCollector()
@@ -391,15 +389,9 @@ func (c *checker) telemetry() {
 	for _, sp := range c.spans.Spans() {
 		traced[sp.Trace] = append(traced[sp.Trace], sp)
 	}
-	policy := d.Routing
-	if policy == "" {
-		policy = serve.RouteRoundRobin
-	}
 	legs := 0
 	if d.Shards*max(d.Replicas, 1) > 1 {
 		legs = d.Shards
-	} else {
-		policy = ""
 	}
 	for _, resp := range c.served {
 		label := fmt.Sprintf("%v\n%s trace %q", d, resp.ID, resp.TraceID)
@@ -407,7 +399,7 @@ func (c *checker) telemetry() {
 			tb.Errorf("%s: %d query-log records, want 1", label, len(rs))
 		}
 		for _, r := range logged[resp.TraceID] {
-			if r.PlanKey != resp.PlanKey || len(r.Legs) != legs || r.Policy != string(policy) {
+			if r.PlanKey != resp.PlanKey || len(r.Legs) != legs {
 				tb.Errorf("%s: query-log record %+v", label, r)
 			}
 		}
@@ -460,16 +452,16 @@ func Random(seed uint64) Draw {
 	rng := mathx.NewRNG(seed)
 	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
 	d := Draw{
-		Blobs:         40 + rng.Intn(160),
-		Seed:          seed,
-		Workers:       pick(1, 4),
-		NoCache:       rng.Bernoulli(0.5),
-		Shards:        pick(0, 1, 2, 4),
-		Replicas:      pick(1, 2),
-		Routing:       []serve.RoutingPolicy{serve.RouteRoundRobin, serve.RouteLeastLoaded, serve.RoutePlanAffinity}[rng.Intn(3)],
-		Stream:        rng.Bernoulli(0.5),
-		MaxConcurrent: pick(1, 2, 8),
+		Blobs:    40 + rng.Intn(160),
+		Seed:     seed,
+		Workers:  pick(1, 4),
+		NoCache:  rng.Bernoulli(0.5),
+		Shards:   pick(0, 1, 2, 4),
+		Replicas: pick(1, 2),
 	}
+	rng.Intn(3) // the retired routing axis: drawn so that every later axis draws as before
+	d.Stream = rng.Bernoulli(0.5)
+	d.MaxConcurrent = pick(1, 2, 8)
 	rng.Bernoulli(0.3) // the retired adapt axis: drawn so that every later axis draws as before
 	d.Drift = rng.Bernoulli(0.2)
 	d.Faults = rng.Bernoulli(0.5)

@@ -109,7 +109,7 @@ type (
 type (
 	// Plan is a physical operator chain.
 	Plan = engine.Plan
-	// ExecConfig models the cluster (parallelism, stage overhead).
+	// ExecConfig models the execution environment (workers, stage overhead, retries).
 	ExecConfig = engine.Config
 	// ExecResult carries rows plus virtual cluster time and latency.
 	ExecResult = engine.Result
