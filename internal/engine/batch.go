@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"probpred/internal/blob"
 	"probpred/internal/query"
 )
@@ -132,11 +134,19 @@ func (m *morsel) blob(i int) *blob.Blob {
 	return &m.blobs[m.pos[i]]
 }
 
-func (m *morsel) lookup(i int, col string) (query.Value, bool) {
+// vector returns the newest column of name col the stage added.
+func (m *morsel) vector(col string) ([]query.Value, bool) {
 	for k := len(m.cols) - 1; k >= 0; k-- {
 		if m.cols[k].name == col {
-			return m.cols[k].vals[i], true
+			return m.cols[k].vals, true
 		}
+	}
+	return nil, false
+}
+
+func (m *morsel) lookup(i int, col string) (query.Value, bool) {
+	if vals, ok := m.vector(col); ok {
+		return vals[i], true
 	}
 	if m.rows != nil {
 		return m.rows[m.pos[i]].Lookup(col)
@@ -219,33 +229,201 @@ func (m *morsel) settleReps() {
 }
 
 // emit appends to out the Rows of the morsel's rows idx — every row when idx
-// is nil — in order. Their column nodes come from one allocation: each row's
-// base columns, then the stage's in the order they were added, so a newer
-// column shadows an older one of its name.
+// is nil — in order. A row's column nodes are its base columns, then the
+// stage's in the order they were added, so a newer column shadows an older
+// one of its name. A row reuses a node of the same column, value and tail
+// that this worker made earlier in the run (nodes never change once made, so
+// no reader can tell two rows share one); the nodes the morsel still has to
+// make come from one allocation. To size it, a first pass looks each row's
+// nodes up in the column's node cache, numbering the nodes still to be made;
+// the second makes them.
 func (m *morsel) emit(out []Row, idx []int32) []Row {
 	n := len(m.pos)
 	if idx != nil {
 		n = len(idx)
 	}
-	k := len(m.cols)
-	var nodes []column
-	if k > 0 {
-		nodes = make([]column, n*k)
-	}
-	for r := range n {
-		i := r
+	at := func(r int) int {
 		if idx != nil {
-			i = int(idx[r])
+			return int(idx[r])
 		}
+		return r
+	}
+	k := len(m.cols)
+	if k == 0 {
+		for r := range n {
+			out = append(out, m.base(at(r)))
+		}
+		return out
+	}
+	w := m.w
+	caches := w.nodeCaches(m.cols)
+	// made is the nodes the caches held before this morsel: the first pass
+	// may replace an entry after a row shared its node.
+	made := w.made[:0]
+	for j := range caches {
+		for s := range caches[j].ent {
+			made = append(made, caches[j].ent[s].node.p)
+		}
+	}
+	w.made = made
+	if cap(w.steps) < n*k {
+		w.steps = make([]int32, n*k)
+	}
+	// steps holds, per row and column, the number of the morsel's node the
+	// row holds there, or -1 - its index in made.
+	steps := w.steps[:n*k]
+	fresh := int32(0)
+	for r := range n {
+		i := at(r)
+		var tail nodeRef
+		if m.rows != nil {
+			tail.p = m.rows[m.pos[i]].cols
+		}
+		j := 0
+		for ; j < k && caches[j].misses < unsharedAfter; j++ {
+			c, v := &caches[j], &m.cols[j].vals[i]
+			s := int(c.last) // rows of one value come in runs
+			if c.used == 0 || !c.ent[s].holds(v, tail) {
+				s = c.find(v, tail)
+			}
+			if s < 0 {
+				fresh++
+				s = c.add(v, tail, nodeRef{k: fresh})
+				c.misses++
+			} else {
+				c.misses = 0
+			}
+			tail = c.ent[s].node
+			steps[r*k+j] = tail.k
+			if tail.k == 0 {
+				steps[r*k+j] = int32(-1 - j*nodeCacheSize - s)
+			}
+		}
+		// A node over a tail no cache holds is this row's alone.
+		for ; j < k; j++ {
+			fresh++
+			steps[r*k+j] = fresh
+		}
+	}
+	var nodes []column
+	if fresh > 0 {
+		nodes = make([]column, fresh)
+	}
+	next := int32(0)
+	for r := range n {
+		i := at(r)
 		row := m.base(i)
-		for j := range m.cols {
-			nd := &nodes[r*k+j]
-			nd.name, nd.val, nd.next = m.cols[j].name, m.cols[j].vals[i], row.cols
-			row.cols = nd
+		for j := range caches {
+			switch s := steps[r*k+j]; {
+			case s < 0:
+				row.cols = made[-1-s]
+			case s > next:
+				nd := &nodes[next]
+				next++
+				nd.name, nd.val, nd.next = m.cols[j].name, m.cols[j].vals[i], row.cols
+				row.cols = nd
+			default:
+				row.cols = &nodes[s-1]
+			}
 		}
 		out = append(out, row)
 	}
+	for j := range caches {
+		for s := range caches[j].ent {
+			e := &caches[j].ent[s]
+			e.tail.resolve(nodes)
+			e.node.resolve(nodes)
+		}
+	}
+	clear(made)
 	return out
+}
+
+// nodeCacheSize is how many of a stage column's most recently made nodes its
+// cache holds.
+const nodeCacheSize = 8
+
+// unsharedAfter is how many consecutive lookups a column's node cache may
+// miss before emit stops looking in it, and in the later columns' caches, for
+// the rest of the run: a column of distinct values (a score, a speed) shares
+// nothing, and then costs a node per row as it did before the caches.
+const unsharedAfter = 4 * nodeCacheSize
+
+// nodeCache is one stage column's most recently made nodes, for emit to share
+// between rows.
+type nodeCache struct {
+	name string
+	ent  [nodeCacheSize]cachedNode
+	// used is the entries filled, next the entry the next node replaces, last
+	// the entry the last lookup found or filled, which emit tries first.
+	used, next, last uint8
+	misses           int // lookups missed since the last hit
+}
+
+// cachedNode is one node of a column's cache: its value, the node it points
+// to and itself.
+type cachedNode struct {
+	val        query.Value
+	tail, node nodeRef
+}
+
+// nodeRef is a column node: one made (p), or during emit's first pass the
+// k-th node the morsel still has to make (k > 0).
+type nodeRef struct {
+	p *column
+	k int32
+}
+
+// resolve makes a reference to the morsel's k-th node, once made, a pointer.
+func (r *nodeRef) resolve(nodes []column) {
+	if r.k > 0 {
+		*r = nodeRef{p: &nodes[r.k-1]}
+	}
+}
+
+// nodeCaches returns the worker's node caches for the stage columns cols,
+// emptying one that last held another column's nodes.
+func (w *rowWorker) nodeCaches(cols []vec) []nodeCache {
+	for len(w.nodes) < len(cols) {
+		w.nodes = append(w.nodes, nodeCache{})
+	}
+	caches := w.nodes[:len(cols)]
+	for j := range caches {
+		if caches[j].name != cols[j].name {
+			caches[j] = nodeCache{name: cols[j].name}
+		}
+	}
+	return caches
+}
+
+// find returns the entry holding a node of value v over tail, or -1.
+func (c *nodeCache) find(v *query.Value, tail nodeRef) int {
+	for s := range int(c.used) {
+		if c.ent[s].holds(v, tail) {
+			c.last = uint8(s)
+			return s
+		}
+	}
+	return -1
+}
+
+// holds reports whether e is a node of value v over tail. Values are equal
+// bit for bit, so -0 and +0, or two NaN payloads, never share.
+func (e *cachedNode) holds(v *query.Value, tail nodeRef) bool {
+	return math.Float64bits(e.val.Num) == math.Float64bits(v.Num) && e.tail == tail &&
+		e.val.IsNum == v.IsNum && e.val.Str == v.Str
+}
+
+// add puts node, of value v over tail, in place of the cache's oldest entry
+// and returns its entry.
+func (c *nodeCache) add(v *query.Value, tail, node nodeRef) int {
+	s := int(c.next)
+	c.ent[s] = cachedNode{val: *v, tail: tail, node: node}
+	c.last, c.next = c.next, uint8((s+1)%nodeCacheSize)
+	if c.used < nodeCacheSize {
+		c.used++
+	}
+	return s
 }
 
 // ApplyRows applies p to rows as one batch, outside any plan: one call, no

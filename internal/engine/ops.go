@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -80,10 +81,24 @@ func (s *Select) StageBoundary() bool { return false }
 func (s *Select) Exec(in []Row) ([]Row, float64, error) { return execLocal(s, in) }
 
 // filter appends the positions of the morsel's rows the predicate keeps to
-// keep, evaluating it through l.
-func (s *Select) filter(m *morsel, l *rowLookup, keep []int32) ([]int32, error) {
-	l.m = m
-	for i := range m.len() {
+// keep. It walks the predicate over bitmaps of the morsel's rows (walk); when
+// the walk meets a row whose evaluation fails, the morsel runs again through
+// Pred.Eval a row at a time, which reports the first failure in row order.
+func (s *Select) filter(w *rowWorker, keep []int32) ([]int32, error) {
+	top := w.top
+	out, ok := w.selected(s.Pred)
+	w.top = top
+	if ok {
+		for k, word := range out {
+			for ; word != 0; word &= word - 1 {
+				keep = append(keep, int32(k*64+bits.TrailingZeros64(word)))
+			}
+		}
+		return keep, nil
+	}
+	l := w.look
+	l.m = &w.m
+	for i := range w.m.len() {
 		l.i = i
 		ok, err := s.Pred.Eval(l.fn)
 		if err != nil {
@@ -94,6 +109,182 @@ func (s *Select) filter(m *morsel, l *rowLookup, keep []int32) ([]int32, error) 
 		}
 	}
 	return keep, nil
+}
+
+// selected walks p over all the morsel's rows and returns the bitmap of
+// those that pass, taken off the worker's bitmap stack, and whether the walk
+// held (walk).
+func (w *rowWorker) selected(p query.Pred) ([]uint64, bool) {
+	n := w.m.len()
+	nw := (n + 63) / 64
+	act, out := w.bitmap(nw), w.bitmap(nw)
+	for k := range act {
+		act[k] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		act[nw-1] = 1<<r - 1
+	}
+	return out, w.walk(p, act, out)
+}
+
+// walk sets in out which of the morsel rows set in act pass p, testing a node
+// only on the rows its ancestors leave undecided, as Pred.Eval's short
+// circuit does: a conjunction narrows the active rows kid by kid, a
+// disjunction settles a kid's passing rows and drops them from the later
+// kids' active rows, a negation complements within them. It reports false
+// when an active row's evaluation would fail — a missing column, a type
+// mismatch, a string ordering — or p is a predicate type it does not know.
+func (w *rowWorker) walk(p query.Pred, act, out []uint64) bool {
+	switch p := p.(type) {
+	case *query.Clause:
+		return w.clause(p, act, out)
+	case *query.And:
+		copy(out, act)
+		top := w.top
+		kid := w.bitmap(len(act))
+		for _, k := range p.Kids {
+			if !w.walk(k, out, kid) {
+				return false
+			}
+			var left uint64
+			for i := range out {
+				out[i] &= kid[i]
+				left |= out[i]
+			}
+			if left == 0 {
+				break
+			}
+		}
+		w.top = top
+		return true
+	case *query.Or:
+		clear(out)
+		top := w.top
+		cur, kid := w.bitmap(len(act)), w.bitmap(len(act))
+		copy(cur, act)
+		for _, k := range p.Kids {
+			if !w.walk(k, cur, kid) {
+				return false
+			}
+			var left uint64
+			for i := range cur {
+				out[i] |= kid[i]
+				cur[i] &^= kid[i]
+				left |= cur[i]
+			}
+			if left == 0 {
+				break
+			}
+		}
+		w.top = top
+		return true
+	case *query.Not:
+		if !w.walk(p.Kid, act, out) {
+			return false
+		}
+		for i := range out {
+			out[i] = act[i] &^ out[i]
+		}
+		return true
+	case query.True:
+		copy(out, act)
+		return true
+	case query.False:
+		clear(out)
+		return true
+	}
+	return false
+}
+
+// clause sets in out which of the active rows pass c. It reads the newest
+// column the stage added under c's name, else the base rows' column, gathered
+// for the active rows into a pooled vector.
+func (w *rowWorker) clause(c *query.Clause, act, out []uint64) bool {
+	m := &w.m
+	vals, ok := m.vector(c.Col)
+	if !ok {
+		if m.rows == nil {
+			clear(out)
+			return !anySet(act) // a source blob has no columns
+		}
+		vals = w.takeVec(m.len())
+		defer w.giveVec(vals)
+		for k, word := range act {
+			for ; word != 0; word &= word - 1 {
+				i := k*64 + bits.TrailingZeros64(word)
+				v, ok := m.rows[m.pos[i]].Lookup(c.Col)
+				if !ok {
+					return false
+				}
+				vals[i] = v
+			}
+		}
+	}
+	if !c.Val.IsNum {
+		if c.Op != query.OpEq && c.Op != query.OpNe {
+			clear(out)
+			return !anySet(act)
+		}
+		eq := c.Op == query.OpEq
+		for k, word := range act {
+			var o uint64
+			for ; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				v := &vals[k*64+b]
+				if v.IsNum {
+					return false
+				}
+				if (v.Str == c.Val.Str) == eq {
+					o |= 1 << b
+				}
+			}
+			out[k] = o
+		}
+		return true
+	}
+	for k, word := range act {
+		var o uint64
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			v := &vals[k*64+b]
+			if !v.IsNum {
+				return false
+			}
+			if compareNum(v.Num, c.Op, c.Val.Num) {
+				o |= 1 << b
+			}
+		}
+		out[k] = o
+	}
+	return true
+}
+
+// compareNum is a numeric clause's comparison, as Clause.Eval makes it.
+func compareNum(a float64, op query.Op, b float64) bool {
+	switch op {
+	case query.OpEq:
+		return a == b
+	case query.OpNe:
+		return a != b
+	case query.OpLt:
+		return a < b
+	case query.OpLe:
+		return a <= b
+	case query.OpGt:
+		return a > b
+	case query.OpGe:
+		return a >= b
+	}
+	return false
+}
+
+func anySet(b []uint64) bool {
+	for _, w := range b {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // BlobFilter is the one contract through which injected probabilistic

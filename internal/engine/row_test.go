@@ -157,22 +157,7 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 				t.Fatalf("n=%d survivors=%d: %d rows, err %v", n, survivors, len(res.Rows), err)
 			}
 		}
-		run() // warm the pools
-		allocs = testing.AllocsPerRun(10, run)
-		// The least of three ten-run means: a GC that empties the pools
-		// mid-batch makes a run refill them.
-		bytes = math.Inf(1)
-		for range 3 {
-			const runs = 10
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for range runs {
-				run()
-			}
-			runtime.ReadMemStats(&m1)
-			bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/runs)
-		}
-		return allocs, bytes
+		return runCost(run)
 	}
 	rowBytes, nodeBytes := int(unsafe.Sizeof(Row{})), int(unsafe.Sizeof(column{}))
 	const (
@@ -203,4 +188,74 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 			t.Errorf("%d survivors: %.0f bytes at 4 000 blobs, %.0f at 40 000: dropped blobs are not free", c.survivors, seen[0][1], seen[1][1])
 		}
 	}
+}
+
+// TestCategoricalRowsAllocateNoNodes is TestDroppedRowsAllocateNothing's
+// budget for the columns most traffic predicates read: through Scan →
+// PPFilter → a type and a color classifier → σ[t=SUV | c=red], with two
+// types and three colors, an emitted row shares its column nodes with the
+// earlier rows of its values (emit's node caches), so a run costs about one
+// Row per survivor — the output slab — and no node bytes: the six pairs'
+// nodes and a few more, not one node per UDF per row kept.
+func TestCategoricalRowsAllocateNoNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n, survivors = 4000, 3000
+	keys := blob.NewTruthKeys("x")
+	blobs := make([]blob.Blob, n)
+	tv, cv := make([]query.Value, n), make([]query.Value, n)
+	for i := range blobs {
+		blobs[i] = blob.Blob{ID: i, Truth: keys.Row(float64(i))}
+		tv[i], cv[i] = query.Str([]string{"car", "SUV"}[i%2]), query.Str([]string{"red", "white", "blue"}[i%3])
+	}
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: blobs},
+		&PPFilter{F: thresholdFilter{col: "x", t: float64(n - survivors - 1), cost: 1}},
+		&Process{P: tableUDF{col: "t", vals: tv}},
+		&Process{P: tableUDF{col: "c", vals: cv}},
+		&Select{Pred: query.MustParse("t=SUV | c=red")},
+	}}
+	const kept = survivors * 4 / 6
+	run := func() {
+		res, err := Run(plan, Config{Workers: 1})
+		if err != nil || len(res.Rows) != kept {
+			t.Fatalf("%d rows, err %v", len(res.Rows), err)
+		}
+	}
+	allocs, bytes := runCost(run)
+	rowBytes, nodeBytes := int(unsafe.Sizeof(Row{})), int(unsafe.Sizeof(column{}))
+	const (
+		perRun   = 40       // as TestDroppedRowsAllocateNothing's
+		perBytes = 48 << 10 // as TestDroppedRowsAllocateNothing's
+	)
+	morsels := (survivors + morselRows - 1) / morselRows
+	t.Logf("%d survivors, %d kept: %v allocations, %.0f bytes", survivors, kept, allocs, bytes)
+	if limit := perRun + morsels; allocs > float64(limit) {
+		t.Errorf("%v allocations, want <= %d", allocs, limit)
+	}
+	// Unshared, the rows kept would add 2 × nodeBytes each.
+	if limit := survivors*rowBytes + 2*nodeCacheSize*nodeBytes + perBytes; bytes > float64(limit) {
+		t.Errorf("%.0f bytes, want <= %d: %d B of rows and next to no nodes", bytes, limit, survivors*rowBytes)
+	}
+}
+
+// runCost warms the pools with one run, then returns a run's allocations and
+// the bytes it allocates: the least of three ten-run means, as a GC that
+// empties the pools mid-batch makes a run refill them.
+func runCost(run func()) (allocs, bytes float64) {
+	run()
+	allocs = testing.AllocsPerRun(10, run)
+	bytes = math.Inf(1)
+	for range 3 {
+		const runs = 10
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/runs)
+	}
+	return allocs, bytes
 }

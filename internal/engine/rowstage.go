@@ -16,12 +16,14 @@ import (
 // is columns before rows (batch.go): int32 positions into the stage's base —
 // the source's blobs, or the upstream rows — plus one pooled value vector per
 // column the stage's processors add. A processor fills its columns' vectors
-// or says how many rows each input yields; Select evaluates its predicate
-// through one lookup repointed row by row over the vectors and the base, and
-// compacts positions and vectors in place. Rows and their column nodes are
-// made once, at the stage's end, only for the rows it emits, straight into
-// the output slab sized by the survivor count; a Project, which needs Rows,
-// makes its input's and its own output becomes the morsel's base.
+// or says how many rows each input yields; Select walks its predicate a
+// clause at a time over bitmaps of the morsel's rows, reading the vectors and
+// the base, and compacts positions and vectors in place. Rows are made once,
+// at the stage's end, only for the rows it emits, straight into the output
+// slab sized by the survivor count, and an emitted row shares each column
+// node with an earlier row holding the same column value over the same tail;
+// a Project, which needs Rows, makes its input's and its own output becomes
+// the morsel's base.
 //
 // The ledger keeps every bit. A Process threads its running cost sum from
 // morsel to morsel, row by row, so its total is the same sequence of
@@ -42,8 +44,13 @@ import (
 const morselRows = 1024
 
 // pooledVecs is how many value vectors a pooled worker keeps: enough for the
-// columns of every plan builder's row stage.
+// columns of every plan builder's row stage. It also bounds the stage columns
+// whose node caches and emission scratch a pooled worker keeps.
 const pooledVecs = 8
+
+// pooledWords is the most bitmap words a pooled worker keeps for Select's
+// walk: sixteen bitmaps of a morsel.
+const pooledWords = 16 * morselRows / 64
 
 // rowLocal reports whether op is a row-stage operator. Run runs each maximal
 // run of them after the source stage as one row stage.
@@ -91,8 +98,9 @@ type opRun struct {
 
 // rowWorker runs the morsel loop over one worker range. It is pooled: its
 // morsel's buffers — positions, value vectors, the keep list, the repeat
-// counts, a Project's two row buffers — and its predicate lookup outlive the
-// run, and are cleared when it goes back.
+// counts, a Project's two row buffers, Select's bitmaps, emit's node caches
+// and scratch — and its predicate lookup outlive the run, and are cleared
+// when it goes back.
 type rowWorker struct {
 	m morsel
 	// free holds the value vectors the morsel is not using.
@@ -102,6 +110,15 @@ type rowWorker struct {
 	// high is the most rows any buffer was written to since the worker left
 	// the pool: only that prefix of a buffer holds references to clear.
 	high int
+	// words is a stack of bitmaps for Select's walk, top words in use.
+	words []uint64
+	top   int
+	// nodes is one cache per stage column of the nodes this run's emitted
+	// rows hold; made and steps are emit's scratch (batch.go).
+	nodes []nodeCache
+	made  []*column
+	steps []int32
+	// look is the row-at-a-time lookup a Select falls back to.
 	look *rowLookup
 	runs []opRun
 	// failed is the position (in the stage's operators) whose error stopped
@@ -126,11 +143,13 @@ func getRowWorker(ops int) *rowWorker {
 }
 
 // putRowWorker clears what the worker's run left behind — references in the
-// vectors and row buffers, the run tallies — and pools it. A buffer a morsel
-// grew past morselRows (a processor emitting several rows per input) is
-// dropped, and so is a vector past pooledVecs, so the pool pins at most
-// pooledVecs value vectors, two row buffers and three position buffers of
-// morselRows each per worker.
+// vectors, row buffers and node caches, the run tallies — and pools it. A
+// buffer a morsel grew past morselRows (a processor emitting several rows per
+// input) is dropped, and so is a vector past pooledVecs, so the pool pins at
+// most pooledVecs value vectors, two row buffers and three position buffers
+// of morselRows each per worker, plus pooledWords bitmap words and, for
+// pooledVecs stage columns, an empty node cache and four bytes of emit's
+// steps per morsel row each.
 func putRowWorker(w *rowWorker) {
 	m := &w.m
 	w.giveCols(m)
@@ -157,6 +176,17 @@ func putRowWorker(w *rowWorker) {
 		}
 	}
 	w.high = 0
+	if cap(w.words) > pooledWords {
+		w.words = nil
+	}
+	if cap(w.nodes) > pooledVecs {
+		w.nodes, w.made = nil, nil
+	}
+	clear(w.nodes[:cap(w.nodes)])
+	w.nodes = w.nodes[:0]
+	if cap(w.steps) > pooledVecs*morselRows {
+		w.steps = nil
+	}
 	clear(w.runs)
 	w.look.m = nil
 	w.emitNS, w.out = 0, nil
@@ -193,6 +223,18 @@ func (w *rowWorker) intBuf(p *[]int32, n int) []int32 {
 		*p = make([]int32, n, max(n, morselRows))
 	}
 	return (*p)[:n]
+}
+
+// bitmap takes nw words off the bitmap stack, contents unspecified; the
+// taker gives them back by restoring top. A stack that runs out moves to a
+// larger array, and the bitmaps already taken keep the old one.
+func (w *rowWorker) bitmap(nw int) []uint64 {
+	if w.top+nw > len(w.words) {
+		w.words = make([]uint64, 2*(w.top+nw))
+	}
+	b := w.words[w.top : w.top+nw : w.top+nw]
+	w.top += nw
+	return b
 }
 
 // rowBuf returns row buffer k empty, with room for n rows.
@@ -282,7 +324,7 @@ func (w *rowWorker) step(op Operator, last bool, out []Row, or *opRun, cfg Confi
 		m.buf = k
 		return out, nil
 	case *Select:
-		keep, err := o.filter(m, w.look, w.intBuf(&w.idx, m.len())[:0])
+		keep, err := o.filter(w, w.intBuf(&w.idx, m.len())[:0])
 		if err != nil {
 			return out, err
 		}
@@ -297,7 +339,8 @@ func (w *rowWorker) step(op Operator, last bool, out []Row, or *opRun, cfg Confi
 
 // rowLookup is a predicate lookup bound to one morsel row at a time: one
 // closure per worker, repointed per row, where binding each row's lookup
-// would allocate a closure per row.
+// would allocate a closure per row. Only a Select whose walk meets a failing
+// row uses it (Select.filter).
 type rowLookup struct {
 	m  *morsel
 	i  int

@@ -254,9 +254,7 @@ func mergeLegs(legs []leg) *Response {
 		if r.Stages > res.Stages {
 			res.Stages = r.Stages
 		}
-		if len(r.PerOp) != len(legs[0].resp.Result.PerOp) {
-			samePlanShape = false
-		}
+		samePlanShape = samePlanShape && samePlan(r.PerOp, first.Result.PerOp)
 		if !l.PlanCached {
 			merged.PlanCached = false
 		}
@@ -283,6 +281,22 @@ func mergeLegs(legs []leg) *Response {
 	}
 	merged.Result = res
 	return merged
+}
+
+// samePlan reports whether two legs ran the same plan, operator by
+// operator. Each replica caches its own plans, so a retrain landing between
+// two legs' resolves can hand them plans of one shape whose PP filters
+// differ.
+func samePlan(a, b []engine.OpStats) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if a[j].Name != b[j].Name || a[j].PPFilter != b[j].PPFilter {
+			return false
+		}
+	}
+	return true
 }
 
 // publishLoad republishes the shard's live queue-depth and active leg

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"probpred/internal/blob"
+	"probpred/internal/engine"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
@@ -86,6 +87,36 @@ func TestShardedMergeAccounting(t *testing.T) {
 				t.Errorf("merged Latency %.4f exceeds unsharded %.4f", first.Result.Latency, base.Result.Latency)
 			}
 		})
+	}
+}
+
+// TestMergeLegsComparesPlansOperatorByOperator merges two fabricated legs
+// whose plans have one length: a replica that re-planned after a retrain runs
+// Scan → PP → UDF → σ with another PP filter than its sibling's cached plan.
+// Their per-operator ledgers must not be summed under one leg's names; legs
+// of one plan still are.
+func TestMergeLegsComparesPlansOperatorByOperator(t *testing.T) {
+	legOf := func(pp string, cost float64) leg {
+		return leg{resp: &Response{Result: &engine.Result{
+			ClusterTime: 4 * cost,
+			PerOp: []engine.OpStats{
+				{Name: "Scan", Cost: cost},
+				{Name: "PP[" + pp + "]", PPFilter: true, Cost: cost},
+				{Name: "TypeClassifier", Cost: cost},
+				{Name: "σ[t=SUV]", Cost: cost},
+			},
+		}}}
+	}
+	merged := mergeLegs([]leg{legOf("t=SUV", 1), legOf("t=SUV", 2)})
+	if got := merged.Result.PerOp; len(got) != 4 || got[1].Name != "PP[t=SUV]" || got[1].Cost != 3 {
+		t.Fatalf("legs of one plan: merged PerOp %+v, want four operators summed", got)
+	}
+	merged = mergeLegs([]leg{legOf("t=SUV", 1), legOf("t=SUV & c=red", 2)})
+	if got := merged.Result.PerOp; got != nil {
+		t.Errorf("legs of two plans: merged PerOp %+v, want none", got)
+	}
+	if merged.Result.ClusterTime != 12 {
+		t.Errorf("legs of two plans: ClusterTime %v, want 12", merged.Result.ClusterTime)
 	}
 }
 
