@@ -107,11 +107,11 @@ func BenchmarkPPScoreFHSVM(b *testing.B)  { benchmarkScore(b, hotpathFHSVM) }
 func BenchmarkPPScorePCAKDE(b *testing.B) { benchmarkScore(b, hotpathSpec{"PCA+KDE", 64}) }
 func BenchmarkPPScoreDNN(b *testing.B)    { benchmarkScore(b, hotpathSpec{"DNN", 64}) }
 
-// BenchmarkPPFilterParallel times the PPFilter operator end to end (Scan +
-// PPFilter under engine.Run, Workers=4, one TestBatch per worker chunk),
-// without and with a live metrics registry, so the per-row cost of
-// instrumentation is a visible delta between the two sub-benchmarks.
-func BenchmarkPPFilterParallel(b *testing.B) {
+// BenchmarkPPFilterRun times the PPFilter operator end to end (Scan +
+// PPFilter under engine.Run, one TestBatch over the scan), without and with
+// a live metrics registry, so the per-row cost of instrumentation is a
+// visible delta between the two sub-benchmarks.
+func BenchmarkPPFilterRun(b *testing.B) {
 	pp, blobs := hotpathPP(b, hotpathFHSVM)
 	plan := engine.Plan{Ops: []engine.Operator{
 		&engine.Scan{Blobs: blobs},
@@ -121,8 +121,8 @@ func BenchmarkPPFilterParallel(b *testing.B) {
 		name string
 		cfg  engine.Config
 	}{
-		{"bare", engine.Config{Workers: 4}},
-		{"registry", engine.Config{Workers: 4, Metrics: metrics.New()}},
+		{"bare", engine.Config{}},
+		{"registry", engine.Config{Metrics: metrics.New()}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"probpred/internal/data"
-	"probpred/internal/engine"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/pplog"
@@ -26,7 +25,6 @@ func Obs(cfg Config) (*Report, error) {
 	const (
 		accuracy    = 0.95
 		concurrency = 4
-		workers     = 2
 		shards      = 2
 		replicas    = 2
 	)
@@ -51,7 +49,6 @@ func Obs(cfg Config) (*Report, error) {
 			Accuracy:      accuracy,
 			Domains:       data.TrafficDomains(),
 			MaxConcurrent: concurrency,
-			Exec:          engine.Config{Workers: workers},
 			Metrics:       reg,
 			Obs:           tracer,
 			QueryLog:      qlog,

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"probpred/internal/data"
-	"probpred/internal/engine"
 	"probpred/internal/serve"
 )
 
@@ -63,7 +62,6 @@ func Serve(cfg Config) (*Report, error) {
 	const (
 		accuracy    = 0.95
 		concurrency = 4
-		workers     = 4
 	)
 	rounds := cfg.scale(3, 2)
 	h, err := NewTrafficHarness(cfg)
@@ -80,7 +78,6 @@ func Serve(cfg Config) (*Report, error) {
 			Accuracy:          accuracy,
 			Domains:           data.TrafficDomains(),
 			MaxConcurrent:     concurrency,
-			Exec:              engine.Config{Workers: workers},
 			DisableScoreCache: disable,
 			Metrics:           cfg.Metrics,
 			Obs:               cfg.Obs,

@@ -129,7 +129,6 @@ func runStream(cfg Config) ([]streamSegment, *Report, error) {
 		// observed >= accuracy - margin, which is also the recovery gate.
 		margin  = 0.08
 		udfCost = 40.0
-		workers = 4
 	)
 	segSize := cfg.scale(400, 150)
 	nSegs := cfg.scale(30, 20)
@@ -161,7 +160,7 @@ func runStream(cfg Config) ([]streamSegment, *Report, error) {
 		return nil, nil, err
 	}
 	builder := &segStreamBuilder{udf: segStreamUDF{cost: udfCost}}
-	exec := engine.Config{NoStageOverhead: true, Workers: workers, Obs: cfg.Obs, Metrics: cfg.Metrics}
+	exec := engine.Config{NoStageOverhead: true, Obs: cfg.Obs, Metrics: cfg.Metrics}
 	srv, err := serve.New(serve.Config{
 		Optimizer: optimizer.New(sys.Corpus()),
 		Corpus:    builder,

@@ -138,8 +138,8 @@ type Model struct {
 	layers []*layer
 	params int
 	// scratch recycles forward-pass activation buffers across Score and
-	// ScoreBatch calls. Scoring must be safe for concurrent use (parallel
-	// engine chunks share one Model), so buffers are pooled; the zero pool is
+	// ScoreBatch calls. Scoring must be safe for concurrent use (concurrent
+	// sessions share one Model), so buffers are pooled; the zero pool is
 	// valid, which keeps gob-decoded models working without a constructor.
 	scratch sync.Pool
 }

@@ -38,7 +38,7 @@ func BenchmarkRowStage(b *testing.B) {
 	}}
 	b.ReportAllocs()
 	for range b.N {
-		res, err := Run(plan, Config{Workers: 1})
+		res, err := Run(plan, Config{})
 		if err != nil || len(res.Rows) != n*22/100/2 {
 			b.Fatalf("%v rows, err %v", len(res.Rows), err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkRowStageCategorical(b *testing.B) {
 	}}
 	b.ReportAllocs()
 	for range b.N {
-		res, err := Run(plan, Config{Workers: 1})
+		res, err := Run(plan, Config{})
 		if err != nil || len(res.Rows) != n*22/100*7/16 {
 			b.Fatalf("%v rows, err %v", len(res.Rows), err)
 		}

@@ -410,7 +410,7 @@ func TestMisplacedFilterRefused(t *testing.T) {
 			calls.Store(0)
 			col := obs.NewCollector()
 			reg := metrics.New()
-			res, err := Run(Plan{Ops: c.ops}, Config{Workers: 4, Obs: obs.New(col), Metrics: reg})
+			res, err := Run(Plan{Ops: c.ops}, Config{Obs: obs.New(col), Metrics: reg})
 			var me *MisplacedFilterError
 			if !errors.As(err, &me) || me.Pos != c.pos || me.Op != "PP[thresh]" {
 				t.Fatalf("error %v, want a MisplacedFilterError at position %d", err, c.pos)
@@ -434,6 +434,72 @@ func TestMisplacedFilterRefused(t *testing.T) {
 	var me *MisplacedFilterError
 	if !errors.As(err, &me) || me.Pos != -1 || out != nil || cost != 0 {
 		t.Fatalf("Exec = %d rows, cost %v, error %v; want the MisplacedFilterError", len(out), cost, err)
+	}
+}
+
+// TestWorkersRefused holds Run to its one goroutine: Workers 0 and 1 run the
+// plan alike, and any other value fails the run before any work, span or
+// metric.
+func TestWorkersRefused(t *testing.T) {
+	var calls atomic.Int64
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: makeBlobs(100)},
+		&PPFilter{F: countingFilter{thresholdFilter{col: "x", t: 49, cost: 1}, &calls}},
+		&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
+		&Select{Pred: query.MustParse("x>60")},
+	}}
+	var alone *Result
+	for _, c := range []struct {
+		workers int
+		refused bool
+	}{{0, false}, {1, false}, {2, true}, {8, true}, {-1, true}} {
+		t.Run(fmt.Sprintf("workers=%d", c.workers), func(t *testing.T) {
+			calls.Store(0)
+			col := obs.NewCollector()
+			reg := metrics.New()
+			res, err := Run(plan, Config{Workers: c.workers, Obs: obs.New(col), Metrics: reg})
+			if !c.refused {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if alone == nil {
+					alone = res
+				}
+				if res.ClusterTime != alone.ClusterTime || len(res.Rows) != len(alone.Rows) || len(res.Rows) != 39 {
+					t.Fatalf("%d rows at cost %v, Workers 0 gave %d at %v", len(res.Rows), res.ClusterTime, len(alone.Rows), alone.ClusterTime)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "Workers") || res != nil {
+				t.Fatalf("Run returned a Result: %v, error %v; want a refusal naming Workers", res != nil, err)
+			}
+			if n := calls.Load(); n != 0 {
+				t.Fatalf("the filter tested blobs %d times", n)
+			}
+			if spans := col.Spans(); len(spans) != 0 {
+				t.Fatalf("a refused run emitted %d spans, the first %q", len(spans), spans[0].Name)
+			}
+			var prom strings.Builder
+			if err := reg.WriteProm(&prom); err != nil || prom.Len() != 0 {
+				t.Fatalf("a refused run recorded metrics (%v): %s", err, prom.String())
+			}
+		})
+	}
+}
+
+// TestSmallInputStaysSequential: an input smaller than one morsel runs as
+// one morsel on the caller's goroutine, every row through.
+func TestSmallInputStaysSequential(t *testing.T) {
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: makeBlobs(5)},
+		&Process{P: fakeUDF{name: "U", cost: 1, col: "x"}},
+	}}
+	res, err := Run(plan, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 5 || res.PerOp[1].Cost != 5 {
+		t.Fatalf("rows = %d, U charged %v", len(res.Rows), res.PerOp[1].Cost)
 	}
 }
 
@@ -539,28 +605,26 @@ func TestBatchLookupSeesEarlierColumns(t *testing.T) {
 	for i := range blobs {
 		blobs[i].Truth = keys.Row(float64(i), float64(2*i))
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := Run(Plan{Ops: []Operator{
-			&Scan{Blobs: blobs},
-			&Process{P: fakeUDF{name: "X", cost: 1, col: "x"}},
-			&Barrier{Label: "b"},
-			&Process{P: fakeUDF{name: "Y", cost: 1, col: "y"}},
-			&Process{P: sumUDF{}},
-			&Select{Pred: query.MustParse("s>=3000")},
-		}}, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 1500 {
-			t.Fatalf("workers=%d: %d rows, want 1 500", workers, len(res.Rows))
-		}
-		for _, r := range res.Rows {
-			x, _ := r.Get("x")
-			y, _ := r.Get("y")
-			s, _ := r.Get("s")
-			if x.Num != float64(r.Blob.ID) || y.Num != 2*x.Num || s.Num != 3*x.Num {
-				t.Fatalf("workers=%d: blob %d has %v", workers, r.Blob.ID, r.Columns())
-			}
+	res, err := Run(Plan{Ops: []Operator{
+		&Scan{Blobs: blobs},
+		&Process{P: fakeUDF{name: "X", cost: 1, col: "x"}},
+		&Barrier{Label: "b"},
+		&Process{P: fakeUDF{name: "Y", cost: 1, col: "y"}},
+		&Process{P: sumUDF{}},
+		&Select{Pred: query.MustParse("s>=3000")},
+	}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1500 {
+		t.Fatalf("%d rows, want 1 500", len(res.Rows))
+	}
+	for _, r := range res.Rows {
+		x, _ := r.Get("x")
+		y, _ := r.Get("y")
+		s, _ := r.Get("s")
+		if x.Num != float64(r.Blob.ID) || y.Num != 2*x.Num || s.Num != 3*x.Num {
+			t.Fatalf("blob %d has %v", r.Blob.ID, r.Columns())
 		}
 	}
 }

@@ -43,13 +43,11 @@ const (
 
 // Config controls the execution environment model.
 type Config struct {
-	// Workers sets how many goroutines execute the row-parallel work: the
-	// PP filter's TestBatch in the source stage, and the row stage, split
-	// once at its input into worker ranges. It affects only wall-clock
-	// execution of the simulator, never results; virtual costs are
-	// deterministic for a given worker count. Processors must be safe for
-	// concurrent Apply calls on disjoint batches when Workers > 1. Zero
-	// or one is sequential.
+	// Workers is kept only because the benchmark's workloads set it to 1.
+	// Delete it when the benchmark's narrow seam (ROADMAP item 2) lands. A
+	// run executes on its caller's goroutine (concurrency comes from
+	// sessions), so Run accepts 0 and 1 and refuses any other value before
+	// any work, span or metric.
 	Workers int
 	// NoStageOverhead models an overhead-free substrate: stages add no
 	// fixed latency.
@@ -61,12 +59,11 @@ type Config struct {
 	Retry RetryPolicy
 	// Obs receives execution spans: one root span per Run, one span per
 	// operator (wall-clock, virtual cost, cardinalities) emitted in plan
-	// order when the run ends, and per-chunk child spans on the row-parallel
-	// path. Nil disables tracing at near-zero overhead.
+	// order when the run ends. Nil disables tracing at near-zero overhead.
 	Obs *obs.Tracer
 	// Trace is the session trace context the run belongs to: the run span
-	// carries its TraceID (inherited by operator and chunk spans) and is
-	// parented under its SpanID. The zero value leaves spans untraced.
+	// carries its TraceID (inherited by operator spans) and is parented
+	// under its SpanID. The zero value leaves spans untraced.
 	Trace obs.TraceContext
 	// Metrics receives numeric telemetry: per-operator cost/wall/cardinality
 	// histograms and counters, run totals, PP filter pass counters, and
@@ -137,10 +134,14 @@ type Result struct {
 // row-local operators runs as a row stage (rowstage.go), which carries
 // survivors a morsel at a time as positions and column vectors and makes
 // rows only for what it emits, and every other operator sees every row at
-// once through exec.
+// once through exec. The whole run stays on the caller's goroutine; a
+// Config.Workers other than 0 or 1 fails it before any work, span or metric.
 func Run(p Plan, cfg Config) (*Result, error) {
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
+	}
+	if cfg.Workers != 0 && cfg.Workers != 1 {
+		return nil, fmt.Errorf("engine: Workers = %d: a run executes on its caller's goroutine, so only 0 and 1 are accepted", cfg.Workers)
 	}
 	ops := p.Ops
 	scan, scanned := ops[0].(*Scan)
@@ -184,7 +185,7 @@ func Run(p Plan, cfg Config) (*Result, error) {
 		// The row stage after the source stage runs even with no operator:
 		// it is what makes the source's survivors into rows.
 		if j > i || i == first {
-			rows, err = r.rowStage(in, i, j, nil)
+			rows, err = r.rowStage(in, i, j)
 			if s != nil {
 				filterScratchPool.Put(s) // the rows no longer point into it
 				s = nil
@@ -253,9 +254,8 @@ type opAcc struct {
 	wallNS          int64
 	tally           retryTally
 	ctally          CacheTally
-	// span is the position's operator span, opened when the position starts
-	// so that its worker-chunk spans parent under it. It stays the zero Span
-	// when tracing is off.
+	// span is the position's operator span, opened when the position
+	// starts. It stays the zero Span when tracing is off.
 	span obs.Span
 }
 
@@ -275,7 +275,7 @@ type run struct {
 }
 
 // open starts ops[i]: a stage boundary opens a new stage, and the position's
-// span opens, so that its worker-chunk spans parent under it.
+// span opens.
 func (r *run) open(i int) *opAcc {
 	if r.ops[i].StageBoundary() {
 		r.stageCosts = append(r.stageCosts, 0)
@@ -323,22 +323,6 @@ func (r *run) fail(i int, err error) error {
 	r.cfg.Obs.End(&r.span)
 	emitRunMetrics(r.cfg.Metrics, nil, time.Since(r.start).Nanoseconds(), r.cfg.Trace.TraceID)
 	return &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
-}
-
-// chunkBounds splits n rows into ceil(n/size) contiguous worker chunks of at
-// most size rows (at least one chunk, possibly empty).
-func chunkBounds(n, size int) [][2]int {
-	var out [][2]int
-	for start := 0; ; start += size {
-		end := start + size
-		if end > n {
-			end = n
-		}
-		out = append(out, [2]int{start, end})
-		if end >= n {
-			return out
-		}
-	}
 }
 
 // emitOps publishes, in plan order, one operator span and one set of operator

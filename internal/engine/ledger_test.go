@@ -75,19 +75,25 @@ func TestLedgerInvariant(t *testing.T) {
 		}},
 	}
 	for _, mode := range modes {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
-				res, err := mode.run(Config{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkLedger(t, res, mode.relTol)
-				u1, u2 := res.PerOp[2], res.PerOp[3]
-				if u1.Name != "U" || u2.Name != "U" || u1.Cost == 0 || u2.Cost == 0 {
-					t.Fatalf("repeated-name positions not accounted separately: %+v, %+v", u1, u2)
-				}
-				if u1.Retries != mode.retries || u2.Retries != mode.retries {
-					t.Fatalf("retries = %d, %d; want %d at each position", u1.Retries, u2.Retries, mode.retries)
+		// workers=N runs the mode as N sessions at once, each on its own
+		// goroutine with its own plan, and holds every session's ledger.
+		for _, n := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, n), func(t *testing.T) {
+				results := make([]*Result, n)
+				errs := make([]error, n)
+				sessions(n, func(i int) { results[i], errs[i] = mode.run(Config{}) })
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatalf("session %d: %v", i, errs[i])
+					}
+					checkLedger(t, res, mode.relTol)
+					u1, u2 := res.PerOp[2], res.PerOp[3]
+					if u1.Name != "U" || u2.Name != "U" || u1.Cost == 0 || u2.Cost == 0 {
+						t.Fatalf("repeated-name positions not accounted separately: %+v, %+v", u1, u2)
+					}
+					if u1.Retries != mode.retries || u2.Retries != mode.retries {
+						t.Fatalf("retries = %d, %d; want %d at each position", u1.Retries, u2.Retries, mode.retries)
+					}
 				}
 			})
 		}

@@ -11,9 +11,8 @@ import (
 // obs.Tracer).
 
 // retryTally accumulates one operator execution's retry activity. It is
-// plumbed through the per-row retry loop as plain ints (per-chunk on the
-// parallel path, summed at the merge), so counting is free of atomics and
-// allocations even under Workers > 1.
+// plumbed through the per-row retry loop as plain ints, so counting is free
+// of atomics and allocations.
 type retryTally struct {
 	// retries is how many failed attempts were retried.
 	retries int

@@ -86,25 +86,23 @@ func TestRunErrorEmitsErrorMetrics(t *testing.T) {
 }
 
 func TestRetryMetricsCounted(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		reg := metrics.New()
-		blobs := makeBlobs(40)
-		udf := &flakyUDF{fakeUDF: fakeUDF{name: "F", cost: 1, col: "x"}, fails: map[int]int{3: 1, 17: 1}}
-		plan := Plan{Ops: []Operator{
-			&Scan{Blobs: blobs},
-			&Process{P: udf},
-		}}
-		res, err := Run(plan, Config{Metrics: reg, Workers: workers, Retry: RetryPolicy{MaxAttempts: 3}})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		op := metrics.L("op", "F")
-		if got := reg.Counter("engine_retries_total", "", op).Value(); got != 2 {
-			t.Fatalf("workers=%d: retries = %v, want 2", workers, got)
-		}
-		if res.PerOp[1].Retries != 2 {
-			t.Fatalf("workers=%d: PerOp retries = %d, want 2", workers, res.PerOp[1].Retries)
-		}
+	reg := metrics.New()
+	blobs := makeBlobs(40)
+	udf := &flakyUDF{fakeUDF: fakeUDF{name: "F", cost: 1, col: "x"}, fails: map[int]int{3: 1, 17: 1}}
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: blobs},
+		&Process{P: udf},
+	}}
+	res, err := Run(plan, Config{Metrics: reg, Retry: RetryPolicy{MaxAttempts: 3}})
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	op := metrics.L("op", "F")
+	if got := reg.Counter("engine_retries_total", "", op).Value(); got != 2 {
+		t.Fatalf("retries = %v, want 2", got)
+	}
+	if res.PerOp[1].Retries != 2 {
+		t.Fatalf("PerOp retries = %d, want 2", res.PerOp[1].Retries)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"probpred/internal/blob"
@@ -11,80 +10,17 @@ import (
 )
 
 // failTailBlobs returns n blobs whose LAST one has no truth map, making
-// fakeUDF fail on it. Placing the failure last makes the sequential and
-// parallel paths perform — and therefore charge — exactly the same work.
+// fakeUDF fail on it, so a failed run attempts every row once.
 func failTailBlobs(n int) []blob.Blob {
 	blobs := makeBlobs(n)
 	blobs[n-1] = blob.Blob{ID: n - 1}
 	return blobs
 }
 
-// TestParallelErrorChargesPartialWork: a worker range's error must not
-// discard the virtual cost the workers accumulated. Both paths attempt every
-// row once (failure last), so the failing operator's charge must match
-// exactly.
-func TestParallelErrorChargesPartialWork(t *testing.T) {
-	const n, cost = 40, 7.0
-	charged := func(workers int) float64 {
-		col := obs.NewCollector()
-		plan := Plan{Ops: []Operator{&Scan{Blobs: failTailBlobs(n)}, &Process{P: fakeUDF{name: "U", cost: cost, col: "x"}}}}
-		if _, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)}); err == nil {
-			t.Fatalf("workers=%d: expected failure", workers)
-		}
-		for _, sp := range col.Spans() {
-			if sp.Kind == obs.KindOperator && sp.Name == "U" {
-				return sp.CostVMS
-			}
-		}
-		t.Fatalf("workers=%d: no span for U", workers)
-		return 0
-	}
-	seq, par := charged(1), charged(4)
-
-	want := float64(n) * cost // every row attempted once, failing one included
-	if seq != want {
-		t.Fatalf("sequential charged %v, want %v", seq, want)
-	}
-	if par != seq {
-		t.Fatalf("parallel charged %v, sequential %v — accounting diverged", par, seq)
-	}
-}
-
-// TestPPFilterParallelChargesAllChunks: the source stage's filter, split
-// across workers, must charge and pass what the filter's own TestBatch does
-// over the scanned blobs in one call.
-func TestPPFilterParallelChargesAllChunks(t *testing.T) {
-	blobs := makeBlobs(100)
-	f := &PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}}
-	pass, cost := make([]bool, len(blobs)), make([]float64, len(blobs))
-	f.F.TestBatch(blobs, pass, cost, nil)
-	want, seq := 0, 0.0
-	for i, ok := range pass {
-		seq += cost[i]
-		if ok {
-			want++
-		}
-	}
-	res, err := Run(Plan{Ops: []Operator{&Scan{Blobs: blobs}, f}}, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par := res.PerOp[1].Cost; seq != par || seq != 100 {
-		t.Fatalf("filter costs diverged: seq=%v par=%v want 100", seq, par)
-	}
-	if len(res.Rows) != want || res.PerOp[1].RowsOut != want {
-		t.Fatalf("source stage passed %d rows, TestBatch %d", len(res.Rows), want)
-	}
-}
-
-// spanTree indexes one traced run's spans by kind. The span tests size their
-// inputs so that, at Workers 4, every execution that charges cost has at
-// least 2×workers rows: an execution with fewer runs inline without a chunk
-// span, and chunk costs would then sum to less than the operator's.
+// spanTree indexes one traced run's spans by kind.
 type spanTree struct {
-	run    *obs.Span
-	ops    map[int64]obs.Span
-	chunks []obs.Span
+	run *obs.Span
+	ops map[int64]obs.Span
 }
 
 func collectSpans(t *testing.T, col *obs.Collector) spanTree {
@@ -97,8 +33,6 @@ func collectSpans(t *testing.T, col *obs.Collector) spanTree {
 			tree.run = &spans[i]
 		case obs.KindOperator:
 			tree.ops[spans[i].ID] = spans[i]
-		case obs.KindChunk:
-			tree.chunks = append(tree.chunks, spans[i])
 		}
 	}
 	if tree.run == nil {
@@ -116,8 +50,8 @@ func hasAttr(sp obs.Span, key string) bool {
 	return false
 }
 
-// checkSpanTree asserts chunk → operator → run parentage and that chunk
-// costs sum to their operator's, returning the operators' total cost.
+// checkSpanTree asserts operator → run parentage, returning the operators'
+// total cost.
 func checkSpanTree(t *testing.T, tree spanTree) float64 {
 	t.Helper()
 	opTotal := 0.0
@@ -127,28 +61,11 @@ func checkSpanTree(t *testing.T, tree spanTree) float64 {
 		}
 		opTotal += sp.CostVMS
 	}
-	chunkTotal := map[int64]float64{}
-	for _, c := range tree.chunks {
-		parent, ok := tree.ops[c.Parent]
-		if !ok {
-			t.Fatalf("chunk %q parented under unknown span %d", c.Name, c.Parent)
-		}
-		if !strings.HasPrefix(c.Name, parent.Name+"[") {
-			t.Fatalf("chunk name %q does not extend operator %q", c.Name, parent.Name)
-		}
-		chunkTotal[c.Parent] += c.CostVMS
-	}
-	for id, total := range chunkTotal {
-		if total != tree.ops[id].CostVMS {
-			t.Fatalf("chunks of %q sum to %v, operator charged %v", tree.ops[id].Name, total, tree.ops[id].CostVMS)
-		}
-	}
 	return opTotal
 }
 
-// TestRunEmitsSpans: a traced run emits one root span, one span per
-// operator parented under it, and per-chunk child spans on the parallel
-// path — with virtual costs that reconcile exactly at every level.
+// TestRunEmitsSpans: a traced run emits one root span and one span per
+// operator parented under it, with virtual costs that reconcile exactly.
 func TestRunEmitsSpans(t *testing.T) {
 	// "plain" names the case as before the adaptive run mode was deleted.
 	t.Run("plain", func(t *testing.T) {
@@ -159,7 +76,7 @@ func TestRunEmitsSpans(t *testing.T) {
 			&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
 			&Select{Pred: query.MustParse("x>60")},
 		}}
-		res, err := Run(plan, Config{Workers: 4, Obs: obs.New(col)})
+		res, err := Run(plan, Config{Obs: obs.New(col)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,11 +87,6 @@ func TestRunEmitsSpans(t *testing.T) {
 		if len(tree.ops) != len(plan.Ops) {
 			t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
 		}
-		// Both row-parallel operators (4 workers; 100 and 50 input rows) must
-		// have emitted chunk spans whose costs reconcile with their operator.
-		if len(tree.chunks) == 0 {
-			t.Fatal("no chunk spans from the parallel path")
-		}
 		if opTotal := checkSpanTree(t, tree); opTotal != res.ClusterTime {
 			t.Fatalf("operator span costs sum to %v, ClusterTime %v", opTotal, res.ClusterTime)
 		}
@@ -182,60 +94,49 @@ func TestRunEmitsSpans(t *testing.T) {
 }
 
 // TestFailedRunSpansCarryCost: when a run fails, the Result is nil — the
-// emitted spans are how the charged cost is observed. Parallel and
-// sequential failures must report identical virtual cost on the run span,
-// and the failing operator and chunk must be marked.
+// emitted spans are how the charged cost is observed. The failing Process
+// is charged every row it attempted, the failing one included, the run span
+// carries the scan's and the Process's charge, and only the failing
+// operator is marked.
 func TestFailedRunSpansCarryCost(t *testing.T) {
 	// "plain" names the case as before the adaptive run mode was deleted.
 	t.Run("plain", func(t *testing.T) {
-		const n = 40
-		failedRun := func(workers int) spanTree {
-			col := obs.NewCollector()
-			plan := Plan{Ops: []Operator{
-				&Scan{Blobs: failTailBlobs(n)},
-				&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
-				&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-			}}
-			_, err := Run(plan, Config{Workers: workers, Obs: obs.New(col)})
-			var opErr *OpError
-			if !errors.As(err, &opErr) || opErr.Op != "U" {
-				t.Fatalf("run error = %v, want an OpError naming U", err)
-			}
-			return collectSpans(t, col)
+		const n, cost = 40, 7.0
+		col := obs.NewCollector()
+		plan := Plan{Ops: []Operator{
+			&Scan{Blobs: failTailBlobs(n)},
+			&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
+			&Process{P: fakeUDF{name: "U", cost: cost, col: "x"}},
+		}}
+		_, err := Run(plan, Config{Obs: obs.New(col)})
+		var opErr *OpError
+		if !errors.As(err, &opErr) || opErr.Op != "U" {
+			t.Fatalf("run error = %v, want an OpError naming U", err)
 		}
-		seq, par := failedRun(1), failedRun(4)
-		if seq.run.CostVMS != par.run.CostVMS {
-			t.Fatalf("failed-run costs diverged: sequential %v, parallel %v", seq.run.CostVMS, par.run.CostVMS)
+		tree := collectSpans(t, col)
+		if want := n*scanCost + n*cost; tree.run.CostVMS != want {
+			t.Fatalf("failed run charged %v, want %v (scan + all attempts)", tree.run.CostVMS, want)
 		}
-		if want := n*scanCost + n*7; seq.run.CostVMS != want {
-			t.Fatalf("failed run charged %v, want %v (scan + all attempts)", seq.run.CostVMS, want)
-		}
-		if !hasAttr(*par.run, "error") {
+		if !hasAttr(*tree.run, "error") {
 			t.Fatal("run span does not carry the error attribute")
 		}
-		if opTotal := checkSpanTree(t, par); opTotal != par.run.CostVMS {
-			t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, par.run.CostVMS)
+		if opTotal := checkSpanTree(t, tree); opTotal != tree.run.CostVMS {
+			t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, tree.run.CostVMS)
 		}
-		for _, tree := range []spanTree{seq, par} {
-			marked := 0
-			for _, sp := range tree.ops {
-				if hasAttr(sp, "error") {
-					if sp.Name != "U" {
-						t.Fatalf("operator %q carries an error, want only U", sp.Name)
-					}
-					marked++
+		marked := 0
+		for _, sp := range tree.ops {
+			if hasAttr(sp, "error") {
+				if sp.Name != "U" {
+					t.Fatalf("operator %q carries an error, want only U", sp.Name)
 				}
-			}
-			if marked != 1 {
-				t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
+				if sp.CostVMS != n*cost {
+					t.Fatalf("failed U charged %v, want %v (every row attempted once)", sp.CostVMS, n*cost)
+				}
+				marked++
 			}
 		}
-		marked := false
-		for _, sp := range par.chunks {
-			marked = marked || hasAttr(sp, "error")
-		}
-		if !marked {
-			t.Fatal("no chunk span carries the error attribute")
+		if marked != 1 {
+			t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
 		}
 	})
 }

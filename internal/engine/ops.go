@@ -305,9 +305,8 @@ type BlobFilter interface {
 	TestBatch(blobs []blob.Blob, pass []bool, cost []float64, ct *CacheTally)
 }
 
-// CacheTally is one PPFilter position's score-cache activity during one run.
-// The run's parallel chunks share it, hence atomics — the filter counts from
-// whichever worker goroutine is scoring. A nil tally drops the counts.
+// CacheTally is one PPFilter position's score-cache activity during one run,
+// which is its one writer. A nil tally drops the counts.
 type CacheTally struct{ hits, misses atomic.Uint64 }
 
 // Hit counts n score lookups served from the cache.

@@ -101,8 +101,8 @@ walk:
 // Processor is the row-manipulator UDF template of §4: it produces zero or
 // more output rows per input row, a Batch of input rows per call. Data
 // ingestion and per-blob ML operations (detectors, feature extractors,
-// classifiers) are processors. Processors run under Config.Workers > 1 must
-// be safe for concurrent Apply calls on disjoint batches.
+// classifiers) are processors. Concurrent sessions share processors, so a
+// processor must be safe for concurrent Apply calls on disjoint batches.
 type Processor interface {
 	// Name identifies the UDF in plans and stats.
 	Name() string

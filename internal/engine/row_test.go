@@ -152,7 +152,7 @@ func TestDroppedRowsAllocateNothing(t *testing.T) {
 			&Select{Pred: query.MustParse(fmt.Sprintf("x>=%d & z>=0", n-kept))},
 		}}
 		run := func() {
-			res, err := Run(plan, Config{Workers: 1})
+			res, err := Run(plan, Config{})
 			if err != nil || len(res.Rows) != kept {
 				t.Fatalf("n=%d survivors=%d: %d rows, err %v", n, survivors, len(res.Rows), err)
 			}
@@ -218,7 +218,7 @@ func TestCategoricalRowsAllocateNoNodes(t *testing.T) {
 	}}
 	const kept = survivors * 4 / 6
 	run := func() {
-		res, err := Run(plan, Config{Workers: 1})
+		res, err := Run(plan, Config{})
 		if err != nil || len(res.Rows) != kept {
 			t.Fatalf("%d rows, err %v", len(res.Rows), err)
 		}

@@ -24,8 +24,7 @@ import (
 // with Row.With, and Select and Project read and make whole rows — with the
 // row stage's one rule of order: the row-local operators after the source
 // filter, and after each stage boundary, run one morsel of refMorsel input
-// rows at a time, within worker ranges cut once at that stage's input, so a
-// failure is the first in morsel order. TestBatchExecutorMatchesRowReference
+// rows at a time, so a failure is the first in morsel order. TestBatchExecutorMatchesRowReference
 // holds engine.Run to it on random plans: same rows in the same
 // order, the same ClusterTime and Latency bits, the same ledger but for wall
 // time, the same failure.
@@ -76,7 +75,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 		if op.StageBoundary() {
 			stageCosts = append(stageCosts, 0)
 		}
-		out, cost, err := refOp(op, in, cfg, &accs[i])
+		out, cost, err := refOp(op, in, &accs[i])
 		charge(i, len(in), len(out), cost)
 		if err != nil {
 			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
@@ -148,28 +147,9 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 	return res, nil
 }
 
-func refChunkBounds(n, size int) [][2]int {
-	var out [][2]int
-	for start := 0; ; start += size {
-		end := min(start+size, n)
-		out = append(out, [2]int{start, end})
-		if end >= n {
-			return out
-		}
-	}
-}
-
-// refWorkerBounds cuts n input rows into the engine's worker ranges.
-func refWorkerBounds(n, workers int) [][2]int {
-	if workers > 1 && n >= 2*workers {
-		return refChunkBounds(n, (n+workers-1)/workers)
-	}
-	return [][2]int{{0, n}}
-}
-
 // refOp runs one operator outside the row stage: Scan materializes every
-// blob, a source filter splits across workers, everything else is Exec.
-func refOp(op engine.Operator, in []engine.Row, cfg engine.Config, acc *refAcc) ([]engine.Row, float64, error) {
+// blob, a source filter tests its input in one batch, everything else is Exec.
+func refOp(op engine.Operator, in []engine.Row, acc *refAcc) ([]engine.Row, float64, error) {
 	switch o := op.(type) {
 	case *engine.Scan:
 		rows := make([]engine.Row, len(o.Blobs))
@@ -178,15 +158,8 @@ func refOp(op engine.Operator, in []engine.Row, cfg engine.Config, acc *refAcc) 
 		}
 		return rows, refScanCost * float64(len(rows)), nil
 	case *engine.PPFilter:
-		// Worker chunks' outputs and costs join in chunk order.
-		var out []engine.Row
-		total := 0.0
-		for _, b := range refWorkerBounds(len(in), cfg.Workers) {
-			kept, cost := refTest(o.F, in[b[0]:b[1]], &acc.ct)
-			out = append(out, kept...)
-			total += cost
-		}
-		return out, total, nil
+		out, cost := refTest(o.F, in, &acc.ct)
+		return out, cost, nil
 	}
 	return op.Exec(in)
 }
@@ -219,72 +192,61 @@ type refSum struct {
 	retries, timeouts int
 }
 
-// refRowStage runs the row-stage operators over in: worker ranges in order,
-// each range's morsels in order, each morsel through every operator a row at
-// a time. A processor's cost is a running sum per range, row by row across
-// its morsels, and the ranges' sums add in range order; a select or a
-// projection is charged once, from the rows it saw. The first failure, in
-// morsel order, stops it and names the failing operator.
+// refRowStage runs the row-stage operators over in: its morsels in order,
+// each morsel through every operator a row at a time. A processor's cost is
+// a running sum, row by row across the morsels; a select or a projection is
+// charged once, from the rows it saw. The first failure, in morsel order,
+// stops it and names the failing operator.
 func refRowStage(ops []engine.Operator, in []engine.Row, cfg engine.Config) ([]engine.Row, []refSum, int, error) {
 	sums := make([]refSum, len(ops))
 	var out []engine.Row
-	for _, b := range refWorkerBounds(len(in), cfg.Workers) {
-		ranged := make([]refSum, len(ops))
-		for m := b[0]; ; m += refMorsel {
-			end := min(m+refMorsel, b[1])
-			cur := in[m:end]
-			for j, op := range ops {
-				ranged[j].in += len(cur)
-				var next []engine.Row
-				var err error
-				switch o := op.(type) {
-				case *engine.Process:
-					for _, r := range cur {
-						rows, cost, re, to, rerr := refApplyWithRetry(o.P, r, cfg.Retry)
-						ranged[j].cost += cost
-						ranged[j].retries += re
-						ranged[j].timeouts += to
-						if rerr != nil {
-							err = fmt.Errorf("processor %s: %w", o.P.Name(), rerr)
-							break
-						}
-						next = append(next, rows...)
+	for m := 0; ; m += refMorsel {
+		end := min(m+refMorsel, len(in))
+		cur := in[m:end]
+		for j, op := range ops {
+			sums[j].in += len(cur)
+			var next []engine.Row
+			var err error
+			switch o := op.(type) {
+			case *engine.Process:
+				for _, r := range cur {
+					rows, cost, re, to, rerr := refApplyWithRetry(o.P, r, cfg.Retry)
+					sums[j].cost += cost
+					sums[j].retries += re
+					sums[j].timeouts += to
+					if rerr != nil {
+						err = fmt.Errorf("processor %s: %w", o.P.Name(), rerr)
+						break
 					}
-				case *engine.Select:
-					for _, r := range cur {
-						ok, eerr := o.Pred.Eval(r.Lookup)
-						if eerr != nil {
-							err = fmt.Errorf("engine: select: %w", eerr)
-							break
-						}
-						if ok {
-							next = append(next, r)
-						}
-					}
-				case *engine.Project:
-					for _, r := range cur {
-						next = append(next, refProject(o, r))
-					}
-				default:
-					panic("reference: no row-stage rule for " + op.Name())
+					next = append(next, rows...)
 				}
-				if err != nil {
-					return nil, nil, j, err
+			case *engine.Select:
+				for _, r := range cur {
+					ok, eerr := o.Pred.Eval(r.Lookup)
+					if eerr != nil {
+						err = fmt.Errorf("engine: select: %w", eerr)
+						break
+					}
+					if ok {
+						next = append(next, r)
+					}
 				}
-				ranged[j].out += len(next)
-				cur = next
+			case *engine.Project:
+				for _, r := range cur {
+					next = append(next, refProject(o, r))
+				}
+			default:
+				panic("reference: no row-stage rule for " + op.Name())
 			}
-			out = append(out, cur...)
-			if end >= b[1] {
-				break
+			if err != nil {
+				return nil, nil, j, err
 			}
+			sums[j].out += len(next)
+			cur = next
 		}
-		for j, r := range ranged {
-			sums[j].in += r.in
-			sums[j].out += r.out
-			sums[j].cost += r.cost
-			sums[j].retries += r.retries
-			sums[j].timeouts += r.timeouts
+		out = append(out, cur...)
+		if end >= len(in) {
+			break
 		}
 	}
 	for j, op := range ops {
@@ -739,8 +701,8 @@ func sameRows(a, b []engine.Row) error {
 // transient faults and 5 % stragglers, under a random retry policy and row
 // timeout) interleaved with projections and selects, some of them after a
 // stage boundary (a GroupReduce) whose rows carry their
-// columns into the next row stage, and a select — and runs each at Workers
-// {1, 4}. The engine must match the row-at-a-time reference bit for bit: rows and
+// columns into the next row stage, and a select — and runs each once. The
+// engine must match the row-at-a-time reference bit for bit: rows and
 // their order, their columns with the newest of a name shadowing, ClusterTime
 // and Latency, every PerOp field but WallNS; a failed run
 // must fail with the same OpError stage, operator and text — the first
@@ -766,63 +728,61 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 		}
 		blobs := refBlobs(n, rng, rng.Intn(4) == 0)
 		c := drawRefCase(rng, blobs, edge)
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("plan %d workers=%d: %s retry=%+v", k, workers, c.desc, c.retry)
-			cfg := engine.Config{Workers: workers, Retry: c.retry}
-			want, werr := refRun(c.build(), cfg)
-			got, gerr := engine.Run(c.build(), cfg)
-			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("%s\nerror %v, reference %v", name, gerr, werr)
+		name := fmt.Sprintf("plan %d: %s retry=%+v", k, c.desc, c.retry)
+		cfg := engine.Config{Retry: c.retry}
+		want, werr := refRun(c.build(), cfg)
+		got, gerr := engine.Run(c.build(), cfg)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%s\nerror %v, reference %v", name, gerr, werr)
+		}
+		if werr != nil {
+			failures++
+			var wo, go_ *engine.OpError
+			if !errors.As(werr, &wo) || !errors.As(gerr, &go_) {
+				t.Fatalf("%s\nnot OpErrors: %v / reference %v", name, gerr, werr)
 			}
-			if werr != nil {
-				failures++
-				var wo, go_ *engine.OpError
-				if !errors.As(werr, &wo) || !errors.As(gerr, &go_) {
-					t.Fatalf("%s\nnot OpErrors: %v / reference %v", name, gerr, werr)
-				}
-				if go_.Stage != wo.Stage || go_.Op != wo.Op || gerr.Error() != werr.Error() {
-					t.Fatalf("%s\nerror %q (stage %d, %s)\nreference %q (stage %d, %s)",
-						name, gerr, go_.Stage, go_.Op, werr, wo.Stage, wo.Op)
-				}
-				continue
+			if go_.Stage != wo.Stage || go_.Op != wo.Op || gerr.Error() != werr.Error() {
+				t.Fatalf("%s\nerror %q (stage %d, %s)\nreference %q (stage %d, %s)",
+					name, gerr, go_.Stage, go_.Op, werr, wo.Stage, wo.Op)
 			}
-			if err := sameResult(got, want); err != nil {
-				t.Fatalf("%s\n%v", name, err)
+			continue
+		}
+		if err := sameResult(got, want); err != nil {
+			t.Fatalf("%s\n%v", name, err)
+		}
+		for _, op := range got.PerOp {
+			if op.Retries+op.Timeouts > 0 {
+				faulted++
 			}
-			for _, op := range got.PerOp {
-				if op.Retries+op.Timeouts > 0 {
-					faulted++
-				}
+		}
+		// The row stage starts after the Scan and its filter.
+		first := 1
+		for first < len(got.PerOp) && got.PerOp[first].PPFilter {
+			first++
+		}
+		if got.PerOp[first].RowsIn > refMorsel {
+			multiMorsel++
+		}
+		for shape, ok := range map[string]bool{"project": c.project, "shadowed column": c.shadow} {
+			if ok {
+				covered[shape]++
 			}
-			// The row stage starts after the Scan and its filter.
-			first := 1
-			for first < len(got.PerOp) && got.PerOp[first].PPFilter {
-				first++
-			}
-			if got.PerOp[first].RowsIn > refMorsel {
-				multiMorsel++
-			}
-			for shape, ok := range map[string]bool{"project": c.project, "shadowed column": c.shadow} {
-				if ok {
-					covered[shape]++
-				}
-			}
-			for _, op := range got.PerOp {
-				if op.Name == "Dedup" && op.RowsOut > refMorsel {
-					covered[fmt.Sprintf("boundary at workers=%d", workers)]++
-				}
+		}
+		for _, op := range got.PerOp {
+			if op.Name == "Dedup" && op.RowsOut > refMorsel {
+				covered["boundary"]++
 			}
 		}
 	}
 	// The draw must have exercised what it claims to. Larger inputs meet
 	// more holes and faults, so up to three runs in four may fail.
-	runs := plans * 2
+	runs := plans
 	t.Logf("%d of %d runs failed; %d positions retried or timed out; %d runs took several morsels", failures, runs, faulted, multiMorsel)
 	t.Logf("successful runs by shape: %v", covered)
 	if failures == 0 || faulted == 0 || failures > runs*3/4 || multiMorsel == 0 {
 		t.Fatalf("%d failed runs, %d faulted positions and %d multi-morsel runs over %d runs: the draw does not cover every path", failures, faulted, multiMorsel, runs)
 	}
-	for _, shape := range []string{"project", "shadowed column", "boundary at workers=1", "boundary at workers=4"} {
+	for _, shape := range []string{"project", "shadowed column", "boundary"} {
 		if covered[shape] == 0 {
 			t.Fatalf("no successful run with a %s: the draw does not cover every path", shape)
 		}
@@ -830,7 +790,7 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 }
 
 // TestRowStageBuffersConcurrent runs different plans — the reference test's
-// draw, over enough blobs for several morsels — at Workers 1 and 4 on many
+// draw, over enough blobs for several morsels — as sessions on many
 // goroutines at once, all through the row stage's shared buffer pool. Each
 // result must equal the same plan's run alone, bit for bit, and a failing
 // plan must fail alike: a buffer a run still reads must never reach another.
@@ -844,7 +804,7 @@ func TestRowStageBuffersConcurrent(t *testing.T) {
 	rng := mathx.NewRNG(30)
 	var jobs []job
 	failing := 0
-	for k := 0; k < 8; k++ {
+	for k := 0; k < 16; k++ {
 		// Retries outlast every fault schedule, so only the plans over
 		// blobs with holes may fail.
 		blobs := refBlobs(1500+rng.Intn(2000), rng, k%4 == 3)
@@ -854,16 +814,14 @@ func TestRowStageBuffersConcurrent(t *testing.T) {
 		}
 		c := drawRefCase(rng, blobs, edge)
 		retry := engine.RetryPolicy{MaxAttempts: 6, BackoffBaseMS: 0.7}
-		for _, workers := range []int{1, 4} {
-			j := job{name: fmt.Sprintf("plan %d workers=%d: %s", k, workers, c.desc)}
-			j.run = func() (*engine.Result, error) {
-				return engine.Run(c.build(), engine.Config{Workers: workers, Retry: retry})
-			}
-			j.want, j.wantErr = j.run()
-			jobs = append(jobs, j)
-			if j.wantErr != nil {
-				failing++
-			}
+		j := job{name: fmt.Sprintf("plan %d: %s", k, c.desc)}
+		j.run = func() (*engine.Result, error) {
+			return engine.Run(c.build(), engine.Config{Retry: retry})
+		}
+		j.want, j.wantErr = j.run()
+		jobs = append(jobs, j)
+		if j.wantErr != nil {
+			failing++
 		}
 	}
 	t.Logf("%d of %d plans fail", failing, len(jobs))

@@ -11,9 +11,9 @@ import (
 
 // The row stage: the row-local operators after the source stage (Process,
 // Select, Project), and after each stage boundary, run one morsel at a time,
-// in the style of MonetDB/X100's cache-resident vectors and morsel-driven
-// parallelism (Leis et al., SIGMOD 2014). A morsel
-// is columns before rows (batch.go): int32 positions into the stage's base —
+// in the style of MonetDB/X100's cache-resident vectors and the morsels of
+// Leis et al. (SIGMOD 2014), on the run's goroutine. A morsel is columns
+// before rows (batch.go): int32 positions into the stage's base —
 // the source's blobs, or the upstream rows — plus one pooled value vector per
 // column the stage's processors add. A processor fills its columns' vectors
 // or says how many rows each input yields; Select walks its predicate a
@@ -29,15 +29,11 @@ import (
 // morsel to morsel, row by row, so its total is the same sequence of
 // additions as one pass over the whole input; Select and Project are charged
 // once, from their row counts; each position is charged once per row stage.
-// With Workers > 1 the stage's input is split once into worker ranges
-// (chunkBounds), each running the morsel loop on its own goroutine and
-// buffers; a position's cost is its ranges' sums added in range order.
 // Making the emitted rows is timed on the stage's last position (on the
 // source stage's last when the stage has no operator).
 //
-// A failure stops its worker at the failing morsel; operators after the
-// failing one keep the charge for the morsels they already ran, and the run
-// reports the first failure in morsel order — the lowest range's.
+// A failure stops the stage at the failing morsel; operators after the
+// failing one keep the charge for the morsels they already ran.
 
 // morselRows is how many survivors one morsel carries into the row stage:
 // its positions (4 KB) and a few 32 KB value vectors stay within a core's L2.
@@ -82,12 +78,12 @@ func (in rowInput) len() int {
 	return len(in.blobs)
 }
 
-// opRun is one row-stage position's work over one worker range.
+// opRun is one row-stage position's work over the stage's input.
 type opRun struct {
 	ran     bool
 	in, out int
 	// cost is a Process's running sum, threaded row by row across the
-	// range's morsels.
+	// morsels.
 	cost   float64
 	wallNS int64
 	tally  retryTally
@@ -96,7 +92,7 @@ type opRun struct {
 	err     error
 }
 
-// rowWorker runs the morsel loop over one worker range. It is pooled: its
+// rowWorker runs a row stage's morsel loop. It is pooled: its
 // morsel's buffers — positions, value vectors, the keep list, the repeat
 // counts, a Project's two row buffers, Select's bitmaps, emit's node caches
 // and scratch — and its predicate lookup outlive the run, and are cleared
@@ -124,9 +120,7 @@ type rowWorker struct {
 	// failed is the position (in the stage's operators) whose error stopped
 	// the worker, or -1.
 	failed int
-	start  time.Time
 	emitNS int64 // time spent making rows for a stage with no operator
-	out    []Row
 }
 
 var rowWorkerPool sync.Pool
@@ -189,7 +183,7 @@ func putRowWorker(w *rowWorker) {
 	}
 	clear(w.runs)
 	w.look.m = nil
-	w.emitNS, w.out = 0, nil
+	w.emitNS = 0
 	rowWorkerPool.Put(w)
 }
 
@@ -246,13 +240,13 @@ func (w *rowWorker) rowBuf(k, n int) []Row {
 	return w.rowBufs[k][:0]
 }
 
-// run drives survivors [lo, hi) of src through ops a morsel at a time and
-// appends the last operator's output to out. A range with no survivors is one
-// empty morsel, so every operator still executes. The first failure stops the
-// range: w.failed names its operator and that operator's opRun holds it.
-func (w *rowWorker) run(ops []Operator, src rowInput, lo, hi int, cfg Config, out []Row) []Row {
-	w.start = time.Now()
-	for m := lo; ; m += morselRows {
+// run drives src through ops a morsel at a time and appends the last
+// operator's output to out. An input with no survivors is one empty morsel,
+// so every operator still executes. The first failure stops the stage:
+// w.failed names its operator and that operator's opRun holds it.
+func (w *rowWorker) run(ops []Operator, src rowInput, cfg Config, out []Row) []Row {
+	hi := src.len()
+	for m := 0; ; m += morselRows {
 		end := min(m+morselRows, hi)
 		out = w.morsel(ops, src, m, end, cfg, out)
 		if w.failed >= 0 || end >= hi {
@@ -353,113 +347,36 @@ func newRowLookup() *rowLookup {
 	return l
 }
 
-// rowStage runs ops[first:split] over src and appends their output to dst,
-// then charges each position that ran (settle). The output region is grown
-// once by the survivor count; the serial path's last operator appends into
-// it, and each worker's into its own part of it, joined in range order.
-func (r *run) rowStage(src rowInput, first, split int, dst []Row) ([]Row, error) {
+// rowStage runs ops[first:split] over src into an output slice sized by the
+// survivor count, then charges each position that ran (settle).
+func (r *run) rowStage(src rowInput, first, split int) ([]Row, error) {
 	ops := r.ops[first:split]
-	n := src.len()
-	base := len(dst)
-	dst = slices.Grow(dst, n)
-	if !parallel(n, r.cfg.Workers) {
-		w := getRowWorker(len(ops))
-		dst = w.run(ops, src, 0, n, r.cfg, dst)
-		ws := [1]*rowWorker{w}
-		err := r.settle(first, ops, ws[:], nil)
-		putRowWorker(w)
-		return dst, err
-	}
-	bounds := chunkBounds(n, (n+r.cfg.Workers-1)/r.cfg.Workers)
-	ws := make([]*rowWorker, len(bounds))
-	var wg sync.WaitGroup
-	for k, b := range bounds {
-		w := getRowWorker(len(ops))
-		ws[k] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			region := dst[base+b[0] : base+b[0] : base+b[1]]
-			w.out = w.run(ops, src, b[0], b[1], r.cfg, region)
-		}()
-	}
-	wg.Wait()
-	// A range's output stays in its region unless it outgrew it (a processor
-	// emitting several rows per input), when append moved it elsewhere.
-	// Regions in place compact down in range order; an outgrown range would
-	// overwrite the next region's rows first, so then the ranges are joined
-	// apart and copied in.
-	outgrown := false
-	for k, w := range ws {
-		outgrown = outgrown || len(w.out) > bounds[k][1]-bounds[k][0]
-	}
-	if outgrown {
-		var joined []Row
-		for _, w := range ws {
-			joined = append(joined, w.out...)
-		}
-		dst = append(dst, joined...)
-	} else {
-		for _, w := range ws {
-			dst = append(dst, w.out...)
-		}
-	}
-	err := r.settle(first, ops, ws, bounds)
-	for _, w := range ws {
-		putRowWorker(w)
-	}
-	return dst, err
+	w := getRowWorker(len(ops))
+	defer putRowWorker(w)
+	rows := w.run(ops, src, r.cfg, make([]Row, 0, src.len()))
+	return rows, r.settle(first, ops, w)
 }
 
-// settle charges each row-stage position that ran in any worker range — its
-// cardinalities, wall time and retry tallies summed over the ranges, its cost
-// as the ranges' running sums added in range order (Select and Project: its
-// per-row cost times the rows it was handed) — and emits a chunk span per
-// range for the positions whose cost is such a sum. Making rows is timed on
-// the source stage's last position. It returns the first failure in range
-// order, the run ended by it.
-func (r *run) settle(first int, ops []Operator, ws []*rowWorker, bounds [][2]int) error {
-	for _, w := range ws {
-		r.accs[first-1].wallNS += w.emitNS
-	}
+// settle charges each row-stage position that ran — its cardinalities, wall
+// time and retry tallies, its cost the running sum (Select and Project: its
+// per-row cost times the rows it was handed). Making rows is timed on the
+// source stage's last position. It returns the stage's failure, the run
+// ended by it.
+func (r *run) settle(first int, ops []Operator, w *rowWorker) error {
+	r.accs[first-1].wallNS += w.emitNS
 	for j, op := range ops {
-		var acc *opAcc
-		in, out, cost, wallNS := 0, 0, 0.0, int64(0)
-		for _, w := range ws {
-			or := &w.runs[j]
-			if !or.ran {
-				continue
-			}
-			if acc == nil {
-				acc = r.open(first + j)
-			}
-			if bounds != nil && threadsCost(op) && r.cfg.Obs.Enabled() {
-				emitChunk(r.cfg.Obs, &acc.span, op.Name(), in, in+or.in, chunkRun{out: or.out, cost: or.cost, err: or.err}, w.start, or.wallNS)
-			}
-			in += or.in
-			out += or.out
-			cost += or.cost
-			wallNS += or.wallNS
-			acc.tally.add(or.tally)
-		}
-		if acc == nil {
+		or := &w.runs[j]
+		if !or.ran {
 			continue
 		}
-		r.charge(acc, in, out, positionCost(op, in, cost), wallNS)
+		acc := r.open(first + j)
+		acc.tally.add(or.tally)
+		r.charge(acc, or.in, or.out, positionCost(op, or.in, or.cost), or.wallNS)
 	}
-	for _, w := range ws {
-		if w.failed >= 0 {
-			return r.fail(first+w.failed, w.runs[w.failed].err)
-		}
+	if w.failed >= 0 {
+		return r.fail(first+w.failed, w.runs[w.failed].err)
 	}
 	return nil
-}
-
-// threadsCost reports whether op's cost is a running sum over its rows (and
-// so splits into worker chunk spans that add up to it): a Process's.
-func threadsCost(op Operator) bool {
-	_, ok := op.(*Process)
-	return ok
 }
 
 // positionCost is a row-stage position's cost over in rows, given its
@@ -476,11 +393,11 @@ func positionCost(op Operator, in int, sum float64) float64 {
 }
 
 // execLocal is Exec of a row-local operator: a row stage of its own over in,
-// a morsel at a time, with no retry policy and no workers.
+// a morsel at a time, with no retry policy.
 func execLocal(op Operator, in []Row) ([]Row, float64, error) {
 	w := getRowWorker(1)
 	defer putRowWorker(w)
-	out := w.run([]Operator{op}, rowInput{rows: in}, 0, len(in), Config{}, make([]Row, 0, len(in)))
+	out := w.run([]Operator{op}, rowInput{rows: in}, Config{}, make([]Row, 0, len(in)))
 	or := &w.runs[0]
 	if or.err != nil {
 		out = nil

@@ -83,7 +83,7 @@ func TestRowWorkerPoolHygiene(t *testing.T) {
 		&Process{P: constUDF{col: "last", v: query.Str("value")}},
 	)
 	w := getRowWorker(len(ops))
-	out := w.run(ops, rowInput{scan: true, blobs: blobs}, 0, n, Config{}, nil)
+	out := w.run(ops, rowInput{scan: true, blobs: blobs}, Config{}, nil)
 	if w.failed >= 0 || len(out) != 1750 {
 		t.Fatalf("%d rows, failed at %d: %v", len(out), w.failed, w.runs[max(w.failed, 0)].err)
 	}
@@ -133,8 +133,8 @@ func TestRowWorkerPoolHygiene(t *testing.T) {
 			t.Fatalf("the morsel's column list holds %q at %d", c.name, i)
 		}
 	}
-	if w.look.m != nil || w.out != nil {
-		t.Error("the pooled worker still holds its lookup or output")
+	if w.look.m != nil {
+		t.Error("the pooled worker still holds its lookup")
 	}
 	if w.top != 0 {
 		t.Errorf("the pooled worker has %d bitmap words taken", w.top)
@@ -327,7 +327,7 @@ func (u tableUDF) Apply(b Batch) error {
 
 // TestEmittedRowsShareNodesInvisibly runs rows whose column values repeat —
 // -0 and +0, two NaN payloads, repeated strings — through stages that emit
-// from a Process and from a Select, over several morsels and two workers.
+// from a Process and from a Select, over several morsels.
 // Every row must list the same Columns, bit for bit, as a fresh With chain of
 // its values; rows of equal values must share their nodes; and With on one
 // row must leave the rows sharing its nodes unchanged.
@@ -363,51 +363,49 @@ func TestEmittedRowsShareNodesInvisibly(t *testing.T) {
 		return true
 	}
 	for _, last := range []Operator{nil, &Select{Pred: query.MustParse("c=red")}} {
-		for _, workers := range []int{1, 2} {
-			ops := []Operator{&Scan{Blobs: blobs}, &Process{P: tableUDF{col: "t", vals: tv}}, &Process{P: tableUDF{col: "c", vals: cv}}}
-			if last != nil {
-				ops = append(ops, last)
+		ops := []Operator{&Scan{Blobs: blobs}, &Process{P: tableUDF{col: "t", vals: tv}}, &Process{P: tableUDF{col: "c", vals: cv}}}
+		if last != nil {
+			ops = append(ops, last)
+		}
+		res, err := Run(Plan{Ops: ops}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Rows
+		if want := n; len(rows) != want && (last == nil || len(rows) != red) {
+			t.Fatalf("%v: %d rows", last, len(rows))
+		}
+		nodes := map[*column]bool{}
+		for _, r := range rows {
+			id := r.Blob.ID
+			if want := NewRow(r.Blob).With("t", tv[id]).With("c", cv[id]).Columns(); !same(r.Columns(), want) {
+				t.Fatalf("%v: row %d lists %v, want %v", last, id, r.Columns(), want)
 			}
-			res, err := Run(Plan{Ops: ops}, Config{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+			nodes[r.cols] = true
+		}
+		// A run makes one node per distinct t and one per distinct (t, c)
+		// pair, and its caches outlive its morsels.
+		if limit := len(kinds); len(nodes) > limit {
+			t.Errorf("%v: %d rows hold %d distinct nodes, want <= %d", last, len(rows), len(nodes), limit)
+		}
+		a := rows[0]
+		var b Row
+		for _, r := range rows[1:] {
+			if r.cols == a.cols {
+				b = r
+				break
 			}
-			rows := res.Rows
-			if want := n; len(rows) != want && (last == nil || len(rows) != red) {
-				t.Fatalf("%v, %d workers: %d rows", last, workers, len(rows))
-			}
-			nodes := map[*column]bool{}
-			for _, r := range rows {
-				id := r.Blob.ID
-				if want := NewRow(r.Blob).With("t", tv[id]).With("c", cv[id]).Columns(); !same(r.Columns(), want) {
-					t.Fatalf("%v, %d workers: row %d lists %v, want %v", last, workers, id, r.Columns(), want)
-				}
-				nodes[r.cols] = true
-			}
-			// Each worker makes one node per distinct t and one per distinct
-			// (t, c) pair, and its caches outlive its morsels.
-			if limit := workers * len(kinds); len(nodes) > limit {
-				t.Errorf("%v, %d workers: %d rows hold %d distinct nodes, want <= %d", last, workers, len(rows), len(nodes), limit)
-			}
-			a := rows[0]
-			var b Row
-			for _, r := range rows[1:] {
-				if r.cols == a.cols {
-					b = r
-					break
-				}
-			}
-			if b.cols == nil {
-				t.Fatalf("%v, %d workers: no row shares row 0's nodes", last, workers)
-			}
-			before := b.Columns()
-			changed := a.With("t", query.Str("changed")).With("c", query.Number(9))
-			if v, _ := changed.Lookup("t"); v.Str != "changed" {
-				t.Fatalf("With did not take: %v", v)
-			}
-			if !same(b.Columns(), before) || !same(a.Columns(), before) {
-				t.Errorf("%v, %d workers: With on one row changed the rows sharing its nodes: %v, %v", last, workers, a.Columns(), b.Columns())
-			}
+		}
+		if b.cols == nil {
+			t.Fatalf("%v: no row shares row 0's nodes", last)
+		}
+		before := b.Columns()
+		changed := a.With("t", query.Str("changed")).With("c", query.Number(9))
+		if v, _ := changed.Lookup("t"); v.Str != "changed" {
+			t.Fatalf("With did not take: %v", v)
+		}
+		if !same(b.Columns(), before) || !same(a.Columns(), before) {
+			t.Errorf("%v: With on one row changed the rows sharing its nodes: %v, %v", last, a.Columns(), b.Columns())
 		}
 	}
 }

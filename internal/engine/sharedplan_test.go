@@ -60,14 +60,15 @@ func (f cachedThresh) TestBatch(blobs []blob.Blob, pass []bool, cost []float64, 
 }
 
 // runSharedPlanTest warms the cache with one run, then executes the same
-// Plan object from many goroutines and checks each result's PP-filter
+// Plan object as the given number of sessions at once and checks each
+// result's PP-filter
 // OpStats in isolation: exactly rowsIn cache lookups, all hits after warmup,
 // per-run cost and output rows identical to the warmup run.
-func runSharedPlanTest(t *testing.T, filter BlobFilter, workers int) {
+func runSharedPlanTest(t *testing.T, filter BlobFilter, runs int) {
 	t.Helper()
 	const n = 200
 	plan := Plan{Ops: []Operator{&Scan{Blobs: makeBlobs(n)}, &PPFilter{F: filter}}}
-	cfg := Config{Workers: workers, NoStageOverhead: true}
+	cfg := Config{NoStageOverhead: true}
 
 	ppStats := func(r *Result) OpStats {
 		t.Helper()
@@ -89,18 +90,9 @@ func runSharedPlanTest(t *testing.T, filter BlobFilter, workers int) {
 		t.Fatalf("warmup run: hits=%d misses=%d, want 0/%d", ws.CacheHits, ws.CacheMisses, n)
 	}
 
-	const runs = 8
 	results := make([]*Result, runs)
 	errs := make([]error, runs)
-	var wg sync.WaitGroup
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = Run(plan, cfg)
-		}(i)
-	}
-	wg.Wait()
+	sessions(runs, func(i int) { results[i], errs[i] = Run(plan, cfg) })
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("concurrent run %d: %v", i, err)
@@ -135,13 +127,13 @@ func runSharedPlanTest(t *testing.T, filter BlobFilter, workers int) {
 }
 
 // TestSharedPlanCacheCountersBatchParallel runs the shared-plan check with
-// the filter's chunks inline (Workers 1: one tally writer per run) and on
-// worker goroutines (Workers 4: every chunk of a run shares the run's tally).
+// one session (workers=1) and with four at once (workers=4), every session
+// the one writer of its run's tally.
 func TestSharedPlanCacheCountersBatchParallel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, sessions := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", sessions), func(t *testing.T) {
 			f := cachedThresh{thresholdFilter: thresholdFilter{col: "x", t: 49, cost: 1}, c: newSharedScores()}
-			runSharedPlanTest(t, f, workers)
+			runSharedPlanTest(t, f, sessions)
 		})
 	}
 }

@@ -11,18 +11,16 @@ import (
 // The source stage: a plan's Scan and the PP filter that directly follows it
 // run as one stage over the scan's blobs, the paper's placement of a PP on
 // raw blobs before any UDF (§4–5, Figure 2). The filter's TestBatch reads the
-// scan's own slice (one worker chunk of it) through pooled verdict and cost
-// buffers, and its survivors leave as a selection vector over those blobs:
-// the row stage (rowstage.go) takes its morsels' positions from it and makes
-// rows only for what it emits. A dropped blob costs no row, no copy and no
-// clear.
+// scan's own slice in one call through pooled verdict and cost buffers, and
+// its survivors leave as a selection vector over those blobs: the row stage
+// (rowstage.go) takes its morsels' positions from it and makes rows only for
+// what it emits. A dropped blob costs no row, no copy and no clear.
 //
 // The ledger keeps its shape. The Scan position charges scanCost per blob as
 // one term, before the filter's cost; the filter position keeps its
-// cardinalities, cost, score-cache counts and worker chunk spans
-// (PP[…][lo:hi], over the scan's blobs). Only Scan's WallNS drops to ≈ 0: the
-// work it did is now timed inside the filter's position, and making the rows
-// on the row stage's last position.
+// cardinalities, cost and score-cache counts. Only Scan's WallNS drops to
+// ≈ 0: the work it did is now timed inside the filter's position, and making
+// the rows on the row stage's last position.
 
 // filterScratch is the recycled buffer set of the source filter: the
 // per-blob verdict and cost outputs, and sel, the survivors as positions in
@@ -50,24 +48,6 @@ func getFilterScratch(n int) *filterScratch {
 	return s
 }
 
-// test runs the filter's kernel over blobs, split across workers as
-// runChunks does (chunk spans under acc.span), filling pass and cost. It
-// returns how many blobs passed and their cost, summed blob by blob within
-// a chunk and chunk by chunk in order.
-func (p *PPFilter) test(blobs []blob.Blob, pass []bool, cost []float64, cfg Config, acc *opAcc) chunkRun {
-	return runChunks(cfg, &acc.span, p.Name(), len(blobs), func(lo, hi int) chunkRun {
-		p.F.TestBatch(blobs[lo:hi], pass[lo:hi], cost[lo:hi], &acc.ctally)
-		var r chunkRun
-		for i := lo; i < hi; i++ {
-			r.cost += cost[i]
-			if pass[i] {
-				r.out++
-			}
-		}
-		return r
-	})
-}
-
 // source runs the source stage over the scan's blobs: the filter f at
 // position 1 tests them, and its survivors are the row stage's input. With
 // no filter, every blob is. The input may point into the returned scratch,
@@ -78,19 +58,20 @@ func (r *run) source(blobs []blob.Blob, f *PPFilter) (rowInput, *filterScratch) 
 	}
 	s := getFilterScratch(len(blobs))
 	acc, start := r.open(1), time.Now()
-	pass := s.pass[:len(blobs)]
-	res := f.test(blobs, pass, s.cost[:len(blobs)], r.cfg, acc)
+	pass, costs := s.pass[:len(blobs)], s.cost[:len(blobs)]
+	f.F.TestBatch(blobs, pass, costs, &acc.ctally)
 	// Each position is written at the cursor, which only a survivor
 	// advances: the compaction does not branch on a verdict.
 	sel := slices.Grow(s.sel[:0], len(pass))[:len(pass)]
-	k := 0
+	k, cost := 0, 0.0
 	for j, ok := range pass {
 		sel[k] = int32(j)
+		cost += costs[j]
 		if ok {
 			k++
 		}
 	}
 	s.sel = sel[:k]
-	r.charge(acc, len(blobs), res.out, res.cost, time.Since(start).Nanoseconds())
+	r.charge(acc, len(blobs), k, cost, time.Since(start).Nanoseconds())
 	return rowInput{scan: true, filtered: true, blobs: blobs, sel: s.sel}, s
 }

@@ -7,9 +7,9 @@
 //
 // Decisions are a pure hash of (seed, operator, blob id, attempt), not a
 // stream of an advancing RNG. That property is what makes injected faults
-// independent of execution order: the same blob sees the same fate whether
-// the engine runs sequentially or chunked across workers, and a retried
-// attempt draws a fresh, reproducible outcome.
+// independent of execution order: the same blob sees the same fate however
+// the engine batches its rows, and a retried attempt draws a fresh,
+// reproducible outcome.
 package fault
 
 import (

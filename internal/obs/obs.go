@@ -7,9 +7,9 @@
 //
 // Two record types cover the system:
 //
-//   - Span: a completed unit of work (a plan run, one operator, one parallel
-//     chunk, an optimizer search, a PP training) carrying both real
-//     wall-clock duration and virtual cost.
+//   - Span: a completed unit of work (a plan run, one operator, an optimizer
+//     search, a PP training) carrying both real wall-clock duration and
+//     virtual cost.
 //   - Event: a point-in-time state transition (watchdog trips, retrains,
 //     probation verdicts).
 //
@@ -34,8 +34,6 @@ const (
 	KindRun = "run"
 	// KindOperator is one operator's execution within a run.
 	KindOperator = "operator"
-	// KindChunk is one worker chunk of a row-parallel operator.
-	KindChunk = "chunk"
 	// KindOptimize is one optimizer plan search.
 	KindOptimize = "optimize"
 	// KindTrain is one PP (re)training.
@@ -85,7 +83,7 @@ func NewTraceID() string {
 }
 
 // Span is a completed unit of work. IDs are unique per tracer; Parent links
-// chunk spans to their operator span and operator spans to their run span.
+// operator spans to their run span.
 type Span struct {
 	ID     int64 `json:"id"`
 	Parent int64 `json:"parent,omitempty"`
@@ -136,8 +134,7 @@ type Event struct {
 }
 
 // Sink receives completed records. Implementations must be safe for
-// concurrent use: parallel operators emit chunk spans from the merge point,
-// but independent plan runs may share a sink across goroutines.
+// concurrent use: independent plan runs may share a sink across goroutines.
 type Sink interface {
 	Span(sp Span)
 	Event(ev Event)
@@ -213,7 +210,7 @@ func (t *Tracer) End(sp *Span) {
 }
 
 // EmitSpan forwards a caller-assembled span (used when the duration was
-// measured elsewhere, e.g. parallel chunks that finished before the merge).
+// measured elsewhere, e.g. an operator's span assembled when its run ends).
 func (t *Tracer) EmitSpan(sp Span) {
 	if !t.Enabled() || sp.ID == 0 {
 		return

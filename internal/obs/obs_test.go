@@ -147,14 +147,11 @@ func TestTextSink(t *testing.T) {
 	sp.RowsIn = 0
 	sp.RowsOut = 100
 	tr.End(&sp)
-	chunk := tr.BeginChild(&sp, KindChunk, "U[0:50]")
-	tr.End(&chunk)
 	tr.Event("watchdog.trip", Attr{Key: "clause", Value: "t=SUV"})
 
 	out := buf.String()
 	for _, want := range []string{
 		"[operator] Scan", "cost=12.5vms", "rows=0→100",
-		"\n  [chunk] U[0:50]", // chunk spans indent under their operator
 		"[event] watchdog.trip clause=t=SUV",
 	} {
 		if !strings.Contains(out, want) {

@@ -18,7 +18,7 @@ func (NopSink) Span(Span) {}
 func (NopSink) Event(Event) {}
 
 // TextSink renders records as human-readable lines — the sink behind
-// `ppquery -trace`. Chunk spans are indented under their operator.
+// `ppquery -trace`.
 type TextSink struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -42,12 +42,8 @@ func (s *TextSink) Event(ev Event) {
 }
 
 // writeSpanLine renders one span as a trace line (shared by TextSink and the
-// flight recorder's dumps). Chunk spans are indented under their operator.
+// flight recorder's dumps).
 func writeSpanLine(w io.Writer, sp Span) {
-	indent := ""
-	if sp.Kind == KindChunk {
-		indent = "  "
-	}
 	thru := ""
 	if rps := sp.RowsPerSec(); rps > 0 {
 		thru = fmt.Sprintf(" thru=%.0frows/s", rps)
@@ -56,8 +52,8 @@ func writeSpanLine(w io.Writer, sp Span) {
 	if sp.Trace != "" {
 		trace = " trace=" + sp.Trace
 	}
-	fmt.Fprintf(w, "%s[%s] %-40s wall=%.3fms cost=%.1fvms rows=%d→%d%s%s%s\n",
-		indent, sp.Kind, sp.Name, float64(sp.WallNS)/1e6, sp.CostVMS,
+	fmt.Fprintf(w, "[%s] %-40s wall=%.3fms cost=%.1fvms rows=%d→%d%s%s%s\n",
+		sp.Kind, sp.Name, float64(sp.WallNS)/1e6, sp.CostVMS,
 		sp.RowsIn, sp.RowsOut, thru, renderAttrs(sp.Attrs), trace)
 }
 

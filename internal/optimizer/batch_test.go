@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"probpred/internal/blob"
@@ -153,46 +154,55 @@ func testEach(f *Compiled, blobs []blob.Blob) {
 }
 
 // TestPPFilterBatchEquivalence runs the same plan through the batch walk and
-// through the scalar reference, sequentially and with Workers=4 (under -race this also proves the
-// pooled buffers are race-free): output rows, row order and the full Stats
-// accounting must be identical.
+// through the scalar reference, the batch walk as four sessions at once
+// (under -race this also proves the pooled buffers are race-free): output
+// rows, row order and the full PerOp accounting must be identical.
 func TestPPFilterBatchEquivalence(t *testing.T) {
 	blobs := testkit.Blobs(2000, 33)
 	f := compileMini(t, "(t=SUV | t=van) & s>50", blobs)
-	run := func(filter engine.BlobFilter, workers int) *engine.Result {
-		res, err := engine.Run(engine.Plan{Ops: []engine.Operator{
+	run := func(filter engine.BlobFilter) (*engine.Result, error) {
+		return engine.Run(engine.Plan{Ops: []engine.Operator{
 			&engine.Scan{Blobs: blobs},
 			&engine.PPFilter{F: filter},
-		}}, engine.Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		}}, engine.Config{})
 	}
-	// Compare batch against scalar at the same worker count: chunked cost
-	// summation already reorders float additions across worker counts, so
-	// cross-count totals may differ in the last ulp — the batch path's
-	// contract is per-row and per-chunk identity.
-	for _, workers := range []int{1, 4} {
-		want := run(scalarOnly{f}, workers)
-		got := run(f, workers)
+	want, err := run(scalarOnly{f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 4
+	got := make([]*engine.Result, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[s], errs[s] = run(f)
+		}()
+	}
+	wg.Wait()
+	for s, got := range got {
+		if errs[s] != nil {
+			t.Fatal(errs[s])
+		}
 		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("workers=%d: %d rows, scalar %d", workers, len(got.Rows), len(want.Rows))
+			t.Fatalf("session %d: %d rows, scalar %d", s, len(got.Rows), len(want.Rows))
 		}
 		for i := range got.Rows {
 			if got.Rows[i].Blob.ID != want.Rows[i].Blob.ID {
-				t.Fatalf("workers=%d row %d: blob %d, scalar %d",
-					workers, i, got.Rows[i].Blob.ID, want.Rows[i].Blob.ID)
+				t.Fatalf("session %d row %d: blob %d, scalar %d",
+					s, i, got.Rows[i].Blob.ID, want.Rows[i].Blob.ID)
 			}
 		}
 		if got.ClusterTime != want.ClusterTime {
-			t.Fatalf("workers=%d: cluster time %v, scalar %v",
-				workers, got.ClusterTime, want.ClusterTime)
+			t.Fatalf("session %d: cluster time %v, scalar %v",
+				s, got.ClusterTime, want.ClusterTime)
 		}
 		for i := range got.PerOp {
 			if got.PerOp[i].Cost != want.PerOp[i].Cost {
-				t.Fatalf("workers=%d: op %s cost %v, scalar %v",
-					workers, got.PerOp[i].Name, got.PerOp[i].Cost, want.PerOp[i].Cost)
+				t.Fatalf("session %d: op %s cost %v, scalar %v",
+					s, got.PerOp[i].Name, got.PerOp[i].Cost, want.PerOp[i].Cost)
 			}
 		}
 	}

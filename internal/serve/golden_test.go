@@ -4,7 +4,9 @@ package serve_test
 // (internal/testkit/oracle): each row serves the kit's workload one way and
 // holds every response — rows, order, ledger and cost — to the serial,
 // uncached, unsharded reference. CI runs them under -race, so the sharing
-// across workers, sessions and shard legs is also checked for data races.
+// across sessions and shard legs is also checked for data races. A name's
+// workers=N segment is how many sessions each server admits at once
+// (MaxConcurrent); the engine runs each on its own goroutine.
 
 import (
 	"fmt"
@@ -14,27 +16,24 @@ import (
 	"probpred/internal/testkit/oracle"
 )
 
-// Engine workers only change how the simulator uses real cores and the
-// score cache only the real CPU spent; neither may leak into results or
-// accounting.
-func TestServeDeterminismAcrossWorkersAndCache(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, noCache := range []bool{false, true} {
-			oracle.Check(t, oracle.Draw{Blobs: 2000, Seed: 7, Queries: testkit.Workload,
-				Workers: workers, NoCache: noCache, MaxConcurrent: 4})
-		}
+// The score cache only changes the real CPU spent; it may not leak into
+// results or accounting.
+func TestServeDeterminismAcrossCache(t *testing.T) {
+	for _, noCache := range []bool{false, true} {
+		oracle.Check(t, oracle.Draw{Blobs: 2000, Seed: 7, Queries: testkit.Workload,
+			NoCache: noCache, MaxConcurrent: 4})
 	}
 }
 
-// Every shard count × worker count serves the unsharded results, and every
-// leg of every session runs. The middle name segment is the routing every
-// shard's legs take.
+// Every shard count, one session at a time or four, serves the unsharded
+// results, and every leg of every session runs. The middle name segment is
+// the routing every shard's legs take.
 func TestShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/round-robin/workers=%d", shards, workers), func(t *testing.T) {
+		for _, sessions := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/round-robin/workers=%d", shards, sessions), func(t *testing.T) {
 				oracle.Check(t, oracle.Draw{Blobs: 60, Seed: 7, Queries: testkit.Workload,
-					Shards: shards, Replicas: 2, Workers: workers, MaxConcurrent: 4})
+					Shards: shards, Replicas: 2, MaxConcurrent: sessions})
 			})
 		}
 	}
@@ -83,25 +82,25 @@ func TestShardedExplicitBlobsSplitAcrossLegs(t *testing.T) {
 }
 
 // The observability acceptance gate: every session — replayed or streamed,
-// through a 2×2 server with four engine workers — joins across the
+// through a 2×2 server admitting four sessions at once — joins across the
 // three telemetry sinks by its trace ID (one record in the query log, one
 // span tree from the session span through the leg spans to run and
 // operator spans), and the p99 service-time exemplar names one of them.
 func TestTraceJoinEndToEnd(t *testing.T) {
 	for _, stream := range []bool{false, true} {
 		oracle.Check(t, oracle.Draw{Blobs: 60, Seed: 7, Queries: testkit.Workload, Stream: stream, Cuts: []int{30},
-			Shards: 2, Replicas: 2, Workers: 4, MaxConcurrent: 4, Observe: true})
+			Shards: 2, Replicas: 2, MaxConcurrent: 4, Observe: true})
 	}
 }
 
 // Tracing, the query log and metrics change no served byte, unsharded or
-// sharded.
+// sharded, one session at a time or four.
 func TestObservabilityDoesNotChangeResults(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, sessions := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", sessions), func(t *testing.T) {
 			for _, shards := range []int{0, 2} {
 				oracle.Check(t, oracle.Draw{Blobs: 60, Seed: 7, Queries: testkit.Workload,
-					Workers: workers, Shards: shards, Replicas: 2, MaxConcurrent: 4, Observe: true})
+					Shards: shards, Replicas: 2, MaxConcurrent: sessions, Observe: true})
 			}
 		})
 	}

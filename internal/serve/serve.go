@@ -459,7 +459,7 @@ func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span 
 		l.err = fmt.Errorf("serve: build plan for %q: %w", pred.String(), err)
 		return
 	}
-	// Every operator and chunk span of this run inherits the session's
+	// Every operator span of this run inherits the session's
 	// trace through the engine config.
 	ecfg := s.cfg.Exec
 	ecfg.Trace = ctx

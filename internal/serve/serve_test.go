@@ -87,7 +87,6 @@ func TestPlanCacheInvalidatesOnCorpusChange(t *testing.T) {
 func TestPerRunCacheCountersUnderConcurrency(t *testing.T) {
 	st := newMiniStack(t, 1500, func(c *Config) {
 		c.MaxConcurrent = 4
-		c.Exec.Workers = 4
 	})
 	pred := query.MustParse("t=SUV & c=red")
 	// Warm plan and score caches.

@@ -62,7 +62,7 @@ func TestIngestFanOutAdmission(t *testing.T) {
 		t.Run(fmt.Sprintf("max_concurrent=%d", mc), func(t *testing.T) {
 			parties := min(mc, len(testkit.Standing))
 			g := &gateBuilder{parties: int32(parties), all: make(chan struct{})}
-			st := newMiniStack(t, 1, func(c *serve.Config) { c.Corpus, c.MaxConcurrent = g, mc }, nil)
+			st := newMiniStack(t, func(c *serve.Config) { c.Corpus, c.MaxConcurrent = g, mc }, nil)
 			st.register(t, testkit.Standing...)
 			if _, err := st.ing.Ingest(testkit.Blobs(60, 21)); err != nil {
 				t.Fatal(err)
@@ -111,7 +111,7 @@ func TestIngestFailureContract(t *testing.T) {
 				testkit.Standing[2].Pred: errSQ3,
 				testkit.Standing[4].Pred: errSQ5,
 			})
-			st := newMiniStack(t, 4, func(c *serve.Config) { c.Corpus, c.MaxConcurrent = b, mc }, nil)
+			st := newMiniStack(t, func(c *serve.Config) { c.Corpus, c.MaxConcurrent = b, mc }, nil)
 			st.register(t, testkit.Standing...)
 			base := runtime.NumGoroutine()
 			segs := testkit.Split(testkit.Blobs(200, 23), []int{50, 120})
@@ -141,7 +141,7 @@ func TestFailedIngestCountsTheSegment(t *testing.T) {
 	reg := metrics.New()
 	refused := errors.New("plan refused")
 	b := refusing(map[string]error{"c=red": refused})
-	st := newMiniStack(t, 1, func(c *serve.Config) { c.Corpus = b }, func(c *Config) { c.Metrics = reg })
+	st := newMiniStack(t, func(c *serve.Config) { c.Corpus = b }, func(c *Config) { c.Metrics = reg })
 	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"}, testkit.Query{ID: "SQ2", Pred: "c=red"})
 	for _, seg := range testkit.Split(testkit.Blobs(100, 24), []int{40}) {
 		if _, err := st.ing.Ingest(seg); !errors.Is(err, refused) {

@@ -27,21 +27,23 @@ var goldenSplits = [][]int{
 }
 
 // goldenFronts are the front doors the stream is served through: the single
-// server (shards = 0), then sharded servers at 2 and 4 shards × 1–2 replicas,
-// each replica admitting 4 of a segment's sessions at once.
+// server (shards = 0), then sharded servers at 2 and 4 shards × 1–2 replicas.
 var goldenFronts = []struct{ shards, replicas int }{{0, 0}, {2, 1}, {2, 2}, {4, 1}, {4, 2}}
 
+// A name's workers=N segment is how many of a segment's sessions each
+// replica admits at once (MaxConcurrent); the engine runs each on its own
+// goroutine.
 func TestBackfillVsLiveGolden(t *testing.T) {
 	for _, front := range goldenFronts {
-		for _, workers := range []int{1, 4} {
+		for _, sessions := range []int{1, 4} {
 			for si, cuts := range goldenSplits {
-				name := fmt.Sprintf("workers=%d/split=%d", workers, si)
+				name := fmt.Sprintf("workers=%d/split=%d", sessions, si)
 				if front.shards > 0 {
 					name = fmt.Sprintf("shards=%d/replicas=%d/%s", front.shards, front.replicas, name)
 				}
 				t.Run(name, func(t *testing.T) {
 					oracle.Check(t, oracle.Draw{Blobs: 300, Seed: 11, Queries: testkit.Standing, Stream: true, Cuts: cuts,
-						Workers: workers, Shards: front.shards, Replicas: front.replicas, MaxConcurrent: 4})
+						Shards: front.shards, Replicas: front.replicas, MaxConcurrent: sessions})
 				})
 			}
 		}
@@ -52,10 +54,8 @@ func TestBackfillVsLiveGolden(t *testing.T) {
 // admission bound; at every width the deltas are the one-at-a-time ones.
 func TestIngestFanOutByteIdentical(t *testing.T) {
 	for _, mc := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 4} {
-			oracle.Check(t, oracle.Draw{Blobs: 300, Seed: 19, Queries: testkit.Standing, Stream: true,
-				Cuts: []int{0, 90, 91, 200}, MaxConcurrent: mc, Workers: workers})
-		}
+		oracle.Check(t, oracle.Draw{Blobs: 300, Seed: 19, Queries: testkit.Standing, Stream: true,
+			Cuts: []int{0, 90, 91, 200}, MaxConcurrent: mc})
 	}
 }
 

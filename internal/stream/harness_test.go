@@ -21,10 +21,9 @@ type miniStack struct {
 	ing    *Ingestor
 }
 
-// newMiniStack wires the fixture. workers sets engine parallelism; mutateSrv
-// and mutateIng adjust the configs before construction (nil for defaults —
-// frozen PP state, no online system).
-func newMiniStack(t *testing.T, workers int, mutateSrv func(*serve.Config), mutateIng func(*Config)) *miniStack {
+// newMiniStack wires the fixture. mutateSrv and mutateIng adjust the configs
+// before construction (nil for defaults — frozen PP state, no online system).
+func newMiniStack(t *testing.T, mutateSrv func(*serve.Config), mutateIng func(*Config)) *miniStack {
 	t.Helper()
 	ppc := optimizer.NewCorpus()
 	for _, pp := range testkit.PPs(t, testkit.Blobs(400, 8)) {
@@ -35,7 +34,7 @@ func newMiniStack(t *testing.T, workers int, mutateSrv func(*serve.Config), muta
 		Corpus:    testkit.Builder{},
 		Accuracy:  0.95,
 		Domains:   testkit.Domains(),
-		Exec:      engine.Config{NoStageOverhead: true, Workers: workers},
+		Exec:      engine.Config{NoStageOverhead: true},
 	}
 	if mutateSrv != nil {
 		mutateSrv(&scfg)

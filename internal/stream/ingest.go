@@ -63,9 +63,9 @@ type Config struct {
 }
 
 // Delta is one standing query's incremental result over one segment. Rows
-// arrive in blob-ID order (the engine preserves scan order regardless of
-// Workers), so concatenating a query's deltas across segments reproduces the
-// batch result over the same corpus and PP state.
+// arrive in blob-ID order (the engine preserves scan order), so
+// concatenating a query's deltas across segments reproduces the batch result
+// over the same corpus and PP state.
 type Delta struct {
 	// Query is the standing query's ID.
 	Query string

@@ -25,7 +25,7 @@ import (
 )
 
 func TestAppendRacesBatchQueries(t *testing.T) {
-	st := newMiniStack(t, 4, nil, nil)
+	st := newMiniStack(t, nil, nil)
 	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
 	const segSize, nSegs = 15, 20
 	all := testkit.Blobs(segSize*nSegs, 17)
@@ -140,7 +140,7 @@ func (u driftUDF) Apply(b engine.Batch) error {
 // the online system's corpus (empty until the stream trains it), and the
 // ingestor audits accuracy and feeds labels back per segment. tr receives
 // the online system's spans and events (nil disables).
-func newDriftStack(t *testing.T, workers int, tr *obs.Tracer) (*miniStack, *online.System) {
+func newDriftStack(t *testing.T, tr *obs.Tracer) (*miniStack, *online.System) {
 	t.Helper()
 	sys, err := online.New(online.Config{
 		Clauses:      []string{"s>40"},
@@ -156,14 +156,14 @@ func newDriftStack(t *testing.T, workers int, tr *obs.Tracer) (*miniStack, *onli
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newMiniStack(t, workers, func(c *serve.Config) {
+	st := newMiniStack(t, func(c *serve.Config) {
 		c.Optimizer, c.Corpus, c.Accuracy, c.Domains = optimizer.New(sys.Corpus()), testkit.Builder{UDF: driftUDF{cost: 40}}, 0.9, nil
 	}, func(c *Config) { c.Online, c.Lookup, c.Seed = sys, driftLookup, 5 })
 	return st, sys
 }
 
 func TestWatchdogTripAndRetrainRaceClean(t *testing.T) {
-	st, sys := newDriftStack(t, 4, nil)
+	st, sys := newDriftStack(t, nil)
 	st.register(t, testkit.Query{ID: "D1", Pred: "s>40", Accuracy: 0.9})
 
 	var wg sync.WaitGroup
@@ -222,7 +222,7 @@ func TestWatchdogTripAndRetrainRaceClean(t *testing.T) {
 // delta whose session observed the accuracy, so each joins its session.
 func TestWatchdogEventsCarryDeltaTrace(t *testing.T) {
 	col := obs.NewCollector()
-	st, sys := newDriftStack(t, 1, obs.New(col))
+	st, sys := newDriftStack(t, obs.New(col))
 	st.register(t, testkit.Query{ID: "D1", Pred: "s>40", Accuracy: 0.9})
 	const segSize = 40
 	traces := map[string]bool{}

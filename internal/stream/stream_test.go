@@ -74,7 +74,7 @@ func TestSnapshotStableUnderAppend(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	st := newMiniStack(t, 1, nil, nil)
+	st := newMiniStack(t, nil, nil)
 	cases := []struct {
 		name string
 		cfg  Config
@@ -93,7 +93,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	st := newMiniStack(t, 1, nil, nil)
+	st := newMiniStack(t, nil, nil)
 	if err := st.ing.Register(Query{Pred: "t=SUV"}); err == nil {
 		t.Error("missing ID accepted")
 	}
@@ -116,7 +116,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestIngestMetrics(t *testing.T) {
 	reg := metrics.New()
-	st := newMiniStack(t, 1, nil, func(c *Config) { c.Metrics = reg })
+	st := newMiniStack(t, nil, func(c *Config) { c.Metrics = reg })
 	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
 	all := testkit.Blobs(100, 4)
 	for _, seg := range testkit.Split(all, []int{40}) {
@@ -144,7 +144,7 @@ func TestIngestMetrics(t *testing.T) {
 func TestSegmentTagsQueryLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	qlog := pplog.NewWriter(&logBuf, 64, nil)
-	st := newMiniStack(t, 1, func(c *serve.Config) { c.QueryLog, c.MaxConcurrent = qlog, 4 }, nil)
+	st := newMiniStack(t, func(c *serve.Config) { c.QueryLog, c.MaxConcurrent = qlog, 4 }, nil)
 	st.register(t, testkit.Standing...)
 	const nSegs = 2
 	for _, seg := range testkit.Split(testkit.Blobs(100, 5), []int{50}) {
@@ -185,7 +185,7 @@ func TestSegmentTagsQueryLog(t *testing.T) {
 }
 
 func TestIngestCopiesCallerSlice(t *testing.T) {
-	st := newMiniStack(t, 1, nil, nil)
+	st := newMiniStack(t, nil, nil)
 	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
 	blobs := testkit.Blobs(10, 6)
 	if _, err := st.ing.Ingest(blobs); err != nil {

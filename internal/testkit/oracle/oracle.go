@@ -1,11 +1,10 @@
 // Package oracle is the composition oracle: the one property every way of
 // executing a query must satisfy. A Draw picks an execution strategy —
-// engine workers, score cache on or off, shards × replicas, a
-// stream segmentation, fan-out width, UDF faults with retries, telemetry —
-// and a workload of mini-traffic queries. Check
-// serves the workload that way and holds every result to a reference: one serial,
-// uncached, unsharded engine.Run of the same decision over the same blobs,
-// with a fault injector built from the same seed.
+// score cache on or off, shards × replicas, a stream segmentation, fan-out
+// width, UDF faults with retries, telemetry — and a workload of mini-traffic
+// queries. Check serves the workload that way and holds every result to a
+// reference: one serial, uncached, unsharded engine.Run of the same decision
+// over the same blobs, with a fault injector built from the same seed.
 //
 // Like the testkit it builds on, only _test.go files import it; unlike the
 // testkit it imports the whole stack, so it is imported only from external
@@ -43,8 +42,6 @@ type Draw struct {
 	Drift bool
 	// Queries is the workload; a zero Accuracy selects 0.95.
 	Queries []testkit.Query
-	// Workers is the engine's worker count. Zero selects 1.
-	Workers int
 	// NoCache turns the score cache off.
 	NoCache bool
 	// Shards > 0 serves through NewSharded's Shards × Replicas server
@@ -76,9 +73,8 @@ func (d Draw) String() string {
 type costCheck int
 
 const (
-	costBits        costCheck = iota // every bit of the serial reference's, per operator and in total
-	costWorkersBits                  // every bit of a reference at the draw's worker count
-	costClose                        // within 1e-9 relative of that reference
+	costBits  costCheck = iota // every bit of the serial reference's, per operator and in total
+	costClose                  // within 1e-9 relative of it
 )
 
 // relaxations lists every draw property that legitimately moves the served
@@ -90,8 +86,6 @@ var relaxations = []struct {
 	cost    costCheck
 	why     string
 }{
-	{"workers>1", func(d Draw) bool { return d.Workers > 1 }, costWorkersBits,
-		"worker chunks sum their own subtotals, regrouping the per-row float sum as a reference at that worker count does"},
 	{"shards>1", func(d Draw) bool { return d.Shards > 1 }, costClose,
 		"the merge adds per-shard subtotals, regrouping the per-row float sum"},
 }
@@ -214,7 +208,7 @@ func (c *checker) front(ppc *optimizer.Corpus, records int) *serve.Server {
 		Corpus:            b,
 		Domains:           testkit.Domains(),
 		MaxConcurrent:     max(d.MaxConcurrent, 1),
-		Exec:              engine.Config{NoStageOverhead: true, Workers: d.Workers, Retry: c.retry},
+		Exec:              engine.Config{NoStageOverhead: true, Retry: c.retry},
 		DisableScoreCache: d.NoCache,
 	}
 	if d.Observe {
@@ -237,11 +231,11 @@ func (c *checker) front(ppc *optimizer.Corpus, records int) *serve.Server {
 
 // reference runs query i's plan — the reference decision's, or NoP when
 // filter is nil — over blobs the plainest way: one uncached engine.Run.
-func (c *checker) reference(i int, blobs []blob.Blob, filter engine.BlobFilter, workers int) *engine.Result {
+func (c *checker) reference(i int, blobs []blob.Blob, filter engine.BlobFilter) *engine.Result {
 	plan, err := c.builder().BuildOver(blobs, c.preds[i], filter)
 	if err == nil {
 		var res *engine.Result
-		if res, err = engine.Run(plan, engine.Config{NoStageOverhead: true, Workers: workers, Retry: c.retry}); err == nil {
+		if res, err = engine.Run(plan, engine.Config{NoStageOverhead: true, Retry: c.retry}); err == nil {
 			return res
 		}
 	}
@@ -250,19 +244,15 @@ func (c *checker) reference(i int, blobs []blob.Blob, filter engine.BlobFilter, 
 }
 
 // compare holds one served result for query i over blobs to the serial
-// reference's rows and to the costs of the reference the draw's cost level
-// names.
+// reference's rows, and its costs to the reference's as closely as the
+// draw's cost level allows.
 func (c *checker) compare(label string, i int, blobs []blob.Blob, resp *serve.Response) {
 	tb, got := c.tb, resp.Result
 	tb.Helper()
 	c.served = append(c.served, resp)
 	label = fmt.Sprintf("%v\n%s", c.d, label)
-	serial, nop := c.reference(i, blobs, c.filters[i], 1), c.reference(i, blobs, nil, 1)
-	want := serial
-	if c.level > costBits && c.d.Workers > 1 {
-		want = c.reference(i, blobs, c.filters[i], c.d.Workers)
-	}
-	if g, w := testkit.RenderRows(got.Rows), testkit.RenderRows(serial.Rows); g != w {
+	want, nop := c.reference(i, blobs, c.filters[i]), c.reference(i, blobs, nil)
+	if g, w := testkit.RenderRows(got.Rows), testkit.RenderRows(want.Rows); g != w {
 		tb.Errorf("%s: rows differ from the reference\n got: %s\nwant: %s", label, g, w)
 	}
 	all := make(map[int]bool, len(nop.Rows))
@@ -275,7 +265,7 @@ func (c *checker) compare(label string, i int, blobs []blob.Blob, resp *serve.Re
 		}
 	}
 	testkit.CheckLedger(tb, label, got)
-	exact := c.level <= costWorkersBits
+	exact := c.level == costBits
 	if len(got.PerOp) != len(want.PerOp) {
 		tb.Errorf("%s: %d operators, reference has %d", label, len(got.PerOp), len(want.PerOp))
 		return
@@ -353,7 +343,7 @@ func (c *checker) stream(f *serve.Server) {
 		}
 	}
 	for i, q := range c.queries {
-		if g, w := testkit.RenderRows(live[i]), testkit.RenderRows(c.reference(i, c.blobs, c.filters[i], 1).Rows); g != w {
+		if g, w := testkit.RenderRows(live[i]), testkit.RenderRows(c.reference(i, c.blobs, c.filters[i]).Rows); g != w {
 			c.tb.Errorf("%v\n%s: live deltas differ from the reference over the corpus\n got: %s\nwant: %s", c.d, q.ID, g, w)
 		}
 		batch, err := ing.BatchQuery(q.ID)
@@ -451,14 +441,11 @@ func (c *checker) match(i int, b blob.Blob) int {
 func Random(seed uint64) Draw {
 	rng := mathx.NewRNG(seed)
 	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
-	d := Draw{
-		Blobs:    40 + rng.Intn(160),
-		Seed:     seed,
-		Workers:  pick(1, 4),
-		NoCache:  rng.Bernoulli(0.5),
-		Shards:   pick(0, 1, 2, 4),
-		Replicas: pick(1, 2),
-	}
+	d := Draw{Blobs: 40 + rng.Intn(160), Seed: seed}
+	pick(1, 4) // the retired workers axis: drawn so that every later axis draws as before
+	d.NoCache = rng.Bernoulli(0.5)
+	d.Shards = pick(0, 1, 2, 4)
+	d.Replicas = pick(1, 2)
 	rng.Intn(3) // the retired routing axis: drawn so that every later axis draws as before
 	d.Stream = rng.Bernoulli(0.5)
 	d.MaxConcurrent = pick(1, 2, 8)

@@ -285,8 +285,8 @@ func Split(blobs []blob.Blob, cuts []int) [][]blob.Blob {
 }
 
 // CheckLedger asserts the one-ledger invariant on a result: PerOp costs sum
-// to ClusterTime (worker chunks and merging regroup float additions, hence
-// the relative tolerance) and row counts chain through the operators to the
+// to ClusterTime (merging shards regroups float additions, hence the
+// relative tolerance) and row counts chain through the operators to the
 // result. label prefixes every complaint.
 func CheckLedger(tb testing.TB, label string, res *engine.Result) {
 	tb.Helper()

@@ -17,8 +17,7 @@ import (
 // Attempt numbers are tracked per blob: each time a row of the same blob is
 // run (i.e. each engine retry) the attempt advances, and the injector's
 // decisions are a pure function of (operator, blob, attempt) — so outcomes
-// are identical whether the engine runs sequentially or chunked across
-// workers, and whatever the batches. A batch runs its healthy rows through
+// are identical whatever the batches. A batch runs its healthy rows through
 // the wrapped UDF in one call and ends at the first unhealthy attempt, which
 // runs alone (the engine.TimedProcessor contract). A wrapper instance
 // accumulates attempt state across one engine.Run; call Reset (or build

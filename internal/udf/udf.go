@@ -8,8 +8,9 @@
 // Only UDFs read ground truth. PPs never do — they see raw blob features.
 //
 // Every processor here is safe for concurrent Apply calls on disjoint
-// batches (engine.Config.Workers > 1): a stateful error process is locked
-// once per batch, and FaultyProcessor's attempt counts under their own lock.
+// batches, which concurrent sessions sharing a plan's processors make: a
+// stateful error process is locked once per batch, and FaultyProcessor's
+// attempt counts under their own lock.
 package udf
 
 import (
@@ -54,8 +55,8 @@ func (u *TrafficAttribute) Cost() float64 { return u.CostMS }
 func (u *TrafficAttribute) Apply(b engine.Batch) error {
 	if u.ErrRate > 0 {
 		// The error process is stateful; holding the lock for the batch
-		// keeps Apply safe under the engine's parallel execution
-		// (engine.Config.Workers > 1) and draws in row order.
+		// keeps Apply safe when concurrent sessions share the processor,
+		// and draws in row order.
 		u.mu.Lock()
 		defer u.mu.Unlock()
 		if u.rng == nil {
@@ -205,7 +206,7 @@ func (c *CategoryClassifier) Cost() float64 { return c.CostMS }
 func (c *CategoryClassifier) Apply(b engine.Batch) error {
 	if c.ErrRate > 0 {
 		// As for TrafficAttribute: the stateful error process is locked once
-		// per batch, which makes concurrent batches (Workers > 1) safe.
+		// per batch, which makes concurrent sessions' batches safe.
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.rng == nil {

@@ -2,6 +2,7 @@ package udf
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"probpred/internal/data"
@@ -197,28 +198,31 @@ func TestFrameObjectDetector(t *testing.T) {
 	}
 }
 
-// TestCategoryClassifierRaceUnderWorkers runs a classifier with a live error
-// process through the engine on four workers; under -race it is the check
+// TestCategoryClassifierRaceUnderSessions runs a classifier with a live
+// error process through concurrent engine runs that share it, the way a
+// server's sessions share a plan's processors; under -race it is the check
 // that concurrent batches share its random stream safely. Every row draws
-// once from that stream whatever the interleaving, so the number of flipped
-// outputs must equal a one-worker run's.
-func TestCategoryClassifierRaceUnderWorkers(t *testing.T) {
+// once from that stream whatever the interleaving, so the sessions flip as
+// many outputs in all as the same runs made one after another.
+func TestCategoryClassifierRaceUnderSessions(t *testing.T) {
 	d := data.LSHTC(data.LSHTCConfig{Docs: 2000, Seed: 11})
-	flips := func(workers int) int {
-		c := &CategoryClassifier{Dataset: d, Cat: 1, CostMS: 1, ErrRate: 0.3, Seed: 3}
+	const sessions = 4
+	flips := func(c *CategoryClassifier) int {
 		plan := engine.Plan{Ops: []engine.Operator{&engine.Scan{Blobs: d.Blobs}, &engine.Process{P: c}}}
-		res, err := engine.Run(plan, engine.Config{Workers: workers})
+		res, err := engine.Run(plan, engine.Config{})
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return 0
 		}
 		if len(res.Rows) != len(d.Blobs) {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, len(res.Rows), len(d.Blobs))
+			t.Errorf("%d rows, want %d", len(res.Rows), len(d.Blobs))
 		}
 		n := 0
 		for _, r := range res.Rows {
 			v, err := r.Get(ColName(1))
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return 0
 			}
 			if (v.Num == 1) != d.Members[1][r.Blob.ID] {
 				n++
@@ -226,11 +230,32 @@ func TestCategoryClassifierRaceUnderWorkers(t *testing.T) {
 		}
 		return n
 	}
-	one, four := flips(1), flips(4)
-	if one != four {
-		t.Fatalf("flipped outputs: %d on one worker, %d on four", one, four)
+	classifier := func() *CategoryClassifier {
+		return &CategoryClassifier{Dataset: d, Cat: 1, CostMS: 1, ErrRate: 0.3, Seed: 3}
 	}
-	if share := float64(four) / float64(len(d.Blobs)); share < 0.25 || share > 0.35 {
+	serial, lone := 0, classifier()
+	for range sessions {
+		serial += flips(lone)
+	}
+	shared := classifier()
+	counts := make([]int, sessions)
+	var wg sync.WaitGroup
+	for s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[s] = flips(shared)
+		}()
+	}
+	wg.Wait()
+	concurrent := 0
+	for _, n := range counts {
+		concurrent += n
+	}
+	if concurrent != serial {
+		t.Fatalf("flipped outputs: %d over %d concurrent sessions, %d over the same runs one after another", concurrent, sessions, serial)
+	}
+	if share := float64(serial) / float64(sessions*len(d.Blobs)); share < 0.25 || share > 0.35 {
 		t.Fatalf("flip share %v, want about 0.3", share)
 	}
 }
