@@ -1,12 +1,12 @@
 package bench
 
 // Stream is the streaming-ingestion drift scenario (DESIGN.md "Streaming
-// ingestion", ROADMAP item 4): a segment-versioned corpus whose label
-// distribution inverts mid-stream, served by standing queries whose PP is
-// trained incrementally — warm-started — segment by segment. The experiment
-// shows the full watchdog arc (trip on drift → NoP fallback → retrain on
-// fresh labels → probation → close) with the per-segment cluster cost ratio
-// against the NoP plan recovering below 0.8 once the retrained PP is live,
+// ingestion"): a segment-versioned corpus whose label distribution inverts
+// mid-stream, served by standing queries whose PP is trained incrementally
+// — warm-started — segment by segment. The experiment shows the full
+// watchdog arc (trip on drift → NoP fallback → retrain on fresh labels →
+// probation → close) with the per-segment cluster cost ratio against the
+// NoP plan recovering below 0.8 once the retrained PP is live,
 // plus a frozen-corpus check that per-segment deltas concatenate
 // byte-identically to the one-shot batch query. TestScenarioGates requires
 // backfill equivalence, the trip happening, the breaker closing again,

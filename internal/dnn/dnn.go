@@ -91,12 +91,6 @@ func newLayer(in, out int, rng *mathx.RNG) *layer {
 	return l
 }
 
-func (l *layer) forward(in mathx.Vec) mathx.Vec {
-	out := make(mathx.Vec, l.out)
-	l.forwardInto(in, out)
-	return out
-}
-
 // forwardInto computes out = W·in + b into the caller's buffer. It is the
 // network's one forward kernel: training, Score and ScoreBatch all call it
 // once per input row. Output neurons are taken four at a time, so each input
@@ -163,36 +157,17 @@ func (m *Model) getScratch() *fwdScratch {
 	return &fwdScratch{a: make([]float64, w), b: make([]float64, w)}
 }
 
-// Train fits a network to feature vectors xs and binary labels ys.
+// Train fits a network to feature vectors xs and binary labels ys. It
+// returns an error, and trains nothing, for an empty or single-class set, a
+// label count that differs from the row count, rows of different lengths,
+// a negative Epochs or BatchSize, or a hidden width below 1.
 func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("dnn: empty training set")
+	m, rng, err := newModel(xs, ys, &cfg)
+	if err != nil {
+		return nil, err
 	}
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("dnn: %d examples but %d labels", len(xs), len(ys))
-	}
-	pos := 0
-	for _, y := range ys {
-		if y {
-			pos++
-		}
-	}
-	if pos == 0 || pos == len(ys) {
-		return nil, fmt.Errorf("dnn: training set has a single class (%d/%d positive)", pos, len(ys))
-	}
-	cfg.fill(float64(pos) / float64(len(ys)))
-
-	rng := mathx.NewRNG(cfg.Seed)
-	dims := append([]int{len(xs[0])}, cfg.Hidden...)
-	dims = append(dims, 1)
-	m := &Model{}
-	for i := 0; i+1 < len(dims); i++ {
-		l := newLayer(dims[i], dims[i+1], rng)
-		m.layers = append(m.layers, l)
-		m.params += len(l.w) + len(l.b)
-	}
-
 	n := len(xs)
+	t := newTrainer(m, min(cfg.BatchSize, n))
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -205,93 +180,227 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 			if end > n {
 				end = n
 			}
-			m.step(xs, ys, order[start:end], lr, cfg)
+			t.step(xs, ys, order[start:end], lr, cfg)
 		}
 	}
 	return m, nil
 }
 
-// step performs one mini-batch SGD update with momentum.
-func (m *Model) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Config) {
-	type grads struct {
-		w []float64
-		b []float64
+// newModel validates a training set, fills cfg's defaults and draws the
+// initial weights; the returned generator goes on to shuffle the batches.
+func newModel(xs []mathx.Vec, ys []bool, cfg *Config) (*Model, *mathx.RNG, error) {
+	if len(xs) == 0 {
+		return nil, nil, fmt.Errorf("dnn: empty training set")
 	}
-	gs := make([]grads, len(m.layers))
+	if len(xs) != len(ys) {
+		return nil, nil, fmt.Errorf("dnn: %d examples but %d labels", len(xs), len(ys))
+	}
+	for i, x := range xs {
+		if len(x) != len(xs[0]) {
+			return nil, nil, fmt.Errorf("dnn: example %d has %d features, example 0 has %d", i, len(x), len(xs[0]))
+		}
+	}
+	if cfg.Epochs < 0 || cfg.BatchSize < 0 {
+		return nil, nil, fmt.Errorf("dnn: negative Epochs (%d) or BatchSize (%d)", cfg.Epochs, cfg.BatchSize)
+	}
+	for _, w := range cfg.Hidden {
+		if w < 1 {
+			return nil, nil, fmt.Errorf("dnn: hidden layer width %d, want ≥ 1", w)
+		}
+	}
+	pos := 0
+	for _, y := range ys {
+		if y {
+			pos++
+		}
+	}
+	if pos == 0 || pos == len(ys) {
+		return nil, nil, fmt.Errorf("dnn: training set has a single class (%d/%d positive)", pos, len(ys))
+	}
+	cfg.fill(float64(pos) / float64(len(ys)))
+
+	rng := mathx.NewRNG(cfg.Seed)
+	dims := append([]int{len(xs[0])}, cfg.Hidden...)
+	dims = append(dims, 1)
+	m := &Model{}
+	for i := 0; i+1 < len(dims); i++ {
+		l := newLayer(dims[i], dims[i+1], rng)
+		m.layers = append(m.layers, l)
+		m.params += len(l.w) + len(l.b)
+	}
+	return m, rng, nil
+}
+
+// trainer is one Train call's scratch, allocated once: per layer the batch's
+// pre-activations and deltas (batch × out, row-major), the rows each layer
+// reads as input, one gradient row and one list of nonzero terms.
+type trainer struct {
+	m          *Model
+	pre, delta [][]float64
+	// in[i][s] is layer i's input for the batch's sample s: a training row
+	// for layer 0, a row of the ReLU'd activations below it otherwise.
+	in   [][]mathx.Vec
+	grad []float64
+	nz   []int
+}
+
+func newTrainer(m *Model, batch int) *trainer {
+	t := &trainer{
+		m:     m,
+		pre:   make([][]float64, len(m.layers)),
+		delta: make([][]float64, len(m.layers)),
+		in:    make([][]mathx.Vec, len(m.layers)),
+	}
+	widest := batch
 	for i, l := range m.layers {
-		gs[i] = grads{w: make([]float64, len(l.w)), b: make([]float64, len(l.b))}
+		t.pre[i] = make([]float64, batch*l.out)
+		t.delta[i] = make([]float64, batch*l.out)
+		t.in[i] = make([]mathx.Vec, batch)
+		if i > 0 {
+			act := make([]float64, batch*l.in)
+			for s := range t.in[i] {
+				t.in[i][s] = act[s*l.in : (s+1)*l.in : (s+1)*l.in]
+			}
+		}
+		widest = max(widest, l.in, l.out)
 	}
-	for _, idx := range batch {
-		x := xs[idx]
+	t.grad = make([]float64, widest)
+	t.nz = make([]int, 0, widest)
+	return t
+}
+
+// step performs one mini-batch SGD update with momentum.
+//
+// Every weight gets the same IEEE operations in the same order as the
+// per-sample loop it replaced (kept as the reference in ref_test.go): each
+// sample's deltas are Σ_o δ_o·W[o,:] over outputs in ascending order, each
+// gradient row is Σ_s δ_s·a_s over the batch in sample order, and both sums
+// start from +0. What changes is the schedule. Each sample's forward and
+// backward pass leave its activations and deltas in the batch matrices;
+// then each weight row sums its gradient over the batch and applies L2,
+// momentum and the step in the same loop over outputs. Terms are taken four
+// per pass, so an accumulator is loaded and stored once per four
+// multiply-adds, and terms whose δ is zero are skipped: on the benchmark's
+// t=* PPs (32→128→64→1) ReLU zeroes 62 % of the first hidden layer's deltas
+// and 74 % of the second's.
+//
+// The skip is exact while inputs and weights are finite. A skipped term 0·x
+// is then ±0, an accumulator that starts at +0 never becomes −0 under
+// round-to-nearest (a sum is −0 only when both addends are), and adding ±0
+// to anything but −0 changes nothing. Where an x is ±Inf or NaN, 0·x is NaN:
+// the reference's weights turn NaN there and these do not.
+func (t *trainer) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Config) {
+	layers := t.m.layers
+	last := len(layers) - 1
+	for s, idx := range batch {
+		t.in[0][s] = xs[idx]
+		// Forward pass, keeping pre-activations and ReLU'd inputs.
+		for i, l := range layers {
+			z := t.pre[i][s*l.out : (s+1)*l.out]
+			l.forwardInto(t.in[i][s], z)
+			if i == last {
+				break
+			}
+			a := t.in[i+1][s]
+			for j, v := range z {
+				if v > 0 {
+					a[j] = v
+				} else {
+					a[j] = 0
+				}
+			}
+		}
 		target, weight := 0.0, 1.0
 		if ys[idx] {
 			target = 1.0
 			weight = cfg.ClassWeightPos
 		}
-		// Forward pass, caching pre- and post-activation vectors.
-		acts := make([]mathx.Vec, len(m.layers)+1) // post-activation inputs
-		pre := make([]mathx.Vec, len(m.layers))    // pre-activation outputs
-		acts[0] = x
-		for i, l := range m.layers {
-			z := l.forward(acts[i])
-			pre[i] = z
-			if i == len(m.layers)-1 {
-				acts[i+1] = z // linear output
-				continue
-			}
-			a := make(mathx.Vec, len(z))
-			for j, v := range z {
-				if v > 0 {
-					a[j] = v
-				}
-			}
-			acts[i+1] = a
-		}
-		logit := acts[len(m.layers)][0]
-		p := mathx.Sigmoid(logit)
 		// dL/dlogit for the logistic loss.
-		delta := mathx.Vec{weight * (p - target)}
-		// Backward pass.
-		for i := len(m.layers) - 1; i >= 0; i-- {
-			l := m.layers[i]
-			in := acts[i]
-			g := gs[i]
-			for o := 0; o < l.out; o++ {
-				d := delta[o]
-				g.b[o] += d
-				row := g.w[o*l.in : (o+1)*l.in]
-				mathx.Axpy(d, in, row)
-			}
-			if i == 0 {
-				break
-			}
-			prev := make(mathx.Vec, l.in)
-			for o := 0; o < l.out; o++ {
-				d := delta[o]
-				row := l.w[o*l.in : (o+1)*l.in]
-				mathx.Axpy(d, row, prev)
-			}
-			// ReLU derivative of the previous layer's pre-activation.
-			for j := range prev {
-				if pre[i-1][j] <= 0 {
-					prev[j] = 0
-				}
-			}
-			delta = prev
+		t.delta[last][s] = weight * (mathx.Sigmoid(t.pre[last][s]) - target)
+		// Backward pass: the deltas of every layer below the last.
+		for i := last; i > 0; i-- {
+			l := layers[i]
+			t.backward(l, t.delta[i][s*l.out:(s+1)*l.out], t.delta[i-1][s*l.in:(s+1)*l.in], t.pre[i-1][s*l.in:(s+1)*l.in])
 		}
 	}
 	scale := 1 / float64(len(batch))
-	for i, l := range m.layers {
-		g := gs[i]
-		for j := range l.w {
-			grad := g.w[j]*scale + cfg.L2*l.w[j]
-			l.vw[j] = cfg.Momentum*l.vw[j] - lr*grad
-			l.w[j] += l.vw[j]
+	for i, l := range layers {
+		t.update(l, t.delta[i], t.in[i][:len(batch)], lr, scale, cfg)
+	}
+}
+
+// backward sets prev = ReLU'(pre) ⊙ Σ_o d[o]·W[o,:], over o ascending.
+func (t *trainer) backward(l *layer, d, prev, pre []float64) {
+	n := l.in
+	nz := t.nz[:0]
+	for o, v := range d {
+		if v != 0 {
+			nz = append(nz, o)
 		}
-		for j := range l.b {
-			l.vb[j] = cfg.Momentum*l.vb[j] - lr*g.b[j]*scale
-			l.b[j] += l.vb[j]
+	}
+	clear(prev)
+	k := 0
+	for ; k+4 <= len(nz); k += 4 {
+		o0, o1, o2, o3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
+		d0, d1, d2, d3 := d[o0], d[o1], d[o2], d[o3]
+		w0 := l.w[o0*n : (o0+1)*n : (o0+1)*n]
+		w1 := l.w[o1*n : (o1+1)*n : (o1+1)*n]
+		w2 := l.w[o2*n : (o2+1)*n : (o2+1)*n]
+		w3 := l.w[o3*n : (o3+1)*n : (o3+1)*n]
+		for j := range prev {
+			prev[j] = prev[j] + d0*w0[j] + d1*w1[j] + d2*w2[j] + d3*w3[j]
 		}
+	}
+	for ; k < len(nz); k++ {
+		o := nz[k]
+		mathx.Axpy(d[o], l.w[o*n:(o+1)*n], prev)
+	}
+	// ReLU derivative of the layer below's pre-activation.
+	for j, z := range pre {
+		if z <= 0 {
+			prev[j] = 0
+		}
+	}
+}
+
+// update applies one SGD-with-momentum step to layer l. delta holds the
+// batch's deltas (sample × output) and in the inputs the layer saw.
+func (t *trainer) update(l *layer, delta []float64, in []mathx.Vec, lr, scale float64, cfg Config) {
+	n := l.in
+	g := t.grad[:n]
+	for o := 0; o < l.out; o++ {
+		gb := 0.0
+		nz := t.nz[:0]
+		for s := range in {
+			v := delta[s*l.out+o]
+			gb += v
+			if v != 0 {
+				nz = append(nz, s)
+			}
+		}
+		clear(g)
+		k := 0
+		for ; k+4 <= len(nz); k += 4 {
+			s0, s1, s2, s3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
+			d0, d1, d2, d3 := delta[s0*l.out+o], delta[s1*l.out+o], delta[s2*l.out+o], delta[s3*l.out+o]
+			a0, a1, a2, a3 := in[s0][:n:n], in[s1][:n:n], in[s2][:n:n], in[s3][:n:n]
+			for j := range g {
+				g[j] = g[j] + d0*a0[j] + d1*a1[j] + d2*a2[j] + d3*a3[j]
+			}
+		}
+		for ; k < len(nz); k++ {
+			s := nz[k]
+			mathx.Axpy(delta[s*l.out+o], in[s], g)
+		}
+		w := l.w[o*n : (o+1)*n : (o+1)*n]
+		vw := l.vw[o*n : (o+1)*n : (o+1)*n]
+		for j, gj := range g {
+			grad := gj*scale + cfg.L2*w[j]
+			vw[j] = cfg.Momentum*vw[j] - lr*grad
+			w[j] += vw[j]
+		}
+		l.vb[o] = cfg.Momentum*l.vb[o] - lr*gb*scale
+		l.b[o] += l.vb[o]
 	}
 }
 

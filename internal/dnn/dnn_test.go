@@ -88,14 +88,30 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, nil, Config{}); err == nil {
-		t.Fatal("expected error for empty set")
-	}
-	if _, err := Train([]mathx.Vec{{1}}, []bool{true, false}, Config{}); err == nil {
-		t.Fatal("expected error for mismatch")
-	}
-	if _, err := Train([]mathx.Vec{{1}, {2}}, []bool{true, true}, Config{}); err == nil {
-		t.Fatal("expected error for single class")
+	two := []mathx.Vec{{1, 2}, {3, 4}}
+	mixed := []bool{true, false}
+	for _, c := range []struct {
+		name string
+		xs   []mathx.Vec
+		ys   []bool
+		cfg  Config
+	}{
+		{"empty set", nil, nil, Config{}},
+		{"label count mismatch", []mathx.Vec{{1}}, mixed, Config{}},
+		{"single class", []mathx.Vec{{1}, {2}}, []bool{true, true}, Config{}},
+		{"ragged rows", []mathx.Vec{{1, 2}, {3}}, mixed, Config{}},
+		{"ragged later row", []mathx.Vec{{1, 2}, {3, 4}, {5, 6, 7}}, []bool{true, false, true}, Config{}},
+		{"negative batch size", two, mixed, Config{BatchSize: -1}},
+		{"negative epochs", two, mixed, Config{Epochs: -3}},
+		{"zero-width hidden layer", two, mixed, Config{Hidden: []int{4, 0}}},
+		{"negative hidden width", two, mixed, Config{Hidden: []int{-2}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := Train(c.xs, c.ys, c.cfg)
+			if err == nil || m != nil {
+				t.Fatalf("Train = (%v, %v), want (nil, error)", m, err)
+			}
+		})
 	}
 }
 

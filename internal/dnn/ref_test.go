@@ -1,0 +1,122 @@
+package dnn
+
+import "probpred/internal/mathx"
+
+// This file keeps the per-sample training loop that Train's batched step
+// replaced, verbatim, as the oracle TestTrainMatchesReference holds every
+// trained weight and bias to, bit for bit.
+
+// trainRef is Train with the reference step.
+func trainRef(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
+	m, rng, err := newModel(xs, ys, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := len(xs)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		rng.ShuffleInts(order)
+		lr := cfg.LearningRate / (1 + 0.05*float64(epoch))
+		for start := 0; start < n; start += cfg.BatchSize {
+			end := start + cfg.BatchSize
+			if end > n {
+				end = n
+			}
+			m.step(xs, ys, order[start:end], lr, cfg)
+		}
+	}
+	return m, nil
+}
+
+// step performs one mini-batch SGD update with momentum.
+func (m *Model) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Config) {
+	type grads struct {
+		w []float64
+		b []float64
+	}
+	gs := make([]grads, len(m.layers))
+	for i, l := range m.layers {
+		gs[i] = grads{w: make([]float64, len(l.w)), b: make([]float64, len(l.b))}
+	}
+	for _, idx := range batch {
+		x := xs[idx]
+		target, weight := 0.0, 1.0
+		if ys[idx] {
+			target = 1.0
+			weight = cfg.ClassWeightPos
+		}
+		// Forward pass, caching pre- and post-activation vectors.
+		acts := make([]mathx.Vec, len(m.layers)+1) // post-activation inputs
+		pre := make([]mathx.Vec, len(m.layers))    // pre-activation outputs
+		acts[0] = x
+		for i, l := range m.layers {
+			z := l.forward(acts[i])
+			pre[i] = z
+			if i == len(m.layers)-1 {
+				acts[i+1] = z // linear output
+				continue
+			}
+			a := make(mathx.Vec, len(z))
+			for j, v := range z {
+				if v > 0 {
+					a[j] = v
+				}
+			}
+			acts[i+1] = a
+		}
+		logit := acts[len(m.layers)][0]
+		p := mathx.Sigmoid(logit)
+		// dL/dlogit for the logistic loss.
+		delta := mathx.Vec{weight * (p - target)}
+		// Backward pass.
+		for i := len(m.layers) - 1; i >= 0; i-- {
+			l := m.layers[i]
+			in := acts[i]
+			g := gs[i]
+			for o := 0; o < l.out; o++ {
+				d := delta[o]
+				g.b[o] += d
+				row := g.w[o*l.in : (o+1)*l.in]
+				mathx.Axpy(d, in, row)
+			}
+			if i == 0 {
+				break
+			}
+			prev := make(mathx.Vec, l.in)
+			for o := 0; o < l.out; o++ {
+				d := delta[o]
+				row := l.w[o*l.in : (o+1)*l.in]
+				mathx.Axpy(d, row, prev)
+			}
+			// ReLU derivative of the previous layer's pre-activation.
+			for j := range prev {
+				if pre[i-1][j] <= 0 {
+					prev[j] = 0
+				}
+			}
+			delta = prev
+		}
+	}
+	scale := 1 / float64(len(batch))
+	for i, l := range m.layers {
+		g := gs[i]
+		for j := range l.w {
+			grad := g.w[j]*scale + cfg.L2*l.w[j]
+			l.vw[j] = cfg.Momentum*l.vw[j] - lr*grad
+			l.w[j] += l.vw[j]
+		}
+		for j := range l.b {
+			l.vb[j] = cfg.Momentum*l.vb[j] - lr*g.b[j]*scale
+			l.b[j] += l.vb[j]
+		}
+	}
+}
+
+func (l *layer) forward(in mathx.Vec) mathx.Vec {
+	out := make(mathx.Vec, l.out)
+	l.forwardInto(in, out)
+	return out
+}

@@ -1,9 +1,9 @@
-// Package stream implements streaming ingestion (ROADMAP item 4, the live
-// scenarios the paper gestures at in Appendix B): an append-only,
-// segment-versioned blob corpus plus standing queries — registered predicates
-// that PP-filter each new segment as it lands and emit incremental result
-// deltas whose concatenation is byte-identical to the one-shot batch query
-// over the same corpus and PP state.
+// Package stream implements streaming ingestion (the live scenarios the
+// paper gestures at in Appendix B): an append-only, segment-versioned blob
+// corpus plus standing queries — registered predicates that PP-filter each
+// new segment as it lands and emit incremental result deltas whose
+// concatenation is byte-identical to the one-shot batch query over the same
+// corpus and PP state.
 //
 // The corpus half is SegmentedCorpus: blobs arrive in segments, each append
 // advances a monotonically increasing corpus version and records the
