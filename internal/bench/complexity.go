@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"probpred/internal/blob"
@@ -17,8 +18,9 @@ import (
 // for each approach it times training and testing at size n and 2n (and
 // dimension d and 2d) and reports the observed scaling ratios. A ratio near
 // 2 indicates linear scaling in that variable, near 1 indicates
-// insensitivity, near 4 quadratic. The ratios are wall clock, so the table
-// is the report's Wall.
+// insensitivity, near 4 quadratic. Each cell's time is the median of three
+// runs, so one descheduled run does not set a ratio. The ratios are wall
+// clock, so the table is the report's Wall.
 func Table2(cfg Config) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Empirical scaling of PP approaches (ratios when n or d doubles)"}
 	n := cfg.scale(2000, 800)
@@ -82,6 +84,22 @@ func Table2(cfg Config) (*Report, error) {
 		return tr, nil
 	}
 
+	// median3 keeps the median train and the median test time of three
+	// measure runs.
+	median3 := func(n, d int, approach string) (timings, error) {
+		var train, test [3]time.Duration
+		for i := range train {
+			tr, err := measure(n, d, approach)
+			if err != nil {
+				return tr, err
+			}
+			train[i], test[i] = tr.train, tr.test
+		}
+		slices.Sort(train[:])
+		slices.Sort(test[:])
+		return timings{train[1], test[1]}, nil
+	}
+
 	ratio := func(a, b time.Duration) string {
 		if a == 0 {
 			return "-"
@@ -89,15 +107,15 @@ func Table2(cfg Config) (*Report, error) {
 		return fmt.Sprintf("%.1fx", float64(b)/float64(a))
 	}
 	for _, approach := range []string{"SVM", "KDE", "DNN", "PCA+SVM"} {
-		base, err := measure(n, d, approach)
+		base, err := median3(n, d, approach)
 		if err != nil {
 			return nil, err
 		}
-		bigN, err := measure(2*n, d, approach)
+		bigN, err := median3(2*n, d, approach)
 		if err != nil {
 			return nil, err
 		}
-		bigD, err := measure(n, 2*d, approach)
+		bigD, err := median3(n, 2*d, approach)
 		if err != nil {
 			return nil, err
 		}

@@ -160,7 +160,9 @@ func (m *Model) getScratch() *fwdScratch {
 // Train fits a network to feature vectors xs and binary labels ys. It
 // returns an error, and trains nothing, for an empty or single-class set, a
 // label count that differs from the row count, rows of different lengths,
-// a negative Epochs or BatchSize, or a hidden width below 1.
+// a negative Epochs or BatchSize, or a hidden width below 1. It also fails,
+// naming the epoch, when training diverges: after every epoch each weight
+// and bias must be finite.
 func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	m, rng, err := newModel(xs, ys, &cfg)
 	if err != nil {
@@ -182,8 +184,27 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 			}
 			t.step(xs, ys, order[start:end], lr, cfg)
 		}
+		if i := m.nonFinite(); i >= 0 {
+			return nil, fmt.Errorf("dnn: training diverged in epoch %d of %d: layer %d has a non-finite weight or bias (learning rate %g, batch size %d)",
+				epoch+1, cfg.Epochs, i, cfg.LearningRate, cfg.BatchSize)
+		}
 	}
 	return m, nil
+}
+
+// nonFinite returns the first layer holding a ±Inf or NaN weight or bias,
+// or −1 when every parameter is finite.
+func (m *Model) nonFinite() int {
+	for i, l := range m.layers {
+		for _, ps := range [2][]float64{l.w, l.b} {
+			for _, v := range ps {
+				if math.IsInf(v, 0) || math.IsNaN(v) {
+					return i
+				}
+			}
+		}
+	}
+	return -1
 }
 
 // newModel validates a training set, fills cfg's defaults and draws the

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"probpred/internal/mathx"
@@ -90,26 +91,32 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	two := []mathx.Vec{{1, 2}, {3, 4}}
 	mixed := []bool{true, false}
+	xor, xorYs := xorData(40, 3)
 	for _, c := range []struct {
 		name string
 		xs   []mathx.Vec
 		ys   []bool
 		cfg  Config
+		want string // a substring of the error, where it matters
 	}{
-		{"empty set", nil, nil, Config{}},
-		{"label count mismatch", []mathx.Vec{{1}}, mixed, Config{}},
-		{"single class", []mathx.Vec{{1}, {2}}, []bool{true, true}, Config{}},
-		{"ragged rows", []mathx.Vec{{1, 2}, {3}}, mixed, Config{}},
-		{"ragged later row", []mathx.Vec{{1, 2}, {3, 4}, {5, 6, 7}}, []bool{true, false, true}, Config{}},
-		{"negative batch size", two, mixed, Config{BatchSize: -1}},
-		{"negative epochs", two, mixed, Config{Epochs: -3}},
-		{"zero-width hidden layer", two, mixed, Config{Hidden: []int{4, 0}}},
-		{"negative hidden width", two, mixed, Config{Hidden: []int{-2}}},
+		{"empty set", nil, nil, Config{}, ""},
+		{"label count mismatch", []mathx.Vec{{1}}, mixed, Config{}, ""},
+		{"single class", []mathx.Vec{{1}, {2}}, []bool{true, true}, Config{}, ""},
+		{"ragged rows", []mathx.Vec{{1, 2}, {3}}, mixed, Config{}, ""},
+		{"ragged later row", []mathx.Vec{{1, 2}, {3, 4}, {5, 6, 7}}, []bool{true, false, true}, Config{}, ""},
+		{"negative batch size", two, mixed, Config{BatchSize: -1}, ""},
+		{"negative epochs", two, mixed, Config{Epochs: -3}, ""},
+		{"zero-width hidden layer", two, mixed, Config{Hidden: []int{4, 0}}, ""},
+		{"negative hidden width", two, mixed, Config{Hidden: []int{-2}}, ""},
+		// Weights overflow to ±Inf and then NaN; the error names the epoch
+		// where a parameter first left the finite range.
+		{"diverging step", xor, xorYs, Config{LearningRate: 1e6, BatchSize: 1, Seed: 1}, "epoch 3 of 30"},
+		{"diverging in the first epoch", xor, xorYs, Config{LearningRate: 1e12, BatchSize: 1, Seed: 1}, "epoch 1 of 30"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := Train(c.xs, c.ys, c.cfg)
-			if err == nil || m != nil {
-				t.Fatalf("Train = (%v, %v), want (nil, error)", m, err)
+			if err == nil || m != nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Train = (%v, %v), want (nil, an error containing %q)", m, err, c.want)
 			}
 		})
 	}

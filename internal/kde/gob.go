@@ -5,12 +5,13 @@ import (
 	"encoding/gob"
 	"fmt"
 
-	"probpred/internal/kdtree"
+	"probpred/internal/knn"
 	"probpred/internal/mathx"
 )
 
 // kdeGob is the serialized form of a Model: the class-conditional point
-// sets plus hyperparameters. The k-d trees are rebuilt on decode.
+// sets, in training order, plus hyperparameters. The indexes are rebuilt on
+// decode.
 type kdeGob struct {
 	Pos, Neg  []mathx.Vec
 	H         float64
@@ -43,7 +44,7 @@ func (m *Model) GobDecode(data []byte) error {
 	m.h = g.H
 	m.neighbors = g.Neighbors
 	m.dim = g.Dim
-	m.pos = kdtree.Build(g.Pos)
-	m.neg = kdtree.Build(g.Neg)
+	m.pos = knn.Build(g.Pos)
+	m.neg = knn.Build(g.Neg)
 	return nil
 }

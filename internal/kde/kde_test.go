@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"probpred/internal/knn"
 	"probpred/internal/mathx"
 )
 
@@ -155,7 +156,7 @@ func TestCostGrowsWithNeighbors(t *testing.T) {
 	}
 }
 
-// bruteScore is Score without the tree: every training point's SqDist, the
+// bruteScore is Score without an index: every training point's SqDist, the
 // n′ smallest per class summed in ascending order.
 func bruteScore(xs []mathx.Vec, ys []bool, x mathx.Vec, h float64, neighbors int) float64 {
 	density := func(class bool) float64 {
@@ -176,10 +177,10 @@ func bruteScore(xs []mathx.Vec, ys []bool, x mathx.Vec, h float64, neighbors int
 	return math.Log(density(true)+eps) - math.Log(density(false)+eps)
 }
 
-// TestScoreEqualsBruteForceDensity pins the argument for the tree's
+// TestScoreEqualsBruteForceDensity pins the argument for the scan's
 // bit-identicality: a score depends on the exact k-NN distance list only, so
-// any exact index — this tree, the one before it, or none — gives the same
-// bits. Training points are duplicated and the queries include training
+// any exact index — the scan, the k-d tree before it, or none — gives the
+// same bits. Training points are duplicated and the queries include training
 // points, so distances tie at zero and at the n′-th neighbour.
 func TestScoreEqualsBruteForceDensity(t *testing.T) {
 	rng := mathx.NewRNG(31)
@@ -226,6 +227,81 @@ func TestScoreEqualsBruteForceDensity(t *testing.T) {
 					t.Fatalf("dim %d cfg %+v row %d: ScoreBatch = %v, brute force %v", dim, cfg, i, batch[i], want)
 				}
 			}
+		}
+	}
+}
+
+// TestBandwidthSweepScoresLikeScore holds Train's bandwidth sweep, which
+// queries each held-out point once and scores its neighbour lists at every
+// candidate h, to the sweep it replaced: a model per candidate, every
+// held-out point scored through Score.
+func TestBandwidthSweepScoresLikeScore(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		rng := mathx.NewRNG(seed)
+		var xs []mathx.Vec
+		var ys []bool
+		for i := 0; i < 400; i++ {
+			x := mathx.Vec{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			xs = append(xs, x)
+			ys = append(ys, x[0]*x[0]+x[1]*x[1] < 1+0.5*rng.NormFloat64())
+		}
+		m, err := Train(xs, ys, Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var posPts, negPts []mathx.Vec
+		for i, x := range xs {
+			if ys[i] {
+				posPts = append(posPts, x)
+			} else {
+				negPts = append(negPts, x)
+			}
+		}
+		h0 := silverman(xs)
+		split := mathx.NewRNG(seed)
+		trPos, vaPos := holdout(posPts, split)
+		trNeg, vaNeg := holdout(negPts, split)
+		cand := &Model{pos: knn.Build(trPos), neg: knn.Build(trNeg), neighbors: 25, dim: 3}
+		bestH, bestAcc := h0, -1.0
+		for _, mult := range []float64{0.5, 1, 2, 4} {
+			cand.h = h0 * mult
+			correct := 0
+			for _, x := range vaPos {
+				if cand.Score(x) > 0 {
+					correct++
+				}
+			}
+			for _, x := range vaNeg {
+				if cand.Score(x) <= 0 {
+					correct++
+				}
+			}
+			if acc := float64(correct) / float64(len(vaPos)+len(vaNeg)); acc > bestAcc {
+				bestAcc, bestH = acc, cand.h
+			}
+		}
+		if m.Bandwidth() != bestH {
+			t.Fatalf("seed %d: Train picked h = %v, per-candidate scoring picks %v", seed, m.Bandwidth(), bestH)
+		}
+	}
+}
+
+// BenchmarkTrain fits one PCA+KDE-shaped PP — 2 400 rows of d = 8 whitened
+// features, about a fifth positive — with the bandwidth sweep.
+func BenchmarkTrain(b *testing.B) {
+	rng := mathx.NewRNG(9)
+	xs := make([]mathx.Vec, 2400)
+	ys := make([]bool, len(xs))
+	for i := range xs {
+		x := make(mathx.Vec, 8)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		xs[i], ys[i] = x, x[0]+0.5*x[1] > 0.9
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(xs, ys, Config{Seed: 1}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,33 +1,27 @@
-package kdtree
+package knn
 
 import (
-	"sort"
 	"testing"
 
 	"probpred/internal/mathx"
 )
 
-// checkKNN asserts that tree.KNNInto(q, k) returns the brute-force sorted
-// distance list bit for bit, that every result names a distinct point, and
-// that the point it names is at the reported distance.
-func checkKNN(t *testing.T, pts []mathx.Vec, tree *Tree, q mathx.Vec, k int, s *Scratch) {
+// checkKNN asserts that x.KNNInto(q, k) returns the brute-force list bit for
+// bit: the same distances, ascending, and the same points, a tie going to
+// the lower input index.
+func checkKNN(t *testing.T, pts []mathx.Vec, x *Index, q mathx.Vec, k int, s *Scratch) {
 	t.Helper()
-	got := tree.KNNInto(q, k, s)
+	got := x.KNNInto(q, k, s)
 	want := bruteKNN(pts, q, k)
 	if len(got) != len(want) {
 		t.Fatalf("n=%d k=%d: KNN returned %d results, want %d", len(pts), k, len(got), len(want))
 	}
-	seen := make(map[int]bool, len(got))
 	for i, r := range got {
 		if r.SqDist != want[i].SqDist {
 			t.Fatalf("n=%d k=%d pos %d: dist %v, brute force %v", len(pts), k, i, r.SqDist, want[i].SqDist)
 		}
-		if seen[r.Index] {
-			t.Fatalf("n=%d k=%d: point %d returned twice", len(pts), k, r.Index)
-		}
-		seen[r.Index] = true
-		if d := mathx.SqDist(q, tree.Point(r.Index)); d != r.SqDist {
-			t.Fatalf("n=%d k=%d: Point(%d) is at %v, result says %v", len(pts), k, r.Index, d, r.SqDist)
+		if r.Index != want[i].Index {
+			t.Fatalf("n=%d k=%d pos %d: point %d, brute force (ties by input order) %d", len(pts), k, i, r.Index, want[i].Index)
 		}
 	}
 }
@@ -68,19 +62,20 @@ func pointSet(shape string, n, dim int, rng *mathx.RNG) []mathx.Vec {
 }
 
 // TestKNNPropertyHighDim checks KNN against brute force in the dimensions the
-// PCA+KDE PPs use, on point sets built to break a k-d tree: coincident
-// points, exact ties at the k-th distance, k >= n, a single repeated point,
-// and queries that are themselves indexed points or lie far outside the data.
+// PCA+KDE PPs use, on point sets full of ties: coincident points, exact ties
+// at the k-th distance, k >= n, a single repeated point, a partial last
+// block, and queries that are themselves indexed points or lie far outside
+// the data.
 func TestKNNPropertyHighDim(t *testing.T) {
 	rng := mathx.NewRNG(77)
 	var s Scratch
 	for _, dim := range []int{8, 16} {
 		for _, shape := range []string{"uniform", "grid", "duplicated", "identical", "one-axis"} {
-			for _, n := range []int{1, 3, leafSize, leafSize + 1, 200, 1500} {
+			for _, n := range []int{1, 3, lanes - 1, lanes, lanes + 1, 200, 1500} {
 				pts := pointSet(shape, n, dim, rng)
-				tree := Build(pts)
-				if tree.Len() != n {
-					t.Fatalf("%s n=%d: Len = %d", shape, n, tree.Len())
+				x := Build(pts)
+				if x.Len() != n {
+					t.Fatalf("%s n=%d: Len = %d", shape, n, x.Len())
 				}
 				for trial := 0; trial < 12; trial++ {
 					q := make(mathx.Vec, dim)
@@ -102,7 +97,7 @@ func TestKNNPropertyHighDim(t *testing.T) {
 					}
 					for _, k := range []int{1, 2, 25, n - 1, n, n + 7} {
 						if k >= 1 {
-							checkKNN(t, pts, tree, q, k, &s)
+							checkKNN(t, pts, x, q, k, &s)
 						}
 					}
 				}
@@ -156,49 +151,8 @@ func FuzzKNNMatchesBruteForce(f *testing.F) {
 			return
 		}
 		var s Scratch
-		tree := Build(pts)
-		checkKNN(t, pts, tree, q, k, &s)
-		checkKNN(t, pts, tree, pts[len(pts)/2], len(pts), &s)
+		x := Build(pts)
+		checkKNN(t, pts, x, q, k, &s)
+		checkKNN(t, pts, x, pts[len(pts)/2], len(pts), &s)
 	})
-}
-
-// TestBuildIsBalanced pins the shape the query cost relies on: buckets no
-// larger than leafSize (unless a bucket is one repeated point) and depth
-// logarithmic in the number of buckets.
-func TestBuildIsBalanced(t *testing.T) {
-	pts := randomPoints(5000, 8, 9)
-	tree := Build(pts)
-	var depth func(ni int32) int
-	covered := 0
-	depth = func(ni int32) int {
-		nd := tree.nodes[ni]
-		if nd.axis < 0 {
-			if n := int(nd.hi - nd.lo); n > leafSize || n < leafSize/2 {
-				t.Fatalf("leaf holds %d points, want %d..%d", n, leafSize/2, leafSize)
-			}
-			covered += int(nd.hi - nd.lo)
-			return 1
-		}
-		return 1 + max(depth(ni+1), depth(nd.right))
-	}
-	if d := depth(0); d > 10 { // 5000/24 = 209 buckets: 9 levels of splits + the leaf
-		t.Fatalf("depth %d over 5000 points", d)
-	}
-	if covered != len(pts) {
-		t.Fatalf("leaves cover %d points, want %d", covered, len(pts))
-	}
-	// The tree holds the input points, each once.
-	got := make([]mathx.Vec, tree.Len())
-	for i := range got {
-		got[i] = tree.Point(i)
-	}
-	key := func(v mathx.Vec) float64 { return v[0] }
-	sort.Slice(got, func(a, b int) bool { return key(got[a]) < key(got[b]) })
-	sorted := append([]mathx.Vec(nil), pts...)
-	sort.Slice(sorted, func(a, b int) bool { return key(sorted[a]) < key(sorted[b]) })
-	for i := range got {
-		if mathx.SqDist(got[i], sorted[i]) != 0 {
-			t.Fatalf("point multiset changed at sorted position %d", i)
-		}
-	}
 }

@@ -44,7 +44,11 @@ func Norm2(x Vec) float64 {
 	return math.Sqrt(Dot(x, x))
 }
 
-// SqDist returns the squared Euclidean distance between a and b.
+// SqDist returns the squared Euclidean distance between a and b: Σ (a_i −
+// b_i)² in index order, each term a separately rounded subtract, multiply
+// and add. The conversion keeps compilers for targets with FMA from fusing
+// the multiply and the add, so the sum is the same on every platform and
+// equals the k-NN scan's SIMD lanes (package knn).
 func SqDist(a, b Vec) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("mathx: SqDist length mismatch %d vs %d", len(a), len(b)))
@@ -52,7 +56,7 @@ func SqDist(a, b Vec) float64 {
 	s := 0.0
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
