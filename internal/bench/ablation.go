@@ -6,6 +6,7 @@ import (
 
 	"probpred/internal/core"
 	"probpred/internal/engine"
+	"probpred/internal/mathx"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
 )
@@ -172,7 +173,7 @@ func AblationModelSelection(cfg Config) (*Report, error) {
 		fixed := map[string]float64{}
 		for _, k := range cats {
 			set := d.SetFor(k)
-			rng := newRNG(cfg.Seed ^ uint64(k)*0xab)
+			rng := mathx.NewRNG(cfg.Seed ^ uint64(k)*0xab)
 			train, val, test := set.Split(rng, 0.6, 0.2)
 			auto, err := core.Train("c", train, val, core.TrainConfig{Seed: cfg.Seed + uint64(k)})
 			if err != nil {

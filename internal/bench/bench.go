@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"probpred/internal/blob"
@@ -167,9 +168,42 @@ func specs(cfg Config) []datasetSpec {
 	}
 }
 
-// trainCategoryPP trains a PP for "has category cat" with a 60/20/20 split
-// (§8.1) and returns the PP and the held-out test set.
+// categoryKey is every input of one trainCategoryPP training: the dataset
+// generator's name, size and seed, the category, the approach and the
+// training seed (which is also the generator's: every caller generates d
+// from the seed it passes).
+type categoryKey struct {
+	dataset  string
+	size     int
+	cat      int
+	approach string
+	seed     uint64
+}
+
+// categoryPPs memoizes trainCategoryPP for the life of the process, so the
+// experiments that evaluate the same PP (fig9, table4, table5, fig15) train
+// it once. The PPs and test sets it returns are shared: callers only read
+// them. The mutex makes concurrent Run calls safe.
+var categoryPPs = struct {
+	sync.Mutex
+	m map[categoryKey]categoryPP
+}{m: map[categoryKey]categoryPP{}}
+
+type categoryPP struct {
+	pp   *core.PP
+	test blob.Set
+}
+
+// trainCategoryPP returns the PP for "has category cat", trained with a
+// 60/20/20 split (§8.1), and its held-out test set; it trains each distinct
+// key once (categoryPPs).
 func trainCategoryPP(d *data.Categorical, cat int, approach string, seed uint64) (*core.PP, blob.Set, error) {
+	key := categoryKey{d.Name, len(d.Blobs), cat, approach, seed}
+	categoryPPs.Lock()
+	defer categoryPPs.Unlock()
+	if c, ok := categoryPPs.m[key]; ok {
+		return c.pp, c.test, nil
+	}
 	set := d.SetFor(cat)
 	rng := mathx.NewRNG(seed ^ uint64(cat)*0x9e37)
 	train, val, test := set.Split(rng, 0.6, 0.2)
@@ -182,6 +216,7 @@ func trainCategoryPP(d *data.Categorical, cat int, approach string, seed uint64)
 	if err != nil {
 		return nil, blob.Set{}, fmt.Errorf("bench: training %s: %w", clause, err)
 	}
+	categoryPPs.m[key] = categoryPP{pp, test}
 	return pp, test, nil
 }
 
@@ -200,9 +235,6 @@ func pickCategories(d *data.Categorical, n int, minPositives int) []int {
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// newRNG is a local alias keeping call sites short.
-func newRNG(seed uint64) *mathx.RNG { return mathx.NewRNG(seed) }
 
 // svmConfigForTraffic tunes the SVM for the 32-dim traffic embeddings: a
 // few extra epochs help the narrow attribute margins.

@@ -357,22 +357,8 @@ func reductionRange(dec *optimizer.Decision) (lo, hi float64) {
 	}
 	lo, hi = 1, 0
 	for _, a := range dec.Alternatives {
-		lo = mathx.Clamp(minF(lo, a.Reduction), 0, 1)
-		hi = mathx.Clamp(maxF(hi, a.Reduction), 0, 1)
+		lo = mathx.Clamp(min(lo, a.Reduction), 0, 1)
+		hi = mathx.Clamp(max(hi, a.Reduction), 0, 1)
 	}
 	return lo, hi
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

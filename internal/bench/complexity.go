@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -19,15 +20,19 @@ import (
 // dimension d and 2d) and reports the observed scaling ratios. A ratio near
 // 2 indicates linear scaling in that variable, near 1 indicates
 // insensitivity, near 4 quadratic. Each cell's time is the median of three
-// runs, so one descheduled run does not set a ratio. The ratios are wall
+// runs, so one descheduled run does not set a ratio, and a test time is
+// the mean time per score over a fixed wall-clock budget, so a cell times
+// enough scores to be read whatever one score costs. The ratios are wall
 // clock, so the table is the report's Wall.
 func Table2(cfg Config) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Empirical scaling of PP approaches (ratios when n or d doubles)"}
 	n := cfg.scale(2000, 800)
 	d := cfg.scale(64, 32)
+	budget := time.Duration(cfg.scale(100, 10)) * time.Millisecond
 	tb := &table{header: []string{"approach", "train ×n", "train ×d", "test ×n", "test ×d"}}
 
-	type timings struct{ train, test time.Duration }
+	// timings holds one run's training time and time per score, in ns.
+	type timings struct{ train, test float64 }
 	measure := func(n, d int, approach string) (timings, error) {
 		xs, ys := gaussianLabeled(n, d, cfg.Seed)
 		var tr timings
@@ -75,19 +80,24 @@ func Table2(cfg Config) (*Report, error) {
 		default:
 			return tr, fmt.Errorf("bench: unknown approach %q", approach)
 		}
-		tr.train = time.Since(start)
+		tr.train = float64(time.Since(start))
+		runtime.GC() // no collection of training's garbage while scoring
+		scores := 0
 		start = time.Now()
-		for i := 0; i < 2000; i++ {
-			score(xs[i%len(xs)])
+		for time.Since(start) < budget {
+			for range 64 {
+				score(xs[scores%len(xs)])
+				scores++
+			}
 		}
-		tr.test = time.Since(start)
+		tr.test = float64(time.Since(start)) / float64(scores)
 		return tr, nil
 	}
 
 	// median3 keeps the median train and the median test time of three
 	// measure runs.
 	median3 := func(n, d int, approach string) (timings, error) {
-		var train, test [3]time.Duration
+		var train, test [3]float64
 		for i := range train {
 			tr, err := measure(n, d, approach)
 			if err != nil {
@@ -100,11 +110,11 @@ func Table2(cfg Config) (*Report, error) {
 		return timings{train[1], test[1]}, nil
 	}
 
-	ratio := func(a, b time.Duration) string {
+	ratio := func(a, b float64) string {
 		if a == 0 {
 			return "-"
 		}
-		return fmt.Sprintf("%.1fx", float64(b)/float64(a))
+		return fmt.Sprintf("%.1fx", b/a)
 	}
 	for _, approach := range []string{"SVM", "KDE", "DNN", "PCA+SVM"} {
 		base, err := median3(n, d, approach)
@@ -143,13 +153,6 @@ func gaussianLabeled(n, d int, seed uint64) ([]mathx.Vec, []bool) {
 		ys[i] = v[0]+v[1] > 0.5
 	}
 	return xs, ys
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Table7 regenerates the Table 7 workload characterization: every TRAF-20

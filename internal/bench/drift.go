@@ -6,6 +6,7 @@ import (
 	"probpred/internal/blob"
 	"probpred/internal/core"
 	"probpred/internal/data"
+	"probpred/internal/mathx"
 	"probpred/internal/query"
 )
 
@@ -30,7 +31,7 @@ func Drift(cfg Config) (*Report, error) {
 	}
 	prefix := rows / 6
 	prefixSet := blob.Set{Blobs: labeled.Blobs[:prefix], Labels: labeled.Labels[:prefix]}
-	train, val, _ := prefixSet.Split(newRNG(cfg.Seed^0xd41f7), 0.8, 0.2)
+	train, val, _ := prefixSet.Split(mathx.NewRNG(cfg.Seed^0xd41f7), 0.8, 0.2)
 	stale, err := core.Train(clause, train, val, core.TrainConfig{
 		Approach: "Raw+SVM", Seed: cfg.Seed, SVM: svmConfigForTraffic()})
 	if err != nil {

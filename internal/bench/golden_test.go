@@ -5,7 +5,11 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"testing"
+
+	"probpred/internal/core"
+	"probpred/internal/data"
 )
 
 // goldenPath holds `go run ./cmd/ppbench -quick`'s stdout: every registry
@@ -52,4 +56,65 @@ func line(lines []string, i int) string {
 		return lines[i]
 	}
 	return "<end of output>"
+}
+
+// TestCategoryPPMemoInvisible empties the category-PP memo, then runs
+// table5 (which trains every PP it uses) and fig15 (which reuses three of
+// table5's): each report must equal its section of the golden, where both
+// reuse PPs fig9 trained.
+func TestCategoryPPMemoInvisible(t *testing.T) {
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	categoryPPs.Lock()
+	clear(categoryPPs.m)
+	categoryPPs.Unlock()
+	for _, id := range []string{"table5", "fig15"} {
+		rep, err := Run(id, quick)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got, want := rep.String()+"\n", goldenSection(string(want), id); got != want {
+			t.Errorf("%s run cold:\n%s\nwant:\n%s", id, got, want)
+		}
+	}
+}
+
+// goldenSection returns experiment id's part of the golden, from its header
+// to the next experiment's.
+func goldenSection(golden, id string) string {
+	start := strings.Index(golden, "== "+id+": ")
+	if start < 0 {
+		return ""
+	}
+	if end := strings.Index(golden[start:], "\n== "); end >= 0 {
+		return golden[start : start+end+1]
+	}
+	return golden[start:]
+}
+
+// TestCategoryPPMemoConcurrent asks for one category PP from several
+// goroutines at once: every caller gets the one PP trained.
+func TestCategoryPPMemoConcurrent(t *testing.T) {
+	d := data.LSHTC(data.LSHTCConfig{Docs: 300, Seed: 5})
+	pps := make([]*core.PP, 4)
+	var wg sync.WaitGroup
+	for i := range pps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pp, _, err := trainCategoryPP(d, 0, "FH+SVM", 5)
+			if err != nil {
+				t.Error(err)
+			}
+			pps[i] = pp
+		}()
+	}
+	wg.Wait()
+	for i, pp := range pps {
+		if pp == nil || pp != pps[0] {
+			t.Fatalf("caller %d got PP %p, caller 0 got %p", i, pp, pps[0])
+		}
+	}
 }

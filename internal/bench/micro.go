@@ -18,20 +18,21 @@ func Fig9(cfg Config) (*Report, error) {
 	rep := &Report{ID: "fig9", Title: "Data reduction rates across datasets (whisker stats, a=1.0)"}
 	nCats := cfg.scale(12, 5)
 	tb := &table{header: []string{"dataset", "approach", "a", "min", "p25", "p50", "p75", "max", "mean", "queries"}}
+	targets := []float64{1.0, 0.99, 0.95}
 	for _, spec := range specs(cfg) {
 		d := spec.make(cfg)
-		cats := pickCategories(d, nCats, 40)
-		for _, a := range []float64{1.0, 0.99, 0.95} {
-			var reductions []float64
-			for _, k := range cats {
-				pp, test, err := trainCategoryPP(d, k, spec.approach, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				m := core.Evaluate(pp, test, a)
-				reductions = append(reductions, m.Reduction)
+		reductions := make([][]float64, len(targets))
+		for _, k := range pickCategories(d, nCats, 40) {
+			pp, test, err := trainCategoryPP(d, k, spec.approach, cfg.Seed)
+			if err != nil {
+				return nil, err
 			}
-			s := mathx.Summarize(reductions)
+			for i, a := range targets {
+				reductions[i] = append(reductions[i], core.Evaluate(pp, test, a).Reduction)
+			}
+		}
+		for i, a := range targets {
+			s := mathx.Summarize(reductions[i])
 			tb.add(spec.name, spec.approach, f2(a), f3(s.Min), f3(s.P25), f3(s.P50),
 				f3(s.P75), f3(s.Max), f3(s.Mean), fmt.Sprintf("%d", s.N))
 		}
@@ -168,54 +169,63 @@ func Table6(cfg Config) (*Report, error) {
 	rep := &Report{ID: "table6", Title: "Reduction rates: PP vs Joglekar et al. [27] (raw and PCA-fed)"}
 	nQueries := cfg.scale(10, 4)
 	dsets := []datasetSpec{specs(cfg)[0], specs(cfg)[1], specs(cfg)[2]} // lshtc, sun, ucf101
-	for _, a := range []float64{0.99, 0.90} {
+	targets := []float64{0.99, 0.90}
+	// r[i][j] holds target i's mean reduction on dataset j of the PP, the
+	// PCA-fed Joglekar filter and the raw Joglekar filter.
+	var r [2][3][3]float64
+	for j, spec := range dsets {
+		d := spec.make(cfg)
+		cats := pickCategories(d, nQueries, 40)
+		for _, k := range cats {
+			set := d.SetFor(k)
+			rng := mathx.NewRNG(cfg.Seed ^ uint64(k)*0x77)
+			train, val, test := set.Split(rng, 0.6, 0.2)
+			clause := fmt.Sprintf("%s.cat=%d", d.Name, k)
+
+			pp, err := core.Train(clause, train, val, core.TrainConfig{
+				Approach: spec.approach, Seed: cfg.Seed + uint64(k)})
+			if err != nil {
+				return nil, err
+			}
+			// The baseline combines a handful of correlated columns (its
+			// per-distinct-value state grows exponentially in the columns
+			// it conditions on, §3), which lets it filter some of the
+			// sparse text inputs but little of the dense blobs (§8.1).
+			jog, err := baseline.JoglekarFilter(clause, dimred.Identity{Dim: set.Dim()},
+				train, val, baseline.CorrelationConfig{TopColumns: 4})
+			if err != nil {
+				return nil, err
+			}
+			pca, err := dimred.FitPCA(train.Sample(rng, 400).Blobs, 8, mathx.NewRNG(cfg.Seed^0x9))
+			if err != nil {
+				return nil, err
+			}
+			pcaJog, err := baseline.JoglekarFilter(clause, pca, train, val,
+				baseline.CorrelationConfig{TopColumns: 4})
+			if err != nil {
+				return nil, err
+			}
+			for i, a := range targets {
+				for f, filter := range []*core.PP{pp, pcaJog, jog} {
+					r[i][j][f] += core.Evaluate(filter, test, a).Reduction
+				}
+			}
+		}
+		for i := range targets {
+			for f := range r[i][j] {
+				r[i][j][f] /= float64(len(cats))
+			}
+		}
+	}
+	for i, a := range targets {
 		tb := &table{header: []string{fmt.Sprintf("a=%.2f", a), "lshtc", "sun", "ucf101"}}
 		ppRow := []string{"PP"}
 		pcaJogRow := []string{"PCA+Joglekar"}
 		jogRow := []string{"Joglekar"}
 		speedPCARow := []string{"speed-up vs PCA+Jog"}
 		speedRow := []string{"speed-up vs Jog"}
-		for _, spec := range dsets {
-			d := spec.make(cfg)
-			cats := pickCategories(d, nQueries, 40)
-			var ppR, pcaJogR, jogR float64
-			for _, k := range cats {
-				set := d.SetFor(k)
-				rng := mathx.NewRNG(cfg.Seed ^ uint64(k)*0x77)
-				train, val, test := set.Split(rng, 0.6, 0.2)
-				clause := fmt.Sprintf("%s.cat=%d", d.Name, k)
-
-				pp, err := core.Train(clause, train, val, core.TrainConfig{
-					Approach: spec.approach, Seed: cfg.Seed + uint64(k)})
-				if err != nil {
-					return nil, err
-				}
-				ppR += core.Evaluate(pp, test, a).Reduction
-
-				// The baseline combines a handful of correlated columns (its
-				// per-distinct-value state grows exponentially in the columns
-				// it conditions on, §3), which lets it filter some of the
-				// sparse text inputs but little of the dense blobs (§8.1).
-				jog, err := baseline.JoglekarFilter(clause, dimred.Identity{Dim: set.Dim()},
-					train, val, baseline.CorrelationConfig{TopColumns: 4})
-				if err != nil {
-					return nil, err
-				}
-				jogR += core.Evaluate(jog, test, a).Reduction
-
-				pca, err := dimred.FitPCA(train.Sample(rng, 400).Blobs, 8, mathx.NewRNG(cfg.Seed^0x9))
-				if err != nil {
-					return nil, err
-				}
-				pcaJog, err := baseline.JoglekarFilter(clause, pca, train, val,
-					baseline.CorrelationConfig{TopColumns: 4})
-				if err != nil {
-					return nil, err
-				}
-				pcaJogR += core.Evaluate(pcaJog, test, a).Reduction
-			}
-			n := float64(len(cats))
-			ppR, pcaJogR, jogR = ppR/n, pcaJogR/n, jogR/n
+		for _, red := range r[i] {
+			ppR, pcaJogR, jogR := red[0], red[1], red[2]
 			ppRow = append(ppRow, f3(ppR))
 			pcaJogRow = append(pcaJogRow, f3(pcaJogR))
 			jogRow = append(jogRow, f3(jogR))
@@ -298,12 +308,11 @@ func Fig15(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("bench: not enough categories")
 	}
 	var pps []*core.PP
-	for i, k := range cats {
+	for _, k := range cats {
 		pp, _, err := trainCategoryPP(coco, k, "DNN", cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		pp.Clause = "has " + catNames[i]
 		pps = append(pps, pp)
 	}
 	for _, domain := range []struct {

@@ -10,6 +10,7 @@ import (
 	"probpred/internal/data"
 	"probpred/internal/engine"
 	"probpred/internal/fault"
+	"probpred/internal/mathx"
 	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
@@ -152,7 +153,7 @@ func (h *TrafficHarness) TrainPP(clause string, salt uint64) (*core.PP, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, val, _ := set.Split(newRNG(h.seed^salt), 0.8, 0.2)
+	train, val, _ := set.Split(mathx.NewRNG(h.seed^salt), 0.8, 0.2)
 	return core.Train(clause, train, val, core.TrainConfig{
 		Approach: "Raw+SVM", Seed: h.seed + salt,
 		SVM:     svmConfigForTraffic(),
