@@ -22,10 +22,11 @@
 // and review the diff. Wall clock proper is measured by
 // `bash benchmark/run.sh`.
 //
-// With -metrics, the engine runs under a live metrics registry served as
-// Prometheus text on http://addr/metrics, alongside /healthz and
-// /debug/pprof/ on the same mux; -hold keeps that server up after the
-// experiments finish (for scrapers and profilers).
+// With -metrics, the servers the experiments build (serve, stream) record
+// their serving telemetry in a live metrics registry served as Prometheus
+// text on http://addr/metrics, alongside /healthz and /debug/pprof/ on the
+// same mux; -hold keeps that server up after the experiments finish (for
+// scrapers and profilers).
 package main
 
 import (

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ppquery [-pred "t=SUV & c=red"] [-accuracy 0.95] [-rows 20000] [-seed N] [-explain]
-//	        [-trace] [-metrics addr] [-querylog file.jsonl]
+//	        [-trace] [-querylog file.jsonl]
 //
 // -explain prints the candidate PP expressions and an EXPLAIN ANALYZE tree
 // for the executed PP plan: per-operator estimated vs actual rows, virtual
@@ -18,9 +18,6 @@
 // and the optimizer's plan-search span with its counters. Independent of
 // -trace, a flight recorder buffers the most recent records and dumps them
 // to stderr automatically if a run fails.
-//
-// -metrics serves Prometheus text on http://addr/metrics (plus /healthz and
-// /debug/pprof/) for the duration of the process.
 //
 // Every invocation runs under one trace ID (printed alongside the predicate);
 // all spans the run emits share it. -querylog appends a structured pplog
@@ -35,7 +32,6 @@ import (
 
 	"probpred/internal/bench"
 	"probpred/internal/engine"
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/pplog"
@@ -43,15 +39,14 @@ import (
 )
 
 type options struct {
-	predStr     string
-	accuracy    float64
-	rows        int
-	seed        uint64
-	explain     bool
-	corpusFile  string
-	trace       bool
-	metricsAddr string
-	queryLog    string
+	predStr    string
+	accuracy   float64
+	rows       int
+	seed       uint64
+	explain    bool
+	corpusFile string
+	trace      bool
+	queryLog   string
 }
 
 func main() {
@@ -63,7 +58,6 @@ func main() {
 	flag.BoolVar(&o.explain, "explain", false, "print candidate PP expressions and the EXPLAIN ANALYZE tree")
 	flag.StringVar(&o.corpusFile, "corpus", "", "load the PP corpus from this file if it exists; otherwise train and save it")
 	flag.BoolVar(&o.trace, "trace", false, "stream execution + optimizer spans to stderr")
-	flag.StringVar(&o.metricsAddr, "metrics", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. :9090)")
 	flag.StringVar(&o.queryLog, "querylog", "", "append a structured pplog record for the PP run to this JSONL file")
 	flag.Parse()
 
@@ -89,28 +83,18 @@ func run(o options) error {
 	}
 	tracer := obs.New(obs.Multi(sinks...))
 
-	reg := metrics.New()
-	if o.metricsAddr != "" {
-		metrics.Serve(o.metricsAddr, reg, func(err error) {
-			fmt.Fprintln(os.Stderr, "ppquery: metrics server:", err)
-		})
-		fmt.Printf("metrics: serving http://%s/metrics\n", o.metricsAddr)
-	}
-
-	cfg := bench.Config{Seed: o.seed, Quick: o.rows <= 5000, Obs: tracer, Metrics: reg}
+	cfg := bench.Config{Seed: o.seed, Quick: o.rows <= 5000, Obs: tracer}
 	h, err := loadOrTrainHarness(cfg, o.corpusFile)
 	if err != nil {
 		return err
 	}
-	h.Opt.SetMetrics(reg)
-	h.Opt.SetObs(tracer)
 	if o.rows < len(h.TestBlobs) {
 		h.TestBlobs = h.TestBlobs[:o.rows]
 	}
 	fmt.Printf("corpus: %d PPs trained in %s; stream: %d rows\n\n",
 		h.Opt.Corpus().Size(), h.CorpusTrainTime.Round(1e6), len(h.TestBlobs))
 
-	execCfg := engine.Config{Obs: tracer, Metrics: reg, Trace: tctx}
+	execCfg := engine.Config{Obs: tracer, Trace: tctx}
 	nopPlan, u, err := h.NoPPlan(pred)
 	if err != nil {
 		return err
@@ -123,7 +107,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	dec.Filter.Instrument(reg)
 	ppStart := time.Now()
 	pp, err := engine.Run(ppPlan, execCfg)
 	if err != nil {
@@ -145,11 +128,14 @@ func run(o options) error {
 		}
 	}
 
-	// Feed the observed reduction back to the optimizer (A.5 drift loop),
-	// under this invocation's trace.
+	// Feed the observed reduction back to the optimizer (A.5 drift loop); a
+	// misestimation is an event under this invocation's trace.
 	for _, op := range pp.PerOp {
 		if op.PPFilter && op.RowsIn > 0 {
-			h.Opt.ObserveRuntimeCtx(dec, 1-float64(op.RowsOut)/float64(op.RowsIn), tctx)
+			observed := 1 - float64(op.RowsOut)/float64(op.RowsIn)
+			if h.Opt.ObserveRuntime(dec, observed) {
+				optimizer.EmitMisestimation(tracer, tctx, dec, observed)
+			}
 		}
 	}
 
@@ -206,7 +192,7 @@ func run(o options) error {
 		if dec.Inject {
 			rec.EstReduction = dec.Reduction
 		}
-		if err := appendQueryLog(o.queryLog, rec, reg); err != nil {
+		if err := appendQueryLog(o.queryLog, rec); err != nil {
 			return err
 		}
 		fmt.Printf("query-log record appended to %s\n", o.queryLog)
@@ -216,12 +202,12 @@ func run(o options) error {
 
 // appendQueryLog appends one record to the JSONL query log at path through a
 // pplog.Writer (same format as the serving layer's log).
-func appendQueryLog(path string, rec pplog.Record, reg *metrics.Registry) error {
+func appendQueryLog(path string, rec pplog.Record) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	w := pplog.NewWriter(f, 1, reg)
+	w := pplog.NewWriter(f, 1, nil)
 	w.Log(rec)
 	err = w.Close()
 	if cerr := f.Close(); err == nil {

@@ -7,14 +7,11 @@
 //	pptrain [-dataset traffic|lshtc|coco|imagenet|sun|ucf101]
 //	        [-clause "t=SUV" | -category 3]
 //	        [-approach ""|Raw+SVM|PCA+KDE|FH+SVM|DNN] [-seed N] [-trace]
-//	        [-metrics addr]
 //
 // For the traffic dataset, -clause takes a predicate clause; for the
 // categorical datasets, -category selects the "has category K" query. An
 // empty -approach invokes automatic model selection (§5.5). -trace emits a
 // training span (approach, wall time, training-set size) to stderr.
-// -metrics serves per-approach training counters and wall-time histograms as
-// Prometheus text on http://addr/metrics while the process runs.
 package main
 
 import (
@@ -26,7 +23,6 @@ import (
 	"probpred/internal/core"
 	"probpred/internal/data"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 )
@@ -39,16 +35,15 @@ func main() {
 	seed := flag.Uint64("seed", 42, "seed")
 	saveTo := flag.String("save", "", "save the trained PP to this file (gob)")
 	trace := flag.Bool("trace", false, "emit a training span to stderr")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. :9090)")
 	flag.Parse()
 
-	if err := run(*dataset, *clause, *category, *approach, *seed, *saveTo, *trace, *metricsAddr); err != nil {
+	if err := run(*dataset, *clause, *category, *approach, *seed, *saveTo, *trace); err != nil {
 		fmt.Fprintln(os.Stderr, "pptrain:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, clause string, category int, approach string, seed uint64, saveTo string, trace bool, metricsAddr string) error {
+func run(dataset, clause string, category int, approach string, seed uint64, saveTo string, trace bool) error {
 	set, name, err := loadSet(dataset, clause, category, seed)
 	if err != nil {
 		return err
@@ -62,15 +57,7 @@ func run(dataset, clause string, category int, approach string, seed uint64, sav
 	if trace {
 		tracer = obs.New(obs.NewTextSink(os.Stderr))
 	}
-	var reg *metrics.Registry
-	if metricsAddr != "" {
-		reg = metrics.New()
-		metrics.Serve(metricsAddr, reg, func(err error) {
-			fmt.Fprintln(os.Stderr, "pptrain: metrics server:", err)
-		})
-		fmt.Printf("metrics: http://%s/metrics\n", metricsAddr)
-	}
-	cfg := core.TrainConfig{Approach: approach, Seed: seed, AllowDNN: true, Metrics: reg}
+	cfg := core.TrainConfig{Approach: approach, Seed: seed, AllowDNN: true}
 	sp := tracer.Begin(obs.KindTrain, name)
 	sp.RowsIn = train.Len()
 	pp, err := core.Train(name, train, val, cfg)

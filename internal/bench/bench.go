@@ -32,14 +32,14 @@ type Config struct {
 	// Obs, when set, receives spans from the engine runs and optimizer
 	// searches the experiments perform.
 	Obs *obs.Tracer
-	// Metrics, when set, receives the engine's numeric telemetry from every
-	// experiment run (cmd/ppbench serves it on -metrics).
+	// Metrics, when set, receives the serving telemetry of the servers the
+	// experiments build (cmd/ppbench serves it on -metrics).
 	Metrics *metrics.Registry
 }
 
 // Exec is the engine configuration experiments run plans under, carrying
-// the attached tracer and metrics registry.
-func (c Config) Exec() engine.Config { return engine.Config{Obs: c.Obs, Metrics: c.Metrics} }
+// the attached tracer.
+func (c Config) Exec() engine.Config { return engine.Config{Obs: c.Obs} }
 
 // scale returns quick when cfg.Quick, else full.
 func (c Config) scale(full, quick int) int {

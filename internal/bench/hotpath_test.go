@@ -7,7 +7,6 @@ import (
 	"probpred/internal/core"
 	"probpred/internal/engine"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
 )
 
 // The hot-path benchmarks time one full pass over the scoring set per
@@ -108,29 +107,17 @@ func BenchmarkPPScorePCAKDE(b *testing.B) { benchmarkScore(b, hotpathSpec{"PCA+K
 func BenchmarkPPScoreDNN(b *testing.B)    { benchmarkScore(b, hotpathSpec{"DNN", 64}) }
 
 // BenchmarkPPFilterRun times the PPFilter operator end to end (Scan +
-// PPFilter under engine.Run, one TestBatch over the scan), without and with
-// a live metrics registry, so the per-row cost of instrumentation is a
-// visible delta between the two sub-benchmarks.
+// PPFilter under engine.Run, one TestBatch over the scan).
 func BenchmarkPPFilterRun(b *testing.B) {
 	pp, blobs := hotpathPP(b, hotpathFHSVM)
 	plan := engine.Plan{Ops: []engine.Operator{
 		&engine.Scan{Blobs: blobs},
 		&engine.PPFilter{F: &hotpathFilter{pp: pp, th: pp.Threshold(0.95), cost: pp.Cost()}},
 	}}
-	for _, c := range []struct {
-		name string
-		cfg  engine.Config
-	}{
-		{"bare", engine.Config{}},
-		{"registry", engine.Config{Metrics: metrics.New()}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(plan, c.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Run(plan, engine.Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

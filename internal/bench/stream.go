@@ -153,14 +153,13 @@ func runStream(cfg Config) ([]streamSegment, *Report, error) {
 		WarmStart:    true,
 		Seed:         cfg.Seed + 2,
 		Watchdog:     online.WatchdogConfig{K: 3, Margin: margin, FreshLabels: segSize + segSize/2},
-		Metrics:      cfg.Metrics,
 		Obs:          cfg.Obs,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	builder := &segStreamBuilder{udf: segStreamUDF{cost: udfCost}}
-	exec := engine.Config{NoStageOverhead: true, Obs: cfg.Obs, Metrics: cfg.Metrics}
+	exec := engine.Config{NoStageOverhead: true, Obs: cfg.Obs}
 	srv, err := serve.New(serve.Config{
 		Optimizer: optimizer.New(sys.Corpus()),
 		Corpus:    builder,
@@ -173,12 +172,11 @@ func runStream(cfg Config) ([]streamSegment, *Report, error) {
 		return nil, nil, err
 	}
 	ing, err := stream.New(stream.Config{
-		Server:  srv,
-		Corpus:  stream.NewSegmentedCorpus(),
-		Online:  sys,
-		Lookup:  segStreamLookup,
-		Seed:    cfg.Seed + 3,
-		Metrics: cfg.Metrics,
+		Server: srv,
+		Corpus: stream.NewSegmentedCorpus(),
+		Online: sys,
+		Lookup: segStreamLookup,
+		Seed:   cfg.Seed + 3,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -20,7 +20,6 @@ import (
 	"probpred/internal/dnn"
 	"probpred/internal/kde"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
 	"probpred/internal/svm"
 )
 
@@ -74,9 +73,6 @@ type TrainConfig struct {
 	// wins model selection when Approach is empty; a negation-derived or
 	// approach-mismatched warm PP is ignored (cold start).
 	Warm *PP
-	// Metrics (optional) records per-approach training counts and wall-clock
-	// histograms. Nil disables.
-	Metrics *metrics.Registry
 }
 
 func (c *TrainConfig) fill() {
@@ -227,11 +223,6 @@ func Train(clause string, train, val blob.Set, cfg TrainConfig) (*PP, error) {
 		return nil, fmt.Errorf("core: training PP %q with %s: %w", clause, approach, err)
 	}
 	elapsed := time.Since(start)
-	if reg := cfg.Metrics; reg != nil {
-		lbl := metrics.L("approach", approach)
-		reg.Counter("pp_trainings_total", "PPs trained per approach.", lbl).Inc()
-		reg.Histogram("pp_train_wall_ns", "Real wall-clock training duration per approach, nanoseconds.", lbl).Observe(float64(elapsed.Nanoseconds()))
-	}
 	scores := scoreAll(reducer, scorer, val.Blobs)
 	curve, err := NewCurve(scores, val.Labels)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"probpred/internal/blob"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 )
@@ -382,7 +381,7 @@ func (s rowsSource) Exec([]Row) ([]Row, float64, error) {
 // TestMisplacedFilterRefused: a PPFilter runs only as ops[1], directly after
 // a Scan. Run refuses every other placement with a *MisplacedFilterError
 // naming the filter's position, before any work: no filter test, no UDF
-// call, no Result (so no PerOp row), no span and no metric, the run's cost
+// call, no Result (so no PerOp row) and no span, the run's cost
 // included. A filter's own Exec returns the same error.
 func TestMisplacedFilterRefused(t *testing.T) {
 	blobs := makeBlobs(100)
@@ -409,8 +408,7 @@ func TestMisplacedFilterRefused(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			calls.Store(0)
 			col := obs.NewCollector()
-			reg := metrics.New()
-			res, err := Run(Plan{Ops: c.ops}, Config{Obs: obs.New(col), Metrics: reg})
+			res, err := Run(Plan{Ops: c.ops}, Config{Obs: obs.New(col)})
 			var me *MisplacedFilterError
 			if !errors.As(err, &me) || me.Pos != c.pos || me.Op != "PP[thresh]" {
 				t.Fatalf("error %v, want a MisplacedFilterError at position %d", err, c.pos)
@@ -424,10 +422,6 @@ func TestMisplacedFilterRefused(t *testing.T) {
 			if spans := col.Spans(); len(spans) != 0 {
 				t.Fatalf("a refused plan emitted %d spans, the first %q", len(spans), spans[0].Name)
 			}
-			var prom strings.Builder
-			if err := reg.WriteProm(&prom); err != nil || prom.Len() != 0 {
-				t.Fatalf("a refused plan recorded metrics (%v): %s", err, prom.String())
-			}
 		})
 	}
 	out, cost, err := filter().Exec(rows)
@@ -438,8 +432,7 @@ func TestMisplacedFilterRefused(t *testing.T) {
 }
 
 // TestWorkersRefused holds Run to its one goroutine: Workers 0 and 1 run the
-// plan alike, and any other value fails the run before any work, span or
-// metric.
+// plan alike, and any other value fails the run before any work or span.
 func TestWorkersRefused(t *testing.T) {
 	var calls atomic.Int64
 	plan := Plan{Ops: []Operator{
@@ -456,8 +449,7 @@ func TestWorkersRefused(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", c.workers), func(t *testing.T) {
 			calls.Store(0)
 			col := obs.NewCollector()
-			reg := metrics.New()
-			res, err := Run(plan, Config{Workers: c.workers, Obs: obs.New(col), Metrics: reg})
+			res, err := Run(plan, Config{Workers: c.workers, Obs: obs.New(col)})
 			if !c.refused {
 				if err != nil {
 					t.Fatal(err)
@@ -478,10 +470,6 @@ func TestWorkersRefused(t *testing.T) {
 			}
 			if spans := col.Spans(); len(spans) != 0 {
 				t.Fatalf("a refused run emitted %d spans, the first %q", len(spans), spans[0].Name)
-			}
-			var prom strings.Builder
-			if err := reg.WriteProm(&prom); err != nil || prom.Len() != 0 {
-				t.Fatalf("a refused run recorded metrics (%v): %s", err, prom.String())
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"probpred/internal/blob"
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 )
@@ -47,7 +46,7 @@ type Config struct {
 	// Delete it when the benchmark's narrow seam (ROADMAP item 2) lands. A
 	// run executes on its caller's goroutine (concurrency comes from
 	// sessions), so Run accepts 0 and 1 and refuses any other value before
-	// any work, span or metric.
+	// any work or span.
 	Workers int
 	// NoStageOverhead models an overhead-free substrate: stages add no
 	// fixed latency.
@@ -65,12 +64,6 @@ type Config struct {
 	// carries its TraceID (inherited by operator spans) and is parented
 	// under its SpanID. The zero value leaves spans untraced.
 	Trace obs.TraceContext
-	// Metrics receives numeric telemetry: per-operator cost/wall/cardinality
-	// histograms and counters, run totals, PP filter pass counters, and
-	// retry/timeout counters. Instruments are resolved per operator per run,
-	// never per row, so the batch hot path stays allocation-free with a live
-	// registry. Nil disables metrics at one pointer check per run.
-	Metrics *metrics.Registry
 }
 
 // OpStats is one operator's accounting, keyed by plan position rather than
@@ -130,12 +123,12 @@ type Result struct {
 // A Scan yields its blobs, which the PP filter directly after it, if any,
 // tests in the source stage (source.go); any other source yields rows. A
 // PPFilter anywhere else fails the run with a *MisplacedFilterError before
-// any work, span or metric. After the source stage, each maximal run of
+// any work or span. After the source stage, each maximal run of
 // row-local operators runs as a row stage (rowstage.go), which carries
 // survivors a morsel at a time as positions and column vectors and makes
 // rows only for what it emits, and every other operator sees every row at
 // once through exec. The whole run stays on the caller's goroutine; a
-// Config.Workers other than 0 or 1 fails it before any work, span or metric.
+// Config.Workers other than 0 or 1 fails it before any work or span.
 func Run(p Plan, cfg Config) (*Result, error) {
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
@@ -156,7 +149,6 @@ func Run(p Plan, cfg Config) (*Result, error) {
 	}
 	r := &run{cfg: cfg, ops: ops, accs: make([]opAcc, len(ops)), stageCosts: []float64{0}}
 	r.span = cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, "plan")
-	r.start = time.Now()
 
 	var in rowInput
 	var s *filterScratch
@@ -211,7 +203,7 @@ func Run(p Plan, cfg Config) (*Result, error) {
 	for _, c := range r.stageCosts {
 		latency += c/partitions + overhead
 	}
-	emitOps(cfg, ops, r.accs)
+	emitOps(cfg, r.accs)
 	r.span.CostVMS = r.cluster
 	r.span.RowsOut = len(rows)
 	r.span.SetAttr("stages", strconv.Itoa(len(r.stageCosts)))
@@ -235,7 +227,6 @@ func Run(p Plan, cfg Config) (*Result, error) {
 			CacheHits: hits, CacheMisses: misses,
 		}
 	}
-	emitRunMetrics(cfg.Metrics, res, time.Since(r.start).Nanoseconds(), cfg.Trace.TraceID)
 	return res, nil
 }
 
@@ -265,8 +256,6 @@ type run struct {
 	ops  []Operator
 	accs []opAcc
 	span obs.Span // the run span
-	// start is when the run began.
-	start time.Time
 	// cluster is ClusterTime: every operator execution's cost, in execution
 	// order.
 	cluster float64
@@ -314,20 +303,19 @@ func (r *run) exec(i int, in []Row) ([]Row, error) {
 
 // fail ends the run at a failure of ops[i], everything executed so far
 // already charged: the failing operator's span and the run span carry the
-// error, and metrics count the failed run.
+// error.
 func (r *run) fail(i int, err error) error {
 	r.accs[i].span.SetAttr("error", err.Error())
-	emitOps(r.cfg, r.ops, r.accs)
+	emitOps(r.cfg, r.accs)
 	r.span.CostVMS = r.cluster
 	r.span.SetAttr("error", err.Error())
 	r.cfg.Obs.End(&r.span)
-	emitRunMetrics(r.cfg.Metrics, nil, time.Since(r.start).Nanoseconds(), r.cfg.Trace.TraceID)
 	return &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
 }
 
-// emitOps publishes, in plan order, one operator span and one set of operator
-// metrics for every position that executed.
-func emitOps(cfg Config, ops []Operator, accs []opAcc) {
+// emitOps publishes, in plan order, one operator span for every position
+// that executed.
+func emitOps(cfg Config, accs []opAcc) {
 	for i := range accs {
 		acc := &accs[i]
 		if !acc.ran {
@@ -339,6 +327,5 @@ func emitOps(cfg Config, ops []Operator, accs []opAcc) {
 		sp.RowsIn = acc.rowsIn
 		sp.RowsOut = acc.rowsOut
 		cfg.Obs.EmitSpan(sp)
-		emitOpMetrics(cfg.Metrics, ops[i], acc)
 	}
 }

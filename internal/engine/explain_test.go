@@ -81,3 +81,40 @@ func TestTruncateRuneSafe(t *testing.T) {
 		t.Fatal("short name must not be truncated")
 	}
 }
+
+func TestAnalyzeFlagsMisestimates(t *testing.T) {
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: makeBlobs(100)},
+		&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
+		&Process{P: fakeUDF{name: "XExtract", cost: 5, col: "x"}},
+		&Select{Pred: query.MustParse("x>=60")},
+	}}
+	res, err := Run(plan, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Actual filter output is 50; estimate 20 is off by 2.5x and must flag.
+	// The σ actually emits 40; estimate 38 is within the default tolerance.
+	out := res.Analyze(AnalyzeOptions{EstimatedRows: []float64{100, 20, 50, 38}})
+	if !strings.Contains(out, "MISESTIMATE") {
+		t.Fatalf("expected a MISESTIMATE flag:\n%s", out)
+	}
+	if !strings.Contains(out, "pass=50.0%") {
+		t.Fatalf("expected the PP pass rate:\n%s", out)
+	}
+	if strings.Count(out, "MISESTIMATE") != 1 {
+		t.Fatalf("exactly one flag expected:\n%s", out)
+	}
+	flagged := res.Misestimated(AnalyzeOptions{EstimatedRows: []float64{100, 20, 50, 38}})
+	if len(flagged) != 1 || flagged[0] != 1 {
+		t.Fatalf("Misestimated = %v, want [1]", flagged)
+	}
+	// No estimates at all: render with "-" and no flags.
+	out = res.Analyze(AnalyzeOptions{})
+	if strings.Contains(out, "MISESTIMATE") {
+		t.Fatalf("flag without estimates:\n%s", out)
+	}
+	if !strings.Contains(out, "est=-") {
+		t.Fatalf("missing '-' placeholder:\n%s", out)
+	}
+}

@@ -99,3 +99,35 @@ func TestLedgerInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEmitsMetrics: a run's numbers are its PerOp ledger, one row per plan
+// position: each operator's cardinalities, the PP filter's tested and passed
+// counts among them, and a wall time.
+func TestRunEmitsMetrics(t *testing.T) {
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: makeBlobs(100)},
+		&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
+		&Process{P: fakeUDF{name: "XExtract", cost: 5, col: "x"}},
+		&Select{Pred: query.MustParse("x>=60")},
+	}}
+	res, err := Run(plan, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerOp) != 4 {
+		t.Fatalf("PerOp = %d entries", len(res.PerOp))
+	}
+	// The PP filter tested the whole scan output and passed x>49: 50 rows.
+	want := [][2]int{{0, 100}, {100, 50}, {50, 50}, {50, 40}}
+	for i, op := range res.PerOp {
+		if op.RowsIn != want[i][0] || op.RowsOut != want[i][1] {
+			t.Fatalf("PerOp[%d] %s rows %d → %d, want %d → %d", i, op.Name, op.RowsIn, op.RowsOut, want[i][0], want[i][1])
+		}
+		if op.WallNS < 0 {
+			t.Fatalf("PerOp[%d].WallNS negative", i)
+		}
+		if op.PPFilter != (i == 1) {
+			t.Fatalf("PerOp[%d].PPFilter = %v", i, op.PPFilter)
+		}
+	}
+}

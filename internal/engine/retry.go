@@ -116,6 +116,21 @@ func rowError(err error) *RowError {
 	return re
 }
 
+// retryTally accumulates one operator execution's retry activity. It is
+// plumbed through the per-row retry loop as plain ints, so counting is free
+// of atomics and allocations.
+type retryTally struct {
+	// retries is how many failed attempts were retried.
+	retries int
+	// timeouts is how many attempts were killed at the row-timeout deadline.
+	timeouts int
+}
+
+func (t *retryTally) add(o retryTally) {
+	t.retries += o.retries
+	t.timeouts += o.timeouts
+}
+
 // apply drives a processor over one morsel under the retry policy, one call
 // over every row still to go. A row that fails, or whose attempt the row
 // timeout kills, ends the call: the rows before it are charged, it is

@@ -234,3 +234,21 @@ func TestSelectErrorAttribution(t *testing.T) {
 		t.Fatalf("attribution = stage %d op %q", oe.Stage, oe.Op)
 	}
 }
+
+// TestRetryMetricsCounted: a run's retried transient failures are counted on
+// the retrying operator's PerOp row.
+func TestRetryMetricsCounted(t *testing.T) {
+	blobs := makeBlobs(40)
+	udf := &flakyUDF{fakeUDF: fakeUDF{name: "F", cost: 1, col: "x"}, fails: map[int]int{3: 1, 17: 1}}
+	plan := Plan{Ops: []Operator{
+		&Scan{Blobs: blobs},
+		&Process{P: udf},
+	}}
+	res, err := Run(plan, Config{Retry: RetryPolicy{MaxAttempts: 3}})
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	if res.PerOp[1].Retries != 2 {
+		t.Fatalf("PerOp retries = %d, want 2", res.PerOp[1].Retries)
+	}
+}

@@ -15,8 +15,6 @@ package fault
 import (
 	"fmt"
 	"math"
-
-	"probpred/internal/metrics"
 )
 
 // Spec configures the fault behaviour of one operator (or the default for
@@ -64,13 +62,6 @@ type Injector struct {
 	seed  uint64
 	def   Spec
 	specs map[string]Spec
-	// transientCtr / stragglerCtr count injected faults when a registry is
-	// attached via SetMetrics; both are resolved once there, so Decide pays a
-	// single nil check when metrics are off. Counting never perturbs the
-	// decisions themselves — those stay a pure hash of (seed, op, blob,
-	// attempt).
-	transientCtr *metrics.Counter
-	stragglerCtr *metrics.Counter
 }
 
 // NewInjector returns an injector with no faults configured: until SetDefault
@@ -81,17 +72,6 @@ func NewInjector(seed uint64) *Injector {
 
 // SetDefault configures the spec used by operators without their own.
 func (i *Injector) SetDefault(s Spec) { i.def = s }
-
-// SetMetrics attaches a metrics registry counting injected transient failures
-// and stragglers. Nil detaches.
-func (i *Injector) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		i.transientCtr, i.stragglerCtr = nil, nil
-		return
-	}
-	i.transientCtr = reg.Counter("fault_injected_transient_total", "Transient failures injected into UDF attempts.")
-	i.stragglerCtr = reg.Counter("fault_injected_straggler_total", "Straggling attempts injected into UDF execution.")
-}
 
 // Set configures one operator's spec, overriding the default.
 func (i *Injector) Set(op string, s Spec) { i.specs[op] = s }
@@ -108,23 +88,10 @@ func (i *Injector) spec(op string) Spec {
 func (o Outcome) Healthy() bool { return !o.Fail && o.SlowFactor == 1 }
 
 // Decide returns the outcome for one attempt (1-based) of applying operator
-// op to the blob with the given id, counting it as injected when a registry
-// is attached. The decision is a pure function of the injector's seed and
-// the three arguments.
+// op to the blob with the given id. The decision is a pure function of the
+// injector's seed and the three arguments, so a caller can look ahead at an
+// attempt it may not make yet.
 func (i *Injector) Decide(op string, blobID, attempt int) Outcome {
-	out := i.Peek(op, blobID, attempt)
-	if out.Fail && i.transientCtr != nil {
-		i.transientCtr.Inc()
-	}
-	if out.SlowFactor != 1 && i.stragglerCtr != nil {
-		i.stragglerCtr.Inc()
-	}
-	return out
-}
-
-// Peek returns the outcome Decide would return, without counting it: a
-// caller can look ahead at an attempt it may not make yet.
-func (i *Injector) Peek(op string, blobID, attempt int) Outcome {
 	s := i.spec(op)
 	out := Outcome{SlowFactor: 1}
 	if s.TransientRate <= 0 && s.StragglerRate <= 0 {

@@ -35,7 +35,6 @@ import (
 	"probpred/internal/blob"
 	"probpred/internal/core"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
@@ -74,10 +73,6 @@ type Config struct {
 	// watchdog.probation, watchdog.close, watchdog.breach). Nil disables
 	// tracing.
 	Obs *obs.Tracer
-	// Metrics receives numeric telemetry: per-clause training and watchdog
-	// state-transition counters, plus the optimizer's search/drift metrics
-	// (the registry is forwarded to the embedded optimizer). Nil disables.
-	Metrics *metrics.Registry
 }
 
 // WatchdogConfig shapes the per-clause accuracy circuit breaker.
@@ -195,8 +190,6 @@ func New(cfg Config) (*System, error) {
 		clauses: map[string]*clauseState{},
 		rng:     mathx.NewRNG(cfg.Seed ^ 0x0a11e),
 	}
-	s.opt.SetMetrics(cfg.Metrics)
-	s.opt.SetObs(cfg.Obs)
 	for _, c := range cfg.Clauses {
 		p, err := query.Parse(c)
 		if err != nil {
@@ -293,17 +286,9 @@ func (s *System) maybeTrain(key string, st *clauseState) error {
 	st.lastPP = pp
 	st.sinceLastTrain = 0
 	s.Trainings++
-	if reg := s.cfg.Metrics; reg != nil {
-		reg.Counter("online_trainings_total", "PP (re)trainings performed by the online loop.",
-			metrics.L("clause", key)).Inc()
-	}
 	if st.cb.State() == BreakerOpen {
 		st.cb.Probation()
 		s.cfg.Obs.EventCtx(tctx, "watchdog.probation", obs.Attr{Key: "clause", Value: key})
-		if reg := s.cfg.Metrics; reg != nil {
-			reg.Counter("watchdog_probations_total", "Retrained PPs re-entering service on probation.",
-				metrics.L("clause", key)).Inc()
-		}
 	}
 	return nil
 }
@@ -344,9 +329,12 @@ func (s *System) DecideCtx(pred query.Pred, accuracy, udfCost float64, ctx obs.T
 }
 
 // ReportRun feeds the observed reduction of an executed decision back into
-// the optimizer's dependence tracking (A.5).
+// the optimizer's dependence tracking (A.5); a misestimation also emits an
+// optimizer.misestimation event.
 func (s *System) ReportRun(dec *optimizer.Decision, observedReduction float64) {
-	s.opt.ObserveRuntime(dec, observedReduction)
+	if s.opt.ObserveRuntime(dec, observedReduction) {
+		optimizer.EmitMisestimation(s.cfg.Obs, obs.TraceContext{}, dec, observedReduction)
+	}
 }
 
 // ReportAccuracy feeds the realized accuracy of an executed injected
@@ -409,10 +397,6 @@ func (s *System) reportClause(ctx obs.TraceContext, key string, st *clauseState,
 	breach := func() {
 		s.cfg.Obs.EventCtx(ctx, "watchdog.breach", obs.Attr{Key: "clause", Value: key},
 			obs.Attr{Key: "consecutive", Value: strconv.Itoa(prevFails + 1)})
-		if reg := s.cfg.Metrics; reg != nil {
-			reg.Counter("watchdog_breaches_total", "Below-target accuracy reports while the breaker was closed.",
-				metrics.L("clause", key)).Inc()
-		}
 	}
 	switch st.cb.Report(pass) {
 	case TransitionBreach:
@@ -427,10 +411,6 @@ func (s *System) reportClause(ctx obs.TraceContext, key string, st *clauseState,
 		s.trip(ctx, key, st)
 	case TransitionClose:
 		s.cfg.Obs.EventCtx(ctx, "watchdog.close", obs.Attr{Key: "clause", Value: key})
-		if reg := s.cfg.Metrics; reg != nil {
-			reg.Counter("watchdog_closes_total", "Breakers closed after a passing probation report.",
-				metrics.L("clause", key)).Inc()
-		}
 	}
 }
 
@@ -446,10 +426,6 @@ func (s *System) trip(ctx obs.TraceContext, key string, st *clauseState) {
 	s.Trips++
 	s.cfg.Obs.EventCtx(ctx, "watchdog.trip", obs.Attr{Key: "clause", Value: key},
 		obs.Attr{Key: "trips_total", Value: strconv.Itoa(s.Trips)})
-	if reg := s.cfg.Metrics; reg != nil {
-		reg.Counter("watchdog_trips_total", "Accuracy circuit-breaker trips.",
-			metrics.L("clause", key)).Inc()
-	}
 }
 
 // Breaker returns a clause's watchdog state (BreakerClosed for clauses this

@@ -136,12 +136,11 @@ func bit(ok bool) uint64 {
 // testBatch of a leaf: the rows its column holds are read in one pass, and
 // the rest — every row without a column — are scored together through
 // ScoreBatch, get their verdicts and costs, and go back to the column in one
-// put. An instrumented leaf scores every row fresh, so its histogram sees
-// each score in row order.
+// put.
 func (l *compiledLeaf) testBatch(r *batchRun, act, out []uint64) {
 	th, lc := l.threshold, l.cost
 	miss := r.miss[:0]
-	if l.col != nil && l.scoreHist == nil {
+	if l.col != nil {
 		miss = readColumn(l.col.spine.Load(), act, out, r.rowIDs(), r.cost, th, lc, miss)
 	} else {
 		for w, word := range act {
@@ -161,16 +160,11 @@ func (l *compiledLeaf) testBatch(r *batchRun, act, out []uint64) {
 		out[i>>6] |= bit(sc[k] >= th) << (i & 63)
 		r.cost[i] += lc
 	}
-	n := 0
-	for _, w := range act {
-		n += bits.OnesCount64(w)
-	}
-	if l.scoreHist != nil {
-		for _, v := range sc {
-			l.scoreHist.Observe(v)
+	if l.col != nil {
+		n := 0
+		for _, w := range act {
+			n += bits.OnesCount64(w)
 		}
-		l.count(n, out)
-	} else if l.col != nil {
 		r.ct.Hit(uint64(n - len(miss)))
 		r.ct.Miss(uint64(len(miss)))
 		if len(miss) > 0 {
@@ -213,17 +207,6 @@ func readColumn(sp *spine, act, out []uint64, ids []int, cost []float64, th, lc 
 		out[w] = o
 	}
 	return miss
-}
-
-// count feeds the leaf's instrument counters: n rows tested, the set bits
-// of out passed.
-func (l *compiledLeaf) count(n int, out []uint64) {
-	passed := 0
-	for _, w := range out {
-		passed += bits.OnesCount64(w)
-	}
-	l.tested.Add(float64(n))
-	l.passed.Add(float64(passed))
 }
 
 // testBatch of a conjunction: out starts as the active rows and keeps, kid

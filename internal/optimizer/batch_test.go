@@ -145,14 +145,6 @@ func testAll(f *Compiled, blobs []blob.Blob) (pass []bool, cost []float64) {
 	return pass, cost
 }
 
-// testEach drives f over blobs one at a time — a scalar test is a batch of
-// one.
-func testEach(f *Compiled, blobs []blob.Blob) {
-	for i := range blobs {
-		testAll(f, blobs[i:i+1])
-	}
-}
-
 // TestPPFilterBatchEquivalence runs the same plan through the batch walk and
 // through the scalar reference, the batch walk as four sessions at once
 // (under -race this also proves the pooled buffers are race-free): output

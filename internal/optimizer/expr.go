@@ -6,7 +6,6 @@ import (
 
 	"probpred/internal/blob"
 	"probpred/internal/core"
-	"probpred/internal/metrics"
 )
 
 // Expr is a logical expression over PPs: a leaf, a conjunction or a
@@ -86,8 +85,7 @@ type Compiled struct {
 type compiledNode interface {
 	// test is the scalar reference walk: pass/fail and the virtual cost
 	// actually incurred, which depends on short-circuiting. It is pure — no
-	// score cache or instruments — and exists so tests can hold
-	// testBatch to it.
+	// score cache — and exists so tests can hold testBatch to it.
 	test(b blob.Blob) (bool, float64)
 	// testBatch evaluates the node over the rows whose bits are set in act
 	// (row i is bit i&63 of act[i>>6]), writing into out the verdict of
@@ -104,11 +102,6 @@ type compiledLeaf struct {
 	// col (optional, WithScoreCache) is this PP's score column, shared
 	// across queries. Nil on standalone filters, which score every row.
 	col *column
-	// Opt-in per-clause instrumentation, resolved once by Compiled.Instrument
-	// (see metrics.go). Nil on uninstrumented filters: testBatch guards on
-	// scoreHist alone, so the hot path pays one nil check per leaf.
-	scoreHist      *metrics.Histogram
-	tested, passed *metrics.Counter
 }
 
 func (l *compiledLeaf) test(b blob.Blob) (bool, float64) {
@@ -147,8 +140,8 @@ func (d *compiledDisj) test(b blob.Blob) (bool, float64) {
 func (c *Compiled) Name() string { return c.name }
 
 // Test is the scalar reference for TestBatch: the verdict and short-circuit
-// cost of one blob, scored fresh. It bypasses the score cache and feeds no
-// instruments; execution goes through TestBatch.
+// cost of one blob, scored fresh. It bypasses the score cache; execution
+// goes through TestBatch.
 func (c *Compiled) Test(b blob.Blob) (bool, float64) { return c.node.test(b) }
 
 // WithThresholds returns a copy of the filter whose leaves, visited in walk

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"testing"
 
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 	"probpred/internal/testkit"
@@ -45,15 +44,12 @@ func TestOptimizeSearchStats(t *testing.T) {
 	}
 }
 
-// TestOptimizeEmitsSpanAndMetrics: with a tracer and a registry attached, one
-// optimize span carrying the search's counts reaches the sink and the
-// aggregates reach the registry.
+// TestOptimizeEmitsSpanAndMetrics: with a tracer attached, one optimize span
+// carrying the search's counts (its Decision.Search ledger) reaches the sink.
 func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 	val := testkit.Blobs(2000, 62)
 	c := miniCorpus(t, val)
 	opt := New(c)
-	reg := metrics.New()
-	opt.SetMetrics(reg)
 	col := obs.NewCollector()
 	pred := query.MustParse("t=SUV & c=red")
 	dec, err := opt.Optimize(pred, Options{
@@ -94,14 +90,51 @@ func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 	if attrs["injected"] != strconv.FormatBool(dec.Inject) {
 		t.Fatalf("span attr injected = %q for Inject=%v", attrs["injected"], dec.Inject)
 	}
-	// And the aggregates are on the registry, once per search.
-	if got := reg.Counter("optimizer_searches_total", "").Value(); got != 1 {
-		t.Fatalf("optimizer_searches_total = %v, want 1", got)
+}
+
+// TestObserveRuntimeRecordsDrift: ObserveRuntime reports an observation
+// outside the dependence tolerance as a misestimation and flags the plan's
+// clause pairs; EmitMisestimation turns the verdict into an
+// optimizer.misestimation event under the caller's trace.
+func TestObserveRuntimeRecordsDrift(t *testing.T) {
+	val := testkit.Blobs(2000, 63)
+	opt := New(miniCorpus(t, val))
+	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Histogram("optimizer_candidates_costed", "").Sum(); got != float64(dec.Search.Costed) {
-		t.Fatalf("optimizer_candidates_costed sum = %v, want %d", got, dec.Search.Costed)
+	if !dec.Inject || dec.NumPPs < 2 {
+		t.Fatalf("mini scenario should inject a conjunction of PPs: %q", dec.Expr)
 	}
-	if got := reg.Counter("optimizer_injections_total", "").Value(); dec.Inject && got != 1 {
-		t.Fatalf("optimizer_injections_total = %v for an injecting decision", got)
+
+	// In-tolerance observation: no misestimation, no flag.
+	if opt.ObserveRuntime(dec, dec.Reduction) {
+		t.Fatal("in-tolerance observation reported as a misestimation")
+	}
+	if n := opt.DependentPairs(); n != 0 {
+		t.Fatalf("in-tolerance observation flagged %d pairs", n)
+	}
+
+	// Way-off observation: a misestimation, and the plan's pairs flagged.
+	if !opt.ObserveRuntime(dec, 0) {
+		t.Fatal("way-off observation not reported as a misestimation")
+	}
+	if n, want := opt.DependentPairs(), dec.NumPPs*(dec.NumPPs-1)/2; n != want {
+		t.Fatalf("dependent pairs = %d, want %d", n, want)
+	}
+	col := obs.NewCollector()
+	ctx := obs.TraceContext{TraceID: obs.NewTraceID()}
+	EmitMisestimation(obs.New(col), ctx, dec, 0)
+	EmitMisestimation(nil, ctx, dec, 0) // a nil tracer emits nothing
+	events := col.Events()
+	if len(events) != 1 || events[0].Name != "optimizer.misestimation" || events[0].Trace != ctx.TraceID {
+		t.Fatalf("events = %+v, want one optimizer.misestimation under trace %s", events, ctx.TraceID)
+	}
+
+	// Non-injecting and nil decisions are ignored entirely.
+	if opt.ObserveRuntime(&Decision{}, 0.5) || opt.ObserveRuntime(nil, 0.5) {
+		t.Fatal("a decision that injected nothing reported a misestimation")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 )
@@ -108,8 +107,8 @@ type Decision struct {
 }
 
 // SearchStats is the ledger of one Optimize call — the optimizer's own
-// profile, embedded in the Decision; the optimize span's attributes and the
-// optimizer_* registry instruments are derived from it (emitSearch).
+// profile, embedded in the Decision; the optimize span's attributes are
+// derived from it (emitSearch).
 type SearchStats struct {
 	// Generated is how many candidate expressions the rewrite rules
 	// produced before deduplication and the k-leaf bound.
@@ -149,18 +148,13 @@ func (d *Decision) Consulted() []string {
 
 // Optimizer holds the corpus and the runtime-dependence state shared across
 // queries (A.5). Optimize, ObserveRuntime and DependentPairs are
-// safe for concurrent use, on one Optimizer or on several over one Corpus;
-// SetMetrics and SetObs are set-up calls.
+// safe for concurrent use, on one Optimizer or on several over one Corpus.
 type Optimizer struct {
 	corpus *Corpus
 	// dependent flags clause pairs whose PPs proved dependent at runtime.
 	// Guarded by depMu; a search works on its own copy.
 	depMu     sync.Mutex
 	dependent map[string]bool
-	// metrics (optional, SetMetrics) records search and drift telemetry.
-	metrics *metrics.Registry
-	// tr (optional, SetObs) receives ObserveRuntime misestimation events.
-	tr *obs.Tracer
 }
 
 // New returns an optimizer over the given corpus.
@@ -257,22 +251,13 @@ func (o *Optimizer) Optimize(pred query.Pred, opts Options) (*Decision, error) {
 	}
 	sortAlternatives(dec.Alternatives)
 	dec.Search.WallNS = time.Since(start).Nanoseconds()
-	o.emitSearch(opts.Obs, opts.Trace, orig, dec)
+	emitSearch(opts.Obs, opts.Trace, orig, dec)
 	return dec, nil
 }
 
-// emitSearch derives one optimization's telemetry from its ledger,
-// dec.Search: the registry instruments (SetMetrics) and the KindOptimize
-// span.
-func (o *Optimizer) emitSearch(tr *obs.Tracer, ctx obs.TraceContext, pred query.Pred, dec *Decision) {
-	if reg := o.metrics; reg != nil {
-		reg.Counter("optimizer_searches_total", "Plan searches performed.").Inc()
-		if dec.Inject {
-			reg.Counter("optimizer_injections_total", "Plan searches that chose to inject a PP filter.").Inc()
-		}
-		reg.Histogram("optimizer_candidates_costed", "Candidate expressions costed per search.").Observe(float64(dec.Search.Costed))
-		reg.Histogram("optimizer_search_wall_ns", "Real wall-clock duration per plan search, nanoseconds.").Observe(float64(dec.Search.WallNS))
-	}
+// emitSearch derives one optimization's KindOptimize span from its ledger,
+// dec.Search.
+func emitSearch(tr *obs.Tracer, ctx obs.TraceContext, pred query.Pred, dec *Decision) {
 	if !tr.Enabled() {
 		return
 	}
@@ -312,57 +297,44 @@ const (
 )
 
 // ObserveRuntime feeds back the empirically observed reduction of an
-// executed decision. Every injected observation updates the
-// estimated-vs-observed reduction gauges; an observation outside the
-// dependence tolerance additionally counts as a misestimation (counter plus
-// obs event), and — when the decision had at least two PP leaves — flags
-// every clause pair as dependent so future optimizations avoid combining
-// them (A.5's runtime fix). Single-leaf misestimations cannot be blamed on
-// dependence, but they are exactly the drift the telemetry must surface.
-func (o *Optimizer) ObserveRuntime(dec *Decision, observedReduction float64) {
-	o.ObserveRuntimeCtx(dec, observedReduction, obs.TraceContext{})
-}
-
-// ObserveRuntimeCtx is ObserveRuntime with the observing session's trace
-// context: the misestimation event carries the session's TraceID, so a
-// drifted query is attributable from the event stream alone.
-func (o *Optimizer) ObserveRuntimeCtx(dec *Decision, observedReduction float64, ctx obs.TraceContext) {
+// executed decision and reports whether it was a misestimation: an injected
+// decision whose observed reduction falls outside the dependence tolerance.
+// A misestimation of a decision with at least two PP leaves flags every
+// clause pair as dependent so future optimizations avoid combining them
+// (A.5's runtime fix). Single-leaf misestimations cannot be blamed on
+// dependence, but they are exactly the drift a caller's
+// optimizer.misestimation event (EmitMisestimation) surfaces.
+func (o *Optimizer) ObserveRuntime(dec *Decision, observedReduction float64) bool {
 	if dec == nil || !dec.Inject {
-		return
-	}
-	if reg := o.metrics; reg != nil {
-		reg.Counter("optimizer_observations_total", "Runtime reduction observations fed back to the optimizer.").Inc()
-		reg.Gauge("optimizer_estimated_reduction", "Estimated data reduction of the most recently observed decision.").Set(dec.Reduction)
-		reg.Gauge("optimizer_observed_reduction", "Observed data reduction of the most recently observed decision.").Set(observedReduction)
-		reg.Histogram("optimizer_reduction_error", "Absolute estimated-minus-observed reduction error per observation.").Observe(math.Abs(observedReduction - dec.Reduction))
+		return false
 	}
 	tolerance := math.Max(dependenceAbsTolerance, dependenceRelTolerance*dec.Reduction)
 	if math.Abs(observedReduction-dec.Reduction) <= tolerance {
-		return
+		return false
 	}
-	if reg := o.metrics; reg != nil {
-		reg.Counter("optimizer_misestimations_total", "Observations whose reduction fell outside the dependence tolerance.").Inc()
-	}
-	if o.tr.Enabled() {
-		o.tr.EventCtx(ctx, "optimizer.misestimation",
-			obs.Attr{Key: "expr", Value: dec.Expr},
-			obs.Attr{Key: "estimated", Value: strconv.FormatFloat(dec.Reduction, 'f', 3, 64)},
-			obs.Attr{Key: "observed", Value: strconv.FormatFloat(observedReduction, 'f', 3, 64)})
-	}
-	if len(dec.leaves) < 2 {
-		return
-	}
-	o.depMu.Lock()
-	for i := 0; i < len(dec.leaves); i++ {
-		for j := i + 1; j < len(dec.leaves); j++ {
-			o.dependent[pairKey(dec.leaves[i], dec.leaves[j])] = true
+	if len(dec.leaves) >= 2 {
+		o.depMu.Lock()
+		for i := 0; i < len(dec.leaves); i++ {
+			for j := i + 1; j < len(dec.leaves); j++ {
+				o.dependent[pairKey(dec.leaves[i], dec.leaves[j])] = true
+			}
 		}
+		o.depMu.Unlock()
 	}
-	flagged := len(o.dependent)
-	o.depMu.Unlock()
-	if reg := o.metrics; reg != nil {
-		reg.Gauge("optimizer_dependent_pairs", "Clause pairs currently flagged as dependent.").Set(float64(flagged))
+	return true
+}
+
+// EmitMisestimation records a misestimation ObserveRuntime reported as an
+// optimizer.misestimation event under the observing session's trace, so a
+// drifted query is attributable from the event stream alone.
+func EmitMisestimation(tr *obs.Tracer, ctx obs.TraceContext, dec *Decision, observedReduction float64) {
+	if !tr.Enabled() {
+		return
 	}
+	tr.EventCtx(ctx, "optimizer.misestimation",
+		obs.Attr{Key: "expr", Value: dec.Expr},
+		obs.Attr{Key: "estimated", Value: strconv.FormatFloat(dec.Reduction, 'f', 3, 64)},
+		obs.Attr{Key: "observed", Value: strconv.FormatFloat(observedReduction, 'f', 3, 64)})
 }
 
 // DependentPairs returns how many clause pairs are currently flagged.

@@ -96,7 +96,7 @@ type Config struct {
 	// excess legs queue (admission control). Zero selects GOMAXPROCS.
 	MaxConcurrent int
 	// Exec is the execution environment for every session's engine.Run.
-	// Its Obs/Metrics default to the server's when unset.
+	// Its Obs defaults to the server's when unset.
 	Exec engine.Config
 	// DisableScoreCache keeps the score-cache plumbing (and its miss
 	// counters) but stores nothing, so every lookup misses — the knob the
@@ -138,9 +138,6 @@ func (c *Config) fill() error {
 	}
 	if c.Exec.Obs == nil {
 		c.Exec.Obs = c.Obs
-	}
-	if c.Exec.Metrics == nil {
-		c.Exec.Metrics = c.Metrics
 	}
 	return nil
 }

@@ -3,11 +3,9 @@ package stream
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"probpred/internal/blob"
 	"probpred/internal/mathx"
-	"probpred/internal/metrics"
 	"probpred/internal/obs"
 	"probpred/internal/online"
 	"probpred/internal/pplog"
@@ -18,7 +16,7 @@ import (
 // Query declares one standing query: a predicate evaluated over every
 // segment as it lands.
 type Query struct {
-	// ID labels the query in deltas, logs and metrics.
+	// ID labels the query in deltas and logs.
 	ID string
 	// Pred is the predicate text.
 	Pred string
@@ -57,9 +55,6 @@ type Config struct {
 	TrainSample int
 	// Seed drives the per-segment training-sample choice.
 	Seed uint64
-	// Metrics receives stream telemetry: segment and blob counters, the
-	// ingest lag histogram and per-query delta-row counters. Nil disables.
-	Metrics *metrics.Registry
 }
 
 // Delta is one standing query's incremental result over one segment. Rows
@@ -174,7 +169,6 @@ func (in *Ingestor) Ingest(blobs []blob.Blob) ([]Delta, error) {
 
 	seg := in.cfg.Corpus.Append(blobs)
 	segBlobs := in.cfg.Corpus.Blobs(seg)
-	start := time.Now()
 
 	// Each session writes only its own slot; wg.Wait is the only join, so no
 	// session outlives the call whatever fails.
@@ -205,29 +199,15 @@ func (in *Ingestor) Ingest(blobs []blob.Blob) ([]Delta, error) {
 	wg.Wait()
 
 	in.segments++
-	reg := in.cfg.Metrics
-	if reg != nil {
-		reg.Counter("stream_segments_total", "Segments ingested, including those whose queries failed.").Inc()
-		reg.Counter("stream_blobs_total", "Blobs ingested across all segments.").Add(float64(len(blobs)))
-		reg.Gauge("stream_corpus_version", "Segmented corpus version (segments appended).").Set(float64(seg.Version))
-	}
-	for i, q := range queries {
+	for i := range queries {
 		if errs[i] != nil {
 			return deltas[:i], errs[i]
 		}
 		in.deltas++
-		if reg != nil {
-			reg.Counter("stream_delta_rows_total", "Standing-query delta rows emitted per query.",
-				metrics.L("query", q.id)).Add(float64(len(deltas[i].Resp.Result.Rows)))
-		}
 	}
 
 	if in.cfg.Online != nil {
 		in.train(seg, segBlobs, queries, deltas)
-	}
-	if reg != nil {
-		reg.Histogram("stream_lag_ns", "Wall nanoseconds from segment append to all standing-query deltas emitted; complete ingests only.").
-			Observe(float64(time.Since(start).Nanoseconds()))
 	}
 	return deltas, nil
 }
@@ -317,7 +297,8 @@ func (in *Ingestor) BatchQuery(id string) (*serve.Response, error) {
 	})
 }
 
-// Stats reports lifetime counters.
+// Stats reports lifetime counters: segments ingested, including those whose
+// queries failed, and deltas emitted.
 func (in *Ingestor) Stats() (segments, deltas uint64) {
 	in.ingestMu.Lock()
 	defer in.ingestMu.Unlock()

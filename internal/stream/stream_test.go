@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"probpred/internal/blob"
-	"probpred/internal/metrics"
 	"probpred/internal/online"
 	"probpred/internal/pplog"
 	"probpred/internal/serve"
@@ -114,30 +113,31 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestIngestMetrics: an ingest's numbers are the Ingestor's Stats, the
+// corpus's version and size, and the deltas it returns.
 func TestIngestMetrics(t *testing.T) {
-	reg := metrics.New()
-	st := newMiniStack(t, nil, func(c *Config) { c.Metrics = reg })
+	st := newMiniStack(t, nil, nil)
 	st.register(t, testkit.Query{ID: "SQ1", Pred: "t=SUV"})
 	all := testkit.Blobs(100, 4)
+	rows := 0
 	for _, seg := range testkit.Split(all, []int{40}) {
-		if _, err := st.ing.Ingest(seg); err != nil {
+		deltas, err := st.ing.Ingest(seg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		rows += len(deltas[0].Resp.Result.Rows)
 	}
-	if v := reg.Counter("stream_segments_total", "").Value(); v != 2 {
-		t.Errorf("stream_segments_total = %v, want 2", v)
+	if segments, deltas := st.ing.Stats(); segments != 2 || deltas != 2 {
+		t.Errorf("Stats() = %d segments, %d deltas; want 2, 2", segments, deltas)
 	}
-	if v := reg.Counter("stream_blobs_total", "").Value(); v != 100 {
-		t.Errorf("stream_blobs_total = %v, want 100", v)
+	if n := st.corpus.Len(); n != 100 {
+		t.Errorf("corpus holds %d blobs, want 100", n)
 	}
-	if v := reg.Gauge("stream_corpus_version", "").Value(); v != 2 {
-		t.Errorf("stream_corpus_version = %v, want 2", v)
+	if v := st.corpus.Version(); v != 2 {
+		t.Errorf("corpus version = %d, want 2", v)
 	}
-	if n := reg.Histogram("stream_lag_ns", "").Count(); n != 2 {
-		t.Errorf("stream_lag_ns count = %d, want 2", n)
-	}
-	if v := reg.Counter("stream_delta_rows_total", "", metrics.L("query", "SQ1")).Value(); v <= 0 {
-		t.Errorf("stream_delta_rows_total{query=SQ1} = %v, want > 0", v)
+	if rows <= 0 {
+		t.Errorf("SQ1's deltas carry %d rows, want > 0", rows)
 	}
 }
 

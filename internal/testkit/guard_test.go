@@ -18,6 +18,47 @@ import (
 // oracle), and the kit itself imports none of the packages whose internal
 // tests use it.
 func TestKitImports(t *testing.T) {
+	forbidden := map[string]bool{}
+	for _, p := range []string{"optimizer", "serve", "stream"} {
+		forbidden["probpred/internal/"+p] = true
+	}
+	kitDir := filepath.Join("internal", "testkit")
+	forEachImport(t, func(rel, p string) {
+		switch {
+		case !under(rel, kitDir) && (p == "probpred/internal/testkit" || strings.HasPrefix(p, "probpred/internal/testkit/")):
+			t.Errorf("%s imports %s: only _test.go files may", rel, p)
+		case filepath.Dir(rel) == kitDir && forbidden[p]:
+			t.Errorf("%s imports %s, whose internal tests import the kit", rel, p)
+		}
+	})
+}
+
+// TestMetricsImports keeps the metrics registry in the serving layer: each
+// lower layer's numbers live in the ledger, spans and events it returns, so
+// only the packages that serve or scrape a registry import it from a non-test
+// file.
+func TestMetricsImports(t *testing.T) {
+	allowed := []string{
+		"internal/serve", "internal/pplog", "internal/bench",
+		"internal/testkit/oracle", "cmd/ppbench", "benchmark",
+	}
+	forEachImport(t, func(rel, p string) {
+		if p != "probpred/internal/metrics" {
+			return
+		}
+		for _, dir := range allowed {
+			if under(rel, filepath.FromSlash(dir)) {
+				return
+			}
+		}
+		t.Errorf("%s imports %s: only %v may", rel, p, allowed)
+	})
+}
+
+// forEachImport calls f with the module-relative path of every non-test Go
+// file in the module and each package it imports.
+func forEachImport(t *testing.T, f func(rel, imp string)) {
+	t.Helper()
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
@@ -25,31 +66,20 @@ func TestKitImports(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root not found: %v", err)
 	}
-	kitDir := filepath.Join(root, "internal", "testkit")
-	forbidden := map[string]bool{}
-	for _, p := range []string{"optimizer", "serve", "stream"} {
-		forbidden["probpred/internal/"+p] = true
-	}
 	files := 0
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
 		files++
 		rel, _ := filepath.Rel(root, path)
-		inKit := strings.HasPrefix(path, kitDir+string(filepath.Separator))
-		for _, imp := range f.Imports {
+		for _, imp := range file.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
-			switch {
-			case !inKit && (p == "probpred/internal/testkit" || strings.HasPrefix(p, "probpred/internal/testkit/")):
-				t.Errorf("%s imports %s: only _test.go files may", rel, p)
-			case filepath.Dir(path) == kitDir && forbidden[p]:
-				t.Errorf("%s imports %s, whose internal tests import the kit", rel, p)
-			}
+			f(rel, p)
 		}
 		return nil
 	})
@@ -59,6 +89,11 @@ func TestKitImports(t *testing.T) {
 	if files < 100 {
 		t.Fatalf("parsed only %d non-test files under %s", files, root)
 	}
+}
+
+// under reports whether the file at rel lies in dir or below it.
+func under(rel, dir string) bool {
+	return strings.HasPrefix(rel, dir+string(filepath.Separator))
 }
 
 // manifestPath is the gate manifest: one "package-dir TestName reason" line

@@ -49,9 +49,9 @@ func (f *FaultyProcessor) Apply(b engine.Batch) error {
 }
 
 // ApplyTimed implements engine.TimedProcessor. It consults the injector for
-// each row's next attempt in order — deciding the first row's, and only
-// peeking at a later row's so that an unhealthy one is left, undecided, to
-// start the next batch — then runs the rows through the wrapped UDF: the
+// each row's next attempt in order — counting the first row's attempt, and
+// only looking at a later row's so that an unhealthy one is left, uncounted,
+// to start the next batch — then runs the rows through the wrapped UDF: the
 // healthy ones in one call at the nominal duration, or the unhealthy first
 // row alone, failing transiently or at its inflated duration as decided.
 func (f *FaultyProcessor) ApplyTimed(b engine.Batch, elapsed []float64) ([]float64, error) {
@@ -69,10 +69,10 @@ func (f *FaultyProcessor) ApplyTimed(b engine.Batch, elapsed []float64) ([]float
 	n := 1
 	for o.Healthy() && n < b.Len() {
 		id := b.Blob(n).ID
-		if !f.Inj.Peek(name, id, f.attempts[id]+1).Healthy() {
+		if !f.Inj.Decide(name, id, f.attempts[id]+1).Healthy() {
 			break
 		}
-		f.attempts[id]++ // a healthy outcome counts nothing, so no Decide
+		f.attempts[id]++
 		n++
 	}
 	attempt := f.attempts[first]
