@@ -142,10 +142,11 @@ func Table5(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			trainPerK += time.Duration(float64(pp.TrainDuration) * 1000 / float64(pp.TrainN))
+			// Timed through the batch path queries score by: a lone Score
+			// runs a DNN PP's whole eight-row tile for one row.
+			scores := make([]float64, test.Len())
 			start := time.Now()
-			for _, b := range test.Blobs {
-				pp.Score(b)
-			}
+			pp.ScoreBatch(test.Blobs, scores)
 			testPerRow += time.Duration(float64(time.Since(start)) / float64(test.Len()))
 			m1 := core.Evaluate(pp, test, 1)
 			m09 := core.Evaluate(pp, test, 0.9)

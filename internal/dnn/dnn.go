@@ -91,38 +91,70 @@ func newLayer(in, out int, rng *mathx.RNG) *layer {
 	return l
 }
 
-// forwardInto computes out = W·in + b into the caller's buffer. It is the
-// network's one forward kernel: training, Score and ScoreBatch all call it
-// once per input row. Output neurons are taken four at a time, so each input
-// value is loaded once for four multiply-adds and the four accumulators'
-// add chains overlap instead of serializing on one. Every accumulator still
-// sums its neuron's products in index order, as mathx.Dot does, so the
-// result does not depend on the blocking.
-func (l *layer) forwardInto(in, out mathx.Vec) {
-	n := l.in
-	if len(in) != n {
-		panic(fmt.Sprintf("dnn: layer takes %d inputs, got %d", n, len(in)))
-	}
-	o := 0
-	for ; o+4 <= l.out; o += 4 {
-		w0 := l.w[o*n : (o+1)*n : (o+1)*n]
-		w1 := l.w[(o+1)*n : (o+2)*n : (o+2)*n]
-		w2 := l.w[(o+2)*n : (o+3)*n : (o+3)*n]
-		w3 := l.w[(o+3)*n : (o+4)*n : (o+4)*n]
-		var s0, s1, s2, s3 float64
-		for j, x := range in {
-			s0 += w0[j] * x
-			s1 += w1[j] * x
-			s2 += w2[j] * x
-			s3 += w3[j] * x
+// tile is the number of rows the forward kernel runs at once: two AVX2
+// registers of four float64 each per output neuron.
+const tile = 8
+
+// affine computes one layer's out = W·in + b for a tile of rows stored
+// neuron-major: in[j*tile+r] is input j of row r, and out[o*tile+r] is output
+// o of row r. SIMD lanes hold rows, so each lane runs one row's dot products
+// exactly as a loop over that row alone would: output o starts from +0, adds
+// w[o][j]·x[j] in ascending j, a multiply and an add each rounded, and then
+// adds b[o]. It is affineGo, or the AVX2 kernel where the CPU and the OS
+// support it (kernel_amd64.go); both compute the same bits. Training, Score
+// and ScoreBatch all run every forward pass through it.
+var affine = affineGo
+
+// affineGo is the portable kernel. The conversion stops the compiler from
+// fusing the multiply and the add where the target has FMA.
+func affineGo(w, b, in, out []float64) {
+	n := len(in) / tile
+	for o, bias := range b {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for j, wj := range w[o*n : (o+1)*n] {
+			x := (*[tile]float64)(in[j*tile : (j+1)*tile])
+			s0 += float64(wj * x[0])
+			s1 += float64(wj * x[1])
+			s2 += float64(wj * x[2])
+			s3 += float64(wj * x[3])
+			s4 += float64(wj * x[4])
+			s5 += float64(wj * x[5])
+			s6 += float64(wj * x[6])
+			s7 += float64(wj * x[7])
 		}
-		out[o] = s0 + l.b[o]
-		out[o+1] = s1 + l.b[o+1]
-		out[o+2] = s2 + l.b[o+2]
-		out[o+3] = s3 + l.b[o+3]
+		*(*[tile]float64)(out[o*tile : (o+1)*tile]) = [tile]float64{
+			s0 + bias, s1 + bias, s2 + bias, s3 + bias, s4 + bias, s5 + bias, s6 + bias, s7 + bias}
 	}
-	for ; o < l.out; o++ {
-		out[o] = mathx.Dot(l.w[o*n:(o+1)*n], in) + l.b[o]
+}
+
+// forwardTile runs the tile in through the layer into the tile out, after
+// checking the shapes the assembly kernel trusts.
+func (l *layer) forwardTile(in, out []float64) {
+	if len(in) != l.in*tile || len(out) != l.out*tile || len(l.w) != l.in*l.out || len(l.b) != l.out {
+		panic(fmt.Sprintf("dnn: a %d→%d layer with %d weights and %d biases cannot map a %d-value tile to a %d-value one",
+			l.in, l.out, len(l.w), len(l.b), len(in), len(out)))
+	}
+	affine(l.w, l.b, in, out)
+}
+
+// putRow writes x into lane r of the neuron-major tile t.
+func putRow(t []float64, r int, x []float64) {
+	for j, v := range x {
+		t[j*tile+r] = v
+	}
+}
+
+// getRow reads lane r of the neuron-major tile t into dst.
+func getRow(dst, t []float64, r int) {
+	for j := range dst {
+		dst[j] = t[j*tile+r]
+	}
+}
+
+// clearRows zeroes lanes from…tile−1 of the neuron-major tile t.
+func clearRows(t []float64, from int) {
+	for j := 0; j < len(t); j += tile {
+		clear(t[j+from : j+tile])
 	}
 }
 
@@ -138,11 +170,11 @@ type Model struct {
 	scratch sync.Pool
 }
 
-// fwdScratch holds two ping-pong activation buffers, each as wide as the
-// widest layer.
+// fwdScratch holds two ping-pong activation tiles, each as wide as the
+// widest layer's input or output.
 type fwdScratch struct{ a, b []float64 }
 
-// getScratch returns reusable activation buffers, allocating only on pool
+// getScratch returns reusable activation tiles, allocating only on pool
 // misses.
 func (m *Model) getScratch() *fwdScratch {
 	if s, ok := m.scratch.Get().(*fwdScratch); ok {
@@ -150,11 +182,9 @@ func (m *Model) getScratch() *fwdScratch {
 	}
 	w := 0
 	for _, l := range m.layers {
-		if l.out > w {
-			w = l.out
-		}
+		w = max(w, l.in, l.out)
 	}
-	return &fwdScratch{a: make([]float64, w), b: make([]float64, w)}
+	return &fwdScratch{a: make([]float64, w*tile), b: make([]float64, w*tile)}
 }
 
 // Train fits a network to feature vectors xs and binary labels ys. It
@@ -254,7 +284,8 @@ func newModel(xs []mathx.Vec, ys []bool, cfg *Config) (*Model, *mathx.RNG, error
 
 // trainer is one Train call's scratch, allocated once: per layer the batch's
 // pre-activations and deltas (batch × out, row-major), the rows each layer
-// reads as input, one gradient row and one list of nonzero terms.
+// reads as input, one gradient row, two forward tiles and one list of
+// nonzero terms.
 type trainer struct {
 	m          *Model
 	pre, delta [][]float64
@@ -262,6 +293,7 @@ type trainer struct {
 	// for layer 0, a row of the ReLU'd activations below it otherwise.
 	in   [][]mathx.Vec
 	grad []float64
+	fwd  fwdScratch
 	nz   []int
 }
 
@@ -285,7 +317,9 @@ func newTrainer(m *Model, batch int) *trainer {
 		}
 		widest = max(widest, l.in, l.out)
 	}
-	t.grad = make([]float64, widest)
+	buf := make([]float64, widest*(1+2*tile))
+	t.grad = buf[:widest]
+	t.fwd = fwdScratch{a: buf[widest : widest*(1+tile)], b: buf[widest*(1+tile):]}
 	t.nz = make([]int, 0, widest)
 	return t
 }
@@ -294,16 +328,19 @@ func newTrainer(m *Model, batch int) *trainer {
 //
 // Every weight gets the same IEEE operations in the same order as the
 // per-sample loop it replaced (kept as the reference in ref_test.go): each
-// sample's deltas are Σ_o δ_o·W[o,:] over outputs in ascending order, each
-// gradient row is Σ_s δ_s·a_s over the batch in sample order, and both sums
-// start from +0. What changes is the schedule. Each sample's forward and
-// backward pass leave its activations and deltas in the batch matrices;
-// then each weight row sums its gradient over the batch and applies L2,
-// momentum and the step in the same loop over outputs. Terms are taken four
-// per pass, so an accumulator is loaded and stored once per four
-// multiply-adds, and terms whose δ is zero are skipped: on the benchmark's
-// t=* PPs (32→128→64→1) ReLU zeroes 62 % of the first hidden layer's deltas
-// and 74 % of the second's.
+// forward value is the affine kernel's, which no other row of the tile
+// changes, each sample's deltas are Σ_o δ_o·W[o,:] over outputs in
+// ascending order, each gradient row is Σ_s δ_s·a_s over the batch in
+// sample order, and both sums start from +0. What changes is the schedule. The batch's forward
+// passes run first, a tile of samples at a time, which is exact because
+// weights change only in update; they leave each sample's pre-activations
+// and activations as rows of the batch matrices. Then every sample's
+// backward pass fills its deltas, and each weight row sums its gradient over
+// the batch and applies L2, momentum and the step in the same loop over
+// outputs. Terms are taken four per pass, so an accumulator is loaded and
+// stored once per four multiply-adds, and terms whose δ is zero are skipped:
+// on the benchmark's t=* PPs (32→128→64→1) ReLU zeroes 62 % of the first
+// hidden layer's deltas and 74 % of the second's.
 //
 // The skip is exact while inputs and weights are finite. A skipped term 0·x
 // is then ±0, an accumulator that starts at +0 never becomes −0 under
@@ -313,24 +350,41 @@ func newTrainer(m *Model, batch int) *trainer {
 func (t *trainer) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Config) {
 	layers := t.m.layers
 	last := len(layers) - 1
-	for s, idx := range batch {
-		t.in[0][s] = xs[idx]
-		// Forward pass, keeping pre-activations and ReLU'd inputs.
+	for lo := 0; lo < len(batch); lo += tile {
+		rows := min(tile, len(batch)-lo)
+		cur, alt := t.fwd.a, t.fwd.b
+		x := cur[:layers[0].in*tile]
+		for r, idx := range batch[lo : lo+rows] {
+			t.in[0][lo+r] = xs[idx]
+			putRow(x, r, xs[idx])
+		}
+		clearRows(x, rows)
 		for i, l := range layers {
-			z := t.pre[i][s*l.out : (s+1)*l.out]
-			l.forwardInto(t.in[i][s], z)
+			z := alt[:l.out*tile]
+			l.forwardTile(cur[:l.in*tile], z)
+			for r := range rows {
+				getRow(t.pre[i][(lo+r)*l.out:(lo+r+1)*l.out], z, r)
+			}
 			if i == last {
 				break
 			}
-			a := t.in[i+1][s]
+			// The reference's ReLU, v > 0 ? v : 0 (NaN and −0 become +0),
+			// as a mask: the compiler makes the select a CMOV, not a branch
+			// mispredicted on half the values.
 			for j, v := range z {
+				var keep uint64
 				if v > 0 {
-					a[j] = v
-				} else {
-					a[j] = 0
+					keep = math.MaxUint64
 				}
+				z[j] = math.Float64frombits(math.Float64bits(v) & keep)
 			}
+			for r := range rows {
+				getRow(t.in[i+1][lo+r], z, r)
+			}
+			cur, alt = alt, cur
 		}
+	}
+	for s, idx := range batch {
 		target, weight := 0.0, 1.0
 		if ys[idx] {
 			target = 1.0
@@ -376,11 +430,14 @@ func (t *trainer) backward(l *layer, d, prev, pre []float64) {
 		o := nz[k]
 		mathx.Axpy(d[o], l.w[o*n:(o+1)*n], prev)
 	}
-	// ReLU derivative of the layer below's pre-activation.
+	// ReLU derivative of the layer below's pre-activation, as a mask like
+	// step's ReLU: z ≤ 0 zeroes the delta, NaN keeps it.
 	for j, z := range pre {
+		keep := uint64(math.MaxUint64)
 		if z <= 0 {
-			prev[j] = 0
+			keep = 0
 		}
+		prev[j] = math.Float64frombits(math.Float64bits(prev[j]) & keep)
 	}
 }
 
@@ -425,47 +482,55 @@ func (t *trainer) update(l *layer, delta []float64, in []mathx.Vec, lr, scale fl
 	}
 }
 
-// Score returns the output logit; larger means more likely +1.
+// Score returns the output logit; larger means more likely +1. It runs one
+// tile with x as its only row.
 func (m *Model) Score(x mathx.Vec) float64 {
-	s := m.getScratch()
-	v := m.score(x, s)
-	m.scratch.Put(s)
-	return v
-}
-
-// score runs one forward pass through ping-pong activation buffers.
-func (m *Model) score(x mathx.Vec, s *fwdScratch) float64 {
-	in := x
-	cur, alt := s.a, s.b
-	for i, l := range m.layers {
-		z := cur[:l.out]
-		l.forwardInto(in, z)
-		if i == len(m.layers)-1 {
-			return z[0]
-		}
-		for j, v := range z {
-			if v < 0 {
-				z[j] = 0
-			}
-		}
-		in = z
-		cur, alt = alt, cur
-	}
-	return 0 // unreachable for a well-formed model
+	var out [1]float64
+	m.ScoreBatch(x, len(x), out[:])
+	return out[0]
 }
 
 // ScoreBatch scores the len(out) vectors stored row-major in xs (row i is
-// xs[i*d:(i+1)*d]) into out: score per row over one scratch held for the
-// whole batch, so batch and scalar logits are bit-identical (the invariant
-// core.PP's batch path relies on). Rows are not blocked through the
-// layers: a PP network's weights stay cache-resident from one row to the
-// next as it is. It implements core.Scorer.
+// xs[i*d:(i+1)*d]) into out. Rows go through the network a tile of eight at
+// a time, the last tile padded with zero rows; the affine kernel gives each
+// row the operations it would get alone, so batch and scalar logits are
+// bit-identical (the invariant core.PP's batch path relies on). It
+// implements core.Scorer.
 func (m *Model) ScoreBatch(xs []float64, d int, out []float64) {
+	if n := m.layers[0].in; d != n {
+		panic(fmt.Sprintf("dnn: layer takes %d inputs, got %d", n, d))
+	}
 	s := m.getScratch()
-	for i := range out {
-		out[i] = m.score(xs[i*d:(i+1)*d], s)
+	x := s.a[:d*tile]
+	for lo := 0; lo < len(out); lo += tile {
+		rows := min(tile, len(out)-lo)
+		for r := range rows {
+			putRow(x, r, xs[(lo+r)*d:(lo+r+1)*d])
+		}
+		clearRows(x, rows)
+		copy(out[lo:lo+rows], m.forward(s))
 	}
 	m.scratch.Put(s)
+}
+
+// forward runs the tile in s.a through the network, ReLU between layers,
+// and returns the tile of logits. The ReLU is the branch-free max(v, 0),
+// which keeps NaN; it turns −0 into +0, which no later sum can tell apart,
+// since each starts at +0 and a sum is −0 only when both addends are.
+func (m *Model) forward(s *fwdScratch) []float64 {
+	cur, alt := s.a, s.b
+	for i, l := range m.layers {
+		z := alt[:l.out*tile]
+		l.forwardTile(cur[:l.in*tile], z)
+		if i == len(m.layers)-1 {
+			return z
+		}
+		for j, v := range z {
+			z[j] = max(v, 0)
+		}
+		cur, alt = alt, cur
+	}
+	return nil // unreachable for a well-formed model
 }
 
 // Name identifies the classifier family.

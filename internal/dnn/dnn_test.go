@@ -1,6 +1,8 @@
 package dnn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -179,5 +181,51 @@ func TestClassWeightDefaultsFromImbalance(t *testing.T) {
 	}
 	if recall := float64(tp) / float64(p); recall < 0.6 {
 		t.Fatalf("recall on imbalanced data = %v, want >= 0.6", recall)
+	}
+}
+
+// TestGobDecodeRejectsMalformedLayers: a decoded model must have the shapes
+// the forward kernel trusts, or decoding fails; a well-formed one round-trips
+// to the same scores.
+func TestGobDecodeRejectsMalformedLayers(t *testing.T) {
+	xs, ys := xorData(60, 15)
+	m, err := Train(xs, ys, Config{Hidden: []int{5}, Epochs: 2, Seed: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := func(layers []layerGob) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(layers); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := []layerGob{
+		{In: 2, Out: 5, W: m.layers[0].w, B: m.layers[0].b},
+		{In: 5, Out: 1, W: m.layers[1].w, B: m.layers[1].b},
+	}
+	var back Model
+	if err := back.GobDecode(enc(good)); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := m.Score(xs[0]), back.Score(xs[0]); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("decoded model scores %v, the original %v", b, a)
+	}
+	short := append([]float64(nil), m.layers[0].w[:9]...)
+	for _, c := range []struct {
+		name   string
+		layers []layerGob
+	}{
+		{"no layers", nil},
+		{"two outputs", []layerGob{good[0], {In: 5, Out: 2, W: make([]float64, 10), B: make([]float64, 2)}}},
+		{"short weights", []layerGob{{In: 2, Out: 5, W: short, B: good[0].B}, good[1]}},
+		{"short biases", []layerGob{{In: 2, Out: 5, W: good[0].W, B: good[0].B[:4]}, good[1]}},
+		{"layers that do not chain", []layerGob{good[0], {In: 4, Out: 1, W: make([]float64, 4), B: make([]float64, 1)}}},
+		{"zero width", []layerGob{{In: 0, Out: 1}}},
+	} {
+		var d Model
+		if err := d.GobDecode(enc(c.layers)); err == nil {
+			t.Errorf("%s: decoded without an error", c.name)
+		}
 	}
 }

@@ -32,6 +32,16 @@ func (m *Model) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&layers); err != nil {
 		return fmt.Errorf("dnn: decoding model: %w", err)
 	}
+	// The forward kernel trusts these shapes; a stream that breaks them is
+	// refused here rather than left to panic in Score.
+	if len(layers) == 0 || layers[len(layers)-1].Out != 1 {
+		return fmt.Errorf("dnn: decoding model: %d layers, want at least one ending in a single output", len(layers))
+	}
+	for i, g := range layers {
+		if g.In < 1 || g.Out < 1 || len(g.W) != g.In*g.Out || len(g.B) != g.Out || (i > 0 && g.In != layers[i-1].Out) {
+			return fmt.Errorf("dnn: decoding model: layer %d is %d→%d with %d weights and %d biases", i, g.In, g.Out, len(g.W), len(g.B))
+		}
+	}
 	m.layers = m.layers[:0]
 	m.params = 0
 	for _, g := range layers {

@@ -4,7 +4,8 @@ import "probpred/internal/mathx"
 
 // This file keeps the per-sample training loop that Train's batched step
 // replaced, verbatim, as the oracle TestTrainMatchesReference holds every
-// trained weight and bias to, bit for bit.
+// trained weight and bias to, bit for bit, and a forward pass that takes one
+// row at a time, the oracle of the tile kernel's tests.
 
 // trainRef is Train with the reference step.
 func trainRef(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
@@ -115,8 +116,33 @@ func (m *Model) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Con
 	}
 }
 
+// forward is the per-row reference of one layer: out[o] = Σ_j w[o][j]·in[j]
+// + b[o], the sum starting from +0 and taken in ascending j, each product and
+// each sum rounded.
 func (l *layer) forward(in mathx.Vec) mathx.Vec {
 	out := make(mathx.Vec, l.out)
-	l.forwardInto(in, out)
+	for o := range out {
+		s := 0.0
+		for j, x := range in {
+			s += float64(l.w[o*l.in+j] * x)
+		}
+		out[o] = s + l.b[o]
+	}
 	return out
+}
+
+// scoreRef is Score one row at a time, through the per-row reference layers.
+func (m *Model) scoreRef(x mathx.Vec) float64 {
+	for i, l := range m.layers {
+		x = l.forward(x)
+		if i == len(m.layers)-1 {
+			break
+		}
+		for j, v := range x {
+			if v < 0 {
+				x[j] = 0
+			}
+		}
+	}
+	return x[0]
 }

@@ -150,7 +150,7 @@ func TestTrainAllocBudget(t *testing.T) {
 	// layer, 3 as the layer list grows, the generator), the step's scratch
 	// 18 (the order, the trainer and its 3 per-layer lists, 3 slices per
 	// layer, an activation matrix per layer above the first, the gradient
-	// row and the nonzero list).
+	// row with the two forward tiles, and the nonzero list).
 	const budget = 40
 	one, twenty := allocs(1), allocs(20)
 	if one != twenty || twenty > budget {

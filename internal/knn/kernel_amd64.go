@@ -1,31 +1,12 @@
 package knn
 
+import "probpred/internal/mathx"
+
 func init() {
-	if hasAVX2() {
+	if mathx.HasAVX2() {
 		sqDists = sqDistsAVX2
 	}
 }
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches (OSXSAVE set and XCR0 enabling both
-// the SSE and the AVX state).
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&(osxsave|avx) != osxsave|avx || xgetbv0()&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() uint32
 
 //go:noescape
 func sqDistsAVX2(q, blk []float64, bound float64, out *[lanes]float64) uint32

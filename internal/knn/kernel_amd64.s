@@ -1,23 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL subleaf+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func sqDistsAVX2(q, blk []float64, bound float64, out *[lanes]float64) uint32
 //
 // Y0–Y3 accumulate lanes 0–3, 4–7, 8–11 and 12–15. For each dimension j in
