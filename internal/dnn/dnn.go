@@ -206,7 +206,8 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.ShuffleInts(order)
-		lr := cfg.LearningRate / (1 + 0.05*float64(epoch))
+		// The conversion keeps targets with FMA from fusing the decay.
+		lr := cfg.LearningRate / (1 + float64(0.05*float64(epoch)))
 		for start := 0; start < n; start += cfg.BatchSize {
 			end := start + cfg.BatchSize
 			if end > n {
@@ -283,18 +284,19 @@ func newModel(xs []mathx.Vec, ys []bool, cfg *Config) (*Model, *mathx.RNG, error
 }
 
 // trainer is one Train call's scratch, allocated once: per layer the batch's
-// pre-activations and deltas (batch × out, row-major), the rows each layer
-// reads as input, one gradient row, two forward tiles and one list of
-// nonzero terms.
+// pre-activations, deltas and inputs (batch × out, batch × out and batch ×
+// in, row-major), one gradient row, two forward tiles, and one list of
+// nonzero terms for mathx.Sweep (coefficients and row indices).
 type trainer struct {
 	m          *Model
 	pre, delta [][]float64
-	// in[i][s] is layer i's input for the batch's sample s: a training row
-	// for layer 0, a row of the ReLU'd activations below it otherwise.
-	in   [][]mathx.Vec
-	grad []float64
-	fwd  fwdScratch
-	nz   []int
+	// in[i] row s is layer i's input for the batch's sample s: a copy of the
+	// training row for layer 0, the ReLU'd activations below it otherwise.
+	in    [][]float64
+	grad  []float64
+	fwd   fwdScratch
+	coefs []float64
+	rows  []int
 }
 
 func newTrainer(m *Model, batch int) *trainer {
@@ -302,25 +304,20 @@ func newTrainer(m *Model, batch int) *trainer {
 		m:     m,
 		pre:   make([][]float64, len(m.layers)),
 		delta: make([][]float64, len(m.layers)),
-		in:    make([][]mathx.Vec, len(m.layers)),
+		in:    make([][]float64, len(m.layers)),
 	}
 	widest := batch
 	for i, l := range m.layers {
 		t.pre[i] = make([]float64, batch*l.out)
 		t.delta[i] = make([]float64, batch*l.out)
-		t.in[i] = make([]mathx.Vec, batch)
-		if i > 0 {
-			act := make([]float64, batch*l.in)
-			for s := range t.in[i] {
-				t.in[i][s] = act[s*l.in : (s+1)*l.in : (s+1)*l.in]
-			}
-		}
+		t.in[i] = make([]float64, batch*l.in)
 		widest = max(widest, l.in, l.out)
 	}
-	buf := make([]float64, widest*(1+2*tile))
+	buf := make([]float64, widest*(2+2*tile))
 	t.grad = buf[:widest]
-	t.fwd = fwdScratch{a: buf[widest : widest*(1+tile)], b: buf[widest*(1+tile):]}
-	t.nz = make([]int, 0, widest)
+	t.coefs = buf[widest : 2*widest]
+	t.fwd = fwdScratch{a: buf[2*widest : widest*(2+tile)], b: buf[widest*(2+tile):]}
+	t.rows = make([]int, widest)
 	return t
 }
 
@@ -331,16 +328,17 @@ func newTrainer(m *Model, batch int) *trainer {
 // forward value is the affine kernel's, which no other row of the tile
 // changes, each sample's deltas are Σ_o δ_o·W[o,:] over outputs in
 // ascending order, each gradient row is Σ_s δ_s·a_s over the batch in
-// sample order, and both sums start from +0. What changes is the schedule. The batch's forward
-// passes run first, a tile of samples at a time, which is exact because
-// weights change only in update; they leave each sample's pre-activations
-// and activations as rows of the batch matrices. Then every sample's
-// backward pass fills its deltas, and each weight row sums its gradient over
-// the batch and applies L2, momentum and the step in the same loop over
-// outputs. Terms are taken four per pass, so an accumulator is loaded and
-// stored once per four multiply-adds, and terms whose δ is zero are skipped:
-// on the benchmark's t=* PPs (32→128→64→1) ReLU zeroes 62 % of the first
-// hidden layer's deltas and 74 % of the second's.
+// sample order, and both sums start from +0. What changes is the schedule.
+// The batch's forward passes run first, a tile of samples at a time, which
+// is exact because weights change only in update; they leave each sample's
+// pre-activations and activations as rows of the batch matrices. The
+// backward pass then goes a layer at a time, every sample's deltas before
+// the layer below's, which is exact for the same reason. Both sums are
+// mathx.Sweep calls over the terms whose δ is nonzero, and each weight row's
+// L2, momentum and step is one mathx.MomentumStep; both kernels are
+// element-wise, so each weight keeps its operation sequence. On the
+// benchmark's t=* PPs (32→128→64→1) ReLU zeroes 62 % of the first hidden
+// layer's deltas and 74 % of the second's.
 //
 // The skip is exact while inputs and weights are finite. A skipped term 0·x
 // is then ±0, an accumulator that starts at +0 never becomes −0 under
@@ -353,9 +351,10 @@ func (t *trainer) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg C
 	for lo := 0; lo < len(batch); lo += tile {
 		rows := min(tile, len(batch)-lo)
 		cur, alt := t.fwd.a, t.fwd.b
-		x := cur[:layers[0].in*tile]
+		n := layers[0].in
+		x := cur[:n*tile]
 		for r, idx := range batch[lo : lo+rows] {
-			t.in[0][lo+r] = xs[idx]
+			copy(t.in[0][(lo+r)*n:(lo+r+1)*n], xs[idx])
 			putRow(x, r, xs[idx])
 		}
 		clearRows(x, rows)
@@ -379,7 +378,7 @@ func (t *trainer) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg C
 				z[j] = math.Float64frombits(math.Float64bits(v) & keep)
 			}
 			for r := range rows {
-				getRow(t.in[i+1][lo+r], z, r)
+				getRow(t.in[i+1][(lo+r)*l.out:(lo+r+1)*l.out], z, r)
 			}
 			cur, alt = alt, cur
 		}
@@ -392,92 +391,71 @@ func (t *trainer) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg C
 		}
 		// dL/dlogit for the logistic loss.
 		t.delta[last][s] = weight * (mathx.Sigmoid(t.pre[last][s]) - target)
-		// Backward pass: the deltas of every layer below the last.
-		for i := last; i > 0; i-- {
-			l := layers[i]
-			t.backward(l, t.delta[i][s*l.out:(s+1)*l.out], t.delta[i-1][s*l.in:(s+1)*l.in], t.pre[i-1][s*l.in:(s+1)*l.in])
+	}
+	// Backward pass: the deltas of every layer below the last.
+	for i := last; i > 0; i-- {
+		l := layers[i]
+		prev := t.delta[i-1][:len(batch)*l.in]
+		t.backward(l, t.delta[i][:len(batch)*l.out], prev)
+		// ReLU derivative of the layer below's pre-activation, as a mask
+		// like the forward ReLU: z ≤ 0 zeroes the delta, NaN keeps it.
+		for j, z := range t.pre[i-1][:len(prev)] {
+			keep := uint64(math.MaxUint64)
+			if z <= 0 {
+				keep = 0
+			}
+			prev[j] = math.Float64frombits(math.Float64bits(prev[j]) & keep)
 		}
 	}
 	scale := 1 / float64(len(batch))
 	for i, l := range layers {
-		t.update(l, t.delta[i], t.in[i][:len(batch)], lr, scale, cfg)
+		t.update(l, t.delta[i][:len(batch)*l.out], t.in[i][:len(batch)*l.in], lr, scale, cfg)
 	}
 }
 
-// backward sets prev = ReLU'(pre) ⊙ Σ_o d[o]·W[o,:], over o ascending.
-func (t *trainer) backward(l *layer, d, prev, pre []float64) {
+// nonzero is 1 unless v is ±0 (NaN counts as nonzero), without a branch: the
+// gathers below would otherwise mispredict on about every other δ.
+func nonzero(v float64) int {
+	b := math.Float64bits(v) << 1
+	return int((b | -b) >> 63)
+}
+
+// backward sets each sample s's prev row to Σ_o d_s[o]·W[o,:], over o
+// ascending, for the samples whose deltas are the rows of delta (batch ×
+// out) and prev (batch × in).
+func (t *trainer) backward(l *layer, delta, prev []float64) {
 	n := l.in
-	nz := t.nz[:0]
-	for o, v := range d {
-		if v != 0 {
-			nz = append(nz, o)
+	for s := range len(prev) / n {
+		coefs, rows, k := t.coefs[:l.out], t.rows[:l.out], 0
+		for o, v := range delta[s*l.out : (s+1)*l.out] {
+			coefs[k], rows[k] = v, o
+			k += nonzero(v)
 		}
-	}
-	clear(prev)
-	k := 0
-	for ; k+4 <= len(nz); k += 4 {
-		o0, o1, o2, o3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
-		d0, d1, d2, d3 := d[o0], d[o1], d[o2], d[o3]
-		w0 := l.w[o0*n : (o0+1)*n : (o0+1)*n]
-		w1 := l.w[o1*n : (o1+1)*n : (o1+1)*n]
-		w2 := l.w[o2*n : (o2+1)*n : (o2+1)*n]
-		w3 := l.w[o3*n : (o3+1)*n : (o3+1)*n]
-		for j := range prev {
-			prev[j] = prev[j] + d0*w0[j] + d1*w1[j] + d2*w2[j] + d3*w3[j]
-		}
-	}
-	for ; k < len(nz); k++ {
-		o := nz[k]
-		mathx.Axpy(d[o], l.w[o*n:(o+1)*n], prev)
-	}
-	// ReLU derivative of the layer below's pre-activation, as a mask like
-	// step's ReLU: z ≤ 0 zeroes the delta, NaN keeps it.
-	for j, z := range pre {
-		keep := uint64(math.MaxUint64)
-		if z <= 0 {
-			keep = 0
-		}
-		prev[j] = math.Float64frombits(math.Float64bits(prev[j]) & keep)
+		p := prev[s*n : (s+1)*n]
+		clear(p)
+		mathx.Sweep(p, coefs[:k], l.w, rows[:k])
 	}
 }
 
 // update applies one SGD-with-momentum step to layer l. delta holds the
-// batch's deltas (sample × output) and in the inputs the layer saw.
-func (t *trainer) update(l *layer, delta []float64, in []mathx.Vec, lr, scale float64, cfg Config) {
-	n := l.in
+// batch's deltas (sample × output) and in the inputs the layer saw (sample
+// × input).
+func (t *trainer) update(l *layer, delta, in []float64, lr, scale float64, cfg Config) {
+	n, batch := l.in, len(delta)/l.out
 	g := t.grad[:n]
-	for o := 0; o < l.out; o++ {
+	for o := range l.out {
 		gb := 0.0
-		nz := t.nz[:0]
-		for s := range in {
+		coefs, rows, k := t.coefs[:batch], t.rows[:batch], 0
+		for s := range batch {
 			v := delta[s*l.out+o]
 			gb += v
-			if v != 0 {
-				nz = append(nz, s)
-			}
+			coefs[k], rows[k] = v, s
+			k += nonzero(v)
 		}
 		clear(g)
-		k := 0
-		for ; k+4 <= len(nz); k += 4 {
-			s0, s1, s2, s3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
-			d0, d1, d2, d3 := delta[s0*l.out+o], delta[s1*l.out+o], delta[s2*l.out+o], delta[s3*l.out+o]
-			a0, a1, a2, a3 := in[s0][:n:n], in[s1][:n:n], in[s2][:n:n], in[s3][:n:n]
-			for j := range g {
-				g[j] = g[j] + d0*a0[j] + d1*a1[j] + d2*a2[j] + d3*a3[j]
-			}
-		}
-		for ; k < len(nz); k++ {
-			s := nz[k]
-			mathx.Axpy(delta[s*l.out+o], in[s], g)
-		}
-		w := l.w[o*n : (o+1)*n : (o+1)*n]
-		vw := l.vw[o*n : (o+1)*n : (o+1)*n]
-		for j, gj := range g {
-			grad := gj*scale + cfg.L2*w[j]
-			vw[j] = cfg.Momentum*vw[j] - lr*grad
-			w[j] += vw[j]
-		}
-		l.vb[o] = cfg.Momentum*l.vb[o] - lr*gb*scale
+		mathx.Sweep(g, coefs[:k], in, rows[:k])
+		mathx.MomentumStep(l.w[o*n:(o+1)*n], l.vw[o*n:(o+1)*n], g, scale, cfg.L2, cfg.Momentum, lr)
+		l.vb[o] = float64(cfg.Momentum*l.vb[o]) - float64(lr*gb*scale)
 		l.b[o] += l.vb[o]
 	}
 }

@@ -3,9 +3,12 @@ package dnn
 import "probpred/internal/mathx"
 
 // This file keeps the per-sample training loop that Train's batched step
-// replaced, verbatim, as the oracle TestTrainMatchesReference holds every
-// trained weight and bias to, bit for bit, and a forward pass that takes one
-// row at a time, the oracle of the tile kernel's tests.
+// replaced as the oracle TestTrainMatchesReference holds every trained
+// weight and bias to, bit for bit, and a forward pass that takes one row at
+// a time, the oracle of the tile kernel's tests. The loop is the original
+// but for its conversions, which stop a target with FMA from fusing a
+// product with its sum, and its axpy, which is a plain loop rather than the
+// mathx kernel Train runs.
 
 // trainRef is Train with the reference step.
 func trainRef(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
@@ -20,7 +23,7 @@ func trainRef(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.ShuffleInts(order)
-		lr := cfg.LearningRate / (1 + 0.05*float64(epoch))
+		lr := cfg.LearningRate / (1 + float64(0.05*float64(epoch)))
 		for start := 0; start < n; start += cfg.BatchSize {
 			end := start + cfg.BatchSize
 			if end > n {
@@ -81,7 +84,7 @@ func (m *Model) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Con
 				d := delta[o]
 				g.b[o] += d
 				row := g.w[o*l.in : (o+1)*l.in]
-				mathx.Axpy(d, in, row)
+				axpy(d, in, row)
 			}
 			if i == 0 {
 				break
@@ -90,7 +93,7 @@ func (m *Model) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Con
 			for o := 0; o < l.out; o++ {
 				d := delta[o]
 				row := l.w[o*l.in : (o+1)*l.in]
-				mathx.Axpy(d, row, prev)
+				axpy(d, row, prev)
 			}
 			// ReLU derivative of the previous layer's pre-activation.
 			for j := range prev {
@@ -105,14 +108,21 @@ func (m *Model) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg Con
 	for i, l := range m.layers {
 		g := gs[i]
 		for j := range l.w {
-			grad := g.w[j]*scale + cfg.L2*l.w[j]
-			l.vw[j] = cfg.Momentum*l.vw[j] - lr*grad
+			grad := float64(g.w[j]*scale) + float64(cfg.L2*l.w[j])
+			l.vw[j] = float64(cfg.Momentum*l.vw[j]) - float64(lr*grad)
 			l.w[j] += l.vw[j]
 		}
 		for j := range l.b {
-			l.vb[j] = cfg.Momentum*l.vb[j] - lr*g.b[j]*scale
+			l.vb[j] = float64(cfg.Momentum*l.vb[j]) - float64(lr*g.b[j]*scale)
 			l.b[j] += l.vb[j]
 		}
+	}
+}
+
+// axpy is y += alpha·x, one rounded product and one rounded sum per element.
+func axpy(alpha float64, x, y mathx.Vec) {
+	for j, v := range x {
+		y[j] += float64(alpha * v)
 	}
 }
 

@@ -148,10 +148,10 @@ func TestTrainAllocBudget(t *testing.T) {
 	}
 	// For three layers: the model takes 22 (2 for its shape, the Model, 5 per
 	// layer, 3 as the layer list grows, the generator), the step's scratch
-	// 18 (the order, the trainer and its 3 per-layer lists, 3 slices per
-	// layer, an activation matrix per layer above the first, the gradient
-	// row with the two forward tiles, and the nonzero list).
-	const budget = 40
+	// 16 (the order, the trainer and its 3 per-layer lists, 3 matrices per
+	// layer, the gradient row with the coefficient list and the two forward
+	// tiles, and the row-index list).
+	const budget = 38
 	one, twenty := allocs(1), allocs(20)
 	if one != twenty || twenty > budget {
 		t.Fatalf("Train allocated %v times for 1 epoch and %v for 20, want the same count ≤ %d", one, twenty, budget)

@@ -206,8 +206,10 @@ func Run(p Plan, cfg Config) (*Result, error) {
 	emitOps(cfg, r.accs)
 	r.span.CostVMS = r.cluster
 	r.span.RowsOut = len(rows)
-	r.span.SetAttr("stages", strconv.Itoa(len(r.stageCosts)))
-	r.span.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
+	if cfg.Obs.Enabled() {
+		r.span.SetAttr("stages", strconv.Itoa(len(r.stageCosts)))
+		r.span.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
+	}
 	res := &Result{
 		Rows:        rows,
 		ClusterTime: r.cluster,
@@ -263,15 +265,17 @@ type run struct {
 	stageCosts []float64
 }
 
-// open starts ops[i]: a stage boundary opens a new stage, and the position's
-// span opens.
+// open starts ops[i]: a stage boundary opens a new stage, and on a traced run
+// the position's span opens.
 func (r *run) open(i int) *opAcc {
 	if r.ops[i].StageBoundary() {
 		r.stageCosts = append(r.stageCosts, 0)
 	}
 	acc := &r.accs[i]
 	acc.ran = true
-	acc.span = r.cfg.Obs.BeginChild(&r.span, obs.KindOperator, r.ops[i].Name())
+	if r.cfg.Obs.Enabled() {
+		acc.span = r.cfg.Obs.BeginChild(&r.span, obs.KindOperator, r.ops[i].Name())
+	}
 	return acc
 }
 

@@ -141,6 +141,42 @@ func TestFailedRunSpansCarryCost(t *testing.T) {
 	})
 }
 
+// namesCounted is an operator that counts the calls to its Name.
+type namesCounted struct {
+	Operator
+	calls *int
+}
+
+func (n namesCounted) Name() string {
+	*n.calls++
+	return n.Operator.Name()
+}
+
+// TestUntracedRunSkipsSpanWork: without a tracer a run builds no operator
+// span, so an operator's Name is read once, for its PerOp entry, and twice
+// on a traced run.
+func TestUntracedRunSkipsSpanWork(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		obs  *obs.Tracer
+		want int
+	}{{"untraced", nil, 1}, {"traced", obs.New(obs.NopSink{}), 2}} {
+		calls := 0
+		plan := Plan{Ops: []Operator{
+			&Scan{Blobs: makeBlobs(50)},
+			&Process{P: fakeUDF{name: "U", cost: 3, col: "x"}},
+			namesCounted{Operator: &Select{Pred: query.MustParse("x>10")}, calls: &calls},
+		}}
+		res, err := Run(plan, Config{Obs: c.obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != c.want || res.PerOp[2].Name != "σ[x>10]" {
+			t.Fatalf("%s run: Name called %d times (PerOp name %q), want %d", c.name, calls, res.PerOp[2].Name, c.want)
+		}
+	}
+}
+
 // TestRunNilTracerUnchanged: tracing disabled (the default) must not change
 // results or costs.
 func TestRunNilTracerUnchanged(t *testing.T) {

@@ -22,14 +22,14 @@ func Dot(a, b Vec) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place.
+// Axpy computes y += alpha*x in place: y[i] = y[i] + alpha·x[i], the
+// product and the sum each rounded. It is Sweep with one term.
 func Axpy(alpha float64, x, y Vec) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mathx: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
+	d, rows := [1]float64{alpha}, [1]int{0}
+	sweep(y, d[:], x, rows[:])
 }
 
 // Scale multiplies x by alpha in place.
