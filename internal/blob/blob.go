@@ -179,19 +179,13 @@ func (s *Set) Append(b Blob, label bool) {
 func (s Set) Split(rng *mathx.RNG, trainFrac, valFrac float64) (train, val, test Set) {
 	n := s.Len()
 	perm := rng.Perm(n)
+	// Permutation positions below nTrain go to train, those below
+	// nTrain+nVal to validation and the rest to test.
 	nTrain := int(trainFrac * float64(n))
 	nVal := int(valFrac * float64(n))
-	for i, p := range perm {
-		switch {
-		case i < nTrain:
-			train.Append(s.Blobs[p], s.Labels[p])
-		case i < nTrain+nVal:
-			val.Append(s.Blobs[p], s.Labels[p])
-		default:
-			test.Append(s.Blobs[p], s.Labels[p])
-		}
-	}
-	return train, val, test
+	a := min(max(nTrain, 0), n)
+	b := min(max(nTrain+nVal, a), n)
+	return s.pick(perm[:a]), s.pick(perm[a:b]), s.pick(perm[b:])
 }
 
 // Sample returns a uniformly sampled subset of at most n labeled blobs,
@@ -200,10 +194,19 @@ func (s Set) Sample(rng *mathx.RNG, n int) Set {
 	if n >= s.Len() {
 		return s
 	}
-	perm := rng.Perm(s.Len())
-	var out Set
-	for _, p := range perm[:n] {
-		out.Append(s.Blobs[p], s.Labels[p])
+	return s.pick(rng.Perm(s.Len())[:n])
+}
+
+// pick returns the blobs at positions idx of the set, in that order, with
+// their labels. Each part is allocated once, at its exact size; an empty
+// idx gives the empty Set.
+func (s Set) pick(idx []int) Set {
+	if len(idx) == 0 {
+		return Set{}
+	}
+	out := Set{Blobs: make([]Blob, len(idx)), Labels: make([]bool, len(idx))}
+	for k, p := range idx {
+		out.Blobs[k], out.Labels[k] = s.Blobs[p], s.Labels[p]
 	}
 	return out
 }

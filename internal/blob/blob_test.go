@@ -154,3 +154,98 @@ func TestAnySparseAndDim(t *testing.T) {
 		t.Fatal("empty Dim should be 0")
 	}
 }
+
+// splitRef and sampleRef are Split and Sample as they were written before
+// their parts were allocated at exact size: one Append per blob. They are
+// the oracle of TestSplitAndSampleMatchReference.
+func splitRef(s Set, rng *mathx.RNG, trainFrac, valFrac float64) (train, val, test Set) {
+	n := s.Len()
+	perm := rng.Perm(n)
+	nTrain := int(trainFrac * float64(n))
+	nVal := int(valFrac * float64(n))
+	for i, p := range perm {
+		switch {
+		case i < nTrain:
+			train.Append(s.Blobs[p], s.Labels[p])
+		case i < nTrain+nVal:
+			val.Append(s.Blobs[p], s.Labels[p])
+		default:
+			test.Append(s.Blobs[p], s.Labels[p])
+		}
+	}
+	return train, val, test
+}
+
+func sampleRef(s Set, rng *mathx.RNG, n int) Set {
+	if n >= s.Len() {
+		return s
+	}
+	perm := rng.Perm(s.Len())
+	var out Set
+	for _, p := range perm[:n] {
+		out.Append(s.Blobs[p], s.Labels[p])
+	}
+	return out
+}
+
+// sameSet reports whether a and b hold the same blobs, by ID, with the same
+// labels in the same order, and are both empty sets or both not.
+func sameSet(a, b Set) bool {
+	if a.Len() != b.Len() || len(a.Labels) != len(b.Labels) || (a.Blobs == nil) != (b.Blobs == nil) {
+		return false
+	}
+	for i := range a.Blobs {
+		if a.Blobs[i].ID != b.Blobs[i].ID || a.Labels[i] != b.Labels[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSplitAndSampleMatchReference holds Split and Sample to the
+// one-Append-per-blob versions above: the same blobs with the same labels
+// in the same order in every part, for set sizes from 0 to 1 000 and for
+// fractions that sum to 1, to less, to more, and that are negative or
+// above 1.
+func TestSplitAndSampleMatchReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		var s Set
+		for i := 0; i < n; i++ {
+			s.Append(FromDense(i, mathx.Vec{float64(i)}), i*7%5 < 2)
+		}
+		for k, f := range [][2]float64{{0.6, 0.2}, {0.8, 0.2}, {0.5, 0.3}, {1, 0}, {0, 0}, {0, 1}, {0.7, 0.5}, {-0.1, 0.5}, {1.2, 0}, {0.3, -0.2}} {
+			seed := uint64(n*31 + k)
+			gTrain, gVal, gTest := s.Split(mathx.NewRNG(seed), f[0], f[1])
+			wTrain, wVal, wTest := splitRef(s, mathx.NewRNG(seed), f[0], f[1])
+			if !sameSet(gTrain, wTrain) || !sameSet(gVal, wVal) || !sameSet(gTest, wTest) {
+				t.Fatalf("n=%d Split(%v, %v): parts %d/%d/%d, reference %d/%d/%d or a different order",
+					n, f[0], f[1], gTrain.Len(), gVal.Len(), gTest.Len(), wTrain.Len(), wVal.Len(), wTest.Len())
+			}
+		}
+		for _, m := range []int{0, 1, n / 3, n - 1, n, n + 5} {
+			if m < 0 {
+				continue
+			}
+			seed := uint64(n*17 + m)
+			if got, want := s.Sample(mathx.NewRNG(seed), m), sampleRef(s, mathx.NewRNG(seed), m); !sameSet(got, want) {
+				t.Fatalf("n=%d Sample(%d): %d blobs, reference %d or a different order", n, m, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestSplitAndSampleAllocateEachPartOnce counts one allocation for the
+// shuffle and two per non-empty part (its blobs and its labels).
+func TestSplitAndSampleAllocateEachPartOnce(t *testing.T) {
+	s := makeSet(1000, 300)
+	rng := mathx.NewRNG(9)
+	if got := testing.AllocsPerRun(5, func() { s.Split(rng, 0.6, 0.2) }); got != 7 {
+		t.Errorf("Split 60/20/20 allocated %v times, want 7", got)
+	}
+	if got := testing.AllocsPerRun(5, func() { s.Split(rng, 0.8, 0.2) }); got != 5 {
+		t.Errorf("Split 80/20 allocated %v times, want 5", got)
+	}
+	if got := testing.AllocsPerRun(5, func() { s.Sample(rng, 250) }); got != 3 {
+		t.Errorf("Sample allocated %v times, want 3", got)
+	}
+}

@@ -62,7 +62,9 @@ var trafficKeys = blob.NewTruthKeys("t", "c", "s", "i", "o")
 // crop" whose 32 raw features are noisy embeddings of the ground-truth
 // attributes stored in Truth. The embeddings are roughly linearly separable
 // per attribute value with deliberate overlap, matching §8.2 where all 32
-// corpus PPs are SVMs with reductions between ~10% and ~60%.
+// corpus PPs are SVMs with reductions between ~10% and ~60%. Products are
+// written float64(a*b), here and in the helpers, so no target fuses one
+// with the add after it and the blobs are the same bits on every GOARCH.
 func Traffic(cfg TrafficConfig) []blob.Blob {
 	if cfg.Rows == 0 {
 		cfg.Rows = 5000
@@ -100,10 +102,10 @@ func Traffic(cfg TrafficConfig) []blob.Blob {
 		embed(v[typeEmbedDim:typeEmbedDim+colorEmbedDim], colorDirs[col], 1.5, 0.6, rng)
 		s := speed / 80
 		speedPart := v[16:20]
-		speedPart[0] = s + rng.NormFloat64()*0.06
-		speedPart[1] = s*s + rng.NormFloat64()*0.06
-		speedPart[2] = math.Sin(math.Pi*s) + rng.NormFloat64()*0.06
-		speedPart[3] = 1 - s + rng.NormFloat64()*0.06
+		speedPart[0] = s + float64(rng.NormFloat64()*0.06)
+		speedPart[1] = float64(s*s) + float64(rng.NormFloat64()*0.06)
+		speedPart[2] = math.Sin(math.Pi*s) + float64(rng.NormFloat64()*0.06)
+		speedPart[3] = 1 - s + float64(rng.NormFloat64()*0.06)
 		oneHot(v[routeEmbedStart:routeEmbedStart+6], from, 1.2, 0.4, rng)
 		oneHot(v[routeEmbedStart+6:routeEmbedStart+12], to, 1.2, 0.4, rng)
 		if cfg.Drift != 0 {
@@ -124,11 +126,11 @@ func sampleSpeed(rng *mathx.RNG) float64 {
 	var s float64
 	switch u := rng.Float64(); {
 	case u < 0.70:
-		s = 40 + rng.NormFloat64()*10
+		s = 40 + float64(rng.NormFloat64()*10)
 	case u < 0.95:
-		s = 55 + rng.NormFloat64()*8
+		s = 55 + float64(rng.NormFloat64()*8)
 	default:
-		s = 68 + rng.NormFloat64()*6
+		s = 68 + float64(rng.NormFloat64()*6)
 	}
 	return mathx.Clamp(s, 0, 80)
 }
@@ -148,7 +150,7 @@ func unitDirections(n, dim int, rng *mathx.RNG) []mathx.Vec {
 
 func embed(dst, dir mathx.Vec, gain, noise float64, rng *mathx.RNG) {
 	for j := range dst {
-		dst[j] = gain*dir[j] + rng.NormFloat64()*noise
+		dst[j] = float64(gain*dir[j]) + float64(rng.NormFloat64()*noise)
 	}
 }
 
@@ -219,15 +221,33 @@ func TrafficLookup(b blob.Blob) query.Lookup {
 }
 
 // TrafficSet labels a slice of traffic blobs against a predicate evaluated
-// on the ground-truth attributes, producing the PP training input.
+// on the ground-truth attributes, producing the PP training input. Its
+// labels are those of pred.Eval(TrafficLookup(b)) for each blob b in turn,
+// but each column's converter is made once per call, and one lookup serves
+// every blob.
 func TrafficSet(blobs []blob.Blob, pred query.Pred) (blob.Set, error) {
-	var s blob.Set
-	for _, b := range blobs {
-		ok, err := pred.Eval(TrafficLookup(b))
+	cols := make([]TrafficColumn, len(TrafficColumns))
+	for k, col := range TrafficColumns {
+		cols[k] = NewTrafficColumn(col)
+	}
+	var b blob.Blob
+	lookup := func(col string) (query.Value, bool) {
+		for k := range cols {
+			if cols[k].col == col {
+				v, err := cols[k].Value(b)
+				return v, err == nil
+			}
+		}
+		return query.Value{}, false
+	}
+	s := blob.Set{Blobs: make([]blob.Blob, len(blobs)), Labels: make([]bool, len(blobs))}
+	for i := range blobs {
+		b = blobs[i]
+		ok, err := pred.Eval(lookup)
 		if err != nil {
 			return blob.Set{}, fmt.Errorf("data: labeling blob %d: %w", b.ID, err)
 		}
-		s.Append(b, ok)
+		s.Blobs[i], s.Labels[i] = b, ok
 	}
 	return s, nil
 }

@@ -153,3 +153,38 @@ func TestChoicePanicsOnZeroTotal(t *testing.T) {
 	}()
 	NewRNG(1).Choice([]float64{0, 0})
 }
+
+// normFloat64Ref is NormFloat64 as it was written before it called
+// math.Sincos: a separate math.Sin and math.Cos.
+func normFloat64Ref(r *RNG) float64 {
+	if r.hasSpare {
+		r.hasSpare = false
+		return r.spare
+	}
+	var u, v float64
+	for {
+		u = r.Float64()
+		if u > 0 {
+			break
+		}
+	}
+	v = r.Float64()
+	mag := math.Sqrt(-2 * math.Log(u))
+	r.spare = mag * math.Sin(2*math.Pi*v)
+	r.hasSpare = true
+	return mag * math.Cos(2*math.Pi*v)
+}
+
+// TestNormFloat64MatchesSinCos holds NormFloat64 to the Sin-and-Cos
+// reference above, bit for bit, over 1.2 million draws from four seeds:
+// the normals every generator in internal/data draws must not move.
+func TestNormFloat64MatchesSinCos(t *testing.T) {
+	for _, seed := range []uint64{0, 42, 0x7a44, 0x7a441c ^ 9911} {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for i := 0; i < 300_000; i++ {
+			if g, w := got.NormFloat64(), normFloat64Ref(want); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d draw %d: %v (%#x), reference %v (%#x)", seed, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}

@@ -10,14 +10,16 @@ import (
 // plain slices; callers own allocation.
 type Vec = []float64
 
-// Dot returns the inner product of a and b. It panics if lengths differ.
+// Dot returns the inner product of a and b: Σ a_i·b_i in index order from
+// +0, each product and sum rounded (the conversion keeps targets with FMA
+// from fusing them). It panics if lengths differ.
 func Dot(a, b Vec) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("mathx: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }

@@ -51,13 +51,19 @@ type Model struct {
 // Train fits a linear SVM to feature vectors xs with binary labels ys using
 // Pegasos (Shalev-Shwartz et al.), the standard linear-time linear-SVM
 // trainer cited by the paper [25]. It returns an error for empty or
-// mismatched input or single-class labels.
+// mismatched input, rows of differing length or single-class labels.
 func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("svm: empty training set")
 	}
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("svm: %d examples but %d labels", len(xs), len(ys))
+	}
+	n, d := len(xs), len(xs[0])
+	for i, x := range xs {
+		if len(x) != d {
+			return nil, fmt.Errorf("svm: example %d has %d features, example 0 has %d", i, len(x), d)
+		}
 	}
 	pos := 0
 	for _, y := range ys {
@@ -69,21 +75,13 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("svm: training set has a single class (%d/%d positive)", pos, len(ys))
 	}
 	cfg.fill()
-	d := len(xs[0])
-	// Augment every example with a constant 1 so the bias is learned and
-	// regularized together with the weights; an unregularized bias receives
-	// an enormous kick on the first Pegasos step (eta = 1/lambda) and never
-	// recovers.
-	aug := make([]mathx.Vec, len(xs))
-	for i, x := range xs {
-		a := make(mathx.Vec, d+1)
-		copy(a, x)
-		a[d] = 1
-		aug[i] = a
-	}
+	// Every example is augmented with a constant 1 so the bias, w[d], is
+	// learned and regularized together with the weights; an unregularized
+	// bias receives an enormous kick on the first Pegasos step (eta =
+	// 1/lambda) and never recovers. The step passes apply the constant
+	// themselves, so the rows are read in place.
 	w := make(mathx.Vec, d+1)
 	rng := mathx.NewRNG(cfg.Seed)
-	n := len(xs)
 	totalSteps := cfg.Epochs * n
 	t := 1
 	if cfg.Warm != nil && len(cfg.Warm.W) == d {
@@ -103,38 +101,125 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	// online system starts from (§4's cold start).
 	avg := make(mathx.Vec, d+1)
 	avgFrom := totalSteps / 2
-	avgCount := 0
-	steps := 1
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for step := 0; step < n; step++ {
-			i := rng.Intn(n)
-			x := aug[i]
-			y := -1.0
-			weight := 1.0
-			if ys[i] {
-				y = 1.0
-				weight = cfg.ClassWeightPos
-			}
-			eta := 1 / (cfg.Lambda * float64(t))
-			margin := y * mathx.Dot(w, x)
-			// Regularization shrink.
-			mathx.Scale(1-eta*cfg.Lambda, w)
-			if margin < 1 {
-				mathx.Axpy(eta*y*weight, x, w)
-			}
-			if steps > avgFrom {
-				mathx.Axpy(1, w, avg)
-				avgCount++
-			}
-			t++
-			steps++
+	// Each step is one pass over the weights (DESIGN.md "SVM training in
+	// one pass"): it applies the step's shrink, hinge update and averaging
+	// and accumulates the next step's margin w·x, so the next example is
+	// drawn before the pass. m is that dot product, summed as Dot sums it.
+	i := rng.Intn(n)
+	m := mathx.Dot(w[:d], xs[i]) + w[d]
+	for step := 1; step <= totalSteps; step++ {
+		y, weight := -1.0, 1.0
+		if ys[i] {
+			y, weight = 1.0, cfg.ClassWeightPos
 		}
+		eta := 1 / (cfg.Lambda * float64(t))
+		shrink := 1 - float64(eta*cfg.Lambda)
+		hinge := y*m < 1
+		next := i
+		if step < totalSteps {
+			next = rng.Intn(n)
+		}
+		switch averaging := step > avgFrom; {
+		case hinge && averaging:
+			m = hingeAvgPass(w, avg, xs[i], xs[next], shrink, float64(eta*y)*weight)
+		case hinge:
+			m = hingePass(w, xs[i], xs[next], shrink, float64(eta*y)*weight)
+		case averaging:
+			m = shrinkAvgPass(w, avg, xs[next], shrink)
+		default:
+			m = shrinkPass(w, xs[next], shrink)
+		}
+		i = next
+		t++
 	}
-	if avgCount > 0 {
+	if avgCount := totalSteps - avgFrom; avgCount > 0 {
 		mathx.Scale(1/float64(avgCount), avg)
 		w = avg
 	}
 	return &Model{W: w[:d], B: w[d]}, nil
+}
+
+// The four step passes below each update the d+1 weights w of one Pegasos
+// step and return Σ w[j]·xn[j], the next example's dot product, over the
+// updated weights, where x and xn are d long and the bias w[d] takes the
+// constant 1 as its feature. Each weight gets the shrink w·c, then the
+// hinge update + a·x[j] when the margin was under 1, then avg[j] += w[j]
+// once averaging has begun: the operations of a Scale, an Axpy and an
+// Axpy(1, w, avg), in that order. Products are written float64(a*b) so no
+// target fuses them into the following add; a product with the constant 1
+// is exact and left out. The passes are not inlined: inside Train's loop a
+// pass spilled its index and a base pointer to the stack every element.
+
+// hingeAvgPass is a step with a hinge update during averaging.
+//
+//go:noinline
+func hingeAvgPass(w, avg, x, xn mathx.Vec, c, a float64) float64 {
+	d := len(x)
+	ws, as, xn := w[:d], avg[:d], xn[:d]
+	m := 0.0
+	for j, xj := range x {
+		v := float64(ws[j]*c) + float64(a*xj)
+		ws[j] = v
+		as[j] += v
+		m += float64(v * xn[j])
+	}
+	v := float64(w[d]*c) + a
+	w[d] = v
+	avg[d] += v
+	return m + v
+}
+
+// hingePass is a step with a hinge update before averaging.
+//
+//go:noinline
+func hingePass(w, x, xn mathx.Vec, c, a float64) float64 {
+	d := len(x)
+	ws, xn := w[:d], xn[:d]
+	m := 0.0
+	for j, xj := range x {
+		v := float64(ws[j]*c) + float64(a*xj)
+		ws[j] = v
+		m += float64(v * xn[j])
+	}
+	v := float64(w[d]*c) + a
+	w[d] = v
+	return m + v
+}
+
+// shrinkAvgPass is a step without a hinge update during averaging.
+//
+//go:noinline
+func shrinkAvgPass(w, avg, xn mathx.Vec, c float64) float64 {
+	d := len(xn)
+	ws, as := w[:d], avg[:d]
+	m := 0.0
+	for j, xj := range xn {
+		v := float64(ws[j] * c)
+		ws[j] = v
+		as[j] += v
+		m += float64(v * xj)
+	}
+	v := float64(w[d] * c)
+	w[d] = v
+	avg[d] += v
+	return m + v
+}
+
+// shrinkPass is a step without a hinge update before averaging.
+//
+//go:noinline
+func shrinkPass(w, xn mathx.Vec, c float64) float64 {
+	d := len(xn)
+	ws := w[:d]
+	m := 0.0
+	for j, xj := range xn {
+		v := float64(ws[j] * c)
+		ws[j] = v
+		m += float64(v * xj)
+	}
+	v := float64(w[d] * c)
+	w[d] = v
+	return m + v
 }
 
 // Score returns the signed margin w·x + b; larger means more likely +1.

@@ -82,6 +82,9 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train([]mathx.Vec{{1}, {2}}, []bool{true, true}, Config{}); err == nil {
 		t.Fatal("expected error for single class")
 	}
+	if _, err := Train([]mathx.Vec{{1, 2}, {2}}, []bool{true, false}, Config{}); err == nil {
+		t.Fatal("expected error for rows of differing length")
+	}
 }
 
 func TestScoreOrdersByMargin(t *testing.T) {
