@@ -102,7 +102,7 @@ func videoStream(name string, cfg CoralConfig) *VideoStream {
 	npx := w * h
 	base := make(mathx.Vec, npx)
 	for i := range base {
-		base[i] = 0.3 + 0.4*rng.Float64()
+		base[i] = 0.3 + float64(0.4*rng.Float64())
 	}
 	v := &VideoStream{Name: name, Width: w, Height: h, MaskCols: cfg.MaskCols,
 		Background: mathx.CloneVec(base)}
@@ -125,14 +125,14 @@ func videoStream(name string, cfg CoralConfig) *VideoStream {
 			objY = 1 + rng.Intn(h-2)
 		}
 		frame := make(mathx.Vec, npx)
-		drift := 0.02 * rng.NormFloat64() // global illumination drift
+		drift := float64(0.02 * rng.NormFloat64()) // global illumination drift
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				i := y*w + x
-				px := base[i] + drift + rng.NormFloat64()*0.02
+				px := base[i] + drift + float64(rng.NormFloat64()*0.02)
 				if x >= relevantW {
 					// Irrelevant shimmering region: heavy noise.
-					px += rng.NormFloat64() * 0.3
+					px += float64(rng.NormFloat64() * 0.3)
 				}
 				frame[i] = px
 			}

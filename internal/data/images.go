@@ -116,20 +116,20 @@ func SUNAttribute(seed uint64) *Categorical {
 		// Scene-wide illumination offset: harmless to PCA+KDE (it lands in
 		// one principal component) but it confounds raw per-column
 		// statistics.
-		offset := rng.NormFloat64() * 1.5
+		offset := float64(rng.NormFloat64() * 1.5)
 		for j := range v {
-			v[j] += offset + rng.NormFloat64()*cfg.Noise
+			v[j] += offset + float64(rng.NormFloat64()*cfg.Noise)
 		}
 		d.Blobs = append(d.Blobs, blob.FromDense(i, v))
 	}
 	// Radii tuned per attribute to hit selectivities 0.1-0.3.
 	for k, a := range attrs {
-		target := 0.1 + 0.2*mathx.NewRNG(cfg.SharedSeed^uint64(k)).Float64()
+		target := 0.1 + float64(0.2*mathx.NewRNG(cfg.SharedSeed^uint64(k)).Float64())
 		dists := make([]float64, cfg.Items)
 		for i, z := range zs {
 			dx := z[a.d1] - a.c1
 			dy := z[a.d2] - a.c2
-			dists[i] = math.Sqrt(dx*dx + dy*dy)
+			dists[i] = math.Sqrt(float64(dx*dx) + float64(dy*dy))
 		}
 		radius := mathx.Quantile(dists, target)
 		for i := range zs {
@@ -153,7 +153,7 @@ func imageDataset(name string, cfg ImageConfig) *Categorical {
 			c[j] = shared.NormFloat64() * 0.8
 		}
 		centers[k] = c
-		targets[k] = 0.05 + 0.2*shared.Float64()
+		targets[k] = 0.05 + float64(0.2*shared.Float64())
 	}
 	rng := mathx.NewRNG(cfg.Seed ^ 0x1ca9e)
 	d := &Categorical{Name: name}
@@ -180,11 +180,11 @@ func imageDataset(name string, cfg ImageConfig) *Categorical {
 			}
 			vd := mix.MulVec(zd)
 			for j := range v {
-				v[j] += cfg.Distractor * math.Tanh(vd[j]) * rng.Float64()
+				v[j] += float64(cfg.Distractor * math.Tanh(vd[j]) * rng.Float64())
 			}
 		}
 		for j := range v {
-			v[j] += rng.NormFloat64() * cfg.Noise
+			v[j] += float64(rng.NormFloat64() * cfg.Noise)
 		}
 		d.Blobs = append(d.Blobs, blob.FromDense(i, v))
 	}

@@ -73,7 +73,7 @@ func LSHTC(cfg LSHTCConfig) *Categorical {
 	// validation splits still contain positives).
 	rates := make([]float64, cfg.Categories)
 	for k := range rates {
-		rates[k] = 0.02 + 0.18*rng.Float64()
+		rates[k] = 0.02 + float64(0.18*rng.Float64())
 	}
 	d := &Categorical{Name: "lshtc"}
 	d.Members = make([][]bool, cfg.Categories)

@@ -87,7 +87,7 @@ func UCF101(cfg UCFConfig) *Categorical {
 		m := rng.Intn(cfg.ModesPerActivity)
 		z := make(mathx.Vec, cfg.Latent)
 		for j := range z {
-			z[j] = modes[k][m][j] + rng.NormFloat64()*0.8
+			z[j] = modes[k][m][j] + float64(rng.NormFloat64()*0.8)
 		}
 		v := mix.MulVec(z)
 		// Per-clip brightness/contrast variation: a random common-mode
@@ -96,7 +96,7 @@ func UCF101(cfg UCFConfig) *Categorical {
 		// component the KDE can ignore.
 		offset := rng.NormFloat64() * 2.0
 		for j := range v {
-			v[j] += offset + rng.NormFloat64()*0.3
+			v[j] += offset + float64(rng.NormFloat64()*0.3)
 		}
 		d.Members[k][i] = true
 		d.Blobs = append(d.Blobs, blob.FromDense(i, v))

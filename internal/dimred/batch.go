@@ -116,7 +116,7 @@ func (f FeatureHash) ReduceBatch(blobs []blob.Blob, dst []float64) {
 		if b.Sparse != nil {
 			for k, j := range b.Sparse.Idx {
 				bucket, sign := f.bucketSign(j)
-				row[bucket] += sign * b.Sparse.Val[k]
+				row[bucket] += float64(sign * b.Sparse.Val[k])
 			}
 			continue
 		}
@@ -130,7 +130,7 @@ func (f FeatureHash) ReduceBatch(blobs []blob.Blob, dst []float64) {
 			if v == 0 {
 				continue
 			}
-			row[bucket[j]] += sign[j] * v
+			row[bucket[j]] += float64(sign[j] * v)
 		}
 	}
 	if t != nil {

@@ -186,7 +186,7 @@ func (f FeatureHash) Reduce(b blob.Blob) mathx.Vec {
 	if b.Sparse != nil {
 		for k, j := range b.Sparse.Idx {
 			bucket, sign := f.bucketSign(j)
-			out[bucket] += sign * b.Sparse.Val[k]
+			out[bucket] += float64(sign * b.Sparse.Val[k])
 		}
 		return out
 	}
@@ -195,7 +195,7 @@ func (f FeatureHash) Reduce(b blob.Blob) mathx.Vec {
 			continue
 		}
 		bucket, sign := f.bucketSign(j)
-		out[bucket] += sign * v
+		out[bucket] += float64(sign * v)
 	}
 	return out
 }

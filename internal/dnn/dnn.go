@@ -91,51 +91,9 @@ func newLayer(in, out int, rng *mathx.RNG) *layer {
 	return l
 }
 
-// tile is the number of rows the forward kernel runs at once: two AVX2
-// registers of four float64 each per output neuron.
-const tile = 8
-
-// affine computes one layer's out = W·in + b for a tile of rows stored
-// neuron-major: in[j*tile+r] is input j of row r, and out[o*tile+r] is output
-// o of row r. SIMD lanes hold rows, so each lane runs one row's dot products
-// exactly as a loop over that row alone would: output o starts from +0, adds
-// w[o][j]·x[j] in ascending j, a multiply and an add each rounded, and then
-// adds b[o]. It is affineGo, or the AVX2 kernel where the CPU and the OS
-// support it (kernel_amd64.go); both compute the same bits. Training, Score
-// and ScoreBatch all run every forward pass through it.
-var affine = affineGo
-
-// affineGo is the portable kernel. The conversion stops the compiler from
-// fusing the multiply and the add where the target has FMA.
-func affineGo(w, b, in, out []float64) {
-	n := len(in) / tile
-	for o, bias := range b {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for j, wj := range w[o*n : (o+1)*n] {
-			x := (*[tile]float64)(in[j*tile : (j+1)*tile])
-			s0 += float64(wj * x[0])
-			s1 += float64(wj * x[1])
-			s2 += float64(wj * x[2])
-			s3 += float64(wj * x[3])
-			s4 += float64(wj * x[4])
-			s5 += float64(wj * x[5])
-			s6 += float64(wj * x[6])
-			s7 += float64(wj * x[7])
-		}
-		*(*[tile]float64)(out[o*tile : (o+1)*tile]) = [tile]float64{
-			s0 + bias, s1 + bias, s2 + bias, s3 + bias, s4 + bias, s5 + bias, s6 + bias, s7 + bias}
-	}
-}
-
-// forwardTile runs the tile in through the layer into the tile out, after
-// checking the shapes the assembly kernel trusts.
-func (l *layer) forwardTile(in, out []float64) {
-	if len(in) != l.in*tile || len(out) != l.out*tile || len(l.w) != l.in*l.out || len(l.b) != l.out {
-		panic(fmt.Sprintf("dnn: a %d→%d layer with %d weights and %d biases cannot map a %d-value tile to a %d-value one",
-			l.in, l.out, len(l.w), len(l.b), len(in), len(out)))
-	}
-	affine(l.w, l.b, in, out)
-}
+// tile is the number of rows a forward pass runs at once, neuron-major: value
+// j of row r at t[j*tile+r], as mathx.Affine takes them.
+const tile = mathx.AffineRows
 
 // putRow writes x into lane r of the neuron-major tile t.
 func putRow(t []float64, r int, x []float64) {
@@ -360,7 +318,7 @@ func (t *trainer) step(xs []mathx.Vec, ys []bool, batch []int, lr float64, cfg C
 		clearRows(x, rows)
 		for i, l := range layers {
 			z := alt[:l.out*tile]
-			l.forwardTile(cur[:l.in*tile], z)
+			mathx.Affine(l.w, l.b, cur[:l.in*tile], z)
 			for r := range rows {
 				getRow(t.pre[i][(lo+r)*l.out:(lo+r+1)*l.out], z, r)
 			}
@@ -499,7 +457,7 @@ func (m *Model) forward(s *fwdScratch) []float64 {
 	cur, alt := s.a, s.b
 	for i, l := range m.layers {
 		z := alt[:l.out*tile]
-		l.forwardTile(cur[:l.in*tile], z)
+		mathx.Affine(l.w, l.b, cur[:l.in*tile], z)
 		if i == len(m.layers)-1 {
 			return z
 		}
@@ -521,4 +479,4 @@ func (m *Model) Params() int { return m.params }
 // one forward pass touches every parameter once (c_f in Table 2). The
 // constants put a typical PP network near the ~10 ms/row the paper measures
 // for DNN PPs (Table 5).
-func (m *Model) Cost() float64 { return 2.0 + 5e-4*float64(m.params) }
+func (m *Model) Cost() float64 { return 2.0 + float64(5e-4*float64(m.params)) }

@@ -5,7 +5,7 @@ import "probpred/internal/mathx"
 // This file keeps the per-sample training loop that Train's batched step
 // replaced as the oracle TestTrainMatchesReference holds every trained
 // weight and bias to, bit for bit, and a forward pass that takes one row at
-// a time, the oracle of the tile kernel's tests. The loop is the original
+// a time, the oracle of TestScoreBatchMatchesReference. The loop is the original
 // but for its conversions, which stop a target with FMA from fusing a
 // product with its sum, and its axpy, which is a plain loop rather than the
 // mathx kernel Train runs.

@@ -245,5 +245,5 @@ func (m *Model) Bandwidth() float64 { return m.h }
 func (m *Model) Cost() float64 {
 	n := float64(m.pos.Len() + m.neg.Len())
 	logN := math.Log2(n + 2)
-	return 1.0 + 1e-3*float64(m.neighbors)*(logN+float64(m.dim))
+	return 1.0 + float64(1e-3*float64(m.neighbors)*(logN+float64(m.dim)))
 }

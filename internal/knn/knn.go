@@ -10,11 +10,9 @@
 //
 // Points are stored in blocks of lanes points, dimension-major: block b
 // holds coordinate j of its points at blocks[(b·dim+j)·lanes : …+lanes]. The
-// last block is padded with zeros; a padding lane is never returned. The
-// kernel computes one block's sixteen squared distances, each lane summing
-// its point's (q_j − p_j)² in j order with a separate subtract, multiply and
-// add, exactly as mathx.SqDist does, so every distance is bit-identical to
-// it.
+// last block is padded with zeros; a padding lane is never returned.
+// mathx.SqDists computes one block's sixteen squared distances, each
+// bit-identical to mathx.SqDist's.
 package knn
 
 import (
@@ -24,35 +22,9 @@ import (
 	"probpred/internal/mathx"
 )
 
-// lanes is the number of points one kernel call measures: four AVX2
-// registers of four float64 each.
-const lanes = 16
-
-// sqDists writes the squared distances from q to block blk's points into
-// out and returns the lanes whose distance is below bound as a bit set
-// (bit l for lane l). It is sqDistsGo, or the AVX2 kernel where the CPU and
-// the OS support it (kernel_amd64.go); both compute the same bits.
-var sqDists = sqDistsGo
-
-// sqDistsGo is the portable kernel. The conversions stop the compiler from
-// fusing the multiply and the add where the target has FMA.
-func sqDistsGo(q, blk []float64, bound float64, out *[lanes]float64) uint32 {
-	*out = [lanes]float64{}
-	for j, v := range q {
-		p := (*[lanes]float64)(blk[j*lanes : (j+1)*lanes])
-		for l := range out {
-			d := v - p[l]
-			out[l] += float64(d * d)
-		}
-	}
-	var below uint32
-	for l, s := range out {
-		if s < bound {
-			below |= 1 << l
-		}
-	}
-	return below
-}
+// lanes is the number of points in a block, the points mathx.SqDists
+// measures in one call.
+const lanes = mathx.DistLanes
 
 // Index is an immutable set of dense points, laid out for the scan.
 type Index struct {
@@ -138,7 +110,9 @@ func (x *Index) KNNInto(q mathx.Vec, k int, s *Scratch) []Result {
 		if len(dist) == k {
 			bound = dist[k-1]
 		}
-		below := sqDists(q, x.blocks[base*x.dim:(base+lanes)*x.dim], bound, &s.blk)
+		// A block sliced len(q)·lanes long lets the compiler drop
+		// SqDists's shape check from the loop.
+		below := mathx.SqDists(q, x.blocks[base*x.dim:][:len(q)*lanes], bound, &s.blk)
 		if len(dist) < k {
 			below = 1<<lanes - 1
 		}

@@ -124,23 +124,20 @@ func gaussianPoints(n, dim int, seed uint64) []mathx.Vec {
 
 // BenchmarkKNN times one query at the KDE scorer's shape — d = 8 whitened
 // features, k = 25 neighbours — against class sets the size of the
-// benchmark's positive (≈ 300) and negative (≈ 2 000) sets, with the kernel
-// the package runs and with the portable one (DESIGN.md "KDE k-NN: a flat
-// scan").
+// benchmark's positive (≈ 300) and negative (≈ 2 000) sets (DESIGN.md "Dense
+// kernels (`mathx`)"). mathx.BenchmarkKernels compares the AVX2 and portable
+// distance kernels.
 func BenchmarkKNN(b *testing.B) {
 	const d, k = 8, 25
 	queries := gaussianPoints(256, d, 2)
 	for _, n := range []int{300, 2000} {
 		x := Build(gaussianPoints(n, d, 1))
-		for _, kern := range kernels() {
-			var s Scratch
-			b.Run(fmt.Sprintf("n=%d/%s", n, kern.name), func(b *testing.B) {
-				defer useKernel(kern.fn)()
-				for i := 0; i < b.N; i++ {
-					knnSink = x.KNNInto(queries[i%len(queries)], k, &s)
-				}
-			})
-		}
+		var s Scratch
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				knnSink = x.KNNInto(queries[i%len(queries)], k, &s)
+			}
+		})
 	}
 }
 

@@ -25,36 +25,14 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// MulVec computes y = M·x.
+// MulVec returns y = M·x, each output a Dot of its row with x.
 func (m *Mat) MulVec(x Vec) Vec {
-	y := make(Vec, m.Rows)
-	m.MulVecInto(x, y)
-	return y
-}
-
-// MulVecInto computes y = M·x into the caller's buffer (len Rows), the
-// allocation-free form hot paths use. Each output accumulates in column
-// order, so results are bit-identical to MulVec.
-func (m *Mat) MulVecInto(x, y Vec) {
 	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mathx: MulVecInto dim mismatch %d vs %d", m.Cols, len(x)))
+		panic(fmt.Sprintf("mathx: MulVec dim mismatch %d vs %d", m.Cols, len(x)))
 	}
-	if len(y) != m.Rows {
-		panic(fmt.Sprintf("mathx: MulVecInto output length %d, want %d", len(y), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
+	y := make(Vec, m.Rows)
+	for i := range y {
 		y[i] = Dot(m.Row(i), x)
-	}
-}
-
-// MulVecT computes y = Mᵀ·x.
-func (m *Mat) MulVecT(x Vec) Vec {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("mathx: MulVecT dim mismatch %d vs %d", m.Rows, len(x)))
-	}
-	y := make(Vec, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		Axpy(x[i], m.Row(i), y)
 	}
 	return y
 }

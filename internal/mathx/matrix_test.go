@@ -22,15 +22,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	m := NewMat(2, 2)
-	copy(m.Data, []float64{1, 2, 3, 4})
-	y := m.MulVecT(Vec{1, 1})
-	if y[0] != 4 || y[1] != 6 {
-		t.Fatalf("MulVecT = %v", y)
-	}
-}
-
 func TestOrthonormalize(t *testing.T) {
 	rows := []Vec{{1, 1, 0}, {1, 0, 0}, {2, 2, 0}} // third is dependent on first
 	kept := orthonormalize(rows)

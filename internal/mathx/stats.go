@@ -25,8 +25,8 @@ func Variance(xs []float64) float64 {
 	m := Mean(xs)
 	s := 0.0
 	for _, x := range xs {
-		d := x - m
-		s += d * d
+		// No temporary for x − m: it would cost StdDev its inlining.
+		s += float64((x - m) * (x - m))
 	}
 	return s / float64(len(xs))
 }
@@ -61,14 +61,14 @@ func quantileSorted(s []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Summary holds the five-number summary plus the mean of a sample, matching

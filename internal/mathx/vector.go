@@ -117,26 +117,3 @@ func (s Sparse) Dense() Vec {
 	}
 	return d
 }
-
-// DotDense returns the inner product of s with a dense vector w of the same
-// dimensionality.
-func (s Sparse) DotDense(w Vec) float64 {
-	if len(w) != s.Dim {
-		panic(fmt.Sprintf("mathx: Sparse.DotDense dim mismatch %d vs %d", s.Dim, len(w)))
-	}
-	sum := 0.0
-	for k, i := range s.Idx {
-		sum += s.Val[k] * w[i]
-	}
-	return sum
-}
-
-// AxpyDense computes w += alpha*s for a dense w.
-func (s Sparse) AxpyDense(alpha float64, w Vec) {
-	if len(w) != s.Dim {
-		panic(fmt.Sprintf("mathx: Sparse.AxpyDense dim mismatch %d vs %d", s.Dim, len(w)))
-	}
-	for k, i := range s.Idx {
-		w[i] += alpha * s.Val[k]
-	}
-}

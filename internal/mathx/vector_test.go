@@ -123,23 +123,6 @@ func TestSparseDense(t *testing.T) {
 	}
 }
 
-func TestSparseDotDenseMatchesDense(t *testing.T) {
-	s := NewSparse(5, []int{0, 2, 4}, []float64{1, 2, 3})
-	w := Vec{1, 1, 1, 1, 1}
-	if got, want := s.DotDense(w), Dot(s.Dense(), w); got != want {
-		t.Fatalf("DotDense = %v, want %v", got, want)
-	}
-}
-
-func TestSparseAxpyDense(t *testing.T) {
-	s := NewSparse(3, []int{1}, []float64{4})
-	w := Vec{1, 1, 1}
-	s.AxpyDense(0.5, w)
-	if w[1] != 3 || w[0] != 1 || w[2] != 1 {
-		t.Fatalf("AxpyDense = %v", w)
-	}
-}
-
 func TestNewSparseOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -147,28 +130,4 @@ func TestNewSparseOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	NewSparse(3, []int{3}, []float64{1})
-}
-
-// Property: for random sparse vectors, DotDense agrees with dense Dot.
-func TestSparseDotQuick(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		dim := 1 + r.Intn(50)
-		nnz := r.Intn(dim + 1)
-		idx := make([]int, nnz)
-		val := make([]float64, nnz)
-		for i := range idx {
-			idx[i] = r.Intn(dim)
-			val[i] = r.NormFloat64()
-		}
-		s := NewSparse(dim, idx, val)
-		w := make(Vec, dim)
-		for i := range w {
-			w[i] = r.NormFloat64()
-		}
-		return almostEq(s.DotDense(w), Dot(s.Dense(), w), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

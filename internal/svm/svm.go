@@ -101,8 +101,8 @@ func Train(xs []mathx.Vec, ys []bool, cfg Config) (*Model, error) {
 	// online system starts from (§4's cold start).
 	avg := make(mathx.Vec, d+1)
 	avgFrom := totalSteps / 2
-	// Each step is one pass over the weights (DESIGN.md "SVM training in
-	// one pass"): it applies the step's shrink, hinge update and averaging
+	// Each step is one pass over the weights (DESIGN.md "Dense kernels
+	// (`mathx`)"): it applies the step's shrink, hinge update and averaging
 	// and accumulates the next step's margin w·x, so the next example is
 	// drawn before the pass. m is that dot product, summed as Dot sums it.
 	i := rng.Intn(n)
@@ -247,4 +247,4 @@ func (m *Model) Name() string { return "SVM" }
 // Cost returns the virtual per-blob scoring cost in virtual milliseconds:
 // a fixed dispatch overhead plus O(d) work (Table 2). The constants put an
 // FH+SVM PP near the ~1 ms/row the paper measures (Table 5).
-func (m *Model) Cost() float64 { return 0.5 + 1e-3*float64(len(m.W)) }
+func (m *Model) Cost() float64 { return 0.5 + float64(1e-3*float64(len(m.W))) }

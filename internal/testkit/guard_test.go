@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,6 +54,54 @@ func TestMetricsImports(t *testing.T) {
 		}
 		t.Errorf("%s imports %s: only %v may", rel, p, allowed)
 	})
+}
+
+// TestAssemblyOnlyInMathx keeps the SIMD kernels in one home: no .s or
+// _amd64 file lies outside internal/mathx, and no Go file outside it names
+// the CPU probe or an AVX kernel, so the one useAVX2 branch there picks
+// every kernel.
+func TestAssemblyOnlyInMathx(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := filepath.Join(root, "internal", "mathx")
+	probe := regexp.MustCompile(`(?i)avx|cpuid|xgetbv`)
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && d.Name() != ".git" || under(path, home) {
+			return err
+		}
+		if d.IsDir() {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(root, path)
+		name := d.Name()
+		if strings.HasSuffix(name, ".s") || strings.Contains(name, "_amd64") {
+			t.Errorf("%s: assembly and amd64-only files belong in internal/mathx", rel)
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && probe.MatchString(id.Name) {
+				t.Errorf("%s names %s: only internal/mathx probes the CPU and picks a kernel", rel, id.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("parsed only %d Go files under %s", files, root)
+	}
 }
 
 // forEachImport calls f with the module-relative path of every non-test Go
