@@ -7,6 +7,15 @@ import "fmt"
 // compute the same bits: every product and every sum rounded on its own (no
 // fused multiply-add), in the same order, lane by lane.
 
+// Kernels names the kernel set every call below runs: "avx2" for the
+// assembly, "go" for the portable one.
+func Kernels() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
 // AffineRows is the number of rows one Affine call maps: two AVX2 registers
 // of four float64 each per output.
 const AffineRows = 8

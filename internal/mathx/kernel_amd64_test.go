@@ -7,14 +7,17 @@ import (
 	"testing"
 )
 
-// TestAVX2KernelsSelected: where the CPU and the OS support AVX2, Sweep,
+// TestAVX2SweepSelected: where the CPU and the OS support AVX2, Sweep,
 // MomentumStep, Axpy, Affine and SqDists run the assembly kernels, so the
-// kernel tests compare two kernels and not one with itself. Where
-// /proc/cpuinfo can be read, the probe is held to Linux's own verdict: it
-// lists the avx2 flag only when it also saves the YMM state.
-func TestAVX2KernelsSelected(t *testing.T) {
+// kernel tests compare two kernels and not one with itself, and Kernels
+// says so. Where /proc/cpuinfo can be read, the probe is held to Linux's own
+// verdict: it lists the avx2 flag only when it also saves the YMM state.
+func TestAVX2SweepSelected(t *testing.T) {
 	if useAVX2 != hasAVX2() {
 		t.Fatalf("hasAVX2 = %v, but the AVX2 kernels selected = %v", hasAVX2(), useAVX2)
+	}
+	if got := Kernels(); (got == "avx2") != useAVX2 {
+		t.Fatalf("Kernels() = %q, but the AVX2 kernels selected = %v", got, useAVX2)
 	}
 	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		for _, line := range strings.Split(string(info), "\n") {

@@ -56,7 +56,7 @@ type kernel[F any] struct {
 }
 
 // kernels lists the kernel the package runs (the AVX2 one where the CPU has
-// it, see TestAVX2KernelsSelected) and the portable one; on a host without
+// it, see TestAVX2SweepSelected) and the portable one; on a host without
 // AVX2 they are the same function.
 func kernels[F any](active, portable F) []kernel[F] {
 	return []kernel[F]{{"active", active}, {"go", portable}}

@@ -15,6 +15,8 @@ package testkit
 import (
 	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -385,4 +387,33 @@ var Standing = []Query{
 	{ID: "SQ3", Pred: "s>60", Accuracy: 0.9},
 	{ID: "SQ4", Pred: "t=SUV & s>60", Accuracy: 0.9},
 	{ID: "SQ5", Pred: "t=truck | t=van", Accuracy: 0.95},
+}
+
+// CheckKernels fails tb unless mathx runs the kernel set the host supports:
+// the portable one off amd64, and on amd64 the AVX2 one exactly when
+// /proc/cpuinfo lists the avx2 flag, which Linux does only when it also
+// saves the YMM state. Where that file cannot be read it only logs the set.
+func CheckKernels(tb testing.TB) {
+	tb.Helper()
+	got := mathx.Kernels()
+	switch info, err := os.ReadFile("/proc/cpuinfo"); {
+	case runtime.GOARCH != "amd64":
+		if got != "go" {
+			tb.Fatalf("mathx.Kernels() = %q on %s, want \"go\"", got, runtime.GOARCH)
+		}
+	case err == nil:
+		for _, line := range strings.Split(string(info), "\n") {
+			if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+				want := "go"
+				if slices.Contains(strings.Fields(flags), "avx2") {
+					want = "avx2"
+				}
+				if got != want {
+					tb.Fatalf("mathx.Kernels() = %q, but /proc/cpuinfo's flags make it %q", got, want)
+				}
+				break
+			}
+		}
+	}
+	tb.Logf("mathx kernels in use: %s", got)
 }
