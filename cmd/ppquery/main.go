@@ -14,8 +14,9 @@
 // fell outside tolerance.
 //
 // -trace streams the observability layer's records to stderr: one span per
-// engine run and per operator (wall-clock + virtual cost + cardinalities)
-// and the optimizer's plan-search span with its counters. Independent of
+// engine run and per operator (wall-clock + virtual cost + cardinalities),
+// derived from each run's Result.PerOp, and the plan-search span with its
+// counters, derived from the decision's Search ledger. Independent of
 // -trace, a flight recorder buffers the most recent records and dumps them
 // to stderr automatically if a run fails.
 //
@@ -83,7 +84,7 @@ func run(o options) error {
 	}
 	tracer := obs.New(obs.Multi(sinks...))
 
-	cfg := bench.Config{Seed: o.seed, Quick: o.rows <= 5000, Obs: tracer}
+	cfg := bench.Config{Seed: o.seed, Quick: o.rows <= 5000}
 	h, err := loadOrTrainHarness(cfg, o.corpusFile)
 	if err != nil {
 		return err
@@ -94,12 +95,16 @@ func run(o options) error {
 	fmt.Printf("corpus: %d PPs trained in %s; stream: %d rows\n\n",
 		h.Opt.Corpus().Size(), h.CorpusTrainTime.Round(1e6), len(h.TestBlobs))
 
-	execCfg := engine.Config{Obs: tracer, Trace: tctx}
+	// Every span of the invocation is derived from a ledger once its work
+	// returns: each run's from its Result (a failed run's partial one
+	// included), the plan search's from the decision.
 	nopPlan, u, err := h.NoPPlan(pred)
 	if err != nil {
 		return err
 	}
-	nop, err := engine.Run(nopPlan, execCfg)
+	nopStart := time.Now()
+	nop, err := engine.Run(nopPlan, engine.Config{})
+	tracer.EmitRun(tctx, nopStart, nop, err)
 	if err != nil {
 		return err
 	}
@@ -107,12 +112,14 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	tracer.EmitSearch(tctx, pred, dec)
 	ppStart := time.Now()
-	pp, err := engine.Run(ppPlan, execCfg)
+	pp, err := engine.Run(ppPlan, engine.Config{})
+	ppWall := time.Since(ppStart)
+	tracer.EmitRun(tctx, ppStart, pp, err)
 	if err != nil {
 		return err
 	}
-	ppWall := time.Since(ppStart)
 
 	fmt.Printf("optimizer: %d candidate PP expressions, UDF cost u=%.0f vms/row\n", dec.NumCandidates, u)
 	if dec.Inject {
@@ -134,7 +141,7 @@ func run(o options) error {
 		if op.PPFilter && op.RowsIn > 0 {
 			observed := 1 - float64(op.RowsOut)/float64(op.RowsIn)
 			if h.Opt.ObserveRuntime(dec, observed) {
-				optimizer.EmitMisestimation(tracer, tctx, dec, observed)
+				tracer.EmitMisestimation(tctx, dec, observed)
 			}
 		}
 	}

@@ -15,10 +15,8 @@ import (
 	"probpred/internal/blob"
 	"probpred/internal/core"
 	"probpred/internal/data"
-	"probpred/internal/engine"
 	"probpred/internal/mathx"
 	"probpred/internal/metrics"
-	"probpred/internal/obs"
 	"probpred/internal/svm"
 )
 
@@ -29,17 +27,10 @@ type Config struct {
 	// Quick shrinks datasets for fast test runs; the full scale is used by
 	// cmd/ppbench and the benchmarks.
 	Quick bool
-	// Obs, when set, receives spans from the engine runs and optimizer
-	// searches the experiments perform.
-	Obs *obs.Tracer
 	// Metrics, when set, receives the serving telemetry of the servers the
 	// experiments build (cmd/ppbench serves it on -metrics).
 	Metrics *metrics.Registry
 }
-
-// Exec is the engine configuration experiments run plans under, carrying
-// the attached tracer.
-func (c Config) Exec() engine.Config { return engine.Config{Obs: c.Obs} }
 
 // scale returns quick when cfg.Quick, else full.
 func (c Config) scale(full, quick int) int {

@@ -101,7 +101,7 @@ func TestFig10Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fig10With(h, engine.Config{})
+	rep, err := fig10With(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,10 @@ func Fig10(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig10With(h, cfg.Exec())
+	return fig10With(h)
 }
 
-func fig10With(h *TrafficHarness, exec engine.Config) (*Report, error) {
+func fig10With(h *TrafficHarness) (*Report, error) {
 	rep := &Report{ID: "fig10", Title: "TRAF-20 speed-up in cluster processing time vs NoP (ranked by PP a=0.95)"}
 	type row struct {
 		id                        string
@@ -39,7 +39,7 @@ func fig10With(h *TrafficHarness, exec engine.Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		nop, err := engine.Run(nopPlan, exec)
+		nop, err := engine.Run(nopPlan, engine.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +52,7 @@ func fig10With(h *TrafficHarness, exec engine.Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := engine.Run(plan, exec)
+			res, err := engine.Run(plan, engine.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +66,7 @@ func fig10With(h *TrafficHarness, exec engine.Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		spRes, err := engine.Run(sp, exec)
+		spRes, err := engine.Run(sp, engine.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func Table8(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			nop, err := engine.Run(nopPlan, cfg.Exec())
+			nop, err := engine.Run(nopPlan, engine.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +158,7 @@ func Table8(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			pp, err := engine.Run(plan, cfg.Exec())
+			pp, err := engine.Run(plan, engine.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -209,7 +209,7 @@ func Table9(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		nop, err := engine.Run(nopPlan, cfg.Exec())
+		nop, err := engine.Run(nopPlan, engine.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +217,7 @@ func Table9(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(plan, cfg.Exec())
+		res, err := engine.Run(plan, engine.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,6 @@ func Serve(cfg Config) (*Report, error) {
 			MaxConcurrent:     concurrency,
 			DisableScoreCache: disable,
 			Metrics:           cfg.Metrics,
-			Obs:               cfg.Obs,
 		})
 		if err != nil {
 			return serve.Stats{}, "", err

@@ -153,20 +153,18 @@ func runStream(cfg Config) ([]streamSegment, *Report, error) {
 		WarmStart:    true,
 		Seed:         cfg.Seed + 2,
 		Watchdog:     online.WatchdogConfig{K: 3, Margin: margin, FreshLabels: segSize + segSize/2},
-		Obs:          cfg.Obs,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	builder := &segStreamBuilder{udf: segStreamUDF{cost: udfCost}}
-	exec := engine.Config{NoStageOverhead: true, Obs: cfg.Obs}
+	exec := engine.Config{NoStageOverhead: true}
 	srv, err := serve.New(serve.Config{
 		Optimizer: optimizer.New(sys.Corpus()),
 		Corpus:    builder,
 		Accuracy:  accuracy,
 		Exec:      exec,
 		Metrics:   cfg.Metrics,
-		Obs:       cfg.Obs,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -12,7 +12,6 @@ import (
 	"probpred/internal/engine"
 	"probpred/internal/fault"
 	"probpred/internal/mathx"
-	"probpred/internal/obs"
 	"probpred/internal/optimizer"
 	"probpred/internal/query"
 	"probpred/internal/udf"
@@ -87,9 +86,6 @@ type TrafficHarness struct {
 	CorpusTrainTime time.Duration
 	// PPTrainTime maps clause to its individual training time.
 	PPTrainTime map[string]time.Duration
-	// Obs receives the optimizer's plan-search spans and counters for
-	// queries planned through this harness (set from Config.Obs).
-	Obs *obs.Tracer
 
 	seed uint64
 }
@@ -162,7 +158,6 @@ func NewTrafficHarnessWithCorpus(cfg Config, corpus *optimizer.Corpus) (*Traffic
 		TestBlobs:   all[trainRows:],
 		Opt:         optimizer.New(corpus),
 		PPTrainTime: map[string]time.Duration{},
-		Obs:         cfg.Obs,
 		seed:        cfg.Seed,
 	}, nil
 }
@@ -248,7 +243,7 @@ func (h *TrafficHarness) options(pred query.Pred, accuracy float64) (optimizer.O
 	if err != nil {
 		return optimizer.Options{}, err
 	}
-	return optimizer.Options{Accuracy: accuracy, UDFCost: u, Domains: data.TrafficDomains(), Obs: h.Obs}, nil
+	return optimizer.Options{Accuracy: accuracy, UDFCost: u, Domains: data.TrafficDomains()}, nil
 }
 
 // NoPPlan builds the unmodified plan (the Optasia-like NoP baseline): scan,

@@ -12,8 +12,8 @@ import (
 // the optimizer's expectations — per-operator estimated vs actual
 // cardinalities, virtual cost, real wall time, PP pass rates, and a
 // misestimation flag wherever the actuals fall outside tolerance. It renders
-// from Result.PerOp alone (WallNS and friends are measured unconditionally),
-// so no tracer or registry needs to be attached.
+// from Result.PerOp alone (WallNS and friends are measured on every run), so
+// no tracer or registry needs to be attached.
 
 // AnalyzeOptions shapes EXPLAIN ANALYZE rendering.
 type AnalyzeOptions struct {

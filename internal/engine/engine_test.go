@@ -9,7 +9,6 @@ import (
 
 	"probpred/internal/blob"
 	"probpred/internal/mathx"
-	"probpred/internal/obs"
 	"probpred/internal/query"
 )
 
@@ -381,8 +380,8 @@ func (s rowsSource) Exec([]Row) ([]Row, float64, error) {
 // TestMisplacedFilterRefused: a PPFilter runs only as ops[1], directly after
 // a Scan. Run refuses every other placement with a *MisplacedFilterError
 // naming the filter's position, before any work: no filter test, no UDF
-// call, no Result (so no PerOp row) and no span, the run's cost
-// included. A filter's own Exec returns the same error.
+// call and no Result (so no PerOp row, and no span derived from one), the
+// run's cost included. A filter's own Exec returns the same error.
 func TestMisplacedFilterRefused(t *testing.T) {
 	blobs := makeBlobs(100)
 	rows := make([]Row, len(blobs))
@@ -407,8 +406,7 @@ func TestMisplacedFilterRefused(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			calls.Store(0)
-			col := obs.NewCollector()
-			res, err := Run(Plan{Ops: c.ops}, Config{Obs: obs.New(col)})
+			res, err := Run(Plan{Ops: c.ops}, Config{})
 			var me *MisplacedFilterError
 			if !errors.As(err, &me) || me.Pos != c.pos || me.Op != "PP[thresh]" {
 				t.Fatalf("error %v, want a MisplacedFilterError at position %d", err, c.pos)
@@ -418,9 +416,6 @@ func TestMisplacedFilterRefused(t *testing.T) {
 			}
 			if n := calls.Load(); n != 0 {
 				t.Fatalf("the filter tested blobs %d times", n)
-			}
-			if spans := col.Spans(); len(spans) != 0 {
-				t.Fatalf("a refused plan emitted %d spans, the first %q", len(spans), spans[0].Name)
 			}
 		})
 	}
@@ -432,7 +427,7 @@ func TestMisplacedFilterRefused(t *testing.T) {
 }
 
 // TestWorkersRefused holds Run to its one goroutine: Workers 0 and 1 run the
-// plan alike, and any other value fails the run before any work or span.
+// plan alike, and any other value refuses the plan before any work.
 func TestWorkersRefused(t *testing.T) {
 	var calls atomic.Int64
 	plan := Plan{Ops: []Operator{
@@ -448,8 +443,7 @@ func TestWorkersRefused(t *testing.T) {
 	}{{0, false}, {1, false}, {2, true}, {8, true}, {-1, true}} {
 		t.Run(fmt.Sprintf("workers=%d", c.workers), func(t *testing.T) {
 			calls.Store(0)
-			col := obs.NewCollector()
-			res, err := Run(plan, Config{Workers: c.workers, Obs: obs.New(col)})
+			res, err := Run(plan, Config{Workers: c.workers})
 			if !c.refused {
 				if err != nil {
 					t.Fatal(err)
@@ -467,9 +461,6 @@ func TestWorkersRefused(t *testing.T) {
 			}
 			if n := calls.Load(); n != 0 {
 				t.Fatalf("the filter tested blobs %d times", n)
-			}
-			if spans := col.Spans(); len(spans) != 0 {
-				t.Fatalf("a refused run emitted %d spans, the first %q", len(spans), spans[0].Name)
 			}
 		})
 	}

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"probpred/internal/blob"
-	"probpred/internal/obs"
 	"probpred/internal/query"
 )
 
@@ -46,7 +44,7 @@ type Config struct {
 	// Delete it when the benchmark's narrow seam (ROADMAP item 2) lands. A
 	// run executes on its caller's goroutine (concurrency comes from
 	// sessions), so Run accepts 0 and 1 and refuses any other value before
-	// any work or span.
+	// any work.
 	Workers int
 	// NoStageOverhead models an overhead-free substrate: stages add no
 	// fixed latency.
@@ -56,14 +54,6 @@ type Config struct {
 	// timeout that turns stragglers into retries. The zero value disables
 	// retries and timeouts.
 	Retry RetryPolicy
-	// Obs receives execution spans: one root span per Run, one span per
-	// operator (wall-clock, virtual cost, cardinalities) emitted in plan
-	// order when the run ends. Nil disables tracing at near-zero overhead.
-	Obs *obs.Tracer
-	// Trace is the session trace context the run belongs to: the run span
-	// carries its TraceID (inherited by operator spans) and is parented
-	// under its SpanID. The zero value leaves spans untraced.
-	Trace obs.TraceContext
 }
 
 // OpStats is one operator's accounting, keyed by plan position rather than
@@ -76,9 +66,8 @@ type OpStats struct {
 	RowsIn, RowsOut int
 	// Cost is the virtual cost this operator alone charged.
 	Cost float64
-	// WallNS is the operator's real wall-clock duration. Unlike spans it is
-	// measured unconditionally (two clock reads per operator), so EXPLAIN
-	// ANALYZE works without attaching a sink.
+	// WallNS is the operator's real wall-clock duration, measured on every
+	// run: EXPLAIN ANALYZE and the operator spans obs derives both read it.
 	WallNS int64
 	// StageBoundary mirrors the operator's StageBoundary() at execution
 	// time, letting renderers regroup PerOp rows into stages.
@@ -115,20 +104,22 @@ type Result struct {
 }
 
 // Run executes the plan and returns rows plus cost accounting. The first
-// operator must be a source (it receives a nil input batch). When the run
-// fails, work performed before the failure is still charged to the
-// operator and visible on the emitted spans (the trace is how a
-// failed run's cost is inspected; the Result itself is nil).
+// operator must be a source (it receives a nil input batch). A run that
+// fails after starting returns its partial Result beside the *OpError: PerOp
+// holds the positions that executed (a prefix of the plan), each charged
+// the work it did before the failure, and ClusterTime their sum; Rows,
+// Latency and Stages stay zero. A plan refused before any work returns a nil
+// Result.
 //
 // A Scan yields its blobs, which the PP filter directly after it, if any,
 // tests in the source stage (source.go); any other source yields rows. A
-// PPFilter anywhere else fails the run with a *MisplacedFilterError before
-// any work or span. After the source stage, each maximal run of
-// row-local operators runs as a row stage (rowstage.go), which carries
-// survivors a morsel at a time as positions and column vectors and makes
-// rows only for what it emits, and every other operator sees every row at
-// once through exec. The whole run stays on the caller's goroutine; a
-// Config.Workers other than 0 or 1 fails it before any work or span.
+// PPFilter anywhere else refuses the plan with a *MisplacedFilterError.
+// After the source stage, each maximal run of row-local operators runs as a
+// row stage (rowstage.go), which carries survivors a morsel at a time as
+// positions and column vectors and makes rows only for what it emits, and
+// every other operator sees every row at once through exec. The whole run
+// stays on the caller's goroutine; a Config.Workers other than 0 or 1
+// refuses the plan.
 func Run(p Plan, cfg Config) (*Result, error) {
 	if len(p.Ops) == 0 {
 		return nil, fmt.Errorf("engine: empty plan")
@@ -148,7 +139,6 @@ func Run(p Plan, cfg Config) (*Result, error) {
 		}
 	}
 	r := &run{cfg: cfg, ops: ops, accs: make([]opAcc, len(ops)), stageCosts: []float64{0}}
-	r.span = cfg.Obs.BeginCtx(cfg.Trace, obs.KindRun, "plan")
 
 	var in rowInput
 	var s *filterScratch
@@ -163,7 +153,7 @@ func Run(p Plan, cfg Config) (*Result, error) {
 	} else {
 		rows, err := r.exec(0, nil)
 		if err != nil {
-			return nil, err
+			return r.result(), err
 		}
 		in.rows = rows
 	}
@@ -183,14 +173,14 @@ func Run(p Plan, cfg Config) (*Result, error) {
 				s = nil
 			}
 			if err != nil {
-				return nil, err
+				return r.result(), err
 			}
 		}
 		if j == len(ops) {
 			break
 		}
 		if rows, err = r.exec(j, rows); err != nil {
-			return nil, err
+			return r.result(), err
 		}
 		in, i = rowInput{rows: rows}, j+1
 	}
@@ -199,37 +189,33 @@ func Run(p Plan, cfg Config) (*Result, error) {
 	if cfg.NoStageOverhead {
 		overhead = 0
 	}
-	latency := 0.0
+	res := r.result()
 	for _, c := range r.stageCosts {
-		latency += c/partitions + overhead
+		res.Latency += c/partitions + overhead
 	}
-	emitOps(cfg, r.accs)
-	r.span.CostVMS = r.cluster
-	r.span.RowsOut = len(rows)
-	if cfg.Obs.Enabled() {
-		r.span.SetAttr("stages", strconv.Itoa(len(r.stageCosts)))
-		r.span.SetAttr("latency_vms", strconv.FormatFloat(latency, 'f', 1, 64))
-	}
-	res := &Result{
-		Rows:        rows,
-		ClusterTime: r.cluster,
-		Latency:     latency,
-		Stages:      len(r.stageCosts),
-		PerOp:       make([]OpStats, len(ops)),
-	}
-	cfg.Obs.End(&r.span)
-	for i, op := range ops {
+	res.Rows, res.Stages = rows, len(r.stageCosts)
+	return res, nil
+}
+
+// result is the run's ledger so far: a PerOp row for each position that
+// executed, in plan order, and their summed cost.
+func (r *run) result() *Result {
+	res := &Result{ClusterTime: r.cluster, PerOp: make([]OpStats, 0, len(r.ops))}
+	for i, op := range r.ops {
 		acc := &r.accs[i]
+		if !acc.ran {
+			break
+		}
 		hits, misses := acc.ctally.Counts()
-		res.PerOp[i] = OpStats{
+		res.PerOp = append(res.PerOp, OpStats{
 			Name: op.Name(), RowsIn: acc.rowsIn, RowsOut: acc.rowsOut,
 			Cost: acc.cost, WallNS: acc.wallNS,
 			StageBoundary: op.StageBoundary(), PPFilter: isPPFilter(op),
 			Retries: acc.tally.retries, Timeouts: acc.tally.timeouts,
 			CacheHits: hits, CacheMisses: misses,
-		}
+		})
 	}
-	return res, nil
+	return res
 }
 
 func isPPFilter(op Operator) bool {
@@ -239,17 +225,14 @@ func isPPFilter(op Operator) bool {
 
 // opAcc accumulates one plan position's accounting.
 type opAcc struct {
-	// ran marks positions that executed; only those are emitted and
-	// reported when a run fails part-way.
+	// ran marks positions that executed; only those are reported when a run
+	// fails part-way.
 	ran             bool
 	rowsIn, rowsOut int
 	cost            float64
 	wallNS          int64
 	tally           retryTally
 	ctally          CacheTally
-	// span is the position's operator span, opened when the position
-	// starts. It stays the zero Span when tracing is off.
-	span obs.Span
 }
 
 // run is one Run invocation's accounting.
@@ -257,7 +240,6 @@ type run struct {
 	cfg  Config
 	ops  []Operator
 	accs []opAcc
-	span obs.Span // the run span
 	// cluster is ClusterTime: every operator execution's cost, in execution
 	// order.
 	cluster float64
@@ -265,17 +247,13 @@ type run struct {
 	stageCosts []float64
 }
 
-// open starts ops[i]: a stage boundary opens a new stage, and on a traced run
-// the position's span opens.
+// open starts ops[i]: a stage boundary opens a new stage.
 func (r *run) open(i int) *opAcc {
 	if r.ops[i].StageBoundary() {
 		r.stageCosts = append(r.stageCosts, 0)
 	}
 	acc := &r.accs[i]
 	acc.ran = true
-	if r.cfg.Obs.Enabled() {
-		acc.span = r.cfg.Obs.BeginChild(&r.span, obs.KindOperator, r.ops[i].Name())
-	}
 	return acc
 }
 
@@ -306,30 +284,7 @@ func (r *run) exec(i int, in []Row) ([]Row, error) {
 }
 
 // fail ends the run at a failure of ops[i], everything executed so far
-// already charged: the failing operator's span and the run span carry the
-// error.
+// already charged.
 func (r *run) fail(i int, err error) error {
-	r.accs[i].span.SetAttr("error", err.Error())
-	emitOps(r.cfg, r.accs)
-	r.span.CostVMS = r.cluster
-	r.span.SetAttr("error", err.Error())
-	r.cfg.Obs.End(&r.span)
-	return &OpError{Stage: len(r.stageCosts) - 1, Op: r.ops[i].Name(), Err: err}
-}
-
-// emitOps publishes, in plan order, one operator span for every position
-// that executed.
-func emitOps(cfg Config, accs []opAcc) {
-	for i := range accs {
-		acc := &accs[i]
-		if !acc.ran {
-			continue
-		}
-		sp := acc.span
-		sp.WallNS = acc.wallNS
-		sp.CostVMS = acc.cost
-		sp.RowsIn = acc.rowsIn
-		sp.RowsOut = acc.rowsOut
-		cfg.Obs.EmitSpan(sp)
-	}
+	return &OpError{Stage: len(r.stageCosts) - 1, Pos: i, Op: r.ops[i].Name(), Err: err}
 }

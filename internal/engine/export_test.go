@@ -29,3 +29,21 @@ func ApplyOneRaw(p Processor, r Row) (cols []Column, copies int, elapsed float64
 	}
 	return cols, copies, elapsed, err
 }
+
+// The internal tests' plan fixtures, for the external tests that derive
+// spans through internal/obs, which imports this package.
+var MakeBlobs = makeBlobs
+
+const ScanCost = scanCost
+
+// FakeUDF is fakeUDF: it adds column col from each blob's truth at cost per
+// row, and fails on a blob without one.
+func FakeUDF(name string, cost float64, col string) Processor {
+	return fakeUDF{name: name, cost: cost, col: col}
+}
+
+// ThresholdFilter is thresholdFilter: it passes blobs whose truth col is
+// above t, at cost per blob.
+func ThresholdFilter(col string, t, cost float64) BlobFilter {
+	return thresholdFilter{col: col, t: t, cost: cost}
+}

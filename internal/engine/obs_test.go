@@ -1,18 +1,23 @@
-package engine
+package engine_test
 
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"probpred/internal/blob"
+	"probpred/internal/engine"
 	"probpred/internal/obs"
 	"probpred/internal/query"
 )
 
+// The engine takes no tracer: these tests hold the spans internal/obs
+// derives from a run's ledger, which is why they live outside the package.
+
 // failTailBlobs returns n blobs whose LAST one has no truth map, making
-// fakeUDF fail on it, so a failed run attempts every row once.
+// FakeUDF fail on it, so a failed run attempts every row once.
 func failTailBlobs(n int) []blob.Blob {
-	blobs := makeBlobs(n)
+	blobs := engine.MakeBlobs(n)
 	blobs[n-1] = blob.Blob{ID: n - 1}
 	return blobs
 }
@@ -23,8 +28,11 @@ type spanTree struct {
 	ops map[int64]obs.Span
 }
 
-func collectSpans(t *testing.T, col *obs.Collector) spanTree {
+// traceRun derives the spans of one run and indexes them.
+func traceRun(t *testing.T, start time.Time, res *engine.Result, err error) spanTree {
 	t.Helper()
+	col := obs.NewCollector()
+	obs.New(col).EmitRun(obs.TraceContext{}, start, res, err)
 	tree := spanTree{ops: map[int64]obs.Span{}}
 	spans := col.Spans()
 	for i := range spans {
@@ -64,25 +72,25 @@ func checkSpanTree(t *testing.T, tree spanTree) float64 {
 	return opTotal
 }
 
-// TestRunEmitsSpans: a traced run emits one root span and one span per
+// TestRunEmitsSpans: a run's ledger derives one root span and one span per
 // operator parented under it, with virtual costs that reconcile exactly.
 func TestRunEmitsSpans(t *testing.T) {
 	// "plain" names the case as before the adaptive run mode was deleted.
 	t.Run("plain", func(t *testing.T) {
-		col := obs.NewCollector()
-		plan := Plan{Ops: []Operator{
-			&Scan{Blobs: makeBlobs(100)},
-			&PPFilter{F: thresholdFilter{col: "x", t: 49, cost: 1}},
-			&Process{P: fakeUDF{name: "U", cost: 7, col: "x"}},
-			&Select{Pred: query.MustParse("x>60")},
+		plan := engine.Plan{Ops: []engine.Operator{
+			&engine.Scan{Blobs: engine.MakeBlobs(100)},
+			&engine.PPFilter{F: engine.ThresholdFilter("x", 49, 1)},
+			&engine.Process{P: engine.FakeUDF("U", 7, "x")},
+			&engine.Select{Pred: query.MustParse("x>60")},
 		}}
-		res, err := Run(plan, Config{Obs: obs.New(col)})
+		start := time.Now()
+		res, err := engine.Run(plan, engine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := collectSpans(t, col)
-		if tree.run.CostVMS != res.ClusterTime {
-			t.Fatalf("run span cost %v, ClusterTime %v", tree.run.CostVMS, res.ClusterTime)
+		tree := traceRun(t, start, res, err)
+		if tree.run.CostVMS != res.ClusterTime || tree.run.RowsOut != len(res.Rows) {
+			t.Fatalf("run span cost %v rows %d, ClusterTime %v rows %d", tree.run.CostVMS, tree.run.RowsOut, res.ClusterTime, len(res.Rows))
 		}
 		if len(tree.ops) != len(plan.Ops) {
 			t.Fatalf("operator spans = %d, want %d", len(tree.ops), len(plan.Ops))
@@ -93,44 +101,59 @@ func TestRunEmitsSpans(t *testing.T) {
 	})
 }
 
-// TestFailedRunSpansCarryCost: when a run fails, the Result is nil — the
-// emitted spans are how the charged cost is observed. The failing Process
-// is charged every row it attempted, the failing one included, the run span
-// carries the scan's and the Process's charge, and only the failing
-// operator is marked.
+// TestFailedRunSpansCarryCost: a failed run returns its partial ledger
+// beside the *OpError, and the spans derived from it carry the charge. The
+// ledger holds the positions that ran — the Select after the failing
+// Process never did — the failing Process is charged every row it
+// attempted, the failing one included, and ClusterTime is the scan's and
+// the Process's charge. The OpError's Pos picks the failing operator, the
+// only operator span marked.
 func TestFailedRunSpansCarryCost(t *testing.T) {
 	// "plain" names the case as before the adaptive run mode was deleted.
 	t.Run("plain", func(t *testing.T) {
 		const n, cost = 40, 7.0
-		col := obs.NewCollector()
-		plan := Plan{Ops: []Operator{
-			&Scan{Blobs: failTailBlobs(n)},
-			&PPFilter{F: thresholdFilter{col: "x", t: -1, cost: 0}},
-			&Process{P: fakeUDF{name: "U", cost: cost, col: "x"}},
+		plan := engine.Plan{Ops: []engine.Operator{
+			&engine.Scan{Blobs: failTailBlobs(n)},
+			&engine.PPFilter{F: engine.ThresholdFilter("x", -1, 0)},
+			&engine.Process{P: engine.FakeUDF("U", cost, "x")},
+			&engine.Select{Pred: query.MustParse("x>10")},
 		}}
-		_, err := Run(plan, Config{Obs: obs.New(col)})
-		var opErr *OpError
-		if !errors.As(err, &opErr) || opErr.Op != "U" {
-			t.Fatalf("run error = %v, want an OpError naming U", err)
+		start := time.Now()
+		res, err := engine.Run(plan, engine.Config{})
+		var opErr *engine.OpError
+		if !errors.As(err, &opErr) || opErr.Op != "U" || opErr.Pos != 2 {
+			t.Fatalf("run error = %v, want an OpError naming U at position 2", err)
 		}
-		tree := collectSpans(t, col)
-		if want := n*scanCost + n*cost; tree.run.CostVMS != want {
-			t.Fatalf("failed run charged %v, want %v (scan + all attempts)", tree.run.CostVMS, want)
+		if res == nil || len(res.PerOp) != 3 || res.Rows != nil {
+			t.Fatalf("partial Result %+v, want the three positions that ran and no rows", res)
+		}
+		want := n*engine.ScanCost + n*cost
+		sum := 0.0
+		for _, op := range res.PerOp {
+			sum += op.Cost
+		}
+		if res.ClusterTime != want || sum != want {
+			t.Fatalf("failed run charged %v (PerOp sum %v), want %v (scan + all attempts)", res.ClusterTime, sum, want)
+		}
+		if u := res.PerOp[2]; u.Name != "U" || u.RowsIn != n || u.Cost != n*cost {
+			t.Fatalf("failed U's ledger row %+v, want %d rows in at %v", u, n, n*cost)
+		}
+
+		tree := traceRun(t, start, res, err)
+		if tree.run.CostVMS != want {
+			t.Fatalf("failed run span charged %v, want %v", tree.run.CostVMS, want)
 		}
 		if !hasAttr(*tree.run, "error") {
 			t.Fatal("run span does not carry the error attribute")
 		}
-		if opTotal := checkSpanTree(t, tree); opTotal != tree.run.CostVMS {
-			t.Fatalf("operator span costs sum to %v, run charged %v", opTotal, tree.run.CostVMS)
+		if opTotal := checkSpanTree(t, tree); opTotal != tree.run.CostVMS || len(tree.ops) != len(res.PerOp) {
+			t.Fatalf("%d operator spans costing %v, run charged %v over %d positions", len(tree.ops), opTotal, tree.run.CostVMS, len(res.PerOp))
 		}
 		marked := 0
 		for _, sp := range tree.ops {
 			if hasAttr(sp, "error") {
-				if sp.Name != "U" {
-					t.Fatalf("operator %q carries an error, want only U", sp.Name)
-				}
-				if sp.CostVMS != n*cost {
-					t.Fatalf("failed U charged %v, want %v (every row attempted once)", sp.CostVMS, n*cost)
+				if sp.Name != "U" || sp.CostVMS != n*cost {
+					t.Fatalf("operator %q charged %v carries the error, want only U at %v", sp.Name, sp.CostVMS, n*cost)
 				}
 				marked++
 			}
@@ -139,64 +162,4 @@ func TestFailedRunSpansCarryCost(t *testing.T) {
 			t.Fatalf("%d operator spans carry the error attribute, want 1", marked)
 		}
 	})
-}
-
-// namesCounted is an operator that counts the calls to its Name.
-type namesCounted struct {
-	Operator
-	calls *int
-}
-
-func (n namesCounted) Name() string {
-	*n.calls++
-	return n.Operator.Name()
-}
-
-// TestUntracedRunSkipsSpanWork: without a tracer a run builds no operator
-// span, so an operator's Name is read once, for its PerOp entry, and twice
-// on a traced run.
-func TestUntracedRunSkipsSpanWork(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		obs  *obs.Tracer
-		want int
-	}{{"untraced", nil, 1}, {"traced", obs.New(obs.NopSink{}), 2}} {
-		calls := 0
-		plan := Plan{Ops: []Operator{
-			&Scan{Blobs: makeBlobs(50)},
-			&Process{P: fakeUDF{name: "U", cost: 3, col: "x"}},
-			namesCounted{Operator: &Select{Pred: query.MustParse("x>10")}, calls: &calls},
-		}}
-		res, err := Run(plan, Config{Obs: c.obs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls != c.want || res.PerOp[2].Name != "σ[x>10]" {
-			t.Fatalf("%s run: Name called %d times (PerOp name %q), want %d", c.name, calls, res.PerOp[2].Name, c.want)
-		}
-	}
-}
-
-// TestRunNilTracerUnchanged: tracing disabled (the default) must not change
-// results or costs.
-func TestRunNilTracerUnchanged(t *testing.T) {
-	plan := func() Plan {
-		return Plan{Ops: []Operator{
-			&Scan{Blobs: makeBlobs(50)},
-			&Process{P: fakeUDF{name: "U", cost: 3, col: "x"}},
-			&Select{Pred: query.MustParse("x>10")},
-		}}
-	}
-	plain, err := Run(plan(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := Run(plan(), Config{Obs: obs.New(obs.NopSink{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.ClusterTime != traced.ClusterTime || len(plain.Rows) != len(traced.Rows) {
-		t.Fatalf("tracing changed execution: %v/%d vs %v/%d",
-			plain.ClusterTime, len(plain.Rows), traced.ClusterTime, len(traced.Rows))
-	}
 }

@@ -250,32 +250,13 @@ func (w *rowWorker) clause(c *query.Clause, act, out []uint64) bool {
 			if !v.IsNum {
 				return false
 			}
-			if compareNum(v.Num, c.Op, c.Val.Num) {
+			if query.CompareNum(v.Num, c.Op, c.Val.Num) {
 				o |= 1 << b
 			}
 		}
 		out[k] = o
 	}
 	return true
-}
-
-// compareNum is a numeric clause's comparison, as Clause.Eval makes it.
-func compareNum(a float64, op query.Op, b float64) bool {
-	switch op {
-	case query.OpEq:
-		return a == b
-	case query.OpNe:
-		return a != b
-	case query.OpLt:
-		return a < b
-	case query.OpLe:
-		return a <= b
-	case query.OpGt:
-		return a > b
-	case query.OpGe:
-		return a >= b
-	}
-	return false
 }
 
 func anySet(b []uint64) bool {

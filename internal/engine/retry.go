@@ -94,6 +94,9 @@ func (e *rowTimeoutError) Transient() bool { return true }
 type OpError struct {
 	// Stage is the zero-based pipeline stage index.
 	Stage int
+	// Pos is the failing operator's plan position: its row in the partial
+	// Result's PerOp, which names alone cannot pick out.
+	Pos int
 	// Op is the failing operator's name.
 	Op string
 	// Err is the underlying failure.

@@ -78,7 +78,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 		out, cost, err := refOp(op, in, &accs[i])
 		charge(i, len(in), len(out), cost)
 		if err != nil {
-			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: op.Name(), Err: err}
+			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Pos: i, Op: op.Name(), Err: err}
 		}
 		return out, nil
 	}
@@ -93,7 +93,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 	}
 	out, sums, f, err := refRowStage(ops[first:split], rows, cfg)
 	if err != nil {
-		return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[first+f].Name(), Err: err}
+		return nil, &engine.OpError{Stage: len(stageCosts) - 1, Pos: first + f, Op: ops[first+f].Name(), Err: err}
 	}
 	for j, sum := range sums {
 		charge(first+j, sum.in, sum.out, sum.cost)
@@ -117,7 +117,7 @@ func refRun(p engine.Plan, cfg engine.Config) (*engine.Result, error) {
 		}
 		out, sums, f, err := refRowStage(ops[i:j], rows, cfg)
 		if err != nil {
-			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Op: ops[i+f].Name(), Err: err}
+			return nil, &engine.OpError{Stage: len(stageCosts) - 1, Pos: i + f, Op: ops[i+f].Name(), Err: err}
 		}
 		for k, sum := range sums {
 			charge(i+k, sum.in, sum.out, sum.cost)
@@ -705,7 +705,7 @@ func sameRows(a, b []engine.Row) error {
 // engine must match the row-at-a-time reference bit for bit: rows and
 // their order, their columns with the newest of a name shadowing, ClusterTime
 // and Latency, every PerOp field but WallNS; a failed run
-// must fail with the same OpError stage, operator and text — the first
+// must fail with the same OpError stage, position, operator and text — the first
 // failure in morsel order.
 func TestBatchExecutorMatchesRowReference(t *testing.T) {
 	rng := mathx.NewRNG(26)
@@ -741,9 +741,9 @@ func TestBatchExecutorMatchesRowReference(t *testing.T) {
 			if !errors.As(werr, &wo) || !errors.As(gerr, &go_) {
 				t.Fatalf("%s\nnot OpErrors: %v / reference %v", name, gerr, werr)
 			}
-			if go_.Stage != wo.Stage || go_.Op != wo.Op || gerr.Error() != werr.Error() {
-				t.Fatalf("%s\nerror %q (stage %d, %s)\nreference %q (stage %d, %s)",
-					name, gerr, go_.Stage, go_.Op, werr, wo.Stage, wo.Op)
+			if go_.Stage != wo.Stage || go_.Pos != wo.Pos || go_.Op != wo.Op || gerr.Error() != werr.Error() {
+				t.Fatalf("%s\nerror %q (stage %d, position %d, %s)\nreference %q (stage %d, position %d, %s)",
+					name, gerr, go_.Stage, go_.Pos, go_.Op, werr, wo.Stage, wo.Pos, wo.Op)
 			}
 			continue
 		}

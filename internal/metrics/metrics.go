@@ -169,6 +169,16 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return f.seriesFor(labels).gauge
 }
 
+// GaugeFunc registers the gauge for (name, labels) as fn, read at every
+// scrape and Value call, so a number kept elsewhere is exposed without a
+// second copy to keep in step. A later registration of the same series
+// replaces fn. On a nil registry it does nothing.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if g := r.Gauge(name, help, labels...); g != nil {
+		g.fn.Store(&fn)
+	}
+}
+
 // Histogram returns the histogram for (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	if r == nil {
@@ -233,8 +243,12 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is a settable float64. A nil *Gauge is a no-op.
-type Gauge struct{ bits atomic.Uint64 }
+// Gauge is a settable float64, or a function read in its place (GaugeFunc),
+// which Set and Add then leave unread. A nil *Gauge is a no-op.
+type Gauge struct {
+	bits atomic.Uint64
+	fn   atomic.Pointer[func() float64]
+}
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
@@ -262,6 +276,9 @@ func (g *Gauge) Add(v float64) {
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
+	}
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(g.bits.Load())
 }

@@ -367,3 +367,31 @@ func ExampleRegistry() {
 	// # TYPE runs_total counter
 	// runs_total 1
 }
+
+// TestGaugeFunc: a function-backed gauge is read at every Value call and
+// scrape, Set leaves it unread, a later registration of the series replaces
+// the function, and a nil registry registers nothing.
+func TestGaugeFunc(t *testing.T) {
+	r := New()
+	v := 3.0
+	r.GaugeFunc("depth", "Live depth.", func() float64 { return v }, L("shard", "0"))
+	g := r.Gauge("depth", "", L("shard", "0"))
+	v = 5
+	g.Set(9)
+	if got := g.Value(); got != 5 {
+		t.Fatalf("Value = %v, want the function's 5", got)
+	}
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# HELP depth Live depth.\n# TYPE depth gauge\ndepth{shard=\"0\"} 5\n"; b.String() != want {
+		t.Fatalf("exposition %q, want %q", b.String(), want)
+	}
+	r.GaugeFunc("depth", "Live depth.", func() float64 { return 7 }, L("shard", "0"))
+	if got := g.Value(); got != 7 {
+		t.Fatalf("Value after re-registration = %v, want 7", got)
+	}
+	var nilReg *Registry
+	nilReg.GaugeFunc("depth", "", func() float64 { return 1 })
+}

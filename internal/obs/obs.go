@@ -1,9 +1,8 @@
-// Package obs is the engine-wide observability layer: a zero-dependency
-// tracing substrate threaded through the execution engine, the
-// query optimizer and the online loop. The paper's claims are measurements —
-// speedup ratios, per-operator costs, accuracy under a budget — so the
-// runtime that reproduces them must be able to report, machine-readably,
-// where every virtual millisecond went.
+// Package obs is the engine-wide observability layer: a tracing substrate
+// for the serving stack and the online loop. The paper's claims are
+// measurements — speedup ratios, per-operator costs, accuracy under a
+// budget — so the runtime that reproduces them must be able to report,
+// machine-readably, where every virtual millisecond went.
 //
 // Two record types cover the system:
 //
@@ -13,6 +12,8 @@
 //   - Event: a point-in-time state transition (watchdog trips, retrains,
 //     probation verdicts).
 //
+// The engine and the optimizer take no tracer: their run, operator and
+// optimize spans are derived from the ledgers they return (ledger.go).
 // Numbers that aggregate (counters, histograms) go to internal/metrics.
 //
 // Records flow into a pluggable Sink. The default is no sink at all: a nil
@@ -52,12 +53,13 @@ type Attr struct {
 
 // TraceContext identifies the session a unit of work belongs to: the
 // session-wide TraceID plus the SpanID to parent new spans under. It is
-// passed by value through engine and optimizer configs; the zero value
-// means "no session" and degrades every consumer to its pre-tracing
-// behaviour.
+// passed by value to whatever derives or opens the session's spans; the
+// zero value means "no session" and degrades every consumer to its
+// pre-tracing behaviour.
 type TraceContext struct {
 	// TraceID is shared by every span and event of one served session,
-	// across the server, its shard legs, optimizer and engine.
+	// across the server, its shard legs and the optimize, run and operator
+	// spans derived for them.
 	TraceID string
 	// SpanID is the span to parent the next child span under (0 = root).
 	SpanID int64
@@ -210,7 +212,7 @@ func (t *Tracer) End(sp *Span) {
 }
 
 // EmitSpan forwards a caller-assembled span (used when the duration was
-// measured elsewhere, e.g. an operator's span assembled when its run ends).
+// measured elsewhere, e.g. a span derived from a ledger).
 func (t *Tracer) EmitSpan(sp Span) {
 	if !t.Enabled() || sp.ID == 0 {
 		return

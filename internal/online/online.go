@@ -68,10 +68,10 @@ type Config struct {
 	Seed uint64
 	// Watchdog shapes the accuracy circuit breaker.
 	Watchdog WatchdogConfig
-	// Obs receives KindTrain spans for every (re)training plus watchdog
-	// state-transition events (online.train, watchdog.trip,
-	// watchdog.probation, watchdog.close, watchdog.breach). Nil disables
-	// tracing.
+	// Obs receives KindTrain spans for every (re)training, the KindOptimize
+	// span of each Decide, watchdog state-transition events (online.train,
+	// watchdog.trip, watchdog.probation, watchdog.close, watchdog.breach)
+	// and ReportRun's optimizer.misestimation events. Nil disables tracing.
 	Obs *obs.Tracer
 }
 
@@ -317,15 +317,18 @@ func (s *System) Decide(pred query.Pred, accuracy, udfCost float64) (*optimizer.
 }
 
 // DecideCtx is Decide carrying the deciding session's trace context, so the
-// plan-search span joins the session's trace.
+// plan-search span derived from the decision joins the session's trace.
 func (s *System) DecideCtx(pred query.Pred, accuracy, udfCost float64, ctx obs.TraceContext) (*optimizer.Decision, error) {
-	return s.opt.Optimize(pred, optimizer.Options{
+	dec, err := s.opt.Optimize(pred, optimizer.Options{
 		Accuracy: accuracy,
 		UDFCost:  udfCost,
 		Domains:  s.cfg.Domains,
-		Obs:      s.cfg.Obs,
-		Trace:    ctx,
 	})
+	if err != nil {
+		return nil, err
+	}
+	s.cfg.Obs.EmitSearch(ctx, pred, dec)
+	return dec, nil
 }
 
 // ReportRun feeds the observed reduction of an executed decision back into
@@ -333,7 +336,7 @@ func (s *System) DecideCtx(pred query.Pred, accuracy, udfCost float64, ctx obs.T
 // optimizer.misestimation event.
 func (s *System) ReportRun(dec *optimizer.Decision, observedReduction float64) {
 	if s.opt.ObserveRuntime(dec, observedReduction) {
-		optimizer.EmitMisestimation(s.cfg.Obs, obs.TraceContext{}, dec, observedReduction)
+		s.cfg.Obs.EmitMisestimation(obs.TraceContext{}, dec, observedReduction)
 	}
 }
 

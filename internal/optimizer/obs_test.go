@@ -1,21 +1,37 @@
-package optimizer
+package optimizer_test
 
 import (
 	"strconv"
 	"testing"
 
+	"probpred/internal/blob"
 	"probpred/internal/obs"
+	"probpred/internal/optimizer"
 	"probpred/internal/query"
 	"probpred/internal/testkit"
 )
+
+// The optimizer takes no tracer: these tests hold the spans and events
+// internal/obs derives from a decision, which is why they live outside the
+// package.
+
+// miniCorpus is the mini fixture's PPs trained on val.
+func miniCorpus(t testing.TB, val []blob.Blob) *optimizer.Corpus {
+	t.Helper()
+	c := optimizer.NewCorpus()
+	for _, pp := range testkit.PPs(t, val) {
+		c.Add(pp)
+	}
+	return c
+}
 
 // TestOptimizeSearchStats: every Optimize call must profile its own plan
 // search — candidates generated/costed, memo behaviour, wall time.
 func TestOptimizeSearchStats(t *testing.T) {
 	val := testkit.Blobs(2000, 61)
 	c := miniCorpus(t, val)
-	opt := New(c)
-	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
+	opt := optimizer.New(c)
+	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), optimizer.Options{
 		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
@@ -35,7 +51,7 @@ func TestOptimizeSearchStats(t *testing.T) {
 		t.Fatalf("WallNS = %d", s.WallNS)
 	}
 	// The uncovered-predicate path must fill stats too (zero candidates).
-	dec2, err := opt.Optimize(query.MustParse("z=1"), Options{Accuracy: 0.9, UDFCost: 100})
+	dec2, err := opt.Optimize(query.MustParse("z=1"), optimizer.Options{Accuracy: 0.9, UDFCost: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,20 +60,21 @@ func TestOptimizeSearchStats(t *testing.T) {
 	}
 }
 
-// TestOptimizeEmitsSpanAndMetrics: with a tracer attached, one optimize span
-// carrying the search's counts (its Decision.Search ledger) reaches the sink.
+// TestOptimizeEmitsSpanAndMetrics: the optimize span derived from a
+// decision carries the search's counts (its Decision.Search ledger).
 func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 	val := testkit.Blobs(2000, 62)
 	c := miniCorpus(t, val)
-	opt := New(c)
+	opt := optimizer.New(c)
 	col := obs.NewCollector()
 	pred := query.MustParse("t=SUV & c=red")
-	dec, err := opt.Optimize(pred, Options{
-		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(), Obs: obs.New(col),
+	dec, err := opt.Optimize(pred, optimizer.Options{
+		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs.New(col).EmitSearch(obs.TraceContext{}, pred, dec)
 	spans := col.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d, want 1 optimize span", len(spans))
@@ -94,12 +111,12 @@ func TestOptimizeEmitsSpanAndMetrics(t *testing.T) {
 
 // TestObserveRuntimeRecordsDrift: ObserveRuntime reports an observation
 // outside the dependence tolerance as a misestimation and flags the plan's
-// clause pairs; EmitMisestimation turns the verdict into an
+// clause pairs; obs.Tracer.EmitMisestimation turns the verdict into an
 // optimizer.misestimation event under the caller's trace.
 func TestObserveRuntimeRecordsDrift(t *testing.T) {
 	val := testkit.Blobs(2000, 63)
-	opt := New(miniCorpus(t, val))
-	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), Options{
+	opt := optimizer.New(miniCorpus(t, val))
+	dec, err := opt.Optimize(query.MustParse("t=SUV & c=red"), optimizer.Options{
 		Accuracy: 0.95, UDFCost: 100, Domains: testkit.Domains(),
 	})
 	if err != nil {
@@ -126,15 +143,15 @@ func TestObserveRuntimeRecordsDrift(t *testing.T) {
 	}
 	col := obs.NewCollector()
 	ctx := obs.TraceContext{TraceID: obs.NewTraceID()}
-	EmitMisestimation(obs.New(col), ctx, dec, 0)
-	EmitMisestimation(nil, ctx, dec, 0) // a nil tracer emits nothing
+	obs.New(col).EmitMisestimation(ctx, dec, 0)
+	(*obs.Tracer)(nil).EmitMisestimation(ctx, dec, 0) // a nil tracer emits nothing
 	events := col.Events()
 	if len(events) != 1 || events[0].Name != "optimizer.misestimation" || events[0].Trace != ctx.TraceID {
 		t.Fatalf("events = %+v, want one optimizer.misestimation under trace %s", events, ctx.TraceID)
 	}
 
 	// Non-injecting and nil decisions are ignored entirely.
-	if opt.ObserveRuntime(&Decision{}, 0.5) || opt.ObserveRuntime(nil, 0.5) {
+	if opt.ObserveRuntime(&optimizer.Decision{}, 0.5) || opt.ObserveRuntime(nil, 0.5) {
 		t.Fatal("a decision that injected nothing reported a misestimation")
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"maps"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"probpred/internal/obs"
 	"probpred/internal/query"
 )
 
@@ -34,14 +32,6 @@ type Options struct {
 	// DisableOrderSearch executes sub-expressions in written order instead
 	// of cheapest-effective-first — an ablation knob for §6.2's ordering.
 	DisableOrderSearch bool
-	// Obs receives one KindOptimize span per Optimize call, carrying the
-	// search's counts (candidates generated and costed, memo hits and
-	// entries) and the chosen plan's cost/reduction. Nil disables tracing.
-	Obs *obs.Tracer
-	// Trace is the session trace context the search belongs to: the
-	// KindOptimize span carries its TraceID and parents under its SpanID,
-	// tying plan searches to the served session that triggered them.
-	Trace obs.TraceContext
 }
 
 func (o *Options) fill() {
@@ -108,7 +98,7 @@ type Decision struct {
 
 // SearchStats is the ledger of one Optimize call — the optimizer's own
 // profile, embedded in the Decision; the optimize span's attributes are
-// derived from it (emitSearch).
+// derived from it (obs.Tracer.EmitSearch).
 type SearchStats struct {
 	// Generated is how many candidate expressions the rewrite rules
 	// produced before deduplication and the k-leaf bound.
@@ -181,9 +171,7 @@ func (o *Optimizer) Optimize(pred query.Pred, opts Options) (*Decision, error) {
 	// equal plans however they are written, and (b) a plan cache keyed on
 	// CanonicalKey can serve any spelling with a plan searched for another.
 	// Canonicalization also strips double negation and nested duplicates the
-	// rewrite rules would otherwise see as distinct structures. Spans keep
-	// the caller's spelling (orig) so traces match what the user asked.
-	orig := pred
+	// rewrite rules would otherwise see as distinct structures.
 	pred = Canonicalize(pred)
 	if _, unsat := pred.(query.False); unsat {
 		// The predicate is unsatisfiable (e.g. s>60 ∧ s<50): no blob can
@@ -251,30 +239,7 @@ func (o *Optimizer) Optimize(pred query.Pred, opts Options) (*Decision, error) {
 	}
 	sortAlternatives(dec.Alternatives)
 	dec.Search.WallNS = time.Since(start).Nanoseconds()
-	emitSearch(opts.Obs, opts.Trace, orig, dec)
 	return dec, nil
-}
-
-// emitSearch derives one optimization's KindOptimize span from its ledger,
-// dec.Search.
-func emitSearch(tr *obs.Tracer, ctx obs.TraceContext, pred query.Pred, dec *Decision) {
-	if !tr.Enabled() {
-		return
-	}
-	sp := tr.BeginCtx(ctx, obs.KindOptimize, pred.String())
-	sp.Start = sp.Start.Add(-time.Duration(dec.Search.WallNS))
-	sp.SetAttr("injected", strconv.FormatBool(dec.Inject))
-	sp.SetAttr("candidates", strconv.Itoa(dec.Search.Costed))
-	sp.SetAttr("memo_hits", strconv.Itoa(dec.Search.MemoHits))
-	if dec.Inject {
-		sp.SetAttr("expr", dec.Expr)
-		sp.SetAttr("reduction", strconv.FormatFloat(dec.Reduction, 'f', 3, 64))
-	}
-	sp.SetAttr("candidates_generated", strconv.Itoa(dec.Search.Generated))
-	sp.SetAttr("memo_entries", strconv.Itoa(dec.Search.MemoEntries))
-	sp.CostVMS = dec.PlanCost
-	sp.WallNS = dec.Search.WallNS
-	tr.EmitSpan(sp)
 }
 
 // sortAlternatives orders candidates by ascending plan cost, then
@@ -303,7 +268,7 @@ const (
 // clause pair as dependent so future optimizations avoid combining them
 // (A.5's runtime fix). Single-leaf misestimations cannot be blamed on
 // dependence, but they are exactly the drift a caller's
-// optimizer.misestimation event (EmitMisestimation) surfaces.
+// optimizer.misestimation event (obs.Tracer.EmitMisestimation) surfaces.
 func (o *Optimizer) ObserveRuntime(dec *Decision, observedReduction float64) bool {
 	if dec == nil || !dec.Inject {
 		return false
@@ -322,19 +287,6 @@ func (o *Optimizer) ObserveRuntime(dec *Decision, observedReduction float64) boo
 		o.depMu.Unlock()
 	}
 	return true
-}
-
-// EmitMisestimation records a misestimation ObserveRuntime reported as an
-// optimizer.misestimation event under the observing session's trace, so a
-// drifted query is attributable from the event stream alone.
-func EmitMisestimation(tr *obs.Tracer, ctx obs.TraceContext, dec *Decision, observedReduction float64) {
-	if !tr.Enabled() {
-		return
-	}
-	tr.EventCtx(ctx, "optimizer.misestimation",
-		obs.Attr{Key: "expr", Value: dec.Expr},
-		obs.Attr{Key: "estimated", Value: strconv.FormatFloat(dec.Reduction, 'f', 3, 64)},
-		obs.Attr{Key: "observed", Value: strconv.FormatFloat(observedReduction, 'f', 3, 64)})
 }
 
 // DependentPairs returns how many clause pairs are currently flagged.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
@@ -32,14 +31,4 @@ func Read(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("query log: %w", err)
 	}
 	return out, nil
-}
-
-// ReadFile reads a JSONL query log from path.
-func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

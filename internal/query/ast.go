@@ -107,7 +107,7 @@ func (c *Clause) Eval(l Lookup) (bool, error) {
 			c.Col, v.IsNum, c.Val)
 	}
 	if v.IsNum {
-		return compareNum(v.Num, c.Op, c.Val.Num), nil
+		return CompareNum(v.Num, c.Op, c.Val.Num), nil
 	}
 	switch c.Op {
 	case OpEq:
@@ -119,7 +119,9 @@ func (c *Clause) Eval(l Lookup) (bool, error) {
 	}
 }
 
-func compareNum(a float64, op Op, b float64) bool {
+// CompareNum is a numeric clause's comparison a op b, as Clause.Eval makes
+// it; an operator it does not know compares false.
+func CompareNum(a float64, op Op, b float64) bool {
 	switch op {
 	case OpEq:
 		return a == b

@@ -66,7 +66,7 @@ type planCache struct {
 	// a mutation (online retraining, watchdog trip) that left every key a
 	// plan consulted untouched revalidates the entry instead of evicting it,
 	// so segment-by-segment training of one clause does not strand every
-	// other query's plan. Nil falls back to evict-on-any-version-change.
+	// other query's plan.
 	corpus *optimizer.Corpus
 
 	// hits / misses count resolve outcomes: sessions served an entry, and
@@ -135,7 +135,7 @@ func (c *planCache) getLocked(key string, version uint64) (*planEntry, bool) {
 	}
 	e := el.Value.(*planEntry)
 	if e.version < version {
-		if c.corpus == nil || !c.corpus.UnchangedSince(e.deps, e.version) {
+		if !c.corpus.UnchangedSince(e.deps, e.version) {
 			c.ll.Remove(el)
 			delete(c.items, key)
 			c.invalidations.Add(1)

@@ -3,15 +3,18 @@ package serve
 import (
 	"testing"
 
+	"probpred/internal/core"
 	"probpred/internal/optimizer"
 )
 
+// entryFor is a plan for key searched at corpus version, which consulted
+// clause key alone.
 func entryFor(key string, version uint64) *planEntry {
-	return &planEntry{key: key, version: version, dec: &optimizer.Decision{}}
+	return &planEntry{key: key, version: version, deps: []string{key}, dec: &optimizer.Decision{}}
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	c := newPlanCache(2, nil)
+	c := newPlanCache(2, optimizer.NewCorpus())
 	c.put(entryFor("a", 0))
 	c.put(entryFor("b", 0))
 	if _, ok := c.get("a", 0); !ok { // touch a: b becomes LRU
@@ -33,8 +36,12 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 }
 
 func TestPlanCacheStaleVersion(t *testing.T) {
-	c := newPlanCache(4, nil)
+	corpus := optimizer.NewCorpus()
+	c := newPlanCache(4, corpus)
 	c.put(entryFor("a", 1))
+	// Versions 1 and 2 both retrain the clause the entry consulted.
+	corpus.Add(&core.PP{Clause: "a"})
+	corpus.Add(&core.PP{Clause: "a"})
 	if _, ok := c.get("a", 2); ok {
 		t.Fatal("stale entry served")
 	}
@@ -47,7 +54,7 @@ func TestPlanCacheStaleVersion(t *testing.T) {
 }
 
 func TestPlanCacheReplaceSameKey(t *testing.T) {
-	c := newPlanCache(2, nil)
+	c := newPlanCache(2, optimizer.NewCorpus())
 	c.put(entryFor("a", 1))
 	c.put(entryFor("a", 2))
 	if c.len() != 1 {

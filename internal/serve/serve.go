@@ -96,7 +96,6 @@ type Config struct {
 	// excess legs queue (admission control). Zero selects GOMAXPROCS.
 	MaxConcurrent int
 	// Exec is the execution environment for every session's engine.Run.
-	// Its Obs defaults to the server's when unset.
 	Exec engine.Config
 	// DisableScoreCache keeps the score-cache plumbing (and its miss
 	// counters) but stores nothing, so every lookup misses — the knob the
@@ -104,12 +103,14 @@ type Config struct {
 	// code paths.
 	DisableScoreCache bool
 	// Metrics receives serving telemetry: session and plan-cache counters,
-	// admission-queue and active-session gauges, score-cache totals. Nil
+	// and gauges read at scrape time from the replicas' own counters
+	// (admission queue, active legs, plan- and score-cache totals). Nil
 	// disables.
 	Metrics *metrics.Registry
 	// Obs receives one KindSession span per request (with one child per leg
-	// on a server of more than one shard × replica) plus the optimizer's
-	// KindOptimize spans for cache-miss searches. Nil disables.
+	// on a server of more than one shard × replica) and, derived from the
+	// ledgers the optimizer and engine return, the KindOptimize span of each
+	// cache-miss search and each leg's run and operator spans. Nil disables.
 	Obs *obs.Tracer
 	// QueryLog receives one structured record per completed session, keyed
 	// by the session's TraceID. The writer is bounded and non-blocking: the
@@ -120,6 +121,9 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.Optimizer == nil {
 		return fmt.Errorf("serve: Config.Optimizer is required")
+	}
+	if c.Optimizer.Corpus() == nil {
+		return fmt.Errorf("serve: Config.Optimizer has no corpus")
 	}
 	if c.Builder == nil {
 		if c.Corpus == nil {
@@ -135,9 +139,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.Exec.Obs == nil {
-		c.Exec.Obs = c.Obs
 	}
 	return nil
 }
@@ -247,35 +248,68 @@ type Coordinator = Server
 // each name and help string is written once and a session pays no registry
 // lookups. With a nil registry every handle is nil, and nil handles no-op.
 type serveMetrics struct {
-	queueDepth, active     *metrics.Gauge
 	admissionWait, service *metrics.Histogram
 
-	sessions, sessionErrors              *metrics.Counter
-	planCacheHits, planCacheMisses       *metrics.Counter
-	planEntries, planInvalidations       *metrics.Gauge
-	planRevalidations                    *metrics.Gauge
-	scoreEntries, scoreHits, scoreMisses *metrics.Gauge
+	sessions, sessionErrors        *metrics.Counter
+	planCacheHits, planCacheMisses *metrics.Counter
 }
 
-func newServeMetrics(reg *metrics.Registry) serveMetrics {
-	return serveMetrics{
-		queueDepth:    reg.Gauge("serve_admission_queue_depth", "Legs waiting for an execution slot."),
-		active:        reg.Gauge("serve_active_sessions", "Legs currently executing."),
+// registerMetrics resolves the server's metric handles and registers its
+// gauges over the counters its replicas keep, so a scrape reads them live
+// and a session sets none.
+func (s *Server) registerMetrics(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	reg.GaugeFunc("serve_admission_queue_depth", "Legs waiting for an execution slot.",
+		sumReplicas(s.shards, queued))
+	reg.GaugeFunc("serve_active_sessions", "Legs currently executing.", sumReplicas(s.shards, active))
+	s.m = serveMetrics{
 		admissionWait: reg.Histogram("serve_admission_wait_ns", "Wall nanoseconds a session waited for an execution slot (enqueue to admit; its slowest leg's when sharded)."),
 		service:       reg.Histogram("serve_service_ns", "Wall nanoseconds of a session after its admission wait."),
 
-		sessions:          reg.Counter("serve_sessions_total", "Query sessions served."),
-		sessionErrors:     reg.Counter("serve_session_errors_total", "Query sessions that failed."),
-		planCacheHits:     reg.Counter("serve_plan_cache_hits_total", "Sessions served from the plan cache."),
-		planCacheMisses:   reg.Counter("serve_plan_cache_misses_total", "Sessions that ran a fresh plan search."),
-		planEntries:       reg.Gauge("serve_plan_cache_entries", "Plans currently cached."),
-		planInvalidations: reg.Gauge("serve_plan_cache_invalidations", "Cached plans dropped as stale."),
-		planRevalidations: reg.Gauge("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed."),
-		scoreEntries:      reg.Gauge("serve_score_cache_entries", "PP scores currently cached."),
-		scoreHits:         reg.Gauge("serve_score_cache_hits", "Cumulative score-cache hits across sessions."),
-		scoreMisses:       reg.Gauge("serve_score_cache_misses", "Cumulative score-cache misses across sessions."),
+		sessions:        reg.Counter("serve_sessions_total", "Query sessions served."),
+		sessionErrors:   reg.Counter("serve_session_errors_total", "Query sessions that failed."),
+		planCacheHits:   reg.Counter("serve_plan_cache_hits_total", "Sessions served from the plan cache."),
+		planCacheMisses: reg.Counter("serve_plan_cache_misses_total", "Sessions that ran a fresh plan search."),
+	}
+	reg.GaugeFunc("serve_plan_cache_entries", "Plans currently cached.",
+		sumReplicas(s.shards, func(r *replica) float64 { return float64(r.plans.len()) }))
+	reg.GaugeFunc("serve_plan_cache_invalidations", "Cached plans dropped as stale.",
+		sumReplicas(s.shards, func(r *replica) float64 { return float64(r.plans.invalidations.Load()) }))
+	reg.GaugeFunc("serve_plan_cache_revalidations", "Stale-version cached plans kept because no consulted clause changed.",
+		sumReplicas(s.shards, func(r *replica) float64 { return float64(r.plans.revalidations.Load()) }))
+	reg.GaugeFunc("serve_score_cache_entries", "PP scores currently cached.",
+		sumReplicas(s.shards, func(r *replica) float64 { return float64(r.scores.Len()) }))
+	reg.GaugeFunc("serve_score_cache_hits", "Cumulative score-cache hits across sessions.",
+		sumReplicas(s.shards, func(r *replica) float64 { return float64(r.scoreHits.Load()) }))
+	reg.GaugeFunc("serve_score_cache_misses", "Cumulative score-cache misses across sessions.",
+		sumReplicas(s.shards, func(r *replica) float64 { return float64(r.scoreMisses.Load()) }))
+	if s.scatters {
+		for i := range s.shards {
+			reg.GaugeFunc("serve_shard_queue_depth", "Legs waiting for a slot on this shard (all replicas).",
+				sumReplicas(s.shards[i:i+1], queued), shardLabel(i))
+			reg.GaugeFunc("serve_shard_active", "Legs executing on this shard (all replicas).",
+				sumReplicas(s.shards[i:i+1], active), shardLabel(i))
+		}
 	}
 }
+
+// sumReplicas is a gauge reading: f totalled over the replicas of shards.
+func sumReplicas(shards []*shard, f func(*replica) float64) func() float64 {
+	return func() float64 {
+		v := 0.0
+		for _, sh := range shards {
+			for _, r := range sh.replicas {
+				v += f(r)
+			}
+		}
+		return v
+	}
+}
+
+func queued(r *replica) float64 { return float64(r.queued.Load()) }
+func active(r *replica) float64 { return float64(r.active.Load()) }
 
 // New validates the config and returns a 1×1 server over Config.Builder's
 // corpus.
@@ -290,7 +324,7 @@ func New(cfg Config) (*Server, error) {
 // each with its own plan cache, score cache and admission semaphore. cfg
 // is filled.
 func build(cfg Config, slices [][]blob.Blob, replicas int) *Server {
-	s := &Server{cfg: cfg, m: newServeMetrics(cfg.Metrics)}
+	s := &Server{cfg: cfg}
 	for _, slice := range slices {
 		sh := &shard{blobs: slice}
 		for r := 0; r < replicas; r++ {
@@ -302,13 +336,8 @@ func build(cfg Config, slices [][]blob.Blob, replicas int) *Server {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if len(slices)*replicas > 1 {
-		s.scatters = true
-		for i, sh := range s.shards {
-			sh.queueDepth = cfg.Metrics.Gauge("serve_shard_queue_depth", "Legs waiting for a slot on this shard (all replicas).", shardLabel(i))
-			sh.active = cfg.Metrics.Gauge("serve_shard_active", "Legs executing on this shard (all replicas).", shardLabel(i))
-		}
-	}
+	s.scatters = len(slices)*replicas > 1
+	s.registerMetrics(cfg.Metrics)
 	return s
 }
 
@@ -414,18 +443,14 @@ func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span 
 	r := s.shards[l.shard].replicas[l.replica]
 	enqueued := time.Now()
 	r.queued.Add(1)
-	s.m.queueDepth.Add(1)
 	r.sem <- struct{}{}
 	admitted := time.Now()
 	l.wait = admitted.Sub(enqueued)
 	r.queued.Add(-1)
 	r.active.Add(1)
-	s.m.queueDepth.Add(-1)
-	s.m.active.Add(1)
 	defer func() {
 		<-r.sem
 		r.active.Add(-1)
-		s.m.active.Add(-1)
 	}()
 	r.legs.Add(1)
 
@@ -456,11 +481,11 @@ func (s *Server) runLeg(l *leg, req Request, key string, accuracy float64, span 
 		l.err = fmt.Errorf("serve: build plan for %q: %w", pred.String(), err)
 		return
 	}
-	// Every operator span of this run inherits the session's
-	// trace through the engine config.
-	ecfg := s.cfg.Exec
-	ecfg.Trace = ctx
-	res, err := engine.Run(plan, ecfg)
+	// The run's spans are derived from its ledger, a failed run's partial
+	// one included, under the span the leg parents its work under.
+	start := time.Now()
+	res, err := engine.Run(plan, s.cfg.Exec)
+	s.cfg.Obs.EmitRun(ctx, start, res, err)
 	if err != nil {
 		l.err = fmt.Errorf("serve: run %q: %w", pred.String(), err)
 		return
@@ -492,12 +517,11 @@ func (s *Server) searchPlan(r *replica, pred query.Pred, accuracy float64, key s
 		Accuracy: accuracy,
 		UDFCost:  u,
 		Domains:  s.cfg.Domains,
-		Obs:      s.cfg.Obs,
-		Trace:    ctx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: optimize %q: %w", pred.String(), err)
 	}
+	s.cfg.Obs.EmitSearch(ctx, pred, dec)
 	e := &planEntry{key: key, version: dec.CorpusVersion, deps: dec.Consulted(), dec: dec}
 	if dec.Inject {
 		// One score-cache-attached filter per entry, shared by every session
@@ -521,9 +545,9 @@ func endSpan(tr *obs.Tracer, sp *obs.Span, resp *Response, err error) {
 }
 
 // finish is the one session epilogue: it ends the session span, counts the
-// session, observes its admission wait and service time, stamps the
-// response with the session's trace and timings, republishes the cache
-// gauges, and writes the session's single query-log record. The log write
+// session and its plan-cache outcome, observes its admission wait and
+// service time, stamps the response with the session's trace and timings,
+// and writes the session's single query-log record. The log write
 // is non-blocking: a full buffer drops the record and bumps the writer's
 // drop counter rather than stalling the serve path.
 func (s *Server) finish(ss *session) (*Response, error) {
@@ -531,12 +555,21 @@ func (s *Server) finish(ss *session) (*Response, error) {
 	endSpan(s.cfg.Obs, &ss.span, resp, err)
 	service := time.Since(ss.start) - ss.wait
 	s.sessions.Add(1)
-	s.m.admissionWait.ObserveExemplar(float64(ss.wait), ss.req.Trace)
-	s.m.service.ObserveExemplar(float64(service), ss.req.Trace)
+	m := &s.m
+	m.sessions.Inc()
+	switch {
+	case err != nil:
+		m.sessionErrors.Inc()
+	case resp.PlanCached:
+		m.planCacheHits.Inc()
+	default:
+		m.planCacheMisses.Inc()
+	}
+	m.admissionWait.ObserveExemplar(float64(ss.wait), ss.req.Trace)
+	m.service.ObserveExemplar(float64(service), ss.req.Trace)
 	if resp != nil {
 		resp.TraceID, resp.QueueWait, resp.Service = ss.req.Trace, ss.wait, service
 	}
-	s.emitSessionMetrics(resp, err)
 	if s.cfg.QueryLog != nil {
 		s.cfg.QueryLog.Log(s.record(ss, service))
 	}
@@ -593,33 +626,6 @@ func (s *Server) record(ss *session, service time.Duration) pplog.Record {
 		rec.ObsReduction = 1 - float64(rec.PPPassed)/float64(rec.PPTested)
 	}
 	return rec
-}
-
-// emitSessionMetrics counts one completed session. Cache totals, summed
-// over every replica, are republished as gauges so /metrics always reflects
-// the whole server's latest snapshot.
-func (s *Server) emitSessionMetrics(resp *Response, err error) {
-	if s.cfg.Metrics == nil {
-		return // skip the cache snapshots, which take the caches' locks
-	}
-	m := &s.m
-	m.sessions.Inc()
-	if err != nil {
-		m.sessionErrors.Inc()
-		return
-	}
-	if resp.PlanCached {
-		m.planCacheHits.Inc()
-	} else {
-		m.planCacheMisses.Inc()
-	}
-	st := s.Stats()
-	m.planEntries.Set(float64(st.PlanEntries))
-	m.planInvalidations.Set(float64(st.PlanInvalidations))
-	m.planRevalidations.Set(float64(st.PlanRevalidations))
-	m.scoreEntries.Set(float64(st.ScoreEntries))
-	m.scoreHits.Set(float64(st.ScoreHits))
-	m.scoreMisses.Set(float64(st.ScoreMisses))
 }
 
 // Stats snapshots the server's session count and its replicas' summed cache

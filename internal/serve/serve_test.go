@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"probpred/internal/engine"
 	"probpred/internal/metrics"
+	"probpred/internal/optimizer"
 	"probpred/internal/query"
 	"probpred/internal/testkit"
 )
@@ -169,6 +171,21 @@ func (u gateUDF) Apply(b engine.Batch) error {
 	}
 	defer u.active.Add(-1)
 	return u.UDF.Apply(b)
+}
+
+// TestOptimizerWithoutCorpusRefused: a server plans through its
+// optimizer's corpus, so New and NewSharded refuse an optimizer that has
+// none rather than fail on the first request.
+func TestOptimizerWithoutCorpusRefused(t *testing.T) {
+	cfg, _ := miniConfig(t, testkit.Blobs(40, 7))
+	cfg.Optimizer = optimizer.New(nil)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "corpus") {
+		t.Errorf("New: error %v, want a refusal naming the corpus", err)
+	}
+	sharded := ShardedConfig{Base: cfg, Shards: 2, Corpus: testkit.Blobs(40, 7), Builder: testkit.Builder{}}
+	if _, err := NewSharded(sharded); err == nil || !strings.Contains(err.Error(), "corpus") {
+		t.Errorf("NewSharded: error %v, want a refusal naming the corpus", err)
+	}
 }
 
 // TestServeMetrics: the serving counters and gauges land in the registry.

@@ -106,9 +106,6 @@ type shard struct {
 	// Routing never affects outputs (PP scores are pure, both caches
 	// transparent), only wall-clock latency and cache warmth.
 	next atomic.Uint64
-	// queueDepth / active are the shard's load gauges (nil, and no-ops,
-	// without a registry or on a server that does not scatter).
-	queueDepth, active *metrics.Gauge
 }
 
 // pick returns the index of the replica that serves the shard's next leg.
@@ -127,7 +124,7 @@ type replica struct {
 	// sem is the admission semaphore bounding the replica's concurrently
 	// executing legs.
 	sem chan struct{}
-	// queued / active are the live load the shard gauges read.
+	// queued / active are the live load the load gauges read.
 	queued, active atomic.Int64
 	// legs counts the legs the replica served (its ReplicaStats Sessions).
 	legs atomic.Uint64
@@ -174,7 +171,6 @@ func (s *Server) scatter(ss *session, accuracy float64, name string) (*Response,
 		if segs != nil {
 			legs[i].blobs = segs[i]
 		}
-		sh.publishLoad()
 	}
 	run := func(l *leg) {
 		sp := tr.BeginCtx(ctx, obs.KindSession, name)
@@ -200,7 +196,6 @@ func (s *Server) scatter(ss *session, accuracy float64, name string) (*Response,
 	var failed []error
 	for i := range legs {
 		l := &legs[i]
-		s.shards[i].publishLoad()
 		ss.wait = max(ss.wait, l.wait)
 		if l.err != nil {
 			failed = append(failed, fmt.Errorf("shard %d (replica %d): %w", l.shard, l.replica, l.err))
@@ -297,21 +292,6 @@ func samePlan(a, b []engine.OpStats) bool {
 		}
 	}
 	return true
-}
-
-// publishLoad republishes the shard's live queue-depth and active leg
-// counts (summed over its replicas) on its gauges.
-func (sh *shard) publishLoad() {
-	if sh.queueDepth == nil {
-		return
-	}
-	var queued, active int64
-	for _, r := range sh.replicas {
-		queued += r.queued.Load()
-		active += r.active.Load()
-	}
-	sh.queueDepth.Set(float64(queued))
-	sh.active.Set(float64(active))
 }
 
 // ReplicaStats snapshots every replica's counters, indexed [shard][replica]

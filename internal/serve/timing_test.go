@@ -275,3 +275,42 @@ func TestUncontendedQueueWait(t *testing.T) {
 		t.Errorf("serve_admission_wait_ns observed %d sessions, want 4", got)
 	}
 }
+
+// TestShardGaugesReadExecutingLegs: the shard load gauges are read at
+// scrape time from the replicas' own counters, so while a sharded session's
+// legs execute, each shard's serve_shard_active counts its leg, and once
+// they finish every load gauge reads zero again.
+func TestShardGaugesReadExecutingLegs(t *testing.T) {
+	reg := metrics.New()
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	srv := newMiniSharded(t, 40, 2, 1, func(cfg *ShardedConfig) {
+		cfg.Base.Metrics = reg
+		cfg.Builder = testkit.Builder{UDF: blockUDF{UDF: 40, entered: entered, release: release}}
+	})
+	done := make(chan error)
+	go func() {
+		_, err := srv.Do(Request{ID: "parked", Pred: query.MustParse("t=SUV")})
+		done <- err
+	}()
+	<-entered
+	<-entered // both legs are inside their UDF
+	load := func(name string, labels ...metrics.Label) float64 { return reg.Gauge(name, "", labels...).Value() }
+	for i := 0; i < 2; i++ {
+		if got := load("serve_shard_active", shardLabel(i)); got != 1 {
+			t.Errorf("serve_shard_active{shard=%d} = %v while its leg executes, want 1", i, got)
+		}
+	}
+	if got := load("serve_active_sessions"); got != 2 {
+		t.Errorf("serve_active_sessions = %v while two legs execute, want 2", got)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if a, q := load("serve_shard_active", shardLabel(i)), load("serve_shard_queue_depth", shardLabel(i)); a != 0 || q != 0 {
+			t.Errorf("shard %d after the session: active %v, queued %v; want 0", i, a, q)
+		}
+	}
+}

@@ -56,6 +56,28 @@ func TestMetricsImports(t *testing.T) {
 	})
 }
 
+// TestObsImports keeps the tracer out of the engine and the optimizer:
+// their spans and events are derived from the ledgers they return, by the
+// layers that hold a session's trace, so only those import internal/obs
+// from a non-test file.
+func TestObsImports(t *testing.T) {
+	allowed := []string{
+		"internal/serve", "internal/stream", "internal/online", "internal/pplog",
+		"internal/bench", "internal/testkit/oracle", "cmd",
+	}
+	forEachImport(t, func(rel, p string) {
+		if p != "probpred/internal/obs" {
+			return
+		}
+		for _, dir := range allowed {
+			if under(rel, filepath.FromSlash(dir)) {
+				return
+			}
+		}
+		t.Errorf("%s imports %s: only %v may", rel, p, allowed)
+	})
+}
+
 // TestAssemblyOnlyInMathx keeps the SIMD kernels in one home: no .s or
 // _amd64 file lies outside internal/mathx, and no Go file outside it names
 // the CPU probe or an AVX kernel (a test function's own name aside), so the

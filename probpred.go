@@ -109,9 +109,9 @@ type (
 type (
 	// Plan is a physical operator chain.
 	Plan = engine.Plan
-	// ExecConfig models the execution environment (stage overhead, retries,
-	// telemetry). A run executes on its caller's goroutine; Workers other
-	// than 0 or 1 is refused.
+	// ExecConfig models the execution environment (stage overhead,
+	// retries). A run executes on its caller's goroutine; Workers other than
+	// 0 or 1 is refused.
 	ExecConfig = engine.Config
 	// ExecResult carries rows plus virtual cluster time and latency.
 	ExecResult = engine.Result
